@@ -48,9 +48,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Allocation-regression gate: steady-state allocs/op on the frame codec
-# and wire message paths must stay pinned (near zero) after the buffer
-# pool / copy-elision work.
+# Allocation-regression gate: steady-state allocs/op on the frame codecs
+# (raw round trip, clone, warm JPEG decode) and wire message paths must
+# stay pinned (near zero) after the buffer pool / copy-elision work.
 alloc:
 	$(GO) test -run 'Allocs|ReleaseGuards' ./internal/frame ./internal/wire
 
@@ -87,13 +87,15 @@ shapes:
 	$(GO) test -race -run 'TestShape' ./internal/script ./internal/core .
 
 # Short coverage-guided fuzz pass over the PipeScript and config parsers
-# plus the sandbox budget enforcer and the shape-inference pass (seed
-# corpora alone run in `make test`).
+# plus the sandbox budget enforcer, the shape-inference pass and the frame
+# codec's JPEG decoder against image/jpeg (seed corpora alone run in
+# `make test`).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzBudget -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzShapes -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzParseConfig -fuzztime 30s ./internal/core
+	$(GO) test -fuzz FuzzJPEGDecode -fuzztime 30s ./internal/frame
 
 # One measurement window per benchmark; see EXPERIMENTS.md for canonical
 # longer-window numbers.

@@ -17,8 +17,8 @@ import (
 // Monitor implements the paper's stated future work (§7: "we aim to
 // include automatic deployment, scheduling and monitoring components"):
 // a cluster-level observer that samples pipeline progress, module errors
-// and service-pool utilization, detects stalled pipelines, and can drive
-// autoscalers for saturated services.
+// and service-pool utilization and detects stalled pipelines. (Scaling
+// saturated pools is the Tuner's job.)
 type Monitor struct {
 	cluster *Cluster
 	// Interval is the sampling period; zero selects 250 ms.
@@ -43,7 +43,6 @@ type Monitor struct {
 	degraded     map[string]bool
 	lastSample   map[string]time.Time
 	degradedSecs map[string]float64
-	scalers      []*services.AutoScaler
 	pub          *wire.Pub
 }
 
@@ -71,27 +70,6 @@ func (m *Monitor) DegradedSeconds(pipeline string) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.degradedSecs[pipeline]
-}
-
-// AutoScale attaches an autoscaler to a deployed service's pool; the
-// monitor steps it on every sample. It returns the scaler for inspection.
-func (m *Monitor) AutoScale(service string, minN, maxN int) (*services.AutoScaler, error) {
-	pool, err := m.cluster.Pool(service)
-	if err != nil {
-		return nil, err
-	}
-	interval := m.Interval
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
-	as, err := services.NewAutoScaler(pool, minN, maxN, interval)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	m.scalers = append(m.scalers, as)
-	m.mu.Unlock()
-	return as, nil
 }
 
 // ModuleHealth is one module's observed state.
@@ -178,9 +156,10 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// Sample takes one observation, updating stall tracking and stepping any
-// attached autoscalers.
-func (m *Monitor) Sample(ctx context.Context) Report {
+// Sample takes one observation, updating stall tracking. It does not
+// block, so the context goes unused; the parameter stays because callers
+// outside this package pass one.
+func (m *Monitor) Sample(_ context.Context) Report {
 	now := time.Now()
 	reg := m.cluster.Metrics()
 
@@ -290,9 +269,6 @@ func (m *Monitor) Sample(ctx context.Context) Report {
 	}
 	sort.Slice(rep.Services, func(i, j int) bool { return rep.Services[i].Service < rep.Services[j].Service })
 
-	for _, as := range m.scalers {
-		as.Step(ctx)
-	}
 	return rep
 }
 

@@ -116,23 +116,6 @@ func TestMonitorDetectsStall(t *testing.T) {
 	}
 }
 
-func TestMonitorAutoScaleAttachesToPool(t *testing.T) {
-	c := homeCluster(t)
-	mon := core.NewMonitor(c)
-	as, err := mon.AutoScale(services.PoseDetector, 1, 3)
-	if err != nil {
-		t.Fatalf("AutoScale: %v", err)
-	}
-	if as == nil {
-		t.Fatal("nil scaler")
-	}
-	if _, err := mon.AutoScale("ghost", 1, 2); err == nil {
-		t.Error("AutoScale on undeployed service succeeded")
-	}
-	// Sampling steps the scaler without panicking on an idle pool.
-	mon.Sample(context.Background())
-}
-
 func TestMonitorRunDeliversReports(t *testing.T) {
 	c := homeCluster(t)
 	mon := core.NewMonitor(c)

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"image/color"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -39,8 +40,7 @@ func TestRawCodecRoundTripAllocs(t *testing.T) {
 	assertAllocs(t, "raw AppendEncode into scratch", encode, 0)
 
 	// Encode + decode + release: the decoded frame's pixels come back
-	// from the pool, so only the Frame header and the pool's interface
-	// boxing remain.
+	// from the pool, so only the Frame header remains.
 	roundTrip := testing.AllocsPerRun(200, func() {
 		buf, _ = c.AppendEncode(buf[:0], f)
 		g, err := c.Decode(buf)
@@ -49,7 +49,7 @@ func TestRawCodecRoundTripAllocs(t *testing.T) {
 		}
 		g.Release()
 	})
-	assertAllocs(t, "raw encode/decode/release round trip", roundTrip, 2)
+	assertAllocs(t, "raw encode/decode/release round trip", roundTrip, 1)
 }
 
 func TestCloneReleaseAllocs(t *testing.T) {
@@ -61,9 +61,42 @@ func TestCloneReleaseAllocs(t *testing.T) {
 		cl := f.Clone()
 		cl.Release()
 	})
-	assertAllocs(t, "Clone+Release cycle", allocs, 2)
+	assertAllocs(t, "Clone+Release cycle", allocs, 1)
 	if hitsAfter, _ := PoolStats(); hitsAfter <= hitsBefore {
 		t.Errorf("pool hits did not advance (%d -> %d): clones are not recycling", hitsBefore, hitsAfter)
+	}
+}
+
+// TestJPEGDecodeAllocs pins the remote-hop decode: a warm VGA decode takes
+// its pixels from the pool and its tables from the decoder pool, so only
+// the Frame header is allocated — no per-frame planar image.
+func TestJPEGDecodeAllocs(t *testing.T) {
+	data, err := JPEGCodec{Quality: 85}.Encode(sceneFrame(640, 480))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		f, err := JPEGCodec{}.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Release()
+	}
+	decode() // warm the pools
+
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	assertAllocs(t, "jpeg decode/release", float64(after.Mallocs-before.Mallocs)/runs, 2)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if raceEnabled {
+		t.Logf("jpeg decode/release: %.0f B/op (bound not enforced under -race)", perOp)
+	} else if perOp > 1024 {
+		t.Errorf("jpeg decode/release: %.0f B/op, want <= 1024", perOp)
 	}
 }
 

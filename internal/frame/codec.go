@@ -145,26 +145,45 @@ func (w *appendWriter) Flush() error {
 	return nil
 }
 
-// Decode reconstructs a frame from a JPEG-encoded payload. JPEG is lossy:
-// pixel values approximate the original.
+// Decode reconstructs a frame from a JPEG-encoded payload into a pooled
+// buffer owned by the caller. JPEG is lossy: pixel values approximate the
+// original. Streams of the shape AppendEncode emits take the fused decoder
+// (jpegdec.go); every other JPEG, and every stream the fused decoder gives
+// up on, goes through image/jpeg, so what Decode accepts is exactly what
+// image/jpeg accepts at the header's dimensions.
 func (c JPEGCodec) Decode(data []byte) (*Frame, error) {
 	seq, captured, w, h, payload, err := unmarshalHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	img, err := jpeg.Decode(bytes.NewReader(payload))
-	if err != nil {
-		return nil, fmt.Errorf("frame: jpeg decode: %w", err)
-	}
-	f := FromImage(img)
-	if f.Width != w || f.Height != h {
-		gotW, gotH := f.Width, f.Height
-		f.Release()
-		return nil, fmt.Errorf("frame: header says %dx%d but payload is %dx%d", w, h, gotW, gotH)
+	f, ok := decodeBaseline420(payload, w, h)
+	if !ok {
+		if f, err = decodeJPEGStd(payload, w, h); err != nil {
+			return nil, err
+		}
 	}
 	f.Seq = seq
 	f.Captured = captured
 	return f, nil
+}
+
+// decodeJPEGStd is the general decode path: image/jpeg into its own image
+// type, then a copy into a pooled frame. The SOF dimensions are checked
+// against the frame header before jpeg.Decode sizes its planes from them,
+// so an 8x8 header cannot front for a 65535x65535 payload.
+func decodeJPEGStd(payload []byte, w, h int) (*Frame, error) {
+	cfg, err := jpeg.DecodeConfig(bytes.NewReader(payload))
+	if err != nil {
+		return nil, fmt.Errorf("frame: jpeg decode: %w", err)
+	}
+	if cfg.Width != w || cfg.Height != h {
+		return nil, fmt.Errorf("frame: header says %dx%d but payload is %dx%d", w, h, cfg.Width, cfg.Height)
+	}
+	img, err := jpeg.Decode(bytes.NewReader(payload))
+	if err != nil {
+		return nil, fmt.Errorf("frame: jpeg decode: %w", err)
+	}
+	return FromImage(img), nil
 }
 
 // RawCodec serializes pixels verbatim: lossless, zero compression cost,
@@ -198,7 +217,7 @@ func (RawCodec) Decode(data []byte) (*Frame, error) {
 	if len(payload) != w*h*4 {
 		return nil, fmt.Errorf("frame: raw payload is %d bytes, want %d", len(payload), w*h*4)
 	}
-	f := MustNewPooled(w, h)
+	f := newPooledDirty(w, h)
 	copy(f.Pix, payload)
 	f.Seq = seq
 	f.Captured = captured

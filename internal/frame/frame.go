@@ -61,7 +61,7 @@ func MustNew(width, height int) *Frame {
 // clone and should Release it when done.
 func (f *Frame) Clone() *Frame {
 	out := &Frame{Seq: f.Seq, Width: f.Width, Height: f.Height, Captured: f.Captured, pooled: true}
-	out.Pix = Pool.Get(len(f.Pix))
+	out.Pix = Pool.get(len(f.Pix), false)
 	copy(out.Pix, f.Pix)
 	return out
 }
@@ -205,7 +205,7 @@ func (f *Frame) ToImage() *image.RGBA {
 // the generic color.Model path.
 func FromImage(img image.Image) *Frame {
 	b := img.Bounds()
-	f := MustNewPooled(b.Dx(), b.Dy())
+	f := newPooledDirty(b.Dx(), b.Dy()) // every branch below writes every pixel
 	switch src := img.(type) {
 	case *image.YCbCr:
 		Stripes(f.Height, func(lo, hi int) {

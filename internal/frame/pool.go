@@ -30,10 +30,21 @@ import (
 //   - After Release the frame's Pix is nil, so stale readers observe an
 //     empty frame rather than another frame's pixels.
 type BufferPool struct {
-	buckets [poolBuckets]sync.Pool
-	hits    atomic.Uint64
-	misses  atomic.Uint64
+	buckets [poolBuckets]sync.Pool // of *pooledBuf
+	// spare holds empty *pooledBuf boxes between a Get and the next Put,
+	// so a steady-state release allocates nothing.
+	spare  sync.Pool
+	hits   atomic.Uint64
+	misses atomic.Uint64
+	// puts counts buffers taken back; hits+misses-puts is the number
+	// outstanding, which the codec tests use to show that no decode error
+	// path leaks one.
+	puts atomic.Uint64
 }
+
+// pooledBuf boxes a slice for sync.Pool: storing the []byte itself would
+// allocate a fresh 24-byte slice header on every Put, a pointer does not.
+type pooledBuf struct{ b []byte }
 
 // poolBuckets covers 1<<6 (64 B) through 1<<28 (256 MiB), beyond the
 // frame-dimension cap enforced by New.
@@ -61,7 +72,13 @@ func bucketFor(size int) int {
 
 // Get returns a zeroed byte slice of exactly the given length, recycled
 // when a buffer of a suitable bucket is available.
-func (p *BufferPool) Get(size int) []byte {
+func (p *BufferPool) Get(size int) []byte { return p.get(size, true) }
+
+// get is Get with the zero fill optional: a recycled buffer still holds its
+// previous frame's pixels, and callers about to overwrite every byte
+// (Clone, the decoders, FromImage) skip a memset as large as the copy they
+// are about to do.
+func (p *BufferPool) get(size int, zero bool) []byte {
 	idx := bucketFor(size)
 	if idx < 0 {
 		p.misses.Add(1)
@@ -69,8 +86,13 @@ func (p *BufferPool) Get(size int) []byte {
 	}
 	if v := p.buckets[idx].Get(); v != nil {
 		p.hits.Add(1)
-		buf := v.([]byte)[:size]
-		clear(buf)
+		w := v.(*pooledBuf)
+		buf := w.b[:size]
+		w.b = nil
+		p.spare.Put(w)
+		if zero {
+			clear(buf)
+		}
 		return buf
 	}
 	p.misses.Add(1)
@@ -88,7 +110,13 @@ func (p *BufferPool) Put(buf []byte) {
 	if idx < 0 || (1<<(idx+poolMinShift)) != c {
 		return
 	}
-	p.buckets[idx].Put(buf[:c]) //nolint:staticcheck // slice, not pointer: sizes are large enough that the header alloc is noise
+	w, _ := p.spare.Get().(*pooledBuf)
+	if w == nil {
+		w = new(pooledBuf)
+	}
+	w.b = buf[:c]
+	p.puts.Add(1)
+	p.buckets[idx].Put(w)
 }
 
 // Stats reports cumulative pool hits and misses — the frame.pool.hit /
@@ -107,20 +135,34 @@ func PoolStats() (hits, misses uint64) { return Pool.Stats() }
 // NewPooled is New with the pixel buffer drawn from the global BufferPool.
 // The caller owns the frame; call Release when done to recycle the buffer.
 func NewPooled(width, height int) (*Frame, error) {
+	return newPooled(width, height, true)
+}
+
+func newPooled(width, height int, zero bool) (*Frame, error) {
 	if width <= 0 || height <= 0 || width*height > 64<<20 {
 		return nil, badDimensions(width, height)
 	}
 	return &Frame{
 		Width:  width,
 		Height: height,
-		Pix:    Pool.Get(width * height * 4),
+		Pix:    Pool.get(width*height*4, zero),
 		pooled: true,
 	}, nil
 }
 
 // MustNewPooled is NewPooled for dimensions known to be valid.
 func MustNewPooled(width, height int) *Frame {
-	f, err := NewPooled(width, height)
+	return mustFrame(NewPooled(width, height))
+}
+
+// newPooledDirty is MustNewPooled minus the zero fill: the pixels are
+// whatever the buffer's previous owner left, so the caller must write all
+// of them.
+func newPooledDirty(width, height int) *Frame {
+	return mustFrame(newPooled(width, height, false))
+}
+
+func mustFrame(f *Frame, err error) *Frame {
 	if err != nil {
 		panic(err)
 	}

@@ -342,7 +342,7 @@ func (p *Pool) Calls() uint64 {
 }
 
 // WaitStats reports the distribution of time requests spent waiting before
-// execution began, the autoscaler's saturation signal.
+// execution began, the tuner's saturation signal.
 func (p *Pool) WaitStats() metrics.Snapshot { return p.wait.Snapshot() }
 
 // Scale adjusts the pool to n instances. Growth pays the startup delay per

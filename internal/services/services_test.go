@@ -3,7 +3,6 @@ package services
 import (
 	"context"
 	"image/color"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -579,74 +578,6 @@ func TestServerRoundTripsFrames(t *testing.T) {
 	}
 	if resp.Frame.Width != 640 || resp.Frame.Height != 480 {
 		t.Errorf("returned frame %dx%d", resp.Frame.Width, resp.Frame.Height)
-	}
-}
-
-func TestAutoScalerScalesUpUnderLoad(t *testing.T) {
-	spec := Spec{
-		Name: "busy", Cost: 30 * time.Millisecond, Workers: 1,
-		Handler: func(context.Context, Request) (Response, error) { return Response{}, nil },
-	}
-	pool, _ := NewPool(spec, 1, 1.0)
-	as, err := NewAutoScaler(pool, 1, 3, 10*time.Millisecond)
-	if err != nil {
-		t.Fatalf("NewAutoScaler: %v", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 600*time.Millisecond)
-	defer cancel()
-	// Four aggressive clients against one worker: sustained queueing.
-	for g := 0; g < 4; g++ {
-		go func() {
-			for ctx.Err() == nil {
-				pool.Invoke(ctx, Request{})
-			}
-		}()
-	}
-	go as.Run(ctx)
-	<-ctx.Done()
-
-	if pool.Size() < 2 {
-		t.Errorf("pool size = %d after sustained load, want scaled up", pool.Size())
-	}
-	ups := 0
-	for _, d := range as.Decisions() {
-		if strings.HasPrefix(d, "up:") {
-			ups++
-		}
-	}
-	if ups == 0 {
-		t.Error("no scale-up decisions recorded")
-	}
-}
-
-func TestAutoScalerScalesDownWhenIdle(t *testing.T) {
-	spec := Spec{
-		Name: "idle", Handler: func(context.Context, Request) (Response, error) { return Response{}, nil },
-	}
-	pool, _ := NewPool(spec, 3, 1.0)
-	as, _ := NewAutoScaler(pool, 1, 3, time.Millisecond)
-	as.DownAfter = 3
-	ctx := context.Background()
-	for i := 0; i < 10; i++ {
-		as.Step(ctx)
-	}
-	if pool.Size() != 1 {
-		t.Errorf("idle pool size = %d, want scaled down to 1", pool.Size())
-	}
-}
-
-func TestAutoScalerValidation(t *testing.T) {
-	if _, err := NewAutoScaler(nil, 1, 2, time.Second); err == nil {
-		t.Error("nil pool accepted")
-	}
-	spec := Spec{Name: "x", Handler: func(context.Context, Request) (Response, error) { return Response{}, nil }}
-	pool, _ := NewPool(spec, 1, 1.0)
-	if _, err := NewAutoScaler(pool, 0, 2, time.Second); err == nil {
-		t.Error("min 0 accepted")
-	}
-	if _, err := NewAutoScaler(pool, 3, 2, time.Second); err == nil {
-		t.Error("max < min accepted")
 	}
 }
 

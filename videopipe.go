@@ -225,8 +225,7 @@ func FallApp(name string, fps float64) PipelineConfig {
 }
 
 // NewMonitor creates a cluster monitor: pipeline progress and stall
-// detection, module error counts, service-pool utilization, and optional
-// autoscaling of saturated services.
+// detection, module error counts and service-pool utilization.
 func NewMonitor(c *Cluster) *Monitor { return core.NewMonitor(c) }
 
 // AnalyzePipeline runs the pipevet static analyzer over every module of a
