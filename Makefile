@@ -9,7 +9,8 @@ all: build vet test
 build:
 	$(GO) build ./...
 
-# Go-host static analysis. Cheap pre-steps first (gofmt, go vet), then the
+# Go-host static analysis. Cheap pre-steps first (gofmt, go vet, a grep
+# that keeps environment reads out of internal/), then the
 # vpvet analyzer suite (framerelease, determinism, metername,
 # lockdiscipline — see DESIGN.md "Static enforcement") over every package,
 # then a staleness check of the generated meter registry. Exits non-zero
@@ -19,6 +20,8 @@ vet:
 	@unformatted=$$(gofmt -l . 2>/dev/null); if [ -n "$$unformatted" ]; then \
 		echo "vet failed: gofmt (needs formatting):"; echo "$$unformatted"; exit 1; fi
 	@$(GO) vet ./... || { echo "vet failed: go vet"; exit 1; }
+	@if grep -rnE 'os\.(Getenv|LookupEnv)' --include='*.go' --exclude='*_test.go' internal; then \
+		echo "vet failed: env-var knob under internal/ (pass it as a parameter or config field)"; exit 1; fi
 	@$(GO) run ./cmd/vpvet ./... || { echo "vet failed: vpvet (findings above; suppress a false positive with //vpvet:allow <check> <reason>)"; exit 1; }
 	@$(GO) run ./cmd/vpvet -check-meters ./... || { echo "vet failed: meter registry stale (run make meters)"; exit 1; }
 

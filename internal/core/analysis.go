@@ -94,7 +94,7 @@ func AnalyzePipeline(cfg *PipelineConfig) []Diagnostic {
 			})
 		}
 		out = append(out, crossCheckModule(cfg, m, rep)...)
-		out = append(out, limitsCheckModule(cfg, m)...)
+		out = append(out, limitsCheckModule(cfg, m, rep.Cost)...)
 		shapes[m.Name] = rep.Shapes
 	}
 	// pipetype: whole-DAG edge-contract checks over the per-module shape
@@ -104,14 +104,14 @@ func AnalyzePipeline(cfg *PipelineConfig) []Diagnostic {
 }
 
 // limitsCheckModule cross-checks a module's sandbox budget against its
-// pipecost static bounds (PV014). Both findings are warnings: a
+// pipecost static bounds (PV014); cost is the report script.Analyze
+// already produced for the module. Both findings are warnings: a
 // guaranteed-breach limit may be a deliberate canary, and an unbounded
 // handler still runs under the cluster default — but both deserve a loud
 // note at deploy time.
-func limitsCheckModule(cfg *PipelineConfig, m *ModuleConfig) []Diagnostic {
+func limitsCheckModule(cfg *PipelineConfig, m *ModuleConfig, cost script.CostReport) []Diagnostic {
 	eff := cfg.EffectiveLimits(m.Name)
 	declared := m.Limits.Instructions > 0 || cfg.Limits.Instructions > 0
-	cost := script.AnalyzeCost(m.Source)
 
 	var out []Diagnostic
 	add := func(pos script.Position, msg string) {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"videopipe/internal/script"
@@ -91,7 +89,9 @@ func (p CostAwarePlanner) place(cfg *PipelineConfig, c *Cluster, weightOf func(s
 	load := make(map[string]int64)
 	for _, name := range order {
 		m, _ := cfg.Module(name)
-		dev, err := p.placeModule(cfg, c, m, placement, load, hop)
+		dev, err := placeModule(cfg, c, m, load, func() string {
+			return leastLoaded(cfg, c, m, placement, load, hop)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -122,55 +122,13 @@ func (p CostAwarePlanner) credits(cfg *PipelineConfig, costs map[string]script.C
 	return credits
 }
 
-func (p CostAwarePlanner) placeModule(cfg *PipelineConfig, c *Cluster, m *ModuleConfig,
-	placed map[string]string, load map[string]int64, hop int64) (string, error) {
-	// 1. Explicit pin wins, as in every planner.
-	if m.Device != "" {
-		if _, ok := c.Device(m.Device); !ok {
-			return "", fmt.Errorf("core: module %q pinned to unknown device %q", m.Name, m.Device)
-		}
-		return m.Device, nil
-	}
-	// 2. Modules with services co-locate with the device hosting the most
-	// of them — a remote call_service per frame always costs more than any
-	// script work. Ties break by lighter accumulated load, then by name.
-	if len(m.Services) > 0 {
-		counts := make(map[string]int)
-		for _, svc := range m.Services {
-			if host, ok := c.ServiceHost(svc); ok {
-				counts[host]++
-			}
-		}
-		if len(counts) > 0 {
-			hosts := make([]string, 0, len(counts))
-			for h := range counts {
-				hosts = append(hosts, h)
-			}
-			sort.Slice(hosts, func(i, j int) bool {
-				if counts[hosts[i]] != counts[hosts[j]] {
-					return counts[hosts[i]] > counts[hosts[j]]
-				}
-				if load[hosts[i]] != load[hosts[j]] {
-					return load[hosts[i]] < load[hosts[j]]
-				}
-				return hosts[i] < hosts[j]
-			})
-			return hosts[0], nil
-		}
-	}
-	// 3. The source's first module stays on the camera device: frames are
-	// born there, and moving ingestion would ship every raw frame.
-	if m.Name == cfg.Source.FirstModule && cfg.Source.Device != "" {
-		if _, ok := c.Device(cfg.Source.Device); !ok {
-			return "", fmt.Errorf("core: source device %q unknown", cfg.Source.Device)
-		}
-		return cfg.Source.Device, nil
-	}
-	// 4. Serviceless modules: minimize accumulated handler weight plus a
-	// hop penalty for leaving the predecessor's device. With an idle
-	// cluster this reduces to the co-locating inherit rule; it diverges
-	// exactly when the predecessor's device already carries more than a
-	// hop's worth of per-frame work.
+// leastLoaded is the cost-aware serviceless step: minimize accumulated
+// handler weight plus a hop penalty for leaving the predecessor's device.
+// With an idle cluster this reduces to the co-locating inherit rule; it
+// diverges exactly when the predecessor's device already carries more
+// than a hop's worth of per-frame work.
+func leastLoaded(cfg *PipelineConfig, c *Cluster, m *ModuleConfig,
+	placed map[string]string, load map[string]int64, hop int64) string {
 	predDev := ""
 	for _, other := range cfg.Modules {
 		for _, next := range other.Next {
@@ -202,12 +160,5 @@ func (p CostAwarePlanner) placeModule(cfg *PipelineConfig, c *Cluster, m *Module
 			best, bestScore = dev, score
 		}
 	}
-	if best != "" {
-		return best, nil
-	}
-	// 5. Fall back to the camera device.
-	if cfg.Source.Device != "" {
-		return cfg.Source.Device, nil
-	}
-	return "", fmt.Errorf("core: cannot place module %q", m.Name)
+	return best
 }

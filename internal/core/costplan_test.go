@@ -2,7 +2,11 @@ package core_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"videopipe/internal/apps"
@@ -197,5 +201,76 @@ func TestCostReports(t *testing.T) {
 	}
 	if h, ok := reports["crunch"].Handler("event_received"); !ok || h.Bounded {
 		t.Errorf("crunch (while loop) should be unbounded: %+v", h)
+	}
+}
+
+// TestPlannerPlacementsPinned pins both co-locating planners' placements
+// over every shipped pipeline (the three apps, examples/configs/*.cfg) and
+// the heavy serviceless chain where the two strategies part ways. The
+// table was recorded before the planners were folded onto one rule chain.
+func TestPlannerPlacementsPinned(t *testing.T) {
+	c := homeCluster(t)
+	cfgs := []core.PipelineConfig{
+		apps.FitnessConfig("fit", 10, "squat"),
+		apps.GestureConfig("gest", 10, "wave"),
+		apps.FallConfig("fall", 10),
+		chainConfig(`function event_received(message) {
+  var acc = 0;
+  for (var i = 0; i < 60000; i++) { acc = acc + i; }
+  call_module("relay", {seq: acc});
+}`),
+	}
+	paths, err := filepath.Glob("../../examples/configs/*.cfg")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example configs found (err=%v)", err)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := strings.TrimSuffix(filepath.Base(path), ".cfg")
+		cfg, err := core.ParseConfig(name, string(text), core.FileResolver(filepath.Dir(path)))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		cfgs = append(cfgs, *cfg)
+	}
+
+	want := map[string]string{
+		"fit/videopipe":        "credits=2 activity_recognition=desktop display=tv pose_detection=desktop rep_counter=desktop video_streaming=phone",
+		"fit/cost-aware":       "credits=4 activity_recognition=desktop display=tv pose_detection=desktop rep_counter=desktop video_streaming=phone",
+		"gest/videopipe":       "credits=2 gesture_recognition=desktop iot_control=desktop pose_detection=desktop video_streaming=phone",
+		"gest/cost-aware":      "credits=3 gesture_recognition=desktop iot_control=desktop pose_detection=desktop video_streaming=phone",
+		"fall/videopipe":       "credits=2 alert=desktop fall_monitor=desktop pose_detection=desktop video_streaming=phone",
+		"fall/cost-aware":      "credits=3 alert=desktop fall_monitor=desktop pose_detection=desktop video_streaming=phone",
+		"chain/videopipe":      "credits=2 crunch=phone ingest=phone relay=phone",
+		"chain/cost-aware":     "credits=2 crunch=phone ingest=phone relay=desktop",
+		"fallwatch/videopipe":  "credits=2 alert=desktop fall_monitor=desktop pose=desktop streamer=phone",
+		"fallwatch/cost-aware": "credits=3 alert=desktop fall_monitor=desktop pose=desktop streamer=phone",
+		"posewatch/videopipe":  "credits=2 streamer=phone watch=desktop",
+		"posewatch/cost-aware": "credits=2 streamer=phone watch=desktop",
+	}
+	for i := range cfgs {
+		cfg := &cfgs[i]
+		for _, planner := range []core.Planner{core.CoLocatePlanner{}, core.CostAwarePlanner{}} {
+			plan, err := planner.Plan(cfg, c)
+			if err != nil {
+				t.Fatalf("%s %s: %v", cfg.Name, planner.Name(), err)
+			}
+			mods := make([]string, 0, len(plan.Placement))
+			for mod, dev := range plan.Placement {
+				mods = append(mods, mod+"="+dev)
+			}
+			sort.Strings(mods)
+			key := cfg.Name + "/" + planner.Name()
+			got := fmt.Sprintf("credits=%d %s", plan.Credits, strings.Join(mods, " "))
+			if w, ok := want[key]; !ok {
+				t.Errorf("no pinned placement for %s; got %q", key, got)
+			} else if got != w {
+				t.Errorf("%s placement moved:\ngot  %s\nwant %s", key, got, w)
+			}
+		}
 	}
 }

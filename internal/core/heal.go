@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -69,6 +70,36 @@ func (a Action) String() string {
 	default:
 		return fmt.Sprintf("action(%d) %s", int(a.Kind), a.Target)
 	}
+}
+
+// actionJournal is the ordered, append-only action log a control loop
+// keeps; Supervisor and Tuner embed one each.
+type actionJournal struct {
+	journalMu sync.Mutex
+	journal   []Action
+}
+
+func (j *actionJournal) record(a Action) {
+	j.journalMu.Lock()
+	j.journal = append(j.journal, a)
+	j.journalMu.Unlock()
+}
+
+// Journal returns the actions taken so far, in order.
+func (j *actionJournal) Journal() []Action {
+	j.journalMu.Lock()
+	defer j.journalMu.Unlock()
+	return append([]Action(nil), j.journal...)
+}
+
+// JournalStrings renders the journal, for logs and assertions.
+func (j *actionJournal) JournalStrings() []string {
+	acts := j.Journal()
+	out := make([]string, len(acts))
+	for i, a := range acts {
+		out[i] = a.String()
+	}
+	return out
 }
 
 // errUnknownDevice keeps the supervisor's error text in one place.
@@ -146,8 +177,7 @@ func (s *Supervisor) redeployTarget() (string, bool) {
 // so the journal stays seed-deterministic.
 //
 //vpvet:deterministic
-func (s *Supervisor) checkModules(ctx context.Context) {
-	_ = ctx
+func (s *Supervisor) checkModules() {
 	now := time.Now() //vpvet:allow determinism real-time backoff clock; never recorded in the action journal
 	for _, p := range s.cluster.Pipelines() {
 		killed := make(map[string]bool)
@@ -156,42 +186,28 @@ func (s *Supervisor) checkModules(ctx context.Context) {
 		}
 		for _, mod := range p.Modules() {
 			key := p.Name() + "." + mod
+			s.mu.Lock()
+			st, ok := s.mod[key]
 			if !killed[mod] {
-				// Sustained health refills the restart budget, mirroring
-				// the service path.
-				s.mu.Lock()
-				if st, ok := s.mod[key]; ok && st.restarts > 0 {
-					if st.healthySince.IsZero() {
-						st.healthySince = now
-					} else if now.Sub(st.healthySince) > s.cfg.HealthyAfter {
-						st.restarts = 0
-						st.nextAttempt = time.Time{}
-					}
+				if ok {
+					st.markHealthy(now, s.cfg.HealthyAfter)
 				}
 				s.mu.Unlock()
 				continue
 			}
-
-			s.mu.Lock()
-			st, ok := s.mod[key]
 			if !ok {
-				st = &modState{}
+				st = &restartBudget{}
 				s.mod[key] = st
 			}
 			st.healthySince = time.Time{}
-			if now.Before(st.nextAttempt) || st.restarts >= s.cfg.MaxRestarts {
-				s.mu.Unlock()
+			attempt, ok := st.claim(now, s.cfg.MaxRestarts)
+			s.mu.Unlock()
+			if !ok {
 				continue
 			}
-			st.restarts++
-			attempt := st.restarts
-			s.mu.Unlock()
 
 			err := p.RestartModule(mod)
-			backoff := s.backoffAfter(attempt)
-			s.mu.Lock()
-			st.nextAttempt = time.Now().Add(backoff) //vpvet:allow determinism real-time backoff clock; never recorded in the action journal
-			s.mu.Unlock()
+			s.backOff(st, attempt)
 			if err != nil {
 				continue
 			}
@@ -201,18 +217,17 @@ func (s *Supervisor) checkModules(ctx context.Context) {
 	}
 }
 
-// checkServices walks the monitor's service view and restarts pools that
-// are dead (zero instances) or error-bursting, under backoff and budget.
-// It feeds the seed-compared action journal, so everything except the
+// checkServices walks every service pool and restarts those that are dead
+// (zero instances) or error-bursting, under backoff and budget. It feeds
+// the seed-compared action journal, so everything except the
 // explicitly-allowed backoff clock must be deterministic.
 //
 //vpvet:deterministic
-func (s *Supervisor) checkServices(ctx context.Context, rep Report) {
+func (s *Supervisor) checkServices(ctx context.Context) {
 	reg := s.cluster.Metrics()
 	now := time.Now() //vpvet:allow determinism real-time backoff clock; never recorded in the action journal
-	for _, sh := range rep.Services {
-		svc := sh.Service
-		if s.cluster.IsDown(sh.Device) {
+	for _, svc := range s.cluster.ServiceNames() {
+		if host, _ := s.cluster.ServiceHost(svc); s.cluster.IsDown(host) {
 			// The failover path owns this pool now.
 			continue
 		}
@@ -229,7 +244,7 @@ func (s *Supervisor) checkServices(ctx context.Context, rep Report) {
 		s.mu.Lock()
 		st, ok := s.svc[svc]
 		if !ok {
-			st = &svcState{healthySince: now}
+			st = &svcState{}
 			s.svc[svc] = st
 		}
 
@@ -252,21 +267,19 @@ func (s *Supervisor) checkServices(ctx context.Context, rep Report) {
 		healthy := size > 0 && st.burstSteps == 0
 		if healthy {
 			st.desired = size
-			if st.healthySince.IsZero() {
-				st.healthySince = now
-			}
-			// Sustained health refills the restart budget.
-			if st.restarts > 0 && now.Sub(st.healthySince) > s.cfg.HealthyAfter {
-				st.restarts = 0
-				st.nextAttempt = time.Time{}
-			}
+			st.markHealthy(now, s.cfg.HealthyAfter)
 			s.mu.Unlock()
 			continue
 		}
 		st.healthySince = time.Time{}
 
 		trigger := size == 0 || st.burstSteps >= 2
-		if !trigger || now.Before(st.nextAttempt) || st.restarts >= s.cfg.MaxRestarts {
+		if !trigger {
+			s.mu.Unlock()
+			continue
+		}
+		attempt, ok := st.claim(now, s.cfg.MaxRestarts)
+		if !ok {
 			s.mu.Unlock()
 			continue
 		}
@@ -274,8 +287,6 @@ func (s *Supervisor) checkServices(ctx context.Context, rep Report) {
 		if desired <= 0 {
 			desired = 1
 		}
-		st.restarts++
-		attempt := st.restarts
 		st.burstSteps = 0
 		s.mu.Unlock()
 
@@ -285,11 +296,8 @@ func (s *Supervisor) checkServices(ctx context.Context, rep Report) {
 			pool.Kill(size)
 		}
 		err = pool.Scale(ctx, desired)
-		backoff := s.backoffAfter(attempt)
+		s.backOff(&st.restartBudget, attempt)
 		if err != nil {
-			s.mu.Lock()
-			st.nextAttempt = time.Now().Add(backoff) //vpvet:allow determinism real-time backoff clock; never recorded in the action journal
-			s.mu.Unlock()
 			continue
 		}
 		s.record(Action{Kind: ActionRestartService, Target: svc})
@@ -298,7 +306,6 @@ func (s *Supervisor) checkServices(ctx context.Context, rep Report) {
 		// Absorb errors that accrued during the outage so the restarted
 		// pool doesn't immediately trip the burst detector again.
 		st.lastErr = reg.Meter("service." + svc + ".errors").Count()
-		st.nextAttempt = time.Now().Add(backoff) //vpvet:allow determinism real-time backoff clock; never recorded in the action journal
 		s.mu.Unlock()
 	}
 }

@@ -174,17 +174,9 @@ func (p *Pipeline) spawnModule(mc *ModuleConfig) error {
 	devName := p.plan.Placement[mc.Name]
 	d, _ := p.cluster.Device(devName)
 
-	var routes []device.Route
-	for _, next := range mc.Next {
-		dst := p.modules[next]
-		if dst == nil {
-			return fmt.Errorf("core: internal: destination %q not yet spawned", next)
-		}
-		route := device.Route{Module: p.prefixed(next), Label: next}
-		if p.plan.Placement[next] != devName {
-			route.Address = dst.Addr().String()
-		}
-		routes = append(routes, route)
+	routes, err := p.routesFrom(mc, devName)
+	if err != nil {
+		return err
 	}
 
 	port := 0
@@ -205,6 +197,26 @@ func (p *Pipeline) spawnModule(mc *ModuleConfig) error {
 	}
 	p.modules[mc.Name] = m
 	return nil
+}
+
+// routesFrom builds mc's outgoing routes as seen from device devName:
+// same-device successors are addressed by name, the rest by their bound
+// endpoint. Every successor must already be spawned. Callers hold p.mu (or,
+// during Launch, own the pipeline exclusively).
+func (p *Pipeline) routesFrom(mc *ModuleConfig, devName string) ([]device.Route, error) {
+	var routes []device.Route
+	for _, next := range mc.Next {
+		dst := p.modules[next]
+		if dst == nil {
+			return nil, fmt.Errorf("core: internal: destination %q not yet spawned", next)
+		}
+		route := device.Route{Module: p.prefixed(next), Label: next}
+		if p.plan.Placement[next] != devName {
+			route.Address = dst.Addr().String()
+		}
+		routes = append(routes, route)
+	}
+	return routes, nil
 }
 
 func (p *Pipeline) prefixed(module string) string { return p.name + "." + module }
@@ -504,13 +516,30 @@ func (p *Pipeline) StopRecordingShapes() {
 // the target with that state restored before its first event. Upstream
 // modules' routes are repointed in place; no other module restarts.
 func (p *Pipeline) MigrateModule(name, target string) error {
+	if _, ok := p.cluster.Device(target); !ok {
+		return fmt.Errorf("core: migrate %q: unknown device %q", name, target)
+	}
+	return p.respawnModule(name, target)
+}
+
+// RestartModule replaces a module in place on its current device — the
+// recovery action for a sandbox kill. The replacement loads from the
+// pipeline config's original source (discarding any hot-swapped code, the
+// usual way hostile code arrived), and the old instance's global state is
+// carried over only when its _PRESERVATION_VERSION matches the fresh
+// code's — a mismatch starts clean rather than resurrecting a poisoned
+// global.
+func (p *Pipeline) RestartModule(name string) error {
+	return p.respawnModule(name, "")
+}
+
+// respawnModule is the one routine behind migration and restart: quiesce
+// the live instance, snapshot it, spawn its replacement on target (empty =
+// the module's current device) and repoint the predecessors.
+func (p *Pipeline) respawnModule(name, target string) error {
 	mc, ok := p.cfg.Module(name)
 	if !ok {
 		return fmt.Errorf("core: pipeline %q has no module %q", p.name, name)
-	}
-	d, ok := p.cluster.Device(target)
-	if !ok {
-		return fmt.Errorf("core: migrate %q: unknown device %q", name, target)
 	}
 
 	p.mu.Lock()
@@ -522,20 +551,19 @@ func (p *Pipeline) MigrateModule(name, target string) error {
 		p.mu.Unlock()
 		return fmt.Errorf("core: pipeline %q already has a migration in flight", p.name)
 	}
-	p.migrating = true
-	old := p.modules[name]
 	oldDev := p.plan.Placement[name]
+	if target == "" {
+		target = oldDev
+	}
 	// Resolve the new instance's outgoing routes against current
 	// placement while we hold the lock.
-	var routes []device.Route
-	for _, next := range mc.Next {
-		dst := p.modules[next]
-		route := device.Route{Module: p.prefixed(next), Label: next}
-		if p.plan.Placement[next] != target {
-			route.Address = dst.Addr().String()
-		}
-		routes = append(routes, route)
+	routes, err := p.routesFrom(mc, target)
+	if err != nil {
+		p.mu.Unlock()
+		return err
 	}
+	p.migrating = true
+	old := p.modules[name]
 	p.mu.Unlock()
 	defer func() {
 		p.mu.Lock()
@@ -543,12 +571,21 @@ func (p *Pipeline) MigrateModule(name, target string) error {
 		p.mu.Unlock()
 	}()
 
+	d, ok := p.cluster.Device(target)
+	if !ok {
+		return fmt.Errorf("core: respawn %q: device %q is gone", name, target)
+	}
+
 	// Quiesce: after Close returns the event loop is gone, parked events
 	// have handed their credits back, and the script context is ours to
 	// snapshot.
 	oldAddr := old.Addr().String()
 	old.Close()
 	snap := old.SnapshotState()
+	if target == oldDev {
+		// Same device: the name must be free before the replacement spawns.
+		d.DropModule(p.prefixed(name))
+	}
 
 	newM, err := d.SpawnModule(device.ModuleSpec{
 		Name:         p.prefixed(name),
@@ -560,7 +597,7 @@ func (p *Pipeline) MigrateModule(name, target string) error {
 		Limits:       p.cfg.EffectiveLimits(name).ToScript(),
 	})
 	if err != nil {
-		return fmt.Errorf("core: migrating %q to %q: %w", name, target, err)
+		return fmt.Errorf("core: respawning %q on %q: %w", name, target, err)
 	}
 	newM.SetFrameDone(p.returnCredit)
 	newM.SetFrameAbandoned(p.returnCredit)
@@ -572,14 +609,15 @@ func (p *Pipeline) MigrateModule(name, target string) error {
 		p.mu.Unlock()
 		newM.Close()
 		d.DropModule(p.prefixed(name))
-		return fmt.Errorf("core: pipeline %q closed during migration of %q", p.name, name)
+		return fmt.Errorf("core: pipeline %q closed during respawn of %q", p.name, name)
 	}
 	p.modules[name] = newM
 	p.plan.Placement[name] = target
 	if p.cfg.Source.FirstModule == name {
 		p.entry = newM
 	}
-	// Repoint every predecessor's edge at the new instance.
+	// Repoint every predecessor's edge at the new instance (a same-device
+	// respawn still moved the endpoint: fresh ephemeral bind).
 	type repoint struct {
 		m *device.Module
 		r device.Route
@@ -630,115 +668,6 @@ func (p *Pipeline) KilledModules() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// RestartModule replaces a module in place on its current device — the
-// recovery action for a sandbox kill. The replacement loads from the
-// pipeline config's original source (discarding any hot-swapped code, the
-// usual way hostile code arrived), and the old instance's global state is
-// carried over only when its _PRESERVATION_VERSION matches the fresh
-// code's — a mismatch starts clean rather than resurrecting a poisoned
-// global.
-func (p *Pipeline) RestartModule(name string) error {
-	mc, ok := p.cfg.Module(name)
-	if !ok {
-		return fmt.Errorf("core: pipeline %q has no module %q", p.name, name)
-	}
-
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return fmt.Errorf("core: pipeline %q is closed", p.name)
-	}
-	if p.migrating {
-		p.mu.Unlock()
-		return fmt.Errorf("core: pipeline %q already has a migration in flight", p.name)
-	}
-	p.migrating = true
-	old := p.modules[name]
-	devName := p.plan.Placement[name]
-	var routes []device.Route
-	for _, next := range mc.Next {
-		dst := p.modules[next]
-		route := device.Route{Module: p.prefixed(next), Label: next}
-		if p.plan.Placement[next] != devName {
-			route.Address = dst.Addr().String()
-		}
-		routes = append(routes, route)
-	}
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		p.migrating = false
-		p.mu.Unlock()
-	}()
-
-	d, ok := p.cluster.Device(devName)
-	if !ok {
-		return fmt.Errorf("core: restart %q: device %q is gone", name, devName)
-	}
-
-	// Quiesce exactly as migration does; the respawn is on the same
-	// device, so the name must be dropped before the replacement spawns.
-	oldAddr := old.Addr().String()
-	old.Close()
-	snap := old.SnapshotState()
-	d.DropModule(p.prefixed(name))
-
-	newM, err := d.SpawnModule(device.ModuleSpec{
-		Name:         p.prefixed(name),
-		Source:       mc.Source,
-		Services:     mc.Services,
-		Next:         routes,
-		MetricPrefix: p.name,
-		Restore:      snap,
-		Limits:       p.cfg.EffectiveLimits(name).ToScript(),
-	})
-	if err != nil {
-		return fmt.Errorf("core: restarting %q on %q: %w", name, devName, err)
-	}
-	newM.SetFrameDone(p.returnCredit)
-	newM.SetFrameAbandoned(p.returnCredit)
-
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		newM.Close()
-		d.DropModule(p.prefixed(name))
-		return fmt.Errorf("core: pipeline %q closed during restart of %q", p.name, name)
-	}
-	p.modules[name] = newM
-	if p.cfg.Source.FirstModule == name {
-		p.entry = newM
-	}
-	// The endpoint moved (fresh ephemeral bind); repoint remote
-	// predecessors and unwedge any push still aimed at the old one.
-	type repoint struct {
-		m *device.Module
-		r device.Route
-	}
-	var repoints []repoint
-	for i := range p.cfg.Modules {
-		pred := &p.cfg.Modules[i]
-		for _, next := range pred.Next {
-			if next != name {
-				continue
-			}
-			route := device.Route{Module: p.prefixed(name), Label: name}
-			if p.plan.Placement[pred.Name] != devName {
-				route.Address = newM.Addr().String()
-			}
-			repoints = append(repoints, repoint{m: p.modules[pred.Name], r: route})
-		}
-	}
-	p.mu.Unlock()
-
-	for _, rp := range repoints {
-		rp.m.UpdateRoute(name, rp.r)
-		rp.m.AbortPush(oldAddr)
-	}
-	p.cluster.Metrics().Meter("pipeline." + p.name + ".recoveries").Mark()
-	return nil
 }
 
 // FailOver migrates every module this pipeline had on a dead device,

@@ -49,7 +49,20 @@ func (p CoLocatePlanner) Plan(cfg *PipelineConfig, c *Cluster) (Plan, error) {
 
 	for _, name := range order {
 		m, _ := cfg.Module(name)
-		dev, err := p.placeModule(cfg, c, m, placement)
+		dev, err := placeModule(cfg, c, m, nil, func() string {
+			// Inherit from an already-placed predecessor.
+			for _, other := range cfg.Modules {
+				for _, next := range other.Next {
+					if next != m.Name {
+						continue
+					}
+					if dev, ok := placement[other.Name]; ok {
+						return dev
+					}
+				}
+			}
+			return ""
+		})
 		if err != nil {
 			return Plan{}, err
 		}
@@ -63,7 +76,12 @@ func (p CoLocatePlanner) Plan(cfg *PipelineConfig, c *Cluster) (Plan, error) {
 	return Plan{Placement: placement, Credits: credits}, nil
 }
 
-func (p CoLocatePlanner) placeModule(cfg *PipelineConfig, c *Cluster, m *ModuleConfig, placed map[string]string) (string, error) {
+// placeModule is the rule chain every co-locating planner shares: pin,
+// service co-location, source anchor, then the strategy's own serviceless
+// step, then the camera fallback. load is the per-device work already
+// placed (nil when the strategy keeps no ledger); serviceless returns ""
+// when it has no opinion.
+func placeModule(cfg *PipelineConfig, c *Cluster, m *ModuleConfig, load map[string]int64, serviceless func() string) (string, error) {
 	// 1. Explicit pin wins.
 	if m.Device != "" {
 		if _, ok := c.Device(m.Device); !ok {
@@ -71,8 +89,10 @@ func (p CoLocatePlanner) placeModule(cfg *PipelineConfig, c *Cluster, m *ModuleC
 		}
 		return m.Device, nil
 	}
-	// 2. Co-locate with the module's services: choose the device hosting
-	// the most of them (ties broken by name for determinism).
+	// 2. Modules with services co-locate with the device hosting the most
+	// of them — a remote call_service per frame always costs more than any
+	// script work. Ties break by lighter accumulated load, then by name
+	// for determinism.
 	if len(m.Services) > 0 {
 		counts := make(map[string]int)
 		for _, svc := range m.Services {
@@ -89,28 +109,25 @@ func (p CoLocatePlanner) placeModule(cfg *PipelineConfig, c *Cluster, m *ModuleC
 				if counts[hosts[i]] != counts[hosts[j]] {
 					return counts[hosts[i]] > counts[hosts[j]]
 				}
+				if load[hosts[i]] != load[hosts[j]] {
+					return load[hosts[i]] < load[hosts[j]]
+				}
 				return hosts[i] < hosts[j]
 			})
 			return hosts[0], nil
 		}
 	}
-	// 3. The source's first module defaults to the camera device.
+	// 3. The source's first module stays on the camera device: frames are
+	// born there, and moving ingestion would ship every raw frame.
 	if m.Name == cfg.Source.FirstModule && cfg.Source.Device != "" {
 		if _, ok := c.Device(cfg.Source.Device); !ok {
 			return "", fmt.Errorf("core: source device %q unknown", cfg.Source.Device)
 		}
 		return cfg.Source.Device, nil
 	}
-	// 4. Inherit from an already-placed predecessor.
-	for _, other := range cfg.Modules {
-		for _, next := range other.Next {
-			if next != m.Name {
-				continue
-			}
-			if dev, ok := placed[other.Name]; ok {
-				return dev, nil
-			}
-		}
+	// 4. Serviceless modules: the strategy decides.
+	if dev := serviceless(); dev != "" {
+		return dev, nil
 	}
 	// 5. Fall back to the camera device.
 	if cfg.Source.Device != "" {

@@ -71,8 +71,44 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 	return c
 }
 
+// restartBudget is the restart discipline service and module healing
+// share: a bounded number of attempts, exponential backoff between them,
+// and a refill once health has been sustained. Guarded by Supervisor.mu.
+type restartBudget struct {
+	// restarts spent from the budget since the last healthy stretch.
+	restarts int
+	// nextAttempt gates restart attempts (exponential backoff + jitter).
+	nextAttempt time.Time
+	// healthySince tracks sustained health for budget refill; the unhealthy
+	// paths zero it.
+	healthySince time.Time
+}
+
+// markHealthy notes one healthy observation; health sustained past
+// healthyAfter refills the budget and clears the backoff.
+func (b *restartBudget) markHealthy(now time.Time, healthyAfter time.Duration) {
+	if b.healthySince.IsZero() {
+		b.healthySince = now
+	}
+	if b.restarts > 0 && now.Sub(b.healthySince) > healthyAfter {
+		b.restarts = 0
+		b.nextAttempt = time.Time{}
+	}
+}
+
+// claim spends one restart, returning the 1-based attempt number; ok is
+// false while backing off or once the budget is exhausted.
+func (b *restartBudget) claim(now time.Time, max int) (attempt int, ok bool) {
+	if now.Before(b.nextAttempt) || b.restarts >= max {
+		return 0, false
+	}
+	b.restarts++
+	return b.restarts, true
+}
+
 // svcState is the supervisor's per-service bookkeeping.
 type svcState struct {
+	restartBudget
 	// desired is the pool size observed while last healthy — the size a
 	// restart restores.
 	desired int
@@ -81,34 +117,19 @@ type svcState struct {
 	// burstSteps counts consecutive steps whose error delta exceeded the
 	// burst threshold.
 	burstSteps int
-	// restarts spent from the budget since the last healthy stretch.
-	restarts int
-	// nextAttempt gates restart attempts (exponential backoff + jitter).
-	nextAttempt time.Time
-	// healthySince tracks sustained health for budget refill.
-	healthySince time.Time
-}
-
-// modState is the supervisor's per-module restart bookkeeping (sandbox
-// kills), keyed by "pipeline.module".
-type modState struct {
-	// restarts spent from the budget since the last healthy stretch.
-	restarts int
-	// nextAttempt gates restart attempts (exponential backoff + jitter).
-	nextAttempt time.Time
-	// healthySince tracks sustained health for budget refill.
-	healthySince time.Time
 }
 
 // Supervisor is the per-cluster self-healing control loop (the paper's
-// §7 monitoring component grown teeth): it samples the cluster monitor,
-// pings every device's health endpoint, and turns what it sees into
-// recovery actions — service restarts, failover re-planning and live
-// module migration (heal.go).
+// §7 monitoring component grown teeth): it pings every device's health
+// endpoint, inspects every service pool and sandboxed module, and turns
+// what it sees into recovery actions — service restarts, failover
+// re-planning and live module migration (heal.go). Stall detection and
+// degraded-time accounting are not its job; they live in monitor.go.
 type Supervisor struct {
+	actionJournal
+
 	cluster *Cluster
 	cfg     SupervisorConfig
-	mon     *Monitor
 	rng     *rand.Rand
 	// probes run from a dedicated network vantage point: device-pair
 	// partitions (a crashed host dropping off the LAN) must not blind the
@@ -120,57 +141,26 @@ type Supervisor struct {
 	missed  map[string]int
 	dead    map[string]bool
 	svc     map[string]*svcState
-	mod     map[string]*modState
-	journal []Action
-	// tuner, when attached, steps inside the supervisor loop (tuner.go).
-	tuner *Tuner
+	// mod is the per-module restart budget (sandbox kills), keyed by
+	// "pipeline.module".
+	mod map[string]*restartBudget
 }
 
 // NewSupervisor creates a supervisor for the cluster. It does nothing
 // until Run.
 func NewSupervisor(c *Cluster, cfg SupervisorConfig) *Supervisor {
 	cfg = cfg.withDefaults()
-	mon := NewMonitor(c)
-	mon.Interval = cfg.Interval
 	return &Supervisor{
 		cluster:  c,
 		cfg:      cfg,
-		mon:      mon,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		probeNet: c.Network().Host("@supervisor"),
 		callers:  make(map[string]*wire.Caller),
 		missed:   make(map[string]int),
 		dead:     make(map[string]bool),
 		svc:      make(map[string]*svcState),
-		mod:      make(map[string]*modState),
+		mod:      make(map[string]*restartBudget),
 	}
-}
-
-// Monitor exposes the supervisor's embedded monitor (for telemetry or
-// degraded-time queries).
-func (s *Supervisor) Monitor() *Monitor { return s.mon }
-
-// Journal returns the recovery actions taken so far, in order.
-func (s *Supervisor) Journal() []Action {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Action(nil), s.journal...)
-}
-
-// JournalStrings renders the journal, for logs and assertions.
-func (s *Supervisor) JournalStrings() []string {
-	acts := s.Journal()
-	out := make([]string, len(acts))
-	for i, a := range acts {
-		out[i] = a.String()
-	}
-	return out
-}
-
-func (s *Supervisor) record(a Action) {
-	s.mu.Lock()
-	s.journal = append(s.journal, a)
-	s.mu.Unlock()
 }
 
 // Run drives the control loop until ctx is done, then releases the probe
@@ -200,18 +190,11 @@ func (s *Supervisor) closeCallers() {
 	}
 }
 
-// step is one control-loop iteration: observe, probe, heal, tune.
+// step is one control-loop iteration: probe, then heal.
 func (s *Supervisor) step(ctx context.Context) {
-	rep := s.mon.Sample(ctx)
 	s.probeDevices(ctx)
-	s.checkServices(ctx, rep)
-	s.checkModules(ctx)
-	s.mu.Lock()
-	tuner := s.tuner
-	s.mu.Unlock()
-	if tuner != nil {
-		tuner.Step(ctx)
-	}
+	s.checkServices(ctx)
+	s.checkModules()
 }
 
 // probeDevices pings every live device in parallel and declares dead any
@@ -293,17 +276,18 @@ func (s *Supervisor) callerFor(name string) (*wire.Caller, error) {
 	return c, nil
 }
 
-// backoffAfter computes the post-restart backoff for attempt n (1-based):
-// exponential from the base, capped, plus up to 25% seeded jitter so a
-// fleet of supervisors never thunders in lockstep. Jitter shifts timing
-// only; it never decides whether an action runs.
-func (s *Supervisor) backoffAfter(n int) time.Duration {
+// backOff gates b's next attempt behind the post-restart backoff for
+// attempt n (1-based): exponential from the base, capped, plus up to 25%
+// seeded jitter so a fleet of supervisors never thunders in lockstep.
+// Jitter and the real-time clock shift timing only; neither decides
+// whether an action runs nor reaches the action journal.
+func (s *Supervisor) backOff(b *restartBudget, n int) {
 	d := s.cfg.RestartBackoff << uint(n-1)
 	if d > s.cfg.RestartBackoffMax || d <= 0 {
 		d = s.cfg.RestartBackoffMax
 	}
 	s.mu.Lock()
-	j := time.Duration(s.rng.Int63n(int64(d)/4 + 1))
+	d += time.Duration(s.rng.Int63n(int64(d)/4 + 1))
+	b.nextAttempt = time.Now().Add(d)
 	s.mu.Unlock()
-	return d + j
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -243,36 +244,129 @@ func TestSupervisorShutdownLeavesNoGoroutines(t *testing.T) {
 	t.Fatalf("goroutines leaked: base=%d now=%d\n%s", base, runtime.NumGoroutine(), buf[:n])
 }
 
+// respawnCases drives the one respawn routine through both of its entry
+// points: a restart in place (display already runs on the tv) and a
+// migration across devices.
+var respawnCases = []struct {
+	name    string
+	target  string
+	respawn func(p *core.Pipeline, module string) error
+}{
+	{"same device", "", func(p *core.Pipeline, module string) error { return p.RestartModule(module) }},
+	{"cross device", "desktop", func(p *core.Pipeline, module string) error { return p.MigrateModule(module, "desktop") }},
+}
+
+// TestMigrateAndRestartRespawn respawns a stateful mid-chain module while
+// frames are flowing and checks, for a restart in place and for a
+// migration alike: its globals carry over (matching
+// _PRESERVATION_VERSION), the predecessor's route follows it, no credit is
+// lost across the quiesce, and the recovery is counted exactly once.
+func TestMigrateAndRestartRespawn(t *testing.T) {
+	for _, tc := range respawnCases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := homeCluster(t)
+			cfg := core.PipelineConfig{
+				Name: "respawn",
+				Modules: []core.ModuleConfig{
+					{Name: "head", Next: []string{"counter"}, Source: `function event_received(m) {
+  call_module("counter", {frame_ref: m.frame_ref});
+}`},
+					{Name: "counter", Next: []string{"tail"}, Source: `var _PRESERVATION_VERSION = 3;
+var seen = 0;
+function event_received(m) {
+  seen = seen + 1;
+  call_module("tail", {seen: seen});
+}`},
+					// tail is never respawned, so it can tell a counter that
+					// started over from one that carried on.
+					{Name: "tail", Device: "tv", Source: `var last = 0;
+function event_received(m) {
+  if (m.seen <= last) { metric("regressed", 1); }
+  last = m.seen;
+  metric("seen", m.seen);
+  frame_done();
+}`},
+				},
+				Source: core.SourceConfig{Device: "phone", FirstModule: "head", FPS: 20, Width: 64, Height: 48},
+			}
+			p, err := c.Launch(cfg, core.CoLocatePlanner{})
+			if err != nil {
+				t.Fatalf("Launch: %v", err)
+			}
+			defer p.Close()
+			wantDev := tc.target
+			if wantDev == "" {
+				wantDev = p.Placement()["counter"]
+			}
+
+			reg := c.Metrics()
+			delivered := func() uint64 { return reg.Meter("pipeline.respawn.tail.frames_done").Count() }
+			result := make(chan core.RunResult, 1)
+			go func() {
+				res, err := p.Run(context.Background(), 3*time.Second)
+				if err != nil {
+					t.Errorf("Run: %v", err)
+				}
+				result <- res
+			}()
+			waitCond(t, 3*time.Second, func() bool { return delivered() >= 3 })
+
+			if err := tc.respawn(p, "counter"); err != nil {
+				t.Fatalf("respawn: %v", err)
+			}
+			if got := p.Placement()["counter"]; got != wantDev {
+				t.Errorf("counter on %q after respawn, want %q", got, wantDev)
+			}
+			if got := reg.Meter("pipeline.respawn.recoveries").Count(); got != 1 {
+				t.Errorf("recoveries = %d, want exactly 1", got)
+			}
+			// Frames reach the sink again only through head's repointed
+			// route and the replacement's own route to tail.
+			at := delivered()
+			waitCond(t, 3*time.Second, func() bool { return delivered() >= at+3 })
+
+			res := <-result
+			if snap, ok := res.Stages["regressed"]; ok && snap.Count > 0 {
+				t.Errorf("counter restarted from scratch %d time(s): its globals were not carried", snap.Count)
+			}
+			if max := res.Stages["seen"].Max; max < time.Duration(at+3)*time.Millisecond {
+				t.Errorf("highest count seen = %v, want at least %d", max, at+3)
+			}
+			waitCond(t, 2*time.Second, func() bool { return p.CreditsAvail() == p.Credits() })
+		})
+	}
+}
+
 // TestMigrateModuleCloseRace hammers Pipeline.Close against an in-flight
-// migration: whichever wins, no module instance may survive (leaked
-// goroutines) and nothing may double-close or panic.
+// respawn, in place and across devices: whichever wins, no module instance
+// may survive (leaked goroutines) and nothing may double-close or panic.
 func TestMigrateModuleCloseRace(t *testing.T) {
 	base := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		c, err := core.NewCluster(apps.HomeClusterSpec(), fastRegistry(t))
-		if err != nil {
-			t.Fatalf("NewCluster: %v", err)
-		}
-		p, err := c.Launch(apps.FitnessConfig("racefit", 10, "squat"), core.CoLocatePlanner{})
-		if err != nil {
-			c.Close()
-			t.Fatalf("Launch: %v", err)
-		}
-		migrated := make(chan error, 1)
-		go func() { migrated <- p.MigrateModule("display", "desktop") }()
-		if i%2 == 1 {
-			time.Sleep(time.Duration(i) * 200 * time.Microsecond)
-		}
-		p.Close()
-		// Either outcome is legal; what matters is that a post-close
-		// migration did not publish a live module.
-		<-migrated
-		for _, mod := range p.Modules() {
-			if m, ok := p.Module(mod); ok && m != nil {
-				m.Close() // must be idempotent no-op after pipeline Close
+	for _, tc := range respawnCases {
+		for i := 0; i < 3; i++ {
+			c, err := core.NewCluster(apps.HomeClusterSpec(), fastRegistry(t))
+			if err != nil {
+				t.Fatalf("NewCluster: %v", err)
 			}
+			p, err := c.Launch(apps.FitnessConfig("racefit", 10, "squat"), core.CoLocatePlanner{})
+			if err != nil {
+				c.Close()
+				t.Fatalf("Launch: %v", err)
+			}
+			respawned := make(chan error, 1)
+			go func() { respawned <- tc.respawn(p, "display") }()
+			time.Sleep(time.Duration(i) * 300 * time.Microsecond)
+			p.Close()
+			// Either outcome is legal; what matters is that a post-close
+			// respawn did not publish a live module.
+			<-respawned
+			for _, mod := range p.Modules() {
+				if m, ok := p.Module(mod); ok && m != nil {
+					m.Close() // must be idempotent no-op after pipeline Close
+				}
+			}
+			c.Close()
 		}
-		c.Close()
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -283,5 +377,60 @@ func TestMigrateModuleCloseRace(t *testing.T) {
 	}
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	t.Fatalf("goroutines leaked after close/migrate race: base=%d now=%d\n%s", base, runtime.NumGoroutine(), buf[:n])
+	t.Fatalf("goroutines leaked after close/respawn race: base=%d now=%d\n%s", base, runtime.NumGoroutine(), buf[:n])
+}
+
+// TestSupervisorLeavesDegradedTimeToTheMonitor runs a supervisor beside
+// one monitor through a partition outage. The monitor is the only thing
+// that accrues degraded time, so the pipeline.<name>.degraded_ms meter
+// must agree with that monitor's own DegradedSeconds — a supervisor that
+// sampled a private monitor would mark the same outage a second time.
+func TestSupervisorLeavesDegradedTimeToTheMonitor(t *testing.T) {
+	c := homeCluster(t)
+	p, err := c.Launch(apps.FitnessConfig("degfit", 15, "squat"), core.CoLocatePlanner{})
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	const interval = 100 * time.Millisecond
+	startSupervisor(t, c, core.SupervisorConfig{Interval: interval})
+	mon := core.NewMonitor(c)
+	mon.StallAfter = 300 * time.Millisecond
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := p.Run(context.Background(), 6*time.Second); err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	}()
+	defer func() { <-done }()
+
+	reg := c.Metrics()
+	delivered := func() uint64 { return reg.Meter("pipeline.degfit.display.frames_done").Count() }
+	sampleFor := func(d time.Duration) {
+		for end := time.Now().Add(d); time.Now().Before(end); time.Sleep(interval) {
+			mon.Sample(context.Background())
+		}
+	}
+	waitCond(t, 3*time.Second, func() bool { return delivered() >= 3 })
+
+	// Long enough that even a default-configured (2 s stall window) second
+	// observer would have flagged the stall.
+	c.Network().Partition("phone", "desktop")
+	sampleFor(3 * time.Second)
+	c.Network().Heal("phone", "desktop")
+	at := delivered()
+	waitCond(t, 3*time.Second, func() bool {
+		mon.Sample(context.Background())
+		return delivered() >= at+3
+	})
+
+	wantMS := mon.DegradedSeconds("degfit") * 1000
+	gotMS := float64(reg.Meter("pipeline.degfit.degraded_ms").Count())
+	if wantMS < 1000 {
+		t.Fatalf("monitor accrued only %.0f ms over a 3 s partition", wantMS)
+	}
+	if math.Abs(gotMS-wantMS) > float64(interval.Milliseconds()) {
+		t.Errorf("degraded_ms meter = %.0f, monitor's DegradedSeconds = %.0f ms: want them within one sample interval", gotMS, wantMS)
+	}
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -16,9 +14,7 @@ import (
 // decisions depend only on the observed sample sequence — the same
 // discipline that keeps supervisor journals seed-comparable.
 type TunerConfig struct {
-	// Interval is the control-loop period when the tuner runs standalone
-	// (Run); zero selects 100 ms. A tuner attached to a supervisor steps
-	// at the supervisor's interval instead.
+	// Interval is the control-loop period (Run); zero selects 100 ms.
 	Interval time.Duration
 	// P99Target is the end-to-end latency budget the tuner defends. A pool
 	// whose excess-wait p99 exceeds an eighth of it counts as saturated
@@ -137,19 +133,18 @@ type tunePipeState struct {
 // actuates dynamic batching, pool scaling, credit-window resizing and —
 // when everything else is maxed — measured-cost re-planning. Decisions
 // are pure functions of the sample stream and tick counters; the seed
-// only jitters the standalone loop's timing.
+// only jitters the loop's timing.
 type Tuner struct {
+	actionJournal
+
 	cluster *Cluster
 	cfg     TunerConfig
 	rng     *rand.Rand
-	// forward mirrors journal entries into an owning supervisor.
-	forward func(Action)
 
-	mu      sync.Mutex
-	tick    int
-	svc     map[string]*tuneSvcState
-	pipe    map[string]*tunePipeState
-	journal []Action
+	mu   sync.Mutex
+	tick int
+	svc  map[string]*tuneSvcState
+	pipe map[string]*tunePipeState
 }
 
 // NewTuner creates a tuner for the cluster. It does nothing until Run or
@@ -165,45 +160,7 @@ func NewTuner(c *Cluster, cfg TunerConfig) *Tuner {
 	}
 }
 
-// AttachTuner creates a tuner that steps inside the supervisor's control
-// loop and mirrors its decisions into the supervisor journal.
-func (s *Supervisor) AttachTuner(cfg TunerConfig) *Tuner {
-	t := NewTuner(s.cluster, cfg)
-	t.forward = s.record
-	s.mu.Lock()
-	s.tuner = t
-	s.mu.Unlock()
-	return t
-}
-
-// Journal returns the tuning actions taken so far, in order.
-func (t *Tuner) Journal() []Action {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Action(nil), t.journal...)
-}
-
-// JournalStrings renders the journal, for logs and assertions.
-func (t *Tuner) JournalStrings() []string {
-	acts := t.Journal()
-	out := make([]string, len(acts))
-	for i, a := range acts {
-		out[i] = a.String()
-	}
-	return out
-}
-
-func (t *Tuner) record(a Action) {
-	t.mu.Lock()
-	t.journal = append(t.journal, a)
-	fwd := t.forward
-	t.mu.Unlock()
-	if fwd != nil {
-		fwd(a)
-	}
-}
-
-// Run drives the standalone control loop until ctx is done. The seeded
+// Run drives the control loop until ctx is done. The seeded
 // jitter (up to 10% of the interval per tick) shifts timing only.
 func (t *Tuner) Run(ctx context.Context) {
 	for {
@@ -225,16 +182,6 @@ func (t *Tuner) Run(ctx context.Context) {
 // Step runs one control-loop iteration: observe, decide, actuate.
 func (t *Tuner) Step(ctx context.Context) {
 	s := t.sample()
-	if os.Getenv("VPTUNE_DEBUG") != "" {
-		for _, sv := range s.services {
-			fmt.Fprintf(os.Stderr, "[tuner] svc %s size=%d queue=%d busy=%d batch=%d waitP99=%v\n",
-				sv.name, sv.size, sv.queue, sv.busy, sv.batch, sv.waitP99)
-		}
-		for _, pp := range s.pipelines {
-			fmt.Fprintf(os.Stderr, "[tuner] pipe %s credits=%d avail=%d drops=%d e2eP99=%v\n",
-				pp.name, pp.credits, pp.avail, pp.drops, pp.e2eP99)
-		}
-	}
 	for _, a := range t.decide(s) {
 		t.apply(ctx, a)
 	}

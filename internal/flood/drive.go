@@ -3,7 +3,6 @@ package flood
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -256,24 +255,6 @@ func Run(sc experiments.FloodScenario, o Options) (Result, error) {
 	}
 	res.Delivered = delivered()
 	res.Elapsed = time.Since(start)
-	if os.Getenv("VPFLOOD_DEBUG") != "" {
-		for _, ln := range lanes {
-			for _, mod := range ln.pipe.Modules() {
-				key := ln.pipe.Name() + "." + mod
-				fmt.Fprintf(os.Stderr, "[flood] %s done=%d abandoned=%d e2e_p99=%v\n",
-					key,
-					mreg.Meter("pipeline."+key+".frames_done").Count(),
-					mreg.Meter("module."+key+".abandoned").Count(),
-					mreg.Histogram("pipeline."+key+".e2e").Snapshot().P99)
-			}
-		}
-		for _, svc := range cluster.ServiceNames() {
-			if pool, err := cluster.Pool(svc); err == nil {
-				fmt.Fprintf(os.Stderr, "[flood] pool %s size=%d calls=%d batches=%d waitP99=%v\n",
-					svc, pool.Size(), pool.Calls(), pool.Batches(), pool.WaitStats().P99)
-			}
-		}
-	}
 
 	// Merge the per-module e2e histograms into one distribution. Each
 	// module contributes its (unbiased) reservoir; re-observing through a

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -13,14 +12,17 @@ import (
 	"videopipe/internal/frame"
 	"videopipe/internal/netsim"
 	"videopipe/internal/vision"
+	"videopipe/internal/wire"
 )
 
-// TestInvokeBatchBitIdenticalToSequential pins the batching determinism
+// TestBatchBitIdenticalToSequential pins the batching determinism
 // contract for the shipped vision services: a batch must produce, byte for
-// byte, the results the same requests produce one at a time. Each path
-// gets its own pool so per-instance state (there is none for these
-// services, and this proves it) cannot couple the runs.
-func TestInvokeBatchBitIdenticalToSequential(t *testing.T) {
+// byte, the results the same requests produce one at a time — both from
+// Instance.invokeBatch directly and when the pool's collector forms the
+// batches out of concurrent Invokes. Each path gets its own pool so
+// per-instance state (there is none for these services, and this proves
+// it) cannot couple the runs.
+func TestBatchBitIdenticalToSequential(t *testing.T) {
 	for _, name := range []string{PoseDetector, FaceDetector, ObjectDetector} {
 		t.Run(name, func(t *testing.T) {
 			frames := []*frame.Frame{
@@ -43,19 +45,46 @@ func TestInvokeBatchBitIdenticalToSequential(t *testing.T) {
 				}
 				want[k] = mustJSON(t, resp.Result)
 			}
-
-			batched := poolFor(t, name)
-			results := batched.InvokeBatch(context.Background(), reqs)
-			if len(results) != len(reqs) {
-				t.Fatalf("InvokeBatch returned %d results for %d requests", len(results), len(reqs))
+			check := func(path string, k int, resp Response, err error) {
+				t.Helper()
+				if err != nil {
+					t.Errorf("%s item %d: %v", path, k, err)
+					return
+				}
+				if got := mustJSON(t, resp.Result); string(got) != string(want[k]) {
+					t.Errorf("%s item %d diverges:\nbatched:    %s\nsequential: %s", path, k, got, want[k])
+				}
 			}
-			for k, r := range results {
-				if r.Err != nil {
-					t.Fatalf("batched item %d: %v", k, r.Err)
-				}
-				if got := mustJSON(t, r.Resp.Result); string(got) != string(want[k]) {
-					t.Errorf("item %d diverges:\nbatched:    %s\nsequential: %s", k, got, want[k])
-				}
+
+			inst, err := NewInstance(seq.Spec(), 1.0)
+			if err != nil {
+				t.Fatalf("NewInstance: %v", err)
+			}
+			resps, errs := inst.invokeBatch(context.Background(), reqs)
+			if len(resps) != len(reqs) || len(errs) != len(reqs) {
+				t.Fatalf("invokeBatch returned %d/%d results for %d requests", len(resps), len(errs), len(reqs))
+			}
+			for k := range reqs {
+				check("invokeBatch", k, resps[k], errs[k])
+			}
+
+			// The collector path every caller (local or remote) reaches
+			// through Pool.Invoke once the tuner turns batching on.
+			batched := poolFor(t, name)
+			batched.SetBatching(len(reqs), 200*time.Millisecond)
+			defer batched.SetBatching(0, 0)
+			var wg sync.WaitGroup
+			for k := range reqs {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					resp, err := batched.Invoke(context.Background(), reqs[k])
+					check("collector", k, resp, err)
+				}(k)
+			}
+			wg.Wait()
+			if got := batched.BatchedRequests(); got != uint64(len(reqs)) {
+				t.Errorf("collector batched %d requests, want all %d", got, len(reqs))
 			}
 		})
 	}
@@ -132,30 +161,10 @@ func TestPoolCollectorCoalescesConcurrentInvokes(t *testing.T) {
 	}
 }
 
-// echoServer starts a netsim server hosting one custom service and a
-// client dialed at it.
-func echoServer(t *testing.T, spec Spec) (*Pool, *Client) {
-	t.Helper()
-	nw := netsim.NewNetwork(netsim.LinkProfile{})
-	pool, err := NewPool(spec, 1, 1.0)
-	if err != nil {
-		t.Fatalf("NewPool: %v", err)
-	}
-	srv, err := NewServer(nw.Host("desktop"), 0, map[string]*Pool{spec.Name: pool}, frame.JPEGCodec{Quality: 85})
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	client := NewClient(nw.Host("phone"), srv.Addr().String(), frame.JPEGCodec{Quality: 85})
-	t.Cleanup(func() { client.Close() })
-	return pool, client
-}
-
-// TestCallBatchRoundTripMixedStatus drives the wire batch format over
-// netsim: one RPC carries three requests, and each comes back with its own
-// status — a failing item never poisons its batchmates, and frames round
-// trip per item.
-func TestCallBatchRoundTripMixedStatus(t *testing.T) {
+// TestPoolCollectorMixedStatus checks that a collected batch reports per
+// request: a failing item never poisons its batchmates, and response frames
+// come back to the caller that sent them.
+func TestPoolCollectorMixedStatus(t *testing.T) {
 	spec := Spec{
 		Name: "echo", Cost: time.Millisecond, MaxBatch: 8,
 		Handler: func(_ context.Context, req Request) (Response, error) {
@@ -169,147 +178,91 @@ func TestCallBatchRoundTripMixedStatus(t *testing.T) {
 			return resp, nil
 		},
 	}
-	pool, client := echoServer(t, spec)
+	p, err := NewPool(spec, 1, 1.0)
+	if err != nil {
+		t.Fatalf("NewPool: %v", err)
+	}
+	p.SetBatching(3, time.Second)
+	defer p.SetBatching(0, 0)
 
 	f := sceneFrame(t, vision.Squat, 0.5)
-	results, err := client.CallBatch(context.Background(), "echo", []BatchItem{
+	reqs := []Request{
 		{Args: map[string]any{"v": 1.0}, Frame: f},
 		{Args: map[string]any{"fail": true}},
 		{Args: map[string]any{"v": 3.0}},
-	})
-	if err != nil {
-		t.Fatalf("CallBatch: %v", err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("got %d results, want 3", len(results))
+	resps := make([]Response, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for k := range reqs {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			resps[k], errs[k] = p.Invoke(context.Background(), reqs[k])
+		}(k)
 	}
-	if results[0].Err != nil || results[0].Resp.Result["v"] != 1.0 {
-		t.Errorf("item 0 = %+v, want v=1", results[0])
+	wg.Wait()
+
+	if errs[0] != nil || resps[0].Result["v"] != 1.0 {
+		t.Errorf("item 0 = %+v / %v, want v=1", resps[0], errs[0])
 	}
-	if results[0].Resp.Frame == nil {
+	if resps[0].Frame == nil {
 		t.Error("item 0 lost its response frame")
-	} else if w := results[0].Resp.Frame.Width; w != f.Width {
-		t.Errorf("item 0 frame width %d, want %d", w, f.Width)
+	} else {
+		if w := resps[0].Frame.Width; w != f.Width {
+			t.Errorf("item 0 frame width %d, want %d", w, f.Width)
+		}
+		resps[0].Frame.Release()
 	}
-	if results[1].Err == nil || results[1].Resp.Result != nil {
-		t.Errorf("item 1 = %+v, want a per-item error", results[1])
-	} else if msg := results[1].Err.Error(); !strings.Contains(msg, "boom") {
+	if errs[1] == nil || resps[1].Result != nil {
+		t.Errorf("item 1 = %+v / %v, want a per-item error", resps[1], errs[1])
+	} else if msg := errs[1].Error(); !strings.Contains(msg, "boom") {
 		t.Errorf("item 1 error %q does not carry the handler message", msg)
 	}
-	if results[2].Err != nil || results[2].Resp.Result["v"] != 3.0 || results[2].Resp.Frame != nil {
-		t.Errorf("item 2 = %+v, want v=3 frameless", results[2])
+	if errs[2] != nil || resps[2].Result["v"] != 3.0 || resps[2].Frame != nil {
+		t.Errorf("item 2 = %+v / %v, want v=3 frameless", resps[2], errs[2])
 	}
-	// The whole batch was one pool invocation, not three.
-	if pool.Batches() != 1 || pool.BatchedRequests() != 3 {
-		t.Errorf("pool saw %d batches / %d batched requests, want 1 / 3", pool.Batches(), pool.BatchedRequests())
-	}
-}
-
-// TestCallBatchBreakerRecordsOneOutcome pins the breaker contract: a batch
-// is ONE call outcome. Ten failing items per batch must consume one
-// failure from the threshold run, not ten — otherwise a single unlucky
-// batch would open the circuit a healthy service.
-func TestCallBatchBreakerRecordsOneOutcome(t *testing.T) {
-	spec := Spec{
-		Name: "flaky", MaxBatch: 16,
-		Handler: func(_ context.Context, req Request) (Response, error) {
-			if req.Args["fail"] == true {
-				return Response{}, errors.New("down")
-			}
-			return Response{Result: map[string]any{"ok": true}}, nil
-		},
-	}
-	_, client := echoServer(t, spec)
-
-	failing := make([]BatchItem, 10)
-	for k := range failing {
-		failing[k] = BatchItem{Args: map[string]any{"fail": true}}
-	}
-	// threshold-1 all-failing batches: 10 item failures each, but only
-	// DefaultBreakerThreshold-1 recorded outcomes — the circuit stays
-	// closed.
-	for i := 0; i < DefaultBreakerThreshold-1; i++ {
-		if _, err := client.CallBatch(context.Background(), "flaky", failing); err != nil {
-			t.Fatalf("batch %d rejected: %v", i, err)
-		}
-	}
-	if st, ok := client.BreakerState("flaky"); !ok || st != BreakerClosed {
-		t.Fatalf("breaker = %v after %d failed batches, want closed (one outcome per batch)",
-			st, DefaultBreakerThreshold-1)
-	}
-	// One partially successful batch resets the run entirely.
-	mixed := append([]BatchItem{{Args: map[string]any{"v": 1.0}}}, failing...)
-	if _, err := client.CallBatch(context.Background(), "flaky", mixed); err != nil {
-		t.Fatalf("mixed batch rejected: %v", err)
-	}
-	if st, _ := client.BreakerState("flaky"); st != BreakerClosed {
-		t.Fatalf("breaker = %v after a partially successful batch, want closed", st)
-	}
-	// A full threshold run of failing batches opens it; the next call is
-	// shed client-side.
-	for i := 0; i < DefaultBreakerThreshold; i++ {
-		if _, err := client.CallBatch(context.Background(), "flaky", failing); err != nil {
-			t.Fatalf("batch %d rejected early: %v", i, err)
-		}
-	}
-	if st, _ := client.BreakerState("flaky"); st != BreakerOpen {
-		t.Fatalf("breaker = %v after a threshold run, want open", st)
-	}
-	if _, err := client.CallBatch(context.Background(), "flaky", failing); !errors.Is(err, ErrBreakerOpen) {
-		t.Errorf("call against an open breaker returned %v, want ErrBreakerOpen", err)
+	// The full window formed, so the three calls were one pool invocation.
+	if p.Batches() != 1 || p.BatchedRequests() != 3 {
+		t.Errorf("pool saw %d batches / %d batched requests, want 1 / 3", p.Batches(), p.BatchedRequests())
 	}
 }
 
-// TestClientAutoBatchingCoalescesCalls turns on client-side batching and
-// checks that concurrent ordinary Calls ride the wire as batches — the
-// server's pool counters are the ground truth — and that each caller still
-// gets its own answer.
-func TestClientAutoBatchingCoalescesCalls(t *testing.T) {
+// TestServerRejectsBatchMarker sends the first part of the retired wire
+// batch format: "!batch" is now just a service nobody registered, so the
+// server answers with the ordinary unknown-service error.
+func TestServerRejectsBatchMarker(t *testing.T) {
+	nw := netsim.NewNetwork(netsim.LinkProfile{})
 	spec := Spec{
-		Name: "echo", Cost: time.Millisecond, MaxBatch: 8,
+		Name: "echo", Cost: time.Millisecond,
 		Handler: func(_ context.Context, req Request) (Response, error) {
 			return Response{Result: map[string]any{"v": req.Args["v"]}}, nil
 		},
 	}
-	pool, client := echoServer(t, spec)
-	client.SetBatching("echo", 4, 100*time.Millisecond)
+	pool, err := NewPool(spec, 1, 1.0)
+	if err != nil {
+		t.Fatalf("NewPool: %v", err)
+	}
+	srv, err := NewServer(nw.Host("desktop"), 0, map[string]*Pool{"echo": pool}, nil)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+	caller := wire.DialCaller(nw.Host("phone"), srv.Addr().String())
+	defer caller.Close()
 
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for k := 0; k < 4; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			resp, err := client.Call(context.Background(), "echo", map[string]any{"v": float64(k)}, nil)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			if resp.Result["v"] != float64(k) {
-				errs[k] = fmt.Errorf("got %v, want %d", resp.Result["v"], k)
-			}
-		}(k)
+	_, err = caller.Call(context.Background(),
+		wire.NewMessage([]byte("!batch"), []byte("echo"), []byte(`{"v":1}`), nil))
+	var remote *wire.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, `unknown service "!batch"`) {
+		t.Fatalf("batch-marker request returned %v, want the unknown-service remote error", err)
 	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			t.Errorf("call %d: %v", k, err)
-		}
+	if pool.Calls() != 0 {
+		t.Errorf("pool served %d calls for a rejected request", pool.Calls())
 	}
-	if pool.BatchedRequests() != 4 {
-		t.Errorf("server saw %d batched requests, want all 4 coalesced", pool.BatchedRequests())
-	}
-	if b := pool.Batches(); b == 0 || b >= 4 {
-		t.Errorf("server saw %d batches for 4 calls, want coalescing", b)
-	}
-
-	// Turning batching off routes Calls directly again.
-	client.SetBatching("echo", 0, 0)
-	before := pool.Batches()
-	if _, err := client.Call(context.Background(), "echo", map[string]any{"v": 9.0}, nil); err != nil {
-		t.Fatalf("direct Call after disable: %v", err)
-	}
-	if pool.Batches() != before {
-		t.Error("Call after disable still rode a batch")
+	// The connection and server survive the rejected request.
+	out, err := caller.Call(context.Background(), wire.NewMessage([]byte("echo"), []byte(`{"v":2}`)))
+	if err != nil || !strings.Contains(out.StringPart(0), `"v":2`) {
+		t.Errorf("ordinary call after the rejected one = %q, %v", out.StringPart(0), err)
 	}
 }

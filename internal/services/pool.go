@@ -257,13 +257,6 @@ type batchOutcome struct {
 	err  error
 }
 
-// BatchResult pairs one batched request's response with its error, so a
-// batch can report per-request status.
-type BatchResult struct {
-	Resp Response
-	Err  error
-}
-
 // NewPool creates a pool with n initial instances.
 func NewPool(spec Spec, n int, cpuFactor float64) (*Pool, error) {
 	if n <= 0 {
@@ -460,38 +453,6 @@ func (p *Pool) Invoke(ctx context.Context, req Request) (Response, error) {
 	resp, err := best.Invoke(ctx, req)
 	p.observeWait(enqueued)
 	return resp, err
-}
-
-// InvokeBatch executes an already-formed batch (the server's wire batch
-// path) on one instance, amortizing the serialized section. Results carry
-// per-request status; the returned slice always has len(reqs) entries.
-func (p *Pool) InvokeBatch(ctx context.Context, reqs []Request) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	fail := func(err error) []BatchResult {
-		for k := range out {
-			out[k].Err = err
-		}
-		return out
-	}
-	if err := p.waitGate(ctx); err != nil {
-		return fail(err)
-	}
-	enqueued := time.Now()
-	inst, err := p.pick()
-	if err != nil {
-		return fail(err)
-	}
-	p.batches.Add(1)
-	p.batchedReqs.Add(uint64(len(reqs)))
-	resps, errs := inst.invokeBatch(ctx, reqs)
-	for k := range out {
-		out[k] = BatchResult{Resp: resps[k], Err: errs[k]}
-	}
-	p.observeWait(enqueued)
-	return out
 }
 
 // waitGate blocks while the pool is paused.

@@ -69,9 +69,6 @@ func (s *Server) handle(ctx context.Context, m wire.Message) (wire.Message, erro
 	if m.Len() < 2 {
 		return wire.Message{}, fmt.Errorf("services: malformed request (%d parts)", m.Len())
 	}
-	if m.StringPart(0) == batchMarker {
-		return s.handleBatch(ctx, m)
-	}
 	name := m.StringPart(0)
 	s.mu.Lock()
 	pool, ok := s.pools[name]
@@ -137,10 +134,6 @@ type Client struct {
 	breakerMu sync.Mutex
 	breakers  map[string]*Breaker
 	onState   func(service string, s BreakerState)
-
-	// batchMu guards the per-service client batchers (batch.go).
-	batchMu  sync.Mutex
-	batchers map[string]*clientBatcher
 }
 
 // NewClient creates a client for the service server at address.
@@ -200,12 +193,6 @@ var encBufPool sync.Pool
 // Call invokes a remote service, encoding the frame (if any) for transfer.
 // The input frame is borrowed — the caller keeps ownership.
 func (c *Client) Call(ctx context.Context, service string, args map[string]any, f *frame.Frame) (Response, error) {
-	if cc := c.tryEnqueueBatch(ctx, service, args, f); cc != nil {
-		// The batcher owns completion; the frame stays borrowed until the
-		// outcome lands (CallBatch encodes it before delivering).
-		out := <-cc.done
-		return out.resp, out.err
-	}
 	br := c.breaker(service)
 	if !br.Allow() {
 		return Response{}, fmt.Errorf("services: %s: %w", service, ErrBreakerOpen)
@@ -255,8 +242,5 @@ func (c *Client) Call(ctx context.Context, service string, args map[string]any, 
 	return resp, nil
 }
 
-// Close retires any client-side batchers and releases the connection.
-func (c *Client) Close() error {
-	c.stopBatchers()
-	return c.caller.Close()
-}
+// Close releases the connection.
+func (c *Client) Close() error { return c.caller.Close() }
