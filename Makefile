@@ -53,9 +53,11 @@ race:
 
 # Allocation-regression gate: steady-state allocs/op on the frame codecs
 # (raw round trip, clone, warm JPEG decode) and wire message paths must
-# stay pinned (near zero) after the buffer pool / copy-elision work.
+# stay pinned (near zero) after the buffer pool / copy-elision work, and
+# the interpreter's counted loop and script-to-script call must stay
+# independent of the iteration count.
 alloc:
-	$(GO) test -run 'Allocs|ReleaseGuards' ./internal/frame ./internal/wire
+	$(GO) test -run 'Allocs|ReleaseGuards' ./internal/frame ./internal/wire ./internal/script
 
 cover:
 	$(GO) test -cover ./...
@@ -90,12 +92,13 @@ shapes:
 	$(GO) test -race -run 'TestShape' ./internal/script ./internal/core .
 
 # Short coverage-guided fuzz pass over the PipeScript and config parsers
-# plus the sandbox budget enforcer, the shape-inference pass and the frame
-# codec's JPEG decoder against image/jpeg (seed corpora alone run in
-# `make test`).
+# plus the sandbox budget enforcer, the static cost bound against the
+# measured step count, the shape-inference pass and the frame codec's JPEG
+# decoder against image/jpeg (seed corpora alone run in `make test`).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzBudget -fuzztime 30s ./internal/script
+	$(GO) test -fuzz FuzzCost -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzShapes -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzParseConfig -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzJPEGDecode -fuzztime 30s ./internal/frame

@@ -2,6 +2,11 @@ package script
 
 // The AST node hierarchy. Expressions and statements are separate interface
 // families; every node carries its source position for error reporting.
+//
+// Fields under a "set by resolve" comment are annotations the interpreter's
+// resolve pass (resolve.go) writes once before a program first runs. The
+// parser leaves them zero and the static passes (analyze, cost, shapes,
+// frameflow) never read them.
 
 type node interface{ position() Position }
 
@@ -15,11 +20,15 @@ type expr interface {
 type numberLit struct {
 	pos   Position
 	value float64
+	// set by resolve: value as a number cell carrying its one boxed form.
+	cell cell
 }
 
 type stringLit struct {
 	pos   Position
 	value string
+	// set by resolve: value boxed once.
+	boxed Value
 }
 
 type boolLit struct {
@@ -32,6 +41,11 @@ type nullLit struct{ pos Position }
 type identExpr struct {
 	pos  Position
 	name string
+	// set by resolve: the enclosing scopes that declare name, innermost
+	// first; empty when only a global can match.
+	refs []slotRef
+	// global caches the global binding once a lookup by name has found it.
+	global *slot
 }
 
 type arrayLit struct {
@@ -55,18 +69,27 @@ type funcLit struct {
 	name   string // empty for anonymous
 	params []string
 	body   *blockStmt
+	// set by resolve: the call frame's layout, each parameter's slot in it,
+	// and the slot of the implicit `arguments` array, which is only built
+	// when the body mentions it.
+	scope         scopeInfo
+	paramSlots    []int
+	argsSlot      int
+	usesArguments bool
 }
 
 type unaryExpr struct {
 	pos Position
 	op  string // "-", "!", "typeof"
 	x   expr
+	opc opcode // set by resolve
 }
 
 type binaryExpr struct {
 	pos  Position
 	op   string
 	x, y expr
+	opc  opcode // set by resolve
 }
 
 // logicalExpr short-circuits, unlike binaryExpr.
@@ -74,6 +97,7 @@ type logicalExpr struct {
 	pos  Position
 	op   string // "&&", "||"
 	x, y expr
+	opc  opcode // set by resolve
 }
 
 type condExpr struct {
@@ -87,6 +111,7 @@ type assignExpr struct {
 	op     string // "=", "+=", ...
 	target expr   // identExpr, memberExpr or indexExpr
 	value  expr
+	opc    opcode // set by resolve: the binary operator of a compound assignment, opNone for "="
 }
 
 // updateExpr is ++/-- (prefix or postfix).
@@ -95,6 +120,7 @@ type updateExpr struct {
 	op      string // "++", "--"
 	target  expr
 	postfix bool
+	opc     opcode // set by resolve
 }
 
 type callExpr struct {
@@ -172,11 +198,13 @@ type declStmt struct {
 	name     string
 	init     expr // may be nil
 	constant bool
+	slot     int // set by resolve: slot in the enclosing scope's frame, globalSlot at top level
 }
 
 type blockStmt struct {
 	pos   Position
 	stmts []stmt
+	scope scopeInfo // set by resolve
 }
 
 type ifStmt struct {
@@ -198,6 +226,9 @@ type forStmt struct {
 	cond expr // may be nil
 	post expr // may be nil
 	body stmt
+	// set by resolve: the scope holding the init declaration, shared by
+	// every iteration.
+	scope scopeInfo
 }
 
 // forOfStmt iterates over array elements or object keys.
@@ -206,6 +237,9 @@ type forOfStmt struct {
 	varName string
 	iter    expr
 	body    stmt
+	// set by resolve: the per-iteration scope and varName's slot in it.
+	scope scopeInfo
+	slot  int
 }
 
 type returnStmt struct {
@@ -228,6 +262,9 @@ type tryStmt struct {
 	catchVar string
 	catch    *blockStmt // may be nil
 	finally  *blockStmt // may be nil
+	// set by resolve: the catch clause's scope and catchVar's slot in it.
+	catchScope scopeInfo
+	catchSlot  int
 }
 
 // switchStmt is a switch over strict-equality cases.
@@ -237,6 +274,7 @@ type switchStmt struct {
 	cases   []switchCase
 	// defaultBody may be nil.
 	defaultBody []stmt
+	scope       scopeInfo // set by resolve: one scope shared by every case body
 }
 
 type switchCase struct {
@@ -246,8 +284,9 @@ type switchCase struct {
 
 // funcDecl binds a function literal to a name in the current scope.
 type funcDecl struct {
-	pos Position
-	fn  *funcLit
+	pos  Position
+	fn   *funcLit
+	slot int // set by resolve, as declStmt.slot
 }
 
 func (s *exprStmt) position() Position     { return s.pos }

@@ -107,12 +107,8 @@ const PreservationVersionGlobal = "_PRESERVATION_VERSION"
 // value of _PRESERVATION_VERSION, or 0 when unset or non-numeric. Constant
 // declarations count — the version is metadata, not mutable state.
 func (c *Context) PreservationVersion() int64 {
-	b, ok := c.globals.lookup(PreservationVersionGlobal)
-	if !ok {
-		return 0
-	}
-	if n, ok := b.value.(float64); ok {
-		return int64(n)
+	if g, ok := c.globals[PreservationVersionGlobal]; ok && g.isNum {
+		return int64(g.num)
 	}
 	return 0
 }

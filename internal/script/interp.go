@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 )
 
@@ -26,7 +25,9 @@ type continueSignal struct{}
 func (breakSignal) Error() string    { return "break outside loop" }
 func (continueSignal) Error() string { return "continue outside loop" }
 
-type returnSignal struct{ value Value }
+// returnSignal unwinds to the enclosing call; the value travels in
+// interp.ret so that returning a number allocates nothing.
+type returnSignal struct{}
 
 func (returnSignal) Error() string { return "return outside function" }
 
@@ -47,7 +48,12 @@ func (t throwSignal) Error() string {
 // device runtime serializes events per module, matching the paper's
 // event-driven module model.
 type Context struct {
-	globals  *environment
+	// globals are bound by name, since Bind, Restore or a later Load can add
+	// one after the code that reads it was resolved; each lives in its own
+	// heap slot that is never replaced, so identifiers cache the pointer.
+	globals map[string]*slot
+	// free holds frames of scopes no closure captured, for reuse (env.go).
+	free     []*frame
 	maxSteps int64
 	maxDepth int
 	// instructions accumulates interpreter steps across every Load/Eval/Call
@@ -66,7 +72,7 @@ type Context struct {
 // NewContext creates a context with the standard library installed.
 func NewContext() *Context {
 	c := &Context{
-		globals:  newEnvironment(nil),
+		globals:  make(map[string]*slot, len(builtins)+16),
 		maxSteps: DefaultMaxSteps,
 		maxDepth: DefaultMaxDepth,
 	}
@@ -82,27 +88,27 @@ func (c *Context) SetMaxDepth(n int) { c.maxDepth = n }
 
 // Bind exposes a Go function to scripts under the given global name.
 func (c *Context) Bind(name string, fn HostFunc) {
-	c.globals.define(name, fn, false)
+	c.defineGlobal(name, cell{ref: fn}, false)
 }
 
 // BindValue exposes a value to scripts under the given global name.
 func (c *Context) BindValue(name string, v Value) {
-	c.globals.define(name, v, false)
+	c.defineGlobal(name, cellOf(v), false)
 }
 
 // Global returns the value of a global binding.
 func (c *Context) Global(name string) (Value, bool) {
-	b, ok := c.globals.lookup(name)
+	s, ok := c.globals[name]
 	if !ok {
 		return nil, false
 	}
-	return b.value, true
+	return s.value(), true
 }
 
 // Has reports whether a global binding exists. It is how the module runtime
 // probes for optional callbacks such as init().
 func (c *Context) Has(name string) bool {
-	_, ok := c.globals.lookup(name)
+	_, ok := c.globals[name]
 	return ok
 }
 
@@ -147,10 +153,11 @@ func (c *Context) Load(src string) error {
 	if err != nil {
 		return err
 	}
+	resolve(prog)
 	in := c.newInterp(true)
 	defer c.account(in)
 	for _, s := range prog.stmts {
-		if err := in.execStmt(s, c.globals); err != nil {
+		if err := in.exec(s, nil); err != nil {
 			return in.publicError(err)
 		}
 	}
@@ -164,40 +171,42 @@ func (c *Context) Eval(src string) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	resolve(prog)
 	in := c.newInterp(false)
 	defer c.account(in)
-	var last Value
+	var last cell
 	for _, s := range prog.stmts {
 		es, ok := s.(*exprStmt)
 		if !ok {
-			if err := in.execStmt(s, c.globals); err != nil {
+			if err := in.exec(s, nil); err != nil {
 				return nil, in.publicError(err)
 			}
-			last = nil
+			last = cell{}
 			continue
 		}
-		v, err := in.evalExpr(es.x, c.globals)
-		if err != nil {
+		if last, err = in.eval(es.x, nil); err != nil {
 			return nil, in.publicError(err)
 		}
-		last = v
 	}
-	return last, nil
+	return last.value(), nil
 }
 
 // Call invokes the named global function with args.
 func (c *Context) Call(name string, args ...Value) (Value, error) {
-	b, ok := c.globals.lookup(name)
+	s, ok := c.globals[name]
 	if !ok {
+		// Nothing ran: the previous invocation's count must not be read
+		// (and metered) again as this one's.
+		c.lastInstructions = 0
 		return nil, &RuntimeError{Msg: fmt.Sprintf("function %q is not defined", name)}
 	}
 	in := c.newInterp(name == "init")
 	defer c.account(in)
-	v, err := in.callValue(b.value, args, Position{})
+	v, err := in.callValue(s.value(), args, Position{})
 	if err != nil {
 		return nil, in.publicError(err)
 	}
-	return v, nil
+	return v.value(), nil
 }
 
 // interp carries per-invocation execution state: the step budget, call
@@ -206,6 +215,9 @@ type interp struct {
 	ctx   *Context
 	steps int64
 	depth int
+	// ret is the value of the return statement whose returnSignal is in
+	// flight.
+	ret cell
 	// stepLimit is the configured instruction budget for this invocation
 	// (0 = only the hard DefaultMaxSteps ceiling applies).
 	stepLimit int64
@@ -276,42 +288,59 @@ func (in *interp) errorf(pos Position, format string, args ...any) error {
 
 // ---- Statements ----
 
-func (in *interp) execStmt(s stmt, env *environment) error {
+// execList runs stmts in order in one scope instance.
+func (in *interp) execList(stmts []stmt, fr *frame) error {
+	for _, s := range stmts {
+		if err := in.exec(s, fr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// define executes a declaration: into its resolved slot of the current
+// scope's frame, or by name at the top level.
+func (in *interp) define(fr *frame, slot int, name string, v cell, constant bool) {
+	if slot == globalSlot {
+		in.ctx.defineGlobal(name, v, constant)
+		return
+	}
+	fr.slots[slot].define(v, constant)
+}
+
+func (in *interp) exec(s stmt, fr *frame) error {
 	if err := in.step(s.position()); err != nil {
 		return err
 	}
 	switch st := s.(type) {
 	case *exprStmt:
-		_, err := in.evalExpr(st.x, env)
+		_, err := in.eval(st.x, fr)
 		return err
 	case *declStmt:
-		var v Value
+		var v cell
 		if st.init != nil {
 			var err error
-			if v, err = in.evalExpr(st.init, env); err != nil {
+			if v, err = in.eval(st.init, fr); err != nil {
 				return err
 			}
 		}
-		env.define(st.name, v, st.constant)
+		in.define(fr, st.slot, st.name, v, st.constant)
 		return nil
 	case *blockStmt:
-		inner := newEnvironment(env)
-		for _, s := range st.stmts {
-			if err := in.execStmt(s, inner); err != nil {
-				return err
-			}
-		}
-		return nil
+		inner := in.ctx.enter(&st.scope, fr)
+		err := in.execList(st.stmts, inner)
+		in.ctx.leave(&st.scope, inner)
+		return err
 	case *ifStmt:
-		cond, err := in.evalExpr(st.cond, env)
+		cond, err := in.eval(st.cond, fr)
 		if err != nil {
 			return err
 		}
-		if Truthy(cond) {
-			return in.execStmt(st.then, env)
+		if cond.truthy() {
+			return in.exec(st.then, fr)
 		}
 		if st.elsE != nil {
-			return in.execStmt(st.elsE, env)
+			return in.exec(st.elsE, fr)
 		}
 		return nil
 	case *whileStmt:
@@ -319,14 +348,14 @@ func (in *interp) execStmt(s stmt, env *environment) error {
 			if err := in.step(st.pos); err != nil {
 				return err
 			}
-			cond, err := in.evalExpr(st.cond, env)
+			cond, err := in.eval(st.cond, fr)
 			if err != nil {
 				return err
 			}
-			if !Truthy(cond) {
+			if !cond.truthy() {
 				return nil
 			}
-			if err := in.execStmt(st.body, env); err != nil {
+			if err := in.exec(st.body, fr); err != nil {
 				switch err.(type) {
 				case breakSignal:
 					return nil
@@ -338,54 +367,17 @@ func (in *interp) execStmt(s stmt, env *environment) error {
 			}
 		}
 	case *forStmt:
-		inner := newEnvironment(env)
-		if st.init != nil {
-			if err := in.execStmt(st.init, inner); err != nil {
-				return err
-			}
-		}
-		for {
-			if err := in.step(st.pos); err != nil {
-				return err
-			}
-			if st.cond != nil {
-				cond, err := in.evalExpr(st.cond, inner)
-				if err != nil {
-					return err
-				}
-				if !Truthy(cond) {
-					return nil
-				}
-			}
-			err := in.execStmt(st.body, inner)
-			if err != nil {
-				switch err.(type) {
-				case breakSignal:
-					return nil
-				case continueSignal:
-					// fall through to post
-				default:
-					return err
-				}
-			}
-			if st.post != nil {
-				if _, err := in.evalExpr(st.post, inner); err != nil {
-					return err
-				}
-			}
-		}
+		inner := in.ctx.enter(&st.scope, fr)
+		err := in.execFor(st, inner)
+		in.ctx.leave(&st.scope, inner)
+		return err
 	case *forOfStmt:
-		iter, err := in.evalExpr(st.iter, env)
+		iter, err := in.eval(st.iter, fr)
 		if err != nil {
 			return err
 		}
-		runBody := func(v Value) error {
-			inner := newEnvironment(env)
-			inner.define(st.varName, v, false)
-			return in.execStmt(st.body, inner)
-		}
 		var items []Value
-		switch x := iter.(type) {
+		switch x := iter.ref.(type) {
 		case *Array:
 			items = x.Elems
 		case *Object:
@@ -396,16 +388,21 @@ func (in *interp) execStmt(s stmt, env *environment) error {
 			for _, r := range x {
 				items = append(items, string(r))
 			}
-		case nil:
-			return nil
 		default:
-			return in.errorf(st.pos, "for-of requires array, object or string, got %s", TypeName(iter))
+			if iter.isNull() {
+				return nil
+			}
+			return in.errorf(st.pos, "for-of requires array, object or string, got %s", iter.typeName())
 		}
 		for _, v := range items {
 			if err := in.step(st.pos); err != nil {
 				return err
 			}
-			if err := runBody(v); err != nil {
+			inner := in.ctx.enter(&st.scope, fr)
+			inner.slots[st.slot].define(cellOf(v), false)
+			err := in.exec(st.body, inner)
+			in.ctx.leave(&st.scope, inner)
+			if err != nil {
 				switch err.(type) {
 				case breakSignal:
 					return nil
@@ -418,47 +415,48 @@ func (in *interp) execStmt(s stmt, env *environment) error {
 		}
 		return nil
 	case *returnStmt:
-		var v Value
+		var v cell
 		if st.value != nil {
 			var err error
-			if v, err = in.evalExpr(st.value, env); err != nil {
+			if v, err = in.eval(st.value, fr); err != nil {
 				return err
 			}
 		}
-		return returnSignal{value: v}
+		in.ret = v
+		return returnSignal{}
 	case *breakStmt:
 		return breakSignal{}
 	case *continueStmt:
 		return continueSignal{}
 	case *throwStmt:
-		v, err := in.evalExpr(st.value, env)
+		v, err := in.eval(st.value, fr)
 		if err != nil {
 			return err
 		}
-		return throwSignal{value: v, pos: st.pos}
+		return throwSignal{value: v.value(), pos: st.pos}
 	case *tryStmt:
-		err := in.execStmt(st.body, env)
+		err := in.exec(st.body, fr)
 		var thrown throwSignal
 		if errors.As(err, &thrown) && st.catch != nil {
-			inner := newEnvironment(env)
+			inner := in.ctx.enter(&st.catchScope, fr)
 			if st.catchVar != "" {
-				inner.define(st.catchVar, thrown.value, false)
+				inner.slots[st.catchSlot].define(cellOf(thrown.value), false)
 			}
-			err = nil
-			for _, s := range st.catch.stmts {
-				if err = in.execStmt(s, inner); err != nil {
-					break
-				}
-			}
+			err = in.execList(st.catch.stmts, inner)
+			in.ctx.leave(&st.catchScope, inner)
 		}
 		if st.finally != nil {
-			if ferr := in.execStmt(st.finally, env); ferr != nil {
+			// A return pending in err keeps its value across the calls
+			// finally makes.
+			ret := in.ret
+			if ferr := in.exec(st.finally, fr); ferr != nil {
 				return ferr // finally's completion overrides
 			}
+			in.ret = ret
 		}
 		return err
 	case *switchStmt:
-		subject, err := in.evalExpr(st.subject, env)
+		subject, err := in.eval(st.subject, fr)
 		if err != nil {
 			return err
 		}
@@ -467,365 +465,386 @@ func (in *interp) execStmt(s stmt, env *environment) error {
 		// as in JavaScript.
 		start := -1
 		for i, c := range st.cases {
-			v, err := in.evalExpr(c.value, env)
+			v, err := in.eval(c.value, fr)
 			if err != nil {
 				return err
 			}
-			if valuesEqual(subject, v) {
+			if cellsEqual(subject, v) {
 				start = i
 				break
 			}
 		}
-		inner := newEnvironment(env)
-		runBody := func(body []stmt) (stop bool, err error) {
-			for _, s := range body {
-				if err := in.execStmt(s, inner); err != nil {
-					if _, isBreak := err.(breakSignal); isBreak {
-						return true, nil
-					}
-					return true, err
-				}
-			}
-			return false, nil
-		}
-		if start >= 0 {
-			for i := start; i < len(st.cases); i++ {
-				stop, err := runBody(st.cases[i].body)
-				if err != nil {
-					return err
-				}
-				if stop {
-					return nil
-				}
-			}
-		}
-		if st.defaultBody != nil && start < 0 {
-			if _, err := runBody(st.defaultBody); err != nil {
-				return err
-			}
-		}
-		return nil
+		inner := in.ctx.enter(&st.scope, fr)
+		err = in.execSwitch(st, start, inner)
+		in.ctx.leave(&st.scope, inner)
+		return err
 	case *funcDecl:
 		if err := in.charge(64, st.position()); err != nil {
 			return err
 		}
-		fn := &Function{name: st.fn.name, params: st.fn.params, body: st.fn.body, env: env}
-		env.define(st.fn.name, fn, false)
+		fn := &Function{name: st.fn.name, lit: st.fn, env: fr}
+		in.define(fr, st.slot, st.fn.name, cell{ref: fn}, false)
 		return nil
 	default:
 		return in.errorf(s.position(), "unhandled statement %T", s)
 	}
 }
 
+// execFor runs a for loop inside its own scope instance fr.
+func (in *interp) execFor(st *forStmt, fr *frame) error {
+	if st.init != nil {
+		if err := in.exec(st.init, fr); err != nil {
+			return err
+		}
+	}
+	for {
+		if err := in.step(st.pos); err != nil {
+			return err
+		}
+		if st.cond != nil {
+			cond, err := in.eval(st.cond, fr)
+			if err != nil {
+				return err
+			}
+			if !cond.truthy() {
+				return nil
+			}
+		}
+		if err := in.exec(st.body, fr); err != nil {
+			switch err.(type) {
+			case breakSignal:
+				return nil
+			case continueSignal:
+				// fall through to post
+			default:
+				return err
+			}
+		}
+		if st.post != nil {
+			if _, err := in.eval(st.post, fr); err != nil {
+				return err
+			}
+		}
+	}
+}
+
+// execSwitch runs the case bodies from start (-1: the default body only)
+// in the switch's scope instance fr, until a break.
+func (in *interp) execSwitch(st *switchStmt, start int, fr *frame) error {
+	if start < 0 {
+		err := in.execList(st.defaultBody, fr)
+		if _, isBreak := err.(breakSignal); isBreak {
+			return nil
+		}
+		return err
+	}
+	for _, c := range st.cases[start:] {
+		if err := in.execList(c.body, fr); err != nil {
+			if _, isBreak := err.(breakSignal); isBreak {
+				return nil
+			}
+			return err
+		}
+	}
+	return nil
+}
+
 // ---- Expressions ----
 
-func (in *interp) evalExpr(e expr, env *environment) (Value, error) {
+// lookup finds the variable id names from frame fr: the innermost resolved
+// scope whose declaration has executed, else the global of that name, else
+// nil.
+func (in *interp) lookup(id *identExpr, fr *frame) *slot {
+	for _, r := range id.refs {
+		f := fr
+		for h := r.hops; h > 0; h-- {
+			f = f.parent
+		}
+		if s := &f.slots[r.idx]; s.declared {
+			return s
+		}
+	}
+	if id.global == nil {
+		id.global = in.ctx.globals[id.name]
+	}
+	return id.global
+}
+
+func (in *interp) eval(e expr, fr *frame) (cell, error) {
 	if err := in.step(e.position()); err != nil {
-		return nil, err
+		return cell{}, err
 	}
 	switch ex := e.(type) {
 	case *numberLit:
-		return ex.value, nil
+		return ex.cell, nil
 	case *stringLit:
-		return ex.value, nil
+		return cell{ref: ex.boxed}, nil
 	case *boolLit:
-		return ex.value, nil
+		return cell{ref: ex.value}, nil
 	case *nullLit:
-		return nil, nil
+		return cell{}, nil
 	case *identExpr:
-		b, ok := env.lookup(ex.name)
-		if !ok {
-			return nil, in.errorf(ex.pos, "%q is not defined", ex.name)
+		s := in.lookup(ex, fr)
+		if s == nil {
+			return cell{}, in.errorf(ex.pos, "%q is not defined", ex.name)
 		}
-		return b.value, nil
+		return s.cell, nil
 	case *arrayLit:
 		if err := in.charge(24+16*int64(len(ex.elems)), ex.pos); err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		arr := &Array{Elems: make([]Value, len(ex.elems))}
 		for i, el := range ex.elems {
-			v, err := in.evalExpr(el, env)
+			v, err := in.eval(el, fr)
 			if err != nil {
-				return nil, err
+				return cell{}, err
 			}
-			arr.Elems[i] = v
+			arr.Elems[i] = v.value()
 		}
-		return arr, nil
+		return cell{ref: arr}, nil
 	case *objectLit:
 		if err := in.charge(48+32*int64(len(ex.fields)), ex.pos); err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		obj := NewObject()
 		for _, f := range ex.fields {
-			v, err := in.evalExpr(f.value, env)
+			v, err := in.eval(f.value, fr)
 			if err != nil {
-				return nil, err
+				return cell{}, err
 			}
-			obj.Set(f.key, v)
+			obj.Set(f.key, v.value())
 		}
-		return obj, nil
+		return cell{ref: obj}, nil
 	case *funcLit:
 		if err := in.charge(64, ex.pos); err != nil {
-			return nil, err
+			return cell{}, err
 		}
-		return &Function{name: ex.name, params: ex.params, body: ex.body, env: env}, nil
+		return cell{ref: &Function{name: ex.name, lit: ex, env: fr}}, nil
 	case *unaryExpr:
-		return in.evalUnary(ex, env)
+		return in.evalUnary(ex, fr)
 	case *binaryExpr:
-		return in.evalBinary(ex, env)
-	case *logicalExpr:
-		x, err := in.evalExpr(ex.x, env)
+		x, err := in.eval(ex.x, fr)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
-		if ex.op == "&&" {
-			if !Truthy(x) {
-				return x, nil
-			}
-		} else if Truthy(x) {
+		y, err := in.eval(ex.y, fr)
+		if err != nil {
+			return cell{}, err
+		}
+		return in.applyBinary(ex.opc, ex.op, x, y, ex.pos)
+	case *logicalExpr:
+		x, err := in.eval(ex.x, fr)
+		if err != nil {
+			return cell{}, err
+		}
+		if x.truthy() != (ex.opc == opAnd) {
 			return x, nil
 		}
-		return in.evalExpr(ex.y, env)
+		return in.eval(ex.y, fr)
 	case *condExpr:
-		cond, err := in.evalExpr(ex.cond, env)
+		cond, err := in.eval(ex.cond, fr)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
-		if Truthy(cond) {
-			return in.evalExpr(ex.then, env)
+		if cond.truthy() {
+			return in.eval(ex.then, fr)
 		}
-		return in.evalExpr(ex.elsE, env)
+		return in.eval(ex.elsE, fr)
 	case *assignExpr:
-		return in.evalAssign(ex, env)
+		return in.evalAssign(ex, fr)
 	case *updateExpr:
-		return in.evalUpdate(ex, env)
+		return in.evalUpdate(ex, fr)
 	case *callExpr:
-		callee, err := in.evalExpr(ex.callee, env)
-		if err != nil {
-			return nil, err
-		}
-		args := make([]Value, len(ex.args))
-		for i, a := range ex.args {
-			if args[i], err = in.evalExpr(a, env); err != nil {
-				return nil, err
-			}
-		}
-		return in.callValue(callee, args, ex.pos)
+		return in.evalCall(ex, fr)
 	case *memberExpr:
-		obj, err := in.evalExpr(ex.obj, env)
+		obj, err := in.eval(ex.obj, fr)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		return in.member(obj, ex.name, ex.pos)
 	case *indexExpr:
-		obj, err := in.evalExpr(ex.obj, env)
+		obj, err := in.eval(ex.obj, fr)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
-		idx, err := in.evalExpr(ex.index, env)
+		idx, err := in.eval(ex.index, fr)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
 		return in.index(obj, idx, ex.pos)
 	default:
-		return nil, in.errorf(e.position(), "unhandled expression %T", e)
+		return cell{}, in.errorf(e.position(), "unhandled expression %T", e)
 	}
 }
 
-func (in *interp) evalUnary(ex *unaryExpr, env *environment) (Value, error) {
-	x, err := in.evalExpr(ex.x, env)
+func (in *interp) evalUnary(ex *unaryExpr, fr *frame) (cell, error) {
+	x, err := in.eval(ex.x, fr)
 	if err != nil {
-		return nil, err
+		return cell{}, err
 	}
-	switch ex.op {
-	case "-":
-		n, ok := x.(float64)
-		if !ok {
-			return nil, in.errorf(ex.pos, "cannot negate %s", TypeName(x))
+	switch ex.opc {
+	case opNeg:
+		if !x.isNum {
+			return cell{}, in.errorf(ex.pos, "cannot negate %s", x.typeName())
 		}
-		return -n, nil
-	case "!":
-		return !Truthy(x), nil
-	case "typeof":
-		return TypeName(x), nil
+		return numCell(-x.num), nil
+	case opNot:
+		return cell{ref: !x.truthy()}, nil
+	case opTypeof:
+		return cell{ref: x.typeName()}, nil
 	default:
-		return nil, in.errorf(ex.pos, "unknown unary operator %q", ex.op)
+		return cell{}, in.errorf(ex.pos, "unknown unary operator %q", ex.op)
 	}
 }
 
-func (in *interp) evalBinary(ex *binaryExpr, env *environment) (Value, error) {
-	x, err := in.evalExpr(ex.x, env)
-	if err != nil {
-		return nil, err
-	}
-	y, err := in.evalExpr(ex.y, env)
-	if err != nil {
-		return nil, err
-	}
-	return in.applyBinary(ex.op, x, y, ex.pos)
-}
-
-func (in *interp) applyBinary(op string, x, y Value, pos Position) (Value, error) {
+// applyBinary applies a non-short-circuit operator; text is its source
+// form, for error messages.
+func (in *interp) applyBinary(op opcode, text string, x, y cell, pos Position) (cell, error) {
 	switch op {
-	case "==":
-		return valuesEqual(x, y), nil
-	case "!=":
-		return !valuesEqual(x, y), nil
+	case opEq:
+		return cell{ref: cellsEqual(x, y)}, nil
+	case opNe:
+		return cell{ref: !cellsEqual(x, y)}, nil
 	}
 
-	// String concatenation mirrors JS: + with a string operand concatenates.
-	if op == "+" {
-		if xs, ok := x.(string); ok {
-			s := xs + Stringify(y)
+	if !x.isNum || !y.isNum {
+		xs, xIsStr := x.ref.(string)
+		ys, yIsStr := y.ref.(string)
+		// String concatenation mirrors JS: + with a string operand
+		// concatenates.
+		if op == opAdd && (xIsStr || yIsStr) {
+			s := x.stringify() + y.stringify()
 			if err := in.charge(int64(len(s)), pos); err != nil {
-				return nil, err
+				return cell{}, err
 			}
-			return s, nil
+			return cell{ref: s}, nil
 		}
-		if ys, ok := y.(string); ok {
-			s := Stringify(x) + ys
-			if err := in.charge(int64(len(s)), pos); err != nil {
-				return nil, err
-			}
-			return s, nil
-		}
-	}
-
-	// String ordering comparisons.
-	if xs, okx := x.(string); okx {
-		if ys, oky := y.(string); oky {
+		// String ordering comparisons.
+		if xIsStr && yIsStr {
 			switch op {
-			case "<":
-				return xs < ys, nil
-			case "<=":
-				return xs <= ys, nil
-			case ">":
-				return xs > ys, nil
-			case ">=":
-				return xs >= ys, nil
+			case opLt:
+				return cell{ref: xs < ys}, nil
+			case opLe:
+				return cell{ref: xs <= ys}, nil
+			case opGt:
+				return cell{ref: xs > ys}, nil
+			case opGe:
+				return cell{ref: xs >= ys}, nil
 			}
 		}
+		return cell{}, in.errorf(pos, "operator %q requires numbers, got %s and %s", text, x.typeName(), y.typeName())
 	}
 
-	xn, okx := x.(float64)
-	yn, oky := y.(float64)
-	if !okx || !oky {
-		return nil, in.errorf(pos, "operator %q requires numbers, got %s and %s", op, TypeName(x), TypeName(y))
-	}
+	xn, yn := x.num, y.num
 	switch op {
-	case "+":
-		return xn + yn, nil
-	case "-":
-		return xn - yn, nil
-	case "*":
-		return xn * yn, nil
-	case "/":
+	case opAdd:
+		return numCell(xn + yn), nil
+	case opSub:
+		return numCell(xn - yn), nil
+	case opMul:
+		return numCell(xn * yn), nil
+	case opDiv:
 		if yn == 0 {
-			return nil, in.errorf(pos, "division by zero")
+			return cell{}, in.errorf(pos, "division by zero")
 		}
-		return xn / yn, nil
-	case "%":
+		return numCell(xn / yn), nil
+	case opMod:
 		if yn == 0 {
-			return nil, in.errorf(pos, "modulo by zero")
+			return cell{}, in.errorf(pos, "modulo by zero")
 		}
-		return math.Mod(xn, yn), nil
-	case "<":
-		return xn < yn, nil
-	case "<=":
-		return xn <= yn, nil
-	case ">":
-		return xn > yn, nil
-	case ">=":
-		return xn >= yn, nil
+		return numCell(math.Mod(xn, yn)), nil
+	case opLt:
+		return cell{ref: xn < yn}, nil
+	case opLe:
+		return cell{ref: xn <= yn}, nil
+	case opGt:
+		return cell{ref: xn > yn}, nil
+	case opGe:
+		return cell{ref: xn >= yn}, nil
 	default:
-		return nil, in.errorf(pos, "unknown operator %q", op)
+		return cell{}, in.errorf(pos, "unknown operator %q", text)
 	}
 }
 
-func (in *interp) evalAssign(ex *assignExpr, env *environment) (Value, error) {
-	rhs, err := in.evalExpr(ex.value, env)
+func (in *interp) evalAssign(ex *assignExpr, fr *frame) (cell, error) {
+	rhs, err := in.eval(ex.value, fr)
 	if err != nil {
-		return nil, err
+		return cell{}, err
 	}
-	if ex.op != "=" {
-		cur, err := in.readTarget(ex.target, env)
+	if ex.opc != opNone {
+		cur, err := in.eval(ex.target, fr)
 		if err != nil {
-			return nil, err
+			return cell{}, err
 		}
-		op := strings.TrimSuffix(ex.op, "=")
-		if rhs, err = in.applyBinary(op, cur, rhs, ex.pos); err != nil {
-			return nil, err
+		text := ex.op[:len(ex.op)-1]
+		if rhs, err = in.applyBinary(ex.opc, text, cur, rhs, ex.pos); err != nil {
+			return cell{}, err
 		}
 	}
-	if err := in.writeTarget(ex.target, rhs, env); err != nil {
-		return nil, err
+	if err := in.writeTarget(ex.target, rhs, fr); err != nil {
+		return cell{}, err
 	}
 	return rhs, nil
 }
 
-func (in *interp) evalUpdate(ex *updateExpr, env *environment) (Value, error) {
-	cur, err := in.readTarget(ex.target, env)
+func (in *interp) evalUpdate(ex *updateExpr, fr *frame) (cell, error) {
+	cur, err := in.eval(ex.target, fr)
 	if err != nil {
-		return nil, err
+		return cell{}, err
 	}
-	n, ok := cur.(float64)
-	if !ok {
-		return nil, in.errorf(ex.pos, "%s requires a number, got %s", ex.op, TypeName(cur))
+	if !cur.isNum {
+		return cell{}, in.errorf(ex.pos, "%s requires a number, got %s", ex.op, cur.typeName())
 	}
-	next := n + 1
-	if ex.op == "--" {
-		next = n - 1
+	next := numCell(cur.num + 1)
+	if ex.opc == opDec {
+		next = numCell(cur.num - 1)
 	}
-	if err := in.writeTarget(ex.target, next, env); err != nil {
-		return nil, err
+	if err := in.writeTarget(ex.target, next, fr); err != nil {
+		return cell{}, err
 	}
 	if ex.postfix {
-		return n, nil
+		return cur, nil
 	}
 	return next, nil
 }
 
-func (in *interp) readTarget(target expr, env *environment) (Value, error) {
-	return in.evalExpr(target, env)
-}
-
-func (in *interp) writeTarget(target expr, v Value, env *environment) error {
+func (in *interp) writeTarget(target expr, v cell, fr *frame) error {
 	switch t := target.(type) {
 	case *identExpr:
-		b, ok := env.lookup(t.name)
-		if !ok {
+		s := in.lookup(t, fr)
+		if s == nil {
 			return in.errorf(t.pos, "%q is not defined", t.name)
 		}
-		if b.constant {
+		if s.constant {
 			return in.errorf(t.pos, "cannot assign to constant %q", t.name)
 		}
-		b.value = v
+		s.cell = v
 		return nil
 	case *memberExpr:
-		obj, err := in.evalExpr(t.obj, env)
+		obj, err := in.eval(t.obj, fr)
 		if err != nil {
 			return err
 		}
-		o, ok := obj.(*Object)
+		o, ok := obj.ref.(*Object)
 		if !ok {
-			return in.errorf(t.pos, "cannot set field %q on %s", t.name, TypeName(obj))
+			return in.errorf(t.pos, "cannot set field %q on %s", t.name, obj.typeName())
 		}
-		o.Set(t.name, v)
+		o.Set(t.name, v.value())
 		return nil
 	case *indexExpr:
-		obj, err := in.evalExpr(t.obj, env)
+		obj, err := in.eval(t.obj, fr)
 		if err != nil {
 			return err
 		}
-		idx, err := in.evalExpr(t.index, env)
+		idx, err := in.eval(t.index, fr)
 		if err != nil {
 			return err
 		}
-		switch o := obj.(type) {
+		switch o := obj.ref.(type) {
 		case *Array:
-			n, ok := idx.(float64)
-			if !ok || n != math.Trunc(n) || n < 0 {
-				return in.errorf(t.pos, "bad array index %s", Stringify(idx))
+			n := idx.num
+			if !idx.isNum || n != math.Trunc(n) || n < 0 {
+				return in.errorf(t.pos, "bad array index %s", idx.stringify())
 			}
 			i := int(n)
 			if i >= maxArrayLen {
@@ -839,81 +858,122 @@ func (in *interp) writeTarget(target expr, v Value, env *environment) error {
 			for len(o.Elems) <= i {
 				o.Elems = append(o.Elems, nil)
 			}
-			o.Elems[i] = v
+			o.Elems[i] = v.value()
 			return nil
 		case *Object:
-			key, ok := idx.(string)
+			key, ok := idx.ref.(string)
 			if !ok {
-				key = Stringify(idx)
+				key = idx.stringify()
 			}
-			o.Set(key, v)
+			o.Set(key, v.value())
 			return nil
 		default:
-			return in.errorf(t.pos, "cannot index-assign into %s", TypeName(obj))
+			return in.errorf(t.pos, "cannot index-assign into %s", obj.typeName())
 		}
 	default:
 		return in.errorf(target.position(), "invalid assignment target")
 	}
 }
 
-func (in *interp) member(obj Value, name string, pos Position) (Value, error) {
-	switch o := obj.(type) {
+func (in *interp) member(obj cell, name string, pos Position) (cell, error) {
+	switch o := obj.ref.(type) {
 	case *Object:
-		return o.Get(name), nil
+		return cellOf(o.Get(name)), nil
 	case *Array:
 		if name == "length" {
-			return float64(len(o.Elems)), nil
+			return numCell(float64(len(o.Elems))), nil
 		}
-		return nil, in.errorf(pos, "array has no member %q (use builtins: push, pop, slice, ...)", name)
+		return cell{}, in.errorf(pos, "array has no member %q (use builtins: push, pop, slice, ...)", name)
 	case string:
 		if name == "length" {
-			return float64(len(o)), nil
+			return numCell(float64(len(o))), nil
 		}
-		return nil, in.errorf(pos, "string has no member %q", name)
-	case nil:
-		return nil, in.errorf(pos, "cannot read %q of null", name)
-	default:
-		return nil, in.errorf(pos, "cannot read member %q of %s", name, TypeName(obj))
+		return cell{}, in.errorf(pos, "string has no member %q", name)
 	}
+	if obj.isNull() {
+		return cell{}, in.errorf(pos, "cannot read %q of null", name)
+	}
+	return cell{}, in.errorf(pos, "cannot read member %q of %s", name, obj.typeName())
 }
 
-func (in *interp) index(obj, idx Value, pos Position) (Value, error) {
-	switch o := obj.(type) {
+func (in *interp) index(obj, idx cell, pos Position) (cell, error) {
+	switch o := obj.ref.(type) {
 	case *Array:
-		n, ok := idx.(float64)
-		if !ok || n != math.Trunc(n) {
-			return nil, in.errorf(pos, "bad array index %s", Stringify(idx))
+		n := idx.num
+		if !idx.isNum || n != math.Trunc(n) {
+			return cell{}, in.errorf(pos, "bad array index %s", idx.stringify())
 		}
 		i := int(n)
 		if i < 0 || i >= len(o.Elems) {
-			return nil, nil // out-of-range reads yield null, like JS undefined
+			return cell{}, nil // out-of-range reads yield null, like JS undefined
 		}
-		return o.Elems[i], nil
+		return cellOf(o.Elems[i]), nil
 	case *Object:
-		key, ok := idx.(string)
+		key, ok := idx.ref.(string)
 		if !ok {
-			key = Stringify(idx)
+			key = idx.stringify()
 		}
-		return o.Get(key), nil
+		return cellOf(o.Get(key)), nil
 	case string:
-		n, ok := idx.(float64)
-		if !ok || n != math.Trunc(n) {
-			return nil, in.errorf(pos, "bad string index %s", Stringify(idx))
+		n := idx.num
+		if !idx.isNum || n != math.Trunc(n) {
+			return cell{}, in.errorf(pos, "bad string index %s", idx.stringify())
 		}
 		i := int(n)
 		if i < 0 || i >= len(o) {
-			return nil, nil
+			return cell{}, nil
 		}
-		return string(o[i]), nil
-	case nil:
-		return nil, in.errorf(pos, "cannot index null")
-	default:
-		return nil, in.errorf(pos, "cannot index %s", TypeName(obj))
+		return cell{ref: string(o[i])}, nil
 	}
+	if obj.isNull() {
+		return cell{}, in.errorf(pos, "cannot index null")
+	}
+	return cell{}, in.errorf(pos, "cannot index %s", obj.typeName())
 }
 
-// callValue invokes a script function or host function.
-func (in *interp) callValue(callee Value, args []Value, pos Position) (Value, error) {
+// ---- Calls ----
+
+// evalCall evaluates a call expression. Calling a script function that does
+// not read `arguments` evaluates each argument straight into its parameter's
+// slot in the callee's frame, so numbers stay unboxed and no argument slice
+// exists; every other callee receives its arguments as a []Value.
+func (in *interp) evalCall(ex *callExpr, fr *frame) (cell, error) {
+	callee, err := in.eval(ex.callee, fr)
+	if err != nil {
+		return cell{}, err
+	}
+	fn, ok := callee.ref.(*Function)
+	if !ok || fn.lit.usesArguments {
+		args := make([]Value, len(ex.args))
+		for i, a := range ex.args {
+			v, err := in.eval(a, fr)
+			if err != nil {
+				return cell{}, err
+			}
+			args[i] = v.value()
+		}
+		return in.callValue(callee.value(), args, ex.pos)
+	}
+	lit := fn.lit
+	callFr := in.ctx.enter(&lit.scope, fn.env)
+	for i, a := range ex.args {
+		v, err := in.eval(a, fr)
+		if err != nil {
+			in.ctx.leave(&lit.scope, callFr)
+			return cell{}, err
+		}
+		if i < len(lit.paramSlots) {
+			callFr.slots[lit.paramSlots[i]].define(v, false)
+		}
+	}
+	for i := len(ex.args); i < len(lit.paramSlots); i++ {
+		callFr.slots[lit.paramSlots[i]].define(cell{}, false)
+	}
+	return in.invoke(lit, callFr, len(ex.args), ex.pos)
+}
+
+// callValue invokes a script function or host function with boxed arguments.
+func (in *interp) callValue(callee Value, args []Value, pos Position) (cell, error) {
 	switch fn := callee.(type) {
 	case HostFunc:
 		var hostStart time.Time
@@ -931,50 +991,61 @@ func (in *interp) callValue(callee Value, args []Value, pos Position) (Value, er
 			// handler must not swallow its own abort.
 			var rt *RuntimeError
 			if errors.As(err, &rt) {
-				return nil, err
+				return cell{}, err
 			}
 			var be *BudgetError
 			if errors.As(err, &be) {
-				return nil, err
+				return cell{}, err
 			}
-			return nil, throwSignal{value: err.Error(), pos: pos}
+			return cell{}, throwSignal{value: err.Error(), pos: pos}
 		}
 		// Host and builtin results are charged shallowly here — the one
 		// choke point every host-constructed value passes through.
 		if err := in.charge(sizeEstimate(v), pos); err != nil {
-			return nil, err
+			return cell{}, err
 		}
-		return v, nil
+		return cellOf(v), nil
 	case *Function:
-		in.depth++
-		defer func() { in.depth-- }()
-		if in.depth > in.ctx.maxDepth {
-			return nil, in.errorf(pos, "call stack depth limit exceeded")
-		}
-		if err := in.charge(24+16*int64(len(args)), pos); err != nil {
-			return nil, err
-		}
-		env := newEnvironment(fn.env)
-		for i, p := range fn.params {
+		lit := fn.lit
+		callFr := in.ctx.enter(&lit.scope, fn.env)
+		for i, idx := range lit.paramSlots {
 			var v Value
 			if i < len(args) {
 				v = args[i]
 			}
-			env.define(p, v, false)
+			callFr.slots[idx].define(cellOf(v), false)
 		}
-		env.define("arguments", &Array{Elems: args}, false)
-		for _, s := range fn.body.stmts {
-			if err := in.execStmt(s, env); err != nil {
-				if ret, ok := err.(returnSignal); ok {
-					return ret.value, nil
-				}
-				return nil, err
-			}
+		if lit.usesArguments {
+			callFr.slots[lit.argsSlot].define(cell{ref: &Array{Elems: args}}, false)
 		}
-		return nil, nil
+		return in.invoke(lit, callFr, len(args), pos)
 	case nil:
-		return nil, in.errorf(pos, "cannot call null")
+		return cell{}, in.errorf(pos, "cannot call null")
 	default:
-		return nil, in.errorf(pos, "%s is not callable", TypeName(callee))
+		return cell{}, in.errorf(pos, "%s is not callable", TypeName(callee))
 	}
+}
+
+// invoke runs a function body in its prepared call frame fr and releases
+// the frame.
+func (in *interp) invoke(lit *funcLit, fr *frame, nargs int, pos Position) (cell, error) {
+	in.depth++
+	v, err := in.runBody(lit, fr, nargs, pos)
+	in.depth--
+	in.ctx.leave(&lit.scope, fr)
+	return v, err
+}
+
+func (in *interp) runBody(lit *funcLit, fr *frame, nargs int, pos Position) (cell, error) {
+	if in.depth > in.ctx.maxDepth {
+		return cell{}, in.errorf(pos, "call stack depth limit exceeded")
+	}
+	if err := in.charge(24+16*int64(nargs), pos); err != nil {
+		return cell{}, err
+	}
+	err := in.execList(lit.body.stmts, fr)
+	if _, ok := err.(returnSignal); ok {
+		return in.ret, nil
+	}
+	return cell{}, err
 }

@@ -606,6 +606,29 @@ func TestCallUndefinedFunction(t *testing.T) {
 	}
 }
 
+// A Call that finds no function ran nothing, so it must not leave the
+// previous invocation's step count to be read — and metered on
+// script.<module>.instructions — a second time.
+func TestCallUndefinedFunctionResetsLastInstructions(t *testing.T) {
+	c := NewContext()
+	if err := c.Load("var n = 0; for (var i = 0; i < 10; i++) { n += i; }"); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	total := c.Instructions()
+	if c.LastInstructions() == 0 || total != c.LastInstructions() {
+		t.Fatalf("after Load: last %d, total %d", c.LastInstructions(), total)
+	}
+	if _, err := c.Call("event_received"); err == nil {
+		t.Fatal("Call on undefined function succeeded")
+	}
+	if got := c.LastInstructions(); got != 0 {
+		t.Errorf("LastInstructions after a Call that ran nothing = %d, want 0", got)
+	}
+	if got := c.Instructions(); got != total {
+		t.Errorf("Instructions moved from %d to %d", total, got)
+	}
+}
+
 func TestCallWithArgs(t *testing.T) {
 	c := NewContext()
 	if err := c.Load("function add(a, b) { return a + b; }"); err != nil {

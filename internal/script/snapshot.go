@@ -46,13 +46,13 @@ type savedVar struct {
 func (c *Context) Snapshot() *Snapshot {
 	s := &Snapshot{version: c.PreservationVersion()}
 	//vpvet:allow determinism iteration order is erased by the sort below
-	for name, b := range c.globals.vars {
-		if b.constant {
+	for name, g := range c.globals {
+		if g.constant {
 			continue
 		}
-		switch b.value.(type) {
+		switch v := g.value().(type) {
 		case nil, bool, float64, string, *Array, *Object:
-			s.vars = append(s.vars, savedVar{name: name, data: ToGo(b.value)})
+			s.vars = append(s.vars, savedVar{name: name, data: ToGo(v)})
 		}
 	}
 	sort.Slice(s.vars, func(i, j int) bool { return s.vars[i].name < s.vars[j].name })
@@ -71,16 +71,16 @@ func (c *Context) Restore(s *Snapshot) {
 		return
 	}
 	for _, v := range s.vars {
-		if b, ok := c.globals.vars[v.name]; ok {
-			if b.constant {
+		if g, ok := c.globals[v.name]; ok {
+			if g.constant {
 				continue
 			}
-			switch b.value.(type) {
+			switch g.value().(type) {
 			case nil, bool, float64, string, *Array, *Object:
-				b.value = FromGo(v.data)
+				g.cell = cellOf(FromGo(v.data))
 			}
 		} else {
-			c.globals.define(v.name, FromGo(v.data), false)
+			c.defineGlobal(v.name, cellOf(FromGo(v.data)), false)
 		}
 	}
 }

@@ -10,65 +10,68 @@ import (
 	"strings"
 )
 
-// installStdlib registers the builtin function library in a context. The
+// builtins is the builtin function library every context starts with. The
 // set mirrors the helpers the paper's JavaScript modules would reach for:
-// array and object manipulation, math, strings and JSON.
+// array and object manipulation, math, strings and JSON. The functions are
+// stateless, so one table serves every context.
+var builtins = map[string]HostFunc{
+	// ---- general ----
+	"len":    stdLen,
+	"str":    func(a []Value) (Value, error) { return Stringify(arg(a, 0)), nil },
+	"num":    stdNum,
+	"is_nan": func(a []Value) (Value, error) { n, ok := arg(a, 0).(float64); return ok && math.IsNaN(n), nil },
+
+	// ---- arrays ----
+	"push":     stdPush,
+	"pop":      stdPop,
+	"shift":    stdShift,
+	"unshift":  stdUnshift,
+	"slice":    stdSlice,
+	"concat":   stdConcat,
+	"index_of": stdIndexOf,
+	"reverse":  stdReverse,
+	"sort":     stdSort,
+	"range":    stdRange,
+
+	// ---- objects ----
+	"keys":   stdKeys,
+	"values": stdValues,
+	"has":    stdHas,
+	"remove": stdRemove,
+
+	// ---- math ----
+	"abs":   math1(math.Abs),
+	"floor": math1(math.Floor),
+	"ceil":  math1(math.Ceil),
+	"round": math1(math.Round),
+	"sqrt":  math1(math.Sqrt),
+	"exp":   math1(math.Exp),
+	"log":   math1(math.Log),
+	"sin":   math1(math.Sin),
+	"cos":   math1(math.Cos),
+	"atan2": math2(math.Atan2),
+	"pow":   math2(math.Pow),
+	"min":   stdMin,
+	"max":   stdMax,
+
+	// ---- strings ----
+	"substr":      stdSubstr,
+	"split":       stdSplit,
+	"join":        stdJoin,
+	"upper":       func(a []Value) (Value, error) { s, err := strArg(a, 0, "upper"); return strings.ToUpper(s), err },
+	"lower":       func(a []Value) (Value, error) { s, err := strArg(a, 0, "lower"); return strings.ToLower(s), err },
+	"trim":        func(a []Value) (Value, error) { s, err := strArg(a, 0, "trim"); return strings.TrimSpace(s), err },
+	"contains":    stdContains,
+	"starts_with": stdStartsWith,
+	"ends_with":   stdEndsWith,
+
+	// ---- JSON ----
+	"json_encode": stdJSONEncode,
+	"json_decode": stdJSONDecode,
+}
+
+// installStdlib binds the builtins as globals of c.
 func installStdlib(c *Context) {
-	builtins := map[string]HostFunc{
-		// ---- general ----
-		"len":    stdLen,
-		"str":    func(a []Value) (Value, error) { return Stringify(arg(a, 0)), nil },
-		"num":    stdNum,
-		"is_nan": func(a []Value) (Value, error) { n, ok := arg(a, 0).(float64); return ok && math.IsNaN(n), nil },
-
-		// ---- arrays ----
-		"push":     stdPush,
-		"pop":      stdPop,
-		"shift":    stdShift,
-		"unshift":  stdUnshift,
-		"slice":    stdSlice,
-		"concat":   stdConcat,
-		"index_of": stdIndexOf,
-		"reverse":  stdReverse,
-		"sort":     stdSort,
-		"range":    stdRange,
-
-		// ---- objects ----
-		"keys":   stdKeys,
-		"values": stdValues,
-		"has":    stdHas,
-		"remove": stdRemove,
-
-		// ---- math ----
-		"abs":   math1(math.Abs),
-		"floor": math1(math.Floor),
-		"ceil":  math1(math.Ceil),
-		"round": math1(math.Round),
-		"sqrt":  math1(math.Sqrt),
-		"exp":   math1(math.Exp),
-		"log":   math1(math.Log),
-		"sin":   math1(math.Sin),
-		"cos":   math1(math.Cos),
-		"atan2": math2(math.Atan2),
-		"pow":   math2(math.Pow),
-		"min":   stdMin,
-		"max":   stdMax,
-
-		// ---- strings ----
-		"substr":      stdSubstr,
-		"split":       stdSplit,
-		"join":        stdJoin,
-		"upper":       func(a []Value) (Value, error) { s, err := strArg(a, 0, "upper"); return strings.ToUpper(s), err },
-		"lower":       func(a []Value) (Value, error) { s, err := strArg(a, 0, "lower"); return strings.ToLower(s), err },
-		"trim":        func(a []Value) (Value, error) { s, err := strArg(a, 0, "trim"); return strings.TrimSpace(s), err },
-		"contains":    stdContains,
-		"starts_with": stdStartsWith,
-		"ends_with":   stdEndsWith,
-
-		// ---- JSON ----
-		"json_encode": stdJSONEncode,
-		"json_decode": stdJSONDecode,
-	}
 	for name, fn := range builtins {
 		c.Bind(name, fn)
 	}

@@ -62,10 +62,11 @@ func (o *Object) SortedKeys() []string {
 
 // Function is a script-defined closure.
 type Function struct {
-	name   string
-	params []string
-	body   *blockStmt
-	env    *environment
+	name string
+	lit  *funcLit
+	// env is the frame the literal was evaluated in: the innermost enclosing
+	// scope that declares anything, nil for the globals.
+	env *frame
 }
 
 // Name reports the function's declared name, or "" for anonymous functions.
