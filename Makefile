@@ -55,9 +55,14 @@ race:
 # (raw round trip, clone, warm JPEG decode) and wire message paths must
 # stay pinned (near zero) after the buffer pool / copy-elision work, and
 # the interpreter's counted loop and script-to-script call must stay
-# independent of the iteration count.
+# independent of the iteration count. The BufferPool tests ride along: the
+# pool's determinism (a hit after two GCs, retention cap, spare rule), the
+# whole warm remote hop under 2 KiB (internal/netsim), and conservation —
+# every chunk, body and frame back in the pool after decode failures, a
+# full store, and Cluster.Close with frames in flight.
 alloc:
-	$(GO) test -run 'Allocs|ReleaseGuards' ./internal/frame ./internal/wire ./internal/script
+	$(GO) test -run 'Allocs|ReleaseGuards|BufferPool' ./internal/frame ./internal/wire ./internal/script \
+		./internal/netsim ./internal/device ./internal/core
 
 cover:
 	$(GO) test -cover ./...

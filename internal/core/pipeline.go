@@ -249,15 +249,16 @@ func (p *Pipeline) returnCredit() {
 	p.creditMu.Unlock()
 }
 
-// takeCredit claims one admission slot, reporting whether one was free.
-func (p *Pipeline) takeCredit() bool {
+// takeCredit claims one admission slot, reporting whether one was free and
+// how many are left.
+func (p *Pipeline) takeCredit() (left int, ok bool) {
 	p.creditMu.Lock()
 	defer p.creditMu.Unlock()
 	if p.creditAvail <= 0 {
-		return false
+		return 0, false
 	}
 	p.creditAvail--
-	return true
+	return p.creditAvail, true
 }
 
 // ResizeCredits adjusts the flow-control window to n credits — the
@@ -387,7 +388,8 @@ func (p *Pipeline) PrimeCredits() {
 // measured from it at the sink) and ownership transfers unconditionally —
 // a rejected frame has already been released when Offer returns false.
 func (p *Pipeline) Offer(f *frame.Frame) bool {
-	if !p.takeCredit() {
+	left, ok := p.takeCredit()
+	if !ok {
 		// Dropped at the source: emit owns the frame, so recycle its
 		// buffer here. (Once TryInject Puts it in the device store, the
 		// store owns it and releases on eviction.)
@@ -395,6 +397,14 @@ func (p *Pipeline) Offer(f *frame.Frame) bool {
 		p.cluster.Metrics().Meter("pipeline." + p.name + ".source_drops").Mark()
 		return false
 	}
+	// Credits bound the frames in flight (§2.3) and an in-flight frame holds
+	// one pixel buffer at a time (a remote hop releases the sender's before
+	// the receiver decodes), so the most this pipeline can still take from
+	// the pool is one buffer per unclaimed credit, plus the one the source
+	// is holding when an offer is refused. Keeping that many free means the
+	// burst that first fills the window — the source catching up after a
+	// stall — allocates nothing, at whatever second of a run it comes.
+	frame.Pool.Reserve(len(f.Pix), left+1)
 	body := map[string]any{
 		"captured_ms": float64(f.Captured.UnixNano()) / 1e6,
 		"seq":         float64(f.Seq),

@@ -713,14 +713,20 @@ func TestCallModuleValidationFromScript(t *testing.T) {
 			try { call_module(7); } catch (e) { failures++; }
 			try { call_module("next", 5); } catch (e) { failures++; }
 			try { call_module("next", {frame_ref: "bad"}); } catch (e) { failures++; }
+			// A payload that contains itself fails the call; it used to
+			// overflow the host's stack.
+			var a = []; push(a, a);
+			try { call_module("next", {v: a}); } catch (e) { failures++; }
+			try { call_service("s", {v: a}); } catch (e) { failures++; }
+			try { log(a); } catch (e) { failures++; }
 			metric("failures", failures);
 		}
 	`
 	m, _ := d.SpawnModule(ModuleSpec{Name: "m", Source: src, Next: []Route{{Module: "next"}}})
 	m.Inject(context.Background(), nil, nil)
 	waitFor(t, func() bool { return d.Metrics().Histogram("stage.failures").Count() == 1 })
-	if got := d.Metrics().Histogram("stage.failures").Mean(); got != 4*time.Millisecond {
-		t.Errorf("call_module validation failures = %v, want 4 (as ms)", got)
+	if got := d.Metrics().Histogram("stage.failures").Mean(); got != 7*time.Millisecond {
+		t.Errorf("call_module validation failures = %v, want 7 (as ms)", got)
 	}
 }
 

@@ -105,9 +105,9 @@ func (m *Module) hostCallService(args []script.Value) (script.Value, error) {
 
 	callArgs := map[string]any{}
 	if len(args) >= 2 && args[1] != nil {
-		converted, ok := script.ToGo(args[1]).(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("call_service: message must be an object, got %s", script.TypeName(args[1]))
+		converted, err := messageArg("call_service", args[1])
+		if err != nil {
+			return nil, err
 		}
 		callArgs = converted
 	}
@@ -182,9 +182,9 @@ func (m *Module) hostCallModule(args []script.Value) (script.Value, error) {
 
 	body := map[string]any{}
 	if len(args) >= 2 && args[1] != nil {
-		converted, ok := script.ToGo(args[1]).(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("call_module: message must be an object, got %s", script.TypeName(args[1]))
+		converted, err := messageArg("call_module", args[1])
+		if err != nil {
+			return nil, err
 		}
 		body = converted
 	}
@@ -280,13 +280,31 @@ func (m *Module) deliverRemote(route Route, body map[string]any, frameID uint64)
 	return nil
 }
 
+// messageArg converts the message argument of host call fn to its wire
+// form. The error — not an object, or nested past script.MaxDepth — becomes
+// a script throw at the call's position.
+func messageArg(fn string, v script.Value) (map[string]any, error) {
+	plain, err := script.ToGo(v)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", fn, err)
+	}
+	msg, ok := plain.(map[string]any)
+	if !ok {
+		return nil, fmt.Errorf("%s: message must be an object, got %s", fn, script.TypeName(v))
+	}
+	return msg, nil
+}
+
 // hostLog implements log(...): module diagnostics tagged with device and
 // module name.
 func (m *Module) hostLog(args []script.Value) (script.Value, error) {
 	parts := make([]any, 0, len(args))
 	logged := 0
 	for _, a := range args {
-		s := script.Stringify(a)
+		s, err := script.Stringify(a)
+		if err != nil {
+			return nil, fmt.Errorf("log: %w", err)
+		}
 		logged += len(s)
 		parts = append(parts, s)
 	}

@@ -286,6 +286,9 @@ func (m *Module) Inject(ctx context.Context, body map[string]any, f *frame.Frame
 	if f != nil {
 		id, err := m.dev.store.Put(f)
 		if err != nil {
+			// The store never took it, so the frame is still ours to
+			// recycle: ownership transferred to Inject unconditionally.
+			f.Release()
 			return fmt.Errorf("device: inject into %s: %w", m.spec.Name, err)
 		}
 		ev.frameID = id
@@ -311,6 +314,7 @@ func (m *Module) TryInject(body map[string]any, f *frame.Frame) (bool, error) {
 	if f != nil {
 		id, err := m.dev.store.Put(f)
 		if err != nil {
+			f.Release()
 			return false, fmt.Errorf("device: inject into %s: %w", m.spec.Name, err)
 		}
 		ev.frameID = id
@@ -346,8 +350,17 @@ func (m *Module) receiveLoop() {
 			return
 		}
 		ev, err := m.decodeWireEvent(msg)
+		// JSON and both codecs copy out of the parts, so the body buffer
+		// can go back to the pool before the event is even queued.
+		carriedFrame := len(msg.Part(1)) > 0
+		msg.Release()
 		if err != nil {
 			m.dev.reg.Meter("module." + m.spec.Name + ".decode_errors").Mark()
+			if carriedFrame {
+				// The source spent a credit admitting this frame; an event
+				// that dies here would otherwise never give it back.
+				m.abandonCredit()
+			}
 			continue
 		}
 		select {
@@ -366,6 +379,12 @@ func (m *Module) receiveLoop() {
 // the close/drain counterpart of the error path in handleEvent.
 func (m *Module) abandonFrame(id uint64) {
 	m.dev.store.Release(id)
+	m.abandonCredit()
+}
+
+// abandonCredit returns the flow-control credit of a frame that will never
+// reach frame_done(), so a fault burst cannot starve the source.
+func (m *Module) abandonCredit() {
 	if m.onFrameAbandoned != nil {
 		m.dev.reg.Meter("module." + m.spec.Name + ".abandoned").Mark()
 		m.onFrameAbandoned()
@@ -380,13 +399,14 @@ func (m *Module) decodeWireEvent(msg wire.Message) (event, error) {
 		}
 	}
 	ev := event{body: body}
-	if msg.Len() >= 2 && len(msg.Part(1)) > 0 {
+	if len(msg.Part(1)) > 0 {
 		f, err := m.dev.codec.Decode(msg.Part(1))
 		if err != nil {
 			return event{}, fmt.Errorf("device: module %s: bad frame payload: %w", m.spec.Name, err)
 		}
 		id, err := m.dev.store.Put(f)
 		if err != nil {
+			f.Release()
 			return event{}, err
 		}
 		ev.frameID = id
@@ -525,9 +545,8 @@ func (m *Module) handleEvent(ev event) {
 		m.dev.reg.Meter("module." + m.spec.Name + ".errors").Mark()
 		// The frame this event owned will never reach frame_done();
 		// return its credit so the source is not starved forever.
-		if ev.frameID != 0 && !m.frameDoneSeen && m.onFrameAbandoned != nil {
-			m.dev.reg.Meter("module." + m.spec.Name + ".abandoned").Mark()
-			m.onFrameAbandoned()
+		if ev.frameID != 0 && !m.frameDoneSeen {
+			m.abandonCredit()
 		}
 		var be *script.BudgetError
 		if errors.As(err, &be) {

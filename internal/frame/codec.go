@@ -97,8 +97,10 @@ func (c JPEGCodec) AppendEncode(dst []byte, f *Frame) ([]byte, error) {
 	if q == 0 {
 		q = jpeg.DefaultQuality
 	}
-	w := appendWriter{buf: appendHeader(dst, f)}
-	if err := jpeg.Encode(&w, f.ToImage(), &jpeg.Options{Quality: q}); err != nil {
+	w := appendWriter{buf: appendHeader(dst, f), tmp: Pool.GetDirty(stageSize)}
+	err := jpeg.Encode(&w, f.ToImage(), &jpeg.Options{Quality: q})
+	Pool.Put(w.tmp)
+	if err != nil {
 		return nil, fmt.Errorf("frame: jpeg encode: %w", err)
 	}
 	return w.buf, nil
@@ -107,14 +109,18 @@ func (c JPEGCodec) AppendEncode(dst []byte, f *Frame) ([]byte, error) {
 // appendWriter adapts append-style buffer growth to the stdlib JPEG
 // encoder. It implements Flush and WriteByte alongside Write so
 // jpeg.Encode uses it directly instead of wrapping it in a fresh
-// bufio.Writer per call. Bytes stage through a fixed array first:
-// appending straight to buf would pay a bounds check and a slice-header
-// write barrier on every WriteByte in the encoder's bit-emit loop.
+// bufio.Writer per call. Bytes stage through tmp first: appending straight
+// to buf would pay a bounds check and a slice-header write barrier on every
+// WriteByte in the encoder's bit-emit loop. The writer escapes into
+// jpeg.Encode's io.Writer, so tmp is borrowed from the pool for the call
+// rather than embedded as an array the heap would pay for on every encode.
 type appendWriter struct {
 	buf []byte
 	n   int
-	tmp [2048]byte
+	tmp []byte
 }
+
+const stageSize = 2048
 
 func (w *appendWriter) flushTmp() {
 	w.buf = append(w.buf, w.tmp[:w.n]...)

@@ -61,7 +61,7 @@ func MustNew(width, height int) *Frame {
 // clone and should Release it when done.
 func (f *Frame) Clone() *Frame {
 	out := &Frame{Seq: f.Seq, Width: f.Width, Height: f.Height, Captured: f.Captured, pooled: true}
-	out.Pix = Pool.get(len(f.Pix), false)
+	out.Pix = Pool.GetDirty(len(f.Pix))
 	copy(out.Pix, f.Pix)
 	return out
 }

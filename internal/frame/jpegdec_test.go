@@ -61,10 +61,7 @@ func withHeader(w, h int, payload []byte) []byte {
 
 // outstanding is the number of pool buffers handed out and not yet put
 // back.
-func outstanding() int64 {
-	hits, misses := Pool.Stats()
-	return int64(hits+misses) - int64(Pool.puts.Load())
-}
+func outstanding() int64 { return Pool.Outstanding() }
 
 func TestJPEGDecodeDifferential(t *testing.T) {
 	sizes := [][2]int{{1, 1}, {37, 21}, {64, 48}, {320, 240}, {480, 360}, {640, 480}}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"videopipe/internal/frame"
 )
 
 // errTimeout is returned from Read/Write when a deadline expires. It
@@ -20,8 +22,12 @@ type errClosed struct{}
 
 func (errClosed) Error() string { return "netsim: use of closed connection" }
 
-// chunk is a contiguous run of written bytes with a delivery time.
+// chunk is a contiguous run of written bytes with a delivery time. buf is
+// the pipe's private copy of one Write, borrowed from frame.Pool until the
+// reader has drained it or closeRead discards it; data is the part of buf
+// not yet read.
 type chunk struct {
+	buf     []byte
 	data    []byte
 	readyAt time.Time
 }
@@ -93,10 +99,10 @@ func (p *shapedPipe) write(b []byte) (int, error) {
 	p.nextFree = txEnd
 	readyAt := txEnd.Add(prof.chunkDelay(p.rng))
 
-	data := make([]byte, len(b))
-	copy(data, b)
-	p.chunks = append(p.chunks, chunk{data: data, readyAt: readyAt})
-	p.buffered += len(data)
+	buf := frame.Pool.GetDirty(len(b))
+	copy(buf, b)
+	p.chunks = append(p.chunks, chunk{buf: buf, data: buf, readyAt: readyAt})
+	p.buffered += len(b)
 	p.broadcast()
 	return len(b), nil
 }
@@ -122,7 +128,15 @@ func (p *shapedPipe) read(out []byte) (int, error) {
 				head.data = head.data[n:]
 				p.buffered -= n
 				if len(head.data) == 0 {
-					p.chunks = p.chunks[1:]
+					frame.Pool.Put(head.buf)
+					*head = chunk{}
+					if len(p.chunks) == 1 {
+						// Rewind rather than advance, so a pipe carrying one
+						// write at a time never regrows its queue.
+						p.chunks = p.chunks[:0]
+					} else {
+						p.chunks = p.chunks[1:]
+					}
 				}
 				p.broadcast() // free buffer space for writers
 				return n, nil
@@ -185,6 +199,9 @@ func (p *shapedPipe) closeRead() {
 		return
 	}
 	p.broken = true
+	for _, c := range p.chunks {
+		frame.Pool.Put(c.buf)
+	}
 	p.chunks = nil
 	p.buffered = 0
 	p.broadcast()

@@ -278,6 +278,9 @@ func FuzzBudget(f *testing.F) {
 	}
 	f.Add(`function event_received(m) { while (true) {} }`, int64(50), int64(128))
 	f.Add(`var s = "x"; function event_received(m) { while (true) { s = s + s; } }`, int64(100000), int64(64))
+	// A value that contains itself, pushed through every walker that
+	// recurses over values (str, concat, json_encode; Snapshot below).
+	f.Add(`var a = []; push(a, a); function event_received(m) { try { str(a); } catch (e) {} try { json_encode({v: a}); } catch (e) {} return "" + a; }`, int64(100000), int64(1<<20))
 	f.Fuzz(func(t *testing.T, src string, instr, mem int64) {
 		if instr <= 0 {
 			instr = 1
@@ -310,5 +313,6 @@ func FuzzBudget(f *testing.F) {
 			_, err := c.Call("event_received", FromGo(map[string]any{"kind": "fuzz"}))
 			checkBreach(err)
 		}
+		c.Snapshot()
 	})
 }

@@ -70,11 +70,21 @@ func (c cell) typeName() string {
 	return TypeName(c.ref)
 }
 
-func (c cell) stringify() string {
+func (c cell) stringify() (string, error) {
 	if c.isNum {
-		return formatNumber(c.num)
+		return formatNumber(c.num), nil
 	}
 	return Stringify(c.ref)
+}
+
+// display is stringify for diagnostics, which cannot fail themselves: a
+// value too deep to print shows the reason in its place.
+func (c cell) display() string {
+	s, err := c.stringify()
+	if err != nil {
+		return "<" + err.Error() + ">"
+	}
+	return s
 }
 
 // cellsEqual implements == on cells; see valuesEqual.

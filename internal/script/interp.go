@@ -38,7 +38,7 @@ type throwSignal struct {
 }
 
 func (t throwSignal) Error() string {
-	return fmt.Sprintf("uncaught: %s", Stringify(t.value))
+	return "uncaught: " + cellOf(t.value).display()
 }
 
 // Context is one isolated PipeScript execution environment — the analogue
@@ -237,7 +237,7 @@ type interp struct {
 func (in *interp) publicError(err error) error {
 	var t throwSignal
 	if errors.As(err, &t) {
-		return &RuntimeError{Pos: t.pos, Msg: "uncaught exception: " + Stringify(t.value), Thrown: t.value}
+		return &RuntimeError{Pos: t.pos, Msg: "uncaught exception: " + cellOf(t.value).display(), Thrown: t.value}
 	}
 	switch err.(type) {
 	case breakSignal, continueSignal, returnSignal:
@@ -697,6 +697,16 @@ func (in *interp) evalUnary(ex *unaryExpr, fr *frame) (cell, error) {
 	}
 }
 
+// text is c.stringify with its one failure (a value nested past MaxDepth)
+// raised as a runtime error at pos.
+func (in *interp) text(c cell, pos Position) (string, error) {
+	s, err := c.stringify()
+	if err != nil {
+		return "", in.errorf(pos, "%v", err)
+	}
+	return s, nil
+}
+
 // applyBinary applies a non-short-circuit operator; text is its source
 // form, for error messages.
 func (in *interp) applyBinary(op opcode, text string, x, y cell, pos Position) (cell, error) {
@@ -713,7 +723,15 @@ func (in *interp) applyBinary(op opcode, text string, x, y cell, pos Position) (
 		// String concatenation mirrors JS: + with a string operand
 		// concatenates.
 		if op == opAdd && (xIsStr || yIsStr) {
-			s := x.stringify() + y.stringify()
+			xt, err := in.text(x, pos)
+			if err != nil {
+				return cell{}, err
+			}
+			yt, err := in.text(y, pos)
+			if err != nil {
+				return cell{}, err
+			}
+			s := xt + yt
 			if err := in.charge(int64(len(s)), pos); err != nil {
 				return cell{}, err
 			}
@@ -844,7 +862,7 @@ func (in *interp) writeTarget(target expr, v cell, fr *frame) error {
 		case *Array:
 			n := idx.num
 			if !idx.isNum || n != math.Trunc(n) || n < 0 {
-				return in.errorf(t.pos, "bad array index %s", idx.stringify())
+				return in.errorf(t.pos, "bad array index %s", idx.display())
 			}
 			i := int(n)
 			if i >= maxArrayLen {
@@ -863,7 +881,9 @@ func (in *interp) writeTarget(target expr, v cell, fr *frame) error {
 		case *Object:
 			key, ok := idx.ref.(string)
 			if !ok {
-				key = idx.stringify()
+				if key, err = in.text(idx, t.pos); err != nil {
+					return err
+				}
 			}
 			o.Set(key, v.value())
 			return nil
@@ -901,7 +921,7 @@ func (in *interp) index(obj, idx cell, pos Position) (cell, error) {
 	case *Array:
 		n := idx.num
 		if !idx.isNum || n != math.Trunc(n) {
-			return cell{}, in.errorf(pos, "bad array index %s", idx.stringify())
+			return cell{}, in.errorf(pos, "bad array index %s", idx.display())
 		}
 		i := int(n)
 		if i < 0 || i >= len(o.Elems) {
@@ -911,13 +931,16 @@ func (in *interp) index(obj, idx cell, pos Position) (cell, error) {
 	case *Object:
 		key, ok := idx.ref.(string)
 		if !ok {
-			key = idx.stringify()
+			var err error
+			if key, err = in.text(idx, pos); err != nil {
+				return cell{}, err
+			}
 		}
 		return cellOf(o.Get(key)), nil
 	case string:
 		n := idx.num
 		if !idx.isNum || n != math.Trunc(n) {
-			return cell{}, in.errorf(pos, "bad string index %s", idx.stringify())
+			return cell{}, in.errorf(pos, "bad string index %s", idx.display())
 		}
 		i := int(n)
 		if i < 0 || i >= len(o) {

@@ -67,7 +67,7 @@ func semRun(t *testing.T, sc semCase) (got string, loadInstr, runInstr int64) {
 	if err != nil {
 		return "error: " + err.Error(), loadInstr, c.LastInstructions()
 	}
-	return Stringify(v), loadInstr, c.LastInstructions()
+	return cellOf(v).display(), loadInstr, c.LastInstructions()
 }
 
 func TestInterpSemanticsPinned(t *testing.T) {

@@ -52,7 +52,12 @@ func (c *Context) Snapshot() *Snapshot {
 		}
 		switch v := g.value().(type) {
 		case nil, bool, float64, string, *Array, *Object:
-			s.vars = append(s.vars, savedVar{name: name, data: ToGo(v)})
+			// A global nested past MaxDepth (one that contains itself) has
+			// no finite Go form; like a function it stays behind, and the
+			// destination starts it fresh.
+			if data, err := ToGo(v); err == nil {
+				s.vars = append(s.vars, savedVar{name: name, data: data})
+			}
 		}
 	}
 	sort.Slice(s.vars, func(i, j int) bool { return s.vars[i].name < s.vars[j].name })
@@ -110,7 +115,7 @@ func (s *Snapshot) String() string {
 	}
 	var b strings.Builder
 	for _, v := range s.vars {
-		fmt.Fprintf(&b, "%s=%s\n", v.name, Stringify(FromGo(v.data)))
+		fmt.Fprintf(&b, "%s=%s\n", v.name, cellOf(FromGo(v.data)).display())
 	}
 	return b.String()
 }

@@ -17,7 +17,7 @@ import (
 var builtins = map[string]HostFunc{
 	// ---- general ----
 	"len":    stdLen,
-	"str":    func(a []Value) (Value, error) { return Stringify(arg(a, 0)), nil },
+	"str":    func(a []Value) (Value, error) { s, err := Stringify(arg(a, 0)); return s, err },
 	"num":    stdNum,
 	"is_nan": func(a []Value) (Value, error) { n, ok := arg(a, 0).(float64); return ok && math.IsNaN(n), nil },
 
@@ -471,7 +471,9 @@ func stdJoin(args []Value) (Value, error) {
 	}
 	parts := make([]string, len(a.Elems))
 	for i, e := range a.Elems {
-		parts[i] = Stringify(e)
+		if parts[i], err = Stringify(e); err != nil {
+			return nil, fmt.Errorf("join: %w", err)
+		}
 	}
 	return strings.Join(parts, sep), nil
 }
@@ -521,7 +523,11 @@ func stdEndsWith(args []Value) (Value, error) {
 }
 
 func stdJSONEncode(args []Value) (Value, error) {
-	data, err := json.Marshal(ToGo(arg(args, 0)))
+	plain, err := ToGo(arg(args, 0))
+	if err != nil {
+		return nil, fmt.Errorf("json_encode: %w", err)
+	}
+	data, err := json.Marshal(plain)
 	if err != nil {
 		return nil, fmt.Errorf("json_encode: %w", err)
 	}

@@ -1,8 +1,10 @@
 package script
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -200,8 +202,8 @@ func TestFromGoToGoRoundTrip(t *testing.T) {
 		"arr":  []any{1.0, "two", false},
 		"obj":  map[string]any{"nested": []any{map[string]any{"deep": 9.0}}},
 	}
-	out := ToGo(FromGo(in))
-	if !reflect.DeepEqual(out, in) {
+	out, err := ToGo(FromGo(in))
+	if err != nil || !reflect.DeepEqual(out, in) {
 		t.Errorf("round trip mismatch:\n got %#v\nwant %#v", out, in)
 	}
 }
@@ -216,11 +218,11 @@ func TestFromGoNumericWidths(t *testing.T) {
 	if got := FromGo([]byte("bytes")); got != "bytes" {
 		t.Errorf("FromGo([]byte) = %v", got)
 	}
-	if got := FromGo([]float64{1, 2}); Stringify(got) != "[1, 2]" {
-		t.Errorf("FromGo([]float64) = %v", Stringify(got))
+	if got := cellOf(FromGo([]float64{1, 2})).display(); got != "[1, 2]" {
+		t.Errorf("FromGo([]float64) = %v", got)
 	}
-	if got := FromGo([]string{"a"}); Stringify(got) != "[a]" {
-		t.Errorf("FromGo([]string) = %v", Stringify(got))
+	if got := cellOf(FromGo([]string{"a"})).display(); got != "[a]" {
+		t.Errorf("FromGo([]string) = %v", got)
 	}
 }
 
@@ -230,7 +232,7 @@ func TestToGoFunctionsBecomeNil(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	if got := ToGo(v); got != nil {
+	if got, err := ToGo(v); err != nil || got != nil {
 		t.Errorf("ToGo(function) = %v, want nil", got)
 	}
 }
@@ -248,4 +250,67 @@ func TestTruthyTable(t *testing.T) {
 			t.Errorf("Truthy(%v) = true, want false", v)
 		}
 	}
+}
+
+// A script can build a value that contains itself. Walking one used to
+// recurse until the Go stack overflowed, which kills the host process, not
+// the sandbox; each walker now gives up past MaxDepth with an error raised
+// at the offending call.
+func TestSelfContainingValueIsBounded(t *testing.T) {
+	const prelude = "var a = []; push(a, a);\nvar keep = 7;\n"
+	wantLine3 := func(t *testing.T, err error) {
+		t.Helper()
+		var rt *RuntimeError
+		if !errors.As(err, &rt) {
+			t.Fatalf("err = %v, want a RuntimeError", err)
+		}
+		if rt.Pos.Line != 3 || !strings.Contains(rt.Msg, "nests deeper") {
+			t.Errorf("err = %v, want the depth error positioned on line 3", err)
+		}
+	}
+
+	t.Run("Stringify", func(t *testing.T) {
+		for _, src := range []string{`str(a)`, `"" + a`, `join([a], ",")`, `var o = {}; o[a]`} {
+			_, err := NewContext().Eval(prelude + src)
+			wantLine3(t, err)
+		}
+	})
+
+	t.Run("ToGo", func(t *testing.T) {
+		c := NewContext()
+		c.Bind("call_module", func(args []Value) (Value, error) {
+			_, err := ToGo(args[1])
+			return nil, err
+		})
+		_, err := c.Eval(prelude + `call_module("x", {v: a})`)
+		wantLine3(t, err)
+		_, err = NewContext().Eval(prelude + `json_encode({v: a})`)
+		wantLine3(t, err)
+	})
+
+	t.Run("Snapshot", func(t *testing.T) {
+		c := NewContext()
+		if err := c.Load(prelude); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Snapshot().String(); got != "keep=7\n" {
+			t.Errorf("snapshot = %q, want the self-containing global left behind and keep=7 kept", got)
+		}
+	})
+
+	t.Run("MaxDepth itself is fine", func(t *testing.T) {
+		v := Value(float64(1))
+		for i := 0; i < MaxDepth; i++ {
+			v = &Array{Elems: []Value{v}}
+		}
+		if _, err := ToGo(v); err != nil {
+			t.Errorf("ToGo at MaxDepth: %v", err)
+		}
+		if _, err := Stringify(v); err != nil {
+			t.Errorf("Stringify at MaxDepth: %v", err)
+		}
+		if _, err := ToGo(&Array{Elems: []Value{v}}); err == nil {
+			t.Error("ToGo one past MaxDepth succeeded")
+		}
+	})
 }

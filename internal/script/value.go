@@ -143,30 +143,69 @@ func valuesEqual(a, b Value) bool {
 	}
 }
 
-// Stringify renders v for display and string concatenation.
-func Stringify(v Value) string {
+// MaxDepth bounds how deeply arrays and objects may nest in a value that
+// Stringify or ToGo walks. Shipped payloads nest four or five levels; the
+// bound exists because scripts can build a value that contains itself
+// (push(a, a)), and a walk with no bound recurses until the Go stack — the
+// host's, not the sandbox's — overflows.
+const MaxDepth = 128
+
+// errTooDeep is what the walkers return past MaxDepth. Raised from a host
+// call it surfaces as a script error at the call's position.
+var errTooDeep = fmt.Errorf("value nests deeper than %d levels (does it contain itself?)", MaxDepth)
+
+// Stringify renders v for display and string concatenation. It fails only
+// on a value nested deeper than MaxDepth.
+func Stringify(v Value) (string, error) {
 	switch x := v.(type) {
 	case nil:
-		return "null"
+		return "null", nil
 	case bool:
-		return strconv.FormatBool(x)
+		return strconv.FormatBool(x), nil
 	case float64:
-		return formatNumber(x)
+		return formatNumber(x), nil
 	case string:
-		return x
-	case *Array:
+		return x, nil
+	case *Array, *Object:
 		var b strings.Builder
+		if err := stringifyInto(&b, x, 0); err != nil {
+			return "", err
+		}
+		return b.String(), nil
+	case *Function:
+		if x.name != "" {
+			return "function " + x.name, nil
+		}
+		return "function", nil
+	case HostFunc:
+		return "function (host)", nil
+	default:
+		return fmt.Sprintf("%v", v), nil
+	}
+}
+
+// stringifyInto writes v, which sits depth containers below the value
+// Stringify was asked for.
+func stringifyInto(b *strings.Builder, v Value, depth int) error {
+	switch x := v.(type) {
+	case *Array:
+		if depth >= MaxDepth {
+			return errTooDeep
+		}
 		b.WriteByte('[')
 		for i, e := range x.Elems {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			b.WriteString(Stringify(e))
+			if err := stringifyInto(b, e, depth+1); err != nil {
+				return err
+			}
 		}
 		b.WriteByte(']')
-		return b.String()
 	case *Object:
-		var b strings.Builder
+		if depth >= MaxDepth {
+			return errTooDeep
+		}
 		b.WriteByte('{')
 		for i, k := range x.SortedKeys() {
 			if i > 0 {
@@ -174,20 +213,19 @@ func Stringify(v Value) string {
 			}
 			b.WriteString(k)
 			b.WriteString(": ")
-			b.WriteString(Stringify(x.Fields[k]))
+			if err := stringifyInto(b, x.Fields[k], depth+1); err != nil {
+				return err
+			}
 		}
 		b.WriteByte('}')
-		return b.String()
-	case *Function:
-		if x.name != "" {
-			return "function " + x.name
-		}
-		return "function"
-	case HostFunc:
-		return "function (host)"
 	default:
-		return fmt.Sprintf("%v", v)
+		s, err := Stringify(v)
+		if err != nil {
+			return err
+		}
+		b.WriteString(s)
 	}
+	return nil
 }
 
 // formatNumber renders numbers the way scripts expect: integers without a
@@ -252,24 +290,40 @@ func FromGo(v any) Value {
 
 // ToGo converts a script Value into plain Go data (nil, bool, float64,
 // string, []any, map[string]any), suitable for encoding/json. Functions
-// convert to nil.
-func ToGo(v Value) any {
+// convert to nil. It fails only on a value nested deeper than MaxDepth.
+func ToGo(v Value) (any, error) { return toGo(v, 0) }
+
+func toGo(v Value, depth int) (any, error) {
 	switch x := v.(type) {
 	case nil, bool, float64, string:
-		return x
+		return x, nil
 	case *Array:
+		if depth >= MaxDepth {
+			return nil, errTooDeep
+		}
 		out := make([]any, len(x.Elems))
 		for i, e := range x.Elems {
-			out[i] = ToGo(e)
+			g, err := toGo(e, depth+1)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = g
 		}
-		return out
+		return out, nil
 	case *Object:
+		if depth >= MaxDepth {
+			return nil, errTooDeep
+		}
 		out := make(map[string]any, len(x.Fields))
 		for k, e := range x.Fields {
-			out[k] = ToGo(e)
+			g, err := toGo(e, depth+1)
+			if err != nil {
+				return nil, err
+			}
+			out[k] = g
 		}
-		return out
+		return out, nil
 	default:
-		return nil
+		return nil, nil
 	}
 }

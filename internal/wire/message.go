@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"videopipe/internal/frame"
 )
 
 // bytesCopied counts payload bytes the wire layer copies (encode and
@@ -42,6 +44,9 @@ const MaxMessageSize = 64 << 20
 // information and later parts carry payloads.
 type Message struct {
 	Parts [][]byte
+	// body is the frame.Pool buffer Parts borrow from, set only on messages
+	// a Pull socket read; Release hands it back.
+	body []byte
 }
 
 // NewMessage builds a message from the given parts. The slices are used
@@ -78,6 +83,17 @@ func (m Message) Size() int {
 		n += len(p)
 	}
 	return n
+}
+
+// Release ends the receiver's use of a message: the parts become invalid
+// and, for a message from Pull.Recv, the body buffer they borrow goes back
+// to frame.Pool for the next receive. Call it only once nothing reads the
+// parts any more — a consumer that keeps parts (or copies of the Message)
+// must not call it. Release is optional: an unreleased message is simply
+// collected, as an unreleased frame is.
+func (m *Message) Release() {
+	frame.Pool.Put(m.body)
+	*m = Message{}
 }
 
 // Clone deep-copies the message so the original buffers can be reused.
@@ -165,8 +181,18 @@ func writeMessageBuf(w io.Writer, m Message, scratch []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadMessage decodes one message from r.
-func ReadMessage(r io.Reader) (Message, error) {
+// ReadMessage decodes one message from r into a buffer the message owns
+// outright.
+func ReadMessage(r io.Reader) (Message, error) { return readMessage(r, false) }
+
+// readMessage is the one body reader. Unpooled, the body is a fresh
+// allocation; pooled, it is borrowed from frame.Pool and Message.Release
+// returns it. The length prefix is checked before any buffer is sized from
+// it, and a buffer whose read or parse failed is left to the collector
+// rather than Put back: the pool only ever retains buffers that carried a
+// whole message, so a peer that sends a large prefix and hangs up pins
+// nothing.
+func readMessage(r io.Reader, pooled bool) (Message, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -178,17 +204,29 @@ func ReadMessage(r io.Reader) (Message, error) {
 	if body > MaxMessageSize {
 		return Message{}, errMessageTooLarge
 	}
-	buf := make([]byte, body)
+	var buf []byte
+	if pooled {
+		buf = frame.Pool.GetDirty(int(body))
+	} else {
+		buf = make([]byte, body)
+	}
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return Message{}, fmt.Errorf("wire: read body: %w", err)
 	}
-	return decodeBody(buf)
+	m, err := decodeBody(buf)
+	if err != nil {
+		return Message{}, err
+	}
+	if pooled {
+		m.body = buf
+	}
+	return m, nil
 }
 
 // decodeBody parses the parts out of one read buffer. Parts borrow
 // subslices of buf rather than copying — the buffer is dedicated to this
-// message, so the returned Message owns it and downstream consumers may
-// hold the parts as long as they hold the message.
+// message until it is released, so downstream consumers may hold the parts
+// as long as they hold the message.
 func decodeBody(buf []byte) (Message, error) {
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {

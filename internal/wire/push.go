@@ -139,9 +139,13 @@ type Pull struct {
 	ln   net.Listener
 	msgs chan Message
 	done chan struct{}
+	// wg joins the accept loop and every read loop, so Close can hand back
+	// the body of a message nobody will receive.
+	wg sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
+	conns  map[net.Conn]struct{}
 }
 
 // ListenPull binds a pull socket on the transport at port (0 = ephemeral).
@@ -154,33 +158,52 @@ func ListenPull(t Transport, port int) (*Pull, error) {
 		ln: ln,
 		// Size one, not more: the pipeline is queue-free by design; this
 		// single slot only decouples the reader goroutine from Recv.
-		msgs: make(chan Message, 1),
-		done: make(chan struct{}),
+		msgs:  make(chan Message, 1),
+		done:  make(chan struct{}),
+		conns: make(map[net.Conn]struct{}),
 	}
+	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
 }
 
 func (p *Pull) acceptLoop() {
+	defer p.wg.Done()
 	for {
 		conn, err := p.ln.Accept()
 		if err != nil {
 			return
 		}
+		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
+			conn.Close()
+			return
+		}
+		p.conns[conn] = struct{}{}
+		p.wg.Add(1)
+		p.mu.Unlock()
 		go p.readLoop(conn)
 	}
 }
 
 func (p *Pull) readLoop(conn net.Conn) {
-	defer conn.Close()
+	defer p.wg.Done()
+	defer func() {
+		conn.Close()
+		p.mu.Lock()
+		delete(p.conns, conn)
+		p.mu.Unlock()
+	}()
 	for {
-		m, err := ReadMessage(conn)
+		m, err := readMessage(conn, true)
 		if err != nil {
 			return
 		}
 		select {
 		case p.msgs <- m:
 		case <-p.done:
+			m.Release()
 			return
 		}
 	}
@@ -188,10 +211,11 @@ func (p *Pull) readLoop(conn net.Conn) {
 
 // Recv returns the next message from any connected peer.
 //
-// Ownership: the message's parts borrow the single buffer ReadMessage
-// allocated for it — no per-part copies were made, and the buffer is not
-// reused for later messages. The receiver owns the message outright and
-// may hold or mutate the parts indefinitely.
+// Ownership: the message's parts borrow one buffer drawn from frame.Pool
+// for this message alone — no per-part copies were made, and the buffer is
+// not reused until the receiver says so. A receiver that has copied out or
+// decoded what it needs calls Message.Release to recycle the buffer; one
+// that keeps the parts simply never calls it and owns them indefinitely.
 func (p *Pull) Recv(ctx context.Context) (Message, error) {
 	select {
 	case m := <-p.msgs:
@@ -206,14 +230,26 @@ func (p *Pull) Recv(ctx context.Context) (Message, error) {
 // Addr reports the bound listener address.
 func (p *Pull) Addr() net.Addr { return p.ln.Addr() }
 
-// Close stops the socket and disconnects all peers.
+// Close stops the socket, disconnects all peers and waits for their read
+// loops; a message still parked for Recv is released.
 func (p *Pull) Close() error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed {
+		p.mu.Unlock()
 		return nil
 	}
 	p.closed = true
 	close(p.done)
-	return p.ln.Close()
+	for conn := range p.conns {
+		conn.Close()
+	}
+	p.mu.Unlock()
+	err := p.ln.Close()
+	p.wg.Wait()
+	select {
+	case m := <-p.msgs:
+		m.Release()
+	default:
+	}
+	return err
 }
