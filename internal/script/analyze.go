@@ -146,7 +146,7 @@ func (r Report) Errors() []Diagnostic {
 // yields a single PV000 diagnostic. Diagnostics come back sorted by
 // position.
 func Analyze(src string, opts Options) Report {
-	prog, err := parse(src)
+	prog, err := parseResolved(src)
 	if err != nil {
 		var rep Report
 		if se, ok := err.(*SyntaxError); ok {
@@ -161,26 +161,59 @@ func Analyze(src string, opts Options) Report {
 	if a.sigs == nil {
 		a.sigs = CallSignatures()
 	}
-	a.run(prog)
+	funcs := topLevelFuncs(prog)
+	a.run(prog, funcs)
 
 	// pipecost: worst-case instruction/allocation bounds per handler, with
 	// PV012/PV013 diagnostics for what cannot be bounded (cost.go).
-	cost, costDiags := costPass(prog, a.sigs, opts.Globals)
+	cost, costDiags := costPass(prog, funcs, a.sigs, opts.Globals)
 	a.diags = append(a.diags, costDiags...)
 
 	// pipetype: produced/consumed event shapes per module, with PV018 for
 	// payloads that degrade to top (shapes.go).
-	shapes, shapeDiags := shapePass(prog, a.sigs, opts.Globals)
+	shapes, shapeDiags := shapePass(prog, funcs, a.sigs, opts.Globals)
 	a.diags = append(a.diags, shapeDiags...)
 
-	sort.SliceStable(a.diags, func(i, j int) bool {
-		pi, pj := a.diags[i].Pos, a.diags[j].Pos
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
-		}
-		return pi.Col < pj.Col
-	})
+	sort.SliceStable(a.diags, func(i, j int) bool { return a.diags[i].Pos.before(a.diags[j].Pos) })
 	return Report{Diagnostics: a.diags, Facts: a.facts, Cost: cost, Shapes: shapes}
+}
+
+// parseResolved is the static passes' front end: parse, then the same
+// resolve pass Load runs, so an analysis asks its scope questions of the
+// annotations the interpreter itself trusts (ast.go lists which).
+func parseResolved(src string) (*program, error) {
+	prog, err := parse(src)
+	if err == nil {
+		resolve(prog)
+	}
+	return prog, err
+}
+
+// callMemo computes one result per call-graph node, depth-first: a node is
+// unvisited, in progress or done. Asking for a node that is in progress means
+// the call graph has a cycle through it; the caller says what recursion is
+// worth (unbounded, top, dynamic) and that answer is built only then and is
+// not cached.
+type callMemo[K comparable, V any] struct {
+	done       map[K]V
+	inProgress map[K]bool
+}
+
+func (m *callMemo[K, V]) visit(key K, recursion, compute func() V) V {
+	if v, ok := m.done[key]; ok {
+		return v
+	}
+	if m.inProgress[key] {
+		return recursion()
+	}
+	if m.done == nil {
+		m.done, m.inProgress = make(map[K]V), make(map[K]bool)
+	}
+	m.inProgress[key] = true
+	v := compute()
+	delete(m.inProgress, key)
+	m.done[key] = v
+	return v
 }
 
 // ---- scope model ----
@@ -234,7 +267,7 @@ func (a *analyzer) diag(pos Position, code string, sev Severity, msg string) {
 	a.diags = append(a.diags, Diagnostic{Pos: pos, Code: code, Severity: sev, Message: msg})
 }
 
-func (a *analyzer) run(prog *program) {
+func (a *analyzer) run(prog *program, funcs funcTable) {
 	global := newAScope(nil, 0)
 	for name := range a.sigs {
 		s := a.sigs[name]
@@ -253,22 +286,15 @@ func (a *analyzer) run(prog *program) {
 	a.stmts(prog.stmts, global, 0)
 	a.finish(global)
 
-	for _, s := range prog.stmts {
-		switch st := s.(type) {
-		case *funcDecl:
-			a.noteCallback(st.fn.name, len(st.fn.params), st.pos)
-		case *declStmt:
-			if fn, ok := st.init.(*funcLit); ok {
-				a.noteCallback(st.name, len(fn.params), st.pos)
-			}
-		}
+	for _, d := range funcs {
+		a.noteCallback(d.name, len(d.fn.params), d.pos)
 	}
 	if a.opts.RequireEventReceived && !a.facts.HasEventReceived {
 		a.diag(Position{Line: 1, Col: 1}, CodeNoHandler, SeverityError,
 			"module defines no event_received(message) handler but is reachable from the source")
 	}
 
-	a.frameFlow(prog) // PV011: frame held across call_service (frameflow.go)
+	a.frameFlow(funcs) // PV011: frame held across call_service (frameflow.go)
 }
 
 // noteCallback records lifecycle-callback definitions and checks their

@@ -1,14 +1,130 @@
 package script
 
+import "sort"
+
 // The AST node hierarchy. Expressions and statements are separate interface
 // families; every node carries its source position for error reporting.
 //
-// Fields under a "set by resolve" comment are annotations the interpreter's
-// resolve pass (resolve.go) writes once before a program first runs. The
-// parser leaves them zero and the static passes (analyze, cost, shapes,
-// frameflow) never read them.
+// Fields under a "set by resolve" comment are annotations the resolve pass
+// (resolve.go) writes once, before a program first runs or is analyzed; the
+// parser leaves them zero. The static passes (analyze, cost, shapes,
+// frameflow) read the scope facts among them — identExpr.refs (does a local
+// scope declare this name?), scopeInfo.captured (can a closure reach this
+// frame?) and declStmt.slot == globalSlot (is this a module-level binding?) —
+// and nothing else: slot indices, hop counts, opcodes and boxed literals are
+// the evaluator's layout and may change without the analyses noticing.
+//
+// Adding a node type: declare it here and give inspect a case for its
+// children; TestInspectCoversEveryNodeType then fails until that is done.
+// Every pure query over the tree (who declares, who writes, who calls) is a
+// callback over inspect and needs nothing more. The evaluators whose every
+// case has its own formula are separate type switches and each needs the new
+// case too: interp.go, resolver.stmt/expr, analyzer.stmt/expr,
+// stmtCost/exprCost, frameFlowChecker.walkStmt/scanExpr, shapeCtx.evalDepth
+// and consumeWalker.expr.
 
 type node interface{ position() Position }
+
+// inspect walks the tree under n depth-first in source order, calling pre on
+// each node before its children; pre returning false skips that node's
+// subtree, which is how a query says "do not descend into nested function
+// literals". An absent child (omitted initializer, else arm, for clause) is
+// skipped. This is the only place that enumerates a node's children.
+func inspect(n node, pre func(node) bool) {
+	if n == nil || !pre(n) {
+		return
+	}
+	list := func(stmts []stmt) {
+		for _, s := range stmts {
+			inspect(s, pre)
+		}
+	}
+	switch x := n.(type) {
+	case *numberLit, *stringLit, *boolLit, *nullLit, *identExpr:
+	case *arrayLit:
+		for _, el := range x.elems {
+			inspect(el, pre)
+		}
+	case *objectLit:
+		for _, f := range x.fields {
+			inspect(f.value, pre)
+		}
+	case *funcLit:
+		inspect(x.body, pre)
+	case *unaryExpr:
+		inspect(x.x, pre)
+	case *binaryExpr:
+		inspect(x.x, pre)
+		inspect(x.y, pre)
+	case *logicalExpr:
+		inspect(x.x, pre)
+		inspect(x.y, pre)
+	case *condExpr:
+		inspect(x.cond, pre)
+		inspect(x.then, pre)
+		inspect(x.elsE, pre)
+	case *assignExpr:
+		inspect(x.target, pre)
+		inspect(x.value, pre)
+	case *updateExpr:
+		inspect(x.target, pre)
+	case *callExpr:
+		inspect(x.callee, pre)
+		for _, a := range x.args {
+			inspect(a, pre)
+		}
+	case *memberExpr:
+		inspect(x.obj, pre)
+	case *indexExpr:
+		inspect(x.obj, pre)
+		inspect(x.index, pre)
+
+	case *exprStmt:
+		inspect(x.x, pre)
+	case *declStmt:
+		inspect(x.init, pre)
+	case *blockStmt:
+		list(x.stmts)
+	case *ifStmt:
+		inspect(x.cond, pre)
+		inspect(x.then, pre)
+		inspect(x.elsE, pre)
+	case *whileStmt:
+		inspect(x.cond, pre)
+		inspect(x.body, pre)
+	case *forStmt:
+		inspect(x.init, pre)
+		inspect(x.cond, pre)
+		inspect(x.post, pre)
+		inspect(x.body, pre)
+	case *forOfStmt:
+		inspect(x.iter, pre)
+		inspect(x.body, pre)
+	case *returnStmt:
+		inspect(x.value, pre)
+	case *breakStmt, *continueStmt:
+	case *throwStmt:
+		inspect(x.value, pre)
+	case *tryStmt:
+		inspect(x.body, pre)
+		// catch and finally are typed pointers: a nil one is not a nil node.
+		if x.catch != nil {
+			inspect(x.catch, pre)
+		}
+		if x.finally != nil {
+			inspect(x.finally, pre)
+		}
+	case *switchStmt:
+		inspect(x.subject, pre)
+		for _, c := range x.cases {
+			inspect(c.value, pre)
+			list(c.body)
+		}
+		list(x.defaultBody)
+	case *funcDecl:
+		inspect(x.fn, pre)
+	}
+}
 
 // ---- Expressions ----
 
@@ -322,4 +438,42 @@ func (*funcDecl) stmtNode()     {}
 // program is a parsed compilation unit.
 type program struct {
 	stmts []stmt
+}
+
+// funcDef is one top-level function definition, `function f() {}` or
+// `var f = function() {}`; pos is the defining statement's.
+type funcDef struct {
+	name string
+	fn   *funcLit
+	pos  Position
+}
+
+// funcTable holds a module's top-level functions by name. A later definition
+// of a name replaces an earlier one, as it does when the module loads.
+type funcTable map[string]funcDef
+
+func topLevelFuncs(prog *program) funcTable {
+	t := make(funcTable)
+	for _, s := range prog.stmts {
+		switch st := s.(type) {
+		case *funcDecl:
+			t[st.fn.name] = funcDef{name: st.fn.name, fn: st.fn, pos: st.pos}
+		case *declStmt:
+			if fn, ok := st.init.(*funcLit); ok {
+				t[st.name] = funcDef{name: st.name, fn: fn, pos: st.pos}
+			}
+		}
+	}
+	return t
+}
+
+// inSourceOrder lists the definitions by position, for the passes whose
+// result depends on which function they enter first.
+func (t funcTable) inSourceOrder() []funcDef {
+	defs := make([]funcDef, 0, len(t))
+	for _, d := range t {
+		defs = append(defs, d)
+	}
+	sort.Slice(defs, func(i, j int) bool { return defs[i].pos.before(defs[j].pos) })
+	return defs
 }

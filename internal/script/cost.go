@@ -19,14 +19,18 @@ package script
 //   - Straight-line code sums; branches (if, ?:, switch) take the
 //     elementwise maximum over arms, which upper-bounds any single path.
 //   - Counted `for` loops with a constant-foldable bound, constant step and
-//     an untouched induction variable get a closed-form iteration count;
-//     `for-of` over literals or range(k) likewise. Everything else is
-//     statically unbounded and reported as PV012 (the runtime step budget
-//     still caps it, but the planner cannot price it).
+//     an induction variable that only the loop's own update can write get a
+//     closed-form iteration count; `for-of` over literals or range(k)
+//     likewise. Everything else is statically unbounded and reported as
+//     PV012 (the runtime step budget still caps it, but the planner cannot
+//     price it).
 //   - Calls to the module's own top-level functions are inlined through a
 //     memoized call-graph traversal; cycles are recursion, reported as
 //     PV013 and unbounded. Calls through dynamic function values (locals,
 //     parameters, members) are unboundable, also PV013.
+//   - Scope questions — is this callee, iterable or induction variable a
+//     local? — are answered by the resolve pass's annotations, the same
+//     ones the interpreter runs on, never by a name set of the pass's own.
 //   - Host bindings and stdlib builtins execute in Go and cost zero
 //     interpreter instructions; the pass instead records a worst-case
 //     invocation count per callable name (HandlerCost.HostCalls). The
@@ -160,11 +164,11 @@ func (r CostReport) EventSymbolic() bool {
 // sources yield an empty report (deploy-time analysis rejects them
 // separately).
 func AnalyzeCost(src string) CostReport {
-	prog, err := parse(src)
+	prog, err := parseResolved(src)
 	if err != nil {
 		return CostReport{}
 	}
-	report, _ := costPass(prog, CallSignatures(), nil)
+	report, _ := costPass(prog, topLevelFuncs(prog), CallSignatures(), nil)
 	return report
 }
 
@@ -341,66 +345,66 @@ func cloneCalls(m map[string]int64) map[string]int64 {
 
 // ---- the pass ----
 
-// costPass analyzes the parsed program and returns the per-handler report
-// plus the PV012/PV013 diagnostics it produced.
-func costPass(prog *program, sigs map[string]Signature, globals []string) (CostReport, []Diagnostic) {
+// costPass analyzes the parsed, resolved program and returns the
+// per-handler report plus the PV012/PV013 diagnostics it produced.
+func costPass(prog *program, funcs funcTable, sigs map[string]Signature, globals []string) (CostReport, []Diagnostic) {
 	ca := &costAnalysis{
 		sigs:         sigs,
 		globals:      make(map[string]bool, len(globals)),
-		funcs:        make(map[string]*funcLit),
-		funcPos:      make(map[string]Position),
-		memo:         make(map[string]bound),
-		state:        make(map[string]int),
+		funcs:        funcs,
+		values:       make(map[string]bool),
 		loopReported: make(map[Position]bool),
 	}
 	for _, g := range globals {
 		ca.globals[g] = true
 	}
-
-	// Top-level function table; the last definition of a name wins, matching
-	// the interpreter's load semantics.
-	for _, s := range prog.stmts {
-		switch st := s.(type) {
-		case *funcDecl:
-			ca.funcs[st.fn.name] = st.fn
-			ca.funcPos[st.fn.name] = st.pos
-		case *declStmt:
-			if fn, ok := st.init.(*funcLit); ok {
-				ca.funcs[st.name] = fn
-				ca.funcPos[st.name] = st.pos
-			}
+	// A write to a name the pass would otherwise trust — a table function, a
+	// builtin — replaces what a later call through it runs.
+	overwrites := func(target expr) {
+		if id, ok := target.(*identExpr); ok && (ca.hostBinds(id.name) || ca.moduleBinds(id.name)) {
+			ca.values[id.name] = true
 		}
+	}
+	for _, s := range prog.stmts {
+		inspect(s, func(n node) bool {
+			switch x := n.(type) {
+			case *declStmt:
+				if fn, _ := x.init.(*funcLit); x.slot == globalSlot && (fn == nil || funcs[x.name].fn != fn) {
+					ca.values[x.name] = true
+				}
+			case *funcDecl:
+				if x.slot == globalSlot && funcs[x.fn.name].fn != x.fn {
+					ca.values[x.fn.name] = true
+				}
+			case *assignExpr:
+				overwrites(x.target)
+			case *updateExpr:
+				overwrites(x.target)
+			}
+			return true
+		})
 	}
 
 	var report CostReport
 	bounds := make(map[string]bound)
 
-	// Module load: the top-level statements, once. Top-level names that are
-	// not functions shadow same-named builtins for call resolution.
-	loadLocals := make(map[string]bool)
-	for _, s := range prog.stmts {
-		if d, ok := s.(*declStmt); ok {
-			if _, isFunc := d.init.(*funcLit); !isFunc {
-				loadLocals[d.name] = true
-			}
-		}
-	}
+	// Module load: the top-level statements, once.
 	load := finite(0, 0)
 	for _, s := range prog.stmts {
-		load = load.add(ca.stmtCost(s, loadLocals))
+		load = load.add(ca.stmtCost(s))
 	}
 	bounds[LoadHandler] = load
 	report.Handlers = append(report.Handlers, ca.handlerCost(LoadHandler, Position{Line: 1, Col: 1}, load))
 
 	// Lifecycle handlers.
 	for _, name := range []string{"init", "event_received"} {
-		fn, ok := ca.funcs[name]
+		def, ok := ca.funcs[name]
 		if !ok {
 			continue
 		}
-		b := ca.functionCost(name, fn)
+		b := ca.functionCost(def)
 		bounds[name] = b
-		report.Handlers = append(report.Handlers, ca.handlerCost(name, ca.funcPos[name], b))
+		report.Handlers = append(report.Handlers, ca.handlerCost(name, def.pos, b))
 	}
 
 	sort.Slice(report.Handlers, func(i, j int) bool {
@@ -447,12 +451,16 @@ func joinReasons(reasons []string) string {
 type costAnalysis struct {
 	sigs    map[string]Signature
 	globals map[string]bool
-	funcs   map[string]*funcLit
-	funcPos map[string]Position
-	// memo caches per-function bounds; state tracks the DFS for recursion
-	// detection (0 unvisited, 1 in progress, 2 done).
-	memo  map[string]bound
-	state map[string]int
+	funcs   funcTable
+	// values names every global the module binds other than by a definition
+	// in funcs — a plain variable, a function the table's entry replaced or
+	// one declared under an if, a table function or builtin some assignment
+	// overwrites: what a lookup by name may find in place of the table's
+	// function or a same-named builtin.
+	values map[string]bool
+	// fn is the top-level function being costed, nil during module load.
+	fn    *funcLit
+	calls callMemo[string, bound]
 	diags []Diagnostic
 	// loopReported dedupes PV012 per loop position.
 	loopReported map[Position]bool
@@ -471,87 +479,51 @@ func (ca *costAnalysis) handlerCost(name string, pos Position, b bound) HandlerC
 }
 
 // functionCost computes (and memoizes) the cost of calling one top-level
-// function, detecting recursion through the visiting state.
-func (ca *costAnalysis) functionCost(name string, fn *funcLit) bound {
-	switch ca.state[name] {
-	case 2:
-		return ca.memo[name]
-	case 1:
-		b := unboundedBy(fmt.Sprintf("recursion through %q", name))
+// function; a cycle in the call graph is recursion, and unbounded.
+func (ca *costAnalysis) functionCost(def funcDef) bound {
+	recursion := func() bound {
+		b := unboundedBy(fmt.Sprintf("recursion through %q", def.name))
 		b.recursion = true
 		return b
 	}
-	ca.state[name] = 1
-
-	locals := make(map[string]bool, len(fn.params))
-	for _, p := range fn.params {
-		locals[p] = true
-	}
-	locals["arguments"] = true
-	collectDeclaredNames(fn.body.stmts, locals)
-
-	// Calling a script function allocates its `arguments` array; the body
-	// statements execute via execStmt with no extra call-frame step.
-	b := finite(0, 1)
-	for _, s := range fn.body.stmts {
-		b = b.add(ca.stmtCost(s, locals))
-	}
-
-	ca.state[name] = 2
-	ca.memo[name] = b
-	return b
+	return ca.calls.visit(def.name, recursion, func() bound {
+		caller := ca.fn
+		ca.fn = def.fn
+		// Calling a script function allocates its `arguments` array; the body
+		// statements execute via execStmt with no extra call-frame step.
+		b := finite(0, 1)
+		for _, s := range def.fn.body.stmts {
+			b = b.add(ca.stmtCost(s))
+		}
+		ca.fn = caller
+		return b
+	})
 }
 
-// collectDeclaredNames gathers every name a statement list declares,
-// including nested blocks (not nested function bodies — pessimistically
-// close enough: a declaration anywhere in the function makes same-named
-// calls dynamic).
-func collectDeclaredNames(list []stmt, into map[string]bool) {
-	for _, s := range list {
-		switch st := s.(type) {
-		case *declStmt:
-			if _, isFunc := st.init.(*funcLit); !isFunc {
-				into[st.name] = true
-			}
-		case *blockStmt:
-			collectDeclaredNames(st.stmts, into)
-		case *ifStmt:
-			collectDeclaredNames([]stmt{st.then}, into)
-			if st.elsE != nil {
-				collectDeclaredNames([]stmt{st.elsE}, into)
-			}
-		case *whileStmt:
-			collectDeclaredNames([]stmt{st.body}, into)
-		case *forStmt:
-			if st.init != nil {
-				collectDeclaredNames([]stmt{st.init}, into)
-			}
-			collectDeclaredNames([]stmt{st.body}, into)
-		case *forOfStmt:
-			into[st.varName] = true
-			collectDeclaredNames([]stmt{st.body}, into)
-		case *tryStmt:
-			collectDeclaredNames(st.body.stmts, into)
-			if st.catch != nil {
-				if st.catchVar != "" {
-					into[st.catchVar] = true
-				}
-				collectDeclaredNames(st.catch.stmts, into)
-			}
-			if st.finally != nil {
-				collectDeclaredNames(st.finally.stmts, into)
-			}
-		case *switchStmt:
-			for _, c := range st.cases {
-				collectDeclaredNames(c.body, into)
-			}
-			collectDeclaredNames(st.defaultBody, into)
-		case *funcDecl:
-			// A nested function declaration shadows; calls to it through
-			// the local name are dynamic for this analysis.
-			into[st.fn.name] = true
-		}
-	}
+// ownBinding reports whether the code being costed may itself hold the
+// binding id reads: a scope enclosing id declares the name (a parameter, a
+// block-scoped variable, a nested function) or, at the module's top level, a
+// module-level value does. A call through it is a call through a value.
+func (ca *costAnalysis) ownBinding(id *identExpr) bool {
+	return len(id.refs) > 0 || (ca.fn == nil && ca.values[id.name])
+}
+
+// moduleBinds and hostBinds say who can own a global called name: one of
+// the module's own top-level declarations, or a host binding or builtin.
+func (ca *costAnalysis) moduleBinds(name string) bool {
+	_, isFunc := ca.funcs[name]
+	return isFunc || ca.values[name]
+}
+
+func (ca *costAnalysis) hostBinds(name string) bool {
+	_, isSig := ca.sigs[name]
+	return isSig || ca.globals[name]
+}
+
+// builtin reports whether a call through id reaches the host binding or
+// stdlib builtin of that name: nothing in the module has taken the name.
+func (ca *costAnalysis) builtin(id *identExpr) bool {
+	return ca.hostBinds(id.name) && len(id.refs) == 0 && !ca.moduleBinds(id.name)
 }
 
 // ---- statement costs ----
@@ -559,77 +531,77 @@ func collectDeclaredNames(list []stmt, into map[string]bool) {
 // Each case mirrors interp.go's execStmt step accounting exactly: every
 // statement charges 1 on entry, plus its parts.
 
-func (ca *costAnalysis) stmtCost(s stmt, locals map[string]bool) bound {
+func (ca *costAnalysis) stmtCost(s stmt) bound {
 	one := finite(1, 0)
 	switch st := s.(type) {
 	case *exprStmt:
-		return one.add(ca.exprCost(st.x, locals))
+		return one.add(ca.exprCost(st.x))
 	case *declStmt:
 		b := one
 		if st.init != nil {
-			b = b.add(ca.exprCost(st.init, locals))
+			b = b.add(ca.exprCost(st.init))
 		}
 		return b
 	case *blockStmt:
 		b := one
 		for _, inner := range st.stmts {
-			b = b.add(ca.stmtCost(inner, locals))
+			b = b.add(ca.stmtCost(inner))
 		}
 		return b
 	case *ifStmt:
-		b := one.add(ca.condCost(st.cond, locals))
-		thenB := ca.stmtCost(st.then, locals)
+		b := one.add(ca.condCost(st.cond))
+		thenB := ca.stmtCost(st.then)
 		var elseB bound
 		elseB = finite(0, 0)
 		if st.elsE != nil {
-			elseB = ca.stmtCost(st.elsE, locals)
+			elseB = ca.stmtCost(st.elsE)
 		}
 		return b.add(maxBound(thenB, elseB))
 	case *whileStmt:
-		return ca.whileCost(st, locals)
+		return ca.whileCost(st)
 	case *forStmt:
-		return ca.forCost(st, locals)
+		return ca.forCost(st)
 	case *forOfStmt:
-		return ca.forOfCost(st, locals)
+		return ca.forOfCost(st)
 	case *returnStmt:
 		b := one
 		if st.value != nil {
-			b = b.add(ca.exprCost(st.value, locals))
+			b = b.add(ca.exprCost(st.value))
 		}
 		return b
 	case *breakStmt, *continueStmt:
 		return one
 	case *throwStmt:
-		return one.add(ca.exprCost(st.value, locals))
+		return one.add(ca.exprCost(st.value))
 	case *tryStmt:
 		// Worst case: the body runs fully, then the catch runs fully (the
 		// throw can land on the last body statement), then finally.
-		b := one.add(ca.stmtCost(st.body, locals))
+		b := one.add(ca.stmtCost(st.body))
 		if st.catch != nil {
 			for _, inner := range st.catch.stmts {
-				b = b.add(ca.stmtCost(inner, locals))
+				b = b.add(ca.stmtCost(inner))
 			}
 		}
 		if st.finally != nil {
-			b = b.add(ca.stmtCost(st.finally, locals))
+			b = b.add(ca.stmtCost(st.finally))
 		}
 		return b
 	case *switchStmt:
 		// Worst case evaluates every case value; a match can fall through
 		// every case body, a miss runs the default.
-		b := one.add(ca.exprCost(st.subject, locals))
+		b := one.add(ca.exprCost(st.subject))
 		var bodies bound
 		bodies = finite(0, 0)
 		for _, c := range st.cases {
-			b = b.add(ca.exprCost(c.value, locals))
+			b = b.add(ca.exprCost(c.value))
 			for _, inner := range c.body {
-				bodies = bodies.add(ca.stmtCost(inner, locals))
+				bodies = bodies.add(ca.stmtCost(inner))
 			}
 		}
 		var def bound
 		def = finite(0, 0)
 		for _, inner := range st.defaultBody {
-			def = def.add(ca.stmtCost(inner, locals))
+			def = def.add(ca.stmtCost(inner))
 		}
 		return b.add(maxBound(bodies, def))
 	case *funcDecl:
@@ -640,14 +612,14 @@ func (ca *costAnalysis) stmtCost(s stmt, locals map[string]bool) bound {
 }
 
 // condCost is exprCost; conditions have no extra interpreter charge.
-func (ca *costAnalysis) condCost(e expr, locals map[string]bool) bound {
-	return ca.exprCost(e, locals)
+func (ca *costAnalysis) condCost(e expr) bound {
+	return ca.exprCost(e)
 }
 
 // whileCost: only a constant-false condition terminates provably without
 // body execution; every other while loop is statically unbounded (PV012).
-func (ca *costAnalysis) whileCost(st *whileStmt, locals map[string]bool) bound {
-	cond := ca.condCost(st.cond, locals)
+func (ca *costAnalysis) whileCost(st *whileStmt) bound {
+	cond := ca.condCost(st.cond)
 	if v, ok := foldConst(st.cond); ok && v == 0 {
 		// One iteration check, body never runs: 1 (stmt) + 1 (head) + cond.
 		return finite(2, 0).add(cond)
@@ -655,44 +627,44 @@ func (ca *costAnalysis) whileCost(st *whileStmt, locals map[string]bool) bound {
 	ca.reportLoop(st.pos, "while loop has no statically inferable iteration bound")
 	// Walk the body anyway so nested diagnostics (inner loops, recursion)
 	// still surface.
-	ca.stmtCost(st.body, locals)
+	ca.stmtCost(st.body)
 	b := unboundedBy("while loop at " + st.pos.String())
 	return b
 }
 
 // forCost handles the counted-loop pattern: `for (var i = S; i (<|<=|>|>=) K; i += d)`
 // with S, K, d constant-foldable and i never written in the body.
-func (ca *costAnalysis) forCost(st *forStmt, locals map[string]bool) bound {
-	n, ok := inferForIterations(st)
+func (ca *costAnalysis) forCost(st *forStmt) bound {
+	n, ok := ca.inferForIterations(st)
 	if !ok {
 		ca.reportLoop(st.pos, "for loop bound cannot be inferred statically (need constant init, bound and step, with an untouched induction variable)")
 		if st.init != nil {
-			ca.stmtCost(st.init, locals)
+			ca.stmtCost(st.init)
 		}
 		if st.cond != nil {
-			ca.condCost(st.cond, locals)
+			ca.condCost(st.cond)
 		}
-		ca.stmtCost(st.body, locals)
+		ca.stmtCost(st.body)
 		if st.post != nil {
-			ca.exprCost(st.post, locals)
+			ca.exprCost(st.post)
 		}
 		return unboundedBy("for loop at " + st.pos.String())
 	}
 
 	b := finite(1, 0)
 	if st.init != nil {
-		b = b.add(ca.stmtCost(st.init, locals))
+		b = b.add(ca.stmtCost(st.init))
 	}
 	var cond bound
 	cond = finite(0, 0)
 	if st.cond != nil {
-		cond = ca.condCost(st.cond, locals)
+		cond = ca.condCost(st.cond)
 	}
-	body := ca.stmtCost(st.body, locals)
+	body := ca.stmtCost(st.body)
 	var post bound
 	post = finite(0, 0)
 	if st.post != nil {
-		post = ca.exprCost(st.post, locals)
+		post = ca.exprCost(st.post)
 	}
 	// Each of the n iterations charges the head step, the condition, the
 	// body and the post; the final (failing) check charges head + cond.
@@ -701,16 +673,16 @@ func (ca *costAnalysis) forCost(st *forStmt, locals map[string]bool) bound {
 }
 
 // forOfCost bounds iteration over literal collections and range(k).
-func (ca *costAnalysis) forOfCost(st *forOfStmt, locals map[string]bool) bound {
-	n, ok := ca.inferIterableLen(st.iter, locals)
+func (ca *costAnalysis) forOfCost(st *forOfStmt) bound {
+	n, ok := ca.inferIterableLen(st.iter)
 	if !ok {
 		ca.reportLoop(st.pos, "for-of iterates a value whose length is not statically known")
-		ca.exprCost(st.iter, locals)
-		ca.stmtCost(st.body, locals)
+		ca.exprCost(st.iter)
+		ca.stmtCost(st.body)
 		return unboundedBy("for-of loop at " + st.pos.String())
 	}
-	b := finite(1, 0).add(ca.exprCost(st.iter, locals))
-	body := ca.stmtCost(st.body, locals)
+	b := finite(1, 0).add(ca.exprCost(st.iter))
+	body := ca.stmtCost(st.body)
 	// Each item charges the head step plus the body; string iteration can
 	// allocate one value per rune, so charge one alloc per item.
 	perIter := finite(1, 1).add(body)
@@ -731,7 +703,7 @@ func (ca *costAnalysis) reportLoop(pos Position, msg string) {
 //
 // Mirrors evalExpr: every expression node charges 1, plus its parts.
 
-func (ca *costAnalysis) exprCost(e expr, locals map[string]bool) bound {
+func (ca *costAnalysis) exprCost(e expr) bound {
 	one := finite(1, 0)
 	switch ex := e.(type) {
 	case *numberLit, *stringLit, *boolLit, *nullLit, *identExpr:
@@ -739,21 +711,21 @@ func (ca *costAnalysis) exprCost(e expr, locals map[string]bool) bound {
 	case *arrayLit:
 		b := one.addAllocs(1)
 		for _, el := range ex.elems {
-			b = b.add(ca.exprCost(el, locals))
+			b = b.add(ca.exprCost(el))
 		}
 		return b
 	case *objectLit:
 		b := one.addAllocs(1)
 		for _, f := range ex.fields {
-			b = b.add(ca.exprCost(f.value, locals))
+			b = b.add(ca.exprCost(f.value))
 		}
 		return b
 	case *funcLit:
 		return one.addAllocs(1)
 	case *unaryExpr:
-		return one.add(ca.exprCost(ex.x, locals))
+		return one.add(ca.exprCost(ex.x))
 	case *binaryExpr:
-		b := one.add(ca.exprCost(ex.x, locals)).add(ca.exprCost(ex.y, locals))
+		b := one.add(ca.exprCost(ex.x)).add(ca.exprCost(ex.y))
 		if ex.op == "+" {
 			// String concatenation allocates; numeric + does not, but the
 			// operand types are dynamic — charge the worst case.
@@ -761,28 +733,28 @@ func (ca *costAnalysis) exprCost(e expr, locals map[string]bool) bound {
 		}
 		return b
 	case *logicalExpr:
-		return one.add(ca.exprCost(ex.x, locals)).add(ca.exprCost(ex.y, locals))
+		return one.add(ca.exprCost(ex.x)).add(ca.exprCost(ex.y))
 	case *condExpr:
-		b := one.add(ca.condCost(ex.cond, locals))
-		return b.add(maxBound(ca.exprCost(ex.then, locals), ca.exprCost(ex.elsE, locals)))
+		b := one.add(ca.condCost(ex.cond))
+		return b.add(maxBound(ca.exprCost(ex.then), ca.exprCost(ex.elsE)))
 	case *assignExpr:
-		b := one.add(ca.exprCost(ex.value, locals))
+		b := one.add(ca.exprCost(ex.value))
 		if ex.op != "=" {
 			// Compound assignment reads the target first.
-			b = b.add(ca.exprCost(ex.target, locals))
+			b = b.add(ca.exprCost(ex.target))
 			if ex.op == "+=" {
 				b = b.addAllocs(1)
 			}
 		}
-		return b.add(ca.writeCost(ex.target, locals))
+		return b.add(ca.writeCost(ex.target))
 	case *updateExpr:
-		return one.add(ca.exprCost(ex.target, locals)).add(ca.writeCost(ex.target, locals))
+		return one.add(ca.exprCost(ex.target)).add(ca.writeCost(ex.target))
 	case *callExpr:
-		return ca.callCost(ex, locals)
+		return ca.callCost(ex)
 	case *memberExpr:
-		return one.add(ca.exprCost(ex.obj, locals))
+		return one.add(ca.exprCost(ex.obj))
 	case *indexExpr:
-		return one.add(ca.exprCost(ex.obj, locals)).add(ca.exprCost(ex.index, locals))
+		return one.add(ca.exprCost(ex.obj)).add(ca.exprCost(ex.index))
 	default:
 		return one
 	}
@@ -791,13 +763,13 @@ func (ca *costAnalysis) exprCost(e expr, locals map[string]bool) bound {
 // writeCost mirrors interp.writeTarget: identifier writes are free beyond
 // the expression's own evaluation; member/index writes re-evaluate their
 // object (and index) expressions.
-func (ca *costAnalysis) writeCost(target expr, locals map[string]bool) bound {
+func (ca *costAnalysis) writeCost(target expr) bound {
 	switch tg := target.(type) {
 	case *memberExpr:
-		return ca.exprCost(tg.obj, locals)
+		return ca.exprCost(tg.obj)
 	case *indexExpr:
 		// Index assignment into an array may grow it.
-		return ca.exprCost(tg.obj, locals).add(ca.exprCost(tg.index, locals)).addAllocs(1)
+		return ca.exprCost(tg.obj).add(ca.exprCost(tg.index)).addAllocs(1)
 	default:
 		return finite(0, 0)
 	}
@@ -806,16 +778,16 @@ func (ca *costAnalysis) writeCost(target expr, locals map[string]bool) bound {
 // callCost resolves the callee: module functions inline their memoized
 // cost, host/builtin names record an invocation, everything else is
 // dynamic and unboundable.
-func (ca *costAnalysis) callCost(ex *callExpr, locals map[string]bool) bound {
+func (ca *costAnalysis) callCost(ex *callExpr) bound {
 	// The call expression itself plus argument evaluation.
 	b := finite(1, 0)
 	for _, arg := range ex.args {
-		b = b.add(ca.exprCost(arg, locals))
+		b = b.add(ca.exprCost(arg))
 	}
 
 	id, ok := ex.callee.(*identExpr)
 	if !ok {
-		b = b.add(ca.exprCost(ex.callee, locals))
+		b = b.add(ca.exprCost(ex.callee))
 		dyn := unboundedBy(fmt.Sprintf("dynamic call at %s", ex.pos))
 		dyn.dynamic = true
 		return b.add(dyn)
@@ -823,15 +795,15 @@ func (ca *costAnalysis) callCost(ex *callExpr, locals map[string]bool) bound {
 	// Callee identifier evaluation.
 	b = b.addSteps(1)
 
-	if locals[id.name] {
+	if ca.ownBinding(id) {
 		dyn := unboundedBy(fmt.Sprintf("call through local function value %q at %s", id.name, ex.pos))
 		dyn.dynamic = true
 		return b.add(dyn)
 	}
-	if fn, isFunc := ca.funcs[id.name]; isFunc {
-		return b.add(ca.functionCost(id.name, fn))
+	if def, isFunc := ca.funcs[id.name]; isFunc && !ca.values[id.name] {
+		return b.add(ca.functionCost(def))
 	}
-	if _, isSig := ca.sigs[id.name]; isSig || ca.globals[id.name] {
+	if ca.builtin(id) {
 		// Host bindings and builtins execute in Go: zero interpreter steps.
 		return b.addCall(id.name).addAllocs(builtinAllocCost(id.name))
 	}
@@ -857,16 +829,19 @@ func builtinAllocCost(name string) int64 {
 
 // inferForIterations matches the counted-loop idiom and returns the number
 // of body executions.
-func inferForIterations(st *forStmt) (int64, bool) {
+func (ca *costAnalysis) inferForIterations(st *forStmt) (int64, bool) {
 	if st.init == nil || st.cond == nil || st.post == nil {
 		return 0, false
 	}
 
-	// Induction variable and start value.
+	// Induction variable and start value. The count only holds if nothing
+	// outside the loop's own text can write the variable while it runs.
 	var iv string
 	var start float64
 	switch init := st.init.(type) {
 	case *declStmt:
+		// Declared by the loop: a fresh binding per execution of the loop,
+		// reachable only from the loop's text.
 		v, ok := foldConst(init.init)
 		if !ok {
 			return 0, false
@@ -878,7 +853,7 @@ func inferForIterations(st *forStmt) (int64, bool) {
 			return 0, false
 		}
 		id, ok := as.target.(*identExpr)
-		if !ok {
+		if !ok || !ca.privateLocal(id) {
 			return 0, false
 		}
 		v, ok := foldConst(as.value)
@@ -934,7 +909,7 @@ func inferForIterations(st *forStmt) (int64, bool) {
 
 	// The body (and the post beyond the recognized update) must not write
 	// the induction variable.
-	if stmtWrites(st.body, iv) {
+	if writes(st.body, iv) {
 		return 0, false
 	}
 
@@ -1028,131 +1003,68 @@ func iterationsFor(start, limit, step float64, op string) (int64, bool) {
 	if n > float64(costCap) {
 		return costCap, true
 	}
+	// The closed form is exact only in integer arithmetic. The interpreter
+	// adds step to a float64 each iteration: past 2^53 an integer step can
+	// stop moving the variable at all, and a fractional one accumulates
+	// rounding that can admit one more iteration than the quotient says
+	// (ten additions of 0.1 fall short of 1).
+	exact := true
+	for _, v := range []float64{start, limit, step} {
+		if math.Abs(v) >= 1<<53 {
+			return 0, false
+		}
+		exact = exact && v == math.Trunc(v)
+	}
+	if !exact {
+		n++
+	}
 	return int64(n), true
 }
 
-// stmtWrites reports whether any statement (including nested function
-// literals, pessimistically) assigns to name.
-func stmtWrites(s stmt, name string) bool {
-	switch st := s.(type) {
-	case nil:
-		return false
-	case *exprStmt:
-		return exprWrites(st.x, name)
-	case *declStmt:
-		// Redeclaring the induction variable in the body shadows it; give
-		// up rather than model block scoping.
-		return st.name == name || (st.init != nil && exprWrites(st.init, name))
-	case *blockStmt:
-		for _, inner := range st.stmts {
-			if stmtWrites(inner, name) {
-				return true
-			}
-		}
-	case *ifStmt:
-		return exprWrites(st.cond, name) || stmtWrites(st.then, name) || stmtWrites(st.elsE, name)
-	case *whileStmt:
-		return exprWrites(st.cond, name) || stmtWrites(st.body, name)
-	case *forStmt:
-		return stmtWrites(st.init, name) || exprWrites(st.cond, name) ||
-			exprWrites(st.post, name) || stmtWrites(st.body, name)
-	case *forOfStmt:
-		return st.varName == name || exprWrites(st.iter, name) || stmtWrites(st.body, name)
-	case *returnStmt:
-		return exprWrites(st.value, name)
-	case *throwStmt:
-		return exprWrites(st.value, name)
-	case *tryStmt:
-		if stmtWrites(st.body, name) {
-			return true
-		}
-		if st.catch != nil && (st.catchVar == name || stmtWrites(st.catch, name)) {
-			return true
-		}
-		return st.finally != nil && stmtWrites(st.finally, name)
-	case *switchStmt:
-		if exprWrites(st.subject, name) {
-			return true
-		}
-		for _, c := range st.cases {
-			if exprWrites(c.value, name) {
-				return true
-			}
-			for _, inner := range c.body {
-				if stmtWrites(inner, name) {
-					return true
-				}
-			}
-		}
-		for _, inner := range st.defaultBody {
-			if stmtWrites(inner, name) {
-				return true
-			}
-		}
-	case *funcDecl:
-		return st.fn.name == name || stmtWrites(st.fn.body, name)
-	}
-	return false
+// privateLocal reports whether id can only name a slot in the current call's
+// own frames that no closure reaches, so that a function the loop calls
+// cannot write it. A module global fails (any callee can assign it), and so
+// does a local of a function containing a function literal. A local scope
+// declaring the name is not enough on its own: until that declaration has
+// executed, a lookup falls through to a global of the same name.
+func (ca *costAnalysis) privateLocal(id *identExpr) bool {
+	return ca.fn != nil && !ca.fn.scope.captured && len(id.refs) > 0 &&
+		!ca.moduleBinds(id.name) && !ca.hostBinds(id.name)
 }
 
-func exprWrites(e expr, name string) bool {
-	switch ex := e.(type) {
-	case nil:
-		return false
-	case *assignExpr:
-		if id, ok := ex.target.(*identExpr); ok && id.name == name {
-			return true
-		}
-		return exprWrites(ex.target, name) || exprWrites(ex.value, name)
-	case *updateExpr:
-		if id, ok := ex.target.(*identExpr); ok && id.name == name {
-			return true
-		}
-		return exprWrites(ex.target, name)
-	case *unaryExpr:
-		return exprWrites(ex.x, name)
-	case *binaryExpr:
-		return exprWrites(ex.x, name) || exprWrites(ex.y, name)
-	case *logicalExpr:
-		return exprWrites(ex.x, name) || exprWrites(ex.y, name)
-	case *condExpr:
-		return exprWrites(ex.cond, name) || exprWrites(ex.then, name) || exprWrites(ex.elsE, name)
-	case *callExpr:
-		if exprWrites(ex.callee, name) {
-			return true
-		}
-		for _, arg := range ex.args {
-			if exprWrites(arg, name) {
-				return true
-			}
-		}
-	case *memberExpr:
-		return exprWrites(ex.obj, name)
-	case *indexExpr:
-		return exprWrites(ex.obj, name) || exprWrites(ex.index, name)
-	case *arrayLit:
-		for _, el := range ex.elems {
-			if exprWrites(el, name) {
-				return true
-			}
-		}
-	case *objectLit:
-		for _, f := range ex.fields {
-			if exprWrites(f.value, name) {
-				return true
-			}
-		}
-	case *funcLit:
-		// The closure could run inside the loop and write the variable.
-		return stmtWrites(ex.body, name)
+// writes reports whether anything under n (including nested function
+// literals, pessimistically: the closure could run inside the loop) assigns
+// to name or redeclares it. A redeclaration shadows the induction variable;
+// give up rather than model block scoping.
+func writes(n node, name string) bool {
+	if assignsName(n, name) {
+		return true
 	}
-	return false
+	found := false
+	inspect(n, func(n node) bool {
+		redeclares := false
+		switch x := n.(type) {
+		case *declStmt:
+			redeclares = x.name == name
+		case *forOfStmt:
+			redeclares = x.varName == name
+		case *tryStmt:
+			redeclares = x.catch != nil && x.catchVar == name
+		case *funcDecl:
+			redeclares = x.fn.name == name
+		}
+		if redeclares {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // inferIterableLen bounds the element count of a for-of iterable. Builtin
 // calls (range, keys, values) only count when the name still resolves to
 // the builtin — a local or module function shadowing it defeats inference.
-func (ca *costAnalysis) inferIterableLen(e expr, locals map[string]bool) (int64, bool) {
+func (ca *costAnalysis) inferIterableLen(e expr) (int64, bool) {
 	switch ex := e.(type) {
 	case *arrayLit:
 		return int64(len(ex.elems)), true
@@ -1169,10 +1081,7 @@ func (ca *costAnalysis) inferIterableLen(e expr, locals map[string]bool) (int64,
 		if !ok || len(ex.args) != 1 {
 			return 0, false
 		}
-		if locals[id.name] {
-			return 0, false
-		}
-		if _, shadowed := ca.funcs[id.name]; shadowed {
+		if !ca.builtin(id) {
 			return 0, false
 		}
 		switch id.name {

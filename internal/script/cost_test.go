@@ -144,6 +144,112 @@ func TestCostSoundnessOnCorpus(t *testing.T) {
 	}
 }
 
+// measureHandlers runs src the way a module host would — load, then one
+// event — in a context with the host API stubbed and runaway scripts capped,
+// and returns the interpreter steps each phase executed. loaded is false
+// when the load failed (event is then meaningless); a failed event still
+// reports the steps it ran before aborting.
+func measureHandlers(src string) (load, event int64, loaded bool) {
+	ctx := NewContext()
+	costStub(ctx)
+	ctx.SetMaxSteps(200_000)
+	ctx.SetLimits(Limits{Memory: 1 << 22})
+	err := ctx.Load(src)
+	load = ctx.LastInstructions()
+	if err != nil || !ctx.Has("event_received") {
+		return load, 0, false
+	}
+	msg := NewObject()
+	msg.Set("frame_ref", "f1")
+	msg.Set("seq", float64(1))
+	_, _ = ctx.Call("event_received", msg) // a script error only shortens the run
+	return load, ctx.LastInstructions(), true
+}
+
+// TestCostBoundCoversMeasured holds scripts whose handler was once Bounded
+// below what the interpreter then measured. Each must now be either
+// unbounded or bounded at or above the measured count.
+func TestCostBoundCoversMeasured(t *testing.T) {
+	cases := []struct{ name, src string }{
+		// A local function value named like a builtin was priced as the
+		// builtin: one iteration of range(1) instead of the local's twenty
+		// (25 static vs 370 measured).
+		{"local function value shadows builtin", `function event_received(message) {
+  var acc = 0;
+  var range = function(n) { return [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20]; };
+  for (var x of range(1)) { acc = acc + x; acc = acc + x; acc = acc + x; }
+}`},
+		// A counted loop over a module global the callee rewinds was bounded
+		// at three iterations (77 static vs 1196 measured).
+		{"callee writes the induction variable", `var i = 0;
+var n = 0;
+function reset() { if (n < 50) { i = 0; } n = n + 1; }
+function event_received(message) {
+  for (i = 0; i < 3; i++) { reset(); }
+}`},
+		// The same name at module level: the global replaces the builtin for
+		// every function that calls it by name.
+		{"module value shadows builtin", `var range = null;
+function init() { range = function(n) { return [1, 2, 3, 4, 5, 6, 7, 8]; }; }
+function event_received(message) {
+  if (range == null) { init(); }
+  var acc = 0;
+  for (var x of range(1)) { acc = acc + x; acc = acc + x; }
+}`},
+		// No declaration at all: a plain assignment overwrites the builtin
+		// (found by FuzzCost's soundness property).
+		{"assignment overwrites builtin", `function event_received(message) {
+  range = function(n) { return [1, 2, 3, 4, 5, 6, 7, 8]; };
+  var acc = 0;
+  for (var x of range(1)) { acc = acc + x; acc = acc + x; }
+}`},
+		// A brace-less arm's `var i` lands in the loop's own scope and so
+		// rewinds the induction variable each pass; the redeclaration must
+		// stay seen after the walk moves on to the else arm's `var j`.
+		{"redeclaration followed by another declaration", `function event_received(message) {
+  for (var i = 0; i < 3; i++) if (1) var i = 0; else var j = 1;
+}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h, ok := AnalyzeCost(tc.src).Handler("event_received")
+			if !ok {
+				t.Fatal("no event_received handler")
+			}
+			_, measured, loaded := measureHandlers(tc.src)
+			if !loaded {
+				t.Fatal("script does not load")
+			}
+			if h.Bounded && h.Steps < measured {
+				t.Errorf("static bound %d < measured %d", h.Steps, measured)
+			}
+			t.Logf("bounded=%v static=%d measured=%d reasons=%v", h.Bounded, h.Steps, measured, h.Reasons)
+		})
+	}
+}
+
+// TestCostInductionVariable pins which induction variables a counted loop
+// may trust: only one nothing outside the loop's own text can write.
+func TestCostInductionVariable(t *testing.T) {
+	cases := []struct {
+		name, src string
+		bounded   bool
+	}{
+		{"declared by the loop", `function event_received(m) { for (var i = 0; i < 3; i++) { log(i); } }`, true},
+		{"local of a closure-free function", `function event_received(m) { var i; for (i = 0; i < 3; i++) { log(i); } }`, true},
+		{"parameter", `function event_received(m) { for (m = 0; m < 3; m++) { log(m); } }`, true},
+		{"module global", `var i = 0; function event_received(m) { for (i = 0; i < 3; i++) { log(i); } }`, false},
+		{"local a closure can reach", `function event_received(m) { var i; var f = function() { i = 0; }; for (i = 0; i < 3; i++) { log(i); } }`, false},
+		{"local declared after the loop, global of the same name", `var i = 0; function event_received(m) { for (i = 0; i < 3; i++) { log(i); } var i = 1; }`, false},
+	}
+	for _, tc := range cases {
+		h, ok := AnalyzeCost(tc.src).Handler("event_received")
+		if !ok || h.Bounded != tc.bounded {
+			t.Errorf("%s: bounded = %v, want %v (reasons %v)", tc.name, h.Bounded, tc.bounded, h.Reasons)
+		}
+	}
+}
+
 // TestCostExactness pins the static bound to the measured count on
 // branch-free code — the bound should be tight there, catching model
 // drift in either direction.

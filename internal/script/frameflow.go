@@ -43,38 +43,20 @@ func addPend(pend flowPend, pos Position) flowPend {
 
 // frameFlow runs the PV011 check over the module's top-level
 // event_received handler, if any.
-func (a *analyzer) frameFlow(prog *program) {
+func (a *analyzer) frameFlow(funcs funcTable) {
+	handler, ok := funcs["event_received"]
+	if !ok {
+		return
+	}
+	// A helper that drops or forwards the frame resolves it for its caller.
 	resolvers := map[string]bool{}
-	var handler *funcLit
-	for _, s := range prog.stmts {
-		var name string
-		var fn *funcLit
-		switch st := s.(type) {
-		case *funcDecl:
-			name, fn = st.fn.name, st.fn
-		case *declStmt:
-			if fl, ok := st.init.(*funcLit); ok {
-				name, fn = st.name, fl
-			}
-		}
-		if fn == nil {
-			continue
-		}
-		if name == "event_received" {
-			handler = fn
-			continue
-		}
-		// A helper that drops or forwards the frame resolves it for its
-		// caller.
-		if stmtsResolveFrame(fn.body.stmts) {
+	for name, d := range funcs {
+		if name != "event_received" && resolvesFrame(d.fn.body) {
 			resolvers[name] = true
 		}
 	}
-	if handler == nil {
-		return
-	}
 	f := &frameFlowChecker{a: a, resolvers: resolvers, reported: map[Position]bool{}}
-	pend, term := f.walkStmts(handler.body.stmts, nil)
+	pend, term := f.walkStmts(handler.fn.body.stmts, nil)
 	if !term {
 		f.exit(pend)
 	}
@@ -303,106 +285,21 @@ func (f *frameFlowChecker) scanExpr(e expr, pend flowPend) flowPend {
 	return pend
 }
 
-// stmtsResolveFrame reports whether a statement list contains a direct
-// frame_done or call_module call — the helper-function allowance.
-func stmtsResolveFrame(list []stmt) bool {
-	for _, s := range list {
-		if stmtResolvesFrame(s) {
-			return true
-		}
-	}
-	return false
-}
-
-func stmtResolvesFrame(s stmt) bool {
-	switch st := s.(type) {
-	case *exprStmt:
-		return exprResolvesFrame(st.x)
-	case *declStmt:
-		return st.init != nil && exprResolvesFrame(st.init)
-	case *blockStmt:
-		return stmtsResolveFrame(st.stmts)
-	case *ifStmt:
-		return exprResolvesFrame(st.cond) || stmtResolvesFrame(st.then) ||
-			(st.elsE != nil && stmtResolvesFrame(st.elsE))
-	case *whileStmt:
-		return exprResolvesFrame(st.cond) || stmtResolvesFrame(st.body)
-	case *forStmt:
-		return (st.init != nil && stmtResolvesFrame(st.init)) ||
-			(st.cond != nil && exprResolvesFrame(st.cond)) ||
-			(st.post != nil && exprResolvesFrame(st.post)) ||
-			stmtResolvesFrame(st.body)
-	case *forOfStmt:
-		return exprResolvesFrame(st.iter) || stmtResolvesFrame(st.body)
-	case *returnStmt:
-		return st.value != nil && exprResolvesFrame(st.value)
-	case *throwStmt:
-		return exprResolvesFrame(st.value)
-	case *tryStmt:
-		if stmtsResolveFrame(st.body.stmts) {
-			return true
-		}
-		if st.catch != nil && stmtsResolveFrame(st.catch.stmts) {
-			return true
-		}
-		return st.finally != nil && stmtsResolveFrame(st.finally.stmts)
-	case *switchStmt:
-		if exprResolvesFrame(st.subject) {
-			return true
-		}
-		for _, c := range st.cases {
-			if exprResolvesFrame(c.value) || stmtsResolveFrame(c.body) {
-				return true
+// resolvesFrame reports whether a function body contains a direct
+// frame_done or call_module call — the helper-function allowance. A call
+// inside a nested function literal runs later, if ever, and does not count.
+func resolvesFrame(body *blockStmt) bool {
+	found := false
+	inspect(body, func(n node) bool {
+		switch x := n.(type) {
+		case *funcLit:
+			return false
+		case *callExpr:
+			if id, ok := x.callee.(*identExpr); ok && (id.name == "frame_done" || id.name == "call_module") {
+				found = true
 			}
 		}
-		return st.defaultBody != nil && stmtsResolveFrame(st.defaultBody)
-	}
-	return false
-}
-
-func exprResolvesFrame(e expr) bool {
-	switch ex := e.(type) {
-	case *callExpr:
-		if id, ok := ex.callee.(*identExpr); ok &&
-			(id.name == "frame_done" || id.name == "call_module") {
-			return true
-		}
-		if exprResolvesFrame(ex.callee) {
-			return true
-		}
-		for _, arg := range ex.args {
-			if exprResolvesFrame(arg) {
-				return true
-			}
-		}
-	case *unaryExpr:
-		return exprResolvesFrame(ex.x)
-	case *binaryExpr:
-		return exprResolvesFrame(ex.x) || exprResolvesFrame(ex.y)
-	case *logicalExpr:
-		return exprResolvesFrame(ex.x) || exprResolvesFrame(ex.y)
-	case *condExpr:
-		return exprResolvesFrame(ex.cond) || exprResolvesFrame(ex.then) || exprResolvesFrame(ex.elsE)
-	case *assignExpr:
-		return exprResolvesFrame(ex.value) || exprResolvesFrame(ex.target)
-	case *updateExpr:
-		return exprResolvesFrame(ex.target)
-	case *arrayLit:
-		for _, el := range ex.elems {
-			if exprResolvesFrame(el) {
-				return true
-			}
-		}
-	case *objectLit:
-		for _, fl := range ex.fields {
-			if exprResolvesFrame(fl.value) {
-				return true
-			}
-		}
-	case *memberExpr:
-		return exprResolvesFrame(ex.obj)
-	case *indexExpr:
-		return exprResolvesFrame(ex.obj) || exprResolvesFrame(ex.index)
-	}
-	return false
+		return !found
+	})
+	return found
 }

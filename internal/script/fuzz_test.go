@@ -64,13 +64,25 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzCost drives the pipecost pass with arbitrary handler bodies,
-// asserting two properties: the pass never panics, and the bound is
-// monotone — appending a statement to the body never lowers the computed
-// instruction or allocation bound.
+// asserting three properties: the pass never panics; the bound is sound —
+// a handler reported Bounded never executes more interpreter steps than its
+// bound when the body actually runs; and the bound is monotone — appending
+// a statement to the body never lowers the computed instruction or
+// allocation bound.
 func FuzzCost(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
 	}
+	// Bodies that were once bounded below their measured count: a local
+	// function value taking a builtin's name, and (closing the wrapper to
+	// reach module level) a counted loop whose callee rewinds the variable.
+	f.Add(`var acc = 0; var range = function(n) { return [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]; };
+for (var x of range(1)) { acc = acc + x; acc = acc + x; acc = acc + x; }`)
+	f.Add(`for (i = 0; i < 3; i++) { reset(); } }
+var i = 0; var n = 0;
+function reset() { if (n < 50) { i = 0; } n = n + 1;`)
+	// A redeclared induction variable with a later, unrelated declaration.
+	f.Add(`for (var i = 0; i < 3; i++) if (1) var i = 0; else var j = 1;`)
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "configs", "*.js"))
 	if err != nil {
 		f.Fatalf("glob examples: %v", err)
@@ -99,6 +111,17 @@ func FuzzCost(f *testing.F) {
 		if !okb || !okg {
 			return
 		}
+
+		// Soundness: static bound >= measured steps, for the load and for
+		// one event, whenever the analysis claims a bound.
+		load, event, loaded := measureHandlers(base)
+		if hl, ok := repBase.Handler(LoadHandler); ok && hl.Bounded && load > hl.Steps {
+			t.Errorf("load: measured %d > static bound %d:\n%s", load, hl.Steps, base)
+		}
+		if loaded && hb.Bounded && event > hb.Steps {
+			t.Errorf("event_received: measured %d > static bound %d:\n%s", event, hb.Steps, base)
+		}
+
 		if !hb.Bounded {
 			// Unbounded stays unbounded when statements are added.
 			if hg.Bounded {

@@ -14,16 +14,13 @@ import (
 
 type shapeCtx struct {
 	sigs    map[string]Signature
-	funcs   map[string]*funcLit
+	funcs   funcTable
 	globals map[string]*Shape
 	extra   map[string]bool
 
-	retShape map[string]*Shape
-	retState map[string]int // 0 unseen, 1 in progress, 2 done
+	returns  callMemo[string, *Shape]
+	consumes callMemo[string, *consumeFrag]
 	envMemo  map[*funcLit]envResult
-
-	consumeMemo  map[string]*consumeFrag
-	consumeState map[string]bool
 }
 
 type envResult struct {
@@ -31,34 +28,20 @@ type envResult struct {
 	locals map[string]bool
 }
 
-// shapePass runs pipetype over a parsed module. Mirrors costPass's shape:
-// top-level function table (last declaration wins), then per-scope
-// analysis. It reports PV018 at emit sites whose payload degrades to top
-// or an open object.
-func shapePass(prog *program, sigs map[string]Signature, globals []string) (ShapeReport, []Diagnostic) {
+// shapePass runs pipetype over a parsed module: module globals first, then
+// per-scope analysis of the load scope and every top-level function. It
+// reports PV018 at emit sites whose payload degrades to top or an open
+// object.
+func shapePass(prog *program, funcs funcTable, sigs map[string]Signature, globals []string) (ShapeReport, []Diagnostic) {
 	ctx := &shapeCtx{
-		sigs:         sigs,
-		funcs:        make(map[string]*funcLit),
-		globals:      make(map[string]*Shape),
-		extra:        make(map[string]bool),
-		retShape:     make(map[string]*Shape),
-		retState:     make(map[string]int),
-		envMemo:      make(map[*funcLit]envResult),
-		consumeMemo:  make(map[string]*consumeFrag),
-		consumeState: make(map[string]bool),
+		sigs:    sigs,
+		funcs:   funcs,
+		globals: make(map[string]*Shape),
+		extra:   make(map[string]bool),
+		envMemo: make(map[*funcLit]envResult),
 	}
 	for _, g := range globals {
 		ctx.extra[g] = true
-	}
-	for _, s := range prog.stmts {
-		switch st := s.(type) {
-		case *funcDecl:
-			ctx.funcs[st.fn.name] = st.fn
-		case *declStmt:
-			if fl, ok := st.init.(*funcLit); ok {
-				ctx.funcs[st.name] = fl
-			}
-		}
 	}
 
 	// Module globals: a global keeps its declaration shape only when the
@@ -99,34 +82,19 @@ func shapePass(prog *program, sigs map[string]Signature, globals []string) (Shap
 			// Walked as its own scope below.
 		case *declStmt:
 			if _, isFunc := st.init.(*funcLit); !isFunc {
-				load.stmt(s)
+				load.walk(s)
 			}
 		default:
-			load.stmt(s)
+			load.walk(s)
 		}
 	}
-	for _, s := range prog.stmts {
-		var fl *funcLit
-		switch st := s.(type) {
-		case *funcDecl:
-			fl = st.fn
-		case *declStmt:
-			if f, ok := st.init.(*funcLit); ok {
-				fl = f
-			}
-		}
-		if fl == nil {
-			continue
-		}
-		env, locals := ctx.fixpointEnv(fl)
-		col.scope(env, locals).block(fl.body)
+	// Source order: a recursive helper's return shape depends on which
+	// function of the cycle is entered first.
+	for _, d := range funcs.inSourceOrder() {
+		env, locals := ctx.fixpointEnv(d.fn)
+		col.scope(env, locals).walk(d.fn.body)
 	}
-	sort.SliceStable(sites, func(i, j int) bool {
-		if sites[i].Pos.Line != sites[j].Pos.Line {
-			return sites[i].Pos.Line < sites[j].Pos.Line
-		}
-		return sites[i].Pos.Col < sites[j].Pos.Col
-	})
+	sort.SliceStable(sites, func(i, j int) bool { return sites[i].Pos.before(sites[j].Pos) })
 
 	rep := ShapeReport{
 		Emits:        make(map[string]*Shape),
@@ -141,11 +109,11 @@ func shapePass(prog *program, sigs map[string]Signature, globals []string) (Shap
 		rep.Emits[s.Target] = rep.Emits[s.Target].Join(s.Payload)
 	}
 
-	if fl, ok := ctx.funcs["event_received"]; ok {
+	if handler, ok := ctx.funcs["event_received"]; ok {
 		rep.Consumed.HasHandler = true
 		rep.Consumed.Fields = make(map[string]FieldUse)
-		if len(fl.params) > 0 {
-			frag := ctx.consumeFunc(fl, 0, "")
+		if len(handler.fn.params) > 0 {
+			frag := ctx.consume(handler.fn, 0)
 			rep.Consumed.Dynamic = frag.dynamic
 			rep.Consumed.Fields = frag.fields
 		}
@@ -157,8 +125,8 @@ func shapePass(prog *program, sigs map[string]Signature, globals []string) (Shap
 // the root of a member/index write anywhere in the program (including
 // nested function bodies).
 func scanWidens(s stmt, into map[string]bool) {
-	walkStmtExprs(s, func(e expr) {
-		switch ex := e.(type) {
+	inspect(s, func(n node) bool {
+		switch ex := n.(type) {
 		case *assignExpr:
 			widenTarget(ex.target, into)
 		case *updateExpr:
@@ -170,6 +138,7 @@ func scanWidens(s stmt, into map[string]bool) {
 				}
 			}
 		}
+		return true
 	})
 }
 
@@ -199,108 +168,28 @@ func rootIdentName(e expr) (string, bool) {
 	}
 }
 
-// walkStmtExprs calls fn on every expression under s, including inside
-// nested function literal bodies.
-func walkStmtExprs(s stmt, fn func(expr)) {
-	switch st := s.(type) {
-	case nil:
-	case *exprStmt:
-		walkExprTree(st.x, fn)
-	case *declStmt:
-		walkExprTree(st.init, fn)
-	case *blockStmt:
-		for _, inner := range st.stmts {
-			walkStmtExprs(inner, fn)
-		}
-	case *ifStmt:
-		walkExprTree(st.cond, fn)
-		walkStmtExprs(st.then, fn)
-		walkStmtExprs(st.elsE, fn)
-	case *whileStmt:
-		walkExprTree(st.cond, fn)
-		walkStmtExprs(st.body, fn)
-	case *forStmt:
-		walkStmtExprs(st.init, fn)
-		walkExprTree(st.cond, fn)
-		walkExprTree(st.post, fn)
-		walkStmtExprs(st.body, fn)
-	case *forOfStmt:
-		walkExprTree(st.iter, fn)
-		walkStmtExprs(st.body, fn)
-	case *returnStmt:
-		walkExprTree(st.value, fn)
-	case *throwStmt:
-		walkExprTree(st.value, fn)
-	case *tryStmt:
-		walkStmtExprs(st.body, fn)
-		if st.catch != nil {
-			walkStmtExprs(st.catch, fn)
-		}
-		if st.finally != nil {
-			walkStmtExprs(st.finally, fn)
-		}
-	case *switchStmt:
-		walkExprTree(st.subject, fn)
-		for _, c := range st.cases {
-			walkExprTree(c.value, fn)
-			for _, inner := range c.body {
-				walkStmtExprs(inner, fn)
+// declaredNames adds to into every name declared under n outside nested
+// function literals — var/let/const (function-valued or not), for-of and
+// catch variables, function declarations: the flat domain of a function's
+// environment, and what a nested function shadows of its enclosing one.
+func declaredNames(n node, into map[string]bool) {
+	inspect(n, func(n node) bool {
+		switch x := n.(type) {
+		case *funcLit:
+			return false
+		case *declStmt:
+			into[x.name] = true
+		case *forOfStmt:
+			into[x.varName] = true
+		case *tryStmt:
+			if x.catch != nil && x.catchVar != "" {
+				into[x.catchVar] = true
 			}
+		case *funcDecl:
+			into[x.fn.name] = true
 		}
-		for _, inner := range st.defaultBody {
-			walkStmtExprs(inner, fn)
-		}
-	case *funcDecl:
-		walkStmtExprs(st.fn.body, fn)
-	}
-}
-
-// walkExprTree calls fn on e and every sub-expression, descending into
-// function literal bodies.
-func walkExprTree(e expr, fn func(expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch ex := e.(type) {
-	case *arrayLit:
-		for _, el := range ex.elems {
-			walkExprTree(el, fn)
-		}
-	case *objectLit:
-		for _, f := range ex.fields {
-			walkExprTree(f.value, fn)
-		}
-	case *funcLit:
-		walkStmtExprs(ex.body, fn)
-	case *unaryExpr:
-		walkExprTree(ex.x, fn)
-	case *binaryExpr:
-		walkExprTree(ex.x, fn)
-		walkExprTree(ex.y, fn)
-	case *logicalExpr:
-		walkExprTree(ex.x, fn)
-		walkExprTree(ex.y, fn)
-	case *condExpr:
-		walkExprTree(ex.cond, fn)
-		walkExprTree(ex.then, fn)
-		walkExprTree(ex.elsE, fn)
-	case *assignExpr:
-		walkExprTree(ex.target, fn)
-		walkExprTree(ex.value, fn)
-	case *updateExpr:
-		walkExprTree(ex.target, fn)
-	case *callExpr:
-		walkExprTree(ex.callee, fn)
-		for _, a := range ex.args {
-			walkExprTree(a, fn)
-		}
-	case *memberExpr:
-		walkExprTree(ex.obj, fn)
-	case *indexExpr:
-		walkExprTree(ex.obj, fn)
-		walkExprTree(ex.index, fn)
-	}
+		return true
+	})
 }
 
 // ---- produced side: local environments ----
@@ -314,7 +203,7 @@ func (c *shapeCtx) fixpointEnv(fl *funcLit) (map[string]*Shape, map[string]bool)
 		return r.env, r.locals
 	}
 	locals := make(map[string]bool)
-	collectDeclaredNames(fl.body.stmts, locals)
+	declaredNames(fl.body, locals)
 	env := make(map[string]*Shape)
 	for _, pn := range fl.params {
 		locals[pn] = true
@@ -324,9 +213,7 @@ func (c *shapeCtx) fixpointEnv(fl *funcLit) (map[string]*Shape, map[string]bool)
 	stable := false
 	for i := 0; i < maxEnvPasses && !stable; i++ {
 		p.changed = false
-		for _, s := range fl.body.stmts {
-			p.stmt(s)
-		}
+		inspect(fl.body, p.visit)
 		stable = !p.changed
 	}
 	if !stable {
@@ -359,92 +246,41 @@ func (p *envPass) set(name string, s *Shape) {
 	}
 }
 
-func (p *envPass) stmt(s stmt) {
-	switch st := s.(type) {
-	case nil:
-	case *exprStmt:
-		p.expr(st.x)
+// visit folds one node's bindings into the environment: declarations,
+// loop and catch variables, assignments and updates. It descends into nested
+// function literals — a closure may write the enclosing function's locals.
+func (p *envPass) visit(n node) bool {
+	switch x := n.(type) {
 	case *declStmt:
-		if st.init == nil {
-			p.set(st.name, kindShape(KindNull))
-			return
+		switch x.init.(type) {
+		case nil:
+			p.set(x.name, kindShape(KindNull))
+		case *funcLit:
+			p.set(x.name, kindShape(KindFunction))
+		default:
+			p.set(x.name, p.ctx.evalShape(x.init, p.env, p.locals))
 		}
-		if _, isFunc := st.init.(*funcLit); isFunc {
-			p.set(st.name, kindShape(KindFunction))
-		} else {
-			p.set(st.name, p.ctx.evalShape(st.init, p.env, p.locals))
-		}
-		p.expr(st.init)
-	case *blockStmt:
-		for _, inner := range st.stmts {
-			p.stmt(inner)
-		}
-	case *ifStmt:
-		p.expr(st.cond)
-		p.stmt(st.then)
-		p.stmt(st.elsE)
-	case *whileStmt:
-		p.expr(st.cond)
-		p.stmt(st.body)
-	case *forStmt:
-		p.stmt(st.init)
-		p.expr(st.cond)
-		p.expr(st.post)
-		p.stmt(st.body)
 	case *forOfStmt:
-		p.set(st.varName, elemShape(p.ctx.evalShape(st.iter, p.env, p.locals)))
-		p.expr(st.iter)
-		p.stmt(st.body)
-	case *returnStmt:
-		p.expr(st.value)
-	case *throwStmt:
-		p.expr(st.value)
+		p.set(x.varName, elemShape(p.ctx.evalShape(x.iter, p.env, p.locals)))
 	case *tryStmt:
-		p.stmt(st.body)
-		if st.catch != nil {
-			if st.catchVar != "" {
-				p.set(st.catchVar, topShape())
-			}
-			p.stmt(st.catch)
+		if x.catch != nil && x.catchVar != "" {
+			p.set(x.catchVar, topShape())
 		}
-		if st.finally != nil {
-			p.stmt(st.finally)
+	case *assignExpr:
+		var val *Shape
+		switch x.op {
+		case "=":
+			val = p.ctx.evalShape(x.value, p.env, p.locals)
+		case "+=":
+			val = kindShape(KindNumber | KindString)
+		default:
+			val = kindShape(KindNumber)
 		}
-	case *switchStmt:
-		p.expr(st.subject)
-		for _, cs := range st.cases {
-			p.expr(cs.value)
-			for _, inner := range cs.body {
-				p.stmt(inner)
-			}
-		}
-		for _, inner := range st.defaultBody {
-			p.stmt(inner)
-		}
-	case *funcDecl:
-		// A closure may write the enclosing function's locals.
-		p.stmt(st.fn.body)
+		p.assignTarget(x.target, val)
+	case *updateExpr:
+		p.assignTarget(x.target, kindShape(KindNumber))
 	}
-}
-
-func (p *envPass) expr(e expr) {
-	walkExprTree(e, func(x expr) {
-		switch ex := x.(type) {
-		case *assignExpr:
-			var val *Shape
-			switch ex.op {
-			case "=":
-				val = p.ctx.evalShape(ex.value, p.env, p.locals)
-			case "+=":
-				val = kindShape(KindNumber | KindString)
-			default:
-				val = kindShape(KindNumber)
-			}
-			p.assignTarget(ex.target, val)
-		case *updateExpr:
-			p.assignTarget(ex.target, kindShape(KindNumber))
-		}
-	})
+	return true
 }
 
 func (p *envPass) assignTarget(t expr, val *Shape) {
@@ -607,8 +443,8 @@ func (c *shapeCtx) callShape(ex *callExpr, env map[string]*Shape, locals map[str
 	if _, isGlobal := c.globals[id.name]; isGlobal {
 		return topShape()
 	}
-	if fl, found := c.funcs[id.name]; found {
-		return c.returnShape(id.name, fl)
+	if def, found := c.funcs[id.name]; found {
+		return c.returnShape(def)
 	}
 	switch id.name {
 	case "call_service":
@@ -662,75 +498,22 @@ func indexShape(obj *Shape) *Shape {
 
 // returnShape computes a function's return shape, memoized with recursion
 // detection (recursion widens to top).
-func (c *shapeCtx) returnShape(name string, fl *funcLit) *Shape {
-	switch c.retState[name] {
-	case 1:
-		return topShape()
-	case 2:
-		return c.retShape[name]
-	}
-	c.retState[name] = 1
-	env, locals := c.fixpointEnv(fl)
-	var ret *Shape
-	collectReturns(fl.body, func(r *returnStmt) {
-		if r.value == nil {
-			ret = ret.Join(kindShape(KindNull))
-		} else {
-			ret = ret.Join(c.evalShape(r.value, env, locals))
-		}
+func (c *shapeCtx) returnShape(def funcDef) *Shape {
+	return c.returns.visit(def.name, topShape, func() *Shape {
+		env, locals := c.fixpointEnv(def.fn)
+		// Falling off the end returns null.
+		ret := kindShape(KindNull)
+		inspect(def.fn.body, func(n node) bool {
+			switch x := n.(type) {
+			case *funcLit:
+				return false // its returns are its own
+			case *returnStmt:
+				ret = ret.Join(c.evalShape(x.value, env, locals))
+			}
+			return true
+		})
+		return ret
 	})
-	// Falling off the end returns null.
-	ret = ret.Join(kindShape(KindNull))
-	c.retShape[name] = ret
-	c.retState[name] = 2
-	return ret
-}
-
-// collectReturns visits the return statements of one function body without
-// descending into nested function literals (their returns are their own).
-func collectReturns(b *blockStmt, fn func(*returnStmt)) {
-	var walk func(s stmt)
-	walk = func(s stmt) {
-		switch st := s.(type) {
-		case nil:
-		case *returnStmt:
-			fn(st)
-		case *blockStmt:
-			for _, inner := range st.stmts {
-				walk(inner)
-			}
-		case *ifStmt:
-			walk(st.then)
-			walk(st.elsE)
-		case *whileStmt:
-			walk(st.body)
-		case *forStmt:
-			walk(st.init)
-			walk(st.body)
-		case *forOfStmt:
-			walk(st.body)
-		case *tryStmt:
-			walk(st.body)
-			if st.catch != nil {
-				walk(st.catch)
-			}
-			if st.finally != nil {
-				walk(st.finally)
-			}
-		case *switchStmt:
-			for _, cs := range st.cases {
-				for _, inner := range cs.body {
-					walk(inner)
-				}
-			}
-			for _, inner := range st.defaultBody {
-				walk(inner)
-			}
-		}
-	}
-	for _, s := range b.stmts {
-		walk(s)
-	}
 }
 
 // ---- emit collection ----
@@ -760,7 +543,7 @@ func (sc *emitScope) nested(fl *funcLit) *emitScope {
 	for _, pn := range fl.params {
 		shadowed[pn] = true
 	}
-	collectDeclaredNames(fl.body.stmts, shadowed)
+	declaredNames(fl.body, shadowed)
 	env := make(map[string]*Shape, len(sc.env)+len(shadowed))
 	locals := make(map[string]bool, len(sc.locals)+len(shadowed))
 	for n, v := range sc.env {
@@ -776,110 +559,19 @@ func (sc *emitScope) nested(fl *funcLit) *emitScope {
 	return &emitScope{col: sc.col, env: env, locals: locals}
 }
 
-func (sc *emitScope) block(b *blockStmt) {
-	for _, s := range b.stmts {
-		sc.stmt(s)
-	}
-}
-
-func (sc *emitScope) stmt(s stmt) {
-	switch st := s.(type) {
-	case nil:
-	case *exprStmt:
-		sc.expr(st.x)
-	case *declStmt:
-		sc.expr(st.init)
-	case *blockStmt:
-		sc.block(st)
-	case *ifStmt:
-		sc.expr(st.cond)
-		sc.stmt(st.then)
-		sc.stmt(st.elsE)
-	case *whileStmt:
-		sc.expr(st.cond)
-		sc.stmt(st.body)
-	case *forStmt:
-		sc.stmt(st.init)
-		sc.expr(st.cond)
-		sc.expr(st.post)
-		sc.stmt(st.body)
-	case *forOfStmt:
-		sc.expr(st.iter)
-		sc.stmt(st.body)
-	case *returnStmt:
-		sc.expr(st.value)
-	case *throwStmt:
-		sc.expr(st.value)
-	case *tryStmt:
-		sc.stmt(st.body)
-		if st.catch != nil {
-			sc.stmt(st.catch)
+// walk collects the emit sites under n; a nested function literal's body is
+// walked under that function's own scope.
+func (sc *emitScope) walk(n node) {
+	inspect(n, func(n node) bool {
+		switch x := n.(type) {
+		case *funcLit:
+			sc.nested(x).walk(x.body)
+			return false
+		case *callExpr:
+			sc.emit(x)
 		}
-		if st.finally != nil {
-			sc.stmt(st.finally)
-		}
-	case *switchStmt:
-		sc.expr(st.subject)
-		for _, cs := range st.cases {
-			sc.expr(cs.value)
-			for _, inner := range cs.body {
-				sc.stmt(inner)
-			}
-		}
-		for _, inner := range st.defaultBody {
-			sc.stmt(inner)
-		}
-	case *funcDecl:
-		sc.nested(st.fn).block(st.fn.body)
-	}
-}
-
-func (sc *emitScope) expr(e expr) {
-	if e == nil {
-		return
-	}
-	switch ex := e.(type) {
-	case *funcLit:
-		sc.nested(ex).block(ex.body)
-		return
-	case *callExpr:
-		sc.expr(ex.callee)
-		for _, a := range ex.args {
-			sc.expr(a)
-		}
-		sc.emit(ex)
-		return
-	case *arrayLit:
-		for _, el := range ex.elems {
-			sc.expr(el)
-		}
-	case *objectLit:
-		for _, f := range ex.fields {
-			sc.expr(f.value)
-		}
-	case *unaryExpr:
-		sc.expr(ex.x)
-	case *binaryExpr:
-		sc.expr(ex.x)
-		sc.expr(ex.y)
-	case *logicalExpr:
-		sc.expr(ex.x)
-		sc.expr(ex.y)
-	case *condExpr:
-		sc.expr(ex.cond)
-		sc.expr(ex.then)
-		sc.expr(ex.elsE)
-	case *assignExpr:
-		sc.expr(ex.target)
-		sc.expr(ex.value)
-	case *updateExpr:
-		sc.expr(ex.target)
-	case *memberExpr:
-		sc.expr(ex.obj)
-	case *indexExpr:
-		sc.expr(ex.obj)
-		sc.expr(ex.index)
-	}
+		return true
+	})
 }
 
 // emit records a call_module site and reports PV018 when the payload shape
@@ -924,64 +616,55 @@ type consumeFrag struct {
 	fields  map[string]FieldUse
 }
 
-// consumeFunc infers which fields of parameter paramIdx a function reads.
-// key memoizes interprocedural queries ("" for the entry query); recursion
-// degrades to dynamic.
-func (c *shapeCtx) consumeFunc(fl *funcLit, paramIdx int, key string) *consumeFrag {
-	if key != "" {
-		if c.consumeState[key] {
-			return &consumeFrag{dynamic: true, fields: map[string]FieldUse{}}
-		}
-		if f, ok := c.consumeMemo[key]; ok {
-			return f
-		}
-		c.consumeState[key] = true
-		defer func() { c.consumeState[key] = false }()
+// consumeFunc is consume for an interprocedural query — a helper handed the
+// message as argument paramIdx — memoized per (function, parameter);
+// recursion degrades to dynamic.
+func (c *shapeCtx) consumeFunc(def funcDef, paramIdx int) *consumeFrag {
+	recursion := func() *consumeFrag {
+		return &consumeFrag{dynamic: true, fields: map[string]FieldUse{}}
 	}
+	return c.consumes.visit(def.name+"#"+strconv.Itoa(paramIdx), recursion, func() *consumeFrag {
+		return c.consume(def.fn, paramIdx)
+	})
+}
+
+// consume infers which fields of parameter paramIdx a function reads.
+func (c *shapeCtx) consume(fl *funcLit, paramIdx int) *consumeFrag {
 	frag := &consumeFrag{fields: make(map[string]FieldUse)}
-	done := func() *consumeFrag {
-		if key != "" {
-			c.consumeMemo[key] = frag
-		}
-		return frag
-	}
 	if paramIdx >= len(fl.params) {
-		return done()
+		return frag
 	}
 	param := fl.params[paramIdx]
 	// Re-declaring or re-assigning the message parameter poisons field
 	// attribution: degrade to dynamic with no recorded fields rather than
 	// risk a false PV015.
 	declared := make(map[string]bool)
-	collectDeclaredNames(fl.body.stmts, declared)
+	declaredNames(fl.body, declared)
 	if declared[param] || assignsName(fl.body, param) {
 		frag.dynamic = true
-		return done()
+		return frag
 	}
 	w := &consumeWalker{ctx: c, frag: frag, aliases: c.aliasSet(fl, param)}
-	for _, s := range fl.body.stmts {
-		w.stmt(s)
-	}
-	return done()
+	w.walk(fl.body)
+	return frag
 }
 
-// assignsName reports whether any assignment or update anywhere under b
+// assignsName reports whether any assignment or update anywhere under n
 // (including nested function bodies) targets the bare identifier name.
-func assignsName(b *blockStmt, name string) bool {
+func assignsName(n node, name string) bool {
 	found := false
-	walkStmtExprs(b, func(e expr) {
+	inspect(n, func(n node) bool {
 		var t expr
-		switch ex := e.(type) {
+		switch ex := n.(type) {
 		case *assignExpr:
 			t = ex.target
 		case *updateExpr:
 			t = ex.target
-		default:
-			return
 		}
 		if id, ok := t.(*identExpr); ok && id.name == name {
 			found = true
 		}
+		return !found
 	})
 	return found
 }
@@ -994,57 +677,26 @@ func (c *shapeCtx) aliasSet(fl *funcLit, param string) map[string]bool {
 	declCount := make(map[string]int)
 	type candidate struct{ name, from string }
 	var cands []candidate
-	var scan func(s stmt)
-	scan = func(s stmt) {
-		switch st := s.(type) {
-		case nil:
+	inspect(fl.body, func(n node) bool {
+		switch st := n.(type) {
+		case *funcLit:
+			return false
 		case *declStmt:
 			declCount[st.name]++
 			if id, ok := st.init.(*identExpr); ok {
 				cands = append(cands, candidate{name: st.name, from: id.name})
 			}
-		case *blockStmt:
-			for _, inner := range st.stmts {
-				scan(inner)
-			}
-		case *ifStmt:
-			scan(st.then)
-			scan(st.elsE)
-		case *whileStmt:
-			scan(st.body)
-		case *forStmt:
-			scan(st.init)
-			scan(st.body)
 		case *forOfStmt:
 			declCount[st.varName]++
-			scan(st.body)
 		case *tryStmt:
-			scan(st.body)
-			if st.catch != nil {
-				if st.catchVar != "" {
-					declCount[st.catchVar]++
-				}
-				scan(st.catch)
-			}
-			if st.finally != nil {
-				scan(st.finally)
-			}
-		case *switchStmt:
-			for _, cs := range st.cases {
-				for _, inner := range cs.body {
-					scan(inner)
-				}
-			}
-			for _, inner := range st.defaultBody {
-				scan(inner)
+			if st.catch != nil && st.catchVar != "" {
+				declCount[st.catchVar]++
 			}
 		case *funcDecl:
 			declCount[st.fn.name]++
 		}
-	}
-	for _, s := range fl.body.stmts {
-		scan(s)
-	}
+		return true
+	})
 	for changed := true; changed; {
 		changed = false
 		for _, cd := range cands {
@@ -1110,82 +762,42 @@ func (w *consumeWalker) nested(fl *funcLit) {
 	for _, pn := range fl.params {
 		shadowed[pn] = true
 	}
-	collectDeclaredNames(fl.body.stmts, shadowed)
+	declaredNames(fl.body, shadowed)
 	sub := &consumeWalker{ctx: w.ctx, frag: w.frag, aliases: make(map[string]bool, len(w.aliases))}
 	for n := range w.aliases {
 		if !shadowed[n] {
 			sub.aliases[n] = true
 		}
 	}
-	for _, s := range fl.body.stmts {
-		sub.stmt(s)
-	}
+	sub.walk(fl.body)
 }
 
-func (w *consumeWalker) stmt(s stmt) {
-	switch st := s.(type) {
-	case nil:
-	case *exprStmt:
-		w.expr(st.x, 0)
-	case *declStmt:
-		if st.init == nil {
-			return
-		}
-		if id, ok := st.init.(*identExpr); ok && w.aliases[id.name] && w.aliases[st.name] {
-			// A qualified alias declaration is not a wholesale use.
-			return
-		}
-		w.expr(st.init, 0)
-	case *blockStmt:
-		for _, inner := range st.stmts {
-			w.stmt(inner)
-		}
-	case *ifStmt:
-		w.expr(st.cond, 0)
-		w.stmt(st.then)
-		w.stmt(st.elsE)
-	case *whileStmt:
-		w.expr(st.cond, 0)
-		w.stmt(st.body)
-	case *forStmt:
-		w.stmt(st.init)
-		w.expr(st.cond, 0)
-		w.expr(st.post, 0)
-		w.stmt(st.body)
-	case *forOfStmt:
-		if id, ok := st.iter.(*identExpr); ok && w.aliases[id.name] {
-			// Iterating the message consumes every field.
-			w.frag.dynamic = true
-		} else {
-			w.expr(st.iter, KindObject|KindArray|KindString)
-		}
-		w.stmt(st.body)
-	case *returnStmt:
-		w.expr(st.value, 0)
-	case *throwStmt:
-		w.expr(st.value, 0)
-	case *tryStmt:
-		w.stmt(st.body)
-		if st.catch != nil {
-			w.stmt(st.catch)
-		}
-		if st.finally != nil {
-			w.stmt(st.finally)
-		}
-	case *switchStmt:
-		w.expr(st.subject, 0)
-		for _, cs := range st.cases {
-			w.expr(cs.value, 0)
-			for _, inner := range cs.body {
-				w.stmt(inner)
+// walk hands every expression under a statement to expr — with no kind
+// expectation, except a for-of iterable — and skips the two statement forms
+// that are not a use of what they mention.
+func (w *consumeWalker) walk(n node) {
+	inspect(n, func(n node) bool {
+		switch x := n.(type) {
+		case *declStmt:
+			if id, ok := x.init.(*identExpr); ok && w.aliases[id.name] && w.aliases[x.name] {
+				// A qualified alias declaration is not a wholesale use.
+				return false
 			}
+		case *forOfStmt:
+			if id, ok := x.iter.(*identExpr); ok && w.aliases[id.name] {
+				// Iterating the message consumes every field.
+				w.frag.dynamic = true
+			} else {
+				w.expr(x.iter, KindObject|KindArray|KindString)
+			}
+			w.walk(x.body)
+			return false
+		case expr:
+			w.expr(x, 0)
+			return false
 		}
-		for _, inner := range st.defaultBody {
-			w.stmt(inner)
-		}
-	case *funcDecl:
-		w.nested(st.fn)
-	}
+		return true
+	})
 }
 
 func (w *consumeWalker) expr(e expr, want KindSet) {
@@ -1340,10 +952,10 @@ func (w *consumeWalker) call(ex *callExpr) {
 			return
 		}
 	}
-	if fl, ok := w.ctx.funcs[id.name]; ok {
+	if def, ok := w.ctx.funcs[id.name]; ok {
 		for i, a := range ex.args {
 			if aid, isAlias := a.(*identExpr); isAlias && w.aliases[aid.name] {
-				w.merge(w.ctx.consumeFunc(fl, i, id.name+"#"+strconv.Itoa(i)))
+				w.merge(w.ctx.consumeFunc(def, i))
 				continue
 			}
 			w.expr(a, 0)
@@ -1391,17 +1003,18 @@ func paramKinds(sig Signature, i int) KindSet {
 // read off a variable directly bound to its result.
 func collectServiceReads(ctx *shapeCtx, prog *program) map[string][]string {
 	out := make(map[string][]string)
-	scopes := [][]stmt{prog.stmts}
-	for _, fl := range ctx.funcs {
-		scopes = append(scopes, fl.body.stmts)
+	// The load scope is the top-level statements, viewed as one block.
+	scopes := []node{&blockStmt{stmts: prog.stmts}}
+	for _, d := range ctx.funcs {
+		scopes = append(scopes, d.fn.body)
 	}
-	for _, stmts := range scopes {
+	for _, scope := range scopes {
 		// Variables bound to call_service results in this scope.
 		bound := make(map[string]string)
-		var scanDecls func(s stmt)
-		scanDecls = func(s stmt) {
-			switch st := s.(type) {
-			case nil:
+		inspect(scope, func(n node) bool {
+			switch st := n.(type) {
+			case *funcLit:
+				return false
 			case *declStmt:
 				if call, ok := st.init.(*callExpr); ok {
 					if cid, ok2 := call.callee.(*identExpr); ok2 && cid.name == "call_service" && len(call.args) > 0 {
@@ -1410,67 +1023,33 @@ func collectServiceReads(ctx *shapeCtx, prog *program) map[string][]string {
 						}
 					}
 				}
-			case *blockStmt:
-				for _, inner := range st.stmts {
-					scanDecls(inner)
-				}
-			case *ifStmt:
-				scanDecls(st.then)
-				scanDecls(st.elsE)
-			case *whileStmt:
-				scanDecls(st.body)
-			case *forStmt:
-				scanDecls(st.init)
-				scanDecls(st.body)
-			case *forOfStmt:
-				scanDecls(st.body)
-			case *tryStmt:
-				scanDecls(st.body)
-				if st.catch != nil {
-					scanDecls(st.catch)
-				}
-				if st.finally != nil {
-					scanDecls(st.finally)
-				}
-			case *switchStmt:
-				for _, cs := range st.cases {
-					for _, inner := range cs.body {
-						scanDecls(inner)
-					}
-				}
-				for _, inner := range st.defaultBody {
-					scanDecls(inner)
-				}
 			}
-		}
-		for _, s := range stmts {
-			scanDecls(s)
-		}
+			return true
+		})
 		if len(bound) == 0 {
 			continue
 		}
 		seen := make(map[string]bool)
-		for _, s := range stmts {
-			walkStmtExprs(s, func(e expr) {
-				m, ok := e.(*memberExpr)
-				if !ok {
-					return
-				}
-				id, ok := m.obj.(*identExpr)
-				if !ok {
-					return
-				}
-				svc, ok := bound[id.name]
-				if !ok {
-					return
-				}
-				key := svc + "\x00" + m.name
-				if !seen[key] {
-					seen[key] = true
-					out[svc] = append(out[svc], m.name)
-				}
-			})
-		}
+		inspect(scope, func(n node) bool {
+			m, ok := n.(*memberExpr)
+			if !ok {
+				return true
+			}
+			id, ok := m.obj.(*identExpr)
+			if !ok {
+				return true
+			}
+			svc, ok := bound[id.name]
+			if !ok {
+				return true
+			}
+			key := svc + "\x00" + m.name
+			if !seen[key] {
+				seen[key] = true
+				out[svc] = append(out[svc], m.name)
+			}
+			return true
+		})
 	}
 	for svc := range out {
 		sort.Strings(out[svc])

@@ -373,11 +373,11 @@ type ShapeReport struct {
 // source. An unparseable source yields a zero report; deploy-time analysis
 // rejects it separately (PV000).
 func AnalyzeShapes(src string) ShapeReport {
-	prog, err := parse(src)
+	prog, err := parseResolved(src)
 	if err != nil {
 		return ShapeReport{}
 	}
-	rep, _ := shapePass(prog, CallSignatures(), nil)
+	rep, _ := shapePass(prog, topLevelFuncs(prog), CallSignatures(), nil)
 	return rep
 }
 

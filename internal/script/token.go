@@ -60,6 +60,11 @@ type Position struct {
 // String renders the position as line:col.
 func (p Position) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
+// before orders positions as they appear in the source.
+func (p Position) before(q Position) bool {
+	return p.Line < q.Line || (p.Line == q.Line && p.Col < q.Col)
+}
+
 // token is one lexical token.
 type token struct {
 	kind tokenKind
