@@ -9,6 +9,7 @@ import (
 	"videopipe/internal/core"
 	"videopipe/internal/device"
 	"videopipe/internal/netsim"
+	"videopipe/internal/script"
 	"videopipe/internal/services"
 )
 
@@ -175,7 +176,7 @@ func testCluster(t *testing.T) *core.Cluster {
 	err := reg.Register(services.Spec{
 		Name: "echo",
 		Handler: func(_ context.Context, req services.Request) (services.Response, error) {
-			return services.Response{Result: map[string]any{"ok": true}}, nil
+			return services.Response{Result: map[string]script.Value{"ok": true}}, nil
 		},
 	})
 	if err != nil {

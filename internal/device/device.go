@@ -22,6 +22,7 @@ import (
 
 	"videopipe/internal/frame"
 	"videopipe/internal/metrics"
+	"videopipe/internal/script"
 	"videopipe/internal/services"
 	"videopipe/internal/wire"
 )
@@ -336,8 +337,10 @@ func (d *Device) RegisterRemoteService(name, address string) {
 
 // CallService invokes a service by name: locally when a pool is hosted
 // here (the co-located fast path — no encode, no network), otherwise as a
-// remote API call to the registered address.
-func (d *Device) CallService(ctx context.Context, name string, args map[string]any, f *frame.Frame) (services.Response, error) {
+// remote API call to the registered address. args is lent to the service
+// until the call returns (services.Request.Args); the result is the
+// caller's.
+func (d *Device) CallService(ctx context.Context, name string, args map[string]script.Value, f *frame.Frame) (services.Response, error) {
 	start := time.Now()
 	resp, remote, err := d.callService(ctx, name, args, f)
 	where := "local"
@@ -356,7 +359,7 @@ func (d *Device) CallService(ctx context.Context, name string, args map[string]a
 	return resp, err
 }
 
-func (d *Device) callService(ctx context.Context, name string, args map[string]any, f *frame.Frame) (services.Response, bool, error) {
+func (d *Device) callService(ctx context.Context, name string, args map[string]script.Value, f *frame.Frame) (services.Response, bool, error) {
 	if pool, ok := d.Pool(name); ok {
 		resp, err := pool.Invoke(ctx, services.Request{Args: args, Frame: f})
 		return resp, false, err

@@ -10,6 +10,7 @@ import (
 
 	"videopipe/internal/frame"
 	"videopipe/internal/netsim"
+	"videopipe/internal/script"
 	"videopipe/internal/services"
 	"videopipe/internal/vision"
 )
@@ -26,12 +27,25 @@ func newDevice(t *testing.T, nw *netsim.Network, name string, class Class) *Devi
 	return d
 }
 
+// poseValue is the script form of a pose, as the pose_detector service
+// builds it.
+func poseValue(p vision.Pose) *script.Object {
+	kps := script.NewArray()
+	for i, kp := range p.Keypoints {
+		kps.Elems = append(kps.Elems, script.FromGo(map[string]any{"name": vision.KeypointNames[i], "x": kp.X, "y": kp.Y}))
+	}
+	return script.FromGo(map[string]any{
+		"keypoints": kps, "score": p.Score,
+		"box": map[string]any{"min_x": p.Box.MinX, "min_y": p.Box.MinY, "max_x": p.Box.MaxX, "max_y": p.Box.MaxY},
+	}).(*script.Object)
+}
+
 // echoSpec returns a trivial service spec that echoes its args.
 func echoSpec(name string) services.Spec {
 	return services.Spec{
 		Name: name,
 		Handler: func(_ context.Context, req services.Request) (services.Response, error) {
-			out := map[string]any{"echo": true}
+			out := map[string]script.Value{"echo": true}
 			for k, v := range req.Args {
 				out[k] = v
 			}
@@ -104,7 +118,7 @@ func TestCallServiceLocalAndRemote(t *testing.T) {
 	f := frame.MustNew(32, 16)
 
 	// Local call from the desktop.
-	resp, err := desktop.CallService(ctx, "echo", map[string]any{"k": "v"}, f)
+	resp, err := desktop.CallService(ctx, "echo", map[string]script.Value{"k": "v"}, f)
 	if err != nil {
 		t.Fatalf("local CallService: %v", err)
 	}
@@ -113,7 +127,7 @@ func TestCallServiceLocalAndRemote(t *testing.T) {
 	}
 
 	// Remote call from the phone (frame crosses the wire).
-	resp, err = phone.CallService(ctx, "echo", map[string]any{"k": "v2"}, f)
+	resp, err = phone.CallService(ctx, "echo", map[string]script.Value{"k": "v2"}, f)
 	if err != nil {
 		t.Fatalf("remote CallService: %v", err)
 	}
@@ -421,9 +435,9 @@ func TestModuleUsesPoseServiceEndToEnd(t *testing.T) {
 		Name: services.PoseDetector,
 		Handler: func(_ context.Context, req services.Request) (services.Response, error) {
 			pose, found := vision.DetectPose(req.Frame)
-			res := map[string]any{"found": found}
+			res := map[string]script.Value{"found": found}
 			if found {
-				res["pose"] = pose.ToMap()
+				res["pose"] = poseValue(pose)
 			}
 			return services.Response{Result: res}, nil
 		},

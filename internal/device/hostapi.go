@@ -2,11 +2,12 @@ package device
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
-	"videopipe/internal/frame"
 
+	"videopipe/internal/frame"
+	"videopipe/internal/metrics"
 	"videopipe/internal/script"
 	"videopipe/internal/wire"
 )
@@ -33,30 +34,47 @@ func (m *Module) chargeOutput(n int) error {
 	return nil
 }
 
-// payloadSize estimates the emitted size of a ToGo-converted message body:
-// strings by length, scalars by word, containers by per-slot overhead plus
-// contents. It mirrors the script layer's allocation accounting.
-func payloadSize(v any) int {
-	switch x := v.(type) {
-	case string:
-		return len(x) + 16
-	case []any:
-		n := 24
-		for _, e := range x {
-			n += 16 + payloadSize(e)
-		}
-		return n
-	case map[string]any:
-		n := 48
-		for k, e := range x {
-			n += 16 + len(k) + payloadSize(e)
-		}
-		return n
-	case nil:
-		return 0
-	default:
-		return 8
+// frameRefKey is the message field that carries a frame's store id (paper
+// §3: "we pass on a reference id"). The runtime resolves it on the way out
+// and sets it on the way in; its value never crosses a device boundary.
+const frameRefKey = "frame_ref"
+
+// chargePayload meters msg against the output budget on the value itself,
+// before any copy or encoding is made of it, and gives up as soon as the
+// running total passes what is left: a message that shares substructure
+// (a = [a, a], twenty times over) is a few dozen script allocations but
+// gigabytes once copied, so the budget has to stop the copy, not follow it.
+// call_module does not pay for the frame_ref it carries (exemptRef);
+// call_service, historically, does.
+func (m *Module) chargePayload(fn string, msg *script.Object, exemptRef bool) error {
+	if m.limits.Output <= 0 {
+		return nil
 	}
+	var exempt int64
+	if _, has := msg.Fields[frameRefKey]; has && exemptRef {
+		exempt = 16 + int64(len(frameRefKey)) + 8 // the slot, the key and one word
+	}
+	n, err := script.PayloadSize(msg, m.limits.Output-m.outputUsed+exempt)
+	if err != nil {
+		return fmt.Errorf("%s: %w", fn, err)
+	}
+	return m.chargeOutput(int(n - exempt))
+}
+
+// messageArg returns the message argument of host call fn (an empty object
+// when there is none) and the frame reference it carries (0 for none). The
+// message is the script's own object; nothing is converted.
+func messageArg(fn string, args []script.Value) (*script.Object, uint64, error) {
+	if len(args) < 2 || args[1] == nil {
+		return &script.Object{}, 0, nil
+	}
+	msg := args[1].(*script.Object) // CheckHostArgs admitted it
+	raw, has := msg.Fields[frameRefKey]
+	ref, ok := raw.(float64)
+	if has && !ok {
+		return nil, 0, fmt.Errorf("%s: frame_ref must be a number", fn)
+	}
+	return msg, uint64(ref), nil
 }
 
 // bindHostAPI installs the Table-1 module interface plus runtime helpers
@@ -103,32 +121,32 @@ func (m *Module) hostCallService(args []script.Value) (script.Value, error) {
 		return nil, fmt.Errorf("call_service: module %q is not configured to use service %q", m.spec.Name, name)
 	}
 
-	callArgs := map[string]any{}
-	if len(args) >= 2 && args[1] != nil {
-		converted, err := messageArg("call_service", args[1])
-		if err != nil {
-			return nil, err
-		}
-		callArgs = converted
-	}
-
-	if err := m.chargeOutput(payloadSize(callArgs)); err != nil {
+	msg, frameID, err := messageArg("call_service", args)
+	if err != nil {
 		return nil, err
 	}
+	if err := m.chargePayload("call_service", msg, false); err != nil {
+		return nil, err
+	}
+	// The handler is lent the message's own fields for the duration of the
+	// call (services.Request.Args): this goroutine is parked until it
+	// returns, so the script cannot touch them meanwhile.
+	callArgs := msg.Fields
 
-	// Resolve a frame reference into the actual frame for the service.
+	// Resolve a frame reference into the actual frame for the service. The
+	// handler must not see the id and the script's object must keep it, so
+	// the one copy call_service ever makes is this shallow one.
 	var reqFrame *frame.Frame
-	if refRaw, has := callArgs["frame_ref"]; has {
-		ref, ok := refRaw.(float64)
-		if !ok {
-			return nil, fmt.Errorf("call_service: frame_ref must be a number")
-		}
-		f, err := m.dev.store.Get(uint64(ref))
-		if err != nil {
+	if _, has := callArgs[frameRefKey]; has {
+		if reqFrame, err = m.dev.store.Get(frameID); err != nil {
 			return nil, fmt.Errorf("call_service: %w", err)
 		}
-		reqFrame = f
-		delete(callArgs, "frame_ref")
+		callArgs = make(map[string]script.Value, len(msg.Fields)-1)
+		for k, v := range msg.Fields {
+			if k != frameRefKey {
+				callArgs[k] = v
+			}
+		}
 	}
 
 	// Derived from the device's base context so that Crash cancels the
@@ -141,10 +159,9 @@ func (m *Module) hostCallService(args []script.Value) (script.Value, error) {
 		return nil, fmt.Errorf("call_service: %w", err)
 	}
 
-	result := resp.Result
-	if result == nil {
-		result = map[string]any{}
-	}
+	// The handler's result map becomes the returned object as is; the
+	// module owns it from here.
+	result := &script.Object{Fields: resp.Result}
 	if resp.Frame != nil {
 		id, err := m.dev.store.Put(resp.Frame)
 		if err != nil {
@@ -152,9 +169,9 @@ func (m *Module) hostCallService(args []script.Value) (script.Value, error) {
 			return nil, fmt.Errorf("call_service: storing result frame: %w", err)
 		}
 		m.ownedRefs = append(m.ownedRefs, id)
-		result["frame_ref"] = float64(id)
+		result.Set(frameRefKey, float64(id))
 	}
-	return script.FromGo(result), nil
+	return result, nil
 }
 
 // hostCallModule implements call_module(module, message): the DAG edge
@@ -180,43 +197,37 @@ func (m *Module) hostCallModule(args []script.Value) (script.Value, error) {
 		obs(target, payload)
 	}
 
-	body := map[string]any{}
-	if len(args) >= 2 && args[1] != nil {
-		converted, err := messageArg("call_module", args[1])
-		if err != nil {
-			return nil, err
-		}
-		body = converted
+	msg, frameID, err := messageArg("call_module", args)
+	if err != nil {
+		return nil, err
 	}
-
-	var frameID uint64
-	if refRaw, has := body["frame_ref"]; has {
-		ref, ok := refRaw.(float64)
-		if !ok {
-			return nil, fmt.Errorf("call_module: frame_ref must be a number")
-		}
-		frameID = uint64(ref)
-		delete(body, "frame_ref")
-	}
-
-	if err := m.chargeOutput(payloadSize(body)); err != nil {
+	if err := m.chargePayload("call_module", msg, true); err != nil {
 		return nil, err
 	}
 
 	if route.Address == "" {
-		return nil, m.deliverLocal(route.Module, body, frameID)
+		return nil, m.deliverLocal(route.Module, msg, frameID)
 	}
-	return nil, m.deliverRemote(route, body, frameID)
+	return nil, m.deliverRemote(route, msg, frameID)
 }
 
 // deliverLocal hands an event to a module on the same device: the frame
-// reference is retained for the receiver — zero pixel copies.
-func (m *Module) deliverLocal(target string, body map[string]any, frameID uint64) error {
+// reference is retained for the receiver — zero pixel copies — and the
+// message is snapshotted here, at send, on the sender's goroutine: one
+// bounded clone the receiving event owns outright, so the two module
+// contexts never share a mutable value and the sender may change its
+// message the moment call_module returns.
+func (m *Module) deliverLocal(target string, msg *script.Object, frameID uint64) error {
 	dst, ok := m.dev.Module(target)
 	if !ok {
 		return fmt.Errorf("call_module: local module %q not found on %s", target, m.dev.name)
 	}
-	ev := event{body: body}
+	body, err := script.Clone(msg)
+	if err != nil {
+		return fmt.Errorf("call_module: %w", err)
+	}
+	ev := event{body: body.(*script.Object)}
+	delete(ev.body.Fields, frameRefKey) // the sender's id; the receiver gets its own
 	if frameID != 0 {
 		if err := m.dev.store.Retain(frameID); err != nil {
 			return fmt.Errorf("call_module: %w", err)
@@ -239,15 +250,16 @@ func (m *Module) deliverLocal(target string, body map[string]any, frameID uint64
 	}
 }
 
-// deliverRemote ships the event across the network, encoding the frame
-// into the module's reusable scratch buffer (safe: deliverRemote only runs
-// on the event-loop goroutine, and push.Send has copied the bytes into the
-// socket's own buffer by the time it returns).
-func (m *Module) deliverRemote(route Route, body map[string]any, frameID uint64) error {
-	bodyJSON, err := json.Marshal(body)
+// deliverRemote ships the event across the network, encoding the message
+// and the frame into the module's reusable scratch buffers (safe:
+// deliverRemote only runs on the event-loop goroutine, and push.Send has
+// copied the bytes into the socket's own buffer by the time it returns).
+func (m *Module) deliverRemote(route Route, body *script.Object, frameID uint64) error {
+	bodyJSON, err := m.jsonEnc.AppendObject(m.bodyBuf[:0], body, frameRefKey)
 	if err != nil {
 		return fmt.Errorf("call_module: marshal body: %w", err)
 	}
+	m.bodyBuf = bodyJSON
 	msg := wire.NewMessage(bodyJSON)
 	if frameID != 0 {
 		f, err := m.dev.store.Get(frameID)
@@ -280,32 +292,30 @@ func (m *Module) deliverRemote(route Route, body map[string]any, frameID uint64)
 	return nil
 }
 
-// messageArg converts the message argument of host call fn to its wire
-// form. The error — not an object, or nested past script.MaxDepth — becomes
-// a script throw at the call's position.
-func messageArg(fn string, v script.Value) (map[string]any, error) {
-	plain, err := script.ToGo(v)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", fn, err)
-	}
-	msg, ok := plain.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("%s: message must be an object, got %s", fn, script.TypeName(v))
-	}
-	return msg, nil
-}
-
 // hostLog implements log(...): module diagnostics tagged with device and
 // module name.
 func (m *Module) hostLog(args []script.Value) (script.Value, error) {
+	// Each argument is rendered against what is left of the output budget
+	// and the rendering stops there: what log() may make the host write is
+	// bounded by the budget, not by how large the value would print.
+	left := -1
+	if m.limits.Output > 0 {
+		left = int(m.limits.Output - m.outputUsed)
+	}
 	parts := make([]any, 0, len(args))
 	logged := 0
 	for _, a := range args {
-		s, err := script.Stringify(a)
+		s, err := script.StringifyMax(a, left)
+		if errors.Is(err, script.ErrTooLong) {
+			return nil, m.chargeOutput(logged + left + 1)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("log: %w", err)
 		}
 		logged += len(s)
+		if left >= 0 {
+			left = max(left-len(s), 0)
+		}
 		parts = append(parts, s)
 	}
 	if err := m.chargeOutput(logged); err != nil {
@@ -341,11 +351,18 @@ func (m *Module) hostMetric(args []script.Value) (script.Value, error) {
 	}
 	name := args[0].(string)
 	ms := args[1].(float64)
-	d := time.Duration(ms * float64(time.Millisecond))
-	if m.spec.MetricPrefix != "" {
-		m.dev.reg.Histogram("stage." + m.spec.MetricPrefix + "." + name).Observe(d)
-	} else {
-		m.dev.reg.Histogram("stage." + name).Observe(d)
+	h, ok := m.stageHists[name]
+	if !ok {
+		if m.spec.MetricPrefix != "" {
+			h = m.dev.reg.Histogram("stage." + m.spec.MetricPrefix + "." + name)
+		} else {
+			h = m.dev.reg.Histogram("stage." + name)
+		}
+		if m.stageHists == nil {
+			m.stageHists = make(map[string]*metrics.Histogram)
+		}
+		m.stageHists[name] = h
 	}
+	h.Observe(time.Duration(ms * float64(time.Millisecond)))
 	return nil, nil
 }

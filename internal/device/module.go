@@ -2,7 +2,6 @@ package device
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"videopipe/internal/frame"
+	"videopipe/internal/metrics"
 	"videopipe/internal/script"
 	"videopipe/internal/wire"
 )
@@ -72,9 +72,12 @@ type ModuleSpec struct {
 
 // event is one unit of work for a module: a message body plus an optional
 // frame already resident in the device store (the runtime passes frames by
-// reference id, paper §3).
+// reference id, paper §3). The body is a script value the event owns
+// outright — cloned at send by a local sender, scanned from the wire for a
+// remote one, converted once from a Go-side source's map — so the event
+// loop hands it to event_received as is.
 type event struct {
-	body    map[string]any
+	body    *script.Object
 	frameID uint64
 }
 
@@ -127,9 +130,18 @@ type Module struct {
 	// meters host-emitted bytes for the current event.
 	consecBreaches int
 	outputUsed     int64
-	// encBuf is the frame-encode scratch for outgoing remote edges, reused
-	// across events (event-loop goroutine only).
-	encBuf []byte
+	// encBuf and bodyBuf are the frame-encode and message-encode scratch
+	// for outgoing remote edges, jsonEnc the encoder (with its key-sorting
+	// scratch) that fills bodyBuf; all reused across events (event-loop
+	// goroutine only).
+	encBuf  []byte
+	bodyBuf []byte
+	jsonEnc script.JSONEncoder
+	// stageHists caches the stage histogram behind each name module code
+	// has passed to metric(), sparing the name concatenation and registry
+	// walk per call. Event-loop goroutine only; dropped with the code that
+	// chose the names (applySwap).
+	stageHists map[string]*metrics.Histogram
 
 	closeOnce sync.Once
 	loadErr   error
@@ -280,9 +292,10 @@ func (m *Module) shapeObserver() ShapeObserver {
 
 // Inject delivers an event directly from Go — how the video source (a
 // camera, not a script) feeds the first module. The frame, if any, is
-// stored in the device store and owned by the receiving event.
+// stored in the device store and owned by the receiving event; the body is
+// converted here, once, and the caller keeps its map.
 func (m *Module) Inject(ctx context.Context, body map[string]any, f *frame.Frame) error {
-	ev := event{body: body}
+	ev := event{body: script.FromGo(body).(*script.Object)}
 	if f != nil {
 		id, err := m.dev.store.Put(f)
 		if err != nil {
@@ -310,7 +323,7 @@ func (m *Module) Inject(ctx context.Context, body map[string]any, f *frame.Frame
 // is busy (no credit) — the source-side drop point of the queue-free
 // design.
 func (m *Module) TryInject(body map[string]any, f *frame.Frame) (bool, error) {
-	ev := event{body: body}
+	ev := event{body: script.FromGo(body).(*script.Object)}
 	if f != nil {
 		id, err := m.dev.store.Put(f)
 		if err != nil {
@@ -392,13 +405,11 @@ func (m *Module) abandonCredit() {
 }
 
 func (m *Module) decodeWireEvent(msg wire.Message) (event, error) {
-	var body map[string]any
-	if raw := msg.Part(0); len(raw) > 0 {
-		if err := json.Unmarshal(raw, &body); err != nil {
-			return event{}, fmt.Errorf("device: module %s: bad message body: %w", m.spec.Name, err)
-		}
+	body, err := script.ParseJSONFields(msg.Part(0))
+	if err != nil {
+		return event{}, fmt.Errorf("device: module %s: bad message body: %w", m.spec.Name, err)
 	}
-	ev := event{body: body}
+	ev := event{body: &script.Object{Fields: body}}
 	if len(msg.Part(1)) > 0 {
 		f, err := m.dev.codec.Decode(msg.Part(1))
 		if err != nil {
@@ -453,6 +464,7 @@ func (m *Module) eventLoop() {
 // init() runs on the fresh context before the next event.
 func (m *Module) applySwap(ctx *script.Context) {
 	m.ctx = ctx
+	m.stageHists = nil
 	if ctx.Has("init") {
 		if _, err := ctx.Call("init"); err != nil {
 			m.dev.reg.Meter("module." + m.spec.Name + ".errors").Mark()
@@ -529,14 +541,11 @@ func (m *Module) handleEvent(ev event) {
 		if f, err := m.dev.store.Get(ev.frameID); err == nil {
 			m.currentFrame = f
 		}
-		if ev.body == nil {
-			ev.body = make(map[string]any, 1)
-		}
-		ev.body["frame_ref"] = float64(ev.frameID)
+		ev.body.Set(frameRefKey, float64(ev.frameID))
 	}
 
 	m.outputUsed = 0
-	_, err := m.ctx.Call("event_received", script.FromGo(anyMap(ev.body)))
+	_, err := m.ctx.Call("event_received", ev.body)
 	// Per-event interpreter instruction count — the runtime half of the
 	// pipecost validation loop (static bound >= this) and the counter the
 	// sandbox instruction budget is enforced against.
@@ -572,13 +581,6 @@ func (m *Module) handleEvent(ev event) {
 	m.currentFrame = nil
 	m.dev.reg.Histogram("module." + m.spec.Name + ".handle").Observe(time.Since(start))
 	m.dev.reg.Meter("module." + m.spec.Name + ".events").Mark()
-}
-
-func anyMap(m map[string]any) map[string]any {
-	if m == nil {
-		return map[string]any{}
-	}
-	return m
 }
 
 // Close stops the module and its sockets.

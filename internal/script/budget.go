@@ -1,6 +1,7 @@
 package script
 
 import (
+	"errors"
 	"fmt"
 	"time"
 )
@@ -129,4 +130,60 @@ func sizeEstimate(v Value) int64 {
 	default:
 		return 0
 	}
+}
+
+// ErrTooLong is what the bounded writers (StringifyMax, json_encode under a
+// memory budget) return once their output passes the bound. Callers turn it
+// into the BudgetError of the resource they were metering.
+var ErrTooLong = errors.New("script: output exceeds the budget")
+
+// PayloadSize is the output-budget charge for emitting v through
+// call_module or call_service: strings by length, scalars by word,
+// containers by per-slot overhead plus contents, functions nothing (they do
+// not travel). It reads the value itself, before anything is copied or
+// encoded, and stops as soon as the total passes max (max < 0: never),
+// returning some total above max: a value that shares substructure is
+// charged once per path, which is what emitting it would cost, and the walk
+// is what keeps that cost from being paid first and noticed afterwards. It
+// fails only on a value nested deeper than MaxDepth.
+func PayloadSize(v Value, max int64) (int64, error) {
+	w := sizeWalk{max: max}
+	err := w.add(v, 0)
+	return w.n, err
+}
+
+type sizeWalk struct{ n, max int64 }
+
+func (w *sizeWalk) over() bool { return w.max >= 0 && w.n > w.max }
+
+func (w *sizeWalk) add(v Value, depth int) error {
+	switch x := v.(type) {
+	case string:
+		w.n += int64(len(x)) + 16
+	case bool, float64:
+		w.n += 8
+	case *Array:
+		if depth >= MaxDepth {
+			return errTooDeep
+		}
+		w.n += 24
+		for _, e := range x.Elems {
+			w.n += 16
+			if err := w.add(e, depth+1); err != nil || w.over() {
+				return err
+			}
+		}
+	case *Object:
+		if depth >= MaxDepth {
+			return errTooDeep
+		}
+		w.n += 48
+		for k, e := range x.Fields {
+			w.n += 16 + int64(len(k))
+			if err := w.add(e, depth+1); err != nil || w.over() {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -281,6 +281,10 @@ func FuzzBudget(f *testing.F) {
 	// A value that contains itself, pushed through every walker that
 	// recurses over values (str, concat, json_encode; Snapshot below).
 	f.Add(`var a = []; push(a, a); function event_received(m) { try { str(a); } catch (e) {} try { json_encode({v: a}); } catch (e) {} return "" + a; }`, int64(100000), int64(1<<20))
+	// A value whose tree is exponentially larger than it is (a = [a, a],
+	// twenty-two times: 4 million leaves in 45 allocations), pushed through
+	// the same walkers: each must stop at the budget, not after the output.
+	f.Add(`function event_received(m) { var a = [0]; for (var i = 0; i < 22; i++) { a = [a, a]; } try { str(a); } catch (e) {} try { json_encode(a); } catch (e) {} try { join([a], ""); } catch (e) {} return "" + a; }`, int64(50000), int64(1<<20))
 	f.Fuzz(func(t *testing.T, src string, instr, mem int64) {
 		if instr <= 0 {
 			instr = 1

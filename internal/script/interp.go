@@ -67,6 +67,10 @@ type Context struct {
 	// limits is the resource budget enforced per invocation; the zero
 	// value is unlimited (see budget.go).
 	limits Limits
+	// running is the invocation executing right now, nil between
+	// invocations: how the builtins whose output size is not bounded by
+	// their input's (str, join, json_encode) find the memory budget.
+	running *interp
 }
 
 // NewContext creates a context with the standard library installed.
@@ -126,6 +130,7 @@ func (c *Context) LastInstructions() int64 { return c.lastInstructions }
 func (c *Context) account(in *interp) {
 	c.lastInstructions = in.steps
 	c.instructions += in.steps
+	c.running = in.outer
 }
 
 // newInterp builds one invocation's execution state from the context's
@@ -133,7 +138,8 @@ func (c *Context) account(in *interp) {
 // (InitInstructions, falling back to Instructions); events run under
 // Instructions.
 func (c *Context) newInterp(initPhase bool) *interp {
-	in := &interp{ctx: c}
+	in := &interp{ctx: c, outer: c.running}
+	c.running = in
 	in.stepLimit = c.limits.Instructions
 	if initPhase && c.limits.InitInstructions > 0 {
 		in.stepLimit = c.limits.InitInstructions
@@ -212,7 +218,10 @@ func (c *Context) Call(name string, args ...Value) (Value, error) {
 // interp carries per-invocation execution state: the step budget, call
 // depth, and the resource meters the sandbox limits are enforced against.
 type interp struct {
-	ctx   *Context
+	ctx *Context
+	// outer is the invocation this one interrupted (a host function
+	// calling back into the context), restored as running when it ends.
+	outer *interp
 	steps int64
 	depth int
 	// ret is the value of the return statement whose returnSignal is in
@@ -697,10 +706,19 @@ func (in *interp) evalUnary(ex *unaryExpr, fr *frame) (cell, error) {
 	}
 }
 
-// text is c.stringify with its one failure (a value nested past MaxDepth)
-// raised as a runtime error at pos.
+// text is c.stringify bounded by what is left of the memory budget, with
+// its failures raised at pos: a rendering too long for the budget is the
+// memory breach it was about to become, a value nested past MaxDepth a
+// runtime error.
 func (in *interp) text(c cell, pos Position) (string, error) {
-	s, err := c.stringify()
+	if c.isNum {
+		return formatNumber(c.num), nil
+	}
+	left := in.ctx.memLeft()
+	s, err := StringifyMax(c.ref, left)
+	if err == ErrTooLong {
+		return "", in.charge(int64(left)+1, pos)
+	}
 	if err != nil {
 		return "", in.errorf(pos, "%v", err)
 	}

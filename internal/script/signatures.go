@@ -98,7 +98,9 @@ func withArticle(spec string) string {
 // typeAllowed reports whether the actual runtime type satisfies a
 // "|"-separated type constraint.
 func typeAllowed(spec, actual string) bool {
-	for _, alt := range strings.Split(spec, "|") {
+	for spec != "" {
+		var alt string
+		alt, spec, _ = strings.Cut(spec, "|")
 		if alt == "any" || alt == actual {
 			return true
 		}

@@ -13,7 +13,7 @@ import (
 // so counters, buffers and thresholds survive the move.
 //
 // Only data survives: nil, booleans, numbers, strings, arrays and objects
-// (captured deeply, in their Go form). Functions — script closures and host
+// (captured deeply, as a Clone). Functions — script closures and host
 // bindings alike — are intentionally skipped; the destination context
 // re-creates them by loading the module source, which keeps snapshots free
 // of environment references that cannot cross devices. Constants are also
@@ -29,11 +29,10 @@ type Snapshot struct {
 	version int64
 }
 
-// savedVar is one captured global in ToGo form (nil, bool, float64,
-// string, []any or map[string]any).
+// savedVar is one captured global: a Clone the snapshot alone owns.
 type savedVar struct {
 	name string
-	data any
+	data Value
 }
 
 // Snapshot captures the context's current data-valued globals. The
@@ -53,9 +52,9 @@ func (c *Context) Snapshot() *Snapshot {
 		switch v := g.value().(type) {
 		case nil, bool, float64, string, *Array, *Object:
 			// A global nested past MaxDepth (one that contains itself) has
-			// no finite Go form; like a function it stays behind, and the
+			// no finite copy; like a function it stays behind, and the
 			// destination starts it fresh.
-			if data, err := ToGo(v); err == nil {
+			if data, err := Clone(v); err == nil {
 				s.vars = append(s.vars, savedVar{name: name, data: data})
 			}
 		}
@@ -67,7 +66,8 @@ func (c *Context) Snapshot() *Snapshot {
 // Restore applies a snapshot to this context: existing mutable globals are
 // overwritten in place (so closures that captured them observe the new
 // values) and globals absent from the context are defined. Constants and
-// function-valued bindings in the destination are left untouched. A nil
+// function-valued bindings in the destination are left untouched. Each
+// restore gets its own copy, so a snapshot can seed several contexts. A nil
 // snapshot is a no-op.
 //
 //vpvet:deterministic
@@ -76,16 +76,17 @@ func (c *Context) Restore(s *Snapshot) {
 		return
 	}
 	for _, v := range s.vars {
+		data, _ := Clone(v.data) // cloned once already, so within MaxDepth
 		if g, ok := c.globals[v.name]; ok {
 			if g.constant {
 				continue
 			}
 			switch g.value().(type) {
 			case nil, bool, float64, string, *Array, *Object:
-				g.cell = cellOf(FromGo(v.data))
+				g.cell = cellOf(data)
 			}
 		} else {
-			c.defineGlobal(v.name, cellOf(FromGo(v.data)), false)
+			c.defineGlobal(v.name, cellOf(data), false)
 		}
 	}
 }
@@ -115,7 +116,7 @@ func (s *Snapshot) String() string {
 	}
 	var b strings.Builder
 	for _, v := range s.vars {
-		fmt.Fprintf(&b, "%s=%s\n", v.name, cellOf(FromGo(v.data)).display())
+		fmt.Fprintf(&b, "%s=%s\n", v.name, cellOf(v.data).display())
 	}
 	return b.String()
 }

@@ -1,7 +1,6 @@
 package script
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -13,11 +12,13 @@ import (
 // builtins is the builtin function library every context starts with. The
 // set mirrors the helpers the paper's JavaScript modules would reach for:
 // array and object manipulation, math, strings and JSON. The functions are
-// stateless, so one table serves every context.
+// stateless, so one table serves every context; the three whose output can
+// outgrow their input (str, join, json_encode) are bound per context by
+// installStdlib, because they write against the running invocation's memory
+// budget.
 var builtins = map[string]HostFunc{
 	// ---- general ----
 	"len":    stdLen,
-	"str":    func(a []Value) (Value, error) { s, err := Stringify(arg(a, 0)); return s, err },
 	"num":    stdNum,
 	"is_nan": func(a []Value) (Value, error) { n, ok := arg(a, 0).(float64); return ok && math.IsNaN(n), nil },
 
@@ -57,7 +58,6 @@ var builtins = map[string]HostFunc{
 	// ---- strings ----
 	"substr":      stdSubstr,
 	"split":       stdSplit,
-	"join":        stdJoin,
 	"upper":       func(a []Value) (Value, error) { s, err := strArg(a, 0, "upper"); return strings.ToUpper(s), err },
 	"lower":       func(a []Value) (Value, error) { s, err := strArg(a, 0, "lower"); return strings.ToLower(s), err },
 	"trim":        func(a []Value) (Value, error) { s, err := strArg(a, 0, "trim"); return strings.TrimSpace(s), err },
@@ -66,7 +66,6 @@ var builtins = map[string]HostFunc{
 	"ends_with":   stdEndsWith,
 
 	// ---- JSON ----
-	"json_encode": stdJSONEncode,
 	"json_decode": stdJSONDecode,
 }
 
@@ -75,6 +74,37 @@ func installStdlib(c *Context) {
 	for name, fn := range builtins {
 		c.Bind(name, fn)
 	}
+	c.Bind("str", c.stdStr)
+	c.Bind("join", c.stdJoin)
+	c.Bind("json_encode", c.stdJSONEncode)
+}
+
+// memLeft is how many more bytes the running invocation may allocate, or
+// -1 when memory is not limited (or nothing is running: a builtin called
+// from Go).
+func (c *Context) memLeft() int {
+	if in := c.running; in != nil && in.memLimit > 0 {
+		return int(max(in.memLimit-in.memUsed, 0))
+	}
+	return -1
+}
+
+// memBreach turns a builtin's ErrTooLong — it stopped writing at memLeft —
+// into the memory-budget breach it stands for; any other error passes
+// through prefixed with the builtin's name.
+func (c *Context) memBreach(fn string, err error) error {
+	if err == ErrTooLong {
+		return c.running.charge(int64(c.memLeft())+1, Position{})
+	}
+	return fmt.Errorf("%s: %w", fn, err)
+}
+
+func (c *Context) stdStr(args []Value) (Value, error) {
+	s, err := StringifyMax(arg(args, 0), c.memLeft())
+	if err == ErrTooLong {
+		err = c.memBreach("str", err)
+	}
+	return s, err
 }
 
 func arg(args []Value, i int) Value {
@@ -460,7 +490,7 @@ func stdSplit(args []Value) (Value, error) {
 	return out, nil
 }
 
-func stdJoin(args []Value) (Value, error) {
+func (c *Context) stdJoin(args []Value) (Value, error) {
 	a, err := arrArg(args, 0, "join")
 	if err != nil {
 		return nil, err
@@ -469,10 +499,16 @@ func stdJoin(args []Value) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	left := c.memLeft()
 	parts := make([]string, len(a.Elems))
 	for i, e := range a.Elems {
-		if parts[i], err = Stringify(e); err != nil {
-			return nil, fmt.Errorf("join: %w", err)
+		if parts[i], err = StringifyMax(e, left); err != nil {
+			return nil, c.memBreach("join", err)
+		}
+		if left >= 0 {
+			if left -= len(parts[i]) + len(sep); left < 0 {
+				return nil, c.memBreach("join", ErrTooLong)
+			}
 		}
 	}
 	return strings.Join(parts, sep), nil
@@ -522,14 +558,14 @@ func stdEndsWith(args []Value) (Value, error) {
 	return strings.HasSuffix(s, suffix), nil
 }
 
-func stdJSONEncode(args []Value) (Value, error) {
-	plain, err := ToGo(arg(args, 0))
-	if err != nil {
-		return nil, fmt.Errorf("json_encode: %w", err)
+func (c *Context) stdJSONEncode(args []Value) (Value, error) {
+	var e JSONEncoder
+	if left := c.memLeft(); left >= 0 {
+		e.over = left + 1
 	}
-	data, err := json.Marshal(plain)
+	data, err := e.value(nil, arg(args, 0), 0, "")
 	if err != nil {
-		return nil, fmt.Errorf("json_encode: %w", err)
+		return nil, c.memBreach("json_encode", err)
 	}
 	return string(data), nil
 }
@@ -539,9 +575,9 @@ func stdJSONDecode(args []Value) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out any
-	if err := json.Unmarshal([]byte(s), &out); err != nil {
+	v, err := ParseJSON([]byte(s))
+	if err != nil {
 		return nil, fmt.Errorf("json_decode: %w", err)
 	}
-	return FromGo(out), nil
+	return v, nil
 }

@@ -144,10 +144,10 @@ func valuesEqual(a, b Value) bool {
 }
 
 // MaxDepth bounds how deeply arrays and objects may nest in a value that
-// Stringify or ToGo walks. Shipped payloads nest four or five levels; the
-// bound exists because scripts can build a value that contains itself
-// (push(a, a)), and a walk with no bound recurses until the Go stack — the
-// host's, not the sandbox's — overflows.
+// Stringify, Clone, PayloadSize, ToGo or the JSON codec walks. Shipped
+// payloads nest four or five levels; the bound exists because scripts can
+// build a value that contains itself (push(a, a)), and a walk with no bound
+// recurses until the Go stack — the host's, not the sandbox's — overflows.
 const MaxDepth = 128
 
 // errTooDeep is what the walkers return past MaxDepth. Raised from a host
@@ -156,37 +156,54 @@ var errTooDeep = fmt.Errorf("value nests deeper than %d levels (does it contain 
 
 // Stringify renders v for display and string concatenation. It fails only
 // on a value nested deeper than MaxDepth.
-func Stringify(v Value) (string, error) {
+func Stringify(v Value) (string, error) { return StringifyMax(v, -1) }
+
+// StringifyMax is Stringify for output metered against a budget: once the
+// rendering is longer than max bytes (max < 0: never) it stops with
+// ErrTooLong, having written about max bytes however large the rendering
+// would have been — a value that shares substructure renders exponentially
+// larger than it is.
+func StringifyMax(v Value, max int) (string, error) {
+	var s string
 	switch x := v.(type) {
 	case nil:
-		return "null", nil
+		s = "null"
 	case bool:
-		return strconv.FormatBool(x), nil
+		s = strconv.FormatBool(x)
 	case float64:
-		return formatNumber(x), nil
+		s = formatNumber(x)
 	case string:
-		return x, nil
+		s = x
 	case *Array, *Object:
 		var b strings.Builder
-		if err := stringifyInto(&b, x, 0); err != nil {
+		if err := stringifyInto(&b, x, 0, max); err != nil {
 			return "", err
 		}
 		return b.String(), nil
 	case *Function:
+		s = "function"
 		if x.name != "" {
-			return "function " + x.name, nil
+			s = "function " + x.name
 		}
-		return "function", nil
 	case HostFunc:
-		return "function (host)", nil
+		s = "function (host)"
 	default:
-		return fmt.Sprintf("%v", v), nil
+		s = fmt.Sprintf("%v", v)
 	}
+	if max >= 0 && len(s) > max {
+		return "", ErrTooLong
+	}
+	return s, nil
 }
 
 // stringifyInto writes v, which sits depth containers below the value
-// Stringify was asked for.
-func stringifyInto(b *strings.Builder, v Value, depth int) error {
+// StringifyMax was asked for.
+func stringifyInto(b *strings.Builder, v Value, depth, max int) error {
+	// Grow by doubling, not append's quarter: a rendering that stops at a
+	// budget then costs the host twice the budget, not five times.
+	if b.Cap()-b.Len() < 64 {
+		b.Grow(b.Cap() + 64)
+	}
 	switch x := v.(type) {
 	case *Array:
 		if depth >= MaxDepth {
@@ -197,7 +214,7 @@ func stringifyInto(b *strings.Builder, v Value, depth int) error {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			if err := stringifyInto(b, e, depth+1); err != nil {
+			if err := stringifyInto(b, e, depth+1, max); err != nil {
 				return err
 			}
 		}
@@ -213,17 +230,17 @@ func stringifyInto(b *strings.Builder, v Value, depth int) error {
 			}
 			b.WriteString(k)
 			b.WriteString(": ")
-			if err := stringifyInto(b, x.Fields[k], depth+1); err != nil {
+			if err := stringifyInto(b, x.Fields[k], depth+1, max); err != nil {
 				return err
 			}
 		}
 		b.WriteByte('}')
 	default:
-		s, err := Stringify(v)
-		if err != nil {
-			return err
-		}
+		s, _ := Stringify(v) // a scalar: no depth to exceed
 		b.WriteString(s)
+	}
+	if max >= 0 && b.Len() > max {
+		return ErrTooLong
 	}
 	return nil
 }
@@ -289,8 +306,9 @@ func FromGo(v any) Value {
 }
 
 // ToGo converts a script Value into plain Go data (nil, bool, float64,
-// string, []any, map[string]any), suitable for encoding/json. Functions
-// convert to nil. It fails only on a value nested deeper than MaxDepth.
+// string, []any, map[string]any) for Go-side consumers; no payload path
+// converts. Functions convert to nil. It fails only on a value nested
+// deeper than MaxDepth.
 func ToGo(v Value) (any, error) { return toGo(v, 0) }
 
 func toGo(v Value, depth int) (any, error) {
@@ -321,6 +339,48 @@ func toGo(v Value, depth int) (any, error) {
 				return nil, err
 			}
 			out[k] = g
+		}
+		return out, nil
+	default:
+		return nil, nil
+	}
+}
+
+// Clone returns a deep copy of v sharing no array or object with it — the
+// one copy a message pays to cross from one module's context to another's,
+// or into a Snapshot. Scalars and strings are immutable and shared;
+// functions and opaque host values become null, as in ToGo. It fails only
+// on a value nested deeper than MaxDepth.
+func Clone(v Value) (Value, error) { return clone(v, 0) }
+
+func clone(v Value, depth int) (Value, error) {
+	switch x := v.(type) {
+	case nil, bool, float64, string:
+		return x, nil
+	case *Array:
+		if depth >= MaxDepth {
+			return nil, errTooDeep
+		}
+		out := &Array{Elems: make([]Value, len(x.Elems))}
+		for i, e := range x.Elems {
+			c, err := clone(e, depth+1)
+			if err != nil {
+				return nil, err
+			}
+			out.Elems[i] = c
+		}
+		return out, nil
+	case *Object:
+		if depth >= MaxDepth {
+			return nil, errTooDeep
+		}
+		out := &Object{Fields: make(map[string]Value, len(x.Fields))}
+		for k, e := range x.Fields {
+			c, err := clone(e, depth+1)
+			if err != nil {
+				return nil, err
+			}
+			out.Fields[k] = c
 		}
 		return out, nil
 	default:

@@ -11,6 +11,7 @@ import (
 
 	"videopipe/internal/frame"
 	"videopipe/internal/netsim"
+	"videopipe/internal/script"
 	"videopipe/internal/vision"
 	"videopipe/internal/wire"
 )
@@ -106,7 +107,7 @@ func TestPoolCollectorCoalescesConcurrentInvokes(t *testing.T) {
 	spec := Spec{
 		Name: "batchy", Cost: 5 * time.Millisecond, Workers: 1, MaxBatch: 4,
 		Handler: func(_ context.Context, req Request) (Response, error) {
-			return Response{Result: map[string]any{"v": req.Args["v"]}}, nil
+			return Response{Result: map[string]script.Value{"v": req.Args["v"]}}, nil
 		},
 	}
 	p, err := NewPool(spec, 1, 1.0)
@@ -126,7 +127,7 @@ func TestPoolCollectorCoalescesConcurrentInvokes(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			resp, err := p.Invoke(context.Background(), Request{Args: map[string]any{"v": float64(k)}})
+			resp, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{"v": float64(k)}})
 			if err != nil {
 				t.Errorf("batched Invoke %d: %v", k, err)
 				return
@@ -153,7 +154,7 @@ func TestPoolCollectorCoalescesConcurrentInvokes(t *testing.T) {
 		t.Errorf("BatchSize after disable = %d", got)
 	}
 	before := p.Batches()
-	if _, err := p.Invoke(context.Background(), Request{Args: map[string]any{"v": 9.0}}); err != nil {
+	if _, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{"v": 9.0}}); err != nil {
 		t.Fatalf("direct Invoke after disable: %v", err)
 	}
 	if p.Batches() != before {
@@ -171,7 +172,7 @@ func TestPoolCollectorMixedStatus(t *testing.T) {
 			if req.Args["fail"] == true {
 				return Response{}, errors.New("boom")
 			}
-			resp := Response{Result: map[string]any{"v": req.Args["v"]}}
+			resp := Response{Result: map[string]script.Value{"v": req.Args["v"]}}
 			if req.Frame != nil {
 				resp.Frame = req.Frame.Clone()
 			}
@@ -187,9 +188,9 @@ func TestPoolCollectorMixedStatus(t *testing.T) {
 
 	f := sceneFrame(t, vision.Squat, 0.5)
 	reqs := []Request{
-		{Args: map[string]any{"v": 1.0}, Frame: f},
-		{Args: map[string]any{"fail": true}},
-		{Args: map[string]any{"v": 3.0}},
+		{Args: map[string]script.Value{"v": 1.0}, Frame: f},
+		{Args: map[string]script.Value{"fail": true}},
+		{Args: map[string]script.Value{"v": 3.0}},
 	}
 	resps := make([]Response, len(reqs))
 	errs := make([]error, len(reqs))
@@ -236,7 +237,7 @@ func TestServerRejectsBatchMarker(t *testing.T) {
 	spec := Spec{
 		Name: "echo", Cost: time.Millisecond,
 		Handler: func(_ context.Context, req Request) (Response, error) {
-			return Response{Result: map[string]any{"v": req.Args["v"]}}, nil
+			return Response{Result: map[string]script.Value{"v": req.Args["v"]}}, nil
 		},
 	}
 	pool, err := NewPool(spec, 1, 1.0)

@@ -2,12 +2,12 @@ package services
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
 
 	"videopipe/internal/frame"
+	"videopipe/internal/script"
 	"videopipe/internal/wire"
 )
 
@@ -17,8 +17,10 @@ import (
 //	request parts:  [service name][JSON args][encoded frame?]
 //	response parts: [JSON result][encoded frame?]
 //
-// Frames are codec-encoded for transfer — this encode/transfer/decode cost
-// is exactly what co-location avoids.
+// Arguments and results go to and from JSON through the script package's
+// payload codec, straight from and into script values. Frames are
+// codec-encoded for transfer — this encode/transfer/decode cost is exactly
+// what co-location avoids.
 
 // Server exposes a set of service pools over the wire layer.
 type Server struct {
@@ -77,13 +79,10 @@ func (s *Server) handle(ctx context.Context, m wire.Message) (wire.Message, erro
 		return wire.Message{}, fmt.Errorf("services: unknown service %q", name)
 	}
 
-	var args map[string]any
-	if raw := m.Part(1); len(raw) > 0 {
-		if err := json.Unmarshal(raw, &args); err != nil {
-			return wire.Message{}, fmt.Errorf("services: bad args: %w", err)
-		}
+	args, err := script.ParseJSONFields(m.Part(1))
+	if err != nil {
+		return wire.Message{}, fmt.Errorf("services: bad args: %w", err)
 	}
-
 	req := Request{Args: args}
 	if m.Len() >= 3 && len(m.Part(2)) > 0 {
 		f, err := s.codec.Decode(m.Part(2))
@@ -104,7 +103,7 @@ func (s *Server) handle(ctx context.Context, m wire.Message) (wire.Message, erro
 		return wire.Message{}, err
 	}
 
-	resultJSON, err := json.Marshal(resp.Result)
+	resultJSON, err := script.AppendJSON(nil, &script.Object{Fields: resp.Result})
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("services: marshal result: %w", err)
 	}
@@ -192,12 +191,12 @@ var encBufPool sync.Pool
 
 // Call invokes a remote service, encoding the frame (if any) for transfer.
 // The input frame is borrowed — the caller keeps ownership.
-func (c *Client) Call(ctx context.Context, service string, args map[string]any, f *frame.Frame) (Response, error) {
+func (c *Client) Call(ctx context.Context, service string, args map[string]script.Value, f *frame.Frame) (Response, error) {
 	br := c.breaker(service)
 	if !br.Allow() {
 		return Response{}, fmt.Errorf("services: %s: %w", service, ErrBreakerOpen)
 	}
-	argsJSON, err := json.Marshal(args)
+	argsJSON, err := script.AppendJSON(nil, &script.Object{Fields: args})
 	if err != nil {
 		br.Cancel()
 		return Response{}, fmt.Errorf("services: marshal args: %w", err)
@@ -226,12 +225,11 @@ func (c *Client) Call(ctx context.Context, service string, args map[string]any, 
 	if out.Len() < 1 {
 		return Response{}, fmt.Errorf("services: empty response")
 	}
-	var resp Response
-	if raw := out.Part(0); len(raw) > 0 {
-		if err := json.Unmarshal(raw, &resp.Result); err != nil {
-			return Response{}, fmt.Errorf("services: bad result payload: %w", err)
-		}
+	result, err := script.ParseJSONFields(out.Part(0))
+	if err != nil {
+		return Response{}, fmt.Errorf("services: bad result payload: %w", err)
 	}
+	resp := Response{Result: result}
 	if out.Len() >= 2 && len(out.Part(1)) > 0 {
 		rf, err := c.codec.Decode(out.Part(1))
 		if err != nil {

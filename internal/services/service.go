@@ -7,7 +7,12 @@
 // Services are stateless by contract: every call carries all the data it
 // needs (including, for the sequence-dependent algorithms, an opaque state
 // blob the caller owns), so instances can be shared across pipelines and
-// scaled horizontally. Each instance models a container: a worker-
+// scaled horizontally. Arguments and results are PipeScript values — the
+// one payload representation inside a device — so a module calling a
+// co-located service hands its message over and takes the result back with
+// no conversion in either direction (Request and Response say who owns
+// what); only a call that really leaves the device is encoded, by the
+// script package's JSON codec (server.go). Each instance models a container: a worker-
 // concurrency limit, a per-call compute cost calibrated to the paper's DNN
 // latencies (scaled by the hosting device's CPU factor), and a partially
 // serialized execution section that produces realistic contention when
@@ -16,17 +21,24 @@ package services
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"time"
 
 	"videopipe/internal/frame"
+	"videopipe/internal/script"
 )
 
 // Request is one service invocation's input.
 type Request struct {
-	// Args carries JSON-style named arguments.
-	Args map[string]any
+	// Args carries the named arguments as script values — for a co-located
+	// caller the very fields of the message object its module passed to
+	// call_service, not a copy. They are lent, read-only, until the handler
+	// returns: a handler must not write to Args or to anything reachable
+	// from it, and must not keep a reference to an array or object in it
+	// past its return (scalars and strings are immutable and free to keep;
+	// returning an argument inside the result hands it back to its owner
+	// and is fine).
+	Args map[string]script.Value
 	// Frame carries pixel data for frame-consuming services. Co-located
 	// callers pass the stored frame directly (zero copy); remote callers'
 	// frames arrive decoded by the transport layer.
@@ -35,8 +47,12 @@ type Request struct {
 
 // Response is one service invocation's output.
 type Response struct {
-	// Result carries JSON-style named results.
-	Result map[string]any
+	// Result carries the named results as script values. The caller owns
+	// it from the moment the handler returns — for a co-located module it
+	// becomes the object call_service evaluates to, as is — so a handler
+	// builds a fresh map per call and shares no array or object in it with
+	// another call's result.
+	Result map[string]script.Value
 	// Frame carries pixel output for frame-producing services (display).
 	Frame *frame.Frame
 }
@@ -141,33 +157,13 @@ func (r *Registry) Names() []string {
 // ---- argument helpers shared by the standard services ----
 
 // argString extracts a string argument.
-func argString(args map[string]any, key string) (string, bool) {
+func argString(args map[string]script.Value, key string) (string, bool) {
 	s, ok := args[key].(string)
 	return s, ok
 }
 
 // argFloat extracts a numeric argument.
-func argFloat(args map[string]any, key string) (float64, bool) {
-	switch v := args[key].(type) {
-	case float64:
-		return v, true
-	case int:
-		return float64(v), true
-	default:
-		return 0, false
-	}
-}
-
-// reencode converts arbitrary JSON-able data into map[string]any via the
-// json package, normalizing numeric types.
-func reencode(v any) (map[string]any, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("services: marshal: %w", err)
-	}
-	var out map[string]any
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("services: unmarshal: %w", err)
-	}
-	return out, nil
+func argFloat(args map[string]script.Value, key string) (float64, bool) {
+	f, ok := args[key].(float64)
+	return f, ok
 }

@@ -2,7 +2,9 @@ package services
 
 import (
 	"context"
+	"encoding/base64"
 	"image/color"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +12,7 @@ import (
 
 	"videopipe/internal/frame"
 	"videopipe/internal/netsim"
+	"videopipe/internal/script"
 	"videopipe/internal/vision"
 )
 
@@ -329,11 +332,11 @@ func TestPoseService(t *testing.T) {
 	if resp.Result["found"] != true {
 		t.Fatalf("pose not found: %v", resp.Result)
 	}
-	poseMap, ok := resp.Result["pose"].(map[string]any)
+	poseObj, ok := resp.Result["pose"].(*script.Object)
 	if !ok {
 		t.Fatal("result missing pose object")
 	}
-	if _, err := vision.PoseFromMap(poseMap); err != nil {
+	if _, err := poseFromValue(poseObj); err != nil {
 		t.Errorf("returned pose unparseable: %v", err)
 	}
 	// No frame -> error.
@@ -354,14 +357,11 @@ func TestPoseService(t *testing.T) {
 func TestActivityService(t *testing.T) {
 	p := poolFor(t, ActivityClassifier)
 	poses, _ := vision.SynthesizeSequence(vision.Squat, vision.WindowSize, 15, 0.5, vision.DefaultSubject(), nil)
-	window := make([]any, len(poses))
+	window := make([]script.Value, len(poses))
 	for i, ps := range poses {
-		window[i] = ps.ToMap()
+		window[i] = poseValue(ps)
 	}
-	args, err := reencode(map[string]any{"poses": window})
-	if err != nil {
-		t.Fatalf("reencode: %v", err)
-	}
+	args := map[string]script.Value{"poses": script.NewArray(window...)}
 	resp, err := p.Invoke(context.Background(), Request{Args: args})
 	if err != nil {
 		t.Fatalf("Invoke: %v", err)
@@ -370,10 +370,10 @@ func TestActivityService(t *testing.T) {
 		t.Errorf("activity = %v, want squat", resp.Result["activity"])
 	}
 	// Validation failures.
-	if _, err := p.Invoke(context.Background(), Request{Args: map[string]any{}}); err == nil {
+	if _, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{}}); err == nil {
 		t.Error("missing poses accepted")
 	}
-	if _, err := p.Invoke(context.Background(), Request{Args: map[string]any{"poses": []any{map[string]any{}}}}); err == nil {
+	if _, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{"poses": script.NewArray(script.NewObject())}}); err == nil {
 		t.Error("wrong window size accepted")
 	}
 }
@@ -385,36 +385,55 @@ func TestRepCounterServiceStatelessRoundTrip(t *testing.T) {
 	n := int(float64(truth)/rate*fps) + 1
 	poses, _ := vision.SynthesizeSequence(vision.Squat, n, fps, rate, vision.DefaultSubject(), nil)
 
+	// Every frame goes through the blob; a counter that never leaves memory
+	// runs beside it and the two must agree frame for frame.
+	live := vision.NewRepCounter(0, 0)
 	state := ""
 	var reps float64
-	for _, pose := range poses {
-		args, err := reencode(map[string]any{"state": state, "pose": pose.ToMap()})
-		if err != nil {
-			t.Fatalf("reencode: %v", err)
-		}
+	for i, pose := range poses {
+		args := map[string]script.Value{"state": state, "pose": poseValue(pose)}
 		resp, err := p.Invoke(context.Background(), Request{Args: args})
 		if err != nil {
 			t.Fatalf("Invoke: %v", err)
 		}
 		state, _ = resp.Result["state"].(string)
 		reps, _ = resp.Result["reps"].(float64)
+		if want := live.Observe(pose); int(reps) != want || resp.Result["calibrated"] != live.Calibrated() {
+			t.Fatalf("frame %d: service says reps %v calibrated %v, a live counter %d %v",
+				i, reps, resp.Result["calibrated"], want, live.Calibrated())
+		}
 	}
 	if vision.RepAccuracy(int(reps), truth) < 0.6 {
 		t.Errorf("stateless rep counting: got %v reps, truth %d", reps, truth)
 	}
-	// Corrupt state rejected.
-	if _, err := p.Invoke(context.Background(), Request{Args: map[string]any{"state": "!!!", "pose": poses[0].ToMap()}}); err == nil {
-		t.Error("corrupt state accepted")
+	// Corrupt state rejected: bad base64, another version byte, a truncated
+	// blob.
+	blob, err := base64.StdEncoding.DecodeString(state)
+	if err != nil || len(blob) == 0 {
+		t.Fatalf("final state is not base64: %v", err)
+	}
+	otherVersion := append([]byte(nil), blob...)
+	otherVersion[0]++
+	for name, bad := range map[string]string{
+		"bad base64":    "!!!",
+		"other version": base64.StdEncoding.EncodeToString(otherVersion),
+		"truncated":     base64.StdEncoding.EncodeToString(blob[:len(blob)-3]),
+	} {
+		args := map[string]script.Value{"state": bad, "pose": poseValue(poses[0])}
+		if _, err := p.Invoke(context.Background(), Request{Args: args}); err == nil {
+			t.Errorf("%s state accepted", name)
+		}
 	}
 }
 
 func TestFallService(t *testing.T) {
 	p := poolFor(t, FallDetector)
 	poses, _ := vision.SynthesizeSequence(vision.Fall, 60, 15, 0.4, vision.DefaultSubject(), nil)
+	live := vision.NewFallDetector()
 	state := ""
 	sawAlert := false
-	for _, pose := range poses {
-		args, _ := reencode(map[string]any{"state": state, "pose": pose.ToMap()})
+	for i, pose := range poses {
+		args := map[string]script.Value{"state": state, "pose": poseValue(pose)}
 		resp, err := p.Invoke(context.Background(), Request{Args: args})
 		if err != nil {
 			t.Fatalf("Invoke: %v", err)
@@ -423,9 +442,20 @@ func TestFallService(t *testing.T) {
 		if resp.Result["alert"] == true {
 			sawAlert = true
 		}
+		if alert := live.Observe(pose); resp.Result["alert"] != alert || resp.Result["fallen"] != live.Fallen() {
+			t.Fatalf("frame %d: service says alert %v fallen %v, a live detector %v %v",
+				i, resp.Result["alert"], resp.Result["fallen"], alert, live.Fallen())
+		}
 	}
 	if !sawAlert {
 		t.Error("fall sequence never produced an alert")
+	}
+	blob, _ := base64.StdEncoding.DecodeString(state)
+	for name, bad := range map[string][]byte{"other version": append([]byte{blob[0] + 1}, blob[1:]...), "truncated": blob[:len(blob)-1]} {
+		args := map[string]script.Value{"state": base64.StdEncoding.EncodeToString(bad), "pose": poseValue(poses[0])}
+		if _, err := p.Invoke(context.Background(), Request{Args: args}); err == nil {
+			t.Errorf("%s state accepted", name)
+		}
 	}
 }
 
@@ -439,10 +469,10 @@ func TestObjectService(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Invoke: %v", err)
 	}
-	objs, _ := resp.Result["objects"].([]any)
+	objs := resp.Result["objects"].(*script.Array).Elems
 	foundTV := false
 	for _, o := range objs {
-		if m, ok := o.(map[string]any); ok && m["label"] == "tv" {
+		if m, ok := o.(*script.Object); ok && m.Get("label") == "tv" {
 			foundTV = true
 		}
 	}
@@ -459,10 +489,10 @@ func TestClassifyServiceTrainAndPredict(t *testing.T) {
 	dark.Fill(colorRGBA(10, 10, 120))
 
 	for i := 0; i < 3; i++ {
-		if _, err := p.Invoke(context.Background(), Request{Args: map[string]any{"train": "day"}, Frame: bright}); err != nil {
+		if _, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{"train": "day"}, Frame: bright}); err != nil {
 			t.Fatalf("train: %v", err)
 		}
-		if _, err := p.Invoke(context.Background(), Request{Args: map[string]any{"train": "night"}, Frame: dark}); err != nil {
+		if _, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{"train": "night"}, Frame: dark}); err != nil {
 			t.Fatalf("train: %v", err)
 		}
 	}
@@ -484,10 +514,11 @@ func TestFaceService(t *testing.T) {
 	if resp.Result["found"] != true {
 		t.Fatalf("face not found: %v", resp.Result)
 	}
-	box, ok := resp.Result["box"].(map[string]any)
+	boxObj, ok := resp.Result["box"].(*script.Object)
 	if !ok {
 		t.Fatal("no box in result")
 	}
+	box := boxObj.Fields
 	// The nose must be inside the returned box.
 	pose := vision.SynthesizePose(vision.Idle, 0, vision.DefaultSubject(), nil)
 	nose := pose.Keypoints[vision.Nose]
@@ -504,7 +535,7 @@ func TestDisplayService(t *testing.T) {
 	p := poolFor(t, Display)
 	f := sceneFrame(t, vision.Squat, 0.2)
 	pose := vision.SynthesizePose(vision.Squat, 0.2, vision.DefaultSubject(), nil)
-	args, _ := reencode(map[string]any{"pose": pose.ToMap(), "activity": "squat", "reps": 3, "return_frame": true})
+	args := map[string]script.Value{"pose": poseValue(pose), "activity": "squat", "reps": 3.0, "return_frame": true}
 	resp, err := p.Invoke(context.Background(), Request{Args: args, Frame: f})
 	if err != nil {
 		t.Fatalf("Invoke: %v", err)
@@ -569,7 +600,7 @@ func TestServerRoundTripsFrames(t *testing.T) {
 
 	client := NewClient(nw.Host("desktop"), srv.Addr().String(), nil)
 	defer client.Close()
-	resp, err := client.Call(context.Background(), Display, map[string]any{"reps": 2.0, "return_frame": true}, sceneFrame(t, vision.Idle, 0))
+	resp, err := client.Call(context.Background(), Display, map[string]script.Value{"reps": 2.0, "return_frame": true}, sceneFrame(t, vision.Idle, 0))
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -633,7 +664,7 @@ func TestInstanceSpecAccessor(t *testing.T) {
 }
 
 func TestArgHelpers(t *testing.T) {
-	args := map[string]any{"s": "text", "f": 1.5, "i": 3, "b": true}
+	args := map[string]script.Value{"s": "text", "f": 1.5, "b": true}
 	if v, ok := argString(args, "s"); !ok || v != "text" {
 		t.Errorf("argString = %q, %v", v, ok)
 	}
@@ -643,27 +674,11 @@ func TestArgHelpers(t *testing.T) {
 	if v, ok := argFloat(args, "f"); !ok || v != 1.5 {
 		t.Errorf("argFloat = %v, %v", v, ok)
 	}
-	if v, ok := argFloat(args, "i"); !ok || v != 3 {
-		t.Errorf("argFloat(int) = %v, %v", v, ok)
-	}
 	if _, ok := argFloat(args, "b"); ok {
 		t.Error("argFloat accepted a bool")
 	}
 	if _, ok := argFloat(args, "missing"); ok {
 		t.Error("argFloat accepted a missing key")
-	}
-}
-
-func TestReencodeNormalizesTypes(t *testing.T) {
-	out, err := reencode(map[string]any{"n": 5, "nested": map[string]any{"x": []int{1, 2}}})
-	if err != nil {
-		t.Fatalf("reencode: %v", err)
-	}
-	if out["n"] != float64(5) {
-		t.Errorf("n = %#v, want float64", out["n"])
-	}
-	if _, err := reencode(map[string]any{"bad": func() {}}); err == nil {
-		t.Error("unmarshalable value accepted")
 	}
 }
 
@@ -681,7 +696,7 @@ func TestBannerColorStable(t *testing.T) {
 func TestDisplayWithoutReturnFrame(t *testing.T) {
 	p := poolFor(t, Display)
 	resp, err := p.Invoke(context.Background(), Request{
-		Args:  map[string]any{"reps": 1.0},
+		Args:  map[string]script.Value{"reps": 1.0},
 		Frame: frame.MustNew(32, 24),
 	})
 	if err != nil {
@@ -772,4 +787,62 @@ func TestPoolPauseResume(t *testing.T) {
 	p.Pause()
 	p.Pause()
 	p.Resume()
+}
+
+func TestPoseValueRoundTrip(t *testing.T) {
+	p := vision.SynthesizePose(vision.Wave, 0.7, vision.DefaultSubject(), rand.New(rand.NewSource(1)))
+	v := poseValue(p)
+	got, err := poseFromValue(v)
+	if err != nil {
+		t.Fatalf("poseFromValue: %v", err)
+	}
+	if got != p {
+		t.Errorf("pose differs after the round trip:\n got %+v\nwant %+v", got, p)
+	}
+	// The value is what modules see: named keypoints, a box, a score.
+	kp := v.Get("keypoints").(*script.Array).Elems[vision.Nose].(*script.Object)
+	if kp.Get("name") != "nose" || kp.Get("x") != p.Keypoints[vision.Nose].X {
+		t.Errorf("nose keypoint = %v", kp.Fields)
+	}
+	// And it survives the wire form unchanged.
+	wire, err := script.AppendJSON(nil, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := script.ParseJSONFields(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := poseFromValue(&script.Object{Fields: back}); err != nil || got != p {
+		t.Errorf("pose differs after JSON: %+v, %v", got, err)
+	}
+}
+
+func TestPoseFromValueErrors(t *testing.T) {
+	if _, err := poseFromValue(script.NewObject()); err == nil {
+		t.Error("empty object accepted")
+	}
+	short := script.NewObject()
+	short.Set("keypoints", script.NewArray(1.0, 2.0))
+	if _, err := poseFromValue(short); err == nil {
+		t.Error("short keypoint list accepted")
+	}
+	bad := script.NewArray()
+	for i := 0; i < vision.NumKeypoints; i++ {
+		bad.Elems = append(bad.Elems, "not an object")
+	}
+	malformed := script.NewObject()
+	malformed.Set("keypoints", bad)
+	if _, err := poseFromValue(malformed); err == nil {
+		t.Error("malformed keypoints accepted")
+	}
+	kp := script.NewObject()
+	kp.Set("x", "1")
+	kp.Set("y", 2.0)
+	for i := range bad.Elems {
+		bad.Elems[i] = kp
+	}
+	if _, err := poseFromValue(malformed); err == nil {
+		t.Error("non-numeric coordinate accepted")
+	}
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/base64"
 	"fmt"
 	"image/color"
+	"sync"
 	"time"
 
+	"videopipe/internal/script"
 	"videopipe/internal/vision"
 )
 
@@ -150,15 +152,74 @@ func NewStandardRegistry(opts StandardOptions) (*Registry, error) {
 	return r, nil
 }
 
+// A pose travels between services and modules as
+//
+//	{keypoints: [{name, x, y} x 17], box: {min_x, min_y, max_x, max_y}, score}
+//
+// The conversion lives here, beside the handlers, so the vision package
+// stays free of the script package.
+
+// boxValue builds the script form of a bounding box.
+func boxValue(b vision.Box) *script.Object {
+	return &script.Object{Fields: map[string]script.Value{
+		"min_x": b.MinX, "min_y": b.MinY, "max_x": b.MaxX, "max_y": b.MaxY,
+	}}
+}
+
+// poseValue builds the script form of a pose.
+func poseValue(p vision.Pose) *script.Object {
+	kps := make([]script.Value, vision.NumKeypoints)
+	for i, kp := range p.Keypoints {
+		kps[i] = &script.Object{Fields: map[string]script.Value{
+			"name": vision.KeypointNames[i], "x": kp.X, "y": kp.Y,
+		}}
+	}
+	return &script.Object{Fields: map[string]script.Value{
+		"keypoints": &script.Array{Elems: kps},
+		"box":       boxValue(p.Box),
+		"score":     p.Score,
+	}}
+}
+
+// poseFromValue reads a pose back out of its script form, in place: it
+// allocates nothing and keeps nothing of obj.
+func poseFromValue(obj *script.Object) (vision.Pose, error) {
+	var p vision.Pose
+	kps, _ := obj.Fields["keypoints"].(*script.Array)
+	if kps == nil || len(kps.Elems) != vision.NumKeypoints {
+		return p, fmt.Errorf("pose does not have %d keypoints", vision.NumKeypoints)
+	}
+	for i, raw := range kps.Elems {
+		kp, ok := raw.(*script.Object)
+		if !ok {
+			return p, fmt.Errorf("keypoint %d is not an object", i)
+		}
+		x, okx := kp.Fields["x"].(float64)
+		y, oky := kp.Fields["y"].(float64)
+		if !okx || !oky {
+			return p, fmt.Errorf("keypoint %d has non-numeric coordinates", i)
+		}
+		p.Keypoints[i] = vision.Point{X: x, Y: y}
+	}
+	if box, ok := obj.Fields["box"].(*script.Object); ok {
+		p.Box.MinX, _ = box.Fields["min_x"].(float64)
+		p.Box.MinY, _ = box.Fields["min_y"].(float64)
+		p.Box.MaxX, _ = box.Fields["max_x"].(float64)
+		p.Box.MaxY, _ = box.Fields["max_y"].(float64)
+	}
+	p.Score, _ = obj.Fields["score"].(float64)
+	return p, nil
+}
+
 // handlePose runs the 2D pose detector (paper §4.1.1).
 func handlePose(_ context.Context, req Request) (Response, error) {
 	if req.Frame == nil {
 		return Response{}, fmt.Errorf("pose_detector: request carries no frame")
 	}
 	pose, found := vision.DetectPose(req.Frame)
-	result := map[string]any{"found": found}
+	result := map[string]script.Value{"found": found}
 	if found {
-		result["pose"] = pose.ToMap()
+		result["pose"] = poseValue(pose)
 	}
 	return Response{Result: result}, nil
 }
@@ -166,30 +227,30 @@ func handlePose(_ context.Context, req Request) (Response, error) {
 // handleActivity classifies a window of poses (paper §4.1.2).
 func handleActivity(clf *vision.ActivityClassifier) Handler {
 	return func(_ context.Context, req Request) (Response, error) {
-		rawPoses, ok := req.Args["poses"].([]any)
+		poses, ok := req.Args["poses"].(*script.Array)
 		if !ok {
 			return Response{}, fmt.Errorf("activity_classifier: missing poses argument")
 		}
-		if len(rawPoses) != vision.WindowSize {
-			return Response{}, fmt.Errorf("activity_classifier: got %d poses, want %d", len(rawPoses), vision.WindowSize)
+		if len(poses.Elems) != vision.WindowSize {
+			return Response{}, fmt.Errorf("activity_classifier: got %d poses, want %d", len(poses.Elems), vision.WindowSize)
 		}
-		window := make([]vision.Pose, len(rawPoses))
-		for i, raw := range rawPoses {
-			m, ok := raw.(map[string]any)
+		var window [vision.WindowSize]vision.Pose
+		for i, raw := range poses.Elems {
+			obj, ok := raw.(*script.Object)
 			if !ok {
 				return Response{}, fmt.Errorf("activity_classifier: pose %d is not an object", i)
 			}
-			p, err := vision.PoseFromMap(m)
+			p, err := poseFromValue(obj)
 			if err != nil {
 				return Response{}, fmt.Errorf("activity_classifier: pose %d: %w", i, err)
 			}
 			window[i] = p
 		}
-		label, conf, err := clf.Classify(window)
+		label, conf, err := clf.Classify(window[:])
 		if err != nil {
 			return Response{}, fmt.Errorf("activity_classifier: %w", err)
 		}
-		return Response{Result: map[string]any{
+		return Response{Result: map[string]script.Value{
 			"activity":   label.String(),
 			"confidence": conf,
 			"actionable": vision.Actionable(conf),
@@ -197,65 +258,86 @@ func handleActivity(clf *vision.ActivityClassifier) Handler {
 	}
 }
 
+// stateScratch is what a rep_counter or fall_detector call needs besides its
+// result — the decoded blob, its base64 form and a counter to restore into —
+// borrowed for the call, so a warm call allocates little but its result.
+type stateScratch struct {
+	raw, b64 []byte
+	rc       vision.RepCounter
+}
+
+var stateScratches = sync.Pool{New: func() any { return new(stateScratch) }}
+
+// decodeState decodes the caller's opaque state argument ("" for a fresh
+// one) into the scratch's raw buffer. The string is staged through b64
+// because base64 appends from bytes only, and converting would allocate.
+func (sc *stateScratch) decodeState(args map[string]script.Value) error {
+	state, _ := argString(args, "state")
+	sc.b64 = append(sc.b64[:0], state...)
+	var err error
+	sc.raw, err = base64.StdEncoding.AppendDecode(sc.raw[:0], sc.b64)
+	return err
+}
+
+// encodeState renders the scratch's raw buffer as the state string handed
+// back to the caller.
+func (sc *stateScratch) encodeState() string {
+	sc.b64 = base64.StdEncoding.AppendEncode(sc.b64[:0], sc.raw)
+	return string(sc.b64)
+}
+
 // handleRepCount advances the stateless rep counter (paper §4.1.3): the
 // caller passes the previous state blob and the new pose, and receives the
 // updated blob and count.
 func handleRepCount(_ context.Context, req Request) (Response, error) {
-	stateB64, _ := argString(req.Args, "state")
-	state, err := base64.StdEncoding.DecodeString(stateB64)
-	if err != nil {
+	sc := stateScratches.Get().(*stateScratch)
+	defer stateScratches.Put(sc)
+	if err := sc.decodeState(req.Args); err != nil {
 		return Response{}, fmt.Errorf("rep_counter: bad state encoding: %w", err)
 	}
-	rc, err := vision.RestoreRepCounter(state)
-	if err != nil {
+	if err := sc.rc.UnmarshalState(sc.raw); err != nil {
 		return Response{}, fmt.Errorf("rep_counter: %w", err)
 	}
-	poseMap, ok := req.Args["pose"].(map[string]any)
+	poseObj, ok := req.Args["pose"].(*script.Object)
 	if !ok {
 		return Response{}, fmt.Errorf("rep_counter: missing pose argument")
 	}
-	pose, err := vision.PoseFromMap(poseMap)
+	pose, err := poseFromValue(poseObj)
 	if err != nil {
 		return Response{}, fmt.Errorf("rep_counter: %w", err)
 	}
-	reps := rc.Observe(pose)
-	newState, err := rc.MarshalState()
-	if err != nil {
-		return Response{}, fmt.Errorf("rep_counter: %w", err)
-	}
-	return Response{Result: map[string]any{
-		"state":      base64.StdEncoding.EncodeToString(newState),
+	reps := sc.rc.Observe(pose)
+	sc.raw = sc.rc.AppendState(sc.raw[:0])
+	return Response{Result: map[string]script.Value{
+		"state":      sc.encodeState(),
 		"reps":       float64(reps),
-		"calibrated": rc.Calibrated(),
+		"calibrated": sc.rc.Calibrated(),
 	}}, nil
 }
 
 // handleFall advances the stateless fall detector (paper §4.3).
 func handleFall(_ context.Context, req Request) (Response, error) {
-	stateB64, _ := argString(req.Args, "state")
-	state, err := base64.StdEncoding.DecodeString(stateB64)
-	if err != nil {
+	sc := stateScratches.Get().(*stateScratch)
+	defer stateScratches.Put(sc)
+	if err := sc.decodeState(req.Args); err != nil {
 		return Response{}, fmt.Errorf("fall_detector: bad state encoding: %w", err)
 	}
-	fd, err := vision.RestoreFallDetector(state)
+	fd, err := vision.RestoreFallDetector(sc.raw)
 	if err != nil {
 		return Response{}, fmt.Errorf("fall_detector: %w", err)
 	}
-	poseMap, ok := req.Args["pose"].(map[string]any)
+	poseObj, ok := req.Args["pose"].(*script.Object)
 	if !ok {
 		return Response{}, fmt.Errorf("fall_detector: missing pose argument")
 	}
-	pose, err := vision.PoseFromMap(poseMap)
+	pose, err := poseFromValue(poseObj)
 	if err != nil {
 		return Response{}, fmt.Errorf("fall_detector: %w", err)
 	}
 	alert := fd.Observe(pose)
-	newState, err := fd.MarshalState()
-	if err != nil {
-		return Response{}, fmt.Errorf("fall_detector: %w", err)
-	}
-	return Response{Result: map[string]any{
-		"state":  base64.StdEncoding.EncodeToString(newState),
+	sc.raw = fd.AppendState(sc.raw[:0])
+	return Response{Result: map[string]script.Value{
+		"state":  sc.encodeState(),
 		"fallen": fd.Fallen(),
 		"alert":  alert,
 	}}, nil
@@ -267,18 +349,17 @@ func handleObjects(_ context.Context, req Request) (Response, error) {
 		return Response{}, fmt.Errorf("object_detector: request carries no frame")
 	}
 	dets := vision.DetectObjects(req.Frame)
-	objs := make([]any, len(dets))
+	objs := make([]script.Value, len(dets))
 	for i, d := range dets {
-		objs[i] = map[string]any{
+		objs[i] = &script.Object{Fields: map[string]script.Value{
 			"label": d.Label,
 			"score": d.Score,
-			"box": map[string]any{
-				"min_x": d.Box.MinX, "min_y": d.Box.MinY,
-				"max_x": d.Box.MaxX, "max_y": d.Box.MaxY,
-			},
-		}
+			"box":   boxValue(d.Box),
+		}}
 	}
-	return Response{Result: map[string]any{"objects": objs, "count": float64(len(dets))}}, nil
+	return Response{Result: map[string]script.Value{
+		"objects": &script.Array{Elems: objs}, "count": float64(len(dets)),
+	}}, nil
 }
 
 // handleClassify serves the image classifier; requests with a "train"
@@ -297,13 +378,13 @@ func handleClassify(clf *vision.ImageClassifier) Handler {
 			if err := clf.Train(label, req.Frame); err != nil {
 				return Response{}, fmt.Errorf("image_classifier: %w", err)
 			}
-			return Response{Result: map[string]any{"trained": label}}, nil
+			return Response{Result: map[string]script.Value{"trained": label}}, nil
 		}
 		label, conf, err := clf.Classify(req.Frame)
 		if err != nil {
 			return Response{}, fmt.Errorf("image_classifier: %w", err)
 		}
-		return Response{Result: map[string]any{"label": label, "confidence": conf}}, nil
+		return Response{Result: map[string]script.Value{"label": label, "confidence": conf}}, nil
 	}
 }
 
@@ -314,7 +395,7 @@ func handleFace(_ context.Context, req Request) (Response, error) {
 	}
 	pose, found := vision.DetectPose(req.Frame)
 	if !found {
-		return Response{Result: map[string]any{"found": false}}, nil
+		return Response{Result: map[string]script.Value{"found": false}}, nil
 	}
 	head := []vision.Point{
 		pose.Keypoints[vision.Nose],
@@ -337,12 +418,12 @@ func handleFace(_ context.Context, req Request) (Response, error) {
 		}
 	}
 	pad := 1.2 * (box.MaxX - box.MinX)
-	return Response{Result: map[string]any{
+	return Response{Result: map[string]script.Value{
 		"found": true,
-		"box": map[string]any{
-			"min_x": box.MinX - pad/2, "min_y": box.MinY - pad/2,
-			"max_x": box.MaxX + pad/2, "max_y": box.MaxY + pad,
-		},
+		"box": boxValue(vision.Box{
+			MinX: box.MinX - pad/2, MinY: box.MinY - pad/2,
+			MaxX: box.MaxX + pad/2, MaxY: box.MaxY + pad,
+		}),
 	}}, nil
 }
 
@@ -355,8 +436,8 @@ func handleDisplay(_ context.Context, req Request) (Response, error) {
 	}
 	out := req.Frame.Clone()
 
-	if poseMap, ok := req.Args["pose"].(map[string]any); ok {
-		pose, err := vision.PoseFromMap(poseMap)
+	if poseObj, ok := req.Args["pose"].(*script.Object); ok {
+		pose, err := poseFromValue(poseObj)
 		if err != nil {
 			out.Release()
 			return Response{}, fmt.Errorf("display: %w", err)
@@ -386,7 +467,7 @@ func handleDisplay(_ context.Context, req Request) (Response, error) {
 	// frame ships back only when the caller asks (return_frame), so remote
 	// callers don't pay a pointless reverse transfer — and the clone is
 	// recycled immediately when it stays here.
-	resp := Response{Result: map[string]any{"rendered": true}}
+	resp := Response{Result: map[string]script.Value{"rendered": true}}
 	if want, ok := req.Args["return_frame"].(bool); ok && want {
 		resp.Frame = out
 	} else {

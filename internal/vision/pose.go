@@ -15,10 +15,7 @@
 //     a rule-based fall detector for the remaining services (§2.2, §4.3).
 package vision
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Point is a 2D image coordinate in pixels (or normalized units, per
 // context).
@@ -171,63 +168,4 @@ func (p Pose) BoundingBox(margin float64) Box {
 	b.MaxX += margin
 	b.MaxY += margin
 	return b
-}
-
-// ToMap converts the pose to plain Go data for JSON transfer between
-// services and script modules.
-func (p Pose) ToMap() map[string]any {
-	kps := make([]any, NumKeypoints)
-	for i, kp := range p.Keypoints {
-		kps[i] = map[string]any{"name": KeypointNames[i], "x": kp.X, "y": kp.Y}
-	}
-	return map[string]any{
-		"keypoints": kps,
-		"box": map[string]any{
-			"min_x": p.Box.MinX, "min_y": p.Box.MinY,
-			"max_x": p.Box.MaxX, "max_y": p.Box.MaxY,
-		},
-		"score": p.Score,
-	}
-}
-
-// PoseFromMap parses the ToMap representation.
-func PoseFromMap(m map[string]any) (Pose, error) {
-	var p Pose
-	kps, ok := m["keypoints"].([]any)
-	if !ok || len(kps) != NumKeypoints {
-		return Pose{}, fmt.Errorf("vision: pose map has %d keypoints, want %d", len(kps), NumKeypoints)
-	}
-	for i, raw := range kps {
-		kp, ok := raw.(map[string]any)
-		if !ok {
-			return Pose{}, fmt.Errorf("vision: keypoint %d is not an object", i)
-		}
-		x, okx := toFloat(kp["x"])
-		y, oky := toFloat(kp["y"])
-		if !okx || !oky {
-			return Pose{}, fmt.Errorf("vision: keypoint %d has non-numeric coordinates", i)
-		}
-		p.Keypoints[i] = Point{X: x, Y: y}
-	}
-	if box, ok := m["box"].(map[string]any); ok {
-		p.Box.MinX, _ = toFloat(box["min_x"])
-		p.Box.MinY, _ = toFloat(box["min_y"])
-		p.Box.MaxX, _ = toFloat(box["max_x"])
-		p.Box.MaxY, _ = toFloat(box["max_y"])
-	}
-	if s, ok := toFloat(m["score"]); ok {
-		p.Score = s
-	}
-	return p, nil
-}
-
-func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case int:
-		return float64(x), true
-	default:
-		return 0, false
-	}
 }

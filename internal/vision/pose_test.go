@@ -71,42 +71,6 @@ func TestBoundingBoxContainsKeypoints(t *testing.T) {
 	}
 }
 
-func TestPoseMapRoundTrip(t *testing.T) {
-	p := SynthesizePose(Wave, 0.7, DefaultSubject(), rand.New(rand.NewSource(1)))
-	m := p.ToMap()
-	got, err := PoseFromMap(m)
-	if err != nil {
-		t.Fatalf("PoseFromMap: %v", err)
-	}
-	for i := range p.Keypoints {
-		if p.Keypoints[i].Dist(got.Keypoints[i]) > 1e-9 {
-			t.Errorf("keypoint %d differs after round trip", i)
-		}
-	}
-	if got.Score != p.Score {
-		t.Errorf("score = %v, want %v", got.Score, p.Score)
-	}
-	if got.Box != p.Box {
-		t.Errorf("box = %+v, want %+v", got.Box, p.Box)
-	}
-}
-
-func TestPoseFromMapErrors(t *testing.T) {
-	if _, err := PoseFromMap(map[string]any{}); err == nil {
-		t.Error("empty map accepted")
-	}
-	if _, err := PoseFromMap(map[string]any{"keypoints": []any{1, 2}}); err == nil {
-		t.Error("short keypoint list accepted")
-	}
-	bad := make([]any, NumKeypoints)
-	for i := range bad {
-		bad[i] = "not an object"
-	}
-	if _, err := PoseFromMap(map[string]any{"keypoints": bad}); err == nil {
-		t.Error("malformed keypoints accepted")
-	}
-}
-
 func TestActivityStringParse(t *testing.T) {
 	for _, a := range AllActivities {
 		got, err := ParseActivity(a.String())

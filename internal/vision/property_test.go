@@ -146,11 +146,7 @@ func TestRepCounterStateRoundTripProperty(t *testing.T) {
 		for _, p := range poses[:cut] {
 			first.Observe(p)
 		}
-		blob, err := first.MarshalState()
-		if err != nil {
-			return false
-		}
-		second, err := RestoreRepCounter(blob)
+		second, err := RestoreRepCounter(first.AppendState(nil))
 		if err != nil {
 			return false
 		}
@@ -177,11 +173,7 @@ func TestFallDetectorStateRoundTrip(t *testing.T) {
 	for _, p := range poses[:cut] {
 		first.Observe(p)
 	}
-	blob, err := first.MarshalState()
-	if err != nil {
-		t.Fatalf("MarshalState: %v", err)
-	}
-	second, err := RestoreFallDetector(blob)
+	second, err := RestoreFallDetector(first.AppendState(nil))
 	if err != nil {
 		t.Fatalf("RestoreFallDetector: %v", err)
 	}
@@ -203,9 +195,48 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	if _, err := RestoreFallDetector([]byte("{not json")); err == nil {
 		t.Error("corrupt fall state accepted")
 	}
-	// Fitted state without centroids is inconsistent.
+	// The JSON form of earlier versions is just another unknown version.
 	if _, err := RestoreRepCounter([]byte(`{"fitted": true}`)); err == nil {
 		t.Error("inconsistent rep state accepted")
+	}
+	// Every strict prefix of a real blob, and a real blob under another
+	// version byte or with a byte appended, is an error — mid-calibration
+	// (frames buffered) and fitted (centroids present) alike.
+	poses, _ := SynthesizeSequence(Squat, 60, 15, 0.5, DefaultSubject(), rand.New(rand.NewSource(3)))
+	rc := NewRepCounter(0, 0)
+	fd := NewFallDetector()
+	for i, p := range poses {
+		rc.Observe(p)
+		fd.Observe(p)
+		if i != 5 && i != len(poses)-1 {
+			continue
+		}
+		for name, blob := range map[string][]byte{"rep": rc.AppendState(nil), "fall": fd.AppendState(nil)} {
+			restore := func(b []byte) error {
+				if name == "rep" {
+					_, err := RestoreRepCounter(b)
+					return err
+				}
+				_, err := RestoreFallDetector(b)
+				return err
+			}
+			if err := restore(blob); err != nil {
+				t.Fatalf("%s blob after %d frames: %v", name, i+1, err)
+			}
+			for cut := 1; cut < len(blob); cut++ {
+				if restore(blob[:cut]) == nil {
+					t.Fatalf("%s blob truncated to %d of %d bytes accepted", name, cut, len(blob))
+				}
+			}
+			if restore(append(append([]byte(nil), blob...), 0)) == nil {
+				t.Errorf("%s blob with a trailing byte accepted", name)
+			}
+			other := append([]byte(nil), blob...)
+			other[0]++
+			if restore(other) == nil {
+				t.Errorf("%s blob with version byte %d accepted", name, other[0])
+			}
+		}
 	}
 	// Empty blobs mean fresh state.
 	if rc, err := RestoreRepCounter(nil); err != nil || rc.FramesSeen() != 0 {

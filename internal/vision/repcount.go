@@ -25,7 +25,9 @@ type RepCounter struct {
 	// calibration frames required before counting starts.
 	calibration int
 
-	buf       [][]float64
+	// buf holds the calibration frames' feature vectors end to end,
+	// featureDim floats each.
+	buf       []float64
 	centroids [2][]float64
 	fitted    bool
 
@@ -48,13 +50,18 @@ const defaultCalibration = 40
 // NewRepCounter creates a counter. debounce <= 0 selects the paper's 4;
 // calibration <= 0 selects a default one-rep window.
 func NewRepCounter(debounce, calibration int) *RepCounter {
+	rc := newRepCounter(debounce, calibration)
+	return &rc
+}
+
+func newRepCounter(debounce, calibration int) RepCounter {
 	if debounce <= 0 {
 		debounce = DefaultDebounce
 	}
 	if calibration <= 0 {
 		calibration = defaultCalibration
 	}
-	return &RepCounter{debounce: debounce, calibration: calibration, state: -1, pendingState: -1}
+	return RepCounter{debounce: debounce, calibration: calibration, state: -1, pendingState: -1}
 }
 
 // Reps reports the number of completed reps.
@@ -72,16 +79,15 @@ func (rc *RepCounter) Observe(p Pose) int {
 	feats := p.Features()
 
 	if !rc.fitted {
-		rc.buf = append(rc.buf, feats)
-		if len(rc.buf) >= rc.calibration {
+		rc.buf = append(rc.buf, feats...)
+		if n := len(rc.buf) / featureDim; n >= rc.calibration {
 			rc.fit()
 			// Replay the calibration buffer through the state machine so
 			// reps performed during calibration are counted too.
-			buf := rc.buf
-			rc.buf = nil
-			for _, f := range buf {
-				rc.observeLabeled(rc.nearest(f))
+			for i := 0; i < n; i++ {
+				rc.observeLabeled(rc.nearest(rc.frame(i)))
 			}
+			rc.buf = rc.buf[:0]
 		}
 		return rc.reps
 	}
@@ -92,25 +98,25 @@ func (rc *RepCounter) Observe(p Pose) int {
 // fit runs 2-means over the calibration buffer (Lloyd's algorithm with
 // farthest-point initialization, which is deterministic).
 func (rc *RepCounter) fit() {
-	n := len(rc.buf)
-	dim := len(rc.buf[0])
+	n := len(rc.buf) / featureDim
+	dim := featureDim
 
 	// Initialize: first centroid = first frame; second = farthest frame.
-	c0 := append([]float64(nil), rc.buf[0]...)
+	c0 := append([]float64(nil), rc.frame(0)...)
 	far, farDist := 0, -1.0
-	for i, f := range rc.buf {
-		if d := sqDist(f, c0); d > farDist {
+	for i := 0; i < n; i++ {
+		if d := sqDist(rc.frame(i), c0); d > farDist {
 			far, farDist = i, d
 		}
 	}
-	c1 := append([]float64(nil), rc.buf[far]...)
+	c1 := append([]float64(nil), rc.frame(far)...)
 	rc.centroids[0], rc.centroids[1] = c0, c1
 
 	assign := make([]int, n)
 	for iter := 0; iter < 50; iter++ {
 		changed := false
-		for i, f := range rc.buf {
-			a := rc.nearest(f)
+		for i := 0; i < n; i++ {
+			a := rc.nearest(rc.frame(i))
 			if a != assign[i] {
 				assign[i] = a
 				changed = true
@@ -120,10 +126,10 @@ func (rc *RepCounter) fit() {
 		var counts [2]int
 		sums[0] = make([]float64, dim)
 		sums[1] = make([]float64, dim)
-		for i, f := range rc.buf {
+		for i := 0; i < n; i++ {
 			a := assign[i]
 			counts[a]++
-			for j, v := range f {
+			for j, v := range rc.frame(i) {
 				sums[a][j] += v
 			}
 		}
@@ -148,7 +154,7 @@ func (rc *RepCounter) fit() {
 		prefix = n
 	}
 	for i := 0; i < prefix; i++ {
-		if rc.nearest(rc.buf[i]) == 0 {
+		if rc.nearest(rc.frame(i)) == 0 {
 			votes++
 		}
 	}
@@ -158,6 +164,11 @@ func (rc *RepCounter) fit() {
 	}
 	rc.state = rc.initialState
 	rc.fitted = true
+}
+
+// frame is the i-th buffered calibration frame's feature vector.
+func (rc *RepCounter) frame(i int) []float64 {
+	return rc.buf[i*featureDim : (i+1)*featureDim]
 }
 
 // nearest labels a frame by nearest centroid on squared distance (ordering
@@ -201,7 +212,7 @@ func (rc *RepCounter) observeLabeled(label int) {
 
 // Reset clears all counter state, keeping configuration.
 func (rc *RepCounter) Reset() {
-	rc.buf = nil
+	rc.buf = rc.buf[:0]
 	rc.fitted = false
 	rc.initialState = 0
 	rc.state = -1
