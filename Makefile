@@ -98,14 +98,16 @@ shapes:
 
 # Short coverage-guided fuzz pass over the PipeScript and config parsers
 # plus the sandbox budget enforcer, the static cost bound against the
-# measured step count, the shape-inference pass, the payload JSON codec
-# against encoding/json and the frame codec's JPEG decoder against
+# measured step count, the shape-inference pass, the stateless verdict
+# against what two events on one context show the host, the payload JSON
+# codec against encoding/json and the frame codec's JPEG decoder against
 # image/jpeg (seed corpora alone run in `make test`).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzBudget -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzCost -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzShapes -fuzztime 30s ./internal/script
+	$(GO) test -fuzz FuzzStateless -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzJSONCodec -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzParseConfig -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzJPEGDecode -fuzztime 30s ./internal/frame

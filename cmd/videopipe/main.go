@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"videopipe"
+	"videopipe/internal/script"
 )
 
 const exampleConfig = `// Example pipeline for the videopipe command.
@@ -180,7 +181,7 @@ type lintJSONDiag struct {
 // diagnostics go to stdout as an indented JSON array (structural errors
 // still print to stderr).
 func runLint(configPath string, jsonOut, werror bool, stdout, stderr io.Writer) int {
-	diags, err := lintConfig(configPath)
+	cfg, diags, err := lintConfig(configPath)
 	errors := 0
 	for _, d := range diags {
 		if d.Severity == videopipe.SeverityError {
@@ -223,30 +224,39 @@ func runLint(configPath string, jsonOut, werror bool, stdout, stderr io.Writer) 
 		return 1
 	}
 	if !jsonOut {
+		printReplication(stdout, configPath, cfg)
 		fmt.Fprintf(stdout, "%s: ok (%d warning(s))\n", configPath, len(diags))
 	}
 	return 0
 }
 
+// printReplication says, one line per module, whether the device runtime
+// will run it on several isolated contexts at once (it provably keeps no
+// state between events) or on one, and in that case what state it keeps —
+// the same script.Facts verdict SpawnModule acts on.
+func printReplication(w io.Writer, configPath string, cfg *videopipe.PipelineConfig) {
+	for _, m := range cfg.Modules {
+		facts := script.Analyze(m.Source, script.Options{}).Facts
+		fmt.Fprintf(w, "%s: module %s: %s\n", configPath, m.Name, facts.Replication())
+	}
+}
+
 // lintConfig parses a Listing-1 config and runs the full analyzer over it.
 // Structural problems (unreadable file, parse failure, Validate errors)
 // come back as err alongside whatever script diagnostics were gathered.
-func lintConfig(configPath string) ([]videopipe.Diagnostic, error) {
+func lintConfig(configPath string) (*videopipe.PipelineConfig, []videopipe.Diagnostic, error) {
 	if configPath == "" {
-		return nil, fmt.Errorf("missing -config (use -example for a starting point)")
+		return nil, nil, fmt.Errorf("missing -config (use -example for a starting point)")
 	}
 	text, err := os.ReadFile(configPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	name := strings.TrimSuffix(filepath.Base(configPath), filepath.Ext(configPath))
 	cfg, err := videopipe.ParseConfig(name, string(text), videopipe.FileResolver(filepath.Dir(configPath)))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	diags := videopipe.AnalyzePipeline(cfg)
-	if err := cfg.Validate(); err != nil {
-		return diags, err
-	}
-	return diags, nil
+	return cfg, diags, cfg.Validate()
 }

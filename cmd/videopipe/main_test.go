@@ -104,6 +104,24 @@ func TestLintCleanConfig(t *testing.T) {
 	}
 }
 
+// -lint says, per module, whether the runtime will replicate it and, if
+// not, which state pins it to one context.
+func TestLintReportsReplication(t *testing.T) {
+	var out, errOut strings.Builder
+	path := filepath.Join("..", "..", "examples", "configs", "posewatch.cfg")
+	if code := runLint(path, false, false, &out, &errOut); code != 0 {
+		t.Fatalf("lint exit = %d, stderr:\n%s", code, errOut.String())
+	}
+	for _, line := range []string{
+		path + ": module streamer: replicable\n",
+		path + `: module watch: single-context: writes global "seen" at 3:1` + "\n",
+	} {
+		if !strings.Contains(out.String(), line) {
+			t.Errorf("stdout lacks %q:\n%s", line, out.String())
+		}
+	}
+}
+
 func TestLintBrokenConfig(t *testing.T) {
 	path := writeBrokenConfig(t)
 	var out, errOut strings.Builder

@@ -33,6 +33,11 @@ func scriptedSweepConfig(out string, seed int64) config {
 	if raceEnabled {
 		c.p99budget = time.Minute
 		c.minach = 0.01
+		// The collapse stop is a threshold too: a 400 ms rung of eight
+		// frames through a ten-times-slower interpreter can deliver half of
+		// them after the window, more often since replicated burn stages
+		// share the two cores among all of a burst's frames at once.
+		c.collapse = 0.01
 	}
 	return c
 }

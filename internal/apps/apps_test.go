@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"videopipe/internal/core"
 	"videopipe/internal/script"
 	"videopipe/internal/services"
 )
@@ -130,5 +131,40 @@ func TestConfigsUseDistinctNames(t *testing.T) {
 	b := FitnessConfig("two", 10, "squat")
 	if a.Name == b.Name {
 		t.Error("names not distinct")
+	}
+}
+
+// Which shipped modules the device runtime replicates, and for the rest
+// what state pins them to one context — the verdict `videopipe -lint`
+// prints and SpawnModule acts on. A module that starts keeping state (or
+// stops) has to change its row here.
+func TestModuleReplicationVerdicts(t *testing.T) {
+	want := map[string]string{
+		"fitness/video_streaming":      "replicable",
+		"fitness/pose_detection":       "replicable",
+		"fitness/activity_recognition": `single-context: writes global "window" at 2:3`,
+		"fitness/rep_counter":          `single-context: writes global "state" at 2:3`,
+		"fitness/display":              `single-context: writes global "frames" at 2:3`,
+		"gesture/video_streaming":      "replicable",
+		"gesture/pose_detection":       `single-context: writes global "last_seq" at 2:2`,
+		"gesture/gesture_recognition":  `single-context: writes global "window" at 2:3`,
+		"gesture/iot_control":          `single-context: writes global "light_on" at 2:3`,
+		"fall/video_streaming":         "replicable",
+		"fall/pose_detection":          `single-context: writes global "last_seq" at 2:2`,
+		"fall/fall_monitor":            `single-context: writes global "state" at 2:3`,
+		"fall/alert":                   `single-context: writes global "alerts" at 2:3`,
+	}
+	seen := 0
+	for _, cfg := range []core.PipelineConfig{FitnessConfig("fitness", 20, "squat"), GestureConfig("gesture", 15, "clap"), FallConfig("fall", 15)} {
+		for _, m := range cfg.Modules {
+			seen++
+			got := script.Analyze(m.Source, script.Options{}).Facts.Replication()
+			if key := cfg.Name + "/" + m.Name; got != want[key] {
+				t.Errorf("%s: %s, want %s", key, got, want[key])
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("%d shipped modules, table has %d", seen, len(want))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"image/color"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +16,11 @@ import (
 	"videopipe/internal/script"
 	"videopipe/internal/vision"
 )
+
+// recentCompletions is how many completed frames a lane's latency tail is
+// taken over: a few seconds of a camera-rate lane, long enough to hold a p99
+// and short enough that start-up frames leave it.
+const recentCompletions = 64
 
 // Pipeline is a deployed application: modules spawned across cluster
 // devices per a plan, wired into a DAG, with a paced source feeding the
@@ -36,16 +42,25 @@ type Pipeline struct {
 	creditMu    sync.Mutex
 	creditAvail int
 	creditCap   int
+	// recent holds the capture-to-completion latency of the lane's last
+	// recentCompletions frames, completed counting all of them: the tail the
+	// current credit window produces, which is what the tuner's widening
+	// guard has to read (recentP99).
+	recent    [recentCompletions]time.Duration
+	completed uint64
 
 	// mu guards the fields below: placement and module instances become
 	// mutable once live migration exists.
-	mu        sync.Mutex
-	plan      Plan
-	modules   map[string]*device.Module // raw module name -> instance
-	entry     *device.Module
-	closed    bool
-	running   bool
-	migrating bool
+	mu      sync.Mutex
+	plan    Plan
+	modules map[string]*device.Module // raw module name -> instance
+	entry   *device.Module
+	// remoteEdges counts DAG edges whose two ends sit on different devices
+	// under the current placement (Offer sizes its buffer reservation by it).
+	remoteEdges int
+	closed      bool
+	running     bool
+	migrating   bool
 }
 
 // Launch validates, plans and deploys a pipeline onto the cluster. Module
@@ -116,7 +131,7 @@ func (c *Cluster) Launch(cfg PipelineConfig, planner Planner) (*Pipeline, error)
 	// that error out before frame_done also return their credit so a
 	// fault burst cannot permanently starve the source.
 	for _, m := range p.modules {
-		m.SetFrameDone(p.returnCredit)
+		m.SetFrameDone(p.frameDone)
 		m.SetFrameAbandoned(p.returnCredit)
 	}
 
@@ -136,6 +151,7 @@ func (c *Cluster) Launch(cfg PipelineConfig, planner Planner) (*Pipeline, error)
 	}
 	p.source = src
 	p.entry = p.modules[cfg.Source.FirstModule]
+	p.countRemoteEdges()
 
 	c.mu.Lock()
 	c.pipelines = append(c.pipelines, p)
@@ -219,6 +235,20 @@ func (p *Pipeline) routesFrom(mc *ModuleConfig, devName string) ([]device.Route,
 	return routes, nil
 }
 
+// countRemoteEdges recomputes remoteEdges from the placement. Callers hold
+// p.mu (or, during Launch, own the pipeline exclusively).
+func (p *Pipeline) countRemoteEdges() {
+	p.remoteEdges = 0
+	for i := range p.cfg.Modules {
+		mc := &p.cfg.Modules[i]
+		for _, next := range mc.Next {
+			if p.plan.Placement[next] != p.plan.Placement[mc.Name] {
+				p.remoteEdges++
+			}
+		}
+	}
+}
+
 func (p *Pipeline) prefixed(module string) string { return p.name + "." + module }
 
 // Name reports the pipeline name.
@@ -238,27 +268,48 @@ func (p *Pipeline) Placement() map[string]string {
 	return out
 }
 
-// returnCredit gives a frame admission slot back to the source. The cap
-// clamp absorbs both double returns and a window narrowed while frames
-// were in flight.
-func (p *Pipeline) returnCredit() {
+// returnCredit gives back the admission slot of a frame that did not
+// complete (refused by the entry module, or abandoned downstream).
+func (p *Pipeline) returnCredit() { p.frameDone(0) }
+
+// frameDone is a module's frame_done(): the frame's latency (0 when its
+// capture time is unknown) joins the lane's recent completions and its
+// admission slot goes back to the source. The cap clamp absorbs a window
+// narrowed while frames were in flight.
+func (p *Pipeline) frameDone(e2e time.Duration) {
 	p.creditMu.Lock()
+	if e2e > 0 {
+		p.recent[p.completed%recentCompletions] = e2e
+		p.completed++
+	}
 	if p.creditAvail < p.creditCap {
 		p.creditAvail++
 	}
 	p.creditMu.Unlock()
 }
 
-// takeCredit claims one admission slot, reporting whether one was free and
-// how many are left.
-func (p *Pipeline) takeCredit() (left int, ok bool) {
+// recentP99 is the p99 latency of the lane's last recentCompletions
+// completed frames (fewer while fewer exist, zero before the first).
+func (p *Pipeline) recentP99() time.Duration {
+	p.creditMu.Lock()
+	tail := p.recent
+	n := min(p.completed, recentCompletions)
+	p.creditMu.Unlock()
+	slices.Sort(tail[:n])
+	return metrics.QuantileOf(tail[:n], 0.99)
+}
+
+// takeCredit claims one admission slot, reporting whether one was free, how
+// many are left and how many frames were already in flight.
+func (p *Pipeline) takeCredit() (left, ahead int, ok bool) {
 	p.creditMu.Lock()
 	defer p.creditMu.Unlock()
 	if p.creditAvail <= 0 {
-		return 0, false
+		return 0, 0, false
 	}
+	ahead = max(p.creditCap-p.creditAvail, 0)
 	p.creditAvail--
-	return p.creditAvail, true
+	return p.creditAvail, ahead, true
 }
 
 // ResizeCredits adjusts the flow-control window to n credits — the
@@ -388,7 +439,7 @@ func (p *Pipeline) PrimeCredits() {
 // measured from it at the sink) and ownership transfers unconditionally —
 // a rejected frame has already been released when Offer returns false.
 func (p *Pipeline) Offer(f *frame.Frame) bool {
-	left, ok := p.takeCredit()
+	left, ahead, ok := p.takeCredit()
 	if !ok {
 		// Dropped at the source: emit owns the frame, so recycle its
 		// buffer here. (Once TryInject Puts it in the device store, the
@@ -397,21 +448,25 @@ func (p *Pipeline) Offer(f *frame.Frame) bool {
 		p.cluster.Metrics().Meter("pipeline." + p.name + ".source_drops").Mark()
 		return false
 	}
-	// Credits bound the frames in flight (§2.3) and an in-flight frame holds
-	// one pixel buffer at a time (a remote hop releases the sender's before
-	// the receiver decodes), so the most this pipeline can still take from
-	// the pool is one buffer per unclaimed credit, plus the one the source
-	// is holding when an offer is refused. Keeping that many free means the
-	// burst that first fills the window — the source catching up after a
-	// stall — allocates nothing, at whatever second of a run it comes.
-	frame.Pool.Reserve(len(f.Pix), left+1)
+	p.mu.Lock()
+	entry, hops := p.entry, p.remoteEdges
+	p.mu.Unlock()
+	// Credits bound the frames in flight (§2.3), and an in-flight frame holds
+	// one pixel buffer except across a remote edge, where the receiver has
+	// decoded its copy before the sender's event ends and lets go of the
+	// original — one more buffer per remote edge at the worst. So the most
+	// this pipeline can still take from the pool is one buffer per unclaimed
+	// credit, the one the source is holding when an offer is refused, and one
+	// per remote edge — less the edges the frames ahead of this one may be
+	// crossing right now, whose second buffer is then already out. The first
+	// frame of a run has nothing ahead of it and stocks the whole demand;
+	// after that the burst that fills the window — the source catching up
+	// after a stall — allocates nothing, at whatever second of a run it comes.
+	frame.Pool.Reserve(len(f.Pix), left+1+max(hops-ahead, 0))
 	body := map[string]any{
 		"captured_ms": float64(f.Captured.UnixNano()) / 1e6,
 		"seq":         float64(f.Seq),
 	}
-	p.mu.Lock()
-	entry := p.entry
-	p.mu.Unlock()
 	ok, err := entry.TryInject(body, f)
 	if err != nil || !ok {
 		p.returnCredit()
@@ -609,7 +664,7 @@ func (p *Pipeline) respawnModule(name, target string) error {
 	if err != nil {
 		return fmt.Errorf("core: respawning %q on %q: %w", name, target, err)
 	}
-	newM.SetFrameDone(p.returnCredit)
+	newM.SetFrameDone(p.frameDone)
 	newM.SetFrameAbandoned(p.returnCredit)
 
 	// Commit — unless the pipeline closed while we were spawning, in
@@ -623,6 +678,7 @@ func (p *Pipeline) respawnModule(name, target string) error {
 	}
 	p.modules[name] = newM
 	p.plan.Placement[name] = target
+	p.countRemoteEdges()
 	if p.cfg.Source.FirstModule == name {
 		p.entry = newM
 	}

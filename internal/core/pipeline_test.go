@@ -11,6 +11,7 @@ import (
 	"videopipe/internal/device"
 	"videopipe/internal/frame"
 	"videopipe/internal/netsim"
+	"videopipe/internal/script"
 	"videopipe/internal/services"
 	"videopipe/internal/vision"
 )
@@ -539,4 +540,75 @@ func TestOfferInjection(t *testing.T) {
 	if e2e.Max() <= 0 {
 		t.Errorf("e2e latency not measured from Captured: max = %v", e2e.Max())
 	}
+}
+
+// A module that calls frame_done() twice in one event completes one frame
+// and returns one credit: with another frame still in flight, a second
+// return would leave available + in-flight above the window — one more frame
+// in the pipeline than §2.3 admits, for the rest of the run.
+func TestFrameDoneTwiceReturnsOneCredit(t *testing.T) {
+	// The held frame waits in a service call until the test opens the gate.
+	gate := make(chan struct{})
+	reg := services.NewRegistry()
+	if err := reg.Register(services.Spec{Name: "gate", Handler: func(ctx context.Context, _ services.Request) (services.Response, error) {
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+		return services.Response{Result: map[string]script.Value{}}, nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewCluster(core.ClusterSpec{
+		Devices:  []device.Config{{Name: "desktop", Class: device.Desktop}},
+		Services: []core.ServicePlacement{{Service: "gate", Device: "desktop"}},
+	}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	p, err := c.Launch(core.PipelineConfig{
+		Name: "twice",
+		Modules: []core.ModuleConfig{
+			{Name: "split", Next: []string{"hold", "eager"}, Source: `function event_received(m) {
+				if (m.seq == 0) { call_module("hold", {frame_ref: m.frame_ref}); }
+				else { call_module("eager", {frame_ref: m.frame_ref}); }
+			}`},
+			{Name: "hold", Services: []string{"gate"}, Source: `function event_received(m) {
+				call_service("gate", {});
+				frame_done();
+			}`},
+			{Name: "eager", Source: `function event_received(m) { frame_done(); frame_done(); }`},
+		},
+		Source: core.SourceConfig{Device: "desktop", FirstModule: "split", FPS: 10, Width: 8, Height: 8},
+	}, core.CoLocatePlanner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ResizeCredits(2); err != nil {
+		t.Fatal(err)
+	}
+	p.PrimeCredits()
+	for seq := uint64(0); seq < 2; seq++ {
+		// The entry module's single inbox slot may still hold the frame
+		// before; an offer refused for that is simply made again.
+		waitCond(t, 5*time.Second, func() bool {
+			f := frame.MustNewPooled(8, 8)
+			f.Seq, f.Captured = seq, time.Now()
+			return p.Offer(f)
+		})
+	}
+	eager := c.Metrics().Meter("module.twice.eager.events")
+	waitCond(t, 5*time.Second, func() bool { return eager.Count() == 1 })
+	if held := c.Metrics().Meter("pipeline.twice.hold.frames_done").Count(); held != 0 {
+		t.Fatal("the held frame finished first; the test needs it in flight")
+	}
+	if got := p.CreditsAvail(); got != 1 {
+		t.Errorf("credits available = %d with one frame in flight in a window of 2, want 1", got)
+	}
+	if got := c.Metrics().Meter("pipeline.twice.eager.frames_done").Count(); got != 1 {
+		t.Errorf("frames_done = %d for one frame", got)
+	}
+	close(gate)
+	waitCond(t, 5*time.Second, func() bool { return p.CreditsAvail() == 2 })
 }

@@ -87,7 +87,11 @@ type svcSample struct {
 	waitP99      time.Duration
 }
 
-// pipeSample is one pipeline's observed state at a tick.
+// pipeSample is one pipeline's observed state at a tick. e2eP99 is the tail
+// of the lane's most recent completions (Pipeline.recentP99), zero before
+// the first: the latency the window as it is now produces, which is the
+// only latency that says whether it has room to grow. A run-cumulative p99
+// never forgets a slow start-up frame.
 type pipeSample struct {
 	name    string
 	credits int
@@ -220,21 +224,12 @@ func (t *Tuner) sample() tunerSample {
 	pipes := t.cluster.Pipelines()
 	sort.Slice(pipes, func(i, j int) bool { return pipes[i].Name() < pipes[j].Name() })
 	for _, p := range pipes {
-		// The pipeline's end-to-end tail is the worst across its modules'
-		// e2e histograms — the same distributions the flood harness merges.
-		var e2e time.Duration
-		for _, mod := range p.Modules() {
-			snap := reg.Histogram("pipeline." + p.Name() + "." + mod + ".e2e").Snapshot()
-			if snap.P99 > e2e {
-				e2e = snap.P99
-			}
-		}
 		s.pipelines = append(s.pipelines, pipeSample{
 			name:    p.Name(),
 			credits: p.Credits(),
 			avail:   p.CreditsAvail(),
 			drops:   reg.Meter("pipeline." + p.Name() + ".source_drops").Count(),
-			e2eP99:  e2e,
+			e2eP99:  p.recentP99(),
 		})
 	}
 	return s
@@ -611,9 +606,8 @@ func (t *Tuner) rebalance(pipeline string) {
 	measured := make(map[string]int64, len(p.cfg.Modules))
 	for _, mod := range p.Modules() {
 		//vpvet:allow metername re-reads the module handle histogram the device registered
-		snap := reg.Histogram("module." + p.prefixed(mod) + ".handle").Snapshot()
-		if snap.Count > 0 {
-			measured[mod] = int64(snap.Mean)
+		if h := reg.Histogram("module." + p.prefixed(mod) + ".handle"); h.Count() > 0 {
+			measured[mod] = int64(h.Mean())
 		}
 	}
 

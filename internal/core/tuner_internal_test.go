@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
+
+	"videopipe/internal/device"
+	"videopipe/internal/metrics"
+	"videopipe/internal/services"
 )
 
 // testTunerConfig keeps the hysteresis and cooldown windows tiny so each
@@ -273,6 +278,94 @@ func TestTunerDecisionsAreDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("journals diverge at %d: %q vs %q", i, a[i], b[i])
+		}
+	}
+}
+
+// oneLaneCluster is a single-device cluster running one pass-through lane,
+// for driving the tuner's sample → decide → apply loop against a real
+// Pipeline.
+func oneLaneCluster(t *testing.T) (*Cluster, *Pipeline) {
+	t.Helper()
+	c, err := NewCluster(ClusterSpec{Devices: []device.Config{{Name: "desktop", Class: device.Desktop}}}, services.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	p, err := c.Launch(PipelineConfig{
+		Name:    "lane",
+		Modules: []ModuleConfig{{Name: "sink", Source: `function event_received(m) { frame_done(); }`}},
+		Source:  SourceConfig{Device: "desktop", FirstModule: "sink", FPS: 10, Width: 8, Height: 8},
+	}, CoLocatePlanner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, p
+}
+
+// The widening guard reads the tail of the lane's last recentCompletions
+// frames, not of the whole run: slow start-up frames hold the window shut
+// only until they have left that ring. (Against the run-cumulative p99, ten
+// 400 ms frames kept p99 over the guard for the next thousand.)
+func TestTunerWidensOnceStartupTailLeavesTheRing(t *testing.T) {
+	c, p := oneLaneCluster(t)
+	tu := NewTuner(c, TunerConfig{P99Target: 400 * time.Millisecond, Cooldown: 1})
+	ctx := context.Background()
+	// complete records n finished frames and leaves the window exhausted, so
+	// every tick sees pressure and only the guard decides.
+	complete := func(n int, e2e time.Duration) {
+		for i := 0; i < n; i++ {
+			p.frameDone(e2e)
+		}
+		for p.CreditsAvail() > 0 {
+			p.takeCredit()
+		}
+	}
+	steps := func(n int) int {
+		for i := 0; i < n; i++ {
+			tu.Step(ctx)
+		}
+		return p.Credits()
+	}
+	p.PrimeCredits()
+	floor := p.Credits()
+	steps(1) // first sight of the lane
+
+	complete(10, 400*time.Millisecond)
+	if got := steps(3); got != floor {
+		t.Fatalf("credits = %d after a 400 ms start-up tail, want the floor %d: the guard is 250 ms", got, floor)
+	}
+	// Sixty good frames later four of the slow ones are still among the
+	// last 64, and they are the p99.
+	complete(60, 120*time.Millisecond)
+	if got := steps(3); got != floor {
+		t.Fatalf("credits = %d with start-up frames still in the ring, want %d", got, floor)
+	}
+	complete(4, 120*time.Millisecond)
+	if got := p.recentP99(); got != 120*time.Millisecond {
+		t.Fatalf("recentP99 = %v once the ring has turned over, want 120ms", got)
+	}
+	if got := steps(1); got != floor+1 {
+		t.Errorf("credits = %d once the ring has turned over, want %d", got, floor+1)
+	}
+}
+
+// recentP99 interpolates as Histogram.Quantile does, over however many
+// completions exist.
+func TestRecentP99MatchesHistogram(t *testing.T) {
+	_, p := oneLaneCluster(t)
+	if got := p.recentP99(); got != 0 {
+		t.Errorf("recentP99 = %v before the first completion", got)
+	}
+	var h metrics.Histogram
+	for i := 1; i <= 3*recentCompletions; i++ {
+		e2e := time.Duration((i*7919)%997) * time.Millisecond
+		p.frameDone(e2e)
+		if h.Observe(e2e); i%recentCompletions == 0 {
+			if got, want := p.recentP99(), h.Quantile(0.99); got != want {
+				t.Errorf("after %d completions: recentP99 = %v, histogram of the last %d says %v", i, got, recentCompletions, want)
+			}
+			h.Reset()
 		}
 	}
 }

@@ -78,17 +78,17 @@ func TestCallServiceWindowAllocs(t *testing.T) {
 	for _, p := range squatPoses(vision.WindowSize) {
 		msg := script.NewObject()
 		msg.Set("pose", p)
-		if _, err := m.ctx.Call("event_received", msg); err != nil {
+		if _, err := m.workers[0].ctx.Call("event_received", msg); err != nil {
 			t.Fatal(err)
 		}
 	}
 	empty := script.NewObject()
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := m.ctx.Call("event_received", empty); err != nil {
+		if _, err := m.workers[0].ctx.Call("event_received", empty); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if seen, _ := m.ctx.Global("seen"); seen != "squat" {
+	if seen, _ := m.workers[0].ctx.Global("seen"); seen != "squat" {
 		t.Fatalf("classified as %v, want squat", seen)
 	}
 	t.Logf("call_service(activity_classifier, 15-pose window): %.0f allocs", allocs)
@@ -131,9 +131,10 @@ func TestCallModuleSendAllocs(t *testing.T) {
 		}
 	})
 	args := []script.Value{"sink", repCounterMessage(pose)}
+	w := m.workers[0]
 	local := testing.AllocsPerRun(50, func() {
-		m.outputUsed = 0
-		if _, err := m.hostCallModule(args); err != nil {
+		w.outputUsed = 0
+		if _, err := w.hostCallModule(args); err != nil {
 			t.Fatal(err)
 		}
 		if ev := <-sink.events; len(ev.body.Fields) != 5 {
@@ -147,11 +148,11 @@ func TestCallModuleSendAllocs(t *testing.T) {
 
 	msg := args[1].(*script.Object)
 	remote := testing.AllocsPerRun(50, func() {
-		body, err := m.jsonEnc.AppendObject(m.bodyBuf[:0], msg, frameRefKey)
+		body, err := w.jsonEnc.AppendObject(w.bodyBuf[:0], msg, frameRefKey)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.bodyBuf = body
+		w.bodyBuf = body
 	})
 	if remote != 0 {
 		t.Errorf("remote call_module body encode: %.0f allocs, want 0", remote)

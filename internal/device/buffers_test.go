@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"videopipe/internal/frame"
 	"videopipe/internal/wire"
@@ -16,7 +17,7 @@ type creditWindow struct{ avail atomic.Int64 }
 func watchCredits(m *Module, n int64) *creditWindow {
 	w := &creditWindow{}
 	w.avail.Store(n)
-	m.SetFrameDone(func() { w.avail.Add(1) })
+	m.SetFrameDone(func(time.Duration) { w.avail.Add(1) })
 	m.SetFrameAbandoned(func() { w.avail.Add(1) })
 	return w
 }

@@ -290,7 +290,7 @@ func TestModuleChainLocalFrameByReference(t *testing.T) {
 
 	var credits atomic.Int64
 	sec, _ := d.Module("second")
-	sec.SetFrameDone(func() { credits.Add(1) })
+	sec.SetFrameDone(func(time.Duration) { credits.Add(1) })
 
 	f := frame.MustNew(16, 16)
 	f.Captured = time.Now()
@@ -375,8 +375,11 @@ func TestModuleUnknownEdgeRejected(t *testing.T) {
 func TestTryInjectDropsWhenBusy(t *testing.T) {
 	nw := testNet()
 	d := newDevice(t, nw, "desktop", Desktop)
+	// One context (the counter is state), so one slow event makes it busy.
 	src := `
+		var events = 0;
 		function event_received(message) {
+			events++;
 			var t0 = now_ms();
 			while (now_ms() - t0 < 50) {}
 		}
@@ -617,8 +620,10 @@ func TestSetCodecKeepsPadding(t *testing.T) {
 func TestModuleInjectContextCancelled(t *testing.T) {
 	nw := testNet()
 	d := newDevice(t, nw, "desktop", Desktop)
-	// A module that never drains its channel.
-	src := `function event_received(message) { var t0 = now_ms(); while (now_ms() - t0 < 300) {} }`
+	// A module that never drains its channel: one context (it keeps state),
+	// busy for 300 ms per event.
+	src := `var events = 0;
+		function event_received(message) { events++; var t0 = now_ms(); while (now_ms() - t0 < 300) {} }`
 	m, err := d.SpawnModule(ModuleSpec{Name: "busy", Source: src})
 	if err != nil {
 		t.Fatalf("SpawnModule: %v", err)
@@ -914,7 +919,7 @@ func TestModuleAbandonedFrameReturnsCredit(t *testing.T) {
 		t.Fatalf("SpawnModule: %v", err)
 	}
 	var done, abandoned atomic.Int64
-	m.SetFrameDone(func() { done.Add(1) })
+	m.SetFrameDone(func(time.Duration) { done.Add(1) })
 	m.SetFrameAbandoned(func() { abandoned.Add(1) })
 
 	if err := m.Inject(context.Background(), map[string]any{"fail": true}, frame.MustNew(8, 8)); err != nil {

@@ -19,16 +19,17 @@ const serviceCallTimeout = 30 * time.Second
 // call_service / log) against the module's per-event output budget.
 // Frame pixel payloads are exempt — they travel by reference under the
 // store's own accounting; the budget is for the data a module *generates*.
-func (m *Module) chargeOutput(n int) error {
-	if m.limits.Output <= 0 {
+func (w *worker) chargeOutput(n int) error {
+	limit := w.m.limits.Output
+	if limit <= 0 {
 		return nil
 	}
-	m.outputUsed += int64(n)
-	if m.outputUsed > m.limits.Output {
+	w.outputUsed += int64(n)
+	if w.outputUsed > limit {
 		return &script.BudgetError{
 			Resource: script.ResourceOutput,
-			Limit:    m.limits.Output,
-			Used:     m.outputUsed,
+			Limit:    limit,
+			Used:     w.outputUsed,
 		}
 	}
 	return nil
@@ -46,19 +47,20 @@ const frameRefKey = "frame_ref"
 // gigabytes once copied, so the budget has to stop the copy, not follow it.
 // call_module does not pay for the frame_ref it carries (exemptRef);
 // call_service, historically, does.
-func (m *Module) chargePayload(fn string, msg *script.Object, exemptRef bool) error {
-	if m.limits.Output <= 0 {
+func (w *worker) chargePayload(fn string, msg *script.Object, exemptRef bool) error {
+	limit := w.m.limits.Output
+	if limit <= 0 {
 		return nil
 	}
 	var exempt int64
 	if _, has := msg.Fields[frameRefKey]; has && exemptRef {
 		exempt = 16 + int64(len(frameRefKey)) + 8 // the slot, the key and one word
 	}
-	n, err := script.PayloadSize(msg, m.limits.Output-m.outputUsed+exempt)
+	n, err := script.PayloadSize(msg, limit-w.outputUsed+exempt)
 	if err != nil {
 		return fmt.Errorf("%s: %w", fn, err)
 	}
-	return m.chargeOutput(int(n - exempt))
+	return w.chargeOutput(int(n - exempt))
 }
 
 // messageArg returns the message argument of host call fn (an empty object
@@ -78,7 +80,8 @@ func messageArg(fn string, args []script.Value) (*script.Object, uint64, error) 
 }
 
 // bindHostAPI installs the Table-1 module interface plus runtime helpers
-// into the module's script context:
+// into the worker's script context, bound to the worker so that each
+// context's calls see its own event:
 //
 //	call_service(service, message) -> result   (paper Table 1)
 //	call_module(module, message)               (paper Table 1)
@@ -90,32 +93,29 @@ func messageArg(fn string, args []script.Value) (*script.Object, uint64, error) 
 //
 // Frames travel as "frame_ref" ids inside messages (paper §3: "rather than
 // copying the full image frames to the module, we pass on a reference id").
-func (m *Module) bindHostAPI() { m.bindHostAPIInto(m.ctx) }
-
-// bindHostAPIInto installs the bindings into an arbitrary context — used
-// both at spawn and when hot-swapping module code (UpdateSource).
-func (m *Module) bindHostAPIInto(ctx *script.Context) {
-	ctx.Bind("call_service", m.hostCallService)
-	ctx.Bind("call_module", m.hostCallModule)
-	ctx.Bind("log", m.hostLog)
-	ctx.Bind("now_ms", func([]script.Value) (script.Value, error) {
+func (w *worker) bindHostAPI() {
+	w.ctx.Bind("call_service", w.hostCallService)
+	w.ctx.Bind("call_module", w.hostCallModule)
+	w.ctx.Bind("log", w.hostLog)
+	w.ctx.Bind("now_ms", func([]script.Value) (script.Value, error) {
 		return float64(time.Now().UnixNano()) / 1e6, nil
 	})
-	ctx.Bind("frame_done", m.hostFrameDone)
-	ctx.Bind("device_name", func([]script.Value) (script.Value, error) {
-		return m.dev.name, nil
+	w.ctx.Bind("frame_done", w.hostFrameDone)
+	w.ctx.Bind("device_name", func([]script.Value) (script.Value, error) {
+		return w.m.dev.name, nil
 	})
-	ctx.Bind("metric", m.hostMetric)
+	w.ctx.Bind("metric", w.hostMetric)
 }
 
 // hostCallService implements call_service(service, message). Arity and
 // argument types are validated against the shared host-API signature table
 // (script.CheckHostArgs) — the same table pipevet checks statically — so
 // only the dynamic checks (allowed services, frame refs) live here.
-func (m *Module) hostCallService(args []script.Value) (script.Value, error) {
+func (w *worker) hostCallService(args []script.Value) (script.Value, error) {
 	if err := script.CheckHostArgs("call_service", args); err != nil {
 		return nil, err
 	}
+	m := w.m
 	name := args[0].(string)
 	if len(m.allowed) > 0 && !m.allowed[name] {
 		return nil, fmt.Errorf("call_service: module %q is not configured to use service %q", m.spec.Name, name)
@@ -125,7 +125,7 @@ func (m *Module) hostCallService(args []script.Value) (script.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.chargePayload("call_service", msg, false); err != nil {
+	if err := w.chargePayload("call_service", msg, false); err != nil {
 		return nil, err
 	}
 	// The handler is lent the message's own fields for the duration of the
@@ -168,7 +168,7 @@ func (m *Module) hostCallService(args []script.Value) (script.Value, error) {
 			resp.Frame.Release()
 			return nil, fmt.Errorf("call_service: storing result frame: %w", err)
 		}
-		m.ownedRefs = append(m.ownedRefs, id)
+		w.ownedRefs = append(w.ownedRefs, id)
 		result.Set(frameRefKey, float64(id))
 	}
 	return result, nil
@@ -176,11 +176,15 @@ func (m *Module) hostCallService(args []script.Value) (script.Value, error) {
 
 // hostCallModule implements call_module(module, message): the DAG edge
 // transfer. Local destinations receive the frame by reference; remote
-// destinations receive an encoded copy over the wire.
-func (m *Module) hostCallModule(args []script.Value) (script.Value, error) {
+// destinations receive an encoded copy over the wire. Everything up to the
+// hand-over itself — checks, the clone or the encoding — runs as soon as the
+// handler gets here; the hand-over waits for the worker's turn, so an edge
+// carries events in the order its module received them.
+func (w *worker) hostCallModule(args []script.Value) (script.Value, error) {
 	if err := script.CheckHostArgs("call_module", args); err != nil {
 		return nil, err
 	}
+	m := w.m
 	target := args[0].(string)
 	m.routeMu.RLock()
 	route, ok := m.routes[target]
@@ -201,14 +205,20 @@ func (m *Module) hostCallModule(args []script.Value) (script.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := m.chargePayload("call_module", msg, true); err != nil {
+	if err := w.chargePayload("call_module", msg, true); err != nil {
 		return nil, err
 	}
 
 	if route.Address == "" {
-		return nil, m.deliverLocal(route.Module, msg, frameID)
+		return nil, w.deliverLocal(route.Module, msg, frameID)
 	}
-	return nil, m.deliverRemote(route, msg, frameID)
+	return nil, w.deliverRemote(route, msg, frameID)
+}
+
+// errClosing fails a host call whose turn never came because the module
+// closed; the event errors out and its frame is abandoned like any other's.
+func (w *worker) errClosing(fn string) error {
+	return fmt.Errorf("%s: module %q is closing", fn, w.m.spec.Name)
 }
 
 // deliverLocal hands an event to a module on the same device: the frame
@@ -217,7 +227,8 @@ func (m *Module) hostCallModule(args []script.Value) (script.Value, error) {
 // bounded clone the receiving event owns outright, so the two module
 // contexts never share a mutable value and the sender may change its
 // message the moment call_module returns.
-func (m *Module) deliverLocal(target string, msg *script.Object, frameID uint64) error {
+func (w *worker) deliverLocal(target string, msg *script.Object, frameID uint64) error {
+	m := w.m
 	dst, ok := m.dev.Module(target)
 	if !ok {
 		return fmt.Errorf("call_module: local module %q not found on %s", target, m.dev.name)
@@ -234,6 +245,12 @@ func (m *Module) deliverLocal(target string, msg *script.Object, frameID uint64)
 		}
 		ev.frameID = frameID
 	}
+	if !w.awaitTurn() {
+		if ev.frameID != 0 {
+			m.dev.store.Release(ev.frameID)
+		}
+		return w.errClosing("call_module")
+	}
 	select {
 	case dst.events <- ev:
 		return nil
@@ -246,20 +263,21 @@ func (m *Module) deliverLocal(target string, msg *script.Object, frameID uint64)
 		if ev.frameID != 0 {
 			m.dev.store.Release(ev.frameID)
 		}
-		return fmt.Errorf("call_module: module %q is closing", m.spec.Name)
+		return w.errClosing("call_module")
 	}
 }
 
 // deliverRemote ships the event across the network, encoding the message
-// and the frame into the module's reusable scratch buffers (safe:
-// deliverRemote only runs on the event-loop goroutine, and push.Send has
-// copied the bytes into the socket's own buffer by the time it returns).
-func (m *Module) deliverRemote(route Route, body *script.Object, frameID uint64) error {
-	bodyJSON, err := m.jsonEnc.AppendObject(m.bodyBuf[:0], body, frameRefKey)
+// and the frame into the worker's reusable scratch buffers (safe: they are
+// the worker's own, and push.Send has copied the bytes into the socket's own
+// buffer by the time it returns).
+func (w *worker) deliverRemote(route Route, body *script.Object, frameID uint64) error {
+	m := w.m
+	bodyJSON, err := w.jsonEnc.AppendObject(w.bodyBuf[:0], body, frameRefKey)
 	if err != nil {
 		return fmt.Errorf("call_module: marshal body: %w", err)
 	}
-	m.bodyBuf = bodyJSON
+	w.bodyBuf = bodyJSON
 	msg := wire.NewMessage(bodyJSON)
 	if frameID != 0 {
 		f, err := m.dev.store.Get(frameID)
@@ -267,11 +285,11 @@ func (m *Module) deliverRemote(route Route, body *script.Object, frameID uint64)
 			return fmt.Errorf("call_module: %w", err)
 		}
 		encStart := time.Now()
-		data, err := frame.AppendEncode(m.dev.codec, m.encBuf[:0], f)
+		data, err := frame.AppendEncode(m.dev.codec, w.encBuf[:0], f)
 		if err != nil {
 			return fmt.Errorf("call_module: encode frame: %w", err)
 		}
-		m.encBuf = data
+		w.encBuf = data
 		m.dev.reg.Histogram("module." + m.spec.Name + ".encode").Observe(time.Since(encStart))
 		msg.Parts = append(msg.Parts, data)
 	}
@@ -284,6 +302,9 @@ func (m *Module) deliverRemote(route Route, body *script.Object, frameID uint64)
 	}
 	m.pushMu.Unlock()
 
+	if !w.awaitTurn() {
+		return w.errClosing("call_module")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), serviceCallTimeout)
 	defer cancel()
 	if err := push.Send(ctx, msg); err != nil {
@@ -294,20 +315,21 @@ func (m *Module) deliverRemote(route Route, body *script.Object, frameID uint64)
 
 // hostLog implements log(...): module diagnostics tagged with device and
 // module name.
-func (m *Module) hostLog(args []script.Value) (script.Value, error) {
+func (w *worker) hostLog(args []script.Value) (script.Value, error) {
+	m := w.m
 	// Each argument is rendered against what is left of the output budget
 	// and the rendering stops there: what log() may make the host write is
 	// bounded by the budget, not by how large the value would print.
 	left := -1
 	if m.limits.Output > 0 {
-		left = int(m.limits.Output - m.outputUsed)
+		left = int(m.limits.Output - w.outputUsed)
 	}
 	parts := make([]any, 0, len(args))
 	logged := 0
 	for _, a := range args {
 		s, err := script.StringifyMax(a, left)
 		if errors.Is(err, script.ErrTooLong) {
-			return nil, m.chargeOutput(logged + left + 1)
+			return nil, w.chargeOutput(logged + left + 1)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("log: %w", err)
@@ -318,7 +340,7 @@ func (m *Module) hostLog(args []script.Value) (script.Value, error) {
 		}
 		parts = append(parts, s)
 	}
-	if err := m.chargeOutput(logged); err != nil {
+	if err := w.chargeOutput(logged); err != nil {
 		return nil, err
 	}
 	m.dev.reg.Meter("module." + m.spec.Name + ".logs").Mark()
@@ -328,40 +350,52 @@ func (m *Module) hostLog(args []script.Value) (script.Value, error) {
 	return nil, nil
 }
 
-// hostFrameDone implements frame_done(): the sink's completion signal. The
-// runtime also records end-to-end pipeline latency from the current
-// frame's capture timestamp.
-func (m *Module) hostFrameDone([]script.Value) (script.Value, error) {
-	m.frameDoneSeen = true
-	if m.currentFrame != nil && !m.currentFrame.Captured.IsZero() {
-		m.dev.reg.Histogram("pipeline." + m.spec.Name + ".e2e").Observe(time.Since(m.currentFrame.Captured))
+// hostFrameDone implements frame_done(): the sink's completion signal, in
+// inbox order like a delivery. The runtime also records end-to-end pipeline
+// latency from the current frame's capture timestamp and hands it to the
+// pipeline with the credit. An event completes its frame once: a second
+// call would return a second credit for it.
+func (w *worker) hostFrameDone([]script.Value) (script.Value, error) {
+	if w.frameDoneSeen {
+		return nil, nil
+	}
+	if !w.awaitTurn() {
+		return nil, w.errClosing("frame_done")
+	}
+	m := w.m
+	w.frameDoneSeen = true
+	var e2e time.Duration
+	if w.currentFrame != nil && !w.currentFrame.Captured.IsZero() {
+		e2e = time.Since(w.currentFrame.Captured)
+		m.dev.reg.Histogram("pipeline." + m.spec.Name + ".e2e").Observe(e2e)
 	}
 	m.dev.reg.Meter("pipeline." + m.spec.Name + ".frames_done").Mark()
 	if m.onFrameDone != nil {
-		m.onFrameDone()
+		m.onFrameDone(e2e)
 	}
 	return nil, nil
 }
 
 // hostMetric implements metric(name, ms): module-level stage timing, used
 // by the experiment scripts to report per-stage latency (Fig. 6).
-func (m *Module) hostMetric(args []script.Value) (script.Value, error) {
+func (w *worker) hostMetric(args []script.Value) (script.Value, error) {
 	if err := script.CheckHostArgs("metric", args); err != nil {
 		return nil, err
 	}
+	m := w.m
 	name := args[0].(string)
 	ms := args[1].(float64)
-	h, ok := m.stageHists[name]
+	h, ok := w.stageHists[name]
 	if !ok {
 		if m.spec.MetricPrefix != "" {
 			h = m.dev.reg.Histogram("stage." + m.spec.MetricPrefix + "." + name)
 		} else {
 			h = m.dev.reg.Histogram("stage." + name)
 		}
-		if m.stageHists == nil {
-			m.stageHists = make(map[string]*metrics.Histogram)
+		if w.stageHists == nil {
+			w.stageHists = make(map[string]*metrics.Histogram)
 		}
-		m.stageHists[name] = h
+		w.stageHists[name] = h
 	}
 	h.Observe(time.Duration(ms * float64(time.Millisecond)))
 	return nil, nil

@@ -20,7 +20,7 @@ import (
 // module error meter).
 func callEvent(t *testing.T, m *Module, msg map[string]any) error {
 	t.Helper()
-	_, err := m.ctx.Call("event_received", script.FromGo(msg))
+	_, err := m.workers[0].ctx.Call("event_received", script.FromGo(msg))
 	return err
 }
 

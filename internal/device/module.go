@@ -81,18 +81,36 @@ type event struct {
 	frameID uint64
 }
 
-// Module is a running module instance: an isolated script context fed by a
-// single event loop, mirroring one Duktape context per module.
+// statelessReplicas is how many isolated contexts a provably stateless module
+// runs on (script.Context.Stateless); every other module runs on one. A
+// camera-rate lane offers well under one erlang of handler time (8 eps of an
+// 86 ms pose call is 0.69), so a fifth concurrent event is rarer than one in
+// a thousand, and measured goodput is flat from two contexts up.
+const statelessReplicas = 4
+
+// Module is a running module instance: one inbox feeding one or more
+// isolated script contexts — one per worker, mirroring one Duktape context
+// per module for any code that keeps state — through a single event loop.
+// What the workers do that another module or the source can see happens in
+// the order the events left the inbox (sequencer).
 type Module struct {
 	dev  *Device
 	spec ModuleSpec
 
-	ctx    *script.Context
 	pull   *wire.Pull
 	events chan event
-	swaps  chan *script.Context
+	swaps  chan []*worker
 	done   chan struct{}
 	wg     sync.WaitGroup
+
+	// workers are the contexts of the code now running. The event loop owns
+	// the slice once it starts (a hot swap replaces it between events).
+	workers []*worker
+	// idle hands a worker back to the event loop when its event has finished;
+	// a worker has at most one hand-back pending, so a send never blocks.
+	idle     chan *worker
+	workerWG sync.WaitGroup
+	seq      *sequencer
 
 	allowed map[string]bool
 	routeMu sync.RWMutex
@@ -101,8 +119,9 @@ type Module struct {
 	pushes  map[string]*wire.Push
 
 	// onFrameDone is invoked when module code calls frame_done() — the
-	// queue-free flow-control signal back to the pipeline source (§2.3).
-	onFrameDone func()
+	// queue-free flow-control signal back to the pipeline source (§2.3) —
+	// with the frame's capture-to-completion latency (0 when unknown).
+	onFrameDone func(e2e time.Duration)
 	// onFrameAbandoned fires when an event that owned a frame errors out
 	// before frame_done() was called, so the pipeline can reclaim the
 	// credit instead of leaking it for the rest of the run.
@@ -110,7 +129,8 @@ type Module struct {
 
 	// shapeObs, when set, sees every outbound call_module payload — the
 	// debug-mode runtime half of the pipetype shape analysis. Atomic
-	// because it is installed on live modules from another goroutine.
+	// because it is installed on live modules from another goroutine; the
+	// workers of a replicated module call it concurrently.
 	shapeObs atomic.Pointer[ShapeObserver]
 
 	// limits is the sandbox budget from the spec; breachLimit is the
@@ -121,30 +141,93 @@ type Module struct {
 	// allowance; a killed module quarantines (abandons) every event until
 	// the supervisor restarts it. Read from other goroutines via Killed().
 	killed atomic.Bool
+	// consecBreaches counts back-to-back budget breaches in inbox order;
+	// only the worker whose turn it is touches it.
+	consecBreaches int
 
-	// per-event state, touched only by the event loop goroutine.
+	closeOnce sync.Once
+}
+
+// worker is one script context of a module and the state of the event it is
+// handling, touched only by the worker's goroutine.
+type worker struct {
+	m    *Module
+	ctx  *script.Context
+	jobs chan job
+
+	// ticket is the current event's place in inbox order; hasTurn records
+	// that every earlier event has finished, so this one's ordered effects
+	// may happen.
+	ticket  uint64
+	hasTurn bool
+
 	ownedRefs     []uint64
 	currentFrame  *frame.Frame
 	frameDoneSeen bool
-	// consecBreaches counts back-to-back budget breaches; outputUsed
-	// meters host-emitted bytes for the current event.
-	consecBreaches int
-	outputUsed     int64
+	// outputUsed meters host-emitted bytes for the current event.
+	outputUsed int64
 	// encBuf and bodyBuf are the frame-encode and message-encode scratch
 	// for outgoing remote edges, jsonEnc the encoder (with its key-sorting
-	// scratch) that fills bodyBuf; all reused across events (event-loop
-	// goroutine only).
+	// scratch) that fills bodyBuf; all reused across events.
 	encBuf  []byte
 	bodyBuf []byte
 	jsonEnc script.JSONEncoder
 	// stageHists caches the stage histogram behind each name module code
 	// has passed to metric(), sparing the name concatenation and registry
-	// walk per call. Event-loop goroutine only; dropped with the code that
-	// chose the names (applySwap).
+	// walk per call; it goes with the code that chose the names.
 	stageHists map[string]*metrics.Histogram
+}
 
-	closeOnce sync.Once
-	loadErr   error
+// job is an event on its way from the event loop to a worker.
+type job struct {
+	ev     event
+	ticket uint64
+}
+
+// sequencer restores inbox order among a module's workers. Events are
+// ticketed as they leave the inbox; a worker's effects that the rest of the
+// pipeline can observe — a call_module delivery, frame_done(), the credit
+// and breach bookkeeping at the end of an event — wait until every earlier
+// ticket's event has finished, so each edge stays FIFO however the handlers
+// overlapped. With one worker the wait never blocks.
+type sequencer struct {
+	mu     sync.Mutex
+	moved  *sync.Cond
+	turn   uint64 // the lowest ticket whose event has not finished
+	closed bool
+}
+
+func newSequencer() *sequencer {
+	s := &sequencer{}
+	s.moved = sync.NewCond(&s.mu)
+	return s
+}
+
+// await blocks until it is ticket's turn, or reports false when the module
+// closed first.
+func (s *sequencer) await(ticket uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.turn != ticket && !s.closed {
+		s.moved.Wait()
+	}
+	return s.turn == ticket
+}
+
+// advance ends the current turn.
+func (s *sequencer) advance() {
+	s.mu.Lock()
+	s.turn++
+	s.mu.Unlock()
+	s.moved.Broadcast()
+}
+
+// close wakes every parked worker; their waits fail from here on.
+func (s *sequencer) close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.moved.Broadcast()
 }
 
 // SpawnModule creates, loads and starts a module on the device.
@@ -168,8 +251,10 @@ func (d *Device) SpawnModule(spec ModuleSpec) (*Module, error) {
 		// Queue-free by design (§2.3): a single slot only decouples the
 		// socket reader from the handler; flow control keeps it near-empty.
 		events:  make(chan event, 1),
-		swaps:   make(chan *script.Context, 1),
+		swaps:   make(chan []*worker, 1),
 		done:    make(chan struct{}),
+		idle:    make(chan *worker, statelessReplicas),
+		seq:     newSequencer(),
 		allowed: make(map[string]bool, len(spec.Services)),
 		routes:  make(map[string]Route, len(spec.Next)),
 		pushes:  make(map[string]*wire.Push),
@@ -190,10 +275,8 @@ func (d *Device) SpawnModule(spec ModuleSpec) (*Module, error) {
 		m.breachLimit = DefaultMaxBreaches
 	}
 
-	m.ctx = script.NewContext()
-	m.ctx.SetLimits(spec.Limits)
-	m.bindHostAPI()
-	if err := m.ctx.Load(spec.Source); err != nil {
+	var err error
+	if m.workers, err = m.newWorkers(spec.Source); err != nil {
 		return nil, fmt.Errorf("device: %s: loading module %q: %w", d.name, spec.Name, err)
 	}
 
@@ -207,8 +290,6 @@ func (d *Device) SpawnModule(spec ModuleSpec) (*Module, error) {
 	d.modules[spec.Name] = m
 	d.mu.Unlock()
 
-	// init() runs on the event loop's goroutine before any events, so
-	// module state never sees concurrent access.
 	m.wg.Add(2)
 	go m.receiveLoop()
 	go m.eventLoop()
@@ -255,12 +336,14 @@ func (m *Module) AbortPush(address string) {
 }
 
 // SnapshotState captures the module's PipeScript global state for
-// migration. Only call after Close has returned: while the module runs,
-// the event-loop goroutine owns the script context.
-func (m *Module) SnapshotState() *script.Snapshot { return m.ctx.Snapshot() }
+// migration. Only call after Close has returned: while the module runs, its
+// workers own the script contexts. Replicated contexts hold no state, so
+// the first speaks for all of them (its snapshot is empty).
+func (m *Module) SnapshotState() *script.Snapshot { return m.workers[0].ctx.Snapshot() }
 
-// SetFrameDone installs the flow-control callback fired by frame_done().
-func (m *Module) SetFrameDone(fn func()) { m.onFrameDone = fn }
+// SetFrameDone installs the flow-control callback fired by frame_done(); it
+// receives the frame's capture-to-completion latency, 0 when unknown.
+func (m *Module) SetFrameDone(fn func(e2e time.Duration)) { m.onFrameDone = fn }
 
 // SetFrameAbandoned installs the callback fired when an event carrying a
 // frame fails before reaching frame_done().
@@ -379,20 +462,20 @@ func (m *Module) receiveLoop() {
 		select {
 		case m.events <- ev:
 		case <-m.done:
-			if ev.frameID != 0 {
-				m.abandonFrame(ev.frameID)
-			}
+			m.abandon(ev)
 			return
 		}
 	}
 }
 
-// abandonFrame releases a frame reference whose event will never reach
-// frame_done() and hands its flow-control credit back to the source —
-// the close/drain counterpart of the error path in handleEvent.
-func (m *Module) abandonFrame(id uint64) {
-	m.dev.store.Release(id)
-	m.abandonCredit()
+// abandon drops an event that will never run: the frame it carries, if any,
+// is released and its flow-control credit handed back to the source — the
+// quarantine/close/drain counterpart of the error path in handle.
+func (m *Module) abandon(ev event) {
+	if ev.frameID != 0 {
+		m.dev.store.Release(ev.frameID)
+		m.abandonCredit()
+	}
 }
 
 // abandonCredit returns the flow-control credit of a frame that will never
@@ -425,71 +508,144 @@ func (m *Module) decodeWireEvent(msg wire.Message) (event, error) {
 	return ev, nil
 }
 
-// eventLoop runs init() then serially applies events to the script
-// context.
+// newWorkers loads source into fresh contexts: statelessReplicas of them
+// when the code provably keeps no state between events, one otherwise.
+// Loading stateless code runs no statement, so the extra loads are
+// unobservable.
+func (m *Module) newWorkers(source string) ([]*worker, error) {
+	var ws []*worker
+	for n := 1; len(ws) < n; {
+		w := &worker{m: m, ctx: script.NewContext(), jobs: make(chan job)}
+		w.ctx.SetLimits(m.limits)
+		w.bindHostAPI()
+		if err := w.ctx.Load(source); err != nil {
+			return nil, err
+		}
+		if w.ctx.Stateless() {
+			n = statelessReplicas
+		}
+		ws = append(ws, w)
+	}
+	return ws, nil
+}
+
+// startWorkers starts m.workers and returns them as the idle stack, first
+// worker on top: the event loop reuses the worker freed last, so a module
+// whose events never overlap only ever warms one context's scratch.
+func (m *Module) startWorkers(restore *script.Snapshot) []*worker {
+	idle := make([]*worker, 0, len(m.workers))
+	m.workerWG.Add(len(m.workers))
+	for i := len(m.workers) - 1; i >= 0; i-- {
+		go m.workers[i].run(i == 0, restore)
+		idle = append(idle, m.workers[i])
+	}
+	return idle
+}
+
+// stopWorkers ends the running workers once each has finished the event it
+// holds.
+func (m *Module) stopWorkers() {
+	for _, w := range m.workers {
+		close(w.jobs)
+	}
+	m.workerWG.Wait()
+}
+
+// eventLoop is the module's one event loop, whatever the number of
+// contexts: it takes an event from the inbox only when a worker is free to
+// run it (so the single slot stays the only queue), tickets it and hands it
+// over, and applies a hot swap once every earlier event has finished.
 func (m *Module) eventLoop() {
 	defer m.wg.Done()
-	if m.ctx.Has("init") {
-		if _, err := m.ctx.Call("init"); err != nil {
-			m.loadErr = err
-			m.dev.reg.Meter("module." + m.spec.Name + ".errors").Mark()
-		}
-	}
-	if m.spec.Restore != nil {
-		// Migration/restart: overlay the predecessor's global state on top
-		// of whatever init() just set up — but only when the preserved
-		// state's version matches the code now running. A mismatch means
-		// the state shape changed (or a hostile swap poisoned it); starting
-		// fresh is the safe outcome.
-		if m.spec.Restore.Version() == m.ctx.PreservationVersion() {
-			m.ctx.Restore(m.spec.Restore)
-		} else {
-			m.dev.reg.Meter("module." + m.spec.Name + ".restore_discarded").Mark()
-		}
-	}
+	idle := m.startWorkers(m.spec.Restore)
+	defer m.stopWorkers()
+	var ticket uint64
 	for {
+		var inbox chan event
+		if len(idle) > 0 {
+			inbox = m.events
+		}
 		select {
 		case <-m.done:
 			return
-		case ctx := <-m.swaps:
-			m.applySwap(ctx)
-		case ev := <-m.events:
-			m.handleEvent(ev)
+		case w := <-m.idle:
+			idle = append(idle, w)
+		case ws := <-m.swaps:
+			for len(idle) < len(m.workers) {
+				select {
+				case w := <-m.idle:
+					idle = append(idle, w)
+				case <-m.done:
+					return
+				}
+			}
+			// The hot-update path: module state resets (the new code's top
+			// level ran when it was loaded); init() runs on the fresh
+			// context before the next event.
+			m.stopWorkers()
+			m.workers = ws
+			idle = m.startWorkers(nil)
+			m.dev.reg.Meter("module." + m.spec.Name + ".updates").Mark()
+		case ev := <-inbox:
+			if !m.admit(ev) {
+				continue
+			}
+			w := idle[len(idle)-1]
+			select {
+			case w.jobs <- job{ev: ev, ticket: ticket}:
+				idle = idle[:len(idle)-1]
+				ticket++
+			case <-m.done:
+				m.abandon(ev)
+				return
+			}
 		}
 	}
 }
 
-// applySwap replaces the script context between events — the hot-update
-// path. Module state resets (the new code's top level ran at parse time);
-// init() runs on the fresh context before the next event.
-func (m *Module) applySwap(ctx *script.Context) {
-	m.ctx = ctx
-	m.stageHists = nil
-	if ctx.Has("init") {
-		if _, err := ctx.Call("init"); err != nil {
-			m.dev.reg.Meter("module." + m.spec.Name + ".errors").Mark()
+// admit passes ev through the gates between the inbox and a context,
+// reporting false when it was abandoned at one.
+func (m *Module) admit(ev event) bool {
+	// A killed module is quarantined: events are abandoned immediately so
+	// their frame credits return to the source while the supervisor
+	// arranges the restart.
+	if m.killed.Load() {
+		m.abandon(ev)
+		return false
+	}
+	// A paused device (chaos reboot) holds the event until Resume; the
+	// single-slot channel upstream means flow control sees the stall and
+	// the source drops frames instead of queueing.
+	for {
+		ch := m.dev.pauseGate()
+		if ch == nil {
+			return true
+		}
+		select {
+		case <-ch:
+		case <-m.done:
+			m.abandon(ev)
+			return false
 		}
 	}
-	m.dev.reg.Meter("module." + m.spec.Name + ".updates").Mark()
 }
 
 // UpdateSource hot-swaps the module's code without disturbing its
 // endpoint, routes or in-flight traffic — the live-redeployment half of
 // the paper's "automatic deployment" future work. The new source is parsed
 // and loaded off to the side; on failure the running module is untouched.
-// The swap takes effect between events; module state starts fresh.
+// The swap takes effect between events — those already taken from the inbox
+// finish on the old code — and module state starts fresh.
 func (m *Module) UpdateSource(source string) error {
 	if source == "" {
 		return fmt.Errorf("device: module %s: empty source", m.spec.Name)
 	}
-	ctx := script.NewContext()
-	ctx.SetLimits(m.limits)
-	m.bindHostAPIInto(ctx)
-	if err := ctx.Load(source); err != nil {
+	ws, err := m.newWorkers(source)
+	if err != nil {
 		return fmt.Errorf("device: updating module %s: %w", m.spec.Name, err)
 	}
 	select {
-	case m.swaps <- ctx:
+	case m.swaps <- ws:
 		return nil
 	case <-m.done:
 		return fmt.Errorf("device: module %s is closed", m.spec.Name)
@@ -503,90 +659,114 @@ func (m *Module) UpdateSource(source string) error {
 // back to the source) until the supervisor replaces it.
 func (m *Module) Killed() bool { return m.killed.Load() }
 
-func (m *Module) handleEvent(ev event) {
-	// A killed module is quarantined: events are abandoned immediately so
-	// their frame credits return to the source while the supervisor
-	// arranges the restart.
-	if m.killed.Load() {
-		if ev.frameID != 0 {
-			m.abandonFrame(ev.frameID)
-		}
-		return
-	}
-
-	// A paused device (chaos reboot) holds the event until Resume; the
-	// single-slot channel upstream means flow control sees the stall and
-	// the source drops frames instead of queueing.
-	for {
-		ch := m.dev.pauseGate()
-		if ch == nil {
-			break
-		}
-		select {
-		case <-ch:
-		case <-m.done:
-			if ev.frameID != 0 {
-				m.abandonFrame(ev.frameID)
-			}
-			return
+// run is a worker's goroutine: the first worker runs init() before any
+// event, so module state never sees concurrent access, and takes over a
+// predecessor's state; then each applies the events it is handed to its
+// context, one at a time.
+func (w *worker) run(first bool, restore *script.Snapshot) {
+	m := w.m
+	defer m.workerWG.Done()
+	if first && w.ctx.Has("init") {
+		if _, err := w.ctx.Call("init"); err != nil {
+			m.dev.reg.Meter("module." + m.spec.Name + ".errors").Mark()
 		}
 	}
+	// Migration/restart: overlay the predecessor's global state on top of
+	// whatever init() just set up — but only when the preserved state's
+	// version matches the code now running. A mismatch means the state
+	// shape changed (or a hostile swap poisoned it); starting fresh is the
+	// safe outcome. Stateless code declares no global a snapshot could
+	// fill, and must not be handed one per context to diverge on.
+	if restore != nil && !w.ctx.Stateless() {
+		if restore.Version() == w.ctx.PreservationVersion() {
+			w.ctx.Restore(restore)
+		} else {
+			m.dev.reg.Meter("module." + m.spec.Name + ".restore_discarded").Mark()
+		}
+	}
+	for j := range w.jobs {
+		w.handle(j)
+		m.idle <- w
+	}
+}
 
+// awaitTurn parks the worker until every earlier event has finished; false
+// means the module closed first.
+func (w *worker) awaitTurn() bool {
+	if !w.hasTurn {
+		w.hasTurn = w.m.seq.await(w.ticket)
+	}
+	return w.hasTurn
+}
+
+func (w *worker) handle(j job) {
+	m, ev := w.m, j.ev
 	start := time.Now()
-	m.ownedRefs = m.ownedRefs[:0]
-	m.currentFrame = nil
-	m.frameDoneSeen = false
+	w.ticket, w.hasTurn = j.ticket, false
+	w.ownedRefs = w.ownedRefs[:0]
+	w.currentFrame = nil
+	w.frameDoneSeen = false
 	if ev.frameID != 0 {
-		m.ownedRefs = append(m.ownedRefs, ev.frameID)
+		w.ownedRefs = append(w.ownedRefs, ev.frameID)
 		if f, err := m.dev.store.Get(ev.frameID); err == nil {
-			m.currentFrame = f
+			w.currentFrame = f
 		}
 		ev.body.Set(frameRefKey, float64(ev.frameID))
 	}
 
-	m.outputUsed = 0
-	_, err := m.ctx.Call("event_received", ev.body)
+	w.outputUsed = 0
+	_, err := w.ctx.Call("event_received", ev.body)
 	// Per-event interpreter instruction count — the runtime half of the
 	// pipecost validation loop (static bound >= this) and the counter the
 	// sandbox instruction budget is enforced against.
-	m.dev.reg.Meter("script." + m.spec.Name + ".instructions").MarkN(uint64(m.ctx.LastInstructions()))
+	m.dev.reg.Meter("script." + m.spec.Name + ".instructions").MarkN(uint64(w.ctx.LastInstructions()))
+
+	// What follows is visible outside the module — a returned credit, the
+	// breach count — so it too happens in inbox order. A module that closed
+	// meanwhile has nobody left to order for.
+	ordered := w.awaitTurn()
+	breach := false
 	if err != nil {
 		m.dev.reg.Meter("module." + m.spec.Name + ".errors").Mark()
 		// The frame this event owned will never reach frame_done();
 		// return its credit so the source is not starved forever.
-		if ev.frameID != 0 && !m.frameDoneSeen {
+		if ev.frameID != 0 && !w.frameDoneSeen {
 			m.abandonCredit()
 		}
 		var be *script.BudgetError
-		if errors.As(err, &be) {
+		if breach = errors.As(err, &be); breach {
 			m.dev.reg.Meter("script." + m.spec.Name + ".breaches").Mark()
-			m.consecBreaches++
-			if m.consecBreaches >= m.breachLimit && !m.killed.Load() {
-				m.killed.Store(true)
-				m.dev.reg.Meter("script." + m.spec.Name + ".killed").Mark()
-			}
-		} else {
-			m.consecBreaches = 0
 		}
-	} else {
+	}
+	if ordered && !breach {
 		m.consecBreaches = 0
+	} else if ordered {
+		m.consecBreaches++
+		if m.consecBreaches >= m.breachLimit && !m.killed.Load() {
+			m.killed.Store(true)
+			m.dev.reg.Meter("script." + m.spec.Name + ".killed").Mark()
+		}
 	}
 
 	// Release every frame reference this event owned; anything handed to a
 	// local successor was retained on its behalf.
-	for _, id := range m.ownedRefs {
+	for _, id := range w.ownedRefs {
 		m.dev.store.Release(id)
 	}
-	m.ownedRefs = m.ownedRefs[:0]
-	m.currentFrame = nil
+	w.ownedRefs = w.ownedRefs[:0]
+	w.currentFrame = nil
 	m.dev.reg.Histogram("module." + m.spec.Name + ".handle").Observe(time.Since(start))
 	m.dev.reg.Meter("module." + m.spec.Name + ".events").Mark()
+	if ordered {
+		m.seq.advance()
+	}
 }
 
 // Close stops the module and its sockets.
 func (m *Module) Close() {
 	m.closeOnce.Do(func() {
 		close(m.done)
+		m.seq.close()
 		m.pull.Close()
 		m.pushMu.Lock()
 		for _, p := range m.pushes {
@@ -599,9 +779,7 @@ func (m *Module) Close() {
 		for {
 			select {
 			case ev := <-m.events:
-				if ev.frameID != 0 {
-					m.abandonFrame(ev.frameID)
-				}
+				m.abandon(ev)
 			default:
 				return
 			}

@@ -172,7 +172,7 @@ func TestOutputChargeFrameRefAsymmetry(t *testing.T) {
 		{"module", withRef, 73}, {"service", withRef, 73 + 33},
 		{"module", nil, 48}, {"service", nil, 48},
 	} {
-		m.outputUsed = 0
+		m.workers[0].outputUsed = 0
 		event := map[string]any{"via": tc.via}
 		if tc.msg != nil {
 			event["msg"] = tc.msg
@@ -180,8 +180,8 @@ func TestOutputChargeFrameRefAsymmetry(t *testing.T) {
 		if err := callEvent(t, m, event); err != nil {
 			t.Fatalf("%s %v: %v", tc.via, tc.msg, err)
 		}
-		if m.outputUsed != tc.want {
-			t.Errorf("call via %s of %v charged %d bytes, want %d", tc.via, tc.msg, m.outputUsed, tc.want)
+		if m.workers[0].outputUsed != tc.want {
+			t.Errorf("call via %s of %v charged %d bytes, want %d", tc.via, tc.msg, m.workers[0].outputUsed, tc.want)
 		}
 	}
 	// The limit falls exactly where the charge says: 73 fits, 72 does not.
@@ -189,7 +189,7 @@ func TestOutputChargeFrameRefAsymmetry(t *testing.T) {
 		limit  int64
 		breach bool
 	}{{73, false}, {72, true}} {
-		m.limits.Output, m.outputUsed = tc.limit, 0
+		m.limits.Output, m.workers[0].outputUsed = tc.limit, 0
 		err := callEvent(t, m, map[string]any{"via": "module", "msg": withRef})
 		var be *script.BudgetError
 		if errors.As(err, &be) != tc.breach {
@@ -230,7 +230,7 @@ func TestModuleOutputBudgetStopsExponentialPayload(t *testing.T) {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				start := time.Now()
-				m.outputUsed = 0
+				m.workers[0].outputUsed = 0
 				err := callEvent(t, m, nil)
 				best = min(best, time.Since(start))
 				runtime.ReadMemStats(&after)

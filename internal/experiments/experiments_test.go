@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"videopipe/internal/script"
 	"videopipe/internal/services"
 	"videopipe/internal/vision"
 )
@@ -262,6 +263,16 @@ func TestComparePlanners(t *testing.T) {
 		}
 		if byName["latency-aware"].FPS <= byName["baseline"].FPS {
 			t.Errorf("latency-aware %.2f <= baseline %.2f", byName["latency-aware"].FPS, byName["baseline"].FPS)
+		}
+	}
+}
+
+// The scripted mix's burn stages keep no state, so the device runtime
+// replicates them: script_heavy and the scripted knee measure that path.
+func TestScriptedStagesAreReplicable(t *testing.T) {
+	for _, m := range scriptedConfig("s").Modules {
+		if got := script.Analyze(m.Source, script.Options{}).Facts.Replication(); got != "replicable" {
+			t.Errorf("%s: %s", m.Name, got)
 		}
 	}
 }

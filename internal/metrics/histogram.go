@@ -9,7 +9,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -124,14 +124,17 @@ func (h *Histogram) Max() time.Duration {
 // Quantile reports the q-quantile (0 ≤ q ≤ 1) of the retained samples.
 // It returns zero when no samples have been recorded.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
+	sorted := h.Samples()
+	slices.Sort(sorted)
+	return QuantileOf(sorted, q)
+}
+
+// QuantileOf reports the q-quantile (0 ≤ q ≤ 1) of an ascending sample set,
+// interpolating linearly between neighbours; zero for an empty set.
+func QuantileOf(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := make([]time.Duration, len(h.samples))
-	copy(sorted, h.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	if q <= 0 {
 		return sorted[0]
 	}
@@ -173,18 +176,24 @@ type Snapshot struct {
 	P999  time.Duration
 }
 
-// Snapshot returns a consistent summary of the histogram.
+// Snapshot returns a consistent summary of the histogram: the counters and
+// the reservoir are read under one lock, and the four quantiles share one
+// copy and one sort of it.
 func (h *Histogram) Snapshot() Snapshot {
-	return Snapshot{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
+	h.mu.Lock()
+	s := Snapshot{Count: h.count, Min: h.min, Max: h.max}
+	if h.count > 0 {
+		s.Mean = time.Duration(int64(h.sum) / int64(h.count))
 	}
+	sorted := make([]time.Duration, len(h.samples))
+	copy(sorted, h.samples)
+	h.mu.Unlock()
+	slices.Sort(sorted)
+	s.P50 = QuantileOf(sorted, 0.50)
+	s.P95 = QuantileOf(sorted, 0.95)
+	s.P99 = QuantileOf(sorted, 0.99)
+	s.P999 = QuantileOf(sorted, 0.999)
+	return s
 }
 
 // String renders the snapshot in a compact, human-readable form.

@@ -89,6 +89,37 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
+// Snapshot sorts the reservoir once and reads four quantiles off it; each
+// must be the value Quantile itself interpolates, at every reservoir size
+// where the interpolation changes shape (empty, one sample, between two,
+// an exact index, a full and an overwritten reservoir).
+func TestHistogramSnapshotMatchesQuantile(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 64, 101, 1000, maxSamples, maxSamples + 500} {
+		var h Histogram
+		for i := 0; i < n; i++ {
+			h.Observe(time.Duration((i*7919)%1013) * time.Microsecond)
+		}
+		s := h.Snapshot()
+		want := Snapshot{
+			Count: h.Count(), Mean: h.Mean(), Min: h.Min(), Max: h.Max(),
+			P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99), P999: h.Quantile(0.999),
+		}
+		if s != want {
+			t.Errorf("n=%d: Snapshot() = %+v, want %+v", n, s, want)
+		}
+	}
+}
+
+func TestHistogramSnapshotAllocs(t *testing.T) {
+	var h Histogram
+	for i := 0; i < maxSamples; i++ {
+		h.Observe(time.Duration(i))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { h.Snapshot() }); allocs > 1 {
+		t.Errorf("Snapshot() = %.0f allocs, want <= 1 (one copy of the reservoir)", allocs)
+	}
+}
+
 func TestHistogramConcurrent(t *testing.T) {
 	var h Histogram
 	var wg sync.WaitGroup

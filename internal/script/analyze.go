@@ -106,6 +106,23 @@ type Facts struct {
 	// lifecycle callbacks at the top level.
 	HasEventReceived bool
 	HasInit          bool
+	// Stateless reports that the module provably keeps nothing between
+	// events (resolve.go states the rule), so the device runtime may run it
+	// on several isolated contexts at once; otherwise State is the first
+	// global it declares mutable or writes, or the first statement it runs
+	// at load.
+	Stateless bool
+	State     StateWrite
+}
+
+// Replication words the Stateless verdict the way `videopipe -lint` prints
+// it: "replicable", or "single-context: " and the state that pins the module
+// to one context.
+func (f Facts) Replication() string {
+	if f.Stateless {
+		return "replicable"
+	}
+	return "single-context: " + f.State.String()
 }
 
 // Report is the result of one Analyze pass.
@@ -163,6 +180,11 @@ func Analyze(src string, opts Options) Report {
 	}
 	funcs := topLevelFuncs(prog)
 	a.run(prog, funcs)
+	if prog.state == nil {
+		a.facts.Stateless = true
+	} else {
+		a.facts.State = *prog.state
+	}
 
 	// pipecost: worst-case instruction/allocation bounds per handler, with
 	// PV012/PV013 diagnostics for what cannot be bounded (cost.go).

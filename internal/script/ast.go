@@ -438,6 +438,9 @@ func (*funcDecl) stmtNode()     {}
 // program is a parsed compilation unit.
 type program struct {
 	stmts []stmt
+	// set by resolve: where the module first keeps state between calls; nil
+	// for a stateless module.
+	state *StateWrite
 }
 
 // funcDef is one top-level function definition, `function f() {}` or

@@ -67,6 +67,9 @@ type Context struct {
 	// limits is the resource budget enforced per invocation; the zero
 	// value is unlimited (see budget.go).
 	limits Limits
+	// state is where code given to Load first keeps state between calls
+	// (resolve.go); nil while all of it was stateless.
+	state *StateWrite
 	// running is the invocation executing right now, nil between
 	// invocations: how the builtins whose output size is not bounded by
 	// their input's (str, join, json_encode) find the memory budget.
@@ -116,6 +119,13 @@ func (c *Context) Has(name string) bool {
 	return ok
 }
 
+// Stateless reports whether the code Load has run on this context provably
+// carries nothing from one Call to the next — the verdict Facts.Stateless
+// reports statically — so that any number of contexts loaded from the same
+// source are interchangeable. It speaks for the source only: a host that
+// binds a mutable value, or Evals an assignment, is on its own.
+func (c *Context) Stateless() bool { return c.state == nil }
+
 // Instructions returns the total interpreter steps executed by this
 // context across all invocations so far.
 func (c *Context) Instructions() int64 { return c.instructions }
@@ -160,6 +170,9 @@ func (c *Context) Load(src string) error {
 		return err
 	}
 	resolve(prog)
+	if c.state == nil {
+		c.state = prog.state
+	}
 	in := c.newInterp(true)
 	defer c.account(in)
 	for _, s := range prog.stmts {

@@ -1,5 +1,7 @@
 package script
 
+import "fmt"
+
 // The resolve pass: one walk over a freshly parsed program, run by Load and
 // Eval before the first statement executes, that annotates the AST in place
 // with everything the evaluator would otherwise recompute per visit —
@@ -61,11 +63,70 @@ type scope struct {
 
 type resolver struct {
 	cur *scope // nil at the top level, where declarations bind globals
+	// globals holds the names the program declares at the top level; state is
+	// the first place found so far where it keeps state between calls.
+	globals map[string]bool
+	state   *StateWrite
 }
 
+// StateWrite is the first place a module keeps state from one event to the
+// next: the global it declares mutable or assigns (Name), or, with Name
+// empty, a top-level statement that runs when the module loads.
+type StateWrite struct {
+	Name string
+	Pos  Position
+}
+
+func (w StateWrite) String() string {
+	if w.Name == "" {
+		return fmt.Sprintf("top-level statement at %s", w.Pos)
+	}
+	return fmt.Sprintf("writes global %q at %s", w.Name, w.Pos)
+}
+
+// resolve annotates prog and, as the one walk that knows where every
+// identifier can land, decides whether the module is stateless (prog.state
+// stays nil). PipeScript cannot create a global by assignment, so a module
+// carries nothing from one call to the next iff its top level is only
+// function declarations and consts initialised from scalar literals, and no
+// assignment, ++ or -- anywhere names an identifier that can resolve to a
+// global — the functions and builtins included, which are ordinary mutable
+// bindings. Member and index writes need no check of their own: with those
+// two rules no global holds an object or array to write through.
 func resolve(prog *program) {
 	var r resolver
+	for _, s := range prog.stmts {
+		switch st := s.(type) {
+		case *funcDecl:
+			continue
+		case *declStmt:
+			if !st.constant || !scalarLiteral(st.init) {
+				r.noteState(st.name, st.pos)
+			}
+		default:
+			r.noteState("", s.position())
+		}
+	}
 	r.stmts(prog.stmts)
+	prog.state = r.state
+}
+
+// noteState records a finding unless an earlier one (in source order) stands.
+func (r *resolver) noteState(name string, pos Position) {
+	if r.state == nil || pos.before(r.state.Pos) {
+		r.state = &StateWrite{Name: name, Pos: pos}
+	}
+}
+
+func scalarLiteral(e expr) bool {
+	switch ex := e.(type) {
+	case *numberLit, *stringLit, *boolLit, *nullLit:
+		return true
+	case *unaryExpr:
+		_, num := ex.x.(*numberLit)
+		return ex.op == "-" && num
+	}
+	return false
 }
 
 func (r *resolver) push(info *scopeInfo) {
@@ -78,6 +139,10 @@ func (r *resolver) pop() { r.cur = r.cur.parent }
 // its slot.
 func (r *resolver) declare(name string) int {
 	if r.cur == nil {
+		if r.globals == nil {
+			r.globals = make(map[string]bool)
+		}
+		r.globals[name] = true
 		return globalSlot
 	}
 	idx, ok := r.cur.names[name]
@@ -208,7 +273,9 @@ func (r *resolver) function(fl *funcLit) {
 	r.pop()
 }
 
-func (r *resolver) ident(id *identExpr) {
+// ident resolves id and reports whether a lookup can fall through every
+// scope that declares the name and reach the globals.
+func (r *resolver) ident(id *identExpr) bool {
 	hops := 0
 	for s := r.cur; s != nil; s = s.parent {
 		if idx, ok := s.names[id.name]; ok {
@@ -219,13 +286,34 @@ func (r *resolver) ident(id *identExpr) {
 				if idx == s.fn.argsSlot {
 					s.fn.usesArguments = true
 				}
-				return
+				return false
 			}
 		}
 		if s.info.slots > 0 {
 			hops++
 		}
 	}
+	return true
+}
+
+// target resolves the left side of an assignment, ++ or --. A bare name is a
+// write to module state when the lookup can reach the globals and a global
+// of that name can exist: one the module declares, one every context is born
+// with (signatures.go), or — no scope declaring it — whatever the host bound.
+func (r *resolver) target(e expr) {
+	id, ok := e.(*identExpr)
+	if !ok {
+		r.expr(e)
+		return
+	}
+	if r.ident(id) && (len(id.refs) == 0 || r.globals[id.name] || isAmbientGlobal(id.name)) {
+		r.noteState(id.name, id.pos)
+	}
+}
+
+func isAmbientGlobal(name string) bool {
+	_, ok := callSignatures[name]
+	return ok
 }
 
 // expr resolves e; a nil e (an omitted initializer, condition or return
@@ -265,11 +353,11 @@ func (r *resolver) expr(e expr) {
 		r.expr(ex.elsE)
 	case *assignExpr:
 		ex.opc = binaryOps[ex.op[:len(ex.op)-1]]
-		r.expr(ex.target)
+		r.target(ex.target)
 		r.expr(ex.value)
 	case *updateExpr:
 		ex.opc = unaryOps[ex.op]
-		r.expr(ex.target)
+		r.target(ex.target)
 	case *callExpr:
 		r.expr(ex.callee)
 		for _, a := range ex.args {
