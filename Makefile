@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet meters lint check test race cover alloc bench chaos heal sandbox shapes fuzz experiments flood floodtune floodgate examples clean
+.PHONY: all build vet meters lint check test race cover alloc heal sandbox shapes fuzz experiments flood floodgate examples clean
 
 all: build vet test
 
@@ -67,12 +67,9 @@ alloc:
 cover:
 	$(GO) test -cover ./...
 
-# End-to-end resilience suite: seeded fault schedules against full
-# pipelines, race detector on. Override the seed to replay a different
-# (still deterministic) fault sequence.
+# Seed of the fault schedules the chaos e2e suite replays. Override it to
+# replay a different (still deterministic) fault sequence.
 VP_CHAOS_SEED ?= 1
-chaos:
-	VP_CHAOS_SEED=$(VP_CHAOS_SEED) $(GO) test -race -v -run 'TestChaos' .
 
 # Self-healing gate: the supervised chaos e2e suite (recovery left wholly
 # to the supervisor, exact journal assertions) plus the supervisor,
@@ -112,11 +109,6 @@ fuzz:
 	$(GO) test -fuzz FuzzParseConfig -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzJPEGDecode -fuzztime 30s ./internal/frame
 
-# One measurement window per benchmark; see EXPERIMENTS.md for canonical
-# longer-window numbers.
-bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=NONE .
-
 # Regenerate every paper table/figure plus the ablations (takes ~3 min).
 experiments:
 	$(GO) run ./cmd/vpbench -exp all -dur 3s
@@ -125,12 +117,6 @@ experiments:
 # the canonical windows (EXPERIMENTS.md X4). Writes BENCH_flood.json.
 flood:
 	$(GO) run ./cmd/vpflood -sweep -mix all -dur 3s -out BENCH_flood.json
-
-# Quick look at the tuner's effect: tuned-vs-untuned knee on the pose
-# mix with short windows (EXPERIMENTS.md X5). The relaxed margin only
-# rejects a tuner that actively hurts; use floodgate for the real bar.
-floodtune:
-	$(GO) run ./cmd/vpflood -tunediff -mix pose -dur 1500ms -tunemargin -0.25 -out ""
 
 # Throughput-regression gate: a fresh tuned-vs-untuned sweep pair diffed
 # against the checked-in baseline. Fails when any mix's knee (tuned or

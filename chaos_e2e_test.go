@@ -5,7 +5,7 @@
 // event sequence exactly reproducing the seeded schedule.
 //
 // The seed defaults to 1 and can be overridden with VP_CHAOS_SEED
-// (`make chaos` pins it explicitly).
+// (`make heal` pins it explicitly).
 package videopipe_test
 
 import (

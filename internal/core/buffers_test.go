@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"videopipe/internal/device"
 	"videopipe/internal/frame"
 	"videopipe/internal/netsim"
+	"videopipe/internal/script"
 	"videopipe/internal/services"
 )
 
@@ -167,4 +169,73 @@ func TestBufferPoolDecodeFailureRestoresCredits(t *testing.T) {
 	if got := frame.Pool.Outstanding() - outstanding; got != 0 {
 		t.Errorf("pool outstanding = start%+d after Cluster.Close, want 0", got)
 	}
+}
+
+// The remote-API plan's encode buffer is the same pool's: a call_service
+// that ships a frame to another device borrows it for the call and hands it
+// back whether the call succeeds, the handler fails, the caller gives up
+// mid-call or the breaker never lets the call out.
+func TestBufferPoolRemoteCallConservation(t *testing.T) {
+	outstanding := frame.Pool.Outstanding()
+	reg := services.NewRegistry()
+	// Two workers: the abandoned call's handler keeps one until Close.
+	err := reg.Register(services.Spec{Name: "probe", NeedsFrame: true, Workers: 2,
+		Handler: func(ctx context.Context, req services.Request) (services.Response, error) {
+			switch req.Args["mode"] {
+			case "fail":
+				return services.Response{}, errors.New("model exploded")
+			case "hang":
+				<-ctx.Done()
+				return services.Response{}, ctx.Err()
+			}
+			return services.Response{Result: map[string]script.Value{"ok": true}}, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewCluster(core.ClusterSpec{
+		Devices: []device.Config{
+			{Name: "phone", Class: device.Phone},
+			{Name: "desktop", Class: device.Desktop},
+		},
+		DefaultLink: netsim.WiFi,
+		Services:    []core.ServicePlacement{{Service: "probe", Device: "desktop"}},
+	}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	phone, _ := c.Device("phone")
+	f := frame.MustNewPooled(640, 480) // the one buffer the test keeps
+
+	call := func(mode string, timeout time.Duration) error {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		_, err := phone.CallService(ctx, "probe", map[string]script.Value{"mode": mode}, f)
+		return err
+	}
+	if err := call("ok", 5*time.Second); err != nil {
+		t.Fatalf("remote call: %v", err)
+	}
+	if phone.Metrics().Histogram("service.probe.remote").Count() != 1 {
+		t.Fatal("the call did not take the remote path")
+	}
+	if err := call("hang", 100*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("abandoned call = %v, want DeadlineExceeded", err)
+	}
+	// Enough handler failures to open the breaker, so the last calls are
+	// refused before anything is sent.
+	refused := false
+	for i := 0; i < 20 && !refused; i++ {
+		refused = errors.Is(call("fail", 5*time.Second), services.ErrBreakerOpen)
+	}
+	if !refused {
+		t.Error("the breaker never opened; the refused-call path went untested")
+	}
+
+	c.Close()
+	if got := frame.Pool.Outstanding() - outstanding; got != 1 {
+		t.Errorf("pool outstanding = start%+d after Cluster.Close, want +1 (the test's frame): an encode buffer was stranded", got)
+	}
+	f.Release()
 }

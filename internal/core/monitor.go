@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,7 +10,6 @@ import (
 
 	"videopipe/internal/device"
 	"videopipe/internal/services"
-	"videopipe/internal/wire"
 )
 
 // Monitor implements the paper's stated future work (§7: "we aim to
@@ -43,7 +41,6 @@ type Monitor struct {
 	degraded     map[string]bool
 	lastSample   map[string]time.Time
 	degradedSecs map[string]float64
-	pub          *wire.Pub
 }
 
 // NewMonitor creates a monitor for the cluster.
@@ -157,9 +154,8 @@ func (r Report) String() string {
 }
 
 // Sample takes one observation, updating stall tracking. It does not
-// block, so the context goes unused; the parameter stays because callers
-// outside this package pass one.
-func (m *Monitor) Sample(_ context.Context) Report {
+// block.
+func (m *Monitor) Sample() Report {
 	now := time.Now()
 	reg := m.cluster.Metrics()
 
@@ -302,40 +298,6 @@ func (m *Monitor) worstBreaker(service string) services.BreakerState {
 	return worst
 }
 
-// TelemetryTopic is the pub/sub topic reports are broadcast under.
-const TelemetryTopic = "monitor.report"
-
-// ServeTelemetry broadcasts every report over a pub socket as JSON under
-// TelemetryTopic, so dashboards anywhere in the home can subscribe. It
-// returns the publisher; Close it (or close the monitor's context) when
-// done.
-func (m *Monitor) ServeTelemetry(t wire.Transport, port int) (*wire.Pub, error) {
-	pub, err := wire.ListenPub(t, port)
-	if err != nil {
-		return nil, fmt.Errorf("core: telemetry: %w", err)
-	}
-	m.mu.Lock()
-	m.pub = pub
-	m.mu.Unlock()
-	return pub, nil
-}
-
-// publish broadcasts a report when telemetry is enabled.
-func (m *Monitor) publish(rep Report) {
-	m.mu.Lock()
-	pub := m.pub
-	m.mu.Unlock()
-	if pub == nil {
-		return
-	}
-	data, err := json.Marshal(rep)
-	if err != nil {
-		return
-	}
-	// Best effort: a closed publisher just means telemetry is off.
-	_ = pub.Publish(TelemetryTopic, wire.NewMessage(data))
-}
-
 // Run samples periodically until ctx is done, delivering each report to
 // sink (which may be nil for scaling-only monitors).
 func (m *Monitor) Run(ctx context.Context, sink func(Report)) {
@@ -350,8 +312,7 @@ func (m *Monitor) Run(ctx context.Context, sink func(Report)) {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			rep := m.Sample(ctx)
-			m.publish(rep)
+			rep := m.Sample()
 			if sink != nil {
 				sink(rep)
 			}

@@ -13,9 +13,6 @@ import (
 	"videopipe/internal/frame"
 	"videopipe/internal/netsim"
 	"videopipe/internal/services"
-	"videopipe/internal/wire"
-
-	"encoding/json"
 )
 
 func TestMonitorReportsPipelinesAndServices(t *testing.T) {
@@ -32,7 +29,7 @@ func TestMonitorReportsPipelinesAndServices(t *testing.T) {
 		p.Run(context.Background(), time.Second)
 	}()
 	time.Sleep(600 * time.Millisecond)
-	rep := mon.Sample(context.Background())
+	rep := mon.Sample()
 	<-done
 
 	if len(rep.Pipelines) != 1 || rep.Pipelines[0].Pipeline != "monfit" {
@@ -100,7 +97,7 @@ func TestMonitorDetectsStall(t *testing.T) {
 	deadline := time.Now().Add(time.Second)
 	stalled := false
 	for time.Now().Before(deadline) {
-		rep := mon.Sample(context.Background())
+		rep := mon.Sample()
 		for _, ph := range rep.Pipelines {
 			if ph.Pipeline == "stuck" && ph.Stalled {
 				stalled = true
@@ -215,45 +212,6 @@ func TestLatencyAwarePipelineRuns(t *testing.T) {
 	}
 }
 
-func TestMonitorTelemetryBroadcast(t *testing.T) {
-	c := homeCluster(t)
-	mon := core.NewMonitor(c)
-	mon.Interval = 20 * time.Millisecond
-
-	phone, _ := c.Device("phone")
-	pub, err := mon.ServeTelemetry(phone.Transport(), 0)
-	if err != nil {
-		t.Fatalf("ServeTelemetry: %v", err)
-	}
-	defer pub.Close()
-
-	tv, _ := c.Device("tv")
-	sub, err := wire.DialSub(tv.Transport(), pub.Addr().String(), core.TelemetryTopic)
-	if err != nil {
-		t.Fatalf("DialSub: %v", err)
-	}
-	defer sub.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	go mon.Run(ctx, nil)
-
-	msg, err := sub.Recv(ctx)
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
-	if msg.StringPart(0) != core.TelemetryTopic {
-		t.Errorf("topic = %q", msg.StringPart(0))
-	}
-	var rep core.Report
-	if err := json.Unmarshal(msg.Part(1), &rep); err != nil {
-		t.Fatalf("telemetry payload not JSON: %v", err)
-	}
-	if len(rep.Services) != 5 {
-		t.Errorf("telemetry report services = %d, want 5", len(rep.Services))
-	}
-}
-
 func TestClusterMiscAccessors(t *testing.T) {
 	c := homeCluster(t)
 	if c.Registry() == nil {
@@ -322,7 +280,7 @@ func TestMonitorDetectsStallUnderPartition(t *testing.T) {
 	defer func() { <-done }()
 
 	sample := func() core.PipelineHealth {
-		rep := mon.Sample(context.Background())
+		rep := mon.Sample()
 		for _, ph := range rep.Pipelines {
 			if ph.Pipeline == "partmon" {
 				return ph

@@ -409,7 +409,7 @@ func TestSupervisorLeavesDegradedTimeToTheMonitor(t *testing.T) {
 	delivered := func() uint64 { return reg.Meter("pipeline.degfit.display.frames_done").Count() }
 	sampleFor := func(d time.Duration) {
 		for end := time.Now().Add(d); time.Now().Before(end); time.Sleep(interval) {
-			mon.Sample(context.Background())
+			mon.Sample()
 		}
 	}
 	waitCond(t, 3*time.Second, func() bool { return delivered() >= 3 })
@@ -421,7 +421,7 @@ func TestSupervisorLeavesDegradedTimeToTheMonitor(t *testing.T) {
 	c.Network().Heal("phone", "desktop")
 	at := delivered()
 	waitCond(t, 3*time.Second, func() bool {
-		mon.Sample(context.Background())
+		mon.Sample()
 		return delivered() >= at+3
 	})
 

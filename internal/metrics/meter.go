@@ -86,22 +86,6 @@ func (m *Meter) Rate() float64 {
 	return float64(m.count-1) / elapsed
 }
 
-// RateSince reports events per second between the first Mark and t,
-// counting all marked events. It is useful when the measurement window is
-// ended by the caller rather than by the final event.
-func (m *Meter) RateSince(t time.Time) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.count == 0 {
-		return 0
-	}
-	elapsed := t.Sub(m.first).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(m.count) / elapsed
-}
-
 // RateWindow reports events per second over the trailing window d, ending
 // now: the count of events marked within the window divided by the window
 // length. Unlike Rate, which spans first-to-last mark, the denominator is

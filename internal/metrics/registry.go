@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Registry is a named collection of histograms and meters, used to gather
@@ -67,16 +66,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Time records the duration of fn into the named histogram and returns any
-// error fn produced.
-func (r *Registry) Time(name string, fn func() error) error {
-	start := time.Now()
-	err := fn()
-	//vpvet:allow metername generic plumbing; callers' literal names are checked at their call sites
-	r.Histogram(name).Observe(time.Since(start))
-	return err
 }
 
 // HistogramNames reports the sorted names of all registered histograms.

@@ -219,9 +219,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 type Pool struct {
 	spec      Spec
 	cpuFactor float64
-	// StartupDelay models container spin-up time for newly scaled
-	// instances.
-	startupDelay time.Duration
 
 	mu        sync.Mutex
 	instances []*Instance
@@ -290,14 +287,6 @@ func (p *Pool) QueueDepth() int { return int(p.stats.queued.Load()) }
 // BusyWorkers reports worker slots currently executing.
 func (p *Pool) BusyWorkers() int { return int(p.stats.busy.Load()) }
 
-// SetStartupDelay configures simulated container spin-up for future Scale
-// calls.
-func (p *Pool) SetStartupDelay(d time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.startupDelay = d
-}
-
 // Name reports the pooled service name.
 func (p *Pool) Name() string { return p.spec.Name }
 
@@ -338,17 +327,15 @@ func (p *Pool) Calls() uint64 {
 // execution began, the tuner's saturation signal.
 func (p *Pool) WaitStats() metrics.Snapshot { return p.wait.Snapshot() }
 
-// Scale adjusts the pool to n instances. Growth pays the startup delay per
-// new instance (concurrently); shrinking is immediate — in-flight requests
-// on removed instances complete, since instances are only garbage once
-// callers drain.
+// Scale adjusts the pool to n instances. Shrinking is immediate —
+// in-flight requests on removed instances complete, since instances are
+// only garbage once callers drain.
 func (p *Pool) Scale(ctx context.Context, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("services: cannot scale %q to %d instances", p.spec.Name, n)
 	}
 	p.mu.Lock()
 	cur := len(p.instances)
-	delay := p.startupDelay
 	p.mu.Unlock()
 
 	if n <= cur {
@@ -361,11 +348,6 @@ func (p *Pool) Scale(ctx context.Context, n int) error {
 		return nil
 	}
 
-	if delay > 0 {
-		if !sleepCtx(ctx, delay) {
-			return fmt.Errorf("services: scaling %q: %w", p.spec.Name, ctx.Err())
-		}
-	}
 	for k := cur; k < n; k++ {
 		inst, err := NewInstance(p.spec, p.cpuFactor)
 		if err != nil {

@@ -184,10 +184,9 @@ func (c *Client) breaker(service string) *Breaker {
 	return b
 }
 
-// encBufPool recycles frame-encode buffers across Calls. A buffer is safe
-// to recycle as soon as Call returns: the caller has copied it into the
-// socket's scratch during the (synchronous) write.
-var encBufPool sync.Pool
+// encHeaderRoom is space for the codec's frame header next to the pixels,
+// so that a raw encode — the largest there is — fits the borrowed buffer.
+const encHeaderRoom = 64
 
 // Call invokes a remote service, encoding the frame (if any) for transfer.
 // The input frame is borrowed — the caller keeps ownership.
@@ -203,18 +202,18 @@ func (c *Client) Call(ctx context.Context, service string, args map[string]scrip
 	}
 	req := wire.NewMessage([]byte(service), argsJSON)
 	if f != nil {
-		var scratch []byte
-		if v := encBufPool.Get(); v != nil {
-			scratch = v.([]byte)
-		}
-		data, err := frame.AppendEncode(c.codec, scratch[:0], f)
+		// Borrowed from the one recycler until Call returns, on every
+		// path: the caller copies it into the socket's scratch during the
+		// (synchronous) write. If an encode outgrew it all the same, data
+		// is the collector's and buf still goes back.
+		buf := frame.Pool.GetDirty(len(f.Pix) + encHeaderRoom)
+		defer frame.Pool.Put(buf)
+		data, err := frame.AppendEncode(c.codec, buf[:0], f)
 		if err != nil {
-			encBufPool.Put(scratch) //nolint:staticcheck // slice scratch, header alloc is noise
 			br.Cancel()
 			return Response{}, fmt.Errorf("services: encode frame: %w", err)
 		}
 		req.Parts = append(req.Parts, data)
-		defer encBufPool.Put(data) //nolint:staticcheck // recycled after the synchronous write completes
 	}
 
 	out, err := c.caller.Call(ctx, req)

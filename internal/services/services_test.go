@@ -274,21 +274,6 @@ func TestPoolScale(t *testing.T) {
 	}
 }
 
-func TestPoolScaleStartupDelay(t *testing.T) {
-	spec := Spec{
-		Name: "s", Handler: func(context.Context, Request) (Response, error) { return Response{}, nil },
-	}
-	p, _ := NewPool(spec, 1, 1.0)
-	p.SetStartupDelay(50 * time.Millisecond)
-	start := time.Now()
-	if err := p.Scale(context.Background(), 2); err != nil {
-		t.Fatalf("Scale: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 45*time.Millisecond {
-		t.Errorf("scale up took %v, want startup delay ~50ms", elapsed)
-	}
-}
-
 func TestPoolScaleOutIncreasesThroughput(t *testing.T) {
 	// The §5.2.2 scale-out story at micro level: 1 instance x 1 worker at
 	// 30ms serves ~33 rps; 2 instances serve ~66.

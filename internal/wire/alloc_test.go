@@ -36,7 +36,7 @@ func TestMessageRoundTripAllocs(t *testing.T) {
 	assertAllocs(t, "EncodeTo into scratch", encode, 0)
 
 	// A full round trip through the owning reader (exported ReadMessage,
-	// RPC, pubsub) adds the receiver's message: the 4-byte prefix scratch
+	// RPC) adds the receiver's message: the 4-byte prefix scratch
 	// (it escapes through the io.Reader), one body buffer, one parts slice
 	// (part payloads borrow the body buffer).
 	rd := bytes.NewReader(nil)

@@ -4,11 +4,18 @@
 // It provides brokerless, asynchronous, multipart message transfer between
 // pipeline components, replicating the ZeroMQ facilities the paper relies on
 // (§3.2): endpoint strings in the Listing-1 grammar ("bind#tcp://*:5861",
-// "connect#tcp://desktop:5861"), length-prefixed multipart framing, PUSH/PULL
-// one-way sockets for the module data path, and a multiplexed caller/responder
-// pair (DEALER/ROUTER-style) for service calls. Sockets reconnect
-// automatically and carry no broker hop — the paper's argument against
-// Kafka/RabbitMQ-style brokers is that the extra forwarding hop adds delay.
+// "connect#tcp://desktop:5861"), length-prefixed multipart framing, and two
+// socket patterns — PUSH/PULL one-way sockets for the module data path and a
+// multiplexed caller/responder pair (DEALER/ROUTER-style) for service calls.
+// There is no broker hop: the paper's argument against Kafka/RabbitMQ-style
+// brokers is that the extra forwarding hop adds delay.
+//
+// Both patterns run on one connection lifecycle (conn.go). Push and Caller
+// dial on first use and redial after a failure with one backoff; their
+// Close disconnects and joins nothing (a Caller's read loop ends with its
+// connection). Pull and Responder track every connection they accept;
+// their Close stops accepting, disconnects every peer and returns once the
+// accept loop, every per-connection loop and every in-flight handler exited.
 //
 // The layer is transport-agnostic: it runs over real TCP or over the
 // netsim package's shaped in-memory fabric via the Transport interface.

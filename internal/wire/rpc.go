@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -47,20 +46,14 @@ const (
 // concurrent in-flight calls over one connection and reconnects after
 // failures, bounded by a per-call deadline and retry budget.
 type Caller struct {
-	transport Transport
-	address   string
+	dialer
 
-	mu          sync.Mutex
-	conn        net.Conn
-	writeMu     sync.Mutex
-	scratch     []byte // encode buffer guarded by writeMu, reused across calls
+	// mu (the dialer's) also guards the call table, so a dropped
+	// connection and the calls riding on it fail in one critical section.
 	pending     map[uint64]chan callResult
 	nextID      uint64
-	closed      bool
 	callTimeout time.Duration
 	retryBudget int
-
-	timeouts atomic.Uint64
 }
 
 type callResult struct {
@@ -72,8 +65,7 @@ type callResult struct {
 // with the default per-call deadline and retry budget.
 func DialCaller(t Transport, address string) *Caller {
 	return &Caller{
-		transport:   t,
-		address:     address,
+		dialer:      dialer{transport: t, address: address},
 		pending:     make(map[uint64]chan callResult),
 		callTimeout: DefaultCallTimeout,
 		retryBudget: DefaultRetryBudget,
@@ -98,9 +90,6 @@ func (c *Caller) SetRetryBudget(n int) {
 	defer c.mu.Unlock()
 	c.retryBudget = n
 }
-
-// Timeouts reports how many calls this caller has failed on deadline.
-func (c *Caller) Timeouts() uint64 { return c.timeouts.Load() }
 
 // Call sends req and waits for the matching response. Concurrent calls are
 // multiplexed; connection failures are retried with backoff until the
@@ -136,22 +125,14 @@ func (c *Caller) Call(ctx context.Context, req Message) (Message, error) {
 		if budget > 0 && attempts >= budget {
 			return Message{}, fmt.Errorf("wire: call %s: retry budget exhausted after %d attempts: %w", c.address, attempts, err)
 		}
-		select {
-		case <-ctx.Done():
-			return Message{}, c.deadlineErr(ctx.Err(), err)
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > backoffMax {
-			backoff = backoffMax
+		if stop := retryWait(ctx, &backoff); stop != nil {
+			return Message{}, c.deadlineErr(stop, err)
 		}
 	}
 }
 
-// deadlineErr wraps a context failure, counting expired deadlines.
+// deadlineErr wraps a context failure.
 func (c *Caller) deadlineErr(ctxErr, last error) error {
-	if errors.Is(ctxErr, context.DeadlineExceeded) {
-		c.timeouts.Add(1)
-	}
 	if errors.Is(last, ctxErr) {
 		return fmt.Errorf("wire: call %s: %w", c.address, ctxErr)
 	}
@@ -159,9 +140,12 @@ func (c *Caller) deadlineErr(ctxErr, last error) error {
 }
 
 func (c *Caller) tryCall(ctx context.Context, req Message) (Message, error) {
-	conn, err := c.ensureConn(ctx)
+	conn, fresh, err := c.connect(ctx)
 	if err != nil {
 		return Message{}, err
+	}
+	if fresh {
+		go c.readLoop(conn)
 	}
 
 	ch := make(chan callResult, 1)
@@ -182,10 +166,7 @@ func (c *Caller) tryCall(ctx context.Context, req Message) (Message, error) {
 	binary.BigEndian.PutUint64(idPart[:], id)
 	framed := Message{Parts: append([][]byte{idPart[:]}, req.Parts...)}
 
-	c.writeMu.Lock()
-	c.scratch, err = writeMessageBuf(conn, framed, c.scratch)
-	c.writeMu.Unlock()
-	if err != nil {
+	if err = c.write(conn, framed); err != nil {
 		c.dropConn(conn, err)
 		return Message{}, err
 	}
@@ -196,46 +177,6 @@ func (c *Caller) tryCall(ctx context.Context, req Message) (Message, error) {
 	case <-ctx.Done():
 		return Message{}, ctx.Err()
 	}
-}
-
-func (c *Caller) ensureConn(ctx context.Context) (net.Conn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if c.conn != nil {
-		conn := c.conn
-		c.mu.Unlock()
-		return conn, nil
-	}
-	c.mu.Unlock()
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	conn, err := c.transport.Dial(c.address)
-	if err != nil {
-		return nil, err
-	}
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return nil, ErrClosed
-	}
-	if c.conn != nil {
-		existing := c.conn
-		c.mu.Unlock()
-		conn.Close()
-		return existing, nil
-	}
-	c.conn = conn
-	c.mu.Unlock()
-
-	go c.readLoop(conn)
-	return conn, nil
 }
 
 func (c *Caller) readLoop(conn net.Conn) {
@@ -274,16 +215,18 @@ func (c *Caller) readLoop(conn net.Conn) {
 // dropConn tears down a failed connection and fails every pending call so
 // callers can retry on a fresh connection.
 func (c *Caller) dropConn(conn net.Conn, cause error) {
-	conn.Close()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.conn != conn {
-		return
+	if c.dropLocked(conn) {
+		c.failPendingLocked(fmt.Errorf("wire: connection lost: %w", cause))
 	}
-	c.conn = nil
+}
+
+// failPendingLocked hands err to every in-flight call; c.mu is held.
+func (c *Caller) failPendingLocked(err error) {
 	for id, ch := range c.pending {
 		select {
-		case ch <- callResult{err: fmt.Errorf("wire: connection lost: %w", cause)}:
+		case ch <- callResult{err: err}:
 		default:
 		}
 		delete(c.pending, id)
@@ -293,24 +236,9 @@ func (c *Caller) dropConn(conn net.Conn, cause error) {
 // Close shuts the caller down, failing in-flight and future calls.
 func (c *Caller) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	conn := c.conn
-	c.conn = nil
-	for id, ch := range c.pending {
-		select {
-		case ch <- callResult{err: ErrClosed}:
-		default:
-		}
-		delete(c.pending, id)
-	}
-	c.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
+	defer c.mu.Unlock()
+	c.closeLocked()
+	c.failPendingLocked(ErrClosed)
 	return nil
 }
 
@@ -320,14 +248,10 @@ type Handler func(ctx context.Context, req Message) (Message, error)
 
 // Responder is the serving side of the service-call path. Each accepted
 // connection gets a read loop; each request runs in its own goroutine.
+// Close waits for in-flight handlers to finish.
 type Responder struct {
-	ln      net.Listener
+	acceptor
 	handler Handler
-
-	mu     sync.Mutex
-	closed bool
-	done   chan struct{}
-	wg     sync.WaitGroup
 }
 
 // ListenResponder binds a responder at port (0 = ephemeral) serving handler.
@@ -335,45 +259,22 @@ func ListenResponder(t Transport, port int, handler Handler) (*Responder, error)
 	if handler == nil {
 		return nil, errors.New("wire: nil handler")
 	}
-	ln, err := t.Listen(port)
-	if err != nil {
+	r := &Responder{handler: handler}
+	if err := r.listen(t, port, r.serveConn); err != nil {
 		return nil, err
 	}
-	r := &Responder{ln: ln, handler: handler, done: make(chan struct{})}
-	r.wg.Add(1)
-	go r.acceptLoop()
 	return r, nil
 }
 
-// Addr reports the bound listener address.
-func (r *Responder) Addr() net.Addr { return r.ln.Addr() }
-
-func (r *Responder) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			return
-		}
-		r.wg.Add(1)
-		go r.serveConn(conn)
-	}
-}
-
 func (r *Responder) serveConn(conn net.Conn) {
-	defer r.wg.Done()
-	defer conn.Close()
 	// writeMu serializes response writes from concurrent handlers;
 	// scratch is the per-connection encode buffer it guards.
 	var writeMu sync.Mutex
 	var scratch []byte
-	ctx, cancel := context.WithCancel(context.Background())
+	// Handlers see a context that ends when their caller disconnects or
+	// the responder closes, whichever is first.
+	ctx, cancel := context.WithCancel(r.ctx)
 	defer cancel()
-	go func() {
-		<-r.done
-		cancel()
-		conn.Close()
-	}()
 	for {
 		m, err := ReadMessage(conn)
 		if err != nil {
@@ -405,19 +306,4 @@ func (r *Responder) serveConn(conn net.Conn) {
 			scratch, _ = writeMessageBuf(conn, out, scratch)
 		}()
 	}
-}
-
-// Close stops the responder and waits for in-flight handlers to finish.
-func (r *Responder) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	close(r.done)
-	r.mu.Unlock()
-	err := r.ln.Close()
-	r.wg.Wait()
-	return err
 }

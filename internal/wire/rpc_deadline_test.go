@@ -56,9 +56,6 @@ func TestCallTimesOutDuringPartition(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Errorf("Call blocked %v; the deadline should have fired at ~300ms", elapsed)
 	}
-	if got := c.Timeouts(); got != 1 {
-		t.Errorf("Timeouts() = %d, want 1", got)
-	}
 }
 
 // TestCallRetryBudgetBoundsDeadPeer verifies the caller stops redialing an
@@ -81,9 +78,6 @@ func TestCallRetryBudgetBoundsDeadPeer(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("3-attempt budget took %v", elapsed)
-	}
-	if got := c.Timeouts(); got != 0 {
-		t.Errorf("Timeouts() = %d, want 0", got)
 	}
 }
 
