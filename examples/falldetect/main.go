@@ -1,6 +1,6 @@
 // Falldetect: the paper's fall-detection application (§4.3), configured
 // from a Listing-1-style text file rather than Go code — demonstrating the
-// config dialect, include() resolution and the pinned planner.
+// config dialect, include() resolution and per-module device pins.
 //
 // The synthetic subject stands, then falls; the pipeline detects the
 // sustained horizontal-torso, dropped-hips geometry and raises an alert.
@@ -130,8 +130,9 @@ func main() {
 		})
 	}
 
-	// The config pins every module; the pinned planner follows it exactly.
-	pipeline, err := cluster.Launch(*cfg, videopipe.PinnedPlanner{})
+	// The config pins every module; the planner honours pins before any
+	// placement rule of its own.
+	pipeline, err := cluster.Launch(*cfg, videopipe.CoLocatePlanner{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -158,7 +158,7 @@ func (inj *Injector) apply(ev Event) (func(), error) {
 		if inj.ExternalRepair {
 			return func() {}, nil
 		}
-		return func() { _ = pool.Scale(context.Background(), prev) }, nil
+		return func() { _ = pool.Scale(prev) }, nil
 
 	case KindPauseDevice:
 		dev, ok := inj.cluster.Device(ev.Target)

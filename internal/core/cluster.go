@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -190,7 +189,7 @@ func (c *Cluster) Pipelines() []*Pipeline {
 // one), the target's server picks it up, and every live device's remote
 // directory is repointed. Callers resolving via Cluster.Pool see the new
 // host immediately.
-func (c *Cluster) RedeployService(ctx context.Context, service, target string, instances int) error {
+func (c *Cluster) RedeployService(service, target string, instances int) error {
 	d, ok := c.Device(target)
 	if !ok {
 		return fmt.Errorf("core: redeploy %q: unknown device %q", service, target)
@@ -209,7 +208,7 @@ func (c *Cluster) RedeployService(ctx context.Context, service, target string, i
 		// Target already hosts a pool (perhaps drained); make sure it is
 		// big enough, paying any simulated container spin-up here.
 		if pool.Size() < instances {
-			if err := pool.Scale(ctx, instances); err != nil {
+			if err := pool.Scale(instances); err != nil {
 				return err
 			}
 		}

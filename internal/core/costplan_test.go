@@ -154,15 +154,6 @@ func TestCostAwareCredits(t *testing.T) {
 			if plan.Credits != tc.want {
 				t.Errorf("credits = %d, want %d", plan.Credits, tc.want)
 			}
-
-			// An explicit override still wins.
-			fixed, err := core.CostAwarePlanner{Credits: 7}.Plan(&cfg, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fixed.Credits != 7 {
-				t.Errorf("override credits = %d, want 7", fixed.Credits)
-			}
 		})
 	}
 }
@@ -204,21 +195,70 @@ func TestCostReports(t *testing.T) {
 	}
 }
 
-// TestPlannerPlacementsPinned pins both co-locating planners' placements
-// over every shipped pipeline (the three apps, examples/configs/*.cfg) and
-// the heavy serviceless chain where the two strategies part ways. The
-// table was recorded before the planners were folded onto one rule chain.
+// heavyCrunch is a crunch handler whose counted loop outweighs the static
+// hop penalty.
+const heavyCrunch = `function event_received(message) {
+  var acc = 0;
+  for (var i = 0; i < 60000; i++) { acc = acc + i; }
+  call_module("relay", {seq: acc});
+}`
+
+// diamondConfig builds a phone-sourced serviceless diamond: split fans out
+// to a heavy left branch and a light right branch, and join has both as
+// predecessors (left listed first).
+func diamondConfig() core.PipelineConfig {
+	return core.PipelineConfig{
+		Name: "diamond",
+		Modules: []core.ModuleConfig{
+			{Name: "split", Next: []string{"left", "right"}, Source: `function event_received(message) {
+  call_module("left", {seq: message.seq});
+  call_module("right", {seq: message.seq});
+}`},
+			{Name: "left", Next: []string{"join"}, Source: `function event_received(message) {
+  var acc = 0;
+  for (var i = 0; i < 60000; i++) { acc = acc + i; }
+  call_module("join", {seq: acc});
+}`},
+			{Name: "right", Next: []string{"join"}, Source: `function event_received(message) {
+  call_module("join", {seq: message.seq});
+}`},
+			{Name: "join", Source: `function event_received(message) { frame_done(); }`},
+		},
+		Source: core.SourceConfig{
+			Device: "phone", FirstModule: "split", FPS: 10, Width: 64, Height: 48,
+		},
+	}
+}
+
+// placementString renders a placement as sorted module=device pairs.
+func placementString(placement map[string]string) string {
+	mods := make([]string, 0, len(placement))
+	for mod, dev := range placement {
+		mods = append(mods, mod+"="+dev)
+	}
+	sort.Strings(mods)
+	return strings.Join(mods, " ")
+}
+
+// TestPlannerPlacementsPinned pins every planner's placement over every
+// shipped pipeline (the three apps, examples/configs/*.cfg), the heavy
+// serviceless chain where the co-locating strategies part ways, and a
+// serviceless diamond whose join has two placed predecessors. The
+// measured row is the placement the tuner's rebalance re-plans toward for
+// a fixed set of measured handle times. The table was recorded before the
+// planners were folded onto one placement loop; only the cost-aware
+// diamond row moved then. Its join now scores from its first placed
+// predecessor, as co-locate's inherits from it: left, on the loaded phone,
+// so the desktop costs right's load plus a hop and the idle tv only the
+// hop. Scored from right, the last predecessor, join went to the desktop.
 func TestPlannerPlacementsPinned(t *testing.T) {
 	c := homeCluster(t)
 	cfgs := []core.PipelineConfig{
 		apps.FitnessConfig("fit", 10, "squat"),
 		apps.GestureConfig("gest", 10, "wave"),
 		apps.FallConfig("fall", 10),
-		chainConfig(`function event_received(message) {
-  var acc = 0;
-  for (var i = 0; i < 60000; i++) { acc = acc + i; }
-  call_module("relay", {seq: acc});
-}`),
+		chainConfig(heavyCrunch),
+		diamondConfig(),
 	}
 	paths, err := filepath.Glob("../../examples/configs/*.cfg")
 	if err != nil || len(paths) == 0 {
@@ -239,38 +279,63 @@ func TestPlannerPlacementsPinned(t *testing.T) {
 	}
 
 	want := map[string]string{
-		"fit/videopipe":        "credits=2 activity_recognition=desktop display=tv pose_detection=desktop rep_counter=desktop video_streaming=phone",
-		"fit/cost-aware":       "credits=4 activity_recognition=desktop display=tv pose_detection=desktop rep_counter=desktop video_streaming=phone",
-		"gest/videopipe":       "credits=2 gesture_recognition=desktop iot_control=desktop pose_detection=desktop video_streaming=phone",
-		"gest/cost-aware":      "credits=3 gesture_recognition=desktop iot_control=desktop pose_detection=desktop video_streaming=phone",
-		"fall/videopipe":       "credits=2 alert=desktop fall_monitor=desktop pose_detection=desktop video_streaming=phone",
-		"fall/cost-aware":      "credits=3 alert=desktop fall_monitor=desktop pose_detection=desktop video_streaming=phone",
-		"chain/videopipe":      "credits=2 crunch=phone ingest=phone relay=phone",
-		"chain/cost-aware":     "credits=2 crunch=phone ingest=phone relay=desktop",
-		"fallwatch/videopipe":  "credits=2 alert=desktop fall_monitor=desktop pose=desktop streamer=phone",
-		"fallwatch/cost-aware": "credits=3 alert=desktop fall_monitor=desktop pose=desktop streamer=phone",
-		"posewatch/videopipe":  "credits=2 streamer=phone watch=desktop",
-		"posewatch/cost-aware": "credits=2 streamer=phone watch=desktop",
+		"fit/videopipe":           "credits=2 activity_recognition=desktop display=tv pose_detection=desktop rep_counter=desktop video_streaming=phone",
+		"fit/cost-aware":          "credits=4 activity_recognition=desktop display=tv pose_detection=desktop rep_counter=desktop video_streaming=phone",
+		"fit/baseline":            "credits=1 activity_recognition=phone display=phone pose_detection=phone rep_counter=phone video_streaming=phone",
+		"fit/latency-aware":       "credits=2 activity_recognition=desktop display=tv pose_detection=desktop rep_counter=desktop video_streaming=phone",
+		"gest/videopipe":          "credits=2 gesture_recognition=desktop iot_control=desktop pose_detection=desktop video_streaming=phone",
+		"gest/cost-aware":         "credits=3 gesture_recognition=desktop iot_control=desktop pose_detection=desktop video_streaming=phone",
+		"gest/baseline":           "credits=1 gesture_recognition=phone iot_control=phone pose_detection=phone video_streaming=phone",
+		"gest/latency-aware":      "credits=2 gesture_recognition=desktop iot_control=desktop pose_detection=desktop video_streaming=phone",
+		"fall/videopipe":          "credits=2 alert=desktop fall_monitor=desktop pose_detection=desktop video_streaming=phone",
+		"fall/cost-aware":         "credits=3 alert=desktop fall_monitor=desktop pose_detection=desktop video_streaming=phone",
+		"fall/baseline":           "credits=1 alert=phone fall_monitor=phone pose_detection=phone video_streaming=phone",
+		"fall/latency-aware":      "credits=2 alert=desktop fall_monitor=desktop pose_detection=desktop video_streaming=phone",
+		"chain/videopipe":         "credits=2 crunch=phone ingest=phone relay=phone",
+		"chain/cost-aware":        "credits=2 crunch=phone ingest=phone relay=desktop",
+		"chain/baseline":          "credits=1 crunch=phone ingest=phone relay=phone",
+		"chain/latency-aware":     "credits=2 crunch=phone ingest=phone relay=phone",
+		"chain/measured":          "crunch=phone ingest=phone relay=desktop",
+		"diamond/videopipe":       "credits=2 join=phone left=phone right=phone split=phone",
+		"diamond/cost-aware":      "credits=2 join=tv left=phone right=desktop split=phone",
+		"diamond/baseline":        "credits=1 join=phone left=phone right=phone split=phone",
+		"diamond/latency-aware":   "credits=2 join=phone left=phone right=phone split=phone",
+		"fallwatch/videopipe":     "credits=2 alert=desktop fall_monitor=desktop pose=desktop streamer=phone",
+		"fallwatch/cost-aware":    "credits=3 alert=desktop fall_monitor=desktop pose=desktop streamer=phone",
+		"fallwatch/baseline":      "credits=1 alert=phone fall_monitor=phone pose=phone streamer=phone",
+		"fallwatch/latency-aware": "credits=2 alert=desktop fall_monitor=desktop pose=desktop streamer=phone",
+		"posewatch/videopipe":     "credits=2 streamer=phone watch=desktop",
+		"posewatch/cost-aware":    "credits=2 streamer=phone watch=desktop",
+		"posewatch/baseline":      "credits=1 streamer=phone watch=phone",
+		"posewatch/latency-aware": "credits=2 streamer=phone watch=desktop",
 	}
+	check := func(key, got string) {
+		t.Helper()
+		if w, ok := want[key]; !ok {
+			t.Errorf("no pinned placement for %s; got %q", key, got)
+		} else if got != w {
+			t.Errorf("%s placement moved:\ngot  %s\nwant %s", key, got, w)
+		}
+	}
+	planners := []core.Planner{core.CoLocatePlanner{}, core.CostAwarePlanner{}, core.BaselinePlanner{}, core.LatencyAwarePlanner{}}
 	for i := range cfgs {
 		cfg := &cfgs[i]
-		for _, planner := range []core.Planner{core.CoLocatePlanner{}, core.CostAwarePlanner{}} {
+		for _, planner := range planners {
 			plan, err := planner.Plan(cfg, c)
 			if err != nil {
 				t.Fatalf("%s %s: %v", cfg.Name, planner.Name(), err)
 			}
-			mods := make([]string, 0, len(plan.Placement))
-			for mod, dev := range plan.Placement {
-				mods = append(mods, mod+"="+dev)
-			}
-			sort.Strings(mods)
-			key := cfg.Name + "/" + planner.Name()
-			got := fmt.Sprintf("credits=%d %s", plan.Credits, strings.Join(mods, " "))
-			if w, ok := want[key]; !ok {
-				t.Errorf("no pinned placement for %s; got %q", key, got)
-			} else if got != w {
-				t.Errorf("%s placement moved:\ngot  %s\nwant %s", key, got, w)
-			}
+			check(cfg.Name+"/"+planner.Name(), fmt.Sprintf("credits=%d %s", plan.Credits, placementString(plan.Placement)))
 		}
 	}
+
+	// Handle times in ns per event, as rebalance reads them off the module
+	// handle histograms: crunch alone outweighs the 10 ms measured hop.
+	chain := chainConfig(heavyCrunch)
+	measured := map[string]int64{"ingest": 1_000_000, "crunch": 20_000_000, "relay": 500_000}
+	placement, err := core.MeasuredPlacement(&chain, c, measured)
+	if err != nil {
+		t.Fatalf("measured placement: %v", err)
+	}
+	check("chain/measured", placementString(placement))
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -114,7 +113,7 @@ func errUnknownDevice(name string) error {
 // journal it appends to is compared across same-seed runs.
 //
 //vpvet:deterministic
-func (s *Supervisor) declareDead(ctx context.Context, name string) {
+func (s *Supervisor) declareDead(name string) {
 	s.cluster.MarkDown(name)
 	s.record(Action{Kind: ActionDeviceDead, Target: name})
 	s.cluster.Metrics().Meter("supervisor.devices_dead").Mark()
@@ -138,7 +137,7 @@ func (s *Supervisor) declareDead(ctx context.Context, name string) {
 			desired = st.desired
 		}
 		s.mu.Unlock()
-		if err := s.cluster.RedeployService(ctx, svc, target, desired); err != nil {
+		if err := s.cluster.RedeployService(svc, target, desired); err != nil {
 			continue
 		}
 		s.record(Action{Kind: ActionRedeployService, Target: svc, From: name, To: target})
@@ -223,7 +222,7 @@ func (s *Supervisor) checkModules() {
 // explicitly-allowed backoff clock must be deterministic.
 //
 //vpvet:deterministic
-func (s *Supervisor) checkServices(ctx context.Context) {
+func (s *Supervisor) checkServices() {
 	reg := s.cluster.Metrics()
 	now := time.Now() //vpvet:allow determinism real-time backoff clock; never recorded in the action journal
 	for _, svc := range s.cluster.ServiceNames() {
@@ -295,7 +294,7 @@ func (s *Supervisor) checkServices(ctx context.Context) {
 		if size > 0 {
 			pool.Kill(size)
 		}
-		err = pool.Scale(ctx, desired)
+		err = pool.Scale(desired)
 		s.backOff(&st.restartBudget, attempt)
 		if err != nil {
 			continue

@@ -219,9 +219,6 @@ func TestClusterMiscAccessors(t *testing.T) {
 	}
 	c.SetCodec(frame.RawCodec{}) // must not panic; effect covered by the codec ablation
 	c.SetCodec(frame.JPEGCodec{Quality: 85})
-	if got := (core.PinnedPlanner{}).Name(); got != "pinned" {
-		t.Errorf("pinned planner name = %q", got)
-	}
 }
 
 func TestFileResolverReadsRelative(t *testing.T) {

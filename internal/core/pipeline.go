@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"image/color"
 	"slices"
@@ -29,10 +30,9 @@ type Pipeline struct {
 	name    string
 	cfg     PipelineConfig
 	cluster *Cluster
-	planner string
-	// plannerImpl is kept so the supervisor can re-plan after a device
+	// planner is kept so the supervisor can re-plan after a device
 	// failure with the same strategy the pipeline launched with.
-	plannerImpl Planner
+	planner Planner
 
 	source *frame.Source
 
@@ -102,14 +102,13 @@ func (c *Cluster) Launch(cfg PipelineConfig, planner Planner) (*Pipeline, error)
 	}
 
 	p := &Pipeline{
-		name:        cfg.Name,
-		cfg:         cfg,
-		cluster:     c,
-		plan:        plan,
-		planner:     planner.Name(),
-		plannerImpl: planner,
-		modules:     make(map[string]*device.Module, len(cfg.Modules)),
-		creditCap:   plan.Credits,
+		name:      cfg.Name,
+		cfg:       cfg,
+		cluster:   c,
+		plan:      plan,
+		planner:   planner,
+		modules:   make(map[string]*device.Module, len(cfg.Modules)),
+		creditCap: plan.Credits,
 	}
 
 	// Spawn sinks-first (reverse topological order) so every edge's
@@ -255,7 +254,7 @@ func (p *Pipeline) prefixed(module string) string { return p.name + "." + module
 func (p *Pipeline) Name() string { return p.name }
 
 // PlannerName reports the placement strategy used.
-func (p *Pipeline) PlannerName() string { return p.planner }
+func (p *Pipeline) PlannerName() string { return p.planner.Name() }
 
 // Placement reports the module-to-device assignment.
 func (p *Pipeline) Placement() map[string]string {
@@ -480,7 +479,7 @@ func (p *Pipeline) collect(elapsed time.Duration) RunResult {
 	reg := p.cluster.Metrics()
 	res := RunResult{
 		Pipeline: p.name,
-		Planner:  p.planner,
+		Planner:  p.planner.Name(),
 		Duration: elapsed,
 		Source:   p.source.Stats(),
 		Stages:   make(map[string]metrics.Snapshot),
@@ -736,40 +735,69 @@ func (p *Pipeline) KilledModules() []string {
 	return out
 }
 
+// modulesOn lists (sorted) the modules currently placed on dev.
+func (p *Pipeline) modulesOn(dev string) []string {
+	placement := p.Placement()
+	var out []string
+	for _, mod := range p.Modules() {
+		if placement[mod] == dev {
+			out = append(out, mod)
+		}
+	}
+	return out
+}
+
+// move is one live migration a relocation made.
+type move struct{ module, from, to string }
+
+// relocate is the one routine every re-plan moves modules through: it
+// live-migrates each selected module (selected sees its config and current
+// device) whose target in want differs from where it runs, in sorted
+// order, and returns the moves made. A module with no target stays put. A
+// failed migration leaves its module where it was without holding back
+// the rest; the failures come back joined.
+func (p *Pipeline) relocate(want map[string]string, selected func(mc *ModuleConfig, dev string) bool) ([]move, error) {
+	current := p.Placement()
+	var moves []move
+	var errs []error
+	for _, mod := range p.Modules() {
+		mc, _ := p.cfg.Module(mod)
+		from, to := current[mod], want[mod]
+		if !selected(mc, from) || to == "" || to == from {
+			continue
+		}
+		if err := p.MigrateModule(mod, to); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		moves = append(moves, move{module: mod, from: from, to: to})
+	}
+	return moves, errors.Join(errs...)
+}
+
 // FailOver migrates every module this pipeline had on a dead device,
 // re-running the launch planner over the surviving devices (the caller
 // marks the device down first, which removes it from DeviceNames and so
-// from the new plan). It returns the migrated module names in order.
+// from the new plan). It returns the migrated module names in order. An
+// orphan that cannot move — pinned to the dead device, or its migration
+// failed — does not strand the orphans after it; the error names it.
 func (p *Pipeline) FailOver(dead string) ([]string, error) {
-	p.mu.Lock()
-	var orphans []string
-	for name, devName := range p.plan.Placement {
-		if devName == dead {
-			orphans = append(orphans, name)
-		}
-	}
-	p.mu.Unlock()
-	if len(orphans) == 0 {
+	if len(p.modulesOn(dead)) == 0 {
 		return nil, nil
 	}
-	sort.Strings(orphans)
-
-	plan, err := p.plannerImpl.Plan(&p.cfg, p.cluster)
+	plan, err := p.planner.Plan(&p.cfg, p.cluster)
 	if err != nil {
 		return nil, fmt.Errorf("core: re-planning %q after %s died: %w", p.name, dead, err)
 	}
-	var migrated []string
-	for _, name := range orphans {
-		target := plan.Placement[name]
-		if target == "" || target == dead {
-			return migrated, fmt.Errorf("core: re-plan left %q on dead device %q", name, dead)
-		}
-		if err := p.MigrateModule(name, target); err != nil {
-			return migrated, err
-		}
-		migrated = append(migrated, name)
+	moves, err := p.relocate(plan.Placement, func(_ *ModuleConfig, dev string) bool { return dev == dead })
+	migrated := make([]string, len(moves))
+	for i, mv := range moves {
+		migrated[i] = mv.module
 	}
-	return migrated, nil
+	if left := p.modulesOn(dead); len(left) > 0 {
+		err = errors.Join(err, fmt.Errorf("core: re-plan of %q left %v on dead device %q", p.name, left, dead))
+	}
+	return migrated, err
 }
 
 // Close tears the pipeline's modules down. Safe against a concurrent

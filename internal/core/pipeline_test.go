@@ -164,25 +164,25 @@ func validConfig() core.PipelineConfig {
 	}
 }
 
-func TestPinnedPlanner(t *testing.T) {
+// Every planner places a fully pinned config exactly as pinned and refuses
+// a pin naming an unknown device.
+func TestPlannersFollowPins(t *testing.T) {
 	c := homeCluster(t)
-	cfg := validConfig()
-	cfg.Modules[0].Device = "phone"
-	cfg.Modules[1].Device = "tv"
-	plan, err := core.PinnedPlanner{}.Plan(&cfg, c)
-	if err != nil {
-		t.Fatalf("Plan: %v", err)
-	}
-	if plan.Placement["a"] != "phone" || plan.Placement["b"] != "tv" {
-		t.Errorf("placement = %v", plan.Placement)
-	}
-	cfg.Modules[1].Device = ""
-	if _, err := (core.PinnedPlanner{}).Plan(&cfg, c); err == nil {
-		t.Error("unpinned module accepted")
-	}
-	cfg.Modules[1].Device = "ghost"
-	if _, err := (core.PinnedPlanner{}).Plan(&cfg, c); err == nil {
-		t.Error("unknown device accepted")
+	for _, planner := range []core.Planner{core.CoLocatePlanner{}, core.CostAwarePlanner{}, core.BaselinePlanner{}, core.LatencyAwarePlanner{}} {
+		cfg := validConfig()
+		cfg.Modules[0].Device = "desktop"
+		cfg.Modules[1].Device = "tv"
+		plan, err := planner.Plan(&cfg, c)
+		if err != nil {
+			t.Fatalf("%s: Plan: %v", planner.Name(), err)
+		}
+		if plan.Placement["a"] != "desktop" || plan.Placement["b"] != "tv" {
+			t.Errorf("%s: placement = %v", planner.Name(), plan.Placement)
+		}
+		cfg.Modules[1].Device = "ghost"
+		if _, err := planner.Plan(&cfg, c); err == nil {
+			t.Errorf("%s: unknown device accepted", planner.Name())
+		}
 	}
 }
 

@@ -193,7 +193,7 @@ func (s *Supervisor) closeCallers() {
 // step is one control-loop iteration: probe, then heal.
 func (s *Supervisor) step(ctx context.Context) {
 	s.probeDevices(ctx)
-	s.checkServices(ctx)
+	s.checkServices()
 	s.checkModules()
 }
 
@@ -241,7 +241,7 @@ func (s *Supervisor) probeDevices(ctx context.Context) {
 		}
 		s.mu.Unlock()
 		if trip {
-			s.declareDead(ctx, r.name)
+			s.declareDead(r.name)
 		}
 	}
 }

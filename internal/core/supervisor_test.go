@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -197,6 +198,43 @@ func TestSupervisorDeviceFailover(t *testing.T) {
 	}
 	if got := reg.Meter("pipeline.failfit.recoveries").Count(); got != 1 {
 		t.Errorf("recoveries meter = %d, want 1", got)
+	}
+}
+
+// TestFailOverMigratesPastPinnedOrphan kills the tv under a fitness lane
+// that also runs ambilight, a module pinned to the tv whose name sorts
+// before display. The pin cannot move, but it must not strand display:
+// display follows its service to the desktop, and the pinned module is the
+// one FailOver reports.
+func TestFailOverMigratesPastPinnedOrphan(t *testing.T) {
+	c := homeCluster(t)
+	cfg := apps.FitnessConfig("pinfail", 10, "squat")
+	cfg.Modules = append(cfg.Modules, core.ModuleConfig{
+		Name: "ambilight", Device: "tv", Source: `function event_received(m) { frame_done(); }`,
+	})
+	p, err := c.Launch(cfg, core.CoLocatePlanner{})
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	if got := p.Placement(); got["ambilight"] != "tv" || got["display"] != "tv" {
+		t.Fatalf("launch placement = %v, want ambilight and display on the tv", got)
+	}
+
+	// What the supervisor does before re-planning: mark the device down and
+	// move its service pools to a survivor.
+	c.MarkDown("tv")
+	if err := c.RedeployService(services.Display, "desktop", 1); err != nil {
+		t.Fatalf("RedeployService: %v", err)
+	}
+	migrated, err := p.FailOver("tv")
+	if len(migrated) != 1 || migrated[0] != "display" {
+		t.Errorf("migrated = %v, want [display]", migrated)
+	}
+	if err == nil || !strings.Contains(err.Error(), "ambilight") {
+		t.Errorf("FailOver error = %v, want it to report the stranded ambilight", err)
+	}
+	if got := p.Placement(); got["display"] != "desktop" || got["ambilight"] != "tv" {
+		t.Errorf("placement after failover = %v, want display on the desktop and ambilight left on its pin", got)
 	}
 }
 

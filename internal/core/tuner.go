@@ -179,15 +179,15 @@ func (t *Tuner) Run(ctx context.Context) {
 			return
 		case <-timer.C:
 		}
-		t.Step(ctx)
+		t.Step()
 	}
 }
 
 // Step runs one control-loop iteration: observe, decide, actuate.
-func (t *Tuner) Step(ctx context.Context) {
+func (t *Tuner) Step() {
 	s := t.sample()
 	for _, a := range t.decide(s) {
-		t.apply(ctx, a)
+		t.apply(a)
 	}
 }
 
@@ -439,7 +439,7 @@ func batchCeiling(sv svcSample, target time.Duration) int {
 }
 
 // apply executes one decided actuation and journals it.
-func (t *Tuner) apply(ctx context.Context, a tunerAct) {
+func (t *Tuner) apply(a tunerAct) {
 	switch a.act.Kind {
 	case ActionSetBatch:
 		pool, err := t.cluster.Pool(a.act.Target)
@@ -453,7 +453,7 @@ func (t *Tuner) apply(ctx context.Context, a tunerAct) {
 		if err != nil {
 			return
 		}
-		if err := pool.Scale(ctx, a.n); err != nil {
+		if err := pool.Scale(a.n); err != nil {
 			return
 		}
 		t.record(a.act)
@@ -519,9 +519,9 @@ func (t *Tuner) Setpoints() TuningSetpoints {
 
 // Prime applies carried-over setpoints to a fresh cluster before load
 // arrives: pools grow to (never shrink below) their learned size, batch
-// windows and credit caps are restored. Prime is initial configuration,
-// not a decision, so nothing is journaled.
-func (t *Tuner) Prime(ctx context.Context, sp TuningSetpoints) {
+// windows, credit caps and re-planned serviceless placements are restored.
+// Prime is initial configuration, not a decision, so nothing is journaled.
+func (t *Tuner) Prime(sp TuningSetpoints) {
 	names := make([]string, 0, len(sp.Services))
 	for name := range sp.Services {
 		names = append(names, name)
@@ -534,47 +534,25 @@ func (t *Tuner) Prime(ctx context.Context, sp TuningSetpoints) {
 			continue
 		}
 		if s.Size > pool.Size() {
-			_ = pool.Scale(ctx, s.Size)
+			_ = pool.Scale(s.Size)
 		}
 		if s.Batch != pool.BatchSize() {
 			pool.SetBatching(s.Batch, pool.Spec().BatchLinger)
 		}
 	}
-	pipes := make([]string, 0, len(sp.Pipelines))
-	for name := range sp.Pipelines {
-		pipes = append(pipes, name)
-	}
-	sort.Strings(pipes)
-	for _, name := range pipes {
-		credits := sp.Pipelines[name]
-		if p := t.pipelineByName(name); p != nil && credits > p.Credits() {
+	for _, p := range t.cluster.Pipelines() {
+		if credits := sp.Pipelines[p.Name()]; credits > p.Credits() {
 			_ = p.ResizeCredits(credits)
 		}
+		_, _ = p.relocate(sp.Placements[p.Name()], unpinnedServiceless)
 	}
-	placed := make([]string, 0, len(sp.Placements))
-	for name := range sp.Placements {
-		placed = append(placed, name)
-	}
-	sort.Strings(placed)
-	for _, name := range placed {
-		p := t.pipelineByName(name)
-		if p == nil {
-			continue
-		}
-		want := sp.Placements[name]
-		current := p.Placement()
-		for _, mod := range p.Modules() {
-			mc, ok := p.cfg.Module(mod)
-			if !ok || mc.Device != "" || len(mc.Services) > 0 {
-				// Same rule as rebalance: pins and service co-location are
-				// plan invariants, never carried state.
-				continue
-			}
-			if tgt := want[mod]; tgt != "" && tgt != current[mod] {
-				_ = p.MigrateModule(mod, tgt)
-			}
-		}
-	}
+}
+
+// unpinnedServiceless selects the modules the tuner may re-place: pins and
+// service co-location are plan invariants, identical in the static and
+// measured scoring domains and never carried state.
+func unpinnedServiceless(mc *ModuleConfig, _ string) bool {
+	return mc.Device == "" && len(mc.Services) == 0
 }
 
 // pipelineByName finds a live pipeline.
@@ -596,41 +574,22 @@ func (t *Tuner) rebalance(pipeline string) {
 	if p == nil {
 		return
 	}
-	planner, ok := p.plannerImpl.(CostAwarePlanner)
-	if !ok {
-		planner = CostAwarePlanner{}
-	}
-	planner.HopPenalty = 0 // re-derive for the measured domain
-
+	// Each module's measured per-event handle time (ns) replaces its static
+	// pipecost weight; a module not measured yet scores as free. The other
+	// rules (pins, service co-location, source anchoring) are the ones the
+	// cost-aware Plan applies, so only serviceless modules can move, and the
+	// credit window is not the re-plan's to change.
 	reg := t.cluster.Metrics()
-	measured := make(map[string]int64, len(p.cfg.Modules))
-	for _, mod := range p.Modules() {
+	plan, err := costAwarePlace(&p.cfg, t.cluster, 0, func(mod string) int64 {
 		//vpvet:allow metername re-reads the module handle histogram the device registered
-		if h := reg.Histogram("module." + p.prefixed(mod) + ".handle"); h.Count() > 0 {
-			measured[mod] = int64(h.Mean())
-		}
-	}
-
-	plan, err := planner.PlanMeasured(&p.cfg, t.cluster, measured)
+		return int64(reg.Histogram("module." + p.prefixed(mod) + ".handle").Mean())
+	}, measuredHopCost)
 	if err != nil {
 		return
 	}
-	current := p.Placement()
-	for _, mod := range p.Modules() {
-		mc, ok := p.cfg.Module(mod)
-		if !ok || mc.Device != "" || len(mc.Services) > 0 {
-			// Pins and service co-location never move: those rules are
-			// identical in both scoring domains.
-			continue
-		}
-		target := plan.Placement[mod]
-		if target == "" || target == current[mod] {
-			continue
-		}
-		if err := p.MigrateModule(mod, target); err != nil {
-			continue
-		}
-		t.record(Action{Kind: ActionRebalanceModule, Target: pipeline + "." + mod,
-			From: current[mod], To: target})
+	moves, _ := p.relocate(plan.Placement, unpinnedServiceless)
+	for _, mv := range moves {
+		t.record(Action{Kind: ActionRebalanceModule, Target: pipeline + "." + mv.module,
+			From: mv.from, To: mv.to})
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -303,6 +302,79 @@ func oneLaneCluster(t *testing.T) (*Cluster, *Pipeline) {
 	return c, p
 }
 
+// chainLane launches a phone-sourced serviceless ingest -> crunch -> relay
+// chain on an idle phone/desktop/tv cluster with the co-locating planner,
+// so every module starts on the phone. pin, when set, pins crunch there.
+func chainLane(t *testing.T, pin string) (*Cluster, *Pipeline) {
+	t.Helper()
+	c, err := NewCluster(ClusterSpec{Devices: []device.Config{
+		{Name: "phone", Class: device.Phone},
+		{Name: "desktop", Class: device.Desktop},
+		{Name: "tv", Class: device.TV},
+	}}, services.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	fwd := func(next string) string {
+		return `function event_received(m) { call_module("` + next + `", {seq: m.seq}); }`
+	}
+	p, err := c.Launch(PipelineConfig{
+		Name: "chain",
+		Modules: []ModuleConfig{
+			{Name: "ingest", Source: fwd("crunch"), Next: []string{"crunch"}},
+			{Name: "crunch", Source: fwd("relay"), Next: []string{"relay"}, Device: pin},
+			{Name: "relay", Source: `function event_received(m) { frame_done(); }`},
+		},
+		Source: SourceConfig{Device: "phone", FirstModule: "ingest", FPS: 10, Width: 8, Height: 8},
+	}, CoLocatePlanner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Placement(); got["ingest"] != "phone" || got["crunch"] != "phone" || got["relay"] != "phone" {
+		t.Fatalf("launch placement = %v, want everything on the phone", got)
+	}
+	return c, p
+}
+
+// rebalance re-plans with the handle times the device histograms hold and
+// moves relay off the phone crunch loads past a measured hop; the move is
+// the one journaled action.
+func TestRelocateRebalanceMovesHeavyRelay(t *testing.T) {
+	c, p := chainLane(t, "")
+	for mod, d := range map[string]time.Duration{"ingest": time.Millisecond, "crunch": 20 * time.Millisecond, "relay": 500 * time.Microsecond} {
+		//vpvet:allow metername stands in for the handle histogram the device registers
+		c.Metrics().Histogram("module." + p.prefixed(mod) + ".handle").Observe(d)
+	}
+	tu := NewTuner(c, TunerConfig{})
+	tu.rebalance("chain")
+
+	want := []string{"rebalance_module chain.relay phone->desktop"}
+	if got := tu.JournalStrings(); len(got) != 1 || got[0] != want[0] {
+		t.Errorf("journal = %v, want %v", got, want)
+	}
+	if got := p.Placement(); got["ingest"] != "phone" || got["crunch"] != "phone" || got["relay"] != "desktop" {
+		t.Errorf("placement after rebalance = %v, want relay alone on the desktop", got)
+	}
+}
+
+// Prime replays a carried placement for unpinned serviceless modules only,
+// and journals nothing: a pinned module keeps its pin whatever was carried.
+func TestRelocatePrimeReplaysCarriedPlacement(t *testing.T) {
+	c, p := chainLane(t, "phone")
+	tu := NewTuner(c, TunerConfig{})
+	tu.Prime(TuningSetpoints{Placements: map[string]map[string]string{
+		"chain": {"ingest": "phone", "crunch": "tv", "relay": "desktop"},
+	}})
+
+	if got := p.Placement(); got["ingest"] != "phone" || got["crunch"] != "phone" || got["relay"] != "desktop" {
+		t.Errorf("placement after Prime = %v, want relay carried to the desktop and crunch kept on its pin", got)
+	}
+	if j := tu.JournalStrings(); len(j) != 0 {
+		t.Errorf("Prime journaled %v, want nothing", j)
+	}
+}
+
 // The widening guard reads the tail of the lane's last recentCompletions
 // frames, not of the whole run: slow start-up frames hold the window shut
 // only until they have left that ring. (Against the run-cumulative p99, ten
@@ -310,7 +382,6 @@ func oneLaneCluster(t *testing.T) (*Cluster, *Pipeline) {
 func TestTunerWidensOnceStartupTailLeavesTheRing(t *testing.T) {
 	c, p := oneLaneCluster(t)
 	tu := NewTuner(c, TunerConfig{P99Target: 400 * time.Millisecond, Cooldown: 1})
-	ctx := context.Background()
 	// complete records n finished frames and leaves the window exhausted, so
 	// every tick sees pressure and only the guard decides.
 	complete := func(n int, e2e time.Duration) {
@@ -323,7 +394,7 @@ func TestTunerWidensOnceStartupTailLeavesTheRing(t *testing.T) {
 	}
 	steps := func(n int) int {
 		for i := 0; i < n; i++ {
-			tu.Step(ctx)
+			tu.Step()
 		}
 		return p.Credits()
 	}

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -44,7 +43,6 @@ func TestOfferDropReleasesFrameAndCountsIt(t *testing.T) {
 // through the public API: actuator state learned on one cluster is
 // captured with Setpoints and restored onto a fresh cluster with Prime.
 func TestTunerSetpointsPrimeRoundTrip(t *testing.T) {
-	ctx := context.Background()
 	cfg := apps.FitnessConfig("carry", 10, "squat")
 
 	c1 := homeCluster(t)
@@ -56,7 +54,7 @@ func TestTunerSetpointsPrimeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Pool: %v", err)
 	}
-	if err := pose1.Scale(ctx, 2); err != nil {
+	if err := pose1.Scale(2); err != nil {
 		t.Fatalf("Scale: %v", err)
 	}
 	pose1.SetBatching(3, pose1.Spec().BatchLinger)
@@ -83,7 +81,7 @@ func TestTunerSetpointsPrimeRoundTrip(t *testing.T) {
 		t.Fatalf("Launch: %v", err)
 	}
 	tu := core.NewTuner(c2, core.TunerConfig{})
-	tu.Prime(ctx, sp)
+	tu.Prime(sp)
 	pose2, err := c2.Pool(services.PoseDetector)
 	if err != nil {
 		t.Fatalf("Pool: %v", err)
@@ -103,10 +101,10 @@ func TestTunerSetpointsPrimeRoundTrip(t *testing.T) {
 
 	// Prime never narrows: a cluster already wider than the carried state
 	// keeps its capacity.
-	if err := pose2.Scale(ctx, 3); err != nil {
+	if err := pose2.Scale(3); err != nil {
 		t.Fatalf("Scale: %v", err)
 	}
-	tu.Prime(ctx, sp)
+	tu.Prime(sp)
 	if got := pose2.Size(); got != 3 {
 		t.Errorf("Prime shrank the pool to %d; carried state must only grow capacity", got)
 	}

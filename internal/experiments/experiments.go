@@ -352,7 +352,7 @@ func ScaleOut(o Options) (ScaleOutResult, error) {
 	if err != nil {
 		return ScaleOutResult{}, err
 	}
-	if err := pool.Scale(context.Background(), 2); err != nil {
+	if err := pool.Scale(2); err != nil {
 		return ScaleOutResult{}, err
 	}
 	if out.After, err = measure(); err != nil {

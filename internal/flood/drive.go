@@ -26,9 +26,6 @@ type Options struct {
 	// Seed determines every schedule in the fleet (via PipelineSeed) and
 	// the merged histogram's reservoir; zero selects 1.
 	Seed int64
-	// Planner places modules; nil selects the cluster default
-	// (CoLocatePlanner).
-	Planner core.Planner
 	// DrainTimeout bounds the wait for in-flight frames after the last
 	// injection; zero selects 5 seconds.
 	DrainTimeout time.Duration
@@ -142,7 +139,7 @@ func Run(sc experiments.FloodScenario, o Options) (Result, error) {
 	lanes := make([]*lane, o.Pipelines)
 	for i := range lanes {
 		cfg := sc.Pipeline(fmt.Sprintf("flood%d", i), i)
-		p, err := cluster.Launch(cfg, o.Planner)
+		p, err := cluster.Launch(cfg, nil)
 		if err != nil {
 			return Result{}, fmt.Errorf("flood: launch pipeline %d: %w", i, err)
 		}
@@ -180,7 +177,7 @@ func Run(sc experiments.FloodScenario, o Options) (Result, error) {
 		tuneCtx, cancelTune := context.WithCancel(context.Background())
 		defer cancelTune()
 		if o.InitialTuning != nil {
-			tuner.Prime(tuneCtx, *o.InitialTuning)
+			tuner.Prime(*o.InitialTuning)
 		}
 		go tuner.Run(tuneCtx)
 	}

@@ -330,7 +330,7 @@ func (p *Pool) WaitStats() metrics.Snapshot { return p.wait.Snapshot() }
 // Scale adjusts the pool to n instances. Shrinking is immediate —
 // in-flight requests on removed instances complete, since instances are
 // only garbage once callers drain.
-func (p *Pool) Scale(ctx context.Context, n int) error {
+func (p *Pool) Scale(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("services: cannot scale %q to %d instances", p.spec.Name, n)
 	}

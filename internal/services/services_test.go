@@ -254,19 +254,19 @@ func TestPoolScale(t *testing.T) {
 	if p.Size() != 1 {
 		t.Errorf("Size = %d", p.Size())
 	}
-	if err := p.Scale(context.Background(), 3); err != nil {
+	if err := p.Scale(3); err != nil {
 		t.Fatalf("Scale up: %v", err)
 	}
 	if p.Size() != 3 {
 		t.Errorf("Size after scale = %d", p.Size())
 	}
-	if err := p.Scale(context.Background(), 1); err != nil {
+	if err := p.Scale(1); err != nil {
 		t.Fatalf("Scale down: %v", err)
 	}
 	if p.Size() != 1 {
 		t.Errorf("Size after shrink = %d", p.Size())
 	}
-	if err := p.Scale(context.Background(), 0); err == nil {
+	if err := p.Scale(0); err == nil {
 		t.Error("Scale(0) succeeded")
 	}
 	if _, err := NewPool(spec, 0, 1.0); err == nil {
@@ -720,7 +720,7 @@ func TestPoolKill(t *testing.T) {
 		t.Errorf("Kill on empty pool = %d", got)
 	}
 	// Restart path: Scale restores service from zero.
-	if err := p.Scale(context.Background(), 2); err != nil {
+	if err := p.Scale(2); err != nil {
 		t.Fatalf("Scale after kill: %v", err)
 	}
 	if _, err := p.Invoke(context.Background(), Request{}); err != nil {

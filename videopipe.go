@@ -77,8 +77,6 @@ type (
 	// BaselinePlanner is the EdgeEye-style comparison: all modules on one
 	// device making synchronous remote API calls.
 	BaselinePlanner = core.BaselinePlanner
-	// PinnedPlanner follows explicit per-module device pins.
-	PinnedPlanner = core.PinnedPlanner
 	// LatencyAwarePlanner places modules by minimizing a per-frame latency
 	// estimate from the cluster's link profiles (the paper's "scheduling"
 	// future work).
