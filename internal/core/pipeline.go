@@ -43,11 +43,12 @@ type Pipeline struct {
 	creditAvail int
 	creditCap   int
 	// recent holds the capture-to-completion latency of the lane's last
-	// recentCompletions frames, completed counting all of them: the tail the
-	// current credit window produces, which is what the tuner's widening
-	// guard has to read (recentP99).
+	// recentCompletions frames captured since tailSince (forgetTail),
+	// completed counting all of them: the tail the current credit window
+	// produces, which is what the tuner's credit rules read (recentP99).
 	recent    [recentCompletions]time.Duration
 	completed uint64
+	tailSince time.Time
 
 	// mu guards the fields below: placement and module instances become
 	// mutable once live migration exists.
@@ -272,12 +273,14 @@ func (p *Pipeline) Placement() map[string]string {
 func (p *Pipeline) returnCredit() { p.frameDone(0) }
 
 // frameDone is a module's frame_done(): the frame's latency (0 when its
-// capture time is unknown) joins the lane's recent completions and its
-// admission slot goes back to the source. The cap clamp absorbs a window
-// narrowed while frames were in flight.
+// capture time is unknown) joins the lane's recent completions, unless it
+// was captured before the ring last restarted, and its admission slot goes
+// back to the source. The cap clamp absorbs a window narrowed while frames
+// were in flight.
 func (p *Pipeline) frameDone(e2e time.Duration) {
+	now := time.Now()
 	p.creditMu.Lock()
-	if e2e > 0 {
+	if e2e > 0 && e2e <= now.Sub(p.tailSince) {
 		p.recent[p.completed%recentCompletions] = e2e
 		p.completed++
 	}
@@ -296,6 +299,16 @@ func (p *Pipeline) recentP99() time.Duration {
 	p.creditMu.Unlock()
 	slices.Sort(tail[:n])
 	return metrics.QuantileOf(tail[:n], 0.99)
+}
+
+// forgetTail restarts the ring after the tuner narrows the window or grows a
+// pool: the old tail and the frames still in flight describe a system that
+// no longer exists, so recentP99 reads zero until newer frames complete.
+func (p *Pipeline) forgetTail() {
+	p.creditMu.Lock()
+	p.completed = 0
+	p.tailSince = time.Now()
+	p.creditMu.Unlock()
 }
 
 // takeCredit claims one admission slot, reporting whether one was free, how

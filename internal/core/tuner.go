@@ -90,11 +90,13 @@ type svcSample struct {
 // pipeSample is one pipeline's observed state at a tick. e2eP99 is the tail
 // of the lane's most recent completions (Pipeline.recentP99), zero before
 // the first: the latency the window as it is now produces, which is the
-// only latency that says whether it has room to grow. A run-cumulative p99
-// never forgets a slow start-up frame.
+// only latency that says whether it has room to grow or must shrink. A
+// run-cumulative p99 never forgets a slow start-up frame. floor is the
+// planner's launch window, the narrowest the tuner leaves a lane.
 type pipeSample struct {
 	name    string
 	credits int
+	floor   int
 	avail   int
 	drops   uint64
 	e2eP99  time.Duration
@@ -126,7 +128,6 @@ type tuneSvcState struct {
 // tunePipeState is the tuner's per-pipeline bookkeeping.
 type tunePipeState struct {
 	lastDrops     uint64
-	seen          bool
 	cooldownUntil int
 	replanned     bool
 }
@@ -224,9 +225,13 @@ func (t *Tuner) sample() tunerSample {
 	pipes := t.cluster.Pipelines()
 	sort.Slice(pipes, func(i, j int) bool { return pipes[i].Name() < pipes[j].Name() })
 	for _, p := range pipes {
+		p.mu.Lock()
+		floor := p.plan.Credits
+		p.mu.Unlock()
 		s.pipelines = append(s.pipelines, pipeSample{
 			name:    p.Name(),
 			credits: p.Credits(),
+			floor:   floor,
 			avail:   p.CreditsAvail(),
 			drops:   reg.Meter("pipeline." + p.Name() + ".source_drops").Count(),
 			e2eP99:  p.recentP99(),
@@ -246,6 +251,9 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 	t.tick++
 	var acts []tunerAct
 
+	// poolsMoving: some pool is hot or settling after an actuation, so the
+	// lanes' tail belongs to capacity still arriving, not to their windows.
+	poolsMoving := false
 	for _, sv := range s.services {
 		st, ok := t.svc[sv.name]
 		if !ok {
@@ -277,6 +285,9 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 				st.hotSteps--
 			}
 			st.idleSteps = 0
+		}
+		if st.hotSteps > 0 || t.tick < st.cooldownUntil {
+			poolsMoving = true
 		}
 		if t.tick < st.cooldownUntil {
 			continue
@@ -341,7 +352,7 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 	for _, pp := range s.pipelines {
 		st, ok := t.pipe[pp.name]
 		if !ok {
-			st = &tunePipeState{seen: true, lastDrops: pp.drops}
+			st = &tunePipeState{lastDrops: pp.drops}
 			t.pipe[pp.name] = st
 			// First sight: pre-existing drops are history, not news.
 			continue
@@ -358,15 +369,12 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 		// there is no hysteresis — the drop counter is monotone, so a
 		// positive delta is confirmed lost work, not a sampling artifact.
 		pressed := anyDrops || pp.avail == 0
-		if !pressed {
-			continue
-		}
 		// Pressure re-checks placement once per lane, outside the actuator
 		// cooldown: the re-score is a cheap pure decision against measured
 		// service times and migrates only what diverged, so there is no
 		// reason to queue it behind credit moves. It waits only for the
 		// lane's first completed frame, so the measured costs exist.
-		if t.cfg.Replan && !st.replanned && pp.e2eP99 > 0 {
+		if pressed && t.cfg.Replan && !st.replanned && pp.e2eP99 > 0 {
 			acts = append(acts, tunerAct{
 				act: Action{Kind: ActionRebalanceModule, Target: pp.name},
 			})
@@ -375,28 +383,31 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 		if t.tick < st.cooldownUntil {
 			continue
 		}
+		n := pp.credits
 		switch {
-		case pp.credits < t.cfg.MaxCredits && pp.e2eP99 < t.cfg.P99Target*5/8:
-			// Widen by one, and only while the lane's own tail still sits
-			// well inside the budget. Every extra credit is another frame
-			// that may queue behind the chain's slowest stage, so admission
-			// grows additively into the measured headroom and freezes at
-			// five eighths of the target: each widening takes effect a full
-			// cooldown after the tail that justified it was measured, and
-			// costs up to one more queued service call (~⅓ of the target
-			// for the heavy vision stages) on the burst path. Guarding at
-			// ¾ leaves the equilibrium tail — guard plus one widening's
-			// overshoot — straddling the budget itself and the run's
-			// compliance becomes a coin flip; ⅝ prices the overshoot in.
-			// Past the guard, shedding at the source is the correct
-			// defense, not a failure the tuner should fix.
-			acts = append(acts, tunerAct{
-				act: Action{Kind: ActionResizeCredits, Target: pp.name,
-					From: strconv.Itoa(pp.credits), To: strconv.Itoa(pp.credits + 1)},
-				n: pp.credits + 1,
-			})
-			st.cooldownUntil = t.tick + t.cfg.Cooldown
+		case pressed && pp.credits < t.cfg.MaxCredits && 0 < pp.e2eP99 && pp.e2eP99 < t.cfg.P99Target:
+			// Additive increase: widen by one while the lane's own tail is
+			// measured (an empty ring is no evidence) and inside the budget.
+			// Every extra credit is another frame that may queue behind the
+			// chain's slowest stage, so admission grows into the headroom one
+			// frame per cooldown; the last widening's overshoot is the
+			// decrease rule's to undo.
+			n++
+		case pp.e2eP99 > t.cfg.P99Target && pp.credits > pp.floor && !poolsMoving:
+			// Multiplicative decrease: halve, down to the planner's launch
+			// window, once the window itself is what blows the budget. A
+			// pool still scaling owns the tail first — scaling adds no
+			// latency, shedding does.
+			n = max(pp.credits/2, pp.floor)
+		default:
+			continue
 		}
+		acts = append(acts, tunerAct{
+			act: Action{Kind: ActionResizeCredits, Target: pp.name,
+				From: strconv.Itoa(pp.credits), To: strconv.Itoa(n)},
+			n: n,
+		})
+		st.cooldownUntil = t.tick + t.cfg.Cooldown
 	}
 	return acts
 }
@@ -453,19 +464,31 @@ func (t *Tuner) apply(a tunerAct) {
 		if err != nil {
 			return
 		}
+		grew := a.n > pool.Size()
 		if err := pool.Scale(a.n); err != nil {
 			return
 		}
 		t.record(a.act)
+		// Every lane's tail was measured against the smaller pool.
+		if grew {
+			for _, p := range t.cluster.Pipelines() {
+				p.forgetTail()
+			}
+		}
 	case ActionResizeCredits:
 		p := t.pipelineByName(a.act.Target)
 		if p == nil {
 			return
 		}
+		narrowed := a.n < p.Credits()
 		if err := p.ResizeCredits(a.n); err != nil {
 			return
 		}
 		t.record(a.act)
+		// The narrowed lane's tail was measured against the wider window.
+		if narrowed {
+			p.forgetTail()
+		}
 	case ActionRebalanceModule:
 		t.rebalance(a.act.Target)
 	}

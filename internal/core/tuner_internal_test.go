@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -150,38 +153,134 @@ func TestTunerIdleUnwindsBatchThenSize(t *testing.T) {
 	}
 }
 
+// The credit window is AIMD at the target: +1 while a pressed lane's tail
+// is under it, halving down to the planner's window once the tail is over
+// it, unless the lane is cooling down or a pool is still moving. Each move
+// starts the lane's cooldown, so the same sample a tick later moves nothing.
 func TestTunerCreditsGrowAdditivelyUnderTailGuard(t *testing.T) {
-	tu := NewTuner(nil, testTunerConfig())
-	lane := pipeSample{name: "lane", credits: 2, avail: 0, e2eP99: 100 * time.Millisecond}
+	ms := time.Millisecond
+	idlePool := svcSample{name: "svc", size: 1, workers: 1}
+	cases := []struct {
+		name  string
+		lane  pipeSample
+		pools []svcSample
+		prime func(tu *Tuner)
+		want  []string
+	}{
+		// An exhausted window is pressure even before a drop lands; the
+		// widening is a single credit, not a doubling.
+		{name: "widens just under the target",
+			lane: pipeSample{credits: 2, floor: 2, avail: 0, e2eP99: 240 * ms},
+			want: []string{"resize_credits lane 2->3"}},
+		{name: "no widening over the target",
+			lane: pipeSample{credits: 2, floor: 2, avail: 0, e2eP99: 260 * ms}},
+		{name: "no widening past MaxCredits",
+			lane: pipeSample{credits: 4, floor: 2, avail: 0, e2eP99: 100 * ms}},
+		{name: "no widening without pressure",
+			lane: pipeSample{credits: 2, floor: 2, avail: 1, e2eP99: 100 * ms}},
+		{name: "no widening on an empty ring",
+			lane: pipeSample{credits: 2, floor: 2, avail: 0, e2eP99: 0}},
+		{name: "halves over the target",
+			lane: pipeSample{credits: 9, floor: 2, avail: 1, e2eP99: 260 * ms},
+			want: []string{"resize_credits lane 9->4"}},
+		{name: "halves to the floor",
+			lane: pipeSample{credits: 3, floor: 2, avail: 0, e2eP99: 260 * ms},
+			want: []string{"resize_credits lane 3->2"}},
+		{name: "a settled pool does not hold the halving",
+			lane:  pipeSample{credits: 9, floor: 2, avail: 1, e2eP99: 260 * ms},
+			pools: []svcSample{idlePool},
+			want:  []string{"resize_credits lane 9->4"}},
+		{name: "no narrowing below the floor",
+			lane: pipeSample{credits: 3, floor: 3, avail: 1, e2eP99: 400 * ms}},
+		{name: "no narrowing inside the lane's cooldown",
+			lane:  pipeSample{credits: 9, floor: 2, avail: 1, e2eP99: 260 * ms},
+			prime: func(tu *Tuner) { tu.pipe["lane"] = &tunePipeState{cooldownUntil: 2} }},
+		{name: "no narrowing while a pool is hot",
+			lane:  pipeSample{credits: 9, floor: 2, avail: 1, e2eP99: 260 * ms},
+			pools: []svcSample{hotService(1)}},
+		{name: "no narrowing while a pool cools down",
+			lane:  pipeSample{credits: 9, floor: 2, avail: 1, e2eP99: 260 * ms},
+			pools: []svcSample{idlePool},
+			prime: func(tu *Tuner) { tu.svc["svc"] = &tuneSvcState{baseline: 1, cooldownUntil: 2} }},
+	}
+	for _, tc := range cases {
+		tu := NewTuner(nil, testTunerConfig())
+		if tc.prime != nil {
+			tc.prime(tu)
+		}
+		tc.lane.name = "lane"
+		s := tunerSample{services: tc.pools, pipelines: []pipeSample{tc.lane}}
+		if got := actStrings(tu.decide(s)); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: acts = %v, want %v", tc.name, got, tc.want)
+		}
+		if tc.want == nil {
+			continue
+		}
+		if got := actStrings(tu.decide(s)); len(got) != 0 {
+			t.Errorf("%s: acts = %v on the next tick, inside the lane's cooldown", tc.name, got)
+		}
+	}
+}
 
-	// An exhausted window is pressure even before a drop lands; the first
-	// widen is a single credit, not a doubling.
-	acts := tu.decide(tunerSample{pipelines: []pipeSample{lane}})
-	if len(acts) != 1 || acts[0].act.Kind != ActionResizeCredits || acts[0].n != 3 {
-		t.Fatalf("pressed lane under budget: acts = %v, want resize_credits to 3", actStrings(acts))
+// After the tuner narrows a lane, and after it grows a pool, the lane's tail
+// restarts: the completions in the ring, and the frames still in flight,
+// were measured against a window or a pool that no longer exists. Widening
+// a lane or shrinking a pool keeps them.
+func TestTunerRestartsTailAfterNarrowAndGrow(t *testing.T) {
+	c, p := oneLaneCluster(t)
+	tu := NewTuner(c, TunerConfig{})
+	ms := time.Millisecond
+	start := time.Now()
+	// stale completes a frame captured before the tuner's first move.
+	stale := func() { p.frameDone(time.Since(start) + 300*ms) }
+	// fresh completes a frame captured after the tuner's last move.
+	fresh := func(e2e time.Duration) {
+		time.Sleep(2 * e2e)
+		p.frameDone(e2e)
 	}
-	// Inside the cooldown nothing moves.
-	if acts := tu.decide(tunerSample{pipelines: []pipeSample{lane}}); len(acts) != 0 {
-		t.Errorf("resize inside cooldown: %v", actStrings(acts))
-	}
-	// Past the cooldown but with the tail above 5/8 of the target — still
-	// inside the budget! — the guard holds: widening acts a cooldown after
-	// the tail that justified it, so growth must stop short of the edge.
-	// Shedding at the source is the defense now, not a wider window.
-	lane.credits = 3
-	lane.e2eP99 = 160 * time.Millisecond
-	for i := 0; i < 6; i++ {
-		if acts := tu.decide(tunerSample{pipelines: []pipeSample{lane}}); len(acts) != 0 {
-			t.Fatalf("widened a lane whose tail is over target: %v", actStrings(acts))
+	tail := func(when string, want time.Duration) {
+		t.Helper()
+		if got := p.recentP99(); got != want {
+			t.Errorf("recentP99 = %v %s, want %v", got, when, want)
 		}
 	}
-	// Tail back under budget: growth resumes until MaxCredits, then stops.
-	lane.e2eP99 = 120 * time.Millisecond
-	lane.credits = 4 // == MaxCredits
-	for i := 0; i < 6; i++ {
-		if acts := tu.decide(tunerSample{pipelines: []pipeSample{lane}}); len(acts) != 0 {
-			t.Fatalf("widened past MaxCredits: %v", actStrings(acts))
+	scale := func(n int) {
+		pool, err := c.Pool("svc")
+		if err != nil {
+			t.Fatal(err)
 		}
+		tu.apply(tunerAct{act: Action{Kind: ActionScalePool, Target: "svc",
+			From: strconv.Itoa(pool.Size()), To: strconv.Itoa(n)}, n: n})
+	}
+
+	// A window above the planner's two credits with a tail over the 250 ms
+	// target: the first tick halves it.
+	if err := p.ResizeCredits(8); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < recentCompletions; i++ {
+		p.frameDone(300 * ms)
+	}
+	tu.Step()
+	tail("after narrowing", 0)
+	stale()
+	tail("after a frame admitted under the wider window completes", 0)
+	fresh(ms)
+	tail("after one frame captured under the narrowed window completes", ms)
+
+	tu.apply(tunerAct{act: Action{Kind: ActionResizeCredits, Target: "lane", From: "4", To: "5"}, n: 5})
+	tail("after widening", ms)
+	scale(2)
+	tail("after the pool grew", 0)
+	stale()
+	tail("after a frame queued behind the smaller pool completes", 0)
+	fresh(ms / 2)
+	scale(1)
+	tail("after the pool shrank", ms/2)
+
+	want := []string{"resize_credits lane 8->4", "resize_credits lane 4->5", "scale_pool svc 1->2", "scale_pool svc 2->1"}
+	if got := tu.JournalStrings(); !slices.Equal(got, want) {
+		t.Errorf("journal = %v, want %v", got, want)
 	}
 }
 
@@ -215,7 +314,6 @@ func TestTunerReplansOncePerLaneAfterFirstFrame(t *testing.T) {
 	// Pressed but no completed frame yet: measured costs don't exist, so
 	// the re-score must wait (the credits actuator may still move).
 	lane := pipeSample{name: "lane", credits: 4, avail: 0, e2eP99: 0}
-	tu.pipe["lane"] = &tunePipeState{seen: true}
 	rebalances := func(acts []tunerAct) int {
 		n := 0
 		for _, a := range acts {
@@ -281,12 +379,22 @@ func TestTunerDecisionsAreDeterministic(t *testing.T) {
 	}
 }
 
-// oneLaneCluster is a single-device cluster running one pass-through lane,
-// for driving the tuner's sample → decide → apply loop against a real
-// Pipeline.
+// oneLaneCluster is a single-device cluster running one pass-through lane
+// beside one idle service pool, "svc", for driving the tuner's sample →
+// decide → apply loop against a real Pipeline.
 func oneLaneCluster(t *testing.T) (*Cluster, *Pipeline) {
 	t.Helper()
-	c, err := NewCluster(ClusterSpec{Devices: []device.Config{{Name: "desktop", Class: device.Desktop}}}, services.NewRegistry())
+	reg := services.NewRegistry()
+	err := reg.Register(services.Spec{Name: "svc", Handler: func(context.Context, services.Request) (services.Response, error) {
+		return services.Response{}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(ClusterSpec{
+		Devices:  []device.Config{{Name: "desktop", Class: device.Desktop}},
+		Services: []ServicePlacement{{Service: "svc", Device: "desktop"}},
+	}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +512,7 @@ func TestTunerWidensOnceStartupTailLeavesTheRing(t *testing.T) {
 
 	complete(10, 400*time.Millisecond)
 	if got := steps(3); got != floor {
-		t.Fatalf("credits = %d after a 400 ms start-up tail, want the floor %d: the guard is 250 ms", got, floor)
+		t.Fatalf("credits = %d after a 400 ms start-up tail, want the floor %d: the guard is the 400 ms target", got, floor)
 	}
 	// Sixty good frames later four of the slow ones are still among the
 	// last 64, and they are the p99.

@@ -1,12 +1,16 @@
 package core_test
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"videopipe/internal/apps"
 	"videopipe/internal/core"
+	"videopipe/internal/device"
 	"videopipe/internal/frame"
+	"videopipe/internal/script"
 	"videopipe/internal/services"
 )
 
@@ -37,6 +41,96 @@ func TestOfferDropReleasesFrameAndCountsIt(t *testing.T) {
 	if got := c.Metrics().Meter("pipeline.droptest.source_drops").Count(); got != 1 {
 		t.Errorf("source_drops = %d, want 1", got)
 	}
+}
+
+// Narrowing is the one path that shrinks a window under frames it already
+// admitted: the frames drain without reclaiming credits early, the cap
+// clamps every return, and the window ends whole at its new size with every
+// buffer back in the pool.
+func TestResizeCreditsNarrowConservesCredits(t *testing.T) {
+	outstanding := frame.Pool.Outstanding()
+	release := make(chan struct{})
+	var served atomic.Int64
+	reg := services.NewRegistry()
+	err := reg.Register(services.Spec{Name: "gate", Workers: 8,
+		Handler: func(ctx context.Context, _ services.Request) (services.Response, error) {
+			select {
+			case <-release:
+				served.Add(1)
+				return services.Response{Result: map[string]script.Value{}}, nil
+			case <-ctx.Done():
+				return services.Response{}, ctx.Err()
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewCluster(core.ClusterSpec{
+		Devices:  []device.Config{{Name: "desktop", Class: device.Desktop}},
+		Services: []core.ServicePlacement{{Service: "gate", Device: "desktop"}},
+	}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	t.Cleanup(func() { close(release) }) // runs first: a failed test's held calls end
+	// Two stages, so eight frames fit between the inboxes and the held
+	// service calls.
+	p, err := c.Launch(core.PipelineConfig{
+		Name: "lane",
+		Modules: []core.ModuleConfig{
+			{Name: "front", Next: []string{"back"},
+				Source: `function event_received(m) { call_module("back", {frame_ref: m.frame_ref, seq: m.seq}); }`},
+			{Name: "back", Services: []string{"gate"},
+				Source: `function event_received(m) { call_service("gate", {}); frame_done(); }`},
+		},
+		Source: core.SourceConfig{Device: "desktop", FirstModule: "front", FPS: 10, Width: 8, Height: 8},
+	}, core.CoLocatePlanner{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ResizeCredits(8); err != nil {
+		t.Fatal(err)
+	}
+	p.PrimeCredits()
+
+	// Fill the window; an offer the full inbox refuses returns its credit.
+	deadline := time.Now().Add(5 * time.Second)
+	for admitted := 0; admitted < 8; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of 8 frames admitted", admitted)
+		}
+		f := frame.MustNewPooled(8, 8)
+		f.Captured = time.Now()
+		if p.Offer(f) {
+			admitted++
+		} else {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got := p.CreditsAvail(); got != 0 {
+		t.Fatalf("credits avail = %d with the window in flight, want 0", got)
+	}
+
+	if err := p.ResizeCredits(2); err != nil {
+		t.Fatal(err)
+	}
+	// One held call at a time. The handlers need not be released in inbox
+	// order, and frame_done() waits for the older frames, so a step is one
+	// call served, not one frame done.
+	done := c.Metrics().Meter("pipeline.lane.back.frames_done")
+	for i := 1; i <= 8; i++ {
+		if avail, window := p.CreditsAvail(), p.Credits(); avail > window {
+			t.Fatalf("%d calls served: avail %d > window %d", i-1, avail, window)
+		}
+		release <- struct{}{}
+		waitCond(t, 5*time.Second, func() bool { return served.Load() == int64(i) })
+	}
+	waitCond(t, 5*time.Second, func() bool { return done.Count() == 8 && p.CreditsAvail() == 2 })
+	if avail, window := p.CreditsAvail(), p.Credits(); avail != 2 || window != 2 {
+		t.Errorf("after the drain: avail %d, window %d, want 2 and 2", avail, window)
+	}
+	waitCond(t, 5*time.Second, func() bool { return frame.Pool.Outstanding() == outstanding })
 }
 
 // TestTunerSetpointsPrimeRoundTrip drives the sweep's rung-to-rung carry

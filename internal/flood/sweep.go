@@ -96,10 +96,6 @@ type Step struct {
 	Rate float64
 	// Result is the step's measurement.
 	Result Result
-	// Retuned marks a tuned rung that was re-measured: the first attempt
-	// failed a sweep criterion while the tuner was still moving, so the
-	// rung ran again from the adapted setpoints and this is the re-run.
-	Retuned bool
 }
 
 // SweepResult is a completed sweep.
@@ -144,43 +140,10 @@ func Sweep(sc experiments.FloodScenario, o SweepOptions) (SweepResult, error) {
 		if err != nil {
 			return sw, fmt.Errorf("flood: sweep step %d (rate %.3g): %w", step, rate, err)
 		}
-		retuned := false
-		// A tuned rung that fails a criterion while the tuner was still
-		// moving measured the adaptation transient, not the adapted system.
-		// Re-measure it once from the setpoints the tuner converged on — a
-		// long-lived deployment meets this load in steady state. If the
-		// re-run fails too, the failure is real and stands. Admission
-		// posture is dropped exactly as between rungs: a rung whose first
-		// attempt blew the tail did so with its credits already widened,
-		// and re-running maximally unprotected from the first injection
-		// just re-measures the known-bad window instead of the gradual
-		// re-learning a steady deployment actually exhibits.
-		if base.Tune && len(res.TunerActions) > 0 &&
-			(res.E2E.P99 > o.P99Budget || res.AchievedEPS < o.MinAchieved*res.OfferedEPS) {
-			t := res.Tuning
-			t.Pipelines = nil
-			base.InitialTuning = &t
-			res2, err := profiledRun(sc, base, o.Profile, step)
-			if err != nil {
-				return sw, fmt.Errorf("flood: sweep step %d retune (rate %.3g): %w", step, rate, err)
-			}
-			// Keep the transient's journal in front of the re-run's: together
-			// they tell the rung's whole story.
-			res2.TunerActions = append(res.TunerActions, res2.TunerActions...)
-			res, retuned = res2, true
-		}
 		if base.Tune {
-			t := res.Tuning
-			// Capacity state (pool sizes, batch windows, placements) carries
-			// forward; admission posture does not. Credits widen additively
-			// into each rung's measured latency headroom and have no
-			// narrowing actuator, so a window learned under lighter load
-			// would start the next, heavier rung maximally unprotected —
-			// every rung re-learns admission from the planner's floor.
-			t.Pipelines = nil
-			carried = &t
+			carried = &res.Tuning
 		}
-		sw.Steps = append(sw.Steps, Step{Rate: rate, Result: res, Retuned: retuned})
+		sw.Steps = append(sw.Steps, Step{Rate: rate, Result: res})
 		// Only fully-compliant steps advance the knee: capacity past the
 		// latency budget is not capacity the gate should credit, and
 		// neither is throughput salvaged during a collapse rung (see
