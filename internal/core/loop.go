@@ -1,0 +1,169 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"sync"
+	"time"
+
+	"videopipe/internal/metrics"
+	"videopipe/internal/wire"
+)
+
+// LoopConfig selects and shapes a cluster's control loop. The sample phase
+// always runs; a non-nil Heal or Tune adds that phase.
+type LoopConfig struct {
+	// Interval is the tick; zero selects 100 ms. Each tick adds up to 10%
+	// jitter seeded by TunerConfig.Seed (0 without a tune phase). The loop
+	// counts every threshold given in time in whole ticks, rounded up.
+	Interval time.Duration
+	// StallAfter is how long a running pipeline, or one of its modules, may
+	// go without progress before the sample phase flags it stalled; zero
+	// selects 2 s.
+	StallAfter time.Duration
+	// Heal, when set, runs the self-healing phase (heal.go).
+	Heal *SupervisorConfig
+	// Tune, when set, runs the adaptive tuning phase (tuner.go).
+	Tune *TunerConfig
+}
+
+// Loop is a cluster's one control loop — the paper's §7 "automatic
+// deployment, scheduling and monitoring" future work. Each tick runs fixed
+// phases in order: sample (pipeline progress, stalls, module errors, pool
+// and lane state, degraded time), then heal (device probes, service and
+// module restarts, failover), then tune (batching, pool scaling, credit
+// windows, re-planning). Heal and tune append to one action journal, and
+// the phase an action came from is its Kind.
+type Loop struct {
+	cluster    *Cluster
+	interval   time.Duration
+	stallAfter time.Duration
+	rng        *rand.Rand
+	// heal and tune are the optional phases' settings, defaults filled in;
+	// nil when the phase is off.
+	heal *SupervisorConfig
+	tune *TunerConfig
+
+	// The phases' state below belongs to the goroutine running the loop.
+	// Sample: one watch per pipeline, the restart meter per service, and
+	// the tune view it fills.
+	lanes    map[string]*watch
+	restarts map[string]*metrics.Meter
+	obs      tunerSample
+	// Heal: probes run from a dedicated network vantage point, so a
+	// device-pair partition (a crashed host dropping off the LAN) never
+	// blinds the loop itself.
+	probeNet wire.Transport
+	probes   map[string]*probe
+	svcHeal  map[string]*svcState
+	modHeal  map[string]*restartBudget
+	// Tune: tick counts the tune phase's ticks, which its cooldowns read.
+	tick int
+	svc  map[string]*tuneSvcState
+	pipe map[string]*tunePipeState
+
+	// mu guards what other goroutines read: the last report, the lanes'
+	// degraded time and the journal.
+	mu      sync.Mutex
+	rep     Report
+	journal []Action
+}
+
+// NewLoop creates the control loop for a cluster. It does nothing until
+// Run.
+func NewLoop(c *Cluster, cfg LoopConfig) *Loop {
+	if cfg.Interval <= 0 {
+		cfg.Interval = 100 * time.Millisecond
+	}
+	if cfg.StallAfter <= 0 {
+		cfg.StallAfter = 2 * time.Second
+	}
+	l := &Loop{
+		cluster:    c,
+		interval:   cfg.Interval,
+		stallAfter: cfg.StallAfter,
+		lanes:      make(map[string]*watch),
+		restarts:   make(map[string]*metrics.Meter),
+		probes:     make(map[string]*probe),
+		svcHeal:    make(map[string]*svcState),
+		modHeal:    make(map[string]*restartBudget),
+		svc:        make(map[string]*tuneSvcState),
+		pipe:       make(map[string]*tunePipeState),
+	}
+	var seed int64
+	if cfg.Tune != nil {
+		t := cfg.Tune.withDefaults()
+		l.tune, seed = &t, t.Seed
+	}
+	l.rng = rand.New(rand.NewSource(seed))
+	if cfg.Heal != nil {
+		h := cfg.Heal.withDefaults()
+		l.heal = &h
+		l.probeNet = c.Network().Host("@supervisor")
+	}
+	return l
+}
+
+// Run ticks until ctx is done, handing each tick's report to every sink
+// given, then joins the probes still in flight and releases their
+// connections. Callers typically run it in a goroutine and cancel before
+// tearing the cluster down. The seeded jitter shifts timing only — never
+// which actions run or their order.
+func (l *Loop) Run(ctx context.Context, sinks ...func(Report)) {
+	defer l.stopProbes()
+	for {
+		timer := time.NewTimer(l.interval + time.Duration(l.rng.Int63n(int64(l.interval)/10+1)))
+		select {
+		case <-ctx.Done():
+			timer.Stop()
+			return
+		case <-timer.C:
+		}
+		l.step(ctx)
+		for _, sink := range sinks {
+			sink(l.Report())
+		}
+	}
+}
+
+// step is one tick: sample, then heal, then tune.
+func (l *Loop) step(ctx context.Context) {
+	s := l.sample()
+	if l.heal != nil {
+		l.probeDevices(ctx)
+		l.checkServices()
+		l.checkModules()
+	}
+	if l.tune != nil {
+		for _, a := range l.decide(s) {
+			l.apply(a)
+		}
+	}
+}
+
+// ticks counts a threshold given in time as whole ticks, rounding up: 1.35 s
+// at a 100 ms tick is 14.
+func (l *Loop) ticks(d time.Duration) int { return int((d + l.interval - 1) / l.interval) }
+
+func (l *Loop) record(a Action) {
+	l.mu.Lock()
+	l.journal = append(l.journal, a)
+	l.mu.Unlock()
+}
+
+// Journal returns the actions taken so far, in order.
+func (l *Loop) Journal() []Action {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]Action(nil), l.journal...)
+}
+
+// JournalStrings renders the journal, for logs and assertions.
+func (l *Loop) JournalStrings() []string {
+	acts := l.Journal()
+	out := make([]string, len(acts))
+	for i, a := range acts {
+		out[i] = a.String()
+	}
+	return out
+}

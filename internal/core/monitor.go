@@ -1,328 +1,286 @@
 package core
 
 import (
-	"context"
-	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
-	"videopipe/internal/device"
+	"videopipe/internal/metrics"
 	"videopipe/internal/services"
 )
 
-// Monitor implements the paper's stated future work (§7: "we aim to
-// include automatic deployment, scheduling and monitoring components"):
-// a cluster-level observer that samples pipeline progress, module errors
-// and service-pool utilization and detects stalled pipelines. (Scaling
-// saturated pools is the Tuner's job.)
-type Monitor struct {
-	cluster *Cluster
-	// Interval is the sampling period; zero selects 250 ms.
-	Interval time.Duration
-	// StallAfter is how long a running pipeline may go without completing
-	// a frame before it is flagged; zero selects 2 s.
-	StallAfter time.Duration
-
-	mu       sync.Mutex
-	lastDone map[string]uint64
-	lastMove map[string]time.Time
-	stalled  map[string]bool
-	// per-module stall tracking, keyed pipeline+"."+module.
-	modEvents map[string]uint64
-	modMove   map[string]time.Time
-	modStall  map[string]bool
-	// lastErrors tracks per-pipeline module error totals between samples.
-	lastErrors map[string]uint64
-	// degraded state: when a sample finds a running pipeline stalled (or a
-	// module stalled, or fresh errors), the time since the previous sample
-	// accrues to degradedSecs and the pipeline.<name>.degraded_ms meter.
-	degraded     map[string]bool
-	lastSample   map[string]time.Time
-	degradedSecs map[string]float64
-}
-
-// NewMonitor creates a monitor for the cluster.
-func NewMonitor(c *Cluster) *Monitor {
-	return &Monitor{
-		cluster:      c,
-		lastDone:     make(map[string]uint64),
-		lastMove:     make(map[string]time.Time),
-		stalled:      make(map[string]bool),
-		modEvents:    make(map[string]uint64),
-		modMove:      make(map[string]time.Time),
-		modStall:     make(map[string]bool),
-		lastErrors:   make(map[string]uint64),
-		degraded:     make(map[string]bool),
-		lastSample:   make(map[string]time.Time),
-		degradedSecs: make(map[string]float64),
-	}
-}
-
-// DegradedSeconds reports the accumulated time Sample has observed the
-// named pipeline in a degraded state (stalled pipeline or module, or
-// fresh module errors while running).
-func (m *Monitor) DegradedSeconds(pipeline string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.degradedSecs[pipeline]
-}
-
 // ModuleHealth is one module's observed state.
 type ModuleHealth struct {
-	Module  string
-	Events  uint64
-	Errors  uint64
-	Stalled bool
+	Module string `json:"module"`
+	Events uint64 `json:"events"`
+	Errors uint64 `json:"errors"`
+	// LastError is the text of the module's most recent script error.
+	LastError string `json:"last_error,omitempty"`
+	Stalled   bool   `json:"stalled,omitempty"`
 }
 
 // PipelineHealth is one pipeline's observed state.
 type PipelineHealth struct {
-	Pipeline  string
-	Delivered uint64
-	Stalled   bool
+	Pipeline  string `json:"pipeline"`
+	Delivered uint64 `json:"delivered"`
+	// Credits and CreditsAvail are the lane's credit window and its
+	// unclaimed share.
+	Credits      int  `json:"credits"`
+	CreditsAvail int  `json:"credits_avail"`
+	Stalled      bool `json:"stalled,omitempty"`
 	// Degraded is set while the running pipeline is stalled, has a stalled
-	// stage, or accrued module errors since the previous sample — the
+	// stage, or accrued module errors since the previous tick — the
 	// graceful-degradation signal chaos experiments assert on.
-	Degraded bool
-	// Recoveries counts supervisor interventions (module migrations) on
+	Degraded bool `json:"degraded,omitempty"`
+	// Recoveries counts heal-phase interventions (module migrations) on
 	// this pipeline, from the pipeline.<name>.recoveries meter.
-	Recoveries uint64
-	Modules    []ModuleHealth
+	Recoveries uint64         `json:"recoveries,omitempty"`
+	Modules    []ModuleHealth `json:"modules"`
 }
 
 // ServiceHealth is one service pool's observed state.
 type ServiceHealth struct {
-	Service   string
-	Device    string
-	Instances int
-	InFlight  int
-	Calls     uint64
-	// Restarts counts supervisor pool restarts, from the
+	Service   string `json:"service"`
+	Device    string `json:"device"`
+	Instances int    `json:"instances"`
+	InFlight  int    `json:"in_flight"`
+	Calls     uint64 `json:"calls"`
+	// Restarts counts heal-phase pool restarts, from the
 	// supervisor.restarts.<service> meter.
-	Restarts uint64
+	Restarts uint64 `json:"restarts,omitempty"`
 	// Breaker is the worst per-device circuit state observed for this
-	// service (open > half-open > closed); zero when no device has called
+	// service (open > half-open > closed); empty when no device has called
 	// it remotely yet.
-	Breaker services.BreakerState
+	Breaker string `json:"breaker,omitempty"`
 }
 
-// Report is a point-in-time view of the cluster.
+// Report is one tick's observation of the cluster; json.Marshal of a
+// Report is the loop's machine-readable view.
 type Report struct {
-	At        time.Time
-	Pipelines []PipelineHealth
-	Services  []ServiceHealth
+	At        time.Time        `json:"at"`
+	Pipelines []PipelineHealth `json:"pipelines"`
+	Services  []ServiceHealth  `json:"services"`
+	// Journal is the tail of the loop's action journal, oldest first.
+	Journal []string `json:"journal,omitempty"`
 }
 
-// String renders the report for operators.
-func (r Report) String() string {
-	var b strings.Builder
-	for _, p := range r.Pipelines {
-		status := "ok"
-		switch {
-		case p.Stalled:
-			status = "STALLED"
-		case p.Degraded:
-			status = "DEGRADED"
-		}
-		recov := ""
-		if p.Recoveries > 0 {
-			recov = fmt.Sprintf(" recoveries=%d", p.Recoveries)
-		}
-		fmt.Fprintf(&b, "pipeline %-20s delivered=%-6d %s%s\n", p.Pipeline, p.Delivered, status, recov)
-		for _, mod := range p.Modules {
-			note := ""
-			if mod.Stalled {
-				note = " STALLED"
-			}
-			fmt.Fprintf(&b, "  module %-28s events=%-6d errors=%d%s\n", mod.Module, mod.Events, mod.Errors, note)
-		}
-	}
-	for _, s := range r.Services {
-		extra := ""
-		if s.Restarts > 0 {
-			extra += fmt.Sprintf(" restarts=%d", s.Restarts)
-		}
-		if s.Breaker != 0 && s.Breaker != services.BreakerClosed {
-			extra += " breaker=" + s.Breaker.String()
-		}
-		fmt.Fprintf(&b, "service %-20s on %-8s instances=%d in_flight=%d calls=%d%s\n",
-			s.Service, s.Device, s.Instances, s.InFlight, s.Calls, extra)
-	}
-	return b.String()
+// journalTail is how many of the latest actions a report carries.
+const journalTail = 16
+
+// watch is the sample phase's bookkeeping for one pipeline: its
+// instruments, looked up once, and the state the ticks carry — the last
+// observation, the stall counters and the degraded time.
+type watch struct {
+	p      *Pipeline
+	health PipelineHealth
+	// events, errors and modStill parallel health.Modules.
+	sinks, events, errors         []*metrics.Meter
+	drops, recoveries, degradedMS *metrics.Meter
+	// still and modStill count the ticks the delivered count, and each
+	// module's event count, held while the pipeline ran.
+	still        int
+	modStill     []int
+	lastErrors   uint64
+	degradedSecs float64
 }
 
-// Sample takes one observation, updating stall tracking. It does not
-// block.
-func (m *Monitor) Sample() Report {
+// watchFor returns the pipeline's watch, creating it on first sight.
+func (l *Loop) watchFor(p *Pipeline) *watch {
+	if w, ok := l.lanes[p.name]; ok {
+		return w
+	}
+	reg := l.cluster.Metrics()
+	w := &watch{
+		health:     PipelineHealth{Pipeline: p.name},
+		drops:      reg.Meter("pipeline." + p.name + ".source_drops"),
+		recoveries: reg.Meter("pipeline." + p.name + ".recoveries"),
+		degradedMS: reg.Meter("pipeline." + p.name + ".degraded_ms"),
+	}
+	for _, sink := range p.cfg.Sinks() {
+		w.sinks = append(w.sinks, reg.Meter("pipeline."+p.prefixed(sink)+".frames_done"))
+	}
+	for _, mod := range p.Modules() {
+		w.health.Modules = append(w.health.Modules, ModuleHealth{Module: mod})
+		w.events = append(w.events, reg.Meter("module."+p.prefixed(mod)+".events"))
+		w.errors = append(w.errors, reg.Meter("module."+p.prefixed(mod)+".errors"))
+	}
+	w.modStill = make([]int, len(w.events))
+	l.lanes[p.name] = w
+	return w
+}
+
+// sample is the first phase of a tick: it observes every pool and pipeline
+// in sorted order, advances stall detection and degraded-time accounting,
+// publishes the report, and returns the view the tune phase decides on.
+func (l *Loop) sample() tunerSample {
 	now := time.Now()
-	reg := m.cluster.Metrics()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	rep := Report{At: now}
-
-	m.cluster.mu.Lock()
-	pipelines := append([]*Pipeline(nil), m.cluster.pipelines...)
-	m.cluster.mu.Unlock()
-
-	stallAfter := m.StallAfter
-	if stallAfter <= 0 {
-		stallAfter = 2 * time.Second
-	}
-
-	for _, p := range pipelines {
-		ph := PipelineHealth{
-			Pipeline:   p.Name(),
-			Recoveries: reg.Meter("pipeline." + p.Name() + ".recoveries").Count(),
-		}
-		running := p.isRunning()
-		for _, sink := range p.cfg.Sinks() {
-			ph.Delivered += reg.Meter("pipeline." + p.prefixed(sink) + ".frames_done").Count()
-		}
-		var errTotal uint64
-		anyModStalled := false
-		for _, mod := range p.Modules() {
-			mh := ModuleHealth{
-				Module: mod,
-				Events: reg.Meter("module." + p.prefixed(mod) + ".events").Count(),
-				Errors: reg.Meter("module." + p.prefixed(mod) + ".errors").Count(),
-			}
-			errTotal += mh.Errors
-
-			// Per-module stall detection mirrors the pipeline-level check
-			// on the module's event counter, so a report names the exact
-			// stage a partition or pause has frozen.
-			mkey := p.Name() + "." + mod
-			if mh.Events != m.modEvents[mkey] {
-				m.modEvents[mkey] = mh.Events
-				m.modMove[mkey] = now
-				m.modStall[mkey] = false
-			} else if running {
-				if last, seen := m.modMove[mkey]; seen && now.Sub(last) > stallAfter {
-					m.modStall[mkey] = true
-				} else if !seen {
-					m.modMove[mkey] = now
-				}
-			}
-			mh.Stalled = m.modStall[mkey]
-			if mh.Stalled {
-				anyModStalled = true
-			}
-			ph.Modules = append(ph.Modules, mh)
-		}
-
-		// Stall detection: a pipeline is stalled when it is mid-run and
-		// the delivered counter has not moved within the window.
-		key := p.Name()
-		if ph.Delivered != m.lastDone[key] {
-			m.lastDone[key] = ph.Delivered
-			m.lastMove[key] = now
-			m.stalled[key] = false
-		} else if running {
-			if last, seen := m.lastMove[key]; seen && now.Sub(last) > stallAfter {
-				m.stalled[key] = true
-			} else if !seen {
-				m.lastMove[key] = now
-			}
-		}
-		ph.Stalled = m.stalled[key]
-
-		errDelta := errTotal - m.lastErrors[key]
-		m.lastErrors[key] = errTotal
-		ph.Degraded = running && (ph.Stalled || anyModStalled || errDelta > 0)
-
-		// Accrue degraded time: the interval since the previous sample is
-		// attributed to whichever state that sample ended in.
-		if prev, seen := m.lastSample[key]; seen && m.degraded[key] {
-			interval := now.Sub(prev)
-			m.degradedSecs[key] += interval.Seconds()
-			reg.Meter("pipeline." + key + ".degraded_ms").MarkN(uint64(interval.Milliseconds()))
-		}
-		m.degraded[key] = ph.Degraded
-		m.lastSample[key] = now
-
-		rep.Pipelines = append(rep.Pipelines, ph)
-	}
-
-	for _, svc := range m.cluster.ServiceNames() {
-		pool, err := m.cluster.Pool(svc)
+	s := &l.obs
+	s.services, l.rep.Services = s.services[:0], l.rep.Services[:0]
+	for _, name := range l.cluster.ServiceNames() {
+		pool, err := l.cluster.Pool(name)
 		if err != nil {
 			continue
 		}
-		host, _ := m.cluster.ServiceHost(svc)
-		rep.Services = append(rep.Services, ServiceHealth{
-			Service:   svc,
+		spec := pool.Spec()
+		workers := spec.Workers
+		if workers <= 0 {
+			workers = 1
+		}
+		size := pool.Size()
+		s.services = append(s.services, svcSample{
+			name:         name,
+			size:         size,
+			workers:      workers,
+			queue:        pool.QueueDepth(),
+			busy:         pool.BusyWorkers(),
+			batch:        pool.BatchSize(),
+			maxBatch:     spec.MaxBatch,
+			maxInstances: spec.MaxInstances,
+			linger:       spec.BatchLinger,
+			cost:         spec.Cost,
+			serial:       spec.SerialFraction,
+			waitP99:      pool.WaitStats().P99,
+		})
+		restarts, ok := l.restarts[name]
+		if !ok {
+			restarts = l.cluster.Metrics().Meter("supervisor.restarts." + name)
+			l.restarts[name] = restarts
+		}
+		host, _ := l.cluster.ServiceHost(name)
+		l.rep.Services = append(l.rep.Services, ServiceHealth{
+			Service:   name,
 			Device:    host,
-			Instances: pool.Size(),
+			Instances: size,
 			InFlight:  pool.InFlight(),
 			Calls:     pool.Calls(),
-			Restarts:  reg.Meter("supervisor.restarts." + svc).Count(),
-			Breaker:   m.worstBreaker(svc),
+			Restarts:  restarts.Count(),
+			Breaker:   l.cluster.worstBreaker(name),
 		})
 	}
-	sort.Slice(rep.Services, func(i, j int) bool { return rep.Services[i].Service < rep.Services[j].Service })
 
-	return rep
+	pipes := l.cluster.Pipelines()
+	slices.SortFunc(pipes, func(a, b *Pipeline) int { return strings.Compare(a.name, b.name) })
+	s.pipelines, l.rep.Pipelines = s.pipelines[:0], l.rep.Pipelines[:0]
+	for _, p := range pipes {
+		w := l.watchFor(p)
+		w.p = p
+		h := &w.health
+		p.mu.Lock()
+		running, floor := p.running, p.plan.Credits
+		p.mu.Unlock()
+		var delivered, errs uint64
+		for _, m := range w.sinks {
+			delivered += m.Count()
+		}
+		h.Stalled = l.stalled(delivered, &h.Delivered, &w.still, running)
+		anyModStalled := false
+		for i := range h.Modules {
+			mh := &h.Modules[i]
+			mh.Errors = w.errors[i].Count()
+			errs += mh.Errors
+			mh.Stalled = l.stalled(w.events[i].Count(), &mh.Events, &w.modStill[i], running)
+			anyModStalled = anyModStalled || mh.Stalled
+			if m, ok := p.Module(mh.Module); ok {
+				mh.LastError = m.LastError()
+			}
+		}
+		// Degraded time: the interval since the previous tick is charged to
+		// the state that tick left the pipeline in.
+		if h.Degraded {
+			d := now.Sub(l.rep.At)
+			w.degradedSecs += d.Seconds()
+			w.degradedMS.MarkN(uint64(d.Milliseconds()))
+		}
+		h.Degraded = running && (h.Stalled || anyModStalled || meterDelta(errs, &w.lastErrors) > 0)
+		h.Recoveries = w.recoveries.Count()
+		h.Credits, h.CreditsAvail = p.Credits(), p.CreditsAvail()
+		l.rep.Pipelines = append(l.rep.Pipelines, *h)
+		s.pipelines = append(s.pipelines, pipeSample{
+			name:    p.name,
+			credits: h.Credits,
+			floor:   floor,
+			avail:   h.CreditsAvail,
+			drops:   w.drops.Count(),
+			e2eP99:  p.recentP99(),
+		})
+	}
+	l.rep.At = now
+	return *s
 }
 
-// worstBreaker aggregates a service's circuit state across all devices:
-// any open breaker dominates, then half-open, then closed.
-func (m *Monitor) worstBreaker(service string) services.BreakerState {
+// stalled advances one stall counter: a count that moved resets it, a
+// count that held while the pipeline ran adds a tick, and StallAfter's
+// worth of ticks is a stall. last keeps the count between ticks.
+func (l *Loop) stalled(cur uint64, last *uint64, still *int, running bool) bool {
+	if cur != *last {
+		*last, *still = cur, 0
+	} else if running {
+		*still++
+	}
+	return *still >= l.ticks(l.stallAfter)
+}
+
+// meterDelta is how far a meter moved since *last, which it advances. A
+// meter that moved backwards was reset (the experiment harness resets the
+// registry between phases): that is a new baseline, not a wrap to ~2^64.
+func meterDelta(cur uint64, last *uint64) uint64 {
+	d := cur - *last
+	if cur < *last {
+		d = 0
+	}
+	*last = cur
+	return d
+}
+
+// breakerRank orders circuit states by severity: open over half-open over
+// closed.
+var breakerRank = [...]int{services.BreakerClosed: 1, services.BreakerHalfOpen: 2, services.BreakerOpen: 3}
+
+// worstBreaker is a service's worst circuit state across the devices;
+// empty when none has called it remotely.
+func (c *Cluster) worstBreaker(service string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var worst services.BreakerState
-	rank := func(s services.BreakerState) int {
-		switch s {
-		case services.BreakerOpen:
-			return 3
-		case services.BreakerHalfOpen:
-			return 2
-		case services.BreakerClosed:
-			return 1
-		default:
-			return 0
-		}
-	}
-	m.cluster.mu.Lock()
-	devs := make([]*device.Device, 0, len(m.cluster.devices))
-	for _, d := range m.cluster.devices {
-		devs = append(devs, d)
-	}
-	m.cluster.mu.Unlock()
-	for _, d := range devs {
-		if s, ok := d.BreakerStates()[service]; ok && rank(s) > rank(worst) {
+	for _, d := range c.devices {
+		if s := d.BreakerState(service); breakerRank[s] > breakerRank[worst] {
 			worst = s
 		}
 	}
-	return worst
+	if worst == 0 {
+		return ""
+	}
+	return worst.String()
 }
 
-// Run samples periodically until ctx is done, delivering each report to
-// sink (which may be nil for scaling-only monitors).
-func (m *Monitor) Run(ctx context.Context, sink func(Report)) {
-	interval := m.Interval
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
+// Report returns the last tick's observation with the journal's latest
+// actions; the zero Report before the first tick.
+func (l *Loop) Report() Report {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	r := l.rep
+	r.Pipelines = slices.Clone(r.Pipelines)
+	for i := range r.Pipelines {
+		r.Pipelines[i].Modules = slices.Clone(r.Pipelines[i].Modules)
 	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ticker.C:
-			rep := m.Sample()
-			if sink != nil {
-				sink(rep)
-			}
-		}
+	r.Services = slices.Clone(r.Services)
+	for _, a := range l.journal[max(len(l.journal)-journalTail, 0):] {
+		r.Journal = append(r.Journal, a.String())
 	}
+	return r
 }
 
-// isRunning reports whether the pipeline is mid-Run.
-func (p *Pipeline) isRunning() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.running
+// DegradedSeconds reports the accumulated time the sample phase has
+// observed the named pipeline degraded (stalled pipeline or module, or
+// fresh module errors while running).
+func (l *Loop) DegradedSeconds(pipeline string) float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if w, ok := l.lanes[pipeline]; ok {
+		return w.degradedSecs
+	}
+	return 0
 }

@@ -21,7 +21,7 @@ func TestMonitorReportsPipelinesAndServices(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	mon := core.NewMonitor(c)
+	l, _ := startLoop(t, c, core.LoopConfig{})
 
 	done := make(chan struct{})
 	go func() {
@@ -29,7 +29,7 @@ func TestMonitorReportsPipelinesAndServices(t *testing.T) {
 		p.Run(context.Background(), time.Second)
 	}()
 	time.Sleep(600 * time.Millisecond)
-	rep := mon.Sample()
+	rep := l.Report()
 	<-done
 
 	if len(rep.Pipelines) != 1 || rep.Pipelines[0].Pipeline != "monfit" {
@@ -37,7 +37,7 @@ func TestMonitorReportsPipelinesAndServices(t *testing.T) {
 	}
 	ph := rep.Pipelines[0]
 	if ph.Delivered == 0 {
-		t.Error("monitor saw no delivered frames")
+		t.Error("loop saw no delivered frames")
 	}
 	if ph.Stalled {
 		t.Error("healthy pipeline flagged as stalled")
@@ -60,10 +60,6 @@ func TestMonitorReportsPipelinesAndServices(t *testing.T) {
 	if !foundPose {
 		t.Error("pose service missing from report")
 	}
-	out := rep.String()
-	if !strings.Contains(out, "monfit") || !strings.Contains(out, services.PoseDetector) {
-		t.Errorf("report rendering: %q", out)
-	}
 }
 
 func TestMonitorDetectsStall(t *testing.T) {
@@ -84,8 +80,7 @@ func TestMonitorDetectsStall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	mon := core.NewMonitor(c)
-	mon.StallAfter = 200 * time.Millisecond
+	l, _ := startLoop(t, c, core.LoopConfig{Interval: 50 * time.Millisecond, StallAfter: 200 * time.Millisecond})
 
 	done := make(chan struct{})
 	go func() {
@@ -97,7 +92,7 @@ func TestMonitorDetectsStall(t *testing.T) {
 	deadline := time.Now().Add(time.Second)
 	stalled := false
 	for time.Now().Before(deadline) {
-		rep := mon.Sample()
+		rep := l.Report()
 		for _, ph := range rep.Pipelines {
 			if ph.Pipeline == "stuck" && ph.Stalled {
 				stalled = true
@@ -109,27 +104,30 @@ func TestMonitorDetectsStall(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	if !stalled {
-		t.Error("monitor never flagged the stuck pipeline")
+		t.Error("loop never flagged the stuck pipeline")
 	}
 }
 
 func TestMonitorRunDeliversReports(t *testing.T) {
 	c := homeCluster(t)
-	mon := core.NewMonitor(c)
-	mon.Interval = 20 * time.Millisecond
+	l := core.NewLoop(c, core.LoopConfig{Interval: 20 * time.Millisecond})
 
 	got := make(chan core.Report, 8)
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	go mon.Run(ctx, func(r core.Report) {
-		select {
-		case got <- r:
-		default:
-		}
-	})
-	<-ctx.Done()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		l.Run(ctx, func(r core.Report) {
+			select {
+			case got <- r:
+			default:
+			}
+		})
+	}()
+	<-done
 	if len(got) == 0 {
-		t.Error("monitor Run produced no reports")
+		t.Error("loop Run produced no reports")
 	}
 }
 
@@ -255,17 +253,16 @@ func TestPipelineModuleAccessor(t *testing.T) {
 }
 
 // TestMonitorDetectsStallUnderPartition partitions the phone↔desktop link
-// mid-run and checks the monitor (a) names the exact stage the partition
-// froze, (b) marks the pipeline degraded and accrues degraded time, and
-// (c) clears both once the link heals and delivery resumes.
+// mid-run and checks the loop's sample phase (a) names the exact stage the
+// partition froze, (b) marks the pipeline degraded and accrues degraded
+// time, and (c) clears both once the link heals and delivery resumes.
 func TestMonitorDetectsStallUnderPartition(t *testing.T) {
 	c := homeCluster(t)
 	p, err := c.Launch(apps.FitnessConfig("partmon", 15, "squat"), core.CoLocatePlanner{})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	mon := core.NewMonitor(c)
-	mon.StallAfter = 300 * time.Millisecond
+	l, _ := startLoop(t, c, core.LoopConfig{StallAfter: 300 * time.Millisecond})
 
 	done := make(chan struct{})
 	go func() {
@@ -276,14 +273,14 @@ func TestMonitorDetectsStallUnderPartition(t *testing.T) {
 	}()
 	defer func() { <-done }()
 
+	// sample reads the last tick's view of the pipeline (zero before the
+	// first tick).
 	sample := func() core.PipelineHealth {
-		rep := mon.Sample()
-		for _, ph := range rep.Pipelines {
+		for _, ph := range l.Report().Pipelines {
 			if ph.Pipeline == "partmon" {
 				return ph
 			}
 		}
-		t.Fatal("pipeline missing from report")
 		return core.PipelineHealth{}
 	}
 	pollUntil := func(deadline time.Duration, cond func(core.PipelineHealth) bool) bool {
@@ -303,7 +300,7 @@ func TestMonitorDetectsStallUnderPartition(t *testing.T) {
 	}
 
 	// Partition: the cross-link stages freeze while the source keeps
-	// dropping frames. The monitor must name a stalled downstream module.
+	// dropping frames. The sample must name a stalled downstream module.
 	c.Network().Partition("phone", "desktop")
 	stalledStage := ""
 	found := pollUntil(3*time.Second, func(ph core.PipelineHealth) bool {
@@ -319,7 +316,7 @@ func TestMonitorDetectsStallUnderPartition(t *testing.T) {
 		return false
 	})
 	if !found {
-		t.Fatal("monitor never flagged a stalled stage during the partition")
+		t.Fatal("loop never flagged a stalled stage during the partition")
 	}
 	t.Logf("stalled stage during partition: %s", stalledStage)
 
@@ -339,10 +336,40 @@ func TestMonitorDetectsStallUnderPartition(t *testing.T) {
 	if !cleared {
 		t.Error("stall flags did not clear after heal")
 	}
-	if got := mon.DegradedSeconds("partmon"); got <= 0 {
+	if got := l.DegradedSeconds("partmon"); got <= 0 {
 		t.Errorf("DegradedSeconds = %v, want > 0 after an outage", got)
 	}
 	if c.Metrics().Meter("pipeline.partmon.degraded_ms").Count() == 0 {
 		t.Error("degraded_ms meter never accrued")
+	}
+}
+
+// A module's script error is counted and its text kept: the sample's
+// per-module entry carries the latest one.
+func TestLoopReportsModuleErrorText(t *testing.T) {
+	c := homeCluster(t)
+	p, err := c.Launch(core.PipelineConfig{
+		Name:    "throws",
+		Modules: []core.ModuleConfig{{Name: "bad", Source: `function event_received(m) { throw "cannot read frame " + m.seq; }`}},
+		Source:  core.SourceConfig{Device: "phone", FirstModule: "bad", FPS: 20, Width: 64, Height: 48},
+	}, core.CoLocatePlanner{})
+	if err != nil {
+		t.Fatalf("Launch: %v", err)
+	}
+	l, _ := startLoop(t, c, core.LoopConfig{Interval: 20 * time.Millisecond})
+	if _, err := p.Run(context.Background(), 300*time.Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var bad core.ModuleHealth
+	waitCond(t, 2*time.Second, func() bool {
+		for _, ph := range l.Report().Pipelines {
+			if ph.Pipeline == "throws" {
+				bad = ph.Modules[0]
+			}
+		}
+		return bad.Errors > 0 && bad.LastError != ""
+	})
+	if !strings.Contains(bad.LastError, "cannot read frame") {
+		t.Errorf("module error text = %q, want the thrown message", bad.LastError)
 	}
 }

@@ -788,6 +788,13 @@ func (p *Pipeline) relocate(want map[string]string, selected func(mc *ModuleConf
 	return moves, errors.Join(errs...)
 }
 
+// unpinnedServiceless selects the modules the tune phase and Prime may
+// re-place: pins and service co-location are plan invariants, identical in
+// the static and measured scoring domains and never carried state.
+func unpinnedServiceless(mc *ModuleConfig, _ string) bool {
+	return mc.Device == "" && len(mc.Services) == 0
+}
+
 // FailOver migrates every module this pipeline had on a dead device,
 // re-running the launch planner over the surviving devices (the caller
 // marks the device down first, which removes it from DeviceNames and so

@@ -13,18 +13,18 @@ import (
 	"videopipe/internal/services"
 )
 
-// startSupervisor runs a supervisor in the background and returns it plus
-// a stop function that blocks until the control loop has fully exited —
-// required before closing the cluster, since an in-flight step may still
-// be probing or migrating.
-func startSupervisor(t *testing.T, c *core.Cluster, cfg core.SupervisorConfig) (*core.Supervisor, func()) {
+// startLoop runs a control loop in the background and returns it plus a
+// stop function that blocks until the loop has fully exited — required
+// before closing the cluster, since an in-flight tick may still be probing
+// or migrating.
+func startLoop(t *testing.T, c *core.Cluster, cfg core.LoopConfig) (*core.Loop, func()) {
 	t.Helper()
-	sup := core.NewSupervisor(c, cfg)
+	l := core.NewLoop(c, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		sup.Run(ctx)
+		l.Run(ctx)
 	}()
 	var stopped bool
 	stop := func() {
@@ -36,7 +36,7 @@ func startSupervisor(t *testing.T, c *core.Cluster, cfg core.SupervisorConfig) (
 		<-done
 	}
 	t.Cleanup(stop)
-	return sup, stop
+	return l, stop
 }
 
 // TestSupervisorRestartsKilledPool kills the pose pool mid-run and leaves
@@ -48,9 +48,9 @@ func TestSupervisorRestartsKilledPool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	sup, stop := startSupervisor(t, c, core.SupervisorConfig{
-		Interval:       50 * time.Millisecond,
-		RestartBackoff: 50 * time.Millisecond,
+	sup, stop := startLoop(t, c, core.LoopConfig{
+		Interval: 50 * time.Millisecond,
+		Heal:     &core.SupervisorConfig{RestartBackoff: 50 * time.Millisecond},
 	})
 
 	reg := c.Metrics()
@@ -96,11 +96,13 @@ func TestSupervisorRestartBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	sup, stop := startSupervisor(t, c, core.SupervisorConfig{
-		Interval:       50 * time.Millisecond,
-		RestartBackoff: 50 * time.Millisecond,
-		MaxRestarts:    1,
-		HealthyAfter:   time.Hour, // never refill within the test
+	sup, stop := startLoop(t, c, core.LoopConfig{
+		Interval: 50 * time.Millisecond,
+		Heal: &core.SupervisorConfig{
+			RestartBackoff: 50 * time.Millisecond,
+			MaxRestarts:    1,
+			HealthyAfter:   time.Hour, // never refill within the test
+		},
 	})
 
 	go func() {
@@ -142,13 +144,12 @@ func TestSupervisorDeviceFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	// ProbeTimeout stays generous: detection of the crash does not depend
-	// on it (a crashed device never answers at all), while healthy probes
-	// must not miss under race-detector slowdown.
-	sup, stop := startSupervisor(t, c, core.SupervisorConfig{
-		Interval:     50 * time.Millisecond,
-		ProbeTimeout: 250 * time.Millisecond,
-		DeadAfter:    4,
+	// The tick stays at its default 100 ms, the time a probe has to answer:
+	// detection of the crash does not depend on it (a crashed device never
+	// answers at all), while healthy probes must not miss under
+	// race-detector slowdown.
+	sup, stop := startLoop(t, c, core.LoopConfig{
+		Heal: &core.SupervisorConfig{DeadAfter: 400 * time.Millisecond},
 	})
 
 	reg := c.Metrics()
@@ -253,7 +254,7 @@ func TestSupervisorShutdownLeavesNoGoroutines(t *testing.T) {
 		c.Close()
 		t.Fatalf("Launch: %v", err)
 	}
-	sup, stop := startSupervisor(t, c, core.SupervisorConfig{Interval: 50 * time.Millisecond})
+	sup, stop := startLoop(t, c, core.LoopConfig{Interval: 50 * time.Millisecond, Heal: &core.SupervisorConfig{}})
 
 	if _, err := p.Run(context.Background(), time.Second); err != nil {
 		t.Errorf("Run: %v", err)
@@ -418,21 +419,23 @@ func TestMigrateModuleCloseRace(t *testing.T) {
 	t.Fatalf("goroutines leaked after close/respawn race: base=%d now=%d\n%s", base, runtime.NumGoroutine(), buf[:n])
 }
 
-// TestSupervisorLeavesDegradedTimeToTheMonitor runs a supervisor beside
-// one monitor through a partition outage. The monitor is the only thing
-// that accrues degraded time, so the pipeline.<name>.degraded_ms meter
-// must agree with that monitor's own DegradedSeconds — a supervisor that
-// sampled a private monitor would mark the same outage a second time.
-func TestSupervisorLeavesDegradedTimeToTheMonitor(t *testing.T) {
+// TestLoopDegradedMeterMatchesDegradedSeconds runs one loop, heal phase
+// on, through a partition outage. The sample phase is the only thing that
+// accrues degraded time, so the pipeline.<name>.degraded_ms meter must
+// agree with the loop's DegradedSeconds to within one tick — a heal phase
+// that accrued it too would mark the same outage a second time.
+func TestLoopDegradedMeterMatchesDegradedSeconds(t *testing.T) {
 	c := homeCluster(t)
 	p, err := c.Launch(apps.FitnessConfig("degfit", 15, "squat"), core.CoLocatePlanner{})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
 	const interval = 100 * time.Millisecond
-	startSupervisor(t, c, core.SupervisorConfig{Interval: interval})
-	mon := core.NewMonitor(c)
-	mon.StallAfter = 300 * time.Millisecond
+	l, stop := startLoop(t, c, core.LoopConfig{
+		Interval:   interval,
+		StallAfter: 300 * time.Millisecond,
+		Heal:       &core.SupervisorConfig{},
+	})
 
 	done := make(chan struct{})
 	go func() {
@@ -445,30 +448,21 @@ func TestSupervisorLeavesDegradedTimeToTheMonitor(t *testing.T) {
 
 	reg := c.Metrics()
 	delivered := func() uint64 { return reg.Meter("pipeline.degfit.display.frames_done").Count() }
-	sampleFor := func(d time.Duration) {
-		for end := time.Now().Add(d); time.Now().Before(end); time.Sleep(interval) {
-			mon.Sample()
-		}
-	}
 	waitCond(t, 3*time.Second, func() bool { return delivered() >= 3 })
 
-	// Long enough that even a default-configured (2 s stall window) second
-	// observer would have flagged the stall.
 	c.Network().Partition("phone", "desktop")
-	sampleFor(3 * time.Second)
+	time.Sleep(3 * time.Second)
 	c.Network().Heal("phone", "desktop")
 	at := delivered()
-	waitCond(t, 3*time.Second, func() bool {
-		mon.Sample()
-		return delivered() >= at+3
-	})
+	waitCond(t, 3*time.Second, func() bool { return delivered() >= at+3 })
+	stop()
 
-	wantMS := mon.DegradedSeconds("degfit") * 1000
+	wantMS := l.DegradedSeconds("degfit") * 1000
 	gotMS := float64(reg.Meter("pipeline.degfit.degraded_ms").Count())
 	if wantMS < 1000 {
-		t.Fatalf("monitor accrued only %.0f ms over a 3 s partition", wantMS)
+		t.Fatalf("loop accrued only %.0f ms over a 3 s partition", wantMS)
 	}
 	if math.Abs(gotMS-wantMS) > float64(interval.Milliseconds()) {
-		t.Errorf("degraded_ms meter = %.0f, monitor's DegradedSeconds = %.0f ms: want them within one sample interval", gotMS, wantMS)
+		t.Errorf("degraded_ms meter = %.0f, loop's DegradedSeconds = %.0f ms: want them within one tick", gotMS, wantMS)
 	}
 }

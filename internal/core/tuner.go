@@ -1,21 +1,14 @@
 package core
 
 import (
-	"context"
-	"math/rand"
-	"sort"
 	"strconv"
-	"sync"
 	"time"
 )
 
-// TunerConfig shapes the adaptive runtime tuner's control loop. Every
-// threshold is in ticks (control-loop iterations), not wall-clock, so
-// decisions depend only on the observed sample sequence — the same
-// discipline that keeps supervisor journals seed-comparable.
+// TunerConfig shapes the loop's tune phase. Every threshold is in ticks,
+// not wall-clock, so decisions depend only on the observed sample sequence
+// — the same discipline that keeps heal journals seed-comparable.
 type TunerConfig struct {
-	// Interval is the control-loop period (Run); zero selects 100 ms.
-	Interval time.Duration
 	// P99Target is the end-to-end latency budget the tuner defends. A pool
 	// whose excess-wait p99 exceeds an eighth of it counts as saturated
 	// even with a shallow queue: pipelines chain several hops, so one
@@ -41,15 +34,12 @@ type TunerConfig struct {
 	// measured module service times and divergent serviceless modules are
 	// live-migrated. Off by default — migration is the heaviest actuator.
 	Replan bool
-	// Seed drives loop-interval jitter in Run. As with the supervisor,
-	// jitter only shifts timing — never which actions run or their order.
+	// Seed drives the jitter of the loop's tick. Jitter only shifts timing
+	// — never which actions run or their order.
 	Seed int64
 }
 
 func (c TunerConfig) withDefaults() TunerConfig {
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
 	if c.P99Target <= 0 {
 		c.P99Target = 250 * time.Millisecond
 	}
@@ -102,7 +92,8 @@ type pipeSample struct {
 	e2eP99  time.Duration
 }
 
-// tunerSample is one tick's full observation, in deterministic order.
+// tunerSample is the tune phase's view of a tick's observation, in sorted
+// (deterministic) order.
 type tunerSample struct {
 	services  []svcSample
 	pipelines []pipeSample
@@ -115,7 +106,7 @@ type tunerAct struct {
 	n   int
 }
 
-// tuneSvcState is the tuner's per-pool hysteresis bookkeeping.
+// tuneSvcState is the tune phase's per-pool hysteresis bookkeeping.
 type tuneSvcState struct {
 	// baseline is the deployed size first observed — the floor shrink
 	// returns to.
@@ -125,148 +116,45 @@ type tuneSvcState struct {
 	cooldownUntil int
 }
 
-// tunePipeState is the tuner's per-pipeline bookkeeping.
+// tunePipeState is the tune phase's per-pipeline bookkeeping.
 type tunePipeState struct {
 	lastDrops     uint64
 	cooldownUntil int
 	replanned     bool
 }
 
-// Tuner is the adaptive runtime control loop (the perf-tuning sibling of
-// the supervisor's self-healing loop): it samples per-pool queue depth,
-// busy workers and wait latency plus per-pipeline source drops, and
-// actuates dynamic batching, pool scaling, credit-window resizing and —
-// when everything else is maxed — measured-cost re-planning. Decisions
-// are pure functions of the sample stream and tick counters; the seed
-// only jitters the loop's timing.
-type Tuner struct {
-	actionJournal
+// Tuner is a loop whose one optional phase is tune: dynamic batching, pool
+// scaling, credit-window resizing and measured-cost re-planning.
+type Tuner = Loop
 
-	cluster *Cluster
-	cfg     TunerConfig
-	rng     *rand.Rand
-
-	mu   sync.Mutex
-	tick int
-	svc  map[string]*tuneSvcState
-	pipe map[string]*tunePipeState
-}
-
-// NewTuner creates a tuner for the cluster. It does nothing until Run or
-// Step.
-func NewTuner(c *Cluster, cfg TunerConfig) *Tuner {
-	cfg = cfg.withDefaults()
-	return &Tuner{
-		cluster: c,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		svc:     make(map[string]*tuneSvcState),
-		pipe:    make(map[string]*tunePipeState),
-	}
-}
-
-// Run drives the control loop until ctx is done. The seeded
-// jitter (up to 10% of the interval per tick) shifts timing only.
-func (t *Tuner) Run(ctx context.Context) {
-	for {
-		d := t.cfg.Interval
-		t.mu.Lock()
-		d += time.Duration(t.rng.Int63n(int64(t.cfg.Interval)/10 + 1))
-		t.mu.Unlock()
-		timer := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			return
-		case <-timer.C:
-		}
-		t.Step()
-	}
-}
-
-// Step runs one control-loop iteration: observe, decide, actuate.
-func (t *Tuner) Step() {
-	s := t.sample()
-	for _, a := range t.decide(s) {
-		t.apply(a)
-	}
-}
-
-// sample observes every pool and pipeline, in sorted (deterministic)
-// order.
-func (t *Tuner) sample() tunerSample {
-	var s tunerSample
-	reg := t.cluster.Metrics()
-	for _, name := range t.cluster.ServiceNames() {
-		pool, err := t.cluster.Pool(name)
-		if err != nil {
-			continue
-		}
-		spec := pool.Spec()
-		workers := spec.Workers
-		if workers <= 0 {
-			workers = 1
-		}
-		s.services = append(s.services, svcSample{
-			name:         name,
-			size:         pool.Size(),
-			workers:      workers,
-			queue:        pool.QueueDepth(),
-			busy:         pool.BusyWorkers(),
-			batch:        pool.BatchSize(),
-			maxBatch:     spec.MaxBatch,
-			maxInstances: spec.MaxInstances,
-			linger:       spec.BatchLinger,
-			cost:         spec.Cost,
-			serial:       spec.SerialFraction,
-			waitP99:      pool.WaitStats().P99,
-		})
-	}
-	pipes := t.cluster.Pipelines()
-	sort.Slice(pipes, func(i, j int) bool { return pipes[i].Name() < pipes[j].Name() })
-	for _, p := range pipes {
-		p.mu.Lock()
-		floor := p.plan.Credits
-		p.mu.Unlock()
-		s.pipelines = append(s.pipelines, pipeSample{
-			name:    p.Name(),
-			credits: p.Credits(),
-			floor:   floor,
-			avail:   p.CreditsAvail(),
-			drops:   reg.Meter("pipeline." + p.Name() + ".source_drops").Count(),
-			e2eP99:  p.recentP99(),
-		})
-	}
-	return s
-}
+// NewTuner creates a tune-only loop for the cluster.
+func NewTuner(c *Cluster, cfg TunerConfig) *Tuner { return NewLoop(c, LoopConfig{Tune: &cfg}) }
 
 // decide turns one sample into actuations. It is a pure function of the
 // sample and the tuner's tick-counter state: no clocks, no randomness —
 // identical sample sequences always produce identical journals.
 //
 //vpvet:deterministic
-func (t *Tuner) decide(s tunerSample) []tunerAct {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.tick++
+func (l *Loop) decide(s tunerSample) []tunerAct {
+	l.tick++
 	var acts []tunerAct
 
 	// poolsMoving: some pool is hot or settling after an actuation, so the
 	// lanes' tail belongs to capacity still arriving, not to their windows.
 	poolsMoving := false
 	for _, sv := range s.services {
-		st, ok := t.svc[sv.name]
+		st, ok := l.svc[sv.name]
 		if !ok {
 			st = &tuneSvcState{baseline: sv.size}
-			t.svc[sv.name] = st
+			l.svc[sv.name] = st
 		}
 
 		// Three saturation symptoms: a deep queue, excess wait eating an
 		// eighth of the e2e budget, or every worker slot busy with
 		// arrivals still waiting — the last fires long before the queue is
 		// deep enough for the first, which matters when windows are short.
-		saturated := sv.queue > t.cfg.HighQueue*sv.size ||
-			sv.waitP99 > t.cfg.P99Target/8 ||
+		saturated := sv.queue > l.tune.HighQueue*sv.size ||
+			sv.waitP99 > l.tune.P99Target/8 ||
 			(sv.busy >= sv.size*sv.workers && sv.queue > 0)
 		idle := sv.queue == 0 && sv.busy == 0
 		switch {
@@ -286,10 +174,10 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 			}
 			st.idleSteps = 0
 		}
-		if st.hotSteps > 0 || t.tick < st.cooldownUntil {
+		if st.hotSteps > 0 || l.tick < st.cooldownUntil {
 			poolsMoving = true
 		}
-		if t.tick < st.cooldownUntil {
+		if l.tick < st.cooldownUntil {
 			continue
 		}
 
@@ -298,7 +186,7 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 			ceiling = st.baseline
 		}
 		switch {
-		case st.hotSteps >= t.cfg.SaturatedAfter && sv.size < ceiling:
+		case st.hotSteps >= l.tune.SaturatedAfter && sv.size < ceiling:
 			// Scaling first: another instance cuts queueing without adding
 			// a single microsecond to any request's path.
 			acts = append(acts, tunerAct{
@@ -307,23 +195,23 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 				n: sv.size + 1,
 			})
 			st.hotSteps = 0
-			st.cooldownUntil = t.tick + t.cfg.Cooldown
-		case st.hotSteps >= t.cfg.SaturatedAfter && sv.batch < batchCeiling(sv, t.cfg.P99Target):
+			st.cooldownUntil = l.tick + l.tune.Cooldown
+		case st.hotSteps >= l.tune.SaturatedAfter && sv.batch < batchCeiling(sv, l.tune.P99Target):
 			// Instances maxed and still hot: amortize the serialized
 			// section. Batching trades per-request hold time for
 			// per-instance throughput, so it is the move of second resort,
 			// and only up to the window whose worst-case hold still fits
 			// the latency target (batchCeiling) — a batch that blows the
 			// budget it defends is capacity nobody can use.
-			best := batchCeiling(sv, t.cfg.P99Target)
+			best := batchCeiling(sv, l.tune.P99Target)
 			acts = append(acts, tunerAct{
 				act: Action{Kind: ActionSetBatch, Target: sv.name,
 					From: strconv.Itoa(sv.batch), To: strconv.Itoa(best)},
 				n: best,
 			})
 			st.hotSteps = 0
-			st.cooldownUntil = t.tick + t.cfg.Cooldown
-		case st.idleSteps >= t.cfg.IdleAfter && sv.batch > 0:
+			st.cooldownUntil = l.tick + l.tune.Cooldown
+		case st.idleSteps >= l.tune.IdleAfter && sv.batch > 0:
 			// Idle unwind, batching first: a lone request should not pay
 			// the linger once load is gone.
 			acts = append(acts, tunerAct{
@@ -332,15 +220,15 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 				n: 0,
 			})
 			st.idleSteps = 0
-			st.cooldownUntil = t.tick + t.cfg.Cooldown
-		case st.idleSteps >= t.cfg.IdleAfter && sv.size > st.baseline:
+			st.cooldownUntil = l.tick + l.tune.Cooldown
+		case st.idleSteps >= l.tune.IdleAfter && sv.size > st.baseline:
 			acts = append(acts, tunerAct{
 				act: Action{Kind: ActionScalePool, Target: sv.name,
 					From: strconv.Itoa(sv.size), To: strconv.Itoa(sv.size - 1)},
 				n: sv.size - 1,
 			})
 			st.idleSteps = 0
-			st.cooldownUntil = t.tick + t.cfg.Cooldown
+			st.cooldownUntil = l.tick + l.tune.Cooldown
 		}
 	}
 
@@ -350,10 +238,10 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 	// already lost a frame would always be one burst too late.
 	anyDrops := false
 	for _, pp := range s.pipelines {
-		st, ok := t.pipe[pp.name]
+		st, ok := l.pipe[pp.name]
 		if !ok {
 			st = &tunePipeState{lastDrops: pp.drops}
-			t.pipe[pp.name] = st
+			l.pipe[pp.name] = st
 			// First sight: pre-existing drops are history, not news.
 			continue
 		}
@@ -363,7 +251,7 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 		st.lastDrops = pp.drops
 	}
 	for _, pp := range s.pipelines {
-		st := t.pipe[pp.name]
+		st := l.pipe[pp.name]
 		// Act on pressure, not just loss: an exhausted window (avail == 0)
 		// means the very next burst arrival drops. Unlike the pool ladder
 		// there is no hysteresis — the drop counter is monotone, so a
@@ -374,18 +262,18 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 		// service times and migrates only what diverged, so there is no
 		// reason to queue it behind credit moves. It waits only for the
 		// lane's first completed frame, so the measured costs exist.
-		if pressed && t.cfg.Replan && !st.replanned && pp.e2eP99 > 0 {
+		if pressed && l.tune.Replan && !st.replanned && pp.e2eP99 > 0 {
 			acts = append(acts, tunerAct{
 				act: Action{Kind: ActionRebalanceModule, Target: pp.name},
 			})
 			st.replanned = true
 		}
-		if t.tick < st.cooldownUntil {
+		if l.tick < st.cooldownUntil {
 			continue
 		}
 		n := pp.credits
 		switch {
-		case pressed && pp.credits < t.cfg.MaxCredits && 0 < pp.e2eP99 && pp.e2eP99 < t.cfg.P99Target:
+		case pressed && pp.credits < l.tune.MaxCredits && 0 < pp.e2eP99 && pp.e2eP99 < l.tune.P99Target:
 			// Additive increase: widen by one while the lane's own tail is
 			// measured (an empty ring is no evidence) and inside the budget.
 			// Every extra credit is another frame that may queue behind the
@@ -393,7 +281,7 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 			// frame per cooldown; the last widening's overshoot is the
 			// decrease rule's to undo.
 			n++
-		case pp.e2eP99 > t.cfg.P99Target && pp.credits > pp.floor && !poolsMoving:
+		case pp.e2eP99 > l.tune.P99Target && pp.credits > pp.floor && !poolsMoving:
 			// Multiplicative decrease: halve, down to the planner's launch
 			// window, once the window itself is what blows the budget. A
 			// pool still scaling owns the tail first — scaling adds no
@@ -407,7 +295,7 @@ func (t *Tuner) decide(s tunerSample) []tunerAct {
 				From: strconv.Itoa(pp.credits), To: strconv.Itoa(n)},
 			n: n,
 		})
-		st.cooldownUntil = t.tick + t.cfg.Cooldown
+		st.cooldownUntil = l.tick + l.tune.Cooldown
 	}
 	return acts
 }
@@ -450,17 +338,17 @@ func batchCeiling(sv svcSample, target time.Duration) int {
 }
 
 // apply executes one decided actuation and journals it.
-func (t *Tuner) apply(a tunerAct) {
+func (l *Loop) apply(a tunerAct) {
 	switch a.act.Kind {
 	case ActionSetBatch:
-		pool, err := t.cluster.Pool(a.act.Target)
+		pool, err := l.cluster.Pool(a.act.Target)
 		if err != nil {
 			return
 		}
 		pool.SetBatching(a.n, pool.Spec().BatchLinger)
-		t.record(a.act)
+		l.record(a.act)
 	case ActionScalePool:
-		pool, err := t.cluster.Pool(a.act.Target)
+		pool, err := l.cluster.Pool(a.act.Target)
 		if err != nil {
 			return
 		}
@@ -468,142 +356,50 @@ func (t *Tuner) apply(a tunerAct) {
 		if err := pool.Scale(a.n); err != nil {
 			return
 		}
-		t.record(a.act)
+		l.record(a.act)
 		// Every lane's tail was measured against the smaller pool.
 		if grew {
-			for _, p := range t.cluster.Pipelines() {
+			for _, p := range l.cluster.Pipelines() {
 				p.forgetTail()
 			}
 		}
 	case ActionResizeCredits:
-		p := t.pipelineByName(a.act.Target)
-		if p == nil {
+		w, ok := l.lanes[a.act.Target]
+		if !ok {
 			return
 		}
+		p := w.p
 		narrowed := a.n < p.Credits()
 		if err := p.ResizeCredits(a.n); err != nil {
 			return
 		}
-		t.record(a.act)
+		l.record(a.act)
 		// The narrowed lane's tail was measured against the wider window.
 		if narrowed {
 			p.forgetTail()
 		}
 	case ActionRebalanceModule:
-		t.rebalance(a.act.Target)
+		l.rebalance(a.act.Target)
 	}
-}
-
-// ServiceSetpoint is one pool's actuator state: instance count and batch
-// window.
-type ServiceSetpoint struct {
-	Size  int
-	Batch int
-}
-
-// TuningSetpoints is a snapshot of every actuator the tuner controls —
-// pool sizes, batch windows, credit caps — detached from the cluster that
-// produced it. A sweep carries it from rung to rung (flood.Sweep) so each
-// rung starts from the configuration the previous rung learned, the way a
-// long-lived deployment faces rising load: already tuned, not cold.
-type TuningSetpoints struct {
-	// Services maps service name to its pool setpoint.
-	Services map[string]ServiceSetpoint
-	// Pipelines maps pipeline name to its credit-window cap.
-	Pipelines map[string]int
-	// Placements maps pipeline name to its module placement (module →
-	// device), so a re-planned layout survives into the next rung instead
-	// of being re-learned mid-run every time.
-	Placements map[string]map[string]string
-}
-
-// Setpoints snapshots the cluster's current actuator state.
-func (t *Tuner) Setpoints() TuningSetpoints {
-	sp := TuningSetpoints{
-		Services:  make(map[string]ServiceSetpoint),
-		Pipelines: make(map[string]int),
-	}
-	for _, name := range t.cluster.ServiceNames() {
-		pool, err := t.cluster.Pool(name)
-		if err != nil {
-			continue
-		}
-		sp.Services[name] = ServiceSetpoint{Size: pool.Size(), Batch: pool.BatchSize()}
-	}
-	for _, p := range t.cluster.Pipelines() {
-		sp.Pipelines[p.Name()] = p.Credits()
-	}
-	sp.Placements = make(map[string]map[string]string)
-	for _, p := range t.cluster.Pipelines() {
-		sp.Placements[p.Name()] = p.Placement()
-	}
-	return sp
-}
-
-// Prime applies carried-over setpoints to a fresh cluster before load
-// arrives: pools grow to (never shrink below) their learned size, batch
-// windows, credit caps and re-planned serviceless placements are restored.
-// Prime is initial configuration, not a decision, so nothing is journaled.
-func (t *Tuner) Prime(sp TuningSetpoints) {
-	names := make([]string, 0, len(sp.Services))
-	for name := range sp.Services {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s := sp.Services[name]
-		pool, err := t.cluster.Pool(name)
-		if err != nil {
-			continue
-		}
-		if s.Size > pool.Size() {
-			_ = pool.Scale(s.Size)
-		}
-		if s.Batch != pool.BatchSize() {
-			pool.SetBatching(s.Batch, pool.Spec().BatchLinger)
-		}
-	}
-	for _, p := range t.cluster.Pipelines() {
-		if credits := sp.Pipelines[p.Name()]; credits > p.Credits() {
-			_ = p.ResizeCredits(credits)
-		}
-		_, _ = p.relocate(sp.Placements[p.Name()], unpinnedServiceless)
-	}
-}
-
-// unpinnedServiceless selects the modules the tuner may re-place: pins and
-// service co-location are plan invariants, identical in the static and
-// measured scoring domains and never carried state.
-func unpinnedServiceless(mc *ModuleConfig, _ string) bool {
-	return mc.Device == "" && len(mc.Services) == 0
-}
-
-// pipelineByName finds a live pipeline.
-func (t *Tuner) pipelineByName(name string) *Pipeline {
-	for _, p := range t.cluster.Pipelines() {
-		if p.Name() == name {
-			return p
-		}
-	}
-	return nil
 }
 
 // rebalance re-scores a pipeline's placement using measured per-module
 // handle time and live-migrates serviceless modules whose best device
 // changed — the actuator of last resort, reached only once per pipeline
 // and only after batching, scaling and credits are all exhausted.
-func (t *Tuner) rebalance(pipeline string) {
-	p := t.pipelineByName(pipeline)
-	if p == nil {
+func (l *Loop) rebalance(pipeline string) {
+	w, ok := l.lanes[pipeline]
+	if !ok {
 		return
 	}
+	p := w.p
 	// Each module's measured per-event handle time (ns) replaces its static
 	// pipecost weight; a module not measured yet scores as free. The other
 	// rules (pins, service co-location, source anchoring) are the ones the
 	// cost-aware Plan applies, so only serviceless modules can move, and the
 	// credit window is not the re-plan's to change.
-	reg := t.cluster.Metrics()
-	plan, err := costAwarePlace(&p.cfg, t.cluster, 0, func(mod string) int64 {
+	reg := l.cluster.Metrics()
+	plan, err := costAwarePlace(&p.cfg, l.cluster, 0, func(mod string) int64 {
 		//vpvet:allow metername re-reads the module handle histogram the device registered
 		return int64(reg.Histogram("module." + p.prefixed(mod) + ".handle").Mean())
 	}, measuredHopCost)
@@ -612,7 +408,7 @@ func (t *Tuner) rebalance(pipeline string) {
 	}
 	moves, _ := p.relocate(plan.Placement, unpinnedServiceless)
 	for _, mv := range moves {
-		t.record(Action{Kind: ActionRebalanceModule, Target: pipeline + "." + mv.module,
+		l.record(Action{Kind: ActionRebalanceModule, Target: pipeline + "." + mv.module,
 			From: mv.from, To: mv.to})
 	}
 }

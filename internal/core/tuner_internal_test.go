@@ -261,7 +261,7 @@ func TestTunerRestartsTailAfterNarrowAndGrow(t *testing.T) {
 	for i := 0; i < recentCompletions; i++ {
 		p.frameDone(300 * ms)
 	}
-	tu.Step()
+	tu.step(context.Background())
 	tail("after narrowing", 0)
 	stale()
 	tail("after a frame admitted under the wider window completes", 0)
@@ -455,6 +455,7 @@ func TestRelocateRebalanceMovesHeavyRelay(t *testing.T) {
 		c.Metrics().Histogram("module." + p.prefixed(mod) + ".handle").Observe(d)
 	}
 	tu := NewTuner(c, TunerConfig{})
+	tu.step(context.Background())
 	tu.rebalance("chain")
 
 	want := []string{"rebalance_module chain.relay phone->desktop"}
@@ -466,20 +467,16 @@ func TestRelocateRebalanceMovesHeavyRelay(t *testing.T) {
 	}
 }
 
-// Prime replays a carried placement for unpinned serviceless modules only,
-// and journals nothing: a pinned module keeps its pin whatever was carried.
+// Prime replays a carried placement for unpinned serviceless modules only:
+// a pinned module keeps its pin whatever was carried.
 func TestRelocatePrimeReplaysCarriedPlacement(t *testing.T) {
 	c, p := chainLane(t, "phone")
-	tu := NewTuner(c, TunerConfig{})
-	tu.Prime(TuningSetpoints{Placements: map[string]map[string]string{
+	c.Prime(TuningSetpoints{Placements: map[string]map[string]string{
 		"chain": {"ingest": "phone", "crunch": "tv", "relay": "desktop"},
 	}})
 
 	if got := p.Placement(); got["ingest"] != "phone" || got["crunch"] != "phone" || got["relay"] != "desktop" {
 		t.Errorf("placement after Prime = %v, want relay carried to the desktop and crunch kept on its pin", got)
-	}
-	if j := tu.JournalStrings(); len(j) != 0 {
-		t.Errorf("Prime journaled %v, want nothing", j)
 	}
 }
 
@@ -502,7 +499,7 @@ func TestTunerWidensOnceStartupTailLeavesTheRing(t *testing.T) {
 	}
 	steps := func(n int) int {
 		for i := 0; i < n; i++ {
-			tu.Step()
+			tu.step(context.Background())
 		}
 		return p.Credits()
 	}

@@ -134,8 +134,9 @@ func TestResizeCreditsNarrowConservesCredits(t *testing.T) {
 }
 
 // TestTunerSetpointsPrimeRoundTrip drives the sweep's rung-to-rung carry
-// through the public API: actuator state learned on one cluster is
-// captured with Setpoints and restored onto a fresh cluster with Prime.
+// through the public API: actuator state the tune phase learned on one
+// cluster is captured with Setpoints and restored onto a fresh cluster
+// with Prime.
 func TestTunerSetpointsPrimeRoundTrip(t *testing.T) {
 	cfg := apps.FitnessConfig("carry", 10, "squat")
 
@@ -156,7 +157,7 @@ func TestTunerSetpointsPrimeRoundTrip(t *testing.T) {
 		t.Fatalf("ResizeCredits: %v", err)
 	}
 
-	sp := core.NewTuner(c1, core.TunerConfig{}).Setpoints()
+	sp := c1.Setpoints()
 	if got := sp.Services[services.PoseDetector]; got.Size != 2 || got.Batch != 3 {
 		t.Fatalf("captured pose setpoint = %+v, want size 2 batch 3", got)
 	}
@@ -167,15 +168,13 @@ func TestTunerSetpointsPrimeRoundTrip(t *testing.T) {
 		t.Fatal("captured setpoints carry no placement")
 	}
 
-	// A fresh cluster starts cold; Prime must restore the learned state
-	// without journaling anything (it is configuration, not a decision).
+	// A fresh cluster starts cold; Prime must restore the learned state.
 	c2 := homeCluster(t)
 	p2, err := c2.Launch(cfg, core.CoLocatePlanner{})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	tu := core.NewTuner(c2, core.TunerConfig{})
-	tu.Prime(sp)
+	c2.Prime(sp)
 	pose2, err := c2.Pool(services.PoseDetector)
 	if err != nil {
 		t.Fatalf("Pool: %v", err)
@@ -189,16 +188,13 @@ func TestTunerSetpointsPrimeRoundTrip(t *testing.T) {
 	if got := p2.Credits(); got != 5 {
 		t.Errorf("primed credits = %d, want 5", got)
 	}
-	if j := tu.Journal(); len(j) != 0 {
-		t.Errorf("Prime journaled %d actions, want none", len(j))
-	}
 
 	// Prime never narrows: a cluster already wider than the carried state
 	// keeps its capacity.
 	if err := pose2.Scale(3); err != nil {
 		t.Fatalf("Scale: %v", err)
 	}
-	tu.Prime(sp)
+	c2.Prime(sp)
 	if got := pose2.Size(); got != 3 {
 		t.Errorf("Prime shrank the pool to %d; carried state must only grow capacity", got)
 	}

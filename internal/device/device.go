@@ -475,6 +475,14 @@ func (d *Device) BreakerStates() map[string]services.BreakerState {
 	return out
 }
 
+// BreakerState is one entry of BreakerStates, read without copying the
+// map: zero when the device has never called the service remotely.
+func (d *Device) BreakerState(service string) services.BreakerState {
+	d.breakerMu.Lock()
+	defer d.breakerMu.Unlock()
+	return d.breakerStates[service]
+}
+
 // pauseGate returns the channel module event loops wait on while the
 // device is paused, or nil when running.
 func (d *Device) pauseGate() <-chan struct{} {

@@ -144,6 +144,9 @@ type Module struct {
 	// consecBreaches counts back-to-back budget breaches in inbox order;
 	// only the worker whose turn it is touches it.
 	consecBreaches int
+	// lastErr is the text of the most recent script error, stored on the
+	// error path only.
+	lastErr atomic.Pointer[string]
 
 	closeOnce sync.Once
 }
@@ -659,6 +662,23 @@ func (m *Module) UpdateSource(source string) error {
 // back to the source) until the supervisor replaces it.
 func (m *Module) Killed() bool { return m.killed.Load() }
 
+// LastError reports the text of the module's most recent script error
+// (init or event_received), empty when it has had none.
+func (m *Module) LastError() string {
+	if s := m.lastErr.Load(); s != nil {
+		return *s
+	}
+	return ""
+}
+
+// fail counts a script error on the module.<name>.errors meter and keeps
+// its text for LastError.
+func (m *Module) fail(err error) {
+	m.dev.reg.Meter("module." + m.spec.Name + ".errors").Mark()
+	msg := err.Error()
+	m.lastErr.Store(&msg)
+}
+
 // run is a worker's goroutine: the first worker runs init() before any
 // event, so module state never sees concurrent access, and takes over a
 // predecessor's state; then each applies the events it is handed to its
@@ -668,7 +688,7 @@ func (w *worker) run(first bool, restore *script.Snapshot) {
 	defer m.workerWG.Done()
 	if first && w.ctx.Has("init") {
 		if _, err := w.ctx.Call("init"); err != nil {
-			m.dev.reg.Meter("module." + m.spec.Name + ".errors").Mark()
+			m.fail(err)
 		}
 	}
 	// Migration/restart: overlay the predecessor's global state on top of
@@ -727,7 +747,7 @@ func (w *worker) handle(j job) {
 	ordered := w.awaitTurn()
 	breach := false
 	if err != nil {
-		m.dev.reg.Meter("module." + m.spec.Name + ".errors").Mark()
+		m.fail(err)
 		// The frame this event owned will never reach frame_done();
 		// return its credit so the source is not starved forever.
 		if ev.frameID != 0 && !w.frameDoneSeen {

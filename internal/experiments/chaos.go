@@ -141,11 +141,11 @@ type ChaosRow struct {
 	// took to sustain >= 90% of PreFPS; negative means it never did
 	// within the observation window.
 	Recovery time.Duration
-	// DegradedSeconds is the monitor-observed degraded time during the
-	// fault run.
+	// DegradedSeconds is the loop-observed degraded time during the fault
+	// run.
 	DegradedSeconds float64
-	// Journal is the supervisor's recovery-action log (supervised runs
-	// only); seed-deterministic across same-seed runs.
+	// Journal is the loop's heal-phase action log (supervised runs only);
+	// seed-deterministic across same-seed runs.
 	Journal []string
 }
 
@@ -199,29 +199,39 @@ func runChaosScenario(reg *services.Registry, sc ChaosScenario, seed int64, o Op
 		}
 	}
 
-	// Supervised runs start the self-healing control loop before any
-	// window is measured, and must stop it (blocking until the loop fully
-	// exits) before the deferred cluster.Close — an in-flight step may
-	// still be probing or migrating.
-	var sup *core.Supervisor
-	supStop := func() {}
+	// One control loop spans every window, supervised or not: each tick
+	// samples the cluster — the fitness sink's delivered count feeds the
+	// recovery clock, stalls feed degraded time — and, under Supervise,
+	// heals. It must stop (blocking until it fully exits) before the
+	// deferred cluster.Close — an in-flight tick may still be probing or
+	// migrating.
+	loopCfg := core.LoopConfig{StallAfter: 500 * time.Millisecond}
 	if o.Supervise {
-		sup = core.NewSupervisor(cluster, core.SupervisorConfig{Seed: seed})
-		supCtx, supCancel := context.WithCancel(context.Background())
-		supDone := make(chan struct{})
-		go func() {
-			defer close(supDone)
-			sup.Run(supCtx)
-		}()
-		var supOnce sync.Once
-		supStop = func() {
-			supOnce.Do(func() {
-				supCancel()
-				<-supDone
-			})
-		}
-		defer supStop()
+		loopCfg.Heal = &core.SupervisorConfig{}
 	}
+	loop := core.NewLoop(cluster, loopCfg)
+	// samples is the loop goroutine's until the loop has stopped.
+	var samples []deliverySample
+	loopCtx, loopCancel := context.WithCancel(context.Background())
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		loop.Run(loopCtx, func(r core.Report) {
+			for _, p := range r.Pipelines {
+				if p.Pipeline == name {
+					samples = append(samples, deliverySample{at: r.At, count: p.Delivered})
+				}
+			}
+		})
+	}()
+	var stopOnce sync.Once
+	stopLoop := func() {
+		stopOnce.Do(func() {
+			loopCancel()
+			<-loopDone
+		})
+	}
+	defer stopLoop()
 
 	// run executes one measurement window across the launched pipelines
 	// and returns the fitness pipeline's delivered rate, measured with the
@@ -283,8 +293,8 @@ func runChaosScenario(reg *services.Registry, sc ChaosScenario, seed int64, o Op
 	}
 
 	// Phase 2: fault window. The injector drives the schedule while the
-	// pipelines run; a sampler tracks the delivered counter so recovery
-	// time is measured from the moment the last fault reverses.
+	// pipelines run; the loop's samples time the recovery from the moment
+	// the last fault reverses.
 	var faultEnd time.Duration
 	for _, ev := range schedule {
 		if end := ev.At + ev.Duration; end > faultEnd {
@@ -293,72 +303,44 @@ func runChaosScenario(reg *services.Registry, sc ChaosScenario, seed int64, o Op
 	}
 	chaosDur := faultEnd + o.duration()
 
-	mon := core.NewMonitor(cluster)
-	mon.StallAfter = 500 * time.Millisecond
-	monCtx, monCancel := context.WithCancel(context.Background())
-	go mon.Run(monCtx, nil)
-
-	delivered := func() uint64 {
-		return cluster.Metrics().Meter("pipeline." + name + ".display.frames_done").Count()
-	}
-	var (
-		samplesMu sync.Mutex
-		samples   []deliverySample
-		healedAt  time.Time
-	)
-	samplerCtx, samplerCancel := context.WithCancel(context.Background())
-	var aux sync.WaitGroup
-	aux.Add(2)
-	go func() {
-		defer aux.Done()
-		tick := time.NewTicker(100 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-samplerCtx.Done():
-				return
-			case now := <-tick.C:
-				samplesMu.Lock()
-				samples = append(samples, deliverySample{at: now, count: delivered()})
-				samplesMu.Unlock()
-			}
-		}
-	}()
+	var healedAt time.Time
+	injCtx, injCancel := context.WithCancel(context.Background())
+	injDone := make(chan struct{})
 	inj := chaos.NewInjector(cluster)
 	inj.ExternalRepair = o.Supervise
 	go func() {
-		defer aux.Done()
-		inj.Run(samplerCtx, schedule)
-		samplesMu.Lock()
+		defer close(injDone)
+		inj.Run(injCtx, schedule)
 		healedAt = time.Now()
-		samplesMu.Unlock()
 	}()
+	stopInjector := func() {
+		injCancel()
+		<-injDone
+	}
 
+	degradedBefore := loop.DegradedSeconds(name)
 	row.DuringFPS, row.CoDuringFPS, err = run(chaosDur)
-	monCancel()
 	if err != nil {
-		samplerCancel()
-		aux.Wait()
+		stopInjector()
 		return ChaosRow{}, err
 	}
 	row.Applied = inj.Applied()
-	row.DegradedSeconds = mon.DegradedSeconds(name)
+	row.DegradedSeconds = loop.DegradedSeconds(name) - degradedBefore
 
-	// Phase 3: clean post-fault window. The sampler keeps running so the
+	// Phase 3: clean post-fault window. The loop keeps sampling so the
 	// recovery clock can land here when the pipeline was still draining
 	// at the end of the fault window.
 	row.PostFPS, _, err = run(o.duration())
-	samplerCancel()
-	aux.Wait()
+	stopInjector()
 	if err != nil {
 		return ChaosRow{}, err
 	}
+	// Stop the loop before reading its samples and journal so nothing
+	// lands after collection.
+	stopLoop()
 	row.Recovery = recoveryTime(samples, healedAt, row.PreFPS)
-	if sup != nil {
-		// Stop the control loop before reading the journal so no action
-		// lands after collection.
-		supStop()
-		row.Journal = sup.JournalStrings()
+	if o.Supervise {
+		row.Journal = loop.JournalStrings()
 	}
 	return row, nil
 }

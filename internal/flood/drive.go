@@ -173,12 +173,12 @@ func Run(sc experiments.FloodScenario, o Options) (Result, error) {
 		if tc.Seed == 0 {
 			tc.Seed = o.Seed
 		}
+		if o.InitialTuning != nil {
+			cluster.Prime(*o.InitialTuning)
+		}
 		tuner = core.NewTuner(cluster, tc)
 		tuneCtx, cancelTune := context.WithCancel(context.Background())
 		defer cancelTune()
-		if o.InitialTuning != nil {
-			tuner.Prime(*o.InitialTuning)
-		}
 		go tuner.Run(tuneCtx)
 	}
 
@@ -270,7 +270,7 @@ func Run(sc experiments.FloodScenario, o Options) (Result, error) {
 	res.GenLateness = lateness.Snapshot()
 	if tuner != nil {
 		res.TunerActions = tuner.JournalStrings()
-		res.Tuning = tuner.Setpoints()
+		res.Tuning = cluster.Setpoints()
 	}
 	res.OfferedEPS = float64(res.Offered) / o.Horizon.Seconds()
 	res.AchievedEPS = float64(res.Delivered) / o.Horizon.Seconds()

@@ -15,9 +15,8 @@ import (
 //
 // A scope is declared with the //vpvet:deterministic directive, either in
 // a function's doc comment (the whole function is covered) or before the
-// package clause (the whole file is covered). Real-time escapes inside a
-// scope — the supervisor's backoff clocks — carry per-line
-// //vpvet:allow determinism comments.
+// package clause (the whole file is covered). A real-time escape inside a
+// scope carries a per-line //vpvet:allow determinism comment.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "no wall clock, global rand, or map-order dependence in deterministic scopes",

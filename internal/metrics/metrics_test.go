@@ -238,16 +238,6 @@ func TestRegistryNamesSorted(t *testing.T) {
 	}
 }
 
-func TestRegistryReport(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("lat").Observe(time.Millisecond)
-	r.Meter("fps").MarkN(3)
-	rep := r.Report()
-	if rep == "" {
-		t.Error("Report() returned empty string")
-	}
-}
-
 func TestRegistryReset(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("lat").Observe(time.Millisecond)

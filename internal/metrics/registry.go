@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -102,26 +100,6 @@ func (r *Registry) GaugeNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Report renders all registered instruments as an aligned, human-readable
-// table, suitable for experiment output.
-func (r *Registry) Report() string {
-	var b strings.Builder
-	for _, n := range r.HistogramNames() {
-		//vpvet:allow metername re-reads an instrument already registered under this name
-		fmt.Fprintf(&b, "%-32s %s\n", n, r.Histogram(n).Snapshot())
-	}
-	for _, n := range r.MeterNames() {
-		//vpvet:allow metername re-reads an instrument already registered under this name
-		m := r.Meter(n)
-		fmt.Fprintf(&b, "%-32s rate=%.2f/s count=%d\n", n, m.Rate(), m.Count())
-	}
-	for _, n := range r.GaugeNames() {
-		//vpvet:allow metername re-reads an instrument already registered under this name
-		fmt.Fprintf(&b, "%-32s level=%d\n", n, r.Gauge(n).Value())
-	}
-	return b.String()
 }
 
 // Reset clears every registered instrument but keeps the registrations.

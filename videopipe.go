@@ -85,10 +85,15 @@ type (
 	// selection by the pipecost static worst-case handler costs.
 	CostAwarePlanner = core.CostAwarePlanner
 
-	// Monitor observes pipelines and services: progress, stalls, module
-	// errors, pool utilization (the paper's "monitoring" future work).
-	Monitor = core.Monitor
-	// Report is one monitoring observation.
+	// Loop is a cluster's control loop. Every tick it samples pipelines
+	// and services — progress, stalls, module errors, pool utilization (the
+	// paper's "monitoring" future work) — then heals and tunes when
+	// configured to.
+	Loop = core.Loop
+	// LoopConfig selects and shapes a Loop.
+	LoopConfig = core.LoopConfig
+	// Report is one tick's observation; json.Marshal of it is the loop's
+	// machine-readable view.
 	Report = core.Report
 
 	// Diagnostic is one pipevet static-analysis finding.
@@ -222,9 +227,8 @@ func FallApp(name string, fps float64) PipelineConfig {
 	return apps.FallConfig(name, fps)
 }
 
-// NewMonitor creates a cluster monitor: pipeline progress and stall
-// detection, module error counts and service-pool utilization.
-func NewMonitor(c *Cluster) *Monitor { return core.NewMonitor(c) }
+// NewLoop creates a cluster's control loop; run it with Loop.Run.
+func NewLoop(c *Cluster, cfg LoopConfig) *Loop { return core.NewLoop(c, cfg) }
 
 // AnalyzePipeline runs the pipevet static analyzer over every module of a
 // pipeline: script-level checks (undefined identifiers, use before
