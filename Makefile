@@ -55,14 +55,16 @@ race:
 # (raw round trip, clone, warm JPEG decode) and wire message paths must
 # stay pinned (near zero) after the buffer pool / copy-elision work, and
 # the interpreter's counted loop and script-to-script call must stay
-# independent of the iteration count. The BufferPool tests ride along: the
+# independent of the iteration count; an object literal of up to eight
+# fields, a detector pose and its clone, and the host calls that move them
+# stay at their flat-object counts. The BufferPool tests ride along: the
 # pool's determinism (a hit after two GCs, retention cap, spare rule), the
 # whole warm remote hop under 2 KiB (internal/netsim), and conservation —
 # every chunk, body and frame back in the pool after decode failures, a
 # full store, and Cluster.Close with frames in flight.
 alloc:
 	$(GO) test -run 'Allocs|ReleaseGuards|BufferPool' ./internal/frame ./internal/wire ./internal/script \
-		./internal/netsim ./internal/device ./internal/core
+		./internal/services ./internal/netsim ./internal/device ./internal/core
 
 cover:
 	$(GO) test -cover ./...
@@ -100,8 +102,9 @@ shapes:
 # plus the sandbox budget enforcer, the static cost bound against the
 # measured step count, the shape-inference pass, the stateless verdict
 # against what two events on one context show the host, the payload JSON
-# codec against encoding/json and the frame codec's JPEG decoder against
-# image/jpeg (seed corpora alone run in `make test`).
+# codec against encoding/json, the flat object table against a map and the
+# frame codec's JPEG decoder against image/jpeg (seed corpora alone run in
+# `make test`).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzBudget -fuzztime 30s ./internal/script
@@ -109,6 +112,7 @@ fuzz:
 	$(GO) test -fuzz FuzzShapes -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzStateless -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzJSONCodec -fuzztime 30s ./internal/script
+	$(GO) test -fuzz FuzzObjectOps -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzParseConfig -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzJPEGDecode -fuzztime 30s ./internal/frame
 

@@ -213,7 +213,7 @@ func runScaleOut(o experiments.Options, e *benchio.Entry) error {
 
 func runQueueing(o experiments.Options, e *benchio.Entry) error {
 	header("Ablation — queue-free flow control vs deeper admission")
-	points, err := experiments.AblationQueueing(o, nil)
+	points, err := experiments.AblationQueueing(o, 30, nil)
 	if err != nil {
 		return err
 	}

@@ -181,7 +181,7 @@ func TestBufferPoolRemoteCallConservation(t *testing.T) {
 	// Two workers: the abandoned call's handler keeps one until Close.
 	err := reg.Register(services.Spec{Name: "probe", NeedsFrame: true, Workers: 2,
 		Handler: func(ctx context.Context, req services.Request) (services.Response, error) {
-			switch req.Args["mode"] {
+			switch req.Args.Get("mode") {
 			case "fail":
 				return services.Response{}, errors.New("model exploded")
 			case "hang":
@@ -211,7 +211,7 @@ func TestBufferPoolRemoteCallConservation(t *testing.T) {
 	call := func(mode string, timeout time.Duration) error {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		defer cancel()
-		_, err := phone.CallService(ctx, "probe", map[string]script.Value{"mode": mode}, f)
+		_, err := phone.CallService(ctx, "probe", script.FromGo(map[string]script.Value{"mode": mode}).(*script.Object), f)
 		return err
 	}
 	if err := call("ok", 5*time.Second); err != nil {

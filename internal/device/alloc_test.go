@@ -56,8 +56,9 @@ func squatPoses(n int) []script.Value {
 
 // TestCallServiceWindowAllocs: the 15-pose window handed to the activity
 // classifier every frame — ~700 objects when each call deep-copied it — is
-// lent, so a warm call costs the invocation, the message literal, the
-// service-call bookkeeping and the three-field result.
+// lent, message object and all, so a warm call costs the invocation, the
+// message literal, the service-call bookkeeping and the three-field result
+// (31; 33 with map-backed objects).
 func TestCallServiceWindowAllocs(t *testing.T) {
 	d := newDevice(t, testNet(), "desktop", Desktop)
 	fitnessServices(t, d)
@@ -92,22 +93,24 @@ func TestCallServiceWindowAllocs(t *testing.T) {
 		t.Fatalf("classified as %v, want squat", seen)
 	}
 	t.Logf("call_service(activity_classifier, 15-pose window): %.0f allocs", allocs)
-	if allocs > 40 {
-		t.Errorf("call_service with a 15-pose window: %.0f allocs, want <= 40", allocs)
+	if allocs > 32 {
+		t.Errorf("call_service with a 15-pose window: %.0f allocs, want <= 32", allocs)
 	}
 }
 
 // repCounterMessage is the fitness rep_counter stage's message to display.
 func repCounterMessage(pose script.Value) *script.Object {
-	return &script.Object{Fields: map[string]script.Value{
+	return objectOf(map[string]script.Value{
 		"frame_ref": 0.0, "pose": pose, "activity": "squat", "reps": 3.0,
 		"captured_ms": 1696300000123.5, "seq": 41.0,
-	}}
+	})
 }
 
 // TestCallModuleSendAllocs: a local send costs one clone of the message —
-// measured here as a clone of its pose plus a constant — and a remote
-// send's body encoding, into the module's warm scratch, costs nothing.
+// a clone of its pose (21 allocations: one per object or array, two for the
+// keypoint array) and one for the message itself, which has room for the
+// receiver's frame_ref — and a remote send's body encoding, into the
+// module's warm scratch, costs nothing.
 func TestCallModuleSendAllocs(t *testing.T) {
 	d := newDevice(t, testNet(), "desktop", Desktop)
 	// A sink with no event loop: the test drains it, so only the sender's
@@ -137,13 +140,16 @@ func TestCallModuleSendAllocs(t *testing.T) {
 		if _, err := w.hostCallModule(args); err != nil {
 			t.Fatal(err)
 		}
-		if ev := <-sink.events; len(ev.body.Fields) != 5 {
-			t.Fatalf("delivered %d fields, want the message without frame_ref", len(ev.body.Fields))
+		if ev := <-sink.events; ev.body.Len() != 5 {
+			t.Fatalf("delivered %d fields, want the message without frame_ref", ev.body.Len())
 		}
 	})
 	t.Logf("local call_module: %.0f allocs, of which the pose clone is %.0f", local, poseClone)
-	if local > poseClone+12 {
-		t.Errorf("local call_module: %.0f allocs, want <= pose clone (%.0f) + 12", local, poseClone)
+	if poseClone > 21 {
+		t.Errorf("pose clone: %.0f allocs, want <= 21", poseClone)
+	}
+	if local > poseClone+2 {
+		t.Errorf("local call_module: %.0f allocs, want <= pose clone (%.0f) + 2", local, poseClone)
 	}
 
 	msg := args[1].(*script.Object)
@@ -169,7 +175,7 @@ func TestRepCounterCallAllocs(t *testing.T) {
 	state := script.Value("")
 	call := func(pose script.Value) {
 		resp, err := d.CallService(context.Background(), services.RepCounter,
-			map[string]script.Value{"state": state, "pose": pose}, nil)
+			objectOf(map[string]script.Value{"state": state, "pose": pose}), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,5 +218,35 @@ func TestRepCounterCallAllocs(t *testing.T) {
 		if limit := uint64(len(after.(string)) + 2<<10); bytes > limit {
 			t.Errorf("rep_counter call at frame %d allocated %d bytes, want <= its %d-byte state string + 2 KiB", frame, bytes, len(after.(string)))
 		}
+	}
+}
+
+// TestLocalEventAllocs: the instruments a warm event touches — instruction
+// meter, handle-time histogram, events and frames_done meters — are
+// resolved once at spawn, so a frame_done() event costs what Context.Call
+// allocates (two) and nothing per instrument: looked up by name, the four
+// cost one concatenation each.
+func TestLocalEventAllocs(t *testing.T) {
+	d := newDevice(t, testNet(), "desktop", Desktop)
+	m, err := d.SpawnModule(ModuleSpec{Name: "sink", Source: `function event_received(m) { frame_done(); }`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, body := m.workers[0], script.NewObject()
+	var ticket uint64
+	handle := func() {
+		w.handle(job{ev: event{body: body}, ticket: ticket})
+		ticket++
+	}
+	for i := 0; i < 10000; i++ { // past the histogram's sample reservoir
+		handle()
+	}
+	allocs := testing.AllocsPerRun(100, handle)
+	t.Logf("warm frame_done() event: %.1f allocs", allocs)
+	if allocs > 2 {
+		t.Errorf("warm frame_done() event: %.1f allocs, want <= 2", allocs)
+	}
+	if n := d.reg.Meter("pipeline.sink.frames_done").Count(); n != ticket {
+		t.Errorf("frames_done counted %d events, want %d", n, ticket)
 	}
 }

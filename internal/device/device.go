@@ -340,7 +340,7 @@ func (d *Device) RegisterRemoteService(name, address string) {
 // remote API call to the registered address. args is lent to the service
 // until the call returns (services.Request.Args); the result is the
 // caller's.
-func (d *Device) CallService(ctx context.Context, name string, args map[string]script.Value, f *frame.Frame) (services.Response, error) {
+func (d *Device) CallService(ctx context.Context, name string, args *script.Object, f *frame.Frame) (services.Response, error) {
 	start := time.Now()
 	resp, remote, err := d.callService(ctx, name, args, f)
 	where := "local"
@@ -359,7 +359,7 @@ func (d *Device) CallService(ctx context.Context, name string, args map[string]s
 	return resp, err
 }
 
-func (d *Device) callService(ctx context.Context, name string, args map[string]script.Value, f *frame.Frame) (services.Response, bool, error) {
+func (d *Device) callService(ctx context.Context, name string, args *script.Object, f *frame.Frame) (services.Response, bool, error) {
 	if pool, ok := d.Pool(name); ok {
 		resp, err := pool.Invoke(ctx, services.Request{Args: args, Frame: f})
 		return resp, false, err

@@ -27,6 +27,11 @@ func newDevice(t *testing.T, nw *netsim.Network, name string, class Class) *Devi
 	return d
 }
 
+// objectOf is the script object holding fields.
+func objectOf(fields map[string]script.Value) *script.Object {
+	return script.FromGo(fields).(*script.Object)
+}
+
 // poseValue is the script form of a pose, as the pose_detector service
 // builds it.
 func poseValue(p vision.Pose) *script.Object {
@@ -46,7 +51,8 @@ func echoSpec(name string) services.Spec {
 		Name: name,
 		Handler: func(_ context.Context, req services.Request) (services.Response, error) {
 			out := map[string]script.Value{"echo": true}
-			for k, v := range req.Args {
+			for i := range req.Args.Len() {
+				k, v := req.Args.Field(i)
 				out[k] = v
 			}
 			if req.Frame != nil {
@@ -118,7 +124,7 @@ func TestCallServiceLocalAndRemote(t *testing.T) {
 	f := frame.MustNew(32, 16)
 
 	// Local call from the desktop.
-	resp, err := desktop.CallService(ctx, "echo", map[string]script.Value{"k": "v"}, f)
+	resp, err := desktop.CallService(ctx, "echo", objectOf(map[string]script.Value{"k": "v"}), f)
 	if err != nil {
 		t.Fatalf("local CallService: %v", err)
 	}
@@ -127,7 +133,7 @@ func TestCallServiceLocalAndRemote(t *testing.T) {
 	}
 
 	// Remote call from the phone (frame crosses the wire).
-	resp, err = phone.CallService(ctx, "echo", map[string]script.Value{"k": "v2"}, f)
+	resp, err = phone.CallService(ctx, "echo", objectOf(map[string]script.Value{"k": "v2"}), f)
 	if err != nil {
 		t.Fatalf("remote CallService: %v", err)
 	}

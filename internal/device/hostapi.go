@@ -53,7 +53,7 @@ func (w *worker) chargePayload(fn string, msg *script.Object, exemptRef bool) er
 		return nil
 	}
 	var exempt int64
-	if _, has := msg.Fields[frameRefKey]; has && exemptRef {
+	if _, has := msg.Lookup(frameRefKey); has && exemptRef {
 		exempt = 16 + int64(len(frameRefKey)) + 8 // the slot, the key and one word
 	}
 	n, err := script.PayloadSize(msg, limit-w.outputUsed+exempt)
@@ -71,7 +71,7 @@ func messageArg(fn string, args []script.Value) (*script.Object, uint64, error) 
 		return &script.Object{}, 0, nil
 	}
 	msg := args[1].(*script.Object) // CheckHostArgs admitted it
-	raw, has := msg.Fields[frameRefKey]
+	raw, has := msg.Lookup(frameRefKey)
 	ref, ok := raw.(float64)
 	if has && !ok {
 		return nil, 0, fmt.Errorf("%s: frame_ref must be a number", fn)
@@ -128,23 +128,23 @@ func (w *worker) hostCallService(args []script.Value) (script.Value, error) {
 	if err := w.chargePayload("call_service", msg, false); err != nil {
 		return nil, err
 	}
-	// The handler is lent the message's own fields for the duration of the
-	// call (services.Request.Args): this goroutine is parked until it
-	// returns, so the script cannot touch them meanwhile.
-	callArgs := msg.Fields
+	// The handler is lent the message itself for the duration of the call
+	// (services.Request.Args): this goroutine is parked until it returns, so
+	// the script cannot touch it meanwhile.
+	callArgs := msg
 
 	// Resolve a frame reference into the actual frame for the service. The
 	// handler must not see the id and the script's object must keep it, so
 	// the one copy call_service ever makes is this shallow one.
 	var reqFrame *frame.Frame
-	if _, has := callArgs[frameRefKey]; has {
+	if _, has := msg.Lookup(frameRefKey); has {
 		if reqFrame, err = m.dev.store.Get(frameID); err != nil {
 			return nil, fmt.Errorf("call_service: %w", err)
 		}
-		callArgs = make(map[string]script.Value, len(msg.Fields)-1)
-		for k, v := range msg.Fields {
-			if k != frameRefKey {
-				callArgs[k] = v
+		callArgs = script.NewObjectSize(msg.Len() - 1)
+		for i := range msg.Len() {
+			if k, v := msg.Field(i); k != frameRefKey {
+				callArgs.Set(k, v)
 			}
 		}
 	}
@@ -159,9 +159,9 @@ func (w *worker) hostCallService(args []script.Value) (script.Value, error) {
 		return nil, fmt.Errorf("call_service: %w", err)
 	}
 
-	// The handler's result map becomes the returned object as is; the
-	// module owns it from here.
-	result := &script.Object{Fields: resp.Result}
+	// The handler's result map becomes the returned object's fields as they
+	// are; the module owns them from here.
+	result := script.FromGo(resp.Result).(*script.Object)
 	if resp.Frame != nil {
 		id, err := m.dev.store.Put(resp.Frame)
 		if err != nil {
@@ -238,7 +238,7 @@ func (w *worker) deliverLocal(target string, msg *script.Object, frameID uint64)
 		return fmt.Errorf("call_module: %w", err)
 	}
 	ev := event{body: body.(*script.Object)}
-	delete(ev.body.Fields, frameRefKey) // the sender's id; the receiver gets its own
+	ev.body.Delete(frameRefKey) // the sender's id; the receiver gets its own
 	if frameID != 0 {
 		if err := m.dev.store.Retain(frameID); err != nil {
 			return fmt.Errorf("call_module: %w", err)
@@ -290,7 +290,7 @@ func (w *worker) deliverRemote(route Route, body *script.Object, frameID uint64)
 			return fmt.Errorf("call_module: encode frame: %w", err)
 		}
 		w.encBuf = data
-		m.dev.reg.Histogram("module." + m.spec.Name + ".encode").Observe(time.Since(encStart))
+		m.encodeTime.Observe(time.Since(encStart))
 		msg.Parts = append(msg.Parts, data)
 	}
 
@@ -343,7 +343,7 @@ func (w *worker) hostLog(args []script.Value) (script.Value, error) {
 	if err := w.chargeOutput(logged); err != nil {
 		return nil, err
 	}
-	m.dev.reg.Meter("module." + m.spec.Name + ".logs").Mark()
+	m.logs.Mark()
 	if m.dev.logf != nil {
 		m.dev.logf("[%s/%s] %v", m.dev.name, m.spec.Name, parts)
 	}
@@ -367,9 +367,9 @@ func (w *worker) hostFrameDone([]script.Value) (script.Value, error) {
 	var e2e time.Duration
 	if w.currentFrame != nil && !w.currentFrame.Captured.IsZero() {
 		e2e = time.Since(w.currentFrame.Captured)
-		m.dev.reg.Histogram("pipeline." + m.spec.Name + ".e2e").Observe(e2e)
+		m.e2eTime.Observe(e2e)
 	}
-	m.dev.reg.Meter("pipeline." + m.spec.Name + ".frames_done").Mark()
+	m.framesDone.Mark()
 	if m.onFrameDone != nil {
 		m.onFrameDone(e2e)
 	}

@@ -148,6 +148,12 @@ type Module struct {
 	// error path only.
 	lastErr atomic.Pointer[string]
 
+	// The instruments an event touches, resolved once at spawn rather than
+	// by name (a concatenation and the registry lock) per event; a
+	// Registry.Reset keeps registrations, so the pointers stay current.
+	instructions, handled, logs, framesDone *metrics.Meter
+	handleTime, encodeTime, e2eTime         *metrics.Histogram
+
 	closeOnce sync.Once
 }
 
@@ -272,6 +278,13 @@ func (d *Device) SpawnModule(spec ModuleSpec) (*Module, error) {
 		}
 		m.routes[label] = r
 	}
+	m.instructions = d.reg.Meter("script." + spec.Name + ".instructions")
+	m.handled = d.reg.Meter("module." + spec.Name + ".events")
+	m.logs = d.reg.Meter("module." + spec.Name + ".logs")
+	m.framesDone = d.reg.Meter("pipeline." + spec.Name + ".frames_done")
+	m.handleTime = d.reg.Histogram("module." + spec.Name + ".handle")
+	m.encodeTime = d.reg.Histogram("module." + spec.Name + ".encode")
+	m.e2eTime = d.reg.Histogram("pipeline." + spec.Name + ".e2e")
 	m.limits = spec.Limits
 	m.breachLimit = spec.MaxBreaches
 	if m.breachLimit <= 0 {
@@ -495,7 +508,10 @@ func (m *Module) decodeWireEvent(msg wire.Message) (event, error) {
 	if err != nil {
 		return event{}, fmt.Errorf("device: module %s: bad message body: %w", m.spec.Name, err)
 	}
-	ev := event{body: &script.Object{Fields: body}}
+	if body == nil {
+		body = script.NewObjectSize(1) // room for the frame_ref
+	}
+	ev := event{body: body}
 	if len(msg.Part(1)) > 0 {
 		f, err := m.dev.codec.Decode(msg.Part(1))
 		if err != nil {
@@ -739,7 +755,7 @@ func (w *worker) handle(j job) {
 	// Per-event interpreter instruction count — the runtime half of the
 	// pipecost validation loop (static bound >= this) and the counter the
 	// sandbox instruction budget is enforced against.
-	m.dev.reg.Meter("script." + m.spec.Name + ".instructions").MarkN(uint64(w.ctx.LastInstructions()))
+	m.instructions.MarkN(uint64(w.ctx.LastInstructions()))
 
 	// What follows is visible outside the module — a returned credit, the
 	// breach count — so it too happens in inbox order. A module that closed
@@ -775,8 +791,8 @@ func (w *worker) handle(j job) {
 	}
 	w.ownedRefs = w.ownedRefs[:0]
 	w.currentFrame = nil
-	m.dev.reg.Histogram("module." + m.spec.Name + ".handle").Observe(time.Since(start))
-	m.dev.reg.Meter("module." + m.spec.Name + ".events").Mark()
+	m.handleTime.Observe(time.Since(start))
+	m.handled.Mark()
 	if ordered {
 		m.seq.advance()
 	}

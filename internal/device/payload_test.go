@@ -81,13 +81,13 @@ func TestCallServiceLendsArguments(t *testing.T) {
 	pool, err := d.DeployService(services.Spec{
 		Name: "inspect", MaxBatch: 2,
 		Handler: func(_ context.Context, req services.Request) (services.Response, error) {
-			_, sawRef := req.Args["frame_ref"]
+			_, sawRef := req.Args.Lookup("frame_ref")
 			sum := 0.0
-			for _, kp := range req.Args["pose"].(*script.Object).Get("kps").(*script.Array).Elems {
+			for _, kp := range req.Args.Get("pose").(*script.Object).Get("kps").(*script.Array).Elems {
 				sum += kp.(*script.Object).Get("x").(float64)
 			}
 			return services.Response{Result: map[string]script.Value{
-				"sum": sum, "saw_ref": sawRef, "has_frame": req.Frame != nil, "echo": req.Args["pose"],
+				"sum": sum, "saw_ref": sawRef, "has_frame": req.Frame != nil, "echo": req.Args.Get("pose"),
 			}}, nil
 		},
 	}, 1)

@@ -33,9 +33,9 @@ func (s *sleeper) spec(name string) services.Spec {
 	return services.Spec{Name: name, Workers: 2 * statelessReplicas,
 		Handler: func(_ context.Context, req services.Request) (services.Response, error) {
 			start := time.Now()
-			ms, fixed := req.Args["ms"].(float64)
+			ms, fixed := req.Args.Get("ms").(float64)
 			if !fixed {
-				seq, _ := req.Args["seq"].(float64)
+				seq, _ := req.Args.Get("seq").(float64)
 				ms = float64(1 + rand.New(rand.NewSource(int64(seq))).Intn(40))
 			}
 			time.Sleep(time.Duration(ms) * time.Millisecond)

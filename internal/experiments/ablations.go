@@ -23,10 +23,11 @@ type QueueingPoint struct {
 }
 
 // AblationQueueing contrasts the queue-free credit discipline (§2.3)
-// against deeper admission: more credits ≈ bounded queues inside the
-// pipeline. Expected shape: FPS saturates by 2 credits while end-to-end
-// latency keeps growing — queueing buys latency, not throughput.
-func AblationQueueing(o Options, creditSettings []int) ([]QueueingPoint, error) {
+// against deeper admission — more credits ≈ bounded queues inside the
+// pipeline — with the camera at fps. Expected shape, once fps is above what
+// one credit carries: FPS saturates by 2 credits while end-to-end latency
+// keeps growing — queueing buys latency, not throughput.
+func AblationQueueing(o Options, fps float64, creditSettings []int) ([]QueueingPoint, error) {
 	reg, err := o.registry()
 	if err != nil {
 		return nil, err
@@ -38,7 +39,7 @@ func AblationQueueing(o Options, creditSettings []int) ([]QueueingPoint, error) 
 	for _, credits := range creditSettings {
 		res, err := runFitness(reg, apps.HomeClusterSpec(),
 			core.CoLocatePlanner{Credits: credits},
-			fmt.Sprintf("abq%d", credits), 30, o.scene(), o.duration())
+			fmt.Sprintf("abq%d", credits), fps, o.scene(), o.duration())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: queueing ablation credits=%d: %w", credits, err)
 		}

@@ -175,19 +175,30 @@ func TestAblationQueueing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("performance-shape assertion; race builds are compute-bound")
 	}
-	points, err := AblationQueueing(fastOptions(t), []int{1, 4})
+	points, err := AblationQueueing(fastOptions(t), 60, []int{1, 4})
 	if err != nil {
 		t.Fatalf("AblationQueueing: %v", err)
 	}
 	if len(points) != 2 {
 		t.Fatalf("points = %d", len(points))
 	}
-	// More credits must not reduce FPS, and must raise latency.
+	// More credits must not reduce FPS.
 	if points[1].FPS < points[0].FPS*0.85 {
 		t.Errorf("credits=4 FPS %.2f much lower than credits=1 %.2f", points[1].FPS, points[0].FPS)
 	}
-	if points[1].E2EMean <= points[0].E2EMean {
-		t.Errorf("deeper admission did not raise latency: %v vs %v", points[1].E2EMean, points[0].E2EMean)
+	// What credits control by construction is the number of frames in
+	// flight (Little's law: delivered rate × mean latency): one credit never
+	// holds more than one, and four, offered a camera faster than one credit
+	// carries (~25 fps here), hold more. Latency itself is not asserted: with
+	// replicated stages and a 12 ms detector, four in flight need not queue.
+	inFlight := func(p QueueingPoint) float64 { return p.FPS * p.E2EMean.Seconds() }
+	one, four := inFlight(points[0]), inFlight(points[1])
+	t.Logf("frames in flight: %.2f at credits=1, %.2f at credits=4", one, four)
+	if one > 1.05 {
+		t.Errorf("credits=1 held %.2f frames in flight, want <= 1", one)
+	}
+	if four < 1.25 {
+		t.Errorf("credits=4 held %.2f frames in flight, want > 1.25 at 60 fps offered", four)
 	}
 }
 

@@ -94,3 +94,26 @@ func TestScriptCallFrameAllocs(t *testing.T) {
 	perCall := (perRun(calls+1) - perRun(1)) / calls
 	assertAllocs(t, "two-parameter script call, frame uncaptured", perCall, 1)
 }
+
+// TestObjectLiteralAllocs pins a flat object: a literal of up to eight
+// fields — the object and its field table — is one allocation, whatever
+// the field count (a map-backed object paid one per bucket, and more per
+// field).
+func TestObjectLiteralAllocs(t *testing.T) {
+	perCall := func(body string) float64 {
+		c := NewContext()
+		if err := c.Load(`function f(a) { ` + body + ` return a; }`); err != nil {
+			t.Fatal(err)
+		}
+		a := Value(1.5)
+		return testing.AllocsPerRun(50, func() {
+			if _, err := c.Call("f", a); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bare := perCall("")
+	for _, lit := range []string{`{}`, `{k: a}`, `{a: a, b: "x", c: 2}`, `{a: a, b: "x", c: 2, d: true, e: null, f: a, g: 3, h: "y"}`} {
+		assertAllocs(t, "object literal "+lit, perCall("var o = "+lit+";")-bare, 1)
+	}
+}

@@ -124,7 +124,7 @@ func sizeEstimate(v Value) int64 {
 	case *Array:
 		return 24 + 16*int64(len(x.Elems))
 	case *Object:
-		return 48 + 32*int64(len(x.Fields))
+		return 48 + 32*int64(len(x.fields))
 	case *Function:
 		return 64
 	default:
@@ -178,9 +178,9 @@ func (w *sizeWalk) add(v Value, depth int) error {
 			return errTooDeep
 		}
 		w.n += 48
-		for k, e := range x.Fields {
-			w.n += 16 + int64(len(k))
-			if err := w.add(e, depth+1); err != nil || w.over() {
+		for _, f := range x.fields {
+			w.n += 16 + int64(len(f.key))
+			if err := w.add(f.val, depth+1); err != nil || w.over() {
 				return err
 			}
 		}

@@ -628,7 +628,7 @@ func (in *interp) eval(e expr, fr *frame) (cell, error) {
 		if err := in.charge(48+32*int64(len(ex.fields)), ex.pos); err != nil {
 			return cell{}, err
 		}
-		obj := NewObject()
+		obj := NewObjectSize(len(ex.fields))
 		for _, f := range ex.fields {
 			v, err := in.eval(f.value, fr)
 			if err != nil {

@@ -25,8 +25,9 @@ import (
 // long-lived one keeps its key-sorting scratch, so a warm append allocates
 // nothing beyond dst's growth. Not safe for concurrent use.
 type JSONEncoder struct {
-	// keys is a stack of the sorted keys of the objects being written.
-	keys []string
+	// fields is a stack of the key-sorted fields of the objects being
+	// written.
+	fields []field
 	// over, when positive, is the len(dst) at which the encoder gives up
 	// with ErrTooLong (json_encode under a memory budget).
 	over int
@@ -85,26 +86,26 @@ func (e *JSONEncoder) value(dst []byte, v Value, depth int, omit string) (_ []by
 		if depth >= MaxDepth {
 			return dst, errTooDeep
 		}
-		// The object's keys sit on top of the stack while its fields are
+		// The object's fields sit on top of the stack while they are
 		// written; nested objects push above them and pop before the next
 		// field, so they are re-read by index, never held as a slice.
-		base := len(e.keys)
-		for k := range x.Fields {
-			if k != omit || omit == "" {
-				e.keys = append(e.keys, k)
+		base := len(e.fields)
+		for _, f := range x.fields {
+			if f.key != omit || omit == "" {
+				e.fields = append(e.fields, f)
 			}
 		}
-		slices.Sort(e.keys[base:])
+		slices.SortFunc(e.fields[base:], func(a, b field) int { return strings.Compare(a.key, b.key) })
 		dst = append(dst, '{')
-		for i := base; i < len(e.keys) && err == nil; i++ {
+		for i := base; i < len(e.fields) && err == nil; i++ {
 			if i > base {
 				dst = append(dst, ',')
 			}
-			dst = append(appendJSONString(dst, e.keys[i]), ':')
-			dst, err = e.value(dst, x.Fields[e.keys[i]], depth+1, "")
+			dst = append(appendJSONString(dst, e.fields[i].key), ':')
+			dst, err = e.value(dst, e.fields[i].val, depth+1, "")
 		}
-		clear(e.keys[base:])
-		e.keys = e.keys[:base]
+		clear(e.fields[base:])
+		e.fields = e.fields[:base]
 		if err != nil {
 			return dst, err
 		}
@@ -179,9 +180,9 @@ func ParseJSON(data []byte) (Value, error) {
 	return v, nil
 }
 
-// ParseJSONFields decodes a message body into its fields: a JSON object, or
-// null or no bytes at all (an absent optional part), which yield nil.
-func ParseJSONFields(data []byte) (map[string]Value, error) {
+// ParseJSONFields decodes a message body: a JSON object, or null or no bytes
+// at all (an absent optional part), which yield a nil object.
+func ParseJSONFields(data []byte) (*Object, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
@@ -189,7 +190,7 @@ func ParseJSONFields(data []byte) (map[string]Value, error) {
 	case nil:
 		return nil, err
 	case *Object:
-		return x.Fields, nil
+		return x, nil
 	default:
 		return nil, fmt.Errorf("json: cannot use %s as a message object", TypeName(v))
 	}
@@ -202,9 +203,10 @@ type jsonParser struct {
 	data []byte
 	pos  int
 	err  error
-	// stack collects the elements of the arrays being read, so each array
-	// is allocated once at its final length.
-	stack []Value
+	// stack and fields collect the elements of the arrays and the fields of
+	// the objects being read, so each is allocated once at its final size.
+	stack  []Value
+	fields []field
 }
 
 func (p *jsonParser) fail(format string, args ...any) {
@@ -305,11 +307,11 @@ func (p *jsonParser) array(depth int) Value {
 
 func (p *jsonParser) object(depth int) Value {
 	p.pos++
-	obj := NewObject()
 	if p.next() == '}' {
 		p.pos++
-		return obj
+		return NewObjectSize(frameRefRoom(depth))
 	}
+	base := len(p.fields)
 	for {
 		if p.next() != '"' {
 			p.fail("object key must be a string")
@@ -320,14 +322,21 @@ func (p *jsonParser) object(depth int) Value {
 			p.fail("missing ':' after an object key")
 			return nil
 		}
-		obj.Fields[key] = p.value(depth + 1) // a repeated key keeps its last value
+		p.fields = append(p.fields, field{key, p.value(depth + 1)})
 		if c := p.take(); c == '}' {
-			return obj
+			break
 		} else if c != ',' {
 			p.fail("unexpected %q after an object value", c)
 			return nil
 		}
 	}
+	obj := NewObjectSize(len(p.fields) - base + frameRefRoom(depth))
+	for _, f := range p.fields[base:] {
+		obj.Set(f.key, f.val) // a repeated key keeps its last value
+	}
+	clear(p.fields[base:])
+	p.fields = p.fields[:base]
+	return obj
 }
 
 // number reads a JSON number literal and converts it as strconv does, so a

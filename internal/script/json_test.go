@@ -162,11 +162,11 @@ func TestJSONEncoderValuesThatDoNotTravel(t *testing.T) {
 		t.Fatal(err)
 	}
 	host := HostFunc(func([]Value) (Value, error) { return nil, nil })
-	msg := &Object{Fields: map[string]Value{
+	msg := FromGo(map[string]any{
 		"frame_ref": 7.0, "fn": fn, "host": host, "opaque": struct{ X int }{1},
-		"nested": &Object{Fields: map[string]Value{"frame_ref": 8.0, "fn": fn}},
+		"nested": map[string]any{"frame_ref": 8.0, "fn": fn},
 		"list":   NewArray(fn, 1.0, nil),
-	}}
+	}).(*Object)
 	plain, err := ToGo(msg)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestJSONEncoderValuesThatDoNotTravel(t *testing.T) {
 		if got, err := enc.AppendObject(nil, msg, "frame_ref"); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("AppendObject without frame_ref:\n got %s (err %v)\nwant %s", got, err, want)
 		}
-		if _, err := enc.value(nil, &Object{Fields: map[string]Value{"a": 1.0, "b": math.NaN(), "c": 2.0}}, 0, ""); err == nil {
+		if _, err := enc.value(nil, FromGo(map[string]any{"a": 1.0, "b": math.NaN(), "c": 2.0}), 0, ""); err == nil {
 			t.Error("NaN inside an object encoded")
 		}
 	}
@@ -194,7 +194,7 @@ func TestParseJSONFields(t *testing.T) {
 			t.Errorf("ParseJSONFields(%q) = %v, %v; want nil, nil", doc, o, err)
 		}
 	}
-	if o, err := ParseJSONFields([]byte(`{"a":[1]}`)); err != nil || len(o) != 1 {
+	if o, err := ParseJSONFields([]byte(`{"a":[1]}`)); err != nil || o.Len() != 1 {
 		t.Errorf("ParseJSONFields(object) = %v, %v", o, err)
 	}
 	// What json.Unmarshal into a map[string]any refused, this refuses.

@@ -243,7 +243,7 @@ notfn(bump(), bump());`, eval: `n`,
 		want: `4`, loadInstr: 2, runInstr: 0},
 	{name: "call_from_go_non_function", src: `var x = 5;`, call: "x",
 		want: `error: script: runtime error at 0:0: number is not callable`, loadInstr: 2, runInstr: 0},
-	{name: "call_from_go_closure_global", src: `var count = 0; function event_received(m) { count += m.n; return count; }`, call: "event_received", callArgs: []Value{&Object{Fields: map[string]Value{"n": 4.0}}},
+	{name: "call_from_go_closure_global", src: `var count = 0; function event_received(m) { count += m.n; return count; }`, call: "event_received", callArgs: []Value{FromGo(map[string]any{"n": 4.0})},
 		want: `4`, loadInstr: 3, runInstr: 7},
 	{name: "burn_loop", src: `function burn(n) { var acc = 0; for (var i = 0; i < n; i++) { acc = acc + i * 3; } return acc; }`, eval: `burn(400)`,
 		want: `239400`, loadInstr: 1, runInstr: 5614},

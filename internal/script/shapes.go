@@ -275,9 +275,9 @@ func shapeOfValue(v Value, depth int) *Shape {
 		}
 		return s
 	case *Object:
-		s := &Shape{Kinds: KindObject, Fields: make(map[string]*Shape, len(x.Fields))}
-		for k, e := range x.Fields {
-			s.Fields[k] = shapeOfValue(e, depth+1)
+		s := &Shape{Kinds: KindObject, Fields: make(map[string]*Shape, len(x.fields))}
+		for _, f := range x.fields {
+			s.Fields[f.key] = shapeOfValue(f.val, depth+1)
 		}
 		return s
 	case *Function, HostFunc:

@@ -169,7 +169,7 @@ func stdLen(args []Value) (Value, error) {
 	case *Array:
 		return float64(len(x.Elems)), nil
 	case *Object:
-		return float64(len(x.Fields)), nil
+		return float64(len(x.fields)), nil
 	case nil:
 		return float64(0), nil
 	default:
@@ -392,7 +392,7 @@ func stdValues(args []Value) (Value, error) {
 	}
 	out := &Array{}
 	for _, k := range o.SortedKeys() {
-		out.Elems = append(out.Elems, o.Fields[k])
+		out.Elems = append(out.Elems, o.Get(k))
 	}
 	return out, nil
 }
@@ -406,7 +406,7 @@ func stdHas(args []Value) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, found := o.Fields[key]
+	_, found := o.Lookup(key)
 	return found, nil
 }
 
@@ -419,9 +419,7 @@ func stdRemove(args []Value) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, found := o.Fields[key]
-	delete(o.Fields, key)
-	return found, nil
+	return o.Delete(key), nil
 }
 
 func stdMin(args []Value) (Value, error) {

@@ -29,32 +29,157 @@ type Array struct {
 // NewArray builds an array from values.
 func NewArray(elems ...Value) *Array { return &Array{Elems: elems} }
 
-// Object is a script object with reference semantics. Key iteration order is
-// not stable; use SortedKeys for deterministic walks.
+// Object is a script object with reference semantics: one flat table of
+// fields, the way Duktape keeps properties. A lookup scans the table; past
+// indexedFields fields the object also keeps a key → slot index, so large
+// dictionaries stay O(1). The slot order is insertion order, disturbed by
+// deletes, and never observable: every walk a script or the wire sees
+// (for-of, keys, values, stringify, JSON) sorts the keys. Read methods
+// accept a nil *Object as the empty object. Not safe for concurrent writes.
 type Object struct {
-	// Fields maps keys to values.
-	Fields map[string]Value
+	fields []field
+	// index maps every key to its slot once the object has held more than
+	// indexedFields fields; nil until then.
+	index map[string]int32
 }
 
+type field struct {
+	key string
+	val Value
+}
+
+// indexedFields is the size past which an object keeps a key index: below
+// it a scan of message-sized tables beats hashing the key.
+const indexedFields = 8
+
 // NewObject builds an empty object.
-func NewObject() *Object { return &Object{Fields: make(map[string]Value)} }
+func NewObject() *Object { return &Object{} }
+
+// NewObjectSize builds an empty object with room for n fields. Up to
+// indexedFields of them, the object and its table are one allocation.
+func NewObjectSize(n int) *Object {
+	if n <= 0 || n > indexedFields {
+		return &Object{fields: make([]field, 0, max(n, 0))}
+	}
+	return withTable[n]()
+}
+
+// withTable[n] allocates an object and a table of n fields as one block.
+var withTable = [indexedFields + 1]func() *Object{
+	1: block(func(t *[1]field) []field { return t[:0] }),
+	2: block(func(t *[2]field) []field { return t[:0] }),
+	3: block(func(t *[3]field) []field { return t[:0] }),
+	4: block(func(t *[4]field) []field { return t[:0] }),
+	5: block(func(t *[5]field) []field { return t[:0] }),
+	6: block(func(t *[6]field) []field { return t[:0] }),
+	7: block(func(t *[7]field) []field { return t[:0] }),
+	8: block(func(t *[8]field) []field { return t[:0] }),
+}
+
+func block[T any](empty func(*T) []field) func() *Object {
+	return func() *Object {
+		b := new(struct {
+			obj   Object
+			table T
+		})
+		b.obj.fields = empty(&b.table)
+		return &b.obj
+	}
+}
+
+// slot returns the slot holding key, or -1.
+func (o *Object) slot(key string) int {
+	if o == nil {
+		return -1
+	}
+	if o.index != nil {
+		if i, ok := o.index[key]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i := range o.fields {
+		if o.fields[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// Lookup returns the field value and whether the field exists.
+func (o *Object) Lookup(key string) (Value, bool) {
+	if i := o.slot(key); i >= 0 {
+		return o.fields[i].val, true
+	}
+	return nil, false
+}
 
 // Get returns the field value, or nil when absent.
-func (o *Object) Get(key string) Value { return o.Fields[key] }
+func (o *Object) Get(key string) Value {
+	v, _ := o.Lookup(key)
+	return v
+}
 
 // Set stores a field value.
 func (o *Object) Set(key string, v Value) {
-	if o.Fields == nil {
-		o.Fields = make(map[string]Value)
+	if i := o.slot(key); i >= 0 {
+		o.fields[i].val = v
+		return
 	}
-	o.Fields[key] = v
+	o.add(key, v)
 }
+
+// add appends a field whose key the object does not hold.
+func (o *Object) add(key string, v Value) {
+	o.fields = append(o.fields, field{key, v})
+	switch {
+	case o.index != nil:
+		o.index[key] = int32(len(o.fields) - 1)
+	case len(o.fields) > indexedFields:
+		o.index = make(map[string]int32, len(o.fields))
+		for i, f := range o.fields {
+			o.index[f.key] = int32(i)
+		}
+	}
+}
+
+// Delete removes a field, reporting whether it existed. The last slot moves
+// into the freed one.
+func (o *Object) Delete(key string) bool {
+	i := o.slot(key)
+	if i < 0 {
+		return false
+	}
+	last := len(o.fields) - 1
+	if o.index != nil {
+		delete(o.index, key)
+		if i != last {
+			o.index[o.fields[last].key] = int32(i)
+		}
+	}
+	o.fields[i] = o.fields[last]
+	o.fields[last] = field{}
+	o.fields = o.fields[:last]
+	return true
+}
+
+// Len reports the number of fields.
+func (o *Object) Len() int {
+	if o == nil {
+		return 0
+	}
+	return len(o.fields)
+}
+
+// Field returns the key and value in slot i, 0 <= i < Len(). Slots are in no
+// meaningful order; a walk whose order anyone can see uses SortedKeys.
+func (o *Object) Field(i int) (string, Value) { return o.fields[i].key, o.fields[i].val }
 
 // SortedKeys returns the object's keys in sorted order.
 func (o *Object) SortedKeys() []string {
-	keys := make([]string, 0, len(o.Fields))
-	for k := range o.Fields {
-		keys = append(keys, k)
+	keys := make([]string, o.Len())
+	for i := range keys {
+		keys[i] = o.fields[i].key
 	}
 	sort.Strings(keys)
 	return keys
@@ -230,7 +355,7 @@ func stringifyInto(b *strings.Builder, v Value, depth, max int) error {
 			}
 			b.WriteString(k)
 			b.WriteString(": ")
-			if err := stringifyInto(b, x.Fields[k], depth+1, max); err != nil {
+			if err := stringifyInto(b, x.Get(k), depth+1, max); err != nil {
 				return err
 			}
 		}
@@ -256,9 +381,13 @@ func formatNumber(f float64) string {
 
 // FromGo converts a Go value (as produced by encoding/json or host code)
 // into a script Value. Supported inputs: nil, bool, numeric types, string,
-// []any, map[string]any, []byte (becomes string), and nested combinations.
+// []any, map[string]any, []byte (becomes string), and nested combinations,
+// and map[string]Value, whose values are taken as they are.
 // Unsupported types are passed through untouched as opaque host values.
-func FromGo(v any) Value {
+// A top-level object has room for the frame_ref a module's event loop sets.
+func FromGo(v any) Value { return fromGo(v, 0) }
+
+func fromGo(v any, depth int) Value {
 	switch x := v.(type) {
 	case nil:
 		return nil
@@ -279,13 +408,19 @@ func FromGo(v any) Value {
 	case []any:
 		arr := &Array{Elems: make([]Value, len(x))}
 		for i, e := range x {
-			arr.Elems[i] = FromGo(e)
+			arr.Elems[i] = fromGo(e, depth+1)
 		}
 		return arr
 	case map[string]any:
-		obj := NewObject()
+		obj := NewObjectSize(len(x) + frameRefRoom(depth))
 		for k, e := range x {
-			obj.Set(k, FromGo(e))
+			obj.add(k, fromGo(e, depth+1))
+		}
+		return obj
+	case map[string]Value:
+		obj := NewObjectSize(len(x) + frameRefRoom(depth))
+		for k, e := range x {
+			obj.add(k, e)
 		}
 		return obj
 	case []float64:
@@ -332,13 +467,13 @@ func toGo(v Value, depth int) (any, error) {
 		if depth >= MaxDepth {
 			return nil, errTooDeep
 		}
-		out := make(map[string]any, len(x.Fields))
-		for k, e := range x.Fields {
-			g, err := toGo(e, depth+1)
+		out := make(map[string]any, len(x.fields))
+		for _, f := range x.fields {
+			g, err := toGo(f.val, depth+1)
 			if err != nil {
 				return nil, err
 			}
-			out[k] = g
+			out[f.key] = g
 		}
 		return out, nil
 	default:
@@ -349,8 +484,9 @@ func toGo(v Value, depth int) (any, error) {
 // Clone returns a deep copy of v sharing no array or object with it — the
 // one copy a message pays to cross from one module's context to another's,
 // or into a Snapshot. Scalars and strings are immutable and shared;
-// functions and opaque host values become null, as in ToGo. It fails only
-// on a value nested deeper than MaxDepth.
+// functions and opaque host values become null, as in ToGo. The copy of a
+// top-level object has room for the frame_ref its receiver sets. It fails
+// only on a value nested deeper than MaxDepth.
 func Clone(v Value) (Value, error) { return clone(v, 0) }
 
 func clone(v Value, depth int) (Value, error) {
@@ -374,16 +510,20 @@ func clone(v Value, depth int) (Value, error) {
 		if depth >= MaxDepth {
 			return nil, errTooDeep
 		}
-		out := &Object{Fields: make(map[string]Value, len(x.Fields))}
-		for k, e := range x.Fields {
-			c, err := clone(e, depth+1)
+		out := NewObjectSize(len(x.fields) + frameRefRoom(depth))
+		for _, f := range x.fields {
+			c, err := clone(f.val, depth+1)
 			if err != nil {
 				return nil, err
 			}
-			out.Fields[k] = c
+			out.add(f.key, c)
 		}
 		return out, nil
 	default:
 		return nil, nil
 	}
 }
+
+// frameRefRoom is the spare slot a top-level (depth 0) message object gets
+// for the frame_ref its receiving event loop sets.
+func frameRefRoom(depth int) int { return max(1-depth, 0) }

@@ -107,7 +107,7 @@ func TestPoolCollectorCoalescesConcurrentInvokes(t *testing.T) {
 	spec := Spec{
 		Name: "batchy", Cost: 5 * time.Millisecond, Workers: 1, MaxBatch: 4,
 		Handler: func(_ context.Context, req Request) (Response, error) {
-			return Response{Result: map[string]script.Value{"v": req.Args["v"]}}, nil
+			return Response{Result: map[string]script.Value{"v": req.Args.Get("v")}}, nil
 		},
 	}
 	p, err := NewPool(spec, 1, 1.0)
@@ -127,7 +127,7 @@ func TestPoolCollectorCoalescesConcurrentInvokes(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			resp, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{"v": float64(k)}})
+			resp, err := p.Invoke(context.Background(), Request{Args: argsOf(map[string]script.Value{"v": float64(k)})})
 			if err != nil {
 				t.Errorf("batched Invoke %d: %v", k, err)
 				return
@@ -154,7 +154,7 @@ func TestPoolCollectorCoalescesConcurrentInvokes(t *testing.T) {
 		t.Errorf("BatchSize after disable = %d", got)
 	}
 	before := p.Batches()
-	if _, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{"v": 9.0}}); err != nil {
+	if _, err := p.Invoke(context.Background(), Request{Args: argsOf(map[string]script.Value{"v": 9.0})}); err != nil {
 		t.Fatalf("direct Invoke after disable: %v", err)
 	}
 	if p.Batches() != before {
@@ -169,10 +169,10 @@ func TestPoolCollectorMixedStatus(t *testing.T) {
 	spec := Spec{
 		Name: "echo", Cost: time.Millisecond, MaxBatch: 8,
 		Handler: func(_ context.Context, req Request) (Response, error) {
-			if req.Args["fail"] == true {
+			if req.Args.Get("fail") == true {
 				return Response{}, errors.New("boom")
 			}
-			resp := Response{Result: map[string]script.Value{"v": req.Args["v"]}}
+			resp := Response{Result: map[string]script.Value{"v": req.Args.Get("v")}}
 			if req.Frame != nil {
 				resp.Frame = req.Frame.Clone()
 			}
@@ -188,9 +188,9 @@ func TestPoolCollectorMixedStatus(t *testing.T) {
 
 	f := sceneFrame(t, vision.Squat, 0.5)
 	reqs := []Request{
-		{Args: map[string]script.Value{"v": 1.0}, Frame: f},
-		{Args: map[string]script.Value{"fail": true}},
-		{Args: map[string]script.Value{"v": 3.0}},
+		{Args: argsOf(map[string]script.Value{"v": 1.0}), Frame: f},
+		{Args: argsOf(map[string]script.Value{"fail": true})},
+		{Args: argsOf(map[string]script.Value{"v": 3.0})},
 	}
 	resps := make([]Response, len(reqs))
 	errs := make([]error, len(reqs))
@@ -237,7 +237,7 @@ func TestServerRejectsBatchMarker(t *testing.T) {
 	spec := Spec{
 		Name: "echo", Cost: time.Millisecond,
 		Handler: func(_ context.Context, req Request) (Response, error) {
-			return Response{Result: map[string]script.Value{"v": req.Args["v"]}}, nil
+			return Response{Result: map[string]script.Value{"v": req.Args.Get("v")}}, nil
 		},
 	}
 	pool, err := NewPool(spec, 1, 1.0)

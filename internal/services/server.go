@@ -103,7 +103,7 @@ func (s *Server) handle(ctx context.Context, m wire.Message) (wire.Message, erro
 		return wire.Message{}, err
 	}
 
-	resultJSON, err := script.AppendJSON(nil, &script.Object{Fields: resp.Result})
+	resultJSON, err := script.AppendJSON(nil, script.FromGo(resp.Result))
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("services: marshal result: %w", err)
 	}
@@ -190,12 +190,15 @@ const encHeaderRoom = 64
 
 // Call invokes a remote service, encoding the frame (if any) for transfer.
 // The input frame is borrowed — the caller keeps ownership.
-func (c *Client) Call(ctx context.Context, service string, args map[string]script.Value, f *frame.Frame) (Response, error) {
+func (c *Client) Call(ctx context.Context, service string, args *script.Object, f *frame.Frame) (Response, error) {
 	br := c.breaker(service)
 	if !br.Allow() {
 		return Response{}, fmt.Errorf("services: %s: %w", service, ErrBreakerOpen)
 	}
-	argsJSON, err := script.AppendJSON(nil, &script.Object{Fields: args})
+	if args == nil {
+		args = script.NewObject()
+	}
+	argsJSON, err := script.AppendJSON(nil, args)
 	if err != nil {
 		br.Cancel()
 		return Response{}, fmt.Errorf("services: marshal args: %w", err)
@@ -228,7 +231,11 @@ func (c *Client) Call(ctx context.Context, service string, args map[string]scrip
 	if err != nil {
 		return Response{}, fmt.Errorf("services: bad result payload: %w", err)
 	}
-	resp := Response{Result: result}
+	resp := Response{Result: make(map[string]script.Value, result.Len())}
+	for i := range result.Len() {
+		k, v := result.Field(i)
+		resp.Result[k] = v
+	}
 	if out.Len() >= 2 && len(out.Part(1)) > 0 {
 		rf, err := c.codec.Decode(out.Part(1))
 		if err != nil {

@@ -30,15 +30,15 @@ import (
 
 // Request is one service invocation's input.
 type Request struct {
-	// Args carries the named arguments as script values — for a co-located
-	// caller the very fields of the message object its module passed to
-	// call_service, not a copy. They are lent, read-only, until the handler
+	// Args carries the named arguments as a script object — for a
+	// co-located caller the very message object its module passed to
+	// call_service, not a copy. It is lent, read-only, until the handler
 	// returns: a handler must not write to Args or to anything reachable
 	// from it, and must not keep a reference to an array or object in it
 	// past its return (scalars and strings are immutable and free to keep;
 	// returning an argument inside the result hands it back to its owner
-	// and is fine).
-	Args map[string]script.Value
+	// and is fine). A nil Args reads as no arguments.
+	Args *script.Object
 	// Frame carries pixel data for frame-consuming services. Co-located
 	// callers pass the stored frame directly (zero copy); remote callers'
 	// frames arrive decoded by the transport layer.
@@ -157,13 +157,13 @@ func (r *Registry) Names() []string {
 // ---- argument helpers shared by the standard services ----
 
 // argString extracts a string argument.
-func argString(args map[string]script.Value, key string) (string, bool) {
-	s, ok := args[key].(string)
+func argString(args *script.Object, key string) (string, bool) {
+	s, ok := args.Get(key).(string)
 	return s, ok
 }
 
 // argFloat extracts a numeric argument.
-func argFloat(args map[string]script.Value, key string) (float64, bool) {
-	f, ok := args[key].(float64)
+func argFloat(args *script.Object, key string) (float64, bool) {
+	f, ok := args.Get(key).(float64)
 	return f, ok
 }

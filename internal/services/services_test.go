@@ -346,7 +346,7 @@ func TestActivityService(t *testing.T) {
 	for i, ps := range poses {
 		window[i] = poseValue(ps)
 	}
-	args := map[string]script.Value{"poses": script.NewArray(window...)}
+	args := argsOf(map[string]script.Value{"poses": script.NewArray(window...)})
 	resp, err := p.Invoke(context.Background(), Request{Args: args})
 	if err != nil {
 		t.Fatalf("Invoke: %v", err)
@@ -355,10 +355,10 @@ func TestActivityService(t *testing.T) {
 		t.Errorf("activity = %v, want squat", resp.Result["activity"])
 	}
 	// Validation failures.
-	if _, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{}}); err == nil {
+	if _, err := p.Invoke(context.Background(), Request{Args: argsOf(map[string]script.Value{})}); err == nil {
 		t.Error("missing poses accepted")
 	}
-	if _, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{"poses": script.NewArray(script.NewObject())}}); err == nil {
+	if _, err := p.Invoke(context.Background(), Request{Args: argsOf(map[string]script.Value{"poses": script.NewArray(script.NewObject())})}); err == nil {
 		t.Error("wrong window size accepted")
 	}
 }
@@ -376,7 +376,7 @@ func TestRepCounterServiceStatelessRoundTrip(t *testing.T) {
 	state := ""
 	var reps float64
 	for i, pose := range poses {
-		args := map[string]script.Value{"state": state, "pose": poseValue(pose)}
+		args := argsOf(map[string]script.Value{"state": state, "pose": poseValue(pose)})
 		resp, err := p.Invoke(context.Background(), Request{Args: args})
 		if err != nil {
 			t.Fatalf("Invoke: %v", err)
@@ -404,7 +404,7 @@ func TestRepCounterServiceStatelessRoundTrip(t *testing.T) {
 		"other version": base64.StdEncoding.EncodeToString(otherVersion),
 		"truncated":     base64.StdEncoding.EncodeToString(blob[:len(blob)-3]),
 	} {
-		args := map[string]script.Value{"state": bad, "pose": poseValue(poses[0])}
+		args := argsOf(map[string]script.Value{"state": bad, "pose": poseValue(poses[0])})
 		if _, err := p.Invoke(context.Background(), Request{Args: args}); err == nil {
 			t.Errorf("%s state accepted", name)
 		}
@@ -418,7 +418,7 @@ func TestFallService(t *testing.T) {
 	state := ""
 	sawAlert := false
 	for i, pose := range poses {
-		args := map[string]script.Value{"state": state, "pose": poseValue(pose)}
+		args := argsOf(map[string]script.Value{"state": state, "pose": poseValue(pose)})
 		resp, err := p.Invoke(context.Background(), Request{Args: args})
 		if err != nil {
 			t.Fatalf("Invoke: %v", err)
@@ -437,7 +437,7 @@ func TestFallService(t *testing.T) {
 	}
 	blob, _ := base64.StdEncoding.DecodeString(state)
 	for name, bad := range map[string][]byte{"other version": append([]byte{blob[0] + 1}, blob[1:]...), "truncated": blob[:len(blob)-1]} {
-		args := map[string]script.Value{"state": base64.StdEncoding.EncodeToString(bad), "pose": poseValue(poses[0])}
+		args := argsOf(map[string]script.Value{"state": base64.StdEncoding.EncodeToString(bad), "pose": poseValue(poses[0])})
 		if _, err := p.Invoke(context.Background(), Request{Args: args}); err == nil {
 			t.Errorf("%s state accepted", name)
 		}
@@ -474,10 +474,10 @@ func TestClassifyServiceTrainAndPredict(t *testing.T) {
 	dark.Fill(colorRGBA(10, 10, 120))
 
 	for i := 0; i < 3; i++ {
-		if _, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{"train": "day"}, Frame: bright}); err != nil {
+		if _, err := p.Invoke(context.Background(), Request{Args: argsOf(map[string]script.Value{"train": "day"}), Frame: bright}); err != nil {
 			t.Fatalf("train: %v", err)
 		}
-		if _, err := p.Invoke(context.Background(), Request{Args: map[string]script.Value{"train": "night"}, Frame: dark}); err != nil {
+		if _, err := p.Invoke(context.Background(), Request{Args: argsOf(map[string]script.Value{"train": "night"}), Frame: dark}); err != nil {
 			t.Fatalf("train: %v", err)
 		}
 	}
@@ -499,18 +499,17 @@ func TestFaceService(t *testing.T) {
 	if resp.Result["found"] != true {
 		t.Fatalf("face not found: %v", resp.Result)
 	}
-	boxObj, ok := resp.Result["box"].(*script.Object)
+	box, ok := resp.Result["box"].(*script.Object)
 	if !ok {
 		t.Fatal("no box in result")
 	}
-	box := boxObj.Fields
 	// The nose must be inside the returned box.
 	pose := vision.SynthesizePose(vision.Idle, 0, vision.DefaultSubject(), nil)
 	nose := pose.Keypoints[vision.Nose]
-	minX, _ := box["min_x"].(float64)
-	maxX, _ := box["max_x"].(float64)
-	minY, _ := box["min_y"].(float64)
-	maxY, _ := box["max_y"].(float64)
+	minX, _ := box.Get("min_x").(float64)
+	maxX, _ := box.Get("max_x").(float64)
+	minY, _ := box.Get("min_y").(float64)
+	maxY, _ := box.Get("max_y").(float64)
 	if nose.X < minX || nose.X > maxX || nose.Y < minY || nose.Y > maxY {
 		t.Errorf("nose %v outside face box [%v %v %v %v]", nose, minX, minY, maxX, maxY)
 	}
@@ -520,7 +519,7 @@ func TestDisplayService(t *testing.T) {
 	p := poolFor(t, Display)
 	f := sceneFrame(t, vision.Squat, 0.2)
 	pose := vision.SynthesizePose(vision.Squat, 0.2, vision.DefaultSubject(), nil)
-	args := map[string]script.Value{"pose": poseValue(pose), "activity": "squat", "reps": 3.0, "return_frame": true}
+	args := argsOf(map[string]script.Value{"pose": poseValue(pose), "activity": "squat", "reps": 3.0, "return_frame": true})
 	resp, err := p.Invoke(context.Background(), Request{Args: args, Frame: f})
 	if err != nil {
 		t.Fatalf("Invoke: %v", err)
@@ -585,7 +584,7 @@ func TestServerRoundTripsFrames(t *testing.T) {
 
 	client := NewClient(nw.Host("desktop"), srv.Addr().String(), nil)
 	defer client.Close()
-	resp, err := client.Call(context.Background(), Display, map[string]script.Value{"reps": 2.0, "return_frame": true}, sceneFrame(t, vision.Idle, 0))
+	resp, err := client.Call(context.Background(), Display, argsOf(map[string]script.Value{"reps": 2.0, "return_frame": true}), sceneFrame(t, vision.Idle, 0))
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -648,8 +647,13 @@ func TestInstanceSpecAccessor(t *testing.T) {
 	}
 }
 
+// argsOf is the argument object holding fields.
+func argsOf(fields map[string]script.Value) *script.Object {
+	return script.FromGo(fields).(*script.Object)
+}
+
 func TestArgHelpers(t *testing.T) {
-	args := map[string]script.Value{"s": "text", "f": 1.5, "b": true}
+	args := argsOf(map[string]script.Value{"s": "text", "f": 1.5, "b": true})
 	if v, ok := argString(args, "s"); !ok || v != "text" {
 		t.Errorf("argString = %q, %v", v, ok)
 	}
@@ -681,7 +685,7 @@ func TestBannerColorStable(t *testing.T) {
 func TestDisplayWithoutReturnFrame(t *testing.T) {
 	p := poolFor(t, Display)
 	resp, err := p.Invoke(context.Background(), Request{
-		Args:  map[string]script.Value{"reps": 1.0},
+		Args:  argsOf(map[string]script.Value{"reps": 1.0}),
 		Frame: frame.MustNew(32, 24),
 	})
 	if err != nil {
@@ -787,7 +791,7 @@ func TestPoseValueRoundTrip(t *testing.T) {
 	// The value is what modules see: named keypoints, a box, a score.
 	kp := v.Get("keypoints").(*script.Array).Elems[vision.Nose].(*script.Object)
 	if kp.Get("name") != "nose" || kp.Get("x") != p.Keypoints[vision.Nose].X {
-		t.Errorf("nose keypoint = %v", kp.Fields)
+		t.Errorf("nose keypoint = %v", kp)
 	}
 	// And it survives the wire form unchanged.
 	wire, err := script.AppendJSON(nil, v)
@@ -798,7 +802,7 @@ func TestPoseValueRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := poseFromValue(&script.Object{Fields: back}); err != nil || got != p {
+	if got, err := poseFromValue(back); err != nil || got != p {
 		t.Errorf("pose differs after JSON: %+v, %v", got, err)
 	}
 }

@@ -159,33 +159,44 @@ func NewStandardRegistry(opts StandardOptions) (*Registry, error) {
 // The conversion lives here, beside the handlers, so the vision package
 // stays free of the script package.
 
-// boxValue builds the script form of a bounding box.
-func boxValue(b vision.Box) *script.Object {
-	return &script.Object{Fields: map[string]script.Value{
-		"min_x": b.MinX, "min_y": b.MinY, "max_x": b.MaxX, "max_y": b.MaxY,
-	}}
+// object builds a script object from alternating keys and values, in one
+// allocation.
+func object(kv ...script.Value) *script.Object {
+	o := script.NewObjectSize(len(kv) / 2)
+	for i := 0; i+1 < len(kv); i += 2 {
+		o.Set(kv[i].(string), kv[i+1])
+	}
+	return o
 }
 
-// poseValue builds the script form of a pose.
+// boxValue builds the script form of a bounding box.
+func boxValue(b vision.Box) *script.Object {
+	return object("min_x", b.MinX, "min_y", b.MinY, "max_x", b.MaxX, "max_y", b.MaxY)
+}
+
+// keypointNames are vision.KeypointNames as script values, boxed once.
+var keypointNames = func() (names [vision.NumKeypoints]script.Value) {
+	for i, n := range vision.KeypointNames {
+		names[i] = n
+	}
+	return names
+}()
+
+// poseValue builds the script form of a pose: one allocation per object
+// and one per number.
 func poseValue(p vision.Pose) *script.Object {
 	kps := make([]script.Value, vision.NumKeypoints)
 	for i, kp := range p.Keypoints {
-		kps[i] = &script.Object{Fields: map[string]script.Value{
-			"name": vision.KeypointNames[i], "x": kp.X, "y": kp.Y,
-		}}
+		kps[i] = object("name", keypointNames[i], "x", kp.X, "y", kp.Y)
 	}
-	return &script.Object{Fields: map[string]script.Value{
-		"keypoints": &script.Array{Elems: kps},
-		"box":       boxValue(p.Box),
-		"score":     p.Score,
-	}}
+	return object("keypoints", &script.Array{Elems: kps}, "box", boxValue(p.Box), "score", p.Score)
 }
 
 // poseFromValue reads a pose back out of its script form, in place: it
 // allocates nothing and keeps nothing of obj.
 func poseFromValue(obj *script.Object) (vision.Pose, error) {
 	var p vision.Pose
-	kps, _ := obj.Fields["keypoints"].(*script.Array)
+	kps, _ := obj.Get("keypoints").(*script.Array)
 	if kps == nil || len(kps.Elems) != vision.NumKeypoints {
 		return p, fmt.Errorf("pose does not have %d keypoints", vision.NumKeypoints)
 	}
@@ -194,20 +205,20 @@ func poseFromValue(obj *script.Object) (vision.Pose, error) {
 		if !ok {
 			return p, fmt.Errorf("keypoint %d is not an object", i)
 		}
-		x, okx := kp.Fields["x"].(float64)
-		y, oky := kp.Fields["y"].(float64)
+		x, okx := kp.Get("x").(float64)
+		y, oky := kp.Get("y").(float64)
 		if !okx || !oky {
 			return p, fmt.Errorf("keypoint %d has non-numeric coordinates", i)
 		}
 		p.Keypoints[i] = vision.Point{X: x, Y: y}
 	}
-	if box, ok := obj.Fields["box"].(*script.Object); ok {
-		p.Box.MinX, _ = box.Fields["min_x"].(float64)
-		p.Box.MinY, _ = box.Fields["min_y"].(float64)
-		p.Box.MaxX, _ = box.Fields["max_x"].(float64)
-		p.Box.MaxY, _ = box.Fields["max_y"].(float64)
+	if box, ok := obj.Get("box").(*script.Object); ok {
+		p.Box.MinX, _ = box.Get("min_x").(float64)
+		p.Box.MinY, _ = box.Get("min_y").(float64)
+		p.Box.MaxX, _ = box.Get("max_x").(float64)
+		p.Box.MaxY, _ = box.Get("max_y").(float64)
 	}
-	p.Score, _ = obj.Fields["score"].(float64)
+	p.Score, _ = obj.Get("score").(float64)
 	return p, nil
 }
 
@@ -227,7 +238,7 @@ func handlePose(_ context.Context, req Request) (Response, error) {
 // handleActivity classifies a window of poses (paper §4.1.2).
 func handleActivity(clf *vision.ActivityClassifier) Handler {
 	return func(_ context.Context, req Request) (Response, error) {
-		poses, ok := req.Args["poses"].(*script.Array)
+		poses, ok := req.Args.Get("poses").(*script.Array)
 		if !ok {
 			return Response{}, fmt.Errorf("activity_classifier: missing poses argument")
 		}
@@ -271,7 +282,7 @@ var stateScratches = sync.Pool{New: func() any { return new(stateScratch) }}
 // decodeState decodes the caller's opaque state argument ("" for a fresh
 // one) into the scratch's raw buffer. The string is staged through b64
 // because base64 appends from bytes only, and converting would allocate.
-func (sc *stateScratch) decodeState(args map[string]script.Value) error {
+func (sc *stateScratch) decodeState(args *script.Object) error {
 	state, _ := argString(args, "state")
 	sc.b64 = append(sc.b64[:0], state...)
 	var err error
@@ -298,7 +309,7 @@ func handleRepCount(_ context.Context, req Request) (Response, error) {
 	if err := sc.rc.UnmarshalState(sc.raw); err != nil {
 		return Response{}, fmt.Errorf("rep_counter: %w", err)
 	}
-	poseObj, ok := req.Args["pose"].(*script.Object)
+	poseObj, ok := req.Args.Get("pose").(*script.Object)
 	if !ok {
 		return Response{}, fmt.Errorf("rep_counter: missing pose argument")
 	}
@@ -326,7 +337,7 @@ func handleFall(_ context.Context, req Request) (Response, error) {
 	if err != nil {
 		return Response{}, fmt.Errorf("fall_detector: %w", err)
 	}
-	poseObj, ok := req.Args["pose"].(*script.Object)
+	poseObj, ok := req.Args.Get("pose").(*script.Object)
 	if !ok {
 		return Response{}, fmt.Errorf("fall_detector: missing pose argument")
 	}
@@ -351,11 +362,7 @@ func handleObjects(_ context.Context, req Request) (Response, error) {
 	dets := vision.DetectObjects(req.Frame)
 	objs := make([]script.Value, len(dets))
 	for i, d := range dets {
-		objs[i] = &script.Object{Fields: map[string]script.Value{
-			"label": d.Label,
-			"score": d.Score,
-			"box":   boxValue(d.Box),
-		}}
+		objs[i] = object("label", d.Label, "score", d.Score, "box", boxValue(d.Box))
 	}
 	return Response{Result: map[string]script.Value{
 		"objects": &script.Array{Elems: objs}, "count": float64(len(dets)),
@@ -436,7 +443,7 @@ func handleDisplay(_ context.Context, req Request) (Response, error) {
 	}
 	out := req.Frame.Clone()
 
-	if poseObj, ok := req.Args["pose"].(*script.Object); ok {
+	if poseObj, ok := req.Args.Get("pose").(*script.Object); ok {
 		pose, err := poseFromValue(poseObj)
 		if err != nil {
 			out.Release()
@@ -468,7 +475,7 @@ func handleDisplay(_ context.Context, req Request) (Response, error) {
 	// callers don't pay a pointless reverse transfer — and the clone is
 	// recycled immediately when it stays here.
 	resp := Response{Result: map[string]script.Value{"rendered": true}}
-	if want, ok := req.Args["return_frame"].(bool); ok && want {
+	if want, ok := req.Args.Get("return_frame").(bool); ok && want {
 		resp.Frame = out
 	} else {
 		out.Release()
