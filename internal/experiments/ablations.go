@@ -23,10 +23,9 @@ type QueueingPoint struct {
 }
 
 // AblationQueueing contrasts the queue-free credit discipline (§2.3)
-// against deeper admission — more credits ≈ bounded queues inside the
-// pipeline — with the camera at fps. Expected shape, once fps is above what
-// one credit carries: FPS saturates by 2 credits while end-to-end latency
-// keeps growing — queueing buys latency, not throughput.
+// against deeper admission (more credits ≈ bounded queues) at camera rate fps.
+// Expected shape, once fps exceeds what one credit carries: FPS saturates by 2
+// credits while end-to-end latency keeps growing — queueing buys latency.
 func AblationQueueing(o Options, fps float64, creditSettings []int) ([]QueueingPoint, error) {
 	reg, err := o.registry()
 	if err != nil {
