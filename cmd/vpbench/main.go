@@ -213,7 +213,7 @@ func runScaleOut(o experiments.Options, e *benchio.Entry) error {
 
 func runQueueing(o experiments.Options, e *benchio.Entry) error {
 	header("Ablation — queue-free flow control vs deeper admission")
-	points, err := experiments.AblationQueueing(o, 30, nil)
+	points, err := experiments.AblationQueueing(o, nil)
 	if err != nil {
 		return err
 	}
@@ -224,7 +224,7 @@ func runQueueing(o experiments.Options, e *benchio.Entry) error {
 		e.Set(key+"_fps", p.FPS)
 		e.SetDurationMS(key+"_e2e_ms", p.E2EMean)
 	}
-	fmt.Println("(expected: FPS flat beyond 2 credits while latency keeps rising)")
+	fmt.Println("(expected: FPS flat once the services saturate while latency keeps rising)")
 	return nil
 }
 

@@ -23,10 +23,10 @@ type QueueingPoint struct {
 }
 
 // AblationQueueing contrasts the queue-free credit discipline (§2.3)
-// against deeper admission (more credits ≈ bounded queues) at camera rate fps.
-// Expected shape, once fps exceeds what one credit carries: FPS saturates by 2
-// credits while end-to-end latency keeps growing — queueing buys latency.
-func AblationQueueing(o Options, fps float64, creditSettings []int) ([]QueueingPoint, error) {
+// against deeper admission (more credits ≈ bounded queues) at a 60 eps camera,
+// faster than one credit carries. Expected shape: FPS rises until the services
+// saturate while end-to-end latency keeps growing — queueing buys latency.
+func AblationQueueing(o Options, creditSettings []int) ([]QueueingPoint, error) {
 	reg, err := o.registry()
 	if err != nil {
 		return nil, err
@@ -38,7 +38,7 @@ func AblationQueueing(o Options, fps float64, creditSettings []int) ([]QueueingP
 	for _, credits := range creditSettings {
 		res, err := runFitness(reg, apps.HomeClusterSpec(),
 			core.CoLocatePlanner{Credits: credits},
-			fmt.Sprintf("abq%d", credits), fps, o.scene(), o.duration())
+			fmt.Sprintf("abq%d", credits), 60, o.scene(), o.duration())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: queueing ablation credits=%d: %w", credits, err)
 		}

@@ -175,7 +175,7 @@ func TestAblationQueueing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("performance-shape assertion; race builds are compute-bound")
 	}
-	points, err := AblationQueueing(fastOptions(t), 60, []int{1, 4})
+	points, err := AblationQueueing(fastOptions(t), []int{1, 4})
 	if err != nil {
 		t.Fatalf("AblationQueueing: %v", err)
 	}
