@@ -57,14 +57,19 @@ race:
 # the interpreter's counted loop and script-to-script call must stay
 # independent of the iteration count; an object literal of up to eight
 # fields, a detector pose and its clone, and the host calls that move them
-# stay at their flat-object counts. The BufferPool tests ride along: the
+# stay at their flat-object counts; a host call's arguments, a warm wire
+# scan's strings and a warm timed wait allocate nothing. The BufferPool tests ride along: the
 # pool's determinism (a hit after two GCs, retention cap, spare rule), the
 # whole warm remote hop under 2 KiB (internal/netsim), and conservation —
 # every chunk, body and frame back in the pool after decode failures, a
-# full store, and Cluster.Close with frames in flight.
+# full store, and Cluster.Close with frames in flight. The timer pool's
+# tests (internal/clock) run twice, once under each timer-channel semantics:
+# a recycled timer must never carry a stale tick.
 alloc:
 	$(GO) test -run 'Allocs|ReleaseGuards|BufferPool' ./internal/frame ./internal/wire ./internal/script \
 		./internal/services ./internal/netsim ./internal/device ./internal/core
+	$(GO) test -count=1 ./internal/clock
+	GODEBUG=asynctimerchan=0 $(GO) test -count=1 ./internal/clock
 
 cover:
 	$(GO) test -cover ./...

@@ -58,7 +58,7 @@ func squatPoses(n int) []script.Value {
 // classifier every frame — ~700 objects when each call deep-copied it — is
 // lent, message object and all, so a warm call costs the invocation, the
 // message literal, the service-call bookkeeping and the three-field result
-// (31; 33 with map-backed objects).
+// (29).
 func TestCallServiceWindowAllocs(t *testing.T) {
 	d := newDevice(t, testNet(), "desktop", Desktop)
 	fitnessServices(t, d)
@@ -93,8 +93,8 @@ func TestCallServiceWindowAllocs(t *testing.T) {
 		t.Fatalf("classified as %v, want squat", seen)
 	}
 	t.Logf("call_service(activity_classifier, 15-pose window): %.0f allocs", allocs)
-	if allocs > 32 {
-		t.Errorf("call_service with a 15-pose window: %.0f allocs, want <= 32", allocs)
+	if allocs > 30 {
+		t.Errorf("call_service with a 15-pose window: %.0f allocs, want <= 30", allocs)
 	}
 }
 
@@ -209,8 +209,8 @@ func TestRepCounterCallAllocs(t *testing.T) {
 		bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs
 		state = after
 		t.Logf("rep_counter call at frame %d: %.0f allocs, %d bytes (state string %d bytes)", frame, allocs, bytes, len(after.(string)))
-		if allocs > 16 {
-			t.Errorf("rep_counter call at frame %d: %.0f allocs, want <= 16", frame, allocs)
+		if allocs > 10 {
+			t.Errorf("rep_counter call at frame %d: %.0f allocs, want <= 10", frame, allocs)
 		}
 		// The state string is the caller's to keep, so it is the one thing a
 		// call must allocate: 13.8 KiB (a 14 KiB size class) at the peak of

@@ -144,6 +144,11 @@ type Device struct {
 	// device's remote-service clients, for monitor reports.
 	breakerMu     sync.Mutex
 	breakerStates map[string]services.BreakerState
+
+	// callHists caches the histograms CallService observes, so a call
+	// builds no meter name.
+	callHistMu sync.Mutex
+	callHists  map[callHistKey]*metrics.Histogram
 }
 
 // New creates a device on the given transport. reg receives the device's
@@ -181,6 +186,7 @@ func New(cfg Config, t wire.Transport, reg *metrics.Registry) (*Device, error) {
 		baseCtx:       baseCtx,
 		baseCancel:    baseCancel,
 		breakerStates: make(map[string]services.BreakerState),
+		callHists:     make(map[callHistKey]*metrics.Histogram),
 	}, nil
 }
 
@@ -343,11 +349,7 @@ func (d *Device) RegisterRemoteService(name, address string) {
 func (d *Device) CallService(ctx context.Context, name string, args *script.Object, f *frame.Frame) (services.Response, error) {
 	start := time.Now()
 	resp, remote, err := d.callService(ctx, name, args, f)
-	where := "local"
-	if remote {
-		where = "remote"
-	}
-	d.reg.Histogram("service." + name + "." + where).Observe(time.Since(start))
+	d.callHistogram(name, remote).Observe(time.Since(start))
 	if err != nil {
 		// The supervisor watches this meter's rate for error bursts that
 		// call for a service restart.
@@ -357,6 +359,29 @@ func (d *Device) CallService(ctx context.Context, name string, args *script.Obje
 		}
 	}
 	return resp, err
+}
+
+// callHistogram resolves the service.<name>.<local|remote> histogram once
+// per service and side.
+func (d *Device) callHistogram(name string, remote bool) *metrics.Histogram {
+	key := callHistKey{name, remote}
+	d.callHistMu.Lock()
+	defer d.callHistMu.Unlock()
+	h := d.callHists[key]
+	if h == nil {
+		where := "local"
+		if remote {
+			where = "remote"
+		}
+		h = d.reg.Histogram("service." + name + "." + where)
+		d.callHists[key] = h
+	}
+	return h
+}
+
+type callHistKey struct {
+	service string
+	remote  bool
 }
 
 func (d *Device) callService(ctx context.Context, name string, args *script.Object, f *frame.Frame) (services.Response, bool, error) {

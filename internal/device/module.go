@@ -154,6 +154,10 @@ type Module struct {
 	instructions, handled, logs, framesDone *metrics.Meter
 	handleTime, encodeTime, e2eTime         *metrics.Histogram
 
+	// jsonDec scans inbound wire bodies, interning their short strings;
+	// only receiveLoop uses it.
+	jsonDec *script.JSONDecoder
+
 	closeOnce sync.Once
 }
 
@@ -267,6 +271,7 @@ func (d *Device) SpawnModule(spec ModuleSpec) (*Module, error) {
 		allowed: make(map[string]bool, len(spec.Services)),
 		routes:  make(map[string]Route, len(spec.Next)),
 		pushes:  make(map[string]*wire.Push),
+		jsonDec: script.NewJSONDecoder(),
 	}
 	for _, s := range spec.Services {
 		m.allowed[s] = true
@@ -504,7 +509,7 @@ func (m *Module) abandonCredit() {
 }
 
 func (m *Module) decodeWireEvent(msg wire.Message) (event, error) {
-	body, err := script.ParseJSONFields(msg.Part(0))
+	body, err := m.jsonDec.DecodeFields(msg.Part(0))
 	if err != nil {
 		return event{}, fmt.Errorf("device: module %s: bad message body: %w", m.spec.Name, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"videopipe/internal/clock"
 	"videopipe/internal/frame"
 )
 
@@ -170,12 +171,7 @@ func (p *shapedPipe) wait(t time.Time) {
 	if d <= 0 {
 		return
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ch:
-	case <-timer.C:
-	}
+	clock.Wait(ch, d)
 }
 
 // closeWrite marks the write side closed; readers drain remaining chunks and

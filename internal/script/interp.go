@@ -74,6 +74,9 @@ type Context struct {
 	// invocations: how the builtins whose output size is not bounded by
 	// their input's (str, join, json_encode) find the memory budget.
 	running *interp
+	// argStack holds the arguments of the host calls in progress, innermost
+	// on top: a host function is lent its slice of it for the call.
+	argStack []Value
 }
 
 // NewContext creates a context with the standard library installed.
@@ -990,11 +993,15 @@ func (in *interp) index(obj, idx cell, pos Position) (cell, error) {
 // evalCall evaluates a call expression. Calling a script function that does
 // not read `arguments` evaluates each argument straight into its parameter's
 // slot in the callee's frame, so numbers stay unboxed and no argument slice
-// exists; every other callee receives its arguments as a []Value.
+// exists; a host function borrows its arguments from the context's argument
+// stack; any other callee receives them as a fresh []Value.
 func (in *interp) evalCall(ex *callExpr, fr *frame) (cell, error) {
 	callee, err := in.eval(ex.callee, fr)
 	if err != nil {
 		return cell{}, err
+	}
+	if host, ok := callee.ref.(HostFunc); ok {
+		return in.callHostLent(host, ex, fr)
 	}
 	fn, ok := callee.ref.(*Function)
 	if !ok || fn.lit.usesArguments {
@@ -1024,6 +1031,27 @@ func (in *interp) evalCall(ex *callExpr, fr *frame) (cell, error) {
 		callFr.slots[lit.paramSlots[i]].define(cell{}, false)
 	}
 	return in.invoke(lit, callFr, len(ex.args), ex.pos)
+}
+
+// callHostLent evaluates a host call's arguments onto the argument stack —
+// above those of any host call still being evaluated, so nested calls nest —
+// lends the host function its capped slice and clears it after.
+func (in *interp) callHostLent(fn HostFunc, ex *callExpr, fr *frame) (cell, error) {
+	c := in.ctx
+	base := len(c.argStack)
+	defer func() {
+		clear(c.argStack[base:])
+		c.argStack = c.argStack[:base]
+	}()
+	for _, a := range ex.args {
+		v, err := in.eval(a, fr)
+		if err != nil {
+			return cell{}, err
+		}
+		c.argStack = append(c.argStack, v.value())
+	}
+	n := len(c.argStack)
+	return in.callValue(fn, c.argStack[base:n:n], ex.pos)
 }
 
 // callValue invokes a script function or host function with boxed arguments.

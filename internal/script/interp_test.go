@@ -564,7 +564,7 @@ func TestHostBinding(t *testing.T) {
 	c := NewContext()
 	var got []Value
 	c.Bind("call_service", func(args []Value) (Value, error) {
-		got = args
+		got = append([]Value(nil), args...) // lent for the call only
 		return "service-result", nil
 	})
 	v, err := c.Eval(`call_service("pose_detector", {frame: 7})`)

@@ -170,23 +170,42 @@ func appendJSONString(dst []byte, s string) []byte {
 // ParseJSON decodes one JSON document into a script value.
 func ParseJSON(data []byte) (Value, error) {
 	p := jsonParser{data: data}
-	v := p.value(0)
-	if c := p.next(); p.pos < len(p.data) {
-		p.fail("unexpected %q after the top-level value", c)
-	}
-	if p.err != nil {
-		return nil, p.err
-	}
-	return v, nil
+	return p.document()
 }
 
 // ParseJSONFields decodes a message body: a JSON object, or null or no bytes
 // at all (an absent optional part), which yield a nil object.
 func ParseJSONFields(data []byte) (*Object, error) {
+	var d JSONDecoder
+	return d.DecodeFields(data)
+}
+
+// JSONDecoder decodes message bodies as ParseJSONFields does, keeping its
+// scanning scratch from one body to the next. One from NewJSONDecoder also
+// interns the unescaped strings of up to 32 bytes it reads, in a table
+// emptied when it reaches 256 (constants, not knobs): the keys a module's
+// inbound edge repeats in every message are then one string each, boxed
+// once. Not safe for concurrent use.
+type JSONDecoder struct{ p jsonParser }
+
+const maxInternLen, maxInternTable = 32, 256
+
+// NewJSONDecoder returns an interning decoder.
+func NewJSONDecoder() *JSONDecoder {
+	return &JSONDecoder{p: jsonParser{strs: make(map[string]Value)}}
+}
+
+// DecodeFields decodes one message body.
+func (d *JSONDecoder) DecodeFields(data []byte) (*Object, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	switch v, err := ParseJSON(data); x := v.(type) {
+	clear(d.p.stack) // a failed body can leave values behind
+	clear(d.p.fields)
+	d.p = jsonParser{data: data, stack: d.p.stack[:0], fields: d.p.fields[:0], strs: d.p.strs}
+	v, err := d.p.document()
+	d.p.data = nil // the caller may recycle the buffer
+	switch x := v.(type) {
 	case nil:
 		return nil, err
 	case *Object:
@@ -207,6 +226,19 @@ type jsonParser struct {
 	// the objects being read, so each is allocated once at its final size.
 	stack  []Value
 	fields []field
+	// strs, when non-nil, interns short strings read with no escapes.
+	strs map[string]Value
+}
+
+func (p *jsonParser) document() (Value, error) {
+	v := p.value(0)
+	if c := p.next(); p.pos < len(p.data) {
+		p.fail("unexpected %q after the top-level value", c)
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return v, nil
 }
 
 func (p *jsonParser) fail(format string, args ...any) {
@@ -258,7 +290,11 @@ func (p *jsonParser) value(depth int) Value {
 	case c == '[':
 		return p.array(depth)
 	case c == '"':
-		return p.str()
+		s, v := p.str()
+		if v == nil {
+			return s
+		}
+		return v
 	case c == '-' || '0' <= c && c <= '9':
 		return p.number()
 	case c == 't' && p.literal("true"):
@@ -317,7 +353,7 @@ func (p *jsonParser) object(depth int) Value {
 			p.fail("object key must be a string")
 			return nil
 		}
-		key := p.str()
+		key, _ := p.str()
 		if p.take() != ':' {
 			p.fail("missing ':' after an object key")
 			return nil
@@ -367,8 +403,9 @@ func (p *jsonParser) number() Value {
 	return f
 }
 
-// str reads a string literal starting at its opening quote.
-func (p *jsonParser) str() string {
+// str reads a string literal starting at its opening quote. An interned one
+// comes boxed too (v), so storing it as a Value allocates nothing.
+func (p *jsonParser) str() (s string, v Value) {
 	p.pos++
 	start := p.pos
 	// buf stays nil while the literal is its own value: no escapes, valid
@@ -384,9 +421,9 @@ func (p *jsonParser) str() string {
 		case c == '"':
 			p.pos++
 			if buf == nil {
-				return string(p.data[start : p.pos-1])
+				return p.intern(p.data[start : p.pos-1])
 			}
-			return string(buf)
+			return string(buf), nil
 		case c < ' ':
 			p.fail("control character %q in a string literal", c)
 		case c == '\\':
@@ -409,7 +446,25 @@ func (p *jsonParser) str() string {
 		}
 	}
 	p.fail("unterminated string literal")
-	return ""
+	return "", nil
+}
+
+// intern returns b as a string, from the intern table when there is one.
+// The lookup converts b without allocating.
+func (p *jsonParser) intern(b []byte) (string, Value) {
+	if p.strs == nil || len(b) > maxInternLen {
+		return string(b), nil
+	}
+	v, ok := p.strs[string(b)]
+	if !ok {
+		if len(p.strs) >= maxInternTable {
+			clear(p.strs)
+		}
+		s := string(b)
+		v = s
+		p.strs[s] = v
+	}
+	return v.(string), v
 }
 
 // escape reads the escape sequence at pos (a backslash) onto buf. A \u

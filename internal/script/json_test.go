@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // The payload codec's contract is "encoding/json over the ToGo form, minus
@@ -213,8 +214,70 @@ func FuzzJSONCodec(f *testing.F) {
 	for _, seed := range jsonCodecSeeds {
 		f.Add([]byte(seed))
 	}
+	dec := NewJSONDecoder() // one decoder across every input, as a module keeps it
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		checkJSONCodec(t, doc)
 		checkJSONScalars(t, doc)
+		checkJSONDecoder(t, dec, doc)
+		checkJSONDecoder(t, dec, append(append([]byte(`{"v":`), doc...), '}'))
 	})
+}
+
+// checkJSONDecoder requires a long-lived interning JSONDecoder to give what
+// ParseJSONFields gives, with nothing in the value pointing into the input:
+// the input is overwritten before the comparison.
+func checkJSONDecoder(t *testing.T, dec *JSONDecoder, doc []byte) {
+	t.Helper()
+	want, wantErr := ParseJSONFields(doc)
+	buf := bytes.Clone(doc)
+	got, err := dec.DecodeFields(buf)
+	for i := range buf {
+		buf[i] = 'x'
+	}
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("JSONDecoder.DecodeFields(%q) = %v, %v; ParseJSONFields gives %v, %v", doc, got, err, want, wantErr)
+	}
+	if n := len(dec.p.strs); n > maxInternTable {
+		t.Fatalf("intern table holds %d strings, its cap is %d", n, maxInternTable)
+	}
+}
+
+// TestJSONDecoderInternBounds: only unescaped strings of up to 32 bytes are
+// interned, a stream of distinct ones never grows the table past 256, and
+// interning changes no decoded value.
+func TestJSONDecoderInternBounds(t *testing.T) {
+	dec := NewJSONDecoder()
+	decodeKey := func(doc string) string {
+		t.Helper()
+		o, err := dec.DecodeFields([]byte(doc))
+		if err != nil || o.Len() != 1 {
+			t.Fatalf("DecodeFields(%s) = %v, %v", doc, o, err)
+		}
+		k, _ := o.Field(0)
+		return k
+	}
+	// shared reports whether two scans of doc return one string.
+	shared := func(doc string) bool {
+		return unsafe.StringData(decodeKey(doc)) == unsafe.StringData(decodeKey(doc))
+	}
+	for i := range 3 * maxInternTable {
+		key := fmt.Sprintf("key_%d", i)
+		if got := decodeKey(`{"` + key + `":1}`); got != key {
+			t.Fatalf("key %q decoded as %q", key, got)
+		}
+		if n := len(dec.p.strs); n > maxInternTable {
+			t.Fatalf("after %d distinct keys the table holds %d strings, its cap is %d", i+1, n, maxInternTable)
+		}
+	}
+	at, over := strings.Repeat("a", maxInternLen), strings.Repeat("b", maxInternLen+1)
+	if !shared(`{"` + at + `":1}`) {
+		t.Errorf("a %d-byte key was not interned", maxInternLen)
+	}
+	if _, in := dec.p.strs[over]; in || shared(`{"`+over+`":1}`) {
+		t.Errorf("a %d-byte key was interned", maxInternLen+1)
+	}
+	got := decodeKey(`{"esc\u0061ped":1}`)
+	if _, in := dec.p.strs["escaped"]; got != "escaped" || in {
+		t.Errorf("escaped key decoded as %q, interned %v", got, in)
+	}
 }

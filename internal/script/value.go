@@ -197,7 +197,10 @@ type Function struct {
 // Name reports the function's declared name, or "" for anonymous functions.
 func (f *Function) Name() string { return f.name }
 
-// HostFunc is a Go function callable from scripts.
+// HostFunc is a Go function callable from scripts. args is lent for the
+// call, the way services.Request.Args is: the slice is the context's and is
+// reused once the function returns, so a function that keeps the arguments
+// copies the slice (the values in it are the caller's to keep).
 type HostFunc func(args []Value) (Value, error)
 
 // Truthy reports JavaScript-style truthiness: null, false, 0, NaN and ""

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"videopipe/internal/clock"
 	"videopipe/internal/metrics"
 )
 
@@ -120,13 +121,13 @@ func (i *Instance) Invoke(ctx context.Context, req Request) (Response, error) {
 		serial := time.Duration(float64(remaining) * i.spec.SerialFraction)
 		parallel := remaining - serial
 		if parallel > 0 {
-			if !sleepCtx(ctx, parallel) {
+			if !clock.Sleep(ctx, parallel) {
 				return Response{}, fmt.Errorf("services: %s: %w", i.spec.Name, ctx.Err())
 			}
 		}
 		if serial > 0 {
 			i.serialMu.Lock()
-			ok := sleepCtx(ctx, serial)
+			ok := clock.Sleep(ctx, serial)
 			i.serialMu.Unlock()
 			if !ok {
 				return Response{}, fmt.Errorf("services: %s: %w", i.spec.Name, ctx.Err())
@@ -187,30 +188,19 @@ func (i *Instance) invokeBatch(ctx context.Context, reqs []Request) ([]Response,
 	serial := time.Duration(float64(cost) * i.spec.SerialFraction)
 	parallel := cost - serial
 	if budget := time.Duration(executed)*parallel - time.Since(start); budget > 0 {
-		if !sleepCtx(ctx, budget) {
+		if !clock.Sleep(ctx, budget) {
 			return fail(ctx.Err())
 		}
 	}
 	if executed > 0 && serial > 0 {
 		i.serialMu.Lock()
-		ok := sleepCtx(ctx, serial)
+		ok := clock.Sleep(ctx, serial)
 		i.serialMu.Unlock()
 		if !ok {
 			return fail(ctx.Err())
 		}
 	}
 	return resps, errs
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // Pool is the scalable set of instances backing one service on one device —
@@ -565,18 +555,20 @@ func (p *Pool) collect(q chan *pendingCall, stop chan struct{}, max int, linger 
 
 		batch := append(make([]*pendingCall, 0, max), lead)
 		if linger > 0 {
-			timer := time.NewTimer(linger)
+			timer, fired := clock.Timer(linger), false
+		gather:
 			for len(batch) < max {
 				select {
 				case pc := <-q:
 					batch = append(batch, pc)
-					continue
 				case <-timer.C:
+					fired = true
+					break gather
 				case <-stop:
+					break gather
 				}
-				break
 			}
-			timer.Stop()
+			clock.Release(timer, fired)
 		}
 		// Sweep anything already queued, lingering or not.
 	sweep:
