@@ -1,23 +1,28 @@
 package videopipe_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"videopipe"
+	"videopipe/internal/script"
 )
 
 // Golden corpus: every PipeScript module we ship — embedded in the example
 // programs, included by the on-disk example configs, or generated by the
 // built-in apps (covered in internal/core) — must pass the analyzer with
-// zero error-severity diagnostics. This keeps pipevet from drifting out of
-// sync with the code it gates.
+// zero error-severity diagnostics, and every diagnostic it does report,
+// warnings included, and every replication verdict must match
+// testdata/pipevet.golden. This keeps pipevet from drifting out of sync with
+// the code it gates.
 
 // collectExampleScripts extracts PipeScript sources embedded as Go string
 // literals in the example programs: any constant that defines an
@@ -64,14 +69,25 @@ func collectExampleScripts(t *testing.T) map[string]string {
 }
 
 func TestExampleScriptsAnalyzeClean(t *testing.T) {
-	for where, src := range collectExampleScripts(t) {
-		rep := videopipe.AnalyzeScript(src)
-		for _, d := range rep {
+	scripts := collectExampleScripts(t)
+	wheres := make([]string, 0, len(scripts))
+	for where := range scripts {
+		wheres = append(wheres, where)
+	}
+	sort.Strings(wheres)
+	var got strings.Builder
+	for _, where := range wheres {
+		src := scripts[where]
+		fmt.Fprintf(&got, "script %s\n", where)
+		for _, d := range videopipe.AnalyzeScript(src) {
 			if d.Severity == videopipe.SeverityError {
 				t.Errorf("%s: %s", where, d)
 			}
+			fmt.Fprintln(&got, d)
 		}
+		fmt.Fprintf(&got, "replication: %s\n", script.Analyze(src, script.Options{}).Facts.Replication())
 	}
+	checkPipevetGolden(t, "example scripts", got.String())
 }
 
 // TestExampleConfigsAnalyzeClean lints every on-disk Listing-1 config under
@@ -84,6 +100,7 @@ func TestExampleConfigsAnalyzeClean(t *testing.T) {
 	if len(matches) == 0 {
 		t.Fatal("no example configs found under examples/configs")
 	}
+	var got strings.Builder
 	for _, path := range matches {
 		text, err := os.ReadFile(path)
 		if err != nil {
@@ -98,12 +115,50 @@ func TestExampleConfigsAnalyzeClean(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", path, err)
 		}
+		fmt.Fprintf(&got, "config %s\n", path)
 		for _, d := range videopipe.AnalyzePipeline(cfg) {
 			if d.Severity == videopipe.SeverityError {
 				t.Errorf("%s: %s", path, d)
 			}
+			fmt.Fprintln(&got, d)
+		}
+		for _, m := range cfg.Modules {
+			fmt.Fprintf(&got, "module %s: %s\n", m.Name, script.Analyze(m.Source, script.Options{}).Facts.Replication())
 		}
 	}
+	checkPipevetGolden(t, "example configs", got.String())
+}
+
+// checkPipevetGolden compares got, every diagnostic (warnings included) and
+// replication verdict of one corpus, with the block of
+// testdata/pipevet.golden headed "== block". internal/core's
+// TestBuiltinAppsAnalyzeClean reads the same file for the built-in apps.
+func checkPipevetGolden(t *testing.T, block, got string) {
+	t.Helper()
+	data, err := os.ReadFile("testdata/pipevet.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := goldenBlock(string(data), block)
+	if !ok {
+		t.Fatalf("testdata/pipevet.golden has no %q block; got:\n%s", block, got)
+	}
+	if got != want {
+		t.Errorf("pipevet output for %s differs from testdata/pipevet.golden; got:\n%s", block, got)
+	}
+}
+
+// goldenBlock returns the lines after the header "== name" up to the next
+// header.
+func goldenBlock(data, name string) (string, bool) {
+	_, rest, ok := strings.Cut(data, "== "+name+"\n")
+	if !ok {
+		return "", false
+	}
+	if i := strings.Index(rest, "\n== "); i >= 0 {
+		rest = rest[:i+1]
+	}
+	return rest, true
 }
 
 // TestBuildRejectsAnalysisErrors proves the builder-side gate: a fluent

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -190,18 +192,37 @@ func TestLaunchCountsAnalysisWarnings(t *testing.T) {
 
 // TestBuiltinAppsAnalyzeClean is the golden corpus for the built-in
 // applications: every shipped pipeline must pass the analyzer with zero
-// error-severity diagnostics.
+// error-severity diagnostics, and every diagnostic, warnings included, and
+// every replication verdict must match the "builtin apps" block of the
+// repository's testdata/pipevet.golden.
 func TestBuiltinAppsAnalyzeClean(t *testing.T) {
 	cfgs := []core.PipelineConfig{
 		apps.FitnessConfig("fitness", 20, "squat"),
 		apps.GestureConfig("gesture", 20, "wave"),
 		apps.FallConfig("fall", 15),
 	}
+	var got strings.Builder
 	for _, cfg := range cfgs {
+		fmt.Fprintf(&got, "app %s\n", cfg.Name)
 		for _, d := range core.AnalyzePipeline(&cfg) {
 			if d.Severity == script.SeverityError {
 				t.Errorf("%s: %s", cfg.Name, d)
 			}
+			fmt.Fprintln(&got, d)
 		}
+		for _, m := range cfg.Modules {
+			fmt.Fprintf(&got, "module %s: %s\n", m.Name, script.Analyze(m.Source, script.Options{}).Facts.Replication())
+		}
+	}
+	data, err := os.ReadFile("../../testdata/pipevet.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, ok := strings.Cut(string(data), "== builtin apps\n")
+	if i := strings.Index(want, "\n== "); i >= 0 {
+		want = want[:i+1]
+	}
+	if !ok || got.String() != want {
+		t.Errorf("pipevet output for the built-in apps differs from testdata/pipevet.golden; got:\n%s", got.String())
 	}
 }
