@@ -238,50 +238,16 @@ func (m *callMemo[K, V]) visit(key K, recursion, compute func() V) V {
 	return v
 }
 
-// ---- scope model ----
-
-type declKind int
-
-const (
-	declBuiltin declKind = iota
-	declVar
-	declConst
-	declFunc
-	declParam
-	declCatch
-)
-
-type declInfo struct {
-	name string
-	pos  Position
-	kind declKind
-	// reached flips true once straight-line execution passes the
-	// declaration; references before that at the same function depth are
-	// PV002.
-	reached bool
-	reads   int
-	sig     *Signature // non-nil for signature-table builtins
-}
-
-type aScope struct {
-	parent *aScope
-	// funcDepth is how many function bodies enclose this scope; the global
-	// scope is 0.
-	funcDepth int
-	decls     map[string]*declInfo
-	// order keeps user declarations in source order for deterministic
-	// unused-variable reporting.
-	order []*declInfo
-}
-
-func newAScope(parent *aScope, funcDepth int) *aScope {
-	return &aScope{parent: parent, funcDepth: funcDepth, decls: make(map[string]*declInfo)}
-}
+// ---- checks ----
 
 type analyzer struct {
 	opts  Options
 	sigs  map[string]Signature
 	diags []Diagnostic
+	// calls holds the PV007 findings until the scope findings are in: an
+	// argument that is a function literal shares its position with the
+	// literal's parameters.
+	calls []Diagnostic
 	facts Facts
 }
 
@@ -289,24 +255,21 @@ func (a *analyzer) diag(pos Position, code string, sev Severity, msg string) {
 	a.diags = append(a.diags, Diagnostic{Pos: pos, Code: code, Severity: sev, Message: msg})
 }
 
+// run reports the scope findings from the resolver's bindings and the rest
+// from one walk. Diagnostics are sorted by position afterwards, stably, so
+// the order they are reported in here settles ties between findings at one
+// position: a redeclaration, then unreachable code, then what an identifier
+// there does, then a parameter's redeclaration, then unused declarations,
+// then calls.
 func (a *analyzer) run(prog *program, funcs funcTable) {
-	global := newAScope(nil, 0)
-	for name := range a.sigs {
-		s := a.sigs[name]
-		if s.Callback {
-			continue // init/event_received are defined by the module, not for it
-		}
-		global.decls[name] = &declInfo{name: name, kind: declBuiltin, reached: true, sig: &s}
+	a.redeclared(prog.decls, false)
+	a.unreachable(prog.stmts)
+	for _, s := range prog.stmts {
+		inspect(s, a.visit)
 	}
-	for _, name := range a.opts.Globals {
-		if _, ok := global.decls[name]; !ok {
-			global.decls[name] = &declInfo{name: name, kind: declBuiltin, reached: true}
-		}
-	}
-
-	a.collect(prog.stmts, global)
-	a.stmts(prog.stmts, global, 0)
-	a.finish(global)
+	a.redeclared(prog.decls, true)
+	a.unused(prog.decls)
+	a.diags = append(a.diags, a.calls...)
 
 	for _, d := range funcs {
 		a.noteCallback(d.name, len(d.fn.params), d.pos)
@@ -347,52 +310,26 @@ func callbackArgs(sig Signature) string {
 	return fmt.Sprintf("at most %d", sig.Max)
 }
 
-// collect pre-registers the declarations of one statement list so duplicate
-// declarations (PV006) are caught and later straight-line references can be
-// distinguished from truly undefined names (PV002 vs PV001).
-func (a *analyzer) collect(list []stmt, sc *aScope) {
-	for _, s := range list {
-		switch st := s.(type) {
-		case *declStmt:
-			kind := declVar
-			if st.constant {
-				kind = declConst
-			}
-			a.declare(sc, st.name, st.pos, kind)
-		case *funcDecl:
-			a.declare(sc, st.fn.name, st.pos, declFunc)
+// redeclared reports each declaration of a name its scope already declares
+// (PV006), the parameters' or every other kind's. The implicit `arguments`
+// neither counts nor clashes.
+func (a *analyzer) redeclared(decls []*declSite, params bool) {
+	for _, d := range decls {
+		if (d.kind == declParam) != params || d.prev == nil || d.kind == declImplicit || d.prev.kind == declImplicit {
+			continue
 		}
+		a.diag(d.pos, CodeDuplicate, SeverityError,
+			fmt.Sprintf("%q is already declared in this scope (first at %s)", d.b.name, d.prev.pos))
 	}
 }
 
-func (a *analyzer) declare(sc *aScope, name string, pos Position, kind declKind) *declInfo {
-	if prev, ok := sc.decls[name]; ok && prev.kind != declBuiltin {
-		a.diag(pos, CodeDuplicate, SeverityError,
-			fmt.Sprintf("%q is already declared in this scope (first at %s)", name, prev.pos))
-	}
-	d := &declInfo{name: name, pos: pos, kind: kind}
-	sc.decls[name] = d
-	sc.order = append(sc.order, d)
-	return d
-}
-
-// resolve walks the scope chain; it returns the declaration and the scope
-// that holds it.
-func (a *analyzer) resolve(name string, sc *aScope) (*declInfo, *aScope) {
-	for s := sc; s != nil; s = s.parent {
-		if d, ok := s.decls[name]; ok {
-			return d, s
-		}
-	}
-	return nil, nil
-}
-
-// finish reports unused declarations (PV003) when a scope closes. Function
-// declarations and catch variables are exempt; so is the implicit
-// `arguments` array.
-func (a *analyzer) finish(sc *aScope) {
-	for _, d := range sc.order {
-		if d.reads > 0 || d.kind == declFunc || d.kind == declCatch || d.kind == declBuiltin {
+// unused reports the variables and parameters never read (PV003). Reads
+// land on a scope's latest declaration of a name, so an earlier one is never
+// read. Function declarations, catch and loop variables and `arguments` are
+// exempt.
+func (a *analyzer) unused(decls []*declSite) {
+	for _, d := range decls {
+		if d.kind > declParam || d.kind == declFunc || (d == d.b.last && d.b.reads > 0) {
 			continue
 		}
 		noun := "variable"
@@ -400,15 +337,13 @@ func (a *analyzer) finish(sc *aScope) {
 			noun = "parameter"
 		}
 		a.diag(d.pos, CodeUnused, SeverityWarning,
-			fmt.Sprintf("%s %q is declared and never read", noun, d.name))
+			fmt.Sprintf("%s %q is declared and never read", noun, d.b.name))
 	}
 }
 
-// ---- statements ----
-
-// stmts walks a statement list, tracking termination to flag the first
-// unreachable statement (PV004).
-func (a *analyzer) stmts(list []stmt, sc *aScope, fd int) {
+// unreachable flags the first statement of a list that follows one which
+// always leaves it (PV004), once per run of such statements.
+func (a *analyzer) unreachable(list []stmt) {
 	terminated := false
 	for _, s := range list {
 		if terminated {
@@ -416,7 +351,6 @@ func (a *analyzer) stmts(list []stmt, sc *aScope, fd int) {
 				"unreachable code (follows return/throw/break/continue)")
 			terminated = false // report once per list, keep checking the rest
 		}
-		a.stmt(s, sc, fd)
 		if terminates(s) {
 			terminated = true
 		}
@@ -441,250 +375,128 @@ func terminates(s stmt) bool {
 	return false
 }
 
-func (a *analyzer) stmt(s stmt, sc *aScope, fd int) {
-	switch st := s.(type) {
-	case *exprStmt:
-		a.expr(st.x, sc, fd)
-	case *declStmt:
-		if st.init != nil {
-			a.expr(st.init, sc, fd)
-		}
-		if d, ok := sc.decls[st.name]; ok {
-			d.reached = true
-		}
+// visit is the walk's inspect callback. It visits a for loop's clauses, an
+// assignment's sides and a call's parts in the order they run, which is the
+// order call targets are recorded in.
+func (a *analyzer) visit(n node) bool {
+	switch x := n.(type) {
 	case *blockStmt:
-		ns := newAScope(sc, fd)
-		a.collect(st.stmts, ns)
-		a.stmts(st.stmts, ns, fd)
-		a.finish(ns)
-	case *ifStmt:
-		a.cond(st.cond, sc, fd)
-		a.stmt(st.then, sc, fd)
-		if st.elsE != nil {
-			a.stmt(st.elsE, sc, fd)
-		}
-	case *whileStmt:
-		a.cond(st.cond, sc, fd)
-		a.stmt(st.body, sc, fd)
-	case *forStmt:
-		ns := newAScope(sc, fd)
-		if st.init != nil {
-			a.collect([]stmt{st.init}, ns)
-			a.stmt(st.init, ns, fd)
-		}
-		if st.cond != nil {
-			a.cond(st.cond, ns, fd)
-		}
-		a.stmt(st.body, ns, fd)
-		if st.post != nil {
-			a.expr(st.post, ns, fd)
-		}
-		a.finish(ns)
-	case *forOfStmt:
-		a.expr(st.iter, sc, fd)
-		ns := newAScope(sc, fd)
-		d := a.declare(ns, st.varName, st.pos, declVar)
-		d.reached = true
-		d.reads++ // the loop variable is bound each iteration; not "unused"
-		a.stmt(st.body, ns, fd)
-		a.finish(ns)
-	case *returnStmt:
-		if st.value != nil {
-			a.expr(st.value, sc, fd)
-		}
-	case *breakStmt, *continueStmt:
-		// nothing to check
-	case *throwStmt:
-		a.expr(st.value, sc, fd)
-	case *tryStmt:
-		a.stmt(st.body, sc, fd)
-		if st.catch != nil {
-			// The interpreter binds the catch variable in the same
-			// environment the catch statements execute in.
-			ns := newAScope(sc, fd)
-			if st.catchVar != "" {
-				d := a.declare(ns, st.catchVar, st.catch.pos, declCatch)
-				d.reached = true
-			}
-			a.collect(st.catch.stmts, ns)
-			a.stmts(st.catch.stmts, ns, fd)
-			a.finish(ns)
-		}
-		if st.finally != nil {
-			a.stmt(st.finally, sc, fd)
-		}
+		a.unreachable(x.stmts)
 	case *switchStmt:
-		a.expr(st.subject, sc, fd)
-		// The interpreter shares one environment across all case bodies;
-		// analyzing each body in its own scope is slightly stricter (a
-		// fallthrough reference to a previous case's variable is flagged)
-		// but catches the common bug of relying on a sibling case's state.
-		for _, c := range st.cases {
-			a.expr(c.value, sc, fd)
-			ns := newAScope(sc, fd)
-			a.collect(c.body, ns)
-			a.stmts(c.body, ns, fd)
-			a.finish(ns)
+		for _, c := range x.cases {
+			a.unreachable(c.body)
 		}
-		if st.defaultBody != nil {
-			ns := newAScope(sc, fd)
-			a.collect(st.defaultBody, ns)
-			a.stmts(st.defaultBody, ns, fd)
-			a.finish(ns)
+		a.unreachable(x.defaultBody)
+	case *ifStmt:
+		a.condAssign(x.cond)
+	case *whileStmt:
+		a.condAssign(x.cond)
+	case *condExpr:
+		a.condAssign(x.cond)
+	case *forStmt:
+		a.condAssign(x.cond)
+		inspect(x.init, a.visit)
+		inspect(x.cond, a.visit)
+		inspect(x.body, a.visit)
+		inspect(x.post, a.visit)
+		return false
+	case *identExpr:
+		a.use(x, "used")
+	case *assignExpr:
+		inspect(x.value, a.visit)
+		a.target(x.target)
+		return false
+	case *updateExpr:
+		a.target(x.target)
+		return false
+	case *callExpr:
+		for _, arg := range x.args {
+			inspect(arg, a.visit)
 		}
-	case *funcDecl:
-		if d, ok := sc.decls[st.fn.name]; ok {
-			d.reached = true
-		}
-		a.function(st.fn, sc, fd)
+		inspect(x.callee, a.visit)
+		a.call(x)
+		return false
 	}
+	return true
 }
 
-// cond analyzes a condition expression, flagging plain assignment used as a
-// condition (PV005).
-func (a *analyzer) cond(e expr, sc *aScope, fd int) {
+// condAssign flags a plain assignment used as a condition (PV005).
+func (a *analyzer) condAssign(e expr) {
 	if as, ok := e.(*assignExpr); ok && as.op == "=" {
 		a.diag(as.pos, CodeCondAssign, SeverityWarning,
 			"assignment in condition (use == to compare)")
 	}
-	a.expr(e, sc, fd)
 }
 
-// function analyzes a function body one function depth deeper. Parameters
-// live in the same environment the body statements execute in, matching the
-// interpreter.
-func (a *analyzer) function(fn *funcLit, sc *aScope, fd int) {
-	ns := newAScope(sc, fd+1)
-	for _, p := range fn.params {
-		d := a.declare(ns, p, fn.pos, declParam)
-		d.reached = true
+// builtin returns the signature-table entry an identifier no scope declares
+// refers to; defined also admits the host globals Options names.
+func (a *analyzer) builtin(name string) (Signature, bool) {
+	sig, ok := a.sigs[name]
+	return sig, ok && !sig.Callback // init/event_received are defined by the module, not for it
+}
+
+func (a *analyzer) defined(name string) bool {
+	if _, ok := a.builtin(name); ok {
+		return true
 	}
-	// The interpreter defines `arguments` implicitly in every call frame.
-	ns.decls["arguments"] = &declInfo{name: "arguments", kind: declBuiltin, reached: true}
-	a.collect(fn.body.stmts, ns)
-	a.stmts(fn.body.stmts, ns, fd+1)
-	a.finish(ns)
+	for _, g := range a.opts.Globals {
+		if g == name {
+			return true
+		}
+	}
+	return false
 }
 
-// ---- expressions ----
-
-func (a *analyzer) expr(e expr, sc *aScope, fd int) {
-	switch ex := e.(type) {
-	case *numberLit, *stringLit, *boolLit, *nullLit:
-		// literals
-	case *identExpr:
-		a.use(ex, sc, fd)
-	case *arrayLit:
-		for _, el := range ex.elems {
-			a.expr(el, sc, fd)
-		}
-	case *objectLit:
-		for _, f := range ex.fields {
-			a.expr(f.value, sc, fd)
-		}
-	case *funcLit:
-		a.function(ex, sc, fd)
-	case *unaryExpr:
-		a.expr(ex.x, sc, fd)
-	case *binaryExpr:
-		a.expr(ex.x, sc, fd)
-		a.expr(ex.y, sc, fd)
-	case *logicalExpr:
-		a.expr(ex.x, sc, fd)
-		a.expr(ex.y, sc, fd)
-	case *condExpr:
-		a.cond(ex.cond, sc, fd)
-		a.expr(ex.then, sc, fd)
-		a.expr(ex.elsE, sc, fd)
-	case *assignExpr:
-		a.expr(ex.value, sc, fd)
-		a.assignTarget(ex.target, sc, fd, ex.op != "=")
-	case *updateExpr:
-		a.assignTarget(ex.target, sc, fd, true)
-	case *callExpr:
-		a.call(ex, sc, fd)
-	case *memberExpr:
-		a.expr(ex.obj, sc, fd)
-	case *indexExpr:
-		a.expr(ex.obj, sc, fd)
-		a.expr(ex.index, sc, fd)
+// use checks an identifier against its binding: none and no builtin is
+// PV001, one not yet declared where it runs is PV002. verb is "used" or
+// "assigned".
+func (a *analyzer) use(id *identExpr, verb string) {
+	b := id.bind
+	switch {
+	case b == nil && !a.defined(id.name) && verb == "used":
+		a.diag(id.pos, CodeUndefined, SeverityError, fmt.Sprintf("%q is not defined", id.name))
+	case b == nil && !a.defined(id.name):
+		a.diag(id.pos, CodeUndefined, SeverityError,
+			fmt.Sprintf("%q is not defined (PipeScript has no implicit globals; declare it with var)", id.name))
+	case b != nil && id.early:
+		a.diag(id.pos, CodeUseBeforeDecl, SeverityError,
+			fmt.Sprintf("%q is %s before its declaration at %s", id.name, verb, b.last.pos))
 	}
 }
 
-// use resolves an identifier read, counting it and reporting PV001/PV002.
-func (a *analyzer) use(ex *identExpr, sc *aScope, fd int) *declInfo {
-	d, ds := a.resolve(ex.name, sc)
-	if d == nil {
-		a.diag(ex.pos, CodeUndefined, SeverityError,
-			fmt.Sprintf("%q is not defined", ex.name))
-		return nil
-	}
-	d.reads++
-	if !d.reached && ds.funcDepth == fd {
-		a.diag(ex.pos, CodeUseBeforeDecl, SeverityError,
-			fmt.Sprintf("%q is used before its declaration at %s", ex.name, d.pos))
-	}
-	return d
-}
-
-// assignTarget resolves an assignment/update target. reads marks compound
-// forms (+=, ++) that read the previous value.
-func (a *analyzer) assignTarget(target expr, sc *aScope, fd int, reads bool) {
-	switch tg := target.(type) {
-	case *identExpr:
-		d, ds := a.resolve(tg.name, sc)
-		if d == nil {
-			a.diag(tg.pos, CodeUndefined, SeverityError,
-				fmt.Sprintf("%q is not defined (PipeScript has no implicit globals; declare it with var)", tg.name))
-			return
-		}
-		if d.kind == declConst {
-			a.diag(tg.pos, CodeConstAssign, SeverityError,
-				fmt.Sprintf("cannot assign to constant %q (declared at %s)", tg.name, d.pos))
-		}
-		if reads {
-			d.reads++
-		}
-		if !d.reached && ds.funcDepth == fd {
-			a.diag(tg.pos, CodeUseBeforeDecl, SeverityError,
-				fmt.Sprintf("%q is assigned before its declaration at %s", tg.name, d.pos))
-		}
-	case *memberExpr:
-		a.expr(tg.obj, sc, fd)
-	case *indexExpr:
-		a.expr(tg.obj, sc, fd)
-		a.expr(tg.index, sc, fd)
-	default:
-		a.expr(target, sc, fd)
-	}
-}
-
-// call analyzes a call site. When the callee resolves to a signature-table
-// builtin, arity and literal argument types are checked (PV007), and
-// call_service / call_module literal targets are recorded as Facts.
-func (a *analyzer) call(ex *callExpr, sc *aScope, fd int) {
-	for _, arg := range ex.args {
-		a.expr(arg, sc, fd)
-	}
-	id, ok := ex.callee.(*identExpr)
+// target checks the left side of an assignment, ++ or --: a bare name must
+// be declared and not const (PV010).
+func (a *analyzer) target(t expr) {
+	id, ok := t.(*identExpr)
 	if !ok {
-		a.expr(ex.callee, sc, fd)
+		inspect(t, a.visit)
 		return
 	}
-	d := a.use(id, sc, fd)
-	if d == nil || d.kind != declBuiltin || d.sig == nil {
+	if b := id.bind; b != nil && b.last.kind == declConst {
+		a.diag(id.pos, CodeConstAssign, SeverityError,
+			fmt.Sprintf("cannot assign to constant %q (declared at %s)", id.name, b.last.pos))
+	}
+	a.use(id, "assigned")
+}
+
+// call checks a call site. When the callee is a signature-table builtin,
+// arity and literal argument types are checked (PV007), and call_service /
+// call_module literal targets are recorded as Facts.
+func (a *analyzer) call(ex *callExpr) {
+	id, ok := ex.callee.(*identExpr)
+	if !ok || id.bind != nil {
 		return
 	}
-	sig := *d.sig
+	sig, ok := a.builtin(id.name)
+	if !ok {
+		return
+	}
 
 	n := len(ex.args)
 	switch {
-	case n < sig.Min:
-		a.diag(ex.pos, CodeBadCall, SeverityError,
-			fmt.Sprintf("%s expects %s, got %d", sig.Name, arityWord(sig), n))
-	case sig.Max >= 0 && n > sig.Max:
-		a.diag(ex.pos, CodeBadCall, SeverityError,
-			fmt.Sprintf("%s expects %s, got %d", sig.Name, arityWord(sig), n))
+	case n < sig.Min || (sig.Max >= 0 && n > sig.Max):
+		a.calls = append(a.calls, Diagnostic{Pos: ex.pos, Code: CodeBadCall, Severity: SeverityError,
+			Message: fmt.Sprintf("%s expects %s, got %d", sig.Name, arityWord(sig), n)})
 	default:
 		for i, arg := range ex.args {
 			var want string
@@ -708,8 +520,8 @@ func (a *analyzer) call(ex *callExpr, sc *aScope, fd int) {
 				if i < len(sig.Params) {
 					name = sig.Params[i].Name
 				}
-				a.diag(arg.position(), CodeBadCall, SeverityError,
-					fmt.Sprintf("%s: %s must be %s, got %s", sig.Name, name, withArticle(want), got))
+				a.calls = append(a.calls, Diagnostic{Pos: arg.position(), Code: CodeBadCall, Severity: SeverityError,
+					Message: fmt.Sprintf("%s: %s must be %s, got %s", sig.Name, name, withArticle(want), got)})
 			}
 		}
 	}

@@ -160,6 +160,14 @@ type identExpr struct {
 	// set by resolve: the enclosing scopes that declare name, innermost
 	// first; empty when only a global can match.
 	refs []slotRef
+	// set by resolve: every binding the identifier can land on, innermost
+	// first, the module-level one last when a lookup can reach it; bind, the
+	// innermost one pipevet's scopes see (nil for a builtin, a host global or
+	// an undefined name); early, whether it runs before any declaration of
+	// bind in the same function has.
+	binds []*binding
+	bind  *binding
+	early bool
 	// global caches the global binding once a lookup by name has found it.
 	global *slot
 }
@@ -192,6 +200,11 @@ type funcLit struct {
 	paramSlots    []int
 	argsSlot      int
 	usesArguments bool
+	// set by resolve: each parameter's binding, and every binding the
+	// function's own scopes declare (nested functions' aside) in the order
+	// they were declared.
+	paramBinds []*binding
+	binds      []*binding
 }
 
 type unaryExpr struct {
@@ -314,7 +327,8 @@ type declStmt struct {
 	name     string
 	init     expr // may be nil
 	constant bool
-	slot     int // set by resolve: slot in the enclosing scope's frame, globalSlot at top level
+	slot     int      // set by resolve: slot in the enclosing scope's frame, globalSlot at top level
+	b        *binding // set by resolve
 }
 
 type blockStmt struct {
@@ -402,7 +416,8 @@ type switchCase struct {
 type funcDecl struct {
 	pos  Position
 	fn   *funcLit
-	slot int // set by resolve, as declStmt.slot
+	slot int      // set by resolve, as declStmt.slot
+	b    *binding // set by resolve
 }
 
 func (s *exprStmt) position() Position     { return s.pos }
@@ -441,6 +456,8 @@ type program struct {
 	// set by resolve: where the module first keeps state between calls; nil
 	// for a stateless module.
 	state *StateWrite
+	// set by resolve: every declaration, in the order the pass met them.
+	decls []*declSite
 }
 
 // funcDef is one top-level function definition, `function f() {}` or

@@ -835,8 +835,9 @@ func (ca *costAnalysis) inferForIterations(st *forStmt) (int64, bool) {
 	}
 
 	// Induction variable and start value. The count only holds if nothing
-	// outside the loop's own text can write the variable while it runs.
-	var iv string
+	// outside the loop's own text can write the variable while it runs: iv
+	// is every binding it can be.
+	var iv []*binding
 	var start float64
 	switch init := st.init.(type) {
 	case *declStmt:
@@ -846,7 +847,7 @@ func (ca *costAnalysis) inferForIterations(st *forStmt) (int64, bool) {
 		if !ok {
 			return 0, false
 		}
-		iv, start = init.name, v
+		iv, start = []*binding{init.b}, v
 	case *exprStmt:
 		as, ok := init.x.(*assignExpr)
 		if !ok || as.op != "=" {
@@ -860,9 +861,15 @@ func (ca *costAnalysis) inferForIterations(st *forStmt) (int64, bool) {
 		if !ok {
 			return 0, false
 		}
-		iv, start = id.name, v
+		iv, start = id.binds, v
 	default:
 		return 0, false
+	}
+	// The header's clauses share one scope, so an identifier there is the
+	// induction variable when its innermost binding is.
+	isIV := func(e expr) bool {
+		id, ok := e.(*identExpr)
+		return ok && len(id.binds) > 0 && id.binds[0] == iv[0]
 	}
 
 	// Condition: iv OP const (or const OP iv, mirrored).
@@ -872,13 +879,13 @@ func (ca *costAnalysis) inferForIterations(st *forStmt) (int64, bool) {
 	}
 	op := cmp.op
 	var limit float64
-	if id, isID := cmp.x.(*identExpr); isID && id.name == iv {
+	if isIV(cmp.x) {
 		v, okc := foldConst(cmp.y)
 		if !okc {
 			return 0, false
 		}
 		limit = v
-	} else if id, isID := cmp.y.(*identExpr); isID && id.name == iv {
+	} else if isIV(cmp.y) {
 		v, okc := foldConst(cmp.x)
 		if !okc {
 			return 0, false
@@ -902,7 +909,7 @@ func (ca *costAnalysis) inferForIterations(st *forStmt) (int64, bool) {
 	}
 
 	// Step: i++, i--, i += c, i -= c, i = i + c, i = i - c, i = c + i.
-	step, ok := inferStep(st.post, iv)
+	step, ok := inferStep(st.post, isIV)
 	if !ok || step == 0 {
 		return 0, false
 	}
@@ -916,12 +923,12 @@ func (ca *costAnalysis) inferForIterations(st *forStmt) (int64, bool) {
 	return iterationsFor(start, limit, step, op)
 }
 
-// inferStep extracts the per-iteration increment applied to iv.
-func inferStep(post expr, iv string) (float64, bool) {
+// inferStep extracts the per-iteration increment post applies to the
+// induction variable.
+func inferStep(post expr, isIV func(expr) bool) (float64, bool) {
 	switch p := post.(type) {
 	case *updateExpr:
-		id, ok := p.target.(*identExpr)
-		if !ok || id.name != iv {
+		if !isIV(p.target) {
 			return 0, false
 		}
 		if p.op == "++" {
@@ -929,8 +936,7 @@ func inferStep(post expr, iv string) (float64, bool) {
 		}
 		return -1, true
 	case *assignExpr:
-		id, ok := p.target.(*identExpr)
-		if !ok || id.name != iv {
+		if !isIV(p.target) {
 			return 0, false
 		}
 		switch p.op {
@@ -945,21 +951,14 @@ func inferStep(post expr, iv string) (float64, bool) {
 			if !okb {
 				return 0, false
 			}
-			switch bin.op {
-			case "+":
-				if lid, isID := bin.x.(*identExpr); isID && lid.name == iv {
-					v, okc := foldConst(bin.y)
-					return v, okc
-				}
-				if rid, isID := bin.y.(*identExpr); isID && rid.name == iv {
-					v, okc := foldConst(bin.x)
-					return v, okc
-				}
-			case "-":
-				if lid, isID := bin.x.(*identExpr); isID && lid.name == iv {
-					v, okc := foldConst(bin.y)
-					return -v, okc
-				}
+			switch {
+			case bin.op == "+" && isIV(bin.x):
+				return foldConst(bin.y)
+			case bin.op == "+" && isIV(bin.y):
+				return foldConst(bin.x)
+			case bin.op == "-" && isIV(bin.x):
+				v, okc := foldConst(bin.y)
+				return -v, okc
 			}
 		}
 	}
@@ -1032,29 +1031,35 @@ func (ca *costAnalysis) privateLocal(id *identExpr) bool {
 		!ca.moduleBinds(id.name) && !ca.hostBinds(id.name)
 }
 
-// writes reports whether anything under n (including nested function
-// literals, pessimistically: the closure could run inside the loop) assigns
-// to name or redeclares it. A redeclaration shadows the induction variable;
-// give up rather than model block scoping.
-func writes(n node, name string) bool {
-	if assignsName(n, name) {
-		return true
-	}
+// writes reports whether anything under n can write one of bs: an
+// assignment, ++ or -- that can land on it (nested function literals
+// included, pessimistically: the closure could run inside the loop), or a
+// redeclaration in its scope, which the interpreter runs as a write.
+func writes(n node, bs []*binding) bool {
 	found := false
-	inspect(n, func(n node) bool {
-		redeclares := false
-		switch x := n.(type) {
-		case *declStmt:
-			redeclares = x.name == name
-		case *forOfStmt:
-			redeclares = x.varName == name
-		case *tryStmt:
-			redeclares = x.catch != nil && x.catchVar == name
-		case *funcDecl:
-			redeclares = x.fn.name == name
+	hit := func(b *binding) {
+		for _, x := range bs {
+			found = found || x == b
 		}
-		if redeclares {
-			found = true
+	}
+	inspect(n, func(n node) bool {
+		switch x := n.(type) {
+		case *assignExpr:
+			if id, ok := x.target.(*identExpr); ok {
+				for _, b := range id.binds {
+					hit(b)
+				}
+			}
+		case *updateExpr:
+			if id, ok := x.target.(*identExpr); ok {
+				for _, b := range id.binds {
+					hit(b)
+				}
+			}
+		case *declStmt:
+			hit(x.b)
+		case *funcDecl:
+			hit(x.b)
 		}
 		return !found
 	})

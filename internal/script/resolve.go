@@ -53,19 +53,71 @@ var unaryOps = map[string]opcode{
 	"-": opNeg, "!": opNot, "typeof": opTypeof, "++": opInc, "--": opDec,
 }
 
+// binding is one name declared in one scope, as the static passes see it.
+// Every declaration, identifier and write below points at its binding, so a
+// pass asks the binding instead of matching names. pipevet reads each case
+// body of a switch as a scope of its own, so there every body that declares
+// a name has its own binding of the one slot the interpreter shares.
+type binding struct {
+	name string
+	last *declSite // the latest declaration in the scope
+	fn   *funcLit  // the function whose frame holds it; nil at module level
+	// reads counts the reads (a compound assignment's too) whose innermost
+	// binding this is; writes counts the assignments, ++ and -- that can land
+	// on it — any candidate, not only the innermost, since a write that runs
+	// before an inner declaration hits the outer binding.
+	reads, writes int
+	// reached is set once the walk passes a declaration of the name that
+	// runs when its statement does; a parameter, catch or loop variable and
+	// `arguments` are reached on entry.
+	reached bool
+}
+
+// redeclared reports whether the scope declares the name more than once;
+// the implicit `arguments` does not count.
+func (b *binding) redeclared() bool {
+	return b.last.prev != nil && b.last.prev.kind != declImplicit
+}
+
+// declSite is one declaration of a binding; prev is the scope's earlier
+// declaration of the same name, if any.
+type declSite struct {
+	b    *binding
+	pos  Position
+	kind declKind
+	prev *declSite
+}
+
+type declKind uint8
+
+const (
+	declVar declKind = iota // var or let
+	declConst
+	declFunc
+	declParam // the kinds from here on are reached on entry
+	declCatch
+	declLoop     // a for-of variable
+	declImplicit // a function's `arguments`
+)
+
 // scope is the resolver's view of one lexical scope while it is open.
 type scope struct {
 	info   *scopeInfo // the owning node's annotation, filled in as names are declared
 	names  map[string]int
+	binds  map[string]*binding
+	cases  []*scope // every case body's scope, on each case body of a switch
 	parent *scope   // enclosing scope, continuing through function boundaries
 	fn     *funcLit // set on a function's own scope
 }
 
 type resolver struct {
-	cur *scope // nil at the top level, where declarations bind globals
-	// globals holds the names the program declares at the top level; state is
-	// the first place found so far where it keeps state between calls.
-	globals map[string]bool
+	cur *scope   // nil at the top level, where declarations bind globals
+	fn  *funcLit // the function being resolved, nil at module level
+	// globals holds the bindings the program declares at the top level;
+	// state is the first place found so far where it keeps state between
+	// calls.
+	globals map[string]*binding
+	decls   []*declSite
 	state   *StateWrite
 }
 
@@ -108,7 +160,7 @@ func resolve(prog *program) {
 		}
 	}
 	r.stmts(prog.stmts)
-	prog.state = r.state
+	prog.state, prog.decls = r.state, r.decls
 }
 
 // noteState records a finding unless an earlier one (in source order) stands.
@@ -135,26 +187,38 @@ func (r *resolver) push(info *scopeInfo) {
 
 func (r *resolver) pop() { r.cur = r.cur.parent }
 
-// declare gives name a slot in the current scope; redeclaring a name reuses
-// its slot.
-func (r *resolver) declare(name string) int {
-	if r.cur == nil {
-		if r.globals == nil {
-			r.globals = make(map[string]bool)
+// declare gives name a slot in the current scope, and a declaration of its
+// binding there; redeclaring a name reuses its slot and binding.
+func (r *resolver) declare(name string, pos Position, kind declKind) (int, *binding) {
+	idx := globalSlot
+	binds := &r.globals
+	if r.cur != nil {
+		var ok bool
+		if idx, ok = r.cur.names[name]; !ok {
+			if r.cur.names == nil {
+				r.cur.names = make(map[string]int)
+			}
+			idx = r.cur.info.slots
+			r.cur.info.slots++
+			r.cur.names[name] = idx
 		}
-		r.globals[name] = true
-		return globalSlot
+		binds = &r.cur.binds
 	}
-	idx, ok := r.cur.names[name]
-	if !ok {
-		if r.cur.names == nil {
-			r.cur.names = make(map[string]int)
+	b := (*binds)[name]
+	if b == nil {
+		if *binds == nil {
+			*binds = make(map[string]*binding)
 		}
-		idx = r.cur.info.slots
-		r.cur.info.slots++
-		r.cur.names[name] = idx
+		b = &binding{name: name, fn: r.fn}
+		(*binds)[name] = b
+		if r.fn != nil {
+			r.fn.binds = append(r.fn.binds, b)
+		}
 	}
-	return idx
+	b.last = &declSite{b: b, pos: pos, kind: kind, prev: b.last}
+	b.reached = kind >= declParam
+	r.decls = append(r.decls, b.last)
+	return idx, b
 }
 
 // collect declares what s (nil for an absent else or for-init) adds to the
@@ -165,9 +229,13 @@ func (r *resolver) declare(name string) int {
 func (r *resolver) collect(s stmt) {
 	switch st := s.(type) {
 	case *declStmt:
-		st.slot = r.declare(st.name)
+		kind := declVar
+		if st.constant {
+			kind = declConst
+		}
+		st.slot, st.b = r.declare(st.name, st.pos, kind)
 	case *funcDecl:
-		st.slot = r.declare(st.fn.name)
+		st.slot, st.b = r.declare(st.fn.name, st.pos, declFunc)
 	case *ifStmt:
 		r.collect(st.then)
 		r.collect(st.elsE)
@@ -193,6 +261,7 @@ func (r *resolver) stmt(s stmt) {
 		r.expr(st.x)
 	case *declStmt:
 		r.expr(st.init)
+		st.b.reached = true
 	case *blockStmt:
 		r.push(&st.scope)
 		r.stmts(st.stmts)
@@ -210,13 +279,13 @@ func (r *resolver) stmt(s stmt) {
 		r.collect(st.body)
 		r.stmt(st.init)
 		r.expr(st.cond)
-		r.expr(st.post)
 		r.stmt(st.body)
+		r.expr(st.post)
 		r.pop()
 	case *forOfStmt:
 		r.expr(st.iter)
 		r.push(&st.scope)
-		st.slot = r.declare(st.varName)
+		st.slot, _ = r.declare(st.varName, st.pos, declLoop)
 		r.collect(st.body)
 		r.stmt(st.body)
 		r.pop()
@@ -229,7 +298,7 @@ func (r *resolver) stmt(s stmt) {
 		if st.catch != nil {
 			r.push(&st.catchScope)
 			if st.catchVar != "" {
-				st.catchSlot = r.declare(st.catchVar)
+				st.catchSlot, _ = r.declare(st.catchVar, st.catch.pos, declCatch)
 			}
 			r.stmts(st.catch.stmts)
 			r.pop()
@@ -242,16 +311,36 @@ func (r *resolver) stmt(s stmt) {
 		for _, c := range st.cases {
 			r.expr(c.value)
 		}
-		// Every case body and the default body run in one shared scope.
-		var bodies []stmt
+		// Every case body and the default body run in one shared scope: one
+		// frame, one name-to-slot map. Each body still gets a resolver scope
+		// of its own, and with it its own bindings.
+		bodies := make([][]stmt, 0, len(st.cases)+1)
 		for _, c := range st.cases {
-			bodies = append(bodies, c.body...)
+			bodies = append(bodies, c.body)
 		}
-		bodies = append(bodies, st.defaultBody...)
-		r.push(&st.scope)
-		r.stmts(bodies)
-		r.pop()
+		if st.defaultBody != nil {
+			bodies = append(bodies, st.defaultBody)
+		}
+		cases := make([]*scope, len(bodies))
+		names := make(map[string]int)
+		for i := range cases {
+			cases[i] = &scope{info: &st.scope, names: names, cases: cases, parent: r.cur}
+		}
+		for pass := 0; pass < 2; pass++ {
+			for i, body := range bodies {
+				r.cur = cases[i]
+				for _, s := range body {
+					if pass == 0 {
+						r.collect(s)
+					} else {
+						r.stmt(s)
+					}
+				}
+				r.pop()
+			}
+		}
 	case *funcDecl:
+		st.b.reached = true
 		r.function(st.fn)
 	}
 }
@@ -260,26 +349,76 @@ func (r *resolver) function(fl *funcLit) {
 	for s := r.cur; s != nil && !s.info.captured; s = s.parent {
 		s.info.captured = true
 	}
+	outer := r.fn
+	r.fn = fl
 	r.push(&fl.scope)
 	r.cur.fn = fl
 	fl.paramSlots = make([]int, len(fl.params))
+	fl.paramBinds = make([]*binding, len(fl.params))
 	for i, p := range fl.params {
-		fl.paramSlots[i] = r.declare(p)
+		fl.paramSlots[i], fl.paramBinds[i] = r.declare(p, fl.pos, declParam)
 	}
 	// The slot is reserved up front so the frame's size never depends on
 	// what the body turns out to mention.
-	fl.argsSlot = r.declare("arguments")
+	fl.argsSlot, _ = r.declare("arguments", fl.pos, declImplicit)
 	r.stmts(fl.body.stmts)
 	r.pop()
+	r.fn = outer
 }
 
-// ident resolves id and reports whether a lookup can fall through every
-// scope that declares the name and reach the globals.
-func (r *resolver) ident(id *identExpr) bool {
+// How an identifier occurrence uses its variable.
+type useKind uint8
+
+const (
+	useRead   useKind = iota
+	useAssign         // the target of a plain assignment
+	useUpdate         // the target of a compound assignment, ++ or --
+)
+
+// ident resolves id, records its bindings and reports whether a lookup can
+// fall through every scope that declares the name and reach the globals.
+func (r *resolver) ident(id *identExpr, use useKind) bool {
+	global := r.locals(id)
+	if b := r.globals[id.name]; global && b != nil {
+		id.binds = append(id.binds, b)
+		if id.bind == nil {
+			id.bind = b
+		}
+	}
+	if b := id.bind; b != nil {
+		if use != useAssign {
+			b.reads++
+		}
+		id.early = !b.reached && b.fn == r.fn
+	}
+	if use != useRead {
+		for _, b := range id.binds {
+			b.writes++
+		}
+	}
+	return global
+}
+
+// locals appends to id's refs and bindings every enclosing scope that
+// declares its name; a case body that does not declare it offers the
+// bindings of the sibling bodies that do, which the shared slot may hold.
+func (r *resolver) locals(id *identExpr) bool {
 	hops := 0
 	for s := r.cur; s != nil; s = s.parent {
 		if idx, ok := s.names[id.name]; ok {
 			id.refs = append(id.refs, slotRef{hops: hops, idx: idx})
+			if b := s.binds[id.name]; b != nil {
+				id.binds = append(id.binds, b)
+				if id.bind == nil {
+					id.bind = b
+				}
+			} else {
+				for _, c := range s.cases {
+					if b := c.binds[id.name]; b != nil {
+						id.binds = append(id.binds, b)
+					}
+				}
+			}
 			if s.fn != nil && idx <= s.fn.argsSlot {
 				// A parameter or `arguments`: declared on entry to the
 				// function, so nothing further out can ever be reached.
@@ -300,13 +439,13 @@ func (r *resolver) ident(id *identExpr) bool {
 // write to module state when the lookup can reach the globals and a global
 // of that name can exist: one the module declares, one every context is born
 // with (signatures.go), or — no scope declaring it — whatever the host bound.
-func (r *resolver) target(e expr) {
+func (r *resolver) target(e expr, use useKind) {
 	id, ok := e.(*identExpr)
 	if !ok {
 		r.expr(e)
 		return
 	}
-	if r.ident(id) && (len(id.refs) == 0 || r.globals[id.name] || isAmbientGlobal(id.name)) {
+	if r.ident(id, use) && (len(id.refs) == 0 || r.globals[id.name] != nil || isAmbientGlobal(id.name)) {
 		r.noteState(id.name, id.pos)
 	}
 }
@@ -325,7 +464,7 @@ func (r *resolver) expr(e expr) {
 	case *stringLit:
 		ex.boxed = ex.value
 	case *identExpr:
-		r.ident(ex)
+		r.ident(ex, useRead)
 	case *arrayLit:
 		for _, el := range ex.elems {
 			r.expr(el)
@@ -353,11 +492,15 @@ func (r *resolver) expr(e expr) {
 		r.expr(ex.elsE)
 	case *assignExpr:
 		ex.opc = binaryOps[ex.op[:len(ex.op)-1]]
-		r.target(ex.target)
+		use := useUpdate
+		if ex.opc == opNone {
+			use = useAssign
+		}
+		r.target(ex.target, use)
 		r.expr(ex.value)
 	case *updateExpr:
 		ex.opc = unaryOps[ex.op]
-		r.target(ex.target)
+		r.target(ex.target, useUpdate)
 	case *callExpr:
 		r.expr(ex.callee)
 		for _, a := range ex.args {

@@ -99,7 +99,7 @@ func shapePass(prog *program, funcs funcTable, sigs map[string]Signature, global
 	rep := ShapeReport{
 		Emits:        make(map[string]*Shape),
 		EmitSites:    sites,
-		ServiceReads: collectServiceReads(ctx, prog),
+		ServiceReads: collectServiceReads(prog),
 	}
 	for _, s := range sites {
 		if s.Target == "" {
@@ -168,28 +168,16 @@ func rootIdentName(e expr) (string, bool) {
 	}
 }
 
-// declaredNames adds to into every name declared under n outside nested
-// function literals — var/let/const (function-valued or not), for-of and
-// catch variables, function declarations: the flat domain of a function's
+// localNames adds to into the names of the bindings fl's own scopes declare
+// (resolve.go), its parameters included and `arguments` only where a
+// parameter or declaration names it: the flat domain of a function's
 // environment, and what a nested function shadows of its enclosing one.
-func declaredNames(n node, into map[string]bool) {
-	inspect(n, func(n node) bool {
-		switch x := n.(type) {
-		case *funcLit:
-			return false
-		case *declStmt:
-			into[x.name] = true
-		case *forOfStmt:
-			into[x.varName] = true
-		case *tryStmt:
-			if x.catch != nil && x.catchVar != "" {
-				into[x.catchVar] = true
-			}
-		case *funcDecl:
-			into[x.fn.name] = true
+func localNames(fl *funcLit, into map[string]bool) {
+	for _, b := range fl.binds {
+		if b.last.kind != declImplicit || b.last.prev != nil {
+			into[b.name] = true
 		}
-		return true
-	})
+	}
 }
 
 // ---- produced side: local environments ----
@@ -203,10 +191,9 @@ func (c *shapeCtx) fixpointEnv(fl *funcLit) (map[string]*Shape, map[string]bool)
 		return r.env, r.locals
 	}
 	locals := make(map[string]bool)
-	declaredNames(fl.body, locals)
+	localNames(fl, locals)
 	env := make(map[string]*Shape)
 	for _, pn := range fl.params {
-		locals[pn] = true
 		env[pn] = topShape()
 	}
 	p := &envPass{ctx: c, locals: locals, env: env}
@@ -540,10 +527,7 @@ func (col *emitCollector) scope(env map[string]*Shape, locals map[string]bool) *
 // unknown (top) at analysis time.
 func (sc *emitScope) nested(fl *funcLit) *emitScope {
 	shadowed := make(map[string]bool)
-	for _, pn := range fl.params {
-		shadowed[pn] = true
-	}
-	declaredNames(fl.body, shadowed)
+	localNames(fl, shadowed)
 	env := make(map[string]*Shape, len(sc.env)+len(shadowed))
 	locals := make(map[string]bool, len(sc.locals)+len(shadowed))
 	for n, v := range sc.env {
@@ -634,80 +618,44 @@ func (c *shapeCtx) consume(fl *funcLit, paramIdx int) *consumeFrag {
 	if paramIdx >= len(fl.params) {
 		return frag
 	}
-	param := fl.params[paramIdx]
 	// Re-declaring or re-assigning the message parameter poisons field
 	// attribution: degrade to dynamic with no recorded fields rather than
 	// risk a false PV015.
-	declared := make(map[string]bool)
-	declaredNames(fl.body, declared)
-	if declared[param] || assignsName(fl.body, param) {
+	param := fl.paramBinds[paramIdx]
+	if param.last.kind != declParam || param.writes > 0 {
 		frag.dynamic = true
 		return frag
 	}
-	w := &consumeWalker{ctx: c, frag: frag, aliases: c.aliasSet(fl, param)}
+	w := &consumeWalker{ctx: c, frag: frag, aliases: aliasSet(fl, param)}
 	w.walk(fl.body)
 	return frag
 }
 
-// assignsName reports whether any assignment or update anywhere under n
-// (including nested function bodies) targets the bare identifier name.
-func assignsName(n node, name string) bool {
-	found := false
-	inspect(n, func(n node) bool {
-		var t expr
-		switch ex := n.(type) {
-		case *assignExpr:
-			t = ex.target
-		case *updateExpr:
-			t = ex.target
-		}
-		if id, ok := t.(*identExpr); ok && id.name == name {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// aliasSet qualifies local names that alias the message parameter: a
-// single declaration `var x = <alias>` whose name is never re-assigned and
-// never re-declared. Chains (var a = m; var b = a) qualify transitively.
-func (c *shapeCtx) aliasSet(fl *funcLit, param string) map[string]bool {
-	aliases := map[string]bool{param: true}
-	declCount := make(map[string]int)
-	type candidate struct{ name, from string }
-	var cands []candidate
+// aliasSet qualifies the bindings that alias the message parameter: one
+// declared once, `var x = <alias>`, and never assigned. Chains (var a = m;
+// var b = a) qualify transitively. An identifier is an alias when its
+// innermost binding is one.
+func aliasSet(fl *funcLit, param *binding) map[*binding]bool {
+	aliases := map[*binding]bool{param: true}
+	var cands []*declStmt
 	inspect(fl.body, func(n node) bool {
 		switch st := n.(type) {
 		case *funcLit:
 			return false
 		case *declStmt:
-			declCount[st.name]++
-			if id, ok := st.init.(*identExpr); ok {
-				cands = append(cands, candidate{name: st.name, from: id.name})
+			if _, ok := st.init.(*identExpr); ok && !st.b.redeclared() && st.b.writes == 0 {
+				cands = append(cands, st)
 			}
-		case *forOfStmt:
-			declCount[st.varName]++
-		case *tryStmt:
-			if st.catch != nil && st.catchVar != "" {
-				declCount[st.catchVar]++
-			}
-		case *funcDecl:
-			declCount[st.fn.name]++
 		}
 		return true
 	})
 	for changed := true; changed; {
 		changed = false
-		for _, cd := range cands {
-			if aliases[cd.name] || !aliases[cd.from] {
-				continue
+		for _, st := range cands {
+			if !aliases[st.b] && aliases[st.init.(*identExpr).bind] {
+				aliases[st.b] = true
+				changed = true
 			}
-			if declCount[cd.name] != 1 || assignsName(fl.body, cd.name) {
-				continue
-			}
-			aliases[cd.name] = true
-			changed = true
 		}
 	}
 	return aliases
@@ -716,7 +664,25 @@ func (c *shapeCtx) aliasSet(fl *funcLit, param string) map[string]bool {
 type consumeWalker struct {
 	ctx     *shapeCtx
 	frag    *consumeFrag
-	aliases map[string]bool
+	aliases map[*binding]bool
+}
+
+// alias reports whether e is a bare identifier naming the message. One that
+// only may — its innermost binding is not an alias but one further out is,
+// and shows until the inner declaration runs — makes the message's use
+// unknowable.
+func (w *consumeWalker) alias(e expr) bool {
+	id, ok := e.(*identExpr)
+	if !ok {
+		return false
+	}
+	if w.aliases[id.bind] {
+		return true
+	}
+	for _, b := range id.binds {
+		w.frag.dynamic = w.frag.dynamic || w.aliases[b]
+	}
+	return false
 }
 
 func (w *consumeWalker) record(field string, want KindSet, pos Position) {
@@ -755,23 +721,6 @@ func (w *consumeWalker) merge(f *consumeFrag) {
 	}
 }
 
-// nested walks a function literal defined inside the handler: aliases
-// shadowed by its parameters or declarations stop qualifying inside it.
-func (w *consumeWalker) nested(fl *funcLit) {
-	shadowed := make(map[string]bool)
-	for _, pn := range fl.params {
-		shadowed[pn] = true
-	}
-	declaredNames(fl.body, shadowed)
-	sub := &consumeWalker{ctx: w.ctx, frag: w.frag, aliases: make(map[string]bool, len(w.aliases))}
-	for n := range w.aliases {
-		if !shadowed[n] {
-			sub.aliases[n] = true
-		}
-	}
-	sub.walk(fl.body)
-}
-
 // walk hands every expression under a statement to expr — with no kind
 // expectation, except a for-of iterable — and skips the two statement forms
 // that are not a use of what they mention.
@@ -779,12 +728,12 @@ func (w *consumeWalker) walk(n node) {
 	inspect(n, func(n node) bool {
 		switch x := n.(type) {
 		case *declStmt:
-			if id, ok := x.init.(*identExpr); ok && w.aliases[id.name] && w.aliases[x.name] {
+			if w.alias(x.init) && w.aliases[x.b] {
 				// A qualified alias declaration is not a wholesale use.
 				return false
 			}
 		case *forOfStmt:
-			if id, ok := x.iter.(*identExpr); ok && w.aliases[id.name] {
+			if w.alias(x.iter) {
 				// Iterating the message consumes every field.
 				w.frag.dynamic = true
 			} else {
@@ -804,7 +753,7 @@ func (w *consumeWalker) expr(e expr, want KindSet) {
 	switch ex := e.(type) {
 	case nil, *numberLit, *stringLit, *boolLit, *nullLit:
 	case *identExpr:
-		if w.aliases[ex.name] {
+		if w.alias(ex) {
 			// Bare use in an unknown context: the whole message escapes.
 			w.frag.dynamic = true
 		}
@@ -817,7 +766,9 @@ func (w *consumeWalker) expr(e expr, want KindSet) {
 			w.expr(f.value, 0)
 		}
 	case *funcLit:
-		w.nested(ex)
+		// A nested function's own parameters and declarations shadow an
+		// alias through its bindings.
+		w.walk(ex.body)
 	case *unaryExpr:
 		switch ex.op {
 		case "-", "+":
@@ -851,13 +802,13 @@ func (w *consumeWalker) expr(e expr, want KindSet) {
 	case *callExpr:
 		w.call(ex)
 	case *memberExpr:
-		if id, ok := ex.obj.(*identExpr); ok && w.aliases[id.name] {
+		if w.alias(ex.obj) {
 			w.record(ex.name, want, ex.pos)
 			return
 		}
 		w.expr(ex.obj, KindObject)
 	case *indexExpr:
-		if id, ok := ex.obj.(*identExpr); ok && w.aliases[id.name] {
+		if w.alias(ex.obj) {
 			if s, isLit := ex.index.(*stringLit); isLit {
 				w.record(s.value, want, ex.pos)
 			} else {
@@ -876,7 +827,7 @@ func (w *consumeWalker) assign(ex *assignExpr) {
 	case *identExpr:
 		// Writing a local; alias names were already disqualified.
 	case *memberExpr:
-		if id, ok := t.obj.(*identExpr); ok && w.aliases[id.name] {
+		if w.alias(t.obj) {
 			// A pure write adds a field without reading it; compound
 			// assignment reads first.
 			if ex.op != "=" {
@@ -890,7 +841,7 @@ func (w *consumeWalker) assign(ex *assignExpr) {
 			w.expr(t.obj, KindObject)
 		}
 	case *indexExpr:
-		if id, ok := t.obj.(*identExpr); ok && w.aliases[id.name] {
+		if w.alias(t.obj) {
 			if ex.op != "=" {
 				if s, isLit := t.index.(*stringLit); isLit {
 					w.record(s.value, KindNumber|KindString, t.pos)
@@ -911,13 +862,13 @@ func (w *consumeWalker) updateTarget(t expr) {
 	switch tx := t.(type) {
 	case *identExpr:
 	case *memberExpr:
-		if id, ok := tx.obj.(*identExpr); ok && w.aliases[id.name] {
+		if w.alias(tx.obj) {
 			w.record(tx.name, KindNumber, tx.pos)
 			return
 		}
 		w.expr(tx.obj, KindObject)
 	case *indexExpr:
-		if id, ok := tx.obj.(*identExpr); ok && w.aliases[id.name] {
+		if w.alias(tx.obj) {
 			if s, isLit := tx.index.(*stringLit); isLit {
 				w.record(s.value, KindNumber, tx.pos)
 			} else {
@@ -942,7 +893,7 @@ func (w *consumeWalker) call(ex *callExpr) {
 	// has(message, "field") names a field without consuming the whole
 	// message — the idiomatic existence guard.
 	if id.name == "has" && len(ex.args) == 2 {
-		if aid, ok := ex.args[0].(*identExpr); ok && w.aliases[aid.name] {
+		if w.alias(ex.args[0]) {
 			if s, isLit := ex.args[1].(*stringLit); isLit {
 				w.record(s.value, 0, ex.pos)
 			} else {
@@ -954,7 +905,7 @@ func (w *consumeWalker) call(ex *callExpr) {
 	}
 	if def, ok := w.ctx.funcs[id.name]; ok {
 		for i, a := range ex.args {
-			if aid, isAlias := a.(*identExpr); isAlias && w.aliases[aid.name] {
+			if w.alias(a) {
 				w.merge(w.ctx.consumeFunc(def, i))
 				continue
 			}
@@ -964,7 +915,7 @@ func (w *consumeWalker) call(ex *callExpr) {
 	}
 	if sig, ok := w.ctx.sigs[id.name]; ok {
 		for i, a := range ex.args {
-			if aid, isAlias := a.(*identExpr); isAlias && w.aliases[aid.name] {
+			if w.alias(a) {
 				// The whole message escapes into a builtin or host call
 				// (call_module, json_encode, keys, ...).
 				w.frag.dynamic = true
@@ -980,7 +931,7 @@ func (w *consumeWalker) call(ex *callExpr) {
 }
 
 func (w *consumeWalker) argDefault(a expr) {
-	if aid, ok := a.(*identExpr); ok && w.aliases[aid.name] {
+	if w.alias(a) {
 		w.frag.dynamic = true
 		return
 	}
@@ -1001,52 +952,33 @@ func paramKinds(sig Signature, i int) KindSet {
 
 // collectServiceReads records, per literal call_service target, the fields
 // read off a variable directly bound to its result.
-func collectServiceReads(ctx *shapeCtx, prog *program) map[string][]string {
-	out := make(map[string][]string)
-	// The load scope is the top-level statements, viewed as one block.
-	scopes := []node{&blockStmt{stmts: prog.stmts}}
-	for _, d := range ctx.funcs {
-		scopes = append(scopes, d.fn.body)
-	}
-	for _, scope := range scopes {
-		// Variables bound to call_service results in this scope.
-		bound := make(map[string]string)
-		inspect(scope, func(n node) bool {
-			switch st := n.(type) {
-			case *funcLit:
-				return false
-			case *declStmt:
+func collectServiceReads(prog *program) map[string][]string {
+	bound := make(map[*binding]string)
+	for _, s := range prog.stmts {
+		inspect(s, func(n node) bool {
+			if st, ok := n.(*declStmt); ok {
 				if call, ok := st.init.(*callExpr); ok {
-					if cid, ok2 := call.callee.(*identExpr); ok2 && cid.name == "call_service" && len(call.args) > 0 {
-						if svc, ok3 := call.args[0].(*stringLit); ok3 {
-							bound[st.name] = svc.value
+					if cid, ok := call.callee.(*identExpr); ok && cid.name == "call_service" && len(call.args) > 0 {
+						if svc, ok := call.args[0].(*stringLit); ok {
+							bound[st.b] = svc.value
 						}
 					}
 				}
 			}
 			return true
 		})
-		if len(bound) == 0 {
-			continue
-		}
-		seen := make(map[string]bool)
-		inspect(scope, func(n node) bool {
-			m, ok := n.(*memberExpr)
-			if !ok {
-				return true
-			}
-			id, ok := m.obj.(*identExpr)
-			if !ok {
-				return true
-			}
-			svc, ok := bound[id.name]
-			if !ok {
-				return true
-			}
-			key := svc + "\x00" + m.name
-			if !seen[key] {
-				seen[key] = true
-				out[svc] = append(out[svc], m.name)
+	}
+	out := make(map[string][]string)
+	seen := make(map[string]bool)
+	for _, s := range prog.stmts {
+		inspect(s, func(n node) bool {
+			if m, ok := n.(*memberExpr); ok {
+				if id, ok := m.obj.(*identExpr); ok {
+					if svc, ok := bound[id.bind]; ok && !seen[svc+"\x00"+m.name] {
+						seen[svc+"\x00"+m.name] = true
+						out[svc] = append(out[svc], m.name)
+					}
+				}
 			}
 			return true
 		})
