@@ -367,9 +367,11 @@ type forOfStmt struct {
 	varName string
 	iter    expr
 	body    stmt
-	// set by resolve: the per-iteration scope and varName's slot in it.
+	// set by resolve: the per-iteration scope and varName's slot and binding
+	// in it.
 	scope scopeInfo
 	slot  int
+	b     *binding
 }
 
 type returnStmt struct {
@@ -392,9 +394,11 @@ type tryStmt struct {
 	catchVar string
 	catch    *blockStmt // may be nil
 	finally  *blockStmt // may be nil
-	// set by resolve: the catch clause's scope and catchVar's slot in it.
+	// set by resolve: the catch clause's scope and catchVar's slot and
+	// binding in it.
 	catchScope scopeInfo
 	catchSlot  int
+	catchB     *binding
 }
 
 // switchStmt is a switch over strict-equality cases.
@@ -456,8 +460,12 @@ type program struct {
 	// set by resolve: where the module first keeps state between calls; nil
 	// for a stateless module.
 	state *StateWrite
-	// set by resolve: every declaration, in the order the pass met them.
-	decls []*declSite
+	// set by resolve: every declaration, in the order the pass met them; the
+	// module-level bindings by name; the globals an assignment, ++ or -- can
+	// write, declared or not.
+	decls   []*declSite
+	globals map[string]*binding
+	written map[string]bool
 }
 
 // funcDef is one top-level function definition, `function f() {}` or

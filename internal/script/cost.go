@@ -358,31 +358,16 @@ func costPass(prog *program, funcs funcTable, sigs map[string]Signature, globals
 	for _, g := range globals {
 		ca.globals[g] = true
 	}
-	// A write to a name the pass would otherwise trust — a table function, a
-	// builtin — replaces what a later call through it runs.
-	overwrites := func(target expr) {
-		if id, ok := target.(*identExpr); ok && (ca.hostBinds(id.name) || ca.moduleBinds(id.name)) {
-			ca.values[id.name] = true
+	// A module-level declaration other than the table's entry binds a value,
+	// and so does a write to a name the pass would otherwise trust — a table
+	// function, a builtin — since it replaces what a later call runs.
+	for name, b := range prog.globals {
+		for d := b.last; d != nil; d = d.prev {
+			ca.values[name] = ca.values[name] || d.pos != funcs[name].pos
 		}
 	}
-	for _, s := range prog.stmts {
-		inspect(s, func(n node) bool {
-			switch x := n.(type) {
-			case *declStmt:
-				if fn, _ := x.init.(*funcLit); x.slot == globalSlot && (fn == nil || funcs[x.name].fn != fn) {
-					ca.values[x.name] = true
-				}
-			case *funcDecl:
-				if x.slot == globalSlot && funcs[x.fn.name].fn != x.fn {
-					ca.values[x.fn.name] = true
-				}
-			case *assignExpr:
-				overwrites(x.target)
-			case *updateExpr:
-				overwrites(x.target)
-			}
-			return true
-		})
+	for name := range prog.written {
+		ca.values[name] = ca.values[name] || ca.hostBinds(name) || ca.moduleBinds(name)
 	}
 
 	var report CostReport

@@ -118,6 +118,7 @@ type resolver struct {
 	// calls.
 	globals map[string]*binding
 	decls   []*declSite
+	written map[string]bool
 	state   *StateWrite
 }
 
@@ -160,7 +161,7 @@ func resolve(prog *program) {
 		}
 	}
 	r.stmts(prog.stmts)
-	prog.state, prog.decls = r.state, r.decls
+	prog.state, prog.decls, prog.globals, prog.written = r.state, r.decls, r.globals, r.written
 }
 
 // noteState records a finding unless an earlier one (in source order) stands.
@@ -285,7 +286,7 @@ func (r *resolver) stmt(s stmt) {
 	case *forOfStmt:
 		r.expr(st.iter)
 		r.push(&st.scope)
-		st.slot, _ = r.declare(st.varName, st.pos, declLoop)
+		st.slot, st.b = r.declare(st.varName, st.pos, declLoop)
 		r.collect(st.body)
 		r.stmt(st.body)
 		r.pop()
@@ -298,7 +299,7 @@ func (r *resolver) stmt(s stmt) {
 		if st.catch != nil {
 			r.push(&st.catchScope)
 			if st.catchVar != "" {
-				st.catchSlot, _ = r.declare(st.catchVar, st.catch.pos, declCatch)
+				st.catchSlot, st.catchB = r.declare(st.catchVar, st.catch.pos, declCatch)
 			}
 			r.stmts(st.catch.stmts)
 			r.pop()
@@ -308,33 +309,24 @@ func (r *resolver) stmt(s stmt) {
 		}
 	case *switchStmt:
 		r.expr(st.subject)
-		for _, c := range st.cases {
-			r.expr(c.value)
-		}
-		// Every case body and the default body run in one shared scope: one
-		// frame, one name-to-slot map. Each body still gets a resolver scope
-		// of its own, and with it its own bindings.
+		// Every case body and the default body run in one shared scope — one
+		// frame, one name-to-slot map — but each gets a resolver scope, and
+		// with it bindings, of its own.
 		bodies := make([][]stmt, 0, len(st.cases)+1)
 		for _, c := range st.cases {
+			r.expr(c.value)
 			bodies = append(bodies, c.body)
 		}
-		if st.defaultBody != nil {
-			bodies = append(bodies, st.defaultBody)
-		}
-		cases := make([]*scope, len(bodies))
-		names := make(map[string]int)
+		bodies = append(bodies, st.defaultBody)
+		cases, names := make([]*scope, len(bodies)), make(map[string]int)
 		for i := range cases {
 			cases[i] = &scope{info: &st.scope, names: names, cases: cases, parent: r.cur}
 		}
-		for pass := 0; pass < 2; pass++ {
+		for _, visit := range []func(stmt){r.collect, r.stmt} {
 			for i, body := range bodies {
 				r.cur = cases[i]
 				for _, s := range body {
-					if pass == 0 {
-						r.collect(s)
-					} else {
-						r.stmt(s)
-					}
+					visit(s)
 				}
 				r.pop()
 			}
@@ -379,11 +371,8 @@ const (
 // fall through every scope that declares the name and reach the globals.
 func (r *resolver) ident(id *identExpr, use useKind) bool {
 	global := r.locals(id)
-	if b := r.globals[id.name]; global && b != nil {
-		id.binds = append(id.binds, b)
-		if id.bind == nil {
-			id.bind = b
-		}
+	if global {
+		id.land(r.globals[id.name], true)
 	}
 	if b := id.bind; b != nil {
 		if use != useAssign {
@@ -400,23 +389,17 @@ func (r *resolver) ident(id *identExpr, use useKind) bool {
 }
 
 // locals appends to id's refs and bindings every enclosing scope that
-// declares its name; a case body that does not declare it offers the
-// bindings of the sibling bodies that do, which the shared slot may hold.
+// declares its name. In a switch, the slot a case body's binding names may
+// hold what a sibling body declared, so their bindings follow it.
 func (r *resolver) locals(id *identExpr) bool {
 	hops := 0
 	for s := r.cur; s != nil; s = s.parent {
 		if idx, ok := s.names[id.name]; ok {
 			id.refs = append(id.refs, slotRef{hops: hops, idx: idx})
-			if b := s.binds[id.name]; b != nil {
-				id.binds = append(id.binds, b)
-				if id.bind == nil {
-					id.bind = b
-				}
-			} else {
-				for _, c := range s.cases {
-					if b := c.binds[id.name]; b != nil {
-						id.binds = append(id.binds, b)
-					}
+			id.land(s.binds[id.name], true)
+			for _, c := range s.cases {
+				if c != s {
+					id.land(c.binds[id.name], false)
 				}
 			}
 			if s.fn != nil && idx <= s.fn.argsSlot {
@@ -435,6 +418,17 @@ func (r *resolver) locals(id *identExpr) bool {
 	return true
 }
 
+// land records that id can land on b, if there is one; visible marks a
+// binding pipevet's scopes see.
+func (id *identExpr) land(b *binding, visible bool) {
+	if b != nil {
+		id.binds = append(id.binds, b)
+		if visible && id.bind == nil {
+			id.bind = b
+		}
+	}
+}
+
 // target resolves the left side of an assignment, ++ or --. A bare name is a
 // write to module state when the lookup can reach the globals and a global
 // of that name can exist: one the module declares, one every context is born
@@ -445,7 +439,14 @@ func (r *resolver) target(e expr, use useKind) {
 		r.expr(e)
 		return
 	}
-	if r.ident(id, use) && (len(id.refs) == 0 || r.globals[id.name] != nil || isAmbientGlobal(id.name)) {
+	if !r.ident(id, use) {
+		return
+	}
+	if r.written == nil {
+		r.written = make(map[string]bool)
+	}
+	r.written[id.name] = true
+	if len(id.refs) == 0 || r.globals[id.name] != nil || isAmbientGlobal(id.name) {
 		r.noteState(id.name, id.pos)
 	}
 }

@@ -20,13 +20,12 @@ type shapeCtx struct {
 
 	returns  callMemo[string, *Shape]
 	consumes callMemo[string, *consumeFrag]
-	envMemo  map[*funcLit]envResult
+	envMemo  map[*funcLit]shapeEnv
 }
 
-type envResult struct {
-	env    map[string]*Shape
-	locals map[string]bool
-}
+// shapeEnv maps the bindings of the function being analyzed to their
+// shapes.
+type shapeEnv map[*binding]*Shape
 
 // shapePass runs pipetype over a parsed module: module globals first, then
 // per-scope analysis of the load scope and every top-level function. It
@@ -38,7 +37,7 @@ func shapePass(prog *program, funcs funcTable, sigs map[string]Signature, global
 		funcs:   funcs,
 		globals: make(map[string]*Shape),
 		extra:   make(map[string]bool),
-		envMemo: make(map[*funcLit]envResult),
+		envMemo: make(map[*funcLit]shapeEnv),
 	}
 	for _, g := range globals {
 		ctx.extra[g] = true
@@ -47,7 +46,7 @@ func shapePass(prog *program, funcs funcTable, sigs map[string]Signature, global
 	// Module globals: a global keeps its declaration shape only when the
 	// module never re-assigns it, never passes it to a call, and never
 	// writes through it — otherwise it widens to top.
-	widened := make(map[string]bool)
+	widened := make(map[*binding]bool)
 	for _, s := range prog.stmts {
 		scanWidens(s, widened)
 	}
@@ -60,40 +59,36 @@ func shapePass(prog *program, funcs funcTable, sigs map[string]Signature, global
 			continue
 		}
 		switch {
-		case widened[st.name]:
+		case widened[st.b]:
 			ctx.globals[st.name] = topShape()
 		case st.init == nil:
 			ctx.globals[st.name] = kindShape(KindNull)
 		default:
-			ctx.globals[st.name] = ctx.evalShape(st.init, nil, nil)
+			ctx.globals[st.name] = ctx.evalShape(st.init, nil)
 		}
 	}
 
 	// Emit collection: the load scope (top-level statements) plus every
 	// top-level function body, each under its own stabilized environment.
-	var sites []EmitSite
-	var diags []Diagnostic
-	warned := make(map[Position]bool)
-	col := &emitCollector{ctx: ctx, sites: &sites, diags: &diags, warned: warned}
-	load := col.scope(nil, nil)
+	col := &emitCollector{ctx: ctx, warned: make(map[Position]bool)}
 	for _, s := range prog.stmts {
 		switch st := s.(type) {
 		case *funcDecl:
-			// Walked as its own scope below.
+			// Walked under its own environment below.
 		case *declStmt:
 			if _, isFunc := st.init.(*funcLit); !isFunc {
-				load.walk(s)
+				col.walk(s, nil)
 			}
 		default:
-			load.walk(s)
+			col.walk(s, nil)
 		}
 	}
 	// Source order: a recursive helper's return shape depends on which
 	// function of the cycle is entered first.
 	for _, d := range funcs.inSourceOrder() {
-		env, locals := ctx.fixpointEnv(d.fn)
-		col.scope(env, locals).walk(d.fn.body)
+		col.walk(d.fn.body, ctx.fixpointEnv(d.fn))
 	}
+	sites := col.sites
 	sort.SliceStable(sites, func(i, j int) bool { return sites[i].Pos.before(sites[j].Pos) })
 
 	rep := ShapeReport{
@@ -118,23 +113,30 @@ func shapePass(prog *program, funcs funcTable, sigs map[string]Signature, global
 			rep.Consumed.Fields = frag.fields
 		}
 	}
-	return rep, diags
+	return rep, col.diags
 }
 
-// scanWidens records names that are assignment targets, call arguments, or
-// the root of a member/index write anywhere in the program (including
-// nested function bodies).
-func scanWidens(s stmt, into map[string]bool) {
+// scanWidens records the bindings an assignment target, a call argument or
+// the root of a member/index write anywhere in the program (including nested
+// function bodies) can land on.
+func scanWidens(s stmt, into map[*binding]bool) {
+	widen := func(e expr) {
+		if root, ok := rootIdent(e); ok {
+			for _, b := range root.binds {
+				into[b] = true
+			}
+		}
+	}
 	inspect(s, func(n node) bool {
 		switch ex := n.(type) {
 		case *assignExpr:
-			widenTarget(ex.target, into)
+			widen(ex.target)
 		case *updateExpr:
-			widenTarget(ex.target, into)
+			widen(ex.target)
 		case *callExpr:
 			for _, a := range ex.args {
-				if id, ok := a.(*identExpr); ok {
-					into[id.name] = true
+				if _, ok := a.(*identExpr); ok {
+					widen(a)
 				}
 			}
 		}
@@ -142,42 +144,42 @@ func scanWidens(s stmt, into map[string]bool) {
 	})
 }
 
-func widenTarget(t expr, into map[string]bool) {
-	if id, ok := t.(*identExpr); ok {
-		into[id.name] = true
-		return
-	}
-	if root, ok := rootIdentName(t); ok {
-		into[root] = true
-	}
-}
-
-// rootIdentName chases member/index chains to their base identifier.
-func rootIdentName(e expr) (string, bool) {
+// rootIdent chases member/index chains to their base identifier.
+func rootIdent(e expr) (*identExpr, bool) {
 	for {
 		switch ex := e.(type) {
 		case *identExpr:
-			return ex.name, true
+			return ex, true
 		case *memberExpr:
 			e = ex.obj
 		case *indexExpr:
 			e = ex.obj
 		default:
-			return "", false
+			return nil, false
 		}
 	}
 }
 
-// localNames adds to into the names of the bindings fl's own scopes declare
-// (resolve.go), its parameters included and `arguments` only where a
-// parameter or declaration names it: the flat domain of a function's
-// environment, and what a nested function shadows of its enclosing one.
-func localNames(fl *funcLit, into map[string]bool) {
-	for _, b := range fl.binds {
-		if b.last.kind != declImplicit || b.last.prev != nil {
-			into[b.name] = true
+// local joins the shapes of the locals id can land on and reports whether
+// there are any: a binding env holds (null while nothing is assigned to
+// it), or one of a function env does not describe — a function nested in
+// it, whose bindings are unknown (top) at analysis time.
+func local(env shapeEnv, id *identExpr) (*Shape, bool) {
+	var s *Shape
+	found := false
+	for _, b := range id.binds {
+		v, ok := env[b]
+		switch {
+		case ok && v == nil:
+			v = kindShape(KindNull)
+		case !ok && b.fn != nil:
+			v = topShape()
+		case !ok:
+			continue
 		}
+		s, found = s.Join(v), true
 	}
+	return s, found
 }
 
 // ---- produced side: local environments ----
@@ -186,17 +188,20 @@ func localNames(fl *funcLit, into map[string]bool) {
 // a function: every local maps to the join of every shape assigned to it
 // anywhere in the body (declarations with no initializer contribute null;
 // parameters are top). Results are memoized per function literal.
-func (c *shapeCtx) fixpointEnv(fl *funcLit) (map[string]*Shape, map[string]bool) {
-	if r, ok := c.envMemo[fl]; ok {
-		return r.env, r.locals
+func (c *shapeCtx) fixpointEnv(fl *funcLit) shapeEnv {
+	if env, ok := c.envMemo[fl]; ok {
+		return env
 	}
-	locals := make(map[string]bool)
-	localNames(fl, locals)
-	env := make(map[string]*Shape)
-	for _, pn := range fl.params {
-		env[pn] = topShape()
+	env := make(shapeEnv, len(fl.binds))
+	for _, b := range fl.binds {
+		if b.last.kind != declImplicit {
+			env[b] = nil // declared, nothing assigned yet
+		}
 	}
-	p := &envPass{ctx: c, locals: locals, env: env}
+	for _, b := range fl.paramBinds {
+		env[b] = topShape()
+	}
+	p := &envPass{ctx: c, env: env}
 	stable := false
 	for i := 0; i < maxEnvPasses && !stable; i++ {
 		p.changed = false
@@ -206,29 +211,32 @@ func (c *shapeCtx) fixpointEnv(fl *funcLit) (map[string]*Shape, map[string]bool)
 	if !stable {
 		// Did not converge under the pass cap: widen everything so the
 		// result stays an over-approximation.
-		for n := range env {
-			env[n] = topShape()
+		for b, s := range env {
+			if s != nil {
+				env[b] = topShape()
+			}
 		}
 	}
-	c.envMemo[fl] = envResult{env: env, locals: locals}
-	return env, locals
+	c.envMemo[fl] = env
+	return env
 }
 
 type envPass struct {
 	ctx     *shapeCtx
-	locals  map[string]bool
-	env     map[string]*Shape
+	env     shapeEnv
 	changed bool
 }
 
-func (p *envPass) set(name string, s *Shape) {
-	if !p.locals[name] {
+// set joins s into a local's shape; a write that can land on several
+// bindings joins into each.
+func (p *envPass) set(b *binding, s *Shape) {
+	old, ok := p.env[b]
+	if !ok {
 		return
 	}
-	old := p.env[name]
 	nw := old.Join(s)
 	if old.String() != nw.String() {
-		p.env[name] = nw
+		p.env[b] = nw
 		p.changed = true
 	}
 }
@@ -241,23 +249,23 @@ func (p *envPass) visit(n node) bool {
 	case *declStmt:
 		switch x.init.(type) {
 		case nil:
-			p.set(x.name, kindShape(KindNull))
+			p.set(x.b, kindShape(KindNull))
 		case *funcLit:
-			p.set(x.name, kindShape(KindFunction))
+			p.set(x.b, kindShape(KindFunction))
 		default:
-			p.set(x.name, p.ctx.evalShape(x.init, p.env, p.locals))
+			p.set(x.b, p.ctx.evalShape(x.init, p.env))
 		}
 	case *forOfStmt:
-		p.set(x.varName, elemShape(p.ctx.evalShape(x.iter, p.env, p.locals)))
+		p.set(x.b, elemShape(p.ctx.evalShape(x.iter, p.env)))
 	case *tryStmt:
 		if x.catch != nil && x.catchVar != "" {
-			p.set(x.catchVar, topShape())
+			p.set(x.catchB, topShape())
 		}
 	case *assignExpr:
 		var val *Shape
 		switch x.op {
 		case "=":
-			val = p.ctx.evalShape(x.value, p.env, p.locals)
+			val = p.ctx.evalShape(x.value, p.env)
 		case "+=":
 			val = kindShape(KindNumber | KindString)
 		default:
@@ -273,21 +281,28 @@ func (p *envPass) visit(n node) bool {
 func (p *envPass) assignTarget(t expr, val *Shape) {
 	switch tx := t.(type) {
 	case *identExpr:
-		p.set(tx.name, val)
+		p.setIdent(tx, val)
 	case *memberExpr:
 		if id, ok := tx.obj.(*identExpr); ok {
-			p.set(id.name, &Shape{Kinds: KindObject, Fields: map[string]*Shape{tx.name: val}})
+			p.setIdent(id, &Shape{Kinds: KindObject, Fields: map[string]*Shape{tx.name: val}})
 			return
 		}
 		// A write through a nested path makes the root's field set
 		// inexact.
-		if root, ok := rootIdentName(tx.obj); ok {
-			p.set(root, &Shape{Kinds: KindObject | KindArray, Open: true, Elem: topShape()})
+		if root, ok := rootIdent(tx.obj); ok {
+			p.setIdent(root, &Shape{Kinds: KindObject | KindArray, Open: true, Elem: topShape()})
 		}
 	case *indexExpr:
-		if root, ok := rootIdentName(tx.obj); ok {
-			p.set(root, &Shape{Kinds: KindObject | KindArray, Open: true, Elem: topShape()})
+		if root, ok := rootIdent(tx.obj); ok {
+			p.setIdent(root, &Shape{Kinds: KindObject | KindArray, Open: true, Elem: topShape()})
 		}
+	}
+}
+
+// setIdent joins s into every local a write through id can land on.
+func (p *envPass) setIdent(id *identExpr, s *Shape) {
+	for _, b := range id.binds {
+		p.set(b, s)
 	}
 }
 
@@ -319,13 +334,13 @@ func elemShape(s *Shape) *Shape {
 
 // ---- produced side: expression shapes ----
 
-func (c *shapeCtx) evalShape(e expr, env map[string]*Shape, locals map[string]bool) *Shape {
-	return c.evalDepth(e, env, locals, 0)
+func (c *shapeCtx) evalShape(e expr, env shapeEnv) *Shape {
+	return c.evalDepth(e, env, 0)
 }
 
 // evalDepth computes an over-approximate shape for an expression. depth is
 // structural (incremented at object/array nesting only).
-func (c *shapeCtx) evalDepth(e expr, env map[string]*Shape, locals map[string]bool, depth int) *Shape {
+func (c *shapeCtx) evalDepth(e expr, env shapeEnv, depth int) *Shape {
 	switch ex := e.(type) {
 	case nil:
 		return kindShape(KindNull)
@@ -338,11 +353,8 @@ func (c *shapeCtx) evalDepth(e expr, env map[string]*Shape, locals map[string]bo
 	case *nullLit:
 		return kindShape(KindNull)
 	case *identExpr:
-		if locals != nil && locals[ex.name] {
-			if s := env[ex.name]; s != nil {
-				return s
-			}
-			return kindShape(KindNull)
+		if s, ok := local(env, ex); ok {
+			return s
 		}
 		if s, ok := c.globals[ex.name]; ok {
 			return s
@@ -363,7 +375,7 @@ func (c *shapeCtx) evalDepth(e expr, env map[string]*Shape, locals map[string]bo
 		}
 		s := &Shape{Kinds: KindObject, Fields: make(map[string]*Shape, len(ex.fields))}
 		for _, f := range ex.fields {
-			s.Fields[f.key] = s.Fields[f.key].Join(c.evalDepth(f.value, env, locals, depth+1))
+			s.Fields[f.key] = s.Fields[f.key].Join(c.evalDepth(f.value, env, depth+1))
 		}
 		return s
 	case *arrayLit:
@@ -372,7 +384,7 @@ func (c *shapeCtx) evalDepth(e expr, env map[string]*Shape, locals map[string]bo
 		}
 		s := &Shape{Kinds: KindArray}
 		for _, el := range ex.elems {
-			s.Elem = s.Elem.Join(c.evalDepth(el, env, locals, depth+1))
+			s.Elem = s.Elem.Join(c.evalDepth(el, env, depth+1))
 		}
 		return s
 	case *funcLit:
@@ -396,13 +408,13 @@ func (c *shapeCtx) evalDepth(e expr, env map[string]*Shape, locals map[string]bo
 		}
 		return topShape()
 	case *logicalExpr:
-		return c.evalDepth(ex.x, env, locals, depth).Join(c.evalDepth(ex.y, env, locals, depth))
+		return c.evalDepth(ex.x, env, depth).Join(c.evalDepth(ex.y, env, depth))
 	case *condExpr:
-		return c.evalDepth(ex.then, env, locals, depth).Join(c.evalDepth(ex.elsE, env, locals, depth))
+		return c.evalDepth(ex.then, env, depth).Join(c.evalDepth(ex.elsE, env, depth))
 	case *assignExpr:
 		switch ex.op {
 		case "=":
-			return c.evalDepth(ex.value, env, locals, depth)
+			return c.evalDepth(ex.value, env, depth)
 		case "+=":
 			return kindShape(KindNumber | KindString)
 		}
@@ -410,21 +422,21 @@ func (c *shapeCtx) evalDepth(e expr, env map[string]*Shape, locals map[string]bo
 	case *updateExpr:
 		return kindShape(KindNumber)
 	case *callExpr:
-		return c.callShape(ex, env, locals)
+		return c.callShape(ex, env)
 	case *memberExpr:
-		return fieldShape(c.evalDepth(ex.obj, env, locals, depth), ex.name)
+		return fieldShape(c.evalDepth(ex.obj, env, depth), ex.name)
 	case *indexExpr:
-		return indexShape(c.evalDepth(ex.obj, env, locals, depth))
+		return indexShape(c.evalDepth(ex.obj, env, depth))
 	}
 	return topShape()
 }
 
-func (c *shapeCtx) callShape(ex *callExpr, env map[string]*Shape, locals map[string]bool) *Shape {
+func (c *shapeCtx) callShape(ex *callExpr, env shapeEnv) *Shape {
 	id, ok := ex.callee.(*identExpr)
 	if !ok {
 		return topShape()
 	}
-	if locals != nil && locals[id.name] {
+	if _, ok := local(env, id); ok {
 		return topShape()
 	}
 	if _, isGlobal := c.globals[id.name]; isGlobal {
@@ -487,7 +499,7 @@ func indexShape(obj *Shape) *Shape {
 // detection (recursion widens to top).
 func (c *shapeCtx) returnShape(def funcDef) *Shape {
 	return c.returns.visit(def.name, topShape, func() *Shape {
-		env, locals := c.fixpointEnv(def.fn)
+		env := c.fixpointEnv(def.fn)
 		// Falling off the end returns null.
 		ret := kindShape(KindNull)
 		inspect(def.fn.body, func(n node) bool {
@@ -495,7 +507,7 @@ func (c *shapeCtx) returnShape(def funcDef) *Shape {
 			case *funcLit:
 				return false // its returns are its own
 			case *returnStmt:
-				ret = ret.Join(c.evalShape(x.value, env, locals))
+				ret = ret.Join(c.evalShape(x.value, env))
 			}
 			return true
 		})
@@ -507,52 +519,17 @@ func (c *shapeCtx) returnShape(def funcDef) *Shape {
 
 type emitCollector struct {
 	ctx    *shapeCtx
-	sites  *[]EmitSite
-	diags  *[]Diagnostic
+	sites  []EmitSite
+	diags  []Diagnostic
 	warned map[Position]bool
 }
 
-type emitScope struct {
-	col    *emitCollector
-	env    map[string]*Shape
-	locals map[string]bool
-}
-
-func (col *emitCollector) scope(env map[string]*Shape, locals map[string]bool) *emitScope {
-	return &emitScope{col: col, env: env, locals: locals}
-}
-
-// nested builds the scope for a function literal nested inside this one:
-// its parameters and declarations shadow the enclosing bindings and are
-// unknown (top) at analysis time.
-func (sc *emitScope) nested(fl *funcLit) *emitScope {
-	shadowed := make(map[string]bool)
-	localNames(fl, shadowed)
-	env := make(map[string]*Shape, len(sc.env)+len(shadowed))
-	locals := make(map[string]bool, len(sc.locals)+len(shadowed))
-	for n, v := range sc.env {
-		env[n] = v
-	}
-	for n, v := range sc.locals {
-		locals[n] = v
-	}
-	for n := range shadowed {
-		locals[n] = true
-		env[n] = topShape()
-	}
-	return &emitScope{col: sc.col, env: env, locals: locals}
-}
-
-// walk collects the emit sites under n; a nested function literal's body is
-// walked under that function's own scope.
-func (sc *emitScope) walk(n node) {
+// walk collects the emit sites under n, nested function literals included:
+// env knows their bindings as locals of unknown shape.
+func (col *emitCollector) walk(n node, env shapeEnv) {
 	inspect(n, func(n node) bool {
-		switch x := n.(type) {
-		case *funcLit:
-			sc.nested(x).walk(x.body)
-			return false
-		case *callExpr:
-			sc.emit(x)
+		if call, ok := n.(*callExpr); ok {
+			col.emit(call, env)
 		}
 		return true
 	})
@@ -560,12 +537,12 @@ func (sc *emitScope) walk(n node) {
 
 // emit records a call_module site and reports PV018 when the payload shape
 // degrades to top or an open object.
-func (sc *emitScope) emit(call *callExpr) {
+func (col *emitCollector) emit(call *callExpr, env shapeEnv) {
 	id, ok := call.callee.(*identExpr)
 	if !ok || id.name != "call_module" || len(call.args) == 0 {
 		return
 	}
-	if sc.locals != nil && sc.locals["call_module"] {
+	if _, ok := local(env, id); ok {
 		return
 	}
 	target := ""
@@ -574,16 +551,16 @@ func (sc *emitScope) emit(call *callExpr) {
 	}
 	var payload *Shape
 	if len(call.args) >= 2 {
-		payload = sc.col.ctx.evalShape(call.args[1], sc.env, sc.locals)
+		payload = col.ctx.evalShape(call.args[1], env)
 	} else {
 		// A missing payload delivers an empty body.
 		payload = &Shape{Kinds: KindObject, Fields: map[string]*Shape{}}
 	}
-	*sc.col.sites = append(*sc.col.sites, EmitSite{Target: target, Pos: call.pos, Payload: payload})
+	col.sites = append(col.sites, EmitSite{Target: target, Pos: call.pos, Payload: payload})
 	if payload.IsTop() || (payload.Kinds&KindObject != 0 && payload.Open) {
-		if !sc.col.warned[call.pos] {
-			sc.col.warned[call.pos] = true
-			*sc.col.diags = append(*sc.col.diags, Diagnostic{
+		if !col.warned[call.pos] {
+			col.warned[call.pos] = true
+			col.diags = append(col.diags, Diagnostic{
 				Pos:      call.pos,
 				Code:     CodeShapeUnknown,
 				Severity: SeverityWarning,
@@ -796,9 +773,10 @@ func (w *consumeWalker) expr(e expr, want KindSet) {
 		w.expr(ex.then, want)
 		w.expr(ex.elsE, want)
 	case *assignExpr:
-		w.assign(ex)
+		w.target(ex.target, ex.op)
+		w.expr(ex.value, 0)
 	case *updateExpr:
-		w.updateTarget(ex.target)
+		w.target(ex.target, "")
 	case *callExpr:
 		w.call(ex)
 	case *memberExpr:
@@ -822,62 +800,40 @@ func (w *consumeWalker) expr(e expr, want KindSet) {
 	}
 }
 
-func (w *consumeWalker) assign(ex *assignExpr) {
-	switch t := ex.target.(type) {
-	case *identExpr:
-		// Writing a local; alias names were already disqualified.
-	case *memberExpr:
-		if w.alias(t.obj) {
-			// A pure write adds a field without reading it; compound
-			// assignment reads first.
-			if ex.op != "=" {
-				k := KindNumber
-				if ex.op == "+=" {
-					k = KindNumber | KindString
-				}
-				w.record(t.name, k, t.pos)
-			}
-		} else {
-			w.expr(t.obj, KindObject)
-		}
-	case *indexExpr:
-		if w.alias(t.obj) {
-			if ex.op != "=" {
-				if s, isLit := t.index.(*stringLit); isLit {
-					w.record(s.value, KindNumber|KindString, t.pos)
-				} else {
-					w.frag.dynamic = true
-				}
-			}
-			w.expr(t.index, 0)
-		} else {
-			w.expr(t.obj, KindObject|KindArray|KindString)
-			w.expr(t.index, 0)
-		}
-	}
-	w.expr(ex.value, 0)
-}
-
-func (w *consumeWalker) updateTarget(t expr) {
+// target walks the left side of an assignment whose operator is op, or of
+// ++/-- (op ""). A bare name is never an alias: writing one disqualifies it.
+// A pure write through an alias adds a field without reading it; a
+// compound one reads the field first.
+func (w *consumeWalker) target(t expr, op string) {
 	switch tx := t.(type) {
-	case *identExpr:
 	case *memberExpr:
-		if w.alias(tx.obj) {
+		switch {
+		case !w.alias(tx.obj):
+			w.expr(tx.obj, KindObject)
+		case op == "+=":
+			w.record(tx.name, KindNumber|KindString, tx.pos)
+		case op != "=":
 			w.record(tx.name, KindNumber, tx.pos)
-			return
 		}
-		w.expr(tx.obj, KindObject)
 	case *indexExpr:
-		if w.alias(tx.obj) {
-			if s, isLit := tx.index.(*stringLit); isLit {
-				w.record(s.value, KindNumber, tx.pos)
-			} else {
-				w.frag.dynamic = true
-			}
+		if !w.alias(tx.obj) {
+			w.expr(tx.obj, KindObject|KindArray|KindString)
+			w.expr(tx.index, 0)
 			return
 		}
-		w.expr(tx.obj, KindObject|KindArray|KindString)
-		w.expr(tx.index, 0)
+		s, isLit := tx.index.(*stringLit)
+		switch {
+		case op == "=":
+		case !isLit:
+			w.frag.dynamic = true
+		case op == "":
+			w.record(s.value, KindNumber, tx.pos)
+		default:
+			w.record(s.value, KindNumber|KindString, tx.pos)
+		}
+		if op != "" {
+			w.expr(tx.index, 0)
+		}
 	}
 }
 
