@@ -83,6 +83,23 @@ func TestAnalyzeNegativeCorpus(t *testing.T) {
 			code: CodeBadCallback, sev: SeverityWarning, pos: "1:1",
 		},
 		{
+			// Case bodies share one scope at run time; pipevet reads each
+			// as its own, so a sibling case's declaration is not in scope.
+			name: "PV001 read of a sibling case's declaration",
+			src:  "var x = 1; switch (x) { case 1: var y = 1; break; case 2: log(y); }",
+			code: CodeUndefined, sev: SeverityError, pos: "1:63",
+		},
+		{
+			name: "PV006 parameter redeclared",
+			src:  "function f(x) { var x = 1; return x; } log(f(1));",
+			code: CodeDuplicate, sev: SeverityError, pos: "1:17",
+		},
+		{
+			name: "PV006 catch variable redeclared",
+			src:  "try { log(1); } catch (e) { var e = 2; log(e); }",
+			code: CodeDuplicate, sev: SeverityError, pos: "1:29",
+		},
+		{
 			name: "PV010 assignment to const",
 			src:  "const c = 1;\nc = 2;\nlog(c);",
 			code: CodeConstAssign, sev: SeverityError, pos: "2:1",
@@ -136,6 +153,10 @@ func TestAnalyzeCleanPrograms(t *testing.T) {
 			try { call_service("svc", {frame_ref: message.frame_ref}); } catch (e) { frame_done(); return; }
 			frame_done();
 		 }`,
+		// A declaration that is an unbraced if or while arm declares in the
+		// enclosing scope, as it does at run time.
+		`var c = 1; if (c) var y = 1; log(y);`,
+		`var c = 1; while (c) var y = c--; log(y);`,
 		// Ternaries, logical operators, member/index writes.
 		`var state = {count: 0};
 		 function event_received(message) {
