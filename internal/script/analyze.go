@@ -13,14 +13,17 @@ import (
 // shared host/builtin signature table (signatures.go), plus style-level
 // warnings (unused variables, unreachable code, assignment-in-condition).
 //
-// The checker mirrors the interpreter's actual scoping rules rather than
-// JavaScript's: declarations are NOT hoisted and take effect at their
-// execution point, var/let/const are all block-scoped, and assignment to an
-// undeclared name is an error (no implicit globals). References from inside
-// a nested function body to a later top-level declaration are legal — the
-// function runs after the whole unit loaded — so use-before-declaration
-// only fires when the reference executes in the same straight-line function
-// depth as the declaration.
+// The checker keeps no scopes of its own: it reads the bindings the resolve
+// pass (resolve.go) records, the scope model the interpreter runs on.
+// Declarations are NOT hoisted and take effect at their execution point,
+// var/let/const are all block-scoped, an unbraced if/while arm declares in
+// the enclosing scope, and assignment to an undeclared name is an error (no
+// implicit globals). References from inside a nested function body to a
+// later top-level declaration are legal — the function runs after the whole
+// unit loaded — so use-before-declaration only fires when the reference
+// executes in the same function as the declaration. One rule is stricter
+// than run time: a switch's case bodies share a scope, but each is checked
+// as its own, so relying on a sibling case's declaration is reported.
 
 // Severity ranks diagnostics. Errors reject a pipeline at deploy time;
 // warnings are advisory and only logged.

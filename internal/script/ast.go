@@ -10,7 +10,8 @@ import "sort"
 // parser leaves them zero. The static passes (analyze, cost, shapes,
 // frameflow) read the scope facts among them — identExpr.refs (does a local
 // scope declare this name?), scopeInfo.captured (can a closure reach this
-// frame?) and declStmt.slot == globalSlot (is this a module-level binding?) —
+// frame?) and the bindings (resolve.go: who declares a name, where, how it
+// is read and written, and which bindings each identifier can land on) —
 // and nothing else: slot indices, hop counts, opcodes and boxed literals are
 // the evaluator's layout and may change without the analyses noticing.
 //
@@ -19,9 +20,9 @@ import "sort"
 // Every pure query over the tree (who declares, who writes, who calls) is a
 // callback over inspect and needs nothing more. The evaluators whose every
 // case has its own formula are separate type switches and each needs the new
-// case too: interp.go, resolver.stmt/expr, analyzer.stmt/expr,
-// stmtCost/exprCost, frameFlowChecker.walkStmt/scanExpr, shapeCtx.evalDepth
-// and consumeWalker.expr.
+// case too: interp.go, resolver.stmt/expr, stmtCost/exprCost,
+// frameFlowChecker.walkStmt/scanExpr, shapeCtx.evalDepth and
+// consumeWalker.expr.
 
 type node interface{ position() Position }
 
