@@ -2,6 +2,7 @@ package script
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -439,15 +440,8 @@ func (a *analyzer) builtin(name string) (Signature, bool) {
 }
 
 func (a *analyzer) defined(name string) bool {
-	if _, ok := a.builtin(name); ok {
-		return true
-	}
-	for _, g := range a.opts.Globals {
-		if g == name {
-			return true
-		}
-	}
-	return false
+	_, ok := a.builtin(name)
+	return ok || slices.Contains(a.opts.Globals, name)
 }
 
 // use checks an identifier against its binding: none and no builtin is
