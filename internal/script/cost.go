@@ -1028,23 +1028,21 @@ func writes(n node, bs []*binding) bool {
 		}
 	}
 	inspect(n, func(n node) bool {
+		var target expr
 		switch x := n.(type) {
 		case *assignExpr:
-			if id, ok := x.target.(*identExpr); ok {
-				for _, b := range id.binds {
-					hit(b)
-				}
-			}
+			target = x.target
 		case *updateExpr:
-			if id, ok := x.target.(*identExpr); ok {
-				for _, b := range id.binds {
-					hit(b)
-				}
-			}
+			target = x.target
 		case *declStmt:
 			hit(x.b)
 		case *funcDecl:
 			hit(x.b)
+		}
+		if id, ok := target.(*identExpr); ok {
+			for _, b := range id.binds {
+				hit(b)
+			}
 		}
 		return !found
 	})

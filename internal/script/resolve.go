@@ -67,9 +67,9 @@ type binding struct {
 	// on it — any candidate, not only the innermost, since a write that runs
 	// before an inner declaration hits the outer binding.
 	reads, writes int
-	// reached is set once the walk passes a declaration of the name that
-	// runs when its statement does; a parameter, catch or loop variable and
-	// `arguments` are reached on entry.
+	// reached says the walk has passed the scope's latest declaration of
+	// the name: a statement once it has run, a parameter, catch or loop
+	// variable or `arguments` on entry.
 	reached bool
 }
 
@@ -88,15 +88,15 @@ type declSite struct {
 	prev *declSite
 }
 
+// declKind says how a declaration introduces its name.
 type declKind uint8
 
 const (
 	declVar declKind = iota // var or let
 	declConst
 	declFunc
-	declParam // the kinds from here on are reached on entry
-	declCatch
-	declLoop     // a for-of variable
+	declParam    // the kinds from here on are reached on entry
+	declBound    // a catch or for-of variable
 	declImplicit // a function's `arguments`
 )
 
@@ -286,7 +286,7 @@ func (r *resolver) stmt(s stmt) {
 	case *forOfStmt:
 		r.expr(st.iter)
 		r.push(&st.scope)
-		st.slot, st.b = r.declare(st.varName, st.pos, declLoop)
+		st.slot, st.b = r.declare(st.varName, st.pos, declBound)
 		r.collect(st.body)
 		r.stmt(st.body)
 		r.pop()
@@ -299,7 +299,7 @@ func (r *resolver) stmt(s stmt) {
 		if st.catch != nil {
 			r.push(&st.catchScope)
 			if st.catchVar != "" {
-				st.catchSlot, st.catchB = r.declare(st.catchVar, st.catch.pos, declCatch)
+				st.catchSlot, st.catchB = r.declare(st.catchVar, st.catch.pos, declBound)
 			}
 			r.stmts(st.catch.stmts)
 			r.pop()
@@ -358,29 +358,21 @@ func (r *resolver) function(fl *funcLit) {
 	r.fn = outer
 }
 
-// How an identifier occurrence uses its variable.
-type useKind uint8
-
-const (
-	useRead   useKind = iota
-	useAssign         // the target of a plain assignment
-	useUpdate         // the target of a compound assignment, ++ or --
-)
-
-// ident resolves id, records its bindings and reports whether a lookup can
+// ident resolves id, records its bindings and whether it reads or writes
+// them (a compound assignment does both), and reports whether a lookup can
 // fall through every scope that declares the name and reach the globals.
-func (r *resolver) ident(id *identExpr, use useKind) bool {
+func (r *resolver) ident(id *identExpr, reads, writes bool) bool {
 	global := r.locals(id)
 	if global {
 		id.land(r.globals[id.name], true)
 	}
 	if b := id.bind; b != nil {
-		if use != useAssign {
+		if reads {
 			b.reads++
 		}
 		id.early = !b.reached && b.fn == r.fn
 	}
-	if use != useRead {
+	if writes {
 		for _, b := range id.binds {
 			b.writes++
 		}
@@ -433,13 +425,13 @@ func (id *identExpr) land(b *binding, visible bool) {
 // write to module state when the lookup can reach the globals and a global
 // of that name can exist: one the module declares, one every context is born
 // with (signatures.go), or — no scope declaring it — whatever the host bound.
-func (r *resolver) target(e expr, use useKind) {
+func (r *resolver) target(e expr, reads bool) {
 	id, ok := e.(*identExpr)
 	if !ok {
 		r.expr(e)
 		return
 	}
-	if !r.ident(id, use) {
+	if !r.ident(id, reads, true) {
 		return
 	}
 	if r.written == nil {
@@ -465,7 +457,7 @@ func (r *resolver) expr(e expr) {
 	case *stringLit:
 		ex.boxed = ex.value
 	case *identExpr:
-		r.ident(ex, useRead)
+		r.ident(ex, true, false)
 	case *arrayLit:
 		for _, el := range ex.elems {
 			r.expr(el)
@@ -493,15 +485,11 @@ func (r *resolver) expr(e expr) {
 		r.expr(ex.elsE)
 	case *assignExpr:
 		ex.opc = binaryOps[ex.op[:len(ex.op)-1]]
-		use := useUpdate
-		if ex.opc == opNone {
-			use = useAssign
-		}
-		r.target(ex.target, use)
+		r.target(ex.target, ex.opc != opNone)
 		r.expr(ex.value)
 	case *updateExpr:
 		ex.opc = unaryOps[ex.op]
-		r.target(ex.target, useUpdate)
+		r.target(ex.target, true)
 	case *callExpr:
 		r.expr(ex.callee)
 		for _, a := range ex.args {
