@@ -164,8 +164,8 @@ type identExpr struct {
 	// set by resolve: every binding the identifier can land on, innermost
 	// first, the module-level one last when a lookup can reach it; bind, the
 	// innermost one pipevet's scopes see (nil for a builtin, a host global or
-	// an undefined name); early, whether it runs before any declaration of
-	// bind in the same function has.
+	// an undefined name); early, whether it runs in bind's own function
+	// before the walk has passed bind's declaration.
 	binds []*binding
 	bind  *binding
 	early bool
