@@ -81,13 +81,12 @@ VP_CHAOS_SEED ?= 1
 # Control-loop gate: the supervised chaos e2e suite (recovery left wholly
 # to the loop's heal phase, exact journal assertions) plus the heal-phase,
 # loop (tick, probes, report, degraded time), migration, failover,
-# relocation (Pipeline.relocate under FailOver, the tune phase's rebalance
-# and Prime), breaker and snapshot unit tests, and the tune phase's rules
-# with the credit-window narrowing they drive (its ring restart races
-# frame_done) — all under the race detector with a pinned seed.
+# breaker and snapshot unit tests, and the tune phase's rules with the
+# credit-window narrowing they drive (its ring restart races frame_done) —
+# all under the race detector with a pinned seed.
 heal:
 	VP_CHAOS_SEED=$(VP_CHAOS_SEED) $(GO) test -race -v -run 'TestChaos' .
-	$(GO) test -race -run 'TestSupervisor|TestLoop|TestMonitor|TestMigrate|TestFailOver|TestRelocate|TestBreaker|TestSnapshot|TestTuner|TestResizeCredits' ./internal/core ./internal/services ./internal/script
+	$(GO) test -race -run 'TestSupervisor|TestLoop|TestMonitor|TestMigrate|TestFailOver|TestBreaker|TestSnapshot|TestTuner|TestResizeCredits' ./internal/core ./internal/services ./internal/script
 
 # Sandbox-governance gate: budget enforcement, kill/quarantine/restart and
 # the module-sabotage chaos scenarios (hostile code contained by the

@@ -59,7 +59,7 @@ func main() {
 		tolerance  = flag.Float64("tolerance", 0.15, "gate: allowed relative knee_eps drift")
 		p95budget  = flag.Duration("p95budget", 0, "gate: absolute knee p95 ceiling (0 skips)")
 		p999budget = flag.Duration("p999budget", 0, "gate: absolute knee p99.9 ceiling (0 skips)")
-		tune       = flag.Bool("tune", false, "run the adaptive runtime tuner (batching/scaling/credits/re-planning)")
+		tune       = flag.Bool("tune", false, "run the adaptive runtime tuner (pool scaling/credits)")
 		tunediff   = flag.Bool("tunediff", false, "sweep each mix untuned then tuned and compare knees (implies -sweep)")
 		tunemargin = flag.Float64("tunemargin", 0, "tunediff: minimum relative tuned-over-untuned knee improvement")
 		profile    = flag.String("profile", "", "sweep: directory for per-step pprof CPU/heap profiles")
@@ -267,6 +267,7 @@ func runSweep(report *benchio.Report, sc experiments.FloodScenario, base flood.O
 			fmt.Printf("  tuner acts %d", len(st.Result.TunerActions))
 		}
 		fmt.Println()
+		printTunerActions(st.Result.TunerActions)
 		if st.Result.AchievedEPS == sw.KneeEPS {
 			kneeP95 = st.Result.E2E.P95
 			kneeP99 = st.Result.E2E.P99
@@ -285,9 +286,6 @@ func runSweep(report *benchio.Report, sc experiments.FloodScenario, base flood.O
 	}
 	report.Experiments = append(report.Experiments, knee)
 	fmt.Printf("  knee: %.2f eps aggregate (%s)\n", sw.KneeEPS, sw.StopReason)
-	if tuned && len(sw.Steps) > 0 {
-		printTunerActions(sw.Steps[len(sw.Steps)-1].Result.TunerActions)
-	}
 	return sw.KneeEPS, nil
 }
 

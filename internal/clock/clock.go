@@ -1,6 +1,6 @@
 // Package clock is where the runtime waits on wall time — a simulated
-// service's compute, a shaped link's delivery, a batch collector's linger —
-// on timers from one pool, so a steady stream of waits allocates none.
+// service's compute and a shaped link's delivery — on timers from one pool,
+// so a steady stream of waits allocates none.
 package clock
 
 import (

@@ -293,81 +293,46 @@ func (c *Cluster) ServiceNames() []string {
 	return out
 }
 
-// ServiceSetpoint is one pool's actuator state: instance count and batch
-// window.
-type ServiceSetpoint struct {
-	Size  int
-	Batch int
-}
-
 // TuningSetpoints is a snapshot of every actuator the tune phase controls
-// — pool sizes, batch windows, credit caps, placements — detached from the
-// cluster that produced it. A sweep carries it from rung to rung
-// (flood.Sweep) so each rung starts from the configuration the previous
-// rung learned, the way a long-lived deployment faces rising load: already
-// tuned, not cold.
+// — pool sizes and credit caps — detached from the cluster that produced
+// it. A sweep carries it from rung to rung (flood.Sweep) so each rung
+// starts from the configuration the previous rung learned, the way a
+// long-lived deployment faces rising load: already tuned, not cold.
 type TuningSetpoints struct {
-	// Services maps service name to its pool setpoint.
-	Services map[string]ServiceSetpoint
+	// Services maps service name to its pool's instance count.
+	Services map[string]int
 	// Pipelines maps pipeline name to its credit-window cap.
 	Pipelines map[string]int
-	// Placements maps pipeline name to its module placement (module →
-	// device), so a re-planned layout survives into the next rung instead
-	// of being re-learned mid-run every time.
-	Placements map[string]map[string]string
 }
 
 // Setpoints snapshots the cluster's current actuator state.
 func (c *Cluster) Setpoints() TuningSetpoints {
-	sp := TuningSetpoints{
-		Services:  make(map[string]ServiceSetpoint),
-		Pipelines: make(map[string]int),
-	}
+	sp := TuningSetpoints{Services: make(map[string]int), Pipelines: make(map[string]int)}
 	for _, name := range c.ServiceNames() {
-		pool, err := c.Pool(name)
-		if err != nil {
-			continue
+		if pool, err := c.Pool(name); err == nil {
+			sp.Services[name] = pool.Size()
 		}
-		sp.Services[name] = ServiceSetpoint{Size: pool.Size(), Batch: pool.BatchSize()}
 	}
 	for _, p := range c.Pipelines() {
 		sp.Pipelines[p.Name()] = p.Credits()
-	}
-	sp.Placements = make(map[string]map[string]string)
-	for _, p := range c.Pipelines() {
-		sp.Placements[p.Name()] = p.Placement()
 	}
 	return sp
 }
 
 // Prime applies carried-over setpoints to a fresh cluster before load
-// arrives: pools grow to (never shrink below) their learned size, batch
-// windows, credit caps and re-planned serviceless placements are restored.
-// Prime is initial configuration, not a decision, so nothing is journaled.
+// arrives: pools grow to (never shrink below) their learned size and credit
+// caps widen to theirs. Prime is initial configuration, not a decision, so
+// nothing is journaled.
 func (c *Cluster) Prime(sp TuningSetpoints) {
-	names := make([]string, 0, len(sp.Services))
-	for name := range sp.Services {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		s := sp.Services[name]
-		pool, err := c.Pool(name)
-		if err != nil {
-			continue
-		}
-		if s.Size > pool.Size() {
-			_ = pool.Scale(s.Size)
-		}
-		if s.Batch != pool.BatchSize() {
-			pool.SetBatching(s.Batch, pool.Spec().BatchLinger)
+	for _, name := range c.ServiceNames() {
+		if pool, err := c.Pool(name); err == nil && sp.Services[name] > pool.Size() {
+			_ = pool.Scale(sp.Services[name])
 		}
 	}
 	for _, p := range c.Pipelines() {
 		if credits := sp.Pipelines[p.Name()]; credits > p.Credits() {
 			_ = p.ResizeCredits(credits)
 		}
-		_, _ = p.relocate(sp.Placements[p.Name()], unpinnedServiceless)
 	}
 }
 

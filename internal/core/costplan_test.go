@@ -243,14 +243,13 @@ func placementString(placement map[string]string) string {
 // TestPlannerPlacementsPinned pins every planner's placement over every
 // shipped pipeline (the three apps, examples/configs/*.cfg), the heavy
 // serviceless chain where the co-locating strategies part ways, and a
-// serviceless diamond whose join has two placed predecessors. The
-// measured row is the placement the tuner's rebalance re-plans toward for
-// a fixed set of measured handle times. The table was recorded before the
-// planners were folded onto one placement loop; only the cost-aware
-// diamond row moved then. Its join now scores from its first placed
-// predecessor, as co-locate's inherits from it: left, on the loaded phone,
-// so the desktop costs right's load plus a hop and the idle tv only the
-// hop. Scored from right, the last predecessor, join went to the desktop.
+// serviceless diamond whose join has two placed predecessors. The table
+// was recorded before the planners were folded onto one placement loop;
+// only the cost-aware diamond row moved then. Its join now scores from its
+// first placed predecessor, as co-locate's inherits from it: left, on the
+// loaded phone, so the desktop costs right's load plus a hop and the idle
+// tv only the hop. Scored from right, the last predecessor, join went to
+// the desktop.
 func TestPlannerPlacementsPinned(t *testing.T) {
 	c := homeCluster(t)
 	cfgs := []core.PipelineConfig{
@@ -295,7 +294,6 @@ func TestPlannerPlacementsPinned(t *testing.T) {
 		"chain/cost-aware":        "credits=2 crunch=phone ingest=phone relay=desktop",
 		"chain/baseline":          "credits=1 crunch=phone ingest=phone relay=phone",
 		"chain/latency-aware":     "credits=2 crunch=phone ingest=phone relay=phone",
-		"chain/measured":          "crunch=phone ingest=phone relay=desktop",
 		"diamond/videopipe":       "credits=2 join=phone left=phone right=phone split=phone",
 		"diamond/cost-aware":      "credits=2 join=tv left=phone right=desktop split=phone",
 		"diamond/baseline":        "credits=1 join=phone left=phone right=phone split=phone",
@@ -328,14 +326,4 @@ func TestPlannerPlacementsPinned(t *testing.T) {
 			check(cfg.Name+"/"+planner.Name(), fmt.Sprintf("credits=%d %s", plan.Credits, placementString(plan.Placement)))
 		}
 	}
-
-	// Handle times in ns per event, as rebalance reads them off the module
-	// handle histograms: crunch alone outweighs the 10 ms measured hop.
-	chain := chainConfig(heavyCrunch)
-	measured := map[string]int64{"ingest": 1_000_000, "crunch": 20_000_000, "relay": 500_000}
-	placement, err := core.MeasuredPlacement(&chain, c, measured)
-	if err != nil {
-		t.Fatalf("measured placement: %v", err)
-	}
-	check("chain/measured", placementString(placement))
 }

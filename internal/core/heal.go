@@ -21,13 +21,8 @@ const (
 	ActionMigrateModule
 	// ActionScalePool resized a service pool's instance count (tune).
 	ActionScalePool
-	// ActionSetBatch changed a pool's dynamic batch size (tune).
-	ActionSetBatch
 	// ActionResizeCredits changed a pipeline's credit window (tune).
 	ActionResizeCredits
-	// ActionRebalanceModule re-placed a saturated module using measured
-	// service times (tune: re-planning via live migration).
-	ActionRebalanceModule
 	// ActionRestartModule replaced a module its sandbox killed after
 	// repeated resource-budget breaches (heal).
 	ActionRestartModule
@@ -58,12 +53,8 @@ func (a Action) String() string {
 		return fmt.Sprintf("migrate_module %s %s->%s", a.Target, a.From, a.To)
 	case ActionScalePool:
 		return fmt.Sprintf("scale_pool %s %s->%s", a.Target, a.From, a.To)
-	case ActionSetBatch:
-		return fmt.Sprintf("set_batch %s %s->%s", a.Target, a.From, a.To)
 	case ActionResizeCredits:
 		return fmt.Sprintf("resize_credits %s %s->%s", a.Target, a.From, a.To)
-	case ActionRebalanceModule:
-		return fmt.Sprintf("rebalance_module %s %s->%s", a.Target, a.From, a.To)
 	case ActionRestartModule:
 		return "restart_module " + a.Target
 	default:

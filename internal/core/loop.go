@@ -31,9 +31,9 @@ type LoopConfig struct {
 // deployment, scheduling and monitoring" future work. Each tick runs fixed
 // phases in order: sample (pipeline progress, stalls, module errors, pool
 // and lane state, degraded time), then heal (device probes, service and
-// module restarts, failover), then tune (batching, pool scaling, credit
-// windows, re-planning). Heal and tune append to one action journal, and
-// the phase an action came from is its Kind.
+// module restarts, failover), then tune (pool scaling, credit windows).
+// Heal and tune append to one action journal, and the phase an action came
+// from is its Kind.
 type Loop struct {
 	cluster    *Cluster
 	interval   time.Duration

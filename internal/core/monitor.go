@@ -136,12 +136,7 @@ func (l *Loop) sample() tunerSample {
 			workers:      workers,
 			queue:        pool.QueueDepth(),
 			busy:         pool.BusyWorkers(),
-			batch:        pool.BatchSize(),
-			maxBatch:     spec.MaxBatch,
 			maxInstances: spec.MaxInstances,
-			linger:       spec.BatchLinger,
-			cost:         spec.Cost,
-			serial:       spec.SerialFraction,
 			waitP99:      pool.WaitStats().P99,
 		})
 		restarts, ok := l.restarts[name]

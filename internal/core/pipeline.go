@@ -760,41 +760,6 @@ func (p *Pipeline) modulesOn(dev string) []string {
 	return out
 }
 
-// move is one live migration a relocation made.
-type move struct{ module, from, to string }
-
-// relocate is the one routine every re-plan moves modules through: it
-// live-migrates each selected module (selected sees its config and current
-// device) whose target in want differs from where it runs, in sorted
-// order, and returns the moves made. A module with no target stays put. A
-// failed migration leaves its module where it was without holding back
-// the rest; the failures come back joined.
-func (p *Pipeline) relocate(want map[string]string, selected func(mc *ModuleConfig, dev string) bool) ([]move, error) {
-	current := p.Placement()
-	var moves []move
-	var errs []error
-	for _, mod := range p.Modules() {
-		mc, _ := p.cfg.Module(mod)
-		from, to := current[mod], want[mod]
-		if !selected(mc, from) || to == "" || to == from {
-			continue
-		}
-		if err := p.MigrateModule(mod, to); err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		moves = append(moves, move{module: mod, from: from, to: to})
-	}
-	return moves, errors.Join(errs...)
-}
-
-// unpinnedServiceless selects the modules the tune phase and Prime may
-// re-place: pins and service co-location are plan invariants, identical in
-// the static and measured scoring domains and never carried state.
-func unpinnedServiceless(mc *ModuleConfig, _ string) bool {
-	return mc.Device == "" && len(mc.Services) == 0
-}
-
 // FailOver migrates every module this pipeline had on a dead device,
 // re-running the launch planner over the surviving devices (the caller
 // marks the device down first, which removes it from DeviceNames and so
@@ -802,18 +767,31 @@ func unpinnedServiceless(mc *ModuleConfig, _ string) bool {
 // orphan that cannot move — pinned to the dead device, or its migration
 // failed — does not strand the orphans after it; the error names it.
 func (p *Pipeline) FailOver(dead string) ([]string, error) {
-	if len(p.modulesOn(dead)) == 0 {
+	orphans := p.modulesOn(dead)
+	if len(orphans) == 0 {
 		return nil, nil
 	}
 	plan, err := p.planner.Plan(&p.cfg, p.cluster)
 	if err != nil {
 		return nil, fmt.Errorf("core: re-planning %q after %s died: %w", p.name, dead, err)
 	}
-	moves, err := p.relocate(plan.Placement, func(_ *ModuleConfig, dev string) bool { return dev == dead })
-	migrated := make([]string, len(moves))
-	for i, mv := range moves {
-		migrated[i] = mv.module
+	// Live-migrate each orphan, in sorted order, to its device in the new
+	// plan. A failed migration leaves its module where it was without
+	// holding back the rest; the failures come back joined.
+	var migrated []string
+	var errs []error
+	for _, mod := range orphans {
+		to := plan.Placement[mod]
+		if to == "" || to == dead {
+			continue
+		}
+		if err := p.MigrateModule(mod, to); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		migrated = append(migrated, mod)
 	}
+	err = errors.Join(errs...)
 	if left := p.modulesOn(dead); len(left) > 0 {
 		err = errors.Join(err, fmt.Errorf("core: re-plan of %q left %v on dead device %q", p.name, left, dead))
 	}

@@ -172,12 +172,6 @@ func (BaselinePlanner) Plan(cfg *PipelineConfig, c *Cluster) (Plan, error) {
 // already accumulated more than this much per-frame work.
 const staticHopCost = int64(100_000)
 
-// measuredHopCost is staticHopCost's analogue in the measured
-// domain: re-planning scores use observed per-event handle time in
-// nanoseconds, so the cross-device penalty is priced as one frame
-// transfer's worth of latency.
-const measuredHopCost = int64(10 * time.Millisecond)
-
 // CostAwarePlanner extends the co-locating strategy with the pipecost
 // signal: modules with services still land beside their services (that
 // rule is VideoPipe's core result and cost cannot beat a saved network
@@ -201,15 +195,9 @@ func (CostAwarePlanner) Plan(cfg *PipelineConfig, c *Cluster) (Plan, error) {
 			symbolic++
 		}
 	}
-	return costAwarePlace(cfg, c, min(max(1+symbolic, 2), 4), func(name string) int64 { return costs[name].EventWeight() }, staticHopCost)
-}
-
-// costAwarePlace runs the placement loop with the cost-aware serviceless
-// step, charging weight per module and pricing a hop at hop: Plan's static
-// pipecost weights, or the tuner's measured handle times (rebalance).
-func costAwarePlace(cfg *PipelineConfig, c *Cluster, credits int, weight func(string) int64, hop int64) (Plan, error) {
-	return place(cfg, c, credits, weight, func(s *placing, m *ModuleConfig) (string, error) {
-		return s.coLocate(m, func(pred string) string { return s.leastLoaded(pred, hop) })
+	weight := func(name string) int64 { return costs[name].EventWeight() }
+	return place(cfg, c, min(max(1+symbolic, 2), 4), weight, func(s *placing, m *ModuleConfig) (string, error) {
+		return s.coLocate(m, s.leastLoaded)
 	})
 }
 
@@ -218,12 +206,12 @@ func costAwarePlace(cfg *PipelineConfig, c *Cluster, credits int, weight func(st
 // With an idle cluster this reduces to the co-locating inherit rule; it
 // diverges exactly when the predecessor's device already carries more
 // than a hop's worth of per-frame work.
-func (s *placing) leastLoaded(pred string, hop int64) string {
+func (s *placing) leastLoaded(pred string) string {
 	best, bestScore := "", int64(-1)
 	for _, dev := range s.c.DeviceNames() {
 		score := s.load[dev]
 		if pred != "" && dev != pred {
-			score += hop
+			score += staticHopCost
 		}
 		better := bestScore < 0 || score < bestScore
 		if !better && score == bestScore {

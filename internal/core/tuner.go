@@ -29,11 +29,6 @@ type TunerConfig struct {
 	Cooldown int
 	// MaxCredits caps per-pipeline credit-window growth; zero selects 16.
 	MaxCredits int
-	// Replan enables load-aware re-planning: when a pipeline still drops
-	// frames with its credit window maxed, placements are re-scored with
-	// measured module service times and divergent serviceless modules are
-	// live-migrated. Off by default — migration is the heaviest actuator.
-	Replan bool
 	// Seed drives the jitter of the loop's tick. Jitter only shifts timing
 	// — never which actions run or their order.
 	Seed int64
@@ -68,12 +63,7 @@ type svcSample struct {
 	workers      int
 	queue        int
 	busy         int
-	batch        int
-	maxBatch     int
 	maxInstances int
-	linger       time.Duration
-	cost         time.Duration
-	serial       float64
 	waitP99      time.Duration
 }
 
@@ -120,11 +110,10 @@ type tuneSvcState struct {
 type tunePipeState struct {
 	lastDrops     uint64
 	cooldownUntil int
-	replanned     bool
 }
 
-// Tuner is a loop whose one optional phase is tune: dynamic batching, pool
-// scaling, credit-window resizing and measured-cost re-planning.
+// Tuner is a loop whose one optional phase is tune: pool scaling and
+// credit-window resizing.
 type Tuner = Loop
 
 // NewTuner creates a tune-only loop for the cluster.
@@ -187,39 +176,14 @@ func (l *Loop) decide(s tunerSample) []tunerAct {
 		}
 		switch {
 		case st.hotSteps >= l.tune.SaturatedAfter && sv.size < ceiling:
-			// Scaling first: another instance cuts queueing without adding
-			// a single microsecond to any request's path.
+			// Scale out: another instance cuts queueing without adding a
+			// single microsecond to any request's path.
 			acts = append(acts, tunerAct{
 				act: Action{Kind: ActionScalePool, Target: sv.name,
 					From: strconv.Itoa(sv.size), To: strconv.Itoa(sv.size + 1)},
 				n: sv.size + 1,
 			})
 			st.hotSteps = 0
-			st.cooldownUntil = l.tick + l.tune.Cooldown
-		case st.hotSteps >= l.tune.SaturatedAfter && sv.batch < batchCeiling(sv, l.tune.P99Target):
-			// Instances maxed and still hot: amortize the serialized
-			// section. Batching trades per-request hold time for
-			// per-instance throughput, so it is the move of second resort,
-			// and only up to the window whose worst-case hold still fits
-			// the latency target (batchCeiling) — a batch that blows the
-			// budget it defends is capacity nobody can use.
-			best := batchCeiling(sv, l.tune.P99Target)
-			acts = append(acts, tunerAct{
-				act: Action{Kind: ActionSetBatch, Target: sv.name,
-					From: strconv.Itoa(sv.batch), To: strconv.Itoa(best)},
-				n: best,
-			})
-			st.hotSteps = 0
-			st.cooldownUntil = l.tick + l.tune.Cooldown
-		case st.idleSteps >= l.tune.IdleAfter && sv.batch > 0:
-			// Idle unwind, batching first: a lone request should not pay
-			// the linger once load is gone.
-			acts = append(acts, tunerAct{
-				act: Action{Kind: ActionSetBatch, Target: sv.name,
-					From: strconv.Itoa(sv.batch), To: "0"},
-				n: 0,
-			})
-			st.idleSteps = 0
 			st.cooldownUntil = l.tick + l.tune.Cooldown
 		case st.idleSteps >= l.tune.IdleAfter && sv.size > st.baseline:
 			acts = append(acts, tunerAct{
@@ -252,25 +216,14 @@ func (l *Loop) decide(s tunerSample) []tunerAct {
 	}
 	for _, pp := range s.pipelines {
 		st := l.pipe[pp.name]
+		if l.tick < st.cooldownUntil {
+			continue
+		}
 		// Act on pressure, not just loss: an exhausted window (avail == 0)
 		// means the very next burst arrival drops. Unlike the pool ladder
 		// there is no hysteresis — the drop counter is monotone, so a
 		// positive delta is confirmed lost work, not a sampling artifact.
 		pressed := anyDrops || pp.avail == 0
-		// Pressure re-checks placement once per lane, outside the actuator
-		// cooldown: the re-score is a cheap pure decision against measured
-		// service times and migrates only what diverged, so there is no
-		// reason to queue it behind credit moves. It waits only for the
-		// lane's first completed frame, so the measured costs exist.
-		if pressed && l.tune.Replan && !st.replanned && pp.e2eP99 > 0 {
-			acts = append(acts, tunerAct{
-				act: Action{Kind: ActionRebalanceModule, Target: pp.name},
-			})
-			st.replanned = true
-		}
-		if l.tick < st.cooldownUntil {
-			continue
-		}
 		n := pp.credits
 		switch {
 		case pressed && pp.credits < l.tune.MaxCredits && 0 < pp.e2eP99 && pp.e2eP99 < l.tune.P99Target:
@@ -300,53 +253,9 @@ func (l *Loop) decide(s tunerSample) []tunerAct {
 	return acts
 }
 
-// batchCeiling is the largest batch window whose worst-case per-call hold
-// still fits inside half the end-to-end latency target, or 0 when even a
-// pair does not fit. A batch of n holds a worker for the serial section
-// once plus n parallel shares, and a call can additionally wait out the
-// full linger before the batch flushes:
-//
-//	hold(n) = linger + serial + n*(cost - serial)
-//
-// Half the budget is the allowance because the batched stage is one hop of
-// a multi-hop chain that must also absorb transport and queueing. This is
-// what keeps the tuner from batching an expensive stage (pose at 85 ms
-// never batches under a 250 ms budget) while still batching cheap ones.
-func batchCeiling(sv svcSample, target time.Duration) int {
-	if sv.maxBatch < 2 || sv.cost <= 0 {
-		return 0
-	}
-	serial := time.Duration(float64(sv.cost) * sv.serial)
-	perFrame := sv.cost - serial
-	allowance := target/2 - sv.linger - serial
-	if perFrame <= 0 {
-		// Fully serial cost: hold is independent of batch size, so any
-		// window that fits, fits at the max.
-		if allowance >= 0 {
-			return sv.maxBatch
-		}
-		return 0
-	}
-	n := int(allowance / perFrame)
-	if n > sv.maxBatch {
-		n = sv.maxBatch
-	}
-	if n < 2 {
-		return 0
-	}
-	return n
-}
-
 // apply executes one decided actuation and journals it.
 func (l *Loop) apply(a tunerAct) {
 	switch a.act.Kind {
-	case ActionSetBatch:
-		pool, err := l.cluster.Pool(a.act.Target)
-		if err != nil {
-			return
-		}
-		pool.SetBatching(a.n, pool.Spec().BatchLinger)
-		l.record(a.act)
 	case ActionScalePool:
 		pool, err := l.cluster.Pool(a.act.Target)
 		if err != nil {
@@ -378,37 +287,5 @@ func (l *Loop) apply(a tunerAct) {
 		if narrowed {
 			p.forgetTail()
 		}
-	case ActionRebalanceModule:
-		l.rebalance(a.act.Target)
-	}
-}
-
-// rebalance re-scores a pipeline's placement using measured per-module
-// handle time and live-migrates serviceless modules whose best device
-// changed — the actuator of last resort, reached only once per pipeline
-// and only after batching, scaling and credits are all exhausted.
-func (l *Loop) rebalance(pipeline string) {
-	w, ok := l.lanes[pipeline]
-	if !ok {
-		return
-	}
-	p := w.p
-	// Each module's measured per-event handle time (ns) replaces its static
-	// pipecost weight; a module not measured yet scores as free. The other
-	// rules (pins, service co-location, source anchoring) are the ones the
-	// cost-aware Plan applies, so only serviceless modules can move, and the
-	// credit window is not the re-plan's to change.
-	reg := l.cluster.Metrics()
-	plan, err := costAwarePlace(&p.cfg, l.cluster, 0, func(mod string) int64 {
-		//vpvet:allow metername re-reads the module handle histogram the device registered
-		return int64(reg.Histogram("module." + p.prefixed(mod) + ".handle").Mean())
-	}, measuredHopCost)
-	if err != nil {
-		return
-	}
-	moves, _ := p.relocate(plan.Placement, unpinnedServiceless)
-	for _, mv := range moves {
-		l.record(Action{Kind: ActionRebalanceModule, Target: pipeline + "." + mv.module,
-			From: mv.from, To: mv.to})
 	}
 }

@@ -29,8 +29,7 @@ func testTunerConfig() TunerConfig {
 func hotService(size int) svcSample {
 	return svcSample{
 		name: "svc", size: size, workers: 1, queue: 2*size + 1, busy: size,
-		maxBatch: 8, maxInstances: 2, linger: 5 * time.Millisecond,
-		cost: 2 * time.Millisecond, serial: 0.5,
+		maxInstances: 2,
 	}
 }
 
@@ -40,43 +39,6 @@ func actStrings(acts []tunerAct) []string {
 		out[i] = a.act.String()
 	}
 	return out
-}
-
-func TestBatchCeiling(t *testing.T) {
-	target := 250 * time.Millisecond
-	cases := []struct {
-		name string
-		sv   svcSample
-		want int
-	}{
-		// Pose-like: hold(2) = 20 + 42.5 + 2*42.5 = 147.5ms > 125ms, so
-		// even a pair blows half the budget — the expensive stage never
-		// batches.
-		{"expensive never batches",
-			svcSample{maxBatch: 4, linger: 20 * time.Millisecond, cost: 85 * time.Millisecond, serial: 0.5}, 0},
-		// Cheap stage: allowance 119ms / 1ms per frame, capped at maxBatch.
-		{"cheap caps at maxBatch",
-			svcSample{maxBatch: 8, linger: 5 * time.Millisecond, cost: 2 * time.Millisecond, serial: 0.5}, 8},
-		// Mid-cost: allowance (125-10-5)=110ms / 15ms per frame = 7.
-		{"mid-cost lands between",
-			svcSample{maxBatch: 16, linger: 10 * time.Millisecond, cost: 20 * time.Millisecond, serial: 0.25}, 7},
-		// Fully serial: hold is independent of n, so any window that fits
-		// fits at the max.
-		{"fully serial fits at max",
-			svcSample{maxBatch: 6, cost: 30 * time.Millisecond, serial: 1.0}, 6},
-		{"fully serial over budget",
-			svcSample{maxBatch: 6, linger: 130 * time.Millisecond, cost: 30 * time.Millisecond, serial: 1.0}, 0},
-		// The spec must declare a batching envelope at all.
-		{"no batch envelope",
-			svcSample{maxBatch: 1, cost: time.Millisecond}, 0},
-		{"no cost model",
-			svcSample{maxBatch: 8}, 0},
-	}
-	for _, tc := range cases {
-		if got := batchCeiling(tc.sv, target); got != tc.want {
-			t.Errorf("%s: batchCeiling = %d, want %d", tc.name, got, tc.want)
-		}
-	}
 }
 
 func TestTunerScalesBeforeBatching(t *testing.T) {
@@ -92,41 +54,19 @@ func TestTunerScalesBeforeBatching(t *testing.T) {
 		t.Fatalf("hot pool below ceiling: acts = %v, want scale_pool to 2", actStrings(acts))
 	}
 
-	// Still hot at the instance ceiling, past the cooldown: the move of
-	// second resort is batching, up to batchCeiling (here the spec's max).
-	for i := 0; i < 6; i++ {
-		acts = tu.decide(tunerSample{services: []svcSample{hotService(2)}})
-		if len(acts) > 0 {
-			break
-		}
-	}
-	if len(acts) != 1 || acts[0].act.Kind != ActionSetBatch || acts[0].n != 8 {
-		t.Fatalf("hot pool at ceiling: acts = %v, want set_batch to 8", actStrings(acts))
-	}
-}
-
-func TestTunerNeverBatchesPastLatencyCeiling(t *testing.T) {
-	tu := NewTuner(nil, testTunerConfig())
-	// A pose-like stage at its instance ceiling: batchCeiling is 0, so the
-	// tuner must sit on its hands no matter how hot the pool runs.
-	sv := svcSample{
-		name: "pose", size: 2, workers: 2, queue: 10, busy: 4,
-		maxBatch: 4, maxInstances: 2, linger: 20 * time.Millisecond,
-		cost: 85 * time.Millisecond, serial: 0.5,
-	}
+	// Still hot at the instance ceiling, past the cooldown: scaling is the
+	// pool's only actuator, so the tuner sits on its hands however hot the
+	// pool runs.
 	for i := 0; i < 10; i++ {
-		if acts := tu.decide(tunerSample{services: []svcSample{sv}}); len(acts) != 0 {
-			t.Fatalf("tick %d: batched an expensive stage: %v", i, actStrings(acts))
+		if acts = tu.decide(tunerSample{services: []svcSample{hotService(2)}}); len(acts) != 0 {
+			t.Fatalf("tick %d, hot pool at ceiling: acts = %v, want none", i, actStrings(acts))
 		}
 	}
 }
 
 func TestTunerIdleUnwindsBatchThenSize(t *testing.T) {
 	tu := NewTuner(nil, testTunerConfig())
-	idle := svcSample{
-		name: "svc", size: 2, workers: 1, maxBatch: 8, maxInstances: 2,
-		cost: 2 * time.Millisecond, batch: 4,
-	}
+	idle := svcSample{name: "svc", size: 2, workers: 1, maxInstances: 2}
 	// First sight records size 2... but baseline is the first observed
 	// size, so shrink below it must never fire; start from a grown pool by
 	// seeding the baseline at 1.
@@ -137,19 +77,16 @@ func TestTunerIdleUnwindsBatchThenSize(t *testing.T) {
 		acts := tu.decide(tunerSample{services: []svcSample{idle}})
 		for _, a := range acts {
 			got = append(got, a.act.String())
-			if a.act.Kind == ActionSetBatch {
-				idle.batch = a.n
-			}
 			if a.act.Kind == ActionScalePool {
 				idle.size = a.n
 			}
 		}
 	}
-	if len(got) != 2 {
-		t.Fatalf("idle unwind actions = %v, want batch-off then scale-down", got)
+	if len(got) != 1 {
+		t.Fatalf("idle unwind actions = %v, want one scale-down", got)
 	}
-	if idle.batch != 0 || idle.size != 1 {
-		t.Errorf("after unwind: batch = %d (want 0), size = %d (want baseline 1)", idle.batch, idle.size)
+	if idle.size != 1 {
+		t.Errorf("after unwind: size = %d, want baseline 1", idle.size)
 	}
 }
 
@@ -306,38 +243,6 @@ func TestTunerDropsOnOneLanePressureWholeFleet(t *testing.T) {
 	}
 }
 
-func TestTunerReplansOncePerLaneAfterFirstFrame(t *testing.T) {
-	cfg := testTunerConfig()
-	cfg.Replan = true
-	tu := NewTuner(nil, cfg)
-
-	// Pressed but no completed frame yet: measured costs don't exist, so
-	// the re-score must wait (the credits actuator may still move).
-	lane := pipeSample{name: "lane", credits: 4, avail: 0, e2eP99: 0}
-	rebalances := func(acts []tunerAct) int {
-		n := 0
-		for _, a := range acts {
-			if a.act.Kind == ActionRebalanceModule {
-				n++
-			}
-		}
-		return n
-	}
-	if got := rebalances(tu.decide(tunerSample{pipelines: []pipeSample{lane}})); got != 0 {
-		t.Fatalf("replanned before the first completed frame (%d acts)", got)
-	}
-	// With latency measured, the replan fires exactly once, regardless of
-	// how long the pressure lasts or where the cooldown sits.
-	lane.e2eP99 = 90 * time.Millisecond
-	total := 0
-	for i := 0; i < 10; i++ {
-		total += rebalances(tu.decide(tunerSample{pipelines: []pipeSample{lane}}))
-	}
-	if total != 1 {
-		t.Errorf("rebalance fired %d times under sustained pressure, want exactly once", total)
-	}
-}
-
 func TestTunerDecisionsAreDeterministic(t *testing.T) {
 	// decide is a pure function of the sample stream: two tuners fed the
 	// identical sequence must emit identical journals, tick for tick. The
@@ -356,9 +261,7 @@ func TestTunerDecisionsAreDeterministic(t *testing.T) {
 	}
 
 	run := func() []string {
-		cfg := testTunerConfig()
-		cfg.Replan = true
-		tu := NewTuner(nil, cfg)
+		tu := NewTuner(nil, testTunerConfig())
 		var out []string
 		for _, s := range stream {
 			out = append(out, actStrings(tu.decide(s))...)
@@ -408,76 +311,6 @@ func oneLaneCluster(t *testing.T) (*Cluster, *Pipeline) {
 		t.Fatal(err)
 	}
 	return c, p
-}
-
-// chainLane launches a phone-sourced serviceless ingest -> crunch -> relay
-// chain on an idle phone/desktop/tv cluster with the co-locating planner,
-// so every module starts on the phone. pin, when set, pins crunch there.
-func chainLane(t *testing.T, pin string) (*Cluster, *Pipeline) {
-	t.Helper()
-	c, err := NewCluster(ClusterSpec{Devices: []device.Config{
-		{Name: "phone", Class: device.Phone},
-		{Name: "desktop", Class: device.Desktop},
-		{Name: "tv", Class: device.TV},
-	}}, services.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	fwd := func(next string) string {
-		return `function event_received(m) { call_module("` + next + `", {seq: m.seq}); }`
-	}
-	p, err := c.Launch(PipelineConfig{
-		Name: "chain",
-		Modules: []ModuleConfig{
-			{Name: "ingest", Source: fwd("crunch"), Next: []string{"crunch"}},
-			{Name: "crunch", Source: fwd("relay"), Next: []string{"relay"}, Device: pin},
-			{Name: "relay", Source: `function event_received(m) { frame_done(); }`},
-		},
-		Source: SourceConfig{Device: "phone", FirstModule: "ingest", FPS: 10, Width: 8, Height: 8},
-	}, CoLocatePlanner{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Placement(); got["ingest"] != "phone" || got["crunch"] != "phone" || got["relay"] != "phone" {
-		t.Fatalf("launch placement = %v, want everything on the phone", got)
-	}
-	return c, p
-}
-
-// rebalance re-plans with the handle times the device histograms hold and
-// moves relay off the phone crunch loads past a measured hop; the move is
-// the one journaled action.
-func TestRelocateRebalanceMovesHeavyRelay(t *testing.T) {
-	c, p := chainLane(t, "")
-	for mod, d := range map[string]time.Duration{"ingest": time.Millisecond, "crunch": 20 * time.Millisecond, "relay": 500 * time.Microsecond} {
-		//vpvet:allow metername stands in for the handle histogram the device registers
-		c.Metrics().Histogram("module." + p.prefixed(mod) + ".handle").Observe(d)
-	}
-	tu := NewTuner(c, TunerConfig{})
-	tu.step(context.Background())
-	tu.rebalance("chain")
-
-	want := []string{"rebalance_module chain.relay phone->desktop"}
-	if got := tu.JournalStrings(); len(got) != 1 || got[0] != want[0] {
-		t.Errorf("journal = %v, want %v", got, want)
-	}
-	if got := p.Placement(); got["ingest"] != "phone" || got["crunch"] != "phone" || got["relay"] != "desktop" {
-		t.Errorf("placement after rebalance = %v, want relay alone on the desktop", got)
-	}
-}
-
-// Prime replays a carried placement for unpinned serviceless modules only:
-// a pinned module keeps its pin whatever was carried.
-func TestRelocatePrimeReplaysCarriedPlacement(t *testing.T) {
-	c, p := chainLane(t, "phone")
-	c.Prime(TuningSetpoints{Placements: map[string]map[string]string{
-		"chain": {"ingest": "phone", "crunch": "tv", "relay": "desktop"},
-	}})
-
-	if got := p.Placement(); got["ingest"] != "phone" || got["crunch"] != "phone" || got["relay"] != "desktop" {
-		t.Errorf("placement after Prime = %v, want relay carried to the desktop and crunch kept on its pin", got)
-	}
 }
 
 // The widening guard reads the tail of the lane's last recentCompletions

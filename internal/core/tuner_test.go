@@ -152,20 +152,16 @@ func TestTunerSetpointsPrimeRoundTrip(t *testing.T) {
 	if err := pose1.Scale(2); err != nil {
 		t.Fatalf("Scale: %v", err)
 	}
-	pose1.SetBatching(3, pose1.Spec().BatchLinger)
 	if err := p1.ResizeCredits(5); err != nil {
 		t.Fatalf("ResizeCredits: %v", err)
 	}
 
 	sp := c1.Setpoints()
-	if got := sp.Services[services.PoseDetector]; got.Size != 2 || got.Batch != 3 {
-		t.Fatalf("captured pose setpoint = %+v, want size 2 batch 3", got)
+	if got := sp.Services[services.PoseDetector]; got != 2 {
+		t.Fatalf("captured pose pool size = %d, want 2", got)
 	}
 	if got := sp.Pipelines["carry"]; got != 5 {
 		t.Fatalf("captured credits = %d, want 5", got)
-	}
-	if len(sp.Placements["carry"]) == 0 {
-		t.Fatal("captured setpoints carry no placement")
 	}
 
 	// A fresh cluster starts cold; Prime must restore the learned state.
@@ -181,9 +177,6 @@ func TestTunerSetpointsPrimeRoundTrip(t *testing.T) {
 	}
 	if got := pose2.Size(); got != 2 {
 		t.Errorf("primed pose pool size = %d, want 2", got)
-	}
-	if got := pose2.BatchSize(); got != 3 {
-		t.Errorf("primed pose batch = %d, want 3", got)
 	}
 	if got := p2.Credits(); got != 5 {
 		t.Errorf("primed credits = %d, want 5", got)

@@ -72,14 +72,14 @@ func TestCallModuleSnapshotsAtSend(t *testing.T) {
 	}
 }
 
-// TestCallServiceLendsArguments: the handler — on the batch collector's
-// goroutine, not the module's — reads the message's own objects; after the
-// call the module's message is intact, frame_ref included, and its again to
-// change; each call's result is a distinct object the module owns.
+// TestCallServiceLendsArguments: the handler reads the message's own
+// objects; after the call the module's message is intact, frame_ref
+// included, and the module may change it again; each call's result is a
+// distinct object the module owns.
 func TestCallServiceLendsArguments(t *testing.T) {
 	d := newDevice(t, testNet(), "desktop", Desktop)
-	pool, err := d.DeployService(services.Spec{
-		Name: "inspect", MaxBatch: 2,
+	_, err := d.DeployService(services.Spec{
+		Name: "inspect",
 		Handler: func(_ context.Context, req services.Request) (services.Response, error) {
 			_, sawRef := req.Args.Lookup("frame_ref")
 			sum := 0.0
@@ -94,7 +94,6 @@ func TestCallServiceLendsArguments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.SetBatching(2, time.Millisecond)
 	m, err := d.SpawnModule(ModuleSpec{
 		Name: "caller", Services: []string{"inspect"},
 		Source: `

@@ -30,8 +30,8 @@ type Options struct {
 	// injection; zero selects 5 seconds.
 	DrainTimeout time.Duration
 	// Tune runs the adaptive runtime tuner (core.Tuner) against the fleet
-	// for the duration of the run: dynamic batching, pool scaling, credit
-	// resizing and measured-cost re-planning, journaled into the result.
+	// for the duration of the run: pool scaling and credit resizing,
+	// journaled into the result.
 	Tune bool
 	// TuneConfig overrides the tuner's knobs; nil selects defaults seeded
 	// from the run seed.

@@ -3,6 +3,7 @@ package flood_test
 import (
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,6 +48,7 @@ func slowScenario(cost time.Duration, workers int) experiments.FloodScenario {
 				Handler: func(context.Context, services.Request) (services.Response, error) {
 					return services.Response{}, nil
 				},
+				MaxInstances: 2,
 			})
 			return reg, err
 		},
@@ -206,6 +208,44 @@ func TestSweepFindsKnee(t *testing.T) {
 	if first.AchievedEPS < 0.9*first.OfferedEPS {
 		t.Errorf("first step achieved %.3g of offered %.3g eps; harness is losing frames at 1/5 capacity",
 			first.AchievedEPS, first.OfferedEPS)
+	}
+	waitNoGoroutineLeak(t, baseline)
+}
+
+// TestTunedSweepScalesAndJoins runs the ladder with the tuner on past one
+// sink instance's capacity (~50 eps): some rung's journal must scale the
+// pool out, and once the sweep returns every goroutine a rung started — its
+// cluster's and its tuner's — is gone, carried setpoints included.
+func TestTunedSweepScalesAndJoins(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	sc := slowScenario(20*time.Millisecond, 1)
+	sw, err := flood.Sweep(sc, flood.SweepOptions{
+		Base: flood.Options{
+			Pipelines: 1,
+			Horizon:   800 * time.Millisecond,
+			Process:   flood.Uniform,
+			Seed:      3,
+			Tune:      true,
+		},
+		StartRate: 40,
+		Factor:    2,
+		MaxSteps:  3,
+		P99Budget: 200 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scaled := false
+	for _, st := range sw.Steps {
+		for _, a := range st.Result.TunerActions {
+			scaled = scaled || strings.HasPrefix(a, "scale_pool slow_sink ")
+		}
+	}
+	if !scaled {
+		for i, st := range sw.Steps {
+			t.Logf("step %d: %v", i, st.Result.TunerActions)
+		}
+		t.Error("no rung scaled the saturated sink pool out")
 	}
 	waitNoGoroutineLeak(t, baseline)
 }

@@ -78,13 +78,9 @@ func (o SweepOptions) withDefaults() SweepOptions {
 		o.Collapse = 0.75
 	}
 	// A tuned sweep with no explicit tuner config gets one that defends
-	// the sweep's own latency budget, with re-planning armed.
+	// the sweep's own latency budget.
 	if o.Base.Tune && o.Base.TuneConfig == nil {
-		o.Base.TuneConfig = &core.TunerConfig{
-			P99Target: o.P99Budget,
-			Replan:    true,
-			Seed:      o.Base.Seed,
-		}
+		o.Base.TuneConfig = &core.TunerConfig{P99Target: o.P99Budget, Seed: o.Base.Seed}
 	}
 	return o
 }

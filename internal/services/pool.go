@@ -137,72 +137,6 @@ func (i *Instance) Invoke(ctx context.Context, req Request) (Response, error) {
 	return resp, nil
 }
 
-// invokeBatch executes several requests as one amortized invocation: one
-// worker slot, handlers run sequentially in request order (the
-// bit-determinism contract — identical inputs see identical handler
-// state), the parallel share of the simulated cost is paid per request,
-// and the serialized section is paid ONCE for the whole batch. That last
-// part is the thermodynamic win: the per-instance serial lock bounds pool
-// throughput at 1/serial without batching and batch/serial with it.
-func (i *Instance) invokeBatch(ctx context.Context, reqs []Request) ([]Response, []error) {
-	n := len(reqs)
-	resps := make([]Response, n)
-	errs := make([]error, n)
-	fail := func(err error) ([]Response, []error) {
-		for k := range errs {
-			if errs[k] == nil {
-				errs[k] = fmt.Errorf("services: %s: %w", i.spec.Name, err)
-			}
-		}
-		return resps, errs
-	}
-
-	i.inFlight.Add(int64(n))
-	defer i.inFlight.Add(int64(-n))
-
-	i.stats.addQueued(int64(n))
-	select {
-	case i.workers <- struct{}{}:
-		i.stats.addQueued(int64(-n))
-		i.stats.addBusy(1)
-		defer func() { <-i.workers; i.stats.addBusy(-1) }()
-	case <-ctx.Done():
-		i.stats.addQueued(int64(-n))
-		return fail(ctx.Err())
-	}
-
-	start := time.Now()
-	executed := 0
-	for k := range reqs {
-		resp, err := i.spec.Handler(ctx, reqs[k])
-		if err != nil {
-			errs[k] = fmt.Errorf("services: %s: %w", i.spec.Name, err)
-			continue
-		}
-		resps[k] = resp
-		executed++
-		i.calls.Add(1)
-	}
-
-	cost := time.Duration(float64(i.spec.Cost) / i.cpuFactor)
-	serial := time.Duration(float64(cost) * i.spec.SerialFraction)
-	parallel := cost - serial
-	if budget := time.Duration(executed)*parallel - time.Since(start); budget > 0 {
-		if !clock.Sleep(ctx, budget) {
-			return fail(ctx.Err())
-		}
-	}
-	if executed > 0 && serial > 0 {
-		i.serialMu.Lock()
-		ok := clock.Sleep(ctx, serial)
-		i.serialMu.Unlock()
-		if !ok {
-			return fail(ctx.Err())
-		}
-	}
-	return resps, errs
-}
-
 // Pool is the scalable set of instances backing one service on one device —
 // the unit that is shared across pipelines (paper §5.2.2) and scaled out
 // when saturated.
@@ -219,29 +153,6 @@ type Pool struct {
 
 	wait  *metrics.Histogram
 	stats poolStats
-
-	// batchMu guards the batch-collector lifecycle; batchQ is non-nil
-	// while batching is enabled. Enqueue attempts hold batchMu so that
-	// SetBatching can retire a collector without stranding a request.
-	batchMu   sync.Mutex
-	batchQ    chan *pendingCall
-	batchStop chan struct{}
-	batchMax  int
-
-	batches     atomic.Uint64
-	batchedReqs atomic.Uint64
-}
-
-// pendingCall is one request parked in the batch collector's queue.
-type pendingCall struct {
-	ctx  context.Context
-	req  Request
-	done chan batchOutcome
-}
-
-type batchOutcome struct {
-	resp Response
-	err  error
 }
 
 // NewPool creates a pool with n initial instances.
@@ -280,8 +191,8 @@ func (p *Pool) BusyWorkers() int { return int(p.stats.busy.Load()) }
 // Name reports the pooled service name.
 func (p *Pool) Name() string { return p.spec.Name }
 
-// Spec reports the pooled service's spec — the tuner reads its batching
-// and scaling bounds from here.
+// Spec reports the pooled service's spec — the tuner reads its scaling
+// bound from here.
 func (p *Pool) Spec() Spec { return p.spec }
 
 // Size reports the current instance count.
@@ -401,23 +312,13 @@ func (p *Pool) Paused() bool {
 	return p.gate != nil
 }
 
-// Invoke dispatches a request to the least-loaded instance, or parks it
-// in the batch collector's queue when batching is enabled (overflow and
-// disabled both fall back to the direct path).
+// Invoke dispatches a request to the least-loaded instance.
 func (p *Pool) Invoke(ctx context.Context, req Request) (Response, error) {
 	if err := p.waitGate(ctx); err != nil {
 		return Response{}, err
 	}
 
 	enqueued := time.Now()
-	if pc := p.tryEnqueueBatch(ctx, req); pc != nil {
-		// The collector owns completion; block unconditionally so frame
-		// ownership never forks (the collector checks pc.ctx per item).
-		out := <-pc.done
-		p.observeWait(enqueued)
-		return out.resp, out.err
-	}
-
 	best, err := p.pick()
 	if err != nil {
 		return Response{}, err
@@ -470,153 +371,11 @@ func (p *Pool) observeWait(enqueued time.Time) {
 	}
 }
 
-// SetBatching configures the pool's dynamic batch collector: up to max
-// queued requests are coalesced into one invocation, the first waiting at
-// most linger for company. max is clamped to the spec's MaxBatch; an
-// effective max <= 1 disables batching (the default). Safe to call at any
-// time; in-queue requests from a retired collector still complete.
-func (p *Pool) SetBatching(max int, linger time.Duration) {
-	if p.spec.MaxBatch < max {
-		max = p.spec.MaxBatch
-	}
-	if linger < 0 {
-		linger = 0
-	}
-	p.batchMu.Lock()
-	defer p.batchMu.Unlock()
-	if p.batchStop != nil {
-		close(p.batchStop)
-		p.batchStop = nil
-		p.batchQ = nil
-	}
-	p.batchMax = 0
-	if max <= 1 {
-		return
-	}
-	q := make(chan *pendingCall, 4*max)
-	stop := make(chan struct{})
-	p.batchQ, p.batchStop, p.batchMax = q, stop, max
-	go p.collect(q, stop, max, linger)
-}
+// Batches reports how many batch invocations ran: always 0, since a pool
+// runs every request on its own. It stays for readers that still report
+// a batch mean.
+func (p *Pool) Batches() uint64 { return 0 }
 
-// BatchSize reports the collector's current max batch size (0 when
-// batching is disabled).
-func (p *Pool) BatchSize() int {
-	p.batchMu.Lock()
-	defer p.batchMu.Unlock()
-	return p.batchMax
-}
-
-// Batches reports how many amortized batch invocations ran.
-func (p *Pool) Batches() uint64 { return p.batches.Load() }
-
-// BatchedRequests reports how many requests rode in those batches.
-func (p *Pool) BatchedRequests() uint64 { return p.batchedReqs.Load() }
-
-// tryEnqueueBatch parks the request in the collector queue, returning nil
-// when batching is off or the queue is full (caller takes the direct
-// path). The enqueue happens under batchMu so SetBatching can never
-// retire a collector with a request about to land in its queue.
-func (p *Pool) tryEnqueueBatch(ctx context.Context, req Request) *pendingCall {
-	p.batchMu.Lock()
-	defer p.batchMu.Unlock()
-	if p.batchQ == nil {
-		return nil
-	}
-	pc := &pendingCall{ctx: ctx, req: req, done: make(chan batchOutcome, 1)}
-	select {
-	case p.batchQ <- pc:
-		return pc
-	default:
-		return nil
-	}
-}
-
-// collect is the batch collector loop: take one request, linger for more
-// up to max, run them as one invocation. On stop it drains stragglers so
-// no parked request is stranded.
-func (p *Pool) collect(q chan *pendingCall, stop chan struct{}, max int, linger time.Duration) {
-	for {
-		var lead *pendingCall
-		select {
-		case lead = <-q:
-		case <-stop:
-			// SetBatching nils the queue before closing stop, so no new
-			// sends can race this drain.
-			for {
-				select {
-				case pc := <-q:
-					p.runBatch([]*pendingCall{pc})
-				default:
-					return
-				}
-			}
-		}
-
-		batch := append(make([]*pendingCall, 0, max), lead)
-		if linger > 0 {
-			timer, fired := clock.Timer(linger), false
-		gather:
-			for len(batch) < max {
-				select {
-				case pc := <-q:
-					batch = append(batch, pc)
-				case <-timer.C:
-					fired = true
-					break gather
-				case <-stop:
-					break gather
-				}
-			}
-			clock.Release(timer, fired)
-		}
-		// Sweep anything already queued, lingering or not.
-	sweep:
-		for len(batch) < max {
-			select {
-			case pc := <-q:
-				batch = append(batch, pc)
-			default:
-				break sweep
-			}
-		}
-		// Execute off the collector goroutine so the next batch can form
-		// (and run on another instance/worker) while this one executes.
-		go p.runBatch(batch)
-	}
-}
-
-// runBatch executes one collected batch on the least-loaded instance and
-// delivers per-request outcomes. Requests whose context already expired
-// are failed without executing (their caller is still parked on done and
-// owns the frame after delivery).
-func (p *Pool) runBatch(batch []*pendingCall) {
-	live := make([]*pendingCall, 0, len(batch))
-	for _, pc := range batch {
-		if err := pc.ctx.Err(); err != nil {
-			pc.done <- batchOutcome{err: fmt.Errorf("services: %s: %w", p.spec.Name, err)}
-			continue
-		}
-		live = append(live, pc)
-	}
-	if len(live) == 0 {
-		return
-	}
-	inst, err := p.pick()
-	if err != nil {
-		for _, pc := range live {
-			pc.done <- batchOutcome{err: err}
-		}
-		return
-	}
-	reqs := make([]Request, len(live))
-	for k, pc := range live {
-		reqs[k] = pc.req
-	}
-	p.batches.Add(1)
-	p.batchedReqs.Add(uint64(len(live)))
-	resps, errs := inst.invokeBatch(live[0].ctx, reqs)
-	for k, pc := range live {
-		pc.done <- batchOutcome{resp: resps[k], err: errs[k]}
-	}
-}
+// BatchedRequests reports how many requests rode in batches: always 0,
+// like Batches.
+func (p *Pool) BatchedRequests() uint64 { return 0 }

@@ -80,14 +80,6 @@ type Spec struct {
 	// Handler is the implementation.
 	Handler Handler
 
-	// MaxBatch caps how many queued requests a pool's batch collector may
-	// coalesce into one invocation; <= 1 means the service does not
-	// support batching. Batching is off until Pool.SetBatching enables it.
-	MaxBatch int
-	// BatchLinger is the longest a batch collector may hold the first
-	// request of a batch while waiting for more; zero means dispatch
-	// immediately (batches only form from already-queued requests).
-	BatchLinger time.Duration
 	// MaxInstances bounds the tuner's autoscaling for this service;
 	// <= 0 means the deployed size is also the ceiling (no autoscaling).
 	MaxInstances int
@@ -106,9 +98,6 @@ func (s Spec) validate() error {
 	}
 	if s.SerialFraction < 0 || s.SerialFraction > 1 {
 		return fmt.Errorf("services: spec %q has serial fraction %v outside [0,1]", s.Name, s.SerialFraction)
-	}
-	if s.BatchLinger < 0 {
-		return fmt.Errorf("services: spec %q has negative batch linger", s.Name)
 	}
 	return nil
 }

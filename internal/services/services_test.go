@@ -3,8 +3,10 @@ package services
 import (
 	"context"
 	"encoding/base64"
+	"errors"
 	"image/color"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"videopipe/internal/netsim"
 	"videopipe/internal/script"
 	"videopipe/internal/vision"
+	"videopipe/internal/wire"
 )
 
 // testRegistry builds a standard registry once, with a small training
@@ -833,5 +836,44 @@ func TestPoseFromValueErrors(t *testing.T) {
 	}
 	if _, err := poseFromValue(malformed); err == nil {
 		t.Error("non-numeric coordinate accepted")
+	}
+}
+
+// TestServerRejectsBatchMarker sends the first part of the retired wire
+// batch format: "!batch" is now just a service nobody registered, so the
+// server answers with the ordinary unknown-service error.
+func TestServerRejectsBatchMarker(t *testing.T) {
+	nw := netsim.NewNetwork(netsim.LinkProfile{})
+	spec := Spec{
+		Name: "echo", Cost: time.Millisecond,
+		Handler: func(_ context.Context, req Request) (Response, error) {
+			return Response{Result: map[string]script.Value{"v": req.Args.Get("v")}}, nil
+		},
+	}
+	pool, err := NewPool(spec, 1, 1.0)
+	if err != nil {
+		t.Fatalf("NewPool: %v", err)
+	}
+	srv, err := NewServer(nw.Host("desktop"), 0, map[string]*Pool{"echo": pool}, nil)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+	caller := wire.DialCaller(nw.Host("phone"), srv.Addr().String())
+	defer caller.Close()
+
+	_, err = caller.Call(context.Background(),
+		wire.NewMessage([]byte("!batch"), []byte("echo"), []byte(`{"v":1}`), nil))
+	var remote *wire.RemoteError
+	if !errors.As(err, &remote) || !strings.Contains(remote.Msg, `unknown service "!batch"`) {
+		t.Fatalf("batch-marker request returned %v, want the unknown-service remote error", err)
+	}
+	if pool.Calls() != 0 {
+		t.Errorf("pool served %d calls for a rejected request", pool.Calls())
+	}
+	// The connection and server survive the rejected request.
+	out, err := caller.Call(context.Background(), wire.NewMessage([]byte("echo"), []byte(`{"v":2}`)))
+	if err != nil || !strings.Contains(out.StringPart(0), `"v":2`) {
+		t.Errorf("ordinary call after the rejected one = %q, %v", out.StringPart(0), err)
 	}
 }

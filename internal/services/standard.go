@@ -98,16 +98,13 @@ func NewStandardRegistry(opts StandardOptions) (*Registry, error) {
 
 	r := NewRegistry()
 	specs := []Spec{
-		// MaxBatch/MaxInstances declare each service's tuning envelope: the
-		// expensive detectors with a real serialized section gain the most
-		// from batching (the serial cost is paid once per batch) and are
-		// the ones worth scaling out; the millisecond-class services are
+		// MaxInstances declares each service's scaling envelope, the
+		// tuner's ceiling; the millisecond-class services without one are
 		// never a bottleneck and stay untunable.
 		{
 			Name: PoseDetector, Cost: opts.PoseCost, Workers: opts.PoseWorkers,
 			SerialFraction: opts.PoseSerialFraction, NeedsFrame: true,
-			Handler:  handlePose,
-			MaxBatch: 4, BatchLinger: 20 * time.Millisecond, MaxInstances: 3,
+			Handler: handlePose, MaxInstances: 3,
 		},
 		{
 			Name: ActivityClassifier, Cost: opts.ActivityCost, Workers: 2,
@@ -124,18 +121,15 @@ func NewStandardRegistry(opts StandardOptions) (*Registry, error) {
 		},
 		{
 			Name: ObjectDetector, Cost: opts.ObjectCost, Workers: 2, SerialFraction: 0.3, NeedsFrame: true,
-			Handler:  handleObjects,
-			MaxBatch: 4, BatchLinger: 15 * time.Millisecond, MaxInstances: 2,
+			Handler: handleObjects, MaxInstances: 2,
 		},
 		{
 			Name: ImageClassifier, Cost: opts.ClassifyCost, Workers: 2, NeedsFrame: true,
-			Handler:  handleClassify(imgClf),
-			MaxBatch: 2, BatchLinger: 10 * time.Millisecond, MaxInstances: 2,
+			Handler: handleClassify(imgClf), MaxInstances: 2,
 		},
 		{
 			Name: FaceDetector, Cost: opts.FaceCost, Workers: 2, NeedsFrame: true,
-			Handler:  handleFace,
-			MaxBatch: 2, BatchLinger: 10 * time.Millisecond, MaxInstances: 2,
+			Handler: handleFace, MaxInstances: 2,
 		},
 		{
 			Name: FallDetector, Cost: opts.FallCost, Workers: 2,
