@@ -27,7 +27,8 @@ const slowSinkSrc = `
 // slowScenario is a one-module pipeline backed by a sink service with a
 // fixed simulated cost — a workload whose capacity is known by
 // construction (workers / cost), so the harness's own claims can be
-// checked against arithmetic instead of against itself.
+// checked against arithmetic instead of against itself. A tuned run may
+// scale the sink to two instances.
 func slowScenario(cost time.Duration, workers int) experiments.FloodScenario {
 	return experiments.FloodScenario{
 		Mix: "slowsink",
