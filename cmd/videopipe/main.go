@@ -49,7 +49,7 @@ source : { device: phone, module: streamer, fps: 15,
 func main() {
 	var (
 		configPath = flag.String("config", "", "pipeline configuration file (Listing-1 dialect)")
-		plannerArg = flag.String("planner", "videopipe", "deployment plan: videopipe|baseline|cost (every plan honours per-module device pins)")
+		plannerArg = flag.String("planner", "videopipe", "deployment plan: videopipe|baseline (every plan honours per-module device pins)")
 		duration   = flag.Duration("duration", 10*time.Second, "how long to run the pipeline")
 		fps        = flag.Float64("fps", 0, "override the config's source frame rate")
 		verbose    = flag.Bool("verbose", false, "print module log() output")
@@ -96,10 +96,8 @@ func run(configPath, plannerArg string, duration time.Duration, fps float64, ver
 		planner = videopipe.CoLocatePlanner{}
 	case "baseline":
 		planner = videopipe.BaselinePlanner{}
-	case "cost":
-		planner = videopipe.CostAwarePlanner{}
 	default:
-		return fmt.Errorf("unknown planner %q (videopipe|baseline|cost)", plannerArg)
+		return fmt.Errorf("unknown planner %q (videopipe|baseline)", plannerArg)
 	}
 
 	fmt.Println("building standard services (training activity classifier)...")

@@ -9,7 +9,7 @@
 //	vpbench -exp all -dur 3s       # everything, 3s measurement windows
 //
 // Experiments: fig6, table2, activity, repcount, scaleout, queueing,
-// codec, broker, workers, planners, chaos, all. The chaos experiment
+// codec, broker, workers, chaos, all. The chaos experiment
 // replays a seeded fault schedule (-seed) and prints a recovery-time
 // table per scenario.
 //
@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment to run: fig6|table2|activity|repcount|scaleout|queueing|codec|broker|workers|planners|chaos|all")
+		exp       = flag.String("exp", "all", "experiment to run: fig6|table2|activity|repcount|scaleout|queueing|codec|broker|workers|chaos|all")
 		dur       = flag.Duration("dur", 3*time.Second, "measurement window per configuration")
 		scene     = flag.String("scene", "squat", "exercise the synthetic subject performs")
 		seed      = flag.Int64("seed", 1, "seed for the accuracy experiments and the chaos fault schedule")
@@ -64,7 +64,7 @@ func run(exp string, dur time.Duration, scene string, seed int64, out string, su
 	needsRegistry := map[string]bool{
 		"fig6": true, "table2": true, "scaleout": true,
 		"queueing": true, "codec": true, "broker": true,
-		"planners": true, "chaos": true, "all": true,
+		"chaos": true, "all": true,
 	}
 	if needsRegistry[exp] {
 		fmt.Println("building standard services (training activity classifier)...")
@@ -97,7 +97,6 @@ func run(exp string, dur time.Duration, scene string, seed int64, out string, su
 		{"codec", runCodec},
 		{"broker", runBroker},
 		{"workers", runWorkers},
-		{"planners", runPlanners},
 		{"chaos", func(o experiments.Options, e *benchio.Entry) error { return runChaos(o, seed, e) }},
 	}
 	for _, d := range dispatch {
@@ -255,22 +254,6 @@ func runBroker(o experiments.Options, e *benchio.Entry) error {
 	e.SetDurationMS("direct_e2e_ms", res.DirectE2E)
 	e.Set("broker_fps", res.BrokerFPS)
 	e.SetDurationMS("broker_e2e_ms", res.BrokerE2E)
-	return nil
-}
-
-func runPlanners(o experiments.Options, e *benchio.Entry) error {
-	header("Extension — placement strategies compared (fitness @ 20 FPS)")
-	points, err := experiments.ComparePlanners(o)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-16s %10s %12s\n", "planner", "FPS", "e2e mean")
-	for _, p := range points {
-		fmt.Printf("%-16s %10.2f %12s\n", p.Planner, p.FPS, p.E2EMean.Round(time.Millisecond))
-		e.Set(p.Planner+"_fps", p.FPS)
-		e.SetDurationMS(p.Planner+"_e2e_ms", p.E2EMean)
-	}
-	fmt.Println("(expected: latency-aware derives the co-located plan; both beat the baseline)")
 	return nil
 }
 

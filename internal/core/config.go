@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"videopipe/internal/frame"
-	"videopipe/internal/script"
 	"videopipe/internal/wire"
 )
 
@@ -194,19 +193,6 @@ func (c *PipelineConfig) Sinks() []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// CostReports runs the pipecost static analysis over every module's
-// source and returns the per-module reports, keyed by module name. A
-// module that does not parse gets an empty report; deploy-time analysis
-// rejects it separately. The cost-aware planner consumes this to weight
-// placement and credit decisions.
-func (c *PipelineConfig) CostReports() map[string]script.CostReport {
-	out := make(map[string]script.CostReport, len(c.Modules))
-	for _, m := range c.Modules {
-		out[m.Name] = script.AnalyzeCost(m.Source)
-	}
 	return out
 }
 

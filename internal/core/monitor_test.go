@@ -11,7 +11,6 @@ import (
 	"videopipe/internal/apps"
 	"videopipe/internal/core"
 	"videopipe/internal/frame"
-	"videopipe/internal/netsim"
 	"videopipe/internal/services"
 )
 
@@ -128,85 +127,6 @@ func TestMonitorRunDeliversReports(t *testing.T) {
 	<-done
 	if len(got) == 0 {
 		t.Error("loop Run produced no reports")
-	}
-}
-
-func TestLatencyAwarePlannerMatchesCoLocateOnPaperTopology(t *testing.T) {
-	c := homeCluster(t)
-	cfg := apps.FitnessConfig("lat", 20, "squat")
-	plan, err := core.LatencyAwarePlanner{}.Plan(&cfg, c)
-	if err != nil {
-		t.Fatalf("Plan: %v", err)
-	}
-	want := map[string]string{
-		"video_streaming":      "phone",
-		"pose_detection":       "desktop",
-		"activity_recognition": "desktop",
-		"rep_counter":          "desktop",
-		"display":              "tv",
-	}
-	for mod, dev := range want {
-		if plan.Placement[mod] != dev {
-			t.Errorf("placement[%s] = %q, want %q", mod, plan.Placement[mod], dev)
-		}
-	}
-}
-
-func TestLatencyAwarePlannerRespectsPins(t *testing.T) {
-	c := homeCluster(t)
-	cfg := validConfig()
-	cfg.Modules[0].Device = "tv"
-	plan, err := core.LatencyAwarePlanner{}.Plan(&cfg, c)
-	if err != nil {
-		t.Fatalf("Plan: %v", err)
-	}
-	if plan.Placement["a"] != "tv" {
-		t.Errorf("pin ignored: %v", plan.Placement)
-	}
-	cfg.Modules[0].Device = "ghost"
-	if _, err := (core.LatencyAwarePlanner{}).Plan(&cfg, c); err == nil {
-		t.Error("unknown pin accepted")
-	}
-}
-
-func TestLatencyAwarePlannerAvoidsExpensiveLink(t *testing.T) {
-	// Give the chain no services so placement is driven purely by
-	// transfers; make the phone<->desktop link terrible. The planner
-	// should keep the whole chain on the phone rather than hop across.
-	c := homeCluster(t)
-	c.Network().SetLink("phone", "desktop", netsim.LinkProfile{Latency: 500 * time.Millisecond, Bandwidth: 100_000})
-	cfg := core.PipelineConfig{
-		Name: "chain",
-		Modules: []core.ModuleConfig{
-			{Name: "a", Source: "function event_received(m) {}", Next: []string{"b"}},
-			{Name: "b", Source: "function event_received(m) {}"},
-		},
-		Source: core.SourceConfig{Device: "phone", FirstModule: "a", FPS: 10, Width: 480, Height: 360},
-	}
-	plan, err := core.LatencyAwarePlanner{}.Plan(&cfg, c)
-	if err != nil {
-		t.Fatalf("Plan: %v", err)
-	}
-	if plan.Placement["a"] != "phone" || plan.Placement["b"] != "phone" {
-		t.Errorf("serviceless chain left the camera device: %v", plan.Placement)
-	}
-}
-
-func TestLatencyAwarePipelineRuns(t *testing.T) {
-	c := homeCluster(t)
-	p, err := c.Launch(apps.FitnessConfig("latrun", 15, "squat"), core.LatencyAwarePlanner{})
-	if err != nil {
-		t.Fatalf("Launch: %v", err)
-	}
-	if p.PlannerName() != "latency-aware" {
-		t.Errorf("planner name = %q", p.PlannerName())
-	}
-	res, err := p.Run(context.Background(), time.Second)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Delivered == 0 {
-		t.Error("latency-aware plan delivered nothing")
 	}
 }
 

@@ -168,7 +168,7 @@ func validConfig() core.PipelineConfig {
 // a pin naming an unknown device.
 func TestPlannersFollowPins(t *testing.T) {
 	c := homeCluster(t)
-	for _, planner := range []core.Planner{core.CoLocatePlanner{}, core.CostAwarePlanner{}, core.BaselinePlanner{}, core.LatencyAwarePlanner{}} {
+	for _, planner := range []core.Planner{core.CoLocatePlanner{}, core.BaselinePlanner{}} {
 		cfg := validConfig()
 		cfg.Modules[0].Device = "desktop"
 		cfg.Modules[1].Device = "tv"

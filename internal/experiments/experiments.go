@@ -360,42 +360,3 @@ func ScaleOut(o Options) (ScaleOutResult, error) {
 	}
 	return out, nil
 }
-
-// ---- Extension experiment: planner comparison ----
-
-// PlannerPoint is one placement strategy's outcome on the fitness app.
-type PlannerPoint struct {
-	Planner string
-	FPS     float64
-	E2EMean time.Duration
-}
-
-// ComparePlanners runs the fitness application under every placement
-// strategy on the same cluster topology: the co-location rule, the
-// latency-aware scheduler (paper §7 future work), and the remote-API
-// baseline. On the paper's topology the first two should coincide and both
-// should dominate the baseline.
-func ComparePlanners(o Options) ([]PlannerPoint, error) {
-	reg, err := o.registry()
-	if err != nil {
-		return nil, err
-	}
-	planners := []core.Planner{
-		core.CoLocatePlanner{},
-		core.LatencyAwarePlanner{},
-		core.BaselinePlanner{},
-	}
-	var out []PlannerPoint
-	for _, planner := range planners {
-		spec := apps.HomeClusterSpec()
-		if planner.Name() == "baseline" {
-			spec = apps.BaselineClusterSpec()
-		}
-		res, err := runFitness(reg, spec, planner, "plan"+planner.Name(), 20, o.scene(), o.duration())
-		if err != nil {
-			return nil, fmt.Errorf("experiments: planner %s: %w", planner.Name(), err)
-		}
-		out = append(out, PlannerPoint{Planner: planner.Name(), FPS: res.FPS, E2EMean: res.E2E.Mean})
-	}
-	return out, nil
-}

@@ -250,34 +250,6 @@ func TestAblationWorkers(t *testing.T) {
 	}
 }
 
-func TestComparePlanners(t *testing.T) {
-	points, err := ComparePlanners(fastOptions(t))
-	if err != nil {
-		t.Fatalf("ComparePlanners: %v", err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
-	}
-	byName := map[string]PlannerPoint{}
-	for _, p := range points {
-		byName[p.Planner] = p
-	}
-	for _, name := range []string{"videopipe", "latency-aware", "baseline"} {
-		if byName[name].FPS <= 0 {
-			t.Errorf("planner %s produced no throughput", name)
-		}
-	}
-	if !raceEnabled {
-		// Both smart planners beat the synchronous remote baseline.
-		if byName["videopipe"].FPS <= byName["baseline"].FPS {
-			t.Errorf("videopipe %.2f <= baseline %.2f", byName["videopipe"].FPS, byName["baseline"].FPS)
-		}
-		if byName["latency-aware"].FPS <= byName["baseline"].FPS {
-			t.Errorf("latency-aware %.2f <= baseline %.2f", byName["latency-aware"].FPS, byName["baseline"].FPS)
-		}
-	}
-}
-
 // The scripted mix's burn stages keep no state, so the device runtime
 // replicates them: script_heavy and the scripted knee measure that path.
 func TestScriptedStagesAreReplicable(t *testing.T) {

@@ -389,7 +389,3 @@ func ParseAddress(address string) (Addr, error) {
 	}
 	return Addr{Host: host, Port: port}, nil
 }
-
-// Profile reports the link profile in effect between two hosts — the cost
-// model input for latency-aware placement.
-func (n *Network) Profile(a, b string) LinkProfile { return n.linkProfile(a, b) }

@@ -4,11 +4,10 @@ package script
 //
 // For every lifecycle entry point — the module's top-level load, init() and
 // event_received() — the pass computes a sound upper bound on the number of
-// interpreter instructions one invocation can execute and on the number of
-// values it can allocate. "Instruction" means exactly what the interpreter
-// meters: one step per statement executed, one per expression evaluated,
-// and one per loop-iteration check (interp.go charges in.step at the same
-// points), so the static bound is directly comparable to the runtime
+// interpreter instructions one invocation can execute. "Instruction" means
+// exactly what the interpreter meters: one step per statement executed, one
+// per expression evaluated, and one per loop-iteration check (interp.go
+// charges in.step at the same points), so the static bound is directly comparable to the runtime
 // counter exposed by Context.LastInstructions and the
 // `script.<module>.instructions` meter. The soundness contract — static
 // bound >= measured count for every handler — is enforced by the golden
@@ -17,13 +16,12 @@ package script
 // The analysis is an abstract interpretation over the AST:
 //
 //   - Straight-line code sums; branches (if, ?:, switch) take the
-//     elementwise maximum over arms, which upper-bounds any single path.
+//     maximum over arms, which upper-bounds any single path.
 //   - Counted `for` loops with a constant-foldable bound, constant step and
 //     an induction variable that only the loop's own update can write get a
 //     closed-form iteration count; `for-of` over literals or range(k)
 //     likewise. Everything else is statically unbounded and reported as
-//     PV012 (the runtime step budget still caps it, but the planner cannot
-//     price it).
+//     PV012 (the runtime step budget still caps it).
 //   - Calls to the module's own top-level functions are inlined through a
 //     memoized call-graph traversal; cycles are recursion, reported as
 //     PV013 and unbounded. Calls through dynamic function values (locals,
@@ -32,16 +30,12 @@ package script
 //     local? — are answered by the resolve pass's annotations, the same
 //     ones the interpreter runs on, never by a name set of the pass's own.
 //   - Host bindings and stdlib builtins execute in Go and cost zero
-//     interpreter instructions; the pass instead records a worst-case
-//     invocation count per callable name (HandlerCost.HostCalls). The
-//     planner weights those counts with the Cost declared in the shared
-//     signature table — DNN-backed calls such as call_service carry a
-//     large Symbolic cost, since their true latency belongs to the
-//     service, not the script.
+//     interpreter instructions: a call to one charges only the call
+//     expression, its callee and its arguments.
 //
 // Both PV012 and PV013 are warnings: an unbounded handler is legal (the
-// sandbox step budget protects the device) but opaque to cost-aware
-// placement and to the instruction-limit governance this analysis feeds.
+// sandbox step budget protects the device) but opaque to the
+// instruction-limit governance this analysis feeds (PV014).
 
 import (
 	"fmt"
@@ -57,11 +51,6 @@ const (
 	LoadHandler = "(load)"
 )
 
-// UnboundedWeight is the planner weight of a handler whose cost the
-// analysis could not bound. It dominates any realistic bounded weight
-// without saturating int64 arithmetic in the planner's sums.
-const UnboundedWeight = int64(1) << 40
-
 // costCap saturates bound arithmetic: any bound that climbs past it stays
 // pinned there, keeping deeply nested counted loops from overflowing.
 const costCap = int64(1) << 50
@@ -74,56 +63,14 @@ type HandlerCost struct {
 	// Pos locates the handler's definition (zero for LoadHandler).
 	Pos Position
 	// Bounded reports whether the analysis found a finite bound. When
-	// false, Steps/Allocs are meaningless and Reasons explains why.
+	// false, Steps is meaningless and Reasons explains why.
 	Bounded bool
 	// Steps bounds the interpreter instructions one invocation executes —
 	// comparable to Context.LastInstructions.
 	Steps int64
-	// Allocs bounds the script values (arrays, objects, functions,
-	// strings) one invocation allocates. Advisory: builtin allocation
-	// behavior is approximated by a per-call estimate.
-	Allocs int64
-	// HostCalls bounds how many times each host binding or builtin can be
-	// invoked, keyed by global name. Host calls run in Go and contribute
-	// zero Steps; the planner prices them via the signature table's Cost.
-	HostCalls map[string]int64
 	// Reasons lists why the bound is unbounded (loop, recursion, dynamic
 	// call), deduplicated, for diagnostics and reports.
 	Reasons []string
-}
-
-// Weight folds a handler's cost into one scalar for the planner: the
-// instruction bound plus every worst-case host/builtin invocation priced
-// at its signature-table Cost (default 1). Unbounded handlers weigh
-// UnboundedWeight.
-func (h HandlerCost) Weight() int64 {
-	if !h.Bounded {
-		return UnboundedWeight
-	}
-	w := h.Steps
-	for name, n := range h.HostCalls {
-		cost := int64(1)
-		if sig, ok := callSignatures[name]; ok && sig.Cost > 0 {
-			cost = sig.Cost
-		}
-		w = satAdd(w, satMul(n, cost))
-	}
-	return w
-}
-
-// Symbolic reports whether the handler can invoke a host call whose cost
-// is symbolic (DNN-backed, e.g. call_service) — the signal the planner
-// uses to count a pipeline's heavy stages.
-func (h HandlerCost) Symbolic() bool {
-	for name, n := range h.HostCalls {
-		if n <= 0 {
-			continue
-		}
-		if sig, ok := callSignatures[name]; ok && sig.Symbolic {
-			return true
-		}
-	}
-	return false
 }
 
 // CostReport is the pipecost result for one module: worst-case bounds per
@@ -142,27 +89,9 @@ func (r CostReport) Handler(name string) (HandlerCost, bool) {
 	return HandlerCost{}, false
 }
 
-// EventWeight is the planner weight of the module's event_received
-// handler — the per-frame cost signal. Modules without a handler (pure
-// sources analyzed standalone) weigh 1.
-func (r CostReport) EventWeight() int64 {
-	if h, ok := r.Handler("event_received"); ok {
-		return h.Weight()
-	}
-	return 1
-}
-
-// EventSymbolic reports whether the event handler makes symbolic
-// (DNN-backed) host calls.
-func (r CostReport) EventSymbolic() bool {
-	h, ok := r.Handler("event_received")
-	return ok && h.Symbolic()
-}
-
 // AnalyzeCost parses src and runs only the pipecost pass, without the rest
-// of the pipevet checks — the entry point planners use. Unparseable
-// sources yield an empty report (deploy-time analysis rejects them
-// separately).
+// of the pipevet checks. Unparseable sources yield an empty report
+// (deploy-time analysis rejects them separately).
 func AnalyzeCost(src string) CostReport {
 	prog, err := parseResolved(src)
 	if err != nil {
@@ -175,19 +104,17 @@ func AnalyzeCost(src string) CostReport {
 // ---- bound arithmetic ----
 
 // bound is the abstract cost value the pass propagates: either a finite
-// (steps, allocs, per-callable counts) triple or "unbounded" with reasons.
+// step count or "unbounded" with reasons.
 type bound struct {
-	ok     bool
-	steps  int64
-	allocs int64
-	calls  map[string]int64
+	ok    bool
+	steps int64
 	// unbounded classification, used to pick PV012 vs PV013.
 	reasons   []string
 	recursion bool
 	dynamic   bool
 }
 
-func finite(steps, allocs int64) bound { return bound{ok: true, steps: steps, allocs: allocs} }
+func finite(steps int64) bound { return bound{ok: true, steps: steps} }
 
 func unboundedBy(reason string) bound { return bound{reasons: []string{reason}} }
 
@@ -234,9 +161,7 @@ func (b bound) add(o bound) bound {
 		}
 		return out
 	}
-	out := bound{ok: true, steps: satAdd(b.steps, o.steps), allocs: satAdd(b.allocs, o.allocs)}
-	out.calls = mergeCalls(b.calls, o.calls, 1)
-	return out
+	return finite(satAdd(b.steps, o.steps))
 }
 
 // addSteps adds a constant instruction cost.
@@ -248,39 +173,18 @@ func (b bound) addSteps(n int64) bound {
 	return b
 }
 
-// addAllocs adds a constant allocation cost.
-func (b bound) addAllocs(n int64) bound {
-	if !b.ok {
-		return b
-	}
-	b.allocs = satAdd(b.allocs, n)
-	return b
-}
-
-// addCall records one worst-case invocation of a host/builtin callable.
-func (b bound) addCall(name string) bound {
-	if !b.ok {
-		return b
-	}
-	out := b
-	out.calls = mergeCalls(b.calls, map[string]int64{name: 1}, 1)
-	return out
-}
-
 // scale multiplies a bound by an iteration count.
 func (b bound) scale(n int64) bound {
 	if !b.ok {
 		return b
 	}
 	if n <= 0 {
-		return finite(0, 0)
+		return finite(0)
 	}
-	out := bound{ok: true, steps: satMul(b.steps, n), allocs: satMul(b.allocs, n)}
-	out.calls = mergeCalls(nil, b.calls, n)
-	return out
+	return finite(satMul(b.steps, n))
 }
 
-// maxBound takes the elementwise maximum over two alternative paths — a
+// maxBound takes the maximum over two alternative paths — a
 // sound upper bound for whichever path executes.
 func maxBound(a, b bound) bound {
 	if !a.ok || !b.ok {
@@ -291,56 +195,7 @@ func maxBound(a, b bound) bound {
 		}
 		return out
 	}
-	out := bound{ok: true, steps: a.steps, allocs: a.allocs}
-	if b.steps > out.steps {
-		out.steps = b.steps
-	}
-	if b.allocs > out.allocs {
-		out.allocs = b.allocs
-	}
-	out.calls = maxCalls(a.calls, b.calls)
-	return out
-}
-
-func mergeCalls(dst, src map[string]int64, factor int64) map[string]int64 {
-	if len(src) == 0 {
-		return cloneCalls(dst)
-	}
-	out := cloneCalls(dst)
-	if out == nil {
-		out = make(map[string]int64, len(src))
-	}
-	for name, n := range src {
-		out[name] = satAdd(out[name], satMul(n, factor))
-	}
-	return out
-}
-
-func maxCalls(a, b map[string]int64) map[string]int64 {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	out := cloneCalls(a)
-	if out == nil {
-		out = make(map[string]int64, len(b))
-	}
-	for name, n := range b {
-		if n > out[name] {
-			out[name] = n
-		}
-	}
-	return out
-}
-
-func cloneCalls(m map[string]int64) map[string]int64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]int64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return finite(max(a.steps, b.steps))
 }
 
 // ---- the pass ----
@@ -374,7 +229,7 @@ func costPass(prog *program, funcs funcTable, sigs map[string]Signature, globals
 	bounds := make(map[string]bound)
 
 	// Module load: the top-level statements, once.
-	load := finite(0, 0)
+	load := finite(0)
 	for _, s := range prog.stmts {
 		load = load.add(ca.stmtCost(s))
 	}
@@ -455,8 +310,6 @@ func (ca *costAnalysis) handlerCost(name string, pos Position, b bound) HandlerC
 	h := HandlerCost{Name: name, Pos: pos, Bounded: b.ok}
 	if b.ok {
 		h.Steps = b.steps
-		h.Allocs = b.allocs
-		h.HostCalls = cloneCalls(b.calls)
 	} else {
 		h.Reasons = append([]string(nil), b.reasons...)
 	}
@@ -474,9 +327,9 @@ func (ca *costAnalysis) functionCost(def funcDef) bound {
 	return ca.calls.visit(def.name, recursion, func() bound {
 		caller := ca.fn
 		ca.fn = def.fn
-		// Calling a script function allocates its `arguments` array; the body
-		// statements execute via execStmt with no extra call-frame step.
-		b := finite(0, 1)
+		// The body statements execute via execStmt with no extra call-frame
+		// step.
+		b := finite(0)
 		for _, s := range def.fn.body.stmts {
 			b = b.add(ca.stmtCost(s))
 		}
@@ -517,7 +370,7 @@ func (ca *costAnalysis) builtin(id *identExpr) bool {
 // statement charges 1 on entry, plus its parts.
 
 func (ca *costAnalysis) stmtCost(s stmt) bound {
-	one := finite(1, 0)
+	one := finite(1)
 	switch st := s.(type) {
 	case *exprStmt:
 		return one.add(ca.exprCost(st.x))
@@ -536,8 +389,7 @@ func (ca *costAnalysis) stmtCost(s stmt) bound {
 	case *ifStmt:
 		b := one.add(ca.condCost(st.cond))
 		thenB := ca.stmtCost(st.then)
-		var elseB bound
-		elseB = finite(0, 0)
+		elseB := finite(0)
 		if st.elsE != nil {
 			elseB = ca.stmtCost(st.elsE)
 		}
@@ -575,22 +427,18 @@ func (ca *costAnalysis) stmtCost(s stmt) bound {
 		// Worst case evaluates every case value; a match can fall through
 		// every case body, a miss runs the default.
 		b := one.add(ca.exprCost(st.subject))
-		var bodies bound
-		bodies = finite(0, 0)
+		bodies := finite(0)
 		for _, c := range st.cases {
 			b = b.add(ca.exprCost(c.value))
 			for _, inner := range c.body {
 				bodies = bodies.add(ca.stmtCost(inner))
 			}
 		}
-		var def bound
-		def = finite(0, 0)
+		def := finite(0)
 		for _, inner := range st.defaultBody {
 			def = def.add(ca.stmtCost(inner))
 		}
 		return b.add(maxBound(bodies, def))
-	case *funcDecl:
-		return one.addAllocs(1)
 	default:
 		return one
 	}
@@ -607,7 +455,7 @@ func (ca *costAnalysis) whileCost(st *whileStmt) bound {
 	cond := ca.condCost(st.cond)
 	if v, ok := foldConst(st.cond); ok && v == 0 {
 		// One iteration check, body never runs: 1 (stmt) + 1 (head) + cond.
-		return finite(2, 0).add(cond)
+		return finite(2).add(cond)
 	}
 	ca.reportLoop(st.pos, "while loop has no statically inferable iteration bound")
 	// Walk the body anyway so nested diagnostics (inner loops, recursion)
@@ -636,25 +484,23 @@ func (ca *costAnalysis) forCost(st *forStmt) bound {
 		return unboundedBy("for loop at " + st.pos.String())
 	}
 
-	b := finite(1, 0)
+	b := finite(1)
 	if st.init != nil {
 		b = b.add(ca.stmtCost(st.init))
 	}
-	var cond bound
-	cond = finite(0, 0)
+	cond := finite(0)
 	if st.cond != nil {
 		cond = ca.condCost(st.cond)
 	}
 	body := ca.stmtCost(st.body)
-	var post bound
-	post = finite(0, 0)
+	post := finite(0)
 	if st.post != nil {
 		post = ca.exprCost(st.post)
 	}
 	// Each of the n iterations charges the head step, the condition, the
 	// body and the post; the final (failing) check charges head + cond.
-	perIter := finite(1, 0).add(cond).add(body).add(post)
-	return b.add(perIter.scale(n)).add(finite(1, 0)).add(cond)
+	perIter := finite(1).add(cond).add(body).add(post)
+	return b.add(perIter.scale(n)).add(finite(1)).add(cond)
 }
 
 // forOfCost bounds iteration over literal collections and range(k).
@@ -666,11 +512,10 @@ func (ca *costAnalysis) forOfCost(st *forOfStmt) bound {
 		ca.stmtCost(st.body)
 		return unboundedBy("for-of loop at " + st.pos.String())
 	}
-	b := finite(1, 0).add(ca.exprCost(st.iter))
+	b := finite(1).add(ca.exprCost(st.iter))
 	body := ca.stmtCost(st.body)
-	// Each item charges the head step plus the body; string iteration can
-	// allocate one value per rune, so charge one alloc per item.
-	perIter := finite(1, 1).add(body)
+	// Each item charges the head step plus the body.
+	perIter := finite(1).add(body)
 	return b.add(perIter.scale(n))
 }
 
@@ -689,34 +534,26 @@ func (ca *costAnalysis) reportLoop(pos Position, msg string) {
 // Mirrors evalExpr: every expression node charges 1, plus its parts.
 
 func (ca *costAnalysis) exprCost(e expr) bound {
-	one := finite(1, 0)
+	one := finite(1)
 	switch ex := e.(type) {
 	case *numberLit, *stringLit, *boolLit, *nullLit, *identExpr:
 		return one
 	case *arrayLit:
-		b := one.addAllocs(1)
+		b := one
 		for _, el := range ex.elems {
 			b = b.add(ca.exprCost(el))
 		}
 		return b
 	case *objectLit:
-		b := one.addAllocs(1)
+		b := one
 		for _, f := range ex.fields {
 			b = b.add(ca.exprCost(f.value))
 		}
 		return b
-	case *funcLit:
-		return one.addAllocs(1)
 	case *unaryExpr:
 		return one.add(ca.exprCost(ex.x))
 	case *binaryExpr:
-		b := one.add(ca.exprCost(ex.x)).add(ca.exprCost(ex.y))
-		if ex.op == "+" {
-			// String concatenation allocates; numeric + does not, but the
-			// operand types are dynamic — charge the worst case.
-			b = b.addAllocs(1)
-		}
-		return b
+		return one.add(ca.exprCost(ex.x)).add(ca.exprCost(ex.y))
 	case *logicalExpr:
 		return one.add(ca.exprCost(ex.x)).add(ca.exprCost(ex.y))
 	case *condExpr:
@@ -727,9 +564,6 @@ func (ca *costAnalysis) exprCost(e expr) bound {
 		if ex.op != "=" {
 			// Compound assignment reads the target first.
 			b = b.add(ca.exprCost(ex.target))
-			if ex.op == "+=" {
-				b = b.addAllocs(1)
-			}
 		}
 		return b.add(ca.writeCost(ex.target))
 	case *updateExpr:
@@ -753,19 +587,18 @@ func (ca *costAnalysis) writeCost(target expr) bound {
 	case *memberExpr:
 		return ca.exprCost(tg.obj)
 	case *indexExpr:
-		// Index assignment into an array may grow it.
-		return ca.exprCost(tg.obj).add(ca.exprCost(tg.index)).addAllocs(1)
+		return ca.exprCost(tg.obj).add(ca.exprCost(tg.index))
 	default:
-		return finite(0, 0)
+		return finite(0)
 	}
 }
 
 // callCost resolves the callee: module functions inline their memoized
-// cost, host/builtin names record an invocation, everything else is
-// dynamic and unboundable.
+// cost, host/builtin calls add nothing beyond the call itself, everything
+// else is dynamic and unboundable.
 func (ca *costAnalysis) callCost(ex *callExpr) bound {
 	// The call expression itself plus argument evaluation.
-	b := finite(1, 0)
+	b := finite(1)
 	for _, arg := range ex.args {
 		b = b.add(ca.exprCost(arg))
 	}
@@ -790,24 +623,12 @@ func (ca *costAnalysis) callCost(ex *callExpr) bound {
 	}
 	if ca.builtin(id) {
 		// Host bindings and builtins execute in Go: zero interpreter steps.
-		return b.addCall(id.name).addAllocs(builtinAllocCost(id.name))
+		return b
 	}
 	// Unknown name: PV001 territory; cost-wise it cannot be priced.
 	dyn := unboundedBy(fmt.Sprintf("call to unresolvable callee %q at %s", id.name, ex.pos))
 	dyn.dynamic = true
 	return b.add(dyn)
-}
-
-// builtinAllocCost estimates the script values a host/builtin call
-// allocates (advisory; see HandlerCost.Allocs).
-func builtinAllocCost(name string) int64 {
-	switch name {
-	case "str", "push", "unshift", "slice", "concat", "reverse", "sort", "range",
-		"keys", "values", "split", "substr", "upper", "lower", "trim", "join",
-		"json_encode", "json_decode", "call_service":
-		return 1
-	}
-	return 0
 }
 
 // ---- loop-bound inference ----

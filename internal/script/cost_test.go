@@ -310,67 +310,6 @@ func TestCostCountedLoopTight(t *testing.T) {
 	}
 }
 
-// TestCostWeight checks the planner-facing scalar: host calls priced from
-// the signature table, symbolic detection, unbounded domination.
-func TestCostWeight(t *testing.T) {
-	light := AnalyzeCost(`function event_received(message) { log(message.seq); frame_done(); }`)
-	heavy := AnalyzeCost(`function event_received(message) {
-  var r = call_service("pose_detector", {frame_ref: message.frame_ref});
-  call_module("next", {pose: r.pose});
-}`)
-	if light.EventSymbolic() {
-		t.Error("light handler should not be symbolic")
-	}
-	if !heavy.EventSymbolic() {
-		t.Error("call_service handler should be symbolic")
-	}
-	lw, hw := light.EventWeight(), heavy.EventWeight()
-	if lw <= 0 || hw <= 0 {
-		t.Fatalf("weights must be positive: light %d, heavy %d", lw, hw)
-	}
-	if hw <= lw {
-		t.Errorf("call_service must dominate: light %d, heavy %d", lw, hw)
-	}
-	if sig := callSignatures["call_service"]; hw < sig.Cost {
-		t.Errorf("heavy weight %d below call_service cost %d", hw, sig.Cost)
-	}
-
-	unbounded := AnalyzeCost(`function event_received(message) { while (message.go) { log(1); } }`)
-	if w := unbounded.EventWeight(); w != UnboundedWeight {
-		t.Errorf("unbounded weight = %d, want UnboundedWeight", w)
-	}
-
-	// Loop scaling: 100 iterations of a metric call must weigh roughly
-	// 100x the single call.
-	looped := AnalyzeCost(`function event_received(message) {
-  for (var i = 0; i < 100; i++) { metric("i", i); }
-  frame_done();
-}`)
-	h, _ := looped.Handler("event_received")
-	if n := h.HostCalls["metric"]; n != 100 {
-		t.Errorf("metric call bound = %d, want 100", n)
-	}
-}
-
-// TestCostAllocs sanity-checks the advisory allocation bound.
-func TestCostAllocs(t *testing.T) {
-	rep := AnalyzeCost(`function event_received(message) {
-  var box = {x: 1, y: 2};
-  var pts = [box, box];
-  var label = "p" + message.seq;
-  log(label, pts);
-  frame_done();
-}`)
-	h, ok := rep.Handler("event_received")
-	if !ok || !h.Bounded {
-		t.Fatalf("handler not bounded: %+v", h)
-	}
-	// At least: arguments array, object literal, array literal, concat.
-	if h.Allocs < 4 {
-		t.Errorf("allocation bound %d too small", h.Allocs)
-	}
-}
-
 // TestCostShadowedBuiltin: a module function shadowing a builtin must not
 // be priced as the builtin (that would be unsound if it recursed).
 func TestCostShadowedBuiltin(t *testing.T) {

@@ -92,9 +92,8 @@ func shapePass(prog *program, funcs funcTable, sigs map[string]Signature, global
 	sort.SliceStable(sites, func(i, j int) bool { return sites[i].Pos.before(sites[j].Pos) })
 
 	rep := ShapeReport{
-		Emits:        make(map[string]*Shape),
-		EmitSites:    sites,
-		ServiceReads: collectServiceReads(prog),
+		Emits:     make(map[string]*Shape),
+		EmitSites: sites,
 	}
 	for _, s := range sites {
 		if s.Target == "" {
@@ -902,45 +901,4 @@ func paramKinds(sig Signature, i int) KindSet {
 		return kindsFromType(sig.Rest)
 	}
 	return 0
-}
-
-// ---- service result reads (documentation) ----
-
-// collectServiceReads records, per literal call_service target, the fields
-// read off a variable directly bound to its result.
-func collectServiceReads(prog *program) map[string][]string {
-	bound := make(map[*binding]string)
-	for _, s := range prog.stmts {
-		inspect(s, func(n node) bool {
-			if st, ok := n.(*declStmt); ok {
-				if call, ok := st.init.(*callExpr); ok {
-					if cid, ok := call.callee.(*identExpr); ok && cid.name == "call_service" && len(call.args) > 0 {
-						if svc, ok := call.args[0].(*stringLit); ok {
-							bound[st.b] = svc.value
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	out := make(map[string][]string)
-	seen := make(map[string]bool)
-	for _, s := range prog.stmts {
-		inspect(s, func(n node) bool {
-			if m, ok := n.(*memberExpr); ok {
-				if id, ok := m.obj.(*identExpr); ok {
-					if svc, ok := bound[id.bind]; ok && !seen[svc+"\x00"+m.name] {
-						seen[svc+"\x00"+m.name] = true
-						out[svc] = append(out[svc], m.name)
-					}
-				}
-			}
-			return true
-		})
-	}
-	for svc := range out {
-		sort.Strings(out[svc])
-	}
-	return out
 }

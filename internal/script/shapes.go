@@ -364,9 +364,6 @@ type ShapeReport struct {
 	DynamicEmit *Shape
 	// Consumed describes the event_received handler's reads.
 	Consumed ConsumedShape
-	// ServiceReads documents, per call_service target, which result fields
-	// the module reads (best-effort, for docs and tooling).
-	ServiceReads map[string][]string
 }
 
 // AnalyzeShapes runs only the pipetype shape inference over a module

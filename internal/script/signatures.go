@@ -38,16 +38,6 @@ type Signature struct {
 	// that the runtime calls into the script; for callbacks Min/Max bound
 	// the declared parameter count rather than call-site arguments.
 	Callback bool
-	// Cost is the pipecost planner weight of one invocation, in abstract
-	// instruction units comparable to interpreter steps. Zero means the
-	// default (1): the call runs in Go and is roughly as cheap as one
-	// interpreted instruction.
-	Cost int64
-	// Symbolic marks host calls whose true cost lives outside the script —
-	// DNN-backed service invocations whose latency the planner must model
-	// separately. Cost is then a coarse stand-in, and the cost-aware
-	// planner counts symbolic stages when sizing flow-control credits.
-	Symbolic bool
 }
 
 // Check validates live call arguments against the signature. Error text
@@ -129,18 +119,15 @@ func HostSignature(name string) (Signature, bool) {
 // (internal/device.bindHostAPI) plus the lifecycle callbacks it invokes.
 var hostSignatureTable = map[string]Signature{
 	"call_service": {Name: "call_service", Min: 1, Max: 2, Params: []Param{
-		{Name: "service name", Type: "string"}, {Name: "message", Type: "object"}},
-		Cost: 25_000, Symbolic: true},
+		{Name: "service name", Type: "string"}, {Name: "message", Type: "object"}}},
 	"call_module": {Name: "call_module", Min: 1, Max: 2, Params: []Param{
-		{Name: "module name", Type: "string"}, {Name: "message", Type: "object"}},
-		Cost: 500},
+		{Name: "module name", Type: "string"}, {Name: "message", Type: "object"}}},
 	"metric": {Name: "metric", Min: 2, Max: 2, Params: []Param{
-		{Name: "name", Type: "string"}, {Name: "value", Type: "number"}},
-		Cost: 20},
-	"log":         {Name: "log", Min: 0, Max: -1, Cost: 20},
-	"now_ms":      {Name: "now_ms", Min: 0, Max: 0, Cost: 5},
-	"frame_done":  {Name: "frame_done", Min: 0, Max: 0, Cost: 5},
-	"device_name": {Name: "device_name", Min: 0, Max: 0, Cost: 5},
+		{Name: "name", Type: "string"}, {Name: "value", Type: "number"}}},
+	"log":         {Name: "log", Min: 0, Max: -1},
+	"now_ms":      {Name: "now_ms", Min: 0, Max: 0},
+	"frame_done":  {Name: "frame_done", Min: 0, Max: 0},
+	"device_name": {Name: "device_name", Min: 0, Max: 0},
 
 	// Lifecycle callbacks the runtime calls into the module. Min/Max bound
 	// the declared parameter count (event_received receives one message).
@@ -166,7 +153,7 @@ var builtinSignatureTable = map[string]Signature{
 	"concat":   {Name: "concat", Min: 0, Max: -1, Rest: "array"},
 	"index_of": sig2("index_of", Param{"value", "array|string"}, Param{"needle", "any"}),
 	"reverse":  sig1("reverse", Param{"array", "array"}),
-	"sort":     costed(sig1("sort", Param{"array", "array"}), 25),
+	"sort":     sig1("sort", Param{"array", "array"}),
 	"range":    sig1("range", Param{"n", "number"}),
 
 	"keys":   sig1("keys", Param{"object", "object"}),
@@ -199,15 +186,8 @@ var builtinSignatureTable = map[string]Signature{
 	"starts_with": sig2("starts_with", Param{"string", "string"}, Param{"prefix", "string"}),
 	"ends_with":   sig2("ends_with", Param{"string", "string"}, Param{"suffix", "string"}),
 
-	"json_encode": costed(sig1("json_encode", Param{"value", "any"}), 50),
-	"json_decode": costed(sig1("json_decode", Param{"text", "string"}), 50),
-}
-
-// costed overrides a builtin signature's pipecost planner weight; builtins
-// without an override default to cost 1.
-func costed(s Signature, cost int64) Signature {
-	s.Cost = cost
-	return s
+	"json_encode": sig1("json_encode", Param{"value", "any"}),
+	"json_decode": sig1("json_decode", Param{"text", "string"}),
 }
 
 func sig1(name string, p Param) Signature {

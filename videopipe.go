@@ -77,13 +77,6 @@ type (
 	// BaselinePlanner is the EdgeEye-style comparison: all modules on one
 	// device making synchronous remote API calls.
 	BaselinePlanner = core.BaselinePlanner
-	// LatencyAwarePlanner places modules by minimizing a per-frame latency
-	// estimate from the cluster's link profiles (the paper's "scheduling"
-	// future work).
-	LatencyAwarePlanner = core.LatencyAwarePlanner
-	// CostAwarePlanner weights serviceless-module placement and credit
-	// selection by the pipecost static worst-case handler costs.
-	CostAwarePlanner = core.CostAwarePlanner
 
 	// Loop is a cluster's control loop. Every tick it samples pipelines
 	// and services — progress, stalls, module errors, pool utilization (the
@@ -244,10 +237,9 @@ func AnalyzePipeline(cfg *PipelineConfig) []Diagnostic { return core.AnalyzePipe
 func AnalyzeScript(src string) []Diagnostic { return core.AnalyzeModuleSource(src) }
 
 // AnalyzeCost runs only the pipecost static cost analysis over a single
-// PipeScript module source: a sound worst-case instruction bound and
-// allocation bound per event handler, validated against the interpreter's
-// per-event instruction counter (the `script.<module>.instructions`
-// meter).
+// PipeScript module source: a sound worst-case instruction bound per event
+// handler, validated against the interpreter's per-event instruction
+// counter (the `script.<module>.instructions` meter).
 func AnalyzeCost(src string) CostReport { return script.AnalyzeCost(src) }
 
 // AnalyzeShapes runs only the pipetype event-shape inference over a single
