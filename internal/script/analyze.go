@@ -183,7 +183,8 @@ func Analyze(src string, opts Options) Report {
 		a.sigs = CallSignatures()
 	}
 	funcs := topLevelFuncs(prog)
-	a.run(prog, funcs)
+	names := newCallees(prog, funcs, a.sigs, opts.Globals)
+	a.run(prog, names)
 	if prog.state == nil {
 		a.facts.Stateless = true
 	} else {
@@ -192,7 +193,7 @@ func Analyze(src string, opts Options) Report {
 
 	// pipecost: worst-case instruction/allocation bounds per handler, with
 	// PV012/PV013 diagnostics for what cannot be bounded (cost.go).
-	cost, costDiags := costPass(prog, funcs, a.sigs, opts.Globals)
+	cost, costDiags := costPass(prog, names)
 	a.diags = append(a.diags, costDiags...)
 
 	// pipetype: produced/consumed event shapes per module, with PV018 for
@@ -265,7 +266,7 @@ func (a *analyzer) diag(pos Position, code string, sev Severity, msg string) {
 // position: a redeclaration, then unreachable code, then what an identifier
 // there does, then a parameter's redeclaration, then unused declarations,
 // then calls.
-func (a *analyzer) run(prog *program, funcs funcTable) {
+func (a *analyzer) run(prog *program, names *callees) {
 	a.redeclared(prog.decls, false)
 	a.unreachable(prog.stmts)
 	for _, s := range prog.stmts {
@@ -275,7 +276,7 @@ func (a *analyzer) run(prog *program, funcs funcTable) {
 	a.unused(prog.decls)
 	a.diags = append(a.diags, a.calls...)
 
-	for _, d := range funcs {
+	for _, d := range names.funcs {
 		a.noteCallback(d.name, len(d.fn.params), d.pos)
 	}
 	if a.opts.RequireEventReceived && !a.facts.HasEventReceived {
@@ -283,7 +284,7 @@ func (a *analyzer) run(prog *program, funcs funcTable) {
 			"module defines no event_received(message) handler but is reachable from the source")
 	}
 
-	a.frameFlow(funcs) // PV011: frame held across call_service (frameflow.go)
+	a.frameFlow(names) // PV011: frame held across call_service (frameflow.go)
 }
 
 // noteCallback records lifecycle-callback definitions and checks their

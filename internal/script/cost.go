@@ -13,7 +13,8 @@ package script
 // bound >= measured count for every handler — is enforced by the golden
 // test at the repository root (cost_soundness_test.go).
 //
-// The analysis is an abstract interpretation over the AST:
+// The analysis is an abstract interpretation, one domain of the forward
+// walk (flow.go) that threads a bound through code in evaluation order:
 //
 //   - Straight-line code sums; branches (if, ?:, switch) take the
 //     maximum over arms, which upper-bounds any single path.
@@ -97,7 +98,7 @@ func AnalyzeCost(src string) CostReport {
 	if err != nil {
 		return CostReport{}
 	}
-	report, _ := costPass(prog, topLevelFuncs(prog), CallSignatures(), nil)
+	report, _ := costPass(prog, newCallees(prog, topLevelFuncs(prog), CallSignatures(), nil))
 	return report
 }
 
@@ -154,12 +155,7 @@ func mergeReasons(dst []string, src []string) []string {
 // add sequences two bounds.
 func (b bound) add(o bound) bound {
 	if !b.ok || !o.ok {
-		out := bound{
-			reasons:   mergeReasons(append([]string(nil), b.reasons...), o.reasons),
-			recursion: b.recursion || o.recursion,
-			dynamic:   b.dynamic || o.dynamic,
-		}
-		return out
+		return maxBound(b, o) // unbounded either way: the reasons of both
 	}
 	return finite(satAdd(b.steps, o.steps))
 }
@@ -202,37 +198,13 @@ func maxBound(a, b bound) bound {
 
 // costPass analyzes the parsed, resolved program and returns the
 // per-handler report plus the PV012/PV013 diagnostics it produced.
-func costPass(prog *program, funcs funcTable, sigs map[string]Signature, globals []string) (CostReport, []Diagnostic) {
-	ca := &costAnalysis{
-		sigs:         sigs,
-		globals:      make(map[string]bool, len(globals)),
-		funcs:        funcs,
-		values:       make(map[string]bool),
-		loopReported: make(map[Position]bool),
-	}
-	for _, g := range globals {
-		ca.globals[g] = true
-	}
-	// A module-level declaration other than the table's entry binds a value,
-	// and so does a write to a name the pass would otherwise trust — a table
-	// function, a builtin — since it replaces what a later call runs.
-	for name, b := range prog.globals {
-		for d := b.last; d != nil; d = d.prev {
-			ca.values[name] = ca.values[name] || d.pos != funcs[name].pos
-		}
-	}
-	for name := range prog.written {
-		ca.values[name] = ca.values[name] || ca.hostBinds(name) || ca.moduleBinds(name)
-	}
-
+func costPass(prog *program, names *callees) (CostReport, []Diagnostic) {
+	ca := &costAnalysis{callees: names}
 	var report CostReport
 	bounds := make(map[string]bound)
 
 	// Module load: the top-level statements, once.
-	load := finite(0)
-	for _, s := range prog.stmts {
-		load = load.add(ca.stmtCost(s))
-	}
+	load := (&flowWalk[bound]{d: ca}).body(prog.stmts, finite(0))
 	bounds[LoadHandler] = load
 	report.Handlers = append(report.Handlers, ca.handlerCost(LoadHandler, Position{Line: 1, Col: 1}, load))
 
@@ -289,21 +261,11 @@ func joinReasons(reasons []string) string {
 }
 
 type costAnalysis struct {
-	sigs    map[string]Signature
-	globals map[string]bool
-	funcs   funcTable
-	// values names every global the module binds other than by a definition
-	// in funcs — a plain variable, a function the table's entry replaced or
-	// one declared under an if, a table function or builtin some assignment
-	// overwrites: what a lookup by name may find in place of the table's
-	// function or a same-named builtin.
-	values map[string]bool
+	*callees
 	// fn is the top-level function being costed, nil during module load.
 	fn    *funcLit
 	calls callMemo[string, bound]
 	diags []Diagnostic
-	// loopReported dedupes PV012 per loop position.
-	loopReported map[Position]bool
 }
 
 func (ca *costAnalysis) handlerCost(name string, pos Position, b bound) HandlerCost {
@@ -329,10 +291,7 @@ func (ca *costAnalysis) functionCost(def funcDef) bound {
 		ca.fn = def.fn
 		// The body statements execute via execStmt with no extra call-frame
 		// step.
-		b := finite(0)
-		for _, s := range def.fn.body.stmts {
-			b = b.add(ca.stmtCost(s))
-		}
+		b := (&flowWalk[bound]{d: ca}).body(def.fn.body.stmts, finite(0))
 		ca.fn = caller
 		return b
 	})
@@ -346,289 +305,140 @@ func (ca *costAnalysis) ownBinding(id *identExpr) bool {
 	return len(id.refs) > 0 || (ca.fn == nil && ca.values[id.name])
 }
 
-// moduleBinds and hostBinds say who can own a global called name: one of
-// the module's own top-level declarations, or a host binding or builtin.
-func (ca *costAnalysis) moduleBinds(name string) bool {
-	_, isFunc := ca.funcs[name]
-	return isFunc || ca.values[name]
+// callees answers, for one module, what a call by name reaches: a host
+// binding or stdlib builtin, one of the module's own top-level functions, or
+// a value only the running code knows. pipecost and PV011 both ask it.
+type callees struct {
+	sigs    map[string]Signature
+	globals map[string]bool
+	funcs   funcTable
+	// values names every global the module binds other than by a definition
+	// in funcs — a plain variable, a function the table's entry replaced or
+	// one declared under an if, a table function or builtin some assignment
+	// overwrites: what a lookup by name may find in place of the table's
+	// function or a same-named builtin.
+	values map[string]bool
 }
 
-func (ca *costAnalysis) hostBinds(name string) bool {
-	_, isSig := ca.sigs[name]
-	return isSig || ca.globals[name]
+func newCallees(prog *program, funcs funcTable, sigs map[string]Signature, globals []string) *callees {
+	c := &callees{sigs: sigs, globals: make(map[string]bool, len(globals)), funcs: funcs, values: make(map[string]bool)}
+	for _, g := range globals {
+		c.globals[g] = true
+	}
+	// A module-level declaration other than the table's entry binds a value,
+	// and so does a write to a name the pass would otherwise trust — a table
+	// function, a builtin — since it replaces what a later call runs.
+	for name, b := range prog.globals {
+		for d := b.last; d != nil; d = d.prev {
+			c.values[name] = c.values[name] || d.pos != funcs[name].pos
+		}
+	}
+	for name := range prog.written {
+		c.values[name] = c.values[name] || c.hostBinds(name) || c.moduleBinds(name)
+	}
+	return c
+}
+
+// moduleBinds and hostBinds say who can own a global called name: one of
+// the module's own top-level declarations, or a host binding or builtin.
+func (c *callees) moduleBinds(name string) bool {
+	_, isFunc := c.funcs[name]
+	return isFunc || c.values[name]
+}
+
+func (c *callees) hostBinds(name string) bool {
+	_, isSig := c.sigs[name]
+	return isSig || c.globals[name]
 }
 
 // builtin reports whether a call through id reaches the host binding or
 // stdlib builtin of that name: nothing in the module has taken the name.
-func (ca *costAnalysis) builtin(id *identExpr) bool {
-	return ca.hostBinds(id.name) && len(id.refs) == 0 && !ca.moduleBinds(id.name)
+func (c *callees) builtin(id *identExpr) bool {
+	return c.hostBinds(id.name) && len(id.refs) == 0 && !c.moduleBinds(id.name)
 }
 
-// ---- statement costs ----
+// function returns the module function a call through id runs from inside
+// a function: no enclosing scope declares the name and no other
+// module-level value can have replaced the table's entry.
+func (c *callees) function(id *identExpr) (funcDef, bool) {
+	def, ok := c.funcs[id.name]
+	return def, ok && len(id.refs) == 0 && !c.values[id.name]
+}
+
+// ---- the walk's domain ----
 //
-// Each case mirrors interp.go's execStmt step accounting exactly: every
-// statement charges 1 on entry, plus its parts.
+// pipecost is a domain of the forward walk (flow.go): at charges one step
+// per node, as interp.go's step does, and prices calls; a join takes the
+// costlier arm; no path ends, so code after a return or jump is charged
+// too; and loop holds the trip-count rule.
 
-func (ca *costAnalysis) stmtCost(s stmt) bound {
-	one := finite(1)
-	switch st := s.(type) {
-	case *exprStmt:
-		return one.add(ca.exprCost(st.x))
-	case *declStmt:
-		b := one
-		if st.init != nil {
-			b = b.add(ca.exprCost(st.init))
-		}
-		return b
-	case *blockStmt:
-		b := one
-		for _, inner := range st.stmts {
-			b = b.add(ca.stmtCost(inner))
-		}
-		return b
-	case *ifStmt:
-		b := one.add(ca.condCost(st.cond))
-		thenB := ca.stmtCost(st.then)
-		elseB := finite(0)
-		if st.elsE != nil {
-			elseB = ca.stmtCost(st.elsE)
-		}
-		return b.add(maxBound(thenB, elseB))
-	case *whileStmt:
-		return ca.whileCost(st)
-	case *forStmt:
-		return ca.forCost(st)
-	case *forOfStmt:
-		return ca.forOfCost(st)
-	case *returnStmt:
-		b := one
-		if st.value != nil {
-			b = b.add(ca.exprCost(st.value))
-		}
-		return b
-	case *breakStmt, *continueStmt:
-		return one
-	case *throwStmt:
-		return one.add(ca.exprCost(st.value))
-	case *tryStmt:
-		// Worst case: the body runs fully, then the catch runs fully (the
-		// throw can land on the last body statement), then finally.
-		b := one.add(ca.stmtCost(st.body))
-		if st.catch != nil {
-			for _, inner := range st.catch.stmts {
-				b = b.add(ca.stmtCost(inner))
-			}
-		}
-		if st.finally != nil {
-			b = b.add(ca.stmtCost(st.finally))
-		}
-		return b
-	case *switchStmt:
-		// Worst case evaluates every case value; a match can fall through
-		// every case body, a miss runs the default.
-		b := one.add(ca.exprCost(st.subject))
-		bodies := finite(0)
-		for _, c := range st.cases {
-			b = b.add(ca.exprCost(c.value))
-			for _, inner := range c.body {
-				bodies = bodies.add(ca.stmtCost(inner))
-			}
-		}
-		def := finite(0)
-		for _, inner := range st.defaultBody {
-			def = def.add(ca.stmtCost(inner))
-		}
-		return b.add(maxBound(bodies, def))
-	default:
-		return one
-	}
-}
-
-// condCost is exprCost; conditions have no extra interpreter charge.
-func (ca *costAnalysis) condCost(e expr) bound {
-	return ca.exprCost(e)
-}
-
-// whileCost: only a constant-false condition terminates provably without
-// body execution; every other while loop is statically unbounded (PV012).
-func (ca *costAnalysis) whileCost(st *whileStmt) bound {
-	cond := ca.condCost(st.cond)
-	if v, ok := foldConst(st.cond); ok && v == 0 {
-		// One iteration check, body never runs: 1 (stmt) + 1 (head) + cond.
-		return finite(2).add(cond)
-	}
-	ca.reportLoop(st.pos, "while loop has no statically inferable iteration bound")
-	// Walk the body anyway so nested diagnostics (inner loops, recursion)
-	// still surface.
-	ca.stmtCost(st.body)
-	b := unboundedBy("while loop at " + st.pos.String())
-	return b
-}
-
-// forCost handles the counted-loop pattern: `for (var i = S; i (<|<=|>|>=) K; i += d)`
-// with S, K, d constant-foldable and i never written in the body.
-func (ca *costAnalysis) forCost(st *forStmt) bound {
-	n, ok := ca.inferForIterations(st)
-	if !ok {
-		ca.reportLoop(st.pos, "for loop bound cannot be inferred statically (need constant init, bound and step, with an untouched induction variable)")
-		if st.init != nil {
-			ca.stmtCost(st.init)
-		}
-		if st.cond != nil {
-			ca.condCost(st.cond)
-		}
-		ca.stmtCost(st.body)
-		if st.post != nil {
-			ca.exprCost(st.post)
-		}
-		return unboundedBy("for loop at " + st.pos.String())
-	}
-
-	b := finite(1)
-	if st.init != nil {
-		b = b.add(ca.stmtCost(st.init))
-	}
-	cond := finite(0)
-	if st.cond != nil {
-		cond = ca.condCost(st.cond)
-	}
-	body := ca.stmtCost(st.body)
-	post := finite(0)
-	if st.post != nil {
-		post = ca.exprCost(st.post)
-	}
-	// Each of the n iterations charges the head step, the condition, the
-	// body and the post; the final (failing) check charges head + cond.
-	perIter := finite(1).add(cond).add(body).add(post)
-	return b.add(perIter.scale(n)).add(finite(1)).add(cond)
-}
-
-// forOfCost bounds iteration over literal collections and range(k).
-func (ca *costAnalysis) forOfCost(st *forOfStmt) bound {
-	n, ok := ca.inferIterableLen(st.iter)
-	if !ok {
-		ca.reportLoop(st.pos, "for-of iterates a value whose length is not statically known")
-		ca.exprCost(st.iter)
-		ca.stmtCost(st.body)
-		return unboundedBy("for-of loop at " + st.pos.String())
-	}
-	b := finite(1).add(ca.exprCost(st.iter))
-	body := ca.stmtCost(st.body)
-	// Each item charges the head step plus the body.
-	perIter := finite(1).add(body)
-	return b.add(perIter.scale(n))
-}
-
-func (ca *costAnalysis) reportLoop(pos Position, msg string) {
-	if ca.loopReported[pos] {
-		return
-	}
-	ca.loopReported[pos] = true
-	ca.diags = append(ca.diags, Diagnostic{
-		Pos: pos, Code: CodeUnboundedLoop, Severity: SeverityWarning, Message: msg,
-	})
-}
-
-// ---- expression costs ----
-//
-// Mirrors evalExpr: every expression node charges 1, plus its parts.
-
-func (ca *costAnalysis) exprCost(e expr) bound {
-	one := finite(1)
-	switch ex := e.(type) {
-	case *numberLit, *stringLit, *boolLit, *nullLit, *identExpr:
-		return one
-	case *arrayLit:
-		b := one
-		for _, el := range ex.elems {
-			b = b.add(ca.exprCost(el))
-		}
-		return b
-	case *objectLit:
-		b := one
-		for _, f := range ex.fields {
-			b = b.add(ca.exprCost(f.value))
-		}
-		return b
-	case *unaryExpr:
-		return one.add(ca.exprCost(ex.x))
-	case *binaryExpr:
-		return one.add(ca.exprCost(ex.x)).add(ca.exprCost(ex.y))
-	case *logicalExpr:
-		return one.add(ca.exprCost(ex.x)).add(ca.exprCost(ex.y))
-	case *condExpr:
-		b := one.add(ca.condCost(ex.cond))
-		return b.add(maxBound(ca.exprCost(ex.then), ca.exprCost(ex.elsE)))
-	case *assignExpr:
-		b := one.add(ca.exprCost(ex.value))
-		if ex.op != "=" {
-			// Compound assignment reads the target first.
-			b = b.add(ca.exprCost(ex.target))
-		}
-		return b.add(ca.writeCost(ex.target))
-	case *updateExpr:
-		return one.add(ca.exprCost(ex.target)).add(ca.writeCost(ex.target))
-	case *callExpr:
-		return ca.callCost(ex)
-	case *memberExpr:
-		return one.add(ca.exprCost(ex.obj))
-	case *indexExpr:
-		return one.add(ca.exprCost(ex.obj)).add(ca.exprCost(ex.index))
-	default:
-		return one
-	}
-}
-
-// writeCost mirrors interp.writeTarget: identifier writes are free beyond
-// the expression's own evaluation; member/index writes re-evaluate their
-// object (and index) expressions.
-func (ca *costAnalysis) writeCost(target expr) bound {
-	switch tg := target.(type) {
-	case *memberExpr:
-		return ca.exprCost(tg.obj)
-	case *indexExpr:
-		return ca.exprCost(tg.obj).add(ca.exprCost(tg.index))
-	default:
-		return finite(0)
-	}
-}
-
-// callCost resolves the callee: module functions inline their memoized
-// cost, host/builtin calls add nothing beyond the call itself, everything
-// else is dynamic and unboundable.
-func (ca *costAnalysis) callCost(ex *callExpr) bound {
-	// The call expression itself plus argument evaluation.
-	b := finite(1)
-	for _, arg := range ex.args {
-		b = b.add(ca.exprCost(arg))
-	}
-
-	id, ok := ex.callee.(*identExpr)
-	if !ok {
-		b = b.add(ca.exprCost(ex.callee))
-		dyn := unboundedBy(fmt.Sprintf("dynamic call at %s", ex.pos))
-		dyn.dynamic = true
-		return b.add(dyn)
-	}
-	// Callee identifier evaluation.
+func (ca *costAnalysis) at(n node, b bound) bound {
 	b = b.addSteps(1)
-
-	if ca.ownBinding(id) {
-		dyn := unboundedBy(fmt.Sprintf("call through local function value %q at %s", id.name, ex.pos))
-		dyn.dynamic = true
-		return b.add(dyn)
+	call, ok := n.(*callExpr)
+	if !ok {
+		return b
 	}
-	if def, isFunc := ca.funcs[id.name]; isFunc && !ca.values[id.name] {
-		return b.add(ca.functionCost(def))
-	}
-	if ca.builtin(id) {
+	// Module functions inline their memoized cost, host/builtin calls add
+	// nothing beyond the call itself, everything else is dynamic and
+	// unboundable.
+	id, isID := call.callee.(*identExpr)
+	var dyn bound
+	switch {
+	case !isID:
+		dyn = unboundedBy(fmt.Sprintf("dynamic call at %s", call.pos))
+	case ca.builtin(id):
 		// Host bindings and builtins execute in Go: zero interpreter steps.
 		return b
+	case ca.ownBinding(id):
+		dyn = unboundedBy(fmt.Sprintf("call through local function value %q at %s", id.name, call.pos))
+	default:
+		if def, isFunc := ca.function(id); isFunc {
+			return b.add(ca.functionCost(def))
+		}
+		// Unknown name: PV001 territory; cost-wise it cannot be priced.
+		dyn = unboundedBy(fmt.Sprintf("call to unresolvable callee %q at %s", id.name, call.pos))
 	}
-	// Unknown name: PV001 territory; cost-wise it cannot be priced.
-	dyn := unboundedBy(fmt.Sprintf("call to unresolvable callee %q at %s", id.name, ex.pos))
 	dyn.dynamic = true
 	return b.add(dyn)
+}
+
+func (*costAnalysis) join(a, b bound) bound { return maxBound(a, b) }
+
+func (*costAnalysis) ends() bool { return false }
+
+func (*costAnalysis) exit(bound) {}
+
+// loop scales one iteration's cost by the loop's trip count: a counted
+// for loop's (inferForIterations), a for-of over a literal or range(k)
+// (inferIterableLen), zero for a while loop whose condition folds to
+// false. Every other loop is statically unbounded (PV012); its parts are
+// walked anyway so nested diagnostics (inner loops, recursion) still
+// surface.
+func (ca *costAnalysis) loop(n node, b bound, head, iter func(bound) bound) bound {
+	var trips int64
+	var ok bool
+	var kind, why string
+	switch st := n.(type) {
+	case *whileStmt:
+		if v, isConst := foldConst(st.cond); isConst && v == 0 {
+			return head(b)
+		}
+		kind, why = "while loop", "while loop has no statically inferable iteration bound"
+	case *forStmt:
+		trips, ok = ca.inferForIterations(st)
+		kind, why = "for loop", "for loop bound cannot be inferred statically (need constant init, bound and step, with an untouched induction variable)"
+	case *forOfStmt:
+		trips, ok = ca.inferIterableLen(st.iter)
+		kind, why = "for-of loop", "for-of iterates a value whose length is not statically known"
+	}
+	if ok {
+		return head(b).add(iter(finite(0)).scale(trips))
+	}
+	ca.diags = append(ca.diags, Diagnostic{
+		Pos: n.position(), Code: CodeUnboundedLoop, Severity: SeverityWarning, Message: why,
+	})
+	iter(head(finite(0)))
+	return b.add(unboundedBy(kind + " at " + n.position().String()))
 }
 
 // ---- loop-bound inference ----

@@ -58,6 +58,61 @@ func TestFrameFlowCorpus(t *testing.T) {
 }`,
 			line: 2,
 		},
+		{
+			name: "break out of while (true) carries the held frame",
+			src: `function event_received(message) {
+	while (true) {
+		var r = call_service("pose_detector", {frame_ref: message.frame_ref});
+		break;
+	}
+}`,
+			line: 3,
+		},
+		{
+			name: "break out of a counted for skips the forward",
+			src: `function event_received(message) {
+	for (var i = 0; i < 3; i++) {
+		var r = call_service("classifier", {frame_ref: message.frame_ref, band: i});
+		if (r.found) break;
+		call_module("next", {frame_ref: message.frame_ref, band: i});
+	}
+}`,
+			line: 3,
+		},
+		{
+			name: "break out of a switch case skips the default's drop",
+			src: `function event_received(message) {
+	switch (message.kind) {
+	case "a":
+		var r = call_service("classifier", {frame_ref: message.frame_ref});
+		break;
+	default:
+		frame_done();
+	}
+}`,
+			line: 4,
+		},
+		{
+			name: "a local frame_done is not the host's",
+			src: `function event_received(message) {
+	var frame_done = function() { return null; };
+	var r = call_service("pose_detector", {frame_ref: message.frame_ref});
+	frame_done();
+}`,
+			line: 3,
+		},
+		{
+			name: "finally's return overrides a throw holding the frame",
+			src: `function event_received(message) {
+	try {
+		var r = call_service("pose_detector", {frame_ref: message.frame_ref});
+		throw "no subject";
+	} finally {
+		return;
+	}
+}`,
+			line: 3,
+		},
 	}
 	for _, tc := range positives {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,6 +203,33 @@ function event_received(message) {
 	}
 	metric("hits", hits);
 	frame_done();
+}`,
+		},
+		{
+			name: "a case falls through into the case that drops",
+			src: `function event_received(message) {
+	switch (message.kind) {
+	case "a":
+		var r = call_service("classifier", {frame_ref: message.frame_ref});
+	case "b":
+		frame_done();
+		break;
+	}
+}`,
+		},
+		{
+			name: "a local call_service is not the host's",
+			src: `function event_received(message) {
+	var call_service = function(a, b) { return null; };
+	var r = call_service("pose_detector", {frame_ref: message.frame_ref});
+	metric("found", num(r == null));
+}`,
+		},
+		{
+			name: "a module value named call_service is not the host's",
+			src: `var call_service = function(a, b) { return null; };
+function event_received(message) {
+	var r = call_service("pose_detector", {frame_ref: message.frame_ref});
 }`,
 		},
 	}
