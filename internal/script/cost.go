@@ -233,7 +233,7 @@ func costPass(prog *program, names *callees) (CostReport, []Diagnostic) {
 		if b.recursion || b.dynamic {
 			ca.diags = append(ca.diags, Diagnostic{
 				Pos: h.Pos, Code: CodeUnboundableCost, Severity: SeverityWarning,
-				Message: fmt.Sprintf("%s: worst-case cost is unboundable (%s); the planner cannot price this handler", handlerLabel(h.Name), joinReasons(h.Reasons)),
+				Message: fmt.Sprintf("%s: worst-case cost is unboundable (%s); PV014 cannot check an instruction limit against it", handlerLabel(h.Name), joinReasons(h.Reasons)),
 			})
 		}
 	}
