@@ -20,8 +20,8 @@ import "sort"
 // Every pure query over the tree (who declares, who writes, who calls) is a
 // callback over inspect and needs nothing more. The evaluators whose every
 // case has its own formula are separate type switches and each needs the new
-// case too: interp.go, resolver.stmt/expr, stmtCost/exprCost,
-// frameFlowChecker.walkStmt/scanExpr, shapeCtx.evalDepth and
+// case too: interp.go, resolver.stmt/expr, the forward walk in flow.go
+// (pipecost and PV011 are its domains), shapeCtx.evalDepth and
 // consumeWalker.expr.
 
 type node interface{ position() Position }

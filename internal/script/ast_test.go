@@ -62,8 +62,8 @@ func TestInspectCoversEveryNodeType(t *testing.T) {
 	if len(missing) > 0 {
 		t.Errorf("inspect has no case for %s.\nGive each a case in inspect (ast.go), then in the evaluators that "+
 			"switch on node kinds themselves: exec/eval (interp.go), resolver.stmt/expr (resolve.go), "+
-			"stmtCost/exprCost (cost.go), frameFlowChecker.walkStmt/scanExpr "+
-			"(frameflow.go), shapeCtx.evalDepth and consumeWalker.expr (shapepass.go).",
+			"flowWalk.stmt/expr (flow.go, the walk under pipecost and PV011), "+
+			"shapeCtx.evalDepth and consumeWalker.expr (shapepass.go).",
 			strings.Join(missing, ", "))
 	}
 }
