@@ -52,7 +52,7 @@ func (w *flowWalk[S]) body(list []stmt, s S) S {
 
 // stmts walks a statement list; live is false once every path through it
 // has ended.
-func (w *flowWalk[S]) stmts(list []stmt, s S) (out S, live bool) {
+func (w *flowWalk[S]) stmts(list []stmt, s S) (_ S, live bool) {
 	for _, st := range list {
 		if s, live = w.stmt(st, s); !live {
 			return s, false
