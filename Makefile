@@ -10,7 +10,8 @@ build:
 	$(GO) build ./...
 
 # Go-host static analysis. Cheap pre-steps first (gofmt, go vet, a grep
-# that keeps environment reads out of internal/), then the
+# that keeps environment reads out of internal/, one that keeps per-call
+# contexts out of internal/device's data path), then the
 # vpvet analyzer suite (framerelease, determinism, metername,
 # lockdiscipline — see DESIGN.md "Static enforcement") over every package,
 # then a staleness check of the generated meter registry. Exits non-zero
@@ -22,6 +23,8 @@ vet:
 	@$(GO) vet ./... || { echo "vet failed: go vet"; exit 1; }
 	@if grep -rnE 'os\.(Getenv|LookupEnv)' --include='*.go' --exclude='*_test.go' internal; then \
 		echo "vet failed: env-var knob under internal/ (pass it as a parameter or config field)"; exit 1; fi
+	@if grep -rnE 'context\.With(Timeout|Deadline)' --include='*.go' --exclude='*_test.go' internal/device; then \
+		echo "vet failed: per-call context under internal/device (re-arm the worker's clock.Deadline)"; exit 1; fi
 	@$(GO) run ./cmd/vpvet ./... || { echo "vet failed: vpvet (findings above; suppress a false positive with //vpvet:allow <check> <reason>)"; exit 1; }
 	@$(GO) run ./cmd/vpvet -check-meters ./... || { echo "vet failed: meter registry stale (run make meters)"; exit 1; }
 

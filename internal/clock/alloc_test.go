@@ -27,3 +27,23 @@ func TestWaitAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadlineAllocs pins a warm Start/Stop at zero allocations: the
+// context, its Done channel and its timer are re-armed, not made.
+func TestDeadlineAllocs(t *testing.T) {
+	d := NewDeadline(context.Background(), time.Hour)
+	defer d.Close()
+	call := func() {
+		ctx := d.Start()
+		select {
+		case <-ctx.Done():
+			t.Fatal("an hour's deadline ended")
+		default:
+		}
+		d.Stop()
+	}
+	call()
+	if allocs := testing.AllocsPerRun(100, call); allocs != 0 {
+		t.Errorf("warm Start/Stop: %.1f allocs, want 0", allocs)
+	}
+}

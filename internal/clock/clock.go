@@ -1,6 +1,8 @@
 // Package clock is where the runtime waits on wall time — a simulated
-// service's compute and a shaped link's delivery — on timers from one pool,
-// so a steady stream of waits allocates none.
+// service's compute, a shaped link's delivery, a reconnect's backoff — on
+// timers from one pool, and where a module worker's per-call deadlines
+// live (Deadline, re-armed per call), so a steady stream of waits and calls
+// allocates none.
 package clock
 
 import (

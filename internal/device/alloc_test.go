@@ -58,7 +58,7 @@ func squatPoses(n int) []script.Value {
 // classifier every frame — ~700 objects when each call deep-copied it — is
 // lent, message object and all, so a warm call costs the invocation, the
 // message literal, the service-call bookkeeping and the three-field result
-// (29).
+// (24; the call's deadline is the worker's own, re-armed).
 func TestCallServiceWindowAllocs(t *testing.T) {
 	d := newDevice(t, testNet(), "desktop", Desktop)
 	fitnessServices(t, d)
@@ -93,8 +93,8 @@ func TestCallServiceWindowAllocs(t *testing.T) {
 		t.Fatalf("classified as %v, want squat", seen)
 	}
 	t.Logf("call_service(activity_classifier, 15-pose window): %.0f allocs", allocs)
-	if allocs > 30 {
-		t.Errorf("call_service with a 15-pose window: %.0f allocs, want <= 30", allocs)
+	if allocs > 25 {
+		t.Errorf("call_service with a 15-pose window: %.0f allocs, want <= 25", allocs)
 	}
 }
 

@@ -133,10 +133,11 @@ type Device struct {
 	resumeCh chan struct{} // non-nil while paused; closed by Resume
 	crashed  bool
 
-	// baseCtx parents every in-flight service call from this device's
-	// modules; Crash cancels it so calls blocked on a dead host's pools
-	// fail immediately instead of holding event loops until their 30 s
-	// deadlines (which would stall migration for the same span).
+	// baseCtx parents every module worker's call_service deadline
+	// (clock.Deadline, re-armed per call); Crash cancels it so calls
+	// blocked on a dead host's pools fail immediately instead of holding
+	// event loops until their 30 s deadlines (which would stall migration
+	// for the same span). Remote call_module sends are not under it.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -458,10 +459,11 @@ func (d *Device) Resume() {
 // Crash marks the device permanently dead — the chaos engine's
 // device_crash hook. Unlike Pause there is no matching Resume in the
 // fault model: recovery means the supervisor migrating this device's
-// modules and services elsewhere. Cancelling baseCtx first makes every
-// in-flight service call from this device's modules fail immediately, so
-// their event loops park on the pause gate instead of blocking module
-// Close (and hence migration) until a 30 s call deadline.
+// modules and services elsewhere. Cancelling baseCtx first ends every
+// worker's call_service deadline context, so an in-flight service call from
+// this device's modules fails at once with context.Canceled and its event
+// loop parks on the pause gate instead of blocking module Close (and hence
+// migration) until the 30 s deadline.
 func (d *Device) Crash() {
 	d.pauseMu.Lock()
 	if d.crashed {

@@ -2,6 +2,7 @@ package device
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -955,5 +956,63 @@ func TestModuleAbandonedFrameReturnsCredit(t *testing.T) {
 	}
 	if got := d.Metrics().Meter("module.m.abandoned").Count(); got != 1 {
 		t.Errorf("abandoned meter = %d, want 1", got)
+	}
+}
+
+// TestCrashCancelsInFlightCallService: a call_service blocked in a local
+// handler ends the moment the device crashes, with the cancellation rather
+// than its 30 s deadline, and its frame's credit comes back.
+func TestCrashCancelsInFlightCallService(t *testing.T) {
+	d := newDevice(t, testNet(), "desktop", Desktop)
+	entered, handlerErr := make(chan struct{}), make(chan error, 1)
+	blocking := services.Spec{
+		Name: "block",
+		Handler: func(ctx context.Context, _ services.Request) (services.Response, error) {
+			close(entered)
+			<-ctx.Done()
+			handlerErr <- ctx.Err()
+			return services.Response{}, ctx.Err()
+		},
+	}
+	if _, err := d.DeployService(blocking, 1); err != nil {
+		t.Fatalf("DeployService: %v", err)
+	}
+	src := `
+		function event_received(message) {
+			call_service("block", {frame_ref: message.frame_ref});
+			frame_done();
+		}
+	`
+	m, err := d.SpawnModule(ModuleSpec{Name: "caller", Source: src, Services: []string{"block"}})
+	if err != nil {
+		t.Fatalf("SpawnModule: %v", err)
+	}
+	var done, abandoned atomic.Int64
+	m.SetFrameDone(func(time.Duration) { done.Add(1) })
+	m.SetFrameAbandoned(func() { abandoned.Add(1) })
+	if err := m.Inject(context.Background(), nil, frame.MustNew(8, 8)); err != nil {
+		t.Fatalf("Inject: %v", err)
+	}
+	<-entered
+
+	start := time.Now()
+	d.Crash()
+	select {
+	case err := <-handlerErr:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("handler's context ended with %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("crash did not cancel the in-flight call")
+	}
+	waitFor(t, func() bool { return abandoned.Load() == 1 })
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("call ended %v after the crash, want within 100ms", took)
+	}
+	if got := m.LastError(); !strings.Contains(got, context.Canceled.Error()) {
+		t.Errorf("module error %q does not carry %q", got, context.Canceled)
+	}
+	if done.Load() != 0 {
+		t.Errorf("frame_done ran after a failed call_service: %d", done.Load())
 	}
 }

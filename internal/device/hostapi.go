@@ -1,7 +1,6 @@
 package device
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -12,7 +11,8 @@ import (
 	"videopipe/internal/wire"
 )
 
-// serviceCallTimeout bounds one service invocation from a module.
+// serviceCallTimeout bounds one service invocation from a module, and one
+// remote call_module's send with its reconnect retries.
 const serviceCallTimeout = 30 * time.Second
 
 // chargeOutput meters n bytes of host-emitted payload (call_module /
@@ -149,12 +149,11 @@ func (w *worker) hostCallService(args []script.Value) (script.Value, error) {
 		}
 	}
 
-	// Derived from the device's base context so that Crash cancels the
-	// call immediately instead of holding this event loop for the full
-	// timeout (which would stall migration for the same span).
-	ctx, cancel := context.WithTimeout(m.dev.baseCtx, serviceCallTimeout)
-	defer cancel()
-	resp, err := m.dev.CallService(ctx, name, callArgs, reqFrame)
+	// The worker's call deadline runs under the device's base context, so
+	// Crash cancels the call at once instead of holding this event loop for
+	// the full timeout (which would stall migration for the same span).
+	resp, err := m.dev.CallService(w.calls.Start(), name, callArgs, reqFrame)
+	w.calls.Stop()
 	if err != nil {
 		return nil, fmt.Errorf("call_service: %w", err)
 	}
@@ -305,9 +304,9 @@ func (w *worker) deliverRemote(route Route, body *script.Object, frameID uint64)
 	if !w.awaitTurn() {
 		return w.errClosing("call_module")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), serviceCallTimeout)
-	defer cancel()
-	if err := push.Send(ctx, msg); err != nil {
+	err = push.Send(w.sends.Start(), msg)
+	w.sends.Stop()
+	if err != nil {
 		return fmt.Errorf("call_module: send to %q at %s: %w", route.Module, route.Address, err)
 	}
 	return nil

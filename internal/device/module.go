@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"videopipe/internal/clock"
 	"videopipe/internal/frame"
 	"videopipe/internal/metrics"
 	"videopipe/internal/script"
@@ -185,6 +186,9 @@ type worker struct {
 	encBuf  []byte
 	bodyBuf []byte
 	jsonEnc script.JSONEncoder
+	// calls and sends bound each call_service and each remote call_module
+	// by serviceCallTimeout: one deadline each, re-armed per call.
+	calls, sends *clock.Deadline
 	// stageHists caches the stage histogram behind each name module code
 	// has passed to metric(), sparing the name concatenation and registry
 	// walk per call; it goes with the code that chose the names.
@@ -539,7 +543,11 @@ func (m *Module) decodeWireEvent(msg wire.Message) (event, error) {
 func (m *Module) newWorkers(source string) ([]*worker, error) {
 	var ws []*worker
 	for n := 1; len(ws) < n; {
-		w := &worker{m: m, ctx: script.NewContext(), jobs: make(chan job)}
+		w := &worker{
+			m: m, ctx: script.NewContext(), jobs: make(chan job),
+			calls: clock.NewDeadline(m.dev.baseCtx, serviceCallTimeout),
+			sends: clock.NewDeadline(context.Background(), serviceCallTimeout),
+		}
 		w.ctx.SetLimits(m.limits)
 		w.bindHostAPI()
 		if err := w.ctx.Load(source); err != nil {
@@ -707,6 +715,8 @@ func (m *Module) fail(err error) {
 func (w *worker) run(first bool, restore *script.Snapshot) {
 	m := w.m
 	defer m.workerWG.Done()
+	defer w.calls.Close()
+	defer w.sends.Close()
 	if first && w.ctx.Has("init") {
 		if _, err := w.ctx.Call("init"); err != nil {
 			m.fail(err)

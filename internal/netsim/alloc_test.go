@@ -16,10 +16,10 @@ import (
 // chunk, the message body and the pixels all cycle through frame.Pool, so
 // what is left is the JPEG encoder's own state and a handful of headers.
 //
-// Under -race the byte bound is not enforced, but the loop is the check
-// that nothing reads a body after Release: the next hop's reader goroutine
-// overwrites the very buffer this hop released, so a decoder or a Message
-// that still looked at it would be a reported race.
+// Under -race the byte and malloc bounds are not enforced, but the loop is
+// the check that nothing reads a body after Release: the next hop's reader
+// goroutine overwrites the very buffer this hop released, so a decoder or a
+// Message that still looked at it would be a reported race.
 func TestRemoteHopAllocs(t *testing.T) {
 	nw := NewNetwork(LinkProfile{})
 	defer nw.Close()
@@ -82,6 +82,11 @@ func TestRemoteHopAllocs(t *testing.T) {
 	t.Logf("remote hop: %.0f B/op, %.1f mallocs/op", perOp, mallocs)
 	if perOp > 2048 && !raceEnabled {
 		t.Errorf("remote hop allocates %.0f B/op, want <= 2048", perOp)
+	}
+	// A wakeup channel made per read or write with nobody waiting on it
+	// would show here, not in the bytes.
+	if mallocs > 12 && !raceEnabled {
+		t.Errorf("remote hop makes %.1f mallocs/op, want <= 12", mallocs)
 	}
 	if got := frame.Pool.Outstanding(); got != outstanding {
 		t.Errorf("pool outstanding moved by %d over %d hops: a chunk, body, scratch or frame was not returned", got-outstanding, runs+3)

@@ -49,6 +49,7 @@ type shapedPipe struct {
 	closed   bool // write side closed: readers drain then EOF
 	broken   bool // reader side closed: writers fail immediately
 	notify   chan struct{}
+	waiters  int // goroutines parked on notify
 
 	readDeadline  time.Time
 	writeDeadline time.Time
@@ -66,10 +67,14 @@ func newShapedPipe(profile func() LinkProfile, seed int64) *shapedPipe {
 	}
 }
 
-// broadcast wakes all waiters; callers must hold mu.
+// broadcast wakes all waiters; callers must hold mu. With none parked the
+// channel is left as it is: the next waiter takes it under mu, so no
+// change it has not seen can slip past it.
 func (p *shapedPipe) broadcast() {
-	close(p.notify)
-	p.notify = make(chan struct{})
+	if p.waiters > 0 {
+		close(p.notify)
+		p.notify = make(chan struct{})
+	}
 }
 
 // write appends b (copied) as a shaped chunk. It blocks while the pipe
@@ -161,8 +166,9 @@ func (p *shapedPipe) read(out []byte) (int, error) {
 // held on entry and exit.
 func (p *shapedPipe) wait(t time.Time) {
 	ch := p.notify
+	p.waiters++
 	p.mu.Unlock()
-	defer p.mu.Lock()
+	defer func() { p.mu.Lock(); p.waiters-- }()
 	if t.IsZero() {
 		<-ch
 		return

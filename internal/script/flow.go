@@ -6,9 +6,10 @@ package script
 // call's arguments before its callee — forking at every branch and joining
 // the arms after it. A break carries its state to the end of its loop or
 // switch, a continue to the loop's next test, and a matched switch case
-// falls through the cases after it. This is the only statement/expression
-// switch the two passes have: a new node type needs a case here, not one
-// per pass. Function literals are not entered; their bodies run when called.
+// falls through the cases after it; a jump out of a try runs its finally
+// first. This is the only statement/expression switch the two passes have:
+// a new node type needs a case here, not one per pass. Function literals
+// are not entered; their bodies run when called.
 
 // flowDomain is what one forward walk computes: a state S threaded through
 // the code. A hook never changes a state in place, so two arms of a branch
@@ -36,8 +37,9 @@ type flowDomain[S any] interface {
 type flowWalk[S any] struct {
 	d flowDomain[S]
 	// brk and cont collect the states break and continue carry to the
-	// innermost enclosing loop or switch.
-	brk, cont *[]S
+	// innermost enclosing loop or switch, ret those a return carries to the
+	// innermost enclosing finally (nil: to the function's exit).
+	brk, cont, ret *[]S
 }
 
 // body walks a function body, or a module's top level, from s and returns
@@ -86,8 +88,10 @@ func (w *flowWalk[S]) stmt(n stmt, s S) (S, bool) {
 		s = w.loop(x, s, x.iter, nil, x.body, nil)
 	case *returnStmt:
 		s = w.expr(x.value, s)
-		w.d.exit(s)
-		return w.jump(nil, s)
+		if w.ret == nil {
+			w.d.exit(s)
+		}
+		return w.jump(w.ret, s)
 	case *throwStmt:
 		return w.jump(nil, w.expr(x.value, s))
 	case *breakStmt:
@@ -95,6 +99,14 @@ func (w *flowWalk[S]) stmt(n stmt, s S) (S, bool) {
 	case *continueStmt:
 		return w.jump(w.cont, s)
 	case *tryStmt:
+		// A return, break or continue that leaves a try with a finally
+		// stops there first; each kind runs finally once, on all of their
+		// states joined, then goes on out.
+		outer := [3]*[]S{w.ret, w.brk, w.cont}
+		var jumps [3][]S
+		if x.finally != nil && w.d.ends() {
+			w.ret, w.brk, w.cont = &jumps[0], &jumps[1], &jumps[2]
+		}
 		body, live := w.stmt(x.body, s)
 		if x.catch != nil {
 			// The body can throw anywhere, so the catch starts from any
@@ -103,8 +115,20 @@ func (w *flowWalk[S]) stmt(n stmt, s S) (S, bool) {
 			catch, catchLive := w.stmts(x.catch.stmts, in)
 			body, live = w.merge(body, live, catch, catchLive)
 		}
+		w.ret, w.brk, w.cont = outer[0], outer[1], outer[2]
+		for i, js := range jumps {
+			if len(js) == 0 {
+				continue
+			}
+			j, _ := w.gather(js[0], true, js[1:])
+			if j, on := w.stmt(x.finally, j); on && outer[i] != nil {
+				*outer[i] = append(*outer[i], j)
+			} else if on && i == 0 {
+				w.d.exit(j)
+			}
+		}
 		if x.finally != nil {
-			// A path that left by a jump still runs finally, and stays ended.
+			// A path that left by a throw still runs finally, and stays ended.
 			fin, finLive := w.stmt(x.finally, body)
 			return fin, live && finLive
 		}

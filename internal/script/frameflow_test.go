@@ -113,6 +113,20 @@ func TestFrameFlowCorpus(t *testing.T) {
 }`,
 			line: 3,
 		},
+		{
+			name: "a finally that does not resolve leaves the break's frame held",
+			src: `function event_received(message) {
+	while (true) {
+		try {
+			var r = call_service("pose_detector", {frame_ref: message.frame_ref});
+			break;
+		} finally {
+			metric("tried", 1);
+		}
+	}
+}`,
+			line: 4,
+		},
 	}
 	for _, tc := range positives {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,6 +228,30 @@ function event_received(message) {
 	case "b":
 		frame_done();
 		break;
+	}
+}`,
+		},
+		{
+			name: "finally drops the frame a return leaves with",
+			src: `function event_received(message) {
+	var r = call_service("pose_detector", {frame_ref: message.frame_ref});
+	try {
+		return;
+	} finally {
+		frame_done();
+	}
+}`,
+		},
+		{
+			name: "finally drops the frame a break leaves with",
+			src: `function event_received(message) {
+	while (true) {
+		var r = call_service("pose_detector", {frame_ref: message.frame_ref});
+		try {
+			break;
+		} finally {
+			frame_done();
+		}
 	}
 }`,
 		},

@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"videopipe/internal/clock"
 )
 
 // ErrClosed is returned by operations on a closed socket.
@@ -107,10 +109,8 @@ func (d *dialer) closeLocked() {
 // returns ctx's error if ctx ends first. What else ends the retrying is the
 // socket's: nothing for Push, a budget of attempts for Caller.
 func retryWait(ctx context.Context, delay *time.Duration) error {
-	select {
-	case <-ctx.Done():
+	if !clock.Sleep(ctx, *delay) {
 		return ctx.Err()
-	case <-time.After(*delay):
 	}
 	if *delay *= 2; *delay > backoffMax {
 		*delay = backoffMax
