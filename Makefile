@@ -11,7 +11,8 @@ build:
 
 # Go-host static analysis. Cheap pre-steps first (gofmt, go vet, a grep
 # that keeps environment reads out of internal/, one that keeps per-call
-# contexts out of internal/device's data path), then the
+# contexts out of internal/device's data path, one that keeps the stdlib
+# JPEG encoder out of internal/'s non-test code), then the
 # vpvet analyzer suite (framerelease, determinism, metername,
 # lockdiscipline — see DESIGN.md "Static enforcement") over every package,
 # then a staleness check of the generated meter registry. Exits non-zero
@@ -25,6 +26,8 @@ vet:
 		echo "vet failed: env-var knob under internal/ (pass it as a parameter or config field)"; exit 1; fi
 	@if grep -rnE 'context\.With(Timeout|Deadline)' --include='*.go' --exclude='*_test.go' internal/device; then \
 		echo "vet failed: per-call context under internal/device (re-arm the worker's clock.Deadline)"; exit 1; fi
+	@if grep -rnE 'jpeg\.Encode\(' --include='*.go' --exclude='*_test.go' internal; then \
+		echo "vet failed: image/jpeg encoder under internal/ (append the stream with frame.appendJPEG; jpeg.Encode is the test oracle only)"; exit 1; fi
 	@$(GO) run ./cmd/vpvet ./... || { echo "vet failed: vpvet (findings above; suppress a false positive with //vpvet:allow <check> <reason>)"; exit 1; }
 	@$(GO) run ./cmd/vpvet -check-meters ./... || { echo "vet failed: meter registry stale (run make meters)"; exit 1; }
 
@@ -55,15 +58,16 @@ race:
 	$(GO) test -race ./...
 
 # Allocation-regression gate: steady-state allocs/op on the frame codecs
-# (raw round trip, clone, warm JPEG decode) and wire message paths must
-# stay pinned (near zero) after the buffer pool / copy-elision work, and
-# the interpreter's counted loop and script-to-script call must stay
-# independent of the iteration count; an object literal of up to eight
-# fields, a detector pose and its clone, and the host calls that move them
-# stay at their flat-object counts; a host call's arguments, a warm wire
-# scan's strings and a warm timed wait allocate nothing. The BufferPool tests ride along: the
-# pool's determinism (a hit after two GCs, retention cap, spare rule), the
-# whole warm remote hop under 2 KiB (internal/netsim), and conservation —
+# (raw round trip, clone, warm JPEG encode into a scratch, warm JPEG
+# decode) and wire message paths must stay pinned (near zero) after the
+# buffer pool / copy-elision work, and the interpreter's counted loop and
+# script-to-script call must stay independent of the iteration count; an
+# object literal of up to eight fields, a detector pose and its clone, and
+# the host calls that move them stay at their flat-object counts; a host
+# call's arguments, a warm wire scan's strings and a warm timed wait
+# allocate nothing. The BufferPool tests ride along: the pool's determinism
+# (a hit after two GCs, retention cap, spare rule), the whole warm remote
+# hop at <= 5 mallocs and <= 1 KiB (internal/netsim), and conservation —
 # every chunk, body and frame back in the pool after decode failures, a
 # full store, and Cluster.Close with frames in flight. The timer pool's
 # tests (internal/clock) run twice, once under each timer-channel semantics:
@@ -110,8 +114,8 @@ shapes:
 # measured step count, the shape-inference pass, the stateless verdict
 # against what two events on one context show the host, the payload JSON
 # codec against encoding/json, the flat object table against a map and the
-# frame codec's JPEG decoder against image/jpeg (seed corpora alone run in
-# `make test`).
+# frame codec's JPEG decoder and encoder against image/jpeg (seed corpora
+# alone run in `make test`).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzBudget -fuzztime 30s ./internal/script
@@ -122,6 +126,7 @@ fuzz:
 	$(GO) test -fuzz FuzzObjectOps -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzParseConfig -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzJPEGDecode -fuzztime 30s ./internal/frame
+	$(GO) test -fuzz FuzzJPEGEncode -fuzztime 30s ./internal/frame
 
 # Regenerate every paper table/figure plus the ablations (takes ~3 min).
 experiments:

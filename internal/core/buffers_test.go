@@ -53,8 +53,8 @@ func relayCluster(t *testing.T) (*core.Cluster, *core.Pipeline) {
 	return c, p
 }
 
-// Every byte slice a remote hop borrows — encoder scratch, link chunk,
-// message body, decoded pixels — goes back to frame.Pool, whether the frame
+// Every byte slice a remote hop borrows — link chunk, message body,
+// decoded pixels — goes back to frame.Pool, whether the frame
 // completes or the cluster is closed with it in flight: after Close the
 // pool's outstanding count is what it was, plus what the test itself holds.
 func TestBufferPoolConservation(t *testing.T) {

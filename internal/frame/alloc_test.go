@@ -104,6 +104,35 @@ func TestJPEGDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestJPEGEncodeAllocs pins the remote-hop encode: a warm VGA encode into
+// a scratch buffer with enough capacity allocates nothing — no encoder
+// state, no writer, no image header.
+func TestJPEGEncodeAllocs(t *testing.T) {
+	src := sceneFrame(640, 480)
+	codec := JPEGCodec{Quality: 85}
+	buf, err := codec.AppendEncode(nil, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// buf now has the stream's capacity.
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if buf, err = codec.AppendEncode(buf[:0], src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	assertAllocs(t, "jpeg AppendEncode into scratch", float64(after.Mallocs-before.Mallocs)/runs, 0)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	if raceEnabled {
+		t.Logf("jpeg AppendEncode into scratch: %.0f B/op (bound not enforced under -race)", perOp)
+	} else if perOp > 0 {
+		t.Errorf("jpeg AppendEncode into scratch: %.0f B/op, want 0", perOp)
+	}
+}
+
 func TestReleaseGuards(t *testing.T) {
 	t.Run("nil is a no-op", func(t *testing.T) {
 		var f *Frame

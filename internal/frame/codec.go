@@ -72,8 +72,10 @@ func unmarshalHeader(data []byte) (seq uint64, captured time.Time, w, h int, pay
 	return seq, captured, w, h, data[headerSize:], nil
 }
 
-// JPEGCodec compresses frames with the standard library JPEG encoder,
-// giving realistic transfer sizes and encode/decode CPU cost.
+// JPEGCodec compresses frames to baseline 4:2:0 JPEG, giving realistic
+// transfer sizes and encode/decode CPU cost. Both directions are fused
+// ports of image/jpeg with no intermediate image (jpegenc.go, jpegdec.go);
+// streams and pixels are byte-identical to the standard library's.
 type JPEGCodec struct {
 	// Quality is the JPEG quality (1-100); zero means jpeg.DefaultQuality.
 	Quality int
@@ -89,66 +91,19 @@ func (c JPEGCodec) Encode(f *Frame) ([]byte, error) {
 	return c.AppendEncode(nil, f)
 }
 
-// AppendEncode serializes into dst's spare capacity; the JPEG encoder
-// writes through a thin append adapter so a warm scratch buffer makes the
-// whole encode allocation-free apart from the encoder's own state.
+// AppendEncode serializes into dst's spare capacity: appendJPEG appends
+// the stream image/jpeg would write for f.ToImage(), so an encode into a
+// warm scratch buffer allocates nothing.
 func (c JPEGCodec) AppendEncode(dst []byte, f *Frame) ([]byte, error) {
 	q := c.Quality
 	if q == 0 {
 		q = jpeg.DefaultQuality
 	}
-	w := appendWriter{buf: appendHeader(dst, f), tmp: Pool.GetDirty(stageSize)}
-	err := jpeg.Encode(&w, f.ToImage(), &jpeg.Options{Quality: q})
-	Pool.Put(w.tmp)
+	out, err := appendJPEG(appendHeader(dst, f), f.Pix, f.Width, f.Height, q)
 	if err != nil {
 		return nil, fmt.Errorf("frame: jpeg encode: %w", err)
 	}
-	return w.buf, nil
-}
-
-// appendWriter adapts append-style buffer growth to the stdlib JPEG
-// encoder. It implements Flush and WriteByte alongside Write so
-// jpeg.Encode uses it directly instead of wrapping it in a fresh
-// bufio.Writer per call. Bytes stage through tmp first: appending straight
-// to buf would pay a bounds check and a slice-header write barrier on every
-// WriteByte in the encoder's bit-emit loop. The writer escapes into
-// jpeg.Encode's io.Writer, so tmp is borrowed from the pool for the call
-// rather than embedded as an array the heap would pay for on every encode.
-type appendWriter struct {
-	buf []byte
-	n   int
-	tmp []byte
-}
-
-const stageSize = 2048
-
-func (w *appendWriter) flushTmp() {
-	w.buf = append(w.buf, w.tmp[:w.n]...)
-	w.n = 0
-}
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	if w.n > 0 {
-		w.flushTmp()
-	}
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-func (w *appendWriter) WriteByte(c byte) error {
-	if w.n == len(w.tmp) {
-		w.flushTmp()
-	}
-	w.tmp[w.n] = c
-	w.n++
-	return nil
-}
-
-func (w *appendWriter) Flush() error {
-	if w.n > 0 {
-		w.flushTmp()
-	}
-	return nil
+	return out, nil
 }
 
 // Decode reconstructs a frame from a JPEG-encoded payload into a pooled

@@ -6,13 +6,14 @@ import (
 )
 
 // The fused JPEG decode path. JPEGCodec.AppendEncode always emits the same
-// stream shape — 8-bit baseline sequential Huffman, three components, 4:2:0
-// chroma, one interleaved scan, no restart markers — so the decode side
-// does not need image/jpeg's generality, and above all does not need its
-// intermediate planar *image.YCbCr (460 KiB per VGA frame, allocated and
-// dropped on every remote hop). jpegDecoder reads bits straight from the
-// payload slice, reconstructs one 16x16 MCU at a time into fixed scratch,
-// and writes RGBA pixels directly into the pooled destination buffer.
+// stream shape, which appendJPEG (jpegenc.go) writes — 8-bit baseline
+// sequential Huffman, three components, 4:2:0 chroma, one interleaved scan,
+// no restart markers — so the decode side does not need image/jpeg's
+// generality, and above all does not need its intermediate planar
+// *image.YCbCr (460 KiB per VGA frame, allocated and dropped on every
+// remote hop). jpegDecoder reads bits straight from the payload slice,
+// reconstructs one 16x16 MCU at a time into fixed scratch, and writes RGBA
+// pixels directly into the pooled destination buffer.
 //
 // The output contract is byte equality with the stdlib route
 // (jpeg.Decode + FromImage): the same table-driven Huffman decoding, the

@@ -8,12 +8,11 @@ import (
 
 // BufferPool recycles byte buffers across frames and across everything else
 // a remote hop touches: pixel buffers, the wire layer's received message
-// bodies, netsim's in-flight chunks and the JPEG encoder's staging scratch.
-// Steady-state pipeline traffic asks for the same handful of sizes thousands
-// of times per run, and flow-control credits bound how many are out at once,
-// so recycling drops the data plane's per-frame allocation to ~zero
-// (MediaPipe's packet pools and NNStreamer's on-device zero-copy paths make
-// the same trade).
+// bodies and netsim's in-flight chunks. Steady-state pipeline traffic asks
+// for the same handful of sizes thousands of times per run, and
+// flow-control credits bound how many are out at once, so recycling drops
+// the data plane's per-frame allocation to ~zero (MediaPipe's packet pools
+// and NNStreamer's on-device zero-copy paths make the same trade).
 //
 // Each size class keeps a mutex-guarded LIFO free list. Unlike a sync.Pool
 // it survives garbage collections and does not care which P a buffer was
