@@ -9,8 +9,7 @@ import (
 
 // stdlibJPEG is the oracle: what JPEGCodec{Quality: q} wrote when it
 // called image/jpeg.
-func stdlibJPEG(t testing.TB, f *Frame, q int) ([]byte, error) {
-	t.Helper()
+func stdlibJPEG(f *Frame, q int) ([]byte, error) {
 	if q == 0 {
 		q = jpeg.DefaultQuality
 	}
@@ -24,7 +23,7 @@ func stdlibJPEG(t testing.TB, f *Frame, q int) ([]byte, error) {
 // held, and a stream the fused decoder accepts.
 func checkEncode(t *testing.T, name string, f *Frame, q int) {
 	t.Helper()
-	want, err := stdlibJPEG(t, f, q)
+	want, err := stdlibJPEG(f, q)
 	if err != nil {
 		t.Fatalf("%s q%d: jpeg.Encode: %v", name, q, err)
 	}
@@ -72,7 +71,7 @@ func TestJPEGEncodeDifferential(t *testing.T) {
 func TestJPEGEncodeTooLarge(t *testing.T) {
 	for _, sz := range [][2]int{{1 << 16, 1}, {1, 1 << 16}} {
 		f := MustNew(sz[0], sz[1])
-		_, want := stdlibJPEG(t, f, 75)
+		_, want := stdlibJPEG(f, 75)
 		out, err := JPEGCodec{}.AppendEncode(nil, f)
 		if want == nil || err == nil || err.Error() != "frame: jpeg encode: "+want.Error() || out != nil {
 			t.Errorf("%dx%d: AppendEncode = %d bytes, %v; jpeg.Encode: %v", sz[0], sz[1], len(out), err, want)
