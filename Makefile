@@ -11,8 +11,9 @@ build:
 
 # Go-host static analysis. Cheap pre-steps first (gofmt, go vet, a grep
 # that keeps environment reads out of internal/, one that keeps per-call
-# contexts out of internal/device's data path, one that keeps the stdlib
-# JPEG encoder out of internal/'s non-test code), then the
+# contexts out of internal/device's data path, one that keeps Go maps as
+# event bodies out of internal/device and internal/core, one that keeps the
+# stdlib JPEG encoder out of internal/'s non-test code), then the
 # vpvet analyzer suite (framerelease, determinism, metername,
 # lockdiscipline — see DESIGN.md "Static enforcement") over every package,
 # then a staleness check of the generated meter registry. Exits non-zero
@@ -26,6 +27,8 @@ vet:
 		echo "vet failed: env-var knob under internal/ (pass it as a parameter or config field)"; exit 1; fi
 	@if grep -rnE 'context\.With(Timeout|Deadline)' --include='*.go' --exclude='*_test.go' internal/device; then \
 		echo "vet failed: per-call context under internal/device (re-arm the worker's clock.Deadline)"; exit 1; fi
+	@if grep -rnE 'map\[string\]any' --include='*.go' --exclude='*_test.go' internal/device internal/core; then \
+		echo "vet failed: map[string]any under internal/device or internal/core (build the event's *script.Object with script.NewObjectSize)"; exit 1; fi
 	@if grep -rnE 'jpeg\.Encode\(' --include='*.go' --exclude='*_test.go' internal; then \
 		echo "vet failed: image/jpeg encoder under internal/ (append the stream with frame.appendJPEG; jpeg.Encode is the test oracle only)"; exit 1; fi
 	@$(GO) run ./cmd/vpvet ./... || { echo "vet failed: vpvet (findings above; suppress a false positive with //vpvet:allow <check> <reason>)"; exit 1; }
@@ -65,13 +68,17 @@ race:
 # object literal of up to eight fields, a detector pose and its clone, and
 # the host calls that move them stay at their flat-object counts; a host
 # call's arguments, a warm wire scan's strings and a warm timed wait
-# allocate nothing. The BufferPool tests ride along: the pool's determinism
+# allocate nothing; so do a warm one-argument Context.Call, a frame_done()
+# event, a store Put/Retain/Release cycle and a pooled wire receive, and a
+# warm admitted Offer costs its message, two boxed numbers and the boxed
+# frame_ref. The BufferPool tests ride along: the pool's determinism
 # (a hit after two GCs, retention cap, spare rule), the whole warm remote
-# hop at <= 5 mallocs and <= 1 KiB (internal/netsim), and conservation —
+# hop at <= 3 mallocs and <= 1 KiB (internal/netsim), and conservation —
 # every chunk, body and frame back in the pool after decode failures, a
-# full store, and Cluster.Close with frames in flight. The timer pool's
-# tests (internal/clock) run twice, once under each timer-channel semantics:
-# a recycled timer must never carry a stale tick.
+# full store, an inject into a closed module, and Cluster.Close with frames
+# in flight. The timer pool's tests (internal/clock) run twice, once under
+# each timer-channel semantics: a recycled timer must never carry a stale
+# tick.
 alloc:
 	$(GO) test -run 'Allocs|ReleaseGuards|BufferPool' ./internal/frame ./internal/wire ./internal/script \
 		./internal/services ./internal/netsim ./internal/device ./internal/core

@@ -475,10 +475,9 @@ func (p *Pipeline) Offer(f *frame.Frame) bool {
 	// after that the burst that fills the window — the source catching up
 	// after a stall — allocates nothing, at whatever second of a run it comes.
 	frame.Pool.Reserve(len(f.Pix), left+1+max(hops-ahead, 0))
-	body := map[string]any{
-		"captured_ms": float64(f.Captured.UnixNano()) / 1e6,
-		"seq":         float64(f.Seq),
-	}
+	body := script.NewObjectSize(3) // room for the frame_ref
+	body.Set("captured_ms", float64(f.Captured.UnixNano())/1e6)
+	body.Set("seq", float64(f.Seq))
 	ok, err := entry.TryInject(body, f)
 	if err != nil || !ok {
 		p.returnCredit()

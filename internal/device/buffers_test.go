@@ -118,3 +118,31 @@ func TestBufferPoolInjectStoreFullReleasesFrame(t *testing.T) {
 		t.Errorf("pool outstanding moved by %d: a refused frame's buffer was not returned", got-outstanding)
 	}
 }
+
+// Inject and TryInject into a module that has closed hand the frame back:
+// its store entry is released, so neither a store slot nor the pooled
+// buffer stays pinned.
+func TestBufferPoolInjectClosedModuleReleasesFrame(t *testing.T) {
+	d := newDevice(t, testNet(), "desktop", Desktop)
+	m, err := d.SpawnModule(ModuleSpec{Name: "m", Source: `function event_received(message) { frame_done(); }`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	resident, outstanding := d.store.Len(), frame.Pool.Outstanding()
+
+	for i := 0; i < 8; i++ {
+		if err := m.Inject(context.Background(), nil, frame.MustNewPooled(32, 32)); err == nil {
+			t.Fatal("Inject into a closed module succeeded")
+		}
+		if ok, err := m.TryInject(nil, frame.MustNewPooled(32, 32)); ok || err == nil {
+			t.Fatalf("TryInject into a closed module = %v, %v", ok, err)
+		}
+	}
+	if got := d.store.Len(); got != resident {
+		t.Errorf("store holds %d frames after injecting into a closed module, want %d", got, resident)
+	}
+	if got := frame.Pool.Outstanding(); got != outstanding {
+		t.Errorf("pool outstanding moved by %d: an injected frame's buffer was not returned", got-outstanding)
+	}
+}

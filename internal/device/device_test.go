@@ -197,7 +197,7 @@ func TestModuleInitAndEvents(t *testing.T) {
 	}
 	ctx := context.Background()
 	for i := 1; i <= 3; i++ {
-		if err := m.Inject(ctx, map[string]any{"value": float64(i)}, nil); err != nil {
+		if err := m.Inject(ctx, objectOf(map[string]script.Value{"value": float64(i)}), nil); err != nil {
 			t.Fatalf("Inject: %v", err)
 		}
 	}
@@ -397,7 +397,7 @@ func TestTryInjectDropsWhenBusy(t *testing.T) {
 	}
 	accepted, dropped := 0, 0
 	for i := 0; i < 10; i++ {
-		ok, err := m.TryInject(map[string]any{"i": float64(i)}, nil)
+		ok, err := m.TryInject(objectOf(map[string]script.Value{"i": float64(i)}), nil)
 		if err != nil {
 			t.Fatalf("TryInject: %v", err)
 		}
@@ -429,7 +429,7 @@ func TestModuleLogSink(t *testing.T) {
 	})
 	src := `function event_received(message) { log("frame", message.n); }`
 	m, _ := d.SpawnModule(ModuleSpec{Name: "logger", Source: src})
-	m.Inject(context.Background(), map[string]any{"n": float64(7)}, nil)
+	m.Inject(context.Background(), objectOf(map[string]script.Value{"n": float64(7)}), nil)
 	waitFor(t, func() bool { return logged.Load() == 1 })
 	if s, _ := lastMsg.Load().(string); !strings.Contains(s, "desktop/logger") || !strings.Contains(s, "7") {
 		t.Errorf("log output = %q", s)
@@ -929,7 +929,7 @@ func TestModuleAbandonedFrameReturnsCredit(t *testing.T) {
 	m.SetFrameDone(func(time.Duration) { done.Add(1) })
 	m.SetFrameAbandoned(func() { abandoned.Add(1) })
 
-	if err := m.Inject(context.Background(), map[string]any{"fail": true}, frame.MustNew(8, 8)); err != nil {
+	if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"fail": true}), frame.MustNew(8, 8)); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return abandoned.Load() == 1 })
@@ -947,7 +947,7 @@ func TestModuleAbandonedFrameReturnsCredit(t *testing.T) {
 	}
 
 	// An error without a frame returns no credit (nothing was consumed).
-	if err := m.Inject(context.Background(), map[string]any{"fail": true}, nil); err != nil {
+	if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"fail": true}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return d.Metrics().Meter("module.m.errors").Count() == 2 })
@@ -1014,5 +1014,49 @@ func TestCrashCancelsInFlightCallService(t *testing.T) {
 	}
 	if done.Load() != 0 {
 		t.Errorf("frame_done ran after a failed call_service: %d", done.Load())
+	}
+}
+
+// event_received's argument is lent from a slot of the worker's, but the
+// message object is the event's own: a handler that keeps it in a global
+// still sees that object, unchanged, after later events, and the slot
+// holds nothing between events.
+func TestHandlerKeepsItsOwnMessage(t *testing.T) {
+	d := newDevice(t, testNet(), "desktop", Desktop)
+	src := `
+		var first = null;
+		var count = 0;
+		function event_received(message) {
+			if (first == null) { first = message; }
+			count = count + 1;
+		}
+	`
+	m, err := d.SpawnModule(ModuleSpec{Name: "keeper", Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	bodies := make([]*script.Object, n)
+	for i := range bodies {
+		bodies[i] = objectOf(map[string]script.Value{"seq": float64(i)})
+		if err := m.Inject(context.Background(), bodies[i], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return d.reg.Meter("module.keeper.events").Count() == n })
+	m.Close() // joins the worker: what it wrote is ours to read
+	w := m.workers[0]
+	if w.args[0] != nil {
+		t.Error("the worker's argument slot still holds the last event's message")
+	}
+	first, _ := w.ctx.Global("first")
+	if first != script.Value(bodies[0]) {
+		t.Fatalf("first = %v, want the first event's own message", first)
+	}
+	if seq := bodies[0].Get("seq"); seq != float64(0) || bodies[0].Len() != 1 {
+		t.Errorf("the kept message changed: seq %v, %d fields", seq, bodies[0].Len())
+	}
+	if count, _ := w.ctx.Global("count"); count != float64(n) {
+		t.Errorf("count = %v, want %d", count, n)
 	}
 }

@@ -79,7 +79,7 @@ func TestModuleBreachCountResetsOnSuccess(t *testing.T) {
 	// breach, breach, success — repeated: never 3 consecutive breaches.
 	for round := 0; round < 3; round++ {
 		for _, spin := range []float64{1, 1, 0} {
-			if err := m.Inject(ctx, map[string]any{"spin": spin}, nil); err != nil {
+			if err := m.Inject(ctx, objectOf(map[string]script.Value{"spin": spin}), nil); err != nil {
 				t.Fatalf("Inject: %v", err)
 			}
 		}
@@ -137,7 +137,7 @@ func TestModuleRestoreVersionGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SpawnModule: %v", err)
 	}
-	if err := m1.Inject(context.Background(), map[string]any{"value": float64(5)}, nil); err != nil {
+	if err := m1.Inject(context.Background(), objectOf(map[string]script.Value{"value": float64(5)}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return d.Metrics().Meter("module.counter.events").Count() == 1 })
@@ -152,7 +152,7 @@ func TestModuleRestoreVersionGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SpawnModule counter2: %v", err)
 	}
-	if err := m2.Inject(context.Background(), map[string]any{"value": float64(1)}, nil); err != nil {
+	if err := m2.Inject(context.Background(), objectOf(map[string]script.Value{"value": float64(1)}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return d.Metrics().Histogram("stage.total").Count() == 2 })
@@ -173,7 +173,7 @@ func TestModuleRestoreVersionGate(t *testing.T) {
 	waitFor(t, func() bool {
 		return d.Metrics().Meter("module.counter3.restore_discarded").Count() == 1
 	})
-	if err := m3.Inject(context.Background(), map[string]any{"value": float64(2)}, nil); err != nil {
+	if err := m3.Inject(context.Background(), objectOf(map[string]script.Value{"value": float64(2)}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return d.Metrics().Histogram("stage.total2").Count() == 1 })

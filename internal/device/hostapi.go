@@ -277,7 +277,8 @@ func (w *worker) deliverRemote(route Route, body *script.Object, frameID uint64)
 		return fmt.Errorf("call_module: marshal body: %w", err)
 	}
 	w.bodyBuf = bodyJSON
-	msg := wire.NewMessage(bodyJSON)
+	w.parts[0] = bodyJSON
+	msg := wire.NewMessage(w.parts[:1]...)
 	if frameID != 0 {
 		f, err := m.dev.store.Get(frameID)
 		if err != nil {
@@ -290,7 +291,8 @@ func (w *worker) deliverRemote(route Route, body *script.Object, frameID uint64)
 		}
 		w.encBuf = data
 		m.encodeTime.Observe(time.Since(encStart))
-		msg.Parts = append(msg.Parts, data)
+		w.parts[1] = data
+		msg.Parts = w.parts[:2]
 	}
 
 	m.pushMu.Lock()

@@ -186,6 +186,10 @@ type worker struct {
 	encBuf  []byte
 	bodyBuf []byte
 	jsonEnc script.JSONEncoder
+	// parts and args back a remote message's parts and event_received's
+	// argument (cleared after the call): a per-event slice would escape.
+	parts [2][]byte
+	args  [1]script.Value
 	// calls and sends bound each call_service and each remote call_module
 	// by serviceCallTimeout: one deadline each, re-armed per call.
 	calls, sends *clock.Deadline
@@ -399,61 +403,67 @@ func (m *Module) shapeObserver() ShapeObserver {
 }
 
 // Inject delivers an event directly from Go — how the video source (a
-// camera, not a script) feeds the first module. The frame, if any, is
-// stored in the device store and owned by the receiving event; the body is
-// converted here, once, and the caller keeps its map.
-func (m *Module) Inject(ctx context.Context, body map[string]any, f *frame.Frame) error {
-	ev := event{body: script.FromGo(body).(*script.Object)}
-	if f != nil {
-		id, err := m.dev.store.Put(f)
-		if err != nil {
-			// The store never took it, so the frame is still ours to
-			// recycle: ownership transferred to Inject unconditionally.
-			f.Release()
-			return fmt.Errorf("device: inject into %s: %w", m.spec.Name, err)
-		}
-		ev.frameID = id
-	}
-	select {
-	case m.events <- ev:
-		return nil
-	case <-m.done:
-		return fmt.Errorf("device: module %s is closed", m.spec.Name)
-	case <-ctx.Done():
-		if ev.frameID != 0 {
-			m.dev.store.Release(ev.frameID)
-		}
-		return ctx.Err()
-	}
+// camera, not a script) feeds the first module. The body (nil reads as
+// empty) becomes the event's message and the frame, if any, goes into the
+// device store: both are handed over, queued or not.
+func (m *Module) Inject(ctx context.Context, body *script.Object, f *frame.Frame) error {
+	_, err := m.inject(ctx, true, body, f)
+	return err
 }
 
 // TryInject is Inject without blocking: it reports false when the module
 // is busy (no credit) — the source-side drop point of the queue-free
 // design.
-func (m *Module) TryInject(body map[string]any, f *frame.Frame) (bool, error) {
-	ev := event{body: script.FromGo(body).(*script.Object)}
+func (m *Module) TryInject(body *script.Object, f *frame.Frame) (bool, error) {
+	return m.inject(context.Background(), false, body, f)
+}
+
+// inject is Inject when wait is set (it waits for the inbox until ctx ends)
+// and TryInject when not; an event it does not queue gives its store entry
+// back.
+func (m *Module) inject(ctx context.Context, wait bool, body *script.Object, f *frame.Frame) (bool, error) {
+	if body == nil {
+		body = script.NewObjectSize(1) // room for the frame_ref
+	}
+	ev := event{body: body}
 	if f != nil {
 		id, err := m.dev.store.Put(f)
 		if err != nil {
-			f.Release()
+			f.Release() // the store never took it, so it is still ours
 			return false, fmt.Errorf("device: inject into %s: %w", m.spec.Name, err)
 		}
 		ev.frameID = id
 	}
+	var err error
+	closed := false
 	select {
-	case m.events <- ev:
-		return true, nil
-	case <-m.done:
-		if ev.frameID != 0 {
-			m.dev.store.Release(ev.frameID)
-		}
-		return false, fmt.Errorf("device: module %s is closed", m.spec.Name)
+	case <-m.done: // checked first: nothing drains a closed module's inbox
+		closed = true
 	default:
-		if ev.frameID != 0 {
-			m.dev.store.Release(ev.frameID)
+		if wait {
+			select {
+			case m.events <- ev:
+				return true, nil
+			case <-m.done:
+				closed = true
+			case <-ctx.Done():
+				err = ctx.Err()
+			}
+		} else {
+			select {
+			case m.events <- ev:
+				return true, nil
+			default: // busy: no credit
+			}
 		}
-		return false, nil
 	}
+	if ev.frameID != 0 {
+		m.dev.store.Release(ev.frameID)
+	}
+	if closed {
+		err = fmt.Errorf("device: module %s is closed", m.spec.Name)
+	}
+	return false, err
 }
 
 // receiveLoop decodes inbound wire messages into events.
@@ -766,7 +776,9 @@ func (w *worker) handle(j job) {
 	}
 
 	w.outputUsed = 0
-	_, err := w.ctx.Call("event_received", ev.body)
+	w.args[0] = ev.body
+	_, err := w.ctx.Call("event_received", w.args[:]...)
+	w.args[0] = nil
 	// Per-event interpreter instruction count — the runtime half of the
 	// pipecost validation loop (static bound >= this) and the counter the
 	// sandbox instruction budget is enforced against.

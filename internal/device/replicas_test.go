@@ -108,7 +108,7 @@ func offerBursts(t *testing.T, m *Module, credits *creditWindow, window int64, n
 		waitFor(t, func() bool { return credits.avail.Load() == window })
 		for i := int64(0); i < window && seq < n; i, seq = i+1, seq+1 {
 			credits.avail.Add(-1)
-			if err := m.Inject(context.Background(), map[string]any{"seq": float64(seq)}, frame.MustNewPooled(8, 8)); err != nil {
+			if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"seq": float64(seq)}), frame.MustNewPooled(8, 8)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -196,7 +196,7 @@ func TestUpdateSourceAcrossReplication(t *testing.T) {
 	// One more burst runs on the last code for certain.
 	for seq := frames; seq < frames+window; seq++ {
 		credits.avail.Add(-1)
-		if err := m.Inject(context.Background(), map[string]any{"seq": float64(seq)}, frame.MustNewPooled(8, 8)); err != nil {
+		if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"seq": float64(seq)}), frame.MustNewPooled(8, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}

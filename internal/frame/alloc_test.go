@@ -23,6 +23,34 @@ func assertAllocs(t *testing.T, what string, got, want float64) {
 	}
 }
 
+// TestStoreAllocs pins the store's warm bookkeeping: entries are held by
+// value, so a Put → Retain → Release → Release cycle allocates nothing once
+// the map has room. (The frames are made up front: a released frame is
+// poisoned, so each cycle puts a fresh one.)
+func TestStoreAllocs(t *testing.T) {
+	const runs = 100
+	s := NewStore(0)
+	frames := make([]*Frame, runs+1) // AllocsPerRun's warm-up call takes one
+	for i := range frames {
+		frames[i] = &Frame{Width: 1, Height: 1}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		id, err := s.Put(frames[next])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next++
+		s.Retain(id)
+		s.Release(id)
+		s.Release(id)
+	})
+	assertAllocs(t, "warm Put/Retain/Release/Release", allocs, 0)
+	if s.Len() != 0 || !frames[runs].Released() {
+		t.Errorf("%d frames resident after the cycles", s.Len())
+	}
+}
+
 func TestRawCodecRoundTripAllocs(t *testing.T) {
 	f := MustNewPooled(64, 48)
 	defer f.Release()

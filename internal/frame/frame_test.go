@@ -2,6 +2,7 @@ package frame
 
 import (
 	"context"
+	"fmt"
 	"image/color"
 	"math"
 	"testing"
@@ -296,6 +297,59 @@ func TestStoreErrors(t *testing.T) {
 	s.Put(MustNew(1, 1))
 	if _, err := s.Put(MustNew(1, 1)); err == nil {
 		t.Error("Put over capacity succeeded")
+	}
+}
+
+// Entries are held by value, so every count change is written back: a
+// fan-out's Retains and Releases in any order evict the frame exactly once,
+// on the last Release, and never before.
+func TestStoreFanOutRefcounts(t *testing.T) {
+	s := NewStore(0)
+	f, g := MustNewPooled(4, 4), MustNewPooled(4, 4)
+	fid, _ := s.Put(f)
+	gid, _ := s.Put(g)
+	for i := 0; i < 3; i++ { // three more consumers of f: four references
+		if err := s.Retain(fid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Interleave the two frames' releases; g's single reference goes in
+	// the middle of f's four.
+	for i, id := range []uint64{fid, fid, gid, fid} {
+		if err := s.Release(id); err != nil {
+			t.Fatalf("release %d: %v", i, err)
+		}
+		if f.Released() {
+			t.Fatalf("f evicted after release %d with references left", i)
+		}
+	}
+	if !g.Released() {
+		t.Error("g not released when its one reference went")
+	}
+	if got, err := s.Get(fid); err != nil || got != f {
+		t.Fatalf("Get(f) = %v, %v with one reference left", got, err)
+	}
+	if err := s.Release(fid); err != nil { // the last: evicts, releases once
+		t.Fatal(err)
+	}
+	if !f.Released() || s.Len() != 0 {
+		t.Errorf("after the last release: f released %v, %d resident", f.Released(), s.Len())
+	}
+	// A dead id reads as unknown (a second frame.Release would have
+	// panicked).
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{s.Release(fid), fmt.Sprintf("frame: release of unknown frame id %d", fid)},
+		{s.Retain(gid), fmt.Sprintf("frame: retain of unknown frame id %d", gid)},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("err = %v, want %q", c.err, c.want)
+		}
+	}
+	if _, err := s.Get(gid); err == nil || err.Error() != fmt.Sprintf("frame: unknown frame id %d", gid) {
+		t.Errorf("Get(dead) err = %v", err)
 	}
 }
 

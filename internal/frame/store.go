@@ -9,11 +9,13 @@ import (
 // co-located services exchange frame reference ids instead of pixel copies
 // (paper §3: "rather than copying the full image frames to the module, we
 // pass on a reference id that identifies the frame"). A frame stays resident
-// until its reference count drops to zero.
+// until its reference count drops to zero. Entries are held by value (a
+// warm Put → Retain → Release cycle allocates nothing), so Retain and
+// Release write the changed count back.
 type Store struct {
 	mu     sync.Mutex
 	nextID uint64
-	frames map[uint64]*entry
+	frames map[uint64]entry
 	// capacity bounds resident frames; Put fails when full, surfacing
 	// leaks instead of letting them consume the device's memory.
 	capacity int
@@ -32,7 +34,7 @@ func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = DefaultStoreCapacity
 	}
-	return &Store{frames: make(map[uint64]*entry), capacity: capacity}
+	return &Store{frames: make(map[uint64]entry), capacity: capacity}
 }
 
 // Put registers a frame with an initial reference count of one and returns
@@ -48,7 +50,7 @@ func (s *Store) Put(f *Frame) (uint64, error) {
 	}
 	s.nextID++
 	id := s.nextID
-	s.frames[id] = &entry{frame: f, refs: 1}
+	s.frames[id] = entry{frame: f, refs: 1}
 	return id, nil
 }
 
@@ -73,6 +75,7 @@ func (s *Store) Retain(id uint64) error {
 		return fmt.Errorf("frame: retain of unknown frame id %d", id)
 	}
 	e.refs++
+	s.frames[id] = e
 	return nil
 }
 
@@ -89,10 +92,12 @@ func (s *Store) Release(id uint64) error {
 		return fmt.Errorf("frame: release of unknown frame id %d", id)
 	}
 	e.refs--
-	if e.refs <= 0 {
-		delete(s.frames, id)
-		e.frame.Release()
+	if e.refs > 0 {
+		s.frames[id] = e
+		return nil
 	}
+	delete(s.frames, id)
+	e.frame.Release()
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -77,6 +78,9 @@ type Context struct {
 	// argStack holds the arguments of the host calls in progress, innermost
 	// on top: a host function is lent its slice of it for the call.
 	argStack []Value
+	// top is the invocation state of every Load, Eval or Call that
+	// interrupts none, zeroed per use; a nested one gets its own interp.
+	top interp
 }
 
 // NewContext creates a context with the standard library installed.
@@ -144,6 +148,7 @@ func (c *Context) account(in *interp) {
 	c.lastInstructions = in.steps
 	c.instructions += in.steps
 	c.running = in.outer
+	in.ret = cell{} // keep no returned value alive between invocations
 }
 
 // newInterp builds one invocation's execution state from the context's
@@ -151,7 +156,11 @@ func (c *Context) account(in *interp) {
 // (InitInstructions, falling back to Instructions); events run under
 // Instructions.
 func (c *Context) newInterp(initPhase bool) *interp {
-	in := &interp{ctx: c, outer: c.running}
+	in := &c.top
+	if c.running != nil {
+		in = new(interp)
+	}
+	*in = interp{ctx: c, outer: c.running}
 	c.running = in
 	in.stepLimit = c.limits.Instructions
 	if initPhase && c.limits.InitInstructions > 0 {
@@ -213,7 +222,8 @@ func (c *Context) Eval(src string) (Value, error) {
 	return last.value(), nil
 }
 
-// Call invokes the named global function with args.
+// Call invokes the named global function with args. Call keeps nothing of
+// the slice, so the caller may reuse it once Call returns.
 func (c *Context) Call(name string, args ...Value) (Value, error) {
 	s, ok := c.globals[name]
 	if !ok {
@@ -993,27 +1003,16 @@ func (in *interp) index(obj, idx cell, pos Position) (cell, error) {
 // evalCall evaluates a call expression. Calling a script function that does
 // not read `arguments` evaluates each argument straight into its parameter's
 // slot in the callee's frame, so numbers stay unboxed and no argument slice
-// exists; a host function borrows its arguments from the context's argument
-// stack; any other callee receives them as a fresh []Value.
+// exists; any other callee borrows its arguments from the context's argument
+// stack.
 func (in *interp) evalCall(ex *callExpr, fr *frame) (cell, error) {
 	callee, err := in.eval(ex.callee, fr)
 	if err != nil {
 		return cell{}, err
 	}
-	if host, ok := callee.ref.(HostFunc); ok {
-		return in.callHostLent(host, ex, fr)
-	}
 	fn, ok := callee.ref.(*Function)
 	if !ok || fn.lit.usesArguments {
-		args := make([]Value, len(ex.args))
-		for i, a := range ex.args {
-			v, err := in.eval(a, fr)
-			if err != nil {
-				return cell{}, err
-			}
-			args[i] = v.value()
-		}
-		return in.callValue(callee.value(), args, ex.pos)
+		return in.callLent(callee.value(), ex, fr)
 	}
 	lit := fn.lit
 	callFr := in.ctx.enter(&lit.scope, fn.env)
@@ -1033,10 +1032,10 @@ func (in *interp) evalCall(ex *callExpr, fr *frame) (cell, error) {
 	return in.invoke(lit, callFr, len(ex.args), ex.pos)
 }
 
-// callHostLent evaluates a host call's arguments onto the argument stack —
-// above those of any host call still being evaluated, so nested calls nest —
-// lends the host function its capped slice and clears it after.
-func (in *interp) callHostLent(fn HostFunc, ex *callExpr, fr *frame) (cell, error) {
+// callLent evaluates a call's arguments onto the argument stack — above
+// those of any call still being evaluated, so nested calls nest — lends the
+// callee its capped slice and clears it after.
+func (in *interp) callLent(fn Value, ex *callExpr, fr *frame) (cell, error) {
 	c := in.ctx
 	base := len(c.argStack)
 	defer func() {
@@ -1097,8 +1096,8 @@ func (in *interp) callValue(callee Value, args []Value, pos Position) (cell, err
 			}
 			callFr.slots[idx].define(cellOf(v), false)
 		}
-		if lit.usesArguments {
-			callFr.slots[lit.argsSlot].define(cell{ref: &Array{Elems: args}}, false)
+		if lit.usesArguments { // args is lent; `arguments` outlives the call
+			callFr.slots[lit.argsSlot].define(cell{ref: &Array{Elems: slices.Clone(args)}}, false)
 		}
 		return in.invoke(lit, callFr, len(args), pos)
 	case nil:

@@ -99,9 +99,22 @@ func (m Message) Size() int {
 // must not call it. Release is optional: an unreleased message is simply
 // collected, as an unreleased frame is.
 func (m *Message) Release() {
-	frame.Pool.Put(m.body)
+	if m.body != nil {
+		frame.Pool.Put(m.body)
+		clear(m.Parts)
+		select {
+		case freeParts <- m.Parts[:0]:
+		default:
+		}
+	}
 	*m = Message{}
 }
+
+// freeParts recycles pooled messages' parts slices: Release gives one back
+// with the body, the next pooled read takes it. Sixteen outnumbers what the
+// Pull sockets of a small cluster hold at once (per socket: one being read,
+// one parked, one being decoded); a slice beyond it goes to the collector.
+var freeParts = make(chan [][]byte, 16)
 
 // Clone deep-copies the message so the original buffers can be reused.
 // Hot paths should prefer borrowing (see Pull.Recv and the RPC handoffs) —
@@ -190,7 +203,7 @@ func writeMessageBuf(w io.Writer, m Message, scratch []byte) ([]byte, error) {
 
 // ReadMessage decodes one message from r into a buffer the message owns
 // outright.
-func ReadMessage(r io.Reader) (Message, error) { return readMessage(r, false) }
+func ReadMessage(r io.Reader) (Message, error) { return readMessage(r, new([4]byte), false) }
 
 // readMessage is the one body reader. Unpooled, the body is a fresh
 // allocation; pooled, it is borrowed from frame.Pool and Message.Release
@@ -198,9 +211,8 @@ func ReadMessage(r io.Reader) (Message, error) { return readMessage(r, false) }
 // it, and a buffer whose read or parse failed is left to the collector
 // rather than Put back: the pool only ever retains buffers that carried a
 // whole message, so a peer that sends a large prefix and hangs up pins
-// nothing.
-func readMessage(r io.Reader, pooled bool) (Message, error) {
-	var hdr [4]byte
+// nothing. hdr is the caller's scratch for the prefix (a local escapes).
+func readMessage(r io.Reader, hdr *[4]byte, pooled bool) (Message, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return Message{}, io.EOF
@@ -220,7 +232,14 @@ func readMessage(r io.Reader, pooled bool) (Message, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return Message{}, fmt.Errorf("wire: read body: %w", err)
 	}
-	m, err := decodeBody(buf)
+	var parts [][]byte
+	if pooled {
+		select {
+		case parts = <-freeParts:
+		default:
+		}
+	}
+	m, err := decodeBody(buf, parts)
 	if err != nil {
 		return Message{}, err
 	}
@@ -233,8 +252,8 @@ func readMessage(r io.Reader, pooled bool) (Message, error) {
 // decodeBody parses the parts out of one read buffer. Parts borrow
 // subslices of buf rather than copying — the buffer is dedicated to this
 // message until it is released, so downstream consumers may hold the parts
-// as long as they hold the message.
-func decodeBody(buf []byte) (Message, error) {
+// as long as they hold the message, in parts if it has room.
+func decodeBody(buf []byte, parts [][]byte) (Message, error) {
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return Message{}, errors.New("wire: corrupt part count")
@@ -243,7 +262,10 @@ func decodeBody(buf []byte) (Message, error) {
 	if count > uint64(len(buf))+1 {
 		return Message{}, errors.New("wire: implausible part count")
 	}
-	m := Message{Parts: make([][]byte, 0, count)}
+	if uint64(cap(parts)) < count {
+		parts = make([][]byte, 0, count)
+	}
+	m := Message{Parts: parts[:0]}
 	for i := uint64(0); i < count; i++ {
 		plen, n := binary.Uvarint(buf)
 		if n <= 0 {

@@ -70,8 +70,9 @@ func ListenPull(t Transport, port int) (*Pull, error) {
 }
 
 func (p *Pull) readLoop(conn net.Conn) {
+	var hdr [4]byte
 	for {
-		m, err := readMessage(conn, true)
+		m, err := readMessage(conn, &hdr, true)
 		if err != nil {
 			return
 		}
