@@ -13,7 +13,8 @@ build:
 # that keeps environment reads out of internal/, one that keeps per-call
 # contexts out of internal/device's data path, one that keeps Go maps as
 # event bodies out of internal/device and internal/core, one that keeps the
-# stdlib JPEG encoder out of internal/'s non-test code), then the
+# stdlib JPEG encoder out of internal/'s non-test code, one that keeps the
+# clock out of internal/script's non-test code), then the
 # vpvet analyzer suite (framerelease, determinism, metername,
 # lockdiscipline — see DESIGN.md "Static enforcement") over every package,
 # then a staleness check of the generated meter registry. Exits non-zero
@@ -31,6 +32,8 @@ vet:
 		echo "vet failed: map[string]any under internal/device or internal/core (build the event's *script.Object with script.NewObjectSize)"; exit 1; fi
 	@if grep -rnE 'jpeg\.Encode\(' --include='*.go' --exclude='*_test.go' internal; then \
 		echo "vet failed: image/jpeg encoder under internal/ (append the stream with frame.appendJPEG; jpeg.Encode is the test oracle only)"; exit 1; fi
+	@if grep -rnE '"time"' --include='*.go' --exclude='*_test.go' internal/script; then \
+		echo "vet failed: clock under internal/script (price the work in steps: the sandbox's one CPU budget has no clock)"; exit 1; fi
 	@$(GO) run ./cmd/vpvet ./... || { echo "vet failed: vpvet (findings above; suppress a false positive with //vpvet:allow <check> <reason>)"; exit 1; }
 	@$(GO) run ./cmd/vpvet -check-meters ./... || { echo "vet failed: meter registry stale (run make meters)"; exit 1; }
 

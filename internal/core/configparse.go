@@ -479,8 +479,6 @@ func buildLimits(obj *cfgObject, lc *LimitsConfig) error {
 			lc.Memory = int64(n)
 		case "output", "output_limit":
 			lc.Output = int64(n)
-		case "timeout_ms":
-			lc.TimeoutMS = n
 		default:
 			return fmt.Errorf("core: config line %d: unknown limits field %q", e.line, e.key)
 		}

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -25,7 +27,7 @@ func TestParseConfigLimitsBlock(t *testing.T) {
 			  source: "function event_received(m) { frame_done(); }" }
 		]
 		limits : { instruction_limit: 500000, init_instructions: 2000,
-		           output_limit: 1024, timeout_ms: 250 }
+		           output_limit: 1024 }
 		source : { device: phone, module: tight, fps: 15, width: 64, height: 48 }
 	`
 	cfg, err := core.ParseConfig("p", text, nil)
@@ -41,7 +43,7 @@ func TestParseConfigLimitsBlock(t *testing.T) {
 	if eff.Instructions != 1000 || eff.Memory != 4096 {
 		t.Errorf("tight limits = %+v", eff)
 	}
-	if eff.InitInstructions != 2000 || eff.Output != 1024 || eff.TimeoutMS != 250 {
+	if eff.InitInstructions != 2000 || eff.Output != 1024 {
 		t.Errorf("tight inherited fields = %+v", eff)
 	}
 
@@ -56,7 +58,7 @@ func TestParseConfigLimitsBlock(t *testing.T) {
 
 	// ToScript carries the values into the sandbox's own type.
 	lim := cfg.EffectiveLimits("tight").ToScript()
-	if lim.Instructions != 1000 || lim.Timeout.Milliseconds() != 250 {
+	if lim.Instructions != 1000 || lim.InitInstructions != 2000 || lim.Output != 1024 {
 		t.Errorf("ToScript = %+v", lim)
 	}
 }
@@ -70,8 +72,8 @@ func TestEffectiveLimitsDefaults(t *testing.T) {
 	if eff != def {
 		t.Errorf("EffectiveLimits = %+v, want defaults %+v", eff, def)
 	}
-	if !eff.ToScript().Bounded() {
-		t.Error("default limits must bound the sandbox")
+	if lim := eff.ToScript(); lim.Instructions <= 0 || lim.InitInstructions <= 0 || lim.Memory <= 0 || lim.Output <= 0 {
+		t.Errorf("default limits must bound the sandbox: %+v", lim)
 	}
 }
 
@@ -85,6 +87,11 @@ func TestParseConfigLimitsErrors(t *testing.T) {
 		if _, err := core.ParseConfig("p", text, nil); err == nil {
 			t.Errorf("case %d: ParseConfig accepted %q", i, text)
 		}
+	}
+	// The wall-clock backstop is gone: steps are the one CPU budget.
+	_, err := core.ParseConfig("p", `modules: [ { name: a, source: "x", limits: { timeout_ms: 250 } } ]`, nil)
+	if err == nil || !strings.Contains(err.Error(), `unknown limits field "timeout_ms"`) {
+		t.Errorf("timeout_ms: err = %v, want the unknown limits field error", err)
 	}
 }
 
@@ -272,5 +279,60 @@ func TestPipelineRestartModuleHealsSabotage(t *testing.T) {
 	// guard, but an unknown module is rejected.
 	if err := p.RestartModule("ghost"); err == nil {
 		t.Error("RestartModule(ghost) succeeded")
+	}
+}
+
+// TestBudgetIndexOfProbeBreaches: a handler that spends its time inside a
+// builtin pays steps for that work, so under the default limits it breaches
+// the instruction budget within milliseconds. With builtins free, this
+// probe ran ~10 s in 320 015 steps and breached nothing: the wall-clock
+// backstop excluded builtin time along with host-call time.
+func TestBudgetIndexOfProbeBreaches(t *testing.T) {
+	c := script.NewContext()
+	c.SetLimits(core.DefaultLimits().ToScript())
+	if err := c.Load(`function event_received(m) {
+		var a = range(100000);
+		var n = 0;
+		for (var i = 0; i < 20000; i++) { n = n + index_of(a, -1); }
+		return n;
+	}`); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err := c.Call("event_received", nil)
+	took := time.Since(start)
+	var be *script.BudgetError
+	if !errors.As(err, &be) || be.Resource != script.ResourceInstructions {
+		t.Fatalf("err = %v, want an instruction BudgetError", err)
+	}
+	bound := 100 * time.Millisecond
+	if raceEnabled {
+		bound *= 10
+	}
+	if took >= bound {
+		t.Errorf("the breach took %v, want < %v", took, bound)
+	}
+}
+
+// TestBudgetRangeBreachesBeforeAllocating: range charges its length before
+// it builds the array, so a range the budget cannot afford allocates
+// nothing. With builtins free, range(1 << 24) built 384 MiB before the
+// memory budget noticed.
+func TestBudgetRangeBreachesBeforeAllocating(t *testing.T) {
+	c := script.NewContext()
+	c.SetLimits(core.DefaultLimits().ToScript())
+	if err := c.Load(`function event_received(m) { return len(range(16777216)); }`); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.Call("event_received", nil)
+	runtime.ReadMemStats(&after)
+	var be *script.BudgetError
+	if !errors.As(err, &be) || be.Resource != script.ResourceInstructions {
+		t.Fatalf("err = %v, want an instruction BudgetError", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("allocated %d bytes before the breach, want <= 1 MiB", alloc)
 	}
 }

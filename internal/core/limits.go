@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"videopipe/internal/script"
 )
@@ -24,12 +23,10 @@ const (
 	DefaultMemoryLimit = 8 << 20
 	// DefaultOutputLimit bounds per-event host-emitted payload (bytes).
 	DefaultOutputLimit = 256 << 10
-	// DefaultTimeoutMS is the wall-clock backstop per invocation.
-	DefaultTimeoutMS = 2000
 )
 
 // LimitsConfig declares a sandbox resource budget in a pipeline config —
-// the `limits { instructions=…; memory=…; output=…; timeout_ms=… }` block,
+// the `limits { instructions=…; memory=…; output=… }` block,
 // at pipeline scope (default for all modules) or per module (override).
 // Zero fields inherit from the enclosing scope, ending at the cluster
 // defaults above: there is no way to configure an unlimited module.
@@ -43,8 +40,6 @@ type LimitsConfig struct {
 	Memory int64
 	// Output is the per-event host-emit budget in bytes.
 	Output int64
-	// TimeoutMS is the per-invocation wall-clock backstop in milliseconds.
-	TimeoutMS float64
 }
 
 // DefaultLimits returns the cluster-wide default budget.
@@ -54,7 +49,6 @@ func DefaultLimits() LimitsConfig {
 		InitInstructions: DefaultInitInstructionLimit,
 		Memory:           DefaultMemoryLimit,
 		Output:           DefaultOutputLimit,
-		TimeoutMS:        DefaultTimeoutMS,
 	}
 }
 
@@ -74,16 +68,13 @@ func (l LimitsConfig) merged(def LimitsConfig) LimitsConfig {
 	if l.Output > 0 {
 		out.Output = l.Output
 	}
-	if l.TimeoutMS > 0 {
-		out.TimeoutMS = l.TimeoutMS
-	}
 	return out
 }
 
 // validate rejects negative budgets and instruction limits the interpreter
 // could never reach (above its hard step ceiling).
 func (l LimitsConfig) validate(scope string) error {
-	if l.Instructions < 0 || l.InitInstructions < 0 || l.Memory < 0 || l.Output < 0 || l.TimeoutMS < 0 {
+	if l.Instructions < 0 || l.InitInstructions < 0 || l.Memory < 0 || l.Output < 0 {
 		return fmt.Errorf("core: %s: limits must be non-negative", scope)
 	}
 	if l.Instructions > script.DefaultMaxSteps || l.InitInstructions > script.DefaultMaxSteps {
@@ -99,7 +90,6 @@ func (l LimitsConfig) ToScript() script.Limits {
 		InitInstructions: l.InitInstructions,
 		Memory:           l.Memory,
 		Output:           l.Output,
-		Timeout:          time.Duration(l.TimeoutMS * float64(time.Millisecond)),
 	}
 }
 

@@ -204,7 +204,7 @@ func TestOutputChargeFrameRefAsymmetry(t *testing.T) {
 // memory proportional to the budget, not to the tree: 4 million leaves and
 // 10^18 cost the same.
 func TestModuleOutputBudgetStopsExponentialPayload(t *testing.T) {
-	limits := script.Limits{Instructions: 50000, Memory: 1 << 20, Output: 256 << 10, Timeout: 250 * time.Millisecond}
+	limits := script.Limits{Instructions: 50000, Memory: 1 << 20, Output: 256 << 10}
 	for _, emit := range []string{`call_service("echo", {v: a})`, `call_module("sink", {v: a})`, `json_encode(a)`, `log(a)`} {
 		for _, doublings := range []int{22, 60} {
 			d := newDevice(t, testNet(), "desktop", Desktop)

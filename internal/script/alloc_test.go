@@ -216,3 +216,39 @@ func valueAllocs(v Value) float64 {
 	}
 	return 0
 }
+
+// TestShiftWindowAllocs pins activity_recognition's sliding window: push
+// then shift on a 15-wide window. shift reslices instead of copying the
+// array, so it allocates nothing, and push allocates only when it outgrows
+// the backing array's spare room — under one allocation per cycle,
+// amortised. What a warm cycle does allocate is the two numbers len and push
+// return, boxed (a copying shift cost two more). The window keeps its values
+// and snapshots as before.
+func TestShiftWindowAllocs(t *testing.T) {
+	c := NewContext()
+	if err := c.Load(`
+		var window = [];
+		function event_received(pose) {
+			push(window, pose.seq);
+			if (len(window) > 15) { shift(window); }
+		}
+	`); err != nil {
+		t.Fatal(err)
+	}
+	for seq := 1; seq <= 40; seq++ {
+		if _, err := c.Call("event_received", FromGo(map[string]any{"seq": seq})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := "window=[26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40]\n"
+	if got := c.Snapshot().String(); got != want {
+		t.Errorf("snapshot = %q, want %q", got, want)
+	}
+	args := []Value{FromGo(map[string]any{"seq": "pose"})}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := c.Call("event_received", args...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	assertAllocs(t, "warm push/shift cycle on a 15-wide window", allocs, 2)
+}

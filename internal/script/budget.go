@@ -3,38 +3,40 @@ package script
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
-// Sandbox resource governance (heka-style instruction/memory/output limits
-// plus a goagent-style wall-clock backstop). A Context carries a Limits
-// set; every Load/Eval/Call meters itself against it and aborts the
-// invocation with a *BudgetError on breach. Limits are per invocation —
-// one event, one init() run, one top-level load — so a breach costs the
-// offending handler its event, never the whole module lifetime.
+// Sandbox resource governance: heka-style instruction, memory and output
+// limits, and no clock. A Context carries a Limits set; every Load/Eval/Call
+// meters itself against it and aborts the invocation with a *BudgetError on
+// breach. Limits are per invocation — one event, one init() run, one
+// top-level load — so a breach costs the offending handler its event, never
+// the whole module lifetime. Steps are the one CPU budget: a builtin whose
+// work grows with its input pays steps for that work before doing it
+// (stdlib.go's price), so a handler's steps bound its CPU time whether it
+// spends it in the interpreter or in Go.
 
 // Resource names carried by BudgetError, and used as breach-meter labels.
 const (
 	// ResourceInstructions is the interpreter-step budget (the same counter
-	// LastInstructions reports and pipecost bounds statically).
+	// LastInstructions reports and pipecost bounds statically), builtin
+	// work included.
 	ResourceInstructions = "instructions"
 	// ResourceMemory is the value-allocation budget in (approximate) bytes.
 	ResourceMemory = "memory"
 	// ResourceOutput is the host-emit budget (call_module / call_service /
 	// log payload bytes), enforced by the module runtime.
 	ResourceOutput = "output"
-	// ResourceTimeout is the wall-clock backstop, excluding host-call time.
-	ResourceTimeout = "timeout"
 )
 
-// Limits is one module's resource budget. Zero fields are unlimited at
-// the script layer; the core runtime resolves cluster-wide defaults before
-// a module spawns, so deployed contexts always run fully bounded
+// Limits is one module's resource budget. Zero memory and output fields are
+// unlimited at the script layer, and a zero instruction budget is
+// DefaultMaxSteps; the core runtime resolves cluster-wide defaults before a
+// module spawns, so deployed contexts always run fully bounded
 // (deny-by-default), while embedders and tests keep the permissive zero
 // value.
 type Limits struct {
-	// Instructions bounds interpreter steps per event invocation. It must
-	// not exceed the hard ceiling DefaultMaxSteps to be effective.
+	// Instructions bounds interpreter steps per event invocation; zero, or
+	// anything above DefaultMaxSteps, means DefaultMaxSteps.
 	Instructions int64
 	// InitInstructions bounds steps for init() and top-level load; zero
 	// falls back to Instructions.
@@ -47,16 +49,6 @@ type Limits struct {
 	Memory int64
 	// Output bounds bytes emitted through the host API per event.
 	Output int64
-	// Timeout bounds one invocation's wall-clock script time, excluding
-	// time spent inside host calls (a slow service must not breach the
-	// module that called it).
-	Timeout time.Duration
-}
-
-// Bounded reports whether any budget is set.
-func (l Limits) Bounded() bool {
-	return l.Instructions > 0 || l.InitInstructions > 0 || l.Memory > 0 ||
-		l.Output > 0 || l.Timeout > 0
 }
 
 // BudgetError is a resource-budget breach. It aborts the invocation that
@@ -66,7 +58,7 @@ type BudgetError struct {
 	// Resource is one of the Resource* constants.
 	Resource string
 	// Limit is the configured budget; Used is the consumption that tripped
-	// it (instructions, bytes, or milliseconds for ResourceTimeout).
+	// it (instructions or bytes).
 	Limit int64
 	Used  int64
 	// Pos locates the script position at the moment of the breach (zero
@@ -76,12 +68,9 @@ type BudgetError struct {
 
 // Error satisfies the error interface.
 func (e *BudgetError) Error() string {
-	unit := ""
-	switch e.Resource {
-	case ResourceMemory, ResourceOutput:
-		unit = " bytes"
-	case ResourceTimeout:
-		unit = " ms"
+	unit := " bytes"
+	if e.Resource == ResourceInstructions {
+		unit = ""
 	}
 	if e.Pos != (Position{}) {
 		return fmt.Sprintf("script: %s budget exceeded at %s: used %d of %d%s",

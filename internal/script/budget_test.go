@@ -2,6 +2,9 @@ package script
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -111,41 +114,6 @@ func TestBudgetMemoryResetsPerInvocation(t *testing.T) {
 	}
 }
 
-func TestBudgetTimeoutBreach(t *testing.T) {
-	c := NewContext()
-	c.SetLimits(Limits{Timeout: 20 * time.Millisecond})
-	if err := c.Load(`function event_received(m) { while (true) {} }`); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	start := time.Now()
-	_, err := c.Call("event_received", nil)
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("want BudgetError, got %v", err)
-	}
-	if be.Resource != ResourceTimeout {
-		t.Fatalf("resource = %q, want timeout", be.Resource)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timeout enforcement took %v", elapsed)
-	}
-}
-
-func TestBudgetTimeoutExcludesHostTime(t *testing.T) {
-	c := NewContext()
-	c.SetLimits(Limits{Timeout: 50 * time.Millisecond})
-	c.Bind("slow_host", func(args []Value) (Value, error) {
-		time.Sleep(120 * time.Millisecond)
-		return nil, nil
-	})
-	if err := c.Load(`function event_received(m) { slow_host(); return "ok"; }`); err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if _, err := c.Call("event_received", nil); err != nil {
-		t.Fatalf("host-call time must not count against the script timeout: %v", err)
-	}
-}
-
 func TestBudgetUncatchableByScript(t *testing.T) {
 	c := NewContext()
 	c.SetLimits(Limits{Instructions: 1000})
@@ -190,22 +158,21 @@ func TestBudgetHostErrorUncatchable(t *testing.T) {
 	}
 }
 
+// TestBudgetZeroLimitsKeepLegacyCeiling: a context with no Limits still
+// stops a runaway loop, at DefaultMaxSteps and with the one error every
+// instruction breach raises.
 func TestBudgetZeroLimitsKeepLegacyCeiling(t *testing.T) {
 	c := NewContext()
-	c.SetMaxSteps(5000)
 	if err := c.Load(`function event_received(m) { while (true) {} }`); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	_, err := c.Call("event_received", nil)
-	if err == nil {
-		t.Fatal("want step-budget error")
-	}
 	var be *BudgetError
-	if errors.As(err, &be) {
-		t.Fatalf("ungoverned context must raise the legacy RuntimeError, got BudgetError %v", err)
+	if !errors.As(err, &be) || be.Resource != ResourceInstructions || be.Limit != DefaultMaxSteps {
+		t.Fatalf("ungoverned context: err = %v, want an instruction BudgetError at DefaultMaxSteps", err)
 	}
-	if !strings.Contains(err.Error(), "step budget exhausted") {
-		t.Fatalf("legacy ceiling message changed: %v", err)
+	if got := c.LastInstructions(); got != DefaultMaxSteps+1 {
+		t.Fatalf("LastInstructions = %d, want DefaultMaxSteps+1", got)
 	}
 }
 
@@ -214,9 +181,9 @@ func TestBudgetErrorMessage(t *testing.T) {
 	if got := e.Error(); got != "script: memory budget exceeded: used 2048 of 1024 bytes" {
 		t.Fatalf("message = %q", got)
 	}
-	e2 := &BudgetError{Resource: ResourceTimeout, Limit: 20, Used: 25, Pos: Position{Line: 3, Col: 7}}
-	if !strings.Contains(e2.Error(), "timeout budget exceeded at") || !strings.Contains(e2.Error(), " ms") {
-		t.Fatalf("message = %q", e2.Error())
+	e2 := &BudgetError{Resource: ResourceInstructions, Limit: 20, Used: 21, Pos: Position{Line: 3, Col: 7}}
+	if got := e2.Error(); got != "script: instructions budget exceeded at 3:7: used 21 of 20" {
+		t.Fatalf("message = %q", got)
 	}
 }
 
@@ -269,9 +236,112 @@ func TestSnapshotCarriesVersion(t *testing.T) {
 	}
 }
 
+// constantTime lists the builtins whose work does not grow with their input
+// (flat) or is cut off by the memory budget (rendered): every other builtin
+// must charge steps for its work. A new builtin fails
+// TestBudgetBuiltinPrices until it is priced or listed here.
+var constantTime = map[string]price{
+	"len": flat, "is_nan": flat, "push": flat, "pop": flat, "shift": flat,
+	"has": flat, "remove": flat, "substr": flat, "min": flat, "max": flat,
+	"abs": flat, "floor": flat, "ceil": flat, "round": flat, "sqrt": flat,
+	"exp": flat, "log": flat, "sin": flat, "cos": flat, "atan2": flat, "pow": flat,
+	"str": rendered, "json_encode": rendered,
+}
+
+func TestBudgetBuiltinPrices(t *testing.T) {
+	for name, b := range builtins {
+		switch want, listed := constantTime[name]; {
+		case b.price == unpriced:
+			t.Errorf("%s has no price", name)
+		case listed && b.price != want:
+			t.Errorf("%s is priced %d, but listed as constant-time (%d)", name, b.price, want)
+		case !listed && (b.price == flat || b.price == rendered):
+			t.Errorf("%s is priced as constant-time but not listed in constantTime", name)
+		}
+	}
+	for name := range constantTime {
+		if builtins[name] == nil {
+			t.Errorf("constantTime lists %s, which is not a builtin", name)
+		}
+	}
+}
+
+// TestBudgetBuiltinCharges pins what each priced builtin charges over an
+// input of 64 elements, fields or bytes: the steps of the call less those of
+// the same call to is_nan, which is flat.
+func TestBudgetBuiltinCharges(t *testing.T) {
+	const n = 64
+	nlogn := n * 6 // n·⌈log₂ n⌉
+	cases := []struct {
+		call string
+		want int
+	}{
+		{"num(S)", n}, {"unshift(A, 1)", n}, {"slice(A, 0, 3)", n}, {"slice(S, 1)", n},
+		{"concat(A, A, [1, 2])", 2*n + 2}, {"index_of(A, -1)", n}, {"index_of(S, \"z\")", n},
+		{"reverse(A)", n}, {"sort(A)", nlogn}, {"range(64)", n}, {"range(2.5)", 2},
+		{"keys(O)", nlogn}, {"values(O)", nlogn}, {"split(S, \",\")", n}, {"join(A, \",\")", n},
+		{"upper(S)", n}, {"lower(S)", n}, {"trim(S)", n}, {"contains(A, -1)", n}, {"contains(S, \"z\")", n},
+		{"starts_with(S, \"z\")", n}, {"ends_with(S, \"z\")", n}, {"json_decode(J)", n},
+		{"str(A)", 0}, {"json_encode(A)", 0}, {"shift(A)", 0}, {"push(A, 1)", 0}, {"len(A)", 0},
+	}
+	steps := func(call string) int64 {
+		c := NewContext()
+		elems, fields := make([]Value, n), NewObject()
+		for i := range elems {
+			elems[i] = float64(i)
+			fields.Set(fmt.Sprint("k", i+100), float64(i))
+		}
+		c.BindValue("A", &Array{Elems: elems})
+		c.BindValue("O", fields)
+		c.BindValue("S", strings.Repeat("ab,", n/4)+strings.Repeat("x", n-3*(n/4)))
+		c.BindValue("J", "["+strings.Repeat("1,", n/2-2)+"10]")
+		if _, err := c.Eval(call); err != nil {
+			t.Fatalf("%s: %v", call, err)
+		}
+		return c.LastInstructions()
+	}
+	for _, tc := range cases {
+		base := steps("is_nan" + tc.call[strings.IndexByte(tc.call, '('):])
+		if got := steps(tc.call) - base; got != int64(tc.want) {
+			t.Errorf("%s charged %d steps, want %d", tc.call, got, tc.want)
+		}
+	}
+}
+
+// TestBudgetBuiltinBoundExact: over literal and range(k) inputs pipecost's
+// bound for a straight-line handler of priced builtins is exactly what the
+// interpreter charges.
+func TestBudgetBuiltinBoundExact(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "cost", "ok_builtin_sized.js"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, ok := AnalyzeCost(string(data)).Handler("event_received")
+	if !ok || !h.Bounded {
+		t.Fatalf("event_received: %+v, want a bound", h)
+	}
+	_, event, loaded := measureHandlers(string(data))
+	if !loaded || event != h.Steps {
+		t.Errorf("measured %d steps (loaded %v), static bound %d: want them equal", event, loaded, h.Steps)
+	}
+}
+
+// Wall-time calibration for FuzzBudget. On a 2-core x86-64 box an
+// interpreted step costs ~12 ns and a priced builtin ~1–90 ns per step it
+// charges (join's per-element rendering is the dearest); the rendering
+// builtins and string concatenation, which the memory budget bounds instead,
+// cost ~15–25 ns per byte. The bound allows ten times the dearest of each,
+// and a fixed allowance for parsing, garbage collection and a busy box.
+const (
+	fuzzNsPerStep = 1000
+	fuzzNsPerByte = 250
+	fuzzOverhead  = 100 * time.Millisecond
+)
+
 // FuzzBudget runs random programs under random budgets: enforcement must
-// never panic, and a breached run must never exceed its instruction limit
-// by more than one dispatch quantum.
+// never panic, a breached run must never exceed its instruction limit by
+// more than one dispatch quantum, and no run may take longer than its steps
+// and its memory budget pay for — there is no clock to stop it.
 func FuzzBudget(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed, int64(1000), int64(4096))
@@ -299,7 +369,18 @@ func FuzzBudget(f *testing.F) {
 			mem = 1 << 22
 		}
 		c := NewContext()
-		c.SetLimits(Limits{Instructions: instr, Memory: mem, Timeout: 250 * time.Millisecond})
+		c.SetLimits(Limits{Instructions: instr, Memory: mem})
+		start := time.Now()
+		defer func() {
+			slow := time.Duration(1)
+			if raceEnabled {
+				slow = 20
+			}
+			limit := slow * (time.Duration(c.Instructions())*fuzzNsPerStep + time.Duration(2*mem)*fuzzNsPerByte + fuzzOverhead)
+			if took := time.Since(start); took > limit {
+				t.Fatalf("ran %v in %d steps under a %d-byte memory budget, over the %v they allow", took, c.Instructions(), mem, limit)
+			}
+		}()
 		checkBreach := func(err error) {
 			var be *BudgetError
 			if !errors.As(err, &be) {

@@ -30,9 +30,12 @@ package script
 //   - Scope questions — is this callee, iterable or induction variable a
 //     local? — are answered by the resolve pass's annotations, the same
 //     ones the interpreter runs on, never by a name set of the pass's own.
-//   - Host bindings and stdlib builtins execute in Go and cost zero
-//     interpreter instructions: a call to one charges only the call
-//     expression, its callee and its arguments.
+//   - A host binding costs only the call expression, its callee and its
+//     arguments. A builtin is not free: it adds its price (stdlib.go), the
+//     steps the interpreter charges before its work, bounded from the sizes
+//     of its arguments that the pass can infer — a literal's, range(k)'s,
+//     keys or values of an object literal. Where it cannot, the builtin's
+//     call is reported as PV012 and the handler is unbounded.
 //
 // Both PV012 and PV013 are warnings: an unbounded handler is legal (the
 // sandbox step budget protects the device) but opaque to the
@@ -378,17 +381,16 @@ func (ca *costAnalysis) at(n node, b bound) bound {
 	if !ok {
 		return b
 	}
-	// Module functions inline their memoized cost, host/builtin calls add
-	// nothing beyond the call itself, everything else is dynamic and
-	// unboundable.
+	// Module functions inline their memoized cost, host calls add nothing
+	// beyond the call itself and builtins their price, everything else is
+	// dynamic and unboundable.
 	id, isID := call.callee.(*identExpr)
 	var dyn bound
 	switch {
 	case !isID:
 		dyn = unboundedBy(fmt.Sprintf("dynamic call at %s", call.pos))
 	case ca.builtin(id):
-		// Host bindings and builtins execute in Go: zero interpreter steps.
-		return b
+		return b.add(ca.price(call, id.name))
 	case ca.ownBinding(id):
 		dyn = unboundedBy(fmt.Sprintf("call through local function value %q at %s", id.name, call.pos))
 	default:
@@ -400,6 +402,40 @@ func (ca *costAnalysis) at(n node, b bound) bound {
 	}
 	dyn.dynamic = true
 	return b.add(dyn)
+}
+
+// price bounds what a call to a host binding or builtin pays beyond its own
+// step: nothing for a host binding, the builtin's price over the sizes
+// inferSize bounds for its arguments. A size it cannot bound is a PV012.
+func (ca *costAnalysis) price(call *callExpr, name string) bound {
+	b, ok := builtins[name]
+	if !ok {
+		return finite(0)
+	}
+	n, known := int64(0), true
+	switch {
+	case len(call.args) == 0 || b.price == flat || b.price == rendered:
+	case b.price == counted:
+		var v float64
+		if v, known = foldConst(call.args[0]); v > 0 {
+			n = int64(min(v, float64(costCap)))
+		}
+	case b.price == perArg:
+		for _, a := range call.args {
+			m, ok := ca.inferSize(a)
+			n, known = satAdd(n, m), known && ok
+		}
+	default:
+		n, known = ca.inferSize(call.args[0])
+	}
+	if !known {
+		ca.diags = append(ca.diags, Diagnostic{
+			Pos: call.pos, Code: CodeUnboundedLoop, Severity: SeverityWarning,
+			Message: fmt.Sprintf("%s works over an argument whose size is not statically known", name),
+		})
+		return unboundedBy(fmt.Sprintf("%s over an argument of unknown size at %s", name, call.pos))
+	}
+	return finite(b.price.of(n))
 }
 
 func (*costAnalysis) join(a, b bound) bound { return maxBound(a, b) }
@@ -678,6 +714,15 @@ func writes(n node, bs []*binding) bool {
 		return !found
 	})
 	return found
+}
+
+// inferSize bounds what an argument counts for in a builtin's price: a
+// string literal's bytes, or the element count inferIterableLen infers.
+func (ca *costAnalysis) inferSize(e expr) (int64, bool) {
+	if s, ok := e.(*stringLit); ok {
+		return int64(len(s.value)), true
+	}
+	return ca.inferIterableLen(e)
 }
 
 // inferIterableLen bounds the element count of a for-of iterable. Builtin

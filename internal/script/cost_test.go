@@ -152,8 +152,7 @@ func TestCostSoundnessOnCorpus(t *testing.T) {
 func measureHandlers(src string) (load, event int64, loaded bool) {
 	ctx := NewContext()
 	costStub(ctx)
-	ctx.SetMaxSteps(200_000)
-	ctx.SetLimits(Limits{Memory: 1 << 22})
+	ctx.SetLimits(Limits{Instructions: 200_000, Memory: 1 << 22})
 	err := ctx.Load(src)
 	load = ctx.LastInstructions()
 	if err != nil || !ctx.Has("event_received") {

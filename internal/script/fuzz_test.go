@@ -82,6 +82,8 @@ var i = 0; var n = 0;
 function reset() { if (n < 50) { i = 0; } n = n + 1;`)
 	// A redeclared induction variable with a later, unrelated declaration.
 	f.Add(`for (var i = 0; i < 3; i++) if (1) var i = 0; else var j = 1;`)
+	// Builtins priced by their work, over inputs pipecost can size.
+	f.Add(`var a = range(5); var s = sort([3, 1, 2]); var k = keys({a: 1, b: 2}); index_of(a, 9); concat(a, [1], range(2)); split("a,b", ","); json_decode("[1, 2]");`)
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "configs", "*.js"))
 	if err != nil {
 		f.Fatalf("glob examples: %v", err)

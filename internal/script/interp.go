@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 )
 
 // Default sandbox limits. A module that exceeds them fails its current event
 // rather than wedging the hosting device.
 const (
-	// DefaultMaxSteps bounds evaluation steps per top-level invocation.
+	// DefaultMaxSteps is the instruction budget of an invocation whose
+	// Limits set none, and the most any Limits can set.
 	DefaultMaxSteps = 10_000_000
 	// DefaultMaxDepth bounds the script call stack.
 	DefaultMaxDepth = 200
@@ -55,7 +55,6 @@ type Context struct {
 	globals map[string]*slot
 	// free holds frames of scopes no closure captured, for reuse (env.go).
 	free     []*frame
-	maxSteps int64
 	maxDepth int
 	// instructions accumulates interpreter steps across every Load/Eval/Call
 	// on this context; lastInstructions holds the count of the most recent
@@ -72,8 +71,7 @@ type Context struct {
 	// (resolve.go); nil while all of it was stateless.
 	state *StateWrite
 	// running is the invocation executing right now, nil between
-	// invocations: how the builtins whose output size is not bounded by
-	// their input's (str, join, json_encode) find the memory budget.
+	// invocations.
 	running *interp
 	// argStack holds the arguments of the host calls in progress, innermost
 	// on top: a host function is lent its slice of it for the call.
@@ -87,15 +85,11 @@ type Context struct {
 func NewContext() *Context {
 	c := &Context{
 		globals:  make(map[string]*slot, len(builtins)+16),
-		maxSteps: DefaultMaxSteps,
 		maxDepth: DefaultMaxDepth,
 	}
 	installStdlib(c)
 	return c
 }
-
-// SetMaxSteps overrides the per-invocation evaluation step budget.
-func (c *Context) SetMaxSteps(n int64) { c.maxSteps = n }
 
 // SetMaxDepth overrides the script call-stack limit.
 func (c *Context) SetMaxDepth(n int) { c.maxDepth = n }
@@ -154,7 +148,7 @@ func (c *Context) account(in *interp) {
 // newInterp builds one invocation's execution state from the context's
 // limits. Top-level load and init() run under the init budget
 // (InitInstructions, falling back to Instructions); events run under
-// Instructions.
+// Instructions; either falls back to DefaultMaxSteps.
 func (c *Context) newInterp(initPhase bool) *interp {
 	in := &c.top
 	if c.running != nil {
@@ -166,11 +160,10 @@ func (c *Context) newInterp(initPhase bool) *interp {
 	if initPhase && c.limits.InitInstructions > 0 {
 		in.stepLimit = c.limits.InitInstructions
 	}
-	in.memLimit = c.limits.Memory
-	if c.limits.Timeout > 0 {
-		in.timeout = c.limits.Timeout
-		in.start = time.Now()
+	if in.stepLimit <= 0 || in.stepLimit > DefaultMaxSteps {
+		in.stepLimit = DefaultMaxSteps
 	}
+	in.memLimit = c.limits.Memory
 	return in
 }
 
@@ -253,18 +246,11 @@ type interp struct {
 	// ret is the value of the return statement whose returnSignal is in
 	// flight.
 	ret cell
-	// stepLimit is the configured instruction budget for this invocation
-	// (0 = only the hard DefaultMaxSteps ceiling applies).
+	// stepLimit is the instruction budget for this invocation.
 	stepLimit int64
 	// memLimit/memUsed meter script-value allocation (0 limit = off).
 	memLimit int64
 	memUsed  int64
-	// timeout/start/hostDur implement the wall-clock backstop; hostDur
-	// accumulates time spent inside host calls, which is excluded so a
-	// slow service cannot breach its caller.
-	timeout time.Duration
-	start   time.Time
-	hostDur time.Duration
 }
 
 // publicError converts internal control-flow signals into user-facing
@@ -281,27 +267,18 @@ func (in *interp) publicError(err error) error {
 	return err
 }
 
-func (in *interp) step(pos Position) error {
-	in.steps++
-	if in.stepLimit > 0 && in.steps > in.stepLimit {
+func (in *interp) step(pos Position) error { return in.pay(1, pos) }
+
+// pay charges n steps against the instruction budget: one per node the
+// interpreter evaluates, and a builtin's price before its work. A charge
+// the budget cannot cover ends the invocation at the limit plus one,
+// however large n was.
+func (in *interp) pay(n int64, pos Position) error {
+	if n > in.stepLimit-in.steps {
+		in.steps = in.stepLimit + 1
 		return &BudgetError{Resource: ResourceInstructions, Limit: in.stepLimit, Used: in.steps, Pos: pos}
 	}
-	if in.steps > in.ctx.maxSteps {
-		return &RuntimeError{Pos: pos, Msg: "step budget exhausted (possible infinite loop)"}
-	}
-	// The wall-clock backstop is checked every 1024 steps: cheap enough to
-	// leave on, frequent enough that a spin costs at most a few µs past
-	// the deadline.
-	if in.timeout > 0 && in.steps&1023 == 0 {
-		if used := time.Since(in.start) - in.hostDur; used > in.timeout {
-			return &BudgetError{
-				Resource: ResourceTimeout,
-				Limit:    in.timeout.Milliseconds(),
-				Used:     used.Milliseconds(),
-				Pos:      pos,
-			}
-		}
-	}
+	in.steps += n
 	return nil
 }
 
@@ -740,7 +717,7 @@ func (in *interp) text(c cell, pos Position) (string, error) {
 	if c.isNum {
 		return formatNumber(c.num), nil
 	}
-	left := in.ctx.memLeft()
+	left := in.memLeft()
 	s, err := StringifyMax(c.ref, left)
 	if err == ErrTooLong {
 		return "", in.charge(int64(left)+1, pos)
@@ -908,10 +885,10 @@ func (in *interp) writeTarget(target expr, v cell, fr *frame) error {
 			if !idx.isNum || n != math.Trunc(n) || n < 0 {
 				return in.errorf(t.pos, "bad array index %s", idx.display())
 			}
-			i := int(n)
-			if i >= maxArrayLen {
-				return in.errorf(t.pos, "array index %d exceeds limit", i)
+			if n >= maxArrayLen {
+				return in.errorf(t.pos, "array index %s exceeds limit", idx.display())
 			}
+			i := int(n)
 			if grow := i + 1 - len(o.Elems); grow > 0 {
 				if err := in.charge(16*int64(grow), t.pos); err != nil {
 					return err
@@ -1055,37 +1032,18 @@ func (in *interp) callLent(fn Value, ex *callExpr, fr *frame) (cell, error) {
 
 // callValue invokes a script function or host function with boxed arguments.
 func (in *interp) callValue(callee Value, args []Value, pos Position) (cell, error) {
+	var v Value
+	var err error
 	switch fn := callee.(type) {
-	case HostFunc:
-		var hostStart time.Time
-		if in.timeout > 0 {
-			hostStart = time.Now()
-		}
-		v, err := fn(args)
-		if in.timeout > 0 {
-			in.hostDur += time.Since(hostStart)
-		}
-		if err != nil {
-			// Host errors surface as catchable script throws carrying the
-			// error text, so modules can recover from failed service calls.
-			// Runtime and budget errors stay typed and uncatchable — a
-			// handler must not swallow its own abort.
-			var rt *RuntimeError
-			if errors.As(err, &rt) {
-				return cell{}, err
-			}
-			var be *BudgetError
-			if errors.As(err, &be) {
-				return cell{}, err
-			}
-			return cell{}, throwSignal{value: err.Error(), pos: pos}
-		}
-		// Host and builtin results are charged shallowly here — the one
-		// choke point every host-constructed value passes through.
-		if err := in.charge(sizeEstimate(v), pos); err != nil {
+	case *builtin:
+		// The price is paid before the work, so a call the budget cannot
+		// afford does none of it.
+		if err := in.pay(fn.price.charge(args), pos); err != nil {
 			return cell{}, err
 		}
-		return cellOf(v), nil
+		v, err = fn.fn(in, args)
+	case HostFunc:
+		v, err = fn(args)
 	case *Function:
 		lit := fn.lit
 		callFr := in.ctx.enter(&lit.scope, fn.env)
@@ -1105,6 +1063,27 @@ func (in *interp) callValue(callee Value, args []Value, pos Position) (cell, err
 	default:
 		return cell{}, in.errorf(pos, "%s is not callable", TypeName(callee))
 	}
+	if err != nil {
+		// Host errors surface as catchable script throws carrying the
+		// error text, so modules can recover from failed service calls.
+		// Runtime and budget errors stay typed and uncatchable — a
+		// handler must not swallow its own abort.
+		var rt *RuntimeError
+		if errors.As(err, &rt) {
+			return cell{}, err
+		}
+		var be *BudgetError
+		if errors.As(err, &be) {
+			return cell{}, err
+		}
+		return cell{}, throwSignal{value: err.Error(), pos: pos}
+	}
+	// Host and builtin results are charged shallowly here — the one
+	// choke point every host-constructed value passes through.
+	if err := in.charge(sizeEstimate(v), pos); err != nil {
+		return cell{}, err
+	}
+	return cellOf(v), nil
 }
 
 // invoke runs a function body in its prepared call frame fr and releases

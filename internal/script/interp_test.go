@@ -519,11 +519,11 @@ func TestTypeErrors(t *testing.T) {
 
 func TestStepBudget(t *testing.T) {
 	c := NewContext()
-	c.SetMaxSteps(10_000)
+	c.SetLimits(Limits{Instructions: 10_000})
 	_, err := c.Eval("while (true) {}")
-	var rt *RuntimeError
-	if !errors.As(err, &rt) || !strings.Contains(rt.Msg, "step budget") {
-		t.Errorf("infinite loop: err = %v, want step budget error", err)
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Resource != ResourceInstructions {
+		t.Errorf("infinite loop: err = %v, want an instruction BudgetError", err)
 	}
 }
 
@@ -538,7 +538,7 @@ func TestStackDepthLimit(t *testing.T) {
 
 func TestStepBudgetResetsPerInvocation(t *testing.T) {
 	c := NewContext()
-	c.SetMaxSteps(50_000)
+	c.SetLimits(Limits{Instructions: 50_000})
 	if err := c.Load("function work() { var s = 0; for (var i = 0; i < 1000; i++) { s += i; } return s; }"); err != nil {
 		t.Fatalf("Load: %v", err)
 	}

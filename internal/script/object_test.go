@@ -25,14 +25,14 @@ func objectOracle(t *testing.T, o *Object, want map[string]Value, universe []str
 		if v := o.Get(k); v != wv {
 			t.Fatalf("Get(%q) = %v, want %v", k, v, wv)
 		}
-		if has, _ := stdHas([]Value{o, k}); has != wok {
+		if has, _ := stdHas(nil, []Value{o, k}); has != wok {
 			t.Fatalf("has(%q) = %v, want %v", k, has, wok)
 		}
 	}
 	if o.Len() != len(want) {
 		t.Fatalf("Len() = %d, want %d", o.Len(), len(want))
 	}
-	if n, _ := stdLen([]Value{o}); n != float64(len(want)) {
+	if n, _ := stdLen(nil, []Value{o}); n != float64(len(want)) {
 		t.Fatalf("len() = %v, want %d", n, len(want))
 	}
 	keys := make([]string, 0, len(want))
@@ -43,7 +43,7 @@ func objectOracle(t *testing.T, o *Object, want map[string]Value, universe []str
 	if got := o.SortedKeys(); !slices.Equal(got, keys) {
 		t.Fatalf("SortedKeys() = %v, want %v", got, keys)
 	}
-	ks, _ := stdKeys([]Value{o})
+	ks, _ := builtins["keys"].fn(nil, []Value{o})
 	if got, _ := Stringify(ks); got != fmt.Sprint("[", joinKeys(keys), "]") {
 		t.Fatalf("keys() = %s, want %v", got, keys)
 	}
@@ -208,13 +208,13 @@ func FuzzObjectOps(f *testing.F) {
 				}
 			case 2:
 				_, had := want[k]
-				if got, _ := stdRemove([]Value{o, k}); got != had {
+				if got, _ := stdRemove(nil, []Value{o, k}); got != had {
 					t.Fatalf("op %d: remove(%q) = %v, want %v", i, k, got, had)
 				}
 				delete(want, k)
 			case 3:
 				_, had := want[k]
-				if got, _ := stdHas([]Value{o, k}); got != had {
+				if got, _ := stdHas(nil, []Value{o, k}); got != had {
 					t.Fatalf("op %d: has(%q) = %v, want %v", i, k, got, had)
 				}
 			case 4:

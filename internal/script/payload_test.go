@@ -63,7 +63,7 @@ func TestBudgetBoundsRenderingBuiltins(t *testing.T) {
 	for _, call := range []string{`str(a)`, `"" + a`, `a + ""`, `join([1, a], ",")`, `json_encode(a)`, `var o = {}; o[a]`} {
 		for _, n := range []int{22, 60} {
 			c := NewContext()
-			c.SetLimits(Limits{Instructions: 50000, Memory: 1 << 20, Timeout: 250 * time.Millisecond})
+			c.SetLimits(Limits{Instructions: 50000, Memory: 1 << 20})
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			_, err := c.Eval(fmt.Sprintf(build, n) + call)

@@ -136,7 +136,7 @@ func TestParserNeverPanicsOnRandomInput(t *testing.T) {
 			}
 		}()
 		c := NewContext()
-		c.SetMaxSteps(100_000)
+		c.SetLimits(Limits{Instructions: 100_000})
 		_, _ = c.Eval(string(raw))
 		return true
 	}
@@ -178,7 +178,7 @@ func TestParserNeverPanicsOnMutatedPrograms(t *testing.T) {
 			src = src[:i] + src[j:]
 		}
 		c := NewContext()
-		c.SetMaxSteps(100_000)
+		c.SetLimits(Limits{Instructions: 100_000})
 		_, _ = c.Eval(src)
 		return true
 	}

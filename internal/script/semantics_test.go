@@ -136,7 +136,7 @@ var semCases = []semCase{
 	{name: "catch_decl_not_visible_after", src: `try { throw 1; } catch (e) { var inner = 1; }`, eval: `inner`,
 		want: `error: script: runtime error at 1:1: "inner" is not defined`, loadInstr: 6, runInstr: 1},
 	{name: "catch_host_error_text", src: `var got; try { json_decode("{"); } catch (e) { got = typeof e; }`, eval: `got`,
-		want: `string`, loadInstr: 11, runInstr: 1},
+		want: `string`, loadInstr: 12, runInstr: 1},
 	{name: "runtime_error_not_catchable", src: `var got = "no";
 try { null.x; } catch (e) { got = "caught"; }`, eval: `got`,
 		want: `load error: script: runtime error at 2:11: cannot read "x" of null`, loadInstr: 7, runInstr: 0},

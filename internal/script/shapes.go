@@ -280,7 +280,7 @@ func shapeOfValue(v Value, depth int) *Shape {
 			s.Fields[f.key] = shapeOfValue(f.val, depth+1)
 		}
 		return s
-	case *Function, HostFunc:
+	case *Function, HostFunc, *builtin:
 		return kindShape(KindFunction)
 	default:
 		return topShape()

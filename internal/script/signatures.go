@@ -7,10 +7,10 @@ import (
 
 // This file is the single source of truth for the callable surface a module
 // script sees: the Table-1 host API bound by the device runtime
-// (internal/device) and the builtins installed by stdlib.go. The static
-// analyzer (analyze.go) checks call sites against this table at deploy time,
-// and the device runtime validates live arguments with CheckHostArgs — one
-// table, so the two layers cannot drift apart.
+// (internal/device), merged with the signatures of stdlib.go's builtin
+// table. The static analyzer (analyze.go) checks call sites against it at
+// deploy time, and the device runtime validates live arguments with
+// CheckHostArgs — one table, so the two layers cannot drift apart.
 
 // Param describes one declared parameter of a host binding or builtin.
 type Param struct {
@@ -135,75 +135,22 @@ var hostSignatureTable = map[string]Signature{
 	"event_received": {Name: "event_received", Min: 0, Max: 1, Callback: true},
 }
 
-// builtinSignatureTable declares the stdlib.go builtins. Types follow the
-// runtime coercions exactly: e.g. len accepts strings, arrays, objects and
-// null; slice's optional end argument is a number.
-var builtinSignatureTable = map[string]Signature{
-	"len":    sig1("len", Param{"value", "string|array|object|null"}),
-	"str":    sig1("str", Param{"value", "any"}),
-	"num":    sig1("num", Param{"value", "any"}),
-	"is_nan": sig1("is_nan", Param{"value", "any"}),
-
-	"push":    {Name: "push", Min: 1, Max: -1, Params: []Param{{"array", "array"}}, Rest: "any"},
-	"pop":     sig1("pop", Param{"array", "array"}),
-	"shift":   sig1("shift", Param{"array", "array"}),
-	"unshift": {Name: "unshift", Min: 1, Max: -1, Params: []Param{{"array", "array"}}, Rest: "any"},
-	"slice": {Name: "slice", Min: 2, Max: 3, Params: []Param{
-		{"value", "array|string"}, {"start", "number"}, {"end", "number"}}},
-	"concat":   {Name: "concat", Min: 0, Max: -1, Rest: "array"},
-	"index_of": sig2("index_of", Param{"value", "array|string"}, Param{"needle", "any"}),
-	"reverse":  sig1("reverse", Param{"array", "array"}),
-	"sort":     sig1("sort", Param{"array", "array"}),
-	"range":    sig1("range", Param{"n", "number"}),
-
-	"keys":   sig1("keys", Param{"object", "object"}),
-	"values": sig1("values", Param{"object", "object"}),
-	"has":    sig2("has", Param{"object", "object"}, Param{"key", "string"}),
-	"remove": sig2("remove", Param{"object", "object"}, Param{"key", "string"}),
-
-	"abs":   sig1("abs", Param{"x", "number"}),
-	"floor": sig1("floor", Param{"x", "number"}),
-	"ceil":  sig1("ceil", Param{"x", "number"}),
-	"round": sig1("round", Param{"x", "number"}),
-	"sqrt":  sig1("sqrt", Param{"x", "number"}),
-	"exp":   sig1("exp", Param{"x", "number"}),
-	"log":   sig1("log", Param{"x", "number"}),
-	"sin":   sig1("sin", Param{"x", "number"}),
-	"cos":   sig1("cos", Param{"x", "number"}),
-	"atan2": sig2("atan2", Param{"y", "number"}, Param{"x", "number"}),
-	"pow":   sig2("pow", Param{"base", "number"}, Param{"exp", "number"}),
-	"min":   {Name: "min", Min: 1, Max: -1, Rest: "number"},
-	"max":   {Name: "max", Min: 1, Max: -1, Rest: "number"},
-
-	"substr": {Name: "substr", Min: 2, Max: 3, Params: []Param{
-		{"string", "string"}, {"start", "number"}, {"end", "number"}}},
-	"split":       sig2("split", Param{"string", "string"}, Param{"separator", "string"}),
-	"join":        sig2("join", Param{"array", "array"}, Param{"separator", "string"}),
-	"upper":       sig1("upper", Param{"string", "string"}),
-	"lower":       sig1("lower", Param{"string", "string"}),
-	"trim":        sig1("trim", Param{"string", "string"}),
-	"contains":    sig2("contains", Param{"value", "string|array"}, Param{"needle", "any"}),
-	"starts_with": sig2("starts_with", Param{"string", "string"}, Param{"prefix", "string"}),
-	"ends_with":   sig2("ends_with", Param{"string", "string"}, Param{"suffix", "string"}),
-
-	"json_encode": sig1("json_encode", Param{"value", "any"}),
-	"json_decode": sig1("json_decode", Param{"text", "string"}),
+func sig1(p Param) Signature {
+	return Signature{Min: 1, Max: 1, Params: []Param{p}}
 }
 
-func sig1(name string, p Param) Signature {
-	return Signature{Name: name, Min: 1, Max: 1, Params: []Param{p}}
-}
-
-func sig2(name string, a, b Param) Signature {
-	return Signature{Name: name, Min: 2, Max: 2, Params: []Param{a, b}}
+func sig2(a, b Param) Signature {
+	return Signature{Min: 2, Max: 2, Params: []Param{a, b}}
 }
 
 // callSignatures is the merged table the analyzer resolves call sites
 // against. Host bindings win over same-named builtins ("log"), matching the
 // bind order in the device runtime: stdlib first, host API after.
 var callSignatures = func() map[string]Signature {
-	merged := make(map[string]Signature, len(builtinSignatureTable)+len(hostSignatureTable))
-	for name, s := range builtinSignatureTable {
+	merged := make(map[string]Signature, len(builtins)+len(hostSignatureTable))
+	for name, b := range builtins {
+		s := b.sig
+		s.Name = name
 		merged[name] = s
 	}
 	for name, s := range hostSignatureTable {

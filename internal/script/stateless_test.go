@@ -125,8 +125,7 @@ func hostTrace(src string, events int, reuse bool) (trace []string, ok bool) {
 	for i := 0; i < events; i++ {
 		if ctx == nil || !reuse {
 			ctx = NewContext()
-			ctx.SetMaxSteps(20_000)
-			ctx.SetLimits(Limits{Memory: 1 << 20})
+			ctx.SetLimits(Limits{Instructions: 20_000, Memory: 1 << 20})
 			for _, name := range []string{"call_service", "call_module", "metric", "log", "now_ms", "frame_done", "device_name"} {
 				name := name
 				ctx.Bind(name, func(args []Value) (Value, error) {

@@ -4,86 +4,155 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// builtins is the builtin function library every context starts with. The
-// set mirrors the helpers the paper's JavaScript modules would reach for:
-// array and object manipulation, math, strings and JSON. The functions are
-// stateless, so one table serves every context; the three whose output can
-// outgrow their input (str, join, json_encode) are bound per context by
-// installStdlib, because they write against the running invocation's memory
-// budget.
-var builtins = map[string]HostFunc{
+// builtins is the builtin function library every context starts with, and
+// the one table of it: each entry's Go body, its price and the signature the
+// analyzer checks call sites against. The set mirrors the helpers the
+// paper's JavaScript modules would reach for: array and object manipulation,
+// math, strings and JSON. The functions keep no state, so one table serves
+// every context.
+var builtins = map[string]*builtin{
 	// ---- general ----
-	"len":    stdLen,
-	"num":    stdNum,
-	"is_nan": func(a []Value) (Value, error) { n, ok := arg(a, 0).(float64); return ok && math.IsNaN(n), nil },
+	"len":    {stdLen, flat, sig1(Param{"value", "string|array|object|null"})},
+	"str":    {stdStr, rendered, sig1(Param{"value", "any"})},
+	"num":    {stdNum, perItem, sig1(Param{"value", "any"})},
+	"is_nan": {stdIsNaN, flat, sig1(Param{"value", "any"})},
 
 	// ---- arrays ----
-	"push":     stdPush,
-	"pop":      stdPop,
-	"shift":    stdShift,
-	"unshift":  stdUnshift,
-	"slice":    stdSlice,
-	"concat":   stdConcat,
-	"index_of": stdIndexOf,
-	"reverse":  stdReverse,
-	"sort":     stdSort,
-	"range":    stdRange,
+	"push":     {stdPush, flat, Signature{Min: 1, Max: -1, Params: []Param{{"array", "array"}}, Rest: "any"}},
+	"pop":      {stdPop, flat, sig1(Param{"array", "array"})},
+	"shift":    {stdShift, flat, sig1(Param{"array", "array"})},
+	"unshift":  {stdUnshift, perItem, Signature{Min: 1, Max: -1, Params: []Param{{"array", "array"}}, Rest: "any"}},
+	"slice":    {stdSlice, perItem, Signature{Min: 2, Max: 3, Params: []Param{{"value", "array|string"}, {"start", "number"}, {"end", "number"}}}},
+	"concat":   {stdConcat, perArg, Signature{Min: 0, Max: -1, Rest: "array"}},
+	"index_of": {stdIndexOf, perItem, sig2(Param{"value", "array|string"}, Param{"needle", "any"})},
+	"reverse":  {stdReverse, perItem, sig1(Param{"array", "array"})},
+	"sort":     {stdSort, sorted, sig1(Param{"array", "array"})},
+	"range":    {stdRange, counted, sig1(Param{"n", "number"})},
 
 	// ---- objects ----
-	"keys":   stdKeys,
-	"values": stdValues,
-	"has":    stdHas,
-	"remove": stdRemove,
+	"keys":   {listFields("keys", func(_ *Object, k string) Value { return k }), sorted, sig1(Param{"object", "object"})},
+	"values": {listFields("values", (*Object).Get), sorted, sig1(Param{"object", "object"})},
+	"has":    {stdHas, flat, sig2(Param{"object", "object"}, Param{"key", "string"})},
+	"remove": {stdRemove, flat, sig2(Param{"object", "object"}, Param{"key", "string"})},
 
 	// ---- math ----
-	"abs":   math1(math.Abs),
-	"floor": math1(math.Floor),
-	"ceil":  math1(math.Ceil),
-	"round": math1(math.Round),
-	"sqrt":  math1(math.Sqrt),
-	"exp":   math1(math.Exp),
-	"log":   math1(math.Log),
-	"sin":   math1(math.Sin),
-	"cos":   math1(math.Cos),
-	"atan2": math2(math.Atan2),
-	"pow":   math2(math.Pow),
-	"min":   stdMin,
-	"max":   stdMax,
+	"abs":   {math1(math.Abs), flat, sig1(Param{"x", "number"})},
+	"floor": {math1(math.Floor), flat, sig1(Param{"x", "number"})},
+	"ceil":  {math1(math.Ceil), flat, sig1(Param{"x", "number"})},
+	"round": {math1(math.Round), flat, sig1(Param{"x", "number"})},
+	"sqrt":  {math1(math.Sqrt), flat, sig1(Param{"x", "number"})},
+	"exp":   {math1(math.Exp), flat, sig1(Param{"x", "number"})},
+	"log":   {math1(math.Log), flat, sig1(Param{"x", "number"})},
+	"sin":   {math1(math.Sin), flat, sig1(Param{"x", "number"})},
+	"cos":   {math1(math.Cos), flat, sig1(Param{"x", "number"})},
+	"atan2": {math2(math.Atan2), flat, sig2(Param{"y", "number"}, Param{"x", "number"})},
+	"pow":   {math2(math.Pow), flat, sig2(Param{"base", "number"}, Param{"exp", "number"})},
+	"min":   {fold("min", math.Min), flat, Signature{Min: 1, Max: -1, Rest: "number"}},
+	"max":   {fold("max", math.Max), flat, Signature{Min: 1, Max: -1, Rest: "number"}},
 
 	// ---- strings ----
-	"substr":      stdSubstr,
-	"split":       stdSplit,
-	"upper":       func(a []Value) (Value, error) { s, err := strArg(a, 0, "upper"); return strings.ToUpper(s), err },
-	"lower":       func(a []Value) (Value, error) { s, err := strArg(a, 0, "lower"); return strings.ToLower(s), err },
-	"trim":        func(a []Value) (Value, error) { s, err := strArg(a, 0, "trim"); return strings.TrimSpace(s), err },
-	"contains":    stdContains,
-	"starts_with": stdStartsWith,
-	"ends_with":   stdEndsWith,
+	"substr":      {stdSubstr, flat, Signature{Min: 2, Max: 3, Params: []Param{{"string", "string"}, {"start", "number"}, {"end", "number"}}}},
+	"split":       {stdSplit, perItem, sig2(Param{"string", "string"}, Param{"separator", "string"})},
+	"join":        {stdJoin, perItem, sig2(Param{"array", "array"}, Param{"separator", "string"})},
+	"upper":       {strMap("upper", strings.ToUpper), perItem, sig1(Param{"string", "string"})},
+	"lower":       {strMap("lower", strings.ToLower), perItem, sig1(Param{"string", "string"})},
+	"trim":        {strMap("trim", strings.TrimSpace), perItem, sig1(Param{"string", "string"})},
+	"contains":    {stdContains, perItem, sig2(Param{"value", "string|array"}, Param{"needle", "any"})},
+	"starts_with": {strTest("starts_with", strings.HasPrefix), perItem, sig2(Param{"string", "string"}, Param{"prefix", "string"})},
+	"ends_with":   {strTest("ends_with", strings.HasSuffix), perItem, sig2(Param{"string", "string"}, Param{"suffix", "string"})},
 
 	// ---- JSON ----
-	"json_decode": stdJSONDecode,
+	"json_encode": {stdJSONEncode, rendered, sig1(Param{"value", "any"})},
+	"json_decode": {stdJSONDecode, perItem, sig1(Param{"text", "string"})},
+}
+
+// builtin is one entry of the builtin library. Its value is what a context
+// binds the name to; the interpreter charges its price before calling fn.
+type builtin struct {
+	fn    builtinFunc
+	price price
+	sig   Signature
+}
+
+// builtinFunc is a builtin's Go body; in is the invocation calling it.
+type builtinFunc func(in *interp, args []Value) (Value, error)
+
+// price is how a builtin's Go-side work grows with its input, in steps: one
+// per element or byte it reads or writes, where n counts an array's
+// elements, an object's fields or a string's bytes. The interpreter charges
+// it before the work (callValue) and pipecost bounds the same charge
+// (cost.go), so steps bound a handler's CPU time, builtins included, up to
+// the allocation the memory budget bounds (EXPERIMENTS.md "One CPU budget").
+type price uint8
+
+const (
+	unpriced price = iota // the zero value, which no entry may keep
+	flat                  // constant work: the call's own step pays for it
+	perItem               // n steps, n the size of the first argument
+	perArg                // n steps, n the sizes of all the arguments summed
+	sorted                // n·⌈log₂ n⌉ steps, n the size of the first argument
+	counted               // n steps, n the count the first argument asks for
+	rendered              // none: the output stops at what is left of the memory budget
+)
+
+// charge is what a call with args pays beyond the call's own step.
+func (p price) charge(args []Value) int64 {
+	var n int64
+	switch p {
+	case flat, rendered, unpriced:
+		return 0
+	case perArg:
+		for _, a := range args {
+			n += size(a)
+		}
+	case counted:
+		if x, ok := arg(args, 0).(float64); ok && x > 0 {
+			n = int64(min(x, float64(costCap)))
+		}
+	default:
+		n = size(arg(args, 0))
+	}
+	return p.of(n)
+}
+
+// of is the price of a call over n, for a price that grows with it.
+func (p price) of(n int64) int64 {
+	if p == sorted {
+		return satMul(n, int64(bits.Len64(uint64(max(n, 1)-1))))
+	}
+	return n
+}
+
+// size is what one argument counts for in a price.
+func size(v Value) int64 {
+	switch x := v.(type) {
+	case string:
+		return int64(len(x))
+	case *Array:
+		return int64(len(x.Elems))
+	case *Object:
+		return int64(x.Len())
+	}
+	return 0
 }
 
 // installStdlib binds the builtins as globals of c.
 func installStdlib(c *Context) {
-	for name, fn := range builtins {
-		c.Bind(name, fn)
+	for name, b := range builtins {
+		c.defineGlobal(name, cell{ref: b}, false)
 	}
-	c.Bind("str", c.stdStr)
-	c.Bind("join", c.stdJoin)
-	c.Bind("json_encode", c.stdJSONEncode)
 }
 
-// memLeft is how many more bytes the running invocation may allocate, or
-// -1 when memory is not limited (or nothing is running: a builtin called
-// from Go).
-func (c *Context) memLeft() int {
-	if in := c.running; in != nil && in.memLimit > 0 {
+// memLeft is how many more bytes the invocation may allocate, or -1 when
+// memory is not limited.
+func (in *interp) memLeft() int {
+	if in.memLimit > 0 {
 		return int(max(in.memLimit-in.memUsed, 0))
 	}
 	return -1
@@ -92,17 +161,20 @@ func (c *Context) memLeft() int {
 // memBreach turns a builtin's ErrTooLong — it stopped writing at memLeft —
 // into the memory-budget breach it stands for; any other error passes
 // through prefixed with the builtin's name.
-func (c *Context) memBreach(fn string, err error) error {
+func (in *interp) memBreach(fn string, err error) error {
 	if err == ErrTooLong {
-		return c.running.charge(int64(c.memLeft())+1, Position{})
+		return in.charge(int64(in.memLeft())+1, Position{})
 	}
 	return fmt.Errorf("%s: %w", fn, err)
 }
 
-func (c *Context) stdStr(args []Value) (Value, error) {
-	s, err := StringifyMax(arg(args, 0), c.memLeft())
+// stdStr renders its argument. It is priced as rendered: the rendering
+// stops at what is left of the memory budget, which its result is then
+// charged against.
+func stdStr(in *interp, args []Value) (Value, error) {
+	s, err := StringifyMax(arg(args, 0), in.memLeft())
 	if err == ErrTooLong {
-		err = c.memBreach("str", err)
+		err = in.memBreach("str", err)
 	}
 	return s, err
 }
@@ -138,8 +210,8 @@ func arrArg(args []Value, i int, fn string) (*Array, error) {
 	return a, nil
 }
 
-func math1(f func(float64) float64) HostFunc {
-	return func(args []Value) (Value, error) {
+func math1(f func(float64) float64) builtinFunc {
+	return func(_ *interp, args []Value) (Value, error) {
 		n, err := numArg(args, 0, "math builtin")
 		if err != nil {
 			return nil, err
@@ -148,8 +220,8 @@ func math1(f func(float64) float64) HostFunc {
 	}
 }
 
-func math2(f func(a, b float64) float64) HostFunc {
-	return func(args []Value) (Value, error) {
+func math2(f func(a, b float64) float64) builtinFunc {
+	return func(_ *interp, args []Value) (Value, error) {
 		a, err := numArg(args, 0, "math builtin")
 		if err != nil {
 			return nil, err
@@ -162,7 +234,32 @@ func math2(f func(a, b float64) float64) HostFunc {
 	}
 }
 
-func stdLen(args []Value) (Value, error) {
+// strMap is a string-to-string builtin named name.
+func strMap(name string, f func(string) string) builtinFunc {
+	return func(_ *interp, args []Value) (Value, error) {
+		s, err := strArg(args, 0, name)
+		return f(s), err
+	}
+}
+
+// strTest is a builtin named name that tests one string against another.
+func strTest(name string, f func(s, t string) bool) builtinFunc {
+	return func(_ *interp, args []Value) (Value, error) {
+		s, err := strArg(args, 0, name)
+		if err != nil {
+			return nil, err
+		}
+		t, err := strArg(args, 1, name)
+		return err == nil && f(s, t), err
+	}
+}
+
+func stdIsNaN(_ *interp, args []Value) (Value, error) {
+	n, ok := arg(args, 0).(float64)
+	return ok && math.IsNaN(n), nil
+}
+
+func stdLen(_ *interp, args []Value) (Value, error) {
 	switch x := arg(args, 0).(type) {
 	case string:
 		return float64(len(x)), nil
@@ -177,7 +274,7 @@ func stdLen(args []Value) (Value, error) {
 	}
 }
 
-func stdNum(args []Value) (Value, error) {
+func stdNum(_ *interp, args []Value) (Value, error) {
 	switch x := arg(args, 0).(type) {
 	case float64:
 		return x, nil
@@ -197,7 +294,7 @@ func stdNum(args []Value) (Value, error) {
 	}
 }
 
-func stdPush(args []Value) (Value, error) {
+func stdPush(_ *interp, args []Value) (Value, error) {
 	a, err := arrArg(args, 0, "push")
 	if err != nil {
 		return nil, err
@@ -206,7 +303,7 @@ func stdPush(args []Value) (Value, error) {
 	return float64(len(a.Elems)), nil
 }
 
-func stdPop(args []Value) (Value, error) {
+func stdPop(_ *interp, args []Value) (Value, error) {
 	a, err := arrArg(args, 0, "pop")
 	if err != nil {
 		return nil, err
@@ -219,7 +316,7 @@ func stdPop(args []Value) (Value, error) {
 	return v, nil
 }
 
-func stdShift(args []Value) (Value, error) {
+func stdShift(_ *interp, args []Value) (Value, error) {
 	a, err := arrArg(args, 0, "shift")
 	if err != nil {
 		return nil, err
@@ -228,11 +325,12 @@ func stdShift(args []Value) (Value, error) {
 		return nil, nil
 	}
 	v := a.Elems[0]
-	a.Elems = append([]Value(nil), a.Elems[1:]...)
+	a.Elems[0] = nil // no builtin shares an Elems array, so reslicing is safe
+	a.Elems = a.Elems[1:]
 	return v, nil
 }
 
-func stdUnshift(args []Value) (Value, error) {
+func stdUnshift(_ *interp, args []Value) (Value, error) {
 	a, err := arrArg(args, 0, "unshift")
 	if err != nil {
 		return nil, err
@@ -242,7 +340,7 @@ func stdUnshift(args []Value) (Value, error) {
 }
 
 // stdSlice handles both arrays and strings: slice(x, start[, end]).
-func stdSlice(args []Value) (Value, error) {
+func stdSlice(_ *interp, args []Value) (Value, error) {
 	start64, err := numArg(args, 1, "slice")
 	if err != nil {
 		return nil, err
@@ -262,33 +360,25 @@ func stdSlice(args []Value) (Value, error) {
 }
 
 func sliceBounds(n int, start64 float64, endArg Value) (int, int) {
-	start := int(start64)
-	if start < 0 {
-		start += n
-	}
-	if start < 0 {
-		start = 0
-	}
-	if start > n {
-		start = n
-	}
-	end := n
+	end64 := float64(n)
 	if e, ok := endArg.(float64); ok {
-		end = int(e)
-		if end < 0 {
-			end += n
+		end64 = e
+	}
+	// Clamp in float: converting first wraps 1e300 to a negative int.
+	clamp := func(x float64) int {
+		if x = math.Trunc(x); x < 0 {
+			x += float64(n)
 		}
+		if !(x > 0) { // NaN too
+			return 0
+		}
+		return int(min(x, float64(n)))
 	}
-	if end > n {
-		end = n
-	}
-	if end < start {
-		end = start
-	}
-	return start, end
+	start := clamp(start64)
+	return start, max(clamp(end64), start)
 }
 
-func stdConcat(args []Value) (Value, error) {
+func stdConcat(_ *interp, args []Value) (Value, error) {
 	out := &Array{}
 	for i := range args {
 		a, err := arrArg(args, i, "concat")
@@ -300,7 +390,7 @@ func stdConcat(args []Value) (Value, error) {
 	return out, nil
 }
 
-func stdIndexOf(args []Value) (Value, error) {
+func stdIndexOf(_ *interp, args []Value) (Value, error) {
 	switch x := arg(args, 0).(type) {
 	case *Array:
 		for i, e := range x.Elems {
@@ -320,7 +410,7 @@ func stdIndexOf(args []Value) (Value, error) {
 	}
 }
 
-func stdReverse(args []Value) (Value, error) {
+func stdReverse(_ *interp, args []Value) (Value, error) {
 	a, err := arrArg(args, 0, "reverse")
 	if err != nil {
 		return nil, err
@@ -332,7 +422,7 @@ func stdReverse(args []Value) (Value, error) {
 }
 
 // stdSort sorts an array of numbers or strings in place.
-func stdSort(args []Value) (Value, error) {
+func stdSort(_ *interp, args []Value) (Value, error) {
 	a, err := arrArg(args, 0, "sort")
 	if err != nil {
 		return nil, err
@@ -358,12 +448,12 @@ func stdSort(args []Value) (Value, error) {
 	return a, nil
 }
 
-func stdRange(args []Value) (Value, error) {
+func stdRange(_ *interp, args []Value) (Value, error) {
 	n, err := numArg(args, 0, "range")
 	if err != nil {
 		return nil, err
 	}
-	if n < 0 || n > maxArrayLen {
+	if !(n >= 0 && n <= maxArrayLen) { // NaN fails both
 		return nil, fmt.Errorf("range: bad length %v", n)
 	}
 	out := &Array{Elems: make([]Value, int(n))}
@@ -373,31 +463,23 @@ func stdRange(args []Value) (Value, error) {
 	return out, nil
 }
 
-func stdKeys(args []Value) (Value, error) {
-	o, ok := arg(args, 0).(*Object)
-	if !ok {
-		return nil, fmt.Errorf("keys: argument must be an object, got %s", TypeName(arg(args, 0)))
+// listFields is a builtin named name that lists what at reads from each of
+// an object's fields, in key order: keys and values.
+func listFields(name string, at func(o *Object, key string) Value) builtinFunc {
+	return func(_ *interp, args []Value) (Value, error) {
+		o, ok := arg(args, 0).(*Object)
+		if !ok {
+			return nil, fmt.Errorf("%s: argument must be an object, got %s", name, TypeName(arg(args, 0)))
+		}
+		out := &Array{}
+		for _, k := range o.SortedKeys() {
+			out.Elems = append(out.Elems, at(o, k))
+		}
+		return out, nil
 	}
-	out := &Array{}
-	for _, k := range o.SortedKeys() {
-		out.Elems = append(out.Elems, k)
-	}
-	return out, nil
 }
 
-func stdValues(args []Value) (Value, error) {
-	o, ok := arg(args, 0).(*Object)
-	if !ok {
-		return nil, fmt.Errorf("values: argument must be an object, got %s", TypeName(arg(args, 0)))
-	}
-	out := &Array{}
-	for _, k := range o.SortedKeys() {
-		out.Elems = append(out.Elems, o.Get(k))
-	}
-	return out, nil
-}
-
-func stdHas(args []Value) (Value, error) {
+func stdHas(_ *interp, args []Value) (Value, error) {
 	o, ok := arg(args, 0).(*Object)
 	if !ok {
 		return nil, fmt.Errorf("has: argument must be an object, got %s", TypeName(arg(args, 0)))
@@ -410,7 +492,7 @@ func stdHas(args []Value) (Value, error) {
 	return found, nil
 }
 
-func stdRemove(args []Value) (Value, error) {
+func stdRemove(_ *interp, args []Value) (Value, error) {
 	o, ok := arg(args, 0).(*Object)
 	if !ok {
 		return nil, fmt.Errorf("remove: argument must be an object, got %s", TypeName(arg(args, 0)))
@@ -422,43 +504,24 @@ func stdRemove(args []Value) (Value, error) {
 	return o.Delete(key), nil
 }
 
-func stdMin(args []Value) (Value, error) {
-	if len(args) == 0 {
-		return nil, errors.New("min: need at least one argument")
-	}
-	best, err := numArg(args, 0, "min")
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(args); i++ {
-		n, err := numArg(args, i, "min")
-		if err != nil {
-			return nil, err
+// fold is a variadic numeric builtin named name that folds its arguments
+// with f: min and max.
+func fold(name string, f func(a, b float64) float64) builtinFunc {
+	return func(_ *interp, args []Value) (Value, error) {
+		if len(args) == 0 {
+			return nil, fmt.Errorf("%s: need at least one argument", name)
 		}
-		best = math.Min(best, n)
+		best, err := numArg(args, 0, name)
+		for i := 1; i < len(args) && err == nil; i++ {
+			var n float64
+			n, err = numArg(args, i, name)
+			best = f(best, n)
+		}
+		return best, err
 	}
-	return best, nil
 }
 
-func stdMax(args []Value) (Value, error) {
-	if len(args) == 0 {
-		return nil, errors.New("max: need at least one argument")
-	}
-	best, err := numArg(args, 0, "max")
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < len(args); i++ {
-		n, err := numArg(args, i, "max")
-		if err != nil {
-			return nil, err
-		}
-		best = math.Max(best, n)
-	}
-	return best, nil
-}
-
-func stdSubstr(args []Value) (Value, error) {
+func stdSubstr(_ *interp, args []Value) (Value, error) {
 	s, err := strArg(args, 0, "substr")
 	if err != nil {
 		return nil, err
@@ -471,7 +534,7 @@ func stdSubstr(args []Value) (Value, error) {
 	return s[lo:hi], nil
 }
 
-func stdSplit(args []Value) (Value, error) {
+func stdSplit(_ *interp, args []Value) (Value, error) {
 	s, err := strArg(args, 0, "split")
 	if err != nil {
 		return nil, err
@@ -488,7 +551,10 @@ func stdSplit(args []Value) (Value, error) {
 	return out, nil
 }
 
-func (c *Context) stdJoin(args []Value) (Value, error) {
+// stdJoin renders the array's elements between separators. It is priced by
+// the elements it reads, and the rendering stops at what is left of the
+// memory budget, like str's.
+func stdJoin(in *interp, args []Value) (Value, error) {
 	a, err := arrArg(args, 0, "join")
 	if err != nil {
 		return nil, err
@@ -497,22 +563,22 @@ func (c *Context) stdJoin(args []Value) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	left := c.memLeft()
+	left := in.memLeft()
 	parts := make([]string, len(a.Elems))
 	for i, e := range a.Elems {
 		if parts[i], err = StringifyMax(e, left); err != nil {
-			return nil, c.memBreach("join", err)
+			return nil, in.memBreach("join", err)
 		}
 		if left >= 0 {
 			if left -= len(parts[i]) + len(sep); left < 0 {
-				return nil, c.memBreach("join", ErrTooLong)
+				return nil, in.memBreach("join", ErrTooLong)
 			}
 		}
 	}
 	return strings.Join(parts, sep), nil
 }
 
-func stdContains(args []Value) (Value, error) {
+func stdContains(_ *interp, args []Value) (Value, error) {
 	switch x := arg(args, 0).(type) {
 	case string:
 		sub, err := strArg(args, 1, "contains")
@@ -532,43 +598,21 @@ func stdContains(args []Value) (Value, error) {
 	}
 }
 
-func stdStartsWith(args []Value) (Value, error) {
-	s, err := strArg(args, 0, "starts_with")
-	if err != nil {
-		return nil, err
-	}
-	prefix, err := strArg(args, 1, "starts_with")
-	if err != nil {
-		return nil, err
-	}
-	return strings.HasPrefix(s, prefix), nil
-}
-
-func stdEndsWith(args []Value) (Value, error) {
-	s, err := strArg(args, 0, "ends_with")
-	if err != nil {
-		return nil, err
-	}
-	suffix, err := strArg(args, 1, "ends_with")
-	if err != nil {
-		return nil, err
-	}
-	return strings.HasSuffix(s, suffix), nil
-}
-
-func (c *Context) stdJSONEncode(args []Value) (Value, error) {
+// stdJSONEncode renders its argument as JSON. It is priced as rendered: the
+// encoding stops at what is left of the memory budget, like str's.
+func stdJSONEncode(in *interp, args []Value) (Value, error) {
 	var e JSONEncoder
-	if left := c.memLeft(); left >= 0 {
+	if left := in.memLeft(); left >= 0 {
 		e.over = left + 1
 	}
 	data, err := e.value(nil, arg(args, 0), 0, "")
 	if err != nil {
-		return nil, c.memBreach("json_encode", err)
+		return nil, in.memBreach("json_encode", err)
 	}
 	return string(data), nil
 }
 
-func stdJSONDecode(args []Value) (Value, error) {
+func stdJSONDecode(_ *interp, args []Value) (Value, error) {
 	s, err := strArg(args, 0, "json_decode")
 	if err != nil {
 		return nil, err

@@ -72,6 +72,37 @@ func TestSliceDoesNotAliasSource(t *testing.T) {
 	}
 }
 
+// TestHugeNumbersDoNotWrap: a float too large for an int (1e300, Inf, NaN)
+// must be compared as a float before it is converted. Converted first, it
+// wrapped to a negative int that passed the bounds checks: range and an
+// index write panicked the host, and slice and substr clamped to the wrong
+// end.
+func TestHugeNumbersDoNotWrap(t *testing.T) {
+	for _, src := range []string{
+		`range(sqrt(-1))`,
+		`var a = []; a[1e300] = 1`,
+		`var a = []; a[pow(10, 400)] = 1`,
+	} {
+		var rt *RuntimeError
+		if _, err := NewContext().Eval(src); !errors.As(err, &rt) {
+			t.Errorf("%s: err = %v, want a runtime error", src, err)
+		}
+	}
+	for src, want := range map[string]string{
+		`substr("abc", 1e300, 1)`:        "",
+		`substr("abc", sqrt(-1))`:        "abc",
+		`str(slice([1,2,3], 0, 1e300))`:  "[1, 2, 3]",
+		`str(slice([1,2,3], -1e300, 2))`: "[1, 2]",
+		`str(slice([1,2,3], 1, -1e300))`: "[]",
+		`slice("abc", 1, pow(10, 400))`:  "bc",
+		`str(slice([1,2,3], -1.5))`:      "[3]",
+	} {
+		if got := evalVal(t, src); got != want {
+			t.Errorf("%s = %v, want %q", src, got, want)
+		}
+	}
+}
+
 func TestObjectBuiltins(t *testing.T) {
 	cases := map[string]string{
 		`str(keys({b:1, a:2}))`:                  "[a, b]",

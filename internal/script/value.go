@@ -18,6 +18,7 @@ import (
 //	*Object    — objects (reference semantics)
 //	*Function  — script closures
 //	HostFunc   — Go functions exposed to scripts
+//	*builtin   — the builtin library's functions (stdlib.go)
 type Value any
 
 // Array is a script array with reference semantics.
@@ -235,7 +236,7 @@ func TypeName(v Value) string {
 		return "array"
 	case *Object:
 		return "object"
-	case *Function, HostFunc:
+	case *Function, HostFunc, *builtin:
 		return "function"
 	default:
 		return fmt.Sprintf("host<%T>", v)
@@ -313,7 +314,7 @@ func StringifyMax(v Value, max int) (string, error) {
 		if x.name != "" {
 			s = "function " + x.name
 		}
-	case HostFunc:
+	case HostFunc, *builtin:
 		s = "function (host)"
 	default:
 		s = fmt.Sprintf("%v", v)
