@@ -235,38 +235,24 @@ const (
 // their services, display on the TV. scene names the exercise the
 // synthetic subject performs.
 func FitnessConfig(name string, fps float64, scene string) core.PipelineConfig {
+	return cameraPipeline(name, fps, scene, 0.5,
+		stage("pose_detection", PoseDetectionSrc, services.PoseDetector),
+		stage("activity_recognition", ActivityRecognitionSrc, services.ActivityClassifier),
+		stage("rep_counter", RepCounterSrc, services.RepCounter),
+		stage("display", DisplaySrc, services.Display))
+}
+
+// cameraPipeline is a pipeline the phone's camera feeds at fps, filming
+// scene at repRate repetitions a second: video streaming on the phone, then
+// stages, each feeding the next.
+func cameraPipeline(name string, fps float64, scene string, repRate float64, stages ...core.ModuleConfig) core.PipelineConfig {
+	modules := append([]core.ModuleConfig{{Name: "video_streaming", Source: VideoStreamingSrc}}, stages...)
+	for i := range modules[1:] {
+		modules[i].Next = []string{modules[i+1].Name}
+	}
 	return core.PipelineConfig{
-		Name: name,
-		Modules: []core.ModuleConfig{
-			{
-				Name:   "video_streaming",
-				Source: VideoStreamingSrc,
-				Next:   []string{"pose_detection"},
-			},
-			{
-				Name:     "pose_detection",
-				Source:   PoseDetectionSrc,
-				Services: []string{services.PoseDetector},
-				Next:     []string{"activity_recognition"},
-			},
-			{
-				Name:     "activity_recognition",
-				Source:   ActivityRecognitionSrc,
-				Services: []string{services.ActivityClassifier},
-				Next:     []string{"rep_counter"},
-			},
-			{
-				Name:     "rep_counter",
-				Source:   RepCounterSrc,
-				Services: []string{services.RepCounter},
-				Next:     []string{"display"},
-			},
-			{
-				Name:     "display",
-				Source:   DisplaySrc,
-				Services: []string{services.Display},
-			},
-		},
+		Name:    name,
+		Modules: modules,
 		Source: core.SourceConfig{
 			Device:      "phone",
 			FirstModule: "video_streaming",
@@ -274,49 +260,23 @@ func FitnessConfig(name string, fps float64, scene string) core.PipelineConfig {
 			Width:       FrameWidth,
 			Height:      FrameHeight,
 			Scene:       scene,
-			RepRate:     0.5,
+			RepRate:     repRate,
 		},
 	}
+}
+
+// stage is a module running src that calls the named services.
+func stage(name, src string, svcs ...string) core.ModuleConfig {
+	return core.ModuleConfig{Name: name, Source: src, Services: svcs}
 }
 
 // GestureConfig builds the IoT gesture-control pipeline (§4.2). scene is
 // the gesture the synthetic subject performs ("clap" or "wave").
 func GestureConfig(name string, fps float64, scene string) core.PipelineConfig {
-	return core.PipelineConfig{
-		Name: name,
-		Modules: []core.ModuleConfig{
-			{
-				Name:   "video_streaming",
-				Source: VideoStreamingSrc,
-				Next:   []string{"pose_detection"},
-			},
-			{
-				Name:     "pose_detection",
-				Source:   gesturePoseSrc,
-				Services: []string{services.PoseDetector},
-				Next:     []string{"gesture_recognition"},
-			},
-			{
-				Name:     "gesture_recognition",
-				Source:   GestureRecognitionSrc,
-				Services: []string{services.ActivityClassifier},
-				Next:     []string{"iot_control"},
-			},
-			{
-				Name:   "iot_control",
-				Source: IoTControlSrc,
-			},
-		},
-		Source: core.SourceConfig{
-			Device:      "phone",
-			FirstModule: "video_streaming",
-			FPS:         fps,
-			Width:       FrameWidth,
-			Height:      FrameHeight,
-			Scene:       scene,
-			RepRate:     0.4,
-		},
-	}
+	return cameraPipeline(name, fps, scene, 0.4,
+		stage("pose_detection", gesturePoseSrc, services.PoseDetector),
+		stage("gesture_recognition", GestureRecognitionSrc, services.ActivityClassifier),
+		stage("iot_control", IoTControlSrc))
 }
 
 // gesturePoseSrc is PoseDetectionSrc retargeted at the gesture chain.
@@ -369,68 +329,25 @@ const fallPoseSrc = `
 
 // FallConfig builds the fall-detection pipeline (§4.3).
 func FallConfig(name string, fps float64) core.PipelineConfig {
-	return core.PipelineConfig{
-		Name: name,
-		Modules: []core.ModuleConfig{
-			{
-				Name:   "video_streaming",
-				Source: VideoStreamingSrc,
-				Next:   []string{"pose_detection"},
-			},
-			{
-				Name:     "pose_detection",
-				Source:   fallPoseSrc,
-				Services: []string{services.PoseDetector},
-				Next:     []string{"fall_monitor"},
-			},
-			{
-				Name:     "fall_monitor",
-				Source:   FallMonitorSrc,
-				Services: []string{services.FallDetector},
-				Next:     []string{"alert"},
-			},
-			{
-				Name:   "alert",
-				Source: AlertSrc,
-			},
-		},
-		Source: core.SourceConfig{
-			Device:      "phone",
-			FirstModule: "video_streaming",
-			FPS:         fps,
-			Width:       FrameWidth,
-			Height:      FrameHeight,
-			Scene:       "fall",
-			RepRate:     0.4,
-		},
-	}
+	return cameraPipeline(name, fps, "fall", 0.4,
+		stage("pose_detection", fallPoseSrc, services.PoseDetector),
+		stage("fall_monitor", FallMonitorSrc, services.FallDetector),
+		stage("alert", AlertSrc))
 }
 
 // HomeClusterSpec is the paper's testbed (§5.1): a phone, a desktop and a
 // TV on home Wi-Fi. VideoPipe's service placement puts the vision services
 // on the desktop and the display service on the TV (Fig. 4).
-func HomeClusterSpec() core.ClusterSpec {
-	return core.ClusterSpec{
-		Devices: []device.Config{
-			{Name: "phone", Class: device.Phone},
-			{Name: "desktop", Class: device.Desktop},
-			{Name: "tv", Class: device.TV},
-		},
-		DefaultLink: netsim.WiFi,
-		Services: []core.ServicePlacement{
-			{Service: services.PoseDetector, Device: "desktop"},
-			{Service: services.ActivityClassifier, Device: "desktop"},
-			{Service: services.RepCounter, Device: "desktop"},
-			{Service: services.FallDetector, Device: "desktop"},
-			{Service: services.Display, Device: "tv"},
-		},
-	}
-}
+func HomeClusterSpec() core.ClusterSpec { return homeCluster("tv") }
 
 // BaselineClusterSpec mirrors the paper's baseline (Fig. 5): the same
 // hardware, but every service — including display — lives on the desktop
 // server the phone's application calls into.
-func BaselineClusterSpec() core.ClusterSpec {
+func BaselineClusterSpec() core.ClusterSpec { return homeCluster("desktop") }
+
+// homeCluster is the testbed with the vision services on the desktop and
+// the display service on the device named display.
+func homeCluster(display string) core.ClusterSpec {
 	return core.ClusterSpec{
 		Devices: []device.Config{
 			{Name: "phone", Class: device.Phone},
@@ -443,7 +360,7 @@ func BaselineClusterSpec() core.ClusterSpec {
 			{Service: services.ActivityClassifier, Device: "desktop"},
 			{Service: services.RepCounter, Device: "desktop"},
 			{Service: services.FallDetector, Device: "desktop"},
-			{Service: services.Display, Device: "desktop"},
+			{Service: services.Display, Device: display},
 		},
 	}
 }

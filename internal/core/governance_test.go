@@ -284,9 +284,11 @@ func TestPipelineRestartModuleHealsSabotage(t *testing.T) {
 
 // TestBudgetIndexOfProbeBreaches: a handler that spends its time inside a
 // builtin pays steps for that work, so under the default limits it breaches
-// the instruction budget within milliseconds. With builtins free, this
-// probe ran ~10 s in 320 015 steps and breached nothing: the wall-clock
-// backstop excluded builtin time along with host-call time.
+// the instruction budget within milliseconds (9–13 ms on a 2-core x86-64
+// box). With builtins free, this probe ran ~10 s in 320 015 steps and
+// breached nothing: the wall-clock backstop excluded builtin time along
+// with host-call time. The wall-time bound is a loose sanity check; the
+// step count is the exact one.
 func TestBudgetIndexOfProbeBreaches(t *testing.T) {
 	c := script.NewContext()
 	c.SetLimits(core.DefaultLimits().ToScript())
@@ -301,16 +303,64 @@ func TestBudgetIndexOfProbeBreaches(t *testing.T) {
 	start := time.Now()
 	_, err := c.Call("event_received", nil)
 	took := time.Since(start)
+	checkProbeBreach(t, c, err, took)
+}
+
+// checkProbeBreach: a probe under the default limits ended on an
+// instruction breach at exactly the limit plus one step, within a second.
+func checkProbeBreach(t *testing.T, c *script.Context, err error, took time.Duration) {
+	t.Helper()
 	var be *script.BudgetError
 	if !errors.As(err, &be) || be.Resource != script.ResourceInstructions {
 		t.Fatalf("err = %v, want an instruction BudgetError", err)
 	}
-	bound := 100 * time.Millisecond
+	if limit := core.DefaultLimits().Instructions; c.LastInstructions() != limit+1 {
+		t.Errorf("LastInstructions = %d, want the limit %d plus one", c.LastInstructions(), limit)
+	}
+	bound := time.Second
 	if raceEnabled {
 		bound *= 10
 	}
 	if took >= bound {
 		t.Errorf("the breach took %v, want < %v", took, bound)
+	}
+	t.Logf("breached in %v", took)
+}
+
+// TestBudgetLongStringProbesBreach: comparing strings and looking fields up
+// by string key pay for the bytes they read, so a loop over two 2 MiB
+// strings that differ in their last byte — built once, held in globals at
+// no further memory cost — breaches within a few dozen rounds. A round reads
+// 2 MiB or more in a handful of node steps, so steps alone would let one
+// event run for tens of seconds.
+func TestBudgetLongStringProbesBreach(t *testing.T) {
+	const setup = `var s = "x";
+		for (var i = 0; i < 21; i++) { s = s + s; }
+		var t = ""; var o = {}; var rounds = 0;
+		function init() { t = substr(s, 1) + "y"; o[s] = 1; o[t] = 2; }
+		function event_received(m) { while (true) { PROBE; rounds = rounds + 1; } }`
+	for _, probe := range []string{
+		"s == t", "s < t", "o[t]", "has(o, t)", "index_of([s], t)", "contains(s, t)",
+		"sort([s, t])", "switch (s) { case t: }", "for (var k of o) {}",
+	} {
+		t.Run(probe, func(t *testing.T) {
+			c := script.NewContext()
+			c.SetLimits(core.DefaultLimits().ToScript())
+			if err := c.Load(strings.Replace(setup, "PROBE", probe, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Call("init", nil); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			_, err := c.Call("event_received", nil)
+			checkProbeBreach(t, c, err, time.Since(start))
+			// A round reads at least one 2 MiB string: 2 MiB / 64 steps.
+			rounds, _ := c.Global("rounds")
+			if max := float64(core.DefaultLimits().Instructions / (1 << 21 / 64)); rounds.(float64) > max {
+				t.Errorf("ran %v rounds, want at most %v", rounds, max)
+			}
+		})
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // top-level load — so a breach costs the offending handler its event, never
 // the whole module lifetime. Steps are the one CPU budget: a builtin whose
 // work grows with its input pays steps for that work before doing it
-// (stdlib.go's price), so a handler's steps bound its CPU time whether it
-// spends it in the interpreter or in Go.
+// (stdlib.go's price), and so does a comparison of long strings or a lookup
+// by a long key (interp.go's compare), so a handler's steps bound its CPU
+// time whether it spends it in the interpreter or in Go.
 
 // Resource names carried by BudgetError, and used as breach-meter labels.
 const (

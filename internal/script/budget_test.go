@@ -236,106 +236,167 @@ func TestSnapshotCarriesVersion(t *testing.T) {
 	}
 }
 
-// constantTime lists the builtins whose work does not grow with their input
-// (flat) or is cut off by the memory budget (rendered): every other builtin
-// must charge steps for its work. A new builtin fails
-// TestBudgetBuiltinPrices until it is priced or listed here.
-var constantTime = map[string]price{
-	"len": flat, "is_nan": flat, "push": flat, "pop": flat, "shift": flat,
-	"has": flat, "remove": flat, "substr": flat, "min": flat, "max": flat,
-	"abs": flat, "floor": flat, "ceil": flat, "round": flat, "sqrt": flat,
-	"exp": flat, "log": flat, "sin": flat, "cos": flat, "atan2": flat, "pow": flat,
-	"str": rendered, "json_encode": rendered,
+// builtinCharges pins what each builtin charges beyond its call's step, over
+// inputs of n = 64 elements, fields or bytes (A, O, S, J), strings of 128
+// bytes (W's items, K's keys) and a 256-byte needle L, whose comparisons
+// each pay 1 + 256/cmpBlock = 5 steps. It names every builtin: the
+// constant-time ones are pinned at 0, so a new builtin fails
+// TestBudgetBuiltinPrices until its charge is pinned here.
+var builtinCharges = []struct {
+	call string
+	want int64
+}{
+	{"num(S)", 64}, {"unshift(A, 1)", 64}, {"slice(A, 0, 3)", 64}, {"slice(S, 1)", 64},
+	{"concat(A, A, [1, 2])", 130}, {"reverse(A)", 64}, {"range(64)", 64}, {"range(2.5)", 2},
+	{"join(A, \",\")", 64}, {"upper(S)", 64}, {"lower(S)", 64}, {"trim(S)", 64},
+	{"starts_with(S, \"z\")", 64}, {"ends_with(S, \"z\")", 64}, {"json_decode(J)", 64},
+	// n·⌈log₂ n⌉ comparisons, of 1 + 128/64 steps each for W and K.
+	{"sort(A)", 384}, {"keys(O)", 384}, {"values(O)", 384},
+	{"sort(W)", 3 * 384}, {"keys(K)", 3 * 384}, {"values(K)", 3 * 384},
+	// n comparisons with the needle.
+	{"index_of(A, -1)", 64}, {"index_of(S, \"z\")", 64}, {"contains(A, -1)", 64},
+	{"contains(S, \"z\")", 64}, {"split(S, \",\")", 64},
+	{"index_of(A, L)", 5 * 64}, {"index_of(S, L)", 5 * 64}, {"contains(S, L)", 5 * 64}, {"split(S, L)", 5 * 64},
+	// One lookup: free under cmpBlock bytes, like o[k].
+	{"has(O, \"k100\")", 0}, {"remove(O, \"k\")", 0}, {"has(O, L)", 4}, {"remove(O, L)", 4},
+	// Constant time, or cut off by the memory budget (str, json_encode).
+	{"str(A)", 0}, {"json_encode(A)", 0}, {"len(A)", 0}, {"is_nan(1)", 0}, {"push(A, 1)", 0},
+	{"pop(A)", 0}, {"shift(A)", 0}, {"substr(S, 1)", 0}, {"min(1, 2)", 0}, {"max(1, 2)", 0},
+	{"abs(1)", 0}, {"floor(1)", 0}, {"ceil(1)", 0}, {"round(1)", 0}, {"sqrt(1)", 0},
+	{"exp(1)", 0}, {"log(1)", 0}, {"sin(1)", 0}, {"cos(1)", 0}, {"atan2(1, 2)", 0}, {"pow(1, 2)", 0},
 }
 
+// TestBudgetBuiltinPrices: every builtin has its charge pinned in
+// builtinCharges, at 0 if its work does not grow with its input.
 func TestBudgetBuiltinPrices(t *testing.T) {
-	for name, b := range builtins {
-		switch want, listed := constantTime[name]; {
-		case b.price == unpriced:
-			t.Errorf("%s has no price", name)
-		case listed && b.price != want:
-			t.Errorf("%s is priced %d, but listed as constant-time (%d)", name, b.price, want)
-		case !listed && (b.price == flat || b.price == rendered):
-			t.Errorf("%s is priced as constant-time but not listed in constantTime", name)
+	pinned := map[string]bool{}
+	for _, tc := range builtinCharges {
+		pinned[tc.call[:strings.IndexByte(tc.call, '(')]] = true
+	}
+	for name := range builtins {
+		if !pinned[name] {
+			t.Errorf("%s has no charge pinned in builtinCharges", name)
 		}
 	}
-	for name := range constantTime {
+	for name := range pinned {
 		if builtins[name] == nil {
-			t.Errorf("constantTime lists %s, which is not a builtin", name)
+			t.Errorf("builtinCharges pins %s, which is not a builtin", name)
 		}
 	}
 }
 
-// TestBudgetBuiltinCharges pins what each priced builtin charges over an
-// input of 64 elements, fields or bytes: the steps of the call less those of
-// the same call to is_nan, which is flat.
+// TestBudgetBuiltinCharges runs builtinCharges: the steps of each call less
+// those of the same call to is_nan, which is flat.
 func TestBudgetBuiltinCharges(t *testing.T) {
 	const n = 64
-	nlogn := n * 6 // n·⌈log₂ n⌉
-	cases := []struct {
-		call string
-		want int
-	}{
-		{"num(S)", n}, {"unshift(A, 1)", n}, {"slice(A, 0, 3)", n}, {"slice(S, 1)", n},
-		{"concat(A, A, [1, 2])", 2*n + 2}, {"index_of(A, -1)", n}, {"index_of(S, \"z\")", n},
-		{"reverse(A)", n}, {"sort(A)", nlogn}, {"range(64)", n}, {"range(2.5)", 2},
-		{"keys(O)", nlogn}, {"values(O)", nlogn}, {"split(S, \",\")", n}, {"join(A, \",\")", n},
-		{"upper(S)", n}, {"lower(S)", n}, {"trim(S)", n}, {"contains(A, -1)", n}, {"contains(S, \"z\")", n},
-		{"starts_with(S, \"z\")", n}, {"ends_with(S, \"z\")", n}, {"json_decode(J)", n},
-		{"str(A)", 0}, {"json_encode(A)", 0}, {"shift(A)", 0}, {"push(A, 1)", 0}, {"len(A)", 0},
-	}
 	steps := func(call string) int64 {
 		c := NewContext()
 		elems, fields := make([]Value, n), NewObject()
+		words, wide := make([]Value, n), NewObject()
 		for i := range elems {
 			elems[i] = float64(i)
 			fields.Set(fmt.Sprint("k", i+100), float64(i))
+			words[i] = strings.Repeat("w", 125) + fmt.Sprint(i+100)
+			wide.Set(words[i].(string), float64(i))
 		}
 		c.BindValue("A", &Array{Elems: elems})
 		c.BindValue("O", fields)
+		c.BindValue("W", &Array{Elems: words})
+		c.BindValue("K", wide)
 		c.BindValue("S", strings.Repeat("ab,", n/4)+strings.Repeat("x", n-3*(n/4)))
 		c.BindValue("J", "["+strings.Repeat("1,", n/2-2)+"10]")
+		c.BindValue("L", strings.Repeat("l", 4*cmpBlock))
 		if _, err := c.Eval(call); err != nil {
 			t.Fatalf("%s: %v", call, err)
 		}
 		return c.LastInstructions()
 	}
-	for _, tc := range cases {
+	for _, tc := range builtinCharges {
 		base := steps("is_nan" + tc.call[strings.IndexByte(tc.call, '('):])
-		if got := steps(tc.call) - base; got != int64(tc.want) {
+		if got := steps(tc.call) - base; got != tc.want {
 			t.Errorf("%s charged %d steps, want %d", tc.call, got, tc.want)
 		}
 	}
 }
 
+// TestBudgetStringReadsCharged: comparing two strings, and looking an object
+// field up by a string key, pay one step per cmpBlock bytes of the shorter
+// string or the key; for-of over an object pays what keys() does. Strings
+// under cmpBlock bytes cost nothing extra.
+func TestBudgetStringReadsCharged(t *testing.T) {
+	long := strings.Repeat("s", 10*cmpBlock)
+	cases := []struct {
+		expr string
+		want int64
+	}{
+		{"L == M", 10}, {"L != M", 10}, {"L < M", 10}, {"L >= M", 10}, {"L == \"short\"", 0},
+		{"L == 1", 0}, {"L < X", 5}, {"O[L]", 10}, {"O[\"k\"]", 0},
+		// Both sides of a compound write look the key up.
+		{"O[L] = 1", 10}, {"O[L] += 1", 20},
+		{"switch (L) { case M: case X: }", 15},
+		// keys()'s 2·⌈log₂ 2⌉ comparisons, ten blocks more each for O's long keys.
+		{"for (var k of O) {}", 20},
+	}
+	steps := func(expr string) int64 {
+		c := NewContext()
+		c.BindValue("L", long)
+		c.BindValue("M", long[:len(long)-1]+"t")
+		c.BindValue("X", long[:5*cmpBlock])
+		c.BindValue("O", FromGo(map[string]any{long: 0.0, long + "t": 0.0}))
+		if _, err := c.Eval(expr); err != nil {
+			t.Fatalf("%s: %v", expr, err)
+		}
+		return c.LastInstructions()
+	}
+	for _, tc := range cases {
+		// The same expression over one-byte strings is the baseline.
+		short := strings.NewReplacer("L", "Q", "M", "R", "X", "T").Replace(tc.expr)
+		ctx := NewContext()
+		ctx.BindValue("Q", "q")
+		ctx.BindValue("R", "r")
+		ctx.BindValue("T", "t")
+		ctx.BindValue("O", FromGo(map[string]any{"q": 0.0, "qt": 0.0}))
+		if _, err := ctx.Eval(short); err != nil {
+			t.Fatalf("%s: %v", short, err)
+		}
+		if got := steps(tc.expr) - ctx.LastInstructions(); got != tc.want {
+			t.Errorf("%s charged %d steps for its strings, want %d", tc.expr, got, tc.want)
+		}
+	}
+}
+
 // TestBudgetBuiltinBoundExact: over literal and range(k) inputs pipecost's
-// bound for a straight-line handler of priced builtins is exactly what the
-// interpreter charges.
+// bound for a straight-line handler of priced builtins, string comparisons
+// and keyed lookups is exactly what the interpreter charges.
 func TestBudgetBuiltinBoundExact(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "cost", "ok_builtin_sized.js"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, ok := AnalyzeCost(string(data)).Handler("event_received")
-	if !ok || !h.Bounded {
-		t.Fatalf("event_received: %+v, want a bound", h)
-	}
-	_, event, loaded := measureHandlers(string(data))
-	if !loaded || event != h.Steps {
-		t.Errorf("measured %d steps (loaded %v), static bound %d: want them equal", event, loaded, h.Steps)
+	for _, file := range []string{"ok_builtin_sized.js", "ok_string_reads.js"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "cost", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, ok := AnalyzeCost(string(data)).Handler("event_received")
+		if !ok || !h.Bounded {
+			t.Fatalf("%s: event_received: %+v, want a bound", file, h)
+		}
+		_, event, loaded := measureHandlers(string(data))
+		if !loaded || event != h.Steps {
+			t.Errorf("%s: measured %d steps (loaded %v), static bound %d: want them equal", file, event, loaded, h.Steps)
+		}
 	}
 }
 
 // Wall-time calibration for FuzzBudget. On a 2-core x86-64 box an
-// interpreted step costs ~12 ns and a priced builtin ~1–90 ns per step it
-// charges (join's per-element rendering is the dearest); the rendering
-// builtins and string concatenation, which the memory budget bounds instead,
-// cost ~15–25 ns per byte. The bound allows ten times the dearest of each,
-// and a fixed allowance for parsing, garbage collection and a busy box.
+// interpreted step costs ~12 ns, a priced builtin ~1–90 ns per step it
+// charges (join's per-element rendering is the dearest) and a string
+// comparison ~2–6 ns per 64-byte block; the rendering builtins and string
+// concatenation, which the memory budget bounds instead, cost ~15–25 ns per
+// byte. The bound allows ten times the dearest of each, and two seconds for
+// parsing, garbage collection and a busy box: it is a sanity bound on
+// runaway work, while the breach checks below are exact.
 const (
 	fuzzNsPerStep = 1000
 	fuzzNsPerByte = 250
-	fuzzOverhead  = 100 * time.Millisecond
+	fuzzOverhead  = 2 * time.Second
 )
 
 // FuzzBudget runs random programs under random budgets: enforcement must
@@ -355,6 +416,9 @@ func FuzzBudget(f *testing.F) {
 	// twenty-two times: 4 million leaves in 45 allocations), pushed through
 	// the same walkers: each must stop at the budget, not after the output.
 	f.Add(`function event_received(m) { var a = [0]; for (var i = 0; i < 22; i++) { a = [a, a]; } try { str(a); } catch (e) {} try { json_encode(a); } catch (e) {} try { join([a], ""); } catch (e) {} return "" + a; }`, int64(50000), int64(1<<20))
+	// Two 256 KiB strings that differ in their last byte, compared in a loop.
+	f.Add(`var a = "x"; for (var i = 0; i < 18; i++) { a = a + a; } var b = substr(a, 1) + "y";
+function event_received(m) { while (true) { if (a == b || a > b) { return 1; } } }`, int64(1_000_000), int64(1<<22))
 	f.Fuzz(func(t *testing.T, src string, instr, mem int64) {
 		if instr <= 0 {
 			instr = 1

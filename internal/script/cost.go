@@ -36,6 +36,12 @@ package script
 //     of its arguments that the pass can infer — a literal's, range(k)'s,
 //     keys or values of an object literal. Where it cannot, the builtin's
 //     call is reported as PV012 and the handler is unbounded.
+//   - A string comparison or keyed lookup adds a step per cmpBlock bytes it
+//     can read (reads). The pass sizes string literals only, and takes any
+//     other string to be shorter than cmpBlock: a handler comparing two
+//     long strings built at run time can measure above its bound. That is
+//     the one assumption the bound rests on; the step budget still stops
+//     such a handler at run time.
 //
 // Both PV012 and PV013 are warnings: an unbounded handler is legal (the
 // sandbox step budget protects the device) but opaque to the
@@ -44,7 +50,9 @@ package script
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Handler names a CostReport entry can carry beyond the module-defined
@@ -141,14 +149,7 @@ func satMul(a, b int64) int64 {
 
 func mergeReasons(dst []string, src []string) []string {
 	for _, r := range src {
-		found := false
-		for _, d := range dst {
-			if d == r {
-				found = true
-				break
-			}
-		}
-		if !found && len(dst) < 8 {
+		if !slices.Contains(dst, r) && len(dst) < 8 {
 			dst = append(dst, r)
 		}
 	}
@@ -187,12 +188,11 @@ func (b bound) scale(n int64) bound {
 // sound upper bound for whichever path executes.
 func maxBound(a, b bound) bound {
 	if !a.ok || !b.ok {
-		out := bound{
-			reasons:   mergeReasons(append([]string(nil), a.reasons...), b.reasons),
+		return bound{
+			reasons:   mergeReasons(slices.Clone(a.reasons), b.reasons),
 			recursion: a.recursion || b.recursion,
 			dynamic:   a.dynamic || b.dynamic,
 		}
-		return out
 	}
 	return finite(max(a.steps, b.steps))
 }
@@ -256,11 +256,7 @@ func joinReasons(reasons []string) string {
 	if len(reasons) == 0 {
 		return "unknown"
 	}
-	out := reasons[0]
-	for _, r := range reasons[1:] {
-		out += "; " + r
-	}
-	return out
+	return strings.Join(reasons, "; ")
 }
 
 type costAnalysis struct {
@@ -376,7 +372,7 @@ func (c *callees) function(id *identExpr) (funcDef, bool) {
 // too; and loop holds the trip-count rule.
 
 func (ca *costAnalysis) at(n node, b bound) bound {
-	b = b.addSteps(1)
+	b = b.addSteps(1 + reads(n))
 	call, ok := n.(*callExpr)
 	if !ok {
 		return b
@@ -413,8 +409,9 @@ func (ca *costAnalysis) price(call *callExpr, name string) bound {
 		return finite(0)
 	}
 	n, known := int64(0), true
+	w := width(arg(call.args, 1)) // what a search or lookup compares with
 	switch {
-	case len(call.args) == 0 || b.price == flat || b.price == rendered:
+	case len(call.args) == 0 || b.price == flat || b.price == keyed:
 	case b.price == counted:
 		var v float64
 		if v, known = foldConst(call.args[0]); v > 0 {
@@ -426,7 +423,9 @@ func (ca *costAnalysis) price(call *callExpr, name string) bound {
 			n, known = satAdd(n, m), known && ok
 		}
 	default:
-		n, known = ca.inferSize(call.args[0])
+		if n, known = ca.inferSize(call.args[0]); b.price == sorted {
+			w = longestLit(call.args[0])
+		}
 	}
 	if !known {
 		ca.diags = append(ca.diags, Diagnostic{
@@ -435,7 +434,7 @@ func (ca *costAnalysis) price(call *callExpr, name string) bound {
 		})
 		return unboundedBy(fmt.Sprintf("%s over an argument of unknown size at %s", name, call.pos))
 	}
-	return finite(b.price.of(n))
+	return finite(b.price.of(n, w))
 }
 
 func (*costAnalysis) join(a, b bound) bound { return maxBound(a, b) }
@@ -466,6 +465,9 @@ func (ca *costAnalysis) loop(n node, b bound, head, iter func(bound) bound) boun
 	case *forOfStmt:
 		trips, ok = ca.inferIterableLen(st.iter)
 		kind, why = "for-of loop", "for-of iterates a value whose length is not statically known"
+		if o, isObj := st.iter.(*objectLit); isObj {
+			b = b.addSteps(sorted.of(trips, longestLit(o))) // listing the keys, as keys() does
+		}
 	}
 	if ok {
 		return head(b).add(iter(finite(0)).scale(trips))
@@ -714,6 +716,53 @@ func writes(n node, bs []*binding) bool {
 		return !found
 	})
 	return found
+}
+
+// reads bounds what node n pays beyond its step for the strings it compares
+// or looks up by (interp.go's compare and readKey): a comparison reads no
+// more than its wider literal operand. A string the pass cannot size, it
+// takes to be shorter than cmpBlock: the one assumption the bound rests on.
+func reads(n node) (steps int64) {
+	switch x := n.(type) {
+	case *binaryExpr:
+		if x.opc >= opEq && x.opc <= opGe {
+			steps = max(width(x.x), width(x.y)) / cmpBlock
+		}
+	case *switchStmt:
+		for _, c := range x.cases {
+			steps += max(width(x.subject), width(c.value)) / cmpBlock
+		}
+	case *indexExpr:
+		steps = width(x.index) / cmpBlock
+	case *assignExpr:
+		steps = reads(x.target) // the write's lookup
+	case *updateExpr:
+		steps = reads(x.target)
+	}
+	return steps
+}
+
+// width is a string literal's bytes, and 0 for any other expression.
+func width(e expr) int64 {
+	if s, ok := e.(*stringLit); ok {
+		return int64(len(s.value))
+	}
+	return 0
+}
+
+// longestLit is longest's bound over an array or object literal.
+func longestLit(e expr) (w int64) {
+	switch x := e.(type) {
+	case *arrayLit:
+		for _, el := range x.elems {
+			w = max(w, width(el))
+		}
+	case *objectLit:
+		for _, f := range x.fields {
+			w = max(w, int64(len(f.key)))
+		}
+	}
+	return w
 }
 
 // inferSize bounds what an argument counts for in a builtin's price: a

@@ -270,7 +270,8 @@ func (in *interp) publicError(err error) error {
 func (in *interp) step(pos Position) error { return in.pay(1, pos) }
 
 // pay charges n steps against the instruction budget: one per node the
-// interpreter evaluates, and a builtin's price before its work. A charge
+// interpreter evaluates, a builtin's price before its work, and what a
+// string comparison or keyed lookup reads (compare, readKey). A charge
 // the budget cannot cover ends the invocation at the limit plus one,
 // however large n was.
 func (in *interp) pay(n int64, pos Position) error {
@@ -280,6 +281,26 @@ func (in *interp) pay(n int64, pos Position) error {
 	}
 	in.steps += n
 	return nil
+}
+
+// compare pays for comparing x and y when both are strings: one step per
+// cmpBlock bytes of the shorter, as far as the comparison can read.
+func (in *interp) compare(x, y cell, pos Position) error {
+	xs, ok := x.ref.(string)
+	ys, ok2 := y.ref.(string)
+	if !ok || !ok2 {
+		return nil
+	}
+	return in.pay(int64(min(len(xs), len(ys))/cmpBlock), pos)
+}
+
+// readKey is the key an object lookup by idx uses, paid for like a
+// comparison of its bytes: hashing it, or matching it against a field's.
+func (in *interp) readKey(idx cell, pos Position) (string, error) {
+	if key, ok := idx.ref.(string); ok {
+		return key, in.compare(idx, idx, pos)
+	}
+	return in.text(idx, pos)
 }
 
 // charge meters n bytes of value allocation against the memory budget.
@@ -393,6 +414,10 @@ func (in *interp) exec(s stmt, fr *frame) error {
 		case *Array:
 			items = x.Elems
 		case *Object:
+			// Listing the keys is keys()'s work, and costs what it does.
+			if err := in.pay(sorted.of(size(x), longest(x)), st.pos); err != nil {
+				return err
+			}
 			for _, k := range x.SortedKeys() {
 				items = append(items, k)
 			}
@@ -479,6 +504,9 @@ func (in *interp) exec(s stmt, fr *frame) error {
 		for i, c := range st.cases {
 			v, err := in.eval(c.value, fr)
 			if err != nil {
+				return err
+			}
+			if err := in.compare(subject, v, st.pos); err != nil {
 				return err
 			}
 			if cellsEqual(subject, v) {
@@ -731,6 +759,11 @@ func (in *interp) text(c cell, pos Position) (string, error) {
 // applyBinary applies a non-short-circuit operator; text is its source
 // form, for error messages.
 func (in *interp) applyBinary(op opcode, text string, x, y cell, pos Position) (cell, error) {
+	if !x.isNum && !y.isNum && op >= opEq && op <= opGe {
+		if err := in.compare(x, y, pos); err != nil {
+			return cell{}, err
+		}
+	}
 	switch op {
 	case opEq:
 		return cell{ref: cellsEqual(x, y)}, nil
@@ -900,11 +933,9 @@ func (in *interp) writeTarget(target expr, v cell, fr *frame) error {
 			o.Elems[i] = v.value()
 			return nil
 		case *Object:
-			key, ok := idx.ref.(string)
-			if !ok {
-				if key, err = in.text(idx, t.pos); err != nil {
-					return err
-				}
+			key, err := in.readKey(idx, t.pos)
+			if err != nil {
+				return err
 			}
 			o.Set(key, v.value())
 			return nil
@@ -950,12 +981,9 @@ func (in *interp) index(obj, idx cell, pos Position) (cell, error) {
 		}
 		return cellOf(o.Elems[i]), nil
 	case *Object:
-		key, ok := idx.ref.(string)
-		if !ok {
-			var err error
-			if key, err = in.text(idx, pos); err != nil {
-				return cell{}, err
-			}
+		key, err := in.readKey(idx, pos)
+		if err != nil {
+			return cell{}, err
 		}
 		return cellOf(o.Get(key)), nil
 	case string:

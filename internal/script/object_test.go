@@ -25,7 +25,7 @@ func objectOracle(t *testing.T, o *Object, want map[string]Value, universe []str
 		if v := o.Get(k); v != wv {
 			t.Fatalf("Get(%q) = %v, want %v", k, v, wv)
 		}
-		if has, _ := stdHas(nil, []Value{o, k}); has != wok {
+		if has, _ := builtins["has"].fn(nil, []Value{o, k}); has != wok {
 			t.Fatalf("has(%q) = %v, want %v", k, has, wok)
 		}
 	}
@@ -208,13 +208,13 @@ func FuzzObjectOps(f *testing.F) {
 				}
 			case 2:
 				_, had := want[k]
-				if got, _ := stdRemove(nil, []Value{o, k}); got != had {
+				if got, _ := builtins["remove"].fn(nil, []Value{o, k}); got != had {
 					t.Fatalf("op %d: remove(%q) = %v, want %v", i, k, got, had)
 				}
 				delete(want, k)
 			case 3:
 				_, had := want[k]
-				if got, _ := stdHas(nil, []Value{o, k}); got != had {
+				if got, _ := builtins["has"].fn(nil, []Value{o, k}); got != had {
 					t.Fatalf("op %d: has(%q) = %v, want %v", i, k, got, had)
 				}
 			case 4:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,7 +20,7 @@ import (
 var builtins = map[string]*builtin{
 	// ---- general ----
 	"len":    {stdLen, flat, sig1(Param{"value", "string|array|object|null"})},
-	"str":    {stdStr, rendered, sig1(Param{"value", "any"})},
+	"str":    {stdStr, flat, sig1(Param{"value", "any"})},
 	"num":    {stdNum, perItem, sig1(Param{"value", "any"})},
 	"is_nan": {stdIsNaN, flat, sig1(Param{"value", "any"})},
 
@@ -30,7 +31,7 @@ var builtins = map[string]*builtin{
 	"unshift":  {stdUnshift, perItem, Signature{Min: 1, Max: -1, Params: []Param{{"array", "array"}}, Rest: "any"}},
 	"slice":    {stdSlice, perItem, Signature{Min: 2, Max: 3, Params: []Param{{"value", "array|string"}, {"start", "number"}, {"end", "number"}}}},
 	"concat":   {stdConcat, perArg, Signature{Min: 0, Max: -1, Rest: "array"}},
-	"index_of": {stdIndexOf, perItem, sig2(Param{"value", "array|string"}, Param{"needle", "any"})},
+	"index_of": {search("index_of", func(i int) Value { return float64(i) }), searched, sig2(Param{"value", "array|string"}, Param{"needle", "any"})},
 	"reverse":  {stdReverse, perItem, sig1(Param{"array", "array"})},
 	"sort":     {stdSort, sorted, sig1(Param{"array", "array"})},
 	"range":    {stdRange, counted, sig1(Param{"n", "number"})},
@@ -38,8 +39,8 @@ var builtins = map[string]*builtin{
 	// ---- objects ----
 	"keys":   {listFields("keys", func(_ *Object, k string) Value { return k }), sorted, sig1(Param{"object", "object"})},
 	"values": {listFields("values", (*Object).Get), sorted, sig1(Param{"object", "object"})},
-	"has":    {stdHas, flat, sig2(Param{"object", "object"}, Param{"key", "string"})},
-	"remove": {stdRemove, flat, sig2(Param{"object", "object"}, Param{"key", "string"})},
+	"has":    {keyOp("has", func(o *Object, k string) Value { _, ok := o.Lookup(k); return ok }), keyed, sig2(Param{"object", "object"}, Param{"key", "string"})},
+	"remove": {keyOp("remove", (*Object).Delete), keyed, sig2(Param{"object", "object"}, Param{"key", "string"})},
 
 	// ---- math ----
 	"abs":   {math1(math.Abs), flat, sig1(Param{"x", "number"})},
@@ -58,17 +59,17 @@ var builtins = map[string]*builtin{
 
 	// ---- strings ----
 	"substr":      {stdSubstr, flat, Signature{Min: 2, Max: 3, Params: []Param{{"string", "string"}, {"start", "number"}, {"end", "number"}}}},
-	"split":       {stdSplit, perItem, sig2(Param{"string", "string"}, Param{"separator", "string"})},
+	"split":       {stdSplit, searched, sig2(Param{"string", "string"}, Param{"separator", "string"})},
 	"join":        {stdJoin, perItem, sig2(Param{"array", "array"}, Param{"separator", "string"})},
 	"upper":       {strMap("upper", strings.ToUpper), perItem, sig1(Param{"string", "string"})},
 	"lower":       {strMap("lower", strings.ToLower), perItem, sig1(Param{"string", "string"})},
 	"trim":        {strMap("trim", strings.TrimSpace), perItem, sig1(Param{"string", "string"})},
-	"contains":    {stdContains, perItem, sig2(Param{"value", "string|array"}, Param{"needle", "any"})},
+	"contains":    {search("contains", func(i int) Value { return i >= 0 }), searched, sig2(Param{"value", "string|array"}, Param{"needle", "any"})},
 	"starts_with": {strTest("starts_with", strings.HasPrefix), perItem, sig2(Param{"string", "string"}, Param{"prefix", "string"})},
 	"ends_with":   {strTest("ends_with", strings.HasSuffix), perItem, sig2(Param{"string", "string"}, Param{"suffix", "string"})},
 
 	// ---- JSON ----
-	"json_encode": {stdJSONEncode, rendered, sig1(Param{"value", "any"})},
+	"json_encode": {stdJSONEncode, flat, sig1(Param{"value", "any"})},
 	"json_decode": {stdJSONDecode, perItem, sig1(Param{"text", "string"})},
 }
 
@@ -85,27 +86,35 @@ type builtinFunc func(in *interp, args []Value) (Value, error)
 
 // price is how a builtin's Go-side work grows with its input, in steps: one
 // per element or byte it reads or writes, where n counts an array's
-// elements, an object's fields or a string's bytes. The interpreter charges
-// it before the work (callValue) and pipecost bounds the same charge
-// (cost.go), so steps bound a handler's CPU time, builtins included, up to
-// the allocation the memory budget bounds (EXPERIMENTS.md "One CPU budget").
+// elements, an object's fields or a string's bytes, and one per comparison
+// it makes, plus one per cmpBlock bytes that comparison can read. The
+// interpreter charges it before the work (callValue) and pipecost bounds the
+// same charge (cost.go), so steps bound a handler's CPU time, builtins
+// included, up to the allocation the memory budget bounds (EXPERIMENTS.md
+// "One CPU budget").
 type price uint8
 
 const (
-	unpriced price = iota // the zero value, which no entry may keep
-	flat                  // constant work: the call's own step pays for it
+	flat     price = iota // constant work, or output the memory budget cuts off
 	perItem               // n steps, n the size of the first argument
 	perArg                // n steps, n the sizes of all the arguments summed
-	sorted                // n·⌈log₂ n⌉ steps, n the size of the first argument
 	counted               // n steps, n the count the first argument asks for
-	rendered              // none: the output stops at what is left of the memory budget
+	sorted                // n·⌈log₂ n⌉ comparisons of the first argument's items or keys
+	searched              // n comparisons with the second argument, n the size of the first
+	keyed                 // one lookup by the second argument, whose first block the call pays
 )
+
+// cmpBlock is how many bytes of a string comparison one step pays for. The
+// first block rides on the step that makes the comparison, so strings
+// shorter than it compare for free; a block reads in 2–8 ns against a
+// step's ~15 ns.
+const cmpBlock = 64
 
 // charge is what a call with args pays beyond the call's own step.
 func (p price) charge(args []Value) int64 {
-	var n int64
+	var n, w int64
 	switch p {
-	case flat, rendered, unpriced:
+	case flat:
 		return 0
 	case perArg:
 		for _, a := range args {
@@ -115,16 +124,28 @@ func (p price) charge(args []Value) int64 {
 		if x, ok := arg(args, 0).(float64); ok && x > 0 {
 			n = int64(min(x, float64(costCap)))
 		}
+	case sorted:
+		n, w = size(arg(args, 0)), longest(arg(args, 0))
 	default:
 		n = size(arg(args, 0))
+		if s, ok := arg(args, 1).(string); ok {
+			w = int64(len(s))
+		}
 	}
-	return p.of(n)
+	return p.of(n, w)
 }
 
-// of is the price of a call over n, for a price that grows with it.
-func (p price) of(n int64) int64 {
-	if p == sorted {
-		return satMul(n, int64(bits.Len64(uint64(max(n, 1)-1))))
+// of is the price of a call over n, whose comparisons read strings of up to
+// w bytes.
+func (p price) of(n, w int64) int64 {
+	cmp := 1 + w/cmpBlock
+	switch p {
+	case sorted:
+		return satMul(satMul(n, int64(bits.Len64(uint64(max(n, 1)-1)))), cmp)
+	case searched:
+		return satMul(n, cmp)
+	case keyed:
+		return cmp - 1
 	}
 	return n
 }
@@ -140,6 +161,24 @@ func size(v Value) int64 {
 		return int64(x.Len())
 	}
 	return 0
+}
+
+// longest is the longest string among an array's items or an object's
+// keys: as far as one comparison sorting them can read.
+func longest(v Value) (w int64) {
+	switch x := v.(type) {
+	case *Array:
+		for _, e := range x.Elems {
+			if s, ok := e.(string); ok {
+				w = max(w, int64(len(s)))
+			}
+		}
+	case *Object:
+		for i := range x.fields {
+			w = max(w, int64(len(x.fields[i].key)))
+		}
+	}
+	return w
 }
 
 // installStdlib binds the builtins as globals of c.
@@ -168,9 +207,9 @@ func (in *interp) memBreach(fn string, err error) error {
 	return fmt.Errorf("%s: %w", fn, err)
 }
 
-// stdStr renders its argument. It is priced as rendered: the rendering
-// stops at what is left of the memory budget, which its result is then
-// charged against.
+// stdStr renders its argument. It costs no steps beyond its call's: the
+// rendering stops at what is left of the memory budget, which its result is
+// then charged against.
 func stdStr(in *interp, args []Value) (Value, error) {
 	s, err := StringifyMax(arg(args, 0), in.memLeft())
 	if err == ErrTooLong {
@@ -179,35 +218,33 @@ func stdStr(in *interp, args []Value) (Value, error) {
 	return s, err
 }
 
-func arg(args []Value, i int) Value {
+func arg[T any](args []T, i int) (v T) {
 	if i < len(args) {
-		return args[i]
+		v = args[i]
 	}
-	return nil
+	return v
+}
+
+// typedArg is argument i of builtin fn, which must be a T: what, for the
+// error that says it is not.
+func typedArg[T any](args []Value, i int, fn, what string) (T, error) {
+	v, ok := arg(args, i).(T)
+	if !ok {
+		return v, fmt.Errorf("%s: argument %d must be %s, got %s", fn, i+1, what, TypeName(arg(args, i)))
+	}
+	return v, nil
 }
 
 func numArg(args []Value, i int, fn string) (float64, error) {
-	n, ok := arg(args, i).(float64)
-	if !ok {
-		return 0, fmt.Errorf("%s: argument %d must be a number, got %s", fn, i+1, TypeName(arg(args, i)))
-	}
-	return n, nil
+	return typedArg[float64](args, i, fn, "a number")
 }
 
 func strArg(args []Value, i int, fn string) (string, error) {
-	s, ok := arg(args, i).(string)
-	if !ok {
-		return "", fmt.Errorf("%s: argument %d must be a string, got %s", fn, i+1, TypeName(arg(args, i)))
-	}
-	return s, nil
+	return typedArg[string](args, i, fn, "a string")
 }
 
 func arrArg(args []Value, i int, fn string) (*Array, error) {
-	a, ok := arg(args, i).(*Array)
-	if !ok {
-		return nil, fmt.Errorf("%s: argument %d must be an array, got %s", fn, i+1, TypeName(arg(args, i)))
-	}
-	return a, nil
+	return typedArg[*Array](args, i, fn, "an array")
 }
 
 func math1(f func(float64) float64) builtinFunc {
@@ -390,23 +427,20 @@ func stdConcat(_ *interp, args []Value) (Value, error) {
 	return out, nil
 }
 
-func stdIndexOf(_ *interp, args []Value) (Value, error) {
-	switch x := arg(args, 0).(type) {
-	case *Array:
-		for i, e := range x.Elems {
-			if valuesEqual(e, arg(args, 1)) {
-				return float64(i), nil
-			}
+// search is a builtin named name that looks for its second argument in an
+// array or string and reports the index it found, or -1, through found:
+// index_of and contains.
+func search(name string, found func(i int) Value) builtinFunc {
+	return func(_ *interp, args []Value) (Value, error) {
+		switch x := arg(args, 0).(type) {
+		case *Array:
+			return found(slices.IndexFunc(x.Elems, func(e Value) bool { return valuesEqual(e, arg(args, 1)) })), nil
+		case string:
+			sub, err := strArg(args, 1, name)
+			return found(strings.Index(x, sub)), err
+		default:
+			return nil, fmt.Errorf("%s: argument 1 must be array or string, got %s", name, TypeName(x))
 		}
-		return float64(-1), nil
-	case string:
-		sub, err := strArg(args, 1, "index_of")
-		if err != nil {
-			return nil, err
-		}
-		return float64(strings.Index(x, sub)), nil
-	default:
-		return nil, fmt.Errorf("index_of: argument 1 must be array or string, got %s", TypeName(x))
 	}
 }
 
@@ -479,29 +513,20 @@ func listFields(name string, at func(o *Object, key string) Value) builtinFunc {
 	}
 }
 
-func stdHas(_ *interp, args []Value) (Value, error) {
-	o, ok := arg(args, 0).(*Object)
-	if !ok {
-		return nil, fmt.Errorf("has: argument must be an object, got %s", TypeName(arg(args, 0)))
+// keyOp is a builtin named name that applies f to an object and a key: has
+// and remove.
+func keyOp[R Value](name string, f func(o *Object, key string) R) builtinFunc {
+	return func(_ *interp, args []Value) (Value, error) {
+		o, ok := arg(args, 0).(*Object)
+		if !ok {
+			return nil, fmt.Errorf("%s: argument must be an object, got %s", name, TypeName(arg(args, 0)))
+		}
+		key, err := strArg(args, 1, name)
+		if err != nil {
+			return nil, err
+		}
+		return f(o, key), nil
 	}
-	key, err := strArg(args, 1, "has")
-	if err != nil {
-		return nil, err
-	}
-	_, found := o.Lookup(key)
-	return found, nil
-}
-
-func stdRemove(_ *interp, args []Value) (Value, error) {
-	o, ok := arg(args, 0).(*Object)
-	if !ok {
-		return nil, fmt.Errorf("remove: argument must be an object, got %s", TypeName(arg(args, 0)))
-	}
-	key, err := strArg(args, 1, "remove")
-	if err != nil {
-		return nil, err
-	}
-	return o.Delete(key), nil
 }
 
 // fold is a variadic numeric builtin named name that folds its arguments
@@ -578,28 +603,9 @@ func stdJoin(in *interp, args []Value) (Value, error) {
 	return strings.Join(parts, sep), nil
 }
 
-func stdContains(_ *interp, args []Value) (Value, error) {
-	switch x := arg(args, 0).(type) {
-	case string:
-		sub, err := strArg(args, 1, "contains")
-		if err != nil {
-			return nil, err
-		}
-		return strings.Contains(x, sub), nil
-	case *Array:
-		for _, e := range x.Elems {
-			if valuesEqual(e, arg(args, 1)) {
-				return true, nil
-			}
-		}
-		return false, nil
-	default:
-		return nil, fmt.Errorf("contains: argument 1 must be string or array, got %s", TypeName(x))
-	}
-}
-
-// stdJSONEncode renders its argument as JSON. It is priced as rendered: the
-// encoding stops at what is left of the memory budget, like str's.
+// stdJSONEncode renders its argument as JSON. It costs no steps beyond its
+// call's: the encoding stops at what is left of the memory budget, like
+// str's.
 func stdJSONEncode(in *interp, args []Value) (Value, error) {
 	var e JSONEncoder
 	if left := in.memLeft(); left >= 0 {
