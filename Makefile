@@ -68,8 +68,10 @@ race:
 # decode) and wire message paths must stay pinned (near zero) after the
 # buffer pool / copy-elision work, and the interpreter's counted loop and
 # script-to-script call must stay independent of the iteration count; an
-# object literal of up to eight fields, a detector pose and its clone, and
-# the host calls that move them stay at their flat-object counts; a host
+# object literal of up to eight fields, a detector pose and its clone (its
+# 17 keypoints one record run of two allocations), and the host calls that
+# move them stay at their flat-object counts; a warm activity Classify and
+# a fitted rep counter's Observe (internal/vision) allocate nothing; a host
 # call's arguments, a warm wire scan's strings and a warm timed wait
 # allocate nothing; so do a warm one-argument Context.Call, a frame_done()
 # event, a store Put/Retain/Release cycle and a pooled wire receive, and a
@@ -84,7 +86,7 @@ race:
 # tick.
 alloc:
 	$(GO) test -run 'Allocs|ReleaseGuards|BufferPool' ./internal/frame ./internal/wire ./internal/script \
-		./internal/services ./internal/netsim ./internal/device ./internal/core
+		./internal/services ./internal/netsim ./internal/device ./internal/core ./internal/vision
 	$(GO) test -count=1 ./internal/clock
 	GODEBUG=asynctimerchan=0 $(GO) test -count=1 ./internal/clock
 

@@ -56,9 +56,10 @@ func squatPoses(n int) []script.Value {
 
 // TestCallServiceWindowAllocs: the 15-pose window handed to the activity
 // classifier every frame — ~700 objects when each call deep-copied it — is
-// lent, message object and all, so a warm call costs the invocation, the
-// message literal, the service-call bookkeeping and the three-field result
-// (24; the call's deadline is the worker's own, re-armed).
+// lent, message object and all, and the classifier's feature vectors live
+// on its stack, so a warm call costs the invocation, the message literal,
+// the service-call bookkeeping and the three-field result (7; the call's
+// deadline is the worker's own, re-armed; 23 when the vectors were slices).
 func TestCallServiceWindowAllocs(t *testing.T) {
 	d := newDevice(t, testNet(), "desktop", Desktop)
 	fitnessServices(t, d)
@@ -93,8 +94,8 @@ func TestCallServiceWindowAllocs(t *testing.T) {
 		t.Fatalf("classified as %v, want squat", seen)
 	}
 	t.Logf("call_service(activity_classifier, 15-pose window): %.0f allocs", allocs)
-	if allocs > 25 {
-		t.Errorf("call_service with a 15-pose window: %.0f allocs, want <= 25", allocs)
+	if allocs > 8 {
+		t.Errorf("call_service with a 15-pose window: %.0f allocs, want <= 8", allocs)
 	}
 }
 
@@ -107,10 +108,11 @@ func repCounterMessage(pose script.Value) *script.Object {
 }
 
 // TestCallModuleSendAllocs: a local send costs one clone of the message —
-// a clone of its pose (21 allocations: one per object or array, two for the
-// keypoint array) and one for the message itself, which has room for the
-// receiver's frame_ref — and a remote send's body encoding, into the
-// module's warm scratch, costs nothing.
+// a clone of its pose (6 allocations: one per object or array, two for the
+// keypoint array and two for its record run of 17 keypoints) and one for the
+// message itself, which has room for the receiver's frame_ref — and a
+// remote send's body encoding, into the module's warm scratch, costs
+// nothing.
 func TestCallModuleSendAllocs(t *testing.T) {
 	d := newDevice(t, testNet(), "desktop", Desktop)
 	// A sink with no event loop: the test drains it, so only the sender's
@@ -145,8 +147,8 @@ func TestCallModuleSendAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("local call_module: %.0f allocs, of which the pose clone is %.0f", local, poseClone)
-	if poseClone > 21 {
-		t.Errorf("pose clone: %.0f allocs, want <= 21", poseClone)
+	if poseClone > 6 {
+		t.Errorf("pose clone: %.0f allocs, want <= 6", poseClone)
 	}
 	if local > poseClone+2 {
 		t.Errorf("local call_module: %.0f allocs, want <= pose clone (%.0f) + 2", local, poseClone)

@@ -192,29 +192,39 @@ func TestJSONDecoderAllocs(t *testing.T) {
 }
 
 // valueAllocs is what a scanned value is made of: one allocation per object
-// of up to eight fields, two per non-empty array (header and elements) and
-// one per number other than zero, which Go boxes for free.
+// of up to eight fields, two per non-empty array (header and elements), two
+// together for an array's object elements (their record run), and one per
+// number other than zero, which Go boxes for free.
 func valueAllocs(v Value) float64 {
 	switch x := v.(type) {
 	case *Object:
-		n := 1.0
-		for i := range x.Len() {
-			_, f := x.Field(i)
-			n += valueAllocs(f)
-		}
-		return n
+		return 1 + fieldAllocs(x)
 	case *Array:
-		n := 2.0
+		n, run := 2.0, 0.0
 		for _, e := range x.Elems {
-			n += valueAllocs(e)
+			if o, ok := e.(*Object); ok {
+				n, run = n+fieldAllocs(o), 2
+			} else {
+				n += valueAllocs(e)
+			}
 		}
-		return n
+		return n + run
 	case float64:
 		if x != 0 {
 			return 1
 		}
 	}
 	return 0
+}
+
+// fieldAllocs is what an object's field values are made of.
+func fieldAllocs(o *Object) float64 {
+	n := 0.0
+	for i := range o.Len() {
+		_, f := o.Field(i)
+		n += valueAllocs(f)
+	}
+	return n
 }
 
 // TestShiftWindowAllocs pins activity_recognition's sliding window: push

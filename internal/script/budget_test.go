@@ -3,8 +3,10 @@ package script
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -362,6 +364,43 @@ func TestBudgetStringReadsCharged(t *testing.T) {
 		if got := steps(tc.expr) - ctx.LastInstructions(); got != tc.want {
 			t.Errorf("%s charged %d steps for its strings, want %d", tc.expr, got, tc.want)
 		}
+	}
+}
+
+// TestBudgetForOfStringInPlace: for-of walks a string's runes in place, so
+// a loop that leaves at its first item builds one item, not one per rune,
+// and pays the same steps over a 1 MiB string as over a one-rune string.
+func TestBudgetForOfStringInPlace(t *testing.T) {
+	run := func(s string) (steps int64, alloc uint64) {
+		c := NewContext()
+		c.BindValue("S", s)
+		if err := c.Load(`function f() { for (var c of S) { break; } }`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Call("f"); err != nil { // warm the context's scratch
+			t.Fatal(err)
+		}
+		// TotalAlloc is the process's: the least of three calls leaves out
+		// what another goroutine allocated meanwhile.
+		alloc = math.MaxUint64
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := c.Call("f"); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+		}
+		return c.LastInstructions(), alloc
+	}
+	longSteps, alloc := run(strings.Repeat("s", 1<<20))
+	shortSteps, _ := run("s")
+	if alloc >= 1<<10 {
+		t.Errorf("for-of leaving at the first rune of a 1 MiB string allocated %d bytes, want < 1 KiB", alloc)
+	}
+	if longSteps != shortSteps {
+		t.Errorf("for-of leaving at the first rune: %d steps over 1 MiB, %d over one rune", longSteps, shortSteps)
 	}
 }
 

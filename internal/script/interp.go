@@ -409,46 +409,35 @@ func (in *interp) exec(s stmt, fr *frame) error {
 		if err != nil {
 			return err
 		}
-		var items []Value
 		switch x := iter.ref.(type) {
 		case *Array:
-			items = x.Elems
+			for _, v := range x.Elems {
+				if stop, err := in.forOfBody(st, fr, v); stop {
+					return err
+				}
+			}
 		case *Object:
 			// Listing the keys is keys()'s work, and costs what it does.
 			if err := in.pay(sorted.of(size(x), longest(x)), st.pos); err != nil {
 				return err
 			}
 			for _, k := range x.SortedKeys() {
-				items = append(items, k)
+				if stop, err := in.forOfBody(st, fr, k); stop {
+					return err
+				}
 			}
 		case string:
+			// Rune by rune in place: each item is built when its step is paid.
 			for _, r := range x {
-				items = append(items, string(r))
+				if stop, err := in.forOfBody(st, fr, string(r)); stop {
+					return err
+				}
 			}
 		default:
 			if iter.isNull() {
 				return nil
 			}
 			return in.errorf(st.pos, "for-of requires array, object or string, got %s", iter.typeName())
-		}
-		for _, v := range items {
-			if err := in.step(st.pos); err != nil {
-				return err
-			}
-			inner := in.ctx.enter(&st.scope, fr)
-			inner.slots[st.slot].define(cellOf(v), false)
-			err := in.exec(st.body, inner)
-			in.ctx.leave(&st.scope, inner)
-			if err != nil {
-				switch err.(type) {
-				case breakSignal:
-					return nil
-				case continueSignal:
-					continue
-				default:
-					return err
-				}
-			}
 		}
 		return nil
 	case *returnStmt:
@@ -528,6 +517,25 @@ func (in *interp) exec(s stmt, fr *frame) error {
 	default:
 		return in.errorf(s.position(), "unhandled statement %T", s)
 	}
+}
+
+// forOfBody runs one turn of a for-of loop with its variable bound to v,
+// paying the turn's step first. stop reports a break or an error.
+func (in *interp) forOfBody(st *forOfStmt, fr *frame, v Value) (stop bool, err error) {
+	if err := in.step(st.pos); err != nil {
+		return true, err
+	}
+	inner := in.ctx.enter(&st.scope, fr)
+	inner.slots[st.slot].define(cellOf(v), false)
+	err = in.exec(st.body, inner)
+	in.ctx.leave(&st.scope, inner)
+	switch err.(type) {
+	case nil, continueSignal:
+		return false, nil
+	case breakSignal:
+		return true, nil
+	}
+	return true, err
 }
 
 // execFor runs a for loop inside its own scope instance fr.

@@ -181,7 +181,10 @@ func ParseJSONFields(data []byte) (*Object, error) {
 }
 
 // JSONDecoder decodes message bodies as ParseJSONFields does, keeping its
-// scanning scratch from one body to the next. One from NewJSONDecoder also
+// scanning scratch from one body to the next. The objects that are elements
+// of one array wait on that scratch until the array ends and are then packed
+// as one record run, so a pose's 17 keypoints cost two allocations, not 17
+// (ParseJSON and json_decode decode the same way). One from NewJSONDecoder also
 // interns the unescaped strings of up to 32 bytes it reads, in a table
 // emptied when it reaches 256 (constants, not knobs): the keys a module's
 // inbound edge repeats in every message are then one string each, boxed
@@ -202,7 +205,7 @@ func (d *JSONDecoder) DecodeFields(data []byte) (*Object, error) {
 	}
 	clear(d.p.stack) // a failed body can leave values behind
 	clear(d.p.fields)
-	d.p = jsonParser{data: data, stack: d.p.stack[:0], fields: d.p.fields[:0], strs: d.p.strs}
+	d.p = jsonParser{data: data, stack: d.p.stack[:0], fields: d.p.fields[:0], runs: d.p.runs[:0], strs: d.p.strs}
 	v, err := d.p.document()
 	d.p.data = nil // the caller may recycle the buffer
 	switch x := v.(type) {
@@ -226,6 +229,9 @@ type jsonParser struct {
 	// the objects being read, so each is allocated once at its final size.
 	stack  []Value
 	fields []field
+	// runs holds the field counts of the object elements of the arrays
+	// being read: their records are packed as one run at ']'.
+	runs []int
 	// strs, when non-nil, interns short strings read with no escapes.
 	strs map[string]Value
 }
@@ -318,15 +324,25 @@ func (p *jsonParser) literal(word string) bool {
 	return ok
 }
 
+// runSlot holds an array element's place on the stack while its fields wait
+// on p.fields to be packed into the array's record run at ']'. No JSON value
+// decodes to a nil *Object.
+var runSlot Value = (*Object)(nil)
+
 func (p *jsonParser) array(depth int) Value {
 	p.pos++
 	if p.next() == ']' {
 		p.pos++
 		return &Array{Elems: []Value{}}
 	}
-	base := len(p.stack)
+	base, fbase, rbase := len(p.stack), len(p.fields), len(p.runs)
 	for {
-		p.stack = append(p.stack, p.value(depth+1))
+		if p.next() == '{' && depth+1 < MaxDepth {
+			p.runs = append(p.runs, p.objectFields(depth+1))
+			p.stack = append(p.stack, runSlot)
+		} else {
+			p.stack = append(p.stack, p.value(depth+1))
+		}
 		if c := p.take(); c == ']' {
 			break
 		} else if c != ',' {
@@ -338,41 +354,63 @@ func (p *jsonParser) array(depth int) Value {
 	copy(elems, p.stack[base:])
 	clear(p.stack[base:])
 	p.stack = p.stack[:base]
+	if sizes := p.runs[rbase:]; len(sizes) > 0 {
+		run, fields := newRecordRun(len(sizes), len(p.fields)-fbase), p.fields[fbase:]
+		for i, e := range elems {
+			if e != runSlot {
+				continue
+			}
+			obj := run.next(sizes[0])
+			for _, f := range fields[:sizes[0]] {
+				obj.Set(f.key, f.val) // a repeated key keeps its last value
+			}
+			elems[i], fields, sizes = obj, fields[sizes[0]:], sizes[1:]
+		}
+		clear(p.fields[fbase:])
+		p.fields, p.runs = p.fields[:fbase], p.runs[:rbase]
+	}
 	return &Array{Elems: elems}
 }
 
 func (p *jsonParser) object(depth int) Value {
-	p.pos++
-	if p.next() == '}' {
-		p.pos++
-		return NewObjectSize(frameRefRoom(depth))
-	}
 	base := len(p.fields)
-	for {
-		if p.next() != '"' {
-			p.fail("object key must be a string")
-			return nil
-		}
-		key, _ := p.str()
-		if p.take() != ':' {
-			p.fail("missing ':' after an object key")
-			return nil
-		}
-		p.fields = append(p.fields, field{key, p.value(depth + 1)})
-		if c := p.take(); c == '}' {
-			break
-		} else if c != ',' {
-			p.fail("unexpected %q after an object value", c)
-			return nil
-		}
-	}
-	obj := NewObjectSize(len(p.fields) - base + frameRefRoom(depth))
+	obj := NewObjectSize(p.objectFields(depth) + frameRefRoom(depth))
 	for _, f := range p.fields[base:] {
 		obj.Set(f.key, f.val) // a repeated key keeps its last value
 	}
 	clear(p.fields[base:])
 	p.fields = p.fields[:base]
 	return obj
+}
+
+// objectFields reads an object's fields onto p.fields, repeated keys and
+// all, and reports how many it read.
+func (p *jsonParser) objectFields(depth int) int {
+	p.pos++
+	base := len(p.fields)
+	if p.next() == '}' {
+		p.pos++
+		return 0
+	}
+	for {
+		if p.next() != '"' {
+			p.fail("object key must be a string")
+			break
+		}
+		key, _ := p.str()
+		if p.take() != ':' {
+			p.fail("missing ':' after an object key")
+			break
+		}
+		p.fields = append(p.fields, field{key, p.value(depth + 1)})
+		if c := p.take(); c == '}' {
+			break
+		} else if c != ',' {
+			p.fail("unexpected %q after an object value", c)
+			break
+		}
+	}
+	return len(p.fields) - base
 }
 
 // number reads a JSON number literal and converts it as strconv does, so a

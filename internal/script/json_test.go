@@ -72,6 +72,13 @@ func checkJSONCodec(t *testing.T, doc []byte) {
 	if err == nil && !bytes.Equal(out, want) {
 		t.Fatalf("encode of %q:\n got %s\nwant %s", doc, out, want)
 	}
+	cp, cerr := Clone(got)
+	if cerr != nil {
+		t.Fatalf("Clone of the scanned %q: %v", doc, cerr)
+	}
+	if cpOut, cpErr := AppendJSON(nil, cp); (cpErr == nil) != (err == nil) || !bytes.Equal(cpOut, out) {
+		t.Fatalf("encode of the clone of %q:\n got %s (err %v)\nwant %s (err %v)", doc, cpOut, cpErr, out, err)
+	}
 }
 
 // checkJSONScalars runs raw bytes through both encoders as a string (any
@@ -130,6 +137,11 @@ var jsonCodecSeeds = []string{
 	strings.Repeat("[", MaxDepth+1) + strings.Repeat("]", MaxDepth+1),
 	strings.Repeat(`{"k":`, MaxDepth) + `1` + strings.Repeat("}", MaxDepth),
 	strings.Repeat(`{"k":`, MaxDepth+1) + `1` + strings.Repeat("}", MaxDepth+1),
+	// Arrays of objects, decoded as record runs.
+	`[{"a":1,"b":2},{"a":3,"b":4}]`, `[1,{},{"a":1},"x",[{"b":2}]]`, `[{"a":1,"a":2,"b":3},{"c":4}]`,
+	`[{},{},{"a":[{"b":{}},{}]}]`, `[{"a":1},{"b"}]`, `[{"a":1},{"b":2}`, `[{"a":1}{"b":2}]`,
+	strings.Repeat("[", MaxDepth-1) + `{"a":1}` + strings.Repeat("]", MaxDepth-1),
+	strings.Repeat("[", MaxDepth) + `{"a":1}` + strings.Repeat("]", MaxDepth),
 }
 
 func TestJSONCodecMatchesEncodingJSON(t *testing.T) {

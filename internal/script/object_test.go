@@ -1,11 +1,14 @@
 package script
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // Objects are compared with the outside world's eyes — ToGo, JSON, the
@@ -193,9 +196,32 @@ func FuzzObjectOps(f *testing.F) {
 	f.Add(grow)
 	f.Add(append(slices.Clone(grow), 2, 3, 2, 9, 2, 40, 2, 0, 0, 9))
 	f.Add([]byte{0, 1, 0, 1, 2, 1, 1, 1, 3, 1})
+	// Odd lengths run on the middle record of a run of three.
+	f.Add(append(slices.Clone(grow), 4))
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 2, 1, 0, 4, 0, 5, 4})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		universe := keyUniverse(41)
 		o, want := NewObjectSize(int(len(ops)%12)), map[string]Value{}
+		if len(ops)%2 == 1 {
+			// The neighbours fill their room, so a write past the middle
+			// record's window would land in one of them.
+			size := len(ops) % 12
+			run := NewObjectRun(3, size)
+			for i := range size {
+				run[0].Set(fmt.Sprint("left", i), float64(i))
+				run[2].Set(fmt.Sprint("right", i), float64(i))
+			}
+			o = &run[1]
+			left, _ := AppendJSON(nil, &run[0])
+			right, _ := AppendJSON(nil, &run[2])
+			defer func() {
+				l, _ := AppendJSON(nil, &run[0])
+				r, _ := AppendJSON(nil, &run[2])
+				if !bytes.Equal(l, left) || !bytes.Equal(r, right) {
+					t.Fatalf("the middle record's ops changed its neighbours: %s %s, were %s %s", l, r, left, right)
+				}
+			}()
+		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			k := universe[int(ops[i+1])%len(universe)]
 			switch ops[i] % 5 {
@@ -223,4 +249,144 @@ func FuzzObjectOps(f *testing.F) {
 		}
 		objectOracle(t, o, want, universe)
 	})
+}
+
+// recordRunArrays are the two ways an array's object elements become one
+// record run: a Clone of the array, and a JSON decode of it.
+func recordRunArrays(t *testing.T, doc string) (src Value, runs map[string]*Array) {
+	t.Helper()
+	src, err := ParseJSON([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := Clone(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := ParseJSON([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src, map[string]*Array{"clone": cp.(*Array), "json": dec.(*Array)}
+}
+
+// encodeAll is every element of a, each encoded alone, and src.
+func encodeAll(t *testing.T, a *Array, src Value) []string {
+	t.Helper()
+	var out []string
+	for _, v := range append(slices.Clone(a.Elems), src) {
+		b, err := AppendJSON(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(b))
+	}
+	return out
+}
+
+// TestRecordRunIsolation: the records of one run share one field block,
+// yet changing one — a field added past its room, a delete and a re-add
+// into the freed slot, growth past the key index, a Set — changes neither
+// its neighbours nor the value it was copied or decoded from.
+func TestRecordRunIsolation(t *testing.T) {
+	const doc = `[{"a":1,"b":2},{"a":3,"b":4},{"a":5,"b":6},{"a":7,"b":8},{"a":9,"b":10}]`
+	steps := []struct {
+		name string
+		at   int
+		do   func(o *Object)
+		want string
+	}{
+		{"add past its room", 0, func(o *Object) { o.Set("c", 0.5) }, `{"a":1,"b":2,"c":0.5}`},
+		{"delete", 1, func(o *Object) { o.Delete("a") }, `{"b":4}`},
+		{"re-add into the freed slot", 1, func(o *Object) { o.Set("z", "x") }, `{"b":4,"z":"x"}`},
+		{"grow past the key index", 2, func(o *Object) {
+			for i := range indexedFields {
+				o.Set(fmt.Sprint("k", i), float64(i))
+			}
+		}, `{"a":5,"b":6,"k0":0,"k1":1,"k2":2,"k3":3,"k4":4,"k5":5,"k6":6,"k7":7}`},
+		{"set", 3, func(o *Object) { o.Set("b", "eight") }, `{"a":7,"b":"eight"}`},
+	}
+	src, runs := recordRunArrays(t, doc)
+	for how, arr := range runs {
+		first, last := arr.Elems[0].(*Object), arr.Elems[len(arr.Elems)-1].(*Object)
+		if d := uintptr(unsafe.Pointer(last)) - uintptr(unsafe.Pointer(first)); d != uintptr(len(arr.Elems)-1)*unsafe.Sizeof(Object{}) {
+			t.Fatalf("%s: the elements are not one run (first to last %d bytes)", how, d)
+		}
+		for _, st := range steps {
+			before := encodeAll(t, arr, src)
+			st.do(arr.Elems[st.at].(*Object))
+			after := encodeAll(t, arr, src)
+			for i := range after {
+				want := before[i]
+				if i == st.at {
+					want = st.want
+				}
+				if after[i] != want {
+					t.Errorf("%s, %s on element %d: element %d reads %s, want %s", how, st.name, st.at, i, after[i], want)
+				}
+			}
+		}
+		if k := arr.Elems[2].(*Object); k.Get("k7") != 7.0 || k.Len() != 10 {
+			t.Errorf("%s: the element grown past the index reads k7 = %v over %d fields", how, k.Get("k7"), k.Len())
+		}
+	}
+}
+
+// TestRecordRunShapes: arrays that mix records with other values, records
+// with repeated keys and empty records copy and decode to what they hold,
+// and a field added to any record stays in it.
+func TestRecordRunShapes(t *testing.T) {
+	for _, doc := range []string{
+		`[1,{},{"a":1},"x",[{"b":2}]]`,
+		`[{"a":1,"a":2,"b":3},{"c":4}]`,
+		`[{},{},{"a":1}]`,
+	} {
+		src, runs := recordRunArrays(t, doc)
+		canon, _ := AppendJSON(nil, src)
+		for how, arr := range runs {
+			if got, _ := AppendJSON(nil, arr); string(got) != string(canon) {
+				t.Fatalf("%s of %s reads %s, want %s", how, doc, got, canon)
+			}
+			for i, e := range arr.Elems {
+				o, ok := e.(*Object)
+				if !ok {
+					continue
+				}
+				before := encodeAll(t, arr, src)
+				o.Set("added", true)
+				after := encodeAll(t, arr, src)
+				for j := range after {
+					if j != i && after[j] != before[j] {
+						t.Errorf("%s of %s: a field added to element %d changed element %d: %s, was %s", how, doc, i, j, after[j], before[j])
+					}
+				}
+				if o.Get("added") != true {
+					t.Errorf("%s of %s: element %d lost its added field", how, doc, i)
+				}
+			}
+		}
+	}
+	if v, _ := ParseJSON([]byte(`[{"a":1,"a":2,"b":3},{"c":4}]`)); v.(*Array).Elems[0].(*Object).Get("a") != 2.0 {
+		t.Error("a repeated key inside a record did not keep its last value")
+	}
+}
+
+// TestRecordRunDepth: a record at MaxDepth is refused by both the copy and
+// the decode, one level up it is accepted by both.
+func TestRecordRunDepth(t *testing.T) {
+	nest := func(arrays int) (string, Value) {
+		var v Value = NewArray(FromGo(map[string]any{"a": 1.0}))
+		for range arrays - 1 {
+			v = NewArray(v)
+		}
+		return strings.Repeat("[", arrays) + `{"a":1}` + strings.Repeat("]", arrays), v
+	}
+	for _, arrays := range []int{MaxDepth - 1, MaxDepth} {
+		doc, v := nest(arrays)
+		_, cerr := Clone(v)
+		_, jerr := ParseJSON([]byte(doc))
+		if want := arrays >= MaxDepth; (cerr == errTooDeep) != want || (jerr == errTooDeep) != want || (cerr == nil) == want || (jerr == nil) == want {
+			t.Errorf("a record under %d arrays: Clone %v, ParseJSON %v; want errTooDeep %v", arrays, cerr, jerr, want)
+		}
+	}
 }

@@ -88,6 +88,41 @@ func block[T any](empty func(*T) []field) func() *Object {
 	}
 }
 
+// A recordRun is the storage of the objects that are elements of one
+// array: one block of Objects and one of fields, two allocations however
+// many records the array holds. Each object's table is a window of the field
+// block capped at the object's own room, so a field added past it moves that
+// object alone onto a table of its own, and Delete and the key index work as
+// on any object. The run lives as long as any of its objects does: a script
+// that keeps one keypoint of a pose keeps all 17.
+type recordRun struct {
+	objs   []Object
+	fields []field
+}
+
+func newRecordRun(objects, fields int) recordRun {
+	return recordRun{make([]Object, objects), make([]field, fields)}
+}
+
+// next hands out the run's next object, empty, with room for n fields.
+func (r *recordRun) next(n int) *Object {
+	o := &r.objs[0]
+	o.fields, r.objs, r.fields = r.fields[:0:n], r.objs[1:], r.fields[n:]
+	return o
+}
+
+// NewObjectRun returns n empty objects with room for size fields each,
+// allocated as one record run: two allocations for the n objects and their
+// tables, where NewObjectSize pays one per object.
+func NewObjectRun(n, size int) []Object {
+	r := newRecordRun(n, n*size)
+	objs := r.objs
+	for range n {
+		r.next(size)
+	}
+	return objs
+}
+
 // slot returns the slot holding key, or -1.
 func (o *Object) slot(key string) int {
 	if o == nil {
@@ -488,9 +523,11 @@ func toGo(v Value, depth int) (any, error) {
 // Clone returns a deep copy of v sharing no array or object with it — the
 // one copy a message pays to cross from one module's context to another's,
 // or into a Snapshot. Scalars and strings are immutable and shared;
-// functions and opaque host values become null, as in ToGo. The copy of a
-// top-level object has room for the frame_ref its receiver sets. It fails
-// only on a value nested deeper than MaxDepth.
+// functions and opaque host values become null, as in ToGo. The objects that
+// are elements of one array are copied into one record run, so a pose's 17
+// keypoints cost two allocations, not 17. The copy of a top-level object has
+// room for the frame_ref its receiver sets. It fails only on a value nested
+// deeper than MaxDepth.
 func Clone(v Value) (Value, error) { return clone(v, 0) }
 
 func clone(v Value, depth int) (Value, error) {
@@ -501,9 +538,22 @@ func clone(v Value, depth int) (Value, error) {
 		if depth >= MaxDepth {
 			return nil, errTooDeep
 		}
+		var objects, fields int
+		for _, e := range x.Elems {
+			if o, ok := e.(*Object); ok {
+				objects, fields = objects+1, fields+o.Len()
+			}
+		}
+		run := newRecordRun(objects, fields)
 		out := &Array{Elems: make([]Value, len(x.Elems))}
 		for i, e := range x.Elems {
-			c, err := clone(e, depth+1)
+			var c Value
+			var err error
+			if o, ok := e.(*Object); ok {
+				c, err = cloneFields(run.next(o.Len()), o, depth+1)
+			} else {
+				c, err = clone(e, depth+1)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -511,21 +561,26 @@ func clone(v Value, depth int) (Value, error) {
 		}
 		return out, nil
 	case *Object:
-		if depth >= MaxDepth {
-			return nil, errTooDeep
-		}
-		out := NewObjectSize(len(x.fields) + frameRefRoom(depth))
-		for _, f := range x.fields {
-			c, err := clone(f.val, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			out.add(f.key, c)
-		}
-		return out, nil
+		return cloneFields(NewObjectSize(len(x.fields)+frameRefRoom(depth)), x, depth)
 	default:
 		return nil, nil
 	}
+}
+
+// cloneFields adds copies of x's fields to out, x sitting depth containers
+// below the value Clone was asked for.
+func cloneFields(out, x *Object, depth int) (Value, error) {
+	if depth >= MaxDepth {
+		return nil, errTooDeep
+	}
+	for _, f := range x.fields {
+		c, err := clone(f.val, depth+1)
+		if err != nil {
+			return nil, err
+		}
+		out.add(f.key, c)
+	}
+	return out, nil
 }
 
 // frameRefRoom is the spare slot a top-level (depth 0) message object gets

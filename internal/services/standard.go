@@ -176,12 +176,17 @@ var keypointNames = func() (names [vision.NumKeypoints]script.Value) {
 	return names
 }()
 
-// poseValue builds the script form of a pose: one allocation per object
-// and one per number.
+// poseValue builds the script form of a pose: one allocation per number,
+// one per object or array, but the keypoints are one record run of two.
 func poseValue(p vision.Pose) *script.Object {
 	kps := make([]script.Value, vision.NumKeypoints)
+	run := script.NewObjectRun(vision.NumKeypoints, 3)
 	for i, kp := range p.Keypoints {
-		kps[i] = object("name", keypointNames[i], "x", kp.X, "y", kp.Y)
+		o := &run[i]
+		o.Set("name", keypointNames[i])
+		o.Set("x", kp.X)
+		o.Set("y", kp.Y)
+		kps[i] = o
 	}
 	return object("keypoints", &script.Array{Elems: kps}, "box", boxValue(p.Box), "score", p.Score)
 }

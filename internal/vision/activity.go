@@ -15,14 +15,17 @@ const WindowSize = 15
 // normalize the coordinates framewise so that (0,0) is located at the
 // average of the left and right hips").
 func WindowFeatures(window []Pose) ([]float64, error) {
+	return appendWindowFeatures(make([]float64, 0, WindowSize*2*NumKeypoints), window)
+}
+
+func appendWindowFeatures(dst []float64, window []Pose) ([]float64, error) {
 	if len(window) != WindowSize {
 		return nil, fmt.Errorf("vision: window has %d poses, want %d", len(window), WindowSize)
 	}
-	out := make([]float64, 0, WindowSize*2*NumKeypoints)
 	for _, p := range window {
-		out = append(out, p.Features()...)
+		dst = p.AppendFeatures(dst)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // LabeledWindow is one training or test example.
@@ -76,9 +79,11 @@ func (c *ActivityClassifier) TrainPoses(label Activity, window []Pose) error {
 func (c *ActivityClassifier) Len() int { return len(c.samples) }
 
 // Classify predicts the activity for a pose window and returns the label
-// with its confidence (fraction of the k nearest neighbours agreeing).
+// with its confidence (fraction of the k nearest neighbours agreeing). The
+// window's feature vector lives on the stack, so a call allocates nothing.
 func (c *ActivityClassifier) Classify(window []Pose) (Activity, float64, error) {
-	feats, err := WindowFeatures(window)
+	var buf [WindowSize * 2 * NumKeypoints]float64
+	feats, err := appendWindowFeatures(buf[:0], window)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -1,0 +1,70 @@
+//go:build !race
+
+package vision
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// The per-frame pins of the fitness chain's two pose consumers (`make
+// alloc`): the activity classifier and the rep counter build their feature
+// vectors in arrays on the stack, so a warm call allocates nothing. They
+// hold only without race instrumentation, hence the build tag.
+
+// TestClassifyAllocs: a warm Classify of a 15-pose window allocates nothing
+// (the 510-value window vector and its 15 per-pose vectors cost 16
+// allocations when each was a slice of its own) and answers what the
+// heap-built vector does.
+func TestClassifyAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := NewActivityClassifier(3)
+	for _, a := range []Activity{Squat, JumpingJack} {
+		window, _ := SynthesizeSequence(a, WindowSize, 15, 0.5, DefaultSubject(), rng)
+		if err := c.TrainPoses(a, window); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window, _ := SynthesizeSequence(Squat, WindowSize, 15, 0.55, DefaultSubject(), rng)
+	feats, err := WindowFeatures(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLabel, wantConf, _ := c.ClassifyFeatures(feats)
+	label, conf, err := c.Classify(window)
+	if err != nil || label != wantLabel || conf != wantConf {
+		t.Fatalf("Classify = %v %v %v, ClassifyFeatures(WindowFeatures) = %v %v", label, conf, err, wantLabel, wantConf)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := c.Classify(window); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Classify: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestRepCounterObserveAllocs: once the counter is fitted, Observe labels
+// each frame from a stack vector and allocates nothing.
+func TestRepCounterObserveAllocs(t *testing.T) {
+	poses, _ := SynthesizeSequence(Squat, 120, 15, 0.5, DefaultSubject(), nil)
+	rc := NewRepCounter(0, 0)
+	for _, p := range poses[:60] {
+		rc.Observe(p)
+	}
+	if !rc.Calibrated() {
+		t.Fatal("counter not fitted after 60 frames")
+	}
+	i := 60
+	allocs := testing.AllocsPerRun(50, func() {
+		rc.Observe(poses[i])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("fitted Observe: %.1f allocs, want 0", allocs)
+	}
+	if rc.Reps() == 0 {
+		t.Error("no reps counted over 111 frames of squats")
+	}
+}

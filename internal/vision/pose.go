@@ -145,13 +145,15 @@ func (p Pose) Normalize() Pose {
 
 // Features flattens the normalized keypoints into a feature vector of
 // length 2*NumKeypoints.
-func (p Pose) Features() []float64 {
-	n := p.Normalize()
-	out := make([]float64, 0, 2*NumKeypoints)
-	for _, kp := range n.Keypoints {
-		out = append(out, kp.X, kp.Y)
+func (p Pose) Features() []float64 { return p.AppendFeatures(make([]float64, 0, 2*NumKeypoints)) }
+
+// AppendFeatures appends the pose's feature vector to dst: a caller with
+// room in dst, an array on its stack, allocates nothing.
+func (p Pose) AppendFeatures(dst []float64) []float64 {
+	for _, kp := range p.Normalize().Keypoints {
+		dst = append(dst, kp.X, kp.Y)
 	}
-	return out
+	return dst
 }
 
 // BoundingBox computes the tight box around the keypoints with a margin.

@@ -73,10 +73,12 @@ func (rc *RepCounter) FramesSeen() int { return rc.framesSeen }
 // Calibrated reports whether the 2-means model has been fitted.
 func (rc *RepCounter) Calibrated() bool { return rc.fitted }
 
-// Observe consumes one pose and returns the current rep count.
+// Observe consumes one pose and returns the current rep count. Once the
+// counter is fitted, a call allocates nothing.
 func (rc *RepCounter) Observe(p Pose) int {
 	rc.framesSeen++
-	feats := p.Features()
+	var buf [featureDim]float64
+	feats := p.AppendFeatures(buf[:0])
 
 	if !rc.fitted {
 		rc.buf = append(rc.buf, feats...)
