@@ -71,9 +71,13 @@ race:
 # object literal of up to eight fields, a detector pose and its clone (its
 # 17 keypoints one record run of two allocations), and the host calls that
 # move them stay at their flat-object counts; a warm activity Classify and
-# a fitted rep counter's Observe (internal/vision) allocate nothing; a host
-# call's arguments, a warm wire scan's strings and a warm timed wait
-# allocate nothing; so do a warm one-argument Context.Call, a frame_done()
+# a fitted rep counter's Observe (internal/vision) allocate nothing, and so
+# do a warm DetectPose and a warm frame.Stripes call with a function bound
+# once (the stripe workers start with the process); a warm
+# call_service("pose_detector", {frame_ref}) costs the pose payload and the
+# result object (its result map recycled), a 15-pose window call at most
+# 6; a host call's arguments, a warm wire scan's strings and a warm timed
+# wait allocate nothing; so do a warm one-argument Context.Call, a frame_done()
 # event, a store Put/Retain/Release cycle and a pooled wire receive, and a
 # warm admitted Offer costs its message, two boxed numbers and the boxed
 # frame_ref. The BufferPool tests ride along: the pool's determinism

@@ -8,6 +8,7 @@ import (
 	"videopipe/internal/frame"
 	"videopipe/internal/metrics"
 	"videopipe/internal/script"
+	"videopipe/internal/services"
 	"videopipe/internal/wire"
 )
 
@@ -130,37 +131,32 @@ func (w *worker) hostCallService(args []script.Value) (script.Value, error) {
 	}
 	// The handler is lent the message itself for the duration of the call
 	// (services.Request.Args): this goroutine is parked until it returns, so
-	// the script cannot touch it meanwhile.
-	callArgs := msg
-
-	// Resolve a frame reference into the actual frame for the service. The
-	// handler must not see the id and the script's object must keep it, so
-	// the one copy call_service ever makes is this shallow one.
+	// the script cannot touch it meanwhile. A frame reference is resolved
+	// into the frame itself, and the handler must not see the id, so the
+	// field is taken out for the call and the same value put back on every
+	// way out.
 	var reqFrame *frame.Frame
-	if _, has := msg.Lookup(frameRefKey); has {
+	if ref, has := msg.Lookup(frameRefKey); has {
 		if reqFrame, err = m.dev.store.Get(frameID); err != nil {
 			return nil, fmt.Errorf("call_service: %w", err)
 		}
-		callArgs = script.NewObjectSize(msg.Len() - 1)
-		for i := range msg.Len() {
-			if k, v := msg.Field(i); k != frameRefKey {
-				callArgs.Set(k, v)
-			}
-		}
+		msg.Delete(frameRefKey)
+		defer msg.Set(frameRefKey, ref)
 	}
 
 	// The worker's call deadline runs under the device's base context, so
 	// Crash cancels the call at once instead of holding this event loop for
 	// the full timeout (which would stall migration for the same span).
-	resp, err := m.dev.CallService(w.calls.Start(), name, callArgs, reqFrame)
+	resp, err := m.dev.CallService(w.calls.Start(), name, msg, reqFrame)
 	w.calls.Stop()
 	if err != nil {
 		return nil, fmt.Errorf("call_service: %w", err)
 	}
 
-	// The handler's result map becomes the returned object's fields as they
-	// are; the module owns them from here.
+	// The handler's result values become the returned object's fields as
+	// they are; the module owns them from here, and the map goes back.
 	result := script.FromGo(resp.Result).(*script.Object)
+	services.RecycleResult(resp.Result)
 	if resp.Frame != nil {
 		id, err := m.dev.store.Put(resp.Frame)
 		if err != nil {
@@ -221,7 +217,8 @@ func (w *worker) errClosing(fn string) error {
 }
 
 // deliverLocal hands an event to a module on the same device: the frame
-// reference is retained for the receiver — zero pixel copies — and the
+// reference is retained for the receiver — zero pixel copies, and the same
+// store id, so the clone keeps the sender's frame_ref value — and the
 // message is snapshotted here, at send, on the sender's goroutine: one
 // bounded clone the receiving event owns outright, so the two module
 // contexts never share a mutable value and the sender may change its
@@ -237,8 +234,9 @@ func (w *worker) deliverLocal(target string, msg *script.Object, frameID uint64)
 		return fmt.Errorf("call_module: %w", err)
 	}
 	ev := event{body: body.(*script.Object)}
-	ev.body.Delete(frameRefKey) // the sender's id; the receiver gets its own
-	if frameID != 0 {
+	if frameID == 0 {
+		ev.body.Delete(frameRefKey) // no frame travels; a stray value must not either
+	} else {
 		if err := m.dev.store.Retain(frameID); err != nil {
 			return fmt.Errorf("call_module: %w", err)
 		}

@@ -5,12 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
+	"videopipe/internal/clock"
 	"videopipe/internal/frame"
 	"videopipe/internal/script"
 	"videopipe/internal/services"
+	"videopipe/internal/vision"
 )
 
 // Who owns a payload (DESIGN.md §7): call_module snapshots the message at
@@ -247,5 +251,140 @@ func TestModuleOutputBudgetStopsExponentialPayload(t *testing.T) {
 			}
 			d.Close()
 		}
+	}
+}
+
+// fitnessServices deploys the real pose detector, activity classifier and
+// rep counter (small training corpus, negligible simulated cost) on d.
+func fitnessServices(t *testing.T, d *Device) {
+	t.Helper()
+	opts := services.DefaultOptions()
+	opts.PoseCost, opts.ActivityCost, opts.RepCost = time.Microsecond, time.Microsecond, time.Microsecond
+	opts.DatasetConfig = vision.DefaultDatasetConfig()
+	opts.DatasetConfig.SequencesPerActivity, opts.DatasetConfig.FramesPerSequence = 4, 45
+	reg, err := services.NewStandardRegistry(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{services.PoseDetector, services.ActivityClassifier, services.RepCounter} {
+		spec, err := reg.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.DeployService(spec, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func squatPoses(n int) []script.Value {
+	poses, _ := vision.SynthesizeSequence(vision.Squat, n, 15, 0.5, vision.DefaultSubject(), nil)
+	out := make([]script.Value, n)
+	for i, p := range poses {
+		out[i] = poseValue(p)
+	}
+	return out
+}
+
+// sameBox reports whether two values are one interface value: the same type
+// and the same boxed data, not merely equal numbers.
+func sameBox(a, b script.Value) bool {
+	return *(*[2]unsafe.Pointer)(unsafe.Pointer(&a)) == *(*[2]unsafe.Pointer)(unsafe.Pointer(&b))
+}
+
+// TestCallServiceRestoresFrameRef: call_service lends the handler the
+// module's own message with frame_ref taken out, and puts the very same
+// value back however the call ends — a result, a handler error or the
+// call's deadline.
+func TestCallServiceRestoresFrameRef(t *testing.T) {
+	d := newDevice(t, testNet(), "desktop", Desktop)
+	var sawRef atomic.Bool
+	_, err := d.DeployService(services.Spec{
+		Name: "lend",
+		Handler: func(ctx context.Context, req services.Request) (services.Response, error) {
+			if _, has := req.Args.Lookup(frameRefKey); has || req.Frame == nil {
+				sawRef.Store(true)
+			}
+			switch req.Args.Get("mode") {
+			case "fail":
+				return services.Response{}, errors.New("handler failed")
+			case "hang":
+				<-ctx.Done()
+				return services.Response{}, ctx.Err()
+			}
+			return services.Response{Result: map[string]script.Value{"ok": true}}, nil
+		},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := d.SpawnModule(ModuleSpec{Name: "caller", Services: []string{"lend"}, Source: `function event_received(m) {}`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := d.store.Put(frame.MustNew(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.store.Release(id)
+	// A worker of the test's own, so its call deadline can be short.
+	w := &worker{m: m, calls: clock.NewDeadline(context.Background(), 50*time.Millisecond)}
+	defer w.calls.Close()
+	for _, tc := range []struct {
+		mode string
+		want error
+	}{{"ok", nil}, {"fail", errors.New("handler failed")}, {"hang", context.DeadlineExceeded}} {
+		msg := objectOf(map[string]script.Value{frameRefKey: float64(id), "mode": tc.mode, "n": 1.0})
+		ref := msg.Get(frameRefKey)
+		_, err := w.hostCallService([]script.Value{"lend", msg})
+		switch {
+		case tc.want == nil && err != nil,
+			tc.want != nil && err == nil,
+			tc.want == context.DeadlineExceeded && !errors.Is(err, context.DeadlineExceeded):
+			t.Errorf("%s: call ended with %v, want %v", tc.mode, err, tc.want)
+		}
+		if got := msg.Get(frameRefKey); !sameBox(got, ref) || msg.Len() != 3 {
+			t.Errorf("%s: after the call frame_ref is %v (the same value: %v), %d fields; want the original in all three",
+				tc.mode, got, sameBox(got, ref), msg.Len())
+		}
+	}
+	if sawRef.Load() {
+		t.Error("the handler saw frame_ref, or no frame")
+	}
+}
+
+// TestCallServiceResultOutlivesItsMap: call_service copies the handler's
+// result map into the object it returns and hands the map back for a later
+// call to refill, so a result the module keeps does not change when its
+// map is reused — here by more calls than the recycler holds maps.
+func TestCallServiceResultOutlivesItsMap(t *testing.T) {
+	d := newDevice(t, testNet(), "desktop", Desktop)
+	fitnessServices(t, d)
+	m, err := d.SpawnModule(ModuleSpec{
+		Name: "reps", Services: []string{services.RepCounter}, Source: `function event_received(m) {}`,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := m.workers[0]
+	poses := squatPoses(100)
+	state := script.Value("")
+	var first script.Value
+	var firstText string
+	for i, p := range poses {
+		r, err := w.hostCallService([]script.Value{services.RepCounter, objectOf(map[string]script.Value{"state": state, "pose": p})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		state = r.(*script.Object).Get("state")
+		if i == 0 {
+			first = r
+			if firstText, err = script.Stringify(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if text, _ := script.Stringify(first); text != firstText {
+		t.Errorf("the first result changed after its map was recycled:\nnow  %s\nwas  %s", text, firstText)
 	}
 }

@@ -51,6 +51,33 @@ func TestStoreAllocs(t *testing.T) {
 	}
 }
 
+// rowSums is a striped job bound once: its function value is made when the
+// test starts, so a call hands Stripes nothing new.
+type rowSums struct {
+	pix  []byte
+	sums []int
+	fn   func(stripe, lo, hi int)
+}
+
+func (r *rowSums) rows(stripe, lo, hi int) {
+	for y := lo; y < hi; y++ {
+		r.sums[stripe] += int(r.pix[y])
+	}
+}
+
+// TestStripesAllocs: the stripe workers start with the package and each
+// signals completion on its own channel, so a warm striped call with a
+// function bound once allocates nothing, whether its stripes run on the
+// workers or inline.
+func TestStripesAllocs(t *testing.T) {
+	r := &rowSums{pix: make([]byte, 480), sums: make([]int, MaxStripes())}
+	r.fn = r.rows
+	for _, n := range []int{32, 480} {
+		allocs := testing.AllocsPerRun(200, func() { Stripes(n, r.fn) })
+		assertAllocs(t, "warm Stripes over "+itoa(uint64(n))+" rows", allocs, 0)
+	}
+}
+
 func TestRawCodecRoundTripAllocs(t *testing.T) {
 	f := MustNewPooled(64, 48)
 	defer f.Release()

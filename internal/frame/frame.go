@@ -208,11 +208,11 @@ func FromImage(img image.Image) *Frame {
 	f := newPooledDirty(b.Dx(), b.Dy()) // every branch below writes every pixel
 	switch src := img.(type) {
 	case *image.YCbCr:
-		Stripes(f.Height, func(lo, hi int) {
+		Stripes(f.Height, func(_, lo, hi int) {
 			fromYCbCrRows(f, src, b, lo, hi)
 		})
 	case *image.RGBA:
-		Stripes(f.Height, func(lo, hi int) {
+		Stripes(f.Height, func(_, lo, hi int) {
 			for y := lo; y < hi; y++ {
 				srcRow := src.Pix[src.PixOffset(b.Min.X, b.Min.Y+y):]
 				copy(f.Pix[y*f.Width*4:(y+1)*f.Width*4], srcRow[:f.Width*4])

@@ -1,90 +1,98 @@
 package frame
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // The vision kernels and pixel conversions stripe their row loops across a
 // single process-wide worker group rather than spawning goroutines per
 // call. Service pools already run many kernel invocations concurrently;
 // giving each invocation its own NumCPU goroutines would oversubscribe the
-// machine and trade throughput for scheduler churn. Instead a fixed token
-// bucket holds NumCPU-1 "extra worker" tokens: a Stripes call grabs
-// whatever is free, runs the rest of its rows inline, and returns the
-// tokens. Under contention every call degrades gracefully toward inline
-// execution — exactly the serial code it replaced — so the worst case
-// costs nothing.
-var workerTokens = make(chan struct{}, maxExtraWorkers())
+// machine and trade throughput for scheduler churn. Instead NumCPU-1 extra
+// workers start once, in the package init, and each idle worker is a token
+// in workerTokens: a Stripes call grabs whatever is free, hands each one a
+// stripe, runs the rest of its rows inline, and returns the tokens. Under
+// contention every call degrades gracefully toward inline execution —
+// exactly the serial code it replaced — so the worst case costs nothing.
+// Workers live as long as the process, so a call allocates nothing: the job
+// travels by value and each worker signals completion on its own channel.
+var workerTokens = make(chan *stripeWorker, max(runtime.NumCPU()-1, 0))
 
-func maxExtraWorkers() int {
-	n := runtime.NumCPU() - 1
-	if n < 0 {
-		n = 0
-	}
-	return n
+// stripeWorker is one extra worker. Whoever holds its token owns it: only
+// that caller sends it a job, waits on done, and links it through next.
+type stripeWorker struct {
+	jobs chan stripeJob
+	done chan struct{}
+	next *stripeWorker
+}
+
+type stripeJob struct {
+	fn             func(stripe, lo, hi int)
+	stripe, lo, hi int
 }
 
 func init() {
-	for i := 0; i < cap(workerTokens); i++ {
-		workerTokens <- struct{}{}
+	for range cap(workerTokens) {
+		workerTokens <- startStripeWorker()
 	}
 }
 
+// startStripeWorker starts a worker that runs jobs until its jobs channel
+// closes.
+func startStripeWorker() *stripeWorker {
+	w := &stripeWorker{jobs: make(chan stripeJob), done: make(chan struct{})}
+	go func() {
+		for j := range w.jobs {
+			j.fn(j.stripe, j.lo, j.hi)
+			w.done <- struct{}{}
+		}
+	}()
+	return w
+}
+
 // minStripeRows keeps tiny loops inline: below this many rows the
-// goroutine handoff costs more than the work.
+// handoff to a worker costs more than the work.
 const minStripeRows = 64
 
+// MaxStripes is the most stripes one Stripes call runs: every extra worker
+// plus the caller.
+func MaxStripes() int { return cap(workerTokens) + 1 }
+
 // Stripes splits [0, n) into contiguous row ranges and runs fn on each,
-// in parallel when worker tokens are free and inline otherwise. fn must
-// be safe to call concurrently for disjoint ranges; Stripes returns only
-// after every range completes. Callers needing deterministic results
-// across worker counts must accumulate with order-independent arithmetic
-// (integer sums, min/max) rather than floats.
-func Stripes(n int, fn func(lo, hi int)) {
+// in parallel when worker tokens are free and inline otherwise, passing
+// each range its stripe number; it returns how many stripes ran (numbered
+// from 0, in row order, none empty) only after every one completes. fn must
+// be safe to call concurrently for disjoint ranges, and is kept off the
+// caller's stack: a caller that must not allocate passes a function bound
+// once. Callers needing deterministic results across worker counts keep a
+// partial per stripe and merge them in stripe order afterwards.
+func Stripes(n int, fn func(stripe, lo, hi int)) int {
 	if n <= 0 {
-		return
+		return 0
 	}
+	var claimed *stripeWorker
 	extra := 0
 	if n >= minStripeRows {
 	claim:
-		for extra < cap(workerTokens) {
+		for extra < min(cap(workerTokens), n-1) {
 			select {
-			case <-workerTokens:
+			case w := <-workerTokens:
+				w.next, claimed = claimed, w
 				extra++
 			default:
 				break claim
 			}
 		}
 	}
-	if extra == 0 {
-		fn(0, n)
-		return
+	parts, stripe := extra+1, 0
+	for w := claimed; w != nil; w = w.next {
+		w.jobs <- stripeJob{fn, stripe, stripe * n / parts, (stripe + 1) * n / parts}
+		stripe++
 	}
-	parts := extra + 1
-	chunk := (n + parts - 1) / parts
-	var wg sync.WaitGroup
-	lo, spawned := 0, 0
-	for ; spawned < extra && lo < n; spawned++ {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-			workerTokens <- struct{}{}
-		}(lo, hi)
-		lo = hi
+	fn(extra, extra*n/parts, n)
+	for w := claimed; w != nil; {
+		next := w.next // the token's next holder may relink it
+		<-w.done
+		workerTokens <- w
+		w = next
 	}
-	// Rows can run out before the claimed tokens do (many cores, few
-	// rows); hand the surplus straight back.
-	for ; spawned < extra; spawned++ {
-		workerTokens <- struct{}{}
-	}
-	if lo < n {
-		fn(lo, n)
-	}
-	wg.Wait()
+	return parts
 }

@@ -104,6 +104,7 @@ func (s *Server) handle(ctx context.Context, m wire.Message) (wire.Message, erro
 	}
 
 	resultJSON, err := script.AppendJSON(nil, script.FromGo(resp.Result))
+	RecycleResult(resp.Result)
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("services: marshal result: %w", err)
 	}
@@ -227,13 +228,13 @@ func (c *Client) Call(ctx context.Context, service string, args *script.Object, 
 	if out.Len() < 1 {
 		return Response{}, fmt.Errorf("services: empty response")
 	}
-	result, err := script.ParseJSONFields(out.Part(0))
+	fields, err := script.ParseJSONFields(out.Part(0))
 	if err != nil {
 		return Response{}, fmt.Errorf("services: bad result payload: %w", err)
 	}
-	resp := Response{Result: make(map[string]script.Value, result.Len())}
-	for i := range result.Len() {
-		k, v := result.Field(i)
+	resp := Response{Result: result()}
+	for i := range fields.Len() {
+		k, v := fields.Field(i)
 		resp.Result[k] = v
 	}
 	if out.Len() >= 2 && len(out.Part(1)) > 0 {

@@ -48,13 +48,48 @@ type Request struct {
 // Response is one service invocation's output.
 type Response struct {
 	// Result carries the named results as script values. The caller owns
-	// it from the moment the handler returns — for a co-located module it
-	// becomes the object call_service evaluates to, as is — so a handler
-	// builds a fresh map per call and shares no array or object in it with
-	// another call's result.
+	// the map and its values from the moment the handler returns, so a
+	// handler shares no array or object in it with another call's result,
+	// and takes the map itself from result (the standard handlers) or
+	// makes a fresh one. A caller that has copied the values out — a
+	// co-located module's call_service into its result object, the server
+	// into the reply's JSON — may hand the map back with RecycleResult; a
+	// caller that never does simply leaves it to the collector.
 	Result map[string]script.Value
 	// Frame carries pixel output for frame-producing services (display).
 	Frame *frame.Frame
+}
+
+// resultMaps holds cleared Result maps for the next result call, up to its
+// capacity; the rest go to the collector.
+var resultMaps = make(chan map[string]script.Value, 64)
+
+// result returns a Result map holding the key, value pairs, recycled when
+// one is free.
+func result(kv ...script.Value) map[string]script.Value {
+	var m map[string]script.Value
+	select {
+	case m = <-resultMaps:
+	default:
+		m = make(map[string]script.Value, 4)
+	}
+	for i := 0; i+1 < len(kv); i += 2 {
+		m[kv[i].(string)] = kv[i+1]
+	}
+	return m
+}
+
+// RecycleResult clears a Response.Result its caller is done with and keeps
+// it for a later call's result. Nothing else may still hold the map.
+func RecycleResult(m map[string]script.Value) {
+	if m == nil {
+		return
+	}
+	clear(m)
+	select {
+	case resultMaps <- m:
+	default:
+	}
 }
 
 // Handler is a service implementation. Handlers must be stateless and safe

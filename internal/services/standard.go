@@ -227,11 +227,11 @@ func handlePose(_ context.Context, req Request) (Response, error) {
 		return Response{}, fmt.Errorf("pose_detector: request carries no frame")
 	}
 	pose, found := vision.DetectPose(req.Frame)
-	result := map[string]script.Value{"found": found}
+	r := result("found", found)
 	if found {
-		result["pose"] = poseValue(pose)
+		r["pose"] = poseValue(pose)
 	}
-	return Response{Result: result}, nil
+	return Response{Result: r}, nil
 }
 
 // handleActivity classifies a window of poses (paper §4.1.2).
@@ -260,11 +260,11 @@ func handleActivity(clf *vision.ActivityClassifier) Handler {
 		if err != nil {
 			return Response{}, fmt.Errorf("activity_classifier: %w", err)
 		}
-		return Response{Result: map[string]script.Value{
-			"activity":   label.String(),
-			"confidence": conf,
-			"actionable": vision.Actionable(conf),
-		}}, nil
+		return Response{Result: result(
+			"activity", label.String(),
+			"confidence", conf,
+			"actionable", vision.Actionable(conf),
+		)}, nil
 	}
 }
 
@@ -318,11 +318,11 @@ func handleRepCount(_ context.Context, req Request) (Response, error) {
 	}
 	reps := sc.rc.Observe(pose)
 	sc.raw = sc.rc.AppendState(sc.raw[:0])
-	return Response{Result: map[string]script.Value{
-		"state":      sc.encodeState(),
-		"reps":       float64(reps),
-		"calibrated": sc.rc.Calibrated(),
-	}}, nil
+	return Response{Result: result(
+		"state", sc.encodeState(),
+		"reps", float64(reps),
+		"calibrated", sc.rc.Calibrated(),
+	)}, nil
 }
 
 // handleFall advances the stateless fall detector (paper §4.3).
@@ -346,11 +346,11 @@ func handleFall(_ context.Context, req Request) (Response, error) {
 	}
 	alert := fd.Observe(pose)
 	sc.raw = fd.AppendState(sc.raw[:0])
-	return Response{Result: map[string]script.Value{
-		"state":  sc.encodeState(),
-		"fallen": fd.Fallen(),
-		"alert":  alert,
-	}}, nil
+	return Response{Result: result(
+		"state", sc.encodeState(),
+		"fallen", fd.Fallen(),
+		"alert", alert,
+	)}, nil
 }
 
 // handleObjects runs blob object detection.
@@ -363,9 +363,9 @@ func handleObjects(_ context.Context, req Request) (Response, error) {
 	for i, d := range dets {
 		objs[i] = object("label", d.Label, "score", d.Score, "box", boxValue(d.Box))
 	}
-	return Response{Result: map[string]script.Value{
-		"objects": &script.Array{Elems: objs}, "count": float64(len(dets)),
-	}}, nil
+	return Response{Result: result(
+		"objects", &script.Array{Elems: objs}, "count", float64(len(dets)),
+	)}, nil
 }
 
 // handleClassify serves the image classifier; requests with a "train"
@@ -384,13 +384,13 @@ func handleClassify(clf *vision.ImageClassifier) Handler {
 			if err := clf.Train(label, req.Frame); err != nil {
 				return Response{}, fmt.Errorf("image_classifier: %w", err)
 			}
-			return Response{Result: map[string]script.Value{"trained": label}}, nil
+			return Response{Result: result("trained", label)}, nil
 		}
 		label, conf, err := clf.Classify(req.Frame)
 		if err != nil {
 			return Response{}, fmt.Errorf("image_classifier: %w", err)
 		}
-		return Response{Result: map[string]script.Value{"label": label, "confidence": conf}}, nil
+		return Response{Result: result("label", label, "confidence", conf)}, nil
 	}
 }
 
@@ -401,7 +401,7 @@ func handleFace(_ context.Context, req Request) (Response, error) {
 	}
 	pose, found := vision.DetectPose(req.Frame)
 	if !found {
-		return Response{Result: map[string]script.Value{"found": false}}, nil
+		return Response{Result: result("found", false)}, nil
 	}
 	head := []vision.Point{
 		pose.Keypoints[vision.Nose],
@@ -424,13 +424,13 @@ func handleFace(_ context.Context, req Request) (Response, error) {
 		}
 	}
 	pad := 1.2 * (box.MaxX - box.MinX)
-	return Response{Result: map[string]script.Value{
-		"found": true,
-		"box": boxValue(vision.Box{
+	return Response{Result: result(
+		"found", true,
+		"box", boxValue(vision.Box{
 			MinX: box.MinX - pad/2, MinY: box.MinY - pad/2,
 			MaxX: box.MaxX + pad/2, MaxY: box.MaxY + pad,
 		}),
-	}}, nil
+	)}, nil
 }
 
 // handleDisplay composes the TV output (paper Fig. 3): the camera frame
@@ -473,7 +473,7 @@ func handleDisplay(_ context.Context, req Request) (Response, error) {
 	// frame ships back only when the caller asks (return_frame), so remote
 	// callers don't pay a pointless reverse transfer — and the clone is
 	// recycled immediately when it stays here.
-	resp := Response{Result: map[string]script.Value{"rendered": true}}
+	resp := Response{Result: result("rendered", true)}
 	if want, ok := req.Args.Get("return_frame").(bool); ok && want {
 		resp.Frame = out
 	} else {

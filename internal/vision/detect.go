@@ -1,10 +1,6 @@
 package vision
 
-import (
-	"sync"
-
-	"videopipe/internal/frame"
-)
+import "videopipe/internal/frame"
 
 // markerMatchThreshold is the maximum RGB distance for a pixel to count as
 // a joint marker. Marker colors are >= ~127 apart, so 60 leaves a healthy
@@ -19,17 +15,58 @@ const markerMatchThreshold = 60
 // (80) pixel, i.e. almost the whole frame.
 const minMarkerChannel = 255 - markerMatchThreshold
 
-// labelsPool recycles the per-call pixel-label scratch (one int8 per
-// pixel, the dominant allocation of DetectPose before pooling).
-var labelsPool sync.Pool
+// noMarker labels a pixel that matches no joint marker.
+const noMarker = 0xff
 
-func getLabels(n int) []int8 {
-	if v := labelsPool.Get(); v != nil {
-		if s := v.([]int8); cap(s) >= n {
-			return s[:n]
-		}
+// detectScratch is what one detection needs besides its frame: a foreground
+// extent and centroid sums per stripe, and the row functions, bound once so
+// a striped pass hands frame.Stripes nothing new. The pixel labels (one
+// byte per pixel, the dominant allocation of DetectPose before pooling) are
+// borrowed from frame.Pool for the call. Idle scratches wait in scratches,
+// one per detection running at once up to its capacity.
+type detectScratch struct {
+	f      *frame.Frame
+	labels []byte
+	fg     []extent
+	sums   []centroidSums
+
+	classify, erode, foreground func(stripe, lo, hi int)
+}
+
+type centroidSums struct {
+	x, y  [NumKeypoints]int64
+	count [NumKeypoints]int
+}
+
+var scratches = make(chan *detectScratch, 32)
+
+func getScratch(f *frame.Frame) *detectScratch {
+	var s *detectScratch
+	select {
+	case s = <-scratches:
+	default:
+		s = &detectScratch{fg: make([]extent, frame.MaxStripes()), sums: make([]centroidSums, frame.MaxStripes())}
+		s.classify, s.erode, s.foreground = s.classifyStripe, s.erodeStripe, s.foregroundStripe
 	}
-	return make([]int8, n)
+	s.f = f
+	return s
+}
+
+func (s *detectScratch) release() {
+	s.f, s.labels = nil, nil
+	select {
+	case scratches <- s:
+	default:
+	}
+}
+
+// mergeFG folds the first n stripes' extents together, in stripe order.
+func (s *detectScratch) mergeFG(n int) extent {
+	fg := newExtent()
+	for _, part := range s.fg[:n] {
+		fg.merge(part)
+	}
+	return fg
 }
 
 // extent is a foreground bounding region accumulated in integer pixel
@@ -89,8 +126,9 @@ var foregroundThreshold = 3*int(backgroundColor.R) + 60
 // keypoints").
 //
 // Both passes stripe their row loops across the shared worker group
-// (frame.Stripes); centroids accumulate in int64 so results are identical
-// at any worker count.
+// (frame.Stripes), one partial per stripe merged in stripe order after the
+// wait; centroids accumulate in int64 so results are identical at any
+// worker count. A warm detection allocates nothing.
 //
 // The returned bool is false when no person is visible (fewer than half
 // the markers found). Score is the fraction of markers located.
@@ -99,20 +137,14 @@ func DetectPose(f *frame.Frame) (Pose, bool) {
 	if w <= 0 || h <= 0 {
 		return Pose{}, false
 	}
-	labels := getLabels(w * h)
-	defer labelsPool.Put(labels) //nolint:staticcheck // scratch reuse; slice-header alloc is noise next to the buffer
+	s := getScratch(f)
+	defer s.release()
+	s.labels = frame.Pool.GetDirty(w * h)
+	defer frame.Pool.Put(s.labels)
 
 	// Pass 1: classify each pixel against the marker palette and track the
-	// foreground extent, row-striped with per-stripe partials merged under
-	// a mutex (once per stripe, not per pixel).
-	fg := newExtent()
-	var mu sync.Mutex
-	frame.Stripes(h, func(lo, hi int) {
-		part := classifyRows(f, labels, lo, hi)
-		mu.Lock()
-		fg.merge(part)
-		mu.Unlock()
-	})
+	// foreground extent, row-striped with one partial per stripe.
+	fg := s.mergeFG(frame.Stripes(h, s.classify))
 
 	// Pass 2: accumulate centroids over *core* pixels only — pixels whose
 	// four neighbours carry the same label. Compression blurs marker edges
@@ -120,26 +152,20 @@ func DetectPose(f *frame.Frame) (Pose, bool) {
 	// survive, so eroding by one pixel rejects the contamination. The
 	// stripes read labels across their row boundaries, which is safe: the
 	// label array is complete and read-only by now.
-	var sumX, sumY [NumKeypoints]int64
-	var count [NumKeypoints]int
-	frame.Stripes(h-2, func(lo, hi int) {
-		var px, py [NumKeypoints]int64
-		var pc [NumKeypoints]int
-		erodeRows(labels, w, lo+1, hi+1, &px, &py, &pc)
-		mu.Lock()
+	var sums centroidSums
+	for _, part := range s.sums[:frame.Stripes(h-2, s.erode)] {
 		for k := 0; k < NumKeypoints; k++ {
-			sumX[k] += px[k]
-			sumY[k] += py[k]
-			count[k] += pc[k]
+			sums.x[k] += part.x[k]
+			sums.y[k] += part.y[k]
+			sums.count[k] += part.count[k]
 		}
-		mu.Unlock()
-	})
+	}
 
 	var p Pose
 	found := 0
 	for k := 0; k < NumKeypoints; k++ {
-		if count[k] > 0 {
-			p.Keypoints[k] = Point{X: float64(sumX[k]) / float64(count[k]), Y: float64(sumY[k]) / float64(count[k])}
+		if c := sums.count[k]; c > 0 {
+			p.Keypoints[k] = Point{X: float64(sums.x[k]) / float64(c), Y: float64(sums.y[k]) / float64(c)}
 			found++
 		}
 	}
@@ -151,7 +177,7 @@ func DetectPose(f *frame.Frame) (Pose, bool) {
 	p.Box = fg.box()
 	center := p.Box.Center()
 	for k := 0; k < NumKeypoints; k++ {
-		if count[k] == 0 {
+		if sums.count[k] == 0 {
 			p.Keypoints[k] = center
 		}
 	}
@@ -159,8 +185,9 @@ func DetectPose(f *frame.Frame) (Pose, bool) {
 	return p, true
 }
 
-// classifyRows labels rows [lo, hi) and returns their foreground extent.
-func classifyRows(f *frame.Frame, labels []int8, lo, hi int) extent {
+// classifyStripe labels rows [lo, hi) and records their foreground extent.
+func (s *detectScratch) classifyStripe(stripe, lo, hi int) {
+	f, labels := s.f, s.labels
 	w := f.Width
 	e := newExtent()
 	for y := lo; y < hi; y++ {
@@ -177,10 +204,10 @@ func classifyRows(f *frame.Frame, labels []int8, lo, hi int) extent {
 			}
 
 			if r < minMarkerChannel && g < minMarkerChannel && b < minMarkerChannel {
-				labels[base+x] = -1
+				labels[base+x] = noMarker
 				continue
 			}
-			best, bestDist := -1, markerMatchThreshold*markerMatchThreshold+1
+			best, bestDist := noMarker, markerMatchThreshold*markerMatchThreshold+1
 			for k := range markerColors {
 				mc := &markerColors[k]
 				dr := r - int(mc.R)
@@ -191,57 +218,62 @@ func classifyRows(f *frame.Frame, labels []int8, lo, hi int) extent {
 					best, bestDist = k, d
 				}
 			}
-			labels[base+x] = int8(best)
+			labels[base+x] = byte(best)
 		}
 	}
-	return e
+	s.fg[stripe] = e
 }
 
-// erodeRows accumulates core-pixel centroid partials for rows [lo, hi),
-// which must lie within [1, h-1).
-func erodeRows(labels []int8, w, lo, hi int, sumX, sumY *[NumKeypoints]int64, count *[NumKeypoints]int) {
-	for y := lo; y < hi; y++ {
+// erodeStripe records the core-pixel centroid partials of label rows
+// [lo+1, hi+1), which lie within [1, h-1).
+func (s *detectScratch) erodeStripe(stripe, lo, hi int) {
+	labels, w := s.labels, s.f.Width
+	part := &s.sums[stripe]
+	*part = centroidSums{}
+	for y := lo + 1; y < hi+1; y++ {
 		rowBase := y * w
 		for x := 1; x < w-1; x++ {
 			i := rowBase + x
 			k := labels[i]
-			if k < 0 {
+			if k == noMarker {
 				continue
 			}
 			if labels[i-1] != k || labels[i+1] != k || labels[i-w] != k || labels[i+w] != k {
 				continue
 			}
-			sumX[k] += int64(x)
-			sumY[k] += int64(y)
-			count[k]++
+			part.x[k] += int64(x)
+			part.y[k] += int64(y)
+			part.count[k]++
 		}
 	}
+}
+
+// foregroundStripe records the foreground extent of rows [lo, hi).
+func (s *detectScratch) foregroundStripe(stripe, lo, hi int) {
+	f := s.f
+	w := f.Width
+	e := newExtent()
+	for y := lo; y < hi; y++ {
+		row := f.Pix[y*w*4 : (y+1)*w*4]
+		for x := 0; x < w; x++ {
+			i := x * 4
+			if int(row[i])+int(row[i+1])+int(row[i+2]) > foregroundThreshold {
+				e.add(x, y)
+			}
+		}
+	}
+	s.fg[stripe] = e
 }
 
 // DetectPersonBox reports only the foreground bounding box, for services
 // that need presence detection without full pose recovery.
 func DetectPersonBox(f *frame.Frame) (Box, bool) {
-	w, h := f.Width, f.Height
-	if w <= 0 || h <= 0 {
+	if f.Width <= 0 || f.Height <= 0 {
 		return Box{}, false
 	}
-	fg := newExtent()
-	var mu sync.Mutex
-	frame.Stripes(h, func(lo, hi int) {
-		part := newExtent()
-		for y := lo; y < hi; y++ {
-			row := f.Pix[y*w*4 : (y+1)*w*4]
-			for x := 0; x < w; x++ {
-				i := x * 4
-				if int(row[i])+int(row[i+1])+int(row[i+2]) > foregroundThreshold {
-					part.add(x, y)
-				}
-			}
-		}
-		mu.Lock()
-		fg.merge(part)
-		mu.Unlock()
-	})
+	s := getScratch(f)
+	defer s.release()
+	fg := s.mergeFG(frame.Stripes(f.Height, s.foreground))
 	if fg.count < 10 {
 		return Box{}, false
 	}

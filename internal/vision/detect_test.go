@@ -2,6 +2,7 @@ package vision
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -213,4 +214,103 @@ func TestObjectClassNames(t *testing.T) {
 			t.Errorf("class %q has no color", n)
 		}
 	}
+}
+
+// holdStripeWorkers keeps every stripe worker busy until the returned
+// function is called, so the detections in between run inline.
+func holdStripeWorkers() (release func()) {
+	gate, done := make(chan struct{}), make(chan struct{})
+	started := make(chan struct{}, frame.MaxStripes())
+	go func() {
+		frame.Stripes(64*frame.MaxStripes(), func(int, int, int) {
+			started <- struct{}{}
+			<-gate
+		})
+		close(done)
+	}()
+	for range frame.MaxStripes() {
+		<-started
+	}
+	return func() { close(gate); <-done }
+}
+
+// detectionScenes are frames of several sizes, activities and phases, an
+// empty one and a JPEG round trip.
+func detectionScenes(t *testing.T) []*frame.Frame {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	var scenes []*frame.Frame
+	for i, a := range AllActivities {
+		f := frame.MustNew([]int{640, 480, 161, 97}[i%4], []int{480, 360, 121, 65}[i%4])
+		s := DefaultSubject()
+		s.Noise = 1
+		RenderScene(f, SynthesizePose(a, 0.1+0.2*float64(i), s, rng))
+		scenes = append(scenes, f)
+	}
+	empty := frame.MustNew(160, 120)
+	empty.Fill(backgroundColor)
+	data, err := frame.JPEGCodec{Quality: 85}.Encode(scenes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := frame.JPEGCodec{}.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(scenes, empty, decoded)
+}
+
+type detection struct {
+	pose          Pose
+	found         bool
+	box           Box
+	boxFound      bool
+	width, height int
+}
+
+func detect(f *frame.Frame) detection {
+	d := detection{width: f.Width, height: f.Height}
+	d.pose, d.found = DetectPose(f)
+	d.box, d.boxFound = DetectPersonBox(f)
+	return d
+}
+
+// TestDetectionsIdenticalAtAnyWorkerCount: a detection striped across the
+// workers, one run inline with every worker held, and detections from four
+// callers at once (sharing the workers and the scratch free list) agree bit
+// for bit, because the per-stripe partials are integer sums.
+func TestDetectionsIdenticalAtAnyWorkerCount(t *testing.T) {
+	scenes := detectionScenes(t)
+	release := holdStripeWorkers()
+	inline := make([]detection, len(scenes))
+	for i, f := range scenes {
+		inline[i] = detect(f)
+	}
+	release()
+	for i, f := range scenes {
+		if got := detect(f); got != inline[i] {
+			t.Errorf("scene %d (%dx%d): striped %+v, inline %+v", i, f.Width, f.Height, got, inline[i])
+		}
+	}
+	if !inline[0].found || inline[len(scenes)-2].found || !inline[len(scenes)-1].found {
+		t.Fatalf("found = %v / %v / %v, want a person, none and a person", inline[0].found, inline[len(scenes)-2].found, inline[len(scenes)-1].found)
+	}
+
+	var wg sync.WaitGroup
+	for c := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 3 {
+				for i := range scenes {
+					k := (i + c + round) % len(scenes)
+					if got := detect(scenes[k]); got != inline[k] {
+						t.Errorf("caller %d, scene %d: %+v, want %+v", c, k, got, inline[k])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -73,7 +73,7 @@ func ObjectColor(label string) (color.RGBA, bool) {
 func DetectObjects(f *frame.Frame) []Detection {
 	w, h := f.Width, f.Height
 	classOf := make([]int8, w*h)
-	frame.Stripes(h, func(lo, hi int) {
+	frame.Stripes(h, func(_, lo, hi int) {
 		for y := lo; y < hi; y++ {
 			row := f.Pix[y*w*4 : (y+1)*w*4]
 			base := y * w

@@ -82,7 +82,7 @@ func fillBackground(f *frame.Frame) {
 	for filled := 4; filled < stride; filled *= 2 {
 		copy(row0[filled:], row0[:filled])
 	}
-	frame.Stripes(f.Height-1, func(lo, hi int) {
+	frame.Stripes(f.Height-1, func(_, lo, hi int) {
 		for y := lo + 1; y < hi+1; y++ {
 			copy(f.Pix[y*stride:(y+1)*stride], row0)
 		}
