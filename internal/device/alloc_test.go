@@ -247,7 +247,8 @@ func TestRepCounterCallAllocs(t *testing.T) {
 // resolved once at spawn, and Context.Call reuses the context's top-level
 // invocation state while the worker lends event_received its argument from
 // a slot of its own, so a frame_done() event allocates nothing: looked up by
-// name, the four instruments would cost one concatenation each.
+// name, the four instruments would cost one concatenation each. Nor does a
+// frame event whose body already holds its frame_ref.
 func TestLocalEventAllocs(t *testing.T) {
 	d := newDevice(t, testNet(), "desktop", Desktop)
 	m, err := d.SpawnModule(ModuleSpec{Name: "sink", Source: `function event_received(m) { frame_done(); }`})
@@ -273,5 +274,24 @@ func TestLocalEventAllocs(t *testing.T) {
 	}
 	if n := d.reg.Meter("pipeline.sink.frames_done").Count(); n != ticket {
 		t.Errorf("frames_done counted %d events, want %d", n, ticket)
+	}
+
+	// A frame event whose body already holds its id — what a local edge
+	// delivers — is not given a freshly boxed frame_ref.
+	id, err := d.store.Put(frame.MustNew(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.store.Release(id)
+	body = objectOf(map[string]script.Value{frameRefKey: float64(id)})
+	ref := body.Get(frameRefKey)
+	framed := testing.AllocsPerRun(100, func() {
+		d.store.Retain(id) // the reference the event owns and releases
+		w.handle(job{ev: event{body: body, frameID: id}, ticket: ticket})
+		ticket++
+	})
+	if framed > 0 || !sameBox(body.Get(frameRefKey), ref) {
+		t.Errorf("warm frame event carrying its frame_ref: %.1f allocs (want 0), frame_ref re-boxed: %v",
+			framed, !sameBox(body.Get(frameRefKey), ref))
 	}
 }
