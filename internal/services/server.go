@@ -228,13 +228,13 @@ func (c *Client) Call(ctx context.Context, service string, args *script.Object, 
 	if out.Len() < 1 {
 		return Response{}, fmt.Errorf("services: empty response")
 	}
-	fields, err := script.ParseJSONFields(out.Part(0))
+	result, err := script.ParseJSONFields(out.Part(0))
 	if err != nil {
 		return Response{}, fmt.Errorf("services: bad result payload: %w", err)
 	}
-	resp := Response{Result: result()}
-	for i := range fields.Len() {
-		k, v := fields.Field(i)
+	resp := Response{Result: make(map[string]script.Value, result.Len())}
+	for i := range result.Len() {
+		k, v := result.Field(i)
 		resp.Result[k] = v
 	}
 	if out.Len() >= 2 && len(out.Part(1)) > 0 {

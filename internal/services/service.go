@@ -64,6 +64,10 @@ type Response struct {
 // capacity; the rest go to the collector.
 var resultMaps = make(chan map[string]script.Value, 64)
 
+// maxRecycledResult is the largest Result map kept: every standard handler's
+// result fits.
+const maxRecycledResult = 8
+
 // result returns a Result map holding the key, value pairs, recycled when
 // one is free.
 func result(kv ...script.Value) map[string]script.Value {
@@ -80,9 +84,11 @@ func result(kv ...script.Value) map[string]script.Value {
 }
 
 // RecycleResult clears a Response.Result its caller is done with and keeps
-// it for a later call's result. Nothing else may still hold the map.
+// it for a later call's result. Nothing else may still hold the map. A map
+// that held more than maxRecycledResult entries goes to the collector, as
+// clear keeps its buckets and the small results would carry them on.
 func RecycleResult(m map[string]script.Value) {
-	if m == nil {
+	if m == nil || len(m) > maxRecycledResult {
 		return
 	}
 	clear(m)

@@ -877,3 +877,26 @@ func TestServerRejectsBatchMarker(t *testing.T) {
 		t.Errorf("ordinary call after the rejected one = %q, %v", out.StringPart(0), err)
 	}
 }
+
+// TestRecycleResultDropsLargeMaps: a cleared map keeps its buckets, so only
+// maps the size of a standard handler's result are kept for reuse.
+func TestRecycleResultDropsLargeMaps(t *testing.T) {
+	for len(resultMaps) > 0 {
+		<-resultMaps
+	}
+	large := map[string]script.Value{}
+	for i := range maxRecycledResult + 1 {
+		large[string(rune('a'+i))] = float64(i)
+	}
+	RecycleResult(large)
+	if n := len(resultMaps); n != 0 {
+		t.Fatalf("after recycling a %d-entry map: %d kept, want 0", maxRecycledResult+1, n)
+	}
+	RecycleResult(result("found", true, "pose", nil, "x", 1.0))
+	if n := len(resultMaps); n != 1 {
+		t.Fatalf("after recycling a 3-entry map: %d kept, want 1", n)
+	}
+	if m := result(); len(m) != 0 {
+		t.Errorf("recycled map holds %v, want it cleared", m)
+	}
+}

@@ -76,16 +76,14 @@ func TestRepCounterObserveAllocs(t *testing.T) {
 // reused scratch, and the stripe workers are the process's own, so it
 // allocates nothing (~13.4 objects before: stripe goroutines and closures,
 // their WaitGroups, the escaped accumulators and the label pool's slice
-// header). DetectPersonBox rides on the same scratch.
+// header).
 func TestDetectPoseAllocs(t *testing.T) {
 	f := frame.MustNew(480, 360)
 	RenderScene(f, SynthesizePose(Squat, 0.3, DefaultSubject(), nil))
 	if _, ok := DetectPose(f); !ok {
 		t.Fatal("DetectPose found no person")
 	}
-	pose := testing.AllocsPerRun(50, func() { DetectPose(f) })
-	box := testing.AllocsPerRun(50, func() { DetectPersonBox(f) })
-	if pose != 0 || box != 0 {
-		t.Errorf("warm DetectPose: %.1f allocs, DetectPersonBox: %.1f, want 0 and 0", pose, box)
+	if allocs := testing.AllocsPerRun(50, func() { DetectPose(f) }); allocs != 0 {
+		t.Errorf("warm DetectPose: %.1f allocs, want 0", allocs)
 	}
 }

@@ -18,19 +18,19 @@ const minMarkerChannel = 255 - markerMatchThreshold
 // noMarker labels a pixel that matches no joint marker.
 const noMarker = 0xff
 
-// detectScratch is what one detection needs besides its frame: a foreground
-// extent and centroid sums per stripe, and the row functions, bound once so
-// a striped pass hands frame.Stripes nothing new. The pixel labels (one
-// byte per pixel, the dominant allocation of DetectPose before pooling) are
-// borrowed from frame.Pool for the call. Idle scratches wait in scratches,
-// one per detection running at once up to its capacity.
+// detectScratch is what one pose detection needs besides its frame: a
+// foreground extent and centroid sums per stripe, and the row functions,
+// bound once so a striped pass hands frame.Stripes nothing new. The pixel
+// labels (one byte per pixel, the dominant allocation of DetectPose before
+// pooling) are borrowed from frame.Pool for the call. Idle scratches wait in
+// scratches, one per detection running at once up to its capacity.
 type detectScratch struct {
 	f      *frame.Frame
 	labels []byte
 	fg     []extent
 	sums   []centroidSums
 
-	classify, erode, foreground func(stripe, lo, hi int)
+	classify, erode func(stripe, lo, hi int)
 }
 
 type centroidSums struct {
@@ -46,7 +46,7 @@ func getScratch(f *frame.Frame) *detectScratch {
 	case s = <-scratches:
 	default:
 		s = &detectScratch{fg: make([]extent, frame.MaxStripes()), sums: make([]centroidSums, frame.MaxStripes())}
-		s.classify, s.erode, s.foreground = s.classifyStripe, s.erodeStripe, s.foregroundStripe
+		s.classify, s.erode = s.classifyStripe, s.erodeStripe
 	}
 	s.f = f
 	return s
@@ -60,10 +60,10 @@ func (s *detectScratch) release() {
 	}
 }
 
-// mergeFG folds the first n stripes' extents together, in stripe order.
-func (s *detectScratch) mergeFG(n int) extent {
+// mergeExtents folds per-stripe extents together, in stripe order.
+func mergeExtents(parts []extent) extent {
 	fg := newExtent()
-	for _, part := range s.fg[:n] {
+	for _, part := range parts {
 		fg.merge(part)
 	}
 	return fg
@@ -144,7 +144,7 @@ func DetectPose(f *frame.Frame) (Pose, bool) {
 
 	// Pass 1: classify each pixel against the marker palette and track the
 	// foreground extent, row-striped with one partial per stripe.
-	fg := s.mergeFG(frame.Stripes(h, s.classify))
+	fg := mergeExtents(s.fg[:frame.Stripes(h, s.classify)])
 
 	// Pass 2: accumulate centroids over *core* pixels only — pixels whose
 	// four neighbours carry the same label. Compression blurs marker edges
@@ -248,32 +248,28 @@ func (s *detectScratch) erodeStripe(stripe, lo, hi int) {
 	}
 }
 
-// foregroundStripe records the foreground extent of rows [lo, hi).
-func (s *detectScratch) foregroundStripe(stripe, lo, hi int) {
-	f := s.f
-	w := f.Width
-	e := newExtent()
-	for y := lo; y < hi; y++ {
-		row := f.Pix[y*w*4 : (y+1)*w*4]
-		for x := 0; x < w; x++ {
-			i := x * 4
-			if int(row[i])+int(row[i+1])+int(row[i+2]) > foregroundThreshold {
-				e.add(x, y)
-			}
-		}
-	}
-	s.fg[stripe] = e
-}
-
 // DetectPersonBox reports only the foreground bounding box, for services
 // that need presence detection without full pose recovery.
 func DetectPersonBox(f *frame.Frame) (Box, bool) {
-	if f.Width <= 0 || f.Height <= 0 {
+	w, h := f.Width, f.Height
+	if w <= 0 || h <= 0 {
 		return Box{}, false
 	}
-	s := getScratch(f)
-	defer s.release()
-	fg := s.mergeFG(frame.Stripes(f.Height, s.foreground))
+	parts := make([]extent, frame.MaxStripes())
+	n := frame.Stripes(h, func(stripe, lo, hi int) {
+		e := newExtent()
+		for y := lo; y < hi; y++ {
+			row := f.Pix[y*w*4 : (y+1)*w*4]
+			for x := 0; x < w; x++ {
+				i := x * 4
+				if int(row[i])+int(row[i+1])+int(row[i+2]) > foregroundThreshold {
+					e.add(x, y)
+				}
+			}
+		}
+		parts[stripe] = e
+	})
+	fg := mergeExtents(parts[:n])
 	if fg.count < 10 {
 		return Box{}, false
 	}

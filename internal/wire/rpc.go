@@ -101,8 +101,7 @@ func (c *Caller) Call(ctx context.Context, req Message) (Message, error) {
 	timeout := c.callTimeout
 	budget := c.retryBudget
 	c.mu.Unlock()
-	// A caller whose own deadline comes first needs no second one.
-	if d, ok := ctx.Deadline(); timeout > 0 && (!ok || d.After(time.Now().Add(timeout))) {
+	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()

@@ -106,59 +106,3 @@ func TestCallDeadlineAppliesPerCall(t *testing.T) {
 		t.Fatalf("call after heal: %v", err)
 	}
 }
-
-// TestCallKeepsTheEarlierDeadline: a call ends at whichever comes first,
-// the caller's own deadline or the per-call timeout, with a deadline error
-// either way; when the caller's comes first the call makes no context of
-// its own.
-func TestCallKeepsTheEarlierDeadline(t *testing.T) {
-	nw := testNet()
-	r := slowResponder(t, nw, time.Hour) // never answers in time
-	c := DialCaller(nw.Host("phone"), r.Addr().String())
-	defer c.Close()
-	for _, tc := range []struct {
-		name             string
-		ctxAfter, call   time.Duration
-		earliest, latest time.Duration
-	}{
-		{"caller's deadline first", 100 * time.Millisecond, 10 * time.Second, 80 * time.Millisecond, 2 * time.Second},
-		{"call timeout first", 10 * time.Second, 100 * time.Millisecond, 80 * time.Millisecond, 2 * time.Second},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c.SetCallTimeout(tc.call)
-			ctx, cancel := context.WithTimeout(context.Background(), tc.ctxAfter)
-			defer cancel()
-			start := time.Now()
-			_, err := c.Call(ctx, StringMessage("ping"))
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("Call error = %v, want DeadlineExceeded", err)
-			}
-			if elapsed < tc.earliest || elapsed > tc.latest {
-				t.Errorf("Call ended after %v, want about 100ms", elapsed)
-			}
-		})
-	}
-
-	// An answered call under an earlier caller deadline allocates less than
-	// one that has to make its own.
-	echo := slowResponder(t, nw, 0)
-	e := DialCaller(nw.Host("phone"), echo.Addr().String())
-	defer e.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), DefaultCallTimeout/2)
-	defer cancel()
-	call := func(ctx context.Context) func() {
-		return func() {
-			if _, err := e.Call(ctx, StringMessage("ping")); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	call(ctx)()
-	own := testing.AllocsPerRun(20, call(context.Background()))
-	inherited := testing.AllocsPerRun(20, call(ctx))
-	t.Logf("answered call: %.0f allocs under its own timeout, %.0f under the caller's deadline", own, inherited)
-	if !raceEnabled && inherited >= own {
-		t.Errorf("call under the caller's earlier deadline: %.0f allocs, under its own timeout %.0f; want fewer", inherited, own)
-	}
-}
