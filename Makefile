@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet meters lint check test race cover alloc heal sandbox shapes fuzz experiments flood floodgate examples clean
+.PHONY: all build vet meters lint check test race cover alloc heal sandbox shapes fuzz experiments flood floodgate examples loc clean
 
 all: build vet test
 
@@ -175,6 +175,11 @@ examples:
 	$(GO) run ./examples/gesture -dur 4s
 	$(GO) run ./examples/falldetect -dur 6s
 	$(GO) run ./examples/securitycam -dur 6s
+
+# ROADMAP aim 2's scorecard: lines of non-test Go outside bench/ and
+# testdata/.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' -not -path '*/testdata/*' | xargs cat | wc -l
 
 clean:
 	rm -f fitness_display.png test_output.txt bench_output.txt vpbench_results.txt BENCH_results.json BENCH_flood.json

@@ -179,7 +179,7 @@ func TestBufferPoolRemoteCallConservation(t *testing.T) {
 	outstanding := frame.Pool.Outstanding()
 	reg := services.NewRegistry()
 	// Two workers: the abandoned call's handler keeps one until Close.
-	err := reg.Register(services.Spec{Name: "probe", NeedsFrame: true, Workers: 2,
+	err := reg.Register(services.Spec{Name: "probe", Workers: 2,
 		Handler: func(ctx context.Context, req services.Request) (services.Response, error) {
 			switch req.Args.Get("mode") {
 			case "fail":

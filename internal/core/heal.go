@@ -122,7 +122,6 @@ func (l *Loop) declareDead(name string) {
 //
 //vpvet:deterministic
 func (l *Loop) checkModules() {
-	healthyAfter := l.ticks(l.heal.HealthyAfter)
 	for _, p := range l.cluster.Pipelines() {
 		killed := p.KilledModules()
 		for _, mod := range p.Modules() {
@@ -130,7 +129,7 @@ func (l *Loop) checkModules() {
 			st, ok := l.modHeal[key]
 			if !slices.Contains(killed, mod) {
 				if ok {
-					st.observe(true, healthyAfter)
+					st.observe(true)
 				}
 				continue
 			}
@@ -138,14 +137,14 @@ func (l *Loop) checkModules() {
 				st = &restartBudget{}
 				l.modHeal[key] = st
 			}
-			st.observe(false, healthyAfter)
-			attempt, ok := st.claim(l.heal.MaxRestarts)
+			st.observe(false)
+			attempt, ok := st.claim()
 			if !ok {
 				continue
 			}
 
 			err := p.RestartModule(mod)
-			l.backOff(st, attempt)
+			st.backOff(attempt)
 			if err != nil {
 				continue
 			}
@@ -162,7 +161,6 @@ func (l *Loop) checkModules() {
 //vpvet:deterministic
 func (l *Loop) checkServices() {
 	reg := l.cluster.Metrics()
-	healthyAfter := l.ticks(l.heal.HealthyAfter)
 	for _, svc := range l.cluster.ServiceNames() {
 		if host, _ := l.cluster.ServiceHost(svc); l.cluster.IsDown(host) {
 			// The failover path owns this pool now.
@@ -193,7 +191,7 @@ func (l *Loop) checkServices() {
 
 		size := pool.Size()
 		healthy := size > 0 && st.burstSteps == 0
-		st.observe(healthy, healthyAfter)
+		st.observe(healthy)
 		if healthy {
 			st.desired = size
 			continue
@@ -203,7 +201,7 @@ func (l *Loop) checkServices() {
 		if !trigger {
 			continue
 		}
-		attempt, ok := st.claim(l.heal.MaxRestarts)
+		attempt, ok := st.claim()
 		if !ok {
 			continue
 		}
@@ -219,7 +217,7 @@ func (l *Loop) checkServices() {
 			pool.Kill(size)
 		}
 		err = pool.Scale(desired)
-		l.backOff(&st.restartBudget, attempt)
+		st.backOff(attempt)
 		if err != nil {
 			continue
 		}

@@ -10,19 +10,22 @@ import (
 	"videopipe/internal/wire"
 )
 
+// tickInterval is the loop's tick. Each tick adds up to 10% jitter seeded
+// by TunerConfig.Seed (0 without a tune phase). The loop counts every
+// threshold given in time in whole ticks, rounded up (ticks).
+const tickInterval = 100 * time.Millisecond
+
 // LoopConfig selects and shapes a cluster's control loop. The sample phase
-// always runs; a non-nil Heal or Tune adds that phase.
+// always runs; Heal or a non-nil Tune adds that phase. StallAfter and
+// Tune's P99Target are the loop's only thresholds a caller sets, because
+// callers need different values; every other one is a constant.
 type LoopConfig struct {
-	// Interval is the tick; zero selects 100 ms. Each tick adds up to 10%
-	// jitter seeded by TunerConfig.Seed (0 without a tune phase). The loop
-	// counts every threshold given in time in whole ticks, rounded up.
-	Interval time.Duration
 	// StallAfter is how long a running pipeline, or one of its modules, may
 	// go without progress before the sample phase flags it stalled; zero
 	// selects 2 s.
 	StallAfter time.Duration
-	// Heal, when set, runs the self-healing phase (heal.go).
-	Heal *SupervisorConfig
+	// Heal runs the self-healing phase (heal.go).
+	Heal bool
 	// Tune, when set, runs the adaptive tuning phase (tuner.go).
 	Tune *TunerConfig
 }
@@ -36,12 +39,11 @@ type LoopConfig struct {
 // from is its Kind.
 type Loop struct {
 	cluster    *Cluster
-	interval   time.Duration
 	stallAfter time.Duration
 	rng        *rand.Rand
-	// heal and tune are the optional phases' settings, defaults filled in;
-	// nil when the phase is off.
-	heal *SupervisorConfig
+	// heal says whether the heal phase runs; tune is the tune phase's
+	// settings, defaults filled in, nil when the phase is off.
+	heal bool
 	tune *TunerConfig
 
 	// The phases' state below belongs to the goroutine running the loop.
@@ -72,16 +74,13 @@ type Loop struct {
 // NewLoop creates the control loop for a cluster. It does nothing until
 // Run.
 func NewLoop(c *Cluster, cfg LoopConfig) *Loop {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 100 * time.Millisecond
-	}
 	if cfg.StallAfter <= 0 {
 		cfg.StallAfter = 2 * time.Second
 	}
 	l := &Loop{
 		cluster:    c,
-		interval:   cfg.Interval,
 		stallAfter: cfg.StallAfter,
+		heal:       cfg.Heal,
 		lanes:      make(map[string]*watch),
 		restarts:   make(map[string]*metrics.Meter),
 		probes:     make(map[string]*probe),
@@ -96,9 +95,7 @@ func NewLoop(c *Cluster, cfg LoopConfig) *Loop {
 		l.tune, seed = &t, t.Seed
 	}
 	l.rng = rand.New(rand.NewSource(seed))
-	if cfg.Heal != nil {
-		h := cfg.Heal.withDefaults()
-		l.heal = &h
+	if cfg.Heal {
 		l.probeNet = c.Network().Host("@supervisor")
 	}
 	return l
@@ -112,7 +109,7 @@ func NewLoop(c *Cluster, cfg LoopConfig) *Loop {
 func (l *Loop) Run(ctx context.Context, sinks ...func(Report)) {
 	defer l.stopProbes()
 	for {
-		timer := time.NewTimer(l.interval + time.Duration(l.rng.Int63n(int64(l.interval)/10+1)))
+		timer := time.NewTimer(tickInterval + time.Duration(l.rng.Int63n(int64(tickInterval)/10+1)))
 		select {
 		case <-ctx.Done():
 			timer.Stop()
@@ -129,7 +126,7 @@ func (l *Loop) Run(ctx context.Context, sinks ...func(Report)) {
 // step is one tick: sample, then heal, then tune.
 func (l *Loop) step(ctx context.Context) {
 	s := l.sample()
-	if l.heal != nil {
+	if l.heal {
 		l.probeDevices(ctx)
 		l.checkServices()
 		l.checkModules()
@@ -142,8 +139,8 @@ func (l *Loop) step(ctx context.Context) {
 }
 
 // ticks counts a threshold given in time as whole ticks, rounding up: 1.35 s
-// at a 100 ms tick is 14.
-func (l *Loop) ticks(d time.Duration) int { return int((d + l.interval - 1) / l.interval) }
+// at the 100 ms tick is 14.
+func ticks(d time.Duration) int { return int((d + tickInterval - 1) / tickInterval) }
 
 func (l *Loop) record(a Action) {
 	l.mu.Lock()

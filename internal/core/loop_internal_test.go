@@ -86,15 +86,64 @@ func TestLoopRegistryResetIsNotDegraded(t *testing.T) {
 	}
 }
 
-// DeadAfter is a time counted in ticks: 1.35 s at the 100 ms tick is 14
-// missed probes, so a host paused for desktop_reboot's 800 ms misses fewer
-// and is never declared dead.
+// TestSupervisorTickArithmetic pins the heal phase's thresholds, each a
+// time the loop counts in whole 100 ms ticks: the counts, not the times,
+// are what the chaos journals depend on.
+func TestSupervisorTickArithmetic(t *testing.T) {
+	backoff := func(attempt int) int {
+		var b restartBudget
+		b.backOff(attempt)
+		return b.wait
+	}
+	// spend claims restarts until the budget refuses one, and returns how
+	// many it granted.
+	spend := func(b *restartBudget) int {
+		n := 0
+		for ; n < 100; n++ {
+			if _, ok := b.claim(); !ok {
+				break
+			}
+		}
+		return n
+	}
+	// refill spends a budget, then counts the healthy ticks until it grants
+	// a restart again.
+	refill := func() int {
+		var b restartBudget
+		spend(&b)
+		n := 0
+		for ; n < 1000; n++ {
+			if _, ok := b.claim(); ok {
+				break
+			}
+			b.observe(true)
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		name      string
+		got, want int
+	}{
+		{"missed probes before a device is dead", ticks(deadAfter), 14},
+		{"backoff after attempt 1", backoff(1), 3},
+		{"backoff after attempt 2", backoff(2), 5},
+		{"backoff after attempt 3", backoff(3), 10},
+		{"backoff after attempt 4", backoff(4), 20},
+		{"backoff after attempt 5", backoff(5), 20},
+		{"restarts granted before the budget refuses", spend(&restartBudget{}), 5},
+		{"healthy ticks before a spent budget refills", refill(), 51},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+}
+
+// A host paused for desktop_reboot's 800 ms misses fewer than deadAfter's
+// 14 probes, and so is never declared dead.
 func TestSupervisorDeadAfterOutlastsReboot(t *testing.T) {
 	c, _ := oneLaneCluster(t)
-	l := NewLoop(c, LoopConfig{Heal: &SupervisorConfig{}})
-	if got := l.ticks(l.heal.DeadAfter); got != 14 {
-		t.Fatalf("DeadAfter = %d ticks, want 14", got)
-	}
+	l := NewLoop(c, LoopConfig{Heal: true})
 	dev, _ := c.Device("desktop")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -122,12 +171,12 @@ func TestSupervisorDeadAfterOutlastsReboot(t *testing.T) {
 
 // A probe has one tick to answer and a tick never waits for one: with the
 // only device crashed, the loop keeps its 100 ms tick while every probe
-// times out, and journals the death on the tick DeadAfter's count ends.
+// times out, and journals the death on the tick deadAfter's count ends.
 func TestLoopProbesNeverStretchTheTick(t *testing.T) {
 	c, _ := oneLaneCluster(t)
 	dev, _ := c.Device("desktop")
 	dev.Crash()
-	l := NewLoop(c, LoopConfig{Heal: &SupervisorConfig{}, Tune: &TunerConfig{}})
+	l := NewLoop(c, LoopConfig{Heal: true, Tune: &TunerConfig{}})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var ticks []time.Time

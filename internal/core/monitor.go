@@ -215,7 +215,7 @@ func (l *Loop) stalled(cur uint64, last *uint64, still *int, running bool) bool 
 	} else if running {
 		*still++
 	}
-	return *still >= l.ticks(l.stallAfter)
+	return *still >= ticks(l.stallAfter)
 }
 
 // meterDelta is how far a meter moved since *last, which it advances. A

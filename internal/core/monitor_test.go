@@ -79,7 +79,7 @@ func TestMonitorDetectsStall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	l, _ := startLoop(t, c, core.LoopConfig{Interval: 50 * time.Millisecond, StallAfter: 200 * time.Millisecond})
+	l, _ := startLoop(t, c, core.LoopConfig{StallAfter: 200 * time.Millisecond})
 
 	done := make(chan struct{})
 	go func() {
@@ -109,10 +109,11 @@ func TestMonitorDetectsStall(t *testing.T) {
 
 func TestMonitorRunDeliversReports(t *testing.T) {
 	c := homeCluster(t)
-	l := core.NewLoop(c, core.LoopConfig{Interval: 20 * time.Millisecond})
+	l := core.NewLoop(c, core.LoopConfig{})
 
 	got := make(chan core.Report, 8)
-	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	// Two and a half ticks of 100 ms and at most 10% jitter.
+	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
 	done := make(chan struct{})
 	go func() {
@@ -276,7 +277,7 @@ func TestLoopReportsModuleErrorText(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	l, _ := startLoop(t, c, core.LoopConfig{Interval: 20 * time.Millisecond})
+	l, _ := startLoop(t, c, core.LoopConfig{})
 	if _, err := p.Run(context.Background(), 300*time.Millisecond); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

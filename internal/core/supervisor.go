@@ -7,45 +7,22 @@ import (
 	"videopipe/internal/wire"
 )
 
-// SupervisorConfig shapes the loop's heal phase. Every threshold is a time
-// the loop counts in ticks, and the defaults are sized for the simulated
-// testbed: a device is declared dead only after ~1.35 s of missed probes —
-// long enough that a rebooting host (which resumes) is never mistaken for a
-// dead one (which never does). A probe has one tick to answer.
-type SupervisorConfig struct {
-	// DeadAfter is how long a device may miss every probe before it is
-	// declared dead; zero selects 1.35 s (14 ticks at 100 ms).
-	DeadAfter time.Duration
-	// RestartBackoff is the base delay between service-restart attempts,
-	// doubling per attempt up to restartBackoffMax; zero selects 250 ms.
-	RestartBackoff time.Duration
-	// MaxRestarts is the per-service restart budget; the budget refills
-	// after HealthyAfter of sustained health. Zero selects 5.
-	MaxRestarts int
-	// HealthyAfter is how long a service must stay healthy before its
-	// restart budget and backoff reset; zero selects 5 s.
-	HealthyAfter time.Duration
-}
-
-func (c SupervisorConfig) withDefaults() SupervisorConfig {
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 1350 * time.Millisecond
-	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = 250 * time.Millisecond
-	}
-	if c.MaxRestarts <= 0 {
-		c.MaxRestarts = 5
-	}
-	if c.HealthyAfter <= 0 {
-		c.HealthyAfter = 5 * time.Second
-	}
-	return c
-}
-
+// The heal phase's thresholds, sized for the simulated testbed. The loop
+// counts each time in whole ticks (ticks).
 const (
-	// restartBackoffMax caps the exponential restart backoff.
+	// deadAfter is how long a device may miss every probe before it is
+	// declared dead: 14 ticks, long enough that a rebooting host (which
+	// resumes) is never mistaken for a dead one (which never does). A probe
+	// has one tick to answer.
+	deadAfter = 1350 * time.Millisecond
+	// restartBackoff is the delay after the first restart attempt,
+	// doubling per attempt up to restartBackoffMax: 3, 5, 10, 20, 20 ticks.
+	restartBackoff    = 250 * time.Millisecond
 	restartBackoffMax = 2 * time.Second
+	// maxRestarts is the restart budget of each service and module; it
+	// refills after healthyAfter of sustained health (50 ticks).
+	maxRestarts  = 5
+	healthyAfter = 5 * time.Second
 	// errorBurst is the per-tick service-error delta that counts toward a
 	// restart trigger; two consecutive bursty ticks trip it.
 	errorBurst = 10
@@ -64,8 +41,8 @@ type restartBudget struct {
 }
 
 // observe counts one tick: the backoff runs down, and health sustained
-// past healthyAfter ticks refills the budget and clears the backoff.
-func (b *restartBudget) observe(healthy bool, healthyAfter int) {
+// past healthyAfter refills the budget and clears the backoff.
+func (b *restartBudget) observe(healthy bool) {
 	if b.wait > 0 {
 		b.wait--
 	}
@@ -74,19 +51,31 @@ func (b *restartBudget) observe(healthy bool, healthyAfter int) {
 		return
 	}
 	b.healthy++
-	if b.restarts > 0 && b.healthy > healthyAfter {
+	if b.restarts > 0 && b.healthy > ticks(healthyAfter) {
 		b.restarts, b.wait = 0, 0
 	}
 }
 
 // claim spends one restart, returning the 1-based attempt number; ok is
 // false while backing off or once the budget is exhausted.
-func (b *restartBudget) claim(max int) (attempt int, ok bool) {
-	if b.wait > 0 || b.restarts >= max {
+func (b *restartBudget) claim() (attempt int, ok bool) {
+	if b.wait > 0 || b.restarts >= maxRestarts {
 		return 0, false
 	}
 	b.restarts++
 	return b.restarts, true
+}
+
+// backOff holds the next attempt for the backoff after attempt n
+// (1-based): exponential from restartBackoff, capped. The loop's seeded
+// tick jitter spreads it in wall time, so a fleet of loops never thunders
+// in lockstep; neither reaches the action journal.
+func (b *restartBudget) backOff(n int) {
+	d := restartBackoff << uint(n-1)
+	if d > restartBackoffMax || d <= 0 {
+		d = restartBackoffMax
+	}
+	b.wait = ticks(d)
 }
 
 // svcState is the heal phase's per-service bookkeeping.
@@ -113,12 +102,11 @@ type probe struct {
 }
 
 // probeDevices reads the ping each live device was sent last tick and sends
-// this tick's, declaring dead any device that has missed DeadAfter in a
+// this tick's, declaring dead any device that has missed deadAfter in a
 // row. A ping still out counts as a miss, so a hung device neither
 // stretches the tick nor delays its declaration. Devices go in
 // configuration order, so two deaths in one tick journal in that order.
 func (l *Loop) probeDevices(ctx context.Context) {
-	deadAfter := l.ticks(l.heal.DeadAfter)
 	for _, name := range l.cluster.DeviceNames() {
 		pr, seen := l.probes[name]
 		if !seen {
@@ -138,7 +126,7 @@ func (l *Loop) probeDevices(ctx context.Context) {
 			} else {
 				pr.missed++
 			}
-			if pr.missed >= deadAfter {
+			if pr.missed >= ticks(deadAfter) {
 				l.declareDead(name)
 				continue
 			}
@@ -161,7 +149,7 @@ func (l *Loop) dialProbe(name string, pr *probe) error {
 		return err
 	}
 	pr.caller = wire.DialCaller(l.probeNet, addr.String())
-	pr.caller.SetCallTimeout(l.interval)
+	pr.caller.SetCallTimeout(tickInterval)
 	pr.caller.SetRetryBudget(1)
 	return nil
 }
@@ -178,16 +166,4 @@ func (l *Loop) stopProbes() {
 		}
 	}
 	clear(l.probes)
-}
-
-// backOff holds b's next attempt for the backoff after attempt n
-// (1-based): exponential from the base, capped. The loop's seeded tick
-// jitter spreads it in wall time, so a fleet of loops never thunders in
-// lockstep; neither reaches the action journal.
-func (l *Loop) backOff(b *restartBudget, n int) {
-	d := l.heal.RestartBackoff << uint(n-1)
-	if d > restartBackoffMax || d <= 0 {
-		d = restartBackoffMax
-	}
-	b.wait = l.ticks(d)
 }

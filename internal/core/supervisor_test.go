@@ -48,10 +48,7 @@ func TestSupervisorRestartsKilledPool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	sup, stop := startLoop(t, c, core.LoopConfig{
-		Interval: 50 * time.Millisecond,
-		Heal:     &core.SupervisorConfig{RestartBackoff: 50 * time.Millisecond},
-	})
+	sup, stop := startLoop(t, c, core.LoopConfig{Heal: true})
 
 	reg := c.Metrics()
 	delivered := func() uint64 {
@@ -87,23 +84,17 @@ func TestSupervisorRestartsKilledPool(t *testing.T) {
 	}
 }
 
-// TestSupervisorRestartBudget exhausts the restart budget: with
-// MaxRestarts=1 and a pool that is killed again right after its restart,
-// the supervisor spends its single restart and then stops intervening.
+// TestSupervisorRestartBudget exhausts the restart budget end to end: a
+// pool killed again right after each restart is restored five times, each
+// after a longer backoff, and then left down. (TestSupervisorTickArithmetic
+// pins the budget and the backoff in ticks.)
 func TestSupervisorRestartBudget(t *testing.T) {
 	c := homeCluster(t)
 	p, err := c.Launch(apps.FitnessConfig("budfit", 15, "squat"), core.CoLocatePlanner{})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	sup, stop := startLoop(t, c, core.LoopConfig{
-		Interval: 50 * time.Millisecond,
-		Heal: &core.SupervisorConfig{
-			RestartBackoff: 50 * time.Millisecond,
-			MaxRestarts:    1,
-			HealthyAfter:   time.Hour, // never refill within the test
-		},
-	})
+	sup, stop := startLoop(t, c, core.LoopConfig{Heal: true})
 
 	go func() {
 		if _, err := p.Run(context.Background(), 5*time.Second); err != nil {
@@ -119,18 +110,25 @@ func TestSupervisorRestartBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Pool: %v", err)
 	}
-	pool.Kill(pool.Size())
-	waitCond(t, 3*time.Second, func() bool { return pool.Size() > 0 })
+	// The backoff after restarts one to four holds the next one back 0.3,
+	// 0.5, 1 and 2 s; the pool never stays up long enough to refill the
+	// budget.
+	const budget = 5
+	for i := 0; i < budget; i++ {
+		pool.Kill(pool.Size())
+		waitCond(t, 4*time.Second, func() bool { return pool.Size() > 0 })
+	}
 
-	// Kill it again: the budget is spent, so the pool must stay down.
+	// Kill it again: the budget is spent, so the pool must stay down past
+	// the last restart's 2 s backoff.
 	pool.Kill(pool.Size())
-	time.Sleep(time.Second)
+	time.Sleep(2500 * time.Millisecond)
 	if pool.Size() != 0 {
 		t.Errorf("pool restarted beyond its budget (size=%d)", pool.Size())
 	}
 	stop()
-	if journal := sup.JournalStrings(); len(journal) != 1 {
-		t.Errorf("journal = %v, want exactly one restart", journal)
+	if journal := sup.JournalStrings(); len(journal) != budget {
+		t.Errorf("journal = %v, want exactly %d restarts", journal, budget)
 	}
 }
 
@@ -144,13 +142,7 @@ func TestSupervisorDeviceFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	// The tick stays at its default 100 ms, the time a probe has to answer:
-	// detection of the crash does not depend on it (a crashed device never
-	// answers at all), while healthy probes must not miss under
-	// race-detector slowdown.
-	sup, stop := startLoop(t, c, core.LoopConfig{
-		Heal: &core.SupervisorConfig{DeadAfter: 400 * time.Millisecond},
-	})
+	sup, stop := startLoop(t, c, core.LoopConfig{Heal: true})
 
 	reg := c.Metrics()
 	delivered := func() uint64 {
@@ -254,7 +246,7 @@ func TestSupervisorShutdownLeavesNoGoroutines(t *testing.T) {
 		c.Close()
 		t.Fatalf("Launch: %v", err)
 	}
-	sup, stop := startLoop(t, c, core.LoopConfig{Interval: 50 * time.Millisecond, Heal: &core.SupervisorConfig{}})
+	sup, stop := startLoop(t, c, core.LoopConfig{Heal: true})
 
 	if _, err := p.Run(context.Background(), time.Second); err != nil {
 		t.Errorf("Run: %v", err)
@@ -430,12 +422,7 @@ func TestLoopDegradedMeterMatchesDegradedSeconds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	const interval = 100 * time.Millisecond
-	l, stop := startLoop(t, c, core.LoopConfig{
-		Interval:   interval,
-		StallAfter: 300 * time.Millisecond,
-		Heal:       &core.SupervisorConfig{},
-	})
+	l, stop := startLoop(t, c, core.LoopConfig{StallAfter: 300 * time.Millisecond, Heal: true})
 
 	done := make(chan struct{})
 	go func() {
@@ -462,7 +449,8 @@ func TestLoopDegradedMeterMatchesDegradedSeconds(t *testing.T) {
 	if wantMS < 1000 {
 		t.Fatalf("loop accrued only %.0f ms over a 3 s partition", wantMS)
 	}
-	if math.Abs(gotMS-wantMS) > float64(interval.Milliseconds()) {
+	const tickMS = 100 // the loop's tick
+	if math.Abs(gotMS-wantMS) > tickMS {
 		t.Errorf("degraded_ms meter = %.0f, loop's DegradedSeconds = %.0f ms: want them within one tick", gotMS, wantMS)
 	}
 }

@@ -5,9 +5,7 @@ import (
 	"time"
 )
 
-// TunerConfig shapes the loop's tune phase. Every threshold is in ticks,
-// not wall-clock, so decisions depend only on the observed sample sequence
-// — the same discipline that keeps heal journals seed-comparable.
+// TunerConfig shapes the loop's tune phase.
 type TunerConfig struct {
 	// P99Target is the end-to-end latency budget the tuner defends. A pool
 	// whose excess-wait p99 exceeds an eighth of it counts as saturated
@@ -15,20 +13,6 @@ type TunerConfig struct {
 	// stage eating an eighth of the whole budget in queueing alone is
 	// already a threat. Zero selects 250 ms.
 	P99Target time.Duration
-	// HighQueue is the per-instance queue depth that marks a pool
-	// saturated; zero selects 2.
-	HighQueue int
-	// SaturatedAfter is how many consecutive saturated samples arm a
-	// growth action (hysteresis); zero selects 2.
-	SaturatedAfter int
-	// IdleAfter is how many consecutive idle samples arm a shrink action;
-	// zero selects 25 (idleness must be much staler news than saturation).
-	IdleAfter int
-	// Cooldown is the per-target tick count between actions, letting one
-	// actuation take effect before the next is considered; zero selects 5.
-	Cooldown int
-	// MaxCredits caps per-pipeline credit-window growth; zero selects 16.
-	MaxCredits int
 	// Seed drives the jitter of the loop's tick. Jitter only shifts timing
 	// — never which actions run or their order.
 	Seed int64
@@ -38,23 +22,28 @@ func (c TunerConfig) withDefaults() TunerConfig {
 	if c.P99Target <= 0 {
 		c.P99Target = 250 * time.Millisecond
 	}
-	if c.HighQueue <= 0 {
-		c.HighQueue = 2
-	}
-	if c.SaturatedAfter <= 0 {
-		c.SaturatedAfter = 2
-	}
-	if c.IdleAfter <= 0 {
-		c.IdleAfter = 25
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5
-	}
-	if c.MaxCredits <= 0 {
-		c.MaxCredits = 16
-	}
 	return c
 }
+
+// The tune phase's thresholds are counts of ticks, not wall-clock, so
+// decisions depend only on the observed sample sequence — the same
+// discipline that keeps heal journals seed-comparable.
+const (
+	// highQueue is the per-instance queue depth that marks a pool
+	// saturated.
+	highQueue = 2
+	// saturatedAfter is how many consecutive saturated samples arm a
+	// growth action (hysteresis).
+	saturatedAfter = 2
+	// idleAfter is how many consecutive idle samples arm a shrink action:
+	// idleness must be much staler news than saturation.
+	idleAfter = 25
+	// cooldown is the per-target tick count between actions, letting one
+	// actuation take effect before the next is considered.
+	cooldown = 5
+	// maxCredits caps per-pipeline credit-window growth.
+	maxCredits = 16
+)
 
 // svcSample is one service pool's observed state at a tick.
 type svcSample struct {
@@ -142,7 +131,7 @@ func (l *Loop) decide(s tunerSample) []tunerAct {
 		// eighth of the e2e budget, or every worker slot busy with
 		// arrivals still waiting — the last fires long before the queue is
 		// deep enough for the first, which matters when windows are short.
-		saturated := sv.queue > l.tune.HighQueue*sv.size ||
+		saturated := sv.queue > highQueue*sv.size ||
 			sv.waitP99 > l.tune.P99Target/8 ||
 			(sv.busy >= sv.size*sv.workers && sv.queue > 0)
 		idle := sv.queue == 0 && sv.busy == 0
@@ -175,7 +164,7 @@ func (l *Loop) decide(s tunerSample) []tunerAct {
 			ceiling = st.baseline
 		}
 		switch {
-		case st.hotSteps >= l.tune.SaturatedAfter && sv.size < ceiling:
+		case st.hotSteps >= saturatedAfter && sv.size < ceiling:
 			// Scale out: another instance cuts queueing without adding a
 			// single microsecond to any request's path.
 			acts = append(acts, tunerAct{
@@ -184,15 +173,15 @@ func (l *Loop) decide(s tunerSample) []tunerAct {
 				n: sv.size + 1,
 			})
 			st.hotSteps = 0
-			st.cooldownUntil = l.tick + l.tune.Cooldown
-		case st.idleSteps >= l.tune.IdleAfter && sv.size > st.baseline:
+			st.cooldownUntil = l.tick + cooldown
+		case st.idleSteps >= idleAfter && sv.size > st.baseline:
 			acts = append(acts, tunerAct{
 				act: Action{Kind: ActionScalePool, Target: sv.name,
 					From: strconv.Itoa(sv.size), To: strconv.Itoa(sv.size - 1)},
 				n: sv.size - 1,
 			})
 			st.idleSteps = 0
-			st.cooldownUntil = l.tick + l.tune.Cooldown
+			st.cooldownUntil = l.tick + cooldown
 		}
 	}
 
@@ -226,7 +215,7 @@ func (l *Loop) decide(s tunerSample) []tunerAct {
 		pressed := anyDrops || pp.avail == 0
 		n := pp.credits
 		switch {
-		case pressed && pp.credits < l.tune.MaxCredits && 0 < pp.e2eP99 && pp.e2eP99 < l.tune.P99Target:
+		case pressed && pp.credits < maxCredits && 0 < pp.e2eP99 && pp.e2eP99 < l.tune.P99Target:
 			// Additive increase: widen by one while the lane's own tail is
 			// measured (an empty ring is no evidence) and inside the budget.
 			// Every extra credit is another frame that may queue behind the
@@ -248,7 +237,7 @@ func (l *Loop) decide(s tunerSample) []tunerAct {
 				From: strconv.Itoa(pp.credits), To: strconv.Itoa(n)},
 			n: n,
 		})
-		st.cooldownUntil = l.tick + l.tune.Cooldown
+		st.cooldownUntil = l.tick + cooldown
 	}
 	return acts
 }

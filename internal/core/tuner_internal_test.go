@@ -12,19 +12,6 @@ import (
 	"videopipe/internal/services"
 )
 
-// testTunerConfig keeps the hysteresis and cooldown windows tiny so each
-// scenario fits in a handful of decide calls.
-func testTunerConfig() TunerConfig {
-	return TunerConfig{
-		P99Target:      250 * time.Millisecond,
-		HighQueue:      2,
-		SaturatedAfter: 2,
-		IdleAfter:      3,
-		Cooldown:       3,
-		MaxCredits:     4,
-	}
-}
-
 // hotService is a pool sample that trips the deep-queue saturation symptom.
 func hotService(size int) svcSample {
 	return svcSample{
@@ -41,13 +28,13 @@ func actStrings(acts []tunerAct) []string {
 	return out
 }
 
-func TestTunerScalesBeforeBatching(t *testing.T) {
-	tu := NewTuner(nil, testTunerConfig())
+func TestTunerScalesToCeilingThenHolds(t *testing.T) {
+	tu := NewTuner(nil, TunerConfig{})
 
-	// Two saturated ticks arm the ladder; instances are below MaxInstances,
-	// so the first move must be a scale-out, not a batch window.
+	// saturatedAfter saturated ticks arm the ladder; instances are below
+	// MaxInstances, so the move is a scale-out.
 	var acts []tunerAct
-	for i := 0; i < 2; i++ {
+	for i := 0; i < saturatedAfter; i++ {
 		acts = tu.decide(tunerSample{services: []svcSample{hotService(1)}})
 	}
 	if len(acts) != 1 || acts[0].act.Kind != ActionScalePool || acts[0].n != 2 {
@@ -57,23 +44,25 @@ func TestTunerScalesBeforeBatching(t *testing.T) {
 	// Still hot at the instance ceiling, past the cooldown: scaling is the
 	// pool's only actuator, so the tuner sits on its hands however hot the
 	// pool runs.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 2*cooldown; i++ {
 		if acts = tu.decide(tunerSample{services: []svcSample{hotService(2)}}); len(acts) != 0 {
 			t.Fatalf("tick %d, hot pool at ceiling: acts = %v, want none", i, actStrings(acts))
 		}
 	}
 }
 
-func TestTunerIdleUnwindsBatchThenSize(t *testing.T) {
-	tu := NewTuner(nil, testTunerConfig())
+func TestTunerIdleShrinksToBaseline(t *testing.T) {
+	tu := NewTuner(nil, TunerConfig{})
 	idle := svcSample{name: "svc", size: 2, workers: 1, maxInstances: 2}
 	// First sight records size 2... but baseline is the first observed
 	// size, so shrink below it must never fire; start from a grown pool by
 	// seeding the baseline at 1.
 	tu.svc["svc"] = &tuneSvcState{baseline: 1}
 
+	// idleAfter idle ticks shrink the pool by one, to its baseline, and
+	// nothing shrinks it further.
 	var got []string
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 2*idleAfter; i++ {
 		acts := tu.decide(tunerSample{services: []svcSample{idle}})
 		for _, a := range acts {
 			got = append(got, a.act.String())
@@ -111,8 +100,8 @@ func TestTunerCreditsGrowAdditivelyUnderTailGuard(t *testing.T) {
 			want: []string{"resize_credits lane 2->3"}},
 		{name: "no widening over the target",
 			lane: pipeSample{credits: 2, floor: 2, avail: 0, e2eP99: 260 * ms}},
-		{name: "no widening past MaxCredits",
-			lane: pipeSample{credits: 4, floor: 2, avail: 0, e2eP99: 100 * ms}},
+		{name: "no widening past maxCredits",
+			lane: pipeSample{credits: maxCredits, floor: 2, avail: 0, e2eP99: 100 * ms}},
 		{name: "no widening without pressure",
 			lane: pipeSample{credits: 2, floor: 2, avail: 1, e2eP99: 100 * ms}},
 		{name: "no widening on an empty ring",
@@ -141,7 +130,7 @@ func TestTunerCreditsGrowAdditivelyUnderTailGuard(t *testing.T) {
 			prime: func(tu *Tuner) { tu.svc["svc"] = &tuneSvcState{baseline: 1, cooldownUntil: 2} }},
 	}
 	for _, tc := range cases {
-		tu := NewTuner(nil, testTunerConfig())
+		tu := NewTuner(nil, TunerConfig{})
 		if tc.prime != nil {
 			tc.prime(tu)
 		}
@@ -222,7 +211,7 @@ func TestTunerRestartsTailAfterNarrowAndGrow(t *testing.T) {
 }
 
 func TestTunerDropsOnOneLanePressureWholeFleet(t *testing.T) {
-	tu := NewTuner(nil, testTunerConfig())
+	tu := NewTuner(nil, TunerConfig{})
 	a := pipeSample{name: "a", credits: 2, avail: 1, drops: 0, e2eP99: 50 * time.Millisecond}
 	b := pipeSample{name: "b", credits: 2, avail: 1, drops: 0, e2eP99: 50 * time.Millisecond}
 	// First sight: pre-existing drops are history, and neither lane is
@@ -261,7 +250,7 @@ func TestTunerDecisionsAreDeterministic(t *testing.T) {
 	}
 
 	run := func() []string {
-		tu := NewTuner(nil, testTunerConfig())
+		tu := NewTuner(nil, TunerConfig{})
 		var out []string
 		for _, s := range stream {
 			out = append(out, actStrings(tu.decide(s))...)
@@ -319,7 +308,7 @@ func oneLaneCluster(t *testing.T) (*Cluster, *Pipeline) {
 // 400 ms frames kept p99 over the guard for the next thousand.)
 func TestTunerWidensOnceStartupTailLeavesTheRing(t *testing.T) {
 	c, p := oneLaneCluster(t)
-	tu := NewTuner(c, TunerConfig{P99Target: 400 * time.Millisecond, Cooldown: 1})
+	tu := NewTuner(c, TunerConfig{P99Target: 400 * time.Millisecond})
 	// complete records n finished frames and leaves the window exhausted, so
 	// every tick sees pressure and only the guard decides.
 	complete := func(n int, e2e time.Duration) {

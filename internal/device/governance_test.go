@@ -29,20 +29,20 @@ func TestModuleBreachKillQuarantine(t *testing.T) {
 	m.SetFrameAbandoned(func() { abandoned.Add(1) })
 
 	ctx := context.Background()
-	for i := 0; i < DefaultMaxBreaches; i++ {
+	for i := 0; i < maxBreaches; i++ {
 		if err := m.Inject(ctx, nil, frame.MustNew(4, 4)); err != nil {
 			t.Fatalf("Inject %d: %v", i, err)
 		}
 	}
 	waitFor(t, func() bool { return m.Killed() })
-	if got := d.Metrics().Meter("script.runaway.breaches").Count(); got != DefaultMaxBreaches {
-		t.Errorf("breaches = %d, want %d", got, DefaultMaxBreaches)
+	if got := d.Metrics().Meter("script.runaway.breaches").Count(); got != maxBreaches {
+		t.Errorf("breaches = %d, want %d", got, maxBreaches)
 	}
 	if got := d.Metrics().Meter("script.runaway.killed").Count(); got != 1 {
 		t.Errorf("killed meter = %d, want 1", got)
 	}
 	// Every breached event abandoned its frame (credit returned).
-	waitFor(t, func() bool { return abandoned.Load() == DefaultMaxBreaches })
+	waitFor(t, func() bool { return abandoned.Load() == maxBreaches })
 
 	// Quarantine: events after the kill never reach the handler; their
 	// frames are abandoned immediately and the store drains.
@@ -50,7 +50,7 @@ func TestModuleBreachKillQuarantine(t *testing.T) {
 	if err := m.Inject(ctx, nil, frame.MustNew(4, 4)); err != nil {
 		t.Fatalf("Inject after kill: %v", err)
 	}
-	waitFor(t, func() bool { return abandoned.Load() == DefaultMaxBreaches+1 })
+	waitFor(t, func() bool { return abandoned.Load() == maxBreaches+1 })
 	if got := d.Metrics().Meter("module.runaway.events").Count(); got != events {
 		t.Errorf("quarantined event reached the handler (events %d -> %d)", events, got)
 	}

@@ -16,11 +16,11 @@ import (
 	"videopipe/internal/wire"
 )
 
-// DefaultMaxBreaches is how many consecutive budget breaches a module
-// survives before the runtime kills it (spec.MaxBreaches overrides). A
-// successful event resets the count, so an occasional expensive event is
-// tolerated while a wedged module converges to a kill in K events.
-const DefaultMaxBreaches = 3
+// maxBreaches is how many consecutive budget breaches a module survives
+// before the runtime kills it. A successful event resets the count, so an
+// occasional expensive event is tolerated while a wedged module converges
+// to a kill in maxBreaches events.
+const maxBreaches = 3
 
 // Route is one outgoing DAG edge from a module: the destination module
 // name and where it lives. An empty Address means the destination is
@@ -67,8 +67,6 @@ type ModuleSpec struct {
 	// script context (zero fields are unlimited; the core runtime fills in
 	// cluster defaults before spawning).
 	Limits script.Limits
-	// MaxBreaches overrides DefaultMaxBreaches (0 = default).
-	MaxBreaches int
 }
 
 // event is one unit of work for a module: a message body plus an optional
@@ -134,10 +132,8 @@ type Module struct {
 	// workers of a replicated module call it concurrently.
 	shapeObs atomic.Pointer[ShapeObserver]
 
-	// limits is the sandbox budget from the spec; breachLimit is the
-	// resolved consecutive-breach kill threshold.
-	limits      script.Limits
-	breachLimit int
+	// limits is the sandbox budget from the spec.
+	limits script.Limits
 	// killed flips when consecutive budget breaches exhaust the breach
 	// allowance; a killed module quarantines (abandons) every event until
 	// the supervisor restarts it. Read from other goroutines via Killed().
@@ -299,10 +295,6 @@ func (d *Device) SpawnModule(spec ModuleSpec) (*Module, error) {
 	m.encodeTime = d.reg.Histogram("module." + spec.Name + ".encode")
 	m.e2eTime = d.reg.Histogram("pipeline." + spec.Name + ".e2e")
 	m.limits = spec.Limits
-	m.breachLimit = spec.MaxBreaches
-	if m.breachLimit <= 0 {
-		m.breachLimit = DefaultMaxBreaches
-	}
 
 	var err error
 	if m.workers, err = m.newWorkers(spec.Source); err != nil {
@@ -809,7 +801,7 @@ func (w *worker) handle(j job) {
 		m.consecBreaches = 0
 	} else if ordered {
 		m.consecBreaches++
-		if m.consecBreaches >= m.breachLimit && !m.killed.Load() {
+		if m.consecBreaches >= maxBreaches && !m.killed.Load() {
 			m.killed.Store(true)
 			m.dev.reg.Meter("script." + m.spec.Name + ".killed").Mark()
 		}

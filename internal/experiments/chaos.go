@@ -15,6 +15,9 @@ import (
 
 // ---- Resilience experiment: deterministic fault injection ----
 
+// chaosSourceFPS is the source rate of every chaos scenario's pipelines.
+const chaosSourceFPS = 15
+
 // ChaosScenario is one resilience case: a pipeline workload plus a fault
 // schedule, either literal or generated from the experiment seed.
 type ChaosScenario struct {
@@ -25,8 +28,6 @@ type ChaosScenario struct {
 	// Gen derives the schedule from the experiment seed when Schedule is
 	// nil.
 	Gen *chaos.GenOptions
-	// SourceFPS is the fitness source rate; zero selects 15.
-	SourceFPS float64
 	// Shared also runs the gesture pipeline concurrently, so faults land
 	// on a service pool two pipelines share (§5.2.2 under failure).
 	Shared bool
@@ -179,12 +180,8 @@ func runChaosScenario(reg *services.Registry, sc ChaosScenario, seed int64, o Op
 	}
 	defer cluster.Close()
 
-	fps := sc.SourceFPS
-	if fps <= 0 {
-		fps = 15
-	}
 	name := "chaos_" + sc.Name
-	fitCfg := apps.FitnessConfig(name, fps, o.scene())
+	fitCfg := apps.FitnessConfig(name, chaosSourceFPS, o.scene())
 	if sc.Limits != nil {
 		fitCfg.Limits = *sc.Limits
 	}
@@ -194,7 +191,7 @@ func runChaosScenario(reg *services.Registry, sc ChaosScenario, seed int64, o Op
 	}
 	var gest *core.Pipeline
 	if sc.Shared {
-		if gest, err = cluster.Launch(apps.GestureConfig(name+"_gest", fps, "clap"), core.CoLocatePlanner{}); err != nil {
+		if gest, err = cluster.Launch(apps.GestureConfig(name+"_gest", chaosSourceFPS, "clap"), core.CoLocatePlanner{}); err != nil {
 			return ChaosRow{}, err
 		}
 	}
@@ -205,11 +202,7 @@ func runChaosScenario(reg *services.Registry, sc ChaosScenario, seed int64, o Op
 	// heals. It must stop (blocking until it fully exits) before the
 	// deferred cluster.Close — an in-flight tick may still be probing or
 	// migrating.
-	loopCfg := core.LoopConfig{StallAfter: 500 * time.Millisecond}
-	if o.Supervise {
-		loopCfg.Heal = &core.SupervisorConfig{}
-	}
-	loop := core.NewLoop(cluster, loopCfg)
+	loop := core.NewLoop(cluster, core.LoopConfig{StallAfter: 500 * time.Millisecond, Heal: o.Supervise})
 	// samples is the loop goroutine's until the loop has stopped.
 	var samples []deliverySample
 	loopCtx, loopCancel := context.WithCancel(context.Background())

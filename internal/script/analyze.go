@@ -79,9 +79,6 @@ type Options struct {
 	// Globals names extra identifiers to treat as defined (beyond the
 	// signature table), e.g. host bindings added by a test harness.
 	Globals []string
-	// Signatures overrides the call-site signature table; nil means
-	// CallSignatures() — the merged stdlib + Table-1 host API.
-	Signatures map[string]Signature
 	// RequireEventReceived makes a missing event_received definition an
 	// error (PV008). core sets it for modules reachable from the source.
 	RequireEventReceived bool
@@ -178,12 +175,9 @@ func Analyze(src string, opts Options) Report {
 		return rep
 	}
 
-	a := &analyzer{opts: opts, sigs: opts.Signatures}
-	if a.sigs == nil {
-		a.sigs = CallSignatures()
-	}
+	a := &analyzer{opts: opts}
 	funcs := topLevelFuncs(prog)
-	names := newCallees(prog, funcs, a.sigs, opts.Globals)
+	names := newCallees(prog, funcs, opts.Globals)
 	a.run(prog, names)
 	if prog.state == nil {
 		a.facts.Stateless = true
@@ -198,7 +192,7 @@ func Analyze(src string, opts Options) Report {
 
 	// pipetype: produced/consumed event shapes per module, with PV018 for
 	// payloads that degrade to top (shapes.go).
-	shapes, shapeDiags := shapePass(prog, funcs, a.sigs, opts.Globals)
+	shapes, shapeDiags := shapePass(prog, funcs, opts.Globals)
 	a.diags = append(a.diags, shapeDiags...)
 
 	sort.SliceStable(a.diags, func(i, j int) bool { return a.diags[i].Pos.before(a.diags[j].Pos) })
@@ -247,7 +241,6 @@ func (m *callMemo[K, V]) visit(key K, recursion, compute func() V) V {
 
 type analyzer struct {
 	opts  Options
-	sigs  map[string]Signature
 	diags []Diagnostic
 	// calls holds the PV007 findings until the scope findings are in: an
 	// argument that is a function literal shares its position with the
@@ -436,7 +429,7 @@ func (a *analyzer) condAssign(e expr) {
 // builtin returns the signature-table entry an identifier no scope declares
 // refers to; defined also admits the host globals Options names.
 func (a *analyzer) builtin(name string) (Signature, bool) {
-	sig, ok := a.sigs[name]
+	sig, ok := callSignatures[name]
 	return sig, ok && !sig.Callback // init/event_received are defined by the module, not for it
 }
 

@@ -109,7 +109,7 @@ func AnalyzeCost(src string) CostReport {
 	if err != nil {
 		return CostReport{}
 	}
-	report, _ := costPass(prog, newCallees(prog, topLevelFuncs(prog), CallSignatures(), nil))
+	report, _ := costPass(prog, newCallees(prog, topLevelFuncs(prog), nil))
 	return report
 }
 
@@ -308,7 +308,6 @@ func (ca *costAnalysis) ownBinding(id *identExpr) bool {
 // binding or stdlib builtin, one of the module's own top-level functions, or
 // a value only the running code knows. pipecost and PV011 both ask it.
 type callees struct {
-	sigs    map[string]Signature
 	globals map[string]bool
 	funcs   funcTable
 	// values names every global the module binds other than by a definition
@@ -319,8 +318,8 @@ type callees struct {
 	values map[string]bool
 }
 
-func newCallees(prog *program, funcs funcTable, sigs map[string]Signature, globals []string) *callees {
-	c := &callees{sigs: sigs, globals: make(map[string]bool, len(globals)), funcs: funcs, values: make(map[string]bool)}
+func newCallees(prog *program, funcs funcTable, globals []string) *callees {
+	c := &callees{globals: make(map[string]bool, len(globals)), funcs: funcs, values: make(map[string]bool)}
 	for _, g := range globals {
 		c.globals[g] = true
 	}
@@ -346,7 +345,7 @@ func (c *callees) moduleBinds(name string) bool {
 }
 
 func (c *callees) hostBinds(name string) bool {
-	_, isSig := c.sigs[name]
+	_, isSig := callSignatures[name]
 	return isSig || c.globals[name]
 }
 

@@ -13,8 +13,8 @@ const (
 	// DefaultMaxSteps is the instruction budget of an invocation whose
 	// Limits set none, and the most any Limits can set.
 	DefaultMaxSteps = 10_000_000
-	// DefaultMaxDepth bounds the script call stack.
-	DefaultMaxDepth = 200
+	// maxCallDepth bounds the script call stack.
+	maxCallDepth = 200
 	// maxArrayLen bounds array growth from index assignment.
 	maxArrayLen = 1 << 24
 )
@@ -54,8 +54,7 @@ type Context struct {
 	// heap slot that is never replaced, so identifiers cache the pointer.
 	globals map[string]*slot
 	// free holds frames of scopes no closure captured, for reuse (env.go).
-	free     []*frame
-	maxDepth int
+	free []*frame
 	// instructions accumulates interpreter steps across every Load/Eval/Call
 	// on this context; lastInstructions holds the count of the most recent
 	// one. The device runtime exports them as the
@@ -83,16 +82,10 @@ type Context struct {
 
 // NewContext creates a context with the standard library installed.
 func NewContext() *Context {
-	c := &Context{
-		globals:  make(map[string]*slot, len(builtins)+16),
-		maxDepth: DefaultMaxDepth,
-	}
+	c := &Context{globals: make(map[string]*slot, len(builtins)+16)}
 	installStdlib(c)
 	return c
 }
-
-// SetMaxDepth overrides the script call-stack limit.
-func (c *Context) SetMaxDepth(n int) { c.maxDepth = n }
 
 // Bind exposes a Go function to scripts under the given global name.
 func (c *Context) Bind(name string, fn HostFunc) {
@@ -1133,7 +1126,7 @@ func (in *interp) invoke(lit *funcLit, fr *frame, nargs int, pos Position) (cell
 }
 
 func (in *interp) runBody(lit *funcLit, fr *frame, nargs int, pos Position) (cell, error) {
-	if in.depth > in.ctx.maxDepth {
+	if in.depth > maxCallDepth {
 		return cell{}, in.errorf(pos, "call stack depth limit exceeded")
 	}
 	if err := in.charge(24+16*int64(nargs), pos); err != nil {

@@ -13,7 +13,6 @@ import (
 // message parameter.
 
 type shapeCtx struct {
-	sigs    map[string]Signature
 	funcs   funcTable
 	globals map[string]*Shape
 	extra   map[string]bool
@@ -31,9 +30,8 @@ type shapeEnv map[*binding]*Shape
 // per-scope analysis of the load scope and every top-level function. It
 // reports PV018 at emit sites whose payload degrades to top or an open
 // object.
-func shapePass(prog *program, funcs funcTable, sigs map[string]Signature, globals []string) (ShapeReport, []Diagnostic) {
+func shapePass(prog *program, funcs funcTable, globals []string) (ShapeReport, []Diagnostic) {
 	ctx := &shapeCtx{
-		sigs:    sigs,
 		funcs:   funcs,
 		globals: make(map[string]*Shape),
 		extra:   make(map[string]bool),
@@ -364,7 +362,7 @@ func (c *shapeCtx) evalDepth(e expr, env shapeEnv, depth int) *Shape {
 		if _, ok := c.funcs[ex.name]; ok {
 			return kindShape(KindFunction)
 		}
-		if _, ok := c.sigs[ex.name]; ok {
+		if _, ok := callSignatures[ex.name]; ok {
 			return kindShape(KindFunction)
 		}
 		return topShape()
@@ -450,7 +448,7 @@ func (c *shapeCtx) callShape(ex *callExpr, env shapeEnv) *Shape {
 	case "call_module":
 		return kindShape(KindNull)
 	}
-	if _, found := c.sigs[id.name]; found {
+	if _, found := callSignatures[id.name]; found {
 		if k, known := builtinReturnKinds[id.name]; known {
 			return kindShape(k)
 		}
@@ -868,7 +866,7 @@ func (w *consumeWalker) call(ex *callExpr) {
 		}
 		return
 	}
-	if sig, ok := w.ctx.sigs[id.name]; ok {
+	if sig, ok := callSignatures[id.name]; ok {
 		for i, a := range ex.args {
 			if w.alias(a) {
 				// The whole message escapes into a builtin or host call

@@ -143,9 +143,11 @@ func sig2(a, b Param) Signature {
 	return Signature{Min: 2, Max: 2, Params: []Param{a, b}}
 }
 
-// callSignatures is the merged table the analyzer resolves call sites
-// against. Host bindings win over same-named builtins ("log"), matching the
-// bind order in the device runtime: stdlib first, host API after.
+// callSignatures is the merged table every static pass resolves call sites
+// against, keyed by global name and including Callback entries for init and
+// event_received. Host bindings win over same-named builtins ("log"),
+// matching the bind order in the device runtime: stdlib first, host API
+// after. The map is shared; nothing may mutate it.
 var callSignatures = func() map[string]Signature {
 	merged := make(map[string]Signature, len(builtins)+len(hostSignatureTable))
 	for name, b := range builtins {
@@ -158,8 +160,3 @@ var callSignatures = func() map[string]Signature {
 	}
 	return merged
 }()
-
-// CallSignatures returns the merged host+builtin signature table keyed by
-// global name, including Callback entries for init and event_received. The
-// map is shared; callers must not mutate it.
-func CallSignatures() map[string]Signature { return callSignatures }

@@ -116,8 +116,6 @@ type Spec struct {
 	SerialFraction float64
 	// Workers is the per-instance concurrency limit; <= 0 means 1.
 	Workers int
-	// NeedsFrame documents whether requests must carry a frame.
-	NeedsFrame bool
 	// Handler is the implementation.
 	Handler Handler
 

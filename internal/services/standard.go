@@ -103,8 +103,7 @@ func NewStandardRegistry(opts StandardOptions) (*Registry, error) {
 		// never a bottleneck and stay untunable.
 		{
 			Name: PoseDetector, Cost: opts.PoseCost, Workers: opts.PoseWorkers,
-			SerialFraction: opts.PoseSerialFraction, NeedsFrame: true,
-			Handler: handlePose, MaxInstances: 3,
+			SerialFraction: opts.PoseSerialFraction, Handler: handlePose, MaxInstances: 3,
 		},
 		{
 			Name: ActivityClassifier, Cost: opts.ActivityCost, Workers: 2,
@@ -116,19 +115,19 @@ func NewStandardRegistry(opts StandardOptions) (*Registry, error) {
 			Handler: handleRepCount,
 		},
 		{
-			Name: Display, Cost: opts.DisplayCost, Workers: 2, NeedsFrame: true,
+			Name: Display, Cost: opts.DisplayCost, Workers: 2,
 			Handler: handleDisplay,
 		},
 		{
-			Name: ObjectDetector, Cost: opts.ObjectCost, Workers: 2, SerialFraction: 0.3, NeedsFrame: true,
+			Name: ObjectDetector, Cost: opts.ObjectCost, Workers: 2, SerialFraction: 0.3,
 			Handler: handleObjects, MaxInstances: 2,
 		},
 		{
-			Name: ImageClassifier, Cost: opts.ClassifyCost, Workers: 2, NeedsFrame: true,
+			Name: ImageClassifier, Cost: opts.ClassifyCost, Workers: 2,
 			Handler: handleClassify(imgClf), MaxInstances: 2,
 		},
 		{
-			Name: FaceDetector, Cost: opts.FaceCost, Workers: 2, NeedsFrame: true,
+			Name: FaceDetector, Cost: opts.FaceCost, Workers: 2,
 			Handler: handleFace, MaxInstances: 2,
 		},
 		{

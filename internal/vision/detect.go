@@ -247,31 +247,3 @@ func (s *detectScratch) erodeStripe(stripe, lo, hi int) {
 		}
 	}
 }
-
-// DetectPersonBox reports only the foreground bounding box, for services
-// that need presence detection without full pose recovery.
-func DetectPersonBox(f *frame.Frame) (Box, bool) {
-	w, h := f.Width, f.Height
-	if w <= 0 || h <= 0 {
-		return Box{}, false
-	}
-	parts := make([]extent, frame.MaxStripes())
-	n := frame.Stripes(h, func(stripe, lo, hi int) {
-		e := newExtent()
-		for y := lo; y < hi; y++ {
-			row := f.Pix[y*w*4 : (y+1)*w*4]
-			for x := 0; x < w; x++ {
-				i := x * 4
-				if int(row[i])+int(row[i+1])+int(row[i+2]) > foregroundThreshold {
-					e.add(x, y)
-				}
-			}
-		}
-		parts[stripe] = e
-	})
-	fg := mergeExtents(parts[:n])
-	if fg.count < 10 {
-		return Box{}, false
-	}
-	return fg.box(), true
-}

@@ -68,24 +68,6 @@ func TestDetectPoseEmptyFrame(t *testing.T) {
 	if _, ok := DetectPose(f); ok {
 		t.Error("DetectPose found a person in an empty scene")
 	}
-	if _, ok := DetectPersonBox(f); ok {
-		t.Error("DetectPersonBox found a person in an empty scene")
-	}
-}
-
-func TestDetectPersonBox(t *testing.T) {
-	f := frame.MustNew(640, 480)
-	truth := SynthesizePose(Idle, 0, DefaultSubject(), nil)
-	RenderScene(f, truth)
-	box, ok := DetectPersonBox(f)
-	if !ok {
-		t.Fatal("no person box")
-	}
-	for i, kp := range truth.Keypoints {
-		if !box.Contains(kp) {
-			t.Errorf("box misses keypoint %s", KeypointNames[i])
-		}
-	}
 }
 
 func TestDetectionEndToEndAcrossActivities(t *testing.T) {
@@ -263,15 +245,12 @@ func detectionScenes(t *testing.T) []*frame.Frame {
 type detection struct {
 	pose          Pose
 	found         bool
-	box           Box
-	boxFound      bool
 	width, height int
 }
 
 func detect(f *frame.Frame) detection {
 	d := detection{width: f.Width, height: f.Height}
 	d.pose, d.found = DetectPose(f)
-	d.box, d.boxFound = DetectPersonBox(f)
 	return d
 }
 

@@ -83,7 +83,8 @@ type (
 	// paper's "monitoring" future work) — then heals and tunes when
 	// configured to.
 	Loop = core.Loop
-	// LoopConfig selects and shapes a Loop.
+	// LoopConfig selects and shapes a Loop: Heal adds the self-healing
+	// phase, a non-nil Tune the adaptive tuning phase.
 	LoopConfig = core.LoopConfig
 	// Report is one tick's observation; json.Marshal of it is the loop's
 	// machine-readable view.
