@@ -80,7 +80,9 @@ race:
 # wait allocate nothing; so do a warm one-argument Context.Call, a frame_done()
 # event, a store Put/Retain/Release cycle and a pooled wire receive, and a
 # warm admitted Offer costs its message, two boxed numbers and the boxed
-# frame_ref. The BufferPool tests ride along: the pool's determinism
+# frame_ref. A warm control-loop tick that takes no action allocates
+# nothing, even once a pool's wait histogram is full. The BufferPool tests
+# ride along: the pool's determinism
 # (a hit after two GCs, retention cap, spare rule), the whole warm remote
 # hop at <= 3 mallocs and <= 1 KiB (internal/netsim), and conservation —
 # every chunk, body and frame back in the pool after decode failures, a
@@ -104,12 +106,13 @@ VP_CHAOS_SEED ?= 1
 # Control-loop gate: the supervised chaos e2e suite (recovery left wholly
 # to the loop's heal phase, exact journal assertions) plus the heal-phase,
 # loop (tick, probes, report, degraded time), migration, failover,
-# breaker and snapshot unit tests, and the tune phase's rules with the
-# credit-window narrowing they drive (its ring restart races frame_done) —
+# breaker and snapshot unit tests, the tune phase's rules with the
+# credit-window narrowing they drive (its ring restart races frame_done),
+# and the pool's recent-wait ring (its restart on a grow races Invoke) —
 # all under the race detector with a pinned seed.
 heal:
 	VP_CHAOS_SEED=$(VP_CHAOS_SEED) $(GO) test -race -v -run 'TestChaos' .
-	$(GO) test -race -run 'TestSupervisor|TestLoop|TestMonitor|TestMigrate|TestFailOver|TestBreaker|TestSnapshot|TestTuner|TestResizeCredits' ./internal/core ./internal/services ./internal/script
+	$(GO) test -race -run 'TestSupervisor|TestLoop|TestMonitor|TestMigrate|TestFailOver|TestBreaker|TestSnapshot|TestTuner|TestResizeCredits|TestPoolRecentWait' ./internal/core ./internal/services ./internal/script
 
 # Sandbox-governance gate: budget enforcement, kill/quarantine/restart and
 # the module-sabotage chaos scenarios (hostile code contained by the

@@ -1,13 +1,13 @@
 //go:build !race
 
-package core_test
+package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
 
-	"videopipe/internal/core"
 	"videopipe/internal/device"
 	"videopipe/internal/frame"
 	"videopipe/internal/netsim"
@@ -21,7 +21,7 @@ import (
 // so what is left is the message, its two boxed numbers, and the boxed
 // frame_ref the module sets on it.
 func TestOfferAllocs(t *testing.T) {
-	c, err := core.NewCluster(core.ClusterSpec{
+	c, err := NewCluster(ClusterSpec{
 		Devices:     []device.Config{{Name: "phone", Class: device.Phone}},
 		DefaultLink: netsim.WiFi,
 	}, services.NewRegistry())
@@ -29,11 +29,11 @@ func TestOfferAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	p, err := c.Launch(core.PipelineConfig{
+	p, err := c.Launch(PipelineConfig{
 		Name:    "offer",
-		Modules: []core.ModuleConfig{{Name: "a", Source: `function event_received(message) { frame_done(); }`}},
-		Source:  core.SourceConfig{Device: "phone", FirstModule: "a", FPS: 10, Width: 8, Height: 8, Scene: "squat", RepRate: 0.5},
-	}, core.CoLocatePlanner{})
+		Modules: []ModuleConfig{{Name: "a", Source: `function event_received(message) { frame_done(); }`}},
+		Source:  SourceConfig{Device: "phone", FirstModule: "a", FPS: 10, Width: 8, Height: 8, Scene: "squat", RepRate: 0.5},
+	}, CoLocatePlanner{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,5 +64,40 @@ func TestOfferAllocs(t *testing.T) {
 	t.Logf("warm admitted Offer and its frame_done() event: %.1f allocs", allocs)
 	if allocs > 4 {
 		t.Errorf("warm admitted Offer and its frame_done() event: %.1f allocs, want <= 4", allocs)
+	}
+}
+
+// TestLoopStepAllocs pins a warm tick of a loop with a tune phase, on a
+// launched one-lane cluster, at zero allocations, and keeps it there once
+// the pool's whole-run wait histogram holds its full 8192-sample reservoir:
+// the tick reads fixed-size recent tails, so its work does not grow with
+// the waits a pool has recorded.
+func TestLoopStepAllocs(t *testing.T) {
+	c, _ := oneLaneCluster(t)
+	pool, err := c.Pool("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLoop(c, LoopConfig{Tune: &TunerConfig{}})
+	ctx := context.Background()
+	step := func() { l.step(ctx) }
+	for _, tc := range []struct {
+		name  string
+		waits int
+	}{{"an empty wait reservoir", 0}, {"a full wait reservoir", 8192}} {
+		for i := 0; i < tc.waits; i++ {
+			if _, err := pool.Invoke(ctx, services.Request{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step()
+		allocs := testing.AllocsPerRun(100, step)
+		t.Logf("warm tick with %s (%d waits): %.1f allocs", tc.name, pool.WaitStats().Count, allocs)
+		if allocs != 0 {
+			t.Errorf("warm tick with %s: %.1f allocs, want 0", tc.name, allocs)
+		}
+	}
+	if got := l.Journal(); len(got) != 0 {
+		t.Errorf("journal = %v, want no actions: the ticks measured were not the quiet ones", got)
 	}
 }

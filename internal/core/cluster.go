@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"videopipe/internal/device"
@@ -177,10 +177,14 @@ func (c *Cluster) IsDown(name string) bool {
 }
 
 // Pipelines snapshots the pipelines launched on this cluster.
-func (c *Cluster) Pipelines() []*Pipeline {
+func (c *Cluster) Pipelines() []*Pipeline { return c.appendPipelines(nil) }
+
+// appendPipelines appends the launched pipelines to dst, so a caller that
+// reuses dst snapshots them without allocating.
+func (c *Cluster) appendPipelines(dst []*Pipeline) []*Pipeline {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]*Pipeline(nil), c.pipelines...)
+	return append(dst, c.pipelines...)
 }
 
 // RedeployService moves a service pool to a new host device — the
@@ -282,15 +286,19 @@ func (c *Cluster) SetCodec(codec frame.Codec) {
 }
 
 // ServiceNames lists deployed services, sorted.
-func (c *Cluster) ServiceNames() []string {
+func (c *Cluster) ServiceNames() []string { return c.appendServiceNames(nil) }
+
+// appendServiceNames appends the deployed services to dst, sorted, so a
+// caller that reuses dst lists them without allocating.
+func (c *Cluster) appendServiceNames(dst []string) []string {
+	n := len(dst)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.serviceHost))
 	for s := range c.serviceHost {
-		out = append(out, s)
+		dst = append(dst, s)
 	}
-	sort.Strings(out)
-	return out
+	c.mu.Unlock()
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // TuningSetpoints is a snapshot of every actuator the tune phase controls

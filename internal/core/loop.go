@@ -47,11 +47,14 @@ type Loop struct {
 	tune *TunerConfig
 
 	// The phases' state below belongs to the goroutine running the loop.
-	// Sample: one watch per pipeline, the restart meter per service, and
-	// the tune view it fills.
+	// Sample: one watch per pipeline, the restart meter per service, the
+	// tune view it fills, and the sorted service names and pipelines it
+	// refills each tick.
 	lanes    map[string]*watch
 	restarts map[string]*metrics.Meter
 	obs      tunerSample
+	svcNames []string
+	pipes    []*Pipeline
 	// Heal: probes run from a dedicated network vantage point, so a
 	// device-pair partition (a crashed host dropping off the LAN) never
 	// blinds the loop itself.
@@ -108,11 +111,12 @@ func NewLoop(c *Cluster, cfg LoopConfig) *Loop {
 // which actions run or their order.
 func (l *Loop) Run(ctx context.Context, sinks ...func(Report)) {
 	defer l.stopProbes()
+	interval := func() time.Duration { return tickInterval + time.Duration(l.rng.Int63n(int64(tickInterval)/10+1)) }
+	timer := time.NewTimer(interval())
+	defer timer.Stop()
 	for {
-		timer := time.NewTimer(tickInterval + time.Duration(l.rng.Int63n(int64(tickInterval)/10+1)))
 		select {
 		case <-ctx.Done():
-			timer.Stop()
 			return
 		case <-timer.C:
 		}
@@ -120,6 +124,7 @@ func (l *Loop) Run(ctx context.Context, sinks ...func(Report)) {
 		for _, sink := range sinks {
 			sink(l.Report())
 		}
+		timer.Reset(interval())
 	}
 }
 

@@ -119,7 +119,8 @@ func (l *Loop) sample() tunerSample {
 
 	s := &l.obs
 	s.services, l.rep.Services = s.services[:0], l.rep.Services[:0]
-	for _, name := range l.cluster.ServiceNames() {
+	l.svcNames = l.cluster.appendServiceNames(l.svcNames[:0])
+	for _, name := range l.svcNames {
 		pool, err := l.cluster.Pool(name)
 		if err != nil {
 			continue
@@ -137,7 +138,7 @@ func (l *Loop) sample() tunerSample {
 			queue:        pool.QueueDepth(),
 			busy:         pool.BusyWorkers(),
 			maxInstances: spec.MaxInstances,
-			waitP99:      pool.WaitStats().P99,
+			waitP99:      pool.RecentWaitP99(),
 		})
 		restarts, ok := l.restarts[name]
 		if !ok {
@@ -156,10 +157,10 @@ func (l *Loop) sample() tunerSample {
 		})
 	}
 
-	pipes := l.cluster.Pipelines()
-	slices.SortFunc(pipes, func(a, b *Pipeline) int { return strings.Compare(a.name, b.name) })
+	l.pipes = l.cluster.appendPipelines(l.pipes[:0])
+	slices.SortFunc(l.pipes, func(a, b *Pipeline) int { return strings.Compare(a.name, b.name) })
 	s.pipelines, l.rep.Pipelines = s.pipelines[:0], l.rep.Pipelines[:0]
-	for _, p := range pipes {
+	for _, p := range l.pipes {
 		w := l.watchFor(p)
 		w.p = p
 		h := &w.health

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"image/color"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,11 +16,6 @@ import (
 	"videopipe/internal/script"
 	"videopipe/internal/vision"
 )
-
-// recentCompletions is how many completed frames a lane's latency tail is
-// taken over: a few seconds of a camera-rate lane, long enough to hold a p99
-// and short enough that start-up frames leave it.
-const recentCompletions = 64
 
 // Pipeline is a deployed application: modules spawned across cluster
 // devices per a plan, wired into a DAG, with a paced source feeding the
@@ -42,13 +36,10 @@ type Pipeline struct {
 	creditMu    sync.Mutex
 	creditAvail int
 	creditCap   int
-	// recent holds the capture-to-completion latency of the lane's last
-	// recentCompletions frames captured since tailSince (forgetTail),
-	// completed counting all of them: the tail the current credit window
+	// tail holds the capture-to-completion latency of the lane's latest
+	// frames captured since forgetTail: the tail the current credit window
 	// produces, which is what the tuner's credit rules read (recentP99).
-	recent    [recentCompletions]time.Duration
-	completed uint64
-	tailSince time.Time
+	tail metrics.RecentTail
 
 	// mu guards the fields below: placement and module instances become
 	// mutable once live migration exists.
@@ -280,9 +271,8 @@ func (p *Pipeline) returnCredit() { p.frameDone(0) }
 func (p *Pipeline) frameDone(e2e time.Duration) {
 	now := time.Now()
 	p.creditMu.Lock()
-	if e2e > 0 && e2e <= now.Sub(p.tailSince) {
-		p.recent[p.completed%recentCompletions] = e2e
-		p.completed++
+	if e2e > 0 {
+		p.tail.Observe(now.Add(-e2e), e2e)
 	}
 	if p.creditAvail < p.creditCap {
 		p.creditAvail++
@@ -290,15 +280,13 @@ func (p *Pipeline) frameDone(e2e time.Duration) {
 	p.creditMu.Unlock()
 }
 
-// recentP99 is the p99 latency of the lane's last recentCompletions
+// recentP99 is the p99 latency of the lane's last metrics.RecentTailLen
 // completed frames (fewer while fewer exist, zero before the first).
 func (p *Pipeline) recentP99() time.Duration {
 	p.creditMu.Lock()
-	tail := p.recent
-	n := min(p.completed, recentCompletions)
+	tail := p.tail
 	p.creditMu.Unlock()
-	slices.Sort(tail[:n])
-	return metrics.QuantileOf(tail[:n], 0.99)
+	return tail.P99()
 }
 
 // forgetTail restarts the ring after the tuner narrows the window or grows a
@@ -306,8 +294,7 @@ func (p *Pipeline) recentP99() time.Duration {
 // no longer exists, so recentP99 reads zero until newer frames complete.
 func (p *Pipeline) forgetTail() {
 	p.creditMu.Lock()
-	p.completed = 0
-	p.tailSince = time.Now()
+	p.tail.Restart(time.Now())
 	p.creditMu.Unlock()
 }
 

@@ -8,10 +8,10 @@ import (
 // TunerConfig shapes the loop's tune phase.
 type TunerConfig struct {
 	// P99Target is the end-to-end latency budget the tuner defends. A pool
-	// whose excess-wait p99 exceeds an eighth of it counts as saturated
-	// even with a shallow queue: pipelines chain several hops, so one
-	// stage eating an eighth of the whole budget in queueing alone is
-	// already a threat. Zero selects 250 ms.
+	// whose recent excess-wait p99 (Pool.RecentWaitP99) exceeds an eighth
+	// of it counts as saturated even with a shallow queue: pipelines chain
+	// several hops, so one stage eating an eighth of the whole budget in
+	// queueing alone is already a threat. Zero selects 250 ms.
 	P99Target time.Duration
 	// Seed drives the jitter of the loop's tick. Jitter only shifts timing
 	// — never which actions run or their order.
@@ -45,7 +45,8 @@ const (
 	maxCredits = 16
 )
 
-// svcSample is one service pool's observed state at a tick.
+// svcSample is one service pool's observed state at a tick. waitP99 is the
+// tail of the pool's most recent waits (Pool.RecentWaitP99).
 type svcSample struct {
 	name         string
 	size         int
@@ -137,8 +138,9 @@ func (l *Loop) decide(s tunerSample) []tunerAct {
 		idle := sv.queue == 0 && sv.busy == 0
 		switch {
 		case idle:
-			// Instantaneous idleness overrides the sticky wait histogram:
-			// scaling a pool with nothing in it helps nobody.
+			// Instantaneous idleness overrides the recent waits, which keep
+			// the last burst's until new requests arrive: scaling a pool
+			// with nothing in it helps nobody.
 			st.idleSteps++
 			st.hotSteps = 0
 		case saturated:
@@ -257,7 +259,7 @@ func (l *Loop) apply(a tunerAct) {
 		l.record(a.act)
 		// Every lane's tail was measured against the smaller pool.
 		if grew {
-			for _, p := range l.cluster.Pipelines() {
+			for _, p := range l.pipes {
 				p.forgetTail()
 			}
 		}

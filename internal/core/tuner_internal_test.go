@@ -4,10 +4,13 @@ import (
 	"context"
 	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"videopipe/internal/device"
+	"videopipe/internal/frame"
 	"videopipe/internal/metrics"
 	"videopipe/internal/services"
 )
@@ -184,7 +187,7 @@ func TestTunerRestartsTailAfterNarrowAndGrow(t *testing.T) {
 	if err := p.ResizeCredits(8); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < recentCompletions; i++ {
+	for i := 0; i < metrics.RecentTailLen; i++ {
 		p.frameDone(300 * ms)
 	}
 	tu.step(context.Background())
@@ -275,11 +278,16 @@ func TestTunerDecisionsAreDeterministic(t *testing.T) {
 // beside one idle service pool, "svc", for driving the tuner's sample →
 // decide → apply loop against a real Pipeline.
 func oneLaneCluster(t *testing.T) (*Cluster, *Pipeline) {
+	return laneCluster(t, func(context.Context, services.Request) (services.Response, error) {
+		return services.Response{}, nil
+	})
+}
+
+// laneCluster is oneLaneCluster with the pool's handler given.
+func laneCluster(t *testing.T, handler services.Handler) (*Cluster, *Pipeline) {
 	t.Helper()
 	reg := services.NewRegistry()
-	err := reg.Register(services.Spec{Name: "svc", Handler: func(context.Context, services.Request) (services.Response, error) {
-		return services.Response{}, nil
-	}})
+	err := reg.Register(services.Spec{Name: "svc", Handler: handler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +310,7 @@ func oneLaneCluster(t *testing.T) (*Cluster, *Pipeline) {
 	return c, p
 }
 
-// The widening guard reads the tail of the lane's last recentCompletions
+// The widening guard reads the tail of the lane's last metrics.RecentTailLen
 // frames, not of the whole run: slow start-up frames hold the window shut
 // only until they have left that ring. (Against the run-cumulative p99, ten
 // 400 ms frames kept p99 over the guard for the next thousand.)
@@ -356,14 +364,98 @@ func TestRecentP99MatchesHistogram(t *testing.T) {
 		t.Errorf("recentP99 = %v before the first completion", got)
 	}
 	var h metrics.Histogram
-	for i := 1; i <= 3*recentCompletions; i++ {
+	for i := 1; i <= 3*metrics.RecentTailLen; i++ {
 		e2e := time.Duration((i*7919)%997) * time.Millisecond
 		p.frameDone(e2e)
-		if h.Observe(e2e); i%recentCompletions == 0 {
+		if h.Observe(e2e); i%metrics.RecentTailLen == 0 {
 			if got, want := p.recentP99(), h.Quantile(0.99); got != want {
-				t.Errorf("after %d completions: recentP99 = %v, histogram of the last %d says %v", i, got, recentCompletions, want)
+				t.Errorf("after %d completions: recentP99 = %v, histogram of the last %d says %v", i, got, metrics.RecentTailLen, want)
 			}
 			h.Reset()
 		}
+	}
+}
+
+// The pool side of the tune phase reads the pool's recent waits, not its
+// whole run: a burst of slow waits counts the pool hot only until newer
+// waits have pushed it out of the ring, and a lane whose own tail is over
+// the target then halves. (Against the run-cumulative wait p99, three
+// 100 ms waits kept the pool hot, and so the lane's window wide, for as
+// long as its queue was non-empty.)
+func TestTunerPoolWaitForgetsAnEarlyBurst(t *testing.T) {
+	release := make(chan struct{})
+	var stall atomic.Int64
+	c, p := laneCluster(t, func(_ context.Context, req services.Request) (services.Response, error) {
+		if req.Frame != nil {
+			<-release
+		}
+		time.Sleep(time.Duration(stall.Load()))
+		return services.Response{}, nil
+	})
+	pool, err := c.Pool("svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ms := time.Millisecond
+
+	// One request runs and one queues on the first instance, then a second
+	// instance joins: the queue stays non-empty through the ticks below,
+	// neither deep nor behind every worker, so only the wait signal can
+	// call the pool hot.
+	var held sync.WaitGroup
+	defer func() { close(release); held.Wait() }()
+	for _, settled := range []func() bool{
+		func() bool { return pool.BusyWorkers() == 1 },
+		func() bool { return pool.QueueDepth() == 1 },
+	} {
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			pool.Invoke(ctx, services.Request{Frame: frame.MustNew(1, 1)})
+		}()
+		for !settled() {
+			time.Sleep(ms)
+		}
+	}
+	if err := pool.Scale(2); err != nil {
+		t.Fatal(err)
+	}
+
+	tu := NewTuner(c, TunerConfig{})
+	if err := p.ResizeCredits(8); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < metrics.RecentTailLen; i++ {
+		p.frameDone(300 * ms)
+	}
+	invoke := func(n int, wait time.Duration) {
+		stall.Store(int64(wait))
+		for i := 0; i < n; i++ {
+			if _, err := pool.Invoke(ctx, services.Request{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tick := func(when string, wantHot bool, wantCredits int) {
+		t.Helper()
+		tu.step(ctx)
+		if hot := tu.svc["svc"].hotSteps > 0; hot != wantHot {
+			t.Errorf("pool hot = %v %s, want %v (recent wait p99 %v)", hot, when, wantHot, pool.RecentWaitP99())
+		}
+		if got := p.Credits(); got != wantCredits {
+			t.Errorf("credits = %d %s, want %d", got, when, wantCredits)
+		}
+	}
+
+	invoke(3, 100*ms)
+	tick("after a burst of 100 ms waits", true, 8)
+	invoke(metrics.RecentTailLen, 0)
+	tick("once fast waits have filled the ring", false, 4)
+	for i := 0; i < 3; i++ {
+		tick("on the ticks after", false, 4)
+	}
+	if got, want := tu.JournalStrings(), []string{"resize_credits lane 8->4"}; !slices.Equal(got, want) {
+		t.Errorf("journal = %v, want %v", got, want)
 	}
 }

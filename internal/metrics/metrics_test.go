@@ -479,3 +479,33 @@ func TestHistogramSamplesMerge(t *testing.T) {
 		t.Errorf("merged p50 = %v, want between the two modes", p50)
 	}
 }
+
+// A RecentTail keeps the last RecentTailLen observations, and a Restart
+// empties it and keeps out every operation that started before it.
+func TestRecentTailRestart(t *testing.T) {
+	var tail RecentTail
+	var last Histogram
+	start := time.Now()
+	for i := 1; i <= 2*RecentTailLen; i++ {
+		d := time.Duration(i) * time.Millisecond
+		tail.Observe(start, d)
+		if i > RecentTailLen {
+			last.Observe(d)
+		}
+	}
+	if got, want := tail.P99(), last.Quantile(0.99); got != want {
+		t.Errorf("P99 = %v over the last %d of %d, want %v", got, RecentTailLen, 2*RecentTailLen, want)
+	}
+	tail.Restart(start.Add(time.Second))
+	if got := tail.P99(); got != 0 {
+		t.Errorf("P99 = %v after a restart, want 0", got)
+	}
+	tail.Observe(start, time.Hour)
+	if got := tail.P99(); got != 0 {
+		t.Errorf("P99 = %v after an operation that started before the restart, want 0", got)
+	}
+	tail.Observe(start.Add(time.Second), time.Millisecond)
+	if got := tail.P99(); got != time.Millisecond {
+		t.Errorf("P99 = %v after one operation started at the restart, want 1ms", got)
+	}
+}

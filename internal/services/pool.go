@@ -150,6 +150,10 @@ type Pool struct {
 	// gate is non-nil while the pool is paused (chaos: host device down);
 	// Invoke blocks on it until Resume closes it.
 	gate chan struct{}
+	// recent holds the excess waits of the latest requests enqueued since
+	// the pool last grew: the tune phase's saturation signal
+	// (RecentWaitP99).
+	recent metrics.RecentTail
 
 	wait  *metrics.Histogram
 	stats poolStats
@@ -224,13 +228,25 @@ func (p *Pool) Calls() uint64 {
 	return total
 }
 
-// WaitStats reports the distribution of time requests spent waiting before
-// execution began, the tuner's saturation signal.
+// WaitStats reports the distribution of the excess wait of every request
+// the pool has served: a whole-run per-layer report. The tune phase reads
+// RecentWaitP99 instead, since a run's p99 never forgets an early burst.
 func (p *Pool) WaitStats() metrics.Snapshot { return p.wait.Snapshot() }
+
+// RecentWaitP99 is the p99 excess wait of the pool's last
+// metrics.RecentTailLen requests enqueued since it last grew (fewer while
+// fewer exist, zero before the first): the tune phase's saturation signal.
+func (p *Pool) RecentWaitP99() time.Duration {
+	p.mu.Lock()
+	tail := p.recent
+	p.mu.Unlock()
+	return tail.P99()
+}
 
 // Scale adjusts the pool to n instances. Shrinking is immediate —
 // in-flight requests on removed instances complete, since instances are
-// only garbage once callers drain.
+// only garbage once callers drain. Growing restarts the recent waits: those
+// queued behind the smaller pool describe a pool that no longer exists.
 func (p *Pool) Scale(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("services: cannot scale %q to %d instances", p.spec.Name, n)
@@ -257,6 +273,7 @@ func (p *Pool) Scale(n int) error {
 		inst.stats = &p.stats
 		p.mu.Lock()
 		p.instances = append(p.instances, inst)
+		p.recent.Restart(time.Now())
 		p.mu.Unlock()
 	}
 	return nil
@@ -364,11 +381,11 @@ func (p *Pool) pick() (*Instance, error) {
 // cost was waiting.
 func (p *Pool) observeWait(enqueued time.Time) {
 	nominal := time.Duration(float64(p.spec.Cost) / p.cpuFactor)
-	if extra := time.Since(enqueued) - nominal; extra > 0 {
-		p.wait.Observe(extra)
-	} else {
-		p.wait.Observe(0)
-	}
+	extra := max(time.Since(enqueued)-nominal, 0)
+	p.wait.Observe(extra)
+	p.mu.Lock()
+	p.recent.Observe(enqueued, extra)
+	p.mu.Unlock()
 }
 
 // Batches reports how many batch invocations ran: always 0, since a pool

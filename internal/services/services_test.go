@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"videopipe/internal/frame"
+	"videopipe/internal/metrics"
 	"videopipe/internal/netsim"
 	"videopipe/internal/script"
 	"videopipe/internal/vision"
@@ -637,6 +638,113 @@ func TestPoolAccessorsAndWaitStats(t *testing.T) {
 	if ws.Max < 10*time.Millisecond {
 		t.Errorf("WaitStats max = %v, want queueing visible", ws.Max)
 	}
+}
+
+// RecentWaitP99 interpolates as Histogram.Quantile does over the pool's
+// last metrics.RecentTailLen waits, however many the pool has recorded; the
+// whole-run histogram, which holds every one of them here, is the oracle.
+func TestPoolRecentWaitMatchesHistogram(t *testing.T) {
+	p, _ := NewPool(Spec{Name: "ring", Handler: func(context.Context, Request) (Response, error) { return Response{}, nil }}, 1, 1.0)
+	if got := p.RecentWaitP99(); got != 0 {
+		t.Errorf("RecentWaitP99 = %v before the first request", got)
+	}
+	for i := 1; i <= 3*metrics.RecentTailLen; i++ {
+		p.observeWait(time.Now().Add(-time.Duration((i*7919)%997) * time.Microsecond))
+		if i%metrics.RecentTailLen != 0 {
+			continue
+		}
+		waits := p.wait.Samples()
+		var h metrics.Histogram
+		for _, w := range waits[len(waits)-metrics.RecentTailLen:] {
+			h.Observe(w)
+		}
+		if got, want := p.RecentWaitP99(), h.Quantile(0.99); got != want {
+			t.Errorf("after %d waits: RecentWaitP99 = %v, histogram of the last %d says %v", i, got, metrics.RecentTailLen, want)
+		}
+	}
+}
+
+// Growing a pool restarts its recent waits: those in the ring, and those of
+// requests enqueued before the grow that finish after it, were queued
+// behind a smaller pool. A shrink or a Kill keeps them, as widening a lane
+// keeps its tail. The grows race Invoke, which the race detector checks.
+func TestPoolRecentWaitRestartsOnGrow(t *testing.T) {
+	release := make(chan struct{})
+	p, _ := NewPool(Spec{Name: "ring", Workers: 1, Handler: func(_ context.Context, req Request) (Response, error) {
+		if req.Frame != nil {
+			<-release
+		}
+		return Response{}, nil
+	}}, 1, 1.0)
+	ms := time.Millisecond
+	for i := 0; i < metrics.RecentTailLen; i++ {
+		p.observeWait(time.Now().Add(-50 * ms))
+	}
+	if got := p.RecentWaitP99(); got < 50*ms {
+		t.Fatalf("RecentWaitP99 = %v after 50 ms waits", got)
+	}
+
+	// A request enqueued before the grow, still running after it.
+	held := make(chan error)
+	go func() {
+		_, err := p.Invoke(context.Background(), Request{Frame: frame.MustNew(1, 1)})
+		held <- err
+	}()
+	for p.BusyWorkers() == 0 {
+		time.Sleep(ms)
+	}
+	if err := p.Scale(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.RecentWaitP99(); got != 0 {
+		t.Errorf("RecentWaitP99 = %v after the pool grew, want 0", got)
+	}
+	close(release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if got := p.RecentWaitP99(); got != 0 {
+		t.Errorf("RecentWaitP99 = %v after a request queued behind the smaller pool finished, want 0", got)
+	}
+	if got := p.WaitStats().Count; got != metrics.RecentTailLen+1 {
+		t.Errorf("WaitStats count = %d, want %d: the whole-run report keeps every wait", got, metrics.RecentTailLen+1)
+	}
+
+	time.Sleep(30 * ms) // so a 20 ms wait starts after the grow
+	p.observeWait(time.Now().Add(-20 * ms))
+	fresh := p.RecentWaitP99()
+	if fresh < 20*ms {
+		t.Fatalf("RecentWaitP99 = %v after a 20 ms wait enqueued after the grow", fresh)
+	}
+	if err := p.Scale(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.RecentWaitP99(); got != fresh {
+		t.Errorf("RecentWaitP99 = %v after the pool shrank, want %v", got, fresh)
+	}
+	p.Kill(1)
+	if got := p.RecentWaitP99(); got != fresh {
+		t.Errorf("RecentWaitP99 = %v after a Kill, want %v", got, fresh)
+	}
+
+	// Grows and shrinks under concurrent callers.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				p.Invoke(context.Background(), Request{})
+				p.RecentWaitP99()
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		if err := p.Scale(1 + i%3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
 }
 
 func TestInstanceSpecAccessor(t *testing.T) {
