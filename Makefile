@@ -76,14 +76,17 @@ race:
 # once (the stripe workers start with the process); a warm
 # call_service("pose_detector", {frame_ref}) costs the pose payload and the
 # result object (its result map recycled), a 15-pose window call at most
-# 6; a host call's arguments, a warm wire scan's strings and a warm timed
-# wait allocate nothing; so do a warm one-argument Context.Call, a frame_done()
-# event, a store Put/Retain/Release cycle and a pooled wire receive, and a
-# warm admitted Offer costs its message, two boxed numbers and the boxed
-# frame_ref. A warm control-loop tick that takes no action allocates
-# nothing, even once a pool's wait histogram is full. The BufferPool tests
-# ride along: the pool's determinism
-# (a hit after two GCs, retention cap, spare rule), the whole warm remote
+# 6; a read-only module's local call_module of the rep counter's message
+# costs its top-level object, an over-deep one only the refusal, and a
+# writer's one clone of the message; a host call's arguments, a warm wire
+# scan's strings and a warm timed wait allocate nothing; so do a warm
+# one-argument Context.Call, a frame_done() event, a store
+# Put/Retain/Release cycle and a pooled wire receive, and a warm admitted
+# Offer costs its message, two boxed numbers and the boxed frame_ref. A
+# warm control-loop tick that takes no action allocates nothing, even once
+# a pool's wait histogram is full. The BufferPool tests ride along: the
+# pool's determinism (a hit after two GCs, retention cap, spare rule), the
+# whole warm remote
 # hop at <= 3 mallocs and <= 1 KiB (internal/netsim), and conservation —
 # every chunk, body and frame back in the pool after decode failures, a
 # full store, an inject into a closed module, and Cluster.Close with frames
@@ -131,16 +134,18 @@ shapes:
 # Short coverage-guided fuzz pass over the PipeScript and config parsers
 # plus the sandbox budget enforcer, the static cost bound against the
 # measured step count, the shape-inference pass, the stateless verdict
-# against what two events on one context show the host, the payload JSON
-# codec against encoding/json, the flat object table against a map and the
-# frame codec's JPEG decoder and encoder against image/jpeg (seed corpora
-# alone run in `make test`).
+# against what two events on one context show the host, the read-only
+# verdict against a change to what a module was handed or has sent, the
+# payload JSON codec against encoding/json, the flat object table against
+# a map and the frame codec's JPEG decoder and encoder against image/jpeg
+# (seed corpora alone run in `make test`).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzBudget -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzCost -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzShapes -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzStateless -fuzztime 30s ./internal/script
+	$(GO) test -fuzz FuzzReadOnly -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzJSONCodec -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzObjectOps -fuzztime 30s ./internal/script
 	$(GO) test -fuzz FuzzParseConfig -fuzztime 30s ./internal/core

@@ -85,7 +85,7 @@ func TestExampleScriptsAnalyzeClean(t *testing.T) {
 			}
 			fmt.Fprintln(&got, d)
 		}
-		fmt.Fprintf(&got, "replication: %s\n", script.Analyze(src, script.Options{}).Facts.Replication())
+		fmt.Fprintf(&got, "replication: %s\n", script.Analyze(src, script.Options{}).Facts.Verdict())
 	}
 	checkPipevetGolden(t, "example scripts", got.String())
 }
@@ -123,7 +123,7 @@ func TestExampleConfigsAnalyzeClean(t *testing.T) {
 			fmt.Fprintln(&got, d)
 		}
 		for _, m := range cfg.Modules {
-			fmt.Fprintf(&got, "module %s: %s\n", m.Name, script.Analyze(m.Source, script.Options{}).Facts.Replication())
+			fmt.Fprintf(&got, "module %s: %s\n", m.Name, script.Analyze(m.Source, script.Options{}).Facts.Verdict())
 		}
 	}
 	checkPipevetGolden(t, "example configs", got.String())

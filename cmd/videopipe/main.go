@@ -228,12 +228,14 @@ func runLint(configPath string, jsonOut, werror bool, stdout, stderr io.Writer) 
 
 // printReplication says, one line per module, whether the device runtime
 // will run it on several isolated contexts at once (it provably keeps no
-// state between events) or on one, and in that case what state it keeps —
-// the same script.Facts verdict SpawnModule acts on.
+// state between events) or on one, and in that case what state it keeps;
+// then whether its local edges share payloads (it writes no container it
+// does not own) or copy them, and in that case the first such write — the
+// same script.Facts verdicts SpawnModule acts on.
 func printReplication(w io.Writer, configPath string, cfg *videopipe.PipelineConfig) {
 	for _, m := range cfg.Modules {
 		facts := script.Analyze(m.Source, script.Options{}).Facts
-		fmt.Fprintf(w, "%s: module %s: %s\n", configPath, m.Name, facts.Replication())
+		fmt.Fprintf(w, "%s: module %s: %s\n", configPath, m.Name, facts.Verdict())
 	}
 }
 

@@ -105,7 +105,8 @@ func TestLintCleanConfig(t *testing.T) {
 }
 
 // -lint says, per module, whether the runtime will replicate it and, if
-// not, which state pins it to one context.
+// not, which state pins it to one context, and whether its local edges
+// share payloads.
 func TestLintReportsReplication(t *testing.T) {
 	var out, errOut strings.Builder
 	path := filepath.Join("..", "..", "examples", "configs", "posewatch.cfg")
@@ -113,8 +114,8 @@ func TestLintReportsReplication(t *testing.T) {
 		t.Fatalf("lint exit = %d, stderr:\n%s", code, errOut.String())
 	}
 	for _, line := range []string{
-		path + ": module streamer: replicable\n",
-		path + `: module watch: single-context: writes global "seen" at 3:1` + "\n",
+		path + ": module streamer: replicable; shares payloads\n",
+		path + `: module watch: single-context: writes global "seen" at 3:1; shares payloads` + "\n",
 	} {
 		if !strings.Contains(out.String(), line) {
 			t.Errorf("stdout lacks %q:\n%s", line, out.String())

@@ -135,30 +135,32 @@ func TestConfigsUseDistinctNames(t *testing.T) {
 }
 
 // Which shipped modules the device runtime replicates, and for the rest
-// what state pins them to one context — the verdict `videopipe -lint`
-// prints and SpawnModule acts on. A module that starts keeping state (or
-// stops) has to change its row here.
+// what state pins them to one context; and which share payloads on their
+// local edges (none of them writes a container it does not own) — the
+// verdicts `videopipe -lint` prints and SpawnModule acts on. A module that
+// starts keeping state or writing its messages (or stops) has to change its
+// row here.
 func TestModuleReplicationVerdicts(t *testing.T) {
 	want := map[string]string{
-		"fitness/video_streaming":      "replicable",
-		"fitness/pose_detection":       "replicable",
-		"fitness/activity_recognition": `single-context: writes global "window" at 2:3`,
-		"fitness/rep_counter":          `single-context: writes global "state" at 2:3`,
-		"fitness/display":              `single-context: writes global "frames" at 2:3`,
-		"gesture/video_streaming":      "replicable",
-		"gesture/pose_detection":       `single-context: writes global "last_seq" at 2:2`,
-		"gesture/gesture_recognition":  `single-context: writes global "window" at 2:3`,
-		"gesture/iot_control":          `single-context: writes global "light_on" at 2:3`,
-		"fall/video_streaming":         "replicable",
-		"fall/pose_detection":          `single-context: writes global "last_seq" at 2:2`,
-		"fall/fall_monitor":            `single-context: writes global "state" at 2:3`,
-		"fall/alert":                   `single-context: writes global "alerts" at 2:3`,
+		"fitness/video_streaming":      "replicable; shares payloads",
+		"fitness/pose_detection":       "replicable; shares payloads",
+		"fitness/activity_recognition": `single-context: writes global "window" at 2:3; shares payloads`,
+		"fitness/rep_counter":          `single-context: writes global "state" at 2:3; shares payloads`,
+		"fitness/display":              `single-context: writes global "frames" at 2:3; shares payloads`,
+		"gesture/video_streaming":      "replicable; shares payloads",
+		"gesture/pose_detection":       `single-context: writes global "last_seq" at 2:2; shares payloads`,
+		"gesture/gesture_recognition":  `single-context: writes global "window" at 2:3; shares payloads`,
+		"gesture/iot_control":          `single-context: writes global "light_on" at 2:3; shares payloads`,
+		"fall/video_streaming":         "replicable; shares payloads",
+		"fall/pose_detection":          `single-context: writes global "last_seq" at 2:2; shares payloads`,
+		"fall/fall_monitor":            `single-context: writes global "state" at 2:3; shares payloads`,
+		"fall/alert":                   `single-context: writes global "alerts" at 2:3; shares payloads`,
 	}
 	seen := 0
 	for _, cfg := range []core.PipelineConfig{FitnessConfig("fitness", 20, "squat"), GestureConfig("gesture", 15, "clap"), FallConfig("fall", 15)} {
 		for _, m := range cfg.Modules {
 			seen++
-			got := script.Analyze(m.Source, script.Options{}).Facts.Replication()
+			got := script.Analyze(m.Source, script.Options{}).Facts.Verdict()
 			if key := cfg.Name + "/" + m.Name; got != want[key] {
 				t.Errorf("%s: %s, want %s", key, got, want[key])
 			}

@@ -211,7 +211,7 @@ func TestBuiltinAppsAnalyzeClean(t *testing.T) {
 			fmt.Fprintln(&got, d)
 		}
 		for _, m := range cfg.Modules {
-			fmt.Fprintf(&got, "module %s: %s\n", m.Name, script.Analyze(m.Source, script.Options{}).Facts.Replication())
+			fmt.Fprintf(&got, "module %s: %s\n", m.Name, script.Analyze(m.Source, script.Options{}).Facts.Verdict())
 		}
 	}
 	data, err := os.ReadFile("../../testdata/pipevet.golden")

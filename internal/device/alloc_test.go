@@ -4,6 +4,7 @@ package device
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -117,28 +118,43 @@ func repCounterMessage(pose script.Value) *script.Object {
 	})
 }
 
-// TestCallModuleSendAllocs: a local send costs one clone of the message —
-// a clone of its pose (6 allocations: one per object or array, two for the
-// keypoint array and two for its record run of 17 keypoints) and one for the
-// message itself, whose frame_ref the receiver keeps: on a local edge the
-// receiver's frame id is the sender's, so the receiving event loop does not
-// box it again — and a remote send's body encoding, into the module's warm
-// scratch, costs nothing.
-func TestCallModuleSendAllocs(t *testing.T) {
-	d := newDevice(t, testNet(), "desktop", Desktop)
-	// A sink with no event loop: the test drains it, so only the sender's
-	// side of the hand-over is counted.
+// sinkModule installs a module with no event loop under name: a test
+// drains its inbox, so only the sender's side of a hand-over is counted.
+func sinkModule(t *testing.T, d *Device, name string) *Module {
+	t.Helper()
 	sink := &Module{events: make(chan event, 1), done: make(chan struct{})}
 	d.mu.Lock()
-	d.modules["sink"] = sink
+	d.modules[name] = sink
 	d.mu.Unlock()
-	defer d.DropModule("sink")
-	m, err := d.SpawnModule(ModuleSpec{
-		Name: "rep_counter", Source: `function event_received(m) {}`, Next: []Route{{Module: "sink"}},
-		Limits: script.Limits{Output: 1 << 20},
-	})
-	if err != nil {
-		t.Fatal(err)
+	t.Cleanup(func() { d.DropModule(name) })
+	return sink
+}
+
+// TestCallModuleSendAllocs: a local send from a module that writes its
+// message costs one clone of it — a clone of its pose (6 allocations: one
+// per object or array, two for the keypoint array and two for its record
+// run of 17 keypoints) and one for the message itself, whose frame_ref the
+// receiver keeps: on a local edge the receiver's frame id is the sender's,
+// so the receiving event loop does not box it again. A read-only sender's
+// send to a sink that writes its message costs the same once the sink has
+// copied what the sender shared. A remote send's body encoding, into the
+// module's warm scratch, costs nothing.
+func TestCallModuleSendAllocs(t *testing.T) {
+	d := newDevice(t, testNet(), "desktop", Desktop)
+	sink := sinkModule(t, d, "sink")
+	spawn := func(name, src string) *worker {
+		m, err := d.SpawnModule(ModuleSpec{
+			Name: name, Source: src, Next: []Route{{Module: "sink"}}, Limits: script.Limits{Output: 1 << 20},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.workers[0]
+	}
+	writer := spawn("rep_counter", `function event_received(m) { m.seen = true; }`)
+	reader := spawn("reader", `function event_received(m) {}`)
+	if writer.ctx.ReadOnly() || !reader.ctx.ReadOnly() {
+		t.Fatalf("read-only verdicts %v and %v, want false and true", writer.ctx.ReadOnly(), reader.ctx.ReadOnly())
 	}
 	pose := squatPoses(1)[0]
 	poseClone := testing.AllocsPerRun(50, func() {
@@ -154,8 +170,7 @@ func TestCallModuleSendAllocs(t *testing.T) {
 	msg := repCounterMessage(pose)
 	msg.Set(frameRefKey, float64(id))
 	args := []script.Value{"sink", msg}
-	w := m.workers[0]
-	local := testing.AllocsPerRun(50, func() {
+	send := func(w *worker, receipt bool) {
 		w.outputUsed = 0
 		if _, err := w.hostCallModule(args); err != nil {
 			t.Fatal(err)
@@ -165,24 +180,91 @@ func TestCallModuleSendAllocs(t *testing.T) {
 		if ref := ev.body.Get(frameRefKey); ev.frameID != id || ref != float64(id) || ev.body.Len() != 6 {
 			t.Fatalf("delivered frame %d, frame_ref %v, %d fields; want the sender's %d in all six", ev.frameID, ref, ev.body.Len(), id)
 		}
-	})
-	t.Logf("local call_module: %.0f allocs, of which the pose clone is %.0f", local, poseClone)
+		if ev.shared != w.ctx.ReadOnly() {
+			t.Fatalf("event shared %v from a sender read-only %v", ev.shared, w.ctx.ReadOnly())
+		}
+		if receipt {
+			if err := script.Unshare(ev.body); err != nil { // what a writing sink's worker does
+				t.Fatal(err)
+			}
+		}
+		if (ev.body.Get("pose") == pose) != (ev.shared && !receipt) {
+			t.Fatalf("the sink's pose is the sender's: %v", ev.body.Get("pose") == pose)
+		}
+	}
+	local := testing.AllocsPerRun(50, func() { send(writer, false) })
+	received := testing.AllocsPerRun(50, func() { send(reader, true) })
+	t.Logf("local call_module: %.0f allocs from a writer, %.0f to a writing sink, of which the pose clone is %.0f",
+		local, received, poseClone)
 	if poseClone > 6 {
 		t.Errorf("pose clone: %.0f allocs, want <= 6", poseClone)
 	}
 	if local > poseClone+2 {
 		t.Errorf("local call_module: %.0f allocs, want <= pose clone (%.0f) + 2", local, poseClone)
 	}
+	if received > poseClone+2 {
+		t.Errorf("local call_module, copied on receipt: %.0f allocs, want <= pose clone (%.0f) + 2", received, poseClone)
+	}
 
 	remote := testing.AllocsPerRun(50, func() {
-		body, err := w.jsonEnc.AppendObject(w.bodyBuf[:0], msg, frameRefKey)
+		body, err := writer.jsonEnc.AppendObject(writer.bodyBuf[:0], msg, frameRefKey)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.bodyBuf = body
+		writer.bodyBuf = body
 	})
 	if remote != 0 {
 		t.Errorf("remote call_module body encode: %.0f allocs, want 0", remote)
+	}
+}
+
+// TestCallModuleShareAllocs: a read-only sender's local send of the fitness
+// rep_counter message shares its pose and copies the message object alone —
+// one allocation — and still refuses a message nested past
+// script.MaxDepth with the error a clone gives, allocating nothing but the
+// error.
+func TestCallModuleShareAllocs(t *testing.T) {
+	d := newDevice(t, testNet(), "desktop", Desktop)
+	sink := sinkModule(t, d, "sink")
+	var ws [2]*worker
+	for i, src := range []string{`function event_received(m) {}`, `function event_received(m) { m.seen = true; }`} {
+		m, err := d.SpawnModule(ModuleSpec{Name: fmt.Sprint("sender", i), Source: src, Next: []Route{{Module: "sink"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws[i] = m.workers[0]
+	}
+	reader, writer := ws[0], ws[1]
+	pose := squatPoses(1)[0]
+	args := []script.Value{"sink", repCounterMessage(pose)}
+	shared := testing.AllocsPerRun(50, func() {
+		if _, err := reader.hostCallModule(args); err != nil {
+			t.Fatal(err)
+		}
+		if ev := <-sink.events; !ev.shared || ev.body.Get("pose") != pose || ev.body.Len() != 5 {
+			t.Fatalf("delivered shared %v, %d fields, the sender's pose %v", ev.shared, ev.body.Len(), ev.body.Get("pose") == pose)
+		}
+	})
+	t.Logf("read-only local call_module of the rep_counter message: %.0f allocs", shared)
+	if shared > 1 {
+		t.Errorf("read-only local call_module: %.0f allocs, want <= 1 (the message object)", shared)
+	}
+
+	deep := script.NewObject()
+	for v, i := script.Value(deep), 0; i < script.MaxDepth+1; i++ {
+		next := script.NewObject()
+		v.(*script.Object).Set("next", next)
+		v = next
+	}
+	deepArgs := []script.Value{"sink", deep}
+	_, want := writer.hostCallModule(deepArgs)
+	var got error
+	refused := testing.AllocsPerRun(10, func() { _, got = reader.hostCallModule(deepArgs) })
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Errorf("an over-deep message: shared path %v, copying path %v; want the same refusal", got, want)
+	}
+	if refused > 2 {
+		t.Errorf("a refused over-deep shared send: %.0f allocs, want <= 2 (the wrapped error and its text)", refused)
 	}
 }
 

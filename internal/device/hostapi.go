@@ -157,6 +157,13 @@ func (w *worker) hostCallService(args []script.Value) (script.Value, error) {
 	// they are; the module owns them from here, and the map goes back.
 	result := script.FromGo(resp.Result).(*script.Object)
 	services.RecycleResult(resp.Result)
+	if w.ctx.ReadOnly() {
+		// A handler may hand an argument back; a read-only module must not
+		// get a container it keeps to itself back as one it can pass on.
+		if err := script.Unalias(result, msg); err != nil {
+			return nil, fmt.Errorf("call_service: %w", err)
+		}
+	}
 	if resp.Frame != nil {
 		id, err := m.dev.store.Put(resp.Frame)
 		if err != nil {
@@ -216,24 +223,31 @@ func (w *worker) errClosing(fn string) error {
 	return fmt.Errorf("%s: module %q is closing", fn, w.m.spec.Name)
 }
 
-// deliverLocal hands an event to a module on the same device: the frame
-// reference is retained for the receiver — zero pixel copies, and the same
-// store id, so the clone keeps the sender's frame_ref value — and the
-// message is snapshotted here, at send, on the sender's goroutine: one
-// bounded clone the receiving event owns outright, so the two module
-// contexts never share a mutable value and the sender may change its
-// message the moment call_module returns.
+// deliverLocal hands an event to a module on the same device. The frame
+// reference is retained for the receiver: zero pixel copies, and the same
+// store id, so the receiver's copy keeps the sender's frame_ref value. The
+// message is copied here, at send, on the sender's goroutine, and the
+// receiving event owns the copy's top-level object. What else it owns
+// depends on who can write (DESIGN.md §7 "Who owns a payload"):
+//   - a read-only sender (script.Context.ReadOnly) copies the top-level
+//     object alone and shares every nested value: it never writes them, so
+//     neither side sees the other change anything. A receiver that writes
+//     clones them before its handler runs (worker.handle);
+//   - a sender that writes snapshots the whole message, one bounded clone,
+//     so it may change its message the moment call_module returns.
+//
+// Either way a message nested deeper than script.MaxDepth is refused.
 func (w *worker) deliverLocal(target string, msg *script.Object, frameID uint64) error {
 	m := w.m
 	dst, ok := m.dev.Module(target)
 	if !ok {
 		return fmt.Errorf("call_module: local module %q not found on %s", target, m.dev.name)
 	}
-	body, err := script.Clone(msg)
+	body, shared, err := script.CopyMessage(msg, w.ctx.ReadOnly())
 	if err != nil {
 		return fmt.Errorf("call_module: %w", err)
 	}
-	ev := event{body: body.(*script.Object)}
+	ev := event{body: body, shared: shared}
 	if frameID == 0 {
 		ev.body.Delete(frameRefKey) // no frame travels; a stray value must not either
 	} else {

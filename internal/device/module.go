@@ -71,13 +71,16 @@ type ModuleSpec struct {
 
 // event is one unit of work for a module: a message body plus an optional
 // frame already resident in the device store (the runtime passes frames by
-// reference id, paper §3). The body is a script value the event owns
-// outright — cloned at send by a local sender, scanned from the wire for a
-// remote one, converted once from a Go-side source's map — so the event
-// loop hands it to event_received as is.
+// reference id, paper §3). The body's top-level object is the event's own;
+// what it holds is too — cloned at send by a local sender that writes,
+// scanned from the wire for a remote one, converted once from a Go-side
+// source's map — unless shared is set: a read-only local sender's nested
+// values, which a receiving context that writes clones before its handler
+// runs (DESIGN.md §7).
 type event struct {
 	body    *script.Object
 	frameID uint64
+	shared  bool
 }
 
 // statelessReplicas is how many isolated contexts a provably stateless module
@@ -772,9 +775,15 @@ func (w *worker) handle(j job) {
 	}
 
 	w.outputUsed = 0
-	w.args[0] = ev.body
-	_, err := w.ctx.Call("event_received", w.args[:]...)
-	w.args[0] = nil
+	var err error
+	if ev.shared && !w.ctx.ReadOnly() {
+		err = script.Unshare(ev.body)
+	}
+	if err == nil {
+		w.args[0] = ev.body
+		_, err = w.ctx.Call("event_received", w.args[:]...)
+		w.args[0] = nil
+	}
 	// Per-event interpreter instruction count — the runtime half of the
 	// pipecost validation loop (static bound >= this) and the counter the
 	// sandbox instruction budget is enforced against.

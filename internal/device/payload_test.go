@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,7 +19,8 @@ import (
 )
 
 // Who owns a payload (DESIGN.md §7): call_module snapshots the message at
-// send, call_service lends it until the handler returns, a result is the
+// send — sharing what is nested in it when neither side writes —,
+// call_service lends it until the handler returns, a result is the
 // caller's. Run under -race, these tests are also the proof that the rules
 // leave no mutable value shared between goroutines.
 
@@ -73,6 +75,224 @@ func TestCallModuleSnapshotsAtSend(t *testing.T) {
 		if n := d.Metrics().Meter("module." + name + ".errors").Count(); n != 0 {
 			t.Errorf("module %s raised %d errors: a message was shared across contexts", name, n)
 		}
+	}
+}
+
+// TestCallModuleSharesReadOnlyPayloads: a read-only sender fans one pose
+// out to two read-only receivers and to a local service that reads it, and
+// all four hold the very same object; a receiver that writes gets a copy of
+// its own, and so does one that an UpdateSource turns into a writer while
+// shared events are still queued for it. The sender keeps its last eight
+// poses and checks them every event, so a write that reached a shared value
+// shows there — and, under -race, as a reported race.
+func TestCallModuleSharesReadOnlyPayloads(t *testing.T) {
+	d := newDevice(t, testNet(), "desktop", Desktop)
+	type seen struct {
+		seq float64
+		who string
+	}
+	var mu sync.Mutex
+	poses := make(map[seen]*script.Object)
+	_, err := d.DeployService(services.Spec{
+		Name: "reader",
+		Handler: func(_ context.Context, req services.Request) (services.Response, error) {
+			pose := req.Args.Get("pose").(*script.Object)
+			sum := 0.0
+			for _, kp := range pose.Get("kps").(*script.Array).Elems {
+				sum += kp.(*script.Object).Get("x").(float64)
+			}
+			if sum != 3 {
+				return services.Response{}, fmt.Errorf("keypoints sum to %v, want 3", sum)
+			}
+			mu.Lock()
+			poses[seen{req.Args.Get("seq").(float64), req.Args.Get("who").(string)}] = pose
+			mu.Unlock()
+			return services.Response{Result: map[string]script.Value{}}, nil
+		},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.DeployService(services.Spec{
+		Name: "slow",
+		Handler: func(context.Context, services.Request) (services.Response, error) {
+			time.Sleep(time.Millisecond)
+			return services.Response{Result: map[string]script.Value{}}, nil
+		},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader := func(who string) string {
+		return `
+			function event_received(m) {
+				if (len(m.pose.kps) != 2 || m.pose.kps[0].x != 1 || m.pose.kps[1].x != 2) {
+					throw "a read-only receiver saw a write";
+				}
+				call_service("reader", {pose: m.pose, seq: m.seq, who: "` + who + `"});
+				metric("shared_` + who + `", 1);
+			}
+		`
+	}
+	writer := func(who string) string {
+		return `
+			function event_received(m) {
+				if (len(m.pose.kps) != 2 || m.pose.kps[0].x != 1) { throw "a writer saw another's write"; }
+				m.pose.kps[0].x = -1;
+				push(m.pose.kps, {x: -3});
+				metric("copied_` + who + `", 1);
+			}
+		`
+	}
+	slowReader := `
+		function event_received(m) {
+			call_service("slow", {});
+			if (m.pose.kps[0].x != 1) { throw "a read-only receiver saw a write"; }
+			metric("shared_d", 1);
+		}
+	`
+	for _, spec := range []ModuleSpec{
+		{Name: "a", Source: reader("a"), Services: []string{"reader"}},
+		{Name: "b", Source: reader("b"), Services: []string{"reader"}},
+		{Name: "c", Source: writer("c")},
+		{Name: "d", Source: slowReader, Services: []string{"slow"}},
+	} {
+		if _, err := d.SpawnModule(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sender, err := d.SpawnModule(ModuleSpec{
+		Name: "sender", Services: []string{"reader"},
+		Source: `
+			var recent = [];
+			function event_received(m) {
+				push(recent, m.pose);
+				if (len(recent) > 8) { shift(recent); }
+				for (var p of recent) {
+					if (len(p.kps) != 2 || p.kps[0].x != 1 || p.kps[1].x != 2) {
+						throw "a receiver's write reached the sender";
+					}
+				}
+				call_module("a", {pose: m.pose, seq: m.seq});
+				call_module("b", {pose: m.pose, seq: m.seq});
+				call_module("c", {pose: m.pose, seq: m.seq});
+				call_module("d", {pose: m.pose, seq: m.seq});
+				call_service("reader", {pose: m.pose, seq: m.seq, who: "sender"});
+			}
+		`,
+		Next: []Route{{Module: "a"}, {Module: "b"}, {Module: "c"}, {Module: "d"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]bool{"sender": true, "a": true, "b": true, "c": false, "d": true} {
+		if m, _ := d.Module(name); m.workers[0].ctx.ReadOnly() != want {
+			t.Fatalf("module %s: read-only %v, want %v", name, !want, want)
+		}
+	}
+
+	const events = 200
+	hist := func(name string) int { return int(d.Metrics().Histogram("stage." + name).Count()) }
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < events; i++ {
+			body := objectOf(map[string]script.Value{
+				"seq":  float64(i),
+				"pose": script.FromGo(map[string]any{"kps": []any{map[string]any{"x": 1.0}, map[string]any{"x": 2.0}}}),
+			})
+			if err := sender.Inject(context.Background(), body, nil); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	// Swap d for code that writes while the sender is blocked on its full
+	// inbox: the queued event was shared by a read-only sender.
+	waitFor(t, func() bool { return hist("shared_d") >= events/4 })
+	dm, _ := d.Module("d")
+	if err := dm.UpdateSource(writer("d")); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		return hist("shared_a") == events && hist("shared_b") == events && hist("copied_c") == events &&
+			hist("shared_d")+hist("copied_d") == events
+	})
+	if hist("copied_d") == 0 {
+		t.Error("no event reached d's writing code")
+	}
+	for _, name := range []string{"sender", "a", "b", "c", "d"} {
+		if n := d.Metrics().Meter("module." + name + ".errors").Count(); n != 0 {
+			m, _ := d.Module(name)
+			t.Errorf("module %s raised %d errors, the last: %s", name, n, m.LastError())
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < events; i++ {
+		want := poses[seen{float64(i), "sender"}]
+		if want == nil || poses[seen{float64(i), "a"}] != want || poses[seen{float64(i), "b"}] != want {
+			t.Fatalf("event %d: the sender, a and b read poses %p, %p, %p; want one shared object",
+				i, want, poses[seen{float64(i), "a"}], poses[seen{float64(i), "b"}])
+		}
+	}
+}
+
+// TestCallServiceEchoToReadOnlyCaller: a handler may hand an argument back
+// in its result, but a read-only caller must not get a container it keeps
+// to itself back as a value it can pass on — its window, here, which it
+// keeps changing while the receiver reads what it was sent.
+func TestCallServiceEchoToReadOnlyCaller(t *testing.T) {
+	d := newDevice(t, testNet(), "desktop", Desktop)
+	_, err := d.DeployService(services.Spec{
+		Name: "echo",
+		Handler: func(_ context.Context, req services.Request) (services.Response, error) {
+			return services.Response{Result: map[string]script.Value{"poses": req.Args.Get("poses"), "n": 1.0}}, nil
+		},
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.SpawnModule(ModuleSpec{Name: "r", Source: `
+		function event_received(m) {
+			var sum = 0;
+			for (var x of m.w) { sum = sum + x; }
+			metric("echoed", len(m.w));
+		}
+	`}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := d.SpawnModule(ModuleSpec{
+		Name: "window", Services: []string{"echo"}, Next: []Route{{Module: "r"}},
+		Source: `
+			var window = [];
+			function event_received(m) {
+				push(window, m.n);
+				if (len(window) > 4) { shift(window); }
+				var r = call_service("echo", {poses: window});
+				if (r.poses == window || len(r.poses) != len(window)) { throw "the caller's window came back as a result value"; }
+				call_module("r", {w: r.poses});
+			}
+		`,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.workers[0].ctx.ReadOnly() {
+		t.Fatal("the window module is not read-only")
+	}
+	const events = 100
+	for i := 0; i < events; i++ {
+		if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"n": float64(i)}), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return d.Metrics().Histogram("stage.echoed").Count() == events })
+	if n := d.Metrics().Meter("module.window.errors").Count(); n != 0 {
+		t.Errorf("%d errors, the last: %s", n, m.LastError())
 	}
 }
 

@@ -114,6 +114,12 @@ type Facts struct {
 	// at load.
 	Stateless bool
 	State     StateWrite
+	// ReadOnly reports that the module is message-read-only (resolve.go
+	// states the rule), so a local edge may share a payload's nested values
+	// with it instead of copying them; otherwise Write is the first
+	// container write that may land outside a private container.
+	ReadOnly bool
+	Write    Position
 }
 
 // Replication words the Stateless verdict the way `videopipe -lint` prints
@@ -125,6 +131,19 @@ func (f Facts) Replication() string {
 	}
 	return "single-context: " + f.State.String()
 }
+
+// Payloads words the ReadOnly verdict: "shares payloads", or "copies
+// payloads: " and the first write that makes the module a writer.
+func (f Facts) Payloads() string {
+	if f.ReadOnly {
+		return "shares payloads"
+	}
+	return "copies payloads: writes a container it does not own at " + f.Write.String()
+}
+
+// Verdict joins the two verdicts the device runtime acts on, Replication
+// and Payloads, the way `videopipe -lint` prints them.
+func (f Facts) Verdict() string { return f.Replication() + "; " + f.Payloads() }
 
 // Report is the result of one Analyze pass.
 type Report struct {
@@ -183,6 +202,11 @@ func Analyze(src string, opts Options) Report {
 		a.facts.Stateless = true
 	} else {
 		a.facts.State = *prog.state
+	}
+	if prog.write == nil {
+		a.facts.ReadOnly = true
+	} else {
+		a.facts.Write = *prog.write
 	}
 
 	// pipecost: worst-case instruction/allocation bounds per handler, with

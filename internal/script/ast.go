@@ -461,6 +461,9 @@ type program struct {
 	// set by resolve: where the module first keeps state between calls; nil
 	// for a stateless module.
 	state *StateWrite
+	// set by resolve: the first container write that may land outside a
+	// private container; nil for a message-read-only module.
+	write *Position
 	// set by resolve: every declaration, in the order the pass met them; the
 	// module-level bindings by name; the globals an assignment, ++ or -- can
 	// write, declared or not.

@@ -81,11 +81,11 @@ func (w *flowWalk[S]) stmt(n stmt, s S) (S, bool) {
 		els, elsLive := w.stmt(x.elsE, s)
 		return w.merge(then, thenLive, els, elsLive)
 	case *whileStmt:
-		s = w.loop(x, s, nil, x.cond, x.body, nil)
+		return w.loop(x, s, nil, x.cond, x.body, nil)
 	case *forStmt:
-		s = w.loop(x, s, x.init, x.cond, x.body, x.post)
+		return w.loop(x, s, x.init, x.cond, x.body, x.post)
 	case *forOfStmt:
-		s = w.loop(x, s, x.iter, nil, x.body, nil)
+		return w.loop(x, s, x.iter, nil, x.body, nil)
 	case *returnStmt:
 		s = w.expr(x.value, s)
 		if w.ret == nil {
@@ -189,8 +189,11 @@ func (w *flowWalk[S]) gather(s S, live bool, jumps []S) (S, bool) {
 // loop walks loop statement n. init (a for's initializer, a for-of's
 // iterable) runs once; a while or for loop steps and tests cond before each
 // iteration and once more to leave, a for-of steps as each item starts.
-// Breaks in the body rejoin after the loop, continues before post.
-func (w *flowWalk[S]) loop(n stmt, s S, init node, cond expr, body stmt, post expr) S {
+// Breaks in the body rejoin after the loop, continues before post. A loop
+// whose test is missing or constantly true is left only by its breaks, in a
+// domain where paths end at jumps: the state the test would leave with
+// reaches nothing, and with no break nothing follows the loop.
+func (w *flowWalk[S]) loop(n stmt, s S, init node, cond expr, body stmt, post expr) (S, bool) {
 	_, forOf := n.(*forOfStmt)
 	test := func(s S) S {
 		if forOf {
@@ -224,8 +227,23 @@ func (w *flowWalk[S]) loop(n stmt, s S, init node, cond expr, body stmt, post ex
 	}
 	s = w.d.loop(n, s, head, iter)
 	w.brk, w.cont = outerBrk, outerCont
-	s, _ = w.gather(s, true, brk)
-	return s
+	return w.gather(s, !(endless(n) && w.d.ends()), brk)
+}
+
+// endless reports whether loop n has no test, or one that is constantly
+// true, so that only a jump leaves it.
+func endless(n node) bool {
+	var cond expr
+	switch x := n.(type) {
+	case *whileStmt:
+		cond = x.cond
+	case *forStmt:
+		cond = x.cond
+	default:
+		return false
+	}
+	v, isConst := foldConst(cond)
+	return cond == nil || isConst && v != 0
 }
 
 // expr walks e's operands, then e.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestFrameFlowCorpus is the PV011 golden corpus — the script-level
@@ -114,6 +115,18 @@ func TestFrameFlowCorpus(t *testing.T) {
 			line: 3,
 		},
 		{
+			name: "a break in a later iteration of while (true) carries the held frame",
+			src: `function event_received(message) {
+	var n = 0;
+	while (true) {
+		if (n > 0) { break; }
+		var r = call_service("pose_detector", {frame_ref: message.frame_ref});
+		n++;
+	}
+}`,
+			line: 5,
+		},
+		{
 			name: "a finally that does not resolve leaves the break's frame held",
 			src: `function event_received(message) {
 	while (true) {
@@ -167,6 +180,30 @@ func TestFrameFlowCorpus(t *testing.T) {
 		name string
 		src  string
 	}{
+		{
+			name: "while (true) is left only by its resolving breaks",
+			src: `function event_received(message) {
+	var r = call_service("pose_detector", {frame_ref: message.frame_ref});
+	while (true) {
+		if (r.found) {
+			call_module("next", {frame_ref: message.frame_ref, pose: r.pose});
+			break;
+		}
+		frame_done();
+		break;
+	}
+}`,
+		},
+		{
+			name: "for (;;) with no break is left only by a resolving return",
+			src: `function event_received(message) {
+	var r = call_service("pose_detector", {frame_ref: message.frame_ref});
+	for (;;) {
+		frame_done();
+		return;
+	}
+}`,
+		},
 		{
 			name: "branch drops, fall-through forwards",
 			src: `function event_received(message) {
@@ -280,6 +317,38 @@ function event_received(message) {
 				}
 			}
 		})
+	}
+}
+
+// A loop nested in endless loops is walked a bounded number of times, not
+// twice per enclosing loop: forty nested while (true) loops, each adding a
+// call_service its later iterations carry to its break, analyze at once,
+// and every call_service still reaches the handler's exit through the
+// breaks of the loops around it.
+func TestFrameFlowNestedEndlessLoops(t *testing.T) {
+	const depth = 40
+	var src strings.Builder
+	src.WriteString("function event_received(message) {\n")
+	for i := 0; i < depth; i++ {
+		src.WriteString("while (true) {\nif (message.a) { break; }\n")
+		src.WriteString("var r = call_service(\"pose_detector\", {frame_ref: message.frame_ref});\n")
+	}
+	src.WriteString(strings.Repeat("}\n", depth+1))
+	done := make(chan Report, 1)
+	go func() { done <- Analyze(src.String(), Options{}) }()
+	select {
+	case rep := <-done:
+		held := 0
+		for _, d := range rep.Diagnostics {
+			if d.Code == CodeFrameHeld {
+				held++
+			}
+		}
+		if held != depth {
+			t.Errorf("%d PV011 diagnostics, want one per call_service (%d)", held, depth)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatalf("%d nested endless loops did not analyze within 20 s", depth)
 	}
 }
 

@@ -69,6 +69,9 @@ type Context struct {
 	// state is where code given to Load first keeps state between calls
 	// (resolve.go); nil while all of it was stateless.
 	state *StateWrite
+	// write is where code given to Load first writes a container it may not
+	// own (resolve.go); nil while all of it was message-read-only.
+	write *Position
 	// running is the invocation executing right now, nil between
 	// invocations.
 	running *interp
@@ -120,6 +123,14 @@ func (c *Context) Has(name string) bool {
 // binds a mutable value, or Evals an assignment, is on its own.
 func (c *Context) Stateless() bool { return c.state == nil }
 
+// ReadOnly reports whether the code Load has run on this context is
+// message-read-only — the verdict Facts.ReadOnly reports statically: it
+// writes no array or object it did not build itself and keep to itself, so a
+// value it receives or sends may be shared with other contexts that do not
+// write either. Like Stateless, it speaks for the source only. A nil
+// context has loaded nothing and vouches for nothing.
+func (c *Context) ReadOnly() bool { return c != nil && c.write == nil }
+
 // Instructions returns the total interpreter steps executed by this
 // context across all invocations so far.
 func (c *Context) Instructions() int64 { return c.instructions }
@@ -170,6 +181,9 @@ func (c *Context) Load(src string) error {
 	resolve(prog)
 	if c.state == nil {
 		c.state = prog.state
+	}
+	if c.write == nil {
+		c.write = prog.write
 	}
 	in := c.newInterp(true)
 	defer c.account(in)

@@ -71,6 +71,10 @@ type binding struct {
 	// the name: a statement once it has run, a parameter, catch or loop
 	// variable or `arguments` on entry.
 	reached bool
+	// shared says the binding is no private container (see resolve): it
+	// can hold something other than a fresh array or object literal, or its
+	// value is taken somewhere it can be kept.
+	shared bool
 }
 
 // redeclared reports whether the scope declares the name more than once;
@@ -120,6 +124,31 @@ type resolver struct {
 	decls   []*declSite
 	written map[string]bool
 	state   *StateWrite
+	// uses holds the identifiers a container write lands on and the ones
+	// a builtin or host call reads without taking, to be judged once every
+	// binding is known; write is the first container write found that may
+	// land outside a private container.
+	uses  []callUse
+	write *Position
+}
+
+// operandUse is an identifier resolved where its value is read: ambient
+// says the lookup can land on a builtin or host binding — one every context
+// is born with, or, no scope declaring the name, whatever the host bound
+// (the rule target applies to state).
+type operandUse struct {
+	id      *identExpr
+	ambient bool
+}
+
+// callUse is one operand a container write lands on (write), or one that
+// a builtin or host call reads without keeping; callee names the call (""
+// for an assignment), whose exemption holds only while the module never
+// rebinds that name.
+type callUse struct {
+	operandUse
+	callee string
+	write  bool
 }
 
 // StateWrite is the first place a module keeps state from one event to the
@@ -146,6 +175,21 @@ func (w StateWrite) String() string {
 // global — the functions and builtins included, which are ordinary mutable
 // bindings. Member and index writes need no check of their own: with those
 // two rules no global holds an object or array to write through.
+//
+// The same walk decides whether the module is message-read-only (prog.write
+// stays nil): every container write in it lands directly in a container the
+// module owns privately, so a value it is handed, or hands on, is never
+// written by it and may be shared with other contexts. Container writes are
+// member and index assignments, ++, -- and compound assignments on a member,
+// a builtin that changes an argument in place and call_service, which lends
+// its message with frame_ref taken out (Signature.Writes); a write into a
+// fresh literal is harmless. A private container is a binding only ever
+// bound to fresh array or object literals whose value is read only through
+// a member or index, an operator, a test, len, for-of, or as a field of
+// call_service's literal message: it is never passed to a function, stored
+// in another container, returned or handed to call_module, and is bound to
+// a literal by an assignment only where the assignment's value is
+// discarded.
 func resolve(prog *program) {
 	var r resolver
 	for _, s := range prog.stmts {
@@ -161,7 +205,111 @@ func resolve(prog *program) {
 		}
 	}
 	r.stmts(prog.stmts)
+	r.judgeWrites()
 	prog.state, prog.decls, prog.globals, prog.written = r.state, r.decls, r.globals, r.written
+	prog.write = r.write
+}
+
+// judgeWrites settles the read-only verdict once every binding is known: a
+// call the module rebinds is its own function, which keeps what it is given,
+// and a write through an identifier is the first finding unless every
+// binding it can land on is a private container.
+func (r *resolver) judgeWrites() {
+	for _, u := range r.uses {
+		if u.callee != "" && r.written[u.callee] {
+			r.escape(u.operandUse)
+		}
+	}
+	for _, u := range r.uses {
+		if u.write && !r.private(u.operandUse) {
+			r.noteWrite(u.id.pos)
+		}
+	}
+}
+
+// private reports whether every binding u can land on is a private
+// container.
+func (r *resolver) private(u operandUse) bool {
+	if u.ambient || len(u.id.binds) == 0 {
+		return false
+	}
+	for _, b := range u.id.binds {
+		if b.shared {
+			return false
+		}
+	}
+	return true
+}
+
+// noteWrite records a container write that may land outside a private
+// container, unless an earlier one (in source order) stands.
+func (r *resolver) noteWrite(pos Position) {
+	if r.write == nil || pos.before(*r.write) {
+		r.write = &pos
+	}
+}
+
+// operand resolves e, where the value of an identifier is read but not yet
+// taken: the caller says whether it escapes.
+func (r *resolver) operand(e expr) operandUse {
+	id, ok := e.(*identExpr)
+	if !ok {
+		r.expr(e)
+		return operandUse{}
+	}
+	global := r.ident(id, true, false)
+	ambient := global && r.globals[id.name] == nil && (len(id.refs) == 0 || isAmbientGlobal(id.name))
+	return operandUse{id: id, ambient: ambient}
+}
+
+// escape takes u's value where it can be kept: its bindings are no private
+// containers, and a builtin or host call that writes its arguments, once
+// taken as a value, can be called through any name.
+func (r *resolver) escape(u operandUse) {
+	if u.id == nil {
+		return
+	}
+	for _, b := range u.id.binds {
+		b.shared = true
+	}
+	if u.ambient && callSignatures[u.id.name].Writes > 0 {
+		r.noteWrite(u.id.pos)
+	}
+}
+
+// lands records a container write into e, resolved as u; callee names the
+// builtin or host call making it, "" for an assignment.
+func (r *resolver) lands(e expr, u operandUse, callee string) {
+	switch {
+	case u.id != nil:
+		r.uses = append(r.uses, callUse{operandUse: u, callee: callee, write: true})
+	case !freshLiteral(e):
+		r.noteWrite(start(e))
+	}
+}
+
+// start is where the source text of e begins.
+func start(e expr) Position {
+	for {
+		switch x := e.(type) {
+		case *memberExpr:
+			e = x.obj
+		case *indexExpr:
+			e = x.obj
+		case *callExpr:
+			e = x.callee
+		default:
+			return e.position()
+		}
+	}
+}
+
+func freshLiteral(e expr) bool {
+	switch e.(type) {
+	case *arrayLit, *objectLit:
+		return true
+	}
+	return false
 }
 
 // noteState records a finding unless an earlier one (in source order) stands.
@@ -218,6 +366,7 @@ func (r *resolver) declare(name string, pos Position, kind declKind) (int, *bind
 	}
 	b.last = &declSite{b: b, pos: pos, kind: kind, prev: b.last}
 	b.reached = kind >= declParam
+	b.shared = b.shared || kind >= declFunc
 	r.decls = append(r.decls, b.last)
 	return idx, b
 }
@@ -259,10 +408,11 @@ func (r *resolver) stmts(list []stmt) {
 func (r *resolver) stmt(s stmt) {
 	switch st := s.(type) {
 	case *exprStmt:
-		r.expr(st.x)
+		r.effect(st.x)
 	case *declStmt:
 		r.expr(st.init)
 		st.b.reached = true
+		st.b.shared = st.b.shared || !freshLiteral(st.init)
 	case *blockStmt:
 		r.push(&st.scope)
 		r.stmts(st.stmts)
@@ -281,10 +431,10 @@ func (r *resolver) stmt(s stmt) {
 		r.stmt(st.init)
 		r.expr(st.cond)
 		r.stmt(st.body)
-		r.expr(st.post)
+		r.effect(st.post)
 		r.pop()
 	case *forOfStmt:
-		r.expr(st.iter)
+		r.operand(st.iter)
 		r.push(&st.scope)
 		st.slot, st.b = r.declare(st.varName, st.pos, declBound)
 		r.collect(st.body)
@@ -421,17 +571,31 @@ func (id *identExpr) land(b *binding, visible bool) {
 	}
 }
 
-// target resolves the left side of an assignment, ++ or --. A bare name is a
-// write to module state when the lookup can reach the globals and a global
-// of that name can exist: one the module declares, one every context is born
-// with (signatures.go), or — no scope declaring it — whatever the host bound.
-func (r *resolver) target(e expr, reads bool) {
-	id, ok := e.(*identExpr)
-	if !ok {
-		r.expr(e)
+// target resolves the left side of an assignment, ++ or --; fresh says the
+// value bound is a fresh array or object literal. A member or index target is
+// a container write into its object. A bare name is a write to module state
+// when the lookup can reach the globals and a global of that name can exist:
+// one the module declares, one every context is born with (signatures.go),
+// or — no scope declaring it — whatever the host bound.
+func (r *resolver) target(e expr, reads, fresh bool) {
+	switch x := e.(type) {
+	case *memberExpr:
+		r.lands(x.obj, r.operand(x.obj), "")
+		return
+	case *indexExpr:
+		u := r.operand(x.obj)
+		r.expr(x.index)
+		r.lands(x.obj, u, "")
 		return
 	}
-	if !r.ident(id, reads, true) {
+	id := e.(*identExpr) // the parser admits no other target
+	global := r.ident(id, reads, true)
+	if !fresh {
+		for _, b := range id.binds {
+			b.shared = true
+		}
+	}
+	if !global {
 		return
 	}
 	if r.written == nil {
@@ -457,7 +621,7 @@ func (r *resolver) expr(e expr) {
 	case *stringLit:
 		ex.boxed = ex.value
 	case *identExpr:
-		r.ident(ex, true, false)
+		r.escape(r.operand(ex))
 	case *arrayLit:
 		for _, el := range ex.elems {
 			r.expr(el)
@@ -468,37 +632,87 @@ func (r *resolver) expr(e expr) {
 		}
 	case *funcLit:
 		r.function(ex)
-	case *unaryExpr:
+	case *unaryExpr: // an operator's result is a new scalar or string
 		ex.opc = unaryOps[ex.op]
-		r.expr(ex.x)
+		r.operand(ex.x)
 	case *binaryExpr:
 		ex.opc = binaryOps[ex.op]
-		r.expr(ex.x)
-		r.expr(ex.y)
+		r.operand(ex.x)
+		r.operand(ex.y)
 	case *logicalExpr:
 		ex.opc = binaryOps[ex.op]
 		r.expr(ex.x)
 		r.expr(ex.y)
 	case *condExpr:
-		r.expr(ex.cond)
+		r.operand(ex.cond)
 		r.expr(ex.then)
 		r.expr(ex.elsE)
 	case *assignExpr:
-		ex.opc = binaryOps[ex.op[:len(ex.op)-1]]
-		r.target(ex.target, ex.opc != opNone)
-		r.expr(ex.value)
+		r.assign(ex, false)
 	case *updateExpr:
 		ex.opc = unaryOps[ex.op]
-		r.target(ex.target, true)
+		r.target(ex.target, true, false)
 	case *callExpr:
-		r.expr(ex.callee)
-		for _, a := range ex.args {
-			r.expr(a)
-		}
+		r.call(ex)
 	case *memberExpr:
-		r.expr(ex.obj)
+		r.operand(ex.obj)
 	case *indexExpr:
-		r.expr(ex.obj)
+		r.operand(ex.obj)
 		r.expr(ex.index)
+	}
+}
+
+// effect resolves e, whose value is discarded: a statement of its own or a
+// for loop's step.
+func (r *resolver) effect(e expr) {
+	if ex, ok := e.(*assignExpr); ok {
+		r.assign(ex, true)
+		return
+	}
+	r.expr(e)
+}
+
+// assign resolves an assignment. Its value is the value bound, so a fresh
+// literal stays the target's own only where that value is discarded.
+func (r *resolver) assign(ex *assignExpr, discarded bool) {
+	ex.opc = binaryOps[ex.op[:len(ex.op)-1]]
+	r.target(ex.target, ex.opc != opNone, discarded && ex.opc == opNone && freshLiteral(ex.value))
+	r.expr(ex.value)
+}
+
+// call resolves a call. Calling a name does not take its value. A builtin or
+// host call that writes an argument in place (Signature.Writes) is a
+// container write into it; len's argument and the fields of call_service's
+// literal message are read without being kept; any other argument escapes,
+// and so does a written one that a function of the module's own may receive
+// instead or that the call hands back (Signature.Aliases).
+func (r *resolver) call(ex *callExpr) {
+	callee := r.operand(ex.callee)
+	var name string
+	var sig Signature
+	only := false // the call can reach nothing but the builtin or host binding
+	if callee.ambient {
+		name, sig = callee.id.name, callSignatures[callee.id.name]
+		only = len(callee.id.binds) == 0
+	}
+	for i, a := range ex.args {
+		if lit, ok := a.(*objectLit); ok && only && name == "call_service" && i == 1 {
+			for _, f := range lit.fields {
+				r.uses = append(r.uses, callUse{operandUse: r.operand(f.value), callee: name})
+			}
+			continue
+		}
+		u := r.operand(a)
+		switch {
+		case sig.Writes == i+1:
+			r.lands(a, u, name)
+			if !only || sig.Aliases {
+				r.escape(u)
+			}
+		case only && name == "len":
+			r.uses = append(r.uses, callUse{operandUse: u, callee: name})
+		default:
+			r.escape(u)
+		}
 	}
 }

@@ -38,6 +38,11 @@ type Signature struct {
 	// that the runtime calls into the script; for callbacks Min/Max bound
 	// the declared parameter count rather than call-site arguments.
 	Callback bool
+	// Writes is the 1-based position of the argument the call changes in
+	// place (0: none) — a container write for the read-only verdict
+	// (resolve.go) — and Aliases says the call also returns that argument.
+	Writes  int
+	Aliases bool
 }
 
 // Check validates live call arguments against the signature. Error text
@@ -118,8 +123,10 @@ func HostSignature(name string) (Signature, bool) {
 // hostSignatureTable declares the bindings installed by the device runtime
 // (internal/device.bindHostAPI) plus the lifecycle callbacks it invokes.
 var hostSignatureTable = map[string]Signature{
+	// call_service lends its message to the handler with frame_ref taken
+	// out, and puts it back.
 	"call_service": {Name: "call_service", Min: 1, Max: 2, Params: []Param{
-		{Name: "service name", Type: "string"}, {Name: "message", Type: "object"}}},
+		{Name: "service name", Type: "string"}, {Name: "message", Type: "object"}}, Writes: 2},
 	"call_module": {Name: "call_module", Min: 1, Max: 2, Params: []Param{
 		{Name: "module name", Type: "string"}, {Name: "message", Type: "object"}}},
 	"metric": {Name: "metric", Min: 2, Max: 2, Params: []Param{

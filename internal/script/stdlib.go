@@ -25,22 +25,22 @@ var builtins = map[string]*builtin{
 	"is_nan": {stdIsNaN, flat, sig1(Param{"value", "any"})},
 
 	// ---- arrays ----
-	"push":     {stdPush, flat, Signature{Min: 1, Max: -1, Params: []Param{{"array", "array"}}, Rest: "any"}},
-	"pop":      {stdPop, flat, sig1(Param{"array", "array"})},
-	"shift":    {stdShift, flat, sig1(Param{"array", "array"})},
-	"unshift":  {stdUnshift, perItem, Signature{Min: 1, Max: -1, Params: []Param{{"array", "array"}}, Rest: "any"}},
+	"push":     {stdPush, flat, Signature{Min: 1, Max: -1, Params: []Param{{"array", "array"}}, Rest: "any", Writes: 1}},
+	"pop":      {stdPop, flat, Signature{Min: 1, Max: 1, Params: []Param{{"array", "array"}}, Writes: 1}},
+	"shift":    {stdShift, flat, Signature{Min: 1, Max: 1, Params: []Param{{"array", "array"}}, Writes: 1}},
+	"unshift":  {stdUnshift, perItem, Signature{Min: 1, Max: -1, Params: []Param{{"array", "array"}}, Rest: "any", Writes: 1}},
 	"slice":    {stdSlice, perItem, Signature{Min: 2, Max: 3, Params: []Param{{"value", "array|string"}, {"start", "number"}, {"end", "number"}}}},
 	"concat":   {stdConcat, perArg, Signature{Min: 0, Max: -1, Rest: "array"}},
 	"index_of": {search("index_of", func(i int) Value { return float64(i) }), searched, sig2(Param{"value", "array|string"}, Param{"needle", "any"})},
-	"reverse":  {stdReverse, perItem, sig1(Param{"array", "array"})},
-	"sort":     {stdSort, sorted, sig1(Param{"array", "array"})},
+	"reverse":  {stdReverse, perItem, Signature{Min: 1, Max: 1, Params: []Param{{"array", "array"}}, Writes: 1, Aliases: true}},
+	"sort":     {stdSort, sorted, Signature{Min: 1, Max: 1, Params: []Param{{"array", "array"}}, Writes: 1, Aliases: true}},
 	"range":    {stdRange, counted, sig1(Param{"n", "number"})},
 
 	// ---- objects ----
 	"keys":   {listFields("keys", func(_ *Object, k string) Value { return k }), sorted, sig1(Param{"object", "object"})},
 	"values": {listFields("values", (*Object).Get), sorted, sig1(Param{"object", "object"})},
 	"has":    {keyOp("has", func(o *Object, k string) Value { _, ok := o.Lookup(k); return ok }), keyed, sig2(Param{"object", "object"}, Param{"key", "string"})},
-	"remove": {keyOp("remove", (*Object).Delete), keyed, sig2(Param{"object", "object"}, Param{"key", "string"})},
+	"remove": {keyOp("remove", (*Object).Delete), keyed, Signature{Min: 2, Max: 2, Params: []Param{{"object", "object"}, {"key", "string"}}, Writes: 1}},
 
 	// ---- math ----
 	"abs":   {math1(math.Abs), flat, sig1(Param{"x", "number"})},

@@ -586,3 +586,132 @@ func cloneFields(out, x *Object, depth int) (Value, error) {
 // frameRefRoom is the spare slot a top-level (depth 0) message object gets
 // for the frame_ref its receiving event loop sets.
 func frameRefRoom(depth int) int { return max(1-depth, 0) }
+
+// CopyMessage returns the copy of message msg that its receiver gets, and
+// whether what the copy holds is still msg's own. With share set — no one
+// writes what msg holds — and msg made of nothing a Clone turns into null (a
+// function or an opaque host value), the copy is msg's top-level object
+// alone, with room for the frame_ref its receiver sets, and shares the rest;
+// otherwise it is a Clone. It fails like Clone on a value nested deeper than
+// MaxDepth, and, when sharing, before allocating anything.
+func CopyMessage(msg *Object, share bool) (out *Object, shared bool, err error) {
+	if share {
+		if shared, err = plainData(msg, 0); err != nil {
+			return nil, false, err
+		}
+	}
+	if !shared {
+		c, err := Clone(msg)
+		if err != nil {
+			return nil, false, err
+		}
+		return c.(*Object), false, nil
+	}
+	out = NewObjectSize(len(msg.fields) + frameRefRoom(0))
+	for _, f := range msg.fields {
+		out.add(f.key, f.val)
+	}
+	return out, true, nil
+}
+
+// plainData reports whether v, sitting depth containers below the value
+// being copied, is made of nothing but scalars, strings, arrays and objects:
+// all that a Clone copies as it is. It walks in Clone's order and fails
+// where Clone would.
+func plainData(v Value, depth int) (bool, error) {
+	switch x := v.(type) {
+	case nil, bool, float64, string:
+		return true, nil
+	case *Array:
+		if depth >= MaxDepth {
+			return false, errTooDeep
+		}
+		for _, e := range x.Elems {
+			if ok, err := plainData(e, depth+1); !ok || err != nil {
+				return ok, err
+			}
+		}
+		return true, nil
+	case *Object:
+		if depth >= MaxDepth {
+			return false, errTooDeep
+		}
+		for _, f := range x.fields {
+			if ok, err := plainData(f.val, depth+1); !ok || err != nil {
+				return ok, err
+			}
+		}
+		return true, nil
+	}
+	return false, nil
+}
+
+// Unshare replaces each of msg's field values with a Clone of it, so that
+// msg, a top-level copy CopyMessage made, shares nothing any more: what a module
+// that writes does with a message before its handler runs.
+func Unshare(msg *Object) error {
+	for i := range msg.fields {
+		c, err := clone(msg.fields[i].val, 1)
+		if err != nil {
+			return err
+		}
+		msg.fields[i].val = c
+	}
+	return nil
+}
+
+// Unalias replaces each field of result that holds arg, or a container that
+// is one of arg's fields, with a Clone of it. A service handler may hand an
+// argument back in its result; a read-only caller must not receive a
+// container it keeps privately (a field of call_service's literal message,
+// or the message itself) as a value it can pass on.
+func Unalias(result, arg *Object) error {
+	for i := range result.fields {
+		if !holds(result.fields[i].val, arg, 1) {
+			continue
+		}
+		c, err := clone(result.fields[i].val, 1)
+		if err != nil {
+			return err
+		}
+		result.fields[i].val = c
+	}
+	return nil
+}
+
+// holds reports whether v, sitting depth containers deep, is or contains
+// arg or one of arg's container fields. Past MaxDepth it answers true, so
+// that the Clone that follows fails as any other copy of v would.
+func holds(v Value, arg *Object, depth int) bool {
+	switch x := v.(type) {
+	case *Array:
+		if depth >= MaxDepth || isField(arg, x) {
+			return true
+		}
+		for _, e := range x.Elems {
+			if holds(e, arg, depth+1) {
+				return true
+			}
+		}
+	case *Object:
+		if depth >= MaxDepth || x == arg || isField(arg, x) {
+			return true
+		}
+		for _, f := range x.fields {
+			if holds(f.val, arg, depth+1) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// isField reports whether container c is the value of one of o's fields.
+func isField(o *Object, c Value) bool {
+	for _, f := range o.fields {
+		if f.val == c {
+			return true
+		}
+	}
+	return false
+}
