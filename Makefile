@@ -12,9 +12,11 @@ build:
 # Go-host static analysis. Cheap pre-steps first (gofmt, go vet, a grep
 # that keeps environment reads out of internal/, one that keeps per-call
 # contexts out of internal/device's data path, one that keeps Go maps as
-# event bodies out of internal/device and internal/core, one that keeps the
-# stdlib JPEG encoder out of internal/'s non-test code, one that keeps the
-# clock out of internal/script's non-test code), then the
+# event bodies out of internal/device and internal/core, one that keeps
+# boxed number reads off script objects in internal/services, internal/device
+# and internal/core, one that keeps the stdlib JPEG encoder out of
+# internal/'s non-test code, one that keeps the clock out of internal/script's
+# non-test code), then the
 # vpvet analyzer suite (framerelease, determinism, metername,
 # lockdiscipline — see DESIGN.md "Static enforcement") over every package,
 # then a staleness check of the generated meter registry. Exits non-zero
@@ -30,6 +32,8 @@ vet:
 		echo "vet failed: per-call context under internal/device (re-arm the worker's clock.Deadline)"; exit 1; fi
 	@if grep -rnE 'map\[string\]any' --include='*.go' --exclude='*_test.go' internal/device internal/core; then \
 		echo "vet failed: map[string]any under internal/device or internal/core (build the event's *script.Object with script.NewObjectSize)"; exit 1; fi
+	@if grep -rnE -A1 '\.(Get|Lookup)\(' --include='*.go' --exclude='*_test.go' internal/services internal/device internal/core | grep -E '\.\(float64\)'; then \
+		echo "vet failed: boxed number read off a script object under internal/services, internal/device or internal/core (read it unboxed with Object.Num)"; exit 1; fi
 	@if grep -rnE 'jpeg\.Encode\(' --include='*.go' --exclude='*_test.go' internal; then \
 		echo "vet failed: image/jpeg encoder under internal/ (append the stream with frame.appendJPEG; jpeg.Encode is the test oracle only)"; exit 1; fi
 	@if grep -rnE '"time"' --include='*.go' --exclude='*_test.go' internal/script; then \
@@ -70,10 +74,15 @@ race:
 # script-to-script call must stay independent of the iteration count; an
 # object literal of up to eight fields, a detector pose and its clone (its
 # 17 keypoints one record run of two allocations), and the host calls that
-# move them stay at their flat-object counts; a warm activity Classify and
-# a fitted rep counter's Observe (internal/vision) allocate nothing, and so
-# do a warm DetectPose and a warm frame.Stripes call with a function bound
-# once (the stripe workers start with the process); a warm
+# move them stay at their flat-object counts; an object field is 32 bytes and
+# holds its number unboxed (TestUnboxedNumbers: -0, NaN, ±Inf and null keep
+# type and value through every copy and the JSON codec), so building a pose,
+# decoding the display message and reading a 15-pose window back in Go cost
+# nothing per number; a warm activity Classify and a fitted rep counter's
+# Observe (internal/vision) allocate nothing, and so do a warm DetectPose
+# and a warm frame.Stripes call with a function bound once (the stripe
+# workers start with the process), while a warm DetectObjects borrows both
+# its planes and allocates only its result; a warm
 # call_service("pose_detector", {frame_ref}) costs the pose payload and the
 # result object (its result map recycled), a 15-pose window call at most
 # 6; a read-only module's local call_module of the rep counter's message
@@ -82,7 +91,7 @@ race:
 # scan's strings and a warm timed wait allocate nothing; so do a warm
 # one-argument Context.Call, a frame_done() event, a store
 # Put/Retain/Release cycle and a pooled wire receive, and a warm admitted
-# Offer costs its message, two boxed numbers and the boxed frame_ref. A
+# Offer costs its message alone. A
 # warm control-loop tick that takes no action allocates nothing, even once
 # a pool's wait histogram is full. The BufferPool tests ride along: the
 # pool's determinism (a hit after two GCs, retention cap, spare rule), the
@@ -94,10 +103,10 @@ race:
 # each timer-channel semantics: a recycled timer must never carry a stale
 # tick.
 alloc:
-	$(GO) test -run 'Allocs|ReleaseGuards|BufferPool' ./internal/frame ./internal/wire ./internal/script \
+	$(GO) test -run 'Allocs|ReleaseGuards|BufferPool|Unboxed' ./internal/frame ./internal/wire ./internal/script \
 		./internal/services ./internal/netsim ./internal/device ./internal/core ./internal/vision
 	$(GO) test -count=1 ./internal/clock
-	GODEBUG=asynctimerchan=0 $(GO) test -count=1 ./internal/clock
+	GODEBUG=asynctimerchan=1 $(GO) test -count=1 ./internal/clock
 
 cover:
 	$(GO) test -cover ./...

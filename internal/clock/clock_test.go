@@ -10,8 +10,8 @@ import (
 // A pooled timer must come back clean whatever ended its last wait. The
 // stale-tick case is a timer that fired while its wait was being ended some
 // other way: a tick left in its channel would end the next wait on it at
-// once. `make alloc` runs these under both timer-channel semantics
-// (GODEBUG=asynctimerchan=0 and the go.mod default).
+// once. `make alloc` runs these under both timer-channel semantics (the
+// go.mod default, synchronous since go 1.23, and GODEBUG=asynctimerchan=1).
 
 // waitsFully fails unless wait takes at least d.
 func waitsFully(t *testing.T, what string, d time.Duration, wait func()) {

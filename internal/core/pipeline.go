@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unique"
 
 	"videopipe/internal/device"
 	"videopipe/internal/frame"
@@ -429,6 +430,10 @@ func (p *Pipeline) PrimeCredits() {
 	p.creditMu.Unlock()
 }
 
+// keyCapturedMS and keySeq are the keys of the numbers Offer's event body
+// carries, interned once.
+var keyCapturedMS, keySeq = unique.Make("captured_ms"), unique.Make("seq")
+
 // Offer admits one captured frame if a flow-control credit is available,
 // otherwise drops it at the source (§2.3: dropping happens at the
 // beginning of the pipeline, never inside it). It is the source's emit
@@ -463,8 +468,8 @@ func (p *Pipeline) Offer(f *frame.Frame) bool {
 	// after a stall — allocates nothing, at whatever second of a run it comes.
 	frame.Pool.Reserve(len(f.Pix), left+1+max(hops-ahead, 0))
 	body := script.NewObjectSize(3) // room for the frame_ref
-	body.Set("captured_ms", float64(f.Captured.UnixNano())/1e6)
-	body.Set("seq", float64(f.Seq))
+	body.SetNum(keyCapturedMS, float64(f.Captured.UnixNano())/1e6)
+	body.SetNum(keySeq, float64(f.Seq))
 	ok, err := entry.TryInject(body, f)
 	if err != nil || !ok {
 		p.returnCredit()

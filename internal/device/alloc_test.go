@@ -73,8 +73,9 @@ func TestCallServiceWindowAllocs(t *testing.T) {
 // {frame_ref}) — the pose stage of every fitness frame — lends the message
 // with frame_ref taken out and put back, detects with no allocation of its
 // own and hands the result map back once its values are in the module's
-// object, so the call costs the pose payload (45, TestPoseValueAllocs) and
-// the result object: 46 (~62 with per-call stripe goroutines, a throwaway
+// object, so the call costs the pose payload (6 containers, its numbers
+// unboxed: TestPoseValueAllocs) and the result object: 7 (46 when the pose's
+// numbers were boxed, ~62 with per-call stripe goroutines, a throwaway
 // result map and a frame_ref-less copy of the message).
 func TestCallServicePoseAllocs(t *testing.T) {
 	d := newDevice(t, testNet(), "desktop", Desktop)
@@ -105,8 +106,8 @@ func TestCallServicePoseAllocs(t *testing.T) {
 		t.Fatalf("found %v, message %d fields with frame_ref %v", found, msg.Len(), msg.Get(frameRefKey))
 	}
 	t.Logf("call_service(pose_detector, {frame_ref}): %.0f allocs", allocs)
-	if allocs > 46 {
-		t.Errorf("call_service(pose_detector, {frame_ref}): %.0f allocs, want <= 46", allocs)
+	if allocs > 7 {
+		t.Errorf("call_service(pose_detector, {frame_ref}): %.0f allocs, want <= 7", allocs)
 	}
 }
 
@@ -133,9 +134,8 @@ func sinkModule(t *testing.T, d *Device, name string) *Module {
 // TestCallModuleSendAllocs: a local send from a module that writes its
 // message costs one clone of it — a clone of its pose (6 allocations: one
 // per object or array, two for the keypoint array and two for its record
-// run of 17 keypoints) and one for the message itself, whose frame_ref the
-// receiver keeps: on a local edge the receiver's frame id is the sender's,
-// so the receiving event loop does not box it again. A read-only sender's
+// run of 17 keypoints) and one for the message itself, whose numbers,
+// frame_ref among them, are copied unboxed. A read-only sender's
 // send to a sink that writes its message costs the same once the sink has
 // copied what the sender shared. A remote send's body encoding, into the
 // module's warm scratch, costs nothing.
@@ -177,7 +177,7 @@ func TestCallModuleSendAllocs(t *testing.T) {
 		}
 		ev := <-sink.events
 		d.store.Release(ev.frameID) // the reference retained for the sink
-		if ref := ev.body.Get(frameRefKey); ev.frameID != id || ref != float64(id) || ev.body.Len() != 6 {
+		if ref, _ := ev.body.Num(frameRef); ev.frameID != id || ref != float64(id) || ev.body.Len() != 6 {
 			t.Fatalf("delivered frame %d, frame_ref %v, %d fields; want the sender's %d in all six", ev.frameID, ref, ev.body.Len(), id)
 		}
 		if ev.shared != w.ctx.ReadOnly() {
@@ -199,11 +199,11 @@ func TestCallModuleSendAllocs(t *testing.T) {
 	if poseClone > 6 {
 		t.Errorf("pose clone: %.0f allocs, want <= 6", poseClone)
 	}
-	if local > poseClone+2 {
-		t.Errorf("local call_module: %.0f allocs, want <= pose clone (%.0f) + 2", local, poseClone)
+	if local > poseClone+1 {
+		t.Errorf("local call_module: %.0f allocs, want <= pose clone (%.0f) + 1", local, poseClone)
 	}
-	if received > poseClone+2 {
-		t.Errorf("local call_module, copied on receipt: %.0f allocs, want <= pose clone (%.0f) + 2", received, poseClone)
+	if received > poseClone+1 {
+		t.Errorf("local call_module, copied on receipt: %.0f allocs, want <= pose clone (%.0f) + 1", received, poseClone)
 	}
 
 	remote := testing.AllocsPerRun(50, func() {
@@ -330,7 +330,7 @@ func TestRepCounterCallAllocs(t *testing.T) {
 // invocation state while the worker lends event_received its argument from
 // a slot of its own, so a frame_done() event allocates nothing: looked up by
 // name, the four instruments would cost one concatenation each. Nor does a
-// frame event whose body already holds its frame_ref.
+// frame event: its frame_ref goes into the body unboxed.
 func TestLocalEventAllocs(t *testing.T) {
 	d := newDevice(t, testNet(), "desktop", Desktop)
 	m, err := d.SpawnModule(ModuleSpec{Name: "sink", Source: `function event_received(m) { frame_done(); }`})
@@ -358,22 +358,21 @@ func TestLocalEventAllocs(t *testing.T) {
 		t.Errorf("frames_done counted %d events, want %d", n, ticket)
 	}
 
-	// A frame event whose body already holds its id — what a local edge
-	// delivers — is not given a freshly boxed frame_ref.
+	// A frame event, whose body holds its id or not yet (a remote edge's
+	// decoded body), sets its frame_ref without boxing it.
 	id, err := d.store.Put(frame.MustNew(4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.store.Release(id)
-	body = objectOf(map[string]script.Value{frameRefKey: float64(id)})
-	ref := body.Get(frameRefKey)
-	framed := testing.AllocsPerRun(100, func() {
-		d.store.Retain(id) // the reference the event owns and releases
-		w.handle(job{ev: event{body: body, frameID: id}, ticket: ticket})
-		ticket++
-	})
-	if framed > 0 || !sameBox(body.Get(frameRefKey), ref) {
-		t.Errorf("warm frame event carrying its frame_ref: %.1f allocs (want 0), frame_ref re-boxed: %v",
-			framed, !sameBox(body.Get(frameRefKey), ref))
+	for _, body := range []*script.Object{objectOf(map[string]script.Value{frameRefKey: float64(id)}), script.NewObjectSize(1)} {
+		framed := testing.AllocsPerRun(100, func() {
+			d.store.Retain(id) // the reference the event owns and releases
+			w.handle(job{ev: event{body: body, frameID: id}, ticket: ticket})
+			ticket++
+		})
+		if got, _ := body.Num(frameRef); framed > 0 || got != float64(id) {
+			t.Errorf("warm frame event: %.1f allocs (want 0), frame_ref %v (want %d)", framed, got, id)
+		}
 	}
 }

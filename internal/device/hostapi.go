@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"time"
+	"unique"
 
 	"videopipe/internal/frame"
 	"videopipe/internal/metrics"
@@ -41,20 +42,25 @@ func (w *worker) chargeOutput(n int) error {
 // and sets it on the way in; its value never crosses a device boundary.
 const frameRefKey = "frame_ref"
 
+// frameRef is frameRefKey interned, the key its number is read and written
+// under without boxing.
+var frameRef = unique.Make(frameRefKey)
+
 // chargePayload meters msg against the output budget on the value itself,
 // before any copy or encoding is made of it, and gives up as soon as the
 // running total passes what is left: a message that shares substructure
 // (a = [a, a], twenty times over) is a few dozen script allocations but
 // gigabytes once copied, so the budget has to stop the copy, not follow it.
 // call_module does not pay for the frame_ref it carries (exemptRef);
-// call_service, historically, does.
+// call_service, historically, does. messageArg has checked that a frame_ref
+// msg carries is a number.
 func (w *worker) chargePayload(fn string, msg *script.Object, exemptRef bool) error {
 	limit := w.m.limits.Output
 	if limit <= 0 {
 		return nil
 	}
 	var exempt int64
-	if _, has := msg.Lookup(frameRefKey); has && exemptRef {
+	if _, has := msg.Num(frameRef); has && exemptRef {
 		exempt = 16 + int64(len(frameRefKey)) + 8 // the slot, the key and one word
 	}
 	n, err := script.PayloadSize(msg, limit-w.outputUsed+exempt)
@@ -72,10 +78,11 @@ func messageArg(fn string, args []script.Value) (*script.Object, uint64, error) 
 		return &script.Object{}, 0, nil
 	}
 	msg := args[1].(*script.Object) // CheckHostArgs admitted it
-	raw, has := msg.Lookup(frameRefKey)
-	ref, ok := raw.(float64)
-	if has && !ok {
-		return nil, 0, fmt.Errorf("%s: frame_ref must be a number", fn)
+	ref, ok := msg.Num(frameRef)
+	if !ok {
+		if _, has := msg.Lookup(frameRefKey); has { // not a number: nothing boxed
+			return nil, 0, fmt.Errorf("%s: frame_ref must be a number", fn)
+		}
 	}
 	return msg, uint64(ref), nil
 }
@@ -136,12 +143,12 @@ func (w *worker) hostCallService(args []script.Value) (script.Value, error) {
 	// field is taken out for the call and the same value put back on every
 	// way out.
 	var reqFrame *frame.Frame
-	if ref, has := msg.Lookup(frameRefKey); has {
+	if ref, has := msg.Num(frameRef); has {
 		if reqFrame, err = m.dev.store.Get(frameID); err != nil {
 			return nil, fmt.Errorf("call_service: %w", err)
 		}
 		msg.Delete(frameRefKey)
-		defer msg.Set(frameRefKey, ref)
+		defer msg.SetNum(frameRef, ref)
 	}
 
 	// The worker's call deadline runs under the device's base context, so
@@ -171,7 +178,7 @@ func (w *worker) hostCallService(args []script.Value) (script.Value, error) {
 			return nil, fmt.Errorf("call_service: storing result frame: %w", err)
 		}
 		w.ownedRefs = append(w.ownedRefs, id)
-		result.Set(frameRefKey, float64(id))
+		result.SetNum(frameRef, float64(id))
 	}
 	return result, nil
 }

@@ -767,11 +767,7 @@ func (w *worker) handle(j job) {
 		if f, err := m.dev.store.Get(ev.frameID); err == nil {
 			w.currentFrame = f
 		}
-		// A local sender's clone already holds the id; boxing it again
-		// would only copy it.
-		if ref, ok := ev.body.Get(frameRefKey).(float64); !ok || ref != float64(ev.frameID) {
-			ev.body.Set(frameRefKey, float64(ev.frameID))
-		}
+		ev.body.SetNum(frameRef, float64(ev.frameID))
 	}
 
 	w.outputUsed = 0

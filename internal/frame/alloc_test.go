@@ -2,6 +2,7 @@ package frame
 
 import (
 	"image/color"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -161,7 +162,9 @@ func TestJPEGDecodeAllocs(t *testing.T) {
 
 // TestJPEGEncodeAllocs pins the remote-hop encode: a warm VGA encode into
 // a scratch buffer with enough capacity allocates nothing — no encoder
-// state, no writer, no image header.
+// state, no writer, no image header. MemStats counts the whole process, so
+// the pin takes the quietest of several batches: an allocation the encode
+// makes shows in every batch, a stray one on another goroutine in one.
 func TestJPEGEncodeAllocs(t *testing.T) {
 	src := sceneFrame(640, 480)
 	codec := JPEGCodec{Quality: 85}
@@ -170,17 +173,21 @@ func TestJPEGEncodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// buf now has the stream's capacity.
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if buf, err = codec.AppendEncode(buf[:0], src); err != nil {
-			t.Fatal(err)
+	const batches, runs = 5, 20
+	mallocs, perOp := math.Inf(1), math.Inf(1)
+	for range batches {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if buf, err = codec.AppendEncode(buf[:0], src); err != nil {
+				t.Fatal(err)
+			}
 		}
+		runtime.ReadMemStats(&after)
+		mallocs = min(mallocs, float64(after.Mallocs-before.Mallocs)/runs)
+		perOp = min(perOp, float64(after.TotalAlloc-before.TotalAlloc)/runs)
 	}
-	runtime.ReadMemStats(&after)
-	assertAllocs(t, "jpeg AppendEncode into scratch", float64(after.Mallocs-before.Mallocs)/runs, 0)
-	perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	assertAllocs(t, "jpeg AppendEncode into scratch", mallocs, 0)
 	if raceEnabled {
 		t.Logf("jpeg AppendEncode into scratch: %.0f B/op (bound not enforced under -race)", perOp)
 	} else if perOp > 0 {

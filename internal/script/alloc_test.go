@@ -166,9 +166,10 @@ func TestHostCallArgsAllocs(t *testing.T) {
 }
 
 // TestJSONDecoderAllocs pins a warm JSONDecoder scan of the fitness
-// rep_counter stage's message to display at the value itself: its keys and
-// keypoint names come from the intern table, so the count is the objects,
-// the arrays and the boxed numbers, and no string.
+// rep_counter stage's message to display at its containers: its keys and
+// keypoint names come from the intern table and its numbers go into their
+// fields unboxed, so the count is the objects and the arrays, and no string
+// and no number.
 func TestJSONDecoderAllocs(t *testing.T) {
 	body := []byte(fitnessBody(1))
 	dec := NewJSONDecoder()
@@ -187,14 +188,18 @@ func TestJSONDecoderAllocs(t *testing.T) {
 		}
 	})
 	want := valueAllocs(v)
-	t.Logf("rep_counter message: %.0f allocs warm, %.0f through ParseJSONFields, %.0f objects, arrays and numbers", got, cold, want)
+	t.Logf("rep_counter message: %.0f allocs warm, %.0f through ParseJSONFields, %.0f objects and arrays, %d numbers", got, cold, want, fieldNumbers(v))
+	if want != 7 || fieldNumbers(v) < 40 {
+		t.Fatalf("the message is %.0f allocations of containers and %d field numbers, want 7 and at least 40", want, fieldNumbers(v))
+	}
 	assertAllocs(t, "warm JSONDecoder scan of the rep_counter message", got, want)
 }
 
 // valueAllocs is what a scanned value is made of: one allocation per object
 // of up to eight fields, two per non-empty array (header and elements), two
 // together for an array's object elements (their record run), and one per
-// number other than zero, which Go boxes for free.
+// array element that is a number other than zero, which Go boxes for free. A
+// number in a field costs nothing.
 func valueAllocs(v Value) float64 {
 	switch x := v.(type) {
 	case *Object:
@@ -220,9 +225,30 @@ func valueAllocs(v Value) float64 {
 // fieldAllocs is what an object's field values are made of.
 func fieldAllocs(o *Object) float64 {
 	n := 0.0
-	for i := range o.Len() {
-		_, f := o.Field(i)
-		n += valueAllocs(f)
+	for i := range o.fields {
+		if !o.fields[i].isNum() {
+			n += valueAllocs(o.fields[i].ref)
+		}
+	}
+	return n
+}
+
+// fieldNumbers counts the numbers v holds in object fields.
+func fieldNumbers(v Value) int {
+	n := 0
+	switch x := v.(type) {
+	case *Object:
+		for i := range x.fields {
+			if x.fields[i].isNum() {
+				n++
+			} else {
+				n += fieldNumbers(x.fields[i].ref)
+			}
+		}
+	case *Array:
+		for _, e := range x.Elems {
+			n += fieldNumbers(e)
+		}
 	}
 	return n
 }

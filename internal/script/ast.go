@@ -1,6 +1,9 @@
 package script
 
-import "sort"
+import (
+	"sort"
+	"unique"
+)
 
 // The AST node hierarchy. Expressions and statements are separate interface
 // families; every node carries its source position for error reporting.
@@ -181,6 +184,8 @@ type arrayLit struct {
 type objectField struct {
 	key   string
 	value expr
+	// handle is key interned, made by the parser.
+	handle unique.Handle[string]
 }
 
 type objectLit struct {
@@ -263,6 +268,8 @@ type memberExpr struct {
 	pos  Position
 	obj  expr
 	name string
+	// key is name interned, made by the parser.
+	key unique.Handle[string]
 }
 
 type indexExpr struct {

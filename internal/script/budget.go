@@ -150,7 +150,7 @@ func (w *sizeWalk) add(v Value, depth int) error {
 	switch x := v.(type) {
 	case string:
 		w.n += int64(len(x)) + 16
-	case bool, float64:
+	case bool, float64, numberTag:
 		w.n += 8
 	case *Array:
 		if depth >= MaxDepth {
@@ -169,8 +169,8 @@ func (w *sizeWalk) add(v Value, depth int) error {
 		}
 		w.n += 48
 		for _, f := range x.fields {
-			w.n += 16 + int64(len(f.key))
-			if err := w.add(f.val, depth+1); err != nil || w.over() {
+			w.n += 16 + int64(len(f.key.Value()))
+			if err := w.add(f.ref, depth+1); err != nil || w.over() {
 				return err
 			}
 		}

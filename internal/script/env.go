@@ -26,9 +26,10 @@ func (e *RuntimeError) Error() string {
 // is the Value itself in ref. The zero cell is null.
 //
 // A number cell may also carry its boxed form in ref — the literal's
-// one-time box, or the interface a number arrived in from an array, object or
-// host call — so that handing it back out as a Value allocates nothing.
-// Numbers computed by the interpreter have no box until value() makes one.
+// one-time box, or the interface a number arrived in from an array or a host
+// call — so that handing it back out as a Value allocates nothing. Numbers
+// computed by the interpreter or read from an object field (which holds its
+// number unboxed) have no box until value() makes one.
 type cell struct {
 	num   float64
 	ref   Value
@@ -46,12 +47,29 @@ func cellOf(v Value) cell {
 }
 
 // value boxes the cell for an exported boundary: a host-call argument, an
-// array or object store, a return to Go, a snapshot.
+// array store, a return to Go, a snapshot.
 func (c cell) value() Value {
 	if c.isNum && c.ref == nil {
 		return c.num
 	}
 	return c.ref
+}
+
+// cell reads a field as a cell, a number unboxed.
+func (f *field) cell() cell {
+	if f.isNum() {
+		return numCell(f.num)
+	}
+	return cell{ref: f.ref}
+}
+
+// setCell stores c in the field, a number unboxed.
+func (f *field) setCell(c cell) {
+	if c.isNum {
+		f.setNum(c.num)
+		return
+	}
+	f.set(c.ref)
 }
 
 func (c cell) isNull() bool { return !c.isNum && c.ref == nil }

@@ -50,7 +50,7 @@ type frameFlowChecker struct {
 	a        *analyzer
 	names    *callees
 	reported map[Position]bool // dedupes one call_service reported from several exits
-	rewalk   int               // endless loops whose second walk is running (see loop)
+	rewalk   int               // loops whose second walk is running (see loop)
 }
 
 // at applies a call's frame-flow effect: call_service marks the frame
@@ -106,18 +106,18 @@ func (f *frameFlowChecker) exit(pend flowPend) {
 // loop walks the body once: every effect adds a position or empties the
 // set, so the state before the loop united with the state after one
 // iteration already holds what any number of iterations can leave by the
-// test, and with it, whatever a later iteration's break can carry. An
-// endless loop is left by its breaks alone, so when that iteration added a
-// position it walks the body a second time from the union, which carries
-// it to each of them. A loop met during an enclosing endless loop's second
-// walk walks once: what its own second walk would add starts from the
-// positions its body adds, whatever it is handed, and the enclosing loop's
-// first walk has already carried those everywhere they reach. So a loop
-// inside d endless loops is walked at most d+2 times, not 2^d.
-func (f *frameFlowChecker) loop(n node, pend flowPend, head, iter func(flowPend) flowPend) flowPend {
+// test. A break or a return in the body, though, ends its path inside a
+// later iteration, which starts from that union, so when the first
+// iteration added a position the body is walked a second time from the
+// union, which carries it to each of them. A loop met during an enclosing
+// loop's second walk walks once: what its own second walk would add starts
+// from the positions its body adds, whatever it is handed, and the
+// enclosing loop's first walk has already carried those everywhere they
+// reach. So a loop inside d loops is walked at most d+2 times, not 2^d.
+func (f *frameFlowChecker) loop(_ node, pend flowPend, head, iter func(flowPend) flowPend) flowPend {
 	pend = head(pend)
 	next := f.join(pend, iter(pend))
-	if endless(n) && f.rewalk == 0 && len(next) > len(pend) {
+	if f.rewalk == 0 && len(next) > len(pend) {
 		f.rewalk++
 		next = f.join(next, iter(next))
 		f.rewalk--

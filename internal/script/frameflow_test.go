@@ -48,6 +48,21 @@ func TestFrameFlowCorpus(t *testing.T) {
 			line: 2,
 		},
 		{
+			name: "return in a later iteration of an ordinary loop",
+			src: `function event_received(message) {
+	var i = 0;
+	while (i < 3) {
+		if (i > 0) {
+			return;
+		}
+		var r = call_service("pose_detector", {frame_ref: message.frame_ref});
+		i++;
+	}
+	frame_done();
+}`,
+			line: 7,
+		},
+		{
 			name: "switch without default leaks the fall-through",
 			src: `function event_received(message) {
 	var r = call_service("classifier", {frame_ref: message.frame_ref});
@@ -320,35 +335,37 @@ function event_received(message) {
 	}
 }
 
-// A loop nested in endless loops is walked a bounded number of times, not
-// twice per enclosing loop: forty nested while (true) loops, each adding a
-// call_service its later iterations carry to its break, analyze at once,
-// and every call_service still reaches the handler's exit through the
-// breaks of the loops around it.
+// A loop nested in other loops is walked a bounded number of times, not
+// twice per enclosing loop: forty nested loops, each adding a call_service
+// its later iterations carry to its break, analyze at once, and every
+// call_service still reaches the handler's exit through the breaks (and,
+// for loops with a test, the tests) of the loops around it.
 func TestFrameFlowNestedEndlessLoops(t *testing.T) {
 	const depth = 40
-	var src strings.Builder
-	src.WriteString("function event_received(message) {\n")
-	for i := 0; i < depth; i++ {
-		src.WriteString("while (true) {\nif (message.a) { break; }\n")
-		src.WriteString("var r = call_service(\"pose_detector\", {frame_ref: message.frame_ref});\n")
-	}
-	src.WriteString(strings.Repeat("}\n", depth+1))
-	done := make(chan Report, 1)
-	go func() { done <- Analyze(src.String(), Options{}) }()
-	select {
-	case rep := <-done:
-		held := 0
-		for _, d := range rep.Diagnostics {
-			if d.Code == CodeFrameHeld {
-				held++
+	for _, head := range []string{"while (true)", "while (message.b)"} {
+		var src strings.Builder
+		src.WriteString("function event_received(message) {\n")
+		for i := 0; i < depth; i++ {
+			src.WriteString(head + " {\nif (message.a) { break; }\n")
+			src.WriteString("var r = call_service(\"pose_detector\", {frame_ref: message.frame_ref});\n")
+		}
+		src.WriteString(strings.Repeat("}\n", depth+1))
+		done := make(chan Report, 1)
+		go func() { done <- Analyze(src.String(), Options{}) }()
+		select {
+		case rep := <-done:
+			held := 0
+			for _, d := range rep.Diagnostics {
+				if d.Code == CodeFrameHeld {
+					held++
+				}
 			}
+			if held != depth {
+				t.Errorf("%s: %d PV011 diagnostics, want one per call_service (%d)", head, held, depth)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%d nested %s loops did not analyze within 20 s", depth, head)
 		}
-		if held != depth {
-			t.Errorf("%d PV011 diagnostics, want one per call_service (%d)", held, depth)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatalf("%d nested endless loops did not analyze within 20 s", depth)
 	}
 }
 

@@ -667,7 +667,7 @@ func (in *interp) eval(e expr, fr *frame) (cell, error) {
 			if err != nil {
 				return cell{}, err
 			}
-			obj.Set(f.key, v.value())
+			obj.at(f.handle).setCell(v)
 		}
 		return cell{ref: obj}, nil
 	case *funcLit:
@@ -716,7 +716,7 @@ func (in *interp) eval(e expr, fr *frame) (cell, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		return in.member(obj, ex.name, ex.pos)
+		return in.member(obj, ex)
 	case *indexExpr:
 		obj, err := in.eval(ex.obj, fr)
 		if err != nil {
@@ -916,7 +916,7 @@ func (in *interp) writeTarget(target expr, v cell, fr *frame) error {
 		if !ok {
 			return in.errorf(t.pos, "cannot set field %q on %s", t.name, obj.typeName())
 		}
-		o.Set(t.name, v.value())
+		o.at(t.key).setCell(v)
 		return nil
 	case *indexExpr:
 		obj, err := in.eval(t.obj, fr)
@@ -952,7 +952,7 @@ func (in *interp) writeTarget(target expr, v cell, fr *frame) error {
 			if err != nil {
 				return err
 			}
-			o.Set(key, v.value())
+			o.atKey(key).setCell(v)
 			return nil
 		default:
 			return in.errorf(t.pos, "cannot index-assign into %s", obj.typeName())
@@ -962,10 +962,14 @@ func (in *interp) writeTarget(target expr, v cell, fr *frame) error {
 	}
 }
 
-func (in *interp) member(obj cell, name string, pos Position) (cell, error) {
+func (in *interp) member(obj cell, ex *memberExpr) (cell, error) {
+	name, pos := ex.name, ex.pos
 	switch o := obj.ref.(type) {
 	case *Object:
-		return cellOf(o.Get(name)), nil
+		if i := o.slotOf(ex.key); i >= 0 {
+			return o.fields[i].cell(), nil
+		}
+		return cell{}, nil
 	case *Array:
 		if name == "length" {
 			return numCell(float64(len(o.Elems))), nil
@@ -1000,7 +1004,10 @@ func (in *interp) index(obj, idx cell, pos Position) (cell, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		return cellOf(o.Get(key)), nil
+		if i := o.slot(key); i >= 0 {
+			return o.fields[i].cell(), nil
+		}
+		return cell{}, nil
 	case string:
 		n := idx.num
 		if !idx.isNum || n != math.Trunc(n) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unique"
 )
 
 // The payload JSON codec: one append encoder and one scanner that move
@@ -47,10 +48,11 @@ func (e *JSONEncoder) AppendObject(dst []byte, o *Object, omit string) ([]byte, 
 	return e.value(dst, o, 0, omit)
 }
 
-func (e *JSONEncoder) value(dst []byte, v Value, depth int, omit string) (_ []byte, err error) {
-	// append grows a large slice by a quarter at a time, five bytes
-	// allocated for each one kept; doubling here, where the small writes
-	// come from, makes that two — and no further than a budget's bound.
+// grow makes room in dst for a small write. append grows a large slice by a
+// quarter at a time, five bytes allocated for each one kept; doubling here,
+// where the small writes come from, makes that two — and no further than a
+// budget's bound.
+func (e *JSONEncoder) grow(dst []byte) []byte {
 	if cap(dst)-len(dst) < 64 {
 		room := max(cap(dst), 64)
 		if e.over > 0 {
@@ -58,14 +60,29 @@ func (e *JSONEncoder) value(dst []byte, v Value, depth int, omit string) (_ []by
 		}
 		dst = slices.Grow(dst, room)
 	}
+	return dst
+}
+
+// number appends x as value appends a number: an object's fields hold
+// theirs unboxed.
+func (e *JSONEncoder) number(dst []byte, x float64) ([]byte, error) {
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(x, 'g', -1, 64))
+	}
+	dst = appendJSONFloat(e.grow(dst), x)
+	if e.over > 0 && len(dst) >= e.over {
+		return dst, ErrTooLong
+	}
+	return dst, nil
+}
+
+func (e *JSONEncoder) value(dst []byte, v Value, depth int, omit string) (_ []byte, err error) {
+	dst = e.grow(dst)
 	switch x := v.(type) {
 	case bool:
 		dst = strconv.AppendBool(dst, x)
 	case float64:
-		if math.IsInf(x, 0) || math.IsNaN(x) {
-			return dst, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(x, 'g', -1, 64))
-		}
-		dst = appendJSONFloat(dst, x)
+		return e.number(dst, x)
 	case string:
 		dst = appendJSONString(dst, x)
 	case *Array:
@@ -91,18 +108,23 @@ func (e *JSONEncoder) value(dst []byte, v Value, depth int, omit string) (_ []by
 		// field, so they are re-read by index, never held as a slice.
 		base := len(e.fields)
 		for _, f := range x.fields {
-			if f.key != omit || omit == "" {
+			if omit == "" || f.key.Value() != omit {
 				e.fields = append(e.fields, f)
 			}
 		}
-		slices.SortFunc(e.fields[base:], func(a, b field) int { return strings.Compare(a.key, b.key) })
+		slices.SortFunc(e.fields[base:], func(a, b field) int { return strings.Compare(a.key.Value(), b.key.Value()) })
 		dst = append(dst, '{')
 		for i := base; i < len(e.fields) && err == nil; i++ {
 			if i > base {
 				dst = append(dst, ',')
 			}
-			dst = append(appendJSONString(dst, e.fields[i].key), ':')
-			dst, err = e.value(dst, e.fields[i].val, depth+1, "")
+			f := &e.fields[i]
+			dst = append(appendJSONString(dst, f.key.Value()), ':')
+			if f.isNum() {
+				dst, err = e.number(dst, f.num)
+			} else {
+				dst, err = e.value(dst, f.ref, depth+1, "")
+			}
 		}
 		clear(e.fields[base:])
 		e.fields = e.fields[:base]
@@ -184,18 +206,19 @@ func ParseJSONFields(data []byte) (*Object, error) {
 // scanning scratch from one body to the next. The objects that are elements
 // of one array wait on that scratch until the array ends and are then packed
 // as one record run, so a pose's 17 keypoints cost two allocations, not 17
-// (ParseJSON and json_decode decode the same way). One from NewJSONDecoder also
-// interns the unescaped strings of up to 32 bytes it reads, in a table
-// emptied when it reaches 256 (constants, not knobs): the keys a module's
-// inbound edge repeats in every message are then one string each, boxed
-// once. Not safe for concurrent use.
+// (ParseJSON and json_decode decode the same way). Numbers go into their
+// fields unboxed. One from NewJSONDecoder also interns the unescaped strings
+// of up to 32 bytes it reads, in a table emptied when it reaches 256
+// (constants, not knobs): the keys a module's inbound edge repeats in every
+// message are then one string each, boxed once, and one key handle each.
+// Not safe for concurrent use.
 type JSONDecoder struct{ p jsonParser }
 
 const maxInternLen, maxInternTable = 32, 256
 
 // NewJSONDecoder returns an interning decoder.
 func NewJSONDecoder() *JSONDecoder {
-	return &JSONDecoder{p: jsonParser{strs: make(map[string]Value)}}
+	return &JSONDecoder{p: jsonParser{strs: make(map[string]interned)}}
 }
 
 // DecodeFields decodes one message body.
@@ -233,7 +256,14 @@ type jsonParser struct {
 	// being read: their records are packed as one run at ']'.
 	runs []int
 	// strs, when non-nil, interns short strings read with no escapes.
-	strs map[string]Value
+	strs map[string]interned
+}
+
+// interned is an intern table entry: the string boxed, and its key handle
+// once it has been read as a key.
+type interned struct {
+	v   Value
+	key unique.Handle[string]
 }
 
 func (p *jsonParser) document() (Value, error) {
@@ -296,11 +326,11 @@ func (p *jsonParser) value(depth int) Value {
 	case c == '[':
 		return p.array(depth)
 	case c == '"':
-		s, v := p.str()
-		if v == nil {
+		raw, s := p.str()
+		if raw == nil {
 			return s
 		}
-		return v
+		return p.intern(raw).v
 	case c == '-' || '0' <= c && c <= '9':
 		return p.number()
 	case c == 't' && p.literal("true"):
@@ -362,7 +392,7 @@ func (p *jsonParser) array(depth int) Value {
 			}
 			obj := run.next(sizes[0])
 			for _, f := range fields[:sizes[0]] {
-				obj.Set(f.key, f.val) // a repeated key keeps its last value
+				*obj.at(f.key) = f // a repeated key keeps its last value
 			}
 			elems[i], fields, sizes = obj, fields[sizes[0]:], sizes[1:]
 		}
@@ -376,7 +406,7 @@ func (p *jsonParser) object(depth int) Value {
 	base := len(p.fields)
 	obj := NewObjectSize(p.objectFields(depth) + frameRefRoom(depth))
 	for _, f := range p.fields[base:] {
-		obj.Set(f.key, f.val) // a repeated key keeps its last value
+		*obj.at(f.key) = f // a repeated key keeps its last value
 	}
 	clear(p.fields[base:])
 	p.fields = p.fields[:base]
@@ -397,12 +427,17 @@ func (p *jsonParser) objectFields(depth int) int {
 			p.fail("object key must be a string")
 			break
 		}
-		key, _ := p.str()
+		f := field{key: p.key()}
 		if p.take() != ':' {
 			p.fail("missing ':' after an object key")
 			break
 		}
-		p.fields = append(p.fields, field{key, p.value(depth + 1)})
+		if c := p.next(); c == '-' || '0' <= c && c <= '9' {
+			f.setNum(p.number())
+		} else {
+			f.set(p.value(depth + 1))
+		}
+		p.fields = append(p.fields, f)
 		if c := p.take(); c == '}' {
 			break
 		} else if c != ',' {
@@ -415,7 +450,7 @@ func (p *jsonParser) objectFields(depth int) int {
 
 // number reads a JSON number literal and converts it as strconv does, so a
 // literal outside float64's range is an error and an underflow is zero.
-func (p *jsonParser) number() Value {
+func (p *jsonParser) number() float64 {
 	start := p.pos
 	digits := func() (n int) {
 		for ; p.pos < len(p.data) && '0' <= p.data[p.pos] && p.data[p.pos] <= '9'; n++ {
@@ -436,14 +471,15 @@ func (p *jsonParser) number() Value {
 	f, err := strconv.ParseFloat(string(p.data[start:p.pos]), 64)
 	if !ok || err != nil {
 		p.fail("%q is not a number a float64 can hold", p.data[start:p.pos])
-		return nil
+		return 0
 	}
 	return f
 }
 
-// str reads a string literal starting at its opening quote. An interned one
-// comes boxed too (v), so storing it as a Value allocates nothing.
-func (p *jsonParser) str() (s string, v Value) {
+// str reads a string literal starting at its opening quote. One with no
+// escapes comes back as raw, a window on the input for the caller to intern
+// or convert; any other as s.
+func (p *jsonParser) str() (raw []byte, s string) {
 	p.pos++
 	start := p.pos
 	// buf stays nil while the literal is its own value: no escapes, valid
@@ -459,9 +495,9 @@ func (p *jsonParser) str() (s string, v Value) {
 		case c == '"':
 			p.pos++
 			if buf == nil {
-				return p.intern(p.data[start : p.pos-1])
+				return p.data[start : p.pos-1], ""
 			}
-			return string(buf), nil
+			return nil, string(buf)
 		case c < ' ':
 			p.fail("control character %q in a string literal", c)
 		case c == '\\':
@@ -484,25 +520,42 @@ func (p *jsonParser) str() (s string, v Value) {
 		}
 	}
 	p.fail("unterminated string literal")
-	return "", nil
+	return nil, ""
 }
 
-// intern returns b as a string, from the intern table when there is one.
-// The lookup converts b without allocating.
-func (p *jsonParser) intern(b []byte) (string, Value) {
-	if p.strs == nil || len(b) > maxInternLen {
-		return string(b), nil
+// key reads an object key, as an interned handle.
+func (p *jsonParser) key() unique.Handle[string] {
+	raw, s := p.str()
+	switch {
+	case raw == nil:
+		return unique.Make(s)
+	case p.strs == nil || len(raw) > maxInternLen:
+		return unique.Make(string(raw))
 	}
-	v, ok := p.strs[string(b)]
+	e := p.intern(raw)
+	if e.key == (unique.Handle[string]{}) {
+		e.key = unique.Make(e.v.(string))
+		p.strs[e.v.(string)] = e
+	}
+	return e.key
+}
+
+// intern returns the entry for b, from the intern table when there is one.
+// The lookup converts b without allocating.
+func (p *jsonParser) intern(b []byte) interned {
+	if p.strs == nil || len(b) > maxInternLen {
+		return interned{v: string(b)}
+	}
+	e, ok := p.strs[string(b)]
 	if !ok {
 		if len(p.strs) >= maxInternTable {
 			clear(p.strs)
 		}
 		s := string(b)
-		v = s
-		p.strs[s] = v
+		e = interned{v: s}
+		p.strs[s] = e
 	}
-	return v.(string), v
+	return e
 }
 
 // escape reads the escape sequence at pos (a backslash) onto buf. A \u

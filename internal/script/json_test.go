@@ -256,7 +256,8 @@ func checkJSONDecoder(t *testing.T, dec *JSONDecoder, doc []byte) {
 
 // TestJSONDecoderInternBounds: only unescaped strings of up to 32 bytes are
 // interned, a stream of distinct ones never grows the table past 256, and
-// interning changes no decoded value.
+// interning changes no decoded value. A key is one string however long,
+// since every key is a unique.Handle; the bound shows on string values.
 func TestJSONDecoderInternBounds(t *testing.T) {
 	dec := NewJSONDecoder()
 	decodeKey := func(doc string) string {
@@ -268,9 +269,18 @@ func TestJSONDecoderInternBounds(t *testing.T) {
 		k, _ := o.Field(0)
 		return k
 	}
+	decodeValue := func(doc string) string {
+		t.Helper()
+		o, err := dec.DecodeFields([]byte(doc))
+		if err != nil || o.Len() != 1 {
+			t.Fatalf("DecodeFields(%s) = %v, %v", doc, o, err)
+		}
+		_, v := o.Field(0)
+		return v.(string)
+	}
 	// shared reports whether two scans of doc return one string.
-	shared := func(doc string) bool {
-		return unsafe.StringData(decodeKey(doc)) == unsafe.StringData(decodeKey(doc))
+	shared := func(decode func(string) string, doc string) bool {
+		return unsafe.StringData(decode(doc)) == unsafe.StringData(decode(doc))
 	}
 	for i := range 3 * maxInternTable {
 		key := fmt.Sprintf("key_%d", i)
@@ -282,11 +292,14 @@ func TestJSONDecoderInternBounds(t *testing.T) {
 		}
 	}
 	at, over := strings.Repeat("a", maxInternLen), strings.Repeat("b", maxInternLen+1)
-	if !shared(`{"` + at + `":1}`) {
-		t.Errorf("a %d-byte key was not interned", maxInternLen)
+	if !shared(decodeValue, `{"k":"`+at+`"}`) {
+		t.Errorf("a %d-byte string was not interned", maxInternLen)
 	}
-	if _, in := dec.p.strs[over]; in || shared(`{"`+over+`":1}`) {
-		t.Errorf("a %d-byte key was interned", maxInternLen+1)
+	if _, in := dec.p.strs[over]; in || shared(decodeValue, `{"k":"`+over+`"}`) {
+		t.Errorf("a %d-byte string was interned", maxInternLen+1)
+	}
+	if _, in := dec.p.strs[over]; in || !shared(decodeKey, `{"`+over+`":1}`) {
+		t.Errorf("a %d-byte key went into the table, or is not one string", maxInternLen+1)
 	}
 	got := decodeKey(`{"esc\u0061ped":1}`)
 	if _, in := dec.p.strs["escaped"]; got != "escaped" || in {

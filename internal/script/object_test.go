@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unique"
 	"unsafe"
 )
 
@@ -387,6 +389,104 @@ func TestRecordRunDepth(t *testing.T) {
 		_, jerr := ParseJSON([]byte(doc))
 		if want := arrays >= MaxDepth; (cerr == errTooDeep) != want || (jerr == errTooDeep) != want || (cerr == nil) == want || (jerr == nil) == want {
 			t.Errorf("a record under %d arrays: Clone %v, ParseJSON %v; want errTooDeep %v", arrays, cerr, jerr, want)
+		}
+	}
+}
+
+// TestUnboxedNumbers: a field holds its number unboxed and stays 32 bytes,
+// a cell's size, and the unboxing is invisible: -0, NaN, ±Inf, null and a
+// number stored over a string (and the reverse) keep their type and value
+// through a script's member and index stores, a Go Set, JSON encode and
+// decode, Clone, CopyMessage and Unshare.
+func TestUnboxedNumbers(t *testing.T) {
+	if n := unsafe.Sizeof(field{}); n != 32 {
+		t.Fatalf("a field is %d bytes, want 32", n)
+	}
+	c := NewContext()
+	if err := c.Load(`function store(o, before, v) { o.x = before; o.x = v; o["y"] = before; o["y"] = v; return o.x; }`); err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b Value) bool {
+		x, xNum := a.(float64)
+		y, yNum := b.(float64)
+		if xNum || yNum {
+			return xNum && yNum && (math.Float64bits(x) == math.Float64bits(y) || math.IsNaN(x) && math.IsNaN(y))
+		}
+		return a == b
+	}
+	for _, tc := range []struct {
+		name      string
+		before, v Value
+	}{
+		{"-0", nil, math.Copysign(0, -1)},
+		{"NaN", nil, math.NaN()},
+		{"+Inf", "s", math.Inf(1)},
+		{"-Inf", 1.5, math.Inf(-1)},
+		{"null over a number", 1.5, nil},
+		{"number over a string", "s", 2.5},
+		{"string over a number", 2.5, "s"},
+	} {
+		o := NewObjectSize(2)
+		got, err := c.Call("store", o, tc.before, tc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		check := func(how string, o *Object) {
+			t.Helper()
+			for _, k := range []string{"x", "y"} {
+				if v, ok := o.Lookup(k); !ok || !same(v, tc.v) {
+					t.Errorf("%s: %s: field %s is %#v (present %v), want %#v", tc.name, how, k, v, ok, tc.v)
+				}
+			}
+			n, isNum := o.Num(unique.Make("x"))
+			if want, wantNum := tc.v.(float64); isNum != wantNum || isNum && !same(n, want) {
+				t.Errorf("%s: %s: Num = %v, %v; want %#v", tc.name, how, n, isNum, tc.v)
+			}
+		}
+		if !same(got, tc.v) {
+			t.Errorf("%s: the script read back %#v, want %#v", tc.name, got, tc.v)
+		}
+		check("member and index stores", o)
+		g := NewObject()
+		g.Set("x", tc.before)
+		g.Set("y", tc.before)
+		g.Set("x", tc.v)
+		g.Set("y", tc.v)
+		check("Go Set", g)
+
+		cl, err := Clone(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Clone", cl.(*Object))
+		for _, share := range []bool{false, true} {
+			cp, _, err := CopyMessage(o, share)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("CopyMessage(share %v)", share), cp)
+			if err := Unshare(cp); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("CopyMessage(share %v) and Unshare", share), cp)
+		}
+
+		data, err := AppendJSON(nil, o)
+		if f, isNum := tc.v.(float64); isNum && (math.IsNaN(f) || math.IsInf(f, 0)) {
+			if err == nil {
+				t.Errorf("%s: JSON encoded as %s, want an error", tc.name, data)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, dec := range []*JSONDecoder{{}, NewJSONDecoder()} {
+			back, err := dec.DecodeFields(data)
+			if err != nil {
+				t.Fatalf("%s: decoding %s: %v", tc.name, data, err)
+			}
+			check("JSON "+string(data), back)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package script
 
-import "fmt"
+import (
+	"fmt"
+	"unique"
+)
 
 // parser builds the AST from a token stream using recursive descent with a
 // precedence-climbing expression core.
@@ -664,7 +667,7 @@ func (p *parser) callOrMember() (expr, error) {
 				return nil, p.errorf("expected member name, found %s", name)
 			}
 			p.advance()
-			x = &memberExpr{pos: t.pos, obj: x, name: name.text}
+			x = &memberExpr{pos: t.pos, obj: x, name: name.text, key: unique.Make(name.text)}
 		case p.isPunct("["):
 			p.advance()
 			idx, err := p.expression()
@@ -768,7 +771,7 @@ func (p *parser) objectLiteral() (expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		o.fields = append(o.fields, objectField{key: key, value: v})
+		o.fields = append(o.fields, objectField{key: key, value: v, handle: unique.Make(key)})
 		if !p.acceptPunct(",") {
 			break
 		}

@@ -264,7 +264,7 @@ func shapeOfValue(v Value, depth int) *Shape {
 		return kindShape(KindNull)
 	case bool:
 		return kindShape(KindBool)
-	case float64:
+	case float64, numberTag:
 		return kindShape(KindNumber)
 	case string:
 		return kindShape(KindString)
@@ -277,7 +277,7 @@ func shapeOfValue(v Value, depth int) *Shape {
 	case *Object:
 		s := &Shape{Kinds: KindObject, Fields: make(map[string]*Shape, len(x.fields))}
 		for _, f := range x.fields {
-			s.Fields[f.key] = shapeOfValue(f.val, depth+1)
+			s.Fields[f.key.Value()] = shapeOfValue(f.ref, depth+1)
 		}
 		return s
 	case *Function, HostFunc, *builtin:

@@ -39,7 +39,7 @@ var builtins = map[string]*builtin{
 	// ---- objects ----
 	"keys":   {listFields("keys", func(_ *Object, k string) Value { return k }), sorted, sig1(Param{"object", "object"})},
 	"values": {listFields("values", (*Object).Get), sorted, sig1(Param{"object", "object"})},
-	"has":    {keyOp("has", func(o *Object, k string) Value { _, ok := o.Lookup(k); return ok }), keyed, sig2(Param{"object", "object"}, Param{"key", "string"})},
+	"has":    {keyOp("has", func(o *Object, k string) Value { return o.slot(k) >= 0 }), keyed, sig2(Param{"object", "object"}, Param{"key", "string"})},
 	"remove": {keyOp("remove", (*Object).Delete), keyed, Signature{Min: 2, Max: 2, Params: []Param{{"object", "object"}, {"key", "string"}}, Writes: 1}},
 
 	// ---- math ----
@@ -175,7 +175,7 @@ func longest(v Value) (w int64) {
 		}
 	case *Object:
 		for i := range x.fields {
-			w = max(w, int64(len(x.fields[i].key)))
+			w = max(w, int64(len(x.fields[i].key.Value())))
 		}
 	}
 	return w

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unique"
 )
 
 // Value is a PipeScript runtime value. The concrete types are:
@@ -44,10 +45,47 @@ type Object struct {
 	index map[string]int32
 }
 
+// field is one slot of an object's table, 32 bytes like a cell. A number
+// is held unboxed in num, marked by numberTag in ref; any other value is
+// ref itself, nil for null. The key is an interned handle: a lookup by
+// handle — a literal key, a decoded one, a Go producer's constant —
+// compares one word per field.
 type field struct {
-	key string
-	val Value
+	key unique.Handle[string]
+	num float64
+	ref Value
 }
+
+// numberTag in a field's ref says that the field holds num. It never leaves
+// the field: the walkers that read ref (clone, plainData, sizeWalk,
+// shapeOfValue, holds) take it for the number it marks, and every other read
+// goes through value or cell.
+type numberTag struct{}
+
+func (f *field) isNum() bool {
+	_, ok := f.ref.(numberTag)
+	return ok
+}
+
+// value returns what the field holds, a number boxed: the one place an
+// object read allocates.
+func (f *field) value() Value {
+	if f.isNum() {
+		return f.num
+	}
+	return f.ref
+}
+
+// set stores v, unboxing a number.
+func (f *field) set(v Value) {
+	if n, ok := v.(float64); ok {
+		f.setNum(n)
+		return
+	}
+	f.num, f.ref = 0, v
+}
+
+func (f *field) setNum(n float64) { f.num, f.ref = n, numberTag{} }
 
 // indexedFields is the size past which an object keeps a key index: below
 // it a scan of message-sized tables beats hashing the key.
@@ -135,6 +173,22 @@ func (o *Object) slot(key string) int {
 		return -1
 	}
 	for i := range o.fields {
+		if o.fields[i].key.Value() == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// slotOf is slot for a key handle.
+func (o *Object) slotOf(key unique.Handle[string]) int {
+	if o == nil {
+		return -1
+	}
+	if o.index != nil {
+		return o.slot(key.Value())
+	}
+	for i := range o.fields {
 		if o.fields[i].key == key {
 			return i
 		}
@@ -142,10 +196,11 @@ func (o *Object) slot(key string) int {
 	return -1
 }
 
-// Lookup returns the field value and whether the field exists.
+// Lookup returns the field value and whether the field exists. A number
+// comes boxed; Num reads one without allocating.
 func (o *Object) Lookup(key string) (Value, bool) {
 	if i := o.slot(key); i >= 0 {
-		return o.fields[i].val, true
+		return o.fields[i].value(), true
 	}
 	return nil, false
 }
@@ -156,27 +211,55 @@ func (o *Object) Get(key string) Value {
 	return v
 }
 
-// Set stores a field value.
-func (o *Object) Set(key string, v Value) {
-	if i := o.slot(key); i >= 0 {
-		o.fields[i].val = v
-		return
+// Num returns the number stored under key, unboxed; false when the field is
+// absent or holds anything but a number. Go code that reads numbers off the
+// frame path uses it in place of Get, which boxes.
+func (o *Object) Num(key unique.Handle[string]) (float64, bool) {
+	if i := o.slotOf(key); i >= 0 && o.fields[i].isNum() {
+		return o.fields[i].num, true
 	}
-	o.add(key, v)
+	return 0, false
 }
 
-// add appends a field whose key the object does not hold.
-func (o *Object) add(key string, v Value) {
-	o.fields = append(o.fields, field{key, v})
+// Set stores a field value. A number is stored unboxed.
+func (o *Object) Set(key string, v Value) {
+	o.atKey(key).set(v)
+}
+
+// SetNum stores the number n under key without boxing it: how Go code
+// builds the numbers of a message.
+func (o *Object) SetNum(key unique.Handle[string], n float64) { o.at(key).setNum(n) }
+
+// at returns the field under key, added empty (null) if absent.
+func (o *Object) at(key unique.Handle[string]) *field {
+	if i := o.slotOf(key); i >= 0 {
+		return &o.fields[i]
+	}
+	return o.add(key)
+}
+
+// atKey is at for a key string, interned only when it is added.
+func (o *Object) atKey(key string) *field {
+	if i := o.slot(key); i >= 0 {
+		return &o.fields[i]
+	}
+	return o.add(unique.Make(key))
+}
+
+// add appends a null field under a key the object does not hold.
+func (o *Object) add(key unique.Handle[string]) *field {
+	o.fields = append(o.fields, field{key: key})
+	n := len(o.fields)
 	switch {
 	case o.index != nil:
-		o.index[key] = int32(len(o.fields) - 1)
-	case len(o.fields) > indexedFields:
-		o.index = make(map[string]int32, len(o.fields))
-		for i, f := range o.fields {
-			o.index[f.key] = int32(i)
+		o.index[key.Value()] = int32(n - 1)
+	case n > indexedFields:
+		o.index = make(map[string]int32, n)
+		for i := range o.fields {
+			o.index[o.fields[i].key.Value()] = int32(i)
 		}
 	}
+	return &o.fields[n-1]
 }
 
 // Delete removes a field, reporting whether it existed. The last slot moves
@@ -190,7 +273,7 @@ func (o *Object) Delete(key string) bool {
 	if o.index != nil {
 		delete(o.index, key)
 		if i != last {
-			o.index[o.fields[last].key] = int32(i)
+			o.index[o.fields[last].key.Value()] = int32(i)
 		}
 	}
 	o.fields[i] = o.fields[last]
@@ -207,15 +290,16 @@ func (o *Object) Len() int {
 	return len(o.fields)
 }
 
-// Field returns the key and value in slot i, 0 <= i < Len(). Slots are in no
-// meaningful order; a walk whose order anyone can see uses SortedKeys.
-func (o *Object) Field(i int) (string, Value) { return o.fields[i].key, o.fields[i].val }
+// Field returns the key and value in slot i, 0 <= i < Len(), a number
+// boxed. Slots are in no meaningful order; a walk whose order anyone can see
+// uses SortedKeys.
+func (o *Object) Field(i int) (string, Value) { return o.fields[i].key.Value(), o.fields[i].value() }
 
 // SortedKeys returns the object's keys in sorted order.
 func (o *Object) SortedKeys() []string {
 	keys := make([]string, o.Len())
 	for i := range keys {
-		keys[i] = o.fields[i].key
+		keys[i] = o.fields[i].key.Value()
 	}
 	sort.Strings(keys)
 	return keys
@@ -394,8 +478,13 @@ func stringifyInto(b *strings.Builder, v Value, depth, max int) error {
 			}
 			b.WriteString(k)
 			b.WriteString(": ")
-			if err := stringifyInto(b, x.Get(k), depth+1, max); err != nil {
-				return err
+			f := &x.fields[x.slot(k)]
+			if !f.isNum() {
+				if err := stringifyInto(b, f.ref, depth+1, max); err != nil {
+					return err
+				}
+			} else if b.WriteString(formatNumber(f.num)); max >= 0 && b.Len() > max {
+				return ErrTooLong
 			}
 		}
 		b.WriteByte('}')
@@ -453,13 +542,13 @@ func fromGo(v any, depth int) Value {
 	case map[string]any:
 		obj := NewObjectSize(len(x) + frameRefRoom(depth))
 		for k, e := range x {
-			obj.add(k, fromGo(e, depth+1))
+			obj.add(unique.Make(k)).set(fromGo(e, depth+1))
 		}
 		return obj
 	case map[string]Value:
 		obj := NewObjectSize(len(x) + frameRefRoom(depth))
 		for k, e := range x {
-			obj.add(k, e)
+			obj.add(unique.Make(k)).set(e)
 		}
 		return obj
 	case []float64:
@@ -507,12 +596,12 @@ func toGo(v Value, depth int) (any, error) {
 			return nil, errTooDeep
 		}
 		out := make(map[string]any, len(x.fields))
-		for _, f := range x.fields {
-			g, err := toGo(f.val, depth+1)
+		for i := range x.fields {
+			g, err := toGo(x.fields[i].value(), depth+1)
 			if err != nil {
 				return nil, err
 			}
-			out[f.key] = g
+			out[x.fields[i].key.Value()] = g
 		}
 		return out, nil
 	default:
@@ -532,7 +621,7 @@ func Clone(v Value) (Value, error) { return clone(v, 0) }
 
 func clone(v Value, depth int) (Value, error) {
 	switch x := v.(type) {
-	case nil, bool, float64, string:
+	case nil, bool, float64, string, numberTag:
 		return x, nil
 	case *Array:
 		if depth >= MaxDepth {
@@ -574,11 +663,12 @@ func cloneFields(out, x *Object, depth int) (Value, error) {
 		return nil, errTooDeep
 	}
 	for _, f := range x.fields {
-		c, err := clone(f.val, depth+1)
+		c, err := clone(f.ref, depth+1)
 		if err != nil {
 			return nil, err
 		}
-		out.add(f.key, c)
+		f.ref = c
+		*out.add(f.key) = f
 	}
 	return out, nil
 }
@@ -609,7 +699,7 @@ func CopyMessage(msg *Object, share bool) (out *Object, shared bool, err error) 
 	}
 	out = NewObjectSize(len(msg.fields) + frameRefRoom(0))
 	for _, f := range msg.fields {
-		out.add(f.key, f.val)
+		*out.add(f.key) = f
 	}
 	return out, true, nil
 }
@@ -620,7 +710,7 @@ func CopyMessage(msg *Object, share bool) (out *Object, shared bool, err error) 
 // where Clone would.
 func plainData(v Value, depth int) (bool, error) {
 	switch x := v.(type) {
-	case nil, bool, float64, string:
+	case nil, bool, float64, string, numberTag:
 		return true, nil
 	case *Array:
 		if depth >= MaxDepth {
@@ -637,7 +727,7 @@ func plainData(v Value, depth int) (bool, error) {
 			return false, errTooDeep
 		}
 		for _, f := range x.fields {
-			if ok, err := plainData(f.val, depth+1); !ok || err != nil {
+			if ok, err := plainData(f.ref, depth+1); !ok || err != nil {
 				return ok, err
 			}
 		}
@@ -651,11 +741,11 @@ func plainData(v Value, depth int) (bool, error) {
 // that writes does with a message before its handler runs.
 func Unshare(msg *Object) error {
 	for i := range msg.fields {
-		c, err := clone(msg.fields[i].val, 1)
+		c, err := clone(msg.fields[i].ref, 1)
 		if err != nil {
 			return err
 		}
-		msg.fields[i].val = c
+		msg.fields[i].ref = c
 	}
 	return nil
 }
@@ -667,14 +757,14 @@ func Unshare(msg *Object) error {
 // or the message itself) as a value it can pass on.
 func Unalias(result, arg *Object) error {
 	for i := range result.fields {
-		if !holds(result.fields[i].val, arg, 1) {
+		if !holds(result.fields[i].ref, arg, 1) {
 			continue
 		}
-		c, err := clone(result.fields[i].val, 1)
+		c, err := clone(result.fields[i].ref, 1)
 		if err != nil {
 			return err
 		}
-		result.fields[i].val = c
+		result.fields[i].ref = c
 	}
 	return nil
 }
@@ -698,7 +788,7 @@ func holds(v Value, arg *Object, depth int) bool {
 			return true
 		}
 		for _, f := range x.fields {
-			if holds(f.val, arg, depth+1) {
+			if holds(f.ref, arg, depth+1) {
 				return true
 			}
 		}
@@ -709,7 +799,7 @@ func holds(v Value, arg *Object, depth int) bool {
 // isField reports whether container c is the value of one of o's fields.
 func isField(o *Object, c Value) bool {
 	for _, f := range o.fields {
-		if f.val == c {
+		if f.ref == c {
 			return true
 		}
 	}

@@ -3,6 +3,8 @@
 package services
 
 import (
+	"context"
+	"math/rand"
 	"testing"
 
 	"videopipe/internal/script"
@@ -12,17 +14,17 @@ import (
 // TestPoseValueAllocs pins the pose tree a detector hands a module and the
 // copy each local edge makes of it (`make alloc`). A flat object is one
 // allocation and the 17 keypoints are one record run of two, so building the
-// pose is its 6 objects, arrays and run blocks plus one box per number
-// (keypoint names are boxed once), and a clone — which shares the immutable
-// numbers and strings — is the 6 containers alone. One allocation per
+// pose is its 6 objects, arrays and run blocks, and its 39 numbers go into
+// their fields unboxed (keypoint names are boxed once); a clone is the 6
+// containers too. Boxed numbers cost 45 to build; one allocation per
 // keypoint object costs 60 and 21; map-backed objects cost 96 and 59.
 func TestPoseValueAllocs(t *testing.T) {
 	p := vision.SynthesizePose(vision.Squat, 0.3, vision.DefaultSubject(), nil)
-	build := testing.AllocsPerRun(50, func() { poseValue(p) })
-	if build > 45 {
-		t.Errorf("poseValue: %.0f allocs, want <= 45", build)
-	}
 	v := script.Value(poseValue(p))
+	build := testing.AllocsPerRun(50, func() { poseValue(p) })
+	if build > 6 {
+		t.Errorf("poseValue: %.0f allocs, want <= 6 (its containers)", build)
+	}
 	clone := testing.AllocsPerRun(50, func() {
 		if _, err := script.Clone(v); err != nil {
 			t.Fatal(err)
@@ -32,4 +34,47 @@ func TestPoseValueAllocs(t *testing.T) {
 		t.Errorf("Clone of a detector pose: %.0f allocs, want <= 6", clone)
 	}
 	t.Logf("poseValue %.0f allocs, its clone %.0f", build, clone)
+}
+
+// TestPoseFromValueAllocs: the services read a pose's 39 numbers back with
+// Object.Num, unboxed, so poseFromValue allocates nothing and a warm
+// activity_classifier call over a 15-pose window — 510 coordinate reads —
+// allocates only its result's boxed label and confidence (the result map is
+// recycled). Read through Get, each coordinate would be a box.
+func TestPoseFromValueAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	clf := vision.NewActivityClassifier(3)
+	for _, a := range []vision.Activity{vision.Squat, vision.JumpingJack} {
+		window, _ := vision.SynthesizeSequence(a, vision.WindowSize, 15, 0.5, vision.DefaultSubject(), rng)
+		if err := clf.TrainPoses(a, window); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window, _ := vision.SynthesizeSequence(vision.Squat, vision.WindowSize, 15, 0.55, vision.DefaultSubject(), rng)
+	poses := make([]script.Value, len(window))
+	for i, p := range window {
+		poses[i] = poseValue(p)
+	}
+	obj := poses[0].(*script.Object)
+	if got, err := poseFromValue(obj); err != nil || got != window[0] {
+		t.Fatalf("poseFromValue = %+v, %v; want %+v", got, err, window[0])
+	}
+	if allocs := testing.AllocsPerRun(50, func() { poseFromValue(obj) }); allocs != 0 {
+		t.Errorf("poseFromValue: %.1f allocs, want 0", allocs)
+	}
+
+	args := script.NewObjectSize(1)
+	args.Set("poses", &script.Array{Elems: poses})
+	handle := handleActivity(clf)
+	call := func() {
+		resp, err := handle(context.Background(), Request{Args: args})
+		if err != nil {
+			t.Fatal(err)
+		}
+		RecycleResult(resp.Result)
+	}
+	call()
+	if allocs := testing.AllocsPerRun(50, call); allocs > 2 {
+		t.Errorf("warm activity_classifier call over %d poses: %.1f allocs, want <= 2", len(poses), allocs)
+	}
 }

@@ -189,9 +189,3 @@ func argString(args *script.Object, key string) (string, bool) {
 	s, ok := args.Get(key).(string)
 	return s, ok
 }
-
-// argFloat extracts a numeric argument.
-func argFloat(args *script.Object, key string) (float64, bool) {
-	f, ok := args.Get(key).(float64)
-	return f, ok
-}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unique"
 
 	"videopipe/internal/frame"
 	"videopipe/internal/metrics"
@@ -771,14 +772,14 @@ func TestArgHelpers(t *testing.T) {
 	if _, ok := argString(args, "f"); ok {
 		t.Error("argString accepted a float")
 	}
-	if v, ok := argFloat(args, "f"); !ok || v != 1.5 {
-		t.Errorf("argFloat = %v, %v", v, ok)
+	if v, ok := args.Num(unique.Make("f")); !ok || v != 1.5 {
+		t.Errorf("Num = %v, %v", v, ok)
 	}
-	if _, ok := argFloat(args, "b"); ok {
-		t.Error("argFloat accepted a bool")
+	if _, ok := args.Num(unique.Make("b")); ok {
+		t.Error("Num accepted a bool")
 	}
-	if _, ok := argFloat(args, "missing"); ok {
-		t.Error("argFloat accepted a missing key")
+	if _, ok := args.Num(unique.Make("missing")); ok {
+		t.Error("Num accepted a missing key")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"image/color"
 	"sync"
 	"time"
+	"unique"
 
 	"videopipe/internal/script"
 	"videopipe/internal/vision"
@@ -150,21 +151,22 @@ func NewStandardRegistry(opts StandardOptions) (*Registry, error) {
 //	{keypoints: [{name, x, y} x 17], box: {min_x, min_y, max_x, max_y}, score}
 //
 // The conversion lives here, beside the handlers, so the vision package
-// stays free of the script package.
+// stays free of the script package. Its numbers go in and come out through
+// the typed Object.SetNum and Object.Num, unboxed, under these keys.
+var (
+	keyX, keyY, keyScore               = unique.Make("x"), unique.Make("y"), unique.Make("score")
+	keyMinX, keyMinY, keyMaxX, keyMaxY = unique.Make("min_x"), unique.Make("min_y"), unique.Make("max_x"), unique.Make("max_y")
+	keyReps                            = unique.Make("reps")
+)
 
-// object builds a script object from alternating keys and values, in one
-// allocation.
-func object(kv ...script.Value) *script.Object {
-	o := script.NewObjectSize(len(kv) / 2)
-	for i := 0; i+1 < len(kv); i += 2 {
-		o.Set(kv[i].(string), kv[i+1])
-	}
-	return o
-}
-
-// boxValue builds the script form of a bounding box.
+// boxValue builds the script form of a bounding box, in one allocation.
 func boxValue(b vision.Box) *script.Object {
-	return object("min_x", b.MinX, "min_y", b.MinY, "max_x", b.MaxX, "max_y", b.MaxY)
+	o := script.NewObjectSize(4)
+	o.SetNum(keyMinX, b.MinX)
+	o.SetNum(keyMinY, b.MinY)
+	o.SetNum(keyMaxX, b.MaxX)
+	o.SetNum(keyMaxY, b.MaxY)
+	return o
 }
 
 // keypointNames are vision.KeypointNames as script values, boxed once.
@@ -175,19 +177,23 @@ var keypointNames = func() (names [vision.NumKeypoints]script.Value) {
 	return names
 }()
 
-// poseValue builds the script form of a pose: one allocation per number,
-// one per object or array, but the keypoints are one record run of two.
+// poseValue builds the script form of a pose: one allocation per object or
+// array, none per number, and the keypoints are one record run of two.
 func poseValue(p vision.Pose) *script.Object {
 	kps := make([]script.Value, vision.NumKeypoints)
 	run := script.NewObjectRun(vision.NumKeypoints, 3)
 	for i, kp := range p.Keypoints {
 		o := &run[i]
 		o.Set("name", keypointNames[i])
-		o.Set("x", kp.X)
-		o.Set("y", kp.Y)
+		o.SetNum(keyX, kp.X)
+		o.SetNum(keyY, kp.Y)
 		kps[i] = o
 	}
-	return object("keypoints", &script.Array{Elems: kps}, "box", boxValue(p.Box), "score", p.Score)
+	pose := script.NewObjectSize(3)
+	pose.Set("keypoints", &script.Array{Elems: kps})
+	pose.Set("box", boxValue(p.Box))
+	pose.SetNum(keyScore, p.Score)
+	return pose
 }
 
 // poseFromValue reads a pose back out of its script form, in place: it
@@ -203,20 +209,20 @@ func poseFromValue(obj *script.Object) (vision.Pose, error) {
 		if !ok {
 			return p, fmt.Errorf("keypoint %d is not an object", i)
 		}
-		x, okx := kp.Get("x").(float64)
-		y, oky := kp.Get("y").(float64)
+		x, okx := kp.Num(keyX)
+		y, oky := kp.Num(keyY)
 		if !okx || !oky {
 			return p, fmt.Errorf("keypoint %d has non-numeric coordinates", i)
 		}
 		p.Keypoints[i] = vision.Point{X: x, Y: y}
 	}
 	if box, ok := obj.Get("box").(*script.Object); ok {
-		p.Box.MinX, _ = box.Get("min_x").(float64)
-		p.Box.MinY, _ = box.Get("min_y").(float64)
-		p.Box.MaxX, _ = box.Get("max_x").(float64)
-		p.Box.MaxY, _ = box.Get("max_y").(float64)
+		p.Box.MinX, _ = box.Num(keyMinX)
+		p.Box.MinY, _ = box.Num(keyMinY)
+		p.Box.MaxX, _ = box.Num(keyMaxX)
+		p.Box.MaxY, _ = box.Num(keyMaxY)
 	}
-	p.Score, _ = obj.Get("score").(float64)
+	p.Score, _ = obj.Num(keyScore)
 	return p, nil
 }
 
@@ -360,7 +366,11 @@ func handleObjects(_ context.Context, req Request) (Response, error) {
 	dets := vision.DetectObjects(req.Frame)
 	objs := make([]script.Value, len(dets))
 	for i, d := range dets {
-		objs[i] = object("label", d.Label, "score", d.Score, "box", boxValue(d.Box))
+		o := script.NewObjectSize(3)
+		o.Set("label", d.Label)
+		o.SetNum(keyScore, d.Score)
+		o.Set("box", boxValue(d.Box))
+		objs[i] = o
 	}
 	return Response{Result: result(
 		"objects", &script.Array{Elems: objs}, "count", float64(len(dets)),
@@ -462,7 +472,7 @@ func handleDisplay(_ context.Context, req Request) (Response, error) {
 	}
 
 	// Rep counter: one tick mark per completed rep along the bottom.
-	if reps, ok := argFloat(req.Args, "reps"); ok {
+	if reps, ok := req.Args.Num(keyReps); ok {
 		tick := color.RGBA{R: 255, G: 255, B: 255, A: 255}
 		for k := 0; k < int(reps) && 8+k*14 < out.Width; k++ {
 			out.DrawRect(8+k*14, out.Height-16, 16+k*14, out.Height-8, tick)

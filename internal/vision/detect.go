@@ -18,19 +18,20 @@ const minMarkerChannel = 255 - markerMatchThreshold
 // noMarker labels a pixel that matches no joint marker.
 const noMarker = 0xff
 
-// detectScratch is what one pose detection needs besides its frame: a
-// foreground extent and centroid sums per stripe, and the row functions,
-// bound once so a striped pass hands frame.Stripes nothing new. The pixel
-// labels (one byte per pixel, the dominant allocation of DetectPose before
-// pooling) are borrowed from frame.Pool for the call. Idle scratches wait in
-// scratches, one per detection running at once up to its capacity.
+// detectScratch is what one detection needs besides its frame: a
+// foreground extent and centroid sums per stripe (DetectPose's), and the row
+// functions, bound once so a striped pass hands frame.Stripes nothing new.
+// The pixel labels (one byte per pixel, the dominant allocation of
+// DetectPose before pooling) are borrowed from frame.Pool for the call. Idle
+// scratches wait in scratches, one per detection running at once up to its
+// capacity.
 type detectScratch struct {
 	f      *frame.Frame
 	labels []byte
 	fg     []extent
 	sums   []centroidSums
 
-	classify, erode func(stripe, lo, hi int)
+	classify, erode, objects func(stripe, lo, hi int)
 }
 
 type centroidSums struct {
@@ -46,7 +47,7 @@ func getScratch(f *frame.Frame) *detectScratch {
 	case s = <-scratches:
 	default:
 		s = &detectScratch{fg: make([]extent, frame.MaxStripes()), sums: make([]centroidSums, frame.MaxStripes())}
-		s.classify, s.erode = s.classifyStripe, s.erodeStripe
+		s.classify, s.erode, s.objects = s.classifyStripe, s.erodeStripe, s.objectStripe
 	}
 	s.f = f
 	return s

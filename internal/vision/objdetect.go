@@ -3,6 +3,7 @@ package vision
 import (
 	"image/color"
 	"sort"
+	"unsafe"
 
 	"videopipe/internal/frame"
 )
@@ -65,48 +66,36 @@ func ObjectColor(label string) (color.RGBA, bool) {
 	return color.RGBA{}, false
 }
 
+// noObject labels a pixel of no object class.
+const noObject = 0xff
+
 // DetectObjects finds all objects in a frame by connected-component
 // analysis over class-colored pixels (4-connectivity, union-find). The
 // classification pass is row-striped across the shared worker group with a
 // channel-sum quick reject; the union-find stays serial (it is a small
-// fraction of the work and inherently order-dependent).
+// fraction of the work and inherently order-dependent). Both per-pixel
+// planes, the class labels and the union-find parents, are borrowed from
+// frame.Pool for the call, and the row function is bound once in a reused
+// detection scratch, as DetectPose's are.
 func DetectObjects(f *frame.Frame) []Detection {
 	w, h := f.Width, f.Height
-	classOf := make([]int8, w*h)
-	frame.Stripes(h, func(_, lo, hi int) {
-		for y := lo; y < hi; y++ {
-			row := f.Pix[y*w*4 : (y+1)*w*4]
-			base := y * w
-			for x := 0; x < w; x++ {
-				pi := x * 4
-				r := int(row[pi])
-				g := int(row[pi+1])
-				b := int(row[pi+2])
-				if r+g+b < minObjectChannelSum {
-					classOf[base+x] = -1
-					continue
-				}
-				best, bestDist := -1, objectMatchThreshold*objectMatchThreshold+1
-				for k, oc := range objectClasses {
-					dr := r - int(oc.color.R)
-					dg := g - int(oc.color.G)
-					db := b - int(oc.color.B)
-					if d := dr*dr + dg*dg + db*db; d < bestDist {
-						best, bestDist = k, d
-					}
-				}
-				classOf[base+x] = int8(best)
-			}
-		}
-	})
+	s := getScratch(f)
+	defer s.release()
+	s.labels = frame.Pool.GetDirty(w * h)
+	defer frame.Pool.Put(s.labels)
+	classOf := s.labels
+	frame.Stripes(h, s.objects)
 
-	// Union-find over same-class 4-neighbours.
-	parent := make([]int32, w*h)
+	// Union-find over same-class 4-neighbours. The parents are int32s laid
+	// over a pooled byte buffer: the pool hands out whole allocations, which
+	// Go aligns to 8 bytes.
+	parentBuf := frame.Pool.GetDirty(4 * w * h)
+	defer frame.Pool.Put(parentBuf)
+	parent := unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(parentBuf))), w*h)
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(i int32) int32
-	find = func(i int32) int32 {
+	find := func(i int32) int32 {
 		for parent[i] != i {
 			parent[i] = parent[parent[i]]
 			i = parent[i]
@@ -122,7 +111,7 @@ func DetectObjects(f *frame.Frame) []Detection {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			i := y*w + x
-			if classOf[i] < 0 {
+			if classOf[i] == noObject {
 				continue
 			}
 			if x+1 < w && classOf[i+1] == classOf[i] {
@@ -135,7 +124,7 @@ func DetectObjects(f *frame.Frame) []Detection {
 	}
 
 	type comp struct {
-		class                  int8
+		class                  byte
 		count                  int
 		minX, minY, maxX, maxY int
 	}
@@ -143,7 +132,7 @@ func DetectObjects(f *frame.Frame) []Detection {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
 			i := y*w + x
-			if classOf[i] < 0 {
+			if classOf[i] == noObject {
 				continue
 			}
 			root := find(int32(i))
@@ -191,6 +180,36 @@ func DetectObjects(f *frame.Frame) []Detection {
 		return out[i].Box.MinX < out[j].Box.MinX
 	})
 	return out
+}
+
+// objectStripe labels rows [lo, hi) with their object class, noObject for none.
+func (s *detectScratch) objectStripe(_, lo, hi int) {
+	f, classOf := s.f, s.labels
+	w := f.Width
+	for y := lo; y < hi; y++ {
+		row := f.Pix[y*w*4 : (y+1)*w*4]
+		base := y * w
+		for x := 0; x < w; x++ {
+			pi := x * 4
+			r := int(row[pi])
+			g := int(row[pi+1])
+			b := int(row[pi+2])
+			if r+g+b < minObjectChannelSum {
+				classOf[base+x] = noObject
+				continue
+			}
+			best, bestDist := byte(noObject), objectMatchThreshold*objectMatchThreshold+1
+			for k, oc := range objectClasses {
+				dr := r - int(oc.color.R)
+				dg := g - int(oc.color.G)
+				db := b - int(oc.color.B)
+				if d := dr*dr + dg*dg + db*db; d < bestDist {
+					best, bestDist = byte(k), d
+				}
+			}
+			classOf[base+x] = best
+		}
+	}
 }
 
 // DrawObject renders a class-colored rectangle into a frame, for building
