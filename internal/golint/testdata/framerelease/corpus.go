@@ -4,6 +4,7 @@
 package fr
 
 import (
+	"errors"
 	"fmt"
 
 	"videopipe/internal/frame"
@@ -108,3 +109,178 @@ func budgetAbortAbandoned(handle func() error) error {
 	f.Release()
 	return nil
 }
+
+// ---- the statement walk's rules ----
+
+// ifOneArmEnds: the early return releases, but the path through the if
+// still owns the frame when the function ends.
+func ifOneArmEnds(ok bool) {
+	f := frame.MustNewPooled(4, 4)
+	if !ok {
+		f.Release()
+		return
+	}
+} // want pooled frame "f" obtained at .* is not released on this path
+
+// ifBothArmsEnd is clean: both arms end, so no path reaches the end of the
+// function.
+func ifBothArmsEnd(ok bool) *frame.Frame {
+	f := frame.MustNewPooled(4, 4)
+	if ok {
+		return f
+	} else {
+		f.Release()
+		return nil
+	}
+}
+
+// forPostReadsReleased: the post statement runs after the body released
+// the frame.
+func forPostReadsReleased(n int) {
+	f := frame.MustNewPooled(4, 4)
+	for i := 0; i < n; i += f.Width { // want use of frame "f" after Release
+		f.Release()
+	}
+}
+
+// rangeLeak strands one pooled frame per iteration.
+func rangeLeak(sizes []int) {
+	for _, n := range sizes {
+		f := frame.MustNewPooled(n, n)
+		f.Seq = 1
+	} // want pooled frame "f" obtained at .* inside this loop is not released by the end of the iteration
+} // want pooled frame "f" obtained at .* is not released on this path
+
+// switchAllArmsEnd is clean: with a default, every path ends in an arm.
+func switchAllArmsEnd(mode int) *frame.Frame {
+	f := frame.MustNewPooled(4, 4)
+	switch mode {
+	case 0:
+		return f
+	default:
+		f.Release()
+		return nil
+	}
+}
+
+// switchNoDefault: a mode no case names skips both arms.
+func switchNoDefault(mode int) *frame.Frame {
+	f := frame.MustNewPooled(4, 4)
+	switch mode {
+	case 0:
+		return f
+	case 1:
+		f.Release()
+		return nil
+	}
+	return nil // want pooled frame "f" obtained at .* is not released on this path
+}
+
+// caseValueReadsReleased: a case value is evaluated like any expression.
+func caseValueReadsReleased(n int) {
+	f := frame.MustNewPooled(4, 4)
+	f.Release()
+	switch n {
+	case f.Width: // want use of frame "f" after Release
+	}
+}
+
+// typeSwitchAllArmsEnd is clean: the default ends too.
+func typeSwitchAllArmsEnd(v any) error {
+	f := frame.MustNewPooled(4, 4)
+	switch v.(type) {
+	case int:
+		f.Release()
+		return nil
+	default:
+		f.Release()
+		return fmt.Errorf("unexpected %T", v)
+	}
+}
+
+// typeSwitchNoDefault: a string skips the only arm that releases.
+func typeSwitchNoDefault(v any) error {
+	f := frame.MustNewPooled(4, 4)
+	switch v.(type) {
+	case int:
+		f.Release()
+		return nil
+	}
+	return errors.New("not an int") // want pooled frame "f" obtained at .* is not released on this path
+}
+
+// selectWithDefault is clean: the send hands the frame over, the default
+// releases it.
+func selectWithDefault(out chan *frame.Frame) {
+	f := frame.MustNewPooled(4, 4)
+	select {
+	case out <- f:
+	default:
+		f.Release()
+	}
+}
+
+// selectAllArmsEnd: the done arm returns without the frame it still owns.
+func selectAllArmsEnd(out chan *frame.Frame, done chan struct{}) error {
+	f := frame.MustNewPooled(4, 4)
+	select {
+	case out <- f:
+		return nil
+	case <-done:
+		return errors.New("closed") // want pooled frame "f" obtained at .* is not released on this path
+	}
+}
+
+// labeledBreak is clean: leaving both loops still reaches the Release.
+func labeledBreak(rows [][]int) {
+	f := frame.MustNewPooled(4, 4)
+outer:
+	for _, r := range rows {
+		for range r {
+			break outer
+		}
+	}
+	f.Release()
+}
+
+// gotoCleanup is clean: the goto leaves the if, and the path that stays
+// hands the frame over.
+func gotoCleanup(fail bool, sink func(*frame.Frame)) error {
+	f := frame.MustNewPooled(4, 4)
+	if fail {
+		goto cleanup
+	}
+	sink(f)
+	return nil
+cleanup:
+	f.Release()
+	return errors.New("failed")
+}
+
+// panicEndsPath is clean: nothing runs after the panic.
+func panicEndsPath(ok bool) {
+	f := frame.MustNewPooled(4, 4)
+	if !ok {
+		panic("not ok")
+	}
+	f.Release()
+}
+
+// goTransfers is clean: the goroutine's closure takes the frame.
+func goTransfers() {
+	f := frame.MustNewPooled(4, 4)
+	go func() { f.Release() }()
+}
+
+// goArgTransfers is clean: a go statement's argument is handed over.
+func goArgTransfers(sink func(*frame.Frame)) {
+	f := frame.MustNewPooled(4, 4)
+	go sink(f)
+}
+
+// blockForever: an empty select never lets the function return.
+func blockForever() {
+	f := frame.MustNewPooled(4, 4)
+	f.Seq = 1
+	select {}
+} // want pooled frame "f" obtained at .* is not released on this path
