@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -78,14 +79,6 @@ type ownVar struct {
 // points.
 type frState map[types.Object]ownVar
 
-func (st frState) clone() frState {
-	out := make(frState, len(st))
-	for k, v := range st {
-		out[k] = v
-	}
-	return out
-}
-
 // merge combines two branch outcomes optimistically (see ownState.rank).
 func (st frState) merge(other frState) frState {
 	out := make(frState, len(st))
@@ -115,8 +108,7 @@ func runFrameRelease(pass *Pass) {
 			}
 			if body != nil {
 				a := &frAnalysis{pass: pass}
-				st, terminated := a.walkStmts(body.List, frState{})
-				if !terminated {
+				if st, live := (goWalk[frState]{a}).stmts(body.List, frState{}); live {
 					a.checkLeaks(st, body.Rbrace, nil)
 				}
 			}
@@ -125,13 +117,16 @@ func runFrameRelease(pass *Pass) {
 	}
 }
 
+// frAnalysis is framerelease's domain of the statement walk (flow.go): a
+// join is the optimistic merge, an if's nil guard kills the frame on the
+// arm where it is nil, a panic ends the path, and each loop iteration must
+// hand off the frames it creates.
 type frAnalysis struct {
 	pass *Pass
 }
 
 func (a *frAnalysis) posStr(pos token.Pos) string {
-	p := a.pass.Fset.Position(pos)
-	return p.String()
+	return a.pass.Fset.Position(pos).String()
 }
 
 // checkLeaks reports every variable still owned at an exit point. skip
@@ -146,24 +141,19 @@ func (a *frAnalysis) checkLeaks(st frState, at token.Pos, skip map[types.Object]
 	}
 }
 
-// walkStmts processes a statement list, returning the resulting state and
-// whether the list unconditionally terminates (return / panic / branch).
-func (a *frAnalysis) walkStmts(list []ast.Stmt, st frState) (frState, bool) {
-	for _, s := range list {
-		var term bool
-		st, term = a.walkStmt(s, st)
-		if term {
-			return st, true
-		}
-	}
-	return st, false
+func (a *frAnalysis) fork(st frState) frState { return maps.Clone(st) }
+
+func (a *frAnalysis) join(x, y frState) frState { return x.merge(y) }
+
+func (a *frAnalysis) comm(n ast.Stmt, _ bool, st frState) frState {
+	st, _ = a.stmt(n, st)
+	return st
 }
 
-func (a *frAnalysis) walkStmt(s ast.Stmt, st frState) (frState, bool) {
-	switch stmt := s.(type) {
+func (a *frAnalysis) stmt(n ast.Stmt, st frState) (frState, bool) {
+	switch stmt := n.(type) {
 	case *ast.AssignStmt:
-		return a.assign(stmt, st), false
-
+		return a.assign(stmt, st), true
 	case *ast.DeclStmt:
 		if gd, ok := stmt.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -172,7 +162,7 @@ func (a *frAnalysis) walkStmt(s ast.Stmt, st frState) (frState, bool) {
 					continue
 				}
 				for _, val := range vs.Values {
-					st = a.scanExpr(val, st)
+					st = a.expr(val, st)
 				}
 				// var f = frame.MustNewPooled(...) tracks like :=
 				if len(vs.Names) >= 1 && len(vs.Values) == 1 {
@@ -182,24 +172,17 @@ func (a *frAnalysis) walkStmt(s ast.Stmt, st frState) (frState, bool) {
 				}
 			}
 		}
-		return st, false
-
 	case *ast.ExprStmt:
-		return a.scanExpr(stmt.X, st), a.isPanic(stmt.X)
-
+		return a.expr(stmt.X, st), !isPanic(a.pass, stmt.X)
 	case *ast.DeferStmt:
-		return a.deferStmt(stmt, st), false
-
+		return a.deferStmt(stmt, st), true
 	case *ast.GoStmt:
-		return a.scanExpr(stmt.Call, st), false
-
+		return a.expr(stmt.Call, st), true
 	case *ast.SendStmt:
-		st = a.scanExpr(stmt.Chan, st)
-		return a.scanExpr(stmt.Value, st), false
-
+		st = a.expr(stmt.Chan, st)
+		return a.expr(stmt.Value, st), true
 	case *ast.IncDecStmt:
-		return a.scanExpr(stmt.X, st), false
-
+		return a.expr(stmt.X, st), true
 	case *ast.ReturnStmt:
 		skip := map[types.Object]bool{}
 		for _, res := range stmt.Results {
@@ -215,154 +198,42 @@ func (a *frAnalysis) walkStmt(s ast.Stmt, st frState) (frState, bool) {
 					}
 				}
 			}
-			st = a.scanExpr(res, st)
+			st = a.expr(res, st)
 		}
 		a.checkLeaks(st, stmt.Pos(), skip)
-		return st, true
-
-	case *ast.BranchStmt: // break / continue / goto leave this list
-		return st, true
-
-	case *ast.BlockStmt:
-		return a.walkStmts(stmt.List, st)
-
-	case *ast.IfStmt:
-		return a.ifStmt(stmt, st)
-
-	case *ast.ForStmt:
-		if stmt.Init != nil {
-			st, _ = a.walkStmt(stmt.Init, st)
-		}
-		if stmt.Cond != nil {
-			st = a.scanExpr(stmt.Cond, st)
-		}
-		bodySt, _ := a.walkStmts(stmt.Body.List, st.clone())
-		a.checkLoopLeaks(st, bodySt, stmt.Body.Rbrace)
-		if stmt.Post != nil {
-			bodySt, _ = a.walkStmt(stmt.Post, bodySt)
-		}
-		return st.merge(bodySt), false
-
-	case *ast.RangeStmt:
-		st = a.scanExpr(stmt.X, st)
-		bodySt, _ := a.walkStmts(stmt.Body.List, st.clone())
-		a.checkLoopLeaks(st, bodySt, stmt.Body.Rbrace)
-		return st.merge(bodySt), false
-
-	case *ast.SwitchStmt:
-		if stmt.Init != nil {
-			st, _ = a.walkStmt(stmt.Init, st)
-		}
-		if stmt.Tag != nil {
-			st = a.scanExpr(stmt.Tag, st)
-		}
-		return a.caseBodies(stmt.Body, st)
-
-	case *ast.TypeSwitchStmt:
-		if stmt.Init != nil {
-			st, _ = a.walkStmt(stmt.Init, st)
-		}
-		return a.caseBodies(stmt.Body, st)
-
-	case *ast.SelectStmt:
-		merged := st
-		allTerm := len(stmt.Body.List) > 0
-		for _, cl := range stmt.Body.List {
-			comm := cl.(*ast.CommClause)
-			branch := st.clone()
-			if comm.Comm != nil {
-				branch, _ = a.walkStmt(comm.Comm, branch)
-			}
-			branch, term := a.walkStmts(comm.Body, branch)
-			if !term {
-				allTerm = false
-				merged = merged.merge(branch)
-			}
-		}
-		return merged, allTerm
-
-	case *ast.LabeledStmt:
-		return a.walkStmt(stmt.Stmt, st)
+		return st, false
 	}
-	return st, false
+	return st, true
 }
 
-// caseBodies merges the clause bodies of a switch optimistically. A
-// switch whose clauses all terminate and that has a default clause
-// terminates as a whole (no fall-through path survives it).
-func (a *frAnalysis) caseBodies(body *ast.BlockStmt, st frState) (frState, bool) {
-	merged := st
-	hasDefault, allTerm, anyClause := false, true, false
-	for _, cl := range body.List {
-		cc, ok := cl.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		anyClause = true
-		if cc.List == nil {
-			hasDefault = true
-		}
-		branch := st.clone()
-		for _, e := range cc.List {
-			branch = a.scanExpr(e, branch)
-		}
-		branch, term := a.walkStmts(cc.Body, branch)
-		if !term {
-			allTerm = false
-			merged = merged.merge(branch)
-		}
-	}
-	return merged, anyClause && hasDefault && allTerm
-}
-
-// checkLoopLeaks flags frames created inside a loop body that the body
-// fails to hand off: each iteration would strand one pooled buffer.
-func (a *frAnalysis) checkLoopLeaks(before, after frState, at token.Pos) {
+// loop flags frames created inside a loop body that the body fails to
+// hand off: each iteration would strand one pooled buffer.
+func (a *frAnalysis) loop(body *ast.BlockStmt, before, after frState) frState {
 	for obj, v := range after {
 		if _, existed := before[obj]; existed {
 			continue
 		}
 		if v.state == stOwned {
-			a.pass.Reportf(at, "pooled frame %q obtained at %s inside this loop is not released by the end of the iteration",
+			a.pass.Reportf(body.Rbrace, "pooled frame %q obtained at %s inside this loop is not released by the end of the iteration",
 				v.name, a.posStr(v.srcPos))
 		}
 	}
+	return before.merge(after)
 }
 
-// ifStmt walks both branches with nil-guard awareness and merges.
-func (a *frAnalysis) ifStmt(stmt *ast.IfStmt, st frState) (frState, bool) {
-	if stmt.Init != nil {
-		st, _ = a.walkStmt(stmt.Init, st)
-	}
-	st = a.scanExpr(stmt.Cond, st)
-
-	thenSt := st.clone()
-	elseSt := st.clone()
-	if obj, deadInThen, ok := a.nilGuard(stmt.Cond, st); ok {
-		target := elseSt
+// branch applies an if's nil guard: the frame is dead on the arm where it
+// (or its companion error's frame) is nil.
+func (a *frAnalysis) branch(cond ast.Expr, then, els frState) (frState, frState) {
+	if obj, deadInThen, ok := a.nilGuard(cond, then); ok {
+		target := els
 		if deadInThen {
-			target = thenSt
+			target = then
 		}
 		v := target[obj]
 		v.state = stDead
 		target[obj] = v
 	}
-
-	thenSt, thenTerm := a.walkStmts(stmt.Body.List, thenSt)
-	elseTerm := false
-	if stmt.Else != nil {
-		elseSt, elseTerm = a.walkStmt(stmt.Else, elseSt)
-	}
-	switch {
-	case thenTerm && elseTerm:
-		return st, true
-	case thenTerm:
-		return elseSt, false
-	case elseTerm:
-		return thenSt, false
-	default:
-		return thenSt.merge(elseSt), false
-	}
+	return then, els
 }
 
 // nilGuard recognizes `err != nil`, `err == nil`, `f == nil` and
@@ -421,7 +292,7 @@ func (a *frAnalysis) assign(stmt *ast.AssignStmt, st frState) frState {
 	}
 
 	for _, rhs := range stmt.Rhs {
-		st = a.scanExpr(rhs, st)
+		st = a.expr(rhs, st)
 	}
 
 	// LHS idents previously tracked are overwritten: a still-owned frame
@@ -429,16 +300,10 @@ func (a *frAnalysis) assign(stmt *ast.AssignStmt, st frState) frState {
 	for _, lhs := range stmt.Lhs {
 		id, ok := lhs.(*ast.Ident)
 		if !ok {
-			st = a.scanExpr(lhs, st)
+			st = a.expr(lhs, st)
 			continue
 		}
-		obj := a.pass.Info.Uses[id]
-		if obj == nil {
-			obj = a.pass.Info.Defs[id]
-		}
-		if obj == nil {
-			continue
-		}
+		obj := a.identObj(id)
 		if v, tracked := st[obj]; tracked && v.state == stOwned {
 			a.pass.Reportf(id.Pos(), "pooled frame %q obtained at %s is overwritten while still owned (Release it first)",
 				v.name, a.posStr(v.srcPos))
@@ -456,26 +321,19 @@ func (a *frAnalysis) assign(stmt *ast.AssignStmt, st frState) frState {
 				idents = append(idents, nil)
 			}
 		}
-		st = a.trackIdents(idents, srcCall, st)
+		st = a.track(idents, srcCall, st)
 	}
 	return st
 }
 
-func (a *frAnalysis) track(names []*ast.Ident, call *ast.CallExpr, st frState) frState {
-	return a.trackIdents(names, call, st)
-}
-
-// trackIdents registers the first identifier bound to an owning
+// track registers the first identifier bound to an owning
 // constructor result, remembering a companion error variable when the
 // call has the (frame, error) shape.
-func (a *frAnalysis) trackIdents(idents []*ast.Ident, call *ast.CallExpr, st frState) frState {
+func (a *frAnalysis) track(idents []*ast.Ident, call *ast.CallExpr, st frState) frState {
 	if len(idents) == 0 || idents[0] == nil || idents[0].Name == "_" {
 		return st
 	}
-	obj := a.pass.Info.Defs[idents[0]]
-	if obj == nil {
-		obj = a.pass.Info.Uses[idents[0]]
-	}
+	obj := a.identObj(idents[0])
 	if obj == nil || !isFramePtr(obj.Type()) {
 		return st
 	}
@@ -485,7 +343,7 @@ func (a *frAnalysis) trackIdents(idents []*ast.Ident, call *ast.CallExpr, st frS
 			v.errObj = eo
 		}
 	}
-	st = st.clone()
+	st = maps.Clone(st)
 	st[obj] = v
 	return st
 }
@@ -508,14 +366,14 @@ func (a *frAnalysis) deferStmt(stmt *ast.DeferStmt, st frState) frState {
 		}
 		v.state = stExitReleased
 		v.relPos = stmt.Call.Pos()
-		st = st.clone()
+		st = maps.Clone(st)
 		st[obj] = v
 		return st
 	}
 	if fl, ok := stmt.Call.Fun.(*ast.FuncLit); ok {
 		// A deferred closure releasing an outer frame counts as a
 		// release-at-exit for that frame.
-		st = st.clone()
+		st = maps.Clone(st)
 		ast.Inspect(fl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -533,7 +391,7 @@ func (a *frAnalysis) deferStmt(stmt *ast.DeferStmt, st frState) frState {
 		})
 		return st
 	}
-	return a.scanExpr(stmt.Call, st)
+	return a.expr(stmt.Call, st)
 }
 
 // releaseReceiver matches a call of the form `<tracked>.Release()`.
@@ -554,22 +412,6 @@ func (a *frAnalysis) releaseReceiver(call *ast.CallExpr, st frState) (types.Obje
 	return obj, tracked
 }
 
-// isPanic reports whether the expression is a call to panic (a path
-// terminator; leaked buffers on panic paths are not findings).
-func (a *frAnalysis) isPanic(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != "panic" {
-		return false
-	}
-	obj := a.pass.Info.Uses[id]
-	_, isBuiltin := obj.(*types.Builtin)
-	return obj == nil || isBuiltin
-}
-
 // useVar checks a read of a tracked variable against its state.
 func (a *frAnalysis) useVar(obj types.Object, at token.Pos, st frState) frState {
 	v, ok := st[obj]
@@ -582,9 +424,9 @@ func (a *frAnalysis) useVar(obj types.Object, at token.Pos, st frState) frState 
 	return st
 }
 
-// scanExpr walks an expression, applying use checks and escape semantics
+// expr walks an expression, applying use checks and escape semantics
 // to every tracked-variable occurrence.
-func (a *frAnalysis) scanExpr(e ast.Expr, st frState) frState {
+func (a *frAnalysis) expr(e ast.Expr, st frState) frState {
 	switch ex := e.(type) {
 	case nil:
 		return st
@@ -599,7 +441,7 @@ func (a *frAnalysis) scanExpr(e ast.Expr, st frState) frState {
 				}
 			}
 		}
-		return a.scanExpr(ex.X, st)
+		return a.expr(ex.X, st)
 	case *ast.CallExpr:
 		return a.callExpr(ex, st)
 	case *ast.BinaryExpr:
@@ -613,36 +455,36 @@ func (a *frAnalysis) scanExpr(e ast.Expr, st frState) frState {
 				}
 			}
 		}
-		st = a.scanExpr(ex.X, st)
-		return a.scanExpr(ex.Y, st)
+		st = a.expr(ex.X, st)
+		return a.expr(ex.Y, st)
 	case *ast.ParenExpr:
-		return a.scanExpr(ex.X, st)
+		return a.expr(ex.X, st)
 	case *ast.StarExpr:
-		return a.scanExpr(ex.X, st)
+		return a.expr(ex.X, st)
 	case *ast.UnaryExpr:
-		return a.scanExpr(ex.X, st)
+		return a.expr(ex.X, st)
 	case *ast.IndexExpr:
-		st = a.scanExpr(ex.X, st)
-		return a.scanExpr(ex.Index, st)
+		st = a.expr(ex.X, st)
+		return a.expr(ex.Index, st)
 	case *ast.SliceExpr:
-		st = a.scanExpr(ex.X, st)
-		st = a.scanExpr(ex.Low, st)
-		st = a.scanExpr(ex.High, st)
-		return a.scanExpr(ex.Max, st)
+		st = a.expr(ex.X, st)
+		st = a.expr(ex.Low, st)
+		st = a.expr(ex.High, st)
+		return a.expr(ex.Max, st)
 	case *ast.TypeAssertExpr:
-		return a.scanExpr(ex.X, st)
+		return a.expr(ex.X, st)
 	case *ast.CompositeLit:
 		for _, el := range ex.Elts {
-			st = a.scanExpr(el, st)
+			st = a.expr(el, st)
 		}
 		return st
 	case *ast.KeyValueExpr:
-		st = a.scanExpr(ex.Key, st)
-		return a.scanExpr(ex.Value, st)
+		st = a.expr(ex.Key, st)
+		return a.expr(ex.Value, st)
 	case *ast.FuncLit:
 		// Capturing a tracked frame hands it to the closure: escape. The
 		// closure body is analyzed as its own function by runFrameRelease.
-		st = st.clone()
+		st = maps.Clone(st)
 		ast.Inspect(ex.Body, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
@@ -676,7 +518,7 @@ func (a *frAnalysis) bareIdent(id *ast.Ident, st frState) frState {
 	st = a.useVar(obj, id.Pos(), st)
 	if v.state == stOwned {
 		v.state = stDead
-		st = st.clone()
+		st = maps.Clone(st)
 		st[obj] = v
 	}
 	return st
@@ -697,7 +539,7 @@ func (a *frAnalysis) callExpr(call *ast.CallExpr, st frState) frState {
 						}
 						v.state = stReleased
 						v.relPos = call.Pos()
-						st = st.clone()
+						st = maps.Clone(st)
 						st[obj] = v
 					case "Released":
 						// Explicitly legal after Release.
@@ -705,18 +547,18 @@ func (a *frAnalysis) callExpr(call *ast.CallExpr, st frState) frState {
 						st = a.useVar(obj, id.Pos(), st)
 					}
 					for _, arg := range call.Args {
-						st = a.scanExpr(arg, st)
+						st = a.expr(arg, st)
 					}
 					return st
 				}
 			}
 		}
-		st = a.scanExpr(sel.X, st)
+		st = a.expr(sel.X, st)
 	} else if _, isIdent := call.Fun.(*ast.Ident); !isIdent {
-		st = a.scanExpr(call.Fun, st)
+		st = a.expr(call.Fun, st)
 	}
 	for _, arg := range call.Args {
-		st = a.scanExpr(arg, st)
+		st = a.expr(arg, st)
 	}
 	return st
 }

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -42,12 +43,10 @@ func runLockDiscipline(pass *Pass) {
 			case *ast.FuncDecl:
 				checkFuncSig(pass, node)
 				if node.Body != nil {
-					h := &heldAnalysis{pass: pass}
-					h.walkStmts(node.Body.List, heldSet{})
+					goWalk[heldSet]{&heldAnalysis{pass}}.stmts(node.Body.List, heldSet{})
 				}
 			case *ast.FuncLit:
-				h := &heldAnalysis{pass: pass}
-				h.walkStmts(node.Body.List, heldSet{})
+				goWalk[heldSet]{&heldAnalysis{pass}}.stmts(node.Body.List, heldSet{})
 			case *ast.AssignStmt:
 				checkCopyAssign(pass, node)
 			case *ast.RangeStmt:
@@ -190,23 +189,9 @@ func checkCopyArgs(pass *Pass, call *ast.CallExpr) {
 
 // ---- rule 2: blocking operations while a mutex is held ----
 
-// heldLock records one acquired mutex on the current path.
-type heldLock struct {
-	pos       token.Pos // where Lock ran
-	untilExit bool      // released only by a deferred Unlock
-}
-
-// heldSet maps the canonical receiver expression ("m.mu") to its lock
-// record.
-type heldSet map[string]heldLock
-
-func (h heldSet) clone() heldSet {
-	out := make(heldSet, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
+// heldSet maps the canonical receiver expression ("m.mu") of each mutex
+// held on the current path to where it was locked.
+type heldSet map[string]token.Pos
 
 // intersect keeps locks held on both branch outcomes — the conservative
 // (finding-averse) merge.
@@ -220,137 +205,47 @@ func (h heldSet) intersect(other heldSet) heldSet {
 	return out
 }
 
+// heldAnalysis is the held-lock rule's domain of the statement walk
+// (flow.go): a join keeps the locks held on both arms, a loop leaves the
+// locks held before it, a panic ends the path, and a send in a select
+// without default blocks like a bare send.
 type heldAnalysis struct {
 	pass *Pass
 }
 
-func (h *heldAnalysis) walkStmts(list []ast.Stmt, held heldSet) (heldSet, bool) {
-	for _, s := range list {
-		var term bool
-		held, term = h.walkStmt(s, held)
-		if term {
-			return held, true
-		}
-	}
-	return held, false
+func (h *heldAnalysis) fork(held heldSet) heldSet { return held }
+
+func (h *heldAnalysis) join(a, b heldSet) heldSet { return a.intersect(b) }
+
+func (h *heldAnalysis) branch(_ ast.Expr, then, els heldSet) (heldSet, heldSet) { return then, els }
+
+func (h *heldAnalysis) loop(_ *ast.BlockStmt, before, _ heldSet) heldSet { return before }
+
+func (h *heldAnalysis) expr(e ast.Expr, held heldSet) heldSet {
+	h.scanCalls(e, held)
+	return held
 }
 
-func (h *heldAnalysis) walkStmt(s ast.Stmt, held heldSet) (heldSet, bool) {
-	switch stmt := s.(type) {
+func (h *heldAnalysis) comm(n ast.Stmt, blocking bool, held heldSet) heldSet {
+	if send, isSend := n.(*ast.SendStmt); isSend && blocking {
+		h.checkBlocked(send.Arrow, "channel send (in select without default)", held)
+	}
+	return held
+}
+
+func (h *heldAnalysis) stmt(n ast.Stmt, held heldSet) (heldSet, bool) {
+	switch stmt := n.(type) {
 	case *ast.ExprStmt:
-		return h.exprStmt(stmt.X, held), false
-	case *ast.DeferStmt:
-		if key, kind, ok := h.lockCall(stmt.Call); ok && (kind == "Unlock" || kind == "RUnlock") {
-			if l, isHeld := held[key]; isHeld {
-				l.untilExit = true
-				held = held.clone()
-				held[key] = l
-			}
-		}
-		return held, false
+		return h.exprStmt(stmt.X, held), !isPanic(h.pass, stmt.X)
 	case *ast.SendStmt:
 		h.checkBlocked(stmt.Arrow, "channel send", held)
-		return held, false
-	case *ast.AssignStmt:
-		for _, rhs := range stmt.Rhs {
-			h.scanCalls(rhs, held)
-		}
-		return held, false
-	case *ast.ReturnStmt:
-		for _, res := range stmt.Results {
-			h.scanCalls(res, held)
-		}
-		return held, true
-	case *ast.BranchStmt:
-		return held, true
-	case *ast.BlockStmt:
-		return h.walkStmts(stmt.List, held)
-	case *ast.IfStmt:
-		if stmt.Init != nil {
-			held, _ = h.walkStmt(stmt.Init, held)
-		}
-		h.scanCalls(stmt.Cond, held)
-		thenHeld, thenTerm := h.walkStmts(stmt.Body.List, held.clone())
-		elseHeld, elseTerm := held.clone(), false
-		if stmt.Else != nil {
-			elseHeld, elseTerm = h.walkStmt(stmt.Else, elseHeld)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return held, true
-		case thenTerm:
-			return elseHeld, false
-		case elseTerm:
-			return thenHeld, false
-		default:
-			return thenHeld.intersect(elseHeld), false
-		}
-	case *ast.ForStmt:
-		if stmt.Init != nil {
-			held, _ = h.walkStmt(stmt.Init, held)
-		}
-		if stmt.Cond != nil {
-			h.scanCalls(stmt.Cond, held)
-		}
-		h.walkStmts(stmt.Body.List, held.clone())
-		return held, false
-	case *ast.RangeStmt:
-		h.scanCalls(stmt.X, held)
-		h.walkStmts(stmt.Body.List, held.clone())
-		return held, false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		var body *ast.BlockStmt
-		if sw, ok := stmt.(*ast.SwitchStmt); ok {
-			if sw.Init != nil {
-				held, _ = h.walkStmt(sw.Init, held)
-			}
-			if sw.Tag != nil {
-				h.scanCalls(sw.Tag, held)
-			}
-			body = sw.Body
-		} else {
-			body = stmt.(*ast.TypeSwitchStmt).Body
-		}
-		merged := held
-		for _, cl := range body.List {
-			if cc, ok := cl.(*ast.CaseClause); ok {
-				branch, term := h.walkStmts(cc.Body, held.clone())
-				if !term {
-					merged = merged.intersect(branch)
-				}
-			}
-		}
-		return merged, false
-	case *ast.SelectStmt:
-		// A select with a default clause never blocks; without one, its
-		// sends and receives block like bare sends.
-		hasDefault := false
-		for _, cl := range stmt.Body.List {
-			if comm, ok := cl.(*ast.CommClause); ok && comm.Comm == nil {
-				hasDefault = true
-			}
-		}
-		merged := held
-		for _, cl := range stmt.Body.List {
-			comm, ok := cl.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			if send, isSend := comm.Comm.(*ast.SendStmt); isSend && !hasDefault {
-				h.checkBlocked(send.Arrow, "channel send (in select without default)", held)
-			}
-			branch, term := h.walkStmts(comm.Body, held.clone())
-			if !term {
-				merged = merged.intersect(branch)
-			}
-		}
-		return merged, false
-	case *ast.GoStmt:
-		return held, false // runs on its own goroutine, own lock context
-	case *ast.LabeledStmt:
-		return h.walkStmt(stmt.Stmt, held)
+	case *ast.DeferStmt, *ast.GoStmt:
+		// runs at exit (a deferred Unlock keeps the lock held until then),
+		// or on its own goroutine with its own lock context
+	default:
+		h.scanCalls(n, held)
 	}
-	return held, false
+	return held, true
 }
 
 // exprStmt handles Lock/Unlock transitions and blocking calls at
@@ -362,10 +257,10 @@ func (h *heldAnalysis) exprStmt(e ast.Expr, held heldSet) heldSet {
 		return held
 	}
 	if key, kind, ok := h.lockCall(call); ok {
-		held = held.clone()
+		held = maps.Clone(held)
 		switch kind {
 		case "Lock", "RLock":
-			held[key] = heldLock{pos: call.Pos()}
+			held[key] = call.Pos()
 		case "Unlock", "RUnlock":
 			delete(held, key)
 		}
@@ -377,7 +272,7 @@ func (h *heldAnalysis) exprStmt(e ast.Expr, held heldSet) heldSet {
 
 // scanCalls looks inside an expression for blocking RPC calls while locks
 // are held. Nested FuncLits run later, in their own context.
-func (h *heldAnalysis) scanCalls(e ast.Expr, held heldSet) {
+func (h *heldAnalysis) scanCalls(e ast.Node, held heldSet) {
 	if e == nil || len(held) == 0 {
 		return
 	}
@@ -405,9 +300,9 @@ func callName(call *ast.CallExpr) string {
 
 // checkBlocked reports every currently-held mutex at a blocking point.
 func (h *heldAnalysis) checkBlocked(pos token.Pos, what string, held heldSet) {
-	for key, l := range held {
+	for key, at := range held {
 		h.pass.Reportf(pos, "%s while %s is held (locked at %s): the peer may need the lock to make progress",
-			what, key, h.pass.Fset.Position(l.pos))
+			what, key, h.pass.Fset.Position(at))
 	}
 }
 

@@ -107,7 +107,7 @@ func (g *guarded) callUnderLock(c *wire.Caller) error {
 func (g *guarded) callInDeclUnderLock(c *wire.Caller) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var _, err = c.Call(context.Background(), wire.Message{})
+	var _, err = c.Call(context.Background(), wire.Message{}) // want blocking Call call while g\.mu is held
 	return err
 }
 
@@ -116,7 +116,7 @@ func (g *guarded) sendInPostUnderLock(p *wire.Push, n int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	var err error
-	for i := 0; i < n && err == nil; err = p.Send(context.Background(), wire.Message{}) {
+	for i := 0; i < n && err == nil; err = p.Send(context.Background(), wire.Message{}) { // want blocking Send call while g\.mu is held
 		i++
 	}
 }
@@ -141,8 +141,8 @@ func (g *guarded) rangeSendUnderLock(vs []int) {
 	}
 }
 
-// switchAllArmsEnd: with a default, every arm unlocks and returns, so no
-// path reaches the send.
+// switchAllArmsEnd is clean: with a default, every arm unlocks and
+// returns, so no path reaches the send.
 func (g *guarded) switchAllArmsEnd(v int) {
 	g.mu.Lock()
 	switch v {
@@ -153,7 +153,7 @@ func (g *guarded) switchAllArmsEnd(v int) {
 		g.mu.Unlock()
 		return
 	}
-	g.out <- v // want channel send while g\.mu is held
+	g.out <- v
 }
 
 // switchNoDefault: a v no case names reaches the send still locked.
@@ -176,7 +176,7 @@ func (g *guarded) lockInEveryCase(v int) {
 	default:
 		g.mu.Lock()
 	}
-	g.out <- v
+	g.out <- v // want channel send while g\.mu is held
 	g.mu.Unlock()
 }
 
@@ -196,12 +196,12 @@ func (g *guarded) sendInCaseValue(p *wire.Push) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	switch {
-	case p.Send(context.Background(), wire.Message{}) != nil:
+	case p.Send(context.Background(), wire.Message{}) != nil: // want blocking Send call while g\.mu is held
 		g.count++
 	}
 }
 
-// typeSwitchAllArmsEnd: the default unlocks and returns too.
+// typeSwitchAllArmsEnd is clean: the default unlocks and returns too.
 func (g *guarded) typeSwitchAllArmsEnd(v any) {
 	g.mu.Lock()
 	switch v.(type) {
@@ -212,7 +212,7 @@ func (g *guarded) typeSwitchAllArmsEnd(v any) {
 		g.mu.Unlock()
 		return
 	}
-	g.out <- 0 // want channel send while g\.mu is held
+	g.out <- 0
 }
 
 // typeSwitchNoDefault: a string reaches the send still locked.
@@ -227,7 +227,7 @@ func (g *guarded) typeSwitchNoDefault(v any) {
 	g.mu.Unlock()
 }
 
-// selectAllArmsEnd: every arm unlocks and returns.
+// selectAllArmsEnd is clean: every arm unlocks and returns.
 func (g *guarded) selectAllArmsEnd(v int, done chan struct{}) {
 	g.mu.Lock()
 	select {
@@ -238,7 +238,7 @@ func (g *guarded) selectAllArmsEnd(v int, done chan struct{}) {
 		g.mu.Unlock()
 		return
 	}
-	g.out <- v // want channel send while g\.mu is held
+	g.out <- v
 }
 
 // lockInEverySelectArm: both arms take the lock.
@@ -249,7 +249,7 @@ func (g *guarded) lockInEverySelectArm(v int, done chan struct{}) {
 	case <-g.in:
 		g.mu.Lock()
 	}
-	g.out <- v
+	g.out <- v // want channel send while g\.mu is held
 	g.mu.Unlock()
 }
 
@@ -285,7 +285,7 @@ func (g *guarded) panicArm(v int) {
 	} else {
 		panic("negative")
 	}
-	g.out <- v
+	g.out <- v // want channel send while g\.mu is held
 	g.mu.Unlock()
 }
 
@@ -298,9 +298,9 @@ func (g *guarded) goUnderLock(v int, c *wire.Caller) {
 	go c.Call(context.Background(), wire.Message{})
 }
 
-// blockForever: an empty select never gets to the send.
+// blockForever is clean: an empty select never gets to the send.
 func (g *guarded) blockForever(v int) {
 	g.mu.Lock()
 	select {}
-	g.out <- v // want channel send while g\.mu is held
+	g.out <- v
 }
