@@ -216,7 +216,7 @@ func Analyze(src string, opts Options) Report {
 
 	// pipetype: produced/consumed event shapes per module, with PV018 for
 	// payloads that degrade to top (shapes.go).
-	shapes, shapeDiags := shapePass(prog, funcs, opts.Globals)
+	shapes, shapeDiags := shapePass(prog, names)
 	a.diags = append(a.diags, shapeDiags...)
 
 	sort.SliceStable(a.diags, func(i, j int) bool { return a.diags[i].Pos.before(a.diags[j].Pos) })

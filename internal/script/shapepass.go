@@ -13,9 +13,8 @@ import (
 // message parameter.
 
 type shapeCtx struct {
-	funcs   funcTable
+	names   *callees
 	globals map[string]*Shape
-	extra   map[string]bool
 
 	returns  callMemo[string, *Shape]
 	consumes callMemo[string, *consumeFrag]
@@ -30,15 +29,11 @@ type shapeEnv map[*binding]*Shape
 // per-scope analysis of the load scope and every top-level function. It
 // reports PV018 at emit sites whose payload degrades to top or an open
 // object.
-func shapePass(prog *program, funcs funcTable, globals []string) (ShapeReport, []Diagnostic) {
+func shapePass(prog *program, names *callees) (ShapeReport, []Diagnostic) {
 	ctx := &shapeCtx{
-		funcs:   funcs,
+		names:   names,
 		globals: make(map[string]*Shape),
-		extra:   make(map[string]bool),
 		envMemo: make(map[*funcLit]shapeEnv),
-	}
-	for _, g := range globals {
-		ctx.extra[g] = true
 	}
 
 	// Module globals: a global keeps its declaration shape only when the
@@ -83,7 +78,7 @@ func shapePass(prog *program, funcs funcTable, globals []string) (ShapeReport, [
 	}
 	// Source order: a recursive helper's return shape depends on which
 	// function of the cycle is entered first.
-	for _, d := range funcs.inSourceOrder() {
+	for _, d := range names.funcs.inSourceOrder() {
 		col.walk(d.fn.body, ctx.fixpointEnv(d.fn))
 	}
 	sites := col.sites
@@ -101,7 +96,7 @@ func shapePass(prog *program, funcs funcTable, globals []string) (ShapeReport, [
 		rep.Emits[s.Target] = rep.Emits[s.Target].Join(s.Payload)
 	}
 
-	if handler, ok := ctx.funcs["event_received"]; ok {
+	if handler, ok := names.funcs["event_received"]; ok {
 		rep.Consumed.HasHandler = true
 		rep.Consumed.Fields = make(map[string]FieldUse)
 		if len(handler.fn.params) > 0 {
@@ -356,10 +351,10 @@ func (c *shapeCtx) evalDepth(e expr, env shapeEnv, depth int) *Shape {
 		if s, ok := c.globals[ex.name]; ok {
 			return s
 		}
-		if c.extra[ex.name] {
+		if c.names.globals[ex.name] {
 			return topShape()
 		}
-		if _, ok := c.funcs[ex.name]; ok {
+		if _, ok := c.names.funcs[ex.name]; ok {
 			return kindShape(KindFunction)
 		}
 		if _, ok := callSignatures[ex.name]; ok {
@@ -419,7 +414,7 @@ func (c *shapeCtx) evalDepth(e expr, env shapeEnv, depth int) *Shape {
 	case *updateExpr:
 		return kindShape(KindNumber)
 	case *callExpr:
-		return c.callShape(ex, env)
+		return c.callShape(ex)
 	case *memberExpr:
 		return fieldShape(c.evalDepth(ex.obj, env, depth), ex.name)
 	case *indexExpr:
@@ -428,31 +423,25 @@ func (c *shapeCtx) evalDepth(e expr, env shapeEnv, depth int) *Shape {
 	return topShape()
 }
 
-func (c *shapeCtx) callShape(ex *callExpr, env shapeEnv) *Shape {
+// callShape is what a call returns: a module function's return shape, a
+// builtin's known kind, null from the host's call_module; anything else, a
+// call through a local or module value among them, is top.
+func (c *shapeCtx) callShape(ex *callExpr) *Shape {
 	id, ok := ex.callee.(*identExpr)
 	if !ok {
 		return topShape()
 	}
-	if _, ok := local(env, id); ok {
-		return topShape()
-	}
-	if _, isGlobal := c.globals[id.name]; isGlobal {
-		return topShape()
-	}
-	if def, found := c.funcs[id.name]; found {
+	if def, ok := c.names.function(id); ok {
 		return c.returnShape(def)
 	}
-	switch id.name {
-	case "call_service":
+	if !c.names.builtin(id) {
 		return topShape()
-	case "call_module":
+	}
+	if id.name == "call_module" {
 		return kindShape(KindNull)
 	}
-	if _, found := callSignatures[id.name]; found {
-		if k, known := builtinReturnKinds[id.name]; known {
-			return kindShape(k)
-		}
-		return topShape()
+	if k, known := builtinReturnKinds[id.name]; known {
+		return kindShape(k)
 	}
 	return topShape()
 }
@@ -536,10 +525,7 @@ func (col *emitCollector) walk(n node, env shapeEnv) {
 // degrades to top or an open object.
 func (col *emitCollector) emit(call *callExpr, env shapeEnv) {
 	id, ok := call.callee.(*identExpr)
-	if !ok || id.name != "call_module" || len(call.args) == 0 {
-		return
-	}
-	if _, ok := local(env, id); ok {
+	if !ok || id.name != "call_module" || len(call.args) == 0 || !col.ctx.names.builtin(id) {
 		return
 	}
 	target := ""
@@ -856,7 +842,7 @@ func (w *consumeWalker) call(ex *callExpr) {
 			return
 		}
 	}
-	if def, ok := w.ctx.funcs[id.name]; ok {
+	if def, ok := w.ctx.names.funcs[id.name]; ok {
 		for i, a := range ex.args {
 			if w.alias(a) {
 				w.merge(w.ctx.consumeFunc(def, i))

@@ -120,6 +120,27 @@ function event_received(m) {
 	}
 }
 
+// TestShapeModuleOwnedCallModule: a module that binds call_module itself,
+// as a variable or a function, calls its own code there, not the host
+// binding, so the call is no emit site and no PV018.
+func TestShapeModuleOwnedCallModule(t *testing.T) {
+	for _, src := range []string{`
+var call_module = function(t, m) { return m; };
+function event_received(m) { call_module("x", m); }`, `
+function call_module(t, m) { return m; }
+function event_received(m) { call_module("x", m); }`} {
+		rep := Analyze(src, Options{})
+		if len(rep.Shapes.EmitSites) != 0 || len(rep.Shapes.Emits) != 0 {
+			t.Errorf("module-owned call_module read as emits %v:%s", rep.Shapes.Emits, src)
+		}
+		for _, d := range rep.Diagnostics {
+			if d.Code == CodeShapeUnknown {
+				t.Errorf("PV018 at a module-owned call_module: %s%s", d, src)
+			}
+		}
+	}
+}
+
 func TestShapeGlobalWidening(t *testing.T) {
 	rep := shapesOf(t, `
 var constant = {tag: "fixed"};
