@@ -783,9 +783,15 @@ func TestModuleUpdateSourceHotSwap(t *testing.T) {
 	m.Inject(ctx, nil, nil)
 	waitFor(t, func() bool { return d.Metrics().Histogram("stage.v1_events").Count() == 2 })
 
-	// A valid update swaps behaviour and runs the new init().
+	// A valid update swaps behaviour and runs the new init(). This init
+	// takes a while before it records itself, so the swap is counted only
+	// once init() has finished.
 	v2 := `
-		function init() { metric("v2_init", 1); }
+		function init() {
+			var n = 0;
+			for (var i = 0; i < 300000; i++) { n++; }
+			metric("v2_init", 1);
+		}
 		function event_received(message) { metric("v2_events", 1); }
 	`
 	if err := m.UpdateSource(v2); err != nil {

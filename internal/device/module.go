@@ -568,12 +568,13 @@ func (m *Module) newWorkers(source string) ([]*worker, error) {
 
 // startWorkers starts m.workers and returns them as the idle stack, first
 // worker on top: the event loop reuses the worker freed last, so a module
-// whose events never overlap only ever warms one context's scratch.
-func (m *Module) startWorkers(restore *script.Snapshot) []*worker {
+// whose events never overlap only ever warms one context's scratch. swap
+// says the workers replace a hot-swapped module's.
+func (m *Module) startWorkers(restore *script.Snapshot, swap bool) []*worker {
 	idle := make([]*worker, 0, len(m.workers))
 	m.workerWG.Add(len(m.workers))
 	for i := len(m.workers) - 1; i >= 0; i-- {
-		go m.workers[i].run(i == 0, restore)
+		go m.workers[i].run(i == 0, restore, swap)
 		idle = append(idle, m.workers[i])
 	}
 	return idle
@@ -594,7 +595,7 @@ func (m *Module) stopWorkers() {
 // over, and applies a hot swap once every earlier event has finished.
 func (m *Module) eventLoop() {
 	defer m.wg.Done()
-	idle := m.startWorkers(m.spec.Restore)
+	idle := m.startWorkers(m.spec.Restore, false)
 	defer m.stopWorkers()
 	var ticket uint64
 	for {
@@ -618,11 +619,11 @@ func (m *Module) eventLoop() {
 			}
 			// The hot-update path: module state resets (the new code's top
 			// level ran when it was loaded); init() runs on the fresh
-			// context before the next event.
+			// context before the next event, and the first worker counts
+			// the update once it has.
 			m.stopWorkers()
 			m.workers = ws
-			idle = m.startWorkers(nil)
-			m.dev.reg.Meter("module." + m.spec.Name + ".updates").Mark()
+			idle = m.startWorkers(nil, true)
 		case ev := <-inbox:
 			if !m.admit(ev) {
 				continue
@@ -714,10 +715,10 @@ func (m *Module) fail(err error) {
 }
 
 // run is a worker's goroutine: the first worker runs init() before any
-// event, so module state never sees concurrent access, and takes over a
-// predecessor's state; then each applies the events it is handed to its
-// context, one at a time.
-func (w *worker) run(first bool, restore *script.Snapshot) {
+// event, so module state never sees concurrent access, counts a hot swap
+// once that init() has run, and takes over a predecessor's state; then
+// each applies the events it is handed to its context, one at a time.
+func (w *worker) run(first bool, restore *script.Snapshot, swap bool) {
 	m := w.m
 	defer m.workerWG.Done()
 	defer w.calls.Close()
@@ -726,6 +727,9 @@ func (w *worker) run(first bool, restore *script.Snapshot) {
 		if _, err := w.ctx.Call("init"); err != nil {
 			m.fail(err)
 		}
+	}
+	if first && swap {
+		m.dev.reg.Meter("module." + m.spec.Name + ".updates").Mark()
 	}
 	// Migration/restart: overlay the predecessor's global state on top of
 	// whatever init() just set up — but only when the preserved state's
