@@ -28,8 +28,8 @@ vet:
 	@$(GO) vet ./... || { echo "vet failed: go vet"; exit 1; }
 	@if grep -rnE 'os\.(Getenv|LookupEnv)' --include='*.go' --exclude='*_test.go' internal; then \
 		echo "vet failed: env-var knob under internal/ (pass it as a parameter or config field)"; exit 1; fi
-	@if grep -rnE 'context\.With(Timeout|Deadline)' --include='*.go' --exclude='*_test.go' internal/device; then \
-		echo "vet failed: per-call context under internal/device (re-arm the worker's clock.Deadline)"; exit 1; fi
+	@if grep -rnE 'context\.With(Timeout|Deadline)' --include='*.go' --exclude='*_test.go' internal/device internal/wire; then \
+		echo "vet failed: per-call context under internal/device or internal/wire (re-arm the worker's clock.Deadline; a wire call is bounded by its caller's context)"; exit 1; fi
 	@if grep -rnE 'map\[string\]any' --include='*.go' --exclude='*_test.go' internal/device internal/core; then \
 		echo "vet failed: map[string]any under internal/device or internal/core (build the event's *script.Object with script.NewObjectSize)"; exit 1; fi
 	@if grep -rnE -A1 '\.(Get|Lookup)\(' --include='*.go' --exclude='*_test.go' internal/services internal/device internal/core | grep -E '\.\(float64\)'; then \

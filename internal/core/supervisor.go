@@ -133,7 +133,11 @@ func (l *Loop) probeDevices(ctx context.Context) {
 		}
 		if !pr.out && l.dialProbe(name, pr) == nil {
 			pr.out = true
-			go func() { pr.done <- wire.Ping(ctx, pr.caller) }()
+			go func() {
+				ping, cancel := context.WithTimeout(ctx, tickInterval)
+				defer cancel()
+				pr.done <- wire.Ping(ping, pr.caller)
+			}()
 		}
 	}
 }
@@ -149,7 +153,6 @@ func (l *Loop) dialProbe(name string, pr *probe) error {
 		return err
 	}
 	pr.caller = wire.DialCaller(l.probeNet, addr.String())
-	pr.caller.SetCallTimeout(tickInterval)
 	pr.caller.SetRetryBudget(1)
 	return nil
 }

@@ -136,8 +136,9 @@ type Device struct {
 	// baseCtx parents every module worker's call_service deadline
 	// (clock.Deadline, re-armed per call); Crash cancels it so calls
 	// blocked on a dead host's pools fail immediately instead of holding
-	// event loops until their 30 s deadlines (which would stall migration
-	// for the same span). Remote call_module sends are not under it.
+	// event loops until their serviceCallTimeout deadlines (which would
+	// stall migration for the same span). Remote call_module sends are not
+	// under it.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
@@ -463,7 +464,7 @@ func (d *Device) Resume() {
 // worker's call_service deadline context, so an in-flight service call from
 // this device's modules fails at once with context.Canceled and its event
 // loop parks on the pause gate instead of blocking module Close (and hence
-// migration) until the 30 s deadline.
+// migration) until the serviceCallTimeout deadline.
 func (d *Device) Crash() {
 	d.pauseMu.Lock()
 	if d.crashed {

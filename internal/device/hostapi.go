@@ -14,8 +14,9 @@ import (
 )
 
 // serviceCallTimeout bounds one service invocation from a module, and one
-// remote call_module's send with its reconnect retries.
-const serviceCallTimeout = 30 * time.Second
+// remote call_module's send with its reconnect retries. It is the only
+// bound a remote call has: wire.Caller.Call is bounded by its context.
+const serviceCallTimeout = 10 * time.Second
 
 // chargeOutput meters n bytes of host-emitted payload (call_module /
 // call_service / log) against the module's per-event output budget.

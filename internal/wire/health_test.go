@@ -17,11 +17,13 @@ func TestHealthPingHealthyHost(t *testing.T) {
 
 	c := DialCaller(nw.Host("supervisor"), resp.Addr().String())
 	defer c.Close()
-	c.SetCallTimeout(time.Second)
 	c.SetRetryBudget(1)
 
 	for i := 0; i < 3; i++ {
-		if err := Ping(context.Background(), c); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		err := Ping(ctx, c)
+		cancel()
+		if err != nil {
 			t.Fatalf("Ping %d: %v", i, err)
 		}
 	}
@@ -30,7 +32,7 @@ func TestHealthPingHealthyHost(t *testing.T) {
 func TestHealthPingGatedHostTimesOut(t *testing.T) {
 	nw := testNet()
 	// Gate blocks forever: a hung host that accepts connections but never
-	// answers. The probe must fail on its own deadline.
+	// answers. The probe must fail on its context's deadline.
 	resp, err := ListenHealth(nw.Host("tv"), 0, func(ctx context.Context) error {
 		<-ctx.Done()
 		return ctx.Err()
@@ -42,11 +44,12 @@ func TestHealthPingGatedHostTimesOut(t *testing.T) {
 
 	c := DialCaller(nw.Host("supervisor"), resp.Addr().String())
 	defer c.Close()
-	c.SetCallTimeout(100 * time.Millisecond)
 	c.SetRetryBudget(1)
 
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	err = Ping(context.Background(), c)
+	err = Ping(ctx, c)
 	if err == nil {
 		t.Fatal("Ping against a hung host succeeded")
 	}
@@ -69,10 +72,11 @@ func TestHealthPingGateErrorFailsProbe(t *testing.T) {
 
 	c := DialCaller(nw.Host("supervisor"), resp.Addr().String())
 	defer c.Close()
-	c.SetCallTimeout(time.Second)
 	c.SetRetryBudget(1)
 
-	err = Ping(context.Background(), c)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	err = Ping(ctx, c)
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("Ping error = %v, want *RemoteError from the gate", err)
@@ -90,10 +94,11 @@ func TestHealthPingUnreachableHostFailsFast(t *testing.T) {
 	nw.Partition("supervisor", "tv")
 	c := DialCaller(nw.Host("supervisor"), resp.Addr().String())
 	defer c.Close()
-	c.SetCallTimeout(200 * time.Millisecond)
 	c.SetRetryBudget(1)
 
-	if err := Ping(context.Background(), c); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := Ping(ctx, c); err == nil {
 		t.Fatal("Ping across a partition succeeded")
 	}
 }

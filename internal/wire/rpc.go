@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 )
 
 // RPC framing: a request is [8-byte id][application parts...]; a response is
@@ -31,20 +30,16 @@ type RemoteError struct {
 // Error satisfies the error interface.
 func (e *RemoteError) Error() string { return "wire: remote error: " + e.Msg }
 
-// Per-call resilience defaults. A mid-call link failure must surface as an
-// error within the deadline rather than stranding the caller until the link
-// heals; the retry budget bounds reconnect attempts so a dead peer fails
-// fast instead of spinning on backoff.
-const (
-	// DefaultCallTimeout bounds one Call end to end, attempts included.
-	DefaultCallTimeout = 10 * time.Second
-	// DefaultRetryBudget is the maximum connection attempts per Call.
-	DefaultRetryBudget = 8
-)
+// DefaultRetryBudget is the maximum connection attempts per Call: it bounds
+// reconnects so a dead peer fails fast instead of spinning on backoff. Time
+// is bounded by the caller's context alone, so a mid-call link failure
+// surfaces as an error by the caller's deadline rather than stranding it
+// until the link heals.
+const DefaultRetryBudget = 8
 
 // Caller is the requesting side of the service-call path. It multiplexes
 // concurrent in-flight calls over one connection and reconnects after
-// failures, bounded by a per-call deadline and retry budget.
+// failures, bounded by the call's context and a retry budget.
 type Caller struct {
 	dialer
 
@@ -52,7 +47,6 @@ type Caller struct {
 	// connection and the calls riding on it fail in one critical section.
 	pending     map[uint64]chan callResult
 	nextID      uint64
-	callTimeout time.Duration
 	retryBudget int
 }
 
@@ -62,12 +56,11 @@ type callResult struct {
 }
 
 // DialCaller creates a caller that will connect to address on first use,
-// with the default per-call deadline and retry budget.
+// with the default retry budget.
 func DialCaller(t Transport, address string) *Caller {
 	return &Caller{
 		dialer:      dialer{transport: t, address: address},
 		pending:     make(map[uint64]chan callResult),
-		callTimeout: DefaultCallTimeout,
 		retryBudget: DefaultRetryBudget,
 	}
 }
@@ -75,16 +68,8 @@ func DialCaller(t Transport, address string) *Caller {
 // Address reports the remote address this caller targets.
 func (c *Caller) Address() string { return c.address }
 
-// SetCallTimeout overrides the per-call deadline; d <= 0 disables it (the
-// caller's context alone bounds the call).
-func (c *Caller) SetCallTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.callTimeout = d
-}
-
 // SetRetryBudget overrides the per-call connection-attempt budget; n <= 0
-// removes the bound (retries continue until the deadline).
+// removes the bound (retries continue until ctx's deadline).
 func (c *Caller) SetRetryBudget(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -93,19 +78,13 @@ func (c *Caller) SetRetryBudget(n int) {
 
 // Call sends req and waits for the matching response. Concurrent calls are
 // multiplexed; connection failures are retried with backoff until the
-// per-call deadline, the retry budget or ctx ends the call. A *RemoteError
-// return means the remote handler itself failed; a deadline failure
-// satisfies errors.Is(err, context.DeadlineExceeded).
+// retry budget or ctx ends the call, so ctx must carry the call's deadline.
+// A *RemoteError return means the remote handler itself failed; a deadline
+// failure satisfies errors.Is(err, context.DeadlineExceeded).
 func (c *Caller) Call(ctx context.Context, req Message) (Message, error) {
 	c.mu.Lock()
-	timeout := c.callTimeout
 	budget := c.retryBudget
 	c.mu.Unlock()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
 
 	backoff := backoffMin
 	attempts := 0

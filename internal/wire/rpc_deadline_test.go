@@ -28,14 +28,13 @@ func slowResponder(t *testing.T, nw *netsim.Network, d time.Duration) *Responder
 }
 
 // TestCallTimesOutDuringPartition is the headline resilience contract: a
-// partition that opens mid-call must surface as a deadline error within the
-// per-call timeout, not strand the caller until the link heals.
+// partition that opens mid-call must surface as a deadline error by the
+// call context's deadline, not strand the caller until the link heals.
 func TestCallTimesOutDuringPartition(t *testing.T) {
 	nw := testNet()
 	r := slowResponder(t, nw, time.Hour) // never answers in time
 	c := DialCaller(nw.Host("phone"), r.Addr().String())
 	defer c.Close()
-	c.SetCallTimeout(300 * time.Millisecond)
 
 	// Cut the link shortly after the call goes out.
 	go func() {
@@ -44,8 +43,10 @@ func TestCallTimesOutDuringPartition(t *testing.T) {
 	}()
 	defer nw.Heal("phone", "desktop")
 
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err := c.Call(context.Background(), StringMessage("ping"))
+	_, err := c.Call(ctx, StringMessage("ping"))
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("Call succeeded across a partition")
@@ -65,11 +66,12 @@ func TestCallRetryBudgetBoundsDeadPeer(t *testing.T) {
 	nw := testNet()
 	c := DialCaller(nw.Host("phone"), "desktop:49999") // nothing listens
 	defer c.Close()
-	c.SetCallTimeout(5 * time.Second)
 	c.SetRetryBudget(3)
 
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	start := time.Now()
-	_, err := c.Call(context.Background(), StringMessage("ping"))
+	_, err := c.Call(ctx, StringMessage("ping"))
 	if err == nil {
 		t.Fatal("Call to dead peer succeeded")
 	}
@@ -81,28 +83,33 @@ func TestCallRetryBudgetBoundsDeadPeer(t *testing.T) {
 	}
 }
 
-// TestCallDeadlineAppliesPerCall checks the timeout restarts for each call:
-// a healthy caller completes many sequential calls each well under the
-// deadline, and a timed-out caller recovers once the fault clears.
+// TestCallDeadlineAppliesPerCall checks each call is bounded by its own
+// context: a healthy caller completes many sequential calls each well under
+// its deadline, and a timed-out caller recovers once the fault clears.
 func TestCallDeadlineAppliesPerCall(t *testing.T) {
 	nw := testNet()
 	r := slowResponder(t, nw, 0)
 	c := DialCaller(nw.Host("phone"), r.Addr().String())
 	defer c.Close()
-	c.SetCallTimeout(500 * time.Millisecond)
+	call := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		defer cancel()
+		_, err := c.Call(ctx, StringMessage("ping"))
+		return err
+	}
 
 	for i := 0; i < 20; i++ {
-		if _, err := c.Call(context.Background(), StringMessage("ping")); err != nil {
+		if err := call(); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
 
 	nw.Partition("phone", "desktop")
-	if _, err := c.Call(context.Background(), StringMessage("ping")); err == nil {
+	if err := call(); err == nil {
 		t.Fatal("call across partition succeeded")
 	}
 	nw.Heal("phone", "desktop")
-	if _, err := c.Call(context.Background(), StringMessage("ping")); err != nil {
+	if err := call(); err != nil {
 		t.Fatalf("call after heal: %v", err)
 	}
 }
