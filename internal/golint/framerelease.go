@@ -154,6 +154,7 @@ func (a *frAnalysis) stmt(n ast.Stmt, st frState) (frState, bool) {
 	switch stmt := n.(type) {
 	case *ast.AssignStmt:
 		return a.assign(stmt, st), true
+
 	case *ast.DeclStmt:
 		if gd, ok := stmt.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -172,17 +173,23 @@ func (a *frAnalysis) stmt(n ast.Stmt, st frState) (frState, bool) {
 				}
 			}
 		}
+
 	case *ast.ExprStmt:
 		return a.expr(stmt.X, st), !isPanic(a.pass, stmt.X)
+
 	case *ast.DeferStmt:
 		return a.deferStmt(stmt, st), true
+
 	case *ast.GoStmt:
 		return a.expr(stmt.Call, st), true
+
 	case *ast.SendStmt:
 		st = a.expr(stmt.Chan, st)
 		return a.expr(stmt.Value, st), true
+
 	case *ast.IncDecStmt:
 		return a.expr(stmt.X, st), true
+
 	case *ast.ReturnStmt:
 		skip := map[types.Object]bool{}
 		for _, res := range stmt.Results {
