@@ -193,18 +193,6 @@ func checkCopyArgs(pass *Pass, call *ast.CallExpr) {
 // held on the current path to where it was locked.
 type heldSet map[string]token.Pos
 
-// intersect keeps locks held on both branch outcomes — the conservative
-// (finding-averse) merge.
-func (h heldSet) intersect(other heldSet) heldSet {
-	out := make(heldSet, len(h))
-	for k, v := range h {
-		if _, ok := other[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // heldAnalysis is the held-lock rule's domain of the statement walk
 // (flow.go): a join keeps the locks held on both arms, a loop leaves the
 // locks held before it, a panic ends the path, and a send in a select
@@ -215,7 +203,17 @@ type heldAnalysis struct {
 
 func (h *heldAnalysis) fork(held heldSet) heldSet { return held }
 
-func (h *heldAnalysis) join(a, b heldSet) heldSet { return a.intersect(b) }
+// join keeps the locks held on both arms — the conservative
+// (finding-averse) merge.
+func (h *heldAnalysis) join(a, b heldSet) heldSet {
+	out := make(heldSet, len(a))
+	for k, v := range a {
+		if _, ok := b[k]; ok {
+			out[k] = v
+		}
+	}
+	return out
+}
 
 func (h *heldAnalysis) branch(_ ast.Expr, then, els heldSet) (heldSet, heldSet) { return then, els }
 
