@@ -126,7 +126,8 @@ type frAnalysis struct {
 }
 
 func (a *frAnalysis) posStr(pos token.Pos) string {
-	return a.pass.Fset.Position(pos).String()
+	p := a.pass.Fset.Position(pos)
+	return p.String()
 }
 
 // checkLeaks reports every variable still owned at an exit point. skip
