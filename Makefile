@@ -90,16 +90,23 @@ race:
 # writer's one clone of the message; a host call's arguments, a warm wire
 # scan's strings and a warm timed wait allocate nothing; so do a warm
 # one-argument Context.Call, a frame_done() event, a store
-# Put/Retain/Release cycle and a pooled wire receive, and a warm admitted
-# Offer costs its message alone. A
+# Put/Retain/Release cycle, an encoded store entry that is checked, read
+# for its header and bytes and evicted undecoded, and a pooled wire
+# receive, and a warm admitted Offer costs its message alone. A warm
+# pass-through hop forwards the bytes its frame arrived with: no decode,
+# no encode, and one malloc (the *Frame) fewer than the same hop through
+# a module that calls services and so decodes on receipt. A
 # warm control-loop tick that takes no action allocates nothing, even once
 # a pool's wait histogram is full. The BufferPool tests ride along: the
 # pool's determinism (a hit after two GCs, retention cap, spare rule), the
 # whole warm remote
 # hop at <= 3 mallocs and <= 1 KiB (internal/netsim), and conservation —
-# every chunk, body and frame back in the pool after decode failures, a
-# full store, an inject into a closed module, and Cluster.Close with frames
-# in flight. The timer pool's tests (internal/clock) run twice, once under
+# every chunk, body, stored encoding and frame back in the pool, every
+# credit back and each failure abandoned once, after decode failures on
+# receipt and at a first pixel read, a full store, an inject into a closed
+# module, a local fan-out to a reader plus a remote forward, Cluster.Close
+# with encoded-only events queued, and Cluster.Close with frames in
+# flight. The timer pool's tests (internal/clock) run twice, once under
 # each timer-channel semantics: a recycled timer must never carry a stale
 # tick.
 alloc:

@@ -140,6 +140,35 @@ func TestConfigsUseDistinctNames(t *testing.T) {
 // verdicts `videopipe -lint` prints and SpawnModule acts on. A module that
 // starts keeping state or writing its messages (or stops) has to change its
 // row here.
+// Every shipped module that calls a service is one whose frames a device
+// decodes on receipt, and no other: CallsServices, read at load, agrees
+// with the call sites pipevet finds.
+func TestDecodeOnReceiptMatchesServiceCalls(t *testing.T) {
+	decoding := 0
+	for _, cfg := range []core.PipelineConfig{FitnessConfig("fitness", 20, "squat"), GestureConfig("gesture", 15, "clap"), FallConfig("fall", 15)} {
+		for _, m := range cfg.Modules {
+			facts := script.Analyze(m.Source, script.Options{}).Facts
+			c := script.NewContext()
+			if err := c.Load(m.Source); err != nil {
+				t.Fatal(err)
+			}
+			calls := len(facts.ServiceTargets)+facts.DynamicServiceTargets > 0
+			if c.CallsServices() != calls {
+				t.Errorf("%s/%s: CallsServices %v, call sites %v", cfg.Name, m.Name, c.CallsServices(), calls)
+			}
+			if calls {
+				decoding++
+			}
+			if m.Name == "video_streaming" && calls || m.Name == "pose_detection" && !calls {
+				t.Errorf("%s/%s: decodes on receipt %v", cfg.Name, m.Name, calls)
+			}
+		}
+	}
+	if decoding == 0 {
+		t.Error("no shipped module calls a service")
+	}
+}
+
 func TestModuleReplicationVerdicts(t *testing.T) {
 	want := map[string]string{
 		"fitness/video_streaming":      "replicable; shares payloads",

@@ -456,9 +456,11 @@ func (p *Pipeline) Offer(f *frame.Frame) bool {
 	entry, hops := p.entry, p.remoteEdges
 	p.mu.Unlock()
 	// Credits bound the frames in flight (§2.3), and an in-flight frame holds
-	// one pixel buffer except across a remote edge, where the receiver has
-	// decoded its copy before the sender's event ends and lets go of the
-	// original — one more buffer per remote edge at the worst. So the most
+	// one pixel buffer except across a remote edge, where the receiver may
+	// have decoded its copy (on receipt, or where its pixels are first read)
+	// before the sender's event ends and lets go of the original — one more
+	// buffer per remote edge at the worst; a receiver that only forwards the
+	// bytes the frame arrived with decodes nothing. So the most
 	// this pipeline can still take from the pool is one buffer per unclaimed
 	// credit, the one the source is holding when an offer is refused, and one
 	// per remote edge — less the edges the frames ahead of this one may be

@@ -48,6 +48,15 @@ func (c paddedCodec) Decode(data []byte) (*frame.Frame, error) {
 	return f, err
 }
 
+// Check runs the real header walk, then pads like Decode: it is the part
+// of a decode that reads no pixel.
+func (c paddedCodec) Check(data []byte) (frame.Header, error) {
+	start := time.Now()
+	hdr, err := c.inner.Check(data)
+	c.pad(start)
+	return hdr, err
+}
+
 func (c paddedCodec) pad(start time.Time) {
 	if c.cpuFactor >= 1 || c.cpuFactor <= 0 {
 		return

@@ -140,7 +140,9 @@ func (w *worker) hostCallService(args []script.Value) (script.Value, error) {
 	// The handler is lent the message itself for the duration of the call
 	// (services.Request.Args): this goroutine is parked until it returns, so
 	// the script cannot touch it meanwhile. A frame reference is resolved
-	// into the frame itself, and the handler must not see the id, so the
+	// into the frame itself — decoded here if this is the first read of its
+	// pixels, and a decode that fails fails the call — and the handler
+	// must not see the id, so the
 	// field is taken out for the call and the same value put back on every
 	// way out.
 	var reqFrame *frame.Frame
@@ -289,7 +291,9 @@ func (w *worker) deliverLocal(target string, msg *script.Object, frameID uint64)
 // deliverRemote ships the event across the network, encoding the message
 // and the frame into the worker's reusable scratch buffers (safe: they are
 // the worker's own, and push.Send has copied the bytes into the socket's own
-// buffer by the time it returns).
+// buffer by the time it returns). A frame that arrived encoded is sent as
+// the bytes it arrived with: its pixels never change in the store, so they
+// still encode it, with its seq and capture time.
 func (w *worker) deliverRemote(route Route, body *script.Object, frameID uint64) error {
 	m := w.m
 	bodyJSON, err := w.jsonEnc.AppendObject(w.bodyBuf[:0], body, frameRefKey)
@@ -300,17 +304,22 @@ func (w *worker) deliverRemote(route Route, body *script.Object, frameID uint64)
 	w.parts[0] = bodyJSON
 	msg := wire.NewMessage(w.parts[:1]...)
 	if frameID != 0 {
-		f, err := m.dev.store.Get(frameID)
+		data, err := m.dev.store.Encoding(frameID)
 		if err != nil {
 			return fmt.Errorf("call_module: %w", err)
 		}
-		encStart := time.Now()
-		data, err := frame.AppendEncode(m.dev.codec, w.encBuf[:0], f)
-		if err != nil {
-			return fmt.Errorf("call_module: encode frame: %w", err)
+		if data == nil { // made on this device: encode it
+			f, err := m.dev.store.Get(frameID)
+			if err != nil {
+				return fmt.Errorf("call_module: %w", err)
+			}
+			encStart := time.Now()
+			if data, err = frame.AppendEncode(m.dev.codec, w.encBuf[:0], f); err != nil {
+				return fmt.Errorf("call_module: encode frame: %w", err)
+			}
+			w.encBuf = data
+			m.encodeTime.Observe(time.Since(encStart))
 		}
-		w.encBuf = data
-		m.encodeTime.Observe(time.Since(encStart))
 		w.parts[1] = data
 		msg.Parts = w.parts[:2]
 	}
@@ -386,8 +395,8 @@ func (w *worker) hostFrameDone([]script.Value) (script.Value, error) {
 	m := w.m
 	w.frameDoneSeen = true
 	var e2e time.Duration
-	if w.currentFrame != nil && !w.currentFrame.Captured.IsZero() {
-		e2e = time.Since(w.currentFrame.Captured)
+	if !w.captured.IsZero() {
+		e2e = time.Since(w.captured)
 		m.e2eTime.Observe(e2e)
 	}
 	m.framesDone.Mark()

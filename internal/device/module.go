@@ -147,6 +147,12 @@ type Module struct {
 	// lastErr is the text of the most recent script error, stored on the
 	// error path only.
 	lastErr atomic.Pointer[string]
+	// decodeOnReceipt is set while the running code can call services
+	// (script.Context.CallsServices): receiveLoop then decodes an arriving
+	// frame before queueing its event, as the paper's modules load a frame
+	// ahead of the pose call. Other modules' frames stay encoded until
+	// something reads their pixels.
+	decodeOnReceipt atomic.Bool
 
 	// The instruments an event touches, resolved once at spawn rather than
 	// by name (a concatenation and the registry lock) per event; a
@@ -174,8 +180,9 @@ type worker struct {
 	ticket  uint64
 	hasTurn bool
 
-	ownedRefs     []uint64
-	currentFrame  *frame.Frame
+	ownedRefs []uint64
+	// captured is the capture time of the event's frame, zero for none.
+	captured      time.Time
 	frameDoneSeen bool
 	// outputUsed meters host-emitted bytes for the current event.
 	outputUsed int64
@@ -303,6 +310,7 @@ func (d *Device) SpawnModule(spec ModuleSpec) (*Module, error) {
 	if m.workers, err = m.newWorkers(spec.Source); err != nil {
 		return nil, fmt.Errorf("device: %s: loading module %q: %w", d.name, spec.Name, err)
 	}
+	m.decodeOnReceipt.Store(m.workers[0].ctx.CallsServices())
 
 	pull, err := wire.ListenPull(d.transport, spec.Port)
 	if err != nil {
@@ -476,7 +484,7 @@ func (m *Module) receiveLoop() {
 			return
 		}
 		ev, err := m.decodeWireEvent(msg)
-		// JSON and both codecs copy out of the parts, so the body buffer
+		// JSON and the store copy out of the parts, so the body buffer
 		// can go back to the pool before the event is even queued.
 		carriedFrame := len(msg.Part(1)) > 0
 		msg.Release()
@@ -527,14 +535,19 @@ func (m *Module) decodeWireEvent(msg wire.Message) (event, error) {
 	}
 	ev := event{body: body}
 	if len(msg.Part(1)) > 0 {
-		f, err := m.dev.codec.Decode(msg.Part(1))
+		// The frame is checked and stored as it arrived. Its pixels are
+		// decoded here only for a module that calls services; otherwise on
+		// their first read, if anything reads them, and a module that only
+		// forwards the frame sends these bytes on.
+		id, err := m.dev.store.PutEncoded(msg.Part(1), m.dev.codec)
 		if err != nil {
-			return event{}, fmt.Errorf("device: module %s: bad frame payload: %w", m.spec.Name, err)
+			return event{}, fmt.Errorf("device: module %s: frame payload: %w", m.spec.Name, err)
 		}
-		id, err := m.dev.store.Put(f)
-		if err != nil {
-			f.Release()
-			return event{}, err
+		if m.decodeOnReceipt.Load() {
+			if _, err := m.dev.store.Get(id); err != nil {
+				m.dev.store.Release(id)
+				return event{}, fmt.Errorf("device: module %s: %w", m.spec.Name, err)
+			}
 		}
 		ev.frameID = id
 	}
@@ -623,6 +636,7 @@ func (m *Module) eventLoop() {
 			// the update once it has.
 			m.stopWorkers()
 			m.workers = ws
+			m.decodeOnReceipt.Store(ws[0].ctx.CallsServices())
 			idle = m.startWorkers(nil, true)
 		case ev := <-inbox:
 			if !m.admit(ev) {
@@ -764,12 +778,13 @@ func (w *worker) handle(j job) {
 	start := time.Now()
 	w.ticket, w.hasTurn = j.ticket, false
 	w.ownedRefs = w.ownedRefs[:0]
-	w.currentFrame = nil
+	w.captured = time.Time{}
 	w.frameDoneSeen = false
 	if ev.frameID != 0 {
 		w.ownedRefs = append(w.ownedRefs, ev.frameID)
-		if f, err := m.dev.store.Get(ev.frameID); err == nil {
-			w.currentFrame = f
+		// The header, not the pixels: a frame that arrived encoded stays so.
+		if hdr, err := m.dev.store.Header(ev.frameID); err == nil {
+			w.captured = hdr.Captured
 		}
 		ev.body.SetNum(frameRef, float64(ev.frameID))
 	}
@@ -822,7 +837,6 @@ func (w *worker) handle(j job) {
 		m.dev.store.Release(id)
 	}
 	w.ownedRefs = w.ownedRefs[:0]
-	w.currentFrame = nil
 	m.handleTime.Observe(time.Since(start))
 	m.handled.Mark()
 	if ordered {

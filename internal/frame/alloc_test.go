@@ -26,7 +26,7 @@ func assertAllocs(t *testing.T, what string, got, want float64) {
 
 // TestStoreAllocs pins the store's warm bookkeeping: entries are held by
 // value, so a Put → Retain → Release → Release cycle allocates nothing once
-// the map has room. (The frames are made up front: a released frame is
+// the map has room, and neither does an encoded entry that is never read. (The frames are made up front: a released frame is
 // poisoned, so each cycle puts a fresh one.)
 func TestStoreAllocs(t *testing.T) {
 	const runs = 100
@@ -50,6 +50,21 @@ func TestStoreAllocs(t *testing.T) {
 	if s.Len() != 0 || !frames[runs].Released() {
 		t.Errorf("%d frames resident after the cycles", s.Len())
 	}
+
+	// A frame that arrives encoded and is only forwarded: checked, copied
+	// into a warm pool buffer, its header read for the event and its bytes
+	// for the send, then evicted — no decode, no *Frame, nothing allocated.
+	data := encodedScene(t, 64, 48)
+	allocs = testing.AllocsPerRun(runs, func() {
+		id, err := s.PutEncoded(data, JPEGCodec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Header(id)
+		s.Encoding(id)
+		s.Release(id)
+	})
+	assertAllocs(t, "warm PutEncoded/Header/Encoding/Release", allocs, 0)
 }
 
 // rowSums is a striped job bound once: its function value is made when the

@@ -17,6 +17,11 @@ type Codec interface {
 	Encode(f *Frame) ([]byte, error)
 	// Decode reconstructs a frame from Encode's output.
 	Decode(data []byte) (*Frame, error)
+	// Check validates data as far as it can without decoding pixels and
+	// returns the frame's header: whatever Decode accepts, Check accepts.
+	// A device checks a frame on receipt and decodes it only where its
+	// pixels are read (Store.PutEncoded).
+	Check(data []byte) (Header, error)
 	// Name identifies the codec in configs and metrics.
 	Name() string
 }
@@ -45,6 +50,14 @@ func AppendEncode(c Codec, dst []byte, f *Frame) ([]byte, error) {
 	return append(dst, data...), nil
 }
 
+// Header is what an encoded frame says about itself ahead of its pixels:
+// enough to route, order and time the frame without decoding it.
+type Header struct {
+	Seq           uint64
+	Captured      time.Time
+	Width, Height int
+}
+
 // header layout shared by both codecs:
 // [8 seq][8 capturedUnixNano][4 width][4 height][payload...]
 const headerSize = 8 + 8 + 4 + 4
@@ -58,18 +71,20 @@ func appendHeader(dst []byte, f *Frame) []byte {
 	return append(dst, buf[:]...)
 }
 
-func unmarshalHeader(data []byte) (seq uint64, captured time.Time, w, h int, payload []byte, err error) {
+func unmarshalHeader(data []byte) (hdr Header, payload []byte, err error) {
 	if len(data) < headerSize {
-		return 0, time.Time{}, 0, 0, nil, fmt.Errorf("frame: truncated header (%d bytes)", len(data))
+		return Header{}, nil, fmt.Errorf("frame: truncated header (%d bytes)", len(data))
 	}
-	seq = binary.BigEndian.Uint64(data[0:])
-	captured = time.Unix(0, int64(binary.BigEndian.Uint64(data[8:])))
-	w = int(binary.BigEndian.Uint32(data[16:]))
-	h = int(binary.BigEndian.Uint32(data[20:]))
-	if w <= 0 || h <= 0 || w*h > 64<<20 {
-		return 0, time.Time{}, 0, 0, nil, fmt.Errorf("frame: bad dimensions %dx%d", w, h)
+	hdr = Header{
+		Seq:      binary.BigEndian.Uint64(data[0:]),
+		Captured: time.Unix(0, int64(binary.BigEndian.Uint64(data[8:]))),
+		Width:    int(binary.BigEndian.Uint32(data[16:])),
+		Height:   int(binary.BigEndian.Uint32(data[20:])),
 	}
-	return seq, captured, w, h, data[headerSize:], nil
+	if hdr.Width <= 0 || hdr.Height <= 0 || hdr.Width*hdr.Height > 64<<20 {
+		return Header{}, nil, badDimensions(hdr.Width, hdr.Height)
+	}
+	return hdr, data[headerSize:], nil
 }
 
 // JPEGCodec compresses frames to baseline 4:2:0 JPEG, giving realistic
@@ -113,19 +128,32 @@ func (c JPEGCodec) AppendEncode(dst []byte, f *Frame) ([]byte, error) {
 // up on, goes through image/jpeg, so what Decode accepts is exactly what
 // image/jpeg accepts at the header's dimensions.
 func (c JPEGCodec) Decode(data []byte) (*Frame, error) {
-	seq, captured, w, h, payload, err := unmarshalHeader(data)
+	hdr, payload, err := unmarshalHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	f, ok := decodeBaseline420(payload, w, h)
+	f, ok := decodeBaseline420(payload, hdr.Width, hdr.Height)
 	if !ok {
-		if f, err = decodeJPEGStd(payload, w, h); err != nil {
+		if f, err = decodeJPEGStd(payload, hdr.Width, hdr.Height); err != nil {
 			return nil, err
 		}
 	}
-	f.Seq = seq
-	f.Captured = captured
+	f.Seq = hdr.Seq
+	f.Captured = hdr.Captured
 	return f, nil
+}
+
+// Check walks the frame header and the JPEG marker segments up to the first
+// scan (checkJPEGHeaders) without decoding a pixel or allocating.
+func (JPEGCodec) Check(data []byte) (Header, error) {
+	hdr, payload, err := unmarshalHeader(data)
+	if err != nil {
+		return Header{}, err
+	}
+	if err := checkJPEGHeaders(payload, hdr.Width, hdr.Height); err != nil {
+		return Header{}, err
+	}
+	return hdr, nil
 }
 
 // decodeJPEGStd is the general decode path: image/jpeg into its own image
@@ -170,17 +198,27 @@ func (RawCodec) AppendEncode(dst []byte, f *Frame) ([]byte, error) {
 
 // Decode reconstructs the frame exactly, into a pooled buffer owned by the
 // caller.
-func (RawCodec) Decode(data []byte) (*Frame, error) {
-	seq, captured, w, h, payload, err := unmarshalHeader(data)
+func (c RawCodec) Decode(data []byte) (*Frame, error) {
+	hdr, err := c.Check(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) != w*h*4 {
-		return nil, fmt.Errorf("frame: raw payload is %d bytes, want %d", len(payload), w*h*4)
-	}
-	f := newPooledDirty(w, h)
-	copy(f.Pix, payload)
-	f.Seq = seq
-	f.Captured = captured
+	f := newPooledDirty(hdr.Width, hdr.Height)
+	copy(f.Pix, data[headerSize:])
+	f.Seq = hdr.Seq
+	f.Captured = hdr.Captured
 	return f, nil
+}
+
+// Check validates the header and that the payload holds exactly the
+// header's pixels.
+func (RawCodec) Check(data []byte) (Header, error) {
+	hdr, payload, err := unmarshalHeader(data)
+	if err != nil {
+		return Header{}, err
+	}
+	if want := hdr.Width * hdr.Height * 4; len(payload) != want {
+		return Header{}, fmt.Errorf("frame: raw payload is %d bytes, want %d", len(payload), want)
+	}
+	return hdr, nil
 }

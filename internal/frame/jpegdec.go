@@ -1,6 +1,8 @@
 package frame
 
 import (
+	"errors"
+	"fmt"
 	"image/color"
 	"sync"
 )
@@ -108,13 +110,104 @@ func decodeBaseline420(payload []byte, w, h int) (f *Frame, ok bool) {
 }
 
 const (
-	jpegSOF0 = 0xc0
-	jpegDHT  = 0xc4
-	jpegSOI  = 0xd8
-	jpegEOI  = 0xd9
-	jpegSOS  = 0xda
-	jpegDQT  = 0xdb
+	jpegSOF0  = 0xc0
+	jpegSOF1  = 0xc1
+	jpegSOF2  = 0xc2
+	jpegDHT   = 0xc4
+	jpegRST0  = 0xd0
+	jpegRST7  = 0xd7
+	jpegSOI   = 0xd8
+	jpegEOI   = 0xd9
+	jpegSOS   = 0xda
+	jpegDQT   = 0xdb
+	jpegDRI   = 0xdd
+	jpegAPP0  = 0xe0
+	jpegAPP15 = 0xef
+	jpegCOM   = 0xfe
 )
+
+var errJPEGTruncated = errors.New("frame: jpeg: truncated before the scan")
+
+// checkJPEGHeaders is image/jpeg's marker walk up to the first scan, the
+// part of a decode that comes before any table is built or pixel made:
+// extraneous bytes, fill bytes and stray restart markers are skipped as
+// the stdlib skips them, every segment must fit in p and carry a marker
+// the stdlib knows, and there must be exactly one SOF before the SOS, of a
+// size the stdlib supports and whose dimensions are w x h. Every stream
+// this rejects the stdlib rejects too, and Decode accepts only what the
+// stdlib accepts, so a stream Decode accepts passes here; one that passes
+// can still fail in its tables or its scan, which only Decode reads.
+func checkJPEGHeaders(p []byte, w, h int) error {
+	if len(p) < 2 || p[0] != 0xff || p[1] != jpegSOI {
+		return errors.New("frame: jpeg: missing SOI marker")
+	}
+	pos, sof := 2, false
+	for {
+		if pos+2 > len(p) {
+			return errJPEGTruncated
+		}
+		b0, marker := p[pos], p[pos+1]
+		pos += 2
+		for b0 != 0xff { // extraneous data, ignored as the stdlib does
+			if pos >= len(p) {
+				return errJPEGTruncated
+			}
+			b0, marker = marker, p[pos]
+			pos++
+		}
+		if marker == 0 { // "\xff\x00" is extraneous data too
+			continue
+		}
+		for marker == 0xff { // fill bytes
+			if pos >= len(p) {
+				return errJPEGTruncated
+			}
+			marker = p[pos]
+			pos++
+		}
+		if marker == jpegEOI {
+			return errors.New("frame: jpeg: missing SOS marker")
+		}
+		if jpegRST0 <= marker && marker <= jpegRST7 {
+			continue
+		}
+		if pos+2 > len(p) {
+			return errJPEGTruncated
+		}
+		n := int(p[pos])<<8 + int(p[pos+1]) - 2
+		pos += 2
+		if n < 0 {
+			return errors.New("frame: jpeg: short segment length")
+		}
+		if pos+n > len(p) {
+			return errJPEGTruncated
+		}
+		seg := p[pos : pos+n]
+		pos += n
+		switch {
+		case marker == jpegSOF0 || marker == jpegSOF1 || marker == jpegSOF2:
+			if sof {
+				return errors.New("frame: jpeg: multiple SOF markers")
+			}
+			if n != 6+3*1 && n != 6+3*3 && n != 6+3*4 || seg[0] != 8 || 6+3*int(seg[5]) != n {
+				return errors.New("frame: jpeg: unsupported SOF")
+			}
+			if sh, sw := int(seg[1])<<8|int(seg[2]), int(seg[3])<<8|int(seg[4]); sw != w || sh != h {
+				return fmt.Errorf("frame: header says %dx%d but payload is %dx%d", w, h, sw, sh)
+			}
+			sof = true
+		case marker == jpegSOS:
+			if !sof {
+				return errors.New("frame: jpeg: missing SOF marker")
+			}
+			return nil
+		case marker == jpegDHT || marker == jpegDQT || marker == jpegDRI ||
+			jpegAPP0 <= marker && marker <= jpegAPP15 || marker == jpegCOM:
+		default:
+			return fmt.Errorf("frame: jpeg: unknown marker %#x", marker)
+		}
+	}
+}
 
 // parseHeaders walks the marker segments up to and including SOS and
 // leaves d.data/d.pos at the first entropy-coded byte. It accepts only

@@ -199,8 +199,9 @@ func TestJPEGDecodeFallback(t *testing.T) {
 }
 
 // fuzzSeeds returns codec output over a few geometries, qualities and
-// contents, plus damaged variants of each: truncations and single-bit
-// flips in the headers and in the scan.
+// contents, plus damaged variants of each: truncations (at half length,
+// near the end and at each header marker) and single-bit flips in the
+// headers and in the scan.
 func fuzzSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	for _, sz := range [][2]int{{1, 1}, {37, 21}, {64, 48}} {
@@ -208,6 +209,9 @@ func fuzzSeeds(t testing.TB) [][]byte {
 			for _, src := range []*Frame{sceneFrame(sz[0], sz[1]), noiseFrame(sz[0], sz[1], 1)} {
 				p := encodePayload(t, src, q)
 				seeds = append(seeds, p, p[:len(p)/2], p[:len(p)-1], p[:len(p)-2])
+				for _, cut := range headerCuts(p) { // the cut before EOI is p[:len(p)-2]
+					seeds = append(seeds, p[:cut])
+				}
 				for _, at := range []int{3, 30, 160, 180, 400, len(p) - 40, len(p) - 3} {
 					if at >= 0 && at < len(p) {
 						flipped := bytes.Clone(p)
@@ -228,7 +232,10 @@ func fuzzSeeds(t testing.TB) [][]byte {
 // FuzzJPEGDecode holds JPEGCodec.Decode to image/jpeg on arbitrary
 // payloads: no panic, accept exactly when the stdlib accepts (at the
 // dimensions the stdlib reports), identical pixels when it does, and no
-// pool buffer left outstanding when it does not.
+// pool buffer left outstanding when it does not. Check, the walk a device
+// runs on receipt, must accept whatever Decode accepts, with the header's
+// metadata, and must accept AppendEncode's re-encoding of what Decode
+// made.
 func FuzzJPEGDecode(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -265,6 +272,22 @@ func FuzzJPEGDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Decode rejected a stream jpeg.Decode accepts: %v", err)
 		}
+		checkAccepts := func(data []byte, what string) {
+			t.Helper()
+			hdr, err := JPEGCodec{}.Check(data)
+			if err != nil {
+				t.Fatalf("Check rejected %s: %v", what, err)
+			}
+			if hdr.Seq != got.Seq || hdr.Width != w || hdr.Height != h {
+				t.Fatalf("Check read %s as %+v", what, hdr)
+			}
+		}
+		checkAccepts(withHeader(w, h, payload), "a stream Decode accepts")
+		reenc, err := JPEGCodec{Quality: 1 + len(payload)%100}.AppendEncode(nil, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAccepts(reenc, "AppendEncode's output")
 		want := FromImage(img)
 		if got.Width != w || got.Height != h || got.Seq != 7 || !bytes.Equal(got.Pix, want.Pix) {
 			t.Fatalf("Decode differs from jpeg.Decode+FromImage at byte %d", firstDiff(got.Pix, want.Pix))

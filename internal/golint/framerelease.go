@@ -108,7 +108,7 @@ func runFrameRelease(pass *Pass) {
 			}
 			if body != nil {
 				a := &frAnalysis{pass: pass}
-				if st, live := (goWalk[frState]{a}).stmts(body.List, frState{}); live {
+				if st, live := (&goWalk[frState]{d: a}).stmts(body.List, frState{}); live {
 					a.checkLeaks(st, body.Rbrace, nil)
 				}
 			}
@@ -214,19 +214,25 @@ func (a *frAnalysis) stmt(n ast.Stmt, st frState) (frState, bool) {
 	return st, true
 }
 
-// loop flags frames created inside a loop body that the body fails to
-// hand off: each iteration would strand one pooled buffer.
-func (a *frAnalysis) loop(body *ast.BlockStmt, before, after frState) frState {
-	for obj, v := range after {
-		if _, existed := before[obj]; existed {
-			continue
-		}
-		if v.state == stOwned {
+// loop flags frames created inside a loop body that an iteration ends
+// without handing off, on any of its ends: each such iteration would strand
+// one pooled buffer. The ends are checked one by one, before the
+// optimistic merge could let one that releases cover one that does not.
+func (a *frAnalysis) loop(body *ast.BlockStmt, before frState, ends []frState) frState {
+	reported := map[types.Object]bool{}
+	out := before
+	for _, end := range ends {
+		for obj, v := range end {
+			if _, existed := before[obj]; existed || reported[obj] || v.state != stOwned {
+				continue
+			}
+			reported[obj] = true
 			a.pass.Reportf(body.Rbrace, "pooled frame %q obtained at %s inside this loop is not released by the end of the iteration",
 				v.name, a.posStr(v.srcPos))
 		}
+		out = out.merge(end)
 	}
-	return before.merge(after)
+	return out
 }
 
 // branch applies an if's nil guard: the frame is dead on the arm where it

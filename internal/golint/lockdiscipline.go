@@ -43,10 +43,10 @@ func runLockDiscipline(pass *Pass) {
 			case *ast.FuncDecl:
 				checkFuncSig(pass, node)
 				if node.Body != nil {
-					goWalk[heldSet]{&heldAnalysis{pass}}.stmts(node.Body.List, heldSet{})
+					(&goWalk[heldSet]{d: &heldAnalysis{pass}}).stmts(node.Body.List, heldSet{})
 				}
 			case *ast.FuncLit:
-				goWalk[heldSet]{&heldAnalysis{pass}}.stmts(node.Body.List, heldSet{})
+				(&goWalk[heldSet]{d: &heldAnalysis{pass}}).stmts(node.Body.List, heldSet{})
 			case *ast.AssignStmt:
 				checkCopyAssign(pass, node)
 			case *ast.RangeStmt:
@@ -217,7 +217,7 @@ func (h *heldAnalysis) join(a, b heldSet) heldSet {
 
 func (h *heldAnalysis) branch(_ ast.Expr, then, els heldSet) (heldSet, heldSet) { return then, els }
 
-func (h *heldAnalysis) loop(_ *ast.BlockStmt, before, _ heldSet) heldSet { return before }
+func (h *heldAnalysis) loop(_ *ast.BlockStmt, before heldSet, _ []heldSet) heldSet { return before }
 
 func (h *heldAnalysis) expr(e ast.Expr, held heldSet) heldSet {
 	h.scanCalls(e, held)

@@ -151,6 +151,57 @@ func rangeLeak(sizes []int) {
 	} // want pooled frame "f" obtained at .* inside this loop is not released by the end of the iteration
 } // want pooled frame "f" obtained at .* is not released on this path
 
+// continueLeak strands one pooled frame per positive n: the continue ends
+// the iteration before the Release.
+func continueLeak(xs []int) {
+	for _, n := range xs {
+		f := frame.MustNewPooled(4, 4)
+		if n > 0 {
+			continue
+		}
+		f.Release()
+	} // want pooled frame "f" obtained at .* inside this loop is not released by the end of the iteration
+}
+
+// breakLeak strands the frame of the iteration that breaks out.
+func breakLeak(xs []int) {
+	for i := 0; i < len(xs); i++ {
+		f := frame.MustNewPooled(4, 4)
+		if xs[i] < 0 {
+			break
+		}
+		f.Release()
+	} // want pooled frame "f" obtained at .* inside this loop is not released by the end of the iteration
+}
+
+// continueAfterRelease is clean: every way out of the iteration released.
+func continueAfterRelease(xs []int) {
+	for _, n := range xs {
+		f := frame.MustNewPooled(4, 4)
+		f.Seq = uint64(n)
+		if n > 0 {
+			f.Release()
+			continue
+		}
+		f.Release()
+	}
+}
+
+// switchBreakInLoop is clean: the break leaves the switch, not the loop,
+// and the path goes on to the Release.
+func switchBreakInLoop(xs []int) {
+	for _, n := range xs {
+		f := frame.MustNewPooled(4, 4)
+		switch n {
+		case 0:
+			break
+		default:
+			f.Seq = 1
+		}
+		f.Release()
+	}
+}
+
 // switchAllArmsEnd is clean: with a default, every path ends in an arm.
 func switchAllArmsEnd(mode int) *frame.Frame {
 	f := frame.MustNewPooled(4, 4)

@@ -213,6 +213,33 @@ function event_received(message) {
 	}
 }
 
+// CallsServices is the load-time side of the service call sites: set when
+// any identifier can resolve to the global call_service, a call through an
+// alias included, and not by a local that only shares the name.
+func TestCallsServices(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want bool
+	}{
+		{`function event_received(m) { call_service("pose_detector", {frame_ref: m.frame_ref}); }`, true},
+		{`function event_received(m) { var s = m.svc; call_service(s, {}); }`, true},
+		{`function event_received(m) { var f = call_service; f("x", {}); }`, true},
+		{`function helper(m) { return call_service("x", m); }
+function event_received(m) { call_module("next", m); }`, true},
+		{`function event_received(m) { call_module("next", {frame_ref: m.frame_ref}); }`, false},
+		{`function event_received(m) { var call_service = 1; frame_done(); }`, false},
+		{`function event_received(call_service) { frame_done(); }`, false},
+	} {
+		c := NewContext()
+		if err := c.Load(tc.src); err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		if got := c.CallsServices(); got != tc.want {
+			t.Errorf("CallsServices = %v, want %v for\n%s", got, tc.want, tc.src)
+		}
+	}
+}
+
 // TestCheckHostArgs exercises the runtime side of the shared signature
 // table, which the device host API delegates to.
 func TestCheckHostArgs(t *testing.T) {

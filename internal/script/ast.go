@@ -477,6 +477,9 @@ type program struct {
 	decls   []*declSite
 	globals map[string]*binding
 	written map[string]bool
+	// set by resolve: some identifier can resolve to the global
+	// call_service.
+	services bool
 }
 
 // funcDef is one top-level function definition, `function f() {}` or

@@ -72,6 +72,8 @@ type Context struct {
 	// write is where code given to Load first writes a container it may not
 	// own (resolve.go); nil while all of it was message-read-only.
 	write *Position
+	// services is set once code given to Load can reach call_service.
+	services bool
 	// running is the invocation executing right now, nil between
 	// invocations.
 	running *interp
@@ -131,6 +133,14 @@ func (c *Context) Stateless() bool { return c.state == nil }
 // context has loaded nothing and vouches for nothing.
 func (c *Context) ReadOnly() bool { return c != nil && c.write == nil }
 
+// CallsServices reports whether the code Load has run on this context can
+// reach call_service: an identifier in it can resolve to the global of that
+// name. It is the runtime side of the call sites Facts.ServiceTargets and
+// Facts.DynamicServiceTargets count, conservative as those are not (a call
+// through an alias counts too). The device decodes a frame on receipt for
+// such a module, so a service's time never includes the decode.
+func (c *Context) CallsServices() bool { return c.services }
+
 // Instructions returns the total interpreter steps executed by this
 // context across all invocations so far.
 func (c *Context) Instructions() int64 { return c.instructions }
@@ -185,6 +195,7 @@ func (c *Context) Load(src string) error {
 	if c.write == nil {
 		c.write = prog.write
 	}
+	c.services = c.services || prog.services
 	in := c.newInterp(true)
 	defer c.account(in)
 	for _, s := range prog.stmts {

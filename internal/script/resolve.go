@@ -130,6 +130,9 @@ type resolver struct {
 	// land outside a private container.
 	uses  []callUse
 	write *Position
+	// services is set once an identifier can resolve to the global
+	// call_service.
+	services bool
 }
 
 // operandUse is an identifier resolved where its value is read: ambient
@@ -207,7 +210,7 @@ func resolve(prog *program) {
 	r.stmts(prog.stmts)
 	r.judgeWrites()
 	prog.state, prog.decls, prog.globals, prog.written = r.state, r.decls, r.globals, r.written
-	prog.write = r.write
+	prog.write, prog.services = r.write, r.services
 }
 
 // judgeWrites settles the read-only verdict once every binding is known: a
@@ -515,6 +518,7 @@ func (r *resolver) ident(id *identExpr, reads, writes bool) bool {
 	global := r.locals(id)
 	if global {
 		id.land(r.globals[id.name], true)
+		r.services = r.services || id.name == "call_service"
 	}
 	if b := id.bind; b != nil {
 		if reads {

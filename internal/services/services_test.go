@@ -2,6 +2,7 @@ package services
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/base64"
 	"errors"
 	"image/color"
@@ -1007,5 +1008,42 @@ func TestRecycleResultDropsLargeMaps(t *testing.T) {
 	}
 	if m := result(); len(m) != 0 {
 		t.Errorf("recycled map holds %v, want it cleared", m)
+	}
+}
+
+// A device forwards a frame as the bytes it arrived with, which is right
+// only while the pixels in its store never change: every standard handler
+// that takes a frame reads it and leaves it as it was, and one that draws
+// (display with return_frame) draws on a copy.
+func TestFrameServicesLeaveRequestPixels(t *testing.T) {
+	pose := poseValue(vision.SynthesizePose(vision.Squat, 0.2, vision.DefaultSubject(), nil))
+	for _, tc := range []struct {
+		service string
+		args    map[string]script.Value
+	}{
+		{PoseDetector, nil},
+		{ObjectDetector, nil},
+		{FaceDetector, nil},
+		{ImageClassifier, map[string]script.Value{"train": "squat"}},
+		{ImageClassifier, nil},
+		{Display, map[string]script.Value{"pose": pose, "activity": "squat", "reps": 3.0}},
+		{Display, map[string]script.Value{"pose": pose, "activity": "squat", "reps": 3.0, "return_frame": true}},
+	} {
+		p := poolFor(t, tc.service)
+		f := sceneFrame(t, vision.Squat, 0.2)
+		before := sha256.Sum256(f.Pix)
+		resp, err := p.Invoke(context.Background(), Request{Args: argsOf(tc.args), Frame: f})
+		if err != nil {
+			t.Fatalf("%s %v: %v", tc.service, tc.args, err)
+		}
+		if sha256.Sum256(f.Pix) != before {
+			t.Errorf("%s %v changed the request frame's pixels", tc.service, tc.args)
+		}
+		if resp.Frame != nil {
+			if resp.Frame == f || &resp.Frame.Pix[0] == &f.Pix[0] {
+				t.Errorf("%s returned the request frame itself", tc.service)
+			}
+			resp.Frame.Release()
+		}
 	}
 }
