@@ -19,9 +19,12 @@ build:
 # non-test code), then the
 # vpvet analyzer suite (framerelease, determinism, metername,
 # lockdiscipline — see DESIGN.md "Static enforcement") over every package,
-# then a staleness check of the generated meter registry. Exits non-zero
-# on any finding; each step names itself on failure so a red `make check`
-# points straight at the offending check.
+# then a staleness check of the generated meter registry, then the linked
+# check: every main package built with inlining off, and every non-test
+# function under internal/ and the root package that no binary links
+# reported, bar the reasoned allow-list in internal/golint/linked_test.go.
+# Exits non-zero on any finding; each step names itself on failure so a red
+# `make check` points straight at the offending check.
 vet:
 	@unformatted=$$(gofmt -l . 2>/dev/null); if [ -n "$$unformatted" ]; then \
 		echo "vet failed: gofmt (needs formatting):"; echo "$$unformatted"; exit 1; fi
@@ -40,6 +43,7 @@ vet:
 		echo "vet failed: clock under internal/script (price the work in steps: the sandbox's one CPU budget has no clock)"; exit 1; fi
 	@$(GO) run ./cmd/vpvet ./... || { echo "vet failed: vpvet (findings above; suppress a false positive with //vpvet:allow <check> <reason>)"; exit 1; }
 	@$(GO) run ./cmd/vpvet -check-meters ./... || { echo "vet failed: meter registry stale (run make meters)"; exit 1; }
+	@$(GO) test -run TestEveryFunctionLinked ./internal/golint || { echo "vet failed: a function no binary links (delete it, or give it a reason in linkAllowed)"; exit 1; }
 
 # Regenerate the meter-name registry (internal/metrics/names.go) from
 # every statically-visible Meter/Histogram/benchEntry.set name. Run after

@@ -79,13 +79,14 @@ func TestExampleScriptsAnalyzeClean(t *testing.T) {
 	for _, where := range wheres {
 		src := scripts[where]
 		fmt.Fprintf(&got, "script %s\n", where)
-		for _, d := range videopipe.AnalyzeScript(src) {
-			if d.Severity == videopipe.SeverityError {
+		rep := script.Analyze(src, script.Options{})
+		for _, d := range rep.Diagnostics {
+			if d.Severity == script.SeverityError {
 				t.Errorf("%s: %s", where, d)
 			}
 			fmt.Fprintln(&got, d)
 		}
-		fmt.Fprintf(&got, "replication: %s\n", script.Analyze(src, script.Options{}).Facts.Verdict())
+		fmt.Fprintf(&got, "replication: %s\n", rep.Facts.Verdict())
 	}
 	checkPipevetGolden(t, "example scripts", got.String())
 }

@@ -5,7 +5,6 @@ import (
 
 	"videopipe/internal/core"
 	"videopipe/internal/frame"
-	"videopipe/internal/wire"
 )
 
 // PipelineBuilder assembles a PipelineConfig fluently. Methods that follow
@@ -59,31 +58,6 @@ func (b *PipelineBuilder) Next(modules ...string) *PipelineBuilder {
 		return b.errf("videopipe: Next(%v) before any Module", modules)
 	}
 	m.Next = append(m.Next, modules...)
-	return b
-}
-
-// On pins the current module to a device, overriding the planner.
-func (b *PipelineBuilder) On(deviceName string) *PipelineBuilder {
-	m := b.current()
-	if m == nil {
-		return b.errf("videopipe: On(%q) before any Module", deviceName)
-	}
-	m.Device = deviceName
-	return b
-}
-
-// Endpoint fixes the current module's inbound endpoint, in the Listing-1
-// grammar (e.g. "bind#tcp://*:5861").
-func (b *PipelineBuilder) Endpoint(endpoint string) *PipelineBuilder {
-	m := b.current()
-	if m == nil {
-		return b.errf("videopipe: Endpoint(%q) before any Module", endpoint)
-	}
-	ep, err := wire.ParseEndpoint(endpoint)
-	if err != nil {
-		return b.errf("videopipe: module %q: %v", m.Name, err)
-	}
-	m.Endpoint = ep
 	return b
 }
 

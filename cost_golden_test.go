@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"videopipe"
+	"videopipe/internal/script"
 )
 
 // TestCostGoldenBounds pins pipecost's exact output — every handler's
@@ -41,14 +41,15 @@ func TestCostGoldenBounds(t *testing.T) {
 	for _, where := range wheres {
 		src := modules[where]
 		fmt.Fprintf(&got, "module %s\n", where)
-		for _, h := range videopipe.AnalyzeCost(src).Handlers {
+		rep := script.Analyze(src, script.Options{})
+		for _, h := range rep.Cost.Handlers {
 			if h.Bounded {
 				fmt.Fprintf(&got, "  %s bounded %d\n", h.Name, h.Steps)
 			} else {
 				fmt.Fprintf(&got, "  %s unbounded: %s\n", h.Name, strings.Join(h.Reasons, "; "))
 			}
 		}
-		for _, d := range videopipe.AnalyzeScript(src) {
+		for _, d := range rep.Diagnostics {
 			if d.Code == "PV012" || d.Code == "PV013" {
 				fmt.Fprintf(&got, "  %s\n", d)
 			}

@@ -61,10 +61,11 @@ func collectSoundnessModules(t *testing.T) map[string]string {
 }
 
 // soundnessStub binds the host API with rich, varying results so the
-// corpus modules exercise both sides of their branches while running.
-func soundnessStub(ctx *script.Context) {
+// corpus modules exercise both sides of their branches while running. It
+// returns the call_service it bound, for a test that wraps it.
+func soundnessStub(ctx *script.Context) (callService script.HostFunc) {
 	calls := 0
-	ctx.Bind("call_service", func(args []script.Value) (script.Value, error) {
+	callService = func(args []script.Value) (script.Value, error) {
 		calls++
 		kp := func(x, y float64) script.Value {
 			p := script.NewObject()
@@ -73,7 +74,7 @@ func soundnessStub(ctx *script.Context) {
 			return p
 		}
 		pose := script.NewObject()
-		pose.Set("keypoints", script.NewArray(kp(0.5, 0.2), kp(0.4, 0.5), kp(0.6, 0.9)))
+		pose.Set("keypoints", &script.Array{Elems: []script.Value{kp(0.5, 0.2), kp(0.4, 0.5), kp(0.6, 0.9)}})
 		pose.Set("label", "squat")
 
 		box := script.NewObject()
@@ -99,13 +100,15 @@ func soundnessStub(ctx *script.Context) {
 		r.Set("fallen", calls%4 == 0)
 		r.Set("alert", calls%8 == 0)
 		return r, nil
-	})
+	}
+	ctx.Bind("call_service", callService)
 	ctx.Bind("call_module", func(args []script.Value) (script.Value, error) { return nil, nil })
 	ctx.Bind("metric", func(args []script.Value) (script.Value, error) { return nil, nil })
 	ctx.Bind("log", func(args []script.Value) (script.Value, error) { return nil, nil })
 	ctx.Bind("now_ms", func(args []script.Value) (script.Value, error) { return float64(12345), nil })
 	ctx.Bind("frame_done", func(args []script.Value) (script.Value, error) { return nil, nil })
 	ctx.Bind("device_name", func(args []script.Value) (script.Value, error) { return "phone", nil })
+	return callService
 }
 
 // soundnessMessage synthesizes the union of the event fields the shipped
@@ -115,7 +118,7 @@ func soundnessMessage(seq int) script.Value {
 	kp := script.NewObject()
 	kp.Set("x", 0.5)
 	kp.Set("y", float64(seq)/25)
-	pose.Set("keypoints", script.NewArray(kp, kp, kp))
+	pose.Set("keypoints", &script.Array{Elems: []script.Value{kp, kp, kp}})
 	pose.Set("label", "squat")
 
 	msg := script.NewObject()
@@ -146,11 +149,11 @@ func soundnessMessage(seq int) script.Value {
 func TestCostSoundnessOnExamples(t *testing.T) {
 	for where, src := range collectSoundnessModules(t) {
 		t.Run(where, func(t *testing.T) {
-			rep := videopipe.AnalyzeCost(src)
-			if len(rep.Handlers) == 0 {
+			handlers := script.Analyze(src, script.Options{}).Cost.Handlers
+			if len(handlers) == 0 {
 				t.Fatal("cost analysis produced no handlers — unparseable source?")
 			}
-			for _, h := range rep.Handlers {
+			for _, h := range handlers {
 				if !h.Bounded {
 					t.Errorf("handler %s not statically boundable: %v", h.Name, h.Reasons)
 				}
@@ -161,22 +164,27 @@ func TestCostSoundnessOnExamples(t *testing.T) {
 			if err := ctx.Load(src); err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			if h, ok := rep.Handler(script.LoadHandler); ok && h.Bounded {
-				if got := ctx.LastInstructions(); got > h.Steps {
-					t.Errorf("load: measured %d > static bound %d", got, h.Steps)
+			// Handlers is sorted by name: the load, then event_received,
+			// then init, which runs before any event.
+			var h script.HandlerCost // event_received's
+			for _, hc := range handlers {
+				switch hc.Name {
+				case script.LoadHandler:
+					if got := ctx.LastInstructions(); hc.Bounded && got > hc.Steps {
+						t.Errorf("load: measured %d > static bound %d", got, hc.Steps)
+					}
+				case "event_received":
+					h = hc
+				case "init":
+					if _, err := ctx.Call("init"); err != nil {
+						t.Fatalf("init: %v", err)
+					}
+					if got := ctx.LastInstructions(); hc.Bounded && got > hc.Steps {
+						t.Errorf("init: measured %d > static bound %d", got, hc.Steps)
+					}
 				}
 			}
-			if h, ok := rep.Handler("init"); ok && h.Bounded {
-				if _, err := ctx.Call("init"); err != nil {
-					t.Fatalf("init: %v", err)
-				}
-				if got := ctx.LastInstructions(); got > h.Steps {
-					t.Errorf("init: measured %d > static bound %d", got, h.Steps)
-				}
-			}
-
-			h, ok := rep.Handler("event_received")
-			if !ok {
+			if h.Name != "event_received" {
 				t.Fatal("module defines no event_received")
 			}
 			for seq := 0; seq < 25; seq++ {

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -68,13 +69,10 @@ func TestFitnessTopology(t *testing.T) {
 	if sinks := cfg.Sinks(); len(sinks) != 1 || sinks[0] != "display" {
 		t.Errorf("sinks = %v", sinks)
 	}
-	used := cfg.ServicesUsed()
 	for _, svc := range []string{services.PoseDetector, services.ActivityClassifier, services.RepCounter, services.Display} {
 		found := false
-		for _, u := range used {
-			if u == svc {
-				found = true
-			}
+		for _, m := range cfg.Modules {
+			found = found || slices.Contains(m.Services, svc)
 		}
 		if !found {
 			t.Errorf("fitness does not declare service %s", svc)

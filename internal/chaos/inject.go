@@ -20,11 +20,6 @@ type Applied struct {
 	Target string
 }
 
-// String renders the applied entry.
-func (a Applied) String() string {
-	return fmt.Sprintf("%s %s %s", a.At, a.Kind, a.Target)
-}
-
 // Injector drives a Schedule against a running cluster. Every injected
 // fault is reversed — after its duration, or immediately when the run
 // context is cancelled — so a cluster is always restored to health before

@@ -153,18 +153,6 @@ func handlerLabelFor(name string) string {
 	return name + "()"
 }
 
-// AnalyzeModuleSource runs only the script-level checks over one module
-// source, without config cross-checks — for tooling that lints standalone
-// PipeScript files.
-func AnalyzeModuleSource(src string) []Diagnostic {
-	rep := script.Analyze(src, script.Options{})
-	out := make([]Diagnostic, 0, len(rep.Diagnostics))
-	for _, d := range rep.Diagnostics {
-		out = append(out, Diagnostic{Pos: d.Pos, Code: d.Code, Severity: d.Severity, Message: d.Message})
-	}
-	return out
-}
-
 // AnalysisErrors filters diagnostics down to error severity.
 func AnalysisErrors(diags []Diagnostic) []Diagnostic {
 	var out []Diagnostic

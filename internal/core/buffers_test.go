@@ -317,6 +317,64 @@ func TestBufferPoolCloseWithQueuedEncodedEvents(t *testing.T) {
 	}
 }
 
+// Closing the cluster while a busy middle module is mid-handler, before
+// its first remote call_module: the forward that follows finds the module
+// closing and dials nothing, so Close returns at once rather than after
+// the send's 10 s bound, and the frame is abandoned once with its credit
+// and every pool buffer back. The desktop-TV link is down, so a dial the
+// module did make could only retry.
+func TestBufferPoolCloseDuringFirstRemoteForward(t *testing.T) {
+	outstanding := frame.Pool.Outstanding()
+	entered, release := make(chan struct{}), make(chan struct{})
+	reg := services.NewRegistry()
+	if err := reg.Register(services.Spec{Name: "slow",
+		Handler: func(context.Context, services.Request) (services.Response, error) {
+			entered <- struct{}{}
+			<-release
+			return services.Response{}, nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	c, p := relayLaunch(t, reg, []core.ServicePlacement{{Service: "slow", Device: "desktop"}}, []core.ModuleConfig{
+		{Name: "a", Source: strings.ReplaceAll(relayStage, "%NEXT%", "b"), Next: []string{"b"}, Device: "phone"},
+		{Name: "b", Source: `function event_received(message) {
+	call_service("slow", {});
+	call_module("c", {frame_ref: message.frame_ref, seq: message.seq});
+}`, Next: []string{"c"}, Services: []string{"slow"}, Device: "desktop"},
+		{Name: "c", Source: `function event_received(message) { frame_done(); }`, Device: "tv"},
+	})
+	c.Network().Partition("desktop", "tv")
+	f := frame.MustNewPooled(640, 480)
+	f.Captured = time.Now()
+	if !p.Offer(f) {
+		t.Fatal("frame refused")
+	}
+	<-entered
+	took := make(chan time.Duration)
+	go func() {
+		start := time.Now()
+		c.Close()
+		took <- time.Since(start)
+	}()
+	// Nothing outside the module shows that Close has reached b and is
+	// waiting for its handler; the other two modules close in
+	// milliseconds, so a pause well past that stands in for the event.
+	time.Sleep(200 * time.Millisecond)
+	close(release)
+	if d := <-took; d > time.Second {
+		t.Errorf("Cluster.Close took %v with a forward after Close began, want well under 1s", d)
+	}
+	abandoned := c.Metrics().Meter("module.relay.b.abandoned").Count()
+	done := c.Metrics().Meter("pipeline.relay.c.frames_done").Count()
+	if abandoned != 1 || done != 0 || p.CreditsAvail() != p.Credits() {
+		t.Errorf("%d abandoned and %d done of the one frame, %d credits of %d back",
+			abandoned, done, p.CreditsAvail(), p.Credits())
+	}
+	if got := frame.Pool.Outstanding() - outstanding; got != 0 {
+		t.Errorf("pool outstanding = start%+d after Cluster.Close, want 0", got)
+	}
+}
+
 // A frame whose bytes pass Check on the desktop but whose scan will not
 // decode, behind a pass-through module, fails in the handler that first
 // reads its pixels: the service call fails, the handler errors, the frame
@@ -424,7 +482,7 @@ func TestBufferPoolRemoteCallConservation(t *testing.T) {
 	if err := call("ok", 5*time.Second); err != nil {
 		t.Fatalf("remote call: %v", err)
 	}
-	if phone.Metrics().Histogram("service.probe.remote").Count() != 1 {
+	if c.Metrics().Histogram("service.probe.remote").Count() != 1 {
 		t.Fatal("the call did not take the remote path")
 	}
 	if err := call("hang", 100*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {

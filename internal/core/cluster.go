@@ -265,9 +265,6 @@ func (c *Cluster) Pool(service string) (*services.Pool, error) {
 	return pool, nil
 }
 
-// Registry exposes the cluster's service registry.
-func (c *Cluster) Registry() *services.Registry { return c.registry }
-
 // Network exposes the simulated fabric, for link-shaping experiments.
 func (c *Cluster) Network() *netsim.Network { return c.network }
 

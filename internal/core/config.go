@@ -195,19 +195,3 @@ func (c *PipelineConfig) Sinks() []string {
 	sort.Strings(out)
 	return out
 }
-
-// ServicesUsed reports the union of services referenced by modules.
-func (c *PipelineConfig) ServicesUsed() []string {
-	set := make(map[string]bool)
-	for _, m := range c.Modules {
-		for _, s := range m.Services {
-			set[s] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}

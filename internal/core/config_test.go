@@ -105,15 +105,6 @@ func TestTopoOrderFanOut(t *testing.T) {
 	}
 }
 
-func TestServicesUsed(t *testing.T) {
-	cfg := validConfig()
-	cfg.Modules[0].Services = []string{"pose", "rep"}
-	cfg.Modules[1].Services = []string{"pose"}
-	if got := cfg.ServicesUsed(); !reflect.DeepEqual(got, []string{"pose", "rep"}) {
-		t.Errorf("ServicesUsed = %v", got)
-	}
-}
-
 const listing1Style = `
 // The fitness pipeline, in the paper's Listing-1 dialect.
 modules : [

@@ -194,8 +194,7 @@ func TestBuiltinAppsWithinDefaultLimits(t *testing.T) {
 	for _, cfg := range cfgs {
 		for _, m := range cfg.Modules {
 			eff := cfg.EffectiveLimits(m.Name)
-			cost := script.AnalyzeCost(m.Source)
-			for _, h := range cost.Handlers {
+			for _, h := range script.Analyze(m.Source, script.Options{}).Cost.Handlers {
 				if !h.Bounded {
 					t.Errorf("%s/%s: handler %s has no static bound", cfg.Name, m.Name, h.Name)
 					continue
@@ -338,7 +337,8 @@ func TestBudgetLongStringProbesBreach(t *testing.T) {
 		for (var i = 0; i < 21; i++) { s = s + s; }
 		var t = ""; var o = {}; var rounds = 0;
 		function init() { t = substr(s, 1) + "y"; o[s] = 1; o[t] = 2; }
-		function event_received(m) { while (true) { PROBE; rounds = rounds + 1; } }`
+		function event_received(m) { while (true) { PROBE; rounds = rounds + 1; } }
+		function done() { return rounds; }`
 	for _, probe := range []string{
 		"s == t", "s < t", "o[t]", "has(o, t)", "index_of([s], t)", "contains(s, t)",
 		"sort([s, t])", "switch (s) { case t: }", "for (var k of o) {}",
@@ -356,7 +356,7 @@ func TestBudgetLongStringProbesBreach(t *testing.T) {
 			_, err := c.Call("event_received", nil)
 			checkProbeBreach(t, c, err, time.Since(start))
 			// A round reads at least one 2 MiB string: 2 MiB / 64 steps.
-			rounds, _ := c.Global("rounds")
+			rounds, _ := c.Call("done")
 			if max := float64(core.DefaultLimits().Instructions / (1 << 21 / 64)); rounds.(float64) > max {
 				t.Errorf("ran %v rounds, want at most %v", rounds, max)
 			}

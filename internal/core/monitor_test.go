@@ -133,9 +133,6 @@ func TestMonitorRunDeliversReports(t *testing.T) {
 
 func TestClusterMiscAccessors(t *testing.T) {
 	c := homeCluster(t)
-	if c.Registry() == nil {
-		t.Error("nil registry")
-	}
 	c.SetCodec(frame.RawCodec{}) // must not panic; effect covered by the codec ablation
 	c.SetCodec(frame.JPEGCodec{Quality: 85})
 }

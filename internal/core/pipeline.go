@@ -551,34 +551,6 @@ func (p *Pipeline) UpdateModule(name, source string) error {
 	return m.UpdateSource(source)
 }
 
-// RecordShapes installs a debug-mode runtime shape recorder on every
-// module of the pipeline: each call_module payload is joined into the
-// recorder under its "producer->target" edge, so observed traffic can be
-// compared against the static pipetype inference (inferred must contain
-// observed). Call StopRecordingShapes to detach the observers.
-func (p *Pipeline) RecordShapes() *script.ShapeRecorder {
-	rec := script.NewShapeRecorder()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for name, m := range p.modules {
-		producer := name
-		m.SetShapeObserver(func(target string, payload script.Value) {
-			rec.Observe(producer+"->"+target, payload)
-		})
-	}
-	return rec
-}
-
-// StopRecordingShapes detaches any shape observers installed by
-// RecordShapes.
-func (p *Pipeline) StopRecordingShapes() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, m := range p.modules {
-		m.SetShapeObserver(nil)
-	}
-}
-
 // MigrateModule moves a running module to another device — the live-
 // migration half of self-healing. The old instance is quiesced (parked
 // events drain, their flow-control credits return to the source), its

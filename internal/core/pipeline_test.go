@@ -273,8 +273,7 @@ func TestFitnessPipelineBaselinePlan(t *testing.T) {
 		t.Errorf("baseline delivered %d frames", res.Delivered)
 	}
 	// All modules on the phone: pose calls were remote.
-	phone, _ := c.Device("phone")
-	if phone.Metrics().Histogram("service."+services.PoseDetector+".remote").Count() == 0 {
+	if c.Metrics().Histogram("service."+services.PoseDetector+".remote").Count() == 0 {
 		t.Error("baseline made no remote pose calls")
 	}
 }
@@ -462,7 +461,7 @@ func TestLinkProfilesAffectPlacedPipelines(t *testing.T) {
 	defer c2.Close()
 	// An exaggerated satellite-like link so the difference dwarfs
 	// compute noise (the race detector slows pixel work a lot).
-	c2.Network().SetLink("phone", "desktop", netsim.LinkProfile{Latency: 150 * time.Millisecond})
+	c2.Network().Shape("phone", "desktop", netsim.LinkProfile{Latency: 150 * time.Millisecond})
 
 	run := func(c *core.Cluster, name string) time.Duration {
 		p, err := c.Launch(apps.FitnessConfig(name, 10, "squat"), core.CoLocatePlanner{})
@@ -537,8 +536,8 @@ func TestOfferInjection(t *testing.T) {
 	if got := e2e.Count(); got != uint64(admitted) {
 		t.Errorf("e2e observations = %d, want %d", got, admitted)
 	}
-	if e2e.Max() <= 0 {
-		t.Errorf("e2e latency not measured from Captured: max = %v", e2e.Max())
+	if e2e.Snapshot().Max <= 0 {
+		t.Errorf("e2e latency not measured from Captured: max = %v", e2e.Snapshot().Max)
 	}
 }
 

@@ -1,11 +1,9 @@
 package core_test
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"videopipe/internal/core"
 	"videopipe/internal/script"
@@ -185,41 +183,5 @@ func TestUpdateModuleShapeGate(t *testing.T) {
 	if err := p2.UpdateModule("streamer",
 		`function event_received(m) { frame_done(); }`); err != nil {
 		t.Fatalf("silent swap rejected: %v", err)
-	}
-}
-
-// TestRecordShapesOnLivePipeline: the debug-mode recorder observes real
-// call_module traffic per edge, and the static inference contains every
-// observed payload shape.
-func TestRecordShapesOnLivePipeline(t *testing.T) {
-	c := homeCluster(t)
-	cfg := shapePair(
-		`function event_received(m) { call_module("sink", {value: m.seq, frame_ref: m.frame_ref}); }`,
-		`function event_received(m) { metric("v", m.value); frame_done(); }`,
-	)
-	p, err := c.Launch(cfg, core.CoLocatePlanner{})
-	if err != nil {
-		t.Fatalf("Launch: %v", err)
-	}
-	defer p.Close()
-
-	rec := p.RecordShapes()
-	defer p.StopRecordingShapes()
-	if _, err := p.Run(context.Background(), time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-
-	edges := rec.Edges()
-	if len(edges) == 0 {
-		t.Fatal("recorder observed no traffic")
-	}
-	observed := rec.Shape("streamer->sink")
-	if observed == nil {
-		t.Fatalf("no observation on streamer->sink; edges = %v", edges)
-	}
-	rep := script.AnalyzeShapes(cfg.Modules[0].Source)
-	inferred := rep.Emits["sink"].Join(rep.DynamicEmit)
-	if inferred == nil || !inferred.Contains(observed) {
-		t.Errorf("inferred %s does not contain observed %s", inferred, observed)
 	}
 }

@@ -368,7 +368,7 @@ func TestRecentP99MatchesHistogram(t *testing.T) {
 		e2e := time.Duration((i*7919)%997) * time.Millisecond
 		p.frameDone(e2e)
 		if h.Observe(e2e); i%metrics.RecentTailLen == 0 {
-			if got, want := p.recentP99(), h.Quantile(0.99); got != want {
+			if got, want := p.recentP99(), h.Snapshot().P99; got != want {
 				t.Errorf("after %d completions: recentP99 = %v, histogram of the last %d says %v", i, got, metrics.RecentTailLen, want)
 			}
 			h.Reset()

@@ -42,6 +42,7 @@ func TestCallServiceWindowAllocs(t *testing.T) {
 				if (m.pose != null) { push(window, m.pose); return; }
 				seen = call_service("activity_classifier", {poses: window}).activity;
 			}
+			function classified() { return seen; }
 		`,
 	})
 	if err != nil {
@@ -60,7 +61,7 @@ func TestCallServiceWindowAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if seen, _ := m.workers[0].ctx.Global("seen"); seen != "squat" {
+	if seen, _ := m.workers[0].ctx.Call("classified"); seen != "squat" {
 		t.Fatalf("classified as %v, want squat", seen)
 	}
 	t.Logf("call_service(activity_classifier, 15-pose window): %.0f allocs", allocs)

@@ -71,9 +71,9 @@ func TestBufferPoolDecodeFailureReturnsCreditAndFrame(t *testing.T) {
 			if err := push.Send(context.Background(), wire.NewMessage([]byte(`{"seq":1}`), tc.payload)); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, func() bool { return d.Metrics().Meter("module.m.decode_errors").Count() == 1 })
+			waitFor(t, func() bool { return d.reg.Meter("module.m.decode_errors").Count() == 1 })
 			waitFor(t, func() bool { return credits.avail.Load() == window })
-			if got := d.Metrics().Meter("module.m.abandoned").Count(); got != 1 {
+			if got := d.reg.Meter("module.m.abandoned").Count(); got != 1 {
 				t.Errorf("abandoned meter = %d, want 1", got)
 			}
 			push.Close()
@@ -86,7 +86,7 @@ func TestBufferPoolDecodeFailureReturnsCreditAndFrame(t *testing.T) {
 			if err := push2.Send(context.Background(), wire.NewMessage([]byte(`{not json`))); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, func() bool { return d.Metrics().Meter("module.m.decode_errors").Count() == 2 })
+			waitFor(t, func() bool { return d.reg.Meter("module.m.decode_errors").Count() == 2 })
 			if got := credits.avail.Load(); got != window {
 				t.Errorf("credits = %d after a frameless decode error, want %d", got, window)
 			}
@@ -281,8 +281,8 @@ func TestForwardEncodedAllocs(t *testing.T) {
 	}
 	forward := hopMallocs(hop)
 	hops := checks.Load()
-	if decodes.Load() != 0 || d.Metrics().Histogram("module.relay_b.encode").Count() != 0 {
-		t.Errorf("pass-through hop: %d decodes and %d encodes over %d hops, want none", decodes.Load(), d.Metrics().Histogram("module.relay_b.encode").Count(), hops)
+	if decodes.Load() != 0 || d.reg.Histogram("module.relay_b.encode").Count() != 0 {
+		t.Errorf("pass-through hop: %d decodes and %d encodes over %d hops, want none", decodes.Load(), d.reg.Histogram("module.relay_b.encode").Count(), hops)
 	}
 
 	var rchecks, rdecodes atomic.Int64
@@ -292,9 +292,9 @@ func TestForwardEncodedAllocs(t *testing.T) {
 		msg.Release()
 	}
 	eager := hopMallocs(rhop)
-	if rdecodes.Load() != rchecks.Load() || rd.Metrics().Histogram("module.relay_r.encode").Count() != 0 {
+	if rdecodes.Load() != rchecks.Load() || rd.reg.Histogram("module.relay_r.encode").Count() != 0 {
 		t.Errorf("service-calling hop: %d decodes for %d frames and %d encodes; want one decode each and no encode",
-			rdecodes.Load(), rchecks.Load(), rd.Metrics().Histogram("module.relay_r.encode").Count())
+			rdecodes.Load(), rchecks.Load(), rd.reg.Histogram("module.relay_r.encode").Count())
 	}
 	t.Logf("warm hop: %.2f mallocs forwarding, %.2f decoding on receipt", forward, eager)
 	if raceEnabled {
@@ -360,7 +360,7 @@ func TestBufferPoolFirstReadDecodeFailure(t *testing.T) {
 				waitFor(t, func() bool { return credits.avail.Load() == window })
 			}
 			push.Close()
-			meter := func(name string) uint64 { return d.Metrics().Meter(name).Count() }
+			meter := func(name string) uint64 { return d.reg.Meter(name).Count() }
 			abandoned := meter("module.reader.abandoned") + meter("module.relay.abandoned")
 			if abandoned != frames || decodes.Load() != frames {
 				t.Errorf("%d frames: %d abandoned, %d decodes; want one each", frames, abandoned, decodes.Load())

@@ -195,23 +195,11 @@ func New(cfg Config, t wire.Transport, reg *metrics.Registry) (*Device, error) {
 // Name reports the device's network name.
 func (d *Device) Name() string { return d.name }
 
-// Class reports the device kind.
-func (d *Device) Class() Class { return d.class }
-
 // ContainerCapable reports whether services can be deployed here.
 func (d *Device) ContainerCapable() bool { return d.profile.ContainerCapable }
 
-// CPUFactor reports the device's relative compute speed.
-func (d *Device) CPUFactor() float64 { return d.profile.CPUFactor }
-
 // Store exposes the device's frame store.
 func (d *Device) Store() *frame.Store { return d.store }
-
-// Transport exposes the device's network view.
-func (d *Device) Transport() wire.Transport { return d.transport }
-
-// Metrics exposes the device's measurement registry.
-func (d *Device) Metrics() *metrics.Registry { return d.reg }
 
 // SetCodec overrides the frame codec used for network transfers. The
 // codec still pays device-scaled CPU cost.

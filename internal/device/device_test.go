@@ -36,7 +36,7 @@ func objectOf(fields map[string]script.Value) *script.Object {
 // poseValue is the script form of a pose, as the pose_detector service
 // builds it.
 func poseValue(p vision.Pose) *script.Object {
-	kps := script.NewArray()
+	kps := &script.Array{}
 	for i, kp := range p.Keypoints {
 		kps.Elems = append(kps.Elems, script.FromGo(map[string]any{"name": vision.KeypointNames[i], "x": kp.X, "y": kp.Y}))
 	}
@@ -143,10 +143,10 @@ func TestCallServiceLocalAndRemote(t *testing.T) {
 	}
 
 	// Metric split records local vs remote.
-	if desktop.Metrics().Histogram("service.echo.local").Count() == 0 {
+	if desktop.reg.Histogram("service.echo.local").Count() == 0 {
 		t.Error("local call not recorded")
 	}
-	if phone.Metrics().Histogram("service.echo.remote").Count() == 0 {
+	if phone.reg.Histogram("service.echo.remote").Count() == 0 {
 		t.Error("remote call not recorded")
 	}
 
@@ -202,12 +202,12 @@ func TestModuleInitAndEvents(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool {
-		return d.Metrics().Meter("module.acc.events").Count() == 3
+		return d.reg.Meter("module.acc.events").Count() == 3
 	})
-	if errs := d.Metrics().Meter("module.acc.errors").Count(); errs != 0 {
+	if errs := d.reg.Meter("module.acc.errors").Count(); errs != 0 {
 		t.Errorf("module errors = %d", errs)
 	}
-	if got := d.Metrics().Histogram("stage.seen_count").Count(); got != 3 {
+	if got := d.reg.Histogram("stage.seen_count").Count(); got != 3 {
 		t.Errorf("metric() observations = %d", got)
 	}
 }
@@ -232,9 +232,9 @@ func TestModuleCallServiceWithFrame(t *testing.T) {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool {
-		return d.Metrics().Histogram("stage.frame_w").Count() == 1
+		return d.reg.Histogram("stage.frame_w").Count() == 1
 	})
-	if got := d.Metrics().Histogram("stage.frame_w").Mean(); got != 48*time.Millisecond {
+	if got := d.reg.Histogram("stage.frame_w").Snapshot().Mean; got != 48*time.Millisecond {
 		t.Errorf("service saw frame width %v, want 48 (as ms)", got)
 	}
 	// Frame refs released after the event.
@@ -263,7 +263,7 @@ func TestModuleServicePermissionEnforced(t *testing.T) {
 	}
 	m.Inject(context.Background(), nil, nil)
 	waitFor(t, func() bool {
-		return d.Metrics().Histogram("stage.denied").Count() == 1
+		return d.reg.Histogram("stage.denied").Count() == 1
 	})
 }
 
@@ -305,10 +305,10 @@ func TestModuleChainLocalFrameByReference(t *testing.T) {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return credits.Load() == 1 })
-	if got := d.Metrics().Histogram("stage.arrived").Count(); got != 1 {
+	if got := d.reg.Histogram("stage.arrived").Count(); got != 1 {
 		t.Errorf("frame did not arrive by reference: %d", got)
 	}
-	if got := d.Metrics().Histogram("pipeline.second.e2e").Count(); got != 1 {
+	if got := d.reg.Histogram("pipeline.second.e2e").Count(); got != 1 {
 		t.Errorf("e2e latency not recorded: %d", got)
 	}
 	// All references released after both events completed.
@@ -353,10 +353,10 @@ func TestModuleChainRemote(t *testing.T) {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool {
-		return desktop.Metrics().Histogram("stage.remote_w").Count() == 1
+		return desktop.reg.Histogram("stage.remote_w").Count() == 1
 	})
 	// Sender encoded the frame for the wire.
-	if phone.Metrics().Histogram("module.send.encode").Count() == 0 {
+	if phone.reg.Histogram("module.send.encode").Count() == 0 {
 		t.Error("no encode recorded for remote transfer")
 	}
 	// Both stores drain.
@@ -375,7 +375,7 @@ func TestModuleUnknownEdgeRejected(t *testing.T) {
 	m, _ := d.SpawnModule(ModuleSpec{Name: "m", Source: src})
 	m.Inject(context.Background(), nil, nil)
 	waitFor(t, func() bool {
-		return d.Metrics().Histogram("stage.rejected").Count() == 1
+		return d.reg.Histogram("stage.rejected").Count() == 1
 	})
 }
 
@@ -478,9 +478,9 @@ func TestModuleUsesPoseServiceEndToEnd(t *testing.T) {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool {
-		return d.Metrics().Histogram("stage.nose_x").Count() == 1
+		return d.reg.Histogram("stage.nose_x").Count() == 1
 	})
-	noseX := d.Metrics().Histogram("stage.nose_x").Mean()
+	noseX := d.reg.Histogram("stage.nose_x").Snapshot().Mean
 	wantX := time.Duration(truth.Keypoints[vision.Nose].X * float64(time.Millisecond))
 	diff := noseX - wantX
 	if diff < 0 {
@@ -527,17 +527,8 @@ func TestDeviceAccessors(t *testing.T) {
 	if d.Name() != "desktop" {
 		t.Errorf("Name = %q", d.Name())
 	}
-	if d.Class() != Desktop || d.Class().String() != "desktop" {
-		t.Errorf("Class = %v", d.Class())
-	}
 	if !d.ContainerCapable() {
 		t.Error("desktop not container capable")
-	}
-	if d.CPUFactor() != 1.0 {
-		t.Errorf("CPUFactor = %v", d.CPUFactor())
-	}
-	if d.Transport() == nil {
-		t.Error("nil transport")
 	}
 }
 
@@ -675,7 +666,7 @@ func TestModuleFanOutRetainsPerDestination(t *testing.T) {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool {
-		return d.Metrics().Histogram("stage.got_frame").Count() == 2
+		return d.reg.Histogram("stage.got_frame").Count() == 2
 	})
 	// Both branches done: every reference released.
 	waitFor(t, func() bool { return d.Store().Len() == 0 })
@@ -695,8 +686,8 @@ func TestHostMetricValidation(t *testing.T) {
 	`
 	m, _ := d.SpawnModule(ModuleSpec{Name: "m", Source: src})
 	m.Inject(context.Background(), nil, nil)
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.failures").Count() == 1 })
-	if got := d.Metrics().Histogram("stage.failures").Mean(); got != 3*time.Millisecond {
+	waitFor(t, func() bool { return d.reg.Histogram("stage.failures").Count() == 1 })
+	if got := d.reg.Histogram("stage.failures").Snapshot().Mean; got != 3*time.Millisecond {
 		t.Errorf("metric() validation failures = %v, want 3 (as ms)", got)
 	}
 }
@@ -720,8 +711,8 @@ func TestCallServiceValidationFromScript(t *testing.T) {
 	`
 	m, _ := d.SpawnModule(ModuleSpec{Name: "m", Source: src, Services: []string{"svc"}})
 	m.Inject(context.Background(), nil, nil)
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.failures").Count() == 1 })
-	if got := d.Metrics().Histogram("stage.failures").Mean(); got != 5*time.Millisecond {
+	waitFor(t, func() bool { return d.reg.Histogram("stage.failures").Count() == 1 })
+	if got := d.reg.Histogram("stage.failures").Snapshot().Mean; got != 5*time.Millisecond {
 		t.Errorf("call_service validation failures = %v, want 5 (as ms)", got)
 	}
 }
@@ -750,8 +741,8 @@ func TestCallModuleValidationFromScript(t *testing.T) {
 	`
 	m, _ := d.SpawnModule(ModuleSpec{Name: "m", Source: src, Next: []Route{{Module: "next"}}})
 	m.Inject(context.Background(), nil, nil)
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.failures").Count() == 1 })
-	if got := d.Metrics().Histogram("stage.failures").Mean(); got != 7*time.Millisecond {
+	waitFor(t, func() bool { return d.reg.Histogram("stage.failures").Count() == 1 })
+	if got := d.reg.Histogram("stage.failures").Snapshot().Mean; got != 7*time.Millisecond {
 		t.Errorf("call_module validation failures = %v, want 7 (as ms)", got)
 	}
 }
@@ -770,7 +761,7 @@ func TestModuleUpdateSourceHotSwap(t *testing.T) {
 	}
 	ctx := context.Background()
 	m.Inject(ctx, nil, nil)
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.v1_events").Count() == 1 })
+	waitFor(t, func() bool { return d.reg.Histogram("stage.v1_events").Count() == 1 })
 
 	// A syntactically broken update must be rejected without disturbing
 	// the running code.
@@ -781,7 +772,7 @@ func TestModuleUpdateSourceHotSwap(t *testing.T) {
 		t.Error("empty update accepted")
 	}
 	m.Inject(ctx, nil, nil)
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.v1_events").Count() == 2 })
+	waitFor(t, func() bool { return d.reg.Histogram("stage.v1_events").Count() == 2 })
 
 	// A valid update swaps behaviour and runs the new init(). This init
 	// takes a while before it records itself, so the swap is counted only
@@ -797,13 +788,13 @@ func TestModuleUpdateSourceHotSwap(t *testing.T) {
 	if err := m.UpdateSource(v2); err != nil {
 		t.Fatalf("UpdateSource: %v", err)
 	}
-	waitFor(t, func() bool { return d.Metrics().Meter("module.hot.updates").Count() == 1 })
-	if got := d.Metrics().Histogram("stage.v2_init").Count(); got != 1 {
+	waitFor(t, func() bool { return d.reg.Meter("module.hot.updates").Count() == 1 })
+	if got := d.reg.Histogram("stage.v2_init").Count(); got != 1 {
 		t.Errorf("new init ran %d times, want 1", got)
 	}
 	m.Inject(ctx, nil, nil)
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.v2_events").Count() == 1 })
-	if got := d.Metrics().Histogram("stage.v1_events").Count(); got != 2 {
+	waitFor(t, func() bool { return d.reg.Histogram("stage.v2_events").Count() == 1 })
+	if got := d.reg.Histogram("stage.v1_events").Count(); got != 2 {
 		t.Errorf("old code still running: v1_events = %d", got)
 	}
 }
@@ -829,16 +820,16 @@ func TestModuleUpdateKeepsEndpointAndRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	send.Inject(context.Background(), nil, nil)
-	waitFor(t, func() bool { return desktop.Metrics().Histogram("stage.received").Count() == 1 })
+	waitFor(t, func() bool { return desktop.reg.Histogram("stage.received").Count() == 1 })
 
 	// After the hot swap the same DAG edge still routes.
 	if err := send.UpdateSource(`function event_received(m) { call_module("recv", {tag: 2}); }`); err != nil {
 		t.Fatalf("UpdateSource: %v", err)
 	}
-	waitFor(t, func() bool { return phone.Metrics().Meter("module.send.updates").Count() == 1 })
+	waitFor(t, func() bool { return phone.reg.Meter("module.send.updates").Count() == 1 })
 	send.Inject(context.Background(), nil, nil)
-	waitFor(t, func() bool { return desktop.Metrics().Histogram("stage.received").Count() == 2 })
-	if got := desktop.Metrics().Histogram("stage.received").Max(); got != 2*time.Millisecond {
+	waitFor(t, func() bool { return desktop.reg.Histogram("stage.received").Count() == 2 })
+	if got := desktop.reg.Histogram("stage.received").Snapshot().Max; got != 2*time.Millisecond {
 		t.Errorf("updated sender's tag = %v, want 2ms", got)
 	}
 }
@@ -860,7 +851,7 @@ func TestDevicePauseFreezesModulesAndPools(t *testing.T) {
 	if err := m.Inject(context.Background(), nil, nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.handled").Count() == 1 })
+	waitFor(t, func() bool { return d.reg.Histogram("stage.handled").Count() == 1 })
 
 	if d.Paused() {
 		t.Error("fresh device reports paused")
@@ -875,7 +866,7 @@ func TestDevicePauseFreezesModulesAndPools(t *testing.T) {
 		t.Fatalf("Inject while paused: %v", err)
 	}
 	time.Sleep(60 * time.Millisecond)
-	if got := d.Metrics().Histogram("stage.handled").Count(); got != 1 {
+	if got := d.reg.Histogram("stage.handled").Count(); got != 1 {
 		t.Errorf("paused module handled %d events, want 1 (pre-pause only)", got)
 	}
 
@@ -888,7 +879,7 @@ func TestDevicePauseFreezesModulesAndPools(t *testing.T) {
 
 	// Resume: the held event drains and new work flows.
 	d.Resume()
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.handled").Count() == 2 })
+	waitFor(t, func() bool { return d.reg.Histogram("stage.handled").Count() == 2 })
 	if _, err := d.CallService(context.Background(), "svc", nil, nil); err != nil {
 		t.Errorf("service call after resume: %v", err)
 	}
@@ -956,11 +947,11 @@ func TestModuleAbandonedFrameReturnsCredit(t *testing.T) {
 	if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"fail": true}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
-	waitFor(t, func() bool { return d.Metrics().Meter("module.m.errors").Count() == 2 })
+	waitFor(t, func() bool { return d.reg.Meter("module.m.errors").Count() == 2 })
 	if abandoned.Load() != 1 {
 		t.Errorf("frameless error returned a credit: %d", abandoned.Load())
 	}
-	if got := d.Metrics().Meter("module.m.abandoned").Count(); got != 1 {
+	if got := d.reg.Meter("module.m.abandoned").Count(); got != 1 {
 		t.Errorf("abandoned meter = %d, want 1", got)
 	}
 }
@@ -1036,6 +1027,7 @@ func TestHandlerKeepsItsOwnMessage(t *testing.T) {
 			if (first == null) { first = message; }
 			count = count + 1;
 		}
+		function kept() { return [first, count]; }
 	`
 	m, err := d.SpawnModule(ModuleSpec{Name: "keeper", Source: src})
 	if err != nil {
@@ -1055,14 +1047,18 @@ func TestHandlerKeepsItsOwnMessage(t *testing.T) {
 	if w.args[0] != nil {
 		t.Error("the worker's argument slot still holds the last event's message")
 	}
-	first, _ := w.ctx.Global("first")
+	kept, err := w.ctx.Call("kept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, count := kept.(*script.Array).Elems[0], kept.(*script.Array).Elems[1]
 	if first != script.Value(bodies[0]) {
 		t.Fatalf("first = %v, want the first event's own message", first)
 	}
 	if seq := bodies[0].Get("seq"); seq != float64(0) || bodies[0].Len() != 1 {
 		t.Errorf("the kept message changed: seq %v, %d fields", seq, bodies[0].Len())
 	}
-	if count, _ := w.ctx.Global("count"); count != float64(n) {
+	if count != float64(n) {
 		t.Errorf("count = %v, want %d", count, n)
 	}
 }

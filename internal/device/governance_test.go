@@ -35,10 +35,10 @@ func TestModuleBreachKillQuarantine(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool { return m.Killed() })
-	if got := d.Metrics().Meter("script.runaway.breaches").Count(); got != maxBreaches {
+	if got := d.reg.Meter("script.runaway.breaches").Count(); got != maxBreaches {
 		t.Errorf("breaches = %d, want %d", got, maxBreaches)
 	}
-	if got := d.Metrics().Meter("script.runaway.killed").Count(); got != 1 {
+	if got := d.reg.Meter("script.runaway.killed").Count(); got != 1 {
 		t.Errorf("killed meter = %d, want 1", got)
 	}
 	// Every breached event abandoned its frame (credit returned).
@@ -46,12 +46,12 @@ func TestModuleBreachKillQuarantine(t *testing.T) {
 
 	// Quarantine: events after the kill never reach the handler; their
 	// frames are abandoned immediately and the store drains.
-	events := d.Metrics().Meter("module.runaway.events").Count()
+	events := d.reg.Meter("module.runaway.events").Count()
 	if err := m.Inject(ctx, nil, frame.MustNew(4, 4)); err != nil {
 		t.Fatalf("Inject after kill: %v", err)
 	}
 	waitFor(t, func() bool { return abandoned.Load() == maxBreaches+1 })
-	if got := d.Metrics().Meter("module.runaway.events").Count(); got != events {
+	if got := d.reg.Meter("module.runaway.events").Count(); got != events {
 		t.Errorf("quarantined event reached the handler (events %d -> %d)", events, got)
 	}
 	waitFor(t, func() bool { return d.Store().Len() == 0 })
@@ -85,7 +85,7 @@ func TestModuleBreachCountResetsOnSuccess(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool {
-		return d.Metrics().Meter("script.sometimes.breaches").Count() == 6
+		return d.reg.Meter("script.sometimes.breaches").Count() == 6
 	})
 	if m.Killed() {
 		t.Error("module killed despite breach count resetting on success")
@@ -115,9 +115,9 @@ func TestModuleOutputBudgetBreach(t *testing.T) {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool {
-		return d.Metrics().Meter("script.chatty.breaches").Count() == 1
+		return d.reg.Meter("script.chatty.breaches").Count() == 1
 	})
-	if got := d.Metrics().Meter("module.chatty.logs").Count(); got != 0 {
+	if got := d.reg.Meter("module.chatty.logs").Count(); got != 0 {
 		t.Errorf("logs emitted = %d, want 0 (both exceed the 16-byte budget)", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestModuleRestoreVersionGate(t *testing.T) {
 	if err := m1.Inject(context.Background(), objectOf(map[string]script.Value{"value": float64(5)}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
-	waitFor(t, func() bool { return d.Metrics().Meter("module.counter.events").Count() == 1 })
+	waitFor(t, func() bool { return d.reg.Meter("module.counter.events").Count() == 1 })
 	m1.Close()
 	snap := m1.SnapshotState()
 	if snap.Version() != 1 {
@@ -155,8 +155,8 @@ func TestModuleRestoreVersionGate(t *testing.T) {
 	if err := m2.Inject(context.Background(), objectOf(map[string]script.Value{"value": float64(1)}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.total").Count() == 2 })
-	if got := d.Metrics().Histogram("stage.total").Max(); got != 6*time.Millisecond {
+	waitFor(t, func() bool { return d.reg.Histogram("stage.total").Count() == 2 })
+	if got := d.reg.Histogram("stage.total").Snapshot().Max; got != 6*time.Millisecond {
 		t.Errorf("restored total observation = %v, want 6 (as ms)", got)
 	}
 
@@ -171,13 +171,13 @@ func TestModuleRestoreVersionGate(t *testing.T) {
 		t.Fatalf("SpawnModule counter3: %v", err)
 	}
 	waitFor(t, func() bool {
-		return d.Metrics().Meter("module.counter3.restore_discarded").Count() == 1
+		return d.reg.Meter("module.counter3.restore_discarded").Count() == 1
 	})
 	if err := m3.Inject(context.Background(), objectOf(map[string]script.Value{"value": float64(2)}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.total2").Count() == 1 })
-	if got := d.Metrics().Histogram("stage.total2").Max(); got != 2*time.Millisecond {
+	waitFor(t, func() bool { return d.reg.Histogram("stage.total2").Count() == 1 })
+	if got := d.reg.Histogram("stage.total2").Snapshot().Max; got != 2*time.Millisecond {
 		t.Errorf("fresh total observation = %v, want 2 (as ms)", got)
 	}
 }

@@ -205,14 +205,6 @@ func (w *worker) hostCallModule(args []script.Value) (script.Value, error) {
 		return nil, fmt.Errorf("call_module: module %q has no edge to %q", m.spec.Name, target)
 	}
 
-	if obs := m.shapeObserver(); obs != nil {
-		var payload script.Value
-		if len(args) >= 2 {
-			payload = args[1]
-		}
-		obs(target, payload)
-	}
-
 	msg, frameID, err := messageArg("call_module", args)
 	if err != nil {
 		return nil, err
@@ -327,6 +319,12 @@ func (w *worker) deliverRemote(route Route, body *script.Object, frameID uint64)
 	m.pushMu.Lock()
 	push, ok := m.pushes[route.Address]
 	if !ok {
+		select {
+		case <-m.done: // Close closes only the pushes it finds here
+			m.pushMu.Unlock()
+			return w.errClosing("call_module")
+		default:
+		}
 		push = wire.DialPush(m.dev.transport, route.Address)
 		m.pushes[route.Address] = push
 	}

@@ -129,12 +129,6 @@ type Module struct {
 	// credit instead of leaking it for the rest of the run.
 	onFrameAbandoned func()
 
-	// shapeObs, when set, sees every outbound call_module payload — the
-	// debug-mode runtime half of the pipetype shape analysis. Atomic
-	// because it is installed on live modules from another goroutine; the
-	// workers of a replicated module call it concurrently.
-	shapeObs atomic.Pointer[ShapeObserver]
-
 	// limits is the sandbox budget from the spec.
 	limits script.Limits
 	// killed flips when consecutive budget breaches exhaust the breach
@@ -380,30 +374,6 @@ func (m *Module) SetFrameDone(fn func(e2e time.Duration)) { m.onFrameDone = fn }
 // SetFrameAbandoned installs the callback fired when an event carrying a
 // frame fails before reaching frame_done().
 func (m *Module) SetFrameAbandoned(fn func()) { m.onFrameAbandoned = fn }
-
-// ShapeObserver receives each outbound call_module payload before wire
-// conversion: target is the destination module, payload the raw second
-// argument (nil for one-argument calls). Used by the debug-mode runtime
-// shape recorder to validate the static shape inference against traffic.
-type ShapeObserver func(target string, payload script.Value)
-
-// SetShapeObserver installs (or, with nil, clears) the per-emission
-// payload observer. Safe to call on a running module.
-func (m *Module) SetShapeObserver(fn ShapeObserver) {
-	if fn == nil {
-		m.shapeObs.Store(nil)
-		return
-	}
-	m.shapeObs.Store(&fn)
-}
-
-// shapeObserver returns the installed observer, or nil.
-func (m *Module) shapeObserver() ShapeObserver {
-	if p := m.shapeObs.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
 
 // Inject delivers an event directly from Go — how the video source (a
 // camera, not a script) feeds the first module. The body (nil reads as

@@ -69,9 +69,9 @@ func TestCallModuleSnapshotsAtSend(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.received").Count() == 2*events })
+	waitFor(t, func() bool { return d.reg.Histogram("stage.received").Count() == 2*events })
 	for _, name := range []string{"sender", "a", "b"} {
-		if n := d.Metrics().Meter("module." + name + ".errors").Count(); n != 0 {
+		if n := d.reg.Meter("module." + name + ".errors").Count(); n != 0 {
 			t.Errorf("module %s raised %d errors: a message was shared across contexts", name, n)
 		}
 	}
@@ -191,7 +191,7 @@ func TestCallModuleSharesReadOnlyPayloads(t *testing.T) {
 	}
 
 	const events = 200
-	hist := func(name string) int { return int(d.Metrics().Histogram("stage." + name).Count()) }
+	hist := func(name string) int { return int(d.reg.Histogram("stage." + name).Count()) }
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < events; i++ {
@@ -224,7 +224,7 @@ func TestCallModuleSharesReadOnlyPayloads(t *testing.T) {
 		t.Error("no event reached d's writing code")
 	}
 	for _, name := range []string{"sender", "a", "b", "c", "d"} {
-		if n := d.Metrics().Meter("module." + name + ".errors").Count(); n != 0 {
+		if n := d.reg.Meter("module." + name + ".errors").Count(); n != 0 {
 			m, _ := d.Module(name)
 			t.Errorf("module %s raised %d errors, the last: %s", name, n, m.LastError())
 		}
@@ -289,8 +289,8 @@ func TestCallServiceEchoToReadOnlyCaller(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return d.Metrics().Histogram("stage.echoed").Count() == events })
-	if n := d.Metrics().Meter("module.window.errors").Count(); n != 0 {
+	waitFor(t, func() bool { return d.reg.Histogram("stage.echoed").Count() == events })
+	if n := d.reg.Meter("module.window.errors").Count(); n != 0 {
 		t.Errorf("%d errors, the last: %s", n, m.LastError())
 	}
 }
@@ -348,10 +348,10 @@ func TestCallServiceLendsArguments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return d.Metrics().Meter("module.caller.events").Count() == events })
-	if got := d.Metrics().Histogram("stage.lent").Count(); got != events {
+	waitFor(t, func() bool { return d.reg.Meter("module.caller.events").Count() == events })
+	if got := d.reg.Histogram("stage.lent").Count(); got != events {
 		t.Errorf("%d of %d events passed the lending checks (errors: %d)", got, events,
-			d.Metrics().Meter("module.caller.errors").Count())
+			d.reg.Meter("module.caller.errors").Count())
 	}
 }
 

@@ -11,7 +11,6 @@ package flood
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"time"
@@ -42,7 +41,7 @@ func ParseProcess(s string) (Process, error) {
 
 // Schedule is one pipeline's pre-generated arrival plan: event offsets
 // from the run's start instant. It is fully determined by (process, rate,
-// horizon, seed) — same inputs, byte-identical Fingerprint — so a run can
+// horizon, seed) — same inputs, identical offsets — so a run can
 // be replayed exactly and the generator never consults a clock or shared
 // randomness while driving.
 type Schedule struct {
@@ -91,27 +90,6 @@ func Generate(process Process, rate float64, horizon time.Duration, seed int64) 
 	}
 	sort.Slice(s.Offsets, func(i, j int) bool { return s.Offsets[i] < s.Offsets[j] })
 	return s, nil
-}
-
-// Fingerprint renders the schedule as a canonical string: a header with
-// the generating parameters and event count, then an FNV-1a hash over the
-// exact nanosecond offsets. Equal fingerprints mean byte-identical
-// schedules; the hash keeps the string short enough to pin in a golden
-// test (mirroring chaos.Schedule.Fingerprint's role for fault plans).
-//
-//vpvet:deterministic
-func (s Schedule) Fingerprint() string {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, off := range s.Offsets {
-		v := uint64(off)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return fmt.Sprintf("%s rate=%.6g horizon=%s seed=%d events=%d offsets=%016x",
-		s.Process, s.Rate, s.Horizon, s.Seed, len(s.Offsets), h.Sum64())
 }
 
 // PipelineSeed derives pipeline i's schedule seed from the run seed, so a

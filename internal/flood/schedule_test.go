@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -15,9 +16,6 @@ func TestGenerateDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Fingerprint() != b.Fingerprint() {
-			t.Errorf("%s: same seed produced different schedules:\n%s\n%s", proc, a.Fingerprint(), b.Fingerprint())
-		}
 		if len(a.Offsets) != len(b.Offsets) {
 			t.Fatalf("%s: event counts differ: %d vs %d", proc, len(a.Offsets), len(b.Offsets))
 		}
@@ -30,7 +28,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Fingerprint() == c.Fingerprint() {
+		if slices.Equal(a.Offsets, c.Offsets) {
 			t.Errorf("%s: different seeds produced identical schedules", proc)
 		}
 	}
@@ -45,9 +43,10 @@ func TestGenerateGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "poisson rate=10 horizon=1s seed=42 events=11 offsets=fedb2ba534173436"
-	if got := s.Fingerprint(); got != want {
-		t.Errorf("pinned fingerprint changed:\n got %q\nwant %q", got, want)
+	want := []time.Duration{49573841, 62628559, 77951904, 111796540, 123392963, 228958856,
+		314860378, 329723746, 469504225, 612131623, 960469968}
+	if !slices.Equal(s.Offsets, want) {
+		t.Errorf("pinned schedule changed:\n got %d\nwant %d", s.Offsets, want)
 	}
 }
 

@@ -66,9 +66,6 @@ func (f *Frame) Clone() *Frame {
 	return out
 }
 
-// Size reports the pixel buffer size in bytes.
-func (f *Frame) Size() int { return len(f.Pix) }
-
 // inBounds reports whether (x, y) is a valid pixel coordinate.
 func (f *Frame) inBounds(x, y int) bool {
 	return x >= 0 && x < f.Width && y >= 0 && y < f.Height
@@ -85,15 +82,6 @@ func (f *Frame) Set(x, y int, c color.RGBA) {
 	f.Pix[i+1] = c.G
 	f.Pix[i+2] = c.B
 	f.Pix[i+3] = c.A
-}
-
-// At reads one pixel; out-of-bounds reads return zero.
-func (f *Frame) At(x, y int) color.RGBA {
-	if !f.inBounds(x, y) {
-		return color.RGBA{}
-	}
-	i := (y*f.Width + x) * 4
-	return color.RGBA{R: f.Pix[i], G: f.Pix[i+1], B: f.Pix[i+2], A: f.Pix[i+3]}
 }
 
 // Fill paints the whole frame with one color. The pattern is written once
@@ -166,26 +154,6 @@ func (f *Frame) DrawCircle(cx, cy, r int, c color.RGBA) {
 			}
 		}
 	}
-}
-
-// Luma reports the perceptual brightness of the pixel at (x, y) in [0, 255].
-func (f *Frame) Luma(x, y int) float64 {
-	c := f.At(x, y)
-	return 0.299*float64(c.R) + 0.587*float64(c.G) + 0.114*float64(c.B)
-}
-
-// MeanLuma reports the average brightness over the whole frame.
-func (f *Frame) MeanLuma() float64 {
-	if f.Width == 0 || f.Height == 0 {
-		return 0
-	}
-	var sum float64
-	for y := 0; y < f.Height; y++ {
-		for x := 0; x < f.Width; x++ {
-			sum += f.Luma(x, y)
-		}
-	}
-	return sum / float64(f.Width*f.Height)
 }
 
 // ToImage wraps the frame as a standard library image sharing the pixel

@@ -26,18 +26,18 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if f.Size() != 8*6*4 {
-		t.Errorf("Size() = %d, want %d", f.Size(), 8*6*4)
+	if len(f.Pix) != 8*6*4 {
+		t.Errorf("len(Pix) = %d, want %d", len(f.Pix), 8*6*4)
 	}
 }
 
 func TestSetAtRoundTrip(t *testing.T) {
 	f := MustNew(10, 10)
 	f.Set(3, 4, red)
-	if got := f.At(3, 4); got != red {
+	if got := f.ToImage().RGBAAt(3, 4); got != red {
 		t.Errorf("At(3,4) = %v, want %v", got, red)
 	}
-	if got := f.At(0, 0); got != (color.RGBA{}) {
+	if got := f.ToImage().RGBAAt(0, 0); got != (color.RGBA{}) {
 		t.Errorf("At(0,0) = %v, want zero", got)
 	}
 }
@@ -48,7 +48,7 @@ func TestOutOfBoundsIgnored(t *testing.T) {
 	f.Set(0, -1, red)
 	f.Set(4, 0, red)
 	f.Set(0, 4, red)
-	if got := f.At(-1, 0); got != (color.RGBA{}) {
+	if got := f.ToImage().RGBAAt(-1, 0); got != (color.RGBA{}) {
 		t.Errorf("out-of-bounds At = %v", got)
 	}
 	for i, b := range f.Pix {
@@ -64,7 +64,7 @@ func TestClone(t *testing.T) {
 	f.Set(1, 1, red)
 	c := f.Clone()
 	c.Set(1, 1, white)
-	if f.At(1, 1) != red {
+	if f.ToImage().RGBAAt(1, 1) != red {
 		t.Error("Clone shares pixel buffer")
 	}
 	if c.Seq != 7 {
@@ -72,31 +72,33 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestFillAndMeanLuma: Fill paints every pixel, so a white frame's mean
+// brightness is full and a black one's zero.
 func TestFillAndMeanLuma(t *testing.T) {
 	f := MustNew(16, 16)
-	f.Fill(white)
-	if got := f.MeanLuma(); math.Abs(got-255) > 0.5 {
-		t.Errorf("MeanLuma(white) = %v, want ~255", got)
-	}
-	f.Fill(color.RGBA{A: 255})
-	if got := f.MeanLuma(); got != 0 {
-		t.Errorf("MeanLuma(black) = %v, want 0", got)
+	for _, c := range []color.RGBA{white, {A: 255}} {
+		f.Fill(c)
+		for i := 0; i < len(f.Pix); i += 4 {
+			if got := [4]byte(f.Pix[i:]); got != [4]byte{c.R, c.G, c.B, c.A} {
+				t.Fatalf("Fill(%v): pixel %d = %v", c, i/4, got)
+			}
+		}
 	}
 }
 
 func TestDrawRectClipped(t *testing.T) {
 	f := MustNew(8, 8)
 	f.DrawRect(6, 6, 20, 20, white) // partially off-frame
-	if f.At(7, 7) != white {
+	if f.ToImage().RGBAAt(7, 7) != white {
 		t.Error("rect interior not painted")
 	}
-	if f.At(5, 5) != (color.RGBA{}) {
+	if f.ToImage().RGBAAt(5, 5) != (color.RGBA{}) {
 		t.Error("rect exterior painted")
 	}
 	// Reversed corners behave the same.
 	g := MustNew(8, 8)
 	g.DrawRect(3, 3, 1, 1, white)
-	if g.At(2, 2) != white {
+	if g.ToImage().RGBAAt(2, 2) != white {
 		t.Error("reversed-corner rect not painted")
 	}
 }
@@ -104,12 +106,12 @@ func TestDrawRectClipped(t *testing.T) {
 func TestDrawLineEndpoints(t *testing.T) {
 	f := MustNew(20, 20)
 	f.DrawLine(2, 3, 15, 11, white)
-	if f.At(2, 3) != white || f.At(15, 11) != white {
+	if f.ToImage().RGBAAt(2, 3) != white || f.ToImage().RGBAAt(15, 11) != white {
 		t.Error("line endpoints not painted")
 	}
 	// Steep and reversed lines.
 	f.DrawLine(10, 18, 10, 2, red)
-	if f.At(10, 10) != red {
+	if f.ToImage().RGBAAt(10, 10) != red {
 		t.Error("vertical line not painted")
 	}
 }
@@ -117,13 +119,13 @@ func TestDrawLineEndpoints(t *testing.T) {
 func TestDrawCircle(t *testing.T) {
 	f := MustNew(21, 21)
 	f.DrawCircle(10, 10, 5, white)
-	if f.At(10, 10) != white {
+	if f.ToImage().RGBAAt(10, 10) != white {
 		t.Error("circle center not painted")
 	}
-	if f.At(10, 15) != white {
+	if f.ToImage().RGBAAt(10, 15) != white {
 		t.Error("circle edge not painted")
 	}
-	if f.At(10, 16) != (color.RGBA{}) {
+	if f.ToImage().RGBAAt(10, 16) != (color.RGBA{}) {
 		t.Error("outside circle painted")
 	}
 }
@@ -197,8 +199,8 @@ func TestJPEGCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if len(data) >= f.Size() {
-		t.Errorf("JPEG output %d bytes >= raw %d; expected compression on a flat image", len(data), f.Size())
+	if len(data) >= len(f.Pix) {
+		t.Errorf("JPEG output %d bytes >= raw %d; expected compression on a flat image", len(data), len(f.Pix))
 	}
 	got, err := JPEGCodec{}.Decode(data)
 	if err != nil {
@@ -208,7 +210,7 @@ func TestJPEGCodecRoundTrip(t *testing.T) {
 		t.Errorf("metadata = seq %d %dx%d", got.Seq, got.Width, got.Height)
 	}
 	// Lossy but close on a flat image.
-	c := got.At(32, 24)
+	c := got.ToImage().RGBAAt(32, 24)
 	if math.Abs(float64(c.R)-100) > 8 || math.Abs(float64(c.G)-150) > 8 || math.Abs(float64(c.B)-200) > 8 {
 		t.Errorf("decoded center pixel %v too far from (100,150,200)", c)
 	}
@@ -429,7 +431,7 @@ func TestFromImageToImage(t *testing.T) {
 	if back.Width != 6 || back.Height != 5 {
 		t.Fatalf("dims %dx%d", back.Width, back.Height)
 	}
-	if back.At(2, 2) != red {
+	if back.ToImage().RGBAAt(2, 2) != red {
 		t.Error("pixel lost in image round trip")
 	}
 }

@@ -101,16 +101,14 @@ func classFor(size int) (idx, capacity int) {
 	return idx, classCap(idx)
 }
 
-// Get returns a zeroed byte slice of exactly the given length, recycled
-// when the size's class has a free buffer.
-func (p *BufferPool) Get(size int) []byte { return p.get(size, true) }
-
-// GetDirty is Get minus the zero fill: a recycled buffer still holds its
-// previous owner's bytes, so the caller must overwrite every byte it will
+// GetDirty returns a byte slice of exactly the given length, recycled when
+// the size's class has a free buffer, without a zero fill: a recycled
+// buffer still holds its previous owner's bytes, so the caller must overwrite every byte it will
 // read (Clone, the decoders, a wire body about to be filled by ReadFull)
 // and in exchange skips a memset as large as the copy it is about to do.
 func (p *BufferPool) GetDirty(size int) []byte { return p.get(size, false) }
 
+// get is GetDirty, zero-filled when zero is set (NewPooled's frames).
 func (p *BufferPool) get(size int, zero bool) []byte {
 	idx, capacity := classFor(size)
 	if idx < 0 {
@@ -135,7 +133,7 @@ func (p *BufferPool) get(size int, zero bool) []byte {
 	return make([]byte, size, capacity)
 }
 
-// Put recycles a buffer obtained from Get. Buffers whose capacity is not
+// Put recycles a buffer obtained from GetDirty. Buffers whose capacity is not
 // exactly a class size (foreign slices) are ignored; a buffer that would
 // take its class over classRetainBytes is counted as returned and dropped.
 func (p *BufferPool) Put(buf []byte) {

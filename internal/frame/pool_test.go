@@ -38,7 +38,7 @@ func TestBufferPoolClasses(t *testing.T) {
 func TestBufferPoolSurvivesGC(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	p := &BufferPool{}
-	p.Put(p.Get(vgaBytes))
+	p.Put(p.get(vgaBytes, true))
 
 	runtime.GC()
 	runtime.GC()
@@ -77,7 +77,7 @@ func TestBufferPoolRetention(t *testing.T) {
 		const n = 5
 		var out [][]byte
 		for i := 0; i < n; i++ {
-			out = append(out, p.Get(vgaBytes))
+			out = append(out, p.get(vgaBytes, true))
 		}
 		if got := p.Outstanding(); got != n {
 			t.Errorf("outstanding = %d, want %d", got, n)
@@ -91,7 +91,7 @@ func TestBufferPoolRetention(t *testing.T) {
 		// The spare makes one more overlap free; the one after that misses.
 		out = out[:0]
 		for i := 0; i < n+2; i++ {
-			out = append(out, p.Get(vgaBytes))
+			out = append(out, p.get(vgaBytes, true))
 		}
 		if hits, misses := p.Stats(); hits != n+1 || misses != n+1 {
 			t.Errorf("hits, misses = %d, %d; want %d, %d", hits, misses, n+1, n+1)
@@ -111,7 +111,7 @@ func TestBufferPoolRetention(t *testing.T) {
 		limit := classRetainBytes / vgaClass
 		var out [][]byte
 		for i := 0; i < limit+4; i++ {
-			out = append(out, p.Get(vgaBytes))
+			out = append(out, p.get(vgaBytes, true))
 		}
 		for _, b := range out {
 			p.Put(b)
@@ -126,11 +126,11 @@ func TestBufferPoolRetention(t *testing.T) {
 
 	t.Run("small classes stock no spare, huge ones keep nothing", func(t *testing.T) {
 		p := &BufferPool{}
-		p.Put(p.Get(2048))
+		p.Put(p.get(2048, true))
 		if got := p.Retained(); got != 2048 {
 			t.Errorf("retained %d B after one 2 KiB round trip, want 2048", got)
 		}
-		p.Put(p.Get(classRetainBytes + 1))
+		p.Put(p.get(classRetainBytes+1, true))
 		if got := p.Retained(); got != 2048 {
 			t.Errorf("retained %d B: a buffer larger than the class cap was kept", got)
 		}
@@ -144,7 +144,7 @@ func TestBufferPoolRetention(t *testing.T) {
 			t.Errorf("retained %d B after Reserve(4) and Reserve(3), want 4 buffers (%d B)", got, want)
 		}
 		for i := 0; i < 4; i++ {
-			p.Get(vgaBytes)
+			p.get(vgaBytes, true)
 		}
 		if hits, misses := p.Stats(); hits != 4 || misses != 0 {
 			t.Errorf("hits, misses = %d, %d after four Gets from a reserve of four", hits, misses)
@@ -179,7 +179,7 @@ func TestBufferPoolConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				b := p.Get(70000 + g)
+				b := p.get(70000+g, true)
 				b[0], b[len(b)-1] = byte(g), byte(g)
 				runtime.Gosched()
 				if b[0] != byte(g) || b[len(b)-1] != byte(g) {

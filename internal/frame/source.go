@@ -59,9 +59,6 @@ func NewSource(fps float64, render Renderer) (*Source, error) {
 	return &Source{fps: fps, render: render}, nil
 }
 
-// FPS reports the configured capture rate.
-func (s *Source) FPS() float64 { return s.fps }
-
 // Stats returns a snapshot of the source counters.
 func (s *Source) Stats() SourceStats {
 	s.mu.Lock()

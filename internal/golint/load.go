@@ -95,9 +95,6 @@ func NewLoader(dir string) (*Loader, error) {
 	return l, nil
 }
 
-// Fset returns the loader's shared FileSet.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load resolves package patterns ("./...", "./internal/frame", ".") to
 // directories under the module root and loads each, returning packages
 // sorted by import path.

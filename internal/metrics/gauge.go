@@ -3,8 +3,8 @@ package metrics
 import "sync/atomic"
 
 // Gauge is a point-in-time level — queue depths, busy workers, pool
-// sizes. Unlike a Meter it has no rate semantics: writers Set (or Add to)
-// the current value and readers see the latest level. It is safe for
+// sizes. Unlike a Meter it has no rate semantics: writers Set the current
+// value and it holds the latest level. It is safe for
 // concurrent use and cheap enough for per-request updates on the service
 // hot path.
 //
@@ -13,18 +13,8 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// NewGauge returns a Gauge. The zero value is equivalent; the constructor
-// exists for symmetry with the other instruments.
-func NewGauge() *Gauge { return &Gauge{} }
-
 // Set records the current level.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the level by delta and returns the new value.
-func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
-
-// Value reports the most recent level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Reset returns the gauge to zero.
 func (g *Gauge) Reset() { g.v.Store(0) }

@@ -96,39 +96,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Mean reports the arithmetic mean of all observed samples, or zero when no
-// samples have been recorded.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return time.Duration(int64(h.sum) / int64(h.count))
-}
-
-// Min reports the smallest observed sample, or zero when empty.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max reports the largest observed sample, or zero when empty.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Quantile reports the q-quantile (0 ≤ q ≤ 1) of the retained samples.
-// It returns zero when no samples have been recorded.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	sorted := h.Samples()
-	slices.Sort(sorted)
-	return QuantileOf(sorted, q)
-}
-
 // QuantileOf reports the q-quantile (0 ≤ q ≤ 1) of an ascending sample set,
 // interpolating linearly between neighbours; zero for an empty set.
 func QuantileOf(sorted []time.Duration, q float64) time.Duration {

@@ -35,10 +35,6 @@ type markRecord struct {
 // 60 fps that covers a ~17 s window of per-frame marks.
 const meterRingSize = 1024
 
-// NewMeter returns a Meter using the real clock. The zero value is
-// equivalent; the constructor exists for symmetry and future options.
-func NewMeter() *Meter { return &Meter{} }
-
 // Mark records one event occurrence.
 func (m *Meter) Mark() { m.MarkN(1) }
 
@@ -144,14 +140,6 @@ func (m *Meter) Reset() {
 	m.last = time.Time{}
 	m.ringHead = 0
 	m.ringLen = 0
-}
-
-// SetClock substitutes the time source, for tests. Passing nil restores the
-// real clock.
-func (m *Meter) SetClock(now func() time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.now = now
 }
 
 func (m *Meter) clock() time.Time {

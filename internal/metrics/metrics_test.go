@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -12,11 +13,8 @@ func TestHistogramEmpty(t *testing.T) {
 	if got := h.Count(); got != 0 {
 		t.Errorf("Count() = %d, want 0", got)
 	}
-	if got := h.Mean(); got != 0 {
-		t.Errorf("Mean() = %v, want 0", got)
-	}
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("Quantile(0.5) = %v, want 0", got)
+	if got := h.Snapshot(); got != (Snapshot{}) {
+		t.Errorf("Snapshot() = %+v, want zero", got)
 	}
 }
 
@@ -28,23 +26,18 @@ func TestHistogramBasicStats(t *testing.T) {
 	if got, want := h.Count(), uint64(5); got != want {
 		t.Errorf("Count() = %d, want %d", got, want)
 	}
-	if got, want := h.Mean(), 30*time.Millisecond; got != want {
-		t.Errorf("Mean() = %v, want %v", got, want)
+	s := h.Snapshot()
+	if got, want := s.Mean, 30*time.Millisecond; got != want {
+		t.Errorf("Mean = %v, want %v", got, want)
 	}
-	if got, want := h.Min(), 10*time.Millisecond; got != want {
-		t.Errorf("Min() = %v, want %v", got, want)
+	if got, want := s.Min, 10*time.Millisecond; got != want {
+		t.Errorf("Min = %v, want %v", got, want)
 	}
-	if got, want := h.Max(), 50*time.Millisecond; got != want {
-		t.Errorf("Max() = %v, want %v", got, want)
+	if got, want := s.Max, 50*time.Millisecond; got != want {
+		t.Errorf("Max = %v, want %v", got, want)
 	}
-	if got, want := h.Quantile(0.5), 30*time.Millisecond; got != want {
-		t.Errorf("Quantile(0.5) = %v, want %v", got, want)
-	}
-	if got, want := h.Quantile(0), 10*time.Millisecond; got != want {
-		t.Errorf("Quantile(0) = %v, want %v", got, want)
-	}
-	if got, want := h.Quantile(1), 50*time.Millisecond; got != want {
-		t.Errorf("Quantile(1) = %v, want %v", got, want)
+	if got, want := s.P50, 30*time.Millisecond; got != want {
+		t.Errorf("P50 = %v, want %v", got, want)
 	}
 }
 
@@ -52,11 +45,12 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 	var h Histogram
 	h.Observe(0)
 	h.Observe(100 * time.Millisecond)
-	if got, want := h.Quantile(0.5), 50*time.Millisecond; got != want {
-		t.Errorf("Quantile(0.5) = %v, want %v", got, want)
+	s := h.Snapshot()
+	if got, want := s.P50, 50*time.Millisecond; got != want {
+		t.Errorf("P50 = %v, want %v", got, want)
 	}
-	if got, want := h.Quantile(0.25), 25*time.Millisecond; got != want {
-		t.Errorf("Quantile(0.25) = %v, want %v", got, want)
+	if got, want := s.P95, 95*time.Millisecond; got != want {
+		t.Errorf("P95 = %v, want %v", got, want)
 	}
 }
 
@@ -75,8 +69,8 @@ func TestHistogramReservoirBounded(t *testing.T) {
 		t.Errorf("len(samples) = %d, want <= %d", n, maxSamples)
 	}
 	// Max must be exact even though samples are downsampled.
-	if got, want := h.Max(), time.Duration(3*maxSamples-1); got != want {
-		t.Errorf("Max() = %v, want %v", got, want)
+	if got, want := h.Snapshot().Max, time.Duration(3*maxSamples-1); got != want {
+		t.Errorf("Max = %v, want %v", got, want)
 	}
 }
 
@@ -84,26 +78,39 @@ func TestHistogramReset(t *testing.T) {
 	var h Histogram
 	h.Observe(time.Second)
 	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 {
+	if h.Snapshot() != (Snapshot{}) {
 		t.Errorf("after Reset: %+v, want all zeros", h.Snapshot())
 	}
 }
 
 // Snapshot sorts the reservoir once and reads four quantiles off it; each
-// must be the value Quantile itself interpolates, at every reservoir size
+// must be the value QuantileOf interpolates over the sorted reservoir, and
+// Count, Mean, Min and Max those of every observed sample, at every
+// reservoir size
 // where the interpolation changes shape (empty, one sample, between two,
 // an exact index, a full and an overwritten reservoir).
 func TestHistogramSnapshotMatchesQuantile(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 64, 101, 1000, maxSamples, maxSamples + 500} {
 		var h Histogram
+		var want Snapshot
+		var sum time.Duration
 		for i := 0; i < n; i++ {
-			h.Observe(time.Duration((i*7919)%1013) * time.Microsecond)
+			d := time.Duration((i*7919)%1013) * time.Microsecond
+			h.Observe(d)
+			if i == 0 || d < want.Min {
+				want.Min = d
+			}
+			want.Max = max(want.Max, d)
+			sum += d
 		}
+		if n > 0 {
+			want.Count, want.Mean = uint64(n), sum/time.Duration(n)
+		}
+		sorted := h.Samples()
+		slices.Sort(sorted)
+		want.P50, want.P95 = QuantileOf(sorted, 0.50), QuantileOf(sorted, 0.95)
+		want.P99, want.P999 = QuantileOf(sorted, 0.99), QuantileOf(sorted, 0.999)
 		s := h.Snapshot()
-		want := Snapshot{
-			Count: h.Count(), Mean: h.Mean(), Min: h.Min(), Max: h.Max(),
-			P50: h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99), P999: h.Quantile(0.999),
-		}
 		if s != want {
 			t.Errorf("n=%d: Snapshot() = %+v, want %+v", n, s, want)
 		}
@@ -145,22 +152,23 @@ func TestHistogramQuantileMonotonic(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		var h Histogram
-		for _, v := range raw {
-			h.Observe(time.Duration(v))
+		sorted := make([]time.Duration, len(raw))
+		for i, v := range raw {
+			sorted[i] = time.Duration(v)
 		}
-		prev := h.Quantile(0)
-		if prev < h.Min() {
+		slices.Sort(sorted)
+		prev := QuantileOf(sorted, 0)
+		if prev < sorted[0] {
 			return false
 		}
 		for q := 0.1; q <= 1.0; q += 0.1 {
-			cur := h.Quantile(q)
+			cur := QuantileOf(sorted, q)
 			if cur < prev {
 				return false
 			}
 			prev = cur
 		}
-		return prev <= h.Max()
+		return prev <= sorted[len(sorted)-1]
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Error(err)
@@ -168,14 +176,14 @@ func TestHistogramQuantileMonotonic(t *testing.T) {
 }
 
 func TestMeterRate(t *testing.T) {
-	m := NewMeter()
+	var m Meter
 	base := time.Unix(1000, 0)
 	tick := 0
-	m.SetClock(func() time.Time {
+	m.now = func() time.Time {
 		t := base.Add(time.Duration(tick) * 100 * time.Millisecond)
 		tick++
 		return t
-	})
+	}
 	for i := 0; i < 11; i++ {
 		m.Mark()
 	}
@@ -232,10 +240,6 @@ func TestRegistryNamesSorted(t *testing.T) {
 	if len(hn) != 2 || hn[0] != "a" || hn[1] != "b" {
 		t.Errorf("HistogramNames() = %v, want [a b]", hn)
 	}
-	mn := r.MeterNames()
-	if len(mn) != 2 || mn[0] != "y" || mn[1] != "z" {
-		t.Errorf("MeterNames() = %v, want [y z]", mn)
-	}
 }
 
 func TestRegistryReset(t *testing.T) {
@@ -271,10 +275,10 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 func TestMeterRateWindow(t *testing.T) {
-	m := NewMeter()
+	var m Meter
 	base := time.Unix(1000, 0)
 	now := base
-	m.SetClock(func() time.Time { return now })
+	m.now = func() time.Time { return now }
 
 	// 10 marks in the first second, then a 9-second silent gap.
 	for i := 0; i < 10; i++ {
@@ -303,10 +307,10 @@ func TestMeterRateWindow(t *testing.T) {
 }
 
 func TestMeterRateWindowRingEviction(t *testing.T) {
-	m := NewMeter()
+	var m Meter
 	base := time.Unix(1000, 0)
 	now := base
-	m.SetClock(func() time.Time { return now })
+	m.now = func() time.Time { return now }
 
 	// Overflow the ring: 2*meterRingSize marks at 1ms spacing. Only the
 	// newest meterRingSize records survive, so the window clamps to the
@@ -343,9 +347,9 @@ func (o *truncatingObserver) Observe(d time.Duration) {
 	o.samples = append(o.samples, d)
 }
 
-func (o *truncatingObserver) quantile(q float64) time.Duration {
+func (o *truncatingObserver) p50() time.Duration {
 	h := Histogram{samples: o.samples}
-	return h.Quantile(q)
+	return h.Snapshot().P50
 }
 
 // feedBimodal drives obs with a stream whose first maxSamples observations
@@ -375,10 +379,10 @@ func TestHistogramBimodalUnbiased(t *testing.T) {
 	h.Seed(42)
 	feedBimodal(&h, early, late, lateN)
 
-	if got := h.Quantile(0.5); got != late {
+	if got := h.Snapshot().P50; got != late {
 		t.Errorf("p50 = %v, want the late mode %v (quantiles biased toward warm-up)", got, late)
 	}
-	if got := h.Quantile(0.99); got != late {
+	if got := h.Snapshot().P99; got != late {
 		t.Errorf("p99 = %v, want the late mode %v", got, late)
 	}
 	lateFrac := sampleShare(h.Samples(), late)
@@ -398,7 +402,7 @@ func TestTruncatingSamplerIsBiased(t *testing.T) {
 	var o truncatingObserver
 	feedBimodal(&o, early, late, 100000)
 
-	if got := o.quantile(0.5); got != early {
+	if got := o.p50(); got != early {
 		t.Fatalf("reference truncating sampler p50 = %v, want warm-up mode %v — the regression fixture no longer models the old bug", got, early)
 	}
 	if share := sampleShare(o.samples, late); share != 0 {
@@ -475,7 +479,7 @@ func TestHistogramSamplesMerge(t *testing.T) {
 	if got := merged.Count(); got != 200 {
 		t.Fatalf("merged count = %d, want 200", got)
 	}
-	if p50 := merged.Quantile(0.5); p50 < 1*time.Millisecond || p50 > 9*time.Millisecond {
+	if p50 := merged.Snapshot().P50; p50 < 1*time.Millisecond || p50 > 9*time.Millisecond {
 		t.Errorf("merged p50 = %v, want between the two modes", p50)
 	}
 }
@@ -493,7 +497,7 @@ func TestRecentTailRestart(t *testing.T) {
 			last.Observe(d)
 		}
 	}
-	if got, want := tail.P99(), last.Quantile(0.99); got != want {
+	if got, want := tail.P99(), last.Snapshot().P99; got != want {
 		t.Errorf("P99 = %v over the last %d of %d, want %v", got, RecentTailLen, 2*RecentTailLen, want)
 	}
 	tail.Restart(start.Add(time.Second))

@@ -78,30 +78,6 @@ func (r *Registry) HistogramNames() []string {
 	return names
 }
 
-// MeterNames reports the sorted names of all registered meters.
-func (r *Registry) MeterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.meters))
-	for n := range r.meters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// GaugeNames reports the sorted names of all registered gauges.
-func (r *Registry) GaugeNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Reset clears every registered instrument but keeps the registrations.
 func (r *Registry) Reset() {
 	r.mu.Lock()

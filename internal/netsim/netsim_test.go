@@ -212,9 +212,11 @@ func TestIntraHostUsesLoopback(t *testing.T) {
 	}
 }
 
+// TestSetLinkOverridesDefault: a link's own profile (Shape) overrides the
+// network default.
 func TestSetLinkOverridesDefault(t *testing.T) {
 	nw := NewNetwork(LinkProfile{Latency: 50 * time.Millisecond})
-	nw.SetLink("phone", "desktop", LinkProfile{Latency: 0})
+	nw.Shape("phone", "desktop", LinkProfile{Latency: 0})
 	client, server := dialPair(t, nw, "phone", "desktop")
 	defer client.Close()
 	defer server.Close()
@@ -312,19 +314,24 @@ func TestAddrs(t *testing.T) {
 	}
 }
 
+// TestParseAddress: Dial reads a "host:port" address and refuses one it
+// cannot parse.
 func TestParseAddress(t *testing.T) {
-	a, err := ParseAddress("desktop:5861")
+	nw := fastNet()
+	l, err := nw.Listen("desktop", 5861)
 	if err != nil {
-		t.Fatalf("ParseAddress: %v", err)
+		t.Fatalf("Listen: %v", err)
 	}
-	if a.Host != "desktop" || a.Port != 5861 {
-		t.Errorf("ParseAddress = %+v, want desktop:5861", a)
+	defer l.Close()
+	c, err := nw.Dial("phone", "desktop:5861")
+	if err != nil {
+		t.Fatalf("Dial(desktop:5861): %v", err)
 	}
-	if _, err := ParseAddress("nonsense"); err == nil {
-		t.Error("ParseAddress(nonsense) succeeded")
-	}
-	if _, err := ParseAddress("host:notaport"); err == nil {
-		t.Error("ParseAddress(host:notaport) succeeded")
+	c.Close()
+	for _, bad := range []string{"nonsense", "host:notaport"} {
+		if _, err := nw.Dial("phone", bad); err == nil {
+			t.Errorf("Dial(%s) succeeded", bad)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -40,7 +39,6 @@ func makePair(a, b string) hostPair {
 type Network struct {
 	mu           sync.Mutex
 	defaultLink  LinkProfile
-	links        map[hostPair]LinkProfile
 	shapes       map[hostPair]LinkProfile // transient overrides (chaos)
 	listeners    map[string]*listener     // key host:port
 	nextPort     map[string]int
@@ -54,7 +52,6 @@ type Network struct {
 func NewNetwork(def LinkProfile) *Network {
 	return &Network{
 		defaultLink:  def,
-		links:        make(map[hostPair]LinkProfile),
 		shapes:       make(map[hostPair]LinkProfile),
 		listeners:    make(map[string]*listener),
 		nextPort:     make(map[string]int),
@@ -64,18 +61,10 @@ func NewNetwork(def LinkProfile) *Network {
 	}
 }
 
-// SetLink configures the profile used between hosts a and b, in both
-// directions. Setting a == b overrides the intra-host profile for that host.
-func (n *Network) SetLink(a, b string, p LinkProfile) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[makePair(a, b)] = p
-}
-
 // Shape installs a transient profile override between two hosts — the
-// failure-injection knob for latency spikes and loss bursts. Unlike
-// SetLink it takes effect on established connections immediately (every
-// pipe resolves its profile per write) and is reversed by ClearShape.
+// failure-injection knob for latency spikes and loss bursts. It takes
+// effect on established connections immediately (every pipe resolves its
+// profile per write) and is reversed by ClearShape.
 func (n *Network) Shape(a, b string, p LinkProfile) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -103,9 +92,6 @@ func (n *Network) linkProfile(a, b string) LinkProfile {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if p, ok := n.shapes[makePair(a, b)]; ok {
-		return p
-	}
-	if p, ok := n.links[makePair(a, b)]; ok {
 		return p
 	}
 	if a == b {
@@ -375,17 +361,4 @@ func (c *conn) SetReadDeadline(t time.Time) error {
 func (c *conn) SetWriteDeadline(t time.Time) error {
 	c.wr.setWriteDeadline(t)
 	return nil
-}
-
-// ParseAddress splits a "host:port" simulated address string.
-func ParseAddress(address string) (Addr, error) {
-	host, portStr, err := net.SplitHostPort(address)
-	if err != nil {
-		return Addr{}, fmt.Errorf("netsim: parse %q: %w", address, err)
-	}
-	port, err := strconv.Atoi(strings.TrimSpace(portStr))
-	if err != nil {
-		return Addr{}, fmt.Errorf("netsim: parse %q: bad port: %w", address, err)
-	}
-	return Addr{Host: host, Port: port}, nil
 }

@@ -158,27 +158,6 @@ type Report struct {
 	Shapes ShapeReport
 }
 
-// HasErrors reports whether any diagnostic is error severity.
-func (r Report) HasErrors() bool {
-	for _, d := range r.Diagnostics {
-		if d.Severity == SeverityError {
-			return true
-		}
-	}
-	return false
-}
-
-// Errors returns only the error-severity diagnostics.
-func (r Report) Errors() []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diagnostics {
-		if d.Severity == SeverityError {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Analyze parses src and runs the pipevet checks over it. A syntax error
 // yields a single PV000 diagnostic. Diagnostics come back sorted by
 // position.

@@ -192,8 +192,10 @@ function event_received(message) {
 	frame_done();
 }`
 	rep := Analyze(src, Options{})
-	if rep.HasErrors() {
-		t.Fatalf("unexpected errors: %v", rep.Errors())
+	for _, d := range rep.Diagnostics {
+		if d.Severity == SeverityError {
+			t.Fatalf("unexpected error: %v", d)
+		}
 	}
 	f := rep.Facts
 	if !f.HasEventReceived || !f.HasInit {

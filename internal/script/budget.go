@@ -6,7 +6,7 @@ import (
 )
 
 // Sandbox resource governance: heka-style instruction, memory and output
-// limits, and no clock. A Context carries a Limits set; every Load/Eval/Call
+// limits, and no clock. A Context carries a Limits set; every Load/Call
 // meters itself against it and aborts the invocation with a *BudgetError on
 // breach. Limits are per invocation — one event, one init() run, one
 // top-level load — so a breach costs the offending handler its event, never
@@ -82,11 +82,8 @@ func (e *BudgetError) Error() string {
 }
 
 // SetLimits installs the resource budget enforced on every subsequent
-// Load, Eval and Call.
+// Load and Call.
 func (c *Context) SetLimits(l Limits) { c.limits = l }
-
-// Limits returns the context's current resource budget.
-func (c *Context) Limits() Limits { return c.limits }
 
 // PreservationVersionGlobal is the global a module declares to version its
 // preserved state (heka's _PRESERVATION_VERSION): a snapshot restores into

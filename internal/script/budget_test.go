@@ -121,6 +121,7 @@ func TestBudgetUncatchableByScript(t *testing.T) {
 	c.SetLimits(Limits{Instructions: 1000})
 	if err := c.Load(`
 		var caught = false;
+		function was_caught() { return caught; }
 		function event_received(m) {
 			try { while (true) {} } catch (e) { caught = true; }
 			return "survived";
@@ -133,7 +134,7 @@ func TestBudgetUncatchableByScript(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("try/catch must not swallow a budget breach, got %v", err)
 	}
-	if v, _ := c.Global("caught"); v == true {
+	if v, _ := c.Call("was_caught"); v == true {
 		t.Fatal("catch block ran on a budget breach")
 	}
 }
@@ -223,7 +224,7 @@ func TestSnapshotCarriesVersion(t *testing.T) {
 		t.Fatal("nil snapshot version must be 0")
 	}
 	fresh := NewContext()
-	if err := fresh.Load(`var counter = 0;`); err != nil {
+	if err := fresh.Load(`var counter = 0; function get() { return counter; }`); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if fresh.PreservationVersion() != 0 {
@@ -233,7 +234,7 @@ func TestSnapshotCarriesVersion(t *testing.T) {
 	// module runtime, which compares Snapshot.Version against the
 	// destination's PreservationVersion before calling Restore.
 	fresh.Restore(snap)
-	if v, _ := fresh.Global("counter"); v != float64(9) {
+	if v, _ := fresh.Call("get"); v != float64(9) {
 		t.Fatalf("restore skipped counter: %v", v)
 	}
 }
@@ -287,6 +288,21 @@ func TestBudgetBuiltinPrices(t *testing.T) {
 	}
 }
 
+// loadGlobals declares each value as a global of c, loading its JSON text
+// as the initialiser of a var.
+func loadGlobals(c *Context, globals map[string]Value) error {
+	for name, v := range globals {
+		text, err := AppendJSON(nil, v)
+		if err != nil {
+			return err
+		}
+		if err := c.Load("var " + name + " = " + string(text) + ";"); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestBudgetBuiltinCharges runs builtinCharges: the steps of each call less
 // those of the same call to is_nan, which is flat.
 func TestBudgetBuiltinCharges(t *testing.T) {
@@ -301,14 +317,15 @@ func TestBudgetBuiltinCharges(t *testing.T) {
 			words[i] = strings.Repeat("w", 125) + fmt.Sprint(i+100)
 			wide.Set(words[i].(string), float64(i))
 		}
-		c.BindValue("A", &Array{Elems: elems})
-		c.BindValue("O", fields)
-		c.BindValue("W", &Array{Elems: words})
-		c.BindValue("K", wide)
-		c.BindValue("S", strings.Repeat("ab,", n/4)+strings.Repeat("x", n-3*(n/4)))
-		c.BindValue("J", "["+strings.Repeat("1,", n/2-2)+"10]")
-		c.BindValue("L", strings.Repeat("l", 4*cmpBlock))
-		if _, err := c.Eval(call); err != nil {
+		if err := loadGlobals(c, map[string]Value{
+			"A": &Array{Elems: elems}, "O": fields, "W": &Array{Elems: words}, "K": wide,
+			"S": strings.Repeat("ab,", n/4) + strings.Repeat("x", n-3*(n/4)),
+			"J": "[" + strings.Repeat("1,", n/2-2) + "10]",
+			"L": strings.Repeat("l", 4*cmpBlock),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Load(call); err != nil {
 			t.Fatalf("%s: %v", call, err)
 		}
 		return c.LastInstructions()
@@ -341,11 +358,13 @@ func TestBudgetStringReadsCharged(t *testing.T) {
 	}
 	steps := func(expr string) int64 {
 		c := NewContext()
-		c.BindValue("L", long)
-		c.BindValue("M", long[:len(long)-1]+"t")
-		c.BindValue("X", long[:5*cmpBlock])
-		c.BindValue("O", FromGo(map[string]any{long: 0.0, long + "t": 0.0}))
-		if _, err := c.Eval(expr); err != nil {
+		if err := loadGlobals(c, map[string]Value{
+			"L": long, "M": long[:len(long)-1] + "t", "X": long[:5*cmpBlock],
+			"O": FromGo(map[string]any{long: 0.0, long + "t": 0.0}),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Load(expr); err != nil {
 			t.Fatalf("%s: %v", expr, err)
 		}
 		return c.LastInstructions()
@@ -354,11 +373,12 @@ func TestBudgetStringReadsCharged(t *testing.T) {
 		// The same expression over one-byte strings is the baseline.
 		short := strings.NewReplacer("L", "Q", "M", "R", "X", "T").Replace(tc.expr)
 		ctx := NewContext()
-		ctx.BindValue("Q", "q")
-		ctx.BindValue("R", "r")
-		ctx.BindValue("T", "t")
-		ctx.BindValue("O", FromGo(map[string]any{"q": 0.0, "qt": 0.0}))
-		if _, err := ctx.Eval(short); err != nil {
+		if err := loadGlobals(ctx, map[string]Value{
+			"Q": "q", "R": "r", "T": "t", "O": FromGo(map[string]any{"q": 0.0, "qt": 0.0}),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.Load(short); err != nil {
 			t.Fatalf("%s: %v", short, err)
 		}
 		if got := steps(tc.expr) - ctx.LastInstructions(); got != tc.want {
@@ -373,7 +393,9 @@ func TestBudgetStringReadsCharged(t *testing.T) {
 func TestBudgetForOfStringInPlace(t *testing.T) {
 	run := func(s string) (steps int64, alloc uint64) {
 		c := NewContext()
-		c.BindValue("S", s)
+		if err := loadGlobals(c, map[string]Value{"S": s}); err != nil {
+			t.Fatal(err)
+		}
 		if err := c.Load(`function f() { for (var c of S) { break; } }`); err != nil {
 			t.Fatal(err)
 		}
@@ -413,8 +435,13 @@ func TestBudgetBuiltinBoundExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, ok := AnalyzeCost(string(data)).Handler("event_received")
-		if !ok || !h.Bounded {
+		var h HandlerCost
+		for _, h = range Analyze(string(data), Options{}).Cost.Handlers {
+			if h.Name == "event_received" {
+				break
+			}
+		}
+		if h.Name != "event_received" || !h.Bounded {
 			t.Fatalf("%s: event_received: %+v, want a bound", file, h)
 		}
 		_, event, loaded := measureHandlers(string(data))
@@ -474,14 +501,15 @@ function event_received(m) { while (true) { if (a == b || a > b) { return 1; } }
 		c := NewContext()
 		c.SetLimits(Limits{Instructions: instr, Memory: mem})
 		start := time.Now()
+		var steps int64 // every invocation's, the Load's and the event's
 		defer func() {
 			slow := time.Duration(1)
 			if raceEnabled {
 				slow = 20
 			}
-			limit := slow * (time.Duration(c.Instructions())*fuzzNsPerStep + time.Duration(2*mem)*fuzzNsPerByte + fuzzOverhead)
+			limit := slow * (time.Duration(steps)*fuzzNsPerStep + time.Duration(2*mem)*fuzzNsPerByte + fuzzOverhead)
 			if took := time.Since(start); took > limit {
-				t.Fatalf("ran %v in %d steps under a %d-byte memory budget, over the %v they allow", took, c.Instructions(), mem, limit)
+				t.Fatalf("ran %v in %d steps under a %d-byte memory budget, over the %v they allow", took, steps, mem, limit)
 			}
 		}()
 		checkBreach := func(err error) {
@@ -493,12 +521,15 @@ function event_received(m) { while (true) { if (a == b || a > b) { return 1; } }
 				t.Fatalf("instruction overshoot: ran %d with limit %d", c.LastInstructions(), instr)
 			}
 		}
-		if err := c.Load(src); err != nil {
+		err := c.Load(src)
+		steps += c.LastInstructions()
+		if err != nil {
 			checkBreach(err)
 			return
 		}
 		if c.Has("event_received") {
 			_, err := c.Call("event_received", FromGo(map[string]any{"kind": "fuzz"}))
+			steps += c.LastInstructions()
 			checkBreach(err)
 		}
 		c.Snapshot()

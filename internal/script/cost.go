@@ -91,28 +91,6 @@ type CostReport struct {
 	Handlers []HandlerCost
 }
 
-// Handler returns the named entry's cost.
-func (r CostReport) Handler(name string) (HandlerCost, bool) {
-	for _, h := range r.Handlers {
-		if h.Name == name {
-			return h, true
-		}
-	}
-	return HandlerCost{}, false
-}
-
-// AnalyzeCost parses src and runs only the pipecost pass, without the rest
-// of the pipevet checks. Unparseable sources yield an empty report
-// (deploy-time analysis rejects them separately).
-func AnalyzeCost(src string) CostReport {
-	prog, err := parseResolved(src)
-	if err != nil {
-		return CostReport{}
-	}
-	report, _ := costPass(prog, newCallees(prog, topLevelFuncs(prog), nil))
-	return report
-}
-
 // ---- bound arithmetic ----
 
 // bound is the abstract cost value the pass propagates: either a finite

@@ -61,8 +61,13 @@ func TestCostGoldenCorpus(t *testing.T) {
 			// Cross-check the report's view: a corpus file expecting cost
 			// diagnostics must have an unbounded event handler, a clean one
 			// must be fully bounded.
-			h, okH := rep.Cost.Handler("event_received")
-			if !okH {
+			var h HandlerCost
+			for _, h = range rep.Cost.Handlers {
+				if h.Name == "event_received" {
+					break
+				}
+			}
+			if h.Name != "event_received" {
 				t.Fatal("corpus file defines no event_received")
 			}
 			if len(want) == 0 && !h.Bounded {
@@ -116,14 +121,18 @@ func TestCostSoundnessOnCorpus(t *testing.T) {
 			if err := ctx.Load(src); err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			if h, ok := rep.Cost.Handler(LoadHandler); ok && h.Bounded {
-				if got := ctx.LastInstructions(); got > h.Steps {
-					t.Errorf("load: measured %d > static bound %d", got, h.Steps)
+			var h HandlerCost // event_received's; Handlers is sorted by name
+			for _, hc := range rep.Cost.Handlers {
+				switch hc.Name {
+				case LoadHandler:
+					if got := ctx.LastInstructions(); hc.Bounded && got > hc.Steps {
+						t.Errorf("load: measured %d > static bound %d", got, hc.Steps)
+					}
+				case "event_received":
+					h = hc
 				}
 			}
-
-			h, ok := rep.Cost.Handler("event_received")
-			if !ok || !h.Bounded {
+			if !h.Bounded {
 				return
 			}
 			for seq := 0; seq < 10; seq++ {
@@ -211,8 +220,13 @@ function event_received(message) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h, ok := AnalyzeCost(tc.src).Handler("event_received")
-			if !ok {
+			var h HandlerCost
+			for _, h = range Analyze(tc.src, Options{}).Cost.Handlers {
+				if h.Name == "event_received" {
+					break
+				}
+			}
+			if h.Name != "event_received" {
 				t.Fatal("no event_received handler")
 			}
 			_, measured, loaded := measureHandlers(tc.src)
@@ -242,8 +256,13 @@ func TestCostInductionVariable(t *testing.T) {
 		{"local declared after the loop, global of the same name", `var i = 0; function event_received(m) { for (i = 0; i < 3; i++) { log(i); } var i = 1; }`, false},
 	}
 	for _, tc := range cases {
-		h, ok := AnalyzeCost(tc.src).Handler("event_received")
-		if !ok || h.Bounded != tc.bounded {
+		var h HandlerCost
+		for _, h = range Analyze(tc.src, Options{}).Cost.Handlers {
+			if h.Name == "event_received" {
+				break
+			}
+		}
+		if h.Name != "event_received" || h.Bounded != tc.bounded {
 			t.Errorf("%s: bounded = %v, want %v (reasons %v)", tc.name, h.Bounded, tc.bounded, h.Reasons)
 		}
 	}
@@ -260,9 +279,13 @@ function event_received(message) {
   metric("x", x);
   frame_done();
 }`
-	rep := Analyze(src, Options{})
-	h, ok := rep.Cost.Handler("event_received")
-	if !ok || !h.Bounded {
+	var h HandlerCost
+	for _, h = range Analyze(src, Options{}).Cost.Handlers {
+		if h.Name == "event_received" {
+			break
+		}
+	}
+	if h.Name != "event_received" || !h.Bounded {
 		t.Fatalf("handler not bounded: %+v", h)
 	}
 
@@ -291,9 +314,13 @@ func TestCostCountedLoopTight(t *testing.T) {
   metric("sum", sum);
   frame_done();
 }`
-	rep := Analyze(src, Options{})
-	h, ok := rep.Cost.Handler("event_received")
-	if !ok || !h.Bounded {
+	var h HandlerCost
+	for _, h = range Analyze(src, Options{}).Cost.Handlers {
+		if h.Name == "event_received" {
+			break
+		}
+	}
+	if h.Name != "event_received" || !h.Bounded {
 		t.Fatalf("handler not bounded: %+v", h)
 	}
 	ctx := NewContext()
@@ -312,13 +339,18 @@ func TestCostCountedLoopTight(t *testing.T) {
 // TestCostShadowedBuiltin: a module function shadowing a builtin must not
 // be priced as the builtin (that would be unsound if it recursed).
 func TestCostShadowedBuiltin(t *testing.T) {
-	rep := AnalyzeCost(`function range(n) { return range(n); }
+	rep := Analyze(`function range(n) { return range(n); }
 function event_received(message) {
   for (x of range(3)) { log(x); }
   frame_done();
-}`)
-	h, ok := rep.Handler("event_received")
-	if !ok {
+}`, Options{})
+	var h HandlerCost
+	for _, h = range rep.Cost.Handlers {
+		if h.Name == "event_received" {
+			break
+		}
+	}
+	if h.Name != "event_received" {
 		t.Fatal("no handler")
 	}
 	if h.Bounded {
@@ -329,8 +361,8 @@ function event_received(message) {
 // TestAnalyzeCostUnparseable: bad sources yield an empty report, not a
 // panic.
 func TestAnalyzeCostUnparseable(t *testing.T) {
-	rep := AnalyzeCost("function ( {")
-	if len(rep.Handlers) != 0 {
-		t.Errorf("want empty report, got %+v", rep.Handlers)
+	rep := Analyze("function ( {", Options{})
+	if len(rep.Cost.Handlers) != 0 {
+		t.Errorf("want empty report, got %+v", rep.Cost.Handlers)
 	}
 }

@@ -98,25 +98,35 @@ function reset() { if (n < 50) { i = 0; } n = n + 1;`)
 
 	f.Fuzz(func(t *testing.T, body string) {
 		// No panics on raw input, parseable or not.
-		_ = AnalyzeCost(body)
+		_ = Analyze(body, Options{})
 
 		// Monotonicity: the same body with one more statement appended must
 		// not get a smaller bound. Skip bodies the wrapper cannot absorb
 		// (e.g. an unbalanced brace swallowing the closer).
 		base := "function event_received(message) {\n" + body + "\n}"
 		grown := "function event_received(message) {\n" + body + "\nvar __fz_pad = 0;\n}"
-		repBase := AnalyzeCost(base)
-		repGrown := AnalyzeCost(grown)
-		hb, okb := repBase.Handler("event_received")
-		hg, okg := repGrown.Handler("event_received")
-		if !okb || !okg {
+		// The load's and event_received's bounds (zero Name if absent).
+		costs := func(src string) (load, event HandlerCost) {
+			for _, h := range Analyze(src, Options{}).Cost.Handlers {
+				switch h.Name {
+				case LoadHandler:
+					load = h
+				case "event_received":
+					event = h
+				}
+			}
+			return load, event
+		}
+		hl, hb := costs(base)
+		_, hg := costs(grown)
+		if hb.Name == "" || hg.Name == "" {
 			return
 		}
 
 		// Soundness: static bound >= measured steps, for the load and for
 		// one event, whenever the analysis claims a bound.
 		load, event, loaded := measureHandlers(base)
-		if hl, ok := repBase.Handler(LoadHandler); ok && hl.Bounded && load > hl.Steps {
+		if hl.Bounded && load > hl.Steps {
 			t.Errorf("load: measured %d > static bound %d:\n%s", load, hl.Steps, base)
 		}
 		if loaded && hb.Bounded && event > hb.Steps {

@@ -55,13 +55,11 @@ type Context struct {
 	globals map[string]*slot
 	// free holds frames of scopes no closure captured, for reuse (env.go).
 	free []*frame
-	// instructions accumulates interpreter steps across every Load/Eval/Call
-	// on this context; lastInstructions holds the count of the most recent
-	// one. The device runtime exports them as the
+	// lastInstructions holds the interpreter steps of the most recent
+	// Load or Call on this context. The device runtime exports it as the
 	// `script.<module>.instructions` meter, and the pipecost soundness test
-	// checks lastInstructions against the static bound. Not synchronized —
-	// the Context itself is single-threaded by contract.
-	instructions     int64
+	// checks it against the static bound. Not synchronized — the Context
+	// itself is single-threaded by contract.
 	lastInstructions int64
 	// limits is the resource budget enforced per invocation; the zero
 	// value is unlimited (see budget.go).
@@ -80,7 +78,7 @@ type Context struct {
 	// argStack holds the arguments of the host calls in progress, innermost
 	// on top: a host function is lent its slice of it for the call.
 	argStack []Value
-	// top is the invocation state of every Load, Eval or Call that
+	// top is the invocation state of every Load or Call that
 	// interrupts none, zeroed per use; a nested one gets its own interp.
 	top interp
 }
@@ -97,20 +95,6 @@ func (c *Context) Bind(name string, fn HostFunc) {
 	c.defineGlobal(name, cell{ref: fn}, false)
 }
 
-// BindValue exposes a value to scripts under the given global name.
-func (c *Context) BindValue(name string, v Value) {
-	c.defineGlobal(name, cellOf(v), false)
-}
-
-// Global returns the value of a global binding.
-func (c *Context) Global(name string) (Value, bool) {
-	s, ok := c.globals[name]
-	if !ok {
-		return nil, false
-	}
-	return s.value(), true
-}
-
 // Has reports whether a global binding exists. It is how the module runtime
 // probes for optional callbacks such as init().
 func (c *Context) Has(name string) bool {
@@ -122,7 +106,7 @@ func (c *Context) Has(name string) bool {
 // carries nothing from one Call to the next — the verdict Facts.Stateless
 // reports statically — so that any number of contexts loaded from the same
 // source are interchangeable. It speaks for the source only: a host that
-// binds a mutable value, or Evals an assignment, is on its own.
+// binds a mutable value is on its own.
 func (c *Context) Stateless() bool { return c.state == nil }
 
 // ReadOnly reports whether the code Load has run on this context is
@@ -141,12 +125,8 @@ func (c *Context) ReadOnly() bool { return c != nil && c.write == nil }
 // such a module, so a service's time never includes the decode.
 func (c *Context) CallsServices() bool { return c.services }
 
-// Instructions returns the total interpreter steps executed by this
-// context across all invocations so far.
-func (c *Context) Instructions() int64 { return c.instructions }
-
 // LastInstructions returns the interpreter steps of the most recent
-// Load, Eval or Call — the per-event count the
+// Load or Call — the per-event count the
 // `script.<module>.instructions` meter records.
 func (c *Context) LastInstructions() int64 { return c.lastInstructions }
 
@@ -154,7 +134,6 @@ func (c *Context) LastInstructions() int64 { return c.lastInstructions }
 // ones — a partial run still consumed its steps.
 func (c *Context) account(in *interp) {
 	c.lastInstructions = in.steps
-	c.instructions += in.steps
 	c.running = in.outer
 	in.ret = cell{} // keep no returned value alive between invocations
 }
@@ -204,33 +183,6 @@ func (c *Context) Load(src string) error {
 		}
 	}
 	return nil
-}
-
-// Eval parses and evaluates src as a single expression and returns its
-// value.
-func (c *Context) Eval(src string) (Value, error) {
-	prog, err := parse(src)
-	if err != nil {
-		return nil, err
-	}
-	resolve(prog)
-	in := c.newInterp(false)
-	defer c.account(in)
-	var last cell
-	for _, s := range prog.stmts {
-		es, ok := s.(*exprStmt)
-		if !ok {
-			if err := in.exec(s, nil); err != nil {
-				return nil, in.publicError(err)
-			}
-			last = cell{}
-			continue
-		}
-		if last, err = in.eval(es.x, nil); err != nil {
-			return nil, in.publicError(err)
-		}
-	}
-	return last.value(), nil
 }
 
 // Call invokes the named global function with args. Call keeps nothing of

@@ -5,27 +5,65 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
+
+// evalIn runs src on c the way a module runs: everything before its last
+// statement through Load, and that statement, an expression, as the return
+// value of a function Load declares and Call invokes.
+func evalIn(c *Context, src string) (Value, error) {
+	v, _, err := evalSteps(c, src)
+	return v, err
+}
+
+// evalSteps is evalIn that also reports the steps src's own statements
+// took: the head's Load and the Call, less the wrapper's return statement.
+func evalSteps(c *Context, src string) (Value, int64, error) {
+	prog, err := parse(src)
+	if err != nil {
+		return nil, 0, err
+	}
+	head, last := src, "null"
+	if n := len(prog.stmts); n > 0 {
+		if es, ok := prog.stmts[n-1].(*exprStmt); ok {
+			off := 0
+			for line := 1; line < es.pos.Line; line++ {
+				off += strings.IndexByte(src[off:], '\n') + 1
+			}
+			for col := 1; col < es.pos.Col; col++ {
+				_, w := utf8.DecodeRuneInString(src[off:])
+				off += w
+			}
+			head, last = src[:off], src[off:]
+		}
+	}
+	if err := c.Load(head); err != nil {
+		return nil, c.LastInstructions(), err
+	}
+	steps := c.LastInstructions() - 1
+	if err := c.Load("function eval_result() { return " + last + "\n}"); err != nil {
+		return nil, steps, err
+	}
+	v, err := c.Call("eval_result")
+	return v, steps + c.LastInstructions(), err
+}
 
 // evalNum is a test helper: evaluate src and require a numeric result.
 func evalNum(t *testing.T, src string) float64 {
 	t.Helper()
-	v, err := NewContext().Eval(src)
-	if err != nil {
-		t.Fatalf("Eval(%q): %v", src, err)
-	}
+	v := evalVal(t, src)
 	n, ok := v.(float64)
 	if !ok {
-		t.Fatalf("Eval(%q) = %v (%s), want number", src, v, TypeName(v))
+		t.Fatalf("eval %q = %v (%s), want number", src, v, TypeName(v))
 	}
 	return n
 }
 
 func evalVal(t *testing.T, src string) Value {
 	t.Helper()
-	v, err := NewContext().Eval(src)
+	v, err := evalIn(NewContext(), src)
 	if err != nil {
-		t.Fatalf("Eval(%q): %v", src, err)
+		t.Fatalf("eval %q: %v", src, err)
 	}
 	return v
 }
@@ -49,7 +87,7 @@ func TestArithmetic(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := evalNum(t, c.src); got != c.want {
-			t.Errorf("Eval(%q) = %v, want %v", c.src, got, c.want)
+			t.Errorf("eval(%q) = %v, want %v", c.src, got, c.want)
 		}
 	}
 }
@@ -80,7 +118,7 @@ func TestComparisonAndLogic(t *testing.T) {
 	for _, c := range cases {
 		v := evalVal(t, c.src)
 		if got, ok := v.(bool); !ok || got != c.want {
-			t.Errorf("Eval(%q) = %v, want %v", c.src, v, c.want)
+			t.Errorf("eval(%q) = %v, want %v", c.src, v, c.want)
 		}
 	}
 }
@@ -115,7 +153,7 @@ func TestStringOps(t *testing.T) {
 	for _, c := range cases {
 		v := evalVal(t, c.src)
 		if got, ok := v.(string); !ok || got != c.want {
-			t.Errorf("Eval(%q) = %q, want %q", c.src, v, c.want)
+			t.Errorf("eval(%q) = %q, want %q", c.src, v, c.want)
 		}
 	}
 }
@@ -145,20 +183,20 @@ func TestVariablesAndScope(t *testing.T) {
 }
 
 func TestConstAssignmentFails(t *testing.T) {
-	_, err := NewContext().Eval("const k = 1; k = 2;")
+	err := NewContext().Load("const k = 1; k = 2;")
 	if err == nil || !strings.Contains(err.Error(), "constant") {
 		t.Errorf("assigning to const: err = %v, want constant error", err)
 	}
 }
 
 func TestConstRequiresInit(t *testing.T) {
-	if _, err := NewContext().Eval("const k;"); err == nil {
+	if err := NewContext().Load("const k;"); err == nil {
 		t.Error("const without initializer parsed")
 	}
 }
 
 func TestUndefinedVariable(t *testing.T) {
-	_, err := NewContext().Eval("nosuchvar + 1")
+	err := NewContext().Load("nosuchvar + 1")
 	var rt *RuntimeError
 	if !errors.As(err, &rt) || !strings.Contains(rt.Msg, "not defined") {
 		t.Errorf("undefined var: err = %v", err)
@@ -445,7 +483,7 @@ func TestFinallyRuns(t *testing.T) {
 }
 
 func TestUncaughtThrowSurfacesValue(t *testing.T) {
-	_, err := NewContext().Eval(`throw {code: 42};`)
+	err := NewContext().Load(`throw {code: 42};`)
 	var rt *RuntimeError
 	if !errors.As(err, &rt) {
 		t.Fatalf("uncaught throw: %v", err)
@@ -471,7 +509,7 @@ func TestTypeof(t *testing.T) {
 	}
 	for src, want := range cases {
 		if got := evalVal(t, src); got != want {
-			t.Errorf("Eval(%q) = %v, want %q", src, got, want)
+			t.Errorf("eval(%q) = %v, want %q", src, got, want)
 		}
 	}
 }
@@ -489,10 +527,10 @@ func TestComments(t *testing.T) {
 }
 
 func TestDivisionByZero(t *testing.T) {
-	if _, err := NewContext().Eval("1 / 0"); err == nil {
+	if err := NewContext().Load("1 / 0"); err == nil {
 		t.Error("division by zero succeeded")
 	}
-	if _, err := NewContext().Eval("1 % 0"); err == nil {
+	if err := NewContext().Load("1 % 0"); err == nil {
 		t.Error("modulo by zero succeeded")
 	}
 }
@@ -511,8 +549,8 @@ func TestTypeErrors(t *testing.T) {
 		"(1).member",
 	}
 	for _, src := range cases {
-		if _, err := NewContext().Eval(src); err == nil {
-			t.Errorf("Eval(%q) succeeded, want type error", src)
+		if err := NewContext().Load(src); err == nil {
+			t.Errorf("eval(%q) succeeded, want type error", src)
 		}
 	}
 }
@@ -520,7 +558,7 @@ func TestTypeErrors(t *testing.T) {
 func TestStepBudget(t *testing.T) {
 	c := NewContext()
 	c.SetLimits(Limits{Instructions: 10_000})
-	_, err := c.Eval("while (true) {}")
+	err := c.Load("while (true) {}")
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != ResourceInstructions {
 		t.Errorf("infinite loop: err = %v, want an instruction BudgetError", err)
@@ -529,7 +567,7 @@ func TestStepBudget(t *testing.T) {
 
 func TestStackDepthLimit(t *testing.T) {
 	c := NewContext()
-	_, err := c.Eval("function f() { return f(); } f()")
+	err := c.Load("function f() { return f(); } f()")
 	var rt *RuntimeError
 	if !errors.As(err, &rt) || !strings.Contains(rt.Msg, "depth") {
 		t.Errorf("infinite recursion: err = %v, want depth error", err)
@@ -555,7 +593,7 @@ func TestContextIsolation(t *testing.T) {
 	if err := c1.Load("var secret = 42;"); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if _, err := c2.Eval("secret"); err == nil {
+	if err := c2.Load("secret"); err == nil {
 		t.Error("contexts share globals; must be isolated")
 	}
 }
@@ -567,9 +605,9 @@ func TestHostBinding(t *testing.T) {
 		got = append([]Value(nil), args...) // lent for the call only
 		return "service-result", nil
 	})
-	v, err := c.Eval(`call_service("pose_detector", {frame: 7})`)
+	v, err := evalIn(c, `call_service("pose_detector", {frame: 7})`)
 	if err != nil {
-		t.Fatalf("Eval: %v", err)
+		t.Fatalf("eval: %v", err)
 	}
 	if v != "service-result" {
 		t.Errorf("host call = %v", v)
@@ -587,13 +625,13 @@ func TestHostErrorIsCatchable(t *testing.T) {
 	c.Bind("failing", func(args []Value) (Value, error) {
 		return nil, errors.New("service unavailable")
 	})
-	v, err := c.Eval(`
+	v, err := evalIn(c, `
 		var out = "";
 		try { failing(); } catch (e) { out = e; }
 		out
 	`)
 	if err != nil {
-		t.Fatalf("Eval: %v", err)
+		t.Fatalf("eval: %v", err)
 	}
 	if s, ok := v.(string); !ok || !strings.Contains(s, "service unavailable") {
 		t.Errorf("caught host error = %v", v)
@@ -614,18 +652,14 @@ func TestCallUndefinedFunctionResetsLastInstructions(t *testing.T) {
 	if err := c.Load("var n = 0; for (var i = 0; i < 10; i++) { n += i; }"); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	total := c.Instructions()
-	if c.LastInstructions() == 0 || total != c.LastInstructions() {
-		t.Fatalf("after Load: last %d, total %d", c.LastInstructions(), total)
+	if c.LastInstructions() == 0 {
+		t.Fatal("after Load: LastInstructions = 0")
 	}
 	if _, err := c.Call("event_received"); err == nil {
 		t.Fatal("Call on undefined function succeeded")
 	}
 	if got := c.LastInstructions(); got != 0 {
 		t.Errorf("LastInstructions after a Call that ran nothing = %d, want 0", got)
-	}
-	if got := c.Instructions(); got != total {
-		t.Errorf("Instructions moved from %d to %d", total, got)
 	}
 }
 
@@ -645,7 +679,7 @@ func TestCallWithArgs(t *testing.T) {
 
 func TestHasAndGlobal(t *testing.T) {
 	c := NewContext()
-	if err := c.Load("function init() {} var state = 9;"); err != nil {
+	if err := c.Load("function init() {} var state = 9; function get() { return state; }"); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	if !c.Has("init") {
@@ -654,9 +688,8 @@ func TestHasAndGlobal(t *testing.T) {
 	if c.Has("event_received") {
 		t.Error("Has(event_received) = true for undeclared fn")
 	}
-	v, ok := c.Global("state")
-	if !ok || v != float64(9) {
-		t.Errorf("Global(state) = %v, %v", v, ok)
+	if v, err := c.Call("get"); err != nil || v != float64(9) {
+		t.Errorf("state = %v, %v", v, err)
 	}
 }
 
@@ -715,14 +748,14 @@ func TestSyntaxErrors(t *testing.T) {
 		if src == "function () {}" {
 			continue // valid: anonymous function expression statement
 		}
-		if _, err := NewContext().Eval(src); err == nil {
-			t.Errorf("Eval(%q) succeeded, want syntax error", src)
+		if err := NewContext().Load(src); err == nil {
+			t.Errorf("Load(%q) succeeded, want syntax error", src)
 		}
 	}
 }
 
 func TestSyntaxErrorHasPosition(t *testing.T) {
-	_, err := NewContext().Eval("var x = 1;\nvar = 2;")
+	err := NewContext().Load("var x = 1;\nvar = 2;")
 	var se *SyntaxError
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want SyntaxError", err)
@@ -733,7 +766,7 @@ func TestSyntaxErrorHasPosition(t *testing.T) {
 }
 
 func TestRuntimeErrorHasPosition(t *testing.T) {
-	_, err := NewContext().Eval("var x = 1;\n\nboom()")
+	err := NewContext().Load("var x = 1;\n\nboom()")
 	var rt *RuntimeError
 	if !errors.As(err, &rt) {
 		t.Fatalf("err = %v, want RuntimeError", err)
@@ -754,7 +787,7 @@ func TestStringifyFormats(t *testing.T) {
 	}
 	for src, want := range cases {
 		if got := evalVal(t, src); got != want {
-			t.Errorf("Eval(%q) = %q, want %q", src, got, want)
+			t.Errorf("eval(%q) = %q, want %q", src, got, want)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // between. Everything that leaves a device — call_module to a remote
 // module, call_service to a remote pool — and json_encode / json_decode go
 // through it. On everything both accept it is byte-identical to
-// encoding/json over the ToGo form: sorted keys, the same float format and
+// encoding/json over the same data as plain Go values: sorted keys, the same float format and
 // HTML / U+2028 escaping, invalid UTF-8 and lone surrogates to U+FFFD, NaN
 // and ±Inf an error, duplicate keys last-wins, a number outside float64 and
 // trailing bytes refused. The one divergence is depth: nesting past MaxDepth

@@ -19,7 +19,7 @@ func TestOperatorPrecedenceMatrix(t *testing.T) {
 	}
 	for src, want := range cases {
 		if got := evalNum(t, src); got != want {
-			t.Errorf("Eval(%q) = %v, want %v", src, got, want)
+			t.Errorf("eval(%q) = %v, want %v", src, got, want)
 		}
 	}
 }
@@ -34,7 +34,7 @@ func TestComparisonChainsViaLogic(t *testing.T) {
 	}
 	for src, want := range cases {
 		if got := evalVal(t, src); got != want {
-			t.Errorf("Eval(%q) = %v, want %v", src, got, want)
+			t.Errorf("eval(%q) = %v, want %v", src, got, want)
 		}
 	}
 }
@@ -210,14 +210,14 @@ func TestCatchWithoutBinding(t *testing.T) {
 
 func TestBreakOutsideLoopIsError(t *testing.T) {
 	for _, src := range []string{"break;", "continue;", "function f() { break; } f()"} {
-		if _, err := NewContext().Eval(src); err == nil {
-			t.Errorf("Eval(%q) succeeded, want control-flow error", src)
+		if err := NewContext().Load(src); err == nil {
+			t.Errorf("eval(%q) succeeded, want control-flow error", src)
 		}
 	}
 }
 
 func TestReturnAtTopLevelIsError(t *testing.T) {
-	if _, err := NewContext().Eval("return 5;"); err == nil {
+	if err := NewContext().Load("return 5;"); err == nil {
 		t.Error("top-level return accepted")
 	}
 }
@@ -242,7 +242,7 @@ func TestUnicodeStringsAndEscapes(t *testing.T) {
 	}
 	for src, want := range cases {
 		if got := evalVal(t, src); got != want {
-			t.Errorf("Eval(%s) = %q, want %q", src, got, want)
+			t.Errorf("eval(%s) = %q, want %q", src, got, want)
 		}
 	}
 }
@@ -265,8 +265,8 @@ func TestLongChainedMemberCalls(t *testing.T) {
 
 func TestEmptyProgramAndWhitespace(t *testing.T) {
 	for _, src := range []string{"", "   \n\t  ", "// only a comment", "/* block */"} {
-		if _, err := NewContext().Eval(src); err != nil {
-			t.Errorf("Eval(%q): %v", src, err)
+		if err := NewContext().Load(src); err != nil {
+			t.Errorf("eval(%q): %v", src, err)
 		}
 	}
 }
@@ -276,14 +276,14 @@ func TestLoadThenEvalSharesGlobals(t *testing.T) {
 	if err := c.Load("var base = 10; function add(n) { return base + n; }"); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	v, err := c.Eval("add(5)")
+	v, err := evalIn(c, "add(5)")
 	if err != nil || v != float64(15) {
 		t.Errorf("Eval after Load = %v, %v", v, err)
 	}
 }
 
 func TestSyntaxErrorMessagesAreHelpful(t *testing.T) {
-	_, err := NewContext().Eval("if (x {}")
+	err := NewContext().Load("if (x {}")
 	if err == nil || !strings.Contains(err.Error(), "expected") {
 		t.Errorf("error = %v, want 'expected ...'", err)
 	}
@@ -413,8 +413,8 @@ func TestSwitchSyntaxErrors(t *testing.T) {
 		`switch 1 { case 1: }`,             // missing parens
 	}
 	for _, src := range cases {
-		if _, err := NewContext().Eval(src); err == nil {
-			t.Errorf("Eval(%q) succeeded, want syntax error", src)
+		if err := NewContext().Load(src); err == nil {
+			t.Errorf("eval(%q) succeeded, want syntax error", src)
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 // doubled is a = [0]; a = [a, a] n times: 2n+1 allocations whose tree has
 // 2^n leaves.
 func doubled(n int) Value {
-	v := Value(NewArray(0.0))
+	v := Value(&Array{Elems: []Value{0.0}})
 	for i := 0; i < n; i++ {
-		v = NewArray(v, v)
+		v = &Array{Elems: []Value{v, v}}
 	}
 	return v
 }
@@ -66,7 +66,7 @@ func TestBudgetBoundsRenderingBuiltins(t *testing.T) {
 			c.SetLimits(Limits{Instructions: 50000, Memory: 1 << 20})
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := c.Eval(fmt.Sprintf(build, n) + call)
+			err := c.Load(fmt.Sprintf(build, n) + call)
 			runtime.ReadMemStats(&after)
 			var be *BudgetError
 			if !errors.As(err, &be) || be.Resource != ResourceMemory || be.Used <= be.Limit {
@@ -77,7 +77,7 @@ func TestBudgetBoundsRenderingBuiltins(t *testing.T) {
 			}
 		}
 		c := NewContext()
-		v, err := c.Eval(fmt.Sprintf(build, 4) + call)
+		v, err := evalIn(c, fmt.Sprintf(build, 4)+call)
 		if err != nil {
 			t.Errorf("%s unlimited: %v", call, err)
 		}
@@ -88,14 +88,14 @@ func TestBudgetBoundsRenderingBuiltins(t *testing.T) {
 	// A rendering that fits is untouched by the bound, to the byte.
 	c := NewContext()
 	c.SetLimits(Limits{Memory: 4096})
-	if v, err := c.Eval(`str([1, {b: "x"}]) + json_encode({k: [1.5, null]}) + join(["a", [2]], "-")`); err != nil || v != `[1, {b: x}]{"k":[1.5,null]}a-[2]` {
+	if v, err := evalIn(c, `str([1, {b: "x"}]) + json_encode({k: [1.5, null]}) + join(["a", [2]], "-")`); err != nil || v != `[1, {b: x}]{"k":[1.5,null]}a-[2]` {
 		t.Errorf("within budget: %v, %v", v, err)
 	}
 }
 
 func TestCloneIsDeepBoundedAndDropsFunctions(t *testing.T) {
 	c := NewContext()
-	v, err := c.Eval(`({frame_ref: 9, pose: {kps: [{x: 1}, {x: 2}]}, fn: function () {}, list: [function () {}, "s"]})`)
+	v, err := evalIn(c, `({frame_ref: 9, pose: {kps: [{x: 1}, {x: 2}]}, fn: function () {}, list: [function () {}, "s"]})`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ func TestCloneIsDeepBoundedAndDropsFunctions(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp := cloned.(*Object)
-	want, _ := ToGo(src)
-	got, _ := ToGo(cp)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("Clone:\n got %v\nwant %v", got, want)
+	want, _ := AppendJSON(nil, src)
+	got, _ := AppendJSON(nil, cp)
+	if string(got) != string(want) {
+		t.Errorf("Clone:\n got %s\nwant %s", got, want)
 	}
 	if fn, kept := cp.Lookup("fn"); !kept || fn != nil {
 		t.Errorf("function field cloned as %v, want a null field", fn)
@@ -117,21 +117,21 @@ func TestCloneIsDeepBoundedAndDropsFunctions(t *testing.T) {
 	src.Get("pose").(*Object).Get("kps").(*Array).Elems[0].(*Object).Set("x", 100.0)
 	src.Get("pose").(*Object).Get("kps").(*Array).Elems = nil
 	src.Get("list").(*Array).Elems[1] = "changed"
-	if after, _ := ToGo(cp); fmt.Sprint(after) != fmt.Sprint(want) {
-		t.Errorf("clone changed with its source:\n got %v\nwant %v", after, want)
+	if after, _ := AppendJSON(nil, cp); string(after) != string(want) {
+		t.Errorf("clone changed with its source:\n got %s\nwant %s", after, want)
 	}
 
 	deep := Value(1.0)
 	for i := 0; i < MaxDepth; i++ {
-		deep = NewArray(deep)
+		deep = &Array{Elems: []Value{deep}}
 	}
 	if _, err := Clone(deep); err != nil {
 		t.Errorf("Clone at MaxDepth: %v", err)
 	}
-	if _, err := Clone(NewArray(deep)); err != errTooDeep {
+	if _, err := Clone(&Array{Elems: []Value{deep}}); err != errTooDeep {
 		t.Errorf("Clone one past MaxDepth: %v, want the depth error", err)
 	}
-	self := NewArray()
+	self := &Array{}
 	self.Elems = append(self.Elems, self)
 	if _, err := Clone(self); err != errTooDeep {
 		t.Errorf("Clone of a self-containing array: %v", err)

@@ -73,7 +73,7 @@ func TestDifferentialArithmetic(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tree := genTree(rng, 5)
 		want := tree.eval()
-		got, err := NewContext().Eval(tree.render())
+		got, err := evalIn(NewContext(), tree.render())
 		if err != nil {
 			t.Logf("seed %d: %q -> error %v", seed, tree.render(), err)
 			return false
@@ -98,7 +98,7 @@ func TestDifferentialComparisons(t *testing.T) {
 		ops := []string{"<", "<=", ">", ">=", "==", "!="}
 		op := ops[rng.Intn(len(ops))]
 		src := fmt.Sprintf("(%s) %s (%s)", a.render(), op, b.render())
-		got, err := NewContext().Eval(src)
+		got, err := evalIn(NewContext(), src)
 		if err != nil {
 			return false
 		}
@@ -137,7 +137,7 @@ func TestParserNeverPanicsOnRandomInput(t *testing.T) {
 		}()
 		c := NewContext()
 		c.SetLimits(Limits{Instructions: 100_000})
-		_, _ = c.Eval(string(raw))
+		_ = c.Load(string(raw))
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
@@ -179,7 +179,7 @@ func TestParserNeverPanicsOnMutatedPrograms(t *testing.T) {
 		}
 		c := NewContext()
 		c.SetLimits(Limits{Instructions: 100_000})
-		_, _ = c.Eval(src)
+		_ = c.Load(src)
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
@@ -208,7 +208,7 @@ func TestStringConcatAssociativity(t *testing.T) {
 			fmt.Fprintf(&src, " + (%d)", p)
 			fmt.Fprintf(&want, "%d", p)
 		}
-		got, err := NewContext().Eval(src.String())
+		got, err := evalIn(NewContext(), src.String())
 		return err == nil && got == want.String()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
@@ -226,8 +226,10 @@ func TestSortedArrayProperty(t *testing.T) {
 			arr.Elems = append(arr.Elems, float64(v))
 			counts[float64(v)]++
 		}
-		c.BindValue("input", arr)
-		out, err := c.Eval("sort(input)")
+		if err := c.Load("function f(input) { return sort(input); }"); err != nil {
+			return false
+		}
+		out, err := c.Call("f", arr)
 		if err != nil {
 			return false
 		}

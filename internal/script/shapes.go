@@ -3,7 +3,6 @@ package script
 import (
 	"sort"
 	"strings"
-	"sync"
 )
 
 // pipetype: interprocedural event-shape inference for PipeScript modules.
@@ -19,9 +18,9 @@ import (
 //
 // Design mirrors pipecost (cost.go): the same top-level function table
 // (last declaration wins, matching the loader), memoized DFS with in-
-// progress states for recursion, and a closed soundness loop — the runtime
-// ShapeRecorder observes actual payloads per edge and shape_soundness_test
-// asserts inferred ⊇ observed for every shipped module.
+// progress states for recursion, and a closed soundness loop —
+// shape_soundness_test observes every shipped module's actual payloads per
+// edge (ShapeOf) and asserts inferred ⊇ observed (Contains).
 
 // ---- kind lattice ----
 
@@ -147,7 +146,7 @@ func joinDepth(a, b *Shape, depth int) *Shape {
 }
 
 // Contains reports whether every value described by o is also described by
-// s — the soundness relation the runtime recorder checks (inferred ⊇
+// s — the soundness relation shape_soundness_test checks (inferred ⊇
 // observed).
 func (s *Shape) Contains(o *Shape) bool { return containsDepth(s, o, 0) }
 
@@ -285,44 +284,6 @@ func shapeOfValue(v Value, depth int) *Shape {
 	default:
 		return topShape()
 	}
-}
-
-// ShapeRecorder accumulates observed payload shapes per edge key, joining
-// as it goes. Safe for concurrent use — module event loops observe from
-// their own goroutines.
-type ShapeRecorder struct {
-	mu    sync.Mutex
-	edges map[string]*Shape
-}
-
-// NewShapeRecorder returns an empty recorder.
-func NewShapeRecorder() *ShapeRecorder { return &ShapeRecorder{edges: make(map[string]*Shape)} }
-
-// Observe joins the shape of payload into the edge's accumulated shape.
-func (r *ShapeRecorder) Observe(edge string, payload Value) {
-	s := ShapeOf(payload)
-	r.mu.Lock()
-	r.edges[edge] = r.edges[edge].Join(s)
-	r.mu.Unlock()
-}
-
-// Shape returns the accumulated shape for an edge (nil if never observed).
-func (r *ShapeRecorder) Shape(edge string) *Shape {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.edges[edge]
-}
-
-// Edges returns the observed edge keys, sorted.
-func (r *ShapeRecorder) Edges() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.edges))
-	for e := range r.edges {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ---- report ----

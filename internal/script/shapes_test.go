@@ -259,6 +259,30 @@ function event_received(m) {
 	}
 }
 
+// TestShapeConsumedCallResolvesLikeTheInterpreter: the consumed side
+// resolves a call's name through the resolver, as the interpreter does. A
+// handler-local helper shadows the module function of that name, so the
+// module function's read is not the handler's; a module-level value named
+// has replaces the builtin, so has(m, "k") hands the whole message to
+// module code.
+func TestShapeConsumedCallResolvesLikeTheInterpreter(t *testing.T) {
+	rep := shapesOf(t, `
+function helper(x) { return x.secret; }
+function event_received(m) {
+    var helper = function(x) { return 1; };
+    log(helper(m));
+}`)
+	if _, ok := rep.Consumed.Fields["secret"]; ok {
+		t.Error("the shadowed module helper's read of secret was charged to the handler")
+	}
+	rep = shapesOf(t, `
+var has = function(a, b) { return a; };
+function event_received(m) { log(has(m, "k")); }`)
+	if !rep.Consumed.Dynamic {
+		t.Errorf("has() bound by the module must consume the whole message, got %+v", rep.Consumed)
+	}
+}
+
 func TestShapeConsumedWholesaleEscape(t *testing.T) {
 	for _, src := range []string{
 		`function event_received(m) { log(json_encode(m)); }`,
@@ -354,7 +378,7 @@ func TestShapeOfRuntimeValues(t *testing.T) {
 	obj := NewObject()
 	obj.Set("n", float64(3))
 	obj.Set("s", "x")
-	obj.Set("a", NewArray(float64(1), "two"))
+	obj.Set("a", &Array{Elems: []Value{float64(1), "two"}})
 	s := ShapeOf(obj)
 	if s.Kinds != KindObject {
 		t.Fatalf("kinds = %s", s.Kinds)
@@ -367,21 +391,6 @@ func TestShapeOfRuntimeValues(t *testing.T) {
 	}
 	if got := ShapeOf(nil); got.Kinds != KindNull {
 		t.Errorf("ShapeOf(nil) = %s", got)
-	}
-}
-
-func TestShapeRecorderJoins(t *testing.T) {
-	r := NewShapeRecorder()
-	r.Observe("a->b", float64(1))
-	r.Observe("a->b", "s")
-	if got := r.Shape("a->b"); got.Kinds != KindNumber|KindString {
-		t.Errorf("joined = %s", got)
-	}
-	if got := r.Edges(); len(got) != 1 || got[0] != "a->b" {
-		t.Errorf("edges = %v", got)
-	}
-	if r.Shape("missing") != nil {
-		t.Error("unobserved edge should be nil")
 	}
 }
 

@@ -1,6 +1,7 @@
 package script
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
@@ -22,7 +23,7 @@ func TestLenBuiltin(t *testing.T) {
 			t.Errorf("%s = %v, want %v", src, got, want)
 		}
 	}
-	if _, err := NewContext().Eval("len(42)"); err == nil {
+	if err := NewContext().Load("len(42)"); err == nil {
 		t.Error("len(42) succeeded")
 	}
 }
@@ -55,7 +56,7 @@ func TestArrayBuiltins(t *testing.T) {
 			t.Errorf("%s = %v, want %q", src, got, want)
 		}
 	}
-	if _, err := NewContext().Eval(`sort([1, "a"])`); err == nil {
+	if err := NewContext().Load(`sort([1, "a"])`); err == nil {
 		t.Error("sort on mixed types succeeded")
 	}
 }
@@ -84,7 +85,7 @@ func TestHugeNumbersDoNotWrap(t *testing.T) {
 		`var a = []; a[pow(10, 400)] = 1`,
 	} {
 		var rt *RuntimeError
-		if _, err := NewContext().Eval(src); !errors.As(err, &rt) {
+		if err := NewContext().Load(src); !errors.As(err, &rt) {
 			t.Errorf("%s: err = %v, want a runtime error", src, err)
 		}
 	}
@@ -139,7 +140,7 @@ func TestMathBuiltins(t *testing.T) {
 			t.Errorf("%s = %v, want %v", src, got, want)
 		}
 	}
-	if _, err := NewContext().Eval("min()"); err == nil {
+	if err := NewContext().Load("min()"); err == nil {
 		t.Error("min() with no args succeeded")
 	}
 }
@@ -180,7 +181,7 @@ func TestJSONBuiltins(t *testing.T) {
 		t.Errorf("json_encode = %v", got)
 	}
 
-	if _, err := NewContext().Eval(`json_decode("{bad json")`); err == nil {
+	if err := NewContext().Load(`json_decode("{bad json")`); err == nil {
 		t.Error("json_decode of invalid input succeeded")
 	}
 }
@@ -207,13 +208,14 @@ func TestJSONRoundTripProperty(t *testing.T) {
 		in["arr"] = fs
 
 		v := FromGo(in)
-		c.BindValue("subject", v)
-		enc1, err := c.Eval("json_encode(subject)")
+		if err := c.Load("function enc(v) { return json_encode(v); } function reenc(s) { return json_encode(json_decode(s)); }"); err != nil {
+			return false
+		}
+		enc1, err := c.Call("enc", v)
 		if err != nil {
 			return false
 		}
-		c.BindValue("enc1", enc1)
-		enc2, err := c.Eval("json_encode(json_decode(enc1))")
+		enc2, err := c.Call("reenc", enc1)
 		if err != nil {
 			return false
 		}
@@ -233,7 +235,11 @@ func TestFromGoToGoRoundTrip(t *testing.T) {
 		"arr":  []any{1.0, "two", false},
 		"obj":  map[string]any{"nested": []any{map[string]any{"deep": 9.0}}},
 	}
-	out, err := ToGo(FromGo(in))
+	enc, err := AppendJSON(nil, FromGo(in))
+	var out any
+	if err == nil {
+		err = json.Unmarshal(enc, &out)
+	}
 	if err != nil || !reflect.DeepEqual(out, in) {
 		t.Errorf("round trip mismatch:\n got %#v\nwant %#v", out, in)
 	}
@@ -257,19 +263,24 @@ func TestFromGoNumericWidths(t *testing.T) {
 	}
 }
 
+// TestToGoFunctionsBecomeNil: a function value has no form outside its
+// context, so it leaves as null, both through Clone (a local call_module)
+// and through the JSON codec (a remote one).
 func TestToGoFunctionsBecomeNil(t *testing.T) {
-	c := NewContext()
-	v, err := c.Eval("function f() {} f")
+	fn, err := evalIn(NewContext(), "function f() {} f")
 	if err != nil {
-		t.Fatalf("Eval: %v", err)
+		t.Fatalf("eval: %v", err)
 	}
-	if got, err := ToGo(v); err != nil || got != nil {
-		t.Errorf("ToGo(function) = %v, want nil", got)
+	if got, err := Clone(fn); err != nil || got != nil {
+		t.Errorf("Clone(function) = %v, %v; want nil", got, err)
+	}
+	if got, err := AppendJSON(nil, fn); err != nil || string(got) != "null" {
+		t.Errorf("AppendJSON(function) = %s, %v; want null", got, err)
 	}
 }
 
 func TestTruthyTable(t *testing.T) {
-	truthy := []Value{true, float64(1), float64(-1), "x", NewArray(), NewObject(), &Function{}}
+	truthy := []Value{true, float64(1), float64(-1), "x", &Array{}, NewObject(), &Function{}}
 	falsy := []Value{nil, false, float64(0), math.NaN(), ""}
 	for _, v := range truthy {
 		if !Truthy(v) {
@@ -302,20 +313,20 @@ func TestSelfContainingValueIsBounded(t *testing.T) {
 
 	t.Run("Stringify", func(t *testing.T) {
 		for _, src := range []string{`str(a)`, `"" + a`, `join([a], ",")`, `var o = {}; o[a]`} {
-			_, err := NewContext().Eval(prelude + src)
+			err := NewContext().Load(prelude + src)
 			wantLine3(t, err)
 		}
 	})
 
-	t.Run("ToGo", func(t *testing.T) {
+	t.Run("Clone", func(t *testing.T) {
 		c := NewContext()
 		c.Bind("call_module", func(args []Value) (Value, error) {
-			_, err := ToGo(args[1])
+			_, err := Clone(args[1])
 			return nil, err
 		})
-		_, err := c.Eval(prelude + `call_module("x", {v: a})`)
+		err := c.Load(prelude + `call_module("x", {v: a})`)
 		wantLine3(t, err)
-		_, err = NewContext().Eval(prelude + `json_encode({v: a})`)
+		err = NewContext().Load(prelude + `json_encode({v: a})`)
 		wantLine3(t, err)
 	})
 
@@ -334,14 +345,14 @@ func TestSelfContainingValueIsBounded(t *testing.T) {
 		for i := 0; i < MaxDepth; i++ {
 			v = &Array{Elems: []Value{v}}
 		}
-		if _, err := ToGo(v); err != nil {
-			t.Errorf("ToGo at MaxDepth: %v", err)
+		if _, err := Clone(v); err != nil {
+			t.Errorf("Clone at MaxDepth: %v", err)
 		}
 		if _, err := Stringify(v); err != nil {
 			t.Errorf("Stringify at MaxDepth: %v", err)
 		}
-		if _, err := ToGo(&Array{Elems: []Value{v}}); err == nil {
-			t.Error("ToGo one past MaxDepth succeeded")
+		if _, err := Clone(&Array{Elems: []Value{v}}); err == nil {
+			t.Error("Clone one past MaxDepth succeeded")
 		}
 	})
 }

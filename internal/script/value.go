@@ -28,9 +28,6 @@ type Array struct {
 	Elems []Value
 }
 
-// NewArray builds an array from values.
-func NewArray(elems ...Value) *Array { return &Array{Elems: elems} }
-
 // Object is a script object with reference semantics: one flat table of
 // fields, the way Duktape keeps properties. A lookup scans the table; past
 // indexedFields fields the object also keeps a key → slot index, so large
@@ -392,7 +389,7 @@ func valuesEqual(a, b Value) bool {
 }
 
 // MaxDepth bounds how deeply arrays and objects may nest in a value that
-// Stringify, Clone, PayloadSize, ToGo or the JSON codec walks. Shipped
+// Stringify, Clone, PayloadSize or the JSON codec walks. Shipped
 // payloads nest four or five levels; the bound exists because scripts can
 // build a value that contains itself (push(a, a)), and a walk with no bound
 // recurses until the Go stack — the host's, not the sandbox's — overflows.
@@ -568,51 +565,10 @@ func fromGo(v any, depth int) Value {
 	}
 }
 
-// ToGo converts a script Value into plain Go data (nil, bool, float64,
-// string, []any, map[string]any) for Go-side consumers; no payload path
-// converts. Functions convert to nil. It fails only on a value nested
-// deeper than MaxDepth.
-func ToGo(v Value) (any, error) { return toGo(v, 0) }
-
-func toGo(v Value, depth int) (any, error) {
-	switch x := v.(type) {
-	case nil, bool, float64, string:
-		return x, nil
-	case *Array:
-		if depth >= MaxDepth {
-			return nil, errTooDeep
-		}
-		out := make([]any, len(x.Elems))
-		for i, e := range x.Elems {
-			g, err := toGo(e, depth+1)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = g
-		}
-		return out, nil
-	case *Object:
-		if depth >= MaxDepth {
-			return nil, errTooDeep
-		}
-		out := make(map[string]any, len(x.fields))
-		for i := range x.fields {
-			g, err := toGo(x.fields[i].value(), depth+1)
-			if err != nil {
-				return nil, err
-			}
-			out[x.fields[i].key.Value()] = g
-		}
-		return out, nil
-	default:
-		return nil, nil
-	}
-}
-
 // Clone returns a deep copy of v sharing no array or object with it — the
 // one copy a message pays to cross from one module's context to another's,
 // or into a Snapshot. Scalars and strings are immutable and shared;
-// functions and opaque host values become null, as in ToGo. The objects that
+// functions and opaque host values become null, as in JSON. The objects that
 // are elements of one array are copied into one record run, so a pose's 17
 // keypoints cost two allocations, not 17. The copy of a top-level object has
 // room for the frame_ref its receiver sets. It fails only on a value nested

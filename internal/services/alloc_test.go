@@ -46,7 +46,11 @@ func TestPoseFromValueAllocs(t *testing.T) {
 	clf := vision.NewActivityClassifier(3)
 	for _, a := range []vision.Activity{vision.Squat, vision.JumpingJack} {
 		window, _ := vision.SynthesizeSequence(a, vision.WindowSize, 15, 0.5, vision.DefaultSubject(), rng)
-		if err := clf.TrainPoses(a, window); err != nil {
+		feats, err := vision.WindowFeatures(window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := clf.Train([]vision.LabeledWindow{{Label: a, Features: feats}}); err != nil {
 			t.Fatal(err)
 		}
 	}

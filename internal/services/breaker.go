@@ -88,13 +88,6 @@ func (b *Breaker) OnStateChange(fn func(BreakerState)) {
 	b.onChange = fn
 }
 
-// State reports the current state.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // setState transitions and notifies. Caller holds b.mu.
 func (b *Breaker) setState(s BreakerState) {
 	if b.state == s {

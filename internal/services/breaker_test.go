@@ -13,15 +13,15 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 		}
 		b.Record(false)
 	}
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after 2 failures = %v, want closed", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("state after 2 failures = %v, want closed", b.state)
 	}
 	if !b.Allow() {
 		t.Fatal("closed breaker shed the third call")
 	}
 	b.Record(false)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after 3 failures = %v, want open", b.State())
+	if b.state != BreakerOpen {
+		t.Fatalf("state after 3 failures = %v, want open", b.state)
 	}
 	if b.Allow() {
 		t.Fatal("open breaker admitted a call before cooldown")
@@ -35,31 +35,31 @@ func TestBreakerSuccessResetsFailureRun(t *testing.T) {
 	b.Record(true) // interleaved success: the run is not consecutive
 	b.Record(false)
 	b.Record(false)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state = %v, want closed (failures were not consecutive)", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("state = %v, want closed (failures were not consecutive)", b.state)
 	}
 }
 
 func TestBreakerHalfOpenProbeSuccessCloses(t *testing.T) {
 	b := NewBreaker(1, 20*time.Millisecond)
 	b.Record(false)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state = %v, want open", b.State())
+	if b.state != BreakerOpen {
+		t.Fatalf("state = %v, want open", b.state)
 	}
 	time.Sleep(30 * time.Millisecond)
 	if !b.Allow() {
 		t.Fatal("cooldown elapsed but probe was shed")
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
+	if b.state != BreakerHalfOpen {
+		t.Fatalf("state = %v, want half-open", b.state)
 	}
 	// Only one probe at a time.
 	if b.Allow() {
 		t.Fatal("half-open breaker admitted a second concurrent probe")
 	}
 	b.Record(true)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after successful probe = %v, want closed", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("state after successful probe = %v, want closed", b.state)
 	}
 	if !b.Allow() {
 		t.Fatal("closed breaker shed a call after recovery")
@@ -74,8 +74,8 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 		t.Fatal("cooldown elapsed but probe was shed")
 	}
 	b.Record(false)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after failed probe = %v, want open", b.State())
+	if b.state != BreakerOpen {
+		t.Fatalf("state after failed probe = %v, want open", b.state)
 	}
 	// Re-opened: cooldown restarts, calls shed again.
 	if b.Allow() {
@@ -87,8 +87,8 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 		t.Fatal("second cooldown elapsed but probe was shed")
 	}
 	b.Record(true)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after recovery = %v, want closed", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("state after recovery = %v, want closed", b.state)
 	}
 }
 

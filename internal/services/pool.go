@@ -82,9 +82,6 @@ func NewInstance(spec Spec, cpuFactor float64) (*Instance, error) {
 	}, nil
 }
 
-// Spec reports the instance's service spec.
-func (i *Instance) Spec() Spec { return i.spec }
-
 // InFlight reports requests currently executing or queued on this instance.
 func (i *Instance) InFlight() int { return int(i.inFlight.Load()) }
 

@@ -157,18 +157,6 @@ func (c *Client) SetBreakerNotify(fn func(service string, s BreakerState)) {
 	c.onState = fn
 }
 
-// BreakerState reports the circuit state for a service; ok is false when
-// the service has never been called through this client.
-func (c *Client) BreakerState(service string) (BreakerState, bool) {
-	c.breakerMu.Lock()
-	defer c.breakerMu.Unlock()
-	b, ok := c.breakers[service]
-	if !ok {
-		return 0, false
-	}
-	return b.State(), true
-}
-
 // breaker returns (creating on first use) the circuit for a service.
 func (c *Client) breaker(service string) *Breaker {
 	c.breakerMu.Lock()

@@ -173,15 +173,6 @@ func (r *Registry) Lookup(name string) (Spec, error) {
 	return s, nil
 }
 
-// Names reports the registered service names (unordered).
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.specs))
-	for n := range r.specs {
-		out = append(out, n)
-	}
-	return out
-}
-
 // ---- argument helpers shared by the standard services ----
 
 // argString extracts a string argument.

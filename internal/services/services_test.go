@@ -115,8 +115,8 @@ func TestStandardRegistryHasAllServices(t *testing.T) {
 			t.Errorf("missing standard service %s", name)
 		}
 	}
-	if len(r.Names()) != 8 {
-		t.Errorf("registry has %d services, want 8", len(r.Names()))
+	if len(r.specs) != 8 {
+		t.Errorf("registry has %d services, want 8", len(r.specs))
 	}
 }
 
@@ -352,7 +352,7 @@ func TestActivityService(t *testing.T) {
 	for i, ps := range poses {
 		window[i] = poseValue(ps)
 	}
-	args := argsOf(map[string]script.Value{"poses": script.NewArray(window...)})
+	args := argsOf(map[string]script.Value{"poses": &script.Array{Elems: window}})
 	resp, err := p.Invoke(context.Background(), Request{Args: args})
 	if err != nil {
 		t.Fatalf("Invoke: %v", err)
@@ -364,7 +364,7 @@ func TestActivityService(t *testing.T) {
 	if _, err := p.Invoke(context.Background(), Request{Args: argsOf(map[string]script.Value{})}); err == nil {
 		t.Error("missing poses accepted")
 	}
-	if _, err := p.Invoke(context.Background(), Request{Args: argsOf(map[string]script.Value{"poses": script.NewArray(script.NewObject())})}); err == nil {
+	if _, err := p.Invoke(context.Background(), Request{Args: argsOf(map[string]script.Value{"poses": &script.Array{Elems: []script.Value{script.NewObject()}}})}); err == nil {
 		t.Error("wrong window size accepted")
 	}
 }
@@ -537,12 +537,12 @@ func TestDisplayService(t *testing.T) {
 		t.Error("display mutated the input frame instead of cloning")
 	}
 	// Banner row painted.
-	c := resp.Frame.At(5, 5)
-	if c == f.At(5, 5) {
+	c := resp.Frame.ToImage().RGBAAt(5, 5)
+	if c == f.ToImage().RGBAAt(5, 5) {
 		t.Error("activity banner not rendered")
 	}
 	// Rep ticks painted near the bottom-left.
-	tick := resp.Frame.At(10, resp.Frame.Height-12)
+	tick := resp.Frame.ToImage().RGBAAt(10, resp.Frame.Height-12)
 	if tick.R != 255 || tick.G != 255 || tick.B != 255 {
 		t.Errorf("rep tick not rendered: %v", tick)
 	}
@@ -660,7 +660,7 @@ func TestPoolRecentWaitMatchesHistogram(t *testing.T) {
 		for _, w := range waits[len(waits)-metrics.RecentTailLen:] {
 			h.Observe(w)
 		}
-		if got, want := p.RecentWaitP99(), h.Quantile(0.99); got != want {
+		if got, want := p.RecentWaitP99(), h.Snapshot().P99; got != want {
 			t.Errorf("after %d waits: RecentWaitP99 = %v, histogram of the last %d says %v", i, got, metrics.RecentTailLen, want)
 		}
 	}
@@ -752,9 +752,6 @@ func TestPoolRecentWaitRestartsOnGrow(t *testing.T) {
 func TestInstanceSpecAccessor(t *testing.T) {
 	spec := Spec{Name: "s", Handler: func(context.Context, Request) (Response, error) { return Response{}, nil }}
 	inst, _ := NewInstance(spec, 1.0)
-	if inst.Spec().Name != "s" {
-		t.Errorf("Spec().Name = %q", inst.Spec().Name)
-	}
 	if inst.InFlight() != 0 {
 		t.Errorf("idle InFlight = %d", inst.InFlight())
 	}
@@ -925,11 +922,11 @@ func TestPoseFromValueErrors(t *testing.T) {
 		t.Error("empty object accepted")
 	}
 	short := script.NewObject()
-	short.Set("keypoints", script.NewArray(1.0, 2.0))
+	short.Set("keypoints", &script.Array{Elems: []script.Value{1.0, 2.0}})
 	if _, err := poseFromValue(short); err == nil {
 		t.Error("short keypoint list accepted")
 	}
-	bad := script.NewArray()
+	bad := &script.Array{}
 	for i := 0; i < vision.NumKeypoints; i++ {
 		bad.Elems = append(bad.Elems, "not an object")
 	}

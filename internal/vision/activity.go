@@ -65,19 +65,6 @@ func (c *ActivityClassifier) Train(samples []LabeledWindow) error {
 	return nil
 }
 
-// TrainPoses is a convenience wrapper: extract features from a pose window
-// and add it with the given label.
-func (c *ActivityClassifier) TrainPoses(label Activity, window []Pose) error {
-	feats, err := WindowFeatures(window)
-	if err != nil {
-		return err
-	}
-	return c.Train([]LabeledWindow{{Label: label, Features: feats}})
-}
-
-// Len reports the number of stored training samples.
-func (c *ActivityClassifier) Len() int { return len(c.samples) }
-
 // Classify predicts the activity for a pose window and returns the label
 // with its confidence (fraction of the k nearest neighbours agreeing). The
 // window's feature vector lives on the stack, so a call allocates nothing.

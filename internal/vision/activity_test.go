@@ -32,8 +32,8 @@ func TestClassifierValidation(t *testing.T) {
 	if err := c.Train([]LabeledWindow{{Label: Squat, Features: make([]float64, WindowSize*2*NumKeypoints)}}); err != nil {
 		t.Fatalf("valid Train: %v", err)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if len(c.samples) != 1 {
+		t.Errorf("len(samples) = %d, want 1", len(c.samples))
 	}
 	if _, _, err := c.ClassifyFeatures([]float64{1, 2}); err == nil {
 		t.Error("classify with wrong feature length succeeded")
@@ -48,11 +48,16 @@ func TestClassifierSeparatesTwoActivities(t *testing.T) {
 		sub.Phase0 = float64(i) / 6
 		squats, _ := SynthesizeSequence(Squat, WindowSize, 15, 0.5, sub, rng)
 		jacks, _ := SynthesizeSequence(JumpingJack, WindowSize, 15, 0.5, sub, rng)
-		if err := c.TrainPoses(Squat, squats); err != nil {
-			t.Fatalf("TrainPoses: %v", err)
+		squatFeats, err := WindowFeatures(squats)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := c.TrainPoses(JumpingJack, jacks); err != nil {
-			t.Fatalf("TrainPoses: %v", err)
+		jackFeats, err := WindowFeatures(jacks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Train([]LabeledWindow{{Label: Squat, Features: squatFeats}, {Label: JumpingJack, Features: jackFeats}}); err != nil {
+			t.Fatalf("Train: %v", err)
 		}
 	}
 	sub.Phase0 = 0.13

@@ -25,7 +25,11 @@ func TestClassifyAllocs(t *testing.T) {
 	c := NewActivityClassifier(3)
 	for _, a := range []Activity{Squat, JumpingJack} {
 		window, _ := SynthesizeSequence(a, WindowSize, 15, 0.5, DefaultSubject(), rng)
-		if err := c.TrainPoses(a, window); err != nil {
+		feats, err := WindowFeatures(window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Train([]LabeledWindow{{Label: a, Features: feats}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -76,12 +76,3 @@ func (d *FallDetector) Observe(p Pose) bool {
 	}
 	return false
 }
-
-// Reset clears detector state.
-func (d *FallDetector) Reset() {
-	d.baselineHipY = 0
-	d.torsoLen = 0
-	d.samples = 0
-	d.downStreak = 0
-	d.fallen = false
-}

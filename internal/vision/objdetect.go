@@ -46,15 +46,6 @@ const minObjectChannelSum = 225 - 3*objectMatchThreshold
 // minObjectPixels suppresses speckle detections.
 const minObjectPixels = 12
 
-// ObjectClassNames lists the labels the detector can produce.
-func ObjectClassNames() []string {
-	out := make([]string, len(objectClasses))
-	for i, oc := range objectClasses {
-		out[i] = oc.name
-	}
-	return out
-}
-
 // ObjectColor returns the canonical render color for a class, for scene
 // generators; ok is false for unknown labels.
 func ObjectColor(label string) (color.RGBA, bool) {

@@ -23,21 +23,10 @@ type Point struct {
 	X, Y float64
 }
 
-// Sub returns p - q.
-func (p Point) Sub(q Point) Point { return Point{X: p.X - q.X, Y: p.Y - q.Y} }
-
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return math.Sqrt(dx*dx + dy*dy)
-}
-
-// DistSq returns the squared Euclidean distance between p and q. Prefer it
-// over Dist in nearest-neighbour comparisons where only the ordering
-// matters: squaring is monotone, so the sqrt buys nothing but latency.
-func (p Point) DistSq(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
 }
 
 // NumKeypoints is the number of pose keypoints, matching the paper's
@@ -89,19 +78,8 @@ type Box struct {
 	MinX, MinY, MaxX, MaxY float64
 }
 
-// Width reports the box width.
-func (b Box) Width() float64 { return b.MaxX - b.MinX }
-
-// Height reports the box height.
-func (b Box) Height() float64 { return b.MaxY - b.MinY }
-
 // Center reports the box center point.
 func (b Box) Center() Point { return Point{X: (b.MinX + b.MaxX) / 2, Y: (b.MinY + b.MaxY) / 2} }
-
-// Contains reports whether p lies inside the box.
-func (b Box) Contains(p Point) bool {
-	return p.X >= b.MinX && p.X <= b.MaxX && p.Y >= b.MinY && p.Y <= b.MaxY
-}
 
 // Pose is a detected or synthesized 2D human pose: 17 keypoints, a person
 // bounding box and a detector confidence score.
@@ -142,10 +120,6 @@ func (p Pose) Normalize() Pose {
 	}
 	return out
 }
-
-// Features flattens the normalized keypoints into a feature vector of
-// length 2*NumKeypoints.
-func (p Pose) Features() []float64 { return p.AppendFeatures(make([]float64, 0, 2*NumKeypoints)) }
 
 // AppendFeatures appends the pose's feature vector to dst: a caller with
 // room in dst, an array on its stack, allocates nothing.

@@ -20,8 +20,8 @@ func TestNormalizeIdempotentOnFeatures(t *testing.T) {
 		p := SynthesizePose(act, phase, DefaultSubject(), rng)
 		once := p.Normalize()
 		twice := once.Normalize()
-		f1 := once.Features()
-		f2 := twice.Features()
+		f1 := once.AppendFeatures(nil)
+		f2 := twice.AppendFeatures(nil)
 		for i := range f1 {
 			if math.Abs(f1[i]-f2[i]) > 1e-9 {
 				return false
@@ -58,12 +58,11 @@ func TestRepAccuracyBounds(t *testing.T) {
 
 func TestDetectObjectsFindsRandomRect(t *testing.T) {
 	// Property: a single drawn object is detected with a box covering it.
-	labels := ObjectClassNames()
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		f := frame.MustNew(160, 120)
 		f.Fill(backgroundColor)
-		label := labels[rng.Intn(len(labels))]
+		label := objectClasses[rng.Intn(len(objectClasses))].name
 		x0 := 5 + rng.Intn(100)
 		y0 := 5 + rng.Intn(70)
 		w := 8 + rng.Intn(40)
@@ -146,14 +145,14 @@ func TestRepCounterStateRoundTripProperty(t *testing.T) {
 		for _, p := range poses[:cut] {
 			first.Observe(p)
 		}
-		second, err := RestoreRepCounter(first.AppendState(nil))
-		if err != nil {
+		second := new(RepCounter)
+		if err := second.UnmarshalState(first.AppendState(nil)); err != nil {
 			return false
 		}
 		for _, p := range poses[cut:] {
 			second.Observe(p)
 		}
-		return second.Reps() == straight.Reps() && second.FramesSeen() == straight.FramesSeen()
+		return second.Reps() == straight.Reps() && second.framesSeen == straight.framesSeen
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -189,14 +188,14 @@ func TestFallDetectorStateRoundTrip(t *testing.T) {
 }
 
 func TestRestoreRejectsCorruptState(t *testing.T) {
-	if _, err := RestoreRepCounter([]byte("{not json")); err == nil {
+	if err := new(RepCounter).UnmarshalState([]byte("{not json")); err == nil {
 		t.Error("corrupt rep state accepted")
 	}
 	if _, err := RestoreFallDetector([]byte("{not json")); err == nil {
 		t.Error("corrupt fall state accepted")
 	}
 	// The JSON form of earlier versions is just another unknown version.
-	if _, err := RestoreRepCounter([]byte(`{"fitted": true}`)); err == nil {
+	if err := new(RepCounter).UnmarshalState([]byte(`{"fitted": true}`)); err == nil {
 		t.Error("inconsistent rep state accepted")
 	}
 	// Every strict prefix of a real blob, and a real blob under another
@@ -214,8 +213,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		for name, blob := range map[string][]byte{"rep": rc.AppendState(nil), "fall": fd.AppendState(nil)} {
 			restore := func(b []byte) error {
 				if name == "rep" {
-					_, err := RestoreRepCounter(b)
-					return err
+					return new(RepCounter).UnmarshalState(b)
 				}
 				_, err := RestoreFallDetector(b)
 				return err
@@ -239,8 +237,8 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		}
 	}
 	// Empty blobs mean fresh state.
-	if rc, err := RestoreRepCounter(nil); err != nil || rc.FramesSeen() != 0 {
-		t.Errorf("empty rep blob: %v", err)
+	if rc := new(RepCounter); rc.UnmarshalState(nil) != nil || rc.framesSeen != 0 {
+		t.Error("empty rep blob: not a fresh counter")
 	}
 	if fd, err := RestoreFallDetector(nil); err != nil || fd.Fallen() {
 		t.Errorf("empty fall blob: %v", err)

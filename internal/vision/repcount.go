@@ -67,9 +67,6 @@ func newRepCounter(debounce, calibration int) RepCounter {
 // Reps reports the number of completed reps.
 func (rc *RepCounter) Reps() int { return rc.reps }
 
-// FramesSeen reports how many frames have been observed.
-func (rc *RepCounter) FramesSeen() int { return rc.framesSeen }
-
 // Calibrated reports whether the 2-means model has been fitted.
 func (rc *RepCounter) Calibrated() bool { return rc.fitted }
 

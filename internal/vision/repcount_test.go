@@ -84,7 +84,7 @@ func TestRepCounterReset(t *testing.T) {
 		t.Fatal("not calibrated after 60 frames with calibration=10")
 	}
 	rc.Reset()
-	if rc.Reps() != 0 || rc.FramesSeen() != 0 || rc.Calibrated() {
+	if rc.Reps() != 0 || rc.framesSeen != 0 || rc.Calibrated() {
 		t.Errorf("Reset left state: %s", rc)
 	}
 }
@@ -180,12 +180,6 @@ func TestFallDetector(t *testing.T) {
 		if d2.Observe(p) {
 			t.Fatal("squat sequence triggered fall detection")
 		}
-	}
-
-	// Reset clears the alarm.
-	d.Reset()
-	if d.Fallen() {
-		t.Error("Reset did not clear fall state")
 	}
 }
 

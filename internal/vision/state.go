@@ -71,16 +71,6 @@ func (rc *RepCounter) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// RestoreRepCounter reconstructs a counter from an AppendState blob. Empty
-// input yields a fresh default counter.
-func RestoreRepCounter(data []byte) (*RepCounter, error) {
-	rc := new(RepCounter)
-	if err := rc.UnmarshalState(data); err != nil {
-		return nil, err
-	}
-	return rc, nil
-}
-
 // AppendState appends the detector's state blob to dst, for stateless
 // service round trips.
 func (d *FallDetector) AppendState(dst []byte) []byte {

@@ -22,7 +22,7 @@ func assertAllocs(t *testing.T, what string, got, want float64) {
 }
 
 func TestMessageRoundTripAllocs(t *testing.T) {
-	m := StringMessage("service", `{"x":1}`, "0123456789abcdef0123456789abcdef")
+	m := NewMessage([]byte("service"), []byte(`{"x":1}`), []byte("0123456789abcdef0123456789abcdef"))
 
 	// Steady-state encode into a reused scratch buffer is copy-only.
 	var scratch []byte

@@ -100,13 +100,3 @@ func cutLast(s, sep string) (before, after string, found bool) {
 func (e Endpoint) String() string {
 	return fmt.Sprintf("%s#%s://%s:%d", e.Mode, e.Proto, e.Host, e.Port)
 }
-
-// Address reports the host:port dial/listen address. For a wildcard bind the
-// host part is empty.
-func (e Endpoint) Address() string {
-	host := e.Host
-	if host == "*" {
-		host = ""
-	}
-	return host + ":" + strconv.Itoa(e.Port)
-}

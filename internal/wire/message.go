@@ -60,15 +60,6 @@ type Message struct {
 // directly; callers must not mutate them after sending.
 func NewMessage(parts ...[]byte) Message { return Message{Parts: parts} }
 
-// StringMessage builds a message whose parts are the given strings.
-func StringMessage(parts ...string) Message {
-	m := Message{Parts: make([][]byte, len(parts))}
-	for i, p := range parts {
-		m.Parts[i] = []byte(p)
-	}
-	return m
-}
-
 // Part returns part i, or nil when out of range.
 func (m Message) Part(i int) []byte {
 	if i < 0 || i >= len(m.Parts) {
@@ -115,20 +106,6 @@ func (m *Message) Release() {
 // Pull sockets of a small cluster hold at once (per socket: one being read,
 // one parked, one being decoded); a slice beyond it goes to the collector.
 var freeParts = make(chan [][]byte, 16)
-
-// Clone deep-copies the message so the original buffers can be reused.
-// Hot paths should prefer borrowing (see Pull.Recv and the RPC handoffs) —
-// Clone exists for consumers that must outlive the producer's buffer.
-func (m Message) Clone() Message {
-	out := Message{Parts: make([][]byte, len(m.Parts))}
-	for i, p := range m.Parts {
-		c := make([]byte, len(p))
-		copy(c, p)
-		out.Parts[i] = c
-	}
-	bytesCopied.Add(uint64(m.Size()))
-	return out
-}
 
 // errMessageTooLarge reports an encoded message exceeding MaxMessageSize.
 var errMessageTooLarge = errors.New("wire: message exceeds size limit")
@@ -177,14 +154,6 @@ func (m Message) EncodeTo(dst []byte) ([]byte, error) {
 	}
 	bytesCopied.Add(uint64(m.Size()))
 	return dst, nil
-}
-
-// WriteMessage encodes m to w as a single length-prefixed record,
-// allocating a fresh buffer. Hot paths use writeMessageBuf with a reusable
-// scratch buffer instead.
-func WriteMessage(w io.Writer, m Message) error {
-	_, err := writeMessageBuf(w, m, nil)
-	return err
 }
 
 // writeMessageBuf encodes m into scratch's spare capacity and writes the

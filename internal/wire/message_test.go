@@ -10,8 +10,8 @@ import (
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, m); err != nil {
-		t.Fatalf("WriteMessage: %v", err)
+	if _, err := writeMessageBuf(&buf, m, nil); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 	got, err := ReadMessage(&buf)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		NewMessage([]byte("a")),
 		NewMessage([]byte("a"), []byte("bb"), []byte("ccc")),
 		NewMessage(nil, []byte{}, []byte("x")),
-		StringMessage("frame", "42", "payload"),
+		NewMessage([]byte("frame"), []byte("42"), []byte("payload")),
 		NewMessage(bytes.Repeat([]byte{0xAB}, 100_000)),
 	}
 	for i, m := range cases {
@@ -54,7 +54,7 @@ func TestMessageRoundTripProperty(t *testing.T) {
 	check := func(parts [][]byte) bool {
 		m := Message{Parts: parts}
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, m); err != nil {
+		if _, err := writeMessageBuf(&buf, m, nil); err != nil {
 			return false
 		}
 		got, err := ReadMessage(&buf)
@@ -69,7 +69,7 @@ func TestMessageRoundTripProperty(t *testing.T) {
 }
 
 func TestMessageAccessors(t *testing.T) {
-	m := StringMessage("a", "b")
+	m := NewMessage([]byte("a"), []byte("b"))
 	if m.Len() != 2 {
 		t.Errorf("Len() = %d, want 2", m.Len())
 	}
@@ -87,20 +87,11 @@ func TestMessageAccessors(t *testing.T) {
 	}
 }
 
-func TestMessageClone(t *testing.T) {
-	orig := NewMessage([]byte("mutable"))
-	clone := orig.Clone()
-	orig.Parts[0][0] = 'X'
-	if clone.StringPart(0) != "mutable" {
-		t.Errorf("clone affected by mutation: %q", clone.StringPart(0))
-	}
-}
-
 func TestMessageTooLarge(t *testing.T) {
 	m := NewMessage(make([]byte, MaxMessageSize+1))
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, m); err == nil {
-		t.Error("WriteMessage accepted oversized message")
+	if _, err := writeMessageBuf(&buf, m, nil); err == nil {
+		t.Error("write accepted oversized message")
 	}
 }
 
@@ -147,8 +138,8 @@ func TestReadMessageEOF(t *testing.T) {
 func TestMultipleMessagesOnStream(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {
-		if err := WriteMessage(&buf, StringMessage("msg", string(rune('a'+i)))); err != nil {
-			t.Fatalf("WriteMessage: %v", err)
+		if _, err := writeMessageBuf(&buf, NewMessage([]byte("msg"), []byte(string(rune('a'+i)))), nil); err != nil {
+			t.Fatalf("write: %v", err)
 		}
 	}
 	for i := 0; i < 5; i++ {
@@ -215,16 +206,5 @@ func TestEndpointStringRoundTrip(t *testing.T) {
 		if e.String() != s {
 			t.Errorf("String() = %q, want %q", e.String(), s)
 		}
-	}
-}
-
-func TestEndpointAddress(t *testing.T) {
-	e := Endpoint{Mode: Bind, Proto: "tcp", Host: "*", Port: 80}
-	if got := e.Address(); got != ":80" {
-		t.Errorf("wildcard Address() = %q, want :80", got)
-	}
-	e.Host = "tv"
-	if got := e.Address(); got != "tv:80" {
-		t.Errorf("Address() = %q, want tv:80", got)
 	}
 }

@@ -65,9 +65,6 @@ func DialCaller(t Transport, address string) *Caller {
 	}
 }
 
-// Address reports the remote address this caller targets.
-func (c *Caller) Address() string { return c.address }
-
 // SetRetryBudget overrides the per-call connection-attempt budget; n <= 0
 // removes the bound (retries continue until ctx's deadline).
 func (c *Caller) SetRetryBudget(n int) {

@@ -46,7 +46,7 @@ func TestCallTimesOutDuringPartition(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Call(ctx, StringMessage("ping"))
+	_, err := c.Call(ctx, NewMessage([]byte("ping")))
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("Call succeeded across a partition")
@@ -71,7 +71,7 @@ func TestCallRetryBudgetBoundsDeadPeer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Call(ctx, StringMessage("ping"))
+	_, err := c.Call(ctx, NewMessage([]byte("ping")))
 	if err == nil {
 		t.Fatal("Call to dead peer succeeded")
 	}
@@ -94,7 +94,7 @@ func TestCallDeadlineAppliesPerCall(t *testing.T) {
 	call := func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 		defer cancel()
-		_, err := c.Call(ctx, StringMessage("ping"))
+		_, err := c.Call(ctx, NewMessage([]byte("ping")))
 		return err
 	}
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,7 +91,7 @@ var pushPull = pattern{
 	},
 	dial: func(tp Transport, addr string) (func(context.Context, string) error, func() error) {
 		p := DialPush(tp, addr)
-		return func(ctx context.Context, s string) error { return p.Send(ctx, StringMessage(s)) }, p.Close
+		return func(ctx context.Context, s string) error { return p.Send(ctx, NewMessage([]byte(s))) }, p.Close
 	},
 }
 
@@ -113,7 +114,7 @@ var callerResponder = pattern{
 	dial: func(tp Transport, addr string) (func(context.Context, string) error, func() error) {
 		c := DialCaller(tp, addr)
 		return func(ctx context.Context, s string) error {
-			out, err := c.Call(ctx, StringMessage(s))
+			out, err := c.Call(ctx, NewMessage([]byte(s)))
 			if err == nil && out.StringPart(0) != s {
 				err = fmt.Errorf("call %q answered %q", s, out.StringPart(0))
 			}
@@ -223,7 +224,7 @@ func TestPushPullBasic(t *testing.T) {
 	defer push.Close()
 
 	ctx := context.Background()
-	if err := push.Send(ctx, StringMessage("frame", "1")); err != nil {
+	if err := push.Send(ctx, NewMessage([]byte("frame"), []byte("1"))); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	m, err := pull.Recv(ctx)
@@ -249,7 +250,7 @@ func TestPushPullManyMessagesInOrder(t *testing.T) {
 	const n = 100
 	go func() {
 		for i := 0; i < n; i++ {
-			if err := push.Send(ctx, StringMessage(fmt.Sprint(i))); err != nil {
+			if err := push.Send(ctx, NewMessage([]byte(fmt.Sprint(i)))); err != nil {
 				t.Errorf("Send %d: %v", i, err)
 				return
 			}
@@ -276,7 +277,7 @@ func TestPushConnectsLazilyAndRetries(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		sent <- push.Send(ctx, StringMessage("late"))
+		sent <- push.Send(ctx, NewMessage([]byte("late")))
 	}()
 
 	time.Sleep(20 * time.Millisecond) // let a few dial attempts fail
@@ -304,7 +305,7 @@ func TestPushSendContextCancelled(t *testing.T) {
 	defer push.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	if err := push.Send(ctx, StringMessage("x")); err == nil {
+	if err := push.Send(ctx, NewMessage([]byte("x"))); err == nil {
 		t.Error("Send with no listener and expired ctx succeeded")
 	}
 }
@@ -324,7 +325,7 @@ func TestPullFairMergesMultiplePushers(t *testing.T) {
 		defer push.Close()
 		go func(s int, push *Push) {
 			for i := 0; i < per; i++ {
-				if err := push.Send(ctx, StringMessage(fmt.Sprint(s))); err != nil {
+				if err := push.Send(ctx, NewMessage([]byte(fmt.Sprint(s)))); err != nil {
 					t.Errorf("sender %d: %v", s, err)
 					return
 				}
@@ -376,7 +377,7 @@ func TestPullRecvContext(t *testing.T) {
 func TestCallerResponderBasic(t *testing.T) {
 	nw := testNet()
 	resp, err := ListenResponder(nw.Host("desktop"), 0, func(_ context.Context, req Message) (Message, error) {
-		return StringMessage("echo:" + req.StringPart(0)), nil
+		return NewMessage([]byte("echo:" + req.StringPart(0))), nil
 	})
 	if err != nil {
 		t.Fatalf("ListenResponder: %v", err)
@@ -386,7 +387,7 @@ func TestCallerResponderBasic(t *testing.T) {
 	caller := DialCaller(nw.Host("phone"), resp.Addr().String())
 	defer caller.Close()
 
-	out, err := caller.Call(context.Background(), StringMessage("hi"))
+	out, err := caller.Call(context.Background(), NewMessage([]byte("hi")))
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -408,7 +409,7 @@ func TestCallerRemoteError(t *testing.T) {
 	caller := DialCaller(nw.Host("phone"), resp.Addr().String())
 	defer caller.Close()
 
-	_, err = caller.Call(context.Background(), StringMessage("x"))
+	_, err = caller.Call(context.Background(), NewMessage([]byte("x")))
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("Call error = %v, want RemoteError", err)
@@ -447,7 +448,7 @@ func TestCallerConcurrentCallsMultiplex(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out, err := caller.Call(context.Background(), StringMessage(fmt.Sprint(i)))
+			out, err := caller.Call(context.Background(), NewMessage([]byte(fmt.Sprint(i))))
 			if err != nil {
 				t.Errorf("Call %d: %v", i, err)
 				return
@@ -588,7 +589,7 @@ func TestResponderReleasesClosedConnections(t *testing.T) {
 	cycle := func() {
 		c := DialCaller(nw.Host("phone"), resp.Addr().String())
 		defer c.Close()
-		if _, err := c.Call(context.Background(), StringMessage("x")); err != nil {
+		if _, err := c.Call(context.Background(), NewMessage([]byte("x"))); err != nil {
 			t.Fatalf("Call: %v", err)
 		}
 	}
@@ -628,7 +629,7 @@ func TestBufferPoolPullCloseReleasesParked(t *testing.T) {
 
 	outstanding := frame.Pool.Outstanding()
 	for _, s := range []string{"parked", "held"} {
-		if err := push.Send(context.Background(), StringMessage(s)); err != nil {
+		if err := push.Send(context.Background(), NewMessage([]byte(s))); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
@@ -646,7 +647,7 @@ func TestCallerCloseFailsInFlightCalls(t *testing.T) {
 	c := DialCaller(nw.Host("phone"), r.Addr().String())
 	inFlight := make(chan error, 1)
 	go func() {
-		_, err := c.Call(context.Background(), StringMessage("x"))
+		_, err := c.Call(context.Background(), NewMessage([]byte("x")))
 		inFlight <- err
 	}()
 	waitFor(t, "the call to be sent", func() bool {
@@ -672,19 +673,29 @@ func TestResponderNilHandler(t *testing.T) {
 	}
 }
 
+// loopback is a real-TCP Transport on 127.0.0.1: the two cases below run
+// the sockets over the kernel's stack rather than netsim.
+type loopback struct{}
+
+func (loopback) Listen(port int) (net.Listener, error) {
+	return net.Listen("tcp", net.JoinHostPort("127.0.0.1", strconv.Itoa(port)))
+}
+
+func (loopback) Dial(address string) (net.Conn, error) { return net.Dial("tcp", address) }
+
 func TestCallerResponderOverRealTCP(t *testing.T) {
-	tp := TCPTransport{Interface: "127.0.0.1"}
+	tp := loopback{}
 	resp, err := ListenResponder(tp, 0, func(_ context.Context, req Message) (Message, error) {
-		return StringMessage("tcp:" + req.StringPart(0)), nil
+		return NewMessage([]byte("tcp:" + req.StringPart(0))), nil
 	})
 	if err != nil {
 		t.Skipf("real TCP unavailable: %v", err)
 	}
 	defer resp.Close()
 
-	caller := DialCaller(TCPTransport{}, resp.Addr().String())
+	caller := DialCaller(loopback{}, resp.Addr().String())
 	defer caller.Close()
-	out, err := caller.Call(context.Background(), StringMessage("ping"))
+	out, err := caller.Call(context.Background(), NewMessage([]byte("ping")))
 	if err != nil {
 		t.Fatalf("Call over TCP: %v", err)
 	}
@@ -694,15 +705,15 @@ func TestCallerResponderOverRealTCP(t *testing.T) {
 }
 
 func TestPushPullOverRealTCP(t *testing.T) {
-	tp := TCPTransport{Interface: "127.0.0.1"}
+	tp := loopback{}
 	pull, err := ListenPull(tp, 0)
 	if err != nil {
 		t.Skipf("real TCP unavailable: %v", err)
 	}
 	defer pull.Close()
-	push := DialPush(TCPTransport{}, pull.Addr().String())
+	push := DialPush(loopback{}, pull.Addr().String())
 	defer push.Close()
-	if err := push.Send(context.Background(), StringMessage("over-tcp")); err != nil {
+	if err := push.Send(context.Background(), NewMessage([]byte("over-tcp"))); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	m, err := pull.Recv(context.Background())
@@ -718,8 +729,8 @@ func TestCallerAddressAndRemoteErrorText(t *testing.T) {
 	nw := testNet()
 	caller := DialCaller(nw.Host("phone"), "desktop:42")
 	defer caller.Close()
-	if caller.Address() != "desktop:42" {
-		t.Errorf("Address = %q", caller.Address())
+	if caller.address != "desktop:42" {
+		t.Errorf("address = %q", caller.address)
 	}
 	e := &RemoteError{Msg: "boom"}
 	if !strings.Contains(e.Error(), "boom") {

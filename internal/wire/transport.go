@@ -1,46 +1,13 @@
 package wire
 
-import (
-	"fmt"
-	"net"
-	"strconv"
-)
+import "net"
 
 // Transport abstracts the byte-stream fabric a socket runs over. The netsim
-// package's *Host satisfies it for simulated networks; TCPTransport provides
-// the real thing.
+// package's *Host satisfies it for simulated networks.
 type Transport interface {
 	// Listen binds a listener on the local device. Port 0 requests an
 	// ephemeral port; the chosen port is available from the listener's Addr.
 	Listen(port int) (net.Listener, error)
 	// Dial connects to a remote "host:port" address.
 	Dial(address string) (net.Conn, error)
-}
-
-// TCPTransport is the real-network transport, for deployments outside the
-// simulator.
-type TCPTransport struct {
-	// Interface restricts listening to one local interface; empty means all.
-	Interface string
-}
-
-var _ Transport = TCPTransport{}
-
-// Listen binds a real TCP listener.
-func (t TCPTransport) Listen(port int) (net.Listener, error) {
-	addr := net.JoinHostPort(t.Interface, strconv.Itoa(port))
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: tcp listen %s: %w", addr, err)
-	}
-	return l, nil
-}
-
-// Dial connects over real TCP.
-func (t TCPTransport) Dial(address string) (net.Conn, error) {
-	conn, err := net.Dial("tcp", address)
-	if err != nil {
-		return nil, fmt.Errorf("wire: tcp dial %s: %w", address, err)
-	}
-	return conn, nil
 }

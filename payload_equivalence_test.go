@@ -3,7 +3,6 @@ package videopipe_test
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"videopipe/internal/script"
@@ -13,8 +12,9 @@ import (
 // through call_module and call_service. What the conversion used to
 // determine must not have moved: the output-budget charge, the bytes on the
 // wire and the value the receiver sees. This test replays the old pipeline
-// — script.ToGo, the any-tree size walk, encoding/json — as the oracle
-// beside the new one over every message every shipped module emits.
+// — the any tree (read back from the payload's JSON by encoding/json), the
+// any-tree size walk, encoding/json — as the oracle beside the new one over
+// every message every shipped module emits.
 
 // oraclePayloadSize is the charge as it was computed on the converted tree.
 func oraclePayloadSize(v any) int {
@@ -40,6 +40,17 @@ func oraclePayloadSize(v any) int {
 	}
 }
 
+// oracleTree is the map[string]any tree the old pipeline converted a
+// payload to, read back from its JSON.
+func oracleTree(t *testing.T, wire []byte) any {
+	t.Helper()
+	var plain any
+	if err := json.Unmarshal(wire, &plain); err != nil {
+		t.Fatalf("encoding/json refuses %s: %v", wire, err)
+	}
+	return plain
+}
+
 func TestPayloadEquivalenceOnExamples(t *testing.T) {
 	for where, src := range collectSoundnessModules(t) {
 		t.Run(where, func(t *testing.T) {
@@ -49,18 +60,17 @@ func TestPayloadEquivalenceOnExamples(t *testing.T) {
 					return
 				}
 				checked++
-				plain, err := script.ToGo(msg)
+				wire, err := script.AppendJSON(nil, msg)
 				if err != nil {
-					t.Fatalf("ToGo: %v", err)
+					t.Fatalf("AppendJSON: %v", err)
 				}
+				plain := oracleTree(t, wire)
 				size, err := script.PayloadSize(msg, -1)
 				if want := int64(oraclePayloadSize(plain)); err != nil || size != want {
 					t.Errorf("PayloadSize = %d, %v; the any-tree walk charges %d for %v", size, err, want, plain)
 				}
-				want, _ := json.Marshal(plain)
-				wire, err := script.AppendJSON(nil, msg)
-				if err != nil || !bytes.Equal(wire, want) {
-					t.Errorf("AppendJSON:\n got %s (err %v)\nwant %s", wire, err, want)
+				if want, _ := json.Marshal(plain); !bytes.Equal(wire, want) {
+					t.Errorf("AppendJSON:\n got %s\nwant %s", wire, want)
 				}
 				for how, received := range map[string]func() (script.Value, error){
 					"local clone": func() (script.Value, error) { return script.Clone(msg) },
@@ -70,20 +80,19 @@ func TestPayloadEquivalenceOnExamples(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", how, err)
 					}
-					if back, _ := script.ToGo(got); !reflect.DeepEqual(back, plain) {
-						t.Errorf("%s delivers %v, the old path delivered %v", how, back, plain)
+					if back, _ := script.AppendJSON(nil, got); !bytes.Equal(back, wire) {
+						t.Errorf("%s delivers %s, the old path delivered %s", how, back, wire)
 					}
 				}
 			}
 
 			ctx := script.NewContext()
-			soundnessStub(ctx)
-			service, _ := ctx.Global("call_service")
+			service := soundnessStub(ctx)
 			ctx.Bind("call_service", func(args []script.Value) (script.Value, error) {
 				if len(args) >= 2 {
 					check(args[1])
 				}
-				return service.(script.HostFunc)(args)
+				return service(args)
 			})
 			ctx.Bind("call_module", func(args []script.Value) (script.Value, error) {
 				if len(args) >= 2 {
@@ -115,25 +124,28 @@ func TestPayloadEquivalenceOnExamples(t *testing.T) {
 // bound the value fits changes nothing, a bound it does not fit is reported
 // as exceeded.
 func TestPayloadSizeMatchesOracle(t *testing.T) {
-	c := script.NewContext()
-	c.Bind("host", func([]script.Value) (script.Value, error) { return nil, nil })
 	for _, src := range []string{
 		`null`, `true`, `0`, `-1.5`, `""`, `"héllo"`, `[]`, `({})`,
 		`[1, "two", null, false, [3, [4]]]`,
 		`({a: 1, bb: "x", ccc: null, d: {e: [], f: {}}, "clé": 2})`,
 		`({frame_ref: 12, pose: {keypoints: [{name: "nose", x: 1.5, y: 2}], score: 0.5}, seq: 3})`,
 		`({fn: function () {}, named: function f() {}, host: host, in_list: [function () {}, 1]})`,
-		`function g() {} g`, `host`,
+		`(function g() {})`, `host`,
 	} {
-		v, err := c.Eval(src)
+		c := script.NewContext()
+		c.Bind("host", func([]script.Value) (script.Value, error) { return nil, nil })
+		if err := c.Load("function value() { return " + src + "; }"); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		v, err := c.Call("value")
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		plain, err := script.ToGo(v)
+		wire, err := script.AppendJSON(nil, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := int64(oraclePayloadSize(plain))
+		want := int64(oraclePayloadSize(oracleTree(t, wire)))
 		for _, max := range []int64{-1, want, want + 100} {
 			if got, err := script.PayloadSize(v, max); err != nil || got != want {
 				t.Errorf("PayloadSize(%s, max %d) = %d, %v; oracle %d", src, max, got, err, want)
@@ -146,7 +158,7 @@ func TestPayloadSizeMatchesOracle(t *testing.T) {
 		}
 	}
 	// An opaque host value travels as null, so costs only its slot.
-	if got, _ := script.PayloadSize(script.NewArray(struct{}{}), -1); got != 24+16 {
+	if got, _ := script.PayloadSize(&script.Array{Elems: []script.Value{struct{}{}}}, -1); got != 24+16 {
 		t.Errorf("PayloadSize([opaque]) = %d, want 40", got)
 	}
 }

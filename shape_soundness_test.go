@@ -3,7 +3,6 @@ package videopipe_test
 import (
 	"testing"
 
-	"videopipe"
 	"videopipe/internal/script"
 )
 
@@ -18,7 +17,7 @@ import (
 // the shape of every emitted payload, joined per literal target. A missing
 // or nil payload is recorded as the empty object, matching the empty body
 // the runtime delivers for one-argument calls.
-func shapeObservingStub(ctx *script.Context, rec *script.ShapeRecorder) {
+func shapeObservingStub(ctx *script.Context, observed map[string]*script.Shape) {
 	soundnessStub(ctx)
 	ctx.Bind("call_module", func(args []script.Value) (script.Value, error) {
 		if len(args) == 0 {
@@ -32,7 +31,7 @@ func shapeObservingStub(ctx *script.Context, rec *script.ShapeRecorder) {
 		if len(args) >= 2 && args[1] != nil {
 			payload = args[1]
 		}
-		rec.Observe(target, payload)
+		observed[target] = observed[target].Join(script.ShapeOf(payload))
 		return nil, nil
 	})
 }
@@ -43,11 +42,11 @@ func shapeObservingStub(ctx *script.Context, rec *script.ShapeRecorder) {
 func TestShapeSoundnessOnExamples(t *testing.T) {
 	for where, src := range collectSoundnessModules(t) {
 		t.Run(where, func(t *testing.T) {
-			rep := videopipe.AnalyzeShapes(src)
+			rep := script.AnalyzeShapes(src)
 
-			rec := script.NewShapeRecorder()
+			observed := map[string]*script.Shape{}
 			ctx := script.NewContext()
-			shapeObservingStub(ctx, rec)
+			shapeObservingStub(ctx, observed)
 			if err := ctx.Load(src); err != nil {
 				t.Fatalf("load: %v", err)
 			}
@@ -62,8 +61,7 @@ func TestShapeSoundnessOnExamples(t *testing.T) {
 				}
 			}
 
-			for _, target := range rec.Edges() {
-				observed := rec.Shape(target)
+			for target, observed := range observed {
 				inferred := rep.Emits[target].Join(rep.DynamicEmit)
 				if inferred == nil {
 					t.Errorf("target %q: runtime emitted %s but inference saw no emission",

@@ -78,18 +78,6 @@ type (
 	// device making synchronous remote API calls.
 	BaselinePlanner = core.BaselinePlanner
 
-	// Loop is a cluster's control loop. Every tick it samples pipelines
-	// and services — progress, stalls, module errors, pool utilization (the
-	// paper's "monitoring" future work) — then heals and tunes when
-	// configured to.
-	Loop = core.Loop
-	// LoopConfig selects and shapes a Loop: Heal adds the self-healing
-	// phase, a non-nil Tune the adaptive tuning phase.
-	LoopConfig = core.LoopConfig
-	// Report is one tick's observation; json.Marshal of it is the loop's
-	// machine-readable view.
-	Report = core.Report
-
 	// Diagnostic is one pipevet static-analysis finding.
 	Diagnostic = core.Diagnostic
 	// AnalysisError carries the error-severity diagnostics that made
@@ -97,20 +85,6 @@ type (
 	AnalysisError = core.AnalysisError
 	// Severity ranks analyzer diagnostics (errors reject, warnings log).
 	Severity = script.Severity
-	// CostReport is the pipecost result for one module: sound worst-case
-	// instruction and allocation bounds per event handler.
-	CostReport = script.CostReport
-	// HandlerCost is one entry of a CostReport.
-	HandlerCost = script.HandlerCost
-	// Shape is one point of the pipetype event-shape lattice.
-	Shape = script.Shape
-	// ShapeReport is the pipetype result for one module: produced payload
-	// shapes per call_module target and the consumed shape of
-	// event_received.
-	ShapeReport = script.ShapeReport
-	// ShapeRecorder accumulates observed payload shapes per DAG edge
-	// (debug-mode runtime validation of the static inference).
-	ShapeRecorder = script.ShapeRecorder
 
 	// ServiceRegistry catalogues deployable services.
 	ServiceRegistry = services.Registry
@@ -216,14 +190,6 @@ func GestureApp(name string, fps float64, scene string) PipelineConfig {
 	return apps.GestureConfig(name, fps, scene)
 }
 
-// FallApp builds the fall-detection application (§4.3).
-func FallApp(name string, fps float64) PipelineConfig {
-	return apps.FallConfig(name, fps)
-}
-
-// NewLoop creates a cluster's control loop; run it with Loop.Run.
-func NewLoop(c *Cluster, cfg LoopConfig) *Loop { return core.NewLoop(c, cfg) }
-
 // AnalyzePipeline runs the pipevet static analyzer over every module of a
 // pipeline: script-level checks (undefined identifiers, use before
 // declaration, bad host-API calls, ...) plus config cross-checks (literal
@@ -232,20 +198,3 @@ func NewLoop(c *Cluster, cfg LoopConfig) *Loop { return core.NewLoop(c, cfg) }
 // whose diagnostics include errors; this entry point exposes the full list,
 // warnings included, for tooling such as `videopipe -lint`.
 func AnalyzePipeline(cfg *PipelineConfig) []Diagnostic { return core.AnalyzePipeline(cfg) }
-
-// AnalyzeScript runs only the script-level pipevet checks over a single
-// PipeScript module source, without pipeline cross-checks.
-func AnalyzeScript(src string) []Diagnostic { return core.AnalyzeModuleSource(src) }
-
-// AnalyzeCost runs only the pipecost static cost analysis over a single
-// PipeScript module source: a sound worst-case instruction bound per event
-// handler, validated against the interpreter's per-event instruction
-// counter (the `script.<module>.instructions` meter).
-func AnalyzeCost(src string) CostReport { return script.AnalyzeCost(src) }
-
-// AnalyzeShapes runs only the pipetype event-shape inference over a single
-// PipeScript module source: the payload shape emitted to each call_module
-// target and the fields (with expected kinds) its event_received handler
-// reads. Pipeline Build/Launch cross-check these along every DAG edge
-// (PV015–PV017); this entry point exposes one module's report for tooling.
-func AnalyzeShapes(src string) ShapeReport { return script.AnalyzeShapes(src) }

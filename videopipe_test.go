@@ -69,7 +69,6 @@ func TestPublicAppsValidate(t *testing.T) {
 	apps := []videopipe.PipelineConfig{
 		videopipe.FitnessApp("f", 20, "squat"),
 		videopipe.GestureApp("g", 15, "clap"),
-		videopipe.FallApp("fa", 15),
 	}
 	for _, cfg := range apps {
 		if err := cfg.Validate(); err != nil {
@@ -110,8 +109,6 @@ func TestBuilderHappyPath(t *testing.T) {
 		Module("a", "function event_received(m) { call_module('b', m); }").Next("b").
 		Module("b", "function event_received(m) { frame_done(); }").
 		Uses(videopipe.PoseDetector).
-		On("desktop").
-		Endpoint("bind#tcp://*:7777").
 		Source("phone", "a").
 		FPS(12).
 		Resolution(320, 240).
@@ -122,12 +119,6 @@ func TestBuilderHappyPath(t *testing.T) {
 	}
 	if cfg.Name != "built" || len(cfg.Modules) != 2 {
 		t.Errorf("cfg = %+v", cfg)
-	}
-	if cfg.Modules[1].Device != "desktop" {
-		t.Errorf("On not applied: %+v", cfg.Modules[1])
-	}
-	if cfg.Modules[1].Endpoint.Port != 7777 {
-		t.Errorf("Endpoint not applied: %+v", cfg.Modules[1].Endpoint)
 	}
 	if cfg.Source.FPS != 12 || cfg.Source.Width != 320 {
 		t.Errorf("source = %+v", cfg.Source)
@@ -153,12 +144,6 @@ func TestBuilderErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "before any Module") {
 		t.Errorf("Uses before Module: %v", err)
 	}
-	// Bad endpoint.
-	_, err = videopipe.NewPipelineBuilder("e").
-		Module("m", "x").Endpoint("garbage").Build()
-	if err == nil {
-		t.Error("bad endpoint accepted")
-	}
 	// Validation failure surfaces.
 	_, err = videopipe.NewPipelineBuilder("e").
 		Module("m", "x").Next("ghost").
@@ -166,15 +151,9 @@ func TestBuilderErrors(t *testing.T) {
 	if err == nil {
 		t.Error("unknown next accepted")
 	}
-	// Next/On/Endpoint before Module.
+	// Next before Module.
 	if _, err := videopipe.NewPipelineBuilder("e").Next("x").Build(); err == nil {
 		t.Error("Next before Module accepted")
-	}
-	if _, err := videopipe.NewPipelineBuilder("e").On("d").Build(); err == nil {
-		t.Error("On before Module accepted")
-	}
-	if _, err := videopipe.NewPipelineBuilder("e").Endpoint("bind#tcp://*:1").Build(); err == nil {
-		t.Error("Endpoint before Module accepted")
 	}
 }
 
