@@ -101,7 +101,9 @@ race:
 # no encode, and one malloc (the *Frame) fewer than the same hop through
 # a module that calls services and so decodes on receipt. A
 # warm control-loop tick that takes no action allocates nothing, even once
-# a pool's wait histogram is full. The BufferPool tests ride along: the
+# a pool's wait histogram is full; neither does a fresh meter's first Mark,
+# and a full histogram's Snapshot costs one copy of its reservoir
+# (internal/metrics). The BufferPool tests ride along: the
 # pool's determinism (a hit after two GCs, retention cap, spare rule), the
 # whole warm remote
 # hop at <= 3 mallocs and <= 1 KiB (internal/netsim), and conservation —
@@ -115,7 +117,8 @@ race:
 # tick.
 alloc:
 	$(GO) test -run 'Allocs|ReleaseGuards|BufferPool|Unboxed' ./internal/frame ./internal/wire ./internal/script \
-		./internal/services ./internal/netsim ./internal/device ./internal/core ./internal/vision
+		./internal/services ./internal/netsim ./internal/device ./internal/core ./internal/vision \
+		./internal/metrics
 	$(GO) test -count=1 ./internal/clock
 	GODEBUG=asynctimerchan=1 $(GO) test -count=1 ./internal/clock
 

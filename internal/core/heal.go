@@ -72,7 +72,6 @@ func (a Action) String() string {
 func (l *Loop) declareDead(name string) {
 	l.cluster.MarkDown(name)
 	l.record(Action{Kind: ActionDeviceDead, Target: name})
-	l.cluster.Metrics().Meter("supervisor.devices_dead").Mark()
 
 	// Move every pool the dead device hosted. Services iterate sorted
 	// (ServiceNames) and the target is the first surviving
@@ -149,7 +148,6 @@ func (l *Loop) checkModules() {
 				continue
 			}
 			l.record(Action{Kind: ActionRestartModule, Target: key})
-			l.cluster.Metrics().Meter("supervisor.module_restarts").Mark()
 		}
 	}
 }

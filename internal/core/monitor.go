@@ -74,8 +74,8 @@ type watch struct {
 	p      *Pipeline
 	health PipelineHealth
 	// events, errors and modStill parallel health.Modules.
-	sinks, events, errors         []*metrics.Meter
-	drops, recoveries, degradedMS *metrics.Meter
+	sinks, events, errors []*metrics.Meter
+	drops, recoveries     *metrics.Meter
 	// still and modStill count the ticks the delivered count, and each
 	// module's event count, held while the pipeline ran.
 	still        int
@@ -94,7 +94,6 @@ func (l *Loop) watchFor(p *Pipeline) *watch {
 		health:     PipelineHealth{Pipeline: p.name},
 		drops:      reg.Meter("pipeline." + p.name + ".source_drops"),
 		recoveries: reg.Meter("pipeline." + p.name + ".recoveries"),
-		degradedMS: reg.Meter("pipeline." + p.name + ".degraded_ms"),
 	}
 	for _, sink := range p.cfg.Sinks() {
 		w.sinks = append(w.sinks, reg.Meter("pipeline."+p.prefixed(sink)+".frames_done"))
@@ -186,9 +185,7 @@ func (l *Loop) sample() tunerSample {
 		// Degraded time: the interval since the previous tick is charged to
 		// the state that tick left the pipeline in.
 		if h.Degraded {
-			d := now.Sub(l.rep.At)
-			w.degradedSecs += d.Seconds()
-			w.degradedMS.MarkN(uint64(d.Milliseconds()))
+			w.degradedSecs += now.Sub(l.rep.At).Seconds()
 		}
 		h.Degraded = running && (h.Stalled || anyModStalled || meterDelta(errs, &w.lastErrors) > 0)
 		h.Recoveries = w.recoveries.Count()

@@ -257,9 +257,6 @@ func TestMonitorDetectsStallUnderPartition(t *testing.T) {
 	if got := l.DegradedSeconds("partmon"); got <= 0 {
 		t.Errorf("DegradedSeconds = %v, want > 0 after an outage", got)
 	}
-	if c.Metrics().Meter("pipeline.partmon.degraded_ms").Count() == 0 {
-		t.Error("degraded_ms meter never accrued")
-	}
 }
 
 // A module's script error is counted and its text kept: the sample's

@@ -147,8 +147,8 @@ func (l *Loop) decide(s tunerSample) []tunerAct {
 			st.hotSteps++
 			st.idleSteps = 0
 		default:
-			// Leaky, not reset: the queue and busy gauges are point
-			// samples, and bursty saturation flickers between ticks.
+			// Leaky, not reset: the queue depth and busy workers are
+			// point samples, and bursty saturation flickers between ticks.
 			if st.hotSteps > 0 {
 				st.hotSteps--
 			}

@@ -35,7 +35,7 @@ func watchCredits(m *Module, n int64) *creditWindow {
 func TestBufferPoolDecodeFailureReturnsCreditAndFrame(t *testing.T) {
 	const window = 2
 	sink := `function event_received(message) { frame_done(); }`
-	good, err := frame.RawCodec{}.Encode(frame.MustNew(16, 16))
+	good, err := frame.RawCodec{}.AppendEncode(nil, frame.MustNew(16, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func phoneFrame(t *testing.T) []byte {
 	f.DrawRect(100, 60, 300, 400, color.RGBA{R: 220, G: 30, B: 30, A: 255})
 	f.DrawCircle(420, 200, 70, color.RGBA{R: 240, G: 220, B: 180, A: 255})
 	f.Seq, f.Captured = 41, time.Unix(0, 1_700_000_000_123_456_789)
-	data, err := frame.JPEGCodec{Quality: 85}.Encode(f)
+	data, err := frame.JPEGCodec{Quality: 85}.AppendEncode(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}

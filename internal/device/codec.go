@@ -15,27 +15,17 @@ type paddedCodec struct {
 	cpuFactor float64
 }
 
-var (
-	_ frame.Codec         = paddedCodec{}
-	_ frame.AppendEncoder = paddedCodec{}
-)
+var _ frame.Codec = paddedCodec{}
 
 // Name reports the wrapped codec's name.
 func (c paddedCodec) Name() string { return c.inner.Name() }
 
-// Encode runs the real encoder, then pads to the device-scaled duration.
-func (c paddedCodec) Encode(f *frame.Frame) ([]byte, error) {
-	start := time.Now()
-	data, err := c.inner.Encode(f)
-	c.pad(start)
-	return data, err
-}
-
-// AppendEncode passes the scratch buffer through to the inner codec, then
-// pads like Encode — copy elision must not dodge the simulated media cost.
+// AppendEncode runs the real encoder into the caller's buffer, then pads to
+// the device-scaled duration: copy elision must not dodge the simulated
+// media cost.
 func (c paddedCodec) AppendEncode(dst []byte, f *frame.Frame) ([]byte, error) {
 	start := time.Now()
-	out, err := frame.AppendEncode(c.inner, dst, f)
+	out, err := c.inner.AppendEncode(dst, f)
 	c.pad(start)
 	return out, err
 }

@@ -222,7 +222,6 @@ func (d *Device) DeployService(spec services.Spec, n int) (*services.Pool, error
 	if err != nil {
 		return nil, err
 	}
-	pool.Instrument(d.reg)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, dup := d.pools[spec.Name]; dup {
@@ -393,7 +392,6 @@ func (d *Device) callService(ctx context.Context, name string, args *script.Obje
 			d.breakerMu.Lock()
 			d.breakerStates[service] = s
 			d.breakerMu.Unlock()
-			d.reg.Meter("breaker." + service + "." + s.String()).Mark()
 		})
 		d.clients[addr] = client
 	}

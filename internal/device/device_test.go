@@ -577,14 +577,14 @@ func TestPaddedCodecScalesTime(t *testing.T) {
 	}
 
 	start := time.Now()
-	data, err := fast.Encode(f)
+	data, err := fast.AppendEncode(nil, f)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
 	fastTime := time.Since(start)
 
 	start = time.Now()
-	if _, err := slow.Encode(f); err != nil {
+	if _, err := slow.AppendEncode(nil, f); err != nil {
 		t.Fatalf("slow Encode: %v", err)
 	}
 	slowTime := time.Since(start)

@@ -306,7 +306,7 @@ func (w *worker) deliverRemote(route Route, body *script.Object, frameID uint64)
 				return fmt.Errorf("call_module: %w", err)
 			}
 			encStart := time.Now()
-			if data, err = frame.AppendEncode(m.dev.codec, w.encBuf[:0], f); err != nil {
+			if data, err = m.dev.codec.AppendEncode(w.encBuf[:0], f); err != nil {
 				return fmt.Errorf("call_module: encode frame: %w", err)
 			}
 			w.encBuf = data

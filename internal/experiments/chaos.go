@@ -226,18 +226,23 @@ func runChaosScenario(reg *services.Registry, sc ChaosScenario, seed int64, o Op
 	}
 	defer stopLoop()
 
+	// rate is one Run's delivered count over its window. Both pipelines
+	// are chains with one sink, so the count is that sink's. Dividing by
+	// the fixed window rather than the first-to-last-mark span (Meter.Rate)
+	// keeps the low frame counts of short windows from swinging with
+	// delivery clustering, so phases compare like-for-like.
+	rate := func(r core.RunResult) float64 {
+		if r.Duration <= 0 {
+			return 0
+		}
+		return float64(r.Delivered) / r.Duration.Seconds()
+	}
 	// run executes one measurement window across the launched pipelines
-	// and returns the fitness pipeline's delivered rate, measured with the
-	// sink meter's trailing-window estimator: at the low frame counts of
-	// short windows the first-to-last-mark rate swings with delivery
-	// clustering, while RateWindow divides by the fixed window so phases
-	// compare like-for-like.
-	sink := cluster.Metrics().Meter("pipeline." + name + ".display.frames_done")
-	coSink := cluster.Metrics().Meter("pipeline." + name + "_gest.iot_control.frames_done")
+	// and returns the fitness and gesture pipelines' delivered rates.
 	run := func(dur time.Duration) (float64, float64, error) {
 		cluster.Metrics().Reset()
 		var wg sync.WaitGroup
-		var fitRes core.RunResult
+		var fitRes, gestRes core.RunResult
 		var fitErr, gestErr error
 		wg.Add(1)
 		go func() {
@@ -248,7 +253,7 @@ func runChaosScenario(reg *services.Registry, sc ChaosScenario, seed int64, o Op
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, gestErr = gest.Run(context.Background(), dur)
+				gestRes, gestErr = gest.Run(context.Background(), dur)
 			}()
 		}
 		wg.Wait()
@@ -258,10 +263,7 @@ func runChaosScenario(reg *services.Registry, sc ChaosScenario, seed int64, o Op
 		if gestErr != nil {
 			return 0, 0, gestErr
 		}
-		if fitRes.Duration <= 0 {
-			return 0, 0, nil
-		}
-		return sink.RateWindow(fitRes.Duration), coSink.RateWindow(fitRes.Duration), nil
+		return rate(fitRes), rate(gestRes), nil
 	}
 
 	row := ChaosRow{Scenario: sc.Name}

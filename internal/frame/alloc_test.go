@@ -142,7 +142,7 @@ func TestCloneReleaseAllocs(t *testing.T) {
 // its pixels from the pool and its tables from the decoder pool, so only
 // the Frame header is allocated — no per-frame planar image.
 func TestJPEGDecodeAllocs(t *testing.T) {
-	data, err := JPEGCodec{Quality: 85}.Encode(sceneFrame(640, 480))
+	data, err := JPEGCodec{Quality: 85}.AppendEncode(nil, sceneFrame(640, 480))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"image/jpeg"
+	"slices"
 	"time"
 )
 
@@ -13,9 +14,11 @@ import (
 // codec's CPU cost and output size drive the baseline-vs-VideoPipe gap, so
 // both a real JPEG path and a raw path are provided.
 type Codec interface {
-	// Encode serializes a frame.
-	Encode(f *Frame) ([]byte, error)
-	// Decode reconstructs a frame from Encode's output.
+	// AppendEncode appends the serialized frame to dst and returns the
+	// extended slice, like append: hot paths encode into a per-socket or
+	// per-module scratch buffer, growing it only when capacity runs out.
+	AppendEncode(dst []byte, f *Frame) ([]byte, error)
+	// Decode reconstructs a frame from AppendEncode's output.
 	Decode(data []byte) (*Frame, error)
 	// Check validates data as far as it can without decoding pixels and
 	// returns the frame's header: whatever Decode accepts, Check accepts.
@@ -26,29 +29,10 @@ type Codec interface {
 	Name() string
 }
 
-// AppendEncoder is the copy-eliding side of Codec: encode into the caller's
-// buffer (growing it only when capacity runs out) instead of allocating a
-// fresh slice per frame. Hot paths that reuse a per-socket or per-module
-// scratch buffer should type-assert for it via AppendEncode.
-type AppendEncoder interface {
-	// AppendEncode appends the encoded frame to dst and returns the
-	// extended slice, like append.
-	AppendEncode(dst []byte, f *Frame) ([]byte, error)
-}
-
-// AppendEncode encodes f into dst's spare capacity when the codec supports
-// it, falling back to Encode plus append otherwise. The result aliases dst
-// whenever capacity allowed, so callers must treat dst as consumed.
-func AppendEncode(c Codec, dst []byte, f *Frame) ([]byte, error) {
-	if ae, ok := c.(AppendEncoder); ok {
-		return ae.AppendEncode(dst, f)
-	}
-	data, err := c.Encode(f)
-	if err != nil {
-		return nil, err
-	}
-	return append(dst, data...), nil
-}
+// AppendEncode encodes f with c into dst's spare capacity. The result
+// aliases dst whenever capacity allowed, so callers must treat dst as
+// consumed.
+func AppendEncode(c Codec, dst []byte, f *Frame) ([]byte, error) { return c.AppendEncode(dst, f) }
 
 // Header is what an encoded frame says about itself ahead of its pixels:
 // enough to route, order and time the frame without decoding it.
@@ -101,14 +85,9 @@ var _ Codec = JPEGCodec{}
 // Name identifies the codec.
 func (JPEGCodec) Name() string { return "jpeg" }
 
-// Encode serializes the frame header plus JPEG payload.
-func (c JPEGCodec) Encode(f *Frame) ([]byte, error) {
-	return c.AppendEncode(nil, f)
-}
-
-// AppendEncode serializes into dst's spare capacity: appendJPEG appends
-// the stream image/jpeg would write for f.ToImage(), so an encode into a
-// warm scratch buffer allocates nothing.
+// AppendEncode serializes the frame header plus JPEG payload into dst's
+// spare capacity: appendJPEG appends the stream image/jpeg would write for
+// f.ToImage(), so an encode into a warm scratch buffer allocates nothing.
 func (c JPEGCodec) AppendEncode(dst []byte, f *Frame) ([]byte, error) {
 	q := c.Quality
 	if q == 0 {
@@ -184,15 +163,10 @@ var _ Codec = RawCodec{}
 // Name identifies the codec.
 func (RawCodec) Name() string { return "raw" }
 
-// Encode concatenates the header and raw pixels.
-func (c RawCodec) Encode(f *Frame) ([]byte, error) {
-	return c.AppendEncode(make([]byte, 0, headerSize+len(f.Pix)), f)
-}
-
 // AppendEncode concatenates the header and raw pixels into dst's spare
-// capacity.
+// capacity, growing it at most once.
 func (RawCodec) AppendEncode(dst []byte, f *Frame) ([]byte, error) {
-	dst = appendHeader(dst, f)
+	dst = appendHeader(slices.Grow(dst, headerSize+len(f.Pix)), f)
 	return append(dst, f.Pix...), nil
 }
 

@@ -136,7 +136,7 @@ func TestRawCodecRoundTrip(t *testing.T) {
 	f.Captured = time.Unix(1700000000, 12345)
 	f.DrawCircle(16, 12, 6, red)
 
-	data, err := RawCodec{}.Encode(f)
+	data, err := RawCodec{}.AppendEncode(nil, f)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestRawCodecRoundTripProperty(t *testing.T) {
 			f.Pix[i] = byte(s >> 24)
 		}
 		f.Seq = uint64(seed)
-		data, err := RawCodec{}.Encode(f)
+		data, err := RawCodec{}.AppendEncode(nil, f)
 		if err != nil {
 			return false
 		}
@@ -195,7 +195,7 @@ func TestJPEGCodecRoundTrip(t *testing.T) {
 	f := MustNew(64, 48)
 	f.Fill(color.RGBA{R: 100, G: 150, B: 200, A: 255})
 	f.Seq = 9
-	data, err := JPEGCodec{Quality: 90}.Encode(f)
+	data, err := JPEGCodec{Quality: 90}.AppendEncode(nil, f)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestCodecDecodeErrors(t *testing.T) {
 	}
 	// Raw with wrong payload length.
 	f := MustNew(4, 4)
-	data, _ := RawCodec{}.Encode(f)
+	data, _ := RawCodec{}.AppendEncode(nil, f)
 	if _, err := (RawCodec{}).Decode(data[:len(data)-1]); err == nil {
 		t.Error("raw Decode with truncated payload succeeded")
 	}

@@ -47,7 +47,7 @@ func noiseFrame(w, h int, seed int64) *Frame {
 // encodePayload returns the bare JPEG stream (no frame header) for f.
 func encodePayload(t testing.TB, f *Frame, quality int) []byte {
 	t.Helper()
-	data, err := JPEGCodec{Quality: quality}.Encode(f)
+	data, err := JPEGCodec{Quality: quality}.AppendEncode(nil, f)
 	if err != nil {
 		t.Fatalf("Encode %dx%d q%d: %v", f.Width, f.Height, quality, err)
 	}

@@ -31,7 +31,7 @@ func encodedScene(t testing.TB, w, h int) []byte {
 	t.Helper()
 	f := sceneFrame(w, h)
 	f.Seq, f.Captured = 41, time.Unix(0, 1_700_000_000_123_456_789)
-	data, err := JPEGCodec{Quality: 85}.Encode(f)
+	data, err := JPEGCodec{Quality: 85}.AppendEncode(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestCodecCheck(t *testing.T) {
 	src := sceneFrame(37, 21)
 	src.Seq, src.Captured = 9, time.Unix(0, 77)
 	for _, c := range []Codec{RawCodec{}, JPEGCodec{Quality: 60}} {
-		data, err := c.Encode(src)
+		data, err := c.AppendEncode(nil, src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestCodecCheck(t *testing.T) {
 			}
 		}
 	}
-	raw, _ := RawCodec{}.Encode(src)
+	raw, _ := RawCodec{}.AppendEncode(nil, src)
 	if _, err := (RawCodec{}).Check(raw[:len(raw)-1]); err == nil {
 		t.Error("raw Check accepted a short payload")
 	}

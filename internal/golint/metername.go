@@ -17,7 +17,7 @@ import (
 // suggests near misses by edit distance. Names computed entirely at
 // runtime must carry //vpvet:allow metername with a reason.
 //
-// Sinks: metrics.Registry.Meter / .Histogram / .Gauge, and benchio.Entry.Set /
+// Sinks: metrics.Registry.Meter / .Histogram, and benchio.Entry.Set /
 // .SetDurationMS (the BENCH_results.json keys vpbench and vpflood write,
 // held to the same registry so benchmark output never contains an
 // unregistered name).
@@ -36,7 +36,7 @@ func MeterName(registry []string) *Analyzer {
 // package-path suffix (meterSinkPkgs), so an unrelated type that happens
 // to be called Entry is never mistaken for a sink.
 var meterSinks = map[string]map[string]bool{
-	"Registry": {"Meter": true, "Histogram": true, "Gauge": true},
+	"Registry": {"Meter": true, "Histogram": true},
 	"Entry":    {"Set": true, "SetDurationMS": true},
 }
 

@@ -27,11 +27,11 @@ func record(reg *metrics.Registry, pipeline string, dynamic string) {
 	//vpvet:allow metername corpus fixture for the runtime-name escape
 	reg.Meter(dynamic).Mark()
 
-	reg.Gauge("pool." + pipeline + ".size").Set(1)
+	reg.Meter("pool." + pipeline + ".size").Mark()
 
-	reg.Gauge("pool.size").Set(0) // want metric name "pool.size" is not in the generated registry
+	reg.Meter("pool.size").Mark() // want metric name "pool.size" is not in the generated registry
 
-	reg.Gauge("pool." + pipeline + ".sizes").Set(0) // want metric name pattern "pool\.\*\.sizes" is not in the generated registry .* did you mean "pool\.\*\.size"\?
+	reg.Histogram("pool." + pipeline + ".sizes").Observe(0) // want metric name pattern "pool\.\*\.sizes" is not in the generated registry .* did you mean "pool\.\*\.size"\?
 
-	reg.Gauge(dynamic).Set(0) // want metric name is computed entirely at runtime
+	reg.Histogram(dynamic).Observe(0) // want metric name is computed entirely at runtime
 }

@@ -177,22 +177,35 @@ func TestHistogramQuantileMonotonic(t *testing.T) {
 
 func TestMeterRate(t *testing.T) {
 	var m Meter
-	base := time.Unix(1000, 0)
-	tick := 0
-	m.now = func() time.Time {
-		t := base.Add(time.Duration(tick) * 100 * time.Millisecond)
-		tick++
-		return t
-	}
-	for i := 0; i < 11; i++ {
+	for i := 0; i < 3; i++ {
+		if i > 0 {
+			time.Sleep(50 * time.Millisecond)
+		}
 		m.Mark()
 	}
-	// 11 marks spaced 100ms apart => 10 intervals over 1s => 10/s.
-	if got := m.Rate(); got < 9.99 || got > 10.01 {
-		t.Errorf("Rate() = %f, want 10", got)
+	// 3 marks => 2 intervals over the first-to-last span.
+	span := m.last.Sub(m.first)
+	if span < 100*time.Millisecond {
+		t.Fatalf("first-to-last span = %v, want >= 100ms", span)
 	}
-	if got, want := m.Count(), uint64(11); got != want {
+	if got, want := m.Rate(), 2/span.Seconds(); got != want {
+		t.Errorf("Rate() = %f, want %f", got, want)
+	}
+	if got, want := m.Count(), uint64(3); got != want {
 		t.Errorf("Count() = %d, want %d", got, want)
+	}
+}
+
+// TestMeterMarkAllocs pins a meter's footprint: the first Mark of a fresh
+// meter records a count and two times and allocates nothing.
+func TestMeterMarkAllocs(t *testing.T) {
+	ms := make([]Meter, 101)
+	i := 0
+	if got := testing.AllocsPerRun(100, func() {
+		ms[i].Mark()
+		i++
+	}); got != 0 {
+		t.Errorf("first Mark of a fresh meter: %v allocs, want 0", got)
 	}
 }
 
@@ -271,58 +284,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if got, want := r.Histogram("h").Count(), uint64(1600); got != want {
 		t.Errorf("histogram count = %d, want %d", got, want)
-	}
-}
-
-func TestMeterRateWindow(t *testing.T) {
-	var m Meter
-	base := time.Unix(1000, 0)
-	now := base
-	m.now = func() time.Time { return now }
-
-	// 10 marks in the first second, then a 9-second silent gap.
-	for i := 0; i < 10; i++ {
-		now = base.Add(time.Duration(i) * 100 * time.Millisecond)
-		m.Mark()
-	}
-	now = base.Add(10 * time.Second)
-
-	// First-to-last rate is inflated by the clustering (10 marks over
-	// 0.9s); the trailing 10s window sees 10 marks over 10s.
-	if got := m.RateWindow(10 * time.Second); got < 0.99 || got > 1.01 {
-		t.Errorf("RateWindow(10s) = %f, want 1", got)
-	}
-	// A trailing window covering only the silent tail sees zero.
-	if got := m.RateWindow(5 * time.Second); got != 0 {
-		t.Errorf("RateWindow(5s) = %f, want 0", got)
-	}
-	// A window longer than the meter's lifetime clamps to the lifetime:
-	// 10 events over 10s, not over 60s.
-	if got := m.RateWindow(time.Minute); got < 0.99 || got > 1.01 {
-		t.Errorf("RateWindow(1m) = %f, want 1", got)
-	}
-	if got := m.RateWindow(0); got != 0 {
-		t.Errorf("RateWindow(0) = %f, want 0", got)
-	}
-}
-
-func TestMeterRateWindowRingEviction(t *testing.T) {
-	var m Meter
-	base := time.Unix(1000, 0)
-	now := base
-	m.now = func() time.Time { return now }
-
-	// Overflow the ring: 2*meterRingSize marks at 1ms spacing. Only the
-	// newest meterRingSize records survive, so the window clamps to the
-	// span the ring still covers and the rate stays ~1000/s instead of
-	// halving.
-	total := 2 * meterRingSize
-	for i := 0; i < total; i++ {
-		now = base.Add(time.Duration(i) * time.Millisecond)
-		m.Mark()
-	}
-	if got := m.RateWindow(time.Hour); got < 900 || got > 1100 {
-		t.Errorf("RateWindow after eviction = %f, want ~1000", got)
 	}
 }
 

@@ -12,7 +12,6 @@ type Registry struct {
 	mu     sync.Mutex
 	hists  map[string]*Histogram
 	meters map[string]*Meter
-	gauges map[string]*Gauge
 }
 
 // NewRegistry returns an empty registry.
@@ -49,23 +48,6 @@ func (r *Registry) Meter(name string) *Meter {
 	return m
 }
 
-// Gauge returns the gauge registered under name, creating it on first
-// use. Gauge names are held to the same generated registry as meters and
-// histograms (the metername analyzer checks call sites).
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // HistogramNames reports the sorted names of all registered histograms.
 func (r *Registry) HistogramNames() []string {
 	r.mu.Lock()
@@ -87,8 +69,5 @@ func (r *Registry) Reset() {
 	}
 	for _, m := range r.meters {
 		m.Reset()
-	}
-	for _, g := range r.gauges {
-		g.Reset()
 	}
 }

@@ -11,14 +11,12 @@ import (
 	"videopipe/internal/metrics"
 )
 
-// poolStats tracks the pool's live load levels and mirrors them into
-// registry gauges once Instrument attaches them. All methods are safe on
-// a nil receiver so a standalone Instance (no pool) costs nothing.
+// poolStats tracks the pool's live load levels, which the tune phase reads
+// through QueueDepth and BusyWorkers. Both methods are safe on a nil
+// receiver so a standalone Instance (no pool) costs nothing.
 type poolStats struct {
 	queued atomic.Int64
 	busy   atomic.Int64
-	depthG atomic.Pointer[metrics.Gauge]
-	busyG  atomic.Pointer[metrics.Gauge]
 }
 
 func (s *poolStats) addQueued(d int64) {
@@ -26,7 +24,6 @@ func (s *poolStats) addQueued(d int64) {
 		return
 	}
 	s.queued.Add(d)
-	s.publish()
 }
 
 func (s *poolStats) addBusy(d int64) {
@@ -34,16 +31,6 @@ func (s *poolStats) addBusy(d int64) {
 		return
 	}
 	s.busy.Add(d)
-	s.publish()
-}
-
-func (s *poolStats) publish() {
-	if g := s.depthG.Load(); g != nil {
-		g.Set(s.queued.Load())
-	}
-	if g := s.busyG.Load(); g != nil {
-		g.Set(s.busy.Load())
-	}
 }
 
 // Instance models one running container of a service: bounded worker
@@ -171,15 +158,6 @@ func NewPool(spec Spec, n int, cpuFactor float64) (*Pool, error) {
 		p.instances = append(p.instances, inst)
 	}
 	return p, nil
-}
-
-// Instrument mirrors the pool's live load levels into the registry's
-// service.<name>.queue_depth and service.<name>.busy_workers gauges — the
-// tuner's primary saturation signal.
-func (p *Pool) Instrument(reg *metrics.Registry) {
-	p.stats.depthG.Store(reg.Gauge("service." + p.spec.Name + ".queue_depth"))
-	p.stats.busyG.Store(reg.Gauge("service." + p.spec.Name + ".busy_workers"))
-	p.stats.publish()
 }
 
 // QueueDepth reports requests admitted to the pool but not yet holding a

@@ -112,7 +112,7 @@ func (s *Server) handle(ctx context.Context, m wire.Message) (wire.Message, erro
 	if resp.Frame != nil {
 		// The encode buffer can't be pooled here: the responder still
 		// references it while writing after this handler returns.
-		data, err := s.codec.Encode(resp.Frame)
+		data, err := s.codec.AppendEncode(nil, resp.Frame)
 		resp.Frame.Release()
 		if err != nil {
 			return wire.Message{}, fmt.Errorf("services: encode result frame: %w", err)
@@ -200,7 +200,7 @@ func (c *Client) Call(ctx context.Context, service string, args *script.Object, 
 		// is the collector's and buf still goes back.
 		buf := frame.Pool.GetDirty(len(f.Pix) + encHeaderRoom)
 		defer frame.Pool.Put(buf)
-		data, err := frame.AppendEncode(c.codec, buf[:0], f)
+		data, err := c.codec.AppendEncode(buf[:0], f)
 		if err != nil {
 			br.Cancel()
 			return Response{}, fmt.Errorf("services: encode frame: %w", err)

@@ -39,7 +39,7 @@ func TestDetectPoseSurvivesJPEG(t *testing.T) {
 	truth := SynthesizePose(JumpingJack, 0.5, DefaultSubject(), nil)
 	RenderScene(f, truth)
 
-	data, err := frame.JPEGCodec{Quality: 85}.Encode(f)
+	data, err := frame.JPEGCodec{Quality: 85}.AppendEncode(nil, f)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestDetectObjectsSurvivesJPEG(t *testing.T) {
 	f := frame.MustNew(320, 240)
 	f.Fill(backgroundColor)
 	DrawObject(f, "book", 40, 40, 120, 90)
-	data, err := frame.JPEGCodec{Quality: 85}.Encode(f)
+	data, err := frame.JPEGCodec{Quality: 85}.AppendEncode(nil, f)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -231,7 +231,7 @@ func detectionScenes(t *testing.T) []*frame.Frame {
 	}
 	empty := frame.MustNew(160, 120)
 	empty.Fill(backgroundColor)
-	data, err := frame.JPEGCodec{Quality: 85}.Encode(scenes[0])
+	data, err := frame.JPEGCodec{Quality: 85}.AppendEncode(nil, scenes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
