@@ -91,7 +91,14 @@ race:
 # result object (its result map recycled), a 15-pose window call at most
 # 6; a read-only module's local call_module of the rep counter's message
 # costs its top-level object, an over-deep one only the refusal, and a
-# writer's one clone of the message; a host call's arguments, a warm wire
+# writer's one clone of the message; a read-only handler that sends that
+# message as an object literal costs the copy alone, since a literal passed
+# straight to call_module or call_service is its call site's scratch
+# (TestLendLiteralAllocs: an event sending one allocates nothing, and the
+# burn-stage event is down to Call's argument slice, 1); a warm remote
+# call_service of a pose message, both ends, costs 55 through the client's
+# and the server's warm decoders (TestClientCallAllocs; 218 cold); a host
+# call's arguments, a warm wire
 # scan's strings and a warm timed wait allocate nothing; so do a warm
 # one-argument Context.Call, a frame_done() event, a store
 # Put/Retain/Release cycle, an encoded store entry that is checked, read
@@ -99,14 +106,17 @@ race:
 # receive, and a warm admitted Offer costs its message alone. A warm
 # pass-through hop forwards the bytes its frame arrived with: no decode,
 # no encode, and one malloc (the *Frame) fewer than the same hop through
-# a module that calls services and so decodes on receipt. A
+# a module that calls services and so decodes on receipt, at <= 6 and <= 7
+# mallocs (the test's own timeout context and the received message). A
 # warm control-loop tick that takes no action allocates nothing, even once
 # a pool's wait histogram is full; neither does a fresh meter's first Mark,
 # and a full histogram's Snapshot costs one copy of its reservoir
 # (internal/metrics). The BufferPool tests ride along: the
 # pool's determinism (a hit after two GCs, retention cap, spare rule), the
 # whole warm remote
-# hop at <= 3 mallocs and <= 1 KiB (internal/netsim), and conservation —
+# hop at <= 1 malloc (the decoded frame's header: netsim wakes a parked
+# reader without making a channel) and <= 1 KiB (internal/netsim), and
+# conservation —
 # every chunk, body, stored encoding and frame back in the pool, every
 # credit back and each failure abandoned once, after decode failures on
 # receipt and at a first pixel read, a full store, an inject into a closed

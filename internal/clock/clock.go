@@ -52,13 +52,16 @@ func Sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// Wait blocks until ch is ready or d passes.
-func Wait(ch <-chan struct{}, d time.Duration) {
+// Wait blocks until ch is ready or d passes, and reports whether it
+// received from ch.
+func Wait(ch <-chan struct{}, d time.Duration) bool {
 	t := Timer(d)
 	select {
 	case <-ch:
 		Release(t, false)
+		return true
 	case <-t.C:
 		Release(t, true)
+		return false
 	}
 }

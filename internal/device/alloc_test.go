@@ -138,7 +138,9 @@ func sinkModule(t *testing.T, d *Device, name string) *Module {
 // run of 17 keypoints) and one for the message itself, whose numbers,
 // frame_ref among them, are copied unboxed. A read-only sender's
 // send to a sink that writes its message costs the same once the sink has
-// copied what the sender shared. A remote send's body encoding, into the
+// copied what the sender shared. A read-only module whose handler sends
+// the message as an object literal pays for the copy alone: the literal is
+// its call site's scratch. A remote send's body encoding, into the
 // module's warm scratch, costs nothing.
 func TestCallModuleSendAllocs(t *testing.T) {
 	d := newDevice(t, testNet(), "desktop", Desktop)
@@ -205,6 +207,26 @@ func TestCallModuleSendAllocs(t *testing.T) {
 	}
 	if received > poseClone+1 {
 		t.Errorf("local call_module, copied on receipt: %.0f allocs, want <= pose clone (%.0f) + 1", received, poseClone)
+	}
+
+	relay := spawn("relay", `function event_received(m) {
+		call_module("sink", {frame_ref: m.frame_ref, pose: m.pose, activity: m.activity, reps: m.reps, captured_ms: m.captured_ms, seq: m.seq});
+	}`)
+	event := []script.Value{msg}
+	literal := testing.AllocsPerRun(50, func() {
+		relay.outputUsed = 0
+		if _, err := relay.ctx.Call("event_received", event...); err != nil {
+			t.Fatal(err)
+		}
+		ev := <-sink.events
+		d.store.Release(ev.frameID)
+		if !ev.shared || ev.body.Get("pose") != pose || ev.body.Len() != 6 {
+			t.Fatalf("delivered shared %v, %d fields, the sender's pose %v", ev.shared, ev.body.Len(), ev.body.Get("pose") == pose)
+		}
+	})
+	t.Logf("read-only handler sending a literal: %.0f allocs", literal)
+	if literal > 1 {
+		t.Errorf("read-only handler sending a literal: %.0f allocs, want <= 1 (the copy)", literal)
 	}
 
 	remote := testing.AllocsPerRun(50, func() {

@@ -264,7 +264,8 @@ const (
 // *Frame: no decode, no encode, and the TV receives the phone's own bytes,
 // seq and capture time intact. The same hop through a module that calls
 // services decodes each frame on receipt (one *Frame more) and still
-// forwards the bytes instead of encoding again.
+// forwards the bytes instead of encoding again. Both hops are pinned at
+// their counts.
 func TestForwardEncodedAllocs(t *testing.T) {
 	var checks, decodes atomic.Int64
 	codec := countingCodec{checks: &checks, decodes: &decodes}
@@ -302,6 +303,13 @@ func TestForwardEncodedAllocs(t *testing.T) {
 	}
 	if forward > eager-1 {
 		t.Errorf("pass-through hop: %.2f mallocs, want at least the decoded *Frame fewer than the decoding hop's %.2f", forward, eager)
+	}
+	// What is left is the test's own per-hop timeout context and the
+	// received message object: the forwarded literal is the site's scratch,
+	// and neither link makes a wakeup channel per write (nine and ten
+	// before both).
+	if forward > 6 || eager > 7 {
+		t.Errorf("warm hop: %.2f mallocs forwarding and %.2f decoding on receipt, want <= 6 and <= 7", forward, eager)
 	}
 }
 

@@ -3,7 +3,6 @@ package frame
 import (
 	"errors"
 	"fmt"
-	"image/color"
 	"sync"
 )
 
@@ -514,19 +513,40 @@ func (d *jpegDecoder) decodeScan(pix []byte, w, h int) bool {
 
 // emitMCU colour-converts the cw x ch visible corner of the MCU scratch
 // into the destination at (x0, y0). Each chroma sample covers a 2x2 luma
-// quad, the same nearest lookup image.YCbCr.COffset gives fromYCbCrRows.
+// quad, the same nearest lookup image.YCbCr.COffset gives fromYCbCrRows,
+// so its terms are computed once for the four.
 func (d *jpegDecoder) emitMCU(pix []byte, w, x0, y0, cw, ch int) {
+	var rc, gc, bc [64]int32
+	for i := range rc {
+		rc[i], gc[i], bc[i] = chromaTerms(d.cbPix[i], d.crPix[i])
+	}
 	for py := 0; py < ch; py++ {
 		out := pix[((y0+py)*w+x0)*4:][:cw*4]
 		yRow := d.yPix[py*16:][:cw]
 		cRow := (py >> 1) * 8
 		for px, yy := range yRow {
-			ci := cRow + px>>1
-			r, g, bb := color.YCbCrToRGB(yy, d.cbPix[ci], d.crPix[ci])
+			ci := (cRow + px>>1) & 63 // < 64 already; the mask drops the bounds checks
 			o := out[px*4:][:4]
-			o[0], o[1], o[2], o[3] = r, g, bb, 0xff
+			o[0], o[1], o[2] = ycbcrPixel(yy, rc[ci], gc[ci], bc[ci])
+			o[3] = 0xff
 		}
 	}
+}
+
+// chromaTerms returns what the chroma pair (cb, cr) adds to a luma sample's
+// 16.16 fixed-point value in each of R, G and B: color.YCbCrToRGB's
+// products, computed once per chroma sample instead of once per pixel.
+func chromaTerms(cb, cr uint8) (r, g, b int32) {
+	cb1, cr1 := int32(cb)-128, int32(cr)-128
+	return 91881 * cr1, -22554*cb1 - 46802*cr1, 116130 * cb1
+}
+
+// ycbcrPixel is color.YCbCrToRGB of luma y and the chromaTerms of its
+// chroma, to the bit: the stdlib adds the same integers, none of which
+// can wrap, and clamps the sums the same way.
+func ycbcrPixel(y uint8, rc, gc, bc int32) (r, g, b uint8) {
+	yy1 := int32(y) * 0x10101
+	return uint8(clampFixed(yy1 + rc)), uint8(clampFixed(yy1 + gc)), uint8(clampFixed(yy1 + bc))
 }
 
 // jpegStore level-shifts and clamps an IDCT output block into dst.

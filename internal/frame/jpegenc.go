@@ -2,7 +2,6 @@ package frame
 
 import (
 	"errors"
-	"image/color"
 	"math/bits"
 )
 
@@ -205,15 +204,40 @@ func appendJPEG(dst, pix []byte, w, h, quality int) ([]byte, error) {
 // rgbaToYCbCrBlock converts the 8x8 region at (x0, y0) to YCbCr, reading
 // the last column and row for samples past the edge.
 func rgbaToYCbCrBlock(pix []byte, w, h, x0, y0 int, yb, cbb, crb *[jpegBlock]int32) {
+	if x0+8 <= w && y0+8 <= h { // an interior block reads nothing past the edge
+		for j := 0; j < 8; j++ {
+			row := pix[((y0+j)*w+x0)*4:][:32]
+			for i := 0; i < 8; i++ {
+				p := row[i*4 : i*4+3 : i*4+3]
+				yb[8*j+i], cbb[8*j+i], crb[8*j+i] = rgbToYCbCr(int32(p[0]), int32(p[1]), int32(p[2]))
+			}
+		}
+		return
+	}
 	for j := 0; j < 8; j++ {
 		row := pix[min(y0+j, h-1)*w*4:]
 		for i := 0; i < 8; i++ {
 			p := row[min(x0+i, w-1)*4:][:3]
-			yy, cb, cr := color.RGBToYCbCr(p[0], p[1], p[2])
-			yb[8*j+i], cbb[8*j+i], crb[8*j+i] = int32(yy), int32(cb), int32(cr)
+			yb[8*j+i], cbb[8*j+i], crb[8*j+i] = rgbToYCbCr(int32(p[0]), int32(p[1]), int32(p[2]))
 		}
 	}
 }
+
+// rgbToYCbCr is color.RGBToYCbCr on samples in [0, 255], to the bit: the
+// same 16.16 fixed-point sums, each chroma clamped to [0, 255] as the
+// stdlib clamps it, as int32s.
+func rgbToYCbCr(r, g, b int32) (yy, cb, cr int32) {
+	yy = (19595*r + 38470*g + 7471*b + 1<<15) >> 16
+	cb = clampFixed(-11056*r - 21712*g + 32768*b + 257<<15)
+	cr = clampFixed(32768*r - 27440*g - 5328*b + 257<<15)
+	return yy, cb, cr
+}
+
+// clampFixed converts a 16.16 fixed-point sample to its integer part
+// clamped to [0, 255]: what image/color's conversions compute with their
+// bit twiddle (an in-range sum has no bits above 23, a negative one clamps
+// to 0 and any other to 255).
+func clampFixed(v int32) int32 { return min(max(v>>16, 0), 255) }
 
 // subsample420 averages each 2x2 quad of the 16x16 region held in src's
 // four blocks (MCU order) into dst.

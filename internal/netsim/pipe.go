@@ -48,8 +48,8 @@ type shapedPipe struct {
 	nextFree time.Time
 	closed   bool // write side closed: readers drain then EOF
 	broken   bool // reader side closed: writers fail immediately
-	notify   chan struct{}
-	waiters  int // goroutines parked on notify
+	readers  waker
+	writers  waker
 
 	readDeadline  time.Time
 	writeDeadline time.Time
@@ -63,18 +63,50 @@ func newShapedPipe(profile func() LinkProfile, seed int64) *shapedPipe {
 	return &shapedPipe{
 		profile: profile,
 		rng:     rand.New(rand.NewSource(seed)),
-		notify:  make(chan struct{}),
+		readers: waker{wake: make(chan struct{}, 1)},
+		writers: waker{wake: make(chan struct{}, 1)},
 	}
 }
 
-// broadcast wakes all waiters; callers must hold mu. With none parked the
-// channel is left as it is: the next waiter takes it under mu, so no
-// change it has not seen can slip past it.
-func (p *shapedPipe) broadcast() {
-	if p.waiters > 0 {
-		close(p.notify)
-		p.notify = make(chan struct{})
+// waker parks the goroutines on one side of a pipe, its readers or its
+// writers, until the pipe changes, and wakes them without allocating: a
+// change puts a token in the one-slot wake channel, and each goroutine that
+// takes one passes it on while any goroutine parked before the change has
+// not woken yet. A token sent while its waiter is between releasing mu and
+// receiving waits in the slot, so no change slips past a waiter. A token
+// left behind by a waiter that timed out ends the next wait early; every
+// waiter re-checks its condition, so that costs one loop. Every field but
+// wake is guarded by the pipe's mu.
+type waker struct {
+	wake   chan struct{}
+	gen    uint64 // changes signalled while someone was parked
+	parked int    // goroutines parked on wake
+	behind int    // of those, the ones parked before the latest change
+}
+
+// signal wakes the side's parked goroutines, if any.
+func (w *waker) signal() {
+	if w.parked > 0 {
+		w.gen++
+		w.behind = w.parked
+		w.post()
 	}
+}
+
+// post leaves a token in the wake slot unless one is there already.
+func (w *waker) post() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// broadcast wakes every parked goroutine on both sides; callers must hold
+// mu. With none parked nothing is sent: the next waiter parks under mu, so
+// no change it has not seen can slip past it.
+func (p *shapedPipe) broadcast() {
+	p.readers.signal()
+	p.writers.signal()
 }
 
 // write appends b (copied) as a shaped chunk. It blocks while the pipe
@@ -92,7 +124,7 @@ func (p *shapedPipe) write(b []byte) (int, error) {
 		if p.buffered < maxBuffered {
 			break
 		}
-		p.wait(p.writeDeadline)
+		p.wait(&p.writers, p.writeDeadline)
 	}
 
 	prof := p.profile()
@@ -152,32 +184,37 @@ func (p *shapedPipe) read(out []byte) (int, error) {
 			if !p.readDeadline.IsZero() && p.readDeadline.Before(target) {
 				target = p.readDeadline
 			}
-			p.wait(target)
+			p.wait(&p.readers, target)
 			continue
 		}
 		if p.closed {
 			return 0, io.EOF
 		}
-		p.wait(p.readDeadline)
+		p.wait(&p.readers, p.readDeadline)
 	}
 }
 
-// wait blocks until the pipe state changes or until t (if nonzero), with mu
-// held on entry and exit.
-func (p *shapedPipe) wait(t time.Time) {
-	ch := p.notify
-	p.waiters++
+// wait parks the calling goroutine on side w until the pipe state changes
+// or until t (if nonzero), with mu held on entry and exit.
+func (p *shapedPipe) wait(w *waker, t time.Time) {
+	gen := w.gen
+	w.parked++
 	p.mu.Unlock()
-	defer func() { p.mu.Lock(); p.waiters-- }()
+	woke := false
 	if t.IsZero() {
-		<-ch
-		return
+		<-w.wake
+		woke = true
+	} else if d := time.Until(t); d > 0 {
+		woke = clock.Wait(w.wake, d)
 	}
-	d := time.Until(t)
-	if d <= 0 {
-		return
+	p.mu.Lock()
+	w.parked--
+	if gen != w.gen {
+		w.behind--
 	}
-	clock.Wait(ch, d)
+	if woke && w.behind > 0 {
+		w.post() // pass the change on to the next goroutine parked before it
+	}
 }
 
 // closeWrite marks the write side closed; readers drain remaining chunks and

@@ -191,6 +191,14 @@ type objectField struct {
 type objectLit struct {
 	pos    Position
 	fields []objectField
+	// lent is set by the resolver on a literal written as the argument a
+	// host call only borrows (Signature.Lends): such a call evaluates it into
+	// scratch, the site's own object, while busy is false (callLent). Each
+	// Load parses its own tree, so a site, and its scratch, belong to one
+	// Context.
+	lent    bool
+	busy    bool
+	scratch *Object
 }
 
 // funcLit covers both function expressions and (via name) declarations.

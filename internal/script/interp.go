@@ -621,18 +621,7 @@ func (in *interp) eval(e expr, fr *frame) (cell, error) {
 		}
 		return cell{ref: arr}, nil
 	case *objectLit:
-		if err := in.charge(48+32*int64(len(ex.fields)), ex.pos); err != nil {
-			return cell{}, err
-		}
-		obj := NewObjectSize(len(ex.fields))
-		for _, f := range ex.fields {
-			v, err := in.eval(f.value, fr)
-			if err != nil {
-				return cell{}, err
-			}
-			obj.at(f.handle).setCell(v)
-		}
-		return cell{ref: obj}, nil
+		return in.objectLiteral(ex, fr, nil)
 	case *funcLit:
 		if err := in.charge(64, ex.pos); err != nil {
 			return cell{}, err
@@ -1022,18 +1011,67 @@ func (in *interp) evalCall(ex *callExpr, fr *frame) (cell, error) {
 	return in.invoke(lit, callFr, len(ex.args), ex.pos)
 }
 
+// objectLiteral evaluates object literal ex, its step already paid, into
+// obj, an empty object with room for its fields, or into a new one when obj
+// is nil.
+func (in *interp) objectLiteral(ex *objectLit, fr *frame, obj *Object) (cell, error) {
+	if err := in.charge(48+32*int64(len(ex.fields)), ex.pos); err != nil {
+		return cell{}, err
+	}
+	if obj == nil {
+		obj = NewObjectSize(len(ex.fields))
+	}
+	for _, f := range ex.fields {
+		v, err := in.eval(f.value, fr)
+		if err != nil {
+			return cell{}, err
+		}
+		obj.at(f.handle).setCell(v)
+	}
+	return cell{ref: obj}, nil
+}
+
 // callLent evaluates a call's arguments onto the argument stack — above
 // those of any call still being evaluated, so nested calls nest — lends the
-// callee its capped slice and clears it after.
-func (in *interp) callLent(fn Value, ex *callExpr, fr *frame) (cell, error) {
+// callee its capped slice and clears it after. A host function's borrowed
+// argument written as an object literal (objectLit.lent) is evaluated into
+// the site's scratch object unless that is lent already — to a call the
+// evaluation of one of its own fields reaches again, or to the host call
+// that called back into the context — and the scratch is emptied on every
+// way out, for the site's next call. A call that hands it back, as its
+// result or inside it, keeps it: the site makes a new one next time.
+func (in *interp) callLent(fn Value, ex *callExpr, fr *frame) (res cell, err error) {
 	c := in.ctx
 	base := len(c.argStack)
+	var lent *objectLit
 	defer func() {
 		clear(c.argStack[base:])
 		c.argStack = c.argStack[:base]
+		if lent == nil {
+			return
+		}
+		lent.busy = false
+		if reaches(res.ref, lent.scratch) {
+			lent.scratch = nil
+			return
+		}
+		clear(lent.scratch.fields)
+		lent.scratch.fields, lent.scratch.index = lent.scratch.fields[:0], nil
 	}()
+	_, host := fn.(HostFunc)
 	for _, a := range ex.args {
-		v, err := in.eval(a, fr)
+		var v cell
+		if lit, ok := a.(*objectLit); ok && lit.lent && !lit.busy && host {
+			if lit.scratch == nil {
+				lit.scratch = NewObjectSize(len(lit.fields))
+			}
+			lent, lit.busy = lit, true
+			if err = in.step(lit.pos); err == nil {
+				v, err = in.objectLiteral(lit, fr, lit.scratch)
+			}
+		} else {
+			v, err = in.eval(a, fr)
+		}
 		if err != nil {
 			return cell{}, err
 		}

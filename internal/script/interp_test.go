@@ -603,6 +603,7 @@ func TestHostBinding(t *testing.T) {
 	var got []Value
 	c.Bind("call_service", func(args []Value) (Value, error) {
 		got = append([]Value(nil), args...) // lent for the call only
+		got[1], _ = Clone(args[1])          // the message literal too
 		return "service-result", nil
 	})
 	v, err := evalIn(c, `call_service("pose_detector", {frame: 7})`)

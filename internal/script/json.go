@@ -195,15 +195,8 @@ func ParseJSON(data []byte) (Value, error) {
 	return p.document()
 }
 
-// ParseJSONFields decodes a message body: a JSON object, or null or no bytes
-// at all (an absent optional part), which yield a nil object.
-func ParseJSONFields(data []byte) (*Object, error) {
-	var d JSONDecoder
-	return d.DecodeFields(data)
-}
-
-// JSONDecoder decodes message bodies as ParseJSONFields does, keeping its
-// scanning scratch from one body to the next. The objects that are elements
+// JSONDecoder decodes message bodies, keeping its scanning scratch from one
+// body to the next; the zero value is ready to use. The objects that are elements
 // of one array wait on that scratch until the array ends and are then packed
 // as one record run, so a pose's 17 keypoints cost two allocations, not 17
 // (ParseJSON and json_decode decode the same way). Numbers go into their
@@ -221,7 +214,8 @@ func NewJSONDecoder() *JSONDecoder {
 	return &JSONDecoder{p: jsonParser{strs: make(map[string]interned)}}
 }
 
-// DecodeFields decodes one message body.
+// DecodeFields decodes one message body: a JSON object, or null or no
+// bytes at all (an absent optional part), which yield a nil object.
 func (d *JSONDecoder) DecodeFields(data []byte) (*Object, error) {
 	if len(data) == 0 {
 		return nil, nil

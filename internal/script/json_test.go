@@ -193,14 +193,15 @@ func TestJSONEncoderValuesThatDoNotTravel(t *testing.T) {
 	}
 }
 
-func TestParseJSONFields(t *testing.T) {
+func TestDecodeFields(t *testing.T) {
+	decode := func(doc string) (*Object, error) { return new(JSONDecoder).DecodeFields([]byte(doc)) }
 	for _, doc := range []string{``, `null`, ` null `} {
-		if o, err := ParseJSONFields([]byte(doc)); o != nil || err != nil {
-			t.Errorf("ParseJSONFields(%q) = %v, %v; want nil, nil", doc, o, err)
+		if o, err := decode(doc); o != nil || err != nil {
+			t.Errorf("DecodeFields(%q) = %v, %v; want nil, nil", doc, o, err)
 		}
 	}
-	if o, err := ParseJSONFields([]byte(`{"a":[1]}`)); err != nil || o.Len() != 1 {
-		t.Errorf("ParseJSONFields(object) = %v, %v", o, err)
+	if o, err := decode(`{"a":[1]}`); err != nil || o.Len() != 1 {
+		t.Errorf("DecodeFields(object) = %v, %v", o, err)
 	}
 	// What json.Unmarshal into a map[string]any refused, this refuses.
 	for _, doc := range []string{`[]`, `1`, `"s"`, `true`, `{`} {
@@ -208,8 +209,8 @@ func TestParseJSONFields(t *testing.T) {
 		if json.Unmarshal([]byte(doc), &m) == nil {
 			t.Fatalf("test premise: encoding/json takes %q as a map", doc)
 		}
-		if _, err := ParseJSONFields([]byte(doc)); err == nil {
-			t.Errorf("ParseJSONFields(%q) succeeded", doc)
+		if _, err := decode(doc); err == nil {
+			t.Errorf("DecodeFields(%q) succeeded", doc)
 		}
 	}
 }
@@ -228,18 +229,18 @@ func FuzzJSONCodec(f *testing.F) {
 }
 
 // checkJSONDecoder requires a long-lived interning JSONDecoder to give what
-// ParseJSONFields gives, with nothing in the value pointing into the input:
-// the input is overwritten before the comparison.
+// a fresh one that interns nothing gives, with nothing in the value pointing
+// into the input: the input is overwritten before the comparison.
 func checkJSONDecoder(t *testing.T, dec *JSONDecoder, doc []byte) {
 	t.Helper()
-	want, wantErr := ParseJSONFields(doc)
+	want, wantErr := new(JSONDecoder).DecodeFields(doc)
 	buf := bytes.Clone(doc)
 	got, err := dec.DecodeFields(buf)
 	for i := range buf {
 		buf[i] = 'x'
 	}
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
-		t.Fatalf("JSONDecoder.DecodeFields(%q) = %v, %v; ParseJSONFields gives %v, %v", doc, got, err, want, wantErr)
+		t.Fatalf("JSONDecoder.DecodeFields(%q) = %v, %v; a fresh decoder gives %v, %v", doc, got, err, want, wantErr)
 	}
 	if n := len(dec.p.strs); n > maxInternTable {
 		t.Fatalf("intern table holds %d strings, its cap is %d", n, maxInternTable)

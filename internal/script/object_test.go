@@ -483,3 +483,58 @@ func TestUnboxedNumbers(t *testing.T) {
 		}
 	}
 }
+
+// An object FromGo builds from a Go map holds its fields in sorted key
+// order, whatever order the map iterates in: a co-located service's result
+// walks (Field, Snapshot) and encodes the same on every call. Sorting a map
+// of up to eight keys — every standard handler's result — allocates
+// nothing beyond the object itself.
+func TestFromGoSortedFields(t *testing.T) {
+	result := map[string]any{"state": "tracking", "reps": 3.0, "calibrated": true, "phase": "down",
+		"count": 2.0, "fallen": false, "alert": "", "label": "squat"}
+	var firstJSON []byte
+	for i := 0; i < 100; i++ {
+		obj := FromGo(result).(*Object)
+		var got []string
+		for j := range obj.Len() {
+			k, _ := obj.Field(j)
+			got = append(got, k)
+		}
+		if !slices.IsSorted(got) || len(got) != len(result) {
+			t.Fatalf("conversion %d holds its fields in order %v", i, got)
+		}
+		wire, err := AppendJSON(nil, obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			firstJSON = wire
+		} else if !bytes.Equal(wire, firstJSON) {
+			t.Fatalf("conversion %d encodes as %s, the first as %s", i, wire, firstJSON)
+		}
+	}
+
+	for n := 1; n <= indexedFields; n++ {
+		m := map[string]Value{}
+		for i := 0; i < n; i++ {
+			m[fmt.Sprint("k", i)] = float64(i)
+		}
+		keys := make([]unique.Handle[string], 0, n)
+		for k := range m {
+			keys = append(keys, unique.Make(k))
+		}
+		var keep Value
+		converted := testing.AllocsPerRun(50, func() { keep = FromGo(m) })
+		byHand := testing.AllocsPerRun(50, func() {
+			o := NewObjectSize(n + 1)
+			for _, k := range keys {
+				o.SetNum(k, 1)
+			}
+			keep = o
+		})
+		_ = keep // both builds escape, as a result does
+		if converted > byHand && !raceEnabled {
+			t.Errorf("FromGo of %d keys: %.0f allocs, the object alone %.0f", n, converted, byHand)
+		}
+	}
+}

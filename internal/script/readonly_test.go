@@ -139,9 +139,20 @@ func readOnlyTrace(t *testing.T, src string, events int) {
 		return s
 	}
 	ctx.Bind("call_module", func(args []Value) (Value, error) {
-		if len(args) > 1 {
-			sends = append(sends, sent{args[1], render(args[1])})
+		if len(args) < 2 {
+			return nil, nil
 		}
+		kept := args[1]
+		if msg, ok := kept.(*Object); ok {
+			// The message is lent: keep what a local edge keeps of a
+			// read-only sender's, its own top-level object sharing the rest.
+			c, _, err := CopyMessage(msg, true)
+			if err != nil {
+				return nil, err
+			}
+			kept = c
+		}
+		sends = append(sends, sent{kept, render(kept)})
 		return nil, nil
 	})
 	ctx.Bind("call_service", func(args []Value) (Value, error) {

@@ -133,6 +133,17 @@ type resolver struct {
 	// services is set once an identifier can resolve to the global
 	// call_service.
 	services bool
+	// lends holds the object literals passed straight to a host call that
+	// borrows them (Signature.Lends), marked once it is known that the
+	// module never rebinds the call's name.
+	lends []lentLiteral
+}
+
+// lentLiteral is an object literal written as the borrowed argument of a
+// call through the name callee.
+type lentLiteral struct {
+	lit    *objectLit
+	callee string
 }
 
 // operandUse is an identifier resolved where its value is read: ambient
@@ -227,6 +238,9 @@ func (r *resolver) judgeWrites() {
 		if u.write && !r.private(u.operandUse) {
 			r.noteWrite(u.id.pos)
 		}
+	}
+	for _, l := range r.lends {
+		l.lit.lent = !r.written[l.callee]
 	}
 }
 
@@ -700,6 +714,9 @@ func (r *resolver) call(ex *callExpr) {
 		only = len(callee.id.binds) == 0
 	}
 	for i, a := range ex.args {
+		if lit, ok := a.(*objectLit); ok && only && sig.Lends == i+1 {
+			r.lends = append(r.lends, lentLiteral{lit, name})
+		}
 		if lit, ok := a.(*objectLit); ok && only && name == "call_service" && i == 1 {
 			for _, f := range lit.fields {
 				r.uses = append(r.uses, callUse{operandUse: r.operand(f.value), callee: name})

@@ -43,6 +43,18 @@ type Signature struct {
 	// (resolve.go) — and Aliases says the call also returns that argument.
 	Writes  int
 	Aliases bool
+	// Lends is the 1-based position of an argument the call only borrows
+	// (0: none): it keeps nothing of the object passed there, nor the object
+	// itself, once it returns, except by handing it back in its result. An
+	// object literal written straight into that position is therefore
+	// evaluated into a scratch object the call site reuses (interp.go,
+	// callLent) instead of a new one per call. A host function bound under
+	// such a name keeps to this: the device's call_module copies the message
+	// (deliverLocal) or encodes it (deliverRemote), and its call_service
+	// lends it to a co-located handler only until the handler returns
+	// (services.Request) or encodes it for a remote one. A binding that
+	// keeps the object must clone it.
+	Lends int
 }
 
 // Check validates live call arguments against the signature. Error text
@@ -126,9 +138,9 @@ var hostSignatureTable = map[string]Signature{
 	// call_service lends its message to the handler with frame_ref taken
 	// out, and puts it back.
 	"call_service": {Name: "call_service", Min: 1, Max: 2, Params: []Param{
-		{Name: "service name", Type: "string"}, {Name: "message", Type: "object"}}, Writes: 2},
+		{Name: "service name", Type: "string"}, {Name: "message", Type: "object"}}, Writes: 2, Lends: 2},
 	"call_module": {Name: "call_module", Min: 1, Max: 2, Params: []Param{
-		{Name: "module name", Type: "string"}, {Name: "message", Type: "object"}}},
+		{Name: "module name", Type: "string"}, {Name: "message", Type: "object"}}, Lends: 2},
 	"metric": {Name: "metric", Min: 2, Max: 2, Params: []Param{
 		{Name: "name", Type: "string"}, {Name: "value", Type: "number"}}},
 	"log":         {Name: "log", Min: 0, Max: -1},

@@ -3,6 +3,7 @@ package script
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -507,7 +508,8 @@ func formatNumber(f float64) string {
 // FromGo converts a Go value (as produced by encoding/json or host code)
 // into a script Value. Supported inputs: nil, bool, numeric types, string,
 // []any, map[string]any, []byte (becomes string), and nested combinations,
-// and map[string]Value, whose values are taken as they are.
+// and map[string]Value, whose values are taken as they are. An object
+// built from a map holds its fields in sorted key order.
 // Unsupported types are passed through untouched as opaque host values.
 // A top-level object has room for the frame_ref a module's event loop sets.
 func FromGo(v any) Value { return fromGo(v, 0) }
@@ -538,14 +540,16 @@ func fromGo(v any, depth int) Value {
 		return arr
 	case map[string]any:
 		obj := NewObjectSize(len(x) + frameRefRoom(depth))
-		for k, e := range x {
-			obj.add(unique.Make(k)).set(fromGo(e, depth+1))
+		var room [indexedFields]string
+		for _, k := range sortedKeys(x, room[:0]) {
+			obj.add(unique.Make(k)).set(fromGo(x[k], depth+1))
 		}
 		return obj
 	case map[string]Value:
 		obj := NewObjectSize(len(x) + frameRefRoom(depth))
-		for k, e := range x {
-			obj.add(unique.Make(k)).set(e)
+		var room [indexedFields]string
+		for _, k := range sortedKeys(x, room[:0]) {
+			obj.add(unique.Make(k)).set(x[k])
 		}
 		return obj
 	case []float64:
@@ -563,6 +567,18 @@ func fromGo(v any, depth int) Value {
 	default:
 		return v
 	}
+}
+
+// sortedKeys appends m's keys to keys in sorted order, so that an object
+// built from a Go map holds its fields in one order whatever order the map
+// iterates in. A map of up to indexedFields keys sorts in the caller's room
+// and allocates nothing.
+func sortedKeys[V any](m map[string]V, keys []string) []string {
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Clone returns a deep copy of v sharing no array or object with it — the
@@ -750,6 +766,48 @@ func holds(v Value, arg *Object, depth int) bool {
 		}
 	}
 	return false
+}
+
+// reachBudget is how many values reaches visits before it gives up and
+// answers true: a result that shares substructure (a = [a, a], twenty times
+// over) is a few dozen objects but millions of paths.
+const reachBudget = 4096
+
+// reaches reports whether v is o or holds it at any depth: whether a host
+// call hands back, in its result, the object it was lent. Past MaxDepth or
+// reachBudget values it answers true, the answer that keeps o out of reuse.
+func reaches(v Value, o *Object) bool {
+	return reach(v, o, 0, reachBudget) < 0
+}
+
+// reach is reaches for v sitting depth containers deep, with left values
+// still to visit. It returns the values left, or -1 once it found o or
+// gave up.
+func reach(v Value, o *Object, depth, left int) int {
+	if left--; left < 0 {
+		return -1
+	}
+	switch x := v.(type) {
+	case *Array:
+		if depth >= MaxDepth {
+			return -1
+		}
+		for _, e := range x.Elems {
+			if left = reach(e, o, depth+1, left); left < 0 {
+				return -1
+			}
+		}
+	case *Object:
+		if x == o || depth >= MaxDepth {
+			return -1
+		}
+		for i := range x.fields {
+			if left = reach(x.fields[i].ref, o, depth+1, left); left < 0 {
+				return -1
+			}
+		}
+	}
+	return left
 }
 
 // isField reports whether container c is the value of one of o's fields.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"videopipe/internal/netsim"
 	"videopipe/internal/script"
 	"videopipe/internal/vision"
 )
@@ -80,5 +81,53 @@ func TestPoseFromValueAllocs(t *testing.T) {
 	call()
 	if allocs := testing.AllocsPerRun(50, call); allocs > 2 {
 		t.Errorf("warm activity_classifier call over %d poses: %.1f allocs, want <= 2", len(poses), allocs)
+	}
+}
+
+// TestClientCallAllocs pins a warm remote call of a pose message, both
+// ends in one process: the client encodes the arguments, the server decodes
+// them through its warm decoder, the handler answers and the client decodes
+// the result through its own. A fresh decoder per body on either side
+// costs the pose's keypoints one object each, its numbers a box each and
+// every key string again: 218 allocations a round trip, 55 warm.
+func TestClientCallAllocs(t *testing.T) {
+	nw := netsim.NewNetwork(netsim.LinkProfile{})
+	defer nw.Close()
+	pool, err := NewPool(Spec{Name: "echo_pose", Handler: func(_ context.Context, req Request) (Response, error) {
+		score, _ := req.Args.Get("pose").(*script.Object).Num(keyScore)
+		return Response{Result: result("score", score, "label", "squat", "pose", req.Args.Get("pose"))}, nil
+	}}, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(nw.Host("desktop"), 0, map[string]*Pool{"echo_pose": pool}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := NewClient(nw.Host("phone"), srv.Addr().String(), nil)
+	defer client.Close()
+
+	args := script.NewObjectSize(2)
+	args.Set("pose", poseValue(vision.SynthesizePose(vision.Squat, 0.3, vision.DefaultSubject(), nil)))
+	args.Set("seq", 7.0)
+	ctx := context.Background()
+	call := func() {
+		resp, err := client.Call(ctx, "echo_pose", args, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Result["label"] != "squat" || resp.Result["pose"].(*script.Object).Len() != args.Get("pose").(*script.Object).Len() {
+			t.Fatalf("result %v", resp.Result)
+		}
+		RecycleResult(resp.Result)
+	}
+	for i := 0; i < 5; i++ {
+		call()
+	}
+	allocs := testing.AllocsPerRun(50, call)
+	t.Logf("warm remote call of a pose message: %.0f allocs", allocs)
+	if allocs > 55 {
+		t.Errorf("warm remote call of a pose message: %.0f allocs, want <= 55", allocs)
 	}
 }

@@ -28,6 +28,26 @@ type Server struct {
 	mu        sync.Mutex
 	pools     map[string]*Pool
 	codec     frame.Codec
+	args      warmDecoder
+}
+
+// warmDecoder is one interning script.JSONDecoder kept warm across the
+// bodies a client or server decodes, for calls in flight at once: a decode
+// is short next to the call, so one lock serves them all. Cold, a pose
+// message costs tens of allocations more than warm.
+type warmDecoder struct {
+	mu  sync.Mutex
+	dec *script.JSONDecoder
+}
+
+// decode decodes one message body (script.JSONDecoder.DecodeFields).
+func (w *warmDecoder) decode(data []byte) (*script.Object, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.dec == nil {
+		w.dec = script.NewJSONDecoder()
+	}
+	return w.dec.DecodeFields(data)
 }
 
 // NewServer binds a service server at port (0 = ephemeral) serving the
@@ -79,7 +99,7 @@ func (s *Server) handle(ctx context.Context, m wire.Message) (wire.Message, erro
 		return wire.Message{}, fmt.Errorf("services: unknown service %q", name)
 	}
 
-	args, err := script.ParseJSONFields(m.Part(1))
+	args, err := s.args.decode(m.Part(1))
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("services: bad args: %w", err)
 	}
@@ -128,8 +148,9 @@ func (s *Server) handle(ctx context.Context, m wire.Message) (wire.Message, erro
 // shed immediately instead of burning the RPC retry budget per frame; a
 // half-open probe rediscovers the service once it heals.
 type Client struct {
-	caller *wire.Caller
-	codec  frame.Codec
+	caller  *wire.Caller
+	codec   frame.Codec
+	results warmDecoder
 
 	breakerMu sync.Mutex
 	breakers  map[string]*Breaker
@@ -216,7 +237,7 @@ func (c *Client) Call(ctx context.Context, service string, args *script.Object, 
 	if out.Len() < 1 {
 		return Response{}, fmt.Errorf("services: empty response")
 	}
-	result, err := script.ParseJSONFields(out.Part(0))
+	result, err := c.results.decode(out.Part(0))
 	if err != nil {
 		return Response{}, fmt.Errorf("services: bad result payload: %w", err)
 	}

@@ -32,12 +32,16 @@ import (
 type Request struct {
 	// Args carries the named arguments as a script object — for a
 	// co-located caller the very message object its module passed to
-	// call_service, not a copy. It is lent, read-only, until the handler
-	// returns: a handler must not write to Args or to anything reachable
-	// from it, and must not keep a reference to an array or object in it
-	// past its return (scalars and strings are immutable and free to keep;
-	// returning an argument inside the result hands it back to its owner
-	// and is fine). A nil Args reads as no arguments.
+	// call_service, not a copy; when the module wrote that message as an
+	// object literal in the call, Args is the call site's scratch object,
+	// emptied and reused by the site's next call (script.Signature.Lends).
+	// It is lent, read-only, until the handler returns: a handler must not
+	// write to Args or to anything reachable from it, and must not keep
+	// Args, or a reference to an array or object in it, past its return
+	// (scalars and strings are immutable and free to keep). Returning Args
+	// or a container in it inside the result hands it back to its owner
+	// and is fine: a scratch handed back is the module's to keep, and its
+	// call site makes a new one. A nil Args reads as no arguments.
 	Args *script.Object
 	// Frame carries pixel data for frame-consuming services. Co-located
 	// callers pass the stored frame directly (zero copy); remote callers'

@@ -908,7 +908,7 @@ func TestPoseValueRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := script.ParseJSONFields(wire)
+	back, err := new(script.JSONDecoder).DecodeFields(wire)
 	if err != nil {
 		t.Fatal(err)
 	}

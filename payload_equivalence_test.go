@@ -3,6 +3,8 @@ package videopipe_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"videopipe/internal/script"
@@ -160,5 +162,76 @@ func TestPayloadSizeMatchesOracle(t *testing.T) {
 	// An opaque host value travels as null, so costs only its slot.
 	if got, _ := script.PayloadSize(&script.Array{Elems: []script.Value{struct{}{}}}, -1); got != 24+16 {
 		t.Errorf("PayloadSize([opaque]) = %d, want 40", got)
+	}
+}
+
+// A message literal written straight into call_module or call_service is
+// evaluated into its call site's scratch object, lent to the host call and
+// emptied after it (script.Signature.Lends). That must be invisible: over
+// every shipped module, a borrowed literal sends the same bytes and pays the
+// same output charge, and each event the same steps, as a fresh one. The
+// fresh run loads the module with a function that rebinds both host names
+// and is never called: a module that writes those globals lends nothing.
+func TestLendPayloadEquivalenceOnExamples(t *testing.T) {
+	const fresh = "\nfunction never_called() { call_module = call_module; call_service = call_service; }\n"
+	for where, src := range collectSoundnessModules(t) {
+		t.Run(where, func(t *testing.T) {
+			var runs [2][]string
+			var lent [2]int
+			for i, s := range []string{src, src + fresh} {
+				ctx := script.NewContext()
+				service := soundnessStub(ctx)
+				seen := map[*script.Object]bool{}
+				record := func(args []script.Value) error {
+					if len(args) < 2 || args[1] == nil {
+						return nil
+					}
+					wire, err := script.AppendJSON(nil, args[1])
+					if err != nil {
+						return err
+					}
+					size, err := script.PayloadSize(args[1], -1)
+					if err != nil {
+						return err
+					}
+					if o, ok := args[1].(*script.Object); ok {
+						if seen[o] {
+							lent[i]++
+						}
+						seen[o] = true
+					}
+					runs[i] = append(runs[i], fmt.Sprintf("%s charged %d", wire, size))
+					return nil
+				}
+				ctx.Bind("call_service", func(args []script.Value) (script.Value, error) {
+					if err := record(args); err != nil {
+						return nil, err
+					}
+					return service(args)
+				})
+				ctx.Bind("call_module", func(args []script.Value) (script.Value, error) {
+					return nil, record(args)
+				})
+				if err := ctx.Load(s); err != nil {
+					t.Fatalf("load: %v", err)
+				}
+				if ctx.Has("init") {
+					if _, err := ctx.Call("init"); err != nil {
+						t.Fatalf("init: %v", err)
+					}
+				}
+				for seq := 0; seq < 30; seq++ {
+					_, err := ctx.Call("event_received", soundnessMessage(seq))
+					runs[i] = append(runs[i], fmt.Sprintf("event %d: %d steps, %v", seq, ctx.LastInstructions(), err))
+				}
+			}
+			if a, b := strings.Join(runs[0], "\n"), strings.Join(runs[1], "\n"); a != b {
+				t.Errorf("borrowed literals:\n%s\nfresh literals:\n%s", a, b)
+			}
+			if lent[1] != 0 {
+				t.Errorf("the fresh run passed one object to %d host calls", lent[1])
+			}
+			t.Logf("%d host calls, %d of them on a reused scratch", len(runs[0])-30, lent[0])
+		})
 	}
 }
