@@ -180,22 +180,10 @@ type GenOptions struct {
 	Services []string
 	// Devices lists device names eligible for pause events.
 	Devices []string
-	// CrashDevices lists device names eligible for permanent crash
-	// events. Crashes are unrecoverable without a supervisor, so only
-	// supervised experiments should populate this.
-	CrashDevices []string
 	// MinDuration and MaxDuration bound each fault's length; zeros select
 	// 200 ms and 800 ms.
 	MinDuration time.Duration
 	MaxDuration time.Duration
-	// RunawayModules lists module targets (ModuleTarget form) eligible for
-	// hostile infinite-loop injection. Sandbox governance plus a
-	// supervisor are required to recover, so only supervised experiments
-	// should populate this.
-	RunawayModules []string
-	// HogModules lists module targets eligible for hostile
-	// allocation-bomb injection, under the same caveat.
-	HogModules []string
 }
 
 // Generate derives a schedule from a seed: the same seed and options
@@ -239,18 +227,6 @@ func Generate(seed int64, o GenOptions) Schedule {
 	}
 	if len(o.Devices) > 0 {
 		choices = append(choices, choice{KindPauseDevice, o.Devices})
-	}
-	// Appended after the legacy classes so existing seeds keep producing
-	// byte-identical schedules when CrashDevices is empty.
-	if len(o.CrashDevices) > 0 {
-		choices = append(choices, choice{KindDeviceCrash, o.CrashDevices})
-	}
-	// Likewise appended after every older class.
-	if len(o.RunawayModules) > 0 {
-		choices = append(choices, choice{KindRunawayModule, o.RunawayModules})
-	}
-	if len(o.HogModules) > 0 {
-		choices = append(choices, choice{KindHogModule, o.HogModules})
 	}
 	if len(choices) == 0 {
 		return nil

@@ -70,62 +70,6 @@ func TestGenerateRespectsOptions(t *testing.T) {
 	}
 }
 
-// TestGenerateCrashDevices checks the device_crash class: populated
-// CrashDevices yield seed-stable device_crash events, and an empty
-// CrashDevices leaves legacy seeds byte-identical — the new class is
-// appended after the old ones so existing golden fingerprints hold.
-func TestGenerateCrashDevices(t *testing.T) {
-	legacy := GenOptions{
-		Horizon:  3 * time.Second,
-		Events:   12,
-		Links:    []string{LinkTarget("phone", "desktop")},
-		Services: []string{"pose_detection"},
-		Devices:  []string{"desktop"},
-	}
-	withCrash := legacy
-	withCrash.CrashDevices = []string{"tv"}
-
-	// Empty CrashDevices must not perturb legacy schedules.
-	if Generate(42, legacy).Fingerprint() != Generate(42, GenOptions{
-		Horizon:      legacy.Horizon,
-		Events:       legacy.Events,
-		Links:        legacy.Links,
-		Services:     legacy.Services,
-		Devices:      legacy.Devices,
-		CrashDevices: nil,
-	}).Fingerprint() {
-		t.Error("nil CrashDevices changed a legacy schedule")
-	}
-
-	a := Generate(42, withCrash)
-	if a.Fingerprint() != Generate(42, withCrash).Fingerprint() {
-		t.Error("crash-enabled generation not seed-deterministic")
-	}
-	crashes := 0
-	for _, ev := range a {
-		if ev.Kind == KindDeviceCrash {
-			crashes++
-			if ev.Target != "tv" {
-				t.Errorf("device_crash target %q, want tv", ev.Target)
-			}
-		}
-	}
-	if crashes == 0 {
-		t.Error("no device_crash events drawn over 12 events with 6 classes")
-	}
-	if !strings.Contains(a.Fingerprint(), "device_crash tv") {
-		t.Errorf("fingerprint missing device_crash: %q", a.Fingerprint())
-	}
-
-	// Crash-only generation works too.
-	only := Generate(7, GenOptions{Events: 4, CrashDevices: []string{"tv", "phone"}})
-	for i, ev := range only {
-		if ev.Kind != KindDeviceCrash {
-			t.Errorf("event %d kind %v, want device_crash", i, ev.Kind)
-		}
-	}
-}
-
 func TestGenerateWithNoTargetsIsEmpty(t *testing.T) {
 	if s := Generate(1, GenOptions{Events: 5}); s != nil {
 		t.Errorf("targetless generation produced %v", s)

@@ -164,25 +164,6 @@ func AnalysisErrors(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// analyzeForLaunch gates a deployment: error-severity findings come back as
-// an *AnalysisError, warnings are returned for the caller to log.
-func analyzeForLaunch(cfg *PipelineConfig) ([]Diagnostic, error) {
-	diags := AnalyzePipeline(cfg)
-	var warns []Diagnostic
-	var errs []Diagnostic
-	for _, d := range diags {
-		if d.Severity == script.SeverityError {
-			errs = append(errs, d)
-		} else {
-			warns = append(warns, d)
-		}
-	}
-	if len(errs) > 0 {
-		return warns, &AnalysisError{Pipeline: cfg.Name, Diagnostics: errs}
-	}
-	return warns, nil
-}
-
 // reachableModules walks the DAG from the source's first module.
 func reachableModules(cfg *PipelineConfig) map[string]bool {
 	reachable := make(map[string]bool, len(cfg.Modules))

@@ -160,7 +160,8 @@ func (l *Loop) checkModules() {
 func (l *Loop) checkServices() {
 	reg := l.cluster.Metrics()
 	for _, svc := range l.cluster.ServiceNames() {
-		if host, _ := l.cluster.ServiceHost(svc); l.cluster.IsDown(host) {
+		host, _ := l.cluster.ServiceHost(svc)
+		if l.cluster.IsDown(host) {
 			// The failover path owns this pool now.
 			continue
 		}
@@ -168,9 +169,9 @@ func (l *Loop) checkServices() {
 		if err != nil {
 			continue
 		}
-		if pool.Paused() {
-			// Hung host (chaos reboot): it will resume; restarting a
-			// paused pool would just block here too.
+		if dev, _ := l.cluster.Device(host); dev.Paused() {
+			// Hung host (chaos reboot): it will resume; restarting a pool
+			// on a paused device would just block here too.
 			continue
 		}
 

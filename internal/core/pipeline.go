@@ -68,12 +68,13 @@ func (c *Cluster) Launch(cfg PipelineConfig, planner Planner) (*Pipeline, error)
 	}
 	// Static analysis gate (pipevet): reject error-severity findings before
 	// anything deploys; warnings only bump a meter.
-	warns, err := analyzeForLaunch(&cfg)
-	for range warns {
+	diags := AnalyzePipeline(&cfg)
+	errs := AnalysisErrors(diags)
+	for range len(diags) - len(errs) {
 		c.reg.Meter("analysis." + cfg.Name + ".warnings").Mark()
 	}
-	if err != nil {
-		return nil, err
+	if len(errs) > 0 {
+		return nil, &AnalysisError{Pipeline: cfg.Name, Diagnostics: errs}
 	}
 	plan, err := planner.Plan(&cfg, c)
 	if err != nil {
@@ -187,15 +188,11 @@ func (p *Pipeline) spawnModule(mc *ModuleConfig) error {
 		return err
 	}
 
-	port := 0
-	if mc.Endpoint.Port != 0 {
-		port = mc.Endpoint.Port
-	}
 	m, err := d.SpawnModule(device.ModuleSpec{
 		Name:         p.prefixed(mc.Name),
 		Source:       mc.Source,
 		Services:     mc.Services,
-		Port:         port,
+		Port:         mc.Endpoint.Port,
 		Next:         routes,
 		MetricPrefix: p.name,
 		Limits:       p.cfg.EffectiveLimits(mc.Name).ToScript(),

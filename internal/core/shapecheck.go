@@ -228,13 +228,7 @@ func checkShapeUpdate(cfg PipelineConfig, name, source string) error {
 		}
 	}
 	cfg.Modules = mods
-	diags := shapeCheckPipeline(&cfg, cfg.ShapeReports())
-	var errs []Diagnostic
-	for _, d := range diags {
-		if d.Severity == script.SeverityError {
-			errs = append(errs, d)
-		}
-	}
+	errs := AnalysisErrors(shapeCheckPipeline(&cfg, cfg.ShapeReports()))
 	if len(errs) == 0 {
 		return nil
 	}

@@ -258,7 +258,7 @@ func (d *Device) ServeServices(port int) (net.Addr, error) {
 		return srv.Addr(), nil
 	}
 	d.mu.Unlock()
-	srv, err := services.NewServer(d.transport, port, pools, d.codec)
+	srv, err := services.NewServer(d.transport, port, pools, d.codec, d.gate)
 	if err != nil {
 		return nil, fmt.Errorf("device: %s: %w", d.name, err)
 	}
@@ -290,7 +290,7 @@ func (d *Device) ServeHealth() (net.Addr, error) {
 		return h.Addr(), nil
 	}
 	d.mu.Unlock()
-	resp, err := wire.ListenHealth(d.transport, 0, d.healthGate)
+	resp, err := wire.ListenHealth(d.transport, 0, d.gate)
 	if err != nil {
 		return nil, fmt.Errorf("device: %s: health endpoint: %w", d.name, err)
 	}
@@ -304,22 +304,6 @@ func (d *Device) ServeHealth() (net.Addr, error) {
 	d.health = resp
 	d.mu.Unlock()
 	return resp.Addr(), nil
-}
-
-// healthGate blocks health replies while the device is paused or crashed,
-// mirroring the module event loops' pause behaviour.
-func (d *Device) healthGate(ctx context.Context) error {
-	for {
-		ch := d.pauseGate()
-		if ch == nil {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
 }
 
 // RegisterRemoteService tells this device where to reach a service it does
@@ -375,6 +359,9 @@ type callHistKey struct {
 
 func (d *Device) callService(ctx context.Context, name string, args *script.Object, f *frame.Frame) (services.Response, bool, error) {
 	if pool, ok := d.Pool(name); ok {
+		if err := d.gate(ctx); err != nil {
+			return services.Response{}, false, fmt.Errorf("device: %s paused: %w", d.name, err)
+		}
 		resp, err := pool.Invoke(ctx, services.Request{Args: args, Frame: f})
 		return resp, false, err
 	}
@@ -402,24 +389,16 @@ func (d *Device) callService(ctx context.Context, name string, args *script.Obje
 }
 
 // Pause freezes the device — the chaos engine's reboot/crash hook. Module
-// event loops stop consuming events and locally hosted service pools stop
-// serving (remote callers block until their deadlines) until Resume.
-// Network endpoints stay bound, mirroring a hung rather than powered-off
-// host; pair with netsim.Partition to model a full outage.
+// event loops stop consuming events, health probes go unanswered and the
+// service pools hosted here stop serving, local and remote callers alike
+// blocking until their deadlines, until Resume. Network endpoints stay
+// bound, mirroring a hung rather than powered-off host; pair with
+// netsim.Partition to model a full outage.
 func (d *Device) Pause() {
 	d.pauseMu.Lock()
+	defer d.pauseMu.Unlock()
 	if d.resumeCh == nil {
 		d.resumeCh = make(chan struct{})
-	}
-	d.pauseMu.Unlock()
-	d.mu.Lock()
-	pools := make([]*services.Pool, 0, len(d.pools))
-	for _, p := range d.pools {
-		pools = append(pools, p)
-	}
-	d.mu.Unlock()
-	for _, p := range pools {
-		p.Pause()
 	}
 }
 
@@ -427,19 +406,10 @@ func (d *Device) Pause() {
 // stopped.
 func (d *Device) Resume() {
 	d.pauseMu.Lock()
+	defer d.pauseMu.Unlock()
 	if d.resumeCh != nil {
 		close(d.resumeCh)
 		d.resumeCh = nil
-	}
-	d.pauseMu.Unlock()
-	d.mu.Lock()
-	pools := make([]*services.Pool, 0, len(d.pools))
-	for _, p := range d.pools {
-		pools = append(pools, p)
-	}
-	d.mu.Unlock()
-	for _, p := range pools {
-		p.Resume()
 	}
 }
 
@@ -497,12 +467,33 @@ func (d *Device) BreakerState(service string) services.BreakerState {
 	return d.breakerStates[service]
 }
 
-// pauseGate returns the channel module event loops wait on while the
-// device is paused, or nil when running.
-func (d *Device) pauseGate() <-chan struct{} {
-	d.pauseMu.Lock()
-	defer d.pauseMu.Unlock()
-	return d.resumeCh
+// awaitRunning is the device's one pause gate: it blocks while the device
+// is paused or crashed and reports false if stop closes first. Module
+// admission, health replies and both doors into the hosted pools (a local
+// call_service and the service server) wait here.
+func (d *Device) awaitRunning(stop <-chan struct{}) bool {
+	for {
+		d.pauseMu.Lock()
+		ch := d.resumeCh
+		d.pauseMu.Unlock()
+		if ch == nil {
+			return true
+		}
+		select {
+		case <-ch:
+		case <-stop:
+			return false
+		}
+	}
+}
+
+// gate is awaitRunning bounded by ctx, in the wire.HealthGate form the
+// health endpoint and the service server take.
+func (d *Device) gate(ctx context.Context) error {
+	if !d.awaitRunning(ctx.Done()) {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // HasService reports whether the device can reach the named service at

@@ -33,6 +33,35 @@ func objectOf(fields map[string]script.Value) *script.Object {
 	return script.FromGo(fields).(*script.Object)
 }
 
+// queue puts an event in m's inbox the way the wire path does, waiting
+// until the inbox takes it, so a test can queue events back to back where
+// TryInject, the source's door, would drop them while the module is busy.
+// The body (nil reads as empty) and the frame are handed over; the frame
+// goes into the device store.
+func queue(m *Module, body *script.Object, f *frame.Frame) error {
+	if body == nil {
+		body = script.NewObjectSize(1)
+	}
+	ev := event{body: body}
+	if f != nil {
+		id, err := m.dev.store.Put(f)
+		if err != nil {
+			f.Release()
+			return err
+		}
+		ev.frameID = id
+	}
+	select {
+	case m.events <- ev:
+		return nil
+	case <-m.done:
+		if ev.frameID != 0 {
+			m.dev.store.Release(ev.frameID)
+		}
+		return fmt.Errorf("module %s is closed", m.Name())
+	}
+}
+
 // poseValue is the script form of a pose, as the pose_detector service
 // builds it.
 func poseValue(p vision.Pose) *script.Object {
@@ -195,9 +224,8 @@ func TestModuleInitAndEvents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SpawnModule: %v", err)
 	}
-	ctx := context.Background()
 	for i := 1; i <= 3; i++ {
-		if err := m.Inject(ctx, objectOf(map[string]script.Value{"value": float64(i)}), nil); err != nil {
+		if err := queue(m, objectOf(map[string]script.Value{"value": float64(i)}), nil); err != nil {
 			t.Fatalf("Inject: %v", err)
 		}
 	}
@@ -228,7 +256,7 @@ func TestModuleCallServiceWithFrame(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SpawnModule: %v", err)
 	}
-	if err := m.Inject(context.Background(), nil, frame.MustNew(48, 48)); err != nil {
+	if err := queue(m, nil, frame.MustNew(48, 48)); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool {
@@ -261,7 +289,7 @@ func TestModuleServicePermissionEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SpawnModule: %v", err)
 	}
-	m.Inject(context.Background(), nil, nil)
+	queue(m, nil, nil)
 	waitFor(t, func() bool {
 		return d.reg.Histogram("stage.denied").Count() == 1
 	})
@@ -301,7 +329,7 @@ func TestModuleChainLocalFrameByReference(t *testing.T) {
 
 	f := frame.MustNew(16, 16)
 	f.Captured = time.Now()
-	if err := m1.Inject(context.Background(), nil, f); err != nil {
+	if err := queue(m1, nil, f); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return credits.Load() == 1 })
@@ -349,7 +377,7 @@ func TestModuleChainRemote(t *testing.T) {
 		t.Fatalf("SpawnModule(send): %v", err)
 	}
 
-	if err := send.Inject(context.Background(), nil, frame.MustNew(64, 32)); err != nil {
+	if err := queue(send, nil, frame.MustNew(64, 32)); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool {
@@ -373,7 +401,7 @@ func TestModuleUnknownEdgeRejected(t *testing.T) {
 		}
 	`
 	m, _ := d.SpawnModule(ModuleSpec{Name: "m", Source: src})
-	m.Inject(context.Background(), nil, nil)
+	queue(m, nil, nil)
 	waitFor(t, func() bool {
 		return d.reg.Histogram("stage.rejected").Count() == 1
 	})
@@ -429,7 +457,7 @@ func TestModuleLogSink(t *testing.T) {
 	})
 	src := `function event_received(message) { log("frame", message.n); }`
 	m, _ := d.SpawnModule(ModuleSpec{Name: "logger", Source: src})
-	m.Inject(context.Background(), objectOf(map[string]script.Value{"n": float64(7)}), nil)
+	queue(m, objectOf(map[string]script.Value{"n": float64(7)}), nil)
 	waitFor(t, func() bool { return logged.Load() == 1 })
 	if s, _ := lastMsg.Load().(string); !strings.Contains(s, "desktop/logger") || !strings.Contains(s, "7") {
 		t.Errorf("log output = %q", s)
@@ -474,7 +502,7 @@ func TestModuleUsesPoseServiceEndToEnd(t *testing.T) {
 	f := frame.MustNew(640, 480)
 	truth := vision.SynthesizePose(vision.Idle, 0, vision.DefaultSubject(), nil)
 	vision.RenderScene(f, truth)
-	if err := m.Inject(context.Background(), nil, f); err != nil {
+	if err := queue(m, nil, f); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool {
@@ -615,7 +643,9 @@ func TestSetCodecKeepsPadding(t *testing.T) {
 	}
 }
 
-func TestModuleInjectContextCancelled(t *testing.T) {
+// A saturated module refuses TryInject and hands the refused frame back:
+// its store entry is released, so a dropped frame pins nothing.
+func TestModuleTryInjectBusyReleasesFrame(t *testing.T) {
 	nw := testNet()
 	d := newDevice(t, nw, "desktop", Desktop)
 	// A module that never drains its channel: one context (it keeps state),
@@ -627,15 +657,16 @@ func TestModuleInjectContextCancelled(t *testing.T) {
 		t.Fatalf("SpawnModule: %v", err)
 	}
 	// Fill the slot and occupy the handler.
-	m.Inject(context.Background(), nil, frame.MustNew(4, 4))
-	m.Inject(context.Background(), nil, frame.MustNew(4, 4))
+	queue(m, nil, frame.MustNew(4, 4))
+	queue(m, nil, frame.MustNew(4, 4))
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if err := m.Inject(ctx, nil, frame.MustNew(4, 4)); err == nil {
-		t.Error("Inject into saturated module with expired ctx succeeded")
+	f := frame.MustNewPooled(4, 4)
+	if ok, err := m.TryInject(nil, f); ok || err != nil {
+		t.Errorf("TryInject into a saturated module = %v, %v; want a drop", ok, err)
 	}
-	// The cancelled inject's frame must not leak.
+	if !f.Released() {
+		t.Error("the dropped frame was not released")
+	}
 	waitFor(t, func() bool { return d.Store().Len() == 0 })
 }
 
@@ -662,7 +693,7 @@ func TestModuleFanOutRetainsPerDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Inject(context.Background(), nil, frame.MustNew(8, 8)); err != nil {
+	if err := queue(m, nil, frame.MustNew(8, 8)); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool {
@@ -685,7 +716,7 @@ func TestHostMetricValidation(t *testing.T) {
 		}
 	`
 	m, _ := d.SpawnModule(ModuleSpec{Name: "m", Source: src})
-	m.Inject(context.Background(), nil, nil)
+	queue(m, nil, nil)
 	waitFor(t, func() bool { return d.reg.Histogram("stage.failures").Count() == 1 })
 	if got := d.reg.Histogram("stage.failures").Snapshot().Mean; got != 3*time.Millisecond {
 		t.Errorf("metric() validation failures = %v, want 3 (as ms)", got)
@@ -710,7 +741,7 @@ func TestCallServiceValidationFromScript(t *testing.T) {
 		}
 	`
 	m, _ := d.SpawnModule(ModuleSpec{Name: "m", Source: src, Services: []string{"svc"}})
-	m.Inject(context.Background(), nil, nil)
+	queue(m, nil, nil)
 	waitFor(t, func() bool { return d.reg.Histogram("stage.failures").Count() == 1 })
 	if got := d.reg.Histogram("stage.failures").Snapshot().Mean; got != 5*time.Millisecond {
 		t.Errorf("call_service validation failures = %v, want 5 (as ms)", got)
@@ -740,7 +771,7 @@ func TestCallModuleValidationFromScript(t *testing.T) {
 		}
 	`
 	m, _ := d.SpawnModule(ModuleSpec{Name: "m", Source: src, Next: []Route{{Module: "next"}}})
-	m.Inject(context.Background(), nil, nil)
+	queue(m, nil, nil)
 	waitFor(t, func() bool { return d.reg.Histogram("stage.failures").Count() == 1 })
 	if got := d.reg.Histogram("stage.failures").Snapshot().Mean; got != 7*time.Millisecond {
 		t.Errorf("call_module validation failures = %v, want 7 (as ms)", got)
@@ -759,8 +790,7 @@ func TestModuleUpdateSourceHotSwap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SpawnModule: %v", err)
 	}
-	ctx := context.Background()
-	m.Inject(ctx, nil, nil)
+	queue(m, nil, nil)
 	waitFor(t, func() bool { return d.reg.Histogram("stage.v1_events").Count() == 1 })
 
 	// A syntactically broken update must be rejected without disturbing
@@ -771,7 +801,7 @@ func TestModuleUpdateSourceHotSwap(t *testing.T) {
 	if err := m.UpdateSource(""); err == nil {
 		t.Error("empty update accepted")
 	}
-	m.Inject(ctx, nil, nil)
+	queue(m, nil, nil)
 	waitFor(t, func() bool { return d.reg.Histogram("stage.v1_events").Count() == 2 })
 
 	// A valid update swaps behaviour and runs the new init(). This init
@@ -792,7 +822,7 @@ func TestModuleUpdateSourceHotSwap(t *testing.T) {
 	if got := d.reg.Histogram("stage.v2_init").Count(); got != 1 {
 		t.Errorf("new init ran %d times, want 1", got)
 	}
-	m.Inject(ctx, nil, nil)
+	queue(m, nil, nil)
 	waitFor(t, func() bool { return d.reg.Histogram("stage.v2_events").Count() == 1 })
 	if got := d.reg.Histogram("stage.v1_events").Count(); got != 2 {
 		t.Errorf("old code still running: v1_events = %d", got)
@@ -819,7 +849,7 @@ func TestModuleUpdateKeepsEndpointAndRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send.Inject(context.Background(), nil, nil)
+	queue(send, nil, nil)
 	waitFor(t, func() bool { return desktop.reg.Histogram("stage.received").Count() == 1 })
 
 	// After the hot swap the same DAG edge still routes.
@@ -827,7 +857,7 @@ func TestModuleUpdateKeepsEndpointAndRoutes(t *testing.T) {
 		t.Fatalf("UpdateSource: %v", err)
 	}
 	waitFor(t, func() bool { return phone.reg.Meter("module.send.updates").Count() == 1 })
-	send.Inject(context.Background(), nil, nil)
+	queue(send, nil, nil)
 	waitFor(t, func() bool { return desktop.reg.Histogram("stage.received").Count() == 2 })
 	if got := desktop.reg.Histogram("stage.received").Snapshot().Max; got != 2*time.Millisecond {
 		t.Errorf("updated sender's tag = %v, want 2ms", got)
@@ -848,7 +878,7 @@ func TestDevicePauseFreezesModulesAndPools(t *testing.T) {
 		t.Fatalf("SpawnModule: %v", err)
 	}
 
-	if err := m.Inject(context.Background(), nil, nil); err != nil {
+	if err := queue(m, nil, nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return d.reg.Histogram("stage.handled").Count() == 1 })
@@ -862,7 +892,7 @@ func TestDevicePauseFreezesModulesAndPools(t *testing.T) {
 	}
 
 	// Events injected during the pause are held, not processed.
-	if err := m.Inject(context.Background(), nil, nil); err != nil {
+	if err := queue(m, nil, nil); err != nil {
 		t.Fatalf("Inject while paused: %v", err)
 	}
 	time.Sleep(60 * time.Millisecond)
@@ -888,6 +918,91 @@ func TestDevicePauseFreezesModulesAndPools(t *testing.T) {
 	}
 }
 
+// A paused device holds every call into its pools, through either door —
+// a local CallService and a services.Client through ServeServices — and on
+// a pool deployed after the pause too, until the caller's deadline; Resume
+// releases a held call, and Pause and Resume are idempotent.
+func TestPausedDeviceGatesServiceCalls(t *testing.T) {
+	nw := testNet()
+	d := newDevice(t, nw, "desktop", Desktop)
+	if _, err := d.DeployService(echoSpec("svc"), 1); err != nil {
+		t.Fatalf("DeployService: %v", err)
+	}
+	addr, err := d.ServeServices(0)
+	if err != nil {
+		t.Fatalf("ServeServices: %v", err)
+	}
+	client := services.NewClient(nw.Host("phone"), addr.String(), nil)
+	defer client.Close()
+	doors := []struct {
+		name string
+		call func(ctx context.Context, service string) error
+	}{
+		{"local", func(ctx context.Context, service string) error {
+			_, err := d.CallService(ctx, service, nil, nil)
+			return err
+		}},
+		{"remote", func(ctx context.Context, service string) error {
+			_, err := client.Call(ctx, service, nil, nil)
+			return err
+		}},
+	}
+	held := func(service string) {
+		t.Helper()
+		for _, door := range doors {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			start := time.Now()
+			if err := door.call(ctx, service); err == nil {
+				t.Errorf("%s call to %s on a paused device succeeded", door.name, service)
+			}
+			if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
+				t.Errorf("%s call to %s failed after %v, want to block until the deadline", door.name, service, elapsed)
+			}
+			cancel()
+		}
+	}
+
+	d.Pause()
+	d.Pause()
+	if !d.Paused() {
+		t.Fatal("Paused() false after Pause")
+	}
+	held("svc")
+	if _, err := d.DeployService(echoSpec("late"), 1); err != nil {
+		t.Fatalf("DeployService while paused: %v", err)
+	}
+	if _, err := d.ServeServices(0); err != nil {
+		t.Fatalf("ServeServices while paused: %v", err)
+	}
+	held("late")
+
+	done := make(chan error, len(doors))
+	for _, door := range doors {
+		go func() { done <- door.call(context.Background(), "late") }()
+	}
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case err := <-done:
+		t.Fatalf("a call returned while paused: %v", err)
+	default:
+	}
+	d.Resume()
+	d.Resume()
+	for range doors {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("held call after Resume: %v", err)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("a call still blocked after Resume")
+		}
+	}
+	if d.Paused() {
+		t.Error("Paused() true after Resume")
+	}
+}
+
 func TestModulePausedCloseReleasesHeldFrame(t *testing.T) {
 	nw := testNet()
 	d := newDevice(t, nw, "desktop", Desktop)
@@ -899,7 +1014,7 @@ func TestModulePausedCloseReleasesHeldFrame(t *testing.T) {
 		t.Fatalf("SpawnModule: %v", err)
 	}
 	d.Pause()
-	if err := m.Inject(context.Background(), nil, frame.MustNew(16, 16)); err != nil {
+	if err := queue(m, nil, frame.MustNew(16, 16)); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	time.Sleep(30 * time.Millisecond)
@@ -926,7 +1041,7 @@ func TestModuleAbandonedFrameReturnsCredit(t *testing.T) {
 	m.SetFrameDone(func(time.Duration) { done.Add(1) })
 	m.SetFrameAbandoned(func() { abandoned.Add(1) })
 
-	if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"fail": true}), frame.MustNew(8, 8)); err != nil {
+	if err := queue(m, objectOf(map[string]script.Value{"fail": true}), frame.MustNew(8, 8)); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return abandoned.Load() == 1 })
@@ -935,7 +1050,7 @@ func TestModuleAbandonedFrameReturnsCredit(t *testing.T) {
 	}
 
 	// A successful event fires frame_done, not the abandoned hook.
-	if err := m.Inject(context.Background(), nil, frame.MustNew(8, 8)); err != nil {
+	if err := queue(m, nil, frame.MustNew(8, 8)); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return done.Load() == 1 })
@@ -944,7 +1059,7 @@ func TestModuleAbandonedFrameReturnsCredit(t *testing.T) {
 	}
 
 	// An error without a frame returns no credit (nothing was consumed).
-	if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"fail": true}), nil); err != nil {
+	if err := queue(m, objectOf(map[string]script.Value{"fail": true}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return d.reg.Meter("module.m.errors").Count() == 2 })
@@ -987,7 +1102,7 @@ func TestCrashCancelsInFlightCallService(t *testing.T) {
 	var done, abandoned atomic.Int64
 	m.SetFrameDone(func(time.Duration) { done.Add(1) })
 	m.SetFrameAbandoned(func() { abandoned.Add(1) })
-	if err := m.Inject(context.Background(), nil, frame.MustNew(8, 8)); err != nil {
+	if err := queue(m, nil, frame.MustNew(8, 8)); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	<-entered
@@ -1037,7 +1152,7 @@ func TestHandlerKeepsItsOwnMessage(t *testing.T) {
 	bodies := make([]*script.Object, n)
 	for i := range bodies {
 		bodies[i] = objectOf(map[string]script.Value{"seq": float64(i)})
-		if err := m.Inject(context.Background(), bodies[i], nil); err != nil {
+		if err := queue(m, bodies[i], nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package device
 
 import (
-	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,9 +27,8 @@ func TestModuleBreachKillQuarantine(t *testing.T) {
 	var abandoned atomic.Int64
 	m.SetFrameAbandoned(func() { abandoned.Add(1) })
 
-	ctx := context.Background()
 	for i := 0; i < maxBreaches; i++ {
-		if err := m.Inject(ctx, nil, frame.MustNew(4, 4)); err != nil {
+		if err := queue(m, nil, frame.MustNew(4, 4)); err != nil {
 			t.Fatalf("Inject %d: %v", i, err)
 		}
 	}
@@ -47,7 +45,7 @@ func TestModuleBreachKillQuarantine(t *testing.T) {
 	// Quarantine: events after the kill never reach the handler; their
 	// frames are abandoned immediately and the store drains.
 	events := d.reg.Meter("module.runaway.events").Count()
-	if err := m.Inject(ctx, nil, frame.MustNew(4, 4)); err != nil {
+	if err := queue(m, nil, frame.MustNew(4, 4)); err != nil {
 		t.Fatalf("Inject after kill: %v", err)
 	}
 	waitFor(t, func() bool { return abandoned.Load() == maxBreaches+1 })
@@ -75,11 +73,10 @@ func TestModuleBreachCountResetsOnSuccess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SpawnModule: %v", err)
 	}
-	ctx := context.Background()
 	// breach, breach, success — repeated: never 3 consecutive breaches.
 	for round := 0; round < 3; round++ {
 		for _, spin := range []float64{1, 1, 0} {
-			if err := m.Inject(ctx, objectOf(map[string]script.Value{"spin": spin}), nil); err != nil {
+			if err := queue(m, objectOf(map[string]script.Value{"spin": spin}), nil); err != nil {
 				t.Fatalf("Inject: %v", err)
 			}
 		}
@@ -111,7 +108,7 @@ func TestModuleOutputBudgetBreach(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SpawnModule: %v", err)
 	}
-	if err := m.Inject(context.Background(), nil, nil); err != nil {
+	if err := queue(m, nil, nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool {
@@ -137,7 +134,7 @@ func TestModuleRestoreVersionGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SpawnModule: %v", err)
 	}
-	if err := m1.Inject(context.Background(), objectOf(map[string]script.Value{"value": float64(5)}), nil); err != nil {
+	if err := queue(m1, objectOf(map[string]script.Value{"value": float64(5)}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return d.reg.Meter("module.counter.events").Count() == 1 })
@@ -152,7 +149,7 @@ func TestModuleRestoreVersionGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SpawnModule counter2: %v", err)
 	}
-	if err := m2.Inject(context.Background(), objectOf(map[string]script.Value{"value": float64(1)}), nil); err != nil {
+	if err := queue(m2, objectOf(map[string]script.Value{"value": float64(1)}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return d.reg.Histogram("stage.total").Count() == 2 })
@@ -173,7 +170,7 @@ func TestModuleRestoreVersionGate(t *testing.T) {
 	waitFor(t, func() bool {
 		return d.reg.Meter("module.counter3.restore_discarded").Count() == 1
 	})
-	if err := m3.Inject(context.Background(), objectOf(map[string]script.Value{"value": float64(2)}), nil); err != nil {
+	if err := queue(m3, objectOf(map[string]script.Value{"value": float64(2)}), nil); err != nil {
 		t.Fatalf("Inject: %v", err)
 	}
 	waitFor(t, func() bool { return d.reg.Histogram("stage.total2").Count() == 1 })

@@ -105,7 +105,7 @@ func TestLendAcrossHotSwap(t *testing.T) {
 	waitFor(t, func() bool { return d.reg.Meter("module.stage.updates").Count() == 1 })
 	for seq := frames; seq < frames+window; seq++ {
 		credits.avail.Add(-1)
-		if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"seq": float64(seq)}), frame.MustNewPooled(8, 8)); err != nil {
+		if err := queue(m, objectOf(map[string]script.Value{"seq": float64(seq)}), frame.MustNewPooled(8, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestLendServiceHandBack(t *testing.T) {
 			before := d.reg.Histogram("stage.handback").Count()
 			const events = 5
 			for i := 0; i < events; i++ {
-				if err := mod.Inject(context.Background(), nil, nil); err != nil {
+				if err := queue(mod, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

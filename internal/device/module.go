@@ -375,26 +375,14 @@ func (m *Module) SetFrameDone(fn func(e2e time.Duration)) { m.onFrameDone = fn }
 // frame fails before reaching frame_done().
 func (m *Module) SetFrameAbandoned(fn func()) { m.onFrameAbandoned = fn }
 
-// Inject delivers an event directly from Go — how the video source (a
-// camera, not a script) feeds the first module. The body (nil reads as
-// empty) becomes the event's message and the frame, if any, goes into the
-// device store: both are handed over, queued or not.
-func (m *Module) Inject(ctx context.Context, body *script.Object, f *frame.Frame) error {
-	_, err := m.inject(ctx, true, body, f)
-	return err
-}
-
-// TryInject is Inject without blocking: it reports false when the module
-// is busy (no credit) — the source-side drop point of the queue-free
-// design.
-func (m *Module) TryInject(body *script.Object, f *frame.Frame) (bool, error) {
-	return m.inject(context.Background(), false, body, f)
-}
-
-// inject is Inject when wait is set (it waits for the inbox until ctx ends)
-// and TryInject when not; an event it does not queue gives its store entry
+// TryInject delivers an event directly from Go — how the video source (a
+// camera, not a script) feeds the first module — without blocking: it
+// reports false when the module is busy (no credit), the source-side drop
+// point of the queue-free design. The body (nil reads as empty) becomes the
+// event's message and the frame, if any, goes into the device store: both
+// are handed over, queued or not; an event not queued gives its store entry
 // back.
-func (m *Module) inject(ctx context.Context, wait bool, body *script.Object, f *frame.Frame) (bool, error) {
+func (m *Module) TryInject(body *script.Object, f *frame.Frame) (bool, error) {
 	if body == nil {
 		body = script.NewObjectSize(1) // room for the frame_ref
 	}
@@ -408,33 +396,18 @@ func (m *Module) inject(ctx context.Context, wait bool, body *script.Object, f *
 		ev.frameID = id
 	}
 	var err error
-	closed := false
 	select {
 	case <-m.done: // checked first: nothing drains a closed module's inbox
-		closed = true
+		err = fmt.Errorf("device: module %s is closed", m.spec.Name)
 	default:
-		if wait {
-			select {
-			case m.events <- ev:
-				return true, nil
-			case <-m.done:
-				closed = true
-			case <-ctx.Done():
-				err = ctx.Err()
-			}
-		} else {
-			select {
-			case m.events <- ev:
-				return true, nil
-			default: // busy: no credit
-			}
+		select {
+		case m.events <- ev:
+			return true, nil
+		default: // busy: no credit
 		}
 	}
 	if ev.frameID != 0 {
 		m.dev.store.Release(ev.frameID)
-	}
-	if closed {
-		err = fmt.Errorf("device: module %s is closed", m.spec.Name)
 	}
 	return false, err
 }
@@ -638,18 +611,11 @@ func (m *Module) admit(ev event) bool {
 	// A paused device (chaos reboot) holds the event until Resume; the
 	// single-slot channel upstream means flow control sees the stall and
 	// the source drops frames instead of queueing.
-	for {
-		ch := m.dev.pauseGate()
-		if ch == nil {
-			return true
-		}
-		select {
-		case <-ch:
-		case <-m.done:
-			m.abandon(ev)
-			return false
-		}
+	if !m.dev.awaitRunning(m.done) {
+		m.abandon(ev)
+		return false
 	}
+	return true
 }
 
 // UpdateSource hot-swaps the module's code without disturbing its

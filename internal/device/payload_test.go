@@ -65,7 +65,7 @@ func TestCallModuleSnapshotsAtSend(t *testing.T) {
 	}
 	const events = 40
 	for i := 0; i < events; i++ {
-		if err := sender.Inject(context.Background(), nil, nil); err != nil {
+		if err := queue(sender, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +199,7 @@ func TestCallModuleSharesReadOnlyPayloads(t *testing.T) {
 				"seq":  float64(i),
 				"pose": script.FromGo(map[string]any{"kps": []any{map[string]any{"x": 1.0}, map[string]any{"x": 2.0}}}),
 			})
-			if err := sender.Inject(context.Background(), body, nil); err != nil {
+			if err := queue(sender, body, nil); err != nil {
 				done <- err
 				return
 			}
@@ -285,7 +285,7 @@ func TestCallServiceEchoToReadOnlyCaller(t *testing.T) {
 	}
 	const events = 100
 	for i := 0; i < events; i++ {
-		if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"n": float64(i)}), nil); err != nil {
+		if err := queue(m, objectOf(map[string]script.Value{"n": float64(i)}), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,7 +344,7 @@ func TestCallServiceLendsArguments(t *testing.T) {
 	}
 	const events = 20
 	for i := 0; i < events; i++ {
-		if err := m.Inject(context.Background(), nil, frame.MustNew(4, 4)); err != nil {
+		if err := queue(m, nil, frame.MustNew(4, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -108,7 +108,7 @@ func offerBursts(t *testing.T, m *Module, credits *creditWindow, window int64, n
 		waitFor(t, func() bool { return credits.avail.Load() == window })
 		for i := int64(0); i < window && seq < n; i, seq = i+1, seq+1 {
 			credits.avail.Add(-1)
-			if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"seq": float64(seq)}), frame.MustNewPooled(8, 8)); err != nil {
+			if err := queue(m, objectOf(map[string]script.Value{"seq": float64(seq)}), frame.MustNewPooled(8, 8)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -184,7 +184,7 @@ func TestUpdateSourceAcrossReplication(t *testing.T) {
 	// One more burst runs on the last code for certain.
 	for seq := frames; seq < frames+window; seq++ {
 		credits.avail.Add(-1)
-		if err := m.Inject(context.Background(), objectOf(map[string]script.Value{"seq": float64(seq)}), frame.MustNewPooled(8, 8)); err != nil {
+		if err := queue(m, objectOf(map[string]script.Value{"seq": float64(seq)}), frame.MustNewPooled(8, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestModuleBreachesAcrossWorkersKillOnce(t *testing.T) {
 	credits := watchCredits(m, 4)
 	for i := 0; i < 4; i++ {
 		credits.avail.Add(-1)
-		if err := m.Inject(context.Background(), nil, frame.MustNewPooled(8, 8)); err != nil {
+		if err := queue(m, nil, frame.MustNewPooled(8, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +239,7 @@ func TestModuleBreachesAcrossWorkersKillOnce(t *testing.T) {
 	}
 	// Quarantined from here on.
 	credits.avail.Add(-1)
-	if err := m.Inject(context.Background(), nil, frame.MustNewPooled(8, 8)); err != nil {
+	if err := queue(m, nil, frame.MustNewPooled(8, 8)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return credits.avail.Load() == 4 })
@@ -271,7 +271,7 @@ func TestCloseWakesParkedWorkers(t *testing.T) {
 	credits := watchCredits(m, held)
 	for i := int64(0); i < held; i++ {
 		credits.avail.Add(-1)
-		if err := m.Inject(context.Background(), nil, frame.MustNewPooled(8, 8)); err != nil {
+		if err := queue(m, nil, frame.MustNewPooled(8, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}

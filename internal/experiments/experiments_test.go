@@ -39,6 +39,28 @@ func fastOptions(t *testing.T) Options {
 	return Options{RunDuration: 1200 * time.Millisecond, Registry: regVal}
 }
 
+// TestDefaultChaosSchedulesPinned pins every default scenario's schedule at
+// seed 1 — flaky_wifi's is generated — so a change to chaos.Generate cannot
+// move the legacy schedules silently.
+func TestDefaultChaosSchedulesPinned(t *testing.T) {
+	want := map[string]string{
+		"flaky_wifi": "66.145821ms loss_burst desktop|phone for 482.153551ms\n" +
+			"760.398084ms latency_spike desktop|phone for 280.279449ms\n" +
+			"832.969758ms latency_spike desktop|phone for 349.16732ms",
+		"desktop_reboot": "400ms pause_device desktop for 800ms",
+		"pose_pool_kill": "400ms kill_service pose_detector for 1s",
+	}
+	scenarios := DefaultChaosScenarios()
+	if len(scenarios) != len(want) {
+		t.Errorf("%d default scenarios, want %d", len(scenarios), len(want))
+	}
+	for _, sc := range scenarios {
+		if got := sc.schedule(1).Fingerprint(); got != want[sc.Name] {
+			t.Errorf("%s schedule at seed 1:\n got %q\nwant %q", sc.Name, got, want[sc.Name])
+		}
+	}
+}
+
 func TestOptionDefaults(t *testing.T) {
 	var o Options
 	if o.duration() != 3*time.Second {

@@ -46,8 +46,6 @@ var linkAllowed = map[string]string{
 	"internal/frame.MustNewPooled":          "the pooled test frame of frame, device and core tests",
 	"internal/device.Device.Store":          "read by core tests: every store entry back after a run",
 	"internal/device.Device.Crashed":        "read by chaos tests: a device_crash fault applied",
-	"internal/device.Device.Paused":         "read by chaos tests: a pause_device fault applied and reversed",
-	"internal/device.Module.Inject":         "device tests queue events back to back without a pipeline's credit window",
 	"internal/netsim.Network.Partitioned":   "read by chaos tests: a partition applied and healed",
 	"internal/netsim.Network.Shaped":        "read by chaos tests: a latency spike applied and cleared",
 }

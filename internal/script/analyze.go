@@ -2,7 +2,6 @@ package script
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -76,9 +75,6 @@ func (d Diagnostic) String() string {
 
 // Options configures an Analyze pass.
 type Options struct {
-	// Globals names extra identifiers to treat as defined (beyond the
-	// signature table), e.g. host bindings added by a test harness.
-	Globals []string
 	// RequireEventReceived makes a missing event_received definition an
 	// error (PV008). core sets it for modules reachable from the source.
 	RequireEventReceived bool
@@ -175,7 +171,7 @@ func Analyze(src string, opts Options) Report {
 
 	a := &analyzer{opts: opts}
 	funcs := topLevelFuncs(prog)
-	names := newCallees(prog, funcs, opts.Globals)
+	names := newCallees(prog, funcs)
 	a.run(prog, names)
 	if prog.state == nil {
 		a.facts.Stateless = true
@@ -430,15 +426,10 @@ func (a *analyzer) condAssign(e expr) {
 }
 
 // builtin returns the signature-table entry an identifier no scope declares
-// refers to; defined also admits the host globals Options names.
+// refers to.
 func (a *analyzer) builtin(name string) (Signature, bool) {
 	sig, ok := callSignatures[name]
 	return sig, ok && !sig.Callback // init/event_received are defined by the module, not for it
-}
-
-func (a *analyzer) defined(name string) bool {
-	_, ok := a.builtin(name)
-	return ok || slices.Contains(a.opts.Globals, name)
 }
 
 // use checks an identifier against its binding: none and no builtin is
@@ -446,10 +437,11 @@ func (a *analyzer) defined(name string) bool {
 // "assigned".
 func (a *analyzer) use(id *identExpr, verb string) {
 	b := id.bind
+	_, builtin := a.builtin(id.name)
 	switch {
-	case b == nil && !a.defined(id.name) && verb == "used":
+	case b == nil && !builtin && verb == "used":
 		a.diag(id.pos, CodeUndefined, SeverityError, fmt.Sprintf("%q is not defined", id.name))
-	case b == nil && !a.defined(id.name):
+	case b == nil && !builtin:
 		a.diag(id.pos, CodeUndefined, SeverityError,
 			fmt.Sprintf("%q is not defined (PipeScript has no implicit globals; declare it with var)", id.name))
 	case b != nil && id.early:

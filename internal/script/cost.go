@@ -286,8 +286,7 @@ func (ca *costAnalysis) ownBinding(id *identExpr) bool {
 // binding or stdlib builtin, one of the module's own top-level functions, or
 // a value only the running code knows. pipecost and PV011 both ask it.
 type callees struct {
-	globals map[string]bool
-	funcs   funcTable
+	funcs funcTable
 	// values names every global the module binds other than by a definition
 	// in funcs — a plain variable, a function the table's entry replaced or
 	// one declared under an if, a table function or builtin some assignment
@@ -296,11 +295,8 @@ type callees struct {
 	values map[string]bool
 }
 
-func newCallees(prog *program, funcs funcTable, globals []string) *callees {
-	c := &callees{globals: make(map[string]bool, len(globals)), funcs: funcs, values: make(map[string]bool)}
-	for _, g := range globals {
-		c.globals[g] = true
-	}
+func newCallees(prog *program, funcs funcTable) *callees {
+	c := &callees{funcs: funcs, values: make(map[string]bool)}
 	// A module-level declaration other than the table's entry binds a value,
 	// and so does a write to a name the pass would otherwise trust — a table
 	// function, a builtin — since it replaces what a later call runs.
@@ -324,7 +320,7 @@ func (c *callees) moduleBinds(name string) bool {
 
 func (c *callees) hostBinds(name string) bool {
 	_, isSig := callSignatures[name]
-	return isSig || c.globals[name]
+	return isSig
 }
 
 // builtin reports whether a call through id reaches the host binding or

@@ -351,9 +351,6 @@ func (c *shapeCtx) evalDepth(e expr, env shapeEnv, depth int) *Shape {
 		if s, ok := c.globals[ex.name]; ok {
 			return s
 		}
-		if c.names.globals[ex.name] {
-			return topShape()
-		}
 		if _, ok := c.names.funcs[ex.name]; ok {
 			return kindShape(KindFunction)
 		}

@@ -335,7 +335,7 @@ func AnalyzeShapes(src string) ShapeReport {
 	if err != nil {
 		return ShapeReport{}
 	}
-	rep, _ := shapePass(prog, newCallees(prog, topLevelFuncs(prog), nil))
+	rep, _ := shapePass(prog, newCallees(prog, topLevelFuncs(prog)))
 	return rep
 }
 

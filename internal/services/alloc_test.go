@@ -100,7 +100,7 @@ func TestClientCallAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(nw.Host("desktop"), 0, map[string]*Pool{"echo_pose": pool}, nil)
+	srv, err := NewServer(nw.Host("desktop"), 0, map[string]*Pool{"echo_pose": pool}, nil, openGate)
 	if err != nil {
 		t.Fatal(err)
 	}

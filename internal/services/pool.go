@@ -12,84 +12,57 @@ import (
 )
 
 // poolStats tracks the pool's live load levels, which the tune phase reads
-// through QueueDepth and BusyWorkers. Both methods are safe on a nil
-// receiver so a standalone Instance (no pool) costs nothing.
+// through QueueDepth and BusyWorkers.
 type poolStats struct {
 	queued atomic.Int64
 	busy   atomic.Int64
 }
 
-func (s *poolStats) addQueued(d int64) {
-	if s == nil {
-		return
-	}
-	s.queued.Add(d)
-}
-
-func (s *poolStats) addBusy(d int64) {
-	if s == nil {
-		return
-	}
-	s.busy.Add(d)
-}
-
-// Instance models one running container of a service: bounded worker
+// instance models one running container of a service: bounded worker
 // concurrency and a simulated compute cost with a partially serialized
 // section.
-type Instance struct {
+type instance struct {
 	spec      Spec
 	cpuFactor float64
 	workers   chan struct{}
 	serialMu  sync.Mutex
 	inFlight  atomic.Int64
 	calls     atomic.Uint64
-	// stats points at the owning pool's load levels; nil for standalone
-	// instances.
+	// stats points at the owning pool's load levels.
 	stats *poolStats
 }
 
-// NewInstance starts an instance on hardware with the given CPU speed
-// factor (1.0 = the paper's desktop; smaller is slower, so cost scales by
-// 1/cpuFactor).
-func NewInstance(spec Spec, cpuFactor float64) (*Instance, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
+// newInstance starts one of the pool's instances.
+func (p *Pool) newInstance() *instance {
+	return &instance{
+		spec:      p.spec,
+		cpuFactor: p.cpuFactor,
+		workers:   make(chan struct{}, max(p.spec.Workers, 1)),
+		stats:     &p.stats,
 	}
-	if cpuFactor <= 0 {
-		return nil, fmt.Errorf("services: instance of %q: cpu factor %v must be positive", spec.Name, cpuFactor)
-	}
-	w := spec.Workers
-	if w <= 0 {
-		w = 1
-	}
-	return &Instance{
-		spec:      spec,
-		cpuFactor: cpuFactor,
-		workers:   make(chan struct{}, w),
-	}, nil
 }
 
 // InFlight reports requests currently executing or queued on this instance.
-func (i *Instance) InFlight() int { return int(i.inFlight.Load()) }
+func (i *instance) InFlight() int { return int(i.inFlight.Load()) }
 
 // Calls reports the total requests served.
-func (i *Instance) Calls() uint64 { return i.calls.Load() }
+func (i *instance) Calls() uint64 { return i.calls.Load() }
 
 // Invoke executes one request: waits for a worker slot, runs the handler,
 // then pads execution up to the simulated inference cost (with the serial
 // fraction under the instance lock, where sharing pipelines contend).
-func (i *Instance) Invoke(ctx context.Context, req Request) (Response, error) {
+func (i *instance) Invoke(ctx context.Context, req Request) (Response, error) {
 	i.inFlight.Add(1)
 	defer i.inFlight.Add(-1)
 
-	i.stats.addQueued(1)
+	i.stats.queued.Add(1)
 	select {
 	case i.workers <- struct{}{}:
-		i.stats.addQueued(-1)
-		i.stats.addBusy(1)
-		defer func() { <-i.workers; i.stats.addBusy(-1) }()
+		i.stats.queued.Add(-1)
+		i.stats.busy.Add(1)
+		defer func() { <-i.workers; i.stats.busy.Add(-1) }()
 	case <-ctx.Done():
-		i.stats.addQueued(-1)
+		i.stats.queued.Add(-1)
 		return Response{}, fmt.Errorf("services: %s: %w", i.spec.Name, ctx.Err())
 	}
 
@@ -129,11 +102,8 @@ type Pool struct {
 	cpuFactor float64
 
 	mu        sync.Mutex
-	instances []*Instance
+	instances []*instance
 	next      int
-	// gate is non-nil while the pool is paused (chaos: host device down);
-	// Invoke blocks on it until Resume closes it.
-	gate chan struct{}
 	// recent holds the excess waits of the latest requests enqueued since
 	// the pool last grew: the tune phase's saturation signal
 	// (RecentWaitP99).
@@ -143,19 +113,22 @@ type Pool struct {
 	stats poolStats
 }
 
-// NewPool creates a pool with n initial instances.
+// NewPool creates a pool with n initial instances on hardware with the
+// given CPU speed factor (1.0 = the paper's desktop; smaller is slower, so
+// cost scales by 1/cpuFactor).
 func NewPool(spec Spec, n int, cpuFactor float64) (*Pool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("services: pool of %q needs at least one instance", spec.Name)
 	}
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	if cpuFactor <= 0 {
+		return nil, fmt.Errorf("services: pool of %q: cpu factor %v must be positive", spec.Name, cpuFactor)
+	}
 	p := &Pool{spec: spec, cpuFactor: cpuFactor, wait: &metrics.Histogram{}}
 	for k := 0; k < n; k++ {
-		inst, err := NewInstance(spec, cpuFactor)
-		if err != nil {
-			return nil, err
-		}
-		inst.stats = &p.stats
-		p.instances = append(p.instances, inst)
+		p.instances = append(p.instances, p.newInstance())
 	}
 	return p, nil
 }
@@ -241,11 +214,7 @@ func (p *Pool) Scale(n int) error {
 	}
 
 	for k := cur; k < n; k++ {
-		inst, err := NewInstance(p.spec, p.cpuFactor)
-		if err != nil {
-			return err
-		}
-		inst.stats = &p.stats
+		inst := p.newInstance()
 		p.mu.Lock()
 		p.instances = append(p.instances, inst)
 		p.recent.Restart(time.Now())
@@ -275,41 +244,8 @@ func (p *Pool) Kill(k int) int {
 	return k
 }
 
-// Pause freezes the pool: Invoke blocks (bounded by its context) until
-// Resume. It models the hosting device going down with requests in flight.
-func (p *Pool) Pause() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.gate == nil {
-		p.gate = make(chan struct{})
-	}
-}
-
-// Resume releases a paused pool; blocked Invokes proceed.
-func (p *Pool) Resume() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.gate != nil {
-		close(p.gate)
-		p.gate = nil
-	}
-}
-
-// Paused reports whether the pool is currently gated. The supervisor uses
-// it to tell a hung host (don't restart — it will resume) from a dead pool
-// (restart now).
-func (p *Pool) Paused() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.gate != nil
-}
-
 // Invoke dispatches a request to the least-loaded instance.
 func (p *Pool) Invoke(ctx context.Context, req Request) (Response, error) {
-	if err := p.waitGate(ctx); err != nil {
-		return Response{}, err
-	}
-
 	enqueued := time.Now()
 	best, err := p.pick()
 	if err != nil {
@@ -320,23 +256,8 @@ func (p *Pool) Invoke(ctx context.Context, req Request) (Response, error) {
 	return resp, err
 }
 
-// waitGate blocks while the pool is paused.
-func (p *Pool) waitGate(ctx context.Context) error {
-	p.mu.Lock()
-	gate := p.gate
-	p.mu.Unlock()
-	if gate != nil {
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			return fmt.Errorf("services: %s paused: %w", p.spec.Name, ctx.Err())
-		}
-	}
-	return nil
-}
-
 // pick selects the least-loaded instance.
-func (p *Pool) pick() (*Instance, error) {
+func (p *Pool) pick() (*instance, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.instances) == 0 {

@@ -29,6 +29,9 @@ type Server struct {
 	pools     map[string]*Pool
 	codec     frame.Codec
 	args      warmDecoder
+	// gate holds every request while the hosting device is paused: a
+	// service runs in a container on that device, so it hangs with it.
+	gate wire.HealthGate
 }
 
 // warmDecoder is one interning script.JSONDecoder kept warm across the
@@ -51,8 +54,9 @@ func (w *warmDecoder) decode(data []byte) (*script.Object, error) {
 }
 
 // NewServer binds a service server at port (0 = ephemeral) serving the
-// given pools.
-func NewServer(t wire.Transport, port int, pools map[string]*Pool, codec frame.Codec) (*Server, error) {
+// given pools. Each request waits on gate, the hosting device's pause gate,
+// before it reaches a pool.
+func NewServer(t wire.Transport, port int, pools map[string]*Pool, codec frame.Codec, gate wire.HealthGate) (*Server, error) {
 	if codec == nil {
 		codec = frame.JPEGCodec{}
 	}
@@ -63,7 +67,7 @@ func NewServer(t wire.Transport, port int, pools map[string]*Pool, codec frame.C
 	for n, p := range pools {
 		owned[n] = p
 	}
-	s := &Server{pools: owned, codec: codec}
+	s := &Server{pools: owned, codec: codec, gate: gate}
 	resp, err := wire.ListenResponder(t, port, s.handle)
 	if err != nil {
 		return nil, fmt.Errorf("services: server: %w", err)
@@ -88,6 +92,9 @@ func (s *Server) Addr() net.Addr { return s.responder.Addr() }
 func (s *Server) Close() error { return s.responder.Close() }
 
 func (s *Server) handle(ctx context.Context, m wire.Message) (wire.Message, error) {
+	if err := s.gate(ctx); err != nil {
+		return wire.Message{}, err
+	}
 	if m.Len() < 2 {
 		return wire.Message{}, fmt.Errorf("services: malformed request (%d parts)", m.Len())
 	}

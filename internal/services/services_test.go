@@ -56,6 +56,10 @@ func testRegistry(t *testing.T) *Registry {
 	return regVal
 }
 
+// openGate is a pause gate that never holds a request: the pools a test
+// serves run on no device that could pause.
+func openGate(context.Context) error { return nil }
+
 func poolFor(t *testing.T, name string) *Pool {
 	t.Helper()
 	spec, err := testRegistry(t).Lookup(name)
@@ -125,9 +129,9 @@ func TestInstancePadsToCost(t *testing.T) {
 		Name: "timed", Cost: 50 * time.Millisecond,
 		Handler: func(context.Context, Request) (Response, error) { return Response{}, nil },
 	}
-	inst, err := NewInstance(spec, 1.0)
+	inst, err := NewPool(spec, 1, 1.0)
 	if err != nil {
-		t.Fatalf("NewInstance: %v", err)
+		t.Fatalf("NewPool: %v", err)
 	}
 	start := time.Now()
 	if _, err := inst.Invoke(context.Background(), Request{}); err != nil {
@@ -146,13 +150,13 @@ func TestInstanceCPUFactorScalesCost(t *testing.T) {
 		Name: "timed", Cost: 30 * time.Millisecond,
 		Handler: func(context.Context, Request) (Response, error) { return Response{}, nil },
 	}
-	slow, _ := NewInstance(spec, 0.5) // half-speed device: 60ms
+	slow, _ := NewPool(spec, 1, 0.5) // half-speed device: 60ms
 	start := time.Now()
 	slow.Invoke(context.Background(), Request{})
 	if elapsed := time.Since(start); elapsed < 55*time.Millisecond {
 		t.Errorf("half-speed invoke took %v, want >= ~60ms", elapsed)
 	}
-	if _, err := NewInstance(spec, 0); err == nil {
+	if _, err := NewPool(spec, 1, 0); err == nil {
 		t.Error("zero cpu factor accepted")
 	}
 }
@@ -162,7 +166,7 @@ func TestInstanceWorkerLimit(t *testing.T) {
 		Name: "limited", Cost: 40 * time.Millisecond, Workers: 1,
 		Handler: func(context.Context, Request) (Response, error) { return Response{}, nil },
 	}
-	inst, _ := NewInstance(spec, 1.0)
+	inst, _ := NewPool(spec, 1, 1.0)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for k := 0; k < 3; k++ {
@@ -183,7 +187,7 @@ func TestInstanceTwoWorkersParallel(t *testing.T) {
 		Name: "par", Cost: 40 * time.Millisecond, Workers: 2,
 		Handler: func(context.Context, Request) (Response, error) { return Response{}, nil },
 	}
-	inst, _ := NewInstance(spec, 1.0)
+	inst, _ := NewPool(spec, 1, 1.0)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for k := 0; k < 2; k++ {
@@ -204,7 +208,7 @@ func TestInstanceSerialFractionContends(t *testing.T) {
 		Name: "gpu", Cost: 60 * time.Millisecond, Workers: 2, SerialFraction: 1.0,
 		Handler: func(context.Context, Request) (Response, error) { return Response{}, nil },
 	}
-	inst, _ := NewInstance(spec, 1.0)
+	inst, _ := NewPool(spec, 1, 1.0)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for k := 0; k < 2; k++ {
@@ -226,7 +230,7 @@ func TestInstanceContextCancelled(t *testing.T) {
 		Name: "slow", Cost: time.Second,
 		Handler: func(context.Context, Request) (Response, error) { return Response{}, nil },
 	}
-	inst, _ := NewInstance(spec, 1.0)
+	inst, _ := NewPool(spec, 1, 1.0)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := inst.Invoke(ctx, Request{}); err == nil {
@@ -240,7 +244,7 @@ func TestInstanceHandlerError(t *testing.T) {
 			return Response{}, context.DeadlineExceeded
 		},
 	}
-	inst, _ := NewInstance(spec, 1.0)
+	inst, _ := NewPool(spec, 1, 1.0)
 	if _, err := inst.Invoke(context.Background(), Request{}); err == nil {
 		t.Error("handler error swallowed")
 	}
@@ -555,7 +559,7 @@ func TestServerClientRemoteCall(t *testing.T) {
 		t.Fatalf("Lookup: %v", err)
 	}
 	pool, _ := NewPool(spec, 1, 1.0)
-	srv, err := NewServer(nw.Host("desktop"), 0, map[string]*Pool{PoseDetector: pool}, frame.JPEGCodec{Quality: 85})
+	srv, err := NewServer(nw.Host("desktop"), 0, map[string]*Pool{PoseDetector: pool}, frame.JPEGCodec{Quality: 85}, openGate)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -582,7 +586,7 @@ func TestServerRoundTripsFrames(t *testing.T) {
 	nw := netsim.NewNetwork(netsim.LinkProfile{})
 	spec, _ := testRegistry(t).Lookup(Display)
 	pool, _ := NewPool(spec, 1, 1.0)
-	srv, err := NewServer(nw.Host("tv"), 0, map[string]*Pool{Display: pool}, nil)
+	srv, err := NewServer(nw.Host("tv"), 0, map[string]*Pool{Display: pool}, nil, openGate)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
@@ -751,7 +755,7 @@ func TestPoolRecentWaitRestartsOnGrow(t *testing.T) {
 
 func TestInstanceSpecAccessor(t *testing.T) {
 	spec := Spec{Name: "s", Handler: func(context.Context, Request) (Response, error) { return Response{}, nil }}
-	inst, _ := NewInstance(spec, 1.0)
+	inst, _ := NewPool(spec, 1, 1.0)
 	if inst.InFlight() != 0 {
 		t.Errorf("idle InFlight = %d", inst.InFlight())
 	}
@@ -842,52 +846,6 @@ func TestPoolKill(t *testing.T) {
 	}
 }
 
-func TestPoolPauseResume(t *testing.T) {
-	spec := Spec{
-		Name: "frozen", Handler: func(context.Context, Request) (Response, error) { return Response{}, nil },
-	}
-	p, _ := NewPool(spec, 1, 1.0)
-	p.Pause()
-
-	// A paused pool holds requests until the caller's deadline.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if _, err := p.Invoke(ctx, Request{}); err == nil {
-		t.Error("Invoke on a paused pool succeeded")
-	}
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Errorf("paused Invoke failed after %v, want to block until the deadline", elapsed)
-	}
-
-	// Resume releases a request blocked mid-pause.
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.Invoke(context.Background(), Request{})
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case err := <-done:
-		t.Fatalf("Invoke returned while paused: %v", err)
-	default:
-	}
-	p.Resume()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("Invoke after resume: %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Invoke still blocked after Resume")
-	}
-	// Idempotent.
-	p.Resume()
-	p.Pause()
-	p.Pause()
-	p.Resume()
-}
-
 func TestPoseValueRoundTrip(t *testing.T) {
 	p := vision.SynthesizePose(vision.Wave, 0.7, vision.DefaultSubject(), rand.New(rand.NewSource(1)))
 	v := poseValue(p)
@@ -961,7 +919,7 @@ func TestServerRejectsBatchMarker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPool: %v", err)
 	}
-	srv, err := NewServer(nw.Host("desktop"), 0, map[string]*Pool{"echo": pool}, nil)
+	srv, err := NewServer(nw.Host("desktop"), 0, map[string]*Pool{"echo": pool}, nil, openGate)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
