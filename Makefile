@@ -141,14 +141,14 @@ VP_CHAOS_SEED ?= 1
 
 # Control-loop gate: the supervised chaos e2e suite (recovery left wholly
 # to the loop's heal phase, exact journal assertions) plus the heal-phase,
-# loop (tick, probes, report, degraded time), migration, failover,
-# breaker and snapshot unit tests, the tune phase's rules with the
+# loop (tick, probes, report, degraded time), migration, failover and
+# snapshot unit tests, the tune phase's rules with the
 # credit-window narrowing they drive (its ring restart races frame_done),
 # and the pool's recent-wait ring (its restart on a grow races Invoke) —
 # all under the race detector with a pinned seed.
 heal:
 	VP_CHAOS_SEED=$(VP_CHAOS_SEED) $(GO) test -race -v -run 'TestChaos' .
-	$(GO) test -race -run 'TestSupervisor|TestLoop|TestMonitor|TestMigrate|TestFailOver|TestBreaker|TestSnapshot|TestTuner|TestResizeCredits|TestPoolRecentWait' ./internal/core ./internal/services ./internal/script
+	$(GO) test -race -run 'TestSupervisor|TestLoop|TestMonitor|TestMigrate|TestFailOver|TestSnapshot|TestTuner|TestResizeCredits|TestPoolRecentWait' ./internal/core ./internal/services ./internal/script
 
 # Sandbox-governance gate: budget enforcement, kill/quarantine/restart and
 # the module-sabotage chaos scenarios (hostile code contained by the

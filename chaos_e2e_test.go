@@ -137,7 +137,7 @@ func TestChaosResilience(t *testing.T) {
 	// probe intervals — faster than the 500 ms stall bar — so only faults
 	// it must wait out (a reboot) or detect slowly (a device death) still
 	// show degraded time.
-	wantDegraded := map[string]bool{"desktop_reboot": true, "device_crash": true}
+	wantDegraded := map[string]bool{"desktop_reboot": true, "desktop_reboot_remote": true, "device_crash": true}
 
 	// The supervisor's recovery journal per scenario. The injector runs
 	// with ExternalRepair, so every entry here is the only reason the
@@ -145,9 +145,11 @@ func TestChaosResilience(t *testing.T) {
 	// construction (no timestamps, sorted iteration, config-order
 	// targets), so these are exact matches, never retried.
 	wantJournal := map[string][]string{
-		"flaky_wifi":     {}, // link faults heal on their own; no intervention
-		"desktop_reboot": {}, // reboot completes before the dead-declaration bar
-		"pose_pool_kill": {"restart_service " + services.PoseDetector},
+		"flaky_wifi":            {}, // link faults heal on their own; no intervention
+		"flaky_wifi_remote":     {},
+		"desktop_reboot":        {}, // reboot completes before the dead-declaration bar
+		"desktop_reboot_remote": {},
+		"pose_pool_kill":        {"restart_service " + services.PoseDetector},
 		"device_crash": {
 			"device_dead tv",
 			"redeploy_service " + services.Display + " tv->desktop",

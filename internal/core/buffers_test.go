@@ -14,6 +14,7 @@ import (
 	"videopipe/internal/netsim"
 	"videopipe/internal/script"
 	"videopipe/internal/services"
+	"videopipe/internal/wire"
 )
 
 const relayStage = `function event_received(message) {
@@ -439,7 +440,7 @@ func TestBufferPoolDecodeFailureRestoresCredits(t *testing.T) {
 // The remote-API plan's encode buffer is the same pool's: a call_service
 // that ships a frame to another device borrows it for the call and hands it
 // back whether the call succeeds, the handler fails, the caller gives up
-// mid-call or the breaker never lets the call out.
+// mid-call or no reply can come because the link is cut.
 func TestBufferPoolRemoteCallConservation(t *testing.T) {
 	outstanding := frame.Pool.Outstanding()
 	reg := services.NewRegistry()
@@ -488,14 +489,15 @@ func TestBufferPoolRemoteCallConservation(t *testing.T) {
 	if err := call("hang", 100*time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("abandoned call = %v, want DeadlineExceeded", err)
 	}
-	// Enough handler failures to open the breaker, so the last calls are
-	// refused before anything is sent.
-	refused := false
-	for i := 0; i < 20 && !refused; i++ {
-		refused = errors.Is(call("fail", 5*time.Second), services.ErrBreakerOpen)
+	var remote *wire.RemoteError
+	if err := call("fail", 5*time.Second); !errors.As(err, &remote) {
+		t.Errorf("failing handler = %v, want a *wire.RemoteError", err)
 	}
-	if !refused {
-		t.Error("the breaker never opened; the refused-call path went untested")
+	// A partitioned desktop refuses every dial: the call spends its retry
+	// budget, well inside its deadline, without a reply.
+	c.Network().Partition("phone", "desktop")
+	if err := call("ok", 5*time.Second); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("call across a partition = %v, want the retry budget exhausted", err)
 	}
 
 	c.Close()

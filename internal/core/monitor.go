@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"videopipe/internal/metrics"
-	"videopipe/internal/services"
 )
 
 // ModuleHealth is one module's observed state.
@@ -48,10 +47,6 @@ type ServiceHealth struct {
 	// Restarts counts heal-phase pool restarts, from the
 	// supervisor.restarts.<service> meter.
 	Restarts uint64 `json:"restarts,omitempty"`
-	// Breaker is the worst per-device circuit state observed for this
-	// service (open > half-open > closed); empty when no device has called
-	// it remotely yet.
-	Breaker string `json:"breaker,omitempty"`
 }
 
 // Report is one tick's observation of the cluster; json.Marshal of a
@@ -152,7 +147,6 @@ func (l *Loop) sample() tunerSample {
 			InFlight:  pool.InFlight(),
 			Calls:     pool.Calls(),
 			Restarts:  restarts.Count(),
-			Breaker:   l.cluster.worstBreaker(name),
 		})
 	}
 
@@ -226,27 +220,6 @@ func meterDelta(cur uint64, last *uint64) uint64 {
 	}
 	*last = cur
 	return d
-}
-
-// breakerRank orders circuit states by severity: open over half-open over
-// closed.
-var breakerRank = [...]int{services.BreakerClosed: 1, services.BreakerHalfOpen: 2, services.BreakerOpen: 3}
-
-// worstBreaker is a service's worst circuit state across the devices;
-// empty when none has called it remotely.
-func (c *Cluster) worstBreaker(service string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var worst services.BreakerState
-	for _, d := range c.devices {
-		if s := d.BreakerState(service); breakerRank[s] > breakerRank[worst] {
-			worst = s
-		}
-	}
-	if worst == 0 {
-		return ""
-	}
-	return worst.String()
 }
 
 // Report returns the last tick's observation with the journal's latest

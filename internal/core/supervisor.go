@@ -153,7 +153,6 @@ func (l *Loop) dialProbe(name string, pr *probe) error {
 		return err
 	}
 	pr.caller = wire.DialCaller(l.probeNet, addr.String())
-	pr.caller.SetRetryBudget(1)
 	return nil
 }
 

@@ -142,11 +142,6 @@ type Device struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// breakerStates mirrors the per-service circuit states of this
-	// device's remote-service clients, for monitor reports.
-	breakerMu     sync.Mutex
-	breakerStates map[string]services.BreakerState
-
 	// callHists caches the histograms CallService observes, so a call
 	// builds no meter name.
 	callHistMu sync.Mutex
@@ -174,21 +169,20 @@ func New(cfg Config, t wire.Transport, reg *metrics.Registry) (*Device, error) {
 	}
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	return &Device{
-		name:          cfg.Name,
-		class:         cfg.Class,
-		profile:       profile,
-		transport:     t,
-		store:         frame.NewStore(0),
-		codec:         paddedCodec{inner: frame.JPEGCodec{Quality: 85}, cpuFactor: profile.MediaFactor},
-		reg:           reg,
-		pools:         make(map[string]*services.Pool),
-		remoteDir:     make(map[string]string),
-		clients:       make(map[string]*services.Client),
-		modules:       make(map[string]*Module),
-		baseCtx:       baseCtx,
-		baseCancel:    baseCancel,
-		breakerStates: make(map[string]services.BreakerState),
-		callHists:     make(map[callHistKey]*metrics.Histogram),
+		name:       cfg.Name,
+		class:      cfg.Class,
+		profile:    profile,
+		transport:  t,
+		store:      frame.NewStore(0),
+		codec:      paddedCodec{inner: frame.JPEGCodec{Quality: 85}, cpuFactor: profile.MediaFactor},
+		reg:        reg,
+		pools:      make(map[string]*services.Pool),
+		remoteDir:  make(map[string]string),
+		clients:    make(map[string]*services.Client),
+		modules:    make(map[string]*Module),
+		baseCtx:    baseCtx,
+		baseCancel: baseCancel,
+		callHists:  make(map[callHistKey]*metrics.Histogram),
 	}, nil
 }
 
@@ -375,11 +369,6 @@ func (d *Device) callService(ctx context.Context, name string, args *script.Obje
 	client, ok := d.clients[addr]
 	if !ok {
 		client = services.NewClient(d.transport, addr, d.codec)
-		client.SetBreakerNotify(func(service string, s services.BreakerState) {
-			d.breakerMu.Lock()
-			d.breakerStates[service] = s
-			d.breakerMu.Unlock()
-		})
 		d.clients[addr] = client
 	}
 	d.mu.Unlock()
@@ -447,25 +436,9 @@ func (d *Device) Paused() bool {
 	return d.resumeCh != nil
 }
 
-// BreakerStates snapshots the per-service circuit states observed by this
-// device's remote-service clients.
-func (d *Device) BreakerStates() map[string]services.BreakerState {
-	d.breakerMu.Lock()
-	defer d.breakerMu.Unlock()
-	out := make(map[string]services.BreakerState, len(d.breakerStates))
-	for n, s := range d.breakerStates {
-		out[n] = s
-	}
-	return out
-}
-
-// BreakerState is one entry of BreakerStates, read without copying the
-// map: zero when the device has never called the service remotely.
-func (d *Device) BreakerState(service string) services.BreakerState {
-	d.breakerMu.Lock()
-	defer d.breakerMu.Unlock()
-	return d.breakerStates[service]
-}
+// BreakerStates is kept for bench's health check, its only reader; with
+// no circuit breaker in the service client it always reports none.
+func (d *Device) BreakerStates() map[string]services.BreakerState { return nil }
 
 // awaitRunning is the device's one pause gate: it blocks while the device
 // is paused or crashed and reports false if stop closes first. Module

@@ -35,6 +35,12 @@ type ChaosScenario struct {
 	// module-sabotage scenarios can pick limits low enough that breaches
 	// trip on instruction counts (deterministic) rather than wall clock.
 	Limits *core.LimitsConfig
+	// Remote launches every pipeline on the paper's baseline plan
+	// (BaselineClusterSpec, BaselinePlanner): each module stays on the
+	// phone and every service call crosses the network to the desktop.
+	// Otherwise the home cluster and CoLocatePlanner place modules beside
+	// the services they call.
+	Remote bool
 }
 
 // schedule resolves the scenario's fault plan for a seed.
@@ -50,25 +56,25 @@ func (sc ChaosScenario) schedule(seed int64) chaos.Schedule {
 
 // DefaultChaosScenarios are the paper-testbed failure stories: flaky home
 // Wi-Fi between the phone and the desktop, the desktop rebooting mid-run,
-// and the shared pose pool dying under two-pipeline load.
+// and the shared pose pool dying under two-pipeline load. The Wi-Fi and
+// reboot stories run twice, co-located and on the remote plan, whose every
+// service call crosses the faulted link to the faulted desktop.
 func DefaultChaosScenarios() []ChaosScenario {
+	flakyWifi := &chaos.GenOptions{
+		Horizon:     1200 * time.Millisecond,
+		Events:      3,
+		Links:       []string{chaos.LinkTarget("phone", "desktop")},
+		MinDuration: 200 * time.Millisecond,
+		MaxDuration: 600 * time.Millisecond,
+	}
+	desktopReboot := chaos.Schedule{
+		{At: 400 * time.Millisecond, Kind: chaos.KindPauseDevice, Target: "desktop", Duration: 800 * time.Millisecond},
+	}
 	return []ChaosScenario{
-		{
-			Name: "flaky_wifi",
-			Gen: &chaos.GenOptions{
-				Horizon:     1200 * time.Millisecond,
-				Events:      3,
-				Links:       []string{chaos.LinkTarget("phone", "desktop")},
-				MinDuration: 200 * time.Millisecond,
-				MaxDuration: 600 * time.Millisecond,
-			},
-		},
-		{
-			Name: "desktop_reboot",
-			Schedule: chaos.Schedule{
-				{At: 400 * time.Millisecond, Kind: chaos.KindPauseDevice, Target: "desktop", Duration: 800 * time.Millisecond},
-			},
-		},
+		{Name: "flaky_wifi", Gen: flakyWifi},
+		{Name: "flaky_wifi_remote", Gen: flakyWifi, Remote: true},
+		{Name: "desktop_reboot", Schedule: desktopReboot},
+		{Name: "desktop_reboot_remote", Schedule: desktopReboot, Remote: true},
 		{
 			Name:   "pose_pool_kill",
 			Shared: true,
@@ -80,7 +86,7 @@ func DefaultChaosScenarios() []ChaosScenario {
 }
 
 // SupervisedChaosScenarios are the supervised resilience stories: the
-// default three plus faults only the supervisor can recover from — a
+// default five plus faults only the supervisor can recover from — a
 // permanent TV crash (re-plan the display service, live-migrate the
 // display module) and two module-sabotage cases where hostile code is
 // hot-swapped into a live module and the sandbox must breach, kill, and
@@ -174,7 +180,11 @@ func Chaos(o Options, seed int64, scenarios []ChaosScenario) ([]ChaosRow, error)
 }
 
 func runChaosScenario(reg *services.Registry, sc ChaosScenario, seed int64, o Options) (ChaosRow, error) {
-	cluster, err := core.NewCluster(apps.HomeClusterSpec(), reg)
+	spec, planner := apps.HomeClusterSpec(), core.Planner(core.CoLocatePlanner{})
+	if sc.Remote {
+		spec, planner = apps.BaselineClusterSpec(), core.BaselinePlanner{}
+	}
+	cluster, err := core.NewCluster(spec, reg)
 	if err != nil {
 		return ChaosRow{}, err
 	}
@@ -185,13 +195,13 @@ func runChaosScenario(reg *services.Registry, sc ChaosScenario, seed int64, o Op
 	if sc.Limits != nil {
 		fitCfg.Limits = *sc.Limits
 	}
-	fit, err := cluster.Launch(fitCfg, core.CoLocatePlanner{})
+	fit, err := cluster.Launch(fitCfg, planner)
 	if err != nil {
 		return ChaosRow{}, err
 	}
 	var gest *core.Pipeline
 	if sc.Shared {
-		if gest, err = cluster.Launch(apps.GestureConfig(name+"_gest", chaosSourceFPS, "clap"), core.CoLocatePlanner{}); err != nil {
+		if gest, err = cluster.Launch(apps.GestureConfig(name+"_gest", chaosSourceFPS, "clap"), planner); err != nil {
 			return ChaosRow{}, err
 		}
 	}
@@ -385,14 +395,14 @@ func recoveryTime(samples []deliverySample, healedAt time.Time, preFPS float64) 
 func FormatChaos(rows []ChaosRow, seed int64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Chaos resilience (seed %d)\n", seed)
-	fmt.Fprintf(&b, "%-16s %8s %8s %8s %10s %10s %7s\n",
+	fmt.Fprintf(&b, "%-22s %8s %8s %8s %10s %10s %7s\n",
 		"Scenario", "Pre FPS", "During", "Post", "Recovery", "Degraded", "Faults")
 	for _, r := range rows {
 		rec := "never"
 		if r.Recovery >= 0 {
 			rec = r.Recovery.Round(10 * time.Millisecond).String()
 		}
-		fmt.Fprintf(&b, "%-16s %8.2f %8.2f %8.2f %10s %9.1fs %7d\n",
+		fmt.Fprintf(&b, "%-22s %8.2f %8.2f %8.2f %10s %9.1fs %7d\n",
 			r.Scenario, r.PreFPS, r.DuringFPS, r.PostFPS, rec, r.DegradedSeconds, len(r.Applied))
 		if r.CoPreFPS > 0 {
 			fmt.Fprintf(&b, "  co-located: pre %.2f fps, during fault %.2f\n", r.CoPreFPS, r.CoDuringFPS)

@@ -40,15 +40,18 @@ func fastOptions(t *testing.T) Options {
 }
 
 // TestDefaultChaosSchedulesPinned pins every default scenario's schedule at
-// seed 1 — flaky_wifi's is generated — so a change to chaos.Generate cannot
-// move the legacy schedules silently.
+// seed 1 — the two flaky_wifi ones are generated — so a change to
+// chaos.Generate cannot move the legacy schedules silently.
 func TestDefaultChaosSchedulesPinned(t *testing.T) {
+	flakyWifi := "66.145821ms loss_burst desktop|phone for 482.153551ms\n" +
+		"760.398084ms latency_spike desktop|phone for 280.279449ms\n" +
+		"832.969758ms latency_spike desktop|phone for 349.16732ms"
 	want := map[string]string{
-		"flaky_wifi": "66.145821ms loss_burst desktop|phone for 482.153551ms\n" +
-			"760.398084ms latency_spike desktop|phone for 280.279449ms\n" +
-			"832.969758ms latency_spike desktop|phone for 349.16732ms",
-		"desktop_reboot": "400ms pause_device desktop for 800ms",
-		"pose_pool_kill": "400ms kill_service pose_detector for 1s",
+		"flaky_wifi":            flakyWifi,
+		"flaky_wifi_remote":     flakyWifi,
+		"desktop_reboot":        "400ms pause_device desktop for 800ms",
+		"desktop_reboot_remote": "400ms pause_device desktop for 800ms",
+		"pose_pool_kill":        "400ms kill_service pose_detector for 1s",
 	}
 	scenarios := DefaultChaosScenarios()
 	if len(scenarios) != len(want) {

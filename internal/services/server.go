@@ -149,19 +149,11 @@ func (s *Server) handle(ctx context.Context, m wire.Message) (wire.Message, erro
 	return out, nil
 }
 
-// Client calls remote services over the wire layer. Each service called
-// through the client gets its own circuit breaker: when a service fails
-// repeatedly (dead pool, partitioned host), the breaker opens and calls
-// shed immediately instead of burning the RPC retry budget per frame; a
-// half-open probe rediscovers the service once it heals.
+// Client calls remote services over the wire layer.
 type Client struct {
 	caller  *wire.Caller
 	codec   frame.Codec
 	results warmDecoder
-
-	breakerMu sync.Mutex
-	breakers  map[string]*Breaker
-	onState   func(service string, s BreakerState)
 }
 
 // NewClient creates a client for the service server at address.
@@ -169,37 +161,17 @@ func NewClient(t wire.Transport, address string, codec frame.Codec) *Client {
 	if codec == nil {
 		codec = frame.JPEGCodec{}
 	}
-	return &Client{
-		caller:   wire.DialCaller(t, address),
-		codec:    codec,
-		breakers: make(map[string]*Breaker),
-	}
+	return &Client{caller: wire.DialCaller(t, address), codec: codec}
 }
 
-// SetBreakerNotify installs a callback fired whenever any per-service
-// breaker changes state. It applies to breakers created after the call;
-// install it before the first Call.
-func (c *Client) SetBreakerNotify(fn func(service string, s BreakerState)) {
-	c.breakerMu.Lock()
-	defer c.breakerMu.Unlock()
-	c.onState = fn
-}
+// BreakerState and BreakerClosed remain only because bench's health check
+// (bench/run.go) compiles against them: it requires every state
+// Device.BreakerStates reports to be BreakerClosed, and the client has no
+// circuit breaker to report one.
+type BreakerState int
 
-// breaker returns (creating on first use) the circuit for a service.
-func (c *Client) breaker(service string) *Breaker {
-	c.breakerMu.Lock()
-	defer c.breakerMu.Unlock()
-	b, ok := c.breakers[service]
-	if !ok {
-		b = NewBreaker(0, 0)
-		if fn := c.onState; fn != nil {
-			svc := service
-			b.OnStateChange(func(s BreakerState) { fn(svc, s) })
-		}
-		c.breakers[service] = b
-	}
-	return b
-}
+// BreakerClosed is the one BreakerState bench's health check names.
+const BreakerClosed BreakerState = 1
 
 // encHeaderRoom is space for the codec's frame header next to the pixels,
 // so that a raw encode — the largest there is — fits the borrowed buffer.
@@ -208,16 +180,11 @@ const encHeaderRoom = 64
 // Call invokes a remote service, encoding the frame (if any) for transfer.
 // The input frame is borrowed — the caller keeps ownership.
 func (c *Client) Call(ctx context.Context, service string, args *script.Object, f *frame.Frame) (Response, error) {
-	br := c.breaker(service)
-	if !br.Allow() {
-		return Response{}, fmt.Errorf("services: %s: %w", service, ErrBreakerOpen)
-	}
 	if args == nil {
 		args = script.NewObject()
 	}
 	argsJSON, err := script.AppendJSON(nil, args)
 	if err != nil {
-		br.Cancel()
 		return Response{}, fmt.Errorf("services: marshal args: %w", err)
 	}
 	req := wire.NewMessage([]byte(service), argsJSON)
@@ -230,14 +197,12 @@ func (c *Client) Call(ctx context.Context, service string, args *script.Object, 
 		defer frame.Pool.Put(buf)
 		data, err := c.codec.AppendEncode(buf[:0], f)
 		if err != nil {
-			br.Cancel()
 			return Response{}, fmt.Errorf("services: encode frame: %w", err)
 		}
 		req.Parts = append(req.Parts, data)
 	}
 
 	out, err := c.caller.Call(ctx, req)
-	br.Record(err == nil)
 	if err != nil {
 		return Response{}, err
 	}

@@ -17,7 +17,6 @@ func TestHealthPingHealthyHost(t *testing.T) {
 
 	c := DialCaller(nw.Host("supervisor"), resp.Addr().String())
 	defer c.Close()
-	c.SetRetryBudget(1)
 
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -44,7 +43,6 @@ func TestHealthPingGatedHostTimesOut(t *testing.T) {
 
 	c := DialCaller(nw.Host("supervisor"), resp.Addr().String())
 	defer c.Close()
-	c.SetRetryBudget(1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
@@ -72,7 +70,6 @@ func TestHealthPingGateErrorFailsProbe(t *testing.T) {
 
 	c := DialCaller(nw.Host("supervisor"), resp.Addr().String())
 	defer c.Close()
-	c.SetRetryBudget(1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -94,7 +91,6 @@ func TestHealthPingUnreachableHostFailsFast(t *testing.T) {
 	nw.Partition("supervisor", "tv")
 	c := DialCaller(nw.Host("supervisor"), resp.Addr().String())
 	defer c.Close()
-	c.SetRetryBudget(1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()

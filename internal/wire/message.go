@@ -17,8 +17,9 @@
 // their Close stops accepting, disconnects every peer and returns once the
 // accept loop, every per-connection loop and every in-flight handler exited.
 //
-// The layer is transport-agnostic: it runs over real TCP or over the
-// netsim package's shaped in-memory fabric via the Transport interface.
+// The layer reaches the network through the Transport interface, which the
+// netsim package's shaped in-memory fabric (*netsim.Host) implements; it is
+// the only Transport there is.
 package wire
 
 import (

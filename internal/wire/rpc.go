@@ -45,9 +45,8 @@ type Caller struct {
 
 	// mu (the dialer's) also guards the call table, so a dropped
 	// connection and the calls riding on it fail in one critical section.
-	pending     map[uint64]chan callResult
-	nextID      uint64
-	retryBudget int
+	pending map[uint64]chan callResult
+	nextID  uint64
 }
 
 type callResult struct {
@@ -55,22 +54,12 @@ type callResult struct {
 	err error
 }
 
-// DialCaller creates a caller that will connect to address on first use,
-// with the default retry budget.
+// DialCaller creates a caller that will connect to address on first use.
 func DialCaller(t Transport, address string) *Caller {
 	return &Caller{
-		dialer:      dialer{transport: t, address: address},
-		pending:     make(map[uint64]chan callResult),
-		retryBudget: DefaultRetryBudget,
+		dialer:  dialer{transport: t, address: address},
+		pending: make(map[uint64]chan callResult),
 	}
-}
-
-// SetRetryBudget overrides the per-call connection-attempt budget; n <= 0
-// removes the bound (retries continue until ctx's deadline).
-func (c *Caller) SetRetryBudget(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.retryBudget = n
 }
 
 // Call sends req and waits for the matching response. Concurrent calls are
@@ -79,10 +68,6 @@ func (c *Caller) SetRetryBudget(n int) {
 // A *RemoteError return means the remote handler itself failed; a deadline
 // failure satisfies errors.Is(err, context.DeadlineExceeded).
 func (c *Caller) Call(ctx context.Context, req Message) (Message, error) {
-	c.mu.Lock()
-	budget := c.retryBudget
-	c.mu.Unlock()
-
 	backoff := backoffMin
 	attempts := 0
 	for {
@@ -98,7 +83,7 @@ func (c *Caller) Call(ctx context.Context, req Message) (Message, error) {
 			return Message{}, c.deadlineErr(ctxErr, err)
 		}
 		attempts++
-		if budget > 0 && attempts >= budget {
+		if attempts >= DefaultRetryBudget {
 			return Message{}, fmt.Errorf("wire: call %s: retry budget exhausted after %d attempts: %w", c.address, attempts, err)
 		}
 		if stop := retryWait(ctx, &backoff); stop != nil {

@@ -60,13 +60,12 @@ func TestCallTimesOutDuringPartition(t *testing.T) {
 }
 
 // TestCallRetryBudgetBoundsDeadPeer verifies the caller stops redialing an
-// unreachable address after the configured attempt budget instead of
+// unreachable address after DefaultRetryBudget attempts instead of
 // spinning until the deadline.
 func TestCallRetryBudgetBoundsDeadPeer(t *testing.T) {
 	nw := testNet()
 	c := DialCaller(nw.Host("phone"), "desktop:49999") // nothing listens
 	defer c.Close()
-	c.SetRetryBudget(3)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -79,7 +78,7 @@ func TestCallRetryBudgetBoundsDeadPeer(t *testing.T) {
 		t.Errorf("budget exhaustion reported as deadline: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("3-attempt budget took %v", elapsed)
+		t.Errorf("%d-attempt budget took %v", DefaultRetryBudget, elapsed)
 	}
 }
 
