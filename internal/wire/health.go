@@ -38,9 +38,9 @@ func ListenHealth(t Transport, port int, gate HealthGate) (*Responder, error) {
 }
 
 // Ping sends one liveness probe through the caller and verifies the reply.
-// ctx's deadline and the caller's retry budget bound the probe; supervisors
-// pass a one-tick context and a budget of one so a dead host costs exactly
-// one probe interval.
+// ctx's deadline and the caller's retry budget bound the probe; the
+// supervisor passes a one-tick context, so a dead host costs at most one
+// probe interval.
 func Ping(ctx context.Context, c *Caller) error {
 	resp, err := c.Call(ctx, NewMessage([]byte(healthPing)))
 	if err != nil {
